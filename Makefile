@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci bench bench-go bench-json bench-smoke bench3 bench4 bench5 bench6 bench7 bench8 bench9 fuzz-smoke verify soak soak-smoke gateway-smoke noc-smoke library-smoke
+.PHONY: build vet fmt-check test race ci prof bench bench-go bench-json bench-smoke bench3 bench4 bench5 bench6 bench7 bench8 bench9 fuzz-smoke verify soak soak-smoke gateway-smoke noc-smoke library-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,7 @@ bench-smoke:
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=30s ./internal/device
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/maze
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=30s ./internal/server/protocol/v3
@@ -53,6 +54,18 @@ verify:
 # live-drain smoke + the NoC obstacle-churn smoke + the template-library
 # restart smoke.
 ci: fmt-check vet build test race bench-smoke verify fuzz-smoke soak-smoke gateway-smoke noc-smoke library-smoke
+
+# prof profiles jbench's route/unroute churn experiment (B5) on the 64x96
+# array and prints the 25 hottest functions — a where-does-the-router-spend
+# look, not a measurement (timing claims go through `go run ./benchmark
+# --workload <w>`; see BENCHMARK.json). The binary and the profile land in
+# PROF_DIR, outside the repository.
+PROF_DIR ?= /tmp/jroute-prof
+prof:
+	mkdir -p $(PROF_DIR)
+	$(GO) build -o $(PROF_DIR)/jbench ./cmd/jbench
+	$(PROF_DIR)/jbench -exp B5 -rows 64 -cols 96 -cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/jbench $(PROF_DIR)/cpu.prof
 
 # bench runs the service load generator against an in-process jrouted and
 # regenerates the BENCH_2.json snapshot (throughput, p50/p99, frames shipped).

@@ -7,6 +7,7 @@ package repro_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -599,6 +600,87 @@ func BenchmarkSetClearPIP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDeviceAging answers the finding recorded in benchmark/README.md:
+// one Device re-used for 20 repetitions of the p2p_cold script got 40%
+// slower at identical work, which is why that workload builds a fresh
+// device per repetition. Here one 64x96 device runs the same 10 000-op
+// route/unroute script for 20 rounds, a fresh Router (cold route cache)
+// each round and every net unrouted at the end of it, so only the device
+// carries anything over. aging_ratio is round 20's wall time over round
+// 1's; there is no assertion. EXPERIMENTS B25 records it for the map-keyed
+// state and for the index-addressed state that replaced it.
+func BenchmarkDeviceAging(b *testing.B) {
+	const rounds, nOps, window = 20, 10000, 400
+	type agingOp struct {
+		route     bool
+		src, sink core.Pin
+	}
+	dists := []int{3, 8, 16, 30, 50}
+	gen := workload.ForDevice(1, mustDevice(b, 64, 96))
+	liveSrc, liveSink := map[core.Pin]bool{}, map[core.Pin]bool{}
+	var script, live []agingOp
+	for drawn := 0; len(script) < nOps; drawn++ {
+		src, sink, err := gen.Pair(dists[drawn%len(dists)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if liveSrc[src] || liveSink[sink] {
+			continue // a shared pin would merge two nets or contend
+		}
+		liveSrc[src], liveSink[sink] = true, true
+		script = append(script, agingOp{true, src, sink})
+		live = append(live, agingOp{false, src, sink})
+		if len(live) > window && len(script) < nOps {
+			old := live[0]
+			live = live[1:]
+			delete(liveSrc, old.src)
+			delete(liveSink, old.sink)
+			script = append(script, old)
+		}
+	}
+	round := func(dev *device.Device) time.Duration {
+		r := core.New(dev)
+		start := time.Now()
+		for _, op := range script {
+			var err error
+			if op.route {
+				err = r.RouteNet(op.src, op.sink)
+			} else {
+				err = r.Unroute(op.src)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		took := time.Since(start)
+		for _, c := range r.Connections() {
+			if err := r.Unroute(c.Source); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n := dev.OnPIPCount(); n != 0 {
+			b.Fatalf("%d PIPs left on the device after a round", n)
+		}
+		return took
+	}
+	round(mustDevice(b, 64, 96)) // derive the shared adjacency and fill the pools on another device
+	b.ResetTimer()
+	var first, last time.Duration
+	for i := 0; i < b.N; i++ {
+		dev := mustDevice(b, 64, 96)
+		for n := 1; n <= rounds; n++ {
+			took := round(dev)
+			switch n {
+			case 1:
+				first += took
+			case rounds:
+				last += took
+			}
+		}
+	}
+	b.ReportMetric(float64(last)/float64(first), "aging_ratio")
 }
 
 func BenchmarkFullBitstream(b *testing.B) {

@@ -24,7 +24,9 @@ func runB5(cfg config) error {
 		return err
 	}
 	gen := workload.ForDevice(cfg.seed, r.Dev)
-	ops, err := gen.Churn(400, 6, 0.45)
+	// 400 ops at distance 6 on the default 16x24 array, growing with it:
+	// on 64x96 (make prof) that is 6400 ops at distance 24.
+	ops, err := gen.Churn(400*cfg.rows*cfg.cols/(16*24), max(1, 6*cfg.rows/16), 0.45)
 	if err != nil {
 		return err
 	}

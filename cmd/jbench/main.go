@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -55,7 +57,11 @@ var experiments = []experiment{
 	{"B17", "relocation-aware route cache: replay vs search (§3.1, §3.3)", runB17},
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body; it returns the exit status so that the deferred
+// profile writers run before the process exits.
+func run() int {
 	exp := flag.String("exp", "all", "experiment id (E1, E2, B1..B11) or 'all'")
 	seed := flag.Int64("seed", 1, "workload seed")
 	rows := flag.Int("rows", 16, "default device rows")
@@ -70,62 +76,92 @@ func main() {
 	json9Path := flag.String("json9", "", "run the template-library warm-start bench (BENCH_9) and write results to this file")
 	bench9Smoke := flag.Bool("bench9-smoke", false, "run BENCH_9 with no timing acceptance gate (ci smoke)")
 	learnPath := flag.String("learn", "", "run the library learn campaign (stdlib manifest + fan-net warm-up) and write the template library to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after a GC at the end of the run, to this file")
 	librarySmoke := flag.Bool("library-smoke", false, "learn a tiny library, restart a router from the file, assert seeded replay and byte-identical bitstream (ci smoke)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			}
+		}()
+	}
 
 	if *learnPath != "" {
 		if err := runLearn(*learnPath, *seed, *rows, *cols); err != nil {
 			fmt.Fprintf(os.Stderr, "learn failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *librarySmoke {
 		if err := runLibrarySmoke(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "library-smoke failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *json9Path != "" || *bench9Smoke {
 		if err := runBench9(*json9Path, *seed, *bench9Smoke); err != nil {
 			fmt.Fprintf(os.Stderr, "bench9 failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *json7Path != "" || *bench7Smoke {
 		if err := runBench7(*json7Path, *seed, *bench7Smoke); err != nil {
 			fmt.Fprintf(os.Stderr, "bench7 failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *json8Path != "" || *bench8Smoke {
 		if err := runBench8(*json8Path, *seed, *bench8Smoke); err != nil {
 			fmt.Fprintf(os.Stderr, "bench8 failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *jsonPath != "" {
 		if err := runBenchJSON(*jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "bench json failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-4s %s\n", e.id, e.title)
 		}
-		return
+		return 0
 	}
 	cfg := config{seed: *seed, rows: *rows, cols: *cols, paranoid: *paranoid}
 	want := strings.ToUpper(*exp)
@@ -137,15 +173,16 @@ func main() {
 		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
 		if err := e.run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println()
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 func newDevice(cfg config) (*device.Device, error) {

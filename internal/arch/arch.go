@@ -134,13 +134,15 @@ func NewKestrel() *Arch {
 // WireCount is the size of the per-tile wire name space.
 func (a *Arch) WireCount() int { return int(a.wireCount) }
 
-var dirBlockIndex = map[Dir]int{North: 0, East: 1, South: 2, West: 3}
+// dirBlock is the position of direction d's block within the singles and
+// the hexes, which are laid out North, East, South, West.
+func dirBlock(d Dir) (int, bool) { return int(d) - int(North), d >= North && d <= West }
 
 // Single returns the single-length wire in direction d with index i.
 // The name refers to the track connecting this tile to its d-neighbour:
 // SingleEast[5] at (5,7) and SingleWest[5] at (5,8) are the same track.
 func (a *Arch) Single(d Dir, i int) Wire {
-	bi, ok := dirBlockIndex[d]
+	bi, ok := dirBlock(d)
 	if !ok || i < 0 || i >= a.SinglesPerDir {
 		return Invalid
 	}
@@ -151,7 +153,7 @@ func (a *Arch) Single(d Dir, i int) Wire {
 // The name refers to the track whose far endpoint is HexLen tiles away in
 // direction d.
 func (a *Arch) Hex(d Dir, i int) Wire {
-	bi, ok := dirBlockIndex[d]
+	bi, ok := dirBlock(d)
 	if !ok || i < 0 || i >= a.HexesPerDir {
 		return Invalid
 	}

@@ -1,31 +1,74 @@
 package device
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/arch"
 )
 
-// PIPChoice is one architecture-legal expansion from a track: the PIP to
-// turn on, the canonical track it drives, and two fields every search inner
-// loop would otherwise re-derive per expansion — the target's compact track
-// index and its resource kind.
-type PIPChoice struct {
-	P      PIP
-	Target Track
-	TIdx   int32     // TrackIndex(Target) on the owning geometry
-	Kind   arch.Kind // ClassOf(Target.W).Kind, cached
+// Edge is one architecture-legal expansion from a track, in the compact
+// form the search loops stream through: the PIP to turn on and the
+// canonical track it drives, 16 bytes where PIP plus Track are 48. Tiles
+// are stored relative to the source track's canonical tile, which makes the
+// adjacency of two tiles that sit alike on the array — same distances to
+// the nearby edges, same phase in the long-line and block-RAM periods —
+// identical, so they share one chunk (see adjCache). A long line's fixed
+// coordinate is the exception: a horizontal long is canonical at column 0
+// and a vertical one at row 0 wherever it is driven from, so that
+// coordinate is absolute. Only a choice that survives the search filters
+// is widened to a PIP.
+type Edge struct {
+	TRow, TCol int16     // canonical tile of the driven track, relative
+	PRow, PCol int16     // tile of the PIP, relative
+	TW         uint16    // canonical wire of the driven track
+	From, To   uint16    // the PIP's local wires at its tile
+	Kind       arch.Kind // ClassOf(TW).Kind
 }
 
-// adjCache is the lazily-filled PIP-choice adjacency for one (arch, rows,
-// cols) geometry. Choices depend only on the architecture's connectivity
-// rules and the array bounds — never on routing state — so one cache is
-// shared by every device of the same geometry, and concurrent readers need
-// no locks: slots are published with atomic pointers, and a racing double
-// derivation is benign (both goroutines compute identical slices).
+// PIP widens the PIP of an edge of a track canonical at tile at.
+func (e Edge) PIP(at Coord) PIP {
+	return PIP{Row: at.Row + int(e.PRow), Col: at.Col + int(e.PCol), From: arch.Wire(e.From), To: arch.Wire(e.To)}
+}
+
+// Target widens the track driven by an edge of a track canonical at tile at.
+func (e Edge) Target(at Coord) Track {
+	t := Track{Row: at.Row + int(e.TRow), Col: at.Col + int(e.TCol), W: arch.Wire(e.TW)}
+	switch e.Kind {
+	case arch.KindLongH:
+		t.Col = 0
+	case arch.KindLongV:
+		t.Row = 0
+	}
+	return t
+}
+
+// adjChunk is the adjacency of the tracks canonical at one tile, in
+// compressed-sparse-row form: the edges of wire w are
+// edges[off[w]:off[w+1]], empty for a wire number that is not canonical
+// there.
+type adjChunk struct {
+	off   []uint32
+	edges []Edge
+}
+
+// adjCache is the lazily-filled adjacency for one (arch, rows, cols)
+// geometry. Edges depend only on the architecture's connectivity rules and
+// the array bounds — never on routing state — so one cache is shared by
+// every device of the same geometry, and concurrent readers need no locks:
+// a tile's chunk is published with an atomic pointer.
+//
+// A tile's chunk is derived whole on the first visit to any of its tracks,
+// then interned by content: edges are tile-relative, so on a 64x96 array a
+// few hundred distinct chunks serve all 6144 tiles, and the adjacency a
+// search streams through is megabytes, not the third of a gigabyte that
+// one chunk per tile would be.
 type adjCache struct {
-	slots []atomic.Pointer[[]PIPChoice]
+	chunks []atomic.Pointer[adjChunk] // by tile
+
+	mu     sync.Mutex
+	shared map[uint64][]*adjChunk // content hash -> the distinct chunks with it
 }
 
 // adjKey identifies a geometry by architecture *parameters*, not pointer:
@@ -65,35 +108,91 @@ func adjCacheFor(a *arch.Arch, rows, cols int) *adjCache {
 	if len(adjTab) >= 64 {
 		adjTab = map[adjKey]*adjCache{}
 	}
-	c := &adjCache{slots: make([]atomic.Pointer[[]PIPChoice], rows*cols*a.WireCount())}
+	c := &adjCache{
+		chunks: make([]atomic.Pointer[adjChunk], rows*cols),
+		shared: map[uint64][]*adjChunk{},
+	}
 	adjTab[k] = c
 	return c
 }
 
-// PIPChoices returns the legal PIP expansions from canonical track t as a
-// flat cached slice (see ForEachPIPChoice for the semantics). The slice is
-// shared and must not be mutated. First access derives it from the
-// architecture rules; later accesses — from any device of the same
-// geometry, on any goroutine — are a single atomic load.
-func (d *Device) PIPChoices(t Track) []PIPChoice {
-	idx := d.TrackIndex(t)
-	if idx < 0 || int(idx) >= len(d.adjc.slots) {
-		return nil
+// EdgesAt returns the legal PIP expansions from the canonical track at
+// index i, and the track's tile, which the edges are relative to: at each
+// tap tile, each architecture-legal target that can be driven there, in tap
+// order then LocalFanout order. Targets that already have a driver are
+// included (the caller decides whether reuse or avoidance applies); targets
+// that would leave the array are not. The slice is shared by every device
+// of this geometry and must not be mutated. The first access to a tile
+// derives its chunk from the architecture rules; later accesses — from any
+// device, on any goroutine — are one atomic load.
+func (d *Device) EdgesAt(i int32) ([]Edge, Coord) {
+	tile := int(i) / d.wireCount
+	if i < 0 || tile >= len(d.adjc.chunks) {
+		return nil, Coord{}
 	}
-	slot := &d.adjc.slots[idx]
-	if p := slot.Load(); p != nil {
-		return *p
+	ch := d.adjc.chunks[tile].Load()
+	if ch == nil {
+		// Racing derivations intern to the same chunk.
+		ch = d.adjc.intern(d.deriveChunk(tile))
+		d.adjc.chunks[tile].Store(ch)
 	}
-	choices := d.derivePIPChoices(t)
-	slot.Store(&choices)
-	return choices
+	w := int(i) - tile*d.wireCount
+	return ch.edges[ch.off[w]:ch.off[w+1]], Coord{Row: tile / d.Cols, Col: tile % d.Cols}
 }
 
-// derivePIPChoices is the uncached derivation: walk the track's tap tiles,
-// resolve its local name there, and keep each architecture-legal fanout
+// Edges is EdgesAt for a track; nil if t is not on the array.
+func (d *Device) Edges(t Track) ([]Edge, Coord) {
+	i, ok := d.index(t)
+	if !ok {
+		return nil, Coord{}
+	}
+	return d.EdgesAt(i)
+}
+
+// intern returns the chunk every tile with ch's content shares.
+func (c *adjCache) intern(ch *adjChunk) *adjChunk {
+	h := uint64(len(ch.edges))
+	for _, o := range ch.off {
+		h = (h ^ uint64(o)) * 0x100000001b3
+	}
+	for _, e := range ch.edges {
+		h = (h ^ (uint64(uint16(e.TRow)) | uint64(uint16(e.TCol))<<16 | uint64(uint16(e.PRow))<<32 | uint64(uint16(e.PCol))<<48)) * 0x100000001b3
+		h = (h ^ (uint64(e.TW) | uint64(e.From)<<16 | uint64(e.To)<<32 | uint64(e.Kind)<<48)) * 0x100000001b3
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, have := range c.shared[h] {
+		if slices.Equal(have.off, ch.off) && slices.Equal(have.edges, ch.edges) {
+			return have
+		}
+	}
+	ch.edges = slices.Clone(ch.edges) // the derivation's slice has append's slack
+	c.shared[h] = append(c.shared[h], ch)
+	return ch
+}
+
+// deriveChunk derives the adjacency of every track canonical at a tile.
+func (d *Device) deriveChunk(tile int) *adjChunk {
+	row, col := tile/d.Cols, tile%d.Cols
+	ch := &adjChunk{
+		off:   make([]uint32, d.wireCount+1),
+		edges: make([]Edge, 0, 16*d.wireCount), // a Virtex tile has ~3600; intern trims
+	}
+	for w := 0; w < d.wireCount; w++ {
+		ch.off[w] = uint32(len(ch.edges))
+		t := Track{row, col, arch.Wire(w)}
+		if c, ok := d.CanonOK(row, col, t.W); ok && c == t {
+			ch.edges = d.derivePIPChoices(ch.edges, t)
+		}
+	}
+	ch.off[d.wireCount] = uint32(len(ch.edges))
+	return ch
+}
+
+// derivePIPChoices is the derivation step: walk the track's tap tiles,
+// resolve its local name there, and append each architecture-legal fanout
 // target that exists on the array and may be driven at that tile.
-func (d *Device) derivePIPChoices(t Track) []PIPChoice {
-	out := []PIPChoice{}
+func (d *Device) derivePIPChoices(out []Edge, t Track) []Edge {
 	for _, tap := range d.Taps(t) {
 		f := d.LocalName(t, tap)
 		if f == arch.Invalid {
@@ -107,12 +206,19 @@ func (d *Device) derivePIPChoices(t Track) []PIPChoice {
 			if !d.DriveAllowedAt(to, tap) {
 				continue
 			}
-			out = append(out, PIPChoice{
-				P:      PIP{tap.Row, tap.Col, f, toW},
-				Target: to,
-				TIdx:   d.TrackIndex(to),
-				Kind:   d.A.ClassOf(to.W).Kind,
-			})
+			e := Edge{
+				TRow: int16(to.Row - t.Row), TCol: int16(to.Col - t.Col), TW: uint16(to.W),
+				PRow: int16(tap.Row - t.Row), PCol: int16(tap.Col - t.Col),
+				From: uint16(f), To: uint16(toW),
+				Kind: d.A.ClassOf(to.W).Kind,
+			}
+			switch e.Kind {
+			case arch.KindLongH:
+				e.TCol = 0
+			case arch.KindLongV:
+				e.TRow = 0
+			}
+			out = append(out, e)
 		}
 	}
 	return out

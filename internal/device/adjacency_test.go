@@ -46,45 +46,142 @@ func TestTrackIndexBoundsAndUniqueness(t *testing.T) {
 	}
 }
 
-// TestPIPChoicesMatchDirectDerivation: the cached adjacency must be exactly
-// what walking Taps/LocalName/LocalFanout/DriveAllowedAt produces, with
-// correct cached TIdx and Kind, and repeated calls must return the shared
-// slice.
+// PIPChoicesFrom widens the edges of track t (see EdgesAt) to PIPs, for the
+// tests that want some legal PIP to turn on.
+func (d *Device) PIPChoicesFrom(t Track) []PIP {
+	var out []PIP
+	edges, at := d.Edges(t)
+	for _, e := range edges {
+		out = append(out, e.PIP(at))
+	}
+	return out
+}
+
+// refChoice is one expansion in the wide form the adjacency held before it
+// became compact edges.
+type refChoice struct {
+	P      PIP
+	Target Track
+	TIdx   int32
+	Kind   arch.Kind
+}
+
+// refPIPChoices is the reference derivation, independent of the chunk
+// builder: walk Taps/LocalName/LocalFanout/DriveAllowedAt for one track.
+func refPIPChoices(d *Device, t Track) []refChoice {
+	var out []refChoice
+	for _, tap := range d.Taps(t) {
+		f := d.LocalName(t, tap)
+		if f == arch.Invalid {
+			continue
+		}
+		for _, toW := range d.A.LocalFanout(f) {
+			to, ok := d.CanonOK(tap.Row, tap.Col, toW)
+			if !ok || !d.DriveAllowedAt(to, tap) {
+				continue
+			}
+			out = append(out, refChoice{
+				P:      PIP{tap.Row, tap.Col, f, toW},
+				Target: to,
+				TIdx:   d.TrackIndex(to),
+				Kind:   d.A.ClassOf(to.W).Kind,
+			})
+		}
+	}
+	return out
+}
+
+// checkTileEdges compares the decoded compact adjacency of every track
+// canonical at a tile with the reference, element for element and in order
+// (the order is what search tie-breaking, and so every route, hangs on),
+// and requires that a wire number not canonical there has no edges.
+func checkTileEdges(t *testing.T, d *Device, row, col int) (tracks, edges int) {
+	t.Helper()
+	for w := 0; w < d.A.WireCount(); w++ {
+		tr := Track{Row: row, Col: col, W: arch.Wire(w)}
+		got, at := d.Edges(tr)
+		if c, ok := d.CanonOK(row, col, tr.W); !ok || c != tr {
+			if len(got) != 0 {
+				t.Fatalf("%v is not canonical but has %d edges", tr, len(got))
+			}
+			continue
+		}
+		want := refPIPChoices(d, tr)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d edges, %d derived", tr, len(got), len(want))
+		}
+		for i, e := range got {
+			dec := refChoice{P: e.PIP(at), Target: e.Target(at), TIdx: d.TrackIndex(e.Target(at)), Kind: e.Kind}
+			if dec != want[i] {
+				t.Fatalf("%v edge %d: decoded %+v, derived %+v", tr, i, dec, want[i])
+			}
+			if d.TrackAt(dec.TIdx) != dec.Target {
+				t.Fatalf("%v edge %d: TrackAt(%d) = %v, want %v", tr, i, dec.TIdx, d.TrackAt(dec.TIdx), dec.Target)
+			}
+		}
+		if again, _ := d.EdgesAt(d.TrackIndex(tr)); len(again) > 0 && &again[0] != &got[0] {
+			t.Fatalf("%v: a second read returned a different slice", tr)
+		}
+		tracks++
+		edges += len(got)
+	}
+	return tracks, edges
+}
+
+// TestPIPChoicesMatchDirectDerivation: the compact per-tile adjacency must
+// decode to exactly what walking Taps/LocalName/LocalFanout/DriveAllowedAt
+// produces — every canonical track of the small arrays of both
+// architectures, and on the 64x96 array the tiles where the rules have
+// edges: boundary rows and columns (IOBs, wires that would leave the
+// array), BRAM columns, long-line access columns and their neighbours.
 func TestPIPChoicesMatchDirectDerivation(t *testing.T) {
-	d, err := New(arch.NewVirtex(), 12, 16)
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		d, err := New(a, 16, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracks, maxDeg := 0, 0
+		for row := 0; row < d.Rows; row++ {
+			for col := 0; col < d.Cols; col++ {
+				n, _ := checkTileEdges(t, d, row, col)
+				tracks += n
+			}
+		}
+		for i := int32(0); int(i) < d.NumTracks(); i++ {
+			if edges, _ := d.EdgesAt(i); len(edges) > maxDeg {
+				maxDeg = len(edges)
+			}
+		}
+		if tracks == 0 || maxDeg == 0 {
+			t.Fatalf("%s: %d tracks checked, max degree %d", a.Name, tracks, maxDeg)
+		}
+	}
+
+	if testing.Short() {
+		return
+	}
+	a := arch.NewVirtex()
+	d, err := New(a, 64, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	for row := 0; row < d.Rows; row += 3 {
-		for col := 0; col < d.Cols; col += 3 {
-			for w := 0; w < d.A.WireCount(); w++ {
-				tr, ok := d.CanonOK(row, col, arch.Wire(w))
-				if !ok || tr != (Track{Row: row, Col: col, W: arch.Wire(w)}) {
-					continue
-				}
-				got := d.PIPChoices(tr)
-				want := d.derivePIPChoices(tr)
-				if len(got) != len(want) {
-					t.Fatalf("%v: %d cached choices, %d derived", tr, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v choice %d: cached %+v, derived %+v", tr, i, got[i], want[i])
-					}
-					if got[i].TIdx != d.TrackIndex(got[i].Target) {
-						t.Fatalf("%v choice %d: TIdx %d != TrackIndex %d", tr, i, got[i].TIdx, d.TrackIndex(got[i].Target))
-					}
-					if got[i].Kind != d.A.ClassOf(got[i].Target.W).Kind {
-						t.Fatalf("%v choice %d: stale Kind", tr, i)
-					}
-				}
-				checked++
-			}
+	rows := []int{0, 1, a.HexLen - 1, a.HexLen, 31, d.Rows - a.HexLen - 1, d.Rows - 2, d.Rows - 1}
+	var cols []int
+	for col := 0; col < d.Cols; col++ {
+		edge := col < a.HexLen+1 || col >= d.Cols-a.HexLen-1
+		if edge || a.BRAMColumn(col) || col%a.LongAccessPeriod == 0 {
+			cols = append(cols, col)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no tracks checked")
+	for _, row := range rows {
+		for col := 0; col < d.Cols; col++ {
+			checkTileEdges(t, d, row, col)
+		}
+	}
+	for _, col := range cols {
+		for row := 0; row < d.Rows; row += 5 {
+			checkTileEdges(t, d, row, col)
+		}
 	}
 }
 
@@ -116,13 +213,13 @@ func TestPIPChoicesSharedAcrossDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(d1.PIPChoices(tr))
-	ch := d1.PIPChoices(tr)[0]
-	if err := d1.SetPIP(ch.P.Row, ch.P.Col, ch.P.From, ch.P.To); err != nil {
+	before := d1.PIPChoicesFrom(tr)
+	ch := before[0]
+	if err := d1.SetPIP(ch.Row, ch.Col, ch.From, ch.To); err != nil {
 		t.Fatal(err)
 	}
-	if after := len(d1.PIPChoices(tr)); after != before {
-		t.Errorf("routing state changed adjacency: %d -> %d", before, after)
+	if after := d1.PIPChoicesFrom(tr); len(after) != len(before) {
+		t.Errorf("routing state changed adjacency: %d -> %d", len(before), len(after))
 	}
 }
 
@@ -138,12 +235,16 @@ func TestAppendVariantsMatchCopying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop1 := d.PIPChoices(src)[0]
-	if err := d.SetPIP(hop1.P.Row, hop1.P.Col, hop1.P.From, hop1.P.To); err != nil {
+	hop1 := d.PIPChoicesFrom(src)[0]
+	if err := d.SetPIP(hop1.Row, hop1.Col, hop1.From, hop1.To); err != nil {
 		t.Fatal(err)
 	}
-	hop2 := d.PIPChoices(hop1.Target)[0]
-	if err := d.SetPIP(hop2.P.Row, hop2.P.Col, hop2.P.From, hop2.P.To); err != nil {
+	mid, err := d.Canon(hop1.Row, hop1.Col, hop1.To)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop2 := d.PIPChoicesFrom(mid)[0]
+	if err := d.SetPIP(hop2.Row, hop2.Col, hop2.From, hop2.To); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.AppendFanoutOf(nil, src), d.FanoutOf(src); len(got) != len(want) {

@@ -315,8 +315,7 @@ func (d *Device) ApplyFramesRaw(stream []byte) (int, error) {
 // bits encode contention or reference impossible resources, which is how a
 // corrupt bitstream surfaces.
 func (d *Device) RebuildFromBits() error {
-	d.driver = make(map[Key]PIP)
-	d.fanout = make(map[Key][]PIP)
+	d.resetRouting()
 	d.luts = make(map[lutKey]uint16)
 	d.ffInit = make(map[lutKey]bool)
 	d.lutUsed = make(map[lutKey]bool)
@@ -343,11 +342,11 @@ func (d *Device) RebuildFromBits() error {
 						return fmt.Errorf("device: bitstream encodes illegal PIP: %w", err)
 					}
 					p := PIP{row, col, pair[0], pair[1]}
-					if exist, ok := d.driver[to.Key()]; ok {
-						return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
+					ti := d.TrackIndex(to)
+					if d.Driven(ti) {
+						return &ContentionError{Track: to, Existing: d.driverAt(ti), Attempt: p, Name: d.A.WireName(to.W)}
 					}
-					d.driver[to.Key()] = p
-					d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
+					d.link(p, d.TrackIndex(from), ti)
 				}
 			}
 			for n := 0; n < NumLUTs; n++ {

@@ -28,7 +28,7 @@ func (e *ContentionError) Error() string {
 
 // Device is one configured FPGA.
 //
-// A Device is safe for concurrent *reads* (DriverOf, IsOn, PIPChoices,
+// A Device is safe for concurrent *reads* (DriverOf, Driven, EdgesAt,
 // Canon...); mutating calls (SetPIP, ClearPIP, LUT/BRAM configuration) must
 // not run concurrently with anything else. The parallel batch router relies
 // on this: its workers only read, and all commits happen on one goroutine.
@@ -39,10 +39,15 @@ type Device struct {
 	wireCount int       // cached d.A.WireCount() for TrackIndex
 	adjc      *adjCache // PIP-choice adjacency, shared per (arch, size)
 
-	bits     *bitstream.Bitstream
-	layout   bitLayout
-	driver   map[Key]PIP   // canonical track -> the PIP driving it
-	fanout   map[Key][]PIP // canonical track -> on-PIPs sourced from it
+	bits   *bitstream.Bitstream
+	layout bitLayout
+
+	// Routing state, indexed by TrackIndex; see state.go.
+	occ       []uint64
+	pages     []*tilePage
+	freePages []*tilePage
+	onPIPs    int
+
 	luts     map[lutKey]uint16
 	ffInit   map[lutKey]bool
 	lutUsed  map[lutKey]bool
@@ -55,6 +60,9 @@ type lutKey struct {
 	N        int // LUT 0..3 (S0F, S0G, S1F, S1G) / FF 0..3 (S0XQ, S0YQ, S1XQ, S1YQ)
 }
 
+// maxSide bounds rows and columns: an Edge holds tile offsets as int16.
+const maxSide = 1<<15 - 1
+
 // New creates a device of the given array size. Virtex arrays range from
 // 16x24 to 64x96 (§2), but any positive size at least twice the hex length
 // is accepted.
@@ -63,12 +71,13 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 		return nil, fmt.Errorf("device: array %dx%d too small for %s (need at least %dx%d)",
 			rows, cols, a.Name, min, min)
 	}
+	if rows > maxSide || cols > maxSide || rows*cols > (1<<31-1)/a.WireCount() {
+		return nil, fmt.Errorf("device: array %dx%d too large (track indices are int32, tile offsets int16)", rows, cols)
+	}
 	d := &Device{
 		A:        a,
 		Rows:     rows,
 		Cols:     cols,
-		driver:   make(map[Key]PIP),
-		fanout:   make(map[Key][]PIP),
 		luts:     make(map[lutKey]uint16),
 		ffInit:   make(map[lutKey]bool),
 		lutUsed:  make(map[lutKey]bool),
@@ -95,8 +104,9 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 // scratch state, not density.
 func (d *Device) NumTracks() int { return d.Rows * d.Cols * d.wireCount }
 
-// TrackIndex maps a canonical track to its compact per-device index; the
-// inverse of nothing — searches keep the Track alongside the index.
+// TrackIndex maps a canonical track to its compact per-device index, which
+// addresses the routing state, the adjacency and the search arenas. TrackAt
+// is the inverse.
 func (d *Device) TrackIndex(t Track) int32 {
 	return int32((t.Row*d.Cols+t.Col)*d.wireCount + int(t.W))
 }
@@ -146,14 +156,15 @@ func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 	if err != nil {
 		return err
 	}
-	if exist, ok := d.driver[to.Key()]; ok {
+	ti := d.TrackIndex(to)
+	if d.Driven(ti) {
+		exist := d.driverAt(ti)
 		if exist == p {
 			return nil // idempotent
 		}
 		return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
 	}
-	d.driver[to.Key()] = p
-	d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
+	d.link(p, d.TrackIndex(from), ti)
 	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
 		if err := d.bits.SetBit(row, col, bit, true); err != nil {
 			return err
@@ -170,189 +181,15 @@ func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	if err != nil {
 		return err
 	}
-	exist, ok := d.driver[to.Key()]
-	if !ok || exist != p {
+	ti := d.TrackIndex(to)
+	if !d.Driven(ti) || d.driverAt(ti) != p {
 		return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
 	}
-	delete(d.driver, to.Key())
-	fk := from.Key()
-	list := d.fanout[fk]
-	for i, q := range list {
-		if q == p {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(d.fanout, fk)
-	} else {
-		d.fanout[fk] = list
-	}
+	d.unlink(d.TrackIndex(from), ti)
 	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
 		if err := d.bits.SetBit(row, col, bit, false); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// PIPIsOn reports whether exactly this PIP is on.
-func (d *Device) PIPIsOn(row, col int, fromW, toW arch.Wire) bool {
-	to, err := d.Canon(row, col, toW)
-	if err != nil {
-		return false
-	}
-	exist, ok := d.driver[to.Key()]
-	return ok && exist == (PIP{row, col, fromW, toW})
-}
-
-// IsOn is the paper's ison(int row, int col, int wire): whether the wire
-// named at CLB (row, col) is currently in use, i.e. has a driver.
-func (d *Device) IsOn(row, col int, w arch.Wire) bool {
-	t, err := d.Canon(row, col, w)
-	if err != nil {
-		return false
-	}
-	_, ok := d.driver[t.Key()]
-	return ok
-}
-
-// InUse reports whether a track is part of any routed net: it is driven, or
-// it sources at least one on-PIP (output pins, for instance, are never
-// driven but are in use once routed).
-func (d *Device) InUse(t Track) bool {
-	if _, ok := d.driver[t.Key()]; ok {
-		return true
-	}
-	return len(d.fanout[t.Key()]) > 0
-}
-
-// DriverOf returns the PIP driving a track, if any.
-func (d *Device) DriverOf(t Track) (PIP, bool) {
-	p, ok := d.driver[t.Key()]
-	return p, ok
-}
-
-// FanoutOf returns the on-PIPs sourced from a track. The returned slice is
-// a copy.
-func (d *Device) FanoutOf(t Track) []PIP {
-	list := d.fanout[t.Key()]
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]PIP, len(list))
-	copy(out, list)
-	return out
-}
-
-// AppendFanoutOf appends the on-PIPs sourced from t to buf and returns the
-// extended slice — the allocation-free form of FanoutOf for hot traversal
-// loops (net tracing, unrouting, fanout reuse).
-func (d *Device) AppendFanoutOf(buf []PIP, t Track) []PIP {
-	return append(buf, d.fanout[t.Key()]...)
-}
-
-// FanoutCount returns how many on-PIPs a track sources, without copying.
-func (d *Device) FanoutCount(t Track) int { return len(d.fanout[t.Key()]) }
-
-// OnPIPCount returns the number of PIPs currently on.
-func (d *Device) OnPIPCount() int { return len(d.driver) }
-
-// AllOnPIPs returns every on-PIP (order unspecified).
-func (d *Device) AllOnPIPs() []PIP {
-	return d.AppendAllOnPIPs(make([]PIP, 0, len(d.driver)))
-}
-
-// AppendAllOnPIPs appends every on-PIP (order unspecified) to buf and
-// returns the extended slice, for callers that poll repeatedly.
-func (d *Device) AppendAllOnPIPs(buf []PIP) []PIP {
-	for _, p := range d.driver {
-		buf = append(buf, p)
-	}
-	return buf
-}
-
-// ForEachPIPChoice visits every legal PIP that can be sourced from track t:
-// at each tap tile, each architecture-legal target that can be driven
-// there. Targets that already have a driver are included (the caller
-// decides whether reuse or avoidance applies); targets that would leave the
-// array are not. The visit stops early if fn returns false.
-//
-// The choice set is device-state independent; it is served from the shared
-// adjacency cache (see PIPChoices), which this call fills on first visit.
-func (d *Device) ForEachPIPChoice(t Track, fn func(p PIP, target Track) bool) {
-	for _, c := range d.PIPChoices(t) {
-		if !fn(c.P, c.Target) {
-			return
-		}
-	}
-}
-
-// CheckConsistency verifies the internal invariants of the routing state:
-// every driver entry appears exactly once in its source's fanout list and
-// vice versa, every on-PIP has its configuration bit set, and no track has
-// more than one driver (structurally impossible, but verified against the
-// bitstream). It is used by property tests and available to debug tools.
-func (d *Device) CheckConsistency() error {
-	// driver -> fanout.
-	for key, p := range d.driver {
-		from, to, err := d.validatePIP(p)
-		if err != nil {
-			return fmt.Errorf("device: driver map holds invalid PIP %v: %w", p, err)
-		}
-		if to.Key() != key {
-			return fmt.Errorf("device: driver map key %v does not match PIP target %v", TrackOfKey(key), to)
-		}
-		count := 0
-		for _, q := range d.fanout[from.Key()] {
-			if q == p {
-				count++
-			}
-		}
-		if count != 1 {
-			return fmt.Errorf("device: PIP %v appears %d times in fanout of %v", p, count, from)
-		}
-		if bit, ok := d.layout.pipBit(p.From, p.To); ok {
-			v, err := d.bits.GetBit(p.Row, p.Col, bit)
-			if err != nil {
-				return err
-			}
-			if !v {
-				return fmt.Errorf("device: on-PIP %v has a clear configuration bit", p)
-			}
-		}
-	}
-	// fanout -> driver.
-	total := 0
-	for key, list := range d.fanout {
-		for _, p := range list {
-			total++
-			to, ok := d.CanonOK(p.Row, p.Col, p.To)
-			if !ok {
-				return fmt.Errorf("device: fanout holds invalid PIP %v", p)
-			}
-			if got, okd := d.driver[to.Key()]; !okd || got != p {
-				return fmt.Errorf("device: fanout PIP %v missing from driver map", p)
-			}
-			from, ok := d.CanonOK(p.Row, p.Col, p.From)
-			if !ok || from.Key() != key {
-				return fmt.Errorf("device: fanout PIP %v filed under wrong source %v", p, TrackOfKey(key))
-			}
-		}
-	}
-	if total != len(d.driver) {
-		return fmt.Errorf("device: %d fanout PIPs vs %d drivers", total, len(d.driver))
-	}
-	return nil
-}
-
-// PIPChoicesFrom collects ForEachPIPChoice's PIPs into a slice.
-func (d *Device) PIPChoicesFrom(t Track) []PIP {
-	var out []PIP
-	d.ForEachPIPChoice(t, func(p PIP, _ Track) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }

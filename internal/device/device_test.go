@@ -2,10 +2,14 @@ package device
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/bitstream"
 )
 
 func virtexDev(t testing.TB) *Device {
@@ -27,6 +31,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(a, 12, 12); err != nil {
 		t.Errorf("minimal array rejected: %v", err)
+	}
+	if _, err := New(a, maxSide+1, 12); err == nil {
+		t.Error("a side beyond an edge's int16 tile offset accepted")
+	}
+	if _, err := New(a, 3000, 3000); err == nil {
+		t.Error("an array with more tracks than an int32 index accepted")
 	}
 }
 
@@ -563,4 +573,344 @@ func TestSetClearProperty(t *testing.T) {
 		t.Error(err)
 	}
 	_ = a
+}
+
+// refState is the routing state as the device kept it before state.go: two
+// hash maps keyed by Track.Key. It is the reference model the paged,
+// index-addressed state is fuzzed against.
+type refState struct {
+	driver map[Key]PIP   // canonical track -> the PIP driving it
+	fanout map[Key][]PIP // canonical track -> on-PIPs sourced from it
+}
+
+func newRefState() *refState {
+	return &refState{driver: map[Key]PIP{}, fanout: map[Key][]PIP{}}
+}
+
+// set mirrors SetPIP: nil, a validation error, or contention (returned as
+// the PIP already there).
+func (r *refState) set(d *Device, p PIP) (exist PIP, contended bool, err error) {
+	from, to, err := d.validatePIP(p)
+	if err != nil {
+		return PIP{}, false, err
+	}
+	if exist, ok := r.driver[to.Key()]; ok {
+		return exist, exist != p, nil
+	}
+	r.driver[to.Key()] = p
+	r.fanout[from.Key()] = append(r.fanout[from.Key()], p)
+	return PIP{}, false, nil
+}
+
+// clear mirrors ClearPIP; ok is false where ClearPIP must fail.
+func (r *refState) clear(d *Device, p PIP) (ok bool) {
+	from, to, err := d.validatePIP(p)
+	if err != nil {
+		return false
+	}
+	if exist, on := r.driver[to.Key()]; !on || exist != p {
+		return false
+	}
+	delete(r.driver, to.Key())
+	fk := from.Key()
+	list := r.fanout[fk]
+	for i, q := range list {
+		if q == p {
+			list[i] = list[len(list)-1]
+			list = list[:len(list)-1]
+			break
+		}
+	}
+	if len(list) == 0 {
+		delete(r.fanout, fk)
+	} else {
+		r.fanout[fk] = list
+	}
+	return true
+}
+
+// rebuild mirrors the routing half of RebuildFromBits: every set PIP bit,
+// tiles in row-major order, bits in layout order.
+func (r *refState) rebuild(t testing.TB, d *Device) {
+	t.Helper()
+	*r = *newRefState()
+	for row := 0; row < d.Rows; row++ {
+		for col := 0; col < d.Cols; col++ {
+			for i, pair := range d.layout.pairs {
+				on, err := d.bits.GetBit(row, col, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !on {
+					continue
+				}
+				if _, contended, err := r.set(d, PIP{row, col, pair[0], pair[1]}); err != nil || contended {
+					t.Fatalf("reference rebuild: PIP bit %d at (%d,%d): contended=%v err=%v", i, row, col, contended, err)
+				}
+			}
+		}
+	}
+}
+
+// compare holds the device to the reference. The cheap form visits what
+// the reference holds; full additionally sweeps every track index, so a
+// track the device wrongly believes routed is found too.
+func (r *refState) compare(t testing.TB, d *Device, full bool) {
+	t.Helper()
+	if d.OnPIPCount() != len(r.driver) {
+		t.Fatalf("OnPIPCount %d, reference %d", d.OnPIPCount(), len(r.driver))
+	}
+	if err := d.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(tr Track) {
+		k := tr.Key()
+		want, wantOn := r.driver[k]
+		if got, on := d.DriverOf(tr); on != wantOn || got != want {
+			t.Fatalf("DriverOf(%v) = %v, %v; reference %v, %v", tr, got, on, want, wantOn)
+		}
+		// Order included: the list must keep the slice's append and
+		// swap-remove order, which net tracing (and so routing) observes.
+		if got, want := d.FanoutOf(tr), r.fanout[k]; !slices.Equal(got, want) {
+			t.Fatalf("FanoutOf(%v) = %v; reference %v", tr, got, want)
+		}
+		if got, want := d.FanoutCount(tr), len(r.fanout[k]); got != want {
+			t.Fatalf("FanoutCount(%v) = %d; reference %d", tr, got, want)
+		}
+		if got, want := d.InUse(tr), wantOn || len(r.fanout[k]) > 0; got != want {
+			t.Fatalf("InUse(%v) = %v; reference %v", tr, got, want)
+		}
+		// IsOn takes a wire reference: the name resolves to its track first.
+		c, ok := d.CanonOK(tr.Row, tr.Col, tr.W)
+		_, wantIsOn := r.driver[c.Key()]
+		if got := d.IsOn(tr.Row, tr.Col, tr.W); got != (ok && wantIsOn) {
+			t.Fatalf("IsOn(%v) = %v; reference %v", tr, got, ok && wantIsOn)
+		}
+	}
+	for k := range r.driver {
+		check(TrackOfKey(k))
+	}
+	for k := range r.fanout {
+		check(TrackOfKey(k))
+	}
+	all := d.AllOnPIPs()
+	last := int32(-1)
+	for _, p := range all {
+		to, ok := d.CanonOK(p.Row, p.Col, p.To)
+		if !ok || r.driver[to.Key()] != p {
+			t.Fatalf("AllOnPIPs lists %v, which the reference does not hold", p)
+		}
+		if i := d.TrackIndex(to); i <= last {
+			t.Fatalf("AllOnPIPs out of ascending track-index order at %v", p)
+		} else {
+			last = i
+		}
+	}
+	if len(all) != len(r.driver) {
+		t.Fatalf("AllOnPIPs lists %d PIPs, reference %d", len(all), len(r.driver))
+	}
+	if full {
+		for i := int32(0); int(i) < d.NumTracks(); i++ {
+			check(d.TrackAt(i))
+		}
+	}
+}
+
+// driveState interprets script as SetPIP/ClearPIP/ApplyConfig/
+// RebuildFromBits steps on a 12x16 device and holds the device to the
+// reference model after every one.
+func driveState(t testing.TB, script []byte) {
+	d, err := New(arch.NewVirtex(), 12, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefState()
+	var snapshot []byte // a FullConfig taken earlier in the script
+	// pick reads a PIP out of the adjacency: a track, then one of its edges.
+	pick := func(b []byte) PIP {
+		i := int32((int(b[0])<<16 | int(b[1])<<8 | int(b[2])) % d.NumTracks())
+		edges, at := d.EdgesAt(i)
+		if len(edges) == 0 {
+			// Not a canonical source: an arbitrary, mostly illegal PIP.
+			tr := d.TrackAt(i)
+			return PIP{tr.Row, tr.Col, tr.W, arch.Wire(b[3])}
+		}
+		return edges[int(b[3])%len(edges)].PIP(at)
+	}
+	for len(script) >= 5 {
+		op, arg := script[0], script[1:5]
+		script = script[5:]
+		// Of 64 op codes, 45 set, 16 clear and one each snapshots, applies the
+		// snapshot and rebuilds: those three move a whole configuration and
+		// would otherwise be all the time the fuzzer spends.
+		switch op %= 64; op {
+		default:
+			p := pick(arg)
+			exist, contended, refErr := ref.set(d, p)
+			err := d.SetPIP(p.Row, p.Col, p.From, p.To)
+			var ce *ContentionError
+			switch {
+			case refErr != nil:
+				if err == nil || errors.As(err, &ce) {
+					t.Fatalf("SetPIP(%v) = %v; reference rejects it: %v", p, err, refErr)
+				}
+			case contended:
+				if !errors.As(err, &ce) || ce.Existing != exist || ce.Attempt != p {
+					t.Fatalf("SetPIP(%v) = %v; reference has contention with %v", p, err, exist)
+				}
+			case err != nil:
+				t.Fatalf("SetPIP(%v) = %v; reference accepts it", p, err)
+			}
+		case 9, 10, 11, 12, 25, 26, 27, 28, 41, 42, 43, 44, 57, 58, 59, 60:
+			// Clear the k-th on-PIP, or an adjacency PIP that is probably off.
+			p := pick(arg)
+			if all := d.AllOnPIPs(); op%16 != 12 && len(all) > 0 {
+				p = all[(int(arg[0])<<8|int(arg[1]))%len(all)]
+			}
+			want := ref.clear(d, p)
+			if err := d.ClearPIP(p.Row, p.Col, p.From, p.To); (err == nil) != want {
+				t.Fatalf("ClearPIP(%v) = %v; reference cleared=%v", p, err, want)
+			}
+		case 61:
+			if snapshot, err = d.FullConfig(); err != nil {
+				t.Fatal(err)
+			}
+		case 62:
+			if snapshot == nil {
+				continue
+			}
+			if err := d.ApplyConfig(snapshot); err != nil {
+				t.Fatal(err)
+			}
+			ref.rebuild(t, d)
+		case 63:
+			if err := d.RebuildFromBits(); err != nil {
+				t.Fatal(err)
+			}
+			ref.rebuild(t, d)
+		}
+		ref.compare(t, d, false)
+	}
+	ref.compare(t, d, true)
+}
+
+// stateScript is a seeded random driveState script.
+func stateScript(seed int64, steps int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	script := make([]byte, 5*steps)
+	rng.Read(script)
+	return script
+}
+
+// FuzzDeviceState drives random SetPIP/ClearPIP/ApplyConfig/RebuildFromBits
+// sequences against the map-based reference model, comparing DriverOf,
+// FanoutOf, InUse, OnPIPCount and CheckConsistency after every step.
+func FuzzDeviceState(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(stateScript(seed, 300))
+	}
+	// Dense traffic on one tile: contention, idempotent sets, fanout lists
+	// several entries long, pages emptied and reused.
+	dense := stateScript(5, 400)
+	for i := 0; i+5 <= len(dense); i += 5 {
+		dense[i+1], dense[i+2] = 0, dense[i+2]&7
+	}
+	f.Add(dense)
+	// Wide fanout: many PIPs out of a few output pins, cleared from the
+	// middle of the lists, which is where removal order can go wrong.
+	var fan []byte
+	rng := rand.New(rand.NewSource(6))
+	for round := 0; round < 40; round++ {
+		i := (round%3*16+5)*arch.NewVirtex().WireCount() + int(arch.S0X) // an output pin at tiles 5, 21, 37
+		for k := 0; k < 8; k++ {
+			fan = append(fan, 0, byte(i>>16), byte(i>>8), byte(i), byte(rng.Intn(256)))
+		}
+		for k := 0; k < 5; k++ {
+			fan = append(fan, 9, byte(rng.Intn(256)), byte(rng.Intn(256)), 0, 0)
+		}
+	}
+	f.Add(fan)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 5*2000 {
+			script = script[:5*2000]
+		}
+		driveState(t, script)
+	})
+}
+
+// TestBlankAndPassiveDevicesHoldNoRoutingState: a blank 64x96 device, and a
+// mirror that only patches frames in, allocate no routing state at all —
+// several devices share a process (session, board, mirrors), and the paged
+// state exists so that they cost what they route, not what they could.
+func TestBlankAndPassiveDevicesHoldNoRoutingState(t *testing.T) {
+	a := arch.NewVirtex()
+	alloc := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if _, err := New(a, 64, 96); err != nil { // the geometry's shared adjacency directory
+		t.Fatal(err)
+	}
+	var blank *Device
+	devBytes := alloc(func() { blank, _ = New(a, 64, 96) })
+	bitsBytes := alloc(func() {
+		_, _ = bitstream.New(bitstream.Layout{Rows: 64, Cols: 96, BytesPerTile: blank.layout.bytesPerTile})
+	})
+	if over := int64(devBytes) - int64(bitsBytes); over > 1<<20 {
+		t.Errorf("a blank 64x96 device allocates %d bytes beyond its bitstream, want under 1 MB", over)
+	}
+
+	src, err := New(a, 64, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for src.OnPIPCount() < 500 {
+		i := int32(rng.Intn(src.NumTracks()))
+		if edges, at := src.EdgesAt(i); len(edges) > 0 {
+			p := edges[rng.Intn(len(edges))].PIP(at)
+			_ = src.SetPIP(p.Row, p.Col, p.From, p.To) // contention is fine, skip
+		}
+	}
+	stream, err := src.PartialConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := blank
+	if _, err := mirror.ApplyFramesRaw(stream); err != nil {
+		t.Fatal(err)
+	}
+	if mirror.occ != nil || mirror.pages != nil || mirror.freePages != nil {
+		t.Error("ApplyFramesRaw allocated routing state on a passive mirror")
+	}
+	if err := mirror.RebuildFromBits(); err != nil {
+		t.Fatal(err)
+	}
+	if mirror.OnPIPCount() != src.OnPIPCount() {
+		t.Errorf("mirror rebuilt %d PIPs, source has %d", mirror.OnPIPCount(), src.OnPIPCount())
+	}
+	if !slices.Equal(mirror.AllOnPIPs(), src.AllOnPIPs()) {
+		t.Error("mirror and source enumerate different on-PIPs")
+	}
+	// Emptied again, the pages are held for reuse, not leaked per tile.
+	held := 0
+	for _, pg := range src.pages {
+		if pg != nil {
+			held++
+		}
+	}
+	for _, p := range src.AllOnPIPs() {
+		if err := src.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(src.freePages) != held {
+		t.Errorf("%d pages kept for reuse after clearing, %d were live", len(src.freePages), held)
+	}
+	if err := src.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/arch"
 	"repro/internal/device"
 )
 
@@ -55,22 +56,39 @@ var (
 
 // heapItem is one frontier entry of the best-first search. Items are
 // values, not pointers, and duplicates are pushed instead of decrease-key;
-// stale pops are skipped by the g-check in the search loop.
+// stale pops are skipped by the g-check in the search loop. ti indexes the
+// arena; gi is the device's TrackIndex, which addresses the adjacency. The
+// two differ only in a partition scope, whose arena is region-sized.
 type heapItem struct {
-	track device.Track
-	ti    int32
-	g, f  float64
+	ti, gi int32
+	g, f   float64
+}
+
+// hop is a PIP at a third the width of a device.PIP: the arena holds one
+// per track of the device (or of the partition scope), most of them never
+// read back.
+type hop struct {
+	row, col, from, to uint16
+}
+
+// hopOf packs the PIP of an edge of a track canonical at tile at.
+func hopOf(e device.Edge, at device.Coord) hop {
+	return hop{uint16(at.Row + int(e.PRow)), uint16(at.Col + int(e.PCol)), e.From, e.To}
+}
+
+func (h hop) pip() device.PIP {
+	return device.PIP{Row: int(h.row), Col: int(h.col), From: arch.Wire(h.from), To: arch.Wire(h.to)}
 }
 
 // arena is the reusable scratch state of one search.
 type arena struct {
 	n     int
 	epoch uint32
-	stamp []uint32     // epoch mark per track index
-	g     []float64    // best path cost found so far
-	via   []device.PIP // PIP that reached the track
-	prev  []int32      // predecessor track index; -1 for search sources
-	heap  []heapItem   // frontier backing storage, reused across searches
+	stamp []uint32   // epoch mark per track index
+	g     []float64  // best path cost found so far
+	via   []hop      // PIP that reached the track
+	prev  []int32    // predecessor track index; -1 for search sources
+	heap  []heapItem // frontier backing storage, reused across searches
 }
 
 // getArena returns a pooled arena ready for a fresh search over n tracks.
@@ -92,7 +110,7 @@ func (ar *arena) ensure(n int) {
 	}
 	ar.stamp = make([]uint32, n)
 	ar.g = make([]float64, n)
-	ar.via = make([]device.PIP, n)
+	ar.via = make([]hop, n)
 	ar.prev = make([]int32, n)
 	ar.epoch = 0
 	ar.n = n
@@ -114,7 +132,7 @@ func (ar *arena) begin() {
 func (ar *arena) seen(i int32) bool { return ar.stamp[i] == ar.epoch }
 
 // visit records the best-known path to track i.
-func (ar *arena) visit(i int32, g float64, via device.PIP, prev int32) {
+func (ar *arena) visit(i int32, g float64, via hop, prev int32) {
 	ar.stamp[i] = ar.epoch
 	ar.g[i] = g
 	ar.via[i] = via
@@ -132,7 +150,7 @@ func (ar *arena) reconstruct(sink int32) []device.PIP {
 	pips := make([]device.PIP, n)
 	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
 		n--
-		pips[n] = ar.via[k]
+		pips[n] = ar.via[k].pip()
 	}
 	return pips
 }

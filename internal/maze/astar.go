@@ -46,9 +46,9 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
 	}
-	sinkKey := sink.Key()
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	if _, driven := dev.DriverOf(sink); driven {
+	sinkIdx := dev.TrackIndex(sink)
+	if dev.Driven(sinkIdx) {
 		return nil, fmt.Errorf("maze: sink %s at (%d,%d) already in use: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
@@ -86,18 +86,17 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 
 	ar := getArena(dev.NumTracks())
 	defer putArena(ar)
-	sinkIdx := dev.TrackIndex(sink)
 
 	for _, s := range sources {
-		if s.Key() == sinkKey {
+		if s == sink {
 			return &Route{}, nil // already connected
 		}
 		si := dev.TrackIndex(s)
 		if ar.seen(si) {
 			continue
 		}
-		ar.visit(si, 0, device.PIP{}, -1)
-		ar.push(heapItem{track: s, ti: si, g: 0, f: h(s)})
+		ar.visit(si, 0, hop{}, -1)
+		ar.push(heapItem{ti: si, gi: si, g: 0, f: h(s)})
 	}
 
 	explored := 0
@@ -112,34 +111,37 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 			return nil, fmt.Errorf("maze: search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		for _, c := range dev.PIPChoices(it.track) {
-			if c.TIdx != sinkIdx {
-				if !opt.allowKind(c.Kind) {
+		edges, at := dev.EdgesAt(it.gi)
+		for _, e := range edges {
+			target := e.Target(at)
+			ti := dev.TrackIndex(target)
+			if ti != sinkIdx {
+				if !opt.allowKind(e.Kind) {
 					continue
 				}
 				// Do not route through CLB pins: they are net
 				// endpoints, not thoroughfares.
-				if isNetEndpointKind(c.Kind) {
+				if isNetEndpointKind(e.Kind) {
 					continue
 				}
 			}
-			if opt.avoids(dev, c.P.Row, c.P.Col, c.Target) {
+			if opt.avoids(dev, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
 				continue
 			}
-			if _, driven := dev.DriverOf(c.Target); driven {
+			if dev.Driven(ti) {
 				continue
 			}
-			ng := it.g + float64(cost(c.Kind))
-			if ar.seen(c.TIdx) && ar.g[c.TIdx] <= ng {
+			ng := it.g + float64(cost(e.Kind))
+			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
-			ar.visit(c.TIdx, ng, c.P, it.ti)
-			if c.TIdx == sinkIdx {
+			ar.visit(ti, ng, hopOf(e, at), it.ti)
+			if ti == sinkIdx {
 				// Goal: stop (greedy routing: first arrival wins).
 				goal = true
 				break
 			}
-			ar.push(heapItem{track: c.Target, ti: c.TIdx, g: ng, f: ng + h(c.Target)})
+			ar.push(heapItem{ti: ti, gi: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
 			return &Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil

@@ -16,6 +16,7 @@ package maze
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -74,10 +75,14 @@ type Options struct {
 // avoids reports whether driving track t via a PIP at (pr, pc) would
 // intrude on an avoided rectangle: either the PIP tile itself is inside
 // one, or the driven track's physical tile span crosses one.
+//
+// The empty test is apart so that it inlines into the search loops, which
+// ask once per edge and almost always with nothing to avoid.
 func (o Options) avoids(dev *device.Device, pr, pc int, t device.Track) bool {
-	if len(o.Avoid) == 0 {
-		return false
-	}
+	return len(o.Avoid) > 0 && o.intrudes(dev, pr, pc, t)
+}
+
+func (o Options) intrudes(dev *device.Device, pr, pc int, t device.Track) bool {
 	for _, a := range o.Avoid {
 		if a.Contains(pr, pc) {
 			return true
@@ -233,66 +238,21 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 			return nil, fmt.Errorf("maze: template contains NONE: %w", ErrUnroutable)
 		}
 	}
-	r := &Route{}
-	used := map[device.Key]bool{start.Key(): true}
 	// A template hop both names a resource and *travels*: an EAST1 hop
 	// leaves the router one tile east of where the wire was driven. The
 	// recursion therefore tracks the current tile and only considers
 	// PIPs there; after a directional hop the position advances by the
 	// hop's span. Long-line hops have no fixed span, so the recursion
 	// branches over every access tap of the driven long.
-	maxNodes := opt.maxNodes()
-	var rec func(cur device.Track, pos device.Coord, rest []arch.TemplateValue) bool
-	rec = func(cur device.Track, pos device.Coord, rest []arch.TemplateValue) bool {
-		if r.Explored >= maxNodes {
-			return false
-		}
-		r.Explored++
-		done := false
-		dev.ForEachPIPChoice(cur, func(p device.PIP, target device.Track) bool {
-			if p.Row != pos.Row || p.Col != pos.Col {
-				return true
-			}
-			if dev.A.DriveTemplate(p.From, p.To) != rest[0] {
-				return true
-			}
-			if used[target.Key()] {
-				return true
-			}
-			if opt.avoids(dev, p.Row, p.Col, target) {
-				return true
-			}
-			if _, driven := dev.DriverOf(target); driven {
-				return true
-			}
-			if len(rest) == 1 {
-				if p.To != endWire {
-					return true
-				}
-				if endTile != nil && (p.Row != endTile.Row || p.Col != endTile.Col) {
-					return true
-				}
-				r.PIPs = append(r.PIPs, p)
-				done = true
-				return false
-			}
-			used[target.Key()] = true
-			r.PIPs = append(r.PIPs, p)
-			for _, next := range hopExits(dev, target, pos, rest[0]) {
-				if rec(target, next, rest[1:]) {
-					done = true
-					return false
-				}
-			}
-			r.PIPs = r.PIPs[:len(r.PIPs)-1]
-			delete(used, target.Key())
-			return true
-		})
-		return done
+	s := templateSearch{
+		dev: dev, opt: opt, endWire: endWire, endTile: endTile, maxNodes: opt.maxNodes(),
+		pips:  make([]device.PIP, 0, len(tmpl)),
+		used:  append(make([]int32, 0, len(tmpl)+1), dev.TrackIndex(start)),
+		exits: make([]device.Coord, 0, len(tmpl)),
 	}
 	found := false
 	for _, tap := range startPositions(dev, start) {
-		if rec(start, tap, tmpl) {
+		if s.from(start, tap, tmpl) {
 			found = true
 			break
 		}
@@ -301,10 +261,78 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 		return nil, fmt.Errorf("maze: no available resources follow template %v from %s at (%d,%d): %w",
 			tmpl, dev.A.WireName(start.W), start.Row, start.Col, ErrUnroutable)
 	}
+	r := &Route{PIPs: s.pips, Explored: s.explored}
 	for _, p := range r.PIPs {
 		r.Cost += hopCost(dev.A.ClassOf(p.To).Kind)
 	}
 	return r, nil
+}
+
+// templateSearch is the state of one templateRoute recursion.
+type templateSearch struct {
+	dev      *device.Device
+	opt      Options
+	endWire  arch.Wire
+	endTile  *device.Coord
+	maxNodes int
+
+	explored int
+	pips     []device.PIP
+	used     []int32        // the start track and every track the partial path drives; a handful
+	exits    []device.Coord // hop exits still to try, a stack with one run per recursion level
+}
+
+// from tries to complete the template's remaining hops from track cur,
+// standing at tile pos.
+func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.TemplateValue) bool {
+	if s.explored >= s.maxNodes {
+		return false
+	}
+	s.explored++
+	dev := s.dev
+	edges, at := dev.Edges(cur)
+	for _, e := range edges {
+		if at.Row+int(e.PRow) != pos.Row || at.Col+int(e.PCol) != pos.Col {
+			continue
+		}
+		if dev.A.DriveTemplate(arch.Wire(e.From), arch.Wire(e.To)) != rest[0] {
+			continue
+		}
+		target := e.Target(at)
+		ti := dev.TrackIndex(target)
+		if slices.Contains(s.used, ti) {
+			continue
+		}
+		if s.opt.avoids(dev, pos.Row, pos.Col, target) {
+			continue
+		}
+		if dev.Driven(ti) {
+			continue
+		}
+		if len(rest) == 1 {
+			if arch.Wire(e.To) != s.endWire {
+				continue
+			}
+			if s.endTile != nil && pos != *s.endTile {
+				continue
+			}
+			s.pips = append(s.pips, e.PIP(at))
+			return true
+		}
+		s.used = append(s.used, ti)
+		s.pips = append(s.pips, e.PIP(at))
+		base := len(s.exits)
+		s.exits = appendHopExits(s.exits, dev, target, pos, rest[0])
+		for i, end := base, len(s.exits); i < end; i++ {
+			if s.from(target, s.exits[i], rest[1:]) {
+				return true
+			}
+		}
+		s.exits = s.exits[:base]
+		s.pips = s.pips[:len(s.pips)-1]
+		s.used = s.used[:len(s.used)-1]
+	}
+	return false
 }
 
 // startPositions lists the tiles from which the first template hop may be
@@ -317,16 +345,14 @@ func startPositions(dev *device.Device, start device.Track) []device.Coord {
 	return taps
 }
 
-// hopExits returns the position(s) the router occupies after driving
+// appendHopExits appends the position(s) the router occupies after driving
 // `target` at `at` under template value tv: the tile the hop's direction
 // and span lead to for directional values, the same tile for local values,
 // and every access tap for long lines.
-func hopExits(dev *device.Device, target device.Track, at device.Coord, tv arch.TemplateValue) []device.Coord {
+func appendHopExits(out []device.Coord, dev *device.Device, target device.Track, at device.Coord, tv arch.TemplateValue) []device.Coord {
 	switch tv {
 	case arch.TVLongH, arch.TVLongV:
-		taps := dev.Taps(target)
-		out := make([]device.Coord, 0, len(taps))
-		for _, t := range taps {
+		for _, t := range dev.Taps(target) {
 			if t != at {
 				out = append(out, t)
 			}
@@ -335,10 +361,10 @@ func hopExits(dev *device.Device, target device.Track, at device.Coord, tv arch.
 	default:
 		d := arch.TVDir(tv)
 		if d == arch.DirNone {
-			return []device.Coord{at}
+			return append(out, at)
 		}
 		dr, dc := d.Delta()
 		span := dev.A.TVSpan(tv)
-		return []device.Coord{{Row: at.Row + dr*span, Col: at.Col + dc*span}}
+		return append(out, device.Coord{Row: at.Row + dr*span, Col: at.Col + dc*span})
 	}
 }

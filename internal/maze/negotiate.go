@@ -610,9 +610,8 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 	st := w.st
 	dev := st.dev
 	sc := st.sc
-	sinkKey := sink.Key()
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	if _, driven := dev.DriverOf(sink); driven {
+	if dev.Driven(dev.TrackIndex(sink)) {
 		return nil, 0, fmt.Errorf("maze: sink %s at (%d,%d) already in use on device: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
@@ -629,15 +628,15 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 	ar.begin()
 	sinkIdx := sc.idx(sink)
 	for _, s := range sources {
-		if s.Key() == sinkKey {
+		if s == sink {
 			return nil, 0, nil
 		}
 		si := sc.idx(s)
 		if ar.seen(si) {
 			continue
 		}
-		ar.visit(si, 0, device.PIP{}, -1)
-		ar.push(heapItem{track: s, ti: si, g: 0, f: h(s)})
+		ar.visit(si, 0, hop{}, -1)
+		ar.push(heapItem{ti: si, gi: dev.TrackIndex(s), g: 0, f: h(s)})
 	}
 	explored := 0
 	maxNodes := st.opt.maxNodes()
@@ -651,35 +650,38 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 			return nil, explored, fmt.Errorf("maze: negotiation search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		for _, c := range dev.PIPChoices(it.track) {
-			if !box.contains(c.Target.Row, c.Target.Col) {
+		edges, at := dev.EdgesAt(it.gi)
+		for _, e := range edges {
+			target := e.Target(at)
+			if !box.contains(target.Row, target.Col) {
 				continue
 			}
-			ti := sc.idx(c.Target)
+			ti := sc.idx(target)
 			if ti != sinkIdx {
-				if !st.opt.allowKind(c.Kind) {
+				if !st.opt.allowKind(e.Kind) {
 					continue
 				}
-				if isNetEndpointKind(c.Kind) {
+				if isNetEndpointKind(e.Kind) {
 					continue
 				}
 			}
-			if st.opt.avoids(dev, c.P.Row, c.P.Col, c.Target) {
+			if st.opt.avoids(dev, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
 				continue
 			}
-			if _, driven := dev.DriverOf(c.Target); driven {
+			gi := dev.TrackIndex(target)
+			if dev.Driven(gi) {
 				continue
 			}
-			ng := it.g + float64(hopCost(c.Kind)) + w.penalty(ti)
+			ng := it.g + float64(hopCost(e.Kind)) + w.penalty(ti)
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
-			ar.visit(ti, ng, c.P, it.ti)
+			ar.visit(ti, ng, hopOf(e, at), it.ti)
 			if ti == sinkIdx {
 				goal = true
 				break
 			}
-			ar.push(heapItem{track: c.Target, ti: ti, g: ng, f: ng + h(c.Target)})
+			ar.push(heapItem{ti: ti, gi: gi, g: ng, f: ng + h(target)})
 		}
 		if goal {
 			return ar.reconstruct(sinkIdx), explored, nil

@@ -339,7 +339,7 @@ func TestHopExitsLongBranching(t *testing.T) {
 		t.Fatal(err)
 	}
 	long, _ := d.Canon(3, 0, d.A.LongH(0))
-	exits := hopExits(d, long, device.Coord{Row: 3, Col: 6}, arch.TVLongH)
+	exits := appendHopExits(nil, d, long, device.Coord{Row: 3, Col: 6}, arch.TVLongH)
 	if len(exits) != 3 { // taps 0, 12, 18 (not the entry 6)
 		t.Errorf("long exits = %v", exits)
 	}
@@ -351,7 +351,7 @@ func TestHopExitsLongBranching(t *testing.T) {
 	// Non-directional values stay put.
 	mux, _ := d.Canon(3, 3, arch.Out(0))
 	at := device.Coord{Row: 3, Col: 3}
-	if ex := hopExits(d, mux, at, arch.TVOutMux); len(ex) != 1 || ex[0] != at {
+	if ex := appendHopExits(nil, d, mux, at, arch.TVOutMux); len(ex) != 1 || ex[0] != at {
 		t.Errorf("outmux exits = %v", ex)
 	}
 }

@@ -72,7 +72,7 @@ func Replay(dev *device.Device, sources []device.Track, pips []device.PIP, dRow,
 			return nil, fmt.Errorf("maze: replay step %d: %s driven twice by the path: %w",
 				i, dev.A.WireName(q.To), ErrUnroutable)
 		}
-		if _, driven := dev.DriverOf(to); driven {
+		if dev.Driven(ti) {
 			return nil, fmt.Errorf("maze: replay step %d: %s already driven: %w",
 				i, dev.A.WireName(q.To), ErrUnroutable)
 		}
