@@ -68,17 +68,9 @@ func run() int {
 	cols := flag.Int("cols", 24, "default device cols")
 	list := flag.Bool("list", false, "list experiments and exit")
 	paranoid := flag.Bool("paranoid", false, "run every router with ParanoidVerify: re-extract and oracle-audit the frames after each op (slow; for validating benchmark results, not timing them)")
-	jsonPath := flag.String("json", "", "run the benchmark suite and write machine-readable results to this file")
-	json7Path := flag.String("json7", "", "run the partition-parallel scaling bench (BENCH_7) and write results to this file")
-	bench7Smoke := flag.Bool("bench7-smoke", false, "run the small-geometry BENCH_7 slice with no acceptance gate (ci smoke)")
-	json8Path := flag.String("json8", "", "run the NoC obstacle-churn bench (BENCH_8) and write results to this file")
-	bench8Smoke := flag.Bool("bench8-smoke", false, "run the short BENCH_8 churn slice with no acceptance gate (ci smoke)")
-	json9Path := flag.String("json9", "", "run the template-library warm-start bench (BENCH_9) and write results to this file")
-	bench9Smoke := flag.Bool("bench9-smoke", false, "run BENCH_9 with no timing acceptance gate (ci smoke)")
 	learnPath := flag.String("learn", "", "run the library learn campaign (stdlib manifest + fan-net warm-up) and write the template library to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken after a GC at the end of the run, to this file")
-	librarySmoke := flag.Bool("library-smoke", false, "learn a tiny library, restart a router from the file, assert seeded replay and byte-identical bitstream (ci smoke)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -112,46 +104,6 @@ func run() int {
 	if *learnPath != "" {
 		if err := runLearn(*learnPath, *seed, *rows, *cols); err != nil {
 			fmt.Fprintf(os.Stderr, "learn failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *librarySmoke {
-		if err := runLibrarySmoke(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "library-smoke failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *json9Path != "" || *bench9Smoke {
-		if err := runBench9(*json9Path, *seed, *bench9Smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "bench9 failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *json7Path != "" || *bench7Smoke {
-		if err := runBench7(*json7Path, *seed, *bench7Smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "bench7 failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *json8Path != "" || *bench8Smoke {
-		if err := runBench8(*json8Path, *seed, *bench8Smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "bench8 failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *jsonPath != "" {
-		if err := runBenchJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "bench json failed: %v\n", err)
 			return 1
 		}
 		return 0

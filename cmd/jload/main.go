@@ -6,13 +6,15 @@
 //
 // Usage:
 //
-//	jload -inproc -json BENCH_2.json      # self-contained benchmark run
+//	jload -inproc -json out.json          # self-contained run, results as JSON
 //	jload -addr 127.0.0.1:7411 -sessions 4
 //	jload -inproc -fleet -boards 4        # drive a fleet-sharded daemon
-//	jload -json4 BENCH_4.json             # fleet scaling + kill-a-board bench
-//	jload -json5 BENCH_5.json             # v2-vs-v3 wire bench + differential
+//	jload -inproc -gateway -backends 2    # drive fleets behind a gateway
 //	jload -inproc -sessions 4 -soak 2m    # fault-injection soak (make soak)
-//	jload -addr 127.0.0.1:7411 -proto v2  # force the JSON protocol
+//	jload -noc-smoke                      # NoC obstacle-churn check (make noc-smoke)
+//
+// It reports what a run did, not how fast the system is: timing claims go
+// through `go run ./benchmark` (see BENCHMARK.json).
 //
 // Against a remote daemon the devices must be named dev0..devN-1 and sized
 // to -rows x -cols (the in-process mode sets this up itself). With -fleet
@@ -34,17 +36,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/oracle"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/fleet"
 	"repro/internal/workload"
 )
 
-// result is one workload's aggregate measurement — a BENCH_2.json entry.
+// result is one workload's aggregate measurement — a -json entry.
 type result struct {
 	Name          string  `json:"name"`
-	Proto         string  `json:"proto,omitempty"` // wire protocol: "v2" (JSON) or "v3" (binary)
 	Sessions      int     `json:"sessions"`
 	Ops           int     `json:"ops"`
 	Errors        int     `json:"errors"`
@@ -98,84 +98,22 @@ func main() {
 	rounds := flag.Int("rounds", 12, "crossbar batch rounds per session")
 	steps := flag.Int("steps", 200, "RTR churn steps per session")
 	jsonPath := flag.String("json", "", "write results to this JSON file")
-	json3Path := flag.String("json3", "", "run the rtr_churn_cached cache on/off comparison and write it to this JSON file")
 	fleetMode := flag.Bool("fleet", false, "with -inproc, boot the daemon in fleet mode (-boards shards) and pin sessions by placement key")
 	boards := flag.Int("boards", 0, "fleet mode: board shards behind the coordinator (default: -sessions)")
 	spares := flag.Int("spares", 0, "fleet mode: hot-spare boards for failover")
 	portFrameTime := flag.Duration("port-frame-time", 0, "fleet mode: modeled configuration-port time per shipped frame")
-	json4Path := flag.String("json4", "", "run the fleet scaling + kill-a-board benchmark and write it to this JSON file")
-	proto := flag.String("proto", "v3", "wire protocol for the generic workloads: v2 (framed JSON) or v3 (binary)")
-	json5Path := flag.String("json5", "", "run the v2-vs-v3 wire-path benchmark and write it to this JSON file")
 	soakDur := flag.Duration("soak", 0, "run the fault-injection soak for this long instead of the generic workloads")
 	gatewayMode := flag.Bool("gateway", false, "with -inproc, front -backends fleet daemons with an in-process gateway tier and drive sessions through it")
 	backends := flag.Int("backends", 2, "gateway mode: backend fleet count behind the gateway")
-	json6Path := flag.String("json6", "", "run the gateway benchmark (backend scaling, noisy tenant, live drain) and write it to this JSON file")
-	gatewaySmoke := flag.Bool("gateway-smoke", false, "run the short gateway live-drain smoke (the CI gate) and exit")
 	nocSmoke := flag.Bool("noc-smoke", false, "run the NoC obstacle-churn smoke (the CI gate) and exit")
 	token := flag.String("token", "", "bearer token presented in the hello (gateway tenant auth)")
 	flag.Parse()
-
-	if *proto != "v2" && *proto != "v3" {
-		log.Fatalf("jload: -proto must be v2 or v3, got %q", *proto)
-	}
-
-	if *gatewaySmoke {
-		if err := runGatewaySmoke(); err != nil {
-			log.Fatalf("jload: gateway-smoke: %v", err)
-		}
-		return
-	}
 
 	if *nocSmoke {
 		if err := runNoCSmoke(); err != nil {
 			log.Fatalf("jload: noc-smoke: %v", err)
 		}
 		return
-	}
-
-	if *json6Path != "" {
-		// The gateway bench boots its own backend fleets and gateways (one
-		// topology per experiment), so it needs neither -addr nor -inproc.
-		if err := runBench6(*json6Path); err != nil {
-			log.Fatalf("jload: gateway bench: %v", err)
-		}
-		if *addr == "" && !*inproc {
-			return
-		}
-	}
-
-	if *json5Path != "" {
-		// The wire bench boots its own in-process daemons (one per
-		// protocol), so it needs neither -addr nor -inproc.
-		if err := runBench5(*json5Path); err != nil {
-			log.Fatalf("jload: wire bench: %v", err)
-		}
-		if *addr == "" && !*inproc {
-			return
-		}
-	}
-
-	if *json4Path != "" {
-		// The fleet bench boots its own in-process daemons (one per board
-		// count, plus the kill-a-board run), so it needs neither -addr nor
-		// -inproc.
-		if err := runBench4(*seed, *json4Path); err != nil {
-			log.Fatalf("jload: fleet bench: %v", err)
-		}
-		if *addr == "" && !*inproc {
-			return
-		}
-	}
-
-	if *json3Path != "" {
-		// The comparison boots its own pair of in-process daemons (route
-		// cache on vs off), so it needs neither -addr nor -inproc.
-		if err := runBench3(*sessions, *seed, *json3Path); err != nil {
-			log.Fatalf("jload: rtr_churn_cached: %v", err)
-		}
-		if *addr == "" && !*inproc {
-			return
-		}
 	}
 
 	if *inproc == (*addr != "") {
@@ -192,7 +130,7 @@ func main() {
 	if *inproc && *gatewayMode {
 		// One board per session key on every backend, so the generic
 		// workloads (which assume exclusive devices) never share fabric.
-		h, err := newGwHarness(*backends, *sessions, *rows, *cols, *portFrameTime, nil)
+		h, err := newGwHarness(*backends, *sessions, *rows, *cols, *portFrameTime)
 		if err != nil {
 			log.Fatalf("jload: gateway: %v", err)
 		}
@@ -254,7 +192,7 @@ func main() {
 	if *gatewayMode {
 		mode = "gateway"
 	}
-	copts := protoOptions(*proto)
+	var copts []client.Option
 	if *token != "" {
 		copts = append(copts, client.WithToken(*token))
 	}
@@ -274,10 +212,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("jload: %s: %v", wl.name, err)
 		}
-		res.Proto = *proto
 		results = append(results, res)
-		fmt.Printf("%-10s %s  %d sessions  %6d ops (%d errors)  %8.0f ops/s  p50 %6.0fµs  p99 %6.0fµs  %5.0f wire B/op  %6.0f allocs/op  %d frames / %d bytes shipped\n",
-			res.Name, res.Proto, res.Sessions, res.Ops, res.Errors, res.OpsPerSecond, res.P50us, res.P99us,
+		fmt.Printf("%-10s %d sessions  %6d ops (%d errors)  %8.0f ops/s  p50 %6.0fµs  p99 %6.0fµs  %5.0f wire B/op  %6.0f allocs/op  %d frames / %d bytes shipped\n",
+			res.Name, res.Sessions, res.Ops, res.Errors, res.OpsPerSecond, res.P50us, res.P99us,
 			res.WireBytesPerOp, res.AllocsPerOp, res.FramesShipped, res.BytesShipped)
 		if res.PartitionRegions > 0 || res.GlobalIterations > 0 {
 			fmt.Printf("%-10s partition: %d regions, %d crossing nets, %d region iters, %d global iters\n",
@@ -303,21 +240,13 @@ func main() {
 	}
 }
 
-// protoOptions maps a -proto value to client dial options.
-func protoOptions(proto string) []client.Option {
-	if proto == "v2" {
-		return []client.Option{client.WithBinary(false)}
-	}
-	return nil // the client negotiates v3 by default
-}
-
 // runWorkload drives one named workload through n concurrent sessions and
 // aggregates their client-side latencies plus the daemon's shipped-frame
 // delta (from statsz before and after). The mode selects session naming:
 // "static" opens per-device sessions, "fleet" pins logical names to
 // distinct boards by explicit placement key, "gateway" does the same but
 // under a device-class alias the gateway resolves to a backend fleet. The
-// copts select the wire protocol for the worker connections.
+// copts carry the bearer token, when one is set.
 func runWorkload(addr, name string, n, rows, cols int, seed int64, mode string,
 	copts []client.Option, run func(*client.Session, *workload.Gen, *sessionRun) error) (result, error) {
 	ctx := context.Background()
@@ -431,7 +360,7 @@ func runWorkload(addr, name string, n, rows, cols int, seed int64, mode string,
 }
 
 // runCrossbar repeatedly batch-routes a permuted crossbar and tears it
-// down — the contention stress case, now paying wire and JSON costs too.
+// down — the contention stress case, paying wire and codec costs too.
 func runCrossbar(s *client.Session, g *workload.Gen, r *sessionRun, rounds int) error {
 	ctx := context.Background()
 	for round := 0; round < rounds; round++ {
@@ -483,191 +412,6 @@ func runChurn(s *client.Session, g *workload.Gen, r *sessionRun, steps int) erro
 		r.observe(start, s.Unroute(ctx, client.Pin(op.Src)))
 	}
 	return nil
-}
-
-// result3 is one BENCH_3.json entry: a workload result plus the daemon's
-// route-cache counters and the reverse-trace legality check.
-type result3 struct {
-	result
-	Cache         string  `json:"cache"` // "on" or "off"
-	CacheHits     int     `json:"cache_hits"`
-	CacheMisses   int     `json:"cache_misses"`
-	ReplayFails   int     `json:"replay_fails"`
-	ReplayHitRate float64 `json:"replay_hit_rate"` // hits / cache lookups
-	OracleAudits  int     `json:"oracle_audits"`   // passed bitstream-oracle audits
-	SpeedupVsOff  float64 `json:"speedup_vs_nocache,omitempty"`
-}
-
-// Geometry and working set of the rtr_churn_cached workload. The device is
-// larger and the nets longer than the BENCH_2 churn so the cold search cost
-// dominates the wire overhead — the regime the route cache targets.
-const (
-	b3Rows   = 32
-	b3Cols   = 48
-	b3Nets   = 24 // fanout nets per session working set
-	b3Fan    = 3  // sinks per net
-	b3Radius = 14 // sink placement radius
-	b3Rounds = 25 // route-all / unroute-all cycles
-)
-
-// runBench3 measures the cache-hit-heavy churn workload twice — once with
-// the route cache off and once with it on, each against its own freshly
-// booted in-process daemon — and writes the comparison to jsonPath.
-func runBench3(sessions int, seed int64, jsonPath string) error {
-	var out []result3
-	for _, mode := range []struct {
-		name string
-		rc   core.CacheMode
-	}{
-		{"off", core.CacheOff},
-		{"on", core.CacheAuto},
-	} {
-		srv := server.NewServer(server.WithRouteCache(mode.rc))
-		for i := 0; i < sessions; i++ {
-			if err := srv.AddDevice(fmt.Sprintf("dev%d", i), "virtex", b3Rows, b3Cols); err != nil {
-				return err
-			}
-		}
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		var verifyMu sync.Mutex
-		audits := 0
-		res, err := runWorkload(bound, "rtr_churn_cached", sessions, b3Rows, b3Cols, seed, "static", nil,
-			func(s *client.Session, g *workload.Gen, r *sessionRun) error {
-				v, err := runCachedChurn(s, g, r)
-				verifyMu.Lock()
-				audits += v
-				verifyMu.Unlock()
-				return err
-			})
-		if err == nil {
-			var stats *server.StatsMsg
-			ctx := context.Background()
-			if c, derr := client.Dial(ctx, bound); derr == nil {
-				stats, err = c.Stats(ctx)
-				c.Close()
-			} else {
-				err = derr
-			}
-			if err == nil {
-				r3 := result3{result: res, Cache: mode.name, OracleAudits: audits}
-				for _, ss := range stats.Sessions {
-					r3.CacheHits += ss.CacheHits
-					r3.CacheMisses += ss.CacheMisses
-					r3.ReplayFails += ss.ReplayFails
-				}
-				if lookups := r3.CacheHits + r3.CacheMisses + r3.ReplayFails; lookups > 0 {
-					r3.ReplayHitRate = float64(r3.CacheHits) / float64(lookups)
-				}
-				out = append(out, r3)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		serr := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			return err
-		}
-		if serr != nil {
-			return serr
-		}
-	}
-	if len(out) == 2 && out[0].OpsPerSecond > 0 {
-		out[1].SpeedupVsOff = out[1].OpsPerSecond / out[0].OpsPerSecond
-	}
-	for _, r3 := range out {
-		fmt.Printf("%-16s cache=%-3s  %d sessions  %6d ops (%d errors, %d audits)  %8.0f ops/s  p50 %6.0fµs  p99 %6.0fµs  hit rate %.2f  replay fails %d\n",
-			r3.Name, r3.Cache, r3.Sessions, r3.Ops, r3.Errors, r3.OracleAudits,
-			r3.OpsPerSecond, r3.P50us, r3.P99us, r3.ReplayHitRate, r3.ReplayFails)
-	}
-	if len(out) == 2 {
-		fmt.Printf("rtr_churn_cached speedup (cache on vs off): %.2fx\n", out[1].SpeedupVsOff)
-	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(enc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
-}
-
-// runCachedChurn cycles a fixed working set of fanout nets: route all,
-// verify through the bitstream oracle (cold on the first round, replayed
-// on the last), unroute all, repeat. After the first round every route
-// re-routes endpoints the router has seen before — the cache-hit-heavy
-// regime.
-//
-// Verification re-extracts the netlist from the session mirror's raw
-// frames and audits it independently: structural invariants (double
-// drivers, antennas, loops) plus physical continuity of every net the
-// workload believes is up. The run fails on the first divergence — a
-// cache replay that silently commits wrong frames cannot survive to the
-// end of the benchmark. The returned count is the number of oracle audits
-// that passed.
-func runCachedChurn(s *client.Session, g *workload.Gen, r *sessionRun) (int, error) {
-	ctx := context.Background()
-	nets, err := g.FanNets(b3Nets, b3Fan, b3Radius)
-	if err != nil {
-		return 0, err
-	}
-	audits := 0
-	failed := map[core.Pin]bool{}
-	verify := func(round int) error {
-		var claims []oracle.Claim
-		for _, n := range nets {
-			if failed[n.Src] {
-				continue
-			}
-			c := oracle.Claim{Source: oracle.Pin{Row: n.Src.Row, Col: n.Src.Col, W: n.Src.W}}
-			for _, sp := range n.Sinks {
-				c.Sinks = append(c.Sinks, oracle.Pin{Row: sp.Row, Col: sp.Col, W: sp.W})
-			}
-			claims = append(claims, c)
-		}
-		stream, err := s.Mirror.FullConfig()
-		if err != nil {
-			return err
-		}
-		if err := oracle.Audit(s.Mirror.A, stream, claims, false); err != nil {
-			return fmt.Errorf("round %d: oracle divergence: %w", round, err)
-		}
-		audits++
-		return nil
-	}
-	for round := 0; round < b3Rounds; round++ {
-		for _, n := range nets {
-			sinks := make([]server.EndPointMsg, len(n.Sinks))
-			for i, p := range n.Sinks {
-				sinks[i] = client.Pin(p)
-			}
-			start := time.Now()
-			err := s.Route(ctx, client.Pin(n.Src), sinks...)
-			r.observe(start, err)
-			if err != nil {
-				failed[n.Src] = true
-			}
-		}
-		if round == 0 || round == b3Rounds-1 {
-			if err := verify(round); err != nil {
-				return audits, err
-			}
-		}
-		if round < b3Rounds-1 {
-			for _, n := range nets {
-				if failed[n.Src] {
-					continue
-				}
-				start := time.Now()
-				r.observe(start, s.Unroute(ctx, client.Pin(n.Src)))
-			}
-		}
-	}
-	return audits, nil
 }
 
 // percentiles returns p50, p99 and the mean of the latencies, in µs.

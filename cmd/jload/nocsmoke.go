@@ -47,7 +47,7 @@ func runNoCSmoke() error {
 	for _, op := range script {
 		ev := noc.ChurnEvent{Place: op.Kind == workload.OpNoCObstacle,
 			Row: op.Rect[0], Col: op.Rect[1], Height: op.Rect[2], Width: op.Rect[3]}
-		if _, err := h.Apply(ev); err != nil {
+		if err := h.Apply(ev); err != nil {
 			return fmt.Errorf("event %d (%s at %d,%d): %w", op.Serial, op.Kind, ev.Row, ev.Col, err)
 		}
 		if err := verify(fmt.Sprintf("after event %d (%s)", op.Serial, op.Kind)); err != nil {
@@ -55,7 +55,7 @@ func runNoCSmoke() error {
 		}
 	}
 	for _, rect := range h.Mesh.Obstacles() {
-		if _, err := h.RemoveObstacle(rect.Row, rect.Col, rect.Height, rect.Width); err != nil {
+		if err := h.RemoveObstacle(rect.Row, rect.Col, rect.Height, rect.Width); err != nil {
 			return fmt.Errorf("final clear at (%d,%d): %w", rect.Row, rect.Col, err)
 		}
 	}

@@ -131,6 +131,19 @@ func NewKestrel() *Arch {
 	return a
 }
 
+// ByName maps an architecture name, as configs and the wire protocol spell
+// it, to its constructor. The empty name is the default, Virtex.
+func ByName(name string) (*Arch, error) {
+	switch name {
+	case "", "virtex":
+		return NewVirtex(), nil
+	case "kestrel":
+		return NewKestrel(), nil
+	default:
+		return nil, fmt.Errorf("arch: unknown architecture %q", name)
+	}
+}
+
 // WireCount is the size of the per-tile wire name space.
 func (a *Arch) WireCount() int { return int(a.wireCount) }
 

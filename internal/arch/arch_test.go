@@ -36,6 +36,24 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"", "virtex"},
+		{"virtex", "virtex"},
+		{"kestrel", "kestrel"},
+		{"Virtex", ""},
+		{"spartan", ""},
+	} {
+		a, err := ByName(tc.name)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", tc.name, a.Name)
+		case tc.want != "" && (err != nil || a.Name != tc.want):
+			t.Errorf("ByName(%q) = %v, %v, want %s", tc.name, a, err, tc.want)
+		}
+	}
+}
+
 func TestVirtexParameters(t *testing.T) {
 	a := NewVirtex()
 	// §2: "There are 24 single length lines in each of the four

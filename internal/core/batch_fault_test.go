@@ -19,7 +19,7 @@ func TestRouteBatchCommitRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(d, Options{Parallelism: 1})
+	r := New(d, WithParallelism(1))
 
 	// A pre-existing connection that must survive the rollback untouched.
 	preSrc := NewPin(12, 2, arch.S0X)
@@ -90,7 +90,7 @@ func TestRouteBatchCommitRollbackFirstPIP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(d, Options{Parallelism: 1})
+	r := New(d, WithParallelism(1))
 	faultErr := errors.New("boom")
 	r.batchCommitFault = func(net, pip int) error {
 		if net == 0 && pip == 0 {

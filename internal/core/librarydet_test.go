@@ -266,27 +266,58 @@ func TestLibraryAttachMismatch(t *testing.T) {
 	}
 }
 
-// TestLibraryPathOption: WithLibraryPath loads lazily and best-effort — a
-// good file seeds the router, a missing one leaves it library-less.
-func TestLibraryPathOption(t *testing.T) {
+// TestLibraryRestartThroughFile: the restart path a daemon takes —
+// Builder.WriteFile, library.Load, core.WithLibrary — seeds a cold router
+// from nothing but the file: it replays from the library, and its
+// bitstream is byte-identical to the router that learned W in-session,
+// blanked, and routed Q.
+func TestLibraryRestartThroughFile(t *testing.T) {
 	const rows, cols = 16, 24
-	w := fanWarmup(t, rows, cols, 2, 2)
-	lib := learnLibrary(t, rows, cols, w)
-	path := t.TempDir() + "/stdlib.jrtl"
-	if err := lib.WriteFile(path); err != nil {
+	w := fanWarmup(t, rows, cols, 2, 3)
+	q := shiftFans(w, 2, 3)
+
+	d0, _ := device.New(arch.NewVirtex(), rows, cols)
+	r0 := core.New(d0, core.WithRouteCache(core.CacheOn))
+	routeFans(t, r0, w)
+	b := library.NewBuilder(d0.A.Name, rows, cols)
+	if r0.HarvestTemplates(b) == 0 {
+		t.Fatal("warm-up learned no templates")
+	}
+	path := t.TempDir() + "/restart.jrtl"
+	if err := b.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := device.New(arch.NewVirtex(), rows, cols)
-	r := core.New(d, core.WithLibraryPath(path))
-	if r.Library() == nil {
-		t.Fatal("library file not attached")
+	if err := r0.UnrouteAll(); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Stats().LibrarySeeded; got != lib.Len() {
+	routeFans(t, r0, q)
+	want, err := d0.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// "Restart": everything below sees only the file.
+	lib, st, err := library.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != 0 {
+		t.Fatalf("load skipped %d freshly written entries", st.Skipped)
+	}
+	d1, _ := device.New(arch.NewVirtex(), rows, cols)
+	r1 := core.New(d1, core.WithLibrary(lib))
+	if got := r1.Stats().LibrarySeeded; got != lib.Len() {
 		t.Errorf("LibrarySeeded %d, want %d", got, lib.Len())
 	}
-	d2, _ := device.New(arch.NewVirtex(), rows, cols)
-	r2 := core.New(d2, core.WithLibraryPath(path+".missing"))
-	if r2.Library() != nil {
-		t.Error("missing file attached a library")
+	routeFans(t, r1, q)
+	got, err := d1.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Stats().LibraryHits == 0 {
+		t.Error("restarted router never replayed from the library file")
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("restarted router's bitstream differs from the warmed-then-UnrouteAll baseline")
 	}
 }

@@ -11,10 +11,8 @@ import (
 //
 //	r := core.New(dev, core.WithParallelism(8), core.WithRouteCache(core.CacheOn))
 //
-// New is the one public constructor. The legacy core.NewRouter(dev,
-// Options{}) spelling survives as a deprecated thin wrapper; code that
-// carries a ready-made Options value (config grids, harness structs)
-// bridges with WithOptions.
+// New is the one constructor. Code that carries a ready-made Options value
+// (config grids, harness structs) bridges with WithOptions.
 
 // Option mutates the router Options during construction.
 type Option func(*Options)
@@ -25,7 +23,9 @@ func New(dev *device.Device, opts ...Option) *Router {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newRouter(dev, o)
+	r := &Router{Dev: dev, Opt: o, remembered: make(map[*Port][]*Connection)}
+	r.attachLibrary()
+	return r
 }
 
 // WithOptions replaces the whole Options value — the bridge for call sites
@@ -59,11 +59,6 @@ func WithRouteCache(m CacheMode) Option { return func(o *Options) { o.RouteCache
 // learned entries. Entries are audited before use and FIFO eviction never
 // touches them. See Options.Library.
 func WithLibrary(lib *library.Library) Option { return func(o *Options) { o.Library = lib } }
-
-// WithLibraryPath loads the template library at path during construction
-// (best-effort: a missing or unreadable file leaves the router
-// library-less). See Options.LibraryPath.
-func WithLibraryPath(path string) Option { return func(o *Options) { o.LibraryPath = path } }
 
 // WithPartition controls spatial partitioning of batch negotiation
 // (PartitionAuto enables it; PartitionOff forces the global loop — the

@@ -13,7 +13,7 @@ func newParanoidRouter(t *testing.T, opt Options) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRouter(d, opt)
+	return New(d, WithOptions(opt))
 }
 
 // TestParanoidVerifyCleanOps runs the standard op mix under

@@ -68,11 +68,6 @@ type Options struct {
 	// counted in Stats.LibrarySkipped, never trusted. A library learned
 	// for a different architecture or geometry is skipped wholesale.
 	Library *library.Library
-	// LibraryPath loads a library file at construction when Library is
-	// nil. It is best-effort: a missing or unreadable file leaves the
-	// router library-less (daemons that must fail loudly call
-	// library.Load themselves and inject the result via Library).
-	LibraryPath string
 	// ParanoidVerify runs the independent bitstream oracle after every
 	// top-level automatic routing call: the configuration is serialized,
 	// re-extracted from raw frames, structurally checked, and compared
@@ -239,31 +234,13 @@ type Router struct {
 	avoid []maze.Rect
 }
 
-// NewRouter creates a router for a device from an Options struct.
-//
-// Deprecated: use New with functional options; code that carries a
-// ready-made Options value can bridge with core.WithOptions.
-func NewRouter(dev *device.Device, opt Options) *Router { return newRouter(dev, opt) }
-
-// newRouter is the one real constructor behind New and NewRouter.
-func newRouter(dev *device.Device, opt Options) *Router {
-	r := &Router{Dev: dev, Opt: opt, remembered: make(map[*Port][]*Connection)}
-	r.attachLibrary()
-	return r
-}
-
-// attachLibrary resolves Options.Library/LibraryPath into the router's
-// seeded template tier. Nothing in a library file is trusted: a library
-// for another architecture or geometry is skipped wholesale, and an
-// unaudited one has every entry replayed on a blank scratch device first —
-// the failures are counted in LibrarySkipped and dropped.
+// attachLibrary resolves Options.Library into the router's seeded template
+// tier. Nothing in a library file is trusted: a library for another
+// architecture or geometry is skipped wholesale, and an unaudited one has
+// every entry replayed on a blank scratch device first — the failures are
+// counted in LibrarySkipped and dropped.
 func (r *Router) attachLibrary() {
 	lib := r.Opt.Library
-	if lib == nil && r.Opt.LibraryPath != "" {
-		if l, _, err := library.Load(r.Opt.LibraryPath); err == nil {
-			lib = l
-		}
-	}
 	if lib == nil {
 		return
 	}

@@ -16,7 +16,7 @@ func newTestRouter(t testing.TB, opt Options) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRouter(d, opt)
+	return New(d, WithOptions(opt))
 }
 
 // assertConnected verifies via reverse trace that sink's net roots at src.
@@ -491,7 +491,7 @@ func TestKestrelPortability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(d, Options{})
+	r := New(d)
 	cases := []struct{ sr, sc, tr, tc int }{
 		{2, 2, 2, 2}, {2, 2, 9, 13}, {10, 14, 1, 1},
 	}

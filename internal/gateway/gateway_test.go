@@ -23,7 +23,15 @@ func pin(r, c int, w arch.Wire) server.EndPointMsg {
 // startBackend boots one in-process jrouted fleet and returns its address.
 func startBackend(t *testing.T, boards int) string {
 	t.Helper()
-	coord, err := fleet.New(fleet.Config{Boards: boards, Rows: 16, Cols: 24})
+	addr, _ := startBackendSized(t, boards, 16, 24)
+	return addr
+}
+
+// startBackendSized is startBackend at a chosen board geometry; it also
+// returns the coordinator, for probing the boards directly.
+func startBackendSized(t *testing.T, boards, rows, cols int) (string, *fleet.Coordinator) {
+	t.Helper()
+	coord, err := fleet.New(fleet.Config{Boards: boards, Rows: rows, Cols: cols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +46,7 @@ func startBackend(t *testing.T, boards int) string {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
-	return addr
+	return addr, coord
 }
 
 // startGateway boots a gateway daemon over the config and returns its

@@ -139,7 +139,7 @@ func TestAllSingleNodeObstacles(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			r, c := h.Mesh.NodeSite(i, j)
-			if _, err := h.PlaceObstacle(r, c, 1, 1); err != nil {
+			if err := h.PlaceObstacle(r, c, 1, 1); err != nil {
 				t.Fatalf("obstacle on node (%d,%d): %v", i, j, err)
 			}
 			for _, id := range ids {
@@ -155,7 +155,7 @@ func TestAllSingleNodeObstacles(t *testing.T) {
 					t.Errorf("obstacle on (%d,%d): flow %d: %v", i, j, id, err)
 				}
 			}
-			if _, err := h.RemoveObstacle(r, c, 1, 1); err != nil {
+			if err := h.RemoveObstacle(r, c, 1, 1); err != nil {
 				t.Fatalf("remove obstacle on node (%d,%d): %v", i, j, err)
 			}
 			after, err := h.Stream()
@@ -215,7 +215,7 @@ func TestChurnDeterminism(t *testing.T) {
 		}
 		streams = append(streams, s)
 		for ei, e := range script {
-			if _, err := h.Apply(e); err != nil {
+			if err := h.Apply(e); err != nil {
 				t.Fatalf("config %d event %d: %v", ci, ei, err)
 			}
 			s, err := h.Stream()

@@ -1,13 +1,12 @@
 // Package noc drives a cores.NoC overlay with the gate-level simulator:
 // it builds the mesh, injects packets and proves they traverse the routed
 // fabric hop by hop, churns obstacles, and audits the board against the
-// bitstream oracle after every step. The traversal tests, cmd/jbench's
-// bench8, and jload's noc-smoke all share this harness.
+// bitstream oracle after every step. The traversal tests and jload's
+// noc-smoke share this harness.
 package noc
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -90,26 +89,22 @@ func (h *Harness) AddFlow(si, sj, di, dj int) (int, error) {
 	return id, h.Audit()
 }
 
-// PlaceObstacle places an obstacle rectangle, audits, and returns how
-// long the rip-up/detour event took.
-func (h *Harness) PlaceObstacle(row, col, height, width int) (time.Duration, error) {
-	start := time.Now()
+// PlaceObstacle places an obstacle rectangle (rip-up and detour), then
+// audits.
+func (h *Harness) PlaceObstacle(row, col, height, width int) error {
 	if err := h.Mesh.PlaceObstacle(row, col, height, width); err != nil {
-		return 0, err
+		return err
 	}
-	d := time.Since(start)
-	return d, h.Audit()
+	return h.Audit()
 }
 
-// RemoveObstacle removes an obstacle rectangle, audits, and returns how
-// long the restore event took.
-func (h *Harness) RemoveObstacle(row, col, height, width int) (time.Duration, error) {
-	start := time.Now()
+// RemoveObstacle removes an obstacle rectangle (replay restore), then
+// audits.
+func (h *Harness) RemoveObstacle(row, col, height, width int) error {
 	if err := h.Mesh.RemoveObstacle(row, col, height, width); err != nil {
-		return 0, err
+		return err
 	}
-	d := time.Since(start)
-	return d, h.Audit()
+	return h.Audit()
 }
 
 // SendPacket injects one single-cycle packet on the flow and steps the
@@ -183,8 +178,8 @@ type ChurnEvent struct {
 	Row, Col, Height, Width int
 }
 
-// Apply runs one event and returns its rip-up/re-route latency.
-func (h *Harness) Apply(e ChurnEvent) (time.Duration, error) {
+// Apply runs one event.
+func (h *Harness) Apply(e ChurnEvent) error {
 	if e.Place {
 		return h.PlaceObstacle(e.Row, e.Col, e.Height, e.Width)
 	}

@@ -59,7 +59,7 @@ func TestObstacleDetourAndRestore(t *testing.T) {
 	}
 
 	cr, cc := h.Mesh.NodeSite(1, 1)
-	if _, err := h.PlaceObstacle(cr, cc, 1, 1); err != nil {
+	if err := h.PlaceObstacle(cr, cc, 1, 1); err != nil {
 		t.Fatalf("place obstacle: %v", err)
 	}
 	if !h.Mesh.FlowActive(id) {
@@ -78,7 +78,7 @@ func TestObstacleDetourAndRestore(t *testing.T) {
 		t.Fatalf("delivery under obstacle: %v", err)
 	}
 
-	if _, err := h.RemoveObstacle(cr, cc, 1, 1); err != nil {
+	if err := h.RemoveObstacle(cr, cc, 1, 1); err != nil {
 		t.Fatalf("remove obstacle: %v", err)
 	}
 	path, _ = h.Mesh.FlowPath(id)

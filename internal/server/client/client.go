@@ -518,14 +518,9 @@ func (c *Client) session(ctx context.Context, req *server.Request) (*Session, er
 		return nil, err
 	}
 	defer putPayload(buf) // the mirror copies the config as it applies it
-	var a *arch.Arch
-	switch resp.Arch {
-	case "", "virtex":
-		a = arch.NewVirtex()
-	case "kestrel":
-		a = arch.NewKestrel()
-	default:
-		return nil, fmt.Errorf("client: unknown architecture %q", resp.Arch)
+	a, err := arch.ByName(resp.Arch)
+	if err != nil {
+		return nil, err
 	}
 	mirror, err := device.New(a, resp.Rows, resp.Cols)
 	if err != nil {

@@ -57,9 +57,9 @@ type Config struct {
 	// (0 = unlimited).
 	SessionCap int
 
-	// Opts configure every board worker (queue depth, parallelism, route
-	// cache, paranoid verify). The route cache should stay enabled: the
-	// failover journal leans on it to remember exact paths.
+	// Opts configure every board worker (queue depth, parallelism,
+	// paranoid verify, template library). The failover journal leans on
+	// the workers' route cache to remember exact paths.
 	Opts server.Options
 
 	// PortFrameTime models the board configuration port's service time per
@@ -77,13 +77,6 @@ type Config struct {
 	// it is created — the hook tests use to interpose jbits.FaultConn
 	// between the coordinator and a board.
 	WrapLink func(board string, link io.ReadWriter) io.ReadWriter
-}
-
-func (c Config) archName() string {
-	if c.Arch == "" {
-		return "virtex"
-	}
-	return c.Arch
 }
 
 // swappableConn is an io.ReadWriter whose inner transport can be wrapped
@@ -120,7 +113,7 @@ type board struct {
 }
 
 func (c *Coordinator) newBoard(name string) (*board, error) {
-	hw, err := jbits.NewBoard(name, archByName(c.cfg.archName()), c.cfg.Rows, c.cfg.Cols)
+	hw, err := jbits.NewBoard(name, c.arch, c.cfg.Rows, c.cfg.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -144,13 +137,6 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 		boardSide.Close()
 	}()
 	return b, nil
-}
-
-func archByName(name string) *arch.Arch {
-	if name == "kestrel" {
-		return arch.NewKestrel()
-	}
-	return arch.NewVirtex()
 }
 
 // journal is one slot's failover memory: the core instances created on it
@@ -216,6 +202,7 @@ func (s *slot) current() (*board, *server.Worker, uint64, bool, bool) {
 // Coordinator fronts the board fleet; it implements server.Fleet.
 type Coordinator struct {
 	cfg   Config
+	arch  *arch.Arch
 	slots []*slot
 
 	mu         sync.Mutex
@@ -254,11 +241,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Boards < 1 {
 		return nil, fmt.Errorf("fleet: need at least one board")
 	}
+	a, err := arch.ByName(cfg.Arch)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	// Audit a template library once for the whole fleet: every board
 	// worker (and every failover spare) then shares the audited copy
 	// read-only instead of each paying its own blank-device sweep.
-	if lib := cfg.Opts.Library; lib != nil && !lib.Audited() && lib.Arch() == cfg.archName() {
-		audited, _, err := lib.Audit(archByName(cfg.archName()))
+	if lib := cfg.Opts.Library; lib != nil && !lib.Audited() && lib.Arch() == a.Name {
+		audited, _, err := lib.Audit(a)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: template library: %w", err)
 		}
@@ -266,6 +257,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:          cfg,
+		arch:         a,
 		sessionKey:   make(map[string]uint64),
 		failoverCh:   make(chan failoverReq, 4*cfg.Boards),
 		failoverDone: make(chan struct{}),

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/core/library"
+	"repro/internal/cores"
 	"repro/internal/jbits"
 	"repro/internal/server"
 	"repro/internal/server/fleet"
@@ -103,6 +105,15 @@ func TestAdmissionControl(t *testing.T) {
 	r := c.Submit(context.Background(), &server.Request{Op: "trace", Session: "second", Source: sp(pin(5, 7, arch.S1YQ))})
 	if r.ErrorCode != protocol.CodeNoDevice {
 		t.Errorf("op on rejected session: code %q, want %q", r.ErrorCode, protocol.CodeNoDevice)
+	}
+}
+
+// TestNewRejectsUnknownArch: a misspelt architecture is New's error, not
+// a fleet of Virtex boards whose workers then refuse to start.
+func TestNewRejectsUnknownArch(t *testing.T) {
+	if c, err := fleet.New(fleet.Config{Boards: 1, Arch: "spartan", Rows: 16, Cols: 24}); err == nil {
+		_ = c.Shutdown(context.Background())
+		t.Fatal("fleet.New accepted an unknown architecture")
 	}
 }
 
@@ -332,5 +343,84 @@ func TestProbeDetectsSilentDeath(t *testing.T) {
 	tr := c.Submit(ctx, &server.Request{Op: "trace", Session: "only", Source: &src})
 	if tr.Err != "" || len(tr.Net.Sinks) != 1 {
 		t.Errorf("acked route lost across probe-driven failover: %q %+v", tr.Err, tr.Net)
+	}
+}
+
+// TestFailoverStitchesFromLibrary: a fleet built with a template library
+// hands it to failover spares too. A board hosting a rack of counter cores
+// (internal feedback wiring = real routing on restore) is killed; the
+// spare's fresh router re-implements every journaled core by stitching
+// library templates, the replay's own readback byte-compare and oracle
+// audit pass (or the slot would not have swapped), and every acked net
+// still traces.
+func TestFailoverStitchesFromLibrary(t *testing.T) {
+	b := library.NewBuilder("virtex", 16, 24)
+	if _, err := cores.LearnStdlib(arch.NewVirtex(), 16, 24, b); err != nil {
+		t.Fatal(err)
+	}
+	c := newFleet(t, fleet.Config{Boards: 2, Spares: 1, Opts: server.Options{Library: b.Library()}})
+	ctx := context.Background()
+	connect(t, c, "victim", 0)
+
+	const counters, bits = 6, 4
+	for i := 0; i < counters; i++ {
+		msg := server.CoreMsg{Name: fmt.Sprintf("ctr%d", i), Kind: "counter",
+			Row: 2 + 4*(i%3), Col: 3 + 5*(i/3), Bits: bits}
+		if r := c.Submit(ctx, &server.Request{Op: "core_new", Session: "victim", Core: &msg}); r.Err != "" {
+			t.Fatalf("core %d: %s", i, r.Err)
+		}
+	}
+	route := func() *server.Response {
+		src := pin(13, 3, arch.S1YQ)
+		return c.Submit(ctx, &server.Request{Op: "route", Session: "victim", Source: &src,
+			Sinks: []server.EndPointMsg{pin(14, 5, arch.S0F3)}})
+	}
+	// sinks counts the sinks on every counter's feedback nets: the acked
+	// state that must come back on the spare.
+	sinks := func() int {
+		n := 0
+		for i := 0; i < counters; i++ {
+			for bit := 0; bit < bits; bit++ {
+				tr := c.Submit(ctx, &server.Request{Op: "trace", Session: "victim",
+					Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: fmt.Sprintf("ctr%d", i), Group: "q", Index: bit}}})
+				if tr.Err != "" || tr.Net == nil {
+					t.Fatalf("trace ctr%d.q[%d]: %q", i, bit, tr.Err)
+				}
+				n += len(tr.Net.Sinks)
+			}
+		}
+		return n
+	}
+	want := sinks()
+	if want < counters*bits {
+		t.Fatalf("only %d feedback sinks routed, want >= %d", want, counters*bits)
+	}
+
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	if r := route(); r.ErrorCode != protocol.CodeFailover {
+		t.Fatalf("route on killed board: code %q err %q, want %q", r.ErrorCode, r.Err, protocol.CodeFailover)
+	}
+	waitEpoch(t, c, 0, 2)
+	if r := route(); r.Err != "" || r.Board != "spare0" {
+		t.Fatalf("retry after failover: board %s err %q (%s)", r.Board, r.Err, r.ErrorCode)
+	}
+	if got := sinks(); got != want {
+		t.Errorf("%d feedback sinks trace on the spare, %d were acked", got, want)
+	}
+
+	c.ProbeAll(ctx) // board readback == worker bitstream, oracle-clean
+	st := c.Stats()
+	if st.Failovers != 1 || st.FailoverFails != 0 || st.ProbeFails != 0 {
+		t.Errorf("failovers/fails/probe_fails = %d/%d/%d, want 1/0/0", st.Failovers, st.FailoverFails, st.ProbeFails)
+	}
+	spare := st.Slots["slot0"]
+	if spare.Board != "spare0" {
+		t.Fatalf("slot0 served by %s, want spare0", spare.Board)
+	}
+	if spare.Worker.LibrarySeeded == 0 || spare.Worker.LibraryHits == 0 {
+		t.Errorf("spare restored with library seeded/hits = %d/%d: the fleet's library never reached it",
+			spare.Worker.LibrarySeeded, spare.Worker.LibraryHits)
 	}
 }

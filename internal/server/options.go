@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/core/library"
 )
 
@@ -28,9 +27,6 @@ func WithQueueDepth(n int) Opt { return func(o *Options) { o.QueueDepth = n } }
 // router (0 = GOMAXPROCS).
 func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } }
 
-// WithRouteCache sets the route-cache mode for every session router.
-func WithRouteCache(m core.CacheMode) Opt { return func(o *Options) { o.RouteCache = m } }
-
 // WithEnqueueTimeout bounds how long a request waits for a queue slot
 // before the busy response.
 func WithEnqueueTimeout(d time.Duration) Opt { return func(o *Options) { o.EnqueueTimeout = d } }
@@ -47,12 +43,6 @@ func WithBinaryProtocol(on bool) Opt { return func(o *Options) { o.DisableBinary
 // WithLibrary seeds every session router with a persistent route-template
 // library, shared read-only across workers (audited once in New).
 func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }
-
-// WithLibraryPath loads the template library from a file at daemon
-// construction, best-effort: a missing or unreadable file leaves the
-// sessions library-less. Use WithLibrary with an explicitly loaded
-// library to fail loudly instead.
-func WithLibraryPath(path string) Opt { return func(o *Options) { o.LibraryPath = path } }
 
 // WithAuth installs a hello-token authenticator: fn maps the bearer token
 // from each connection's hello to a tenant name, or errors to reject the

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/arch"
 	"repro/internal/core/library"
 	"repro/internal/jbits"
 	"repro/internal/server/protocol"
@@ -23,9 +23,6 @@ type Options struct {
 	// Parallelism is passed to every session router's negotiated batch
 	// routing (0 = GOMAXPROCS).
 	Parallelism int
-	// RouteCache is passed to every session router: the relocation-aware
-	// route cache (zero value = enabled; core.CacheOff disables).
-	RouteCache core.CacheMode
 	// EnqueueTimeout is how long a request waits for a slot in a full
 	// session queue before the server answers busy (default 5s).
 	EnqueueTimeout time.Duration
@@ -41,11 +38,6 @@ type Options struct {
 	// audits an unaudited library once so N workers do not each re-sweep
 	// it. See core.Options.Library.
 	Library *library.Library
-	// LibraryPath loads the template library from a file, best-effort: a
-	// missing or unreadable file leaves sessions library-less. Daemons
-	// that must fail loudly (jrouted -library) load the file themselves
-	// and set Library instead. Ignored when Library is set.
-	LibraryPath string
 	// Auth, when set, must map the hello bearer token to a tenant name.
 	// A non-nil error rejects the handshake with CodeUnauthorized. The
 	// resolved tenant is stamped on every request the connection sends
@@ -106,17 +98,12 @@ type Server struct {
 // New creates an empty daemon; add devices with AddDevice (or attach a
 // fleet with SetFleet), then Start.
 func New(opts Options) *Server {
-	if opts.Library == nil && opts.LibraryPath != "" {
-		if lib, _, err := library.Load(opts.LibraryPath); err == nil {
-			opts.Library = lib
-		}
-	}
 	// Audit once here rather than once per worker: every session router
 	// shares the audited copy read-only. An audit failure (unknown arch)
 	// leaves the library unaudited; workers then reject it individually
 	// and count it skipped.
 	if lib := opts.Library; lib != nil && !lib.Audited() {
-		if a, err := archByName(lib.Arch()); err == nil {
+		if a, err := arch.ByName(lib.Arch()); err == nil {
 			if audited, _, err := lib.Audit(a); err == nil {
 				opts.Library = audited
 			}

@@ -92,7 +92,7 @@ type Worker struct {
 
 // NewWorker creates a worker and starts its goroutine.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	a, err := archByName(cfg.Arch)
+	a, err := arch.ByName(cfg.Arch)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		js:             js,
 		router: core.New(js.Dev,
 			core.WithParallelism(cfg.Opts.Parallelism),
-			core.WithRouteCache(cfg.Opts.RouteCache),
 			core.WithParanoidVerify(cfg.Opts.ParanoidVerify),
 			core.WithLibrary(cfg.Opts.Library)),
 		cores: make(map[string]*coreEntry),
@@ -140,18 +139,6 @@ func (w *Worker) Close() { close(w.queue) }
 // Done is closed when the worker goroutine has drained its queue and
 // exited.
 func (w *Worker) Done() <-chan struct{} { return w.done }
-
-// archByName maps wire-level architecture names to constructors.
-func archByName(name string) (*arch.Arch, error) {
-	switch name {
-	case "", "virtex":
-		return arch.NewVirtex(), nil
-	case "kestrel":
-		return arch.NewKestrel(), nil
-	default:
-		return nil, fmt.Errorf("server: unknown architecture %q", name)
-	}
-}
 
 // run is the worker loop: it owns the router and drains the queue until
 // the queue is closed (shutdown), answering every remaining task. Tasks
@@ -320,7 +307,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 			resp.ErrorCode = protocol.CodeInternal
 			return err
 		}
-		resp.Rows, resp.Cols, resp.Arch, resp.Config = w.cfg.Rows, w.cfg.Cols, w.archName(), stream
+		resp.Rows, resp.Cols, resp.Arch, resp.Config = w.cfg.Rows, w.cfg.Cols, w.js.Dev.A.Name, stream
 		return nil
 
 	case "readback":
@@ -430,13 +417,6 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		resp.ErrorCode = protocol.CodeUnknownOp
 		return fmt.Errorf("server: unknown op %q", req.Op)
 	}
-}
-
-func (w *Worker) archName() string {
-	if w.cfg.Arch == "" {
-		return "virtex"
-	}
-	return w.cfg.Arch
 }
 
 func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
