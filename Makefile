@@ -33,6 +33,7 @@ bench-smoke:
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=30s ./internal/device
+	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=30s ./internal/bitstream
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/maze
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=30s ./internal/server/protocol/v3

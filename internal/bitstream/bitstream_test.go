@@ -1,6 +1,8 @@
 package bitstream
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -257,6 +259,175 @@ func TestCRC16KnownValue(t *testing.T) {
 	// CRC-16/XMODEM("123456789") = 0x31C3.
 	if got := crc16(0, []byte("123456789")); got != 0x31C3 {
 		t.Errorf("crc16 check value = %#04x, want 0x31C3", got)
+	}
+}
+
+// The sliced CRC against the bit-at-a-time one: every length that mixes
+// eight-byte steps with a tail, random contents, random running crc.
+func TestCRC16MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n <= 300; n++ {
+		for trial := 0; trial < 4; trial++ {
+			data := make([]byte, n)
+			rng.Read(data)
+			init := uint16(rng.Intn(1 << 16))
+			if trial == 0 {
+				init = 0
+			}
+			if got, want := crc16(init, data), refCRC16(init, data); got != want {
+				t.Fatalf("crc16(%#04x, %d bytes) = %#04x, reference %#04x", init, n, got, want)
+			}
+		}
+	}
+}
+
+// The packet stream is an ABI: boards, client mirrors and the scenario
+// goldens all parse it. These bytes were generated by the tile-major,
+// gather-per-frame writer this package had before it went frame-major; the
+// partial stream pins run coalescing (col 1, planes 0-2 in one FDRI) and a
+// second FAR for an isolated frame (col 3, plane 2).
+func TestStreamABI(t *testing.T) {
+	const (
+		wantFull = "aa995566000000060000000500000004" +
+			"010000000000000000020000001801000000000000000000a00000000000b400000000000000" +
+			"0100000001000000000200000018000000000000000002000000000000000000000000000000" +
+			"0100000002000000000200000018000000000000000000000000000000810000000000000000" +
+			"010000000300000000020000001800e00000000000fe00000000000f00000000000c00000000" +
+			"0100000004000000000200000018000000000000000000000000000000000000000000000080" +
+			"03626804"
+		wantPartial = "aa995566000000060000000500000004" +
+			"0100000001000000000200000012" + "000068000001" + "000080000000" + "000017000000" +
+			"0100000003000000020200000006" + "100f00000000" +
+			"03b2d804"
+	)
+	b := mustNew(t, 6, 5, 4)
+	b.SetBit(0, 0, 0, true)
+	b.SetBit(5, 4, 31, true)
+	b.SetBit(2, 1, 9, true)
+	b.SetBit(3, 2, 16, true)
+	b.SetBit(3, 2, 23, true)
+	b.SetBits(1, 3, 4, 24, 0xC0FFEE)
+	b.SetBits(4, 0, 13, 11, 0x5A5)
+	full, err := b.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(full); got != wantFull {
+		t.Errorf("FullConfig bytes changed:\n got %s\nwant %s", got, wantFull)
+	}
+	b.ClearDirty()
+	b.SetBits(2, 1, 3, 18, 0x2F00D) // col 1, planes 0-2: one coalesced run
+	b.SetBit(5, 1, 0, true)         // the same run, another row
+	b.SetBit(0, 3, 20, true)        // col 3, plane 2: an isolated frame
+	b.SetBit(0, 0, 0, true)         // already set: col 0 must stay clean
+	partial, err := b.PartialConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(partial); got != wantPartial {
+		t.Errorf("PartialConfig bytes changed:\n got %s\nwant %s", got, wantPartial)
+	}
+	appended, err := b.AppendPartialConfig(make([]byte, 0, 256))
+	if err != nil || !bytes.Equal(appended, partial) {
+		t.Errorf("AppendPartialConfig = %x, %v; want the PartialConfig bytes", appended, err)
+	}
+	explicit, err := b.ConfigFor(b.DirtyFrames())
+	if err != nil || !bytes.Equal(explicit, partial) {
+		t.Errorf("ConfigFor(DirtyFrames) = %x, %v; want the PartialConfig bytes", explicit, err)
+	}
+}
+
+// An FDRI burst advances FAR by the planes it wrote, as the stream format
+// says, so a second FDRI without a FAR continues where the first stopped.
+func TestFDRIAdvancesFAR(t *testing.T) {
+	l := Layout{Rows: 2, Cols: 3, BytesPerTile: 4}
+	stream := newRefStream(l).far(1, 1).fdri(0xA1, 0xA2, 0xB1, 0xB2).fdri(0xC1, 0xC2).check().desync()
+	b := mustNew(t, l.Rows, l.Cols, l.BytesPerTile)
+	n, err := b.ApplyConfig(stream)
+	if err != nil || n != 3 {
+		t.Fatalf("ApplyConfig = %d, %v; want 3 frames", n, err)
+	}
+	for plane, want := range map[int][]byte{0: {0, 0}, 1: {0xA1, 0xA2}, 2: {0xB1, 0xB2}, 3: {0xC1, 0xC2}} {
+		if got, _ := b.Frame(FrameAddr{Col: 1, Plane: plane}); !bytes.Equal(got, want) {
+			t.Errorf("col 1 plane %d = %x, want %x", plane, got, want)
+		}
+	}
+}
+
+// A burst that walks past the last plane of its column is rejected at the
+// frame that leaves it. In frame-major storage those bytes would otherwise
+// land in the next column's plane 0 without any index going out of range.
+func TestFDRIPastLastPlaneRejected(t *testing.T) {
+	l := Layout{Rows: 2, Cols: 3, BytesPerTile: 4}
+	stream := newRefStream(l).far(1, 3).fdri(0xA1, 0xA2, 0xB1, 0xB2).check().desync()
+	b := mustNew(t, l.Rows, l.Cols, l.BytesPerTile)
+	n, err := b.ApplyConfig(stream)
+	if err == nil || n != 1 {
+		t.Fatalf("ApplyConfig = %d, %v; want 1 frame and an error", n, err)
+	}
+	if got, _ := b.Frame(FrameAddr{Col: 2, Plane: 0}); !bytes.Equal(got, []byte{0, 0}) {
+		t.Errorf("overflowing burst wrote %x into the next column", got)
+	}
+	if _, err := b.ConfigFor([]FrameAddr{{Col: 1, Plane: 3}, {Col: 1, Plane: 4}}); err == nil {
+		t.Error("ConfigFor accepted a run past the last plane")
+	}
+}
+
+// Frames are latched as they stream in: a stream whose CRC is wrong fails
+// at the CRC opcode, with its frames already written.
+func TestApplyConfigLatchesBeforeCRC(t *testing.T) {
+	l := Layout{Rows: 2, Cols: 3, BytesPerTile: 4}
+	stream := newRefStream(l).far(0, 2).fdri(0xA1, 0xA2).bytes(opCRC, 0xDE, 0xAD).far(2, 0).fdri(0xB1, 0xB2).check().desync()
+	b := mustNew(t, l.Rows, l.Cols, l.BytesPerTile)
+	n, err := b.ApplyConfig(stream)
+	if err == nil || n != 1 {
+		t.Fatalf("ApplyConfig = %d, %v; want 1 frame and a CRC error", n, err)
+	}
+	if got, _ := b.Frame(FrameAddr{Col: 0, Plane: 2}); !bytes.Equal(got, []byte{0xA1, 0xA2}) {
+		t.Errorf("frame before the bad CRC = %x, want it latched", got)
+	}
+	if got, _ := b.Frame(FrameAddr{Col: 2, Plane: 0}); !bytes.Equal(got, []byte{0, 0}) {
+		t.Errorf("frame after the bad CRC = %x, want it unwritten", got)
+	}
+}
+
+// SetBits/GetBits move whole bytes; the per-bit loop they replaced is the
+// reference. Fields start unaligned, run 0-64 bits wide across up to nine
+// byte planes, and fall off every edge of the tile and the array.
+func TestBitsMatchPerBitLoop(t *testing.T) {
+	l := Layout{Rows: 3, Cols: 2, BytesPerTile: 11}
+	b := mustNew(t, l.Rows, l.Cols, l.BytesPerTile)
+	ref := newRef(l)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		row, col := rng.Intn(l.Rows+2)-1, rng.Intn(l.Cols+2)-1
+		if rng.Intn(4) != 0 { // mostly on the array, so most fields land
+			row, col = rng.Intn(l.Rows), rng.Intn(l.Cols)
+		}
+		start, width, v := rng.Intn(8*l.BytesPerTile+8)-4, rng.Intn(67)-1, rng.Uint64()
+		if rng.Intn(8) == 0 {
+			v = 0 // clears bits earlier fields set
+		}
+		if i%500 == 0 {
+			b.ClearDirty()
+			ref.ClearDirty()
+		}
+		next := ref.clone()
+		setErr, refErr := b.SetBits(row, col, start, width, v), next.SetBits(row, col, start, width, v)
+		if (setErr == nil) != (refErr == nil) {
+			t.Fatalf("SetBits(%d,%d,%d,%d) = %v; per-bit loop %v", row, col, start, width, setErr, refErr)
+		}
+		if setErr == nil {
+			ref = next // a rejected field writes nothing; the per-bit loop wrote its in-range prefix
+		}
+		if err := ref.sameAs(b); err != nil {
+			t.Fatalf("after SetBits(%d,%d,%d,%d,%#x) = %v: %v", row, col, start, width, v, setErr, err)
+		}
+		got, err := b.GetBits(row, col, start, width)
+		want, refErr := ref.GetBits(row, col, start, width)
+		if (err == nil) != (refErr == nil) || got != want {
+			t.Fatalf("GetBits(%d,%d,%d,%d) = %#x, %v; per-bit loop %#x, %v", row, col, start, width, got, err, want, refErr)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //	repeated:
 //	  u8 opcode
 //	  opWriteFAR:  u32 col, u32 plane
-//	  opWriteFDRI: u32 length, bytes   (writes at current FAR, auto-increments plane)
+//	  opWriteFDRI: u32 length, bytes   (writes at current FAR, which advances one plane per frame)
 //	  opCRC:       u16 crc over all bytes since last CRC (or start)
 //	  opDesync:    end of stream
 const (
@@ -33,11 +33,11 @@ const (
 	opDesync    = 0x04
 )
 
-// crc16 implements CRC-16/XMODEM (CCITT polynomial 0x1021, init 0),
-// byte at a time.
-func crc16(crc uint16, data []byte) uint16 {
-	for _, b := range data {
-		crc ^= uint16(b) << 8
+// crcTable[k][v] is the CRC-16/XMODEM (CCITT polynomial 0x1021, init 0) of
+// byte v followed by k zero bytes — the slicing-by-8 tables.
+var crcTable = func() (t [8][256]uint16) {
+	for v := range t[0] {
+		crc := uint16(v) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
@@ -45,128 +45,122 @@ func crc16(crc uint16, data []byte) uint16 {
 				crc <<= 1
 			}
 		}
+		t[0][v] = crc
+	}
+	for k := 1; k < 8; k++ {
+		for v, crc := range t[k-1] {
+			t[k][v] = crc<<8 ^ t[0][crc>>8]
+		}
+	}
+	return t
+}()
+
+// crc16 continues a CRC-16/XMODEM over data, eight bytes per step: the
+// running crc folds into the first two bytes, and each byte's contribution
+// to the state eight bytes on is one table read.
+func crc16(crc uint16, data []byte) uint16 {
+	for ; len(data) >= 8; data = data[8:] {
+		crc = crcTable[7][data[0]^byte(crc>>8)] ^ crcTable[6][data[1]^byte(crc)] ^
+			crcTable[5][data[2]] ^ crcTable[4][data[3]] ^
+			crcTable[3][data[4]] ^ crcTable[2][data[5]] ^
+			crcTable[1][data[6]] ^ crcTable[0][data[7]]
+	}
+	for _, v := range data {
+		crc = crc<<8 ^ crcTable[0][byte(crc>>8)^v]
 	}
 	return crc
 }
 
+// streamWriter appends a configuration stream onto buf, keeping the
+// running CRC of everything since the last CRC opcode.
 type streamWriter struct {
 	buf []byte
 	crc uint16
 }
 
-func (w *streamWriter) raw(p []byte) { w.buf = append(w.buf, p...) } // not CRC'd (header)
-
-func (w *streamWriter) bytes(p []byte) {
-	w.buf = append(w.buf, p...)
-	w.crc = crc16(w.crc, p)
+// header seeds a stream writer appending onto dst (which may carry
+// reusable capacity from a pooled buffer). The header is not CRC'd.
+func (b *Bitstream) header(dst []byte) streamWriter {
+	for _, v := range [...]uint32{syncWord, uint32(b.layout.Rows), uint32(b.layout.Cols), uint32(b.layout.BytesPerTile)} {
+		dst = binary.BigEndian.AppendUint32(dst, v)
+	}
+	return streamWriter{buf: dst}
 }
 
-func (w *streamWriter) u8(v uint8) { w.bytes([]byte{v}) }
-
-func (w *streamWriter) u16(v uint16) {
-	var tmp [2]byte
-	binary.BigEndian.PutUint16(tmp[:], v)
-	w.bytes(tmp[:])
+// emitRun emits frames [f, f+n) — consecutive planes of one column — as a FAR
+// write and a single FDRI burst, as the real device auto-increments the
+// frame address. In frame-major storage the burst's payload is one
+// contiguous slice.
+func (b *Bitstream) emitRun(w *streamWriter, f, n int) {
+	start, fa := len(w.buf), b.frameAddr(f)
+	w.buf = append(w.buf, opWriteFAR)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(fa.Col))
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(fa.Plane))
+	w.buf = append(w.buf, opWriteFDRI)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(n*b.layout.Rows))
+	w.buf = append(w.buf, b.data[f*b.layout.Rows:(f+n)*b.layout.Rows]...)
+	w.crc = crc16(w.crc, w.buf[start:])
 }
 
-func (w *streamWriter) u32(v uint32) {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	w.bytes(tmp[:])
-}
-
-func (w *streamWriter) emitCRC() {
+// finish closes the stream with its CRC check and the desync command.
+func (w *streamWriter) finish() []byte {
 	w.buf = append(w.buf, opCRC)
-	var tmp [2]byte
-	binary.BigEndian.PutUint16(tmp[:], w.crc)
-	w.buf = append(w.buf, tmp[:]...)
-	w.crc = 0
-}
-
-func (b *Bitstream) header() *streamWriter { return b.headerInto(nil) }
-
-// headerInto seeds a stream writer appending onto dst (which may carry
-// reusable capacity from a pooled buffer).
-func (b *Bitstream) headerInto(dst []byte) *streamWriter {
-	w := &streamWriter{buf: dst}
-	var tmp [4]byte
-	for _, v := range []uint32{syncWord, uint32(b.layout.Rows), uint32(b.layout.Cols), uint32(b.layout.BytesPerTile)} {
-		binary.BigEndian.PutUint32(tmp[:], v)
-		w.raw(tmp[:])
-	}
-	return w
-}
-
-func (b *Bitstream) emitFrames(w *streamWriter, frames []FrameAddr) error {
-	// Consecutive planes of a column are coalesced into one FDRI burst,
-	// as the real device auto-increments the frame address.
-	for i := 0; i < len(frames); {
-		fa := frames[i]
-		run := 1
-		for i+run < len(frames) &&
-			frames[i+run].Col == fa.Col &&
-			frames[i+run].Plane == fa.Plane+run {
-			run++
-		}
-		w.u8(opWriteFAR)
-		w.u32(uint32(fa.Col))
-		w.u32(uint32(fa.Plane))
-		w.u8(opWriteFDRI)
-		w.u32(uint32(run * b.layout.Rows))
-		for k := 0; k < run; k++ {
-			frame, err := b.Frame(FrameAddr{Col: fa.Col, Plane: fa.Plane + k})
-			if err != nil {
-				return err
-			}
-			w.bytes(frame)
-		}
-		i += run
-	}
-	return nil
+	w.buf = binary.BigEndian.AppendUint16(w.buf, w.crc)
+	return append(w.buf, opDesync)
 }
 
 // FullConfig serializes every frame into a configuration stream.
 func (b *Bitstream) FullConfig() ([]byte, error) {
-	all := make([]FrameAddr, 0, b.FrameCount())
+	bpt := b.layout.BytesPerTile
+	w := b.header(make([]byte, 0, 16+b.layout.Cols*(14+bpt*b.layout.Rows)+4))
 	for c := 0; c < b.layout.Cols; c++ {
-		for p := 0; p < b.layout.BytesPerTile; p++ {
-			all = append(all, FrameAddr{Col: c, Plane: p})
-		}
+		b.emitRun(&w, c*bpt, bpt)
 	}
-	return b.config(all)
+	return w.finish(), nil
 }
 
 // PartialConfig serializes only the dirty frames ("partial bitstream").
 // The dirty set is not cleared; call ClearDirty once the stream has been
 // applied to its target.
 func (b *Bitstream) PartialConfig() ([]byte, error) {
-	return b.config(b.DirtyFrames())
+	return b.AppendPartialConfig(nil)
 }
 
 // AppendPartialConfig serializes the dirty frames onto dst, reusing its
 // capacity — the allocation-free variant of PartialConfig for pooled
 // buffers on the server hot path. The dirty set is not cleared.
 func (b *Bitstream) AppendPartialConfig(dst []byte) ([]byte, error) {
-	return b.configInto(dst, b.DirtyFrames())
+	w := b.header(dst)
+	bpt := b.layout.BytesPerTile
+	for f, n := b.nextDirty(0), 0; f >= 0; f = b.nextDirty(f + n) {
+		// A run is the dirty frames that follow f in its column.
+		for n = 1; (f+n)%bpt != 0 && b.isDirty(f+n); n++ {
+		}
+		b.emitRun(&w, f, n)
+	}
+	return w.finish(), nil
 }
 
 // ConfigFor serializes an explicit frame set.
 func (b *Bitstream) ConfigFor(frames []FrameAddr) ([]byte, error) {
-	return b.config(frames)
-}
-
-func (b *Bitstream) config(frames []FrameAddr) ([]byte, error) {
-	return b.configInto(nil, frames)
-}
-
-func (b *Bitstream) configInto(dst []byte, frames []FrameAddr) ([]byte, error) {
-	w := b.headerInto(dst)
-	if err := b.emitFrames(w, frames); err != nil {
-		return nil, err
+	w := b.header(nil)
+	for i := 0; i < len(frames); {
+		f, err := b.frameIndex(frames[i])
+		if err != nil {
+			return nil, err
+		}
+		// Coalesce consecutive planes of the column. A plane past the
+		// column's last never joins a run: it starts its own and is
+		// rejected there.
+		first, n := frames[i], 1
+		for i+n < len(frames) && first.Plane+n < b.layout.BytesPerTile &&
+			frames[i+n] == (FrameAddr{Col: first.Col, Plane: first.Plane + n}) {
+			n++
+		}
+		b.emitRun(&w, f, n)
+		i += n
 	}
-	w.emitCRC()
-	w.buf = append(w.buf, opDesync)
-	return w.buf, nil
+	return w.finish(), nil
 }
 
 // ApplyConfig parses a configuration stream and writes its frames into b,
@@ -227,12 +221,14 @@ func (b *Bitstream) ApplyConfig(stream []byte) (int, error) {
 			if far.Col < 0 {
 				return written, fmt.Errorf("bitstream: FDRI before FAR")
 			}
-			data := stream[pos+5 : pos+5+n]
-			for k := 0; k*b.layout.Rows < n; k++ {
-				fa := FrameAddr{Col: far.Col, Plane: far.Plane + k}
-				if err := b.LoadFrame(fa, data[k*b.layout.Rows:(k+1)*b.layout.Rows]); err != nil {
+			// Each frame is bounds-checked on its own: in frame-major
+			// storage the bytes after a column's last plane are the next
+			// column's plane 0, so a burst must not be copied as one run.
+			for data := stream[pos+5 : pos+5+n]; len(data) > 0; data = data[b.layout.Rows:] {
+				if err := b.LoadFrame(far, data[:b.layout.Rows]); err != nil {
 					return written, err
 				}
+				far.Plane++
 				written++
 			}
 			pos += 5 + n

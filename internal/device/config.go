@@ -267,7 +267,7 @@ func (d *Device) AppendPartialConfig(dst []byte) ([]byte, error) {
 }
 
 // DirtyFrameCount returns how many frames a PartialConfig would ship.
-func (d *Device) DirtyFrameCount() int { return len(d.bits.DirtyFrames()) }
+func (d *Device) DirtyFrameCount() int { return d.bits.DirtyCount() }
 
 // FrameCount returns the total number of configuration frames.
 func (d *Device) FrameCount() int { return d.bits.FrameCount() }

@@ -22,6 +22,9 @@ import (
 // Session is a JBits editing session over a host-side device image.
 type Session struct {
 	Dev *device.Device
+	// partial is the reused buffer SyncPartial and SyncPartialRemote
+	// serialize into; neither target keeps a reference to it.
+	partial []byte
 }
 
 // NewSession creates a session with a fresh device image.
@@ -194,12 +197,17 @@ func (s *Session) SyncFull(b *Board) (frames int, err error) {
 // partial reconfiguration step that makes RTR cheap. It returns the number
 // of frames shipped.
 func (s *Session) SyncPartial(b *Board) (frames int, err error) {
+	return s.syncPartial(b.ConfigurePartial)
+}
+
+// syncPartial serializes the dirty frames once into the session's buffer,
+// hands the stream to ship, and clears the dirty set if it was accepted.
+func (s *Session) syncPartial(ship func(stream []byte) error) (frames int, err error) {
 	frames = s.Dev.DirtyFrameCount()
-	stream, err := s.Dev.PartialConfig()
-	if err != nil {
+	if s.partial, err = s.Dev.AppendPartialConfig(s.partial[:0]); err != nil {
 		return 0, err
 	}
-	if err := b.ConfigurePartial(stream); err != nil {
+	if err := ship(s.partial); err != nil {
 		return 0, err
 	}
 	s.Dev.ClearDirty()

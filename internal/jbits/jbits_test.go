@@ -108,6 +108,33 @@ func TestPartialWithoutChangesIsEmptyish(t *testing.T) {
 	}
 }
 
+// SyncPartial serializes into a buffer the session keeps, so a large ship
+// followed by small ones must neither leak the large stream's tail into
+// the board nor allocate once the buffer has grown.
+func TestSyncPartialReusesBuffer(t *testing.T) {
+	s, b := newSessionBoard(t)
+	for col := 0; col < 24; col++ { // a wide ship: every column dirty
+		s.SetLUT(3, col, 0, 0xBEEF)
+	}
+	if n, err := s.SyncPartial(b); err != nil || n < 24 {
+		t.Fatalf("wide SyncPartial = %d frames, %v", n, err)
+	}
+	truth := uint16(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		truth++
+		s.SetLUT(9, 9, 1, truth)
+		if n, err := s.SyncPartial(b); err != nil || n == 0 {
+			t.Fatalf("narrow SyncPartial = %d frames, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state SyncPartial allocates %.0f times per ship, want 0", allocs)
+	}
+	if n, err := s.VerifyReadback(b); err != nil || n != 0 {
+		t.Errorf("readback after reused-buffer ships: %d diffs, %v", n, err)
+	}
+}
+
 func TestReadbackDetectsDivergence(t *testing.T) {
 	s, b := newSessionBoard(t)
 	if _, err := s.SyncFull(b); err != nil {

@@ -318,14 +318,5 @@ func (s *Session) SyncFullRemote(rb *RemoteBoard) (int, error) {
 // SyncPartialRemote ships only the dirty frames to a remote board, tagged
 // opPartial on the wire.
 func (s *Session) SyncPartialRemote(rb *RemoteBoard) (frames int, err error) {
-	frames = s.Dev.DirtyFrameCount()
-	stream, err := s.Dev.PartialConfig()
-	if err != nil {
-		return 0, err
-	}
-	if err := rb.ConfigurePartial(stream); err != nil {
-		return 0, err
-	}
-	s.Dev.ClearDirty()
-	return frames, nil
+	return s.syncPartial(rb.ConfigurePartial)
 }

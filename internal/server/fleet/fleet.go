@@ -570,12 +570,12 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, 
 		// configuration without streaming the whole device through the
 		// port: the failover window scales with the remembered state, not
 		// the device size.
-		if js.Dev.DirtyFrameCount() > 0 {
+		if n := js.Dev.DirtyFrameCount(); n > 0 {
 			stream, err := js.Dev.AppendPartialConfig(nil)
 			if err != nil {
 				return err
 			}
-			c.chargePort(js.Dev.DirtyFrameCount())
+			c.chargePort(n)
 			if err := spare.remote.ConfigurePartial(stream); err != nil {
 				return err
 			}
