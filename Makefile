@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=30s ./internal/device
 	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=30s ./internal/bitstream
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=30s ./internal/maze
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=30s ./internal/server/protocol/v3
 	$(GO) test -run='^$$' -fuzz=FuzzLibraryDecode -fuzztime=30s ./internal/core/library

@@ -35,7 +35,8 @@ type BatchNet struct {
 // batch router may trade wires between nets: every net is ripped up and
 // re-routed with congestion-inflated costs until no track is shared, and
 // only the converged solution is committed to the device. Either all nets
-// route or none do.
+// route or none do. The negotiation counts wires whatever Options.TimingDriven
+// says: its congestion costs are in wire units, and it has no delay model.
 //
 // Connection records are created for every net, so port memory and
 // unrouting behave exactly as with the sequential calls. If a commit

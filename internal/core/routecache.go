@@ -73,10 +73,8 @@ type routeCache struct {
 }
 
 // cacheEnabled reports whether the route cache is active for this router.
-// Timing-driven routing always searches: a remembered path optimizes wire
-// count, not delay, so replaying it would silently change the cost model.
 func (r *Router) cacheEnabled() bool {
-	return r.Opt.RouteCache != CacheOff && !r.Opt.TimingDriven
+	return r.Opt.RouteCache != CacheOff && r.Opt.replaysPaths()
 }
 
 func (r *Router) ensureCache() *routeCache {
@@ -238,15 +236,14 @@ func (r *Router) lookupTemplate(srcTrack device.Track, sink Pin) (rel []device.P
 //
 // The replay tier runs whatever the cache mode — the remembered path is
 // port memory on the record, not a cache entry — and is skipped only
-// under timing-driven routing, where replaying a wire-count path would
-// silently change the cost model.
+// under a cost model that does not replay paths (Options.replaysPaths).
 func (r *Router) RestoreConnection(c *Connection) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
 	if !c.retired {
 		return nil
 	}
-	if !r.Opt.TimingDriven && len(c.Path) > 0 && len(c.sinkPins) > 0 {
+	if r.Opt.replaysPaths() && len(c.Path) > 0 && len(c.sinkPins) > 0 {
 		if ok, err := r.replayShifted(c); ok {
 			r.finishRestore(c)
 			return nil

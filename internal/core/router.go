@@ -36,7 +36,9 @@ type Options struct {
 	UseLongLines bool
 	// TimingDriven makes the maze search minimize estimated delay
 	// instead of wire count — the §6 extension for critical nets, which
-	// the paper's shipping router leaves to manual routing.
+	// the paper's shipping router leaves to manual routing. It governs
+	// single-net routes only: batch negotiation (RouteBatch,
+	// RouteBusBatch) counts wires under every cost model.
 	TimingDriven bool
 	// MaxNodes caps maze search effort (0 = default).
 	MaxNodes int
@@ -76,20 +78,20 @@ type Options struct {
 	ParanoidVerify bool
 }
 
-func (o Options) mazeOptions() maze.Options {
-	return maze.Options{
-		UseLongLines: o.UseLongLines,
-		TimingDriven: o.TimingDriven,
-		MaxNodes:     o.MaxNodes,
-	}
-}
+// replaysPaths reports whether the cost model accepts a path found earlier —
+// a cached or remembered route, a template — in place of a search. Those were
+// chosen by wire count; under the delay model every route is searched.
+func (o Options) replaysPaths() bool { return !o.TimingDriven }
 
 // mazeOpts is the per-call search configuration: the static Options plus
 // the router's live avoid-region list (see AddAvoid).
 func (r *Router) mazeOpts() maze.Options {
-	mo := r.Opt.mazeOptions()
-	mo.Avoid = r.avoid
-	return mo
+	return maze.Options{
+		UseLongLines: r.Opt.UseLongLines,
+		TimingDriven: r.Opt.TimingDriven,
+		MaxNodes:     r.Opt.MaxNodes,
+		Avoid:        r.avoid,
+	}
 }
 
 // AddAvoid reserves a tile rectangle against automatic routing: until the
@@ -509,9 +511,7 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 		}
 	}
 
-	// Timing-driven routing always searches: template candidates optimize
-	// convenience, not delay.
-	if r.Opt.Algorithm == TemplateFirst && freshNet && !r.Opt.TimingDriven {
+	if r.Opt.Algorithm == TemplateFirst && freshNet && r.Opt.replaysPaths() {
 		cands := maze.CandidateTemplates(r.Dev.A, srcTrack,
 			device.Coord{Row: sink.Row, Col: sink.Col}, sink.W, mo)
 		// Template attempts are meant to be cheap prefilters before the

@@ -1,13 +1,19 @@
 // Package maze implements the routing search algorithms behind JRoute's
-// automatic calls: the recursive template router of §3.1, an A* maze router
-// used as the fallback (the paper suggests "a maze router [4][5]" and that
-// predefined templates "reduce the search space"), and a plain Lee-style
-// breadth-first router kept as the baseline for the search-space
-// experiments.
+// automatic calls: the recursive template router of §3.1, and one best-first
+// search kernel (search.go) that four routers share by handing it a cost
+// policy — the A* maze router used as the fallback (the paper suggests "a
+// maze router [4][5]" and that predefined templates "reduce the search
+// space"), its delay-driven variant, the plain Lee-style breadth-first
+// router kept as the baseline for the search-space experiments, and the
+// negotiated-congestion batch router of negotiate.go. "The JRoute API is
+// independent of the algorithms used to implement it" (§3.1); here the
+// algorithms are independent of the loop that runs them, so a new one is a
+// new way of filling a policy, not a new loop.
 //
-// All algorithms are greedy and non-timing-driven, as the paper prescribes
-// for RTR environments, and they never drive a track that already has a
-// driver, so routes they find can never create contention (§3.4).
+// All algorithms are greedy and, unless asked otherwise, non-timing-driven,
+// as the paper prescribes for RTR environments, and they never drive a track
+// that already has a driver, so routes they find can never create contention
+// (§3.4).
 //
 // The package works in terms of canonical device tracks and returns ordered
 // PIP lists; turning them on (and unrouting them) is the caller's concern.
@@ -72,18 +78,13 @@ type Options struct {
 	Avoid []Rect
 }
 
-// avoids reports whether driving track t via a PIP at (pr, pc) would
+// intrudes reports whether driving track t via a PIP at (pr, pc) would
 // intrude on an avoided rectangle: either the PIP tile itself is inside
-// one, or the driven track's physical tile span crosses one.
-//
-// The empty test is apart so that it inlines into the search loops, which
-// ask once per edge and almost always with nothing to avoid.
-func (o Options) avoids(dev *device.Device, pr, pc int, t device.Track) bool {
-	return len(o.Avoid) > 0 && o.intrudes(dev, pr, pc, t)
-}
-
-func (o Options) intrudes(dev *device.Device, pr, pc int, t device.Track) bool {
-	for _, a := range o.Avoid {
+// one, or the driven track's physical tile span crosses one. Callers test
+// len(avoid) > 0 first: they ask once per edge and almost always with
+// nothing to avoid.
+func intrudes(dev *device.Device, avoid []Rect, pr, pc int, t device.Track) bool {
+	for _, a := range avoid {
 		if a.Contains(pr, pc) {
 			return true
 		}
@@ -92,7 +93,7 @@ func (o Options) intrudes(dev *device.Device, pr, pc int, t device.Track) bool {
 	if !ok {
 		return false
 	}
-	for _, a := range o.Avoid {
+	for _, a := range avoid {
 		if a.intersectsBox(r0, c0, r1, c1) {
 			return true
 		}
@@ -108,14 +109,13 @@ func PathAvoids(dev *device.Device, pips []device.PIP, dRow, dCol int, avoid []R
 	if len(avoid) == 0 {
 		return false
 	}
-	o := Options{Avoid: avoid}
 	for _, p := range pips {
 		r, c := p.Row+dRow, p.Col+dCol
 		t, ok := dev.CanonOK(r, c, p.To)
 		if !ok {
 			return true // off-device shift; let the replay sweep reject it
 		}
-		if o.avoids(dev, r, c, t) {
+		if intrudes(dev, avoid, r, c, t) {
 			return true
 		}
 	}
@@ -180,22 +180,6 @@ func timingCost(k arch.Kind) int {
 	}
 }
 
-// kindCost selects the active cost model.
-func (o Options) kindCost(k arch.Kind) int {
-	if o.TimingDriven {
-		return timingCost(k)
-	}
-	return hopCost(k)
-}
-
-// allowKind reports whether the options permit driving this resource kind.
-func (o Options) allowKind(k arch.Kind) bool {
-	if k == arch.KindLongH || k == arch.KindLongV {
-		return o.UseLongLines
-	}
-	return true
-}
-
 // TemplateRoute implements route(Pin start_pin, int end_wire, Template
 // template): "The router begins at the start wire, then goes through each
 // wire that it drives, as defined in the architecture class, and checks
@@ -211,13 +195,6 @@ func (o Options) allowKind(k arch.Kind) bool {
 // on.
 func TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, tmpl []arch.TemplateValue) (*Route, error) {
 	return templateRoute(dev, start, endWire, nil, tmpl, Options{})
-}
-
-// TemplateRouteOpt is TemplateRoute with an exploration cap from opt.
-// Congested fabrics can otherwise make the backtracking search exponential
-// before it concludes the template is unsatisfiable.
-func TemplateRouteOpt(dev *device.Device, start device.Track, endWire arch.Wire, tmpl []arch.TemplateValue, opt Options) (*Route, error) {
-	return templateRoute(dev, start, endWire, nil, tmpl, opt)
 }
 
 // TemplateRouteTo additionally pins the tile the final hop must land on.
@@ -245,7 +222,7 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 	// hop's span. Long-line hops have no fixed span, so the recursion
 	// branches over every access tap of the driven long.
 	s := templateSearch{
-		dev: dev, opt: opt, endWire: endWire, endTile: endTile, maxNodes: opt.maxNodes(),
+		dev: dev, avoid: opt.Avoid, endWire: endWire, endTile: endTile, maxNodes: opt.maxNodes(),
 		pips:  make([]device.PIP, 0, len(tmpl)),
 		used:  append(make([]int32, 0, len(tmpl)+1), dev.TrackIndex(start)),
 		exits: make([]device.Coord, 0, len(tmpl)),
@@ -271,7 +248,7 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 // templateSearch is the state of one templateRoute recursion.
 type templateSearch struct {
 	dev      *device.Device
-	opt      Options
+	avoid    []Rect
 	endWire  arch.Wire
 	endTile  *device.Coord
 	maxNodes int
@@ -303,7 +280,7 @@ func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.Te
 		if slices.Contains(s.used, ti) {
 			continue
 		}
-		if s.opt.avoids(dev, pos.Row, pos.Col, target) {
+		if len(s.avoid) > 0 && intrudes(dev, s.avoid, pos.Row, pos.Col, target) {
 			continue
 		}
 		if dev.Driven(ti) {

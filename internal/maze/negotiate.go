@@ -79,14 +79,6 @@ type BatchResult struct {
 // NegotiationOptions tune the batch router.
 type NegotiationOptions struct {
 	Options
-	// MaxIterations bounds the rip-up/re-route rounds (default 30).
-	MaxIterations int
-	// PresentFactor scales the per-iteration sharing penalty growth
-	// (default 2.0).
-	PresentFactor float64
-	// HistoryFactor scales the accumulated-congestion penalty
-	// (default 1.0).
-	HistoryFactor float64
 	// Parallelism bounds the worker goroutines. With a single scope they
 	// re-route one iteration's ripped-up nets concurrently; with several
 	// scopes they run whole scopes concurrently. 0 means
@@ -99,38 +91,15 @@ type NegotiationOptions struct {
 	// negotiated independently over region-local state. The routed
 	// result is identical with partitioning on or off.
 	Partition bool
-	// PartitionDepth caps the bisection recursion. 0 derives a depth
-	// from Parallelism (enough leaves to keep every worker busy with
-	// room to balance).
-	PartitionDepth int
-	// BBoxMargin inflates every net's bounding box on all sides before
-	// confinement and partitioning. 0 means 2×HexLen of the device
-	// architecture — detour room plus the canonical-origin span of the
-	// longest non-long wire. Applies identically in both partition
-	// modes; it is part of the search definition, not of partitioning.
-	BBoxMargin int
 }
 
-func (o NegotiationOptions) maxIterations() int {
-	if o.MaxIterations <= 0 {
-		return 30
-	}
-	return o.MaxIterations
-}
-
-func (o NegotiationOptions) presentFactor() float64 {
-	if o.PresentFactor <= 0 {
-		return 2.0
-	}
-	return o.PresentFactor
-}
-
-func (o NegotiationOptions) historyFactor() float64 {
-	if o.HistoryFactor <= 0 {
-		return 1.0
-	}
-	return o.HistoryFactor
-}
+// The negotiation's constants. Every pinned result (TestNegotiationDigests,
+// the goldens that route batches) depends on each of them.
+const (
+	maxIterations = 30  // rip-up/re-route rounds before giving up
+	presentFactor = 2.0 // growth per iteration of the cost of a track another net uses now
+	historyFactor = 1.0 // weight of a track's accumulated overuse
+)
 
 func (o NegotiationOptions) parallelism() int {
 	if o.Parallelism <= 0 {
@@ -139,20 +108,10 @@ func (o NegotiationOptions) parallelism() int {
 	return o.Parallelism
 }
 
-func (o NegotiationOptions) margin(hexLen int) int {
-	if o.BBoxMargin > 0 {
-		return o.BBoxMargin
-	}
-	return 2 * hexLen
-}
-
 // partitionDepth caps bisection by Parallelism: 4 + ceil(log2(par))
 // levels gives up to 16·par leaves — enough slack for the merge phase to
 // eat some without starving workers, while keeping the cut scan cheap.
 func (o NegotiationOptions) partitionDepth() int {
-	if o.PartitionDepth > 0 {
-		return o.PartitionDepth
-	}
 	d := 4
 	for p := 1; p < o.parallelism(); p <<= 1 {
 		d++
@@ -229,11 +188,10 @@ func (c *congestion) addHistory(i int32, d float64) {
 // phase on the scope's own goroutine.
 type negState struct {
 	dev     *device.Device
-	opt     NegotiationOptions
 	sc      *scope
 	cong    *congestion
-	presFac float64
-	histFac float64
+	pol     policy  // the scope's search policy, less what each worker and net adds
+	presFac float64 // cost per other net on a track, this iteration
 }
 
 // preppedNet is a NetSpec resolved once up front: sinks in the fixed
@@ -266,14 +224,18 @@ type scopeResult struct {
 // NegotiatedRoute routes all nets together under negotiated congestion and
 // returns the per-net PIP lists without touching device state; Apply the
 // result (or use core.Router.RouteBatch, which does both). It fails if the
-// negotiation does not converge within MaxIterations. The result is
+// negotiation does not converge within 30 iterations. The result is
 // deterministic: independent of Parallelism and Partition settings, and
 // repeatable across runs.
 func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions) (*BatchResult, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("maze: empty batch: %w", ErrUnroutable)
 	}
-	margin := opt.margin(dev.A.HexLen)
+	// Every net's bounding box is inflated by 2×HexLen on all sides
+	// before confinement and partitioning — detour room plus the
+	// canonical-origin span of the longest non-long wire. It is part of
+	// the search definition, identical in both partition modes.
+	margin := 2 * dev.A.HexLen
 	prepped := make([]preppedNet, len(nets))
 	boxes := make([]rect, len(nets))
 	for i, n := range nets {
@@ -281,9 +243,9 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 			return nil, fmt.Errorf("maze: batch net %d has no sinks: %w", i, ErrUnroutable)
 		}
 		sinks := append([]device.Track(nil), n.Sinks...)
-		// Route sinks nearest-first for stability.
+		// Route sinks nearest-first, equidistant ones in the order given.
 		src := n.Source
-		sort.Slice(sinks, func(a, b int) bool {
+		sort.SliceStable(sinks, func(a, b int) bool {
 			da := abs(sinks[a].Row-src.Row) + abs(sinks[a].Col-src.Col)
 			db := abs(sinks[b].Row-src.Row) + abs(sinks[b].Col-src.Col)
 			return da < db
@@ -390,15 +352,10 @@ func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet,
 // runScope runs the negotiation loop for one scope. All state is sized by
 // the scope rectangle, so small regions touch small arrays.
 func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope) scopeResult {
-	st := &negState{
-		dev:     dev,
-		opt:     opt,
-		sc:      sc,
-		cong:    getCongestion(sc.tracks()),
-		presFac: 0, // first iteration ignores sharing entirely
-		histFac: opt.historyFactor(),
-	}
+	// presFac starts at 0: the first iteration ignores sharing entirely.
+	st := &negState{dev: dev, sc: sc, cong: getCongestion(sc.tracks())}
 	defer putCongestion(st.cong)
+	st.pol = opt.negotiated(sc, st.cong)
 
 	n := len(sc.nets)
 	out := scopeResult{routes: make([][]device.PIP, n)}
@@ -417,7 +374,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		reroute[j] = j
 	}
 
-	for iter := 1; iter <= opt.maxIterations(); iter++ {
+	for iter := 1; iter <= maxIterations; iter++ {
 		out.iterations = iter
 		results := st.routeAll(prepped, reroute, used)
 		// Merge in net order. Results are per-net pure functions of the
@@ -472,11 +429,11 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		if !overused {
 			return out
 		}
-		st.presFac = opt.presentFactor() * float64(iter)
+		st.presFac = presentFactor * float64(iter)
 	}
 	out.err = fmt.Errorf("maze: negotiation did not converge in %d iterations: %w",
-		opt.maxIterations(), ErrUnroutable)
-	out.errIter, out.errNet = opt.maxIterations()+1, sc.nets[0]
+		maxIterations, ErrUnroutable)
+	out.errIter, out.errNet = maxIterations+1, sc.nets[0]
 	return out
 }
 
@@ -521,51 +478,46 @@ func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]in
 	return results
 }
 
-// negWorker is the per-goroutine scratch state of the routing phase: a
-// search arena, a membership set for the net's previous-iteration tracks
-// (its usage must not penalize itself), and one for the tracks of the
-// route being built. All three are indexed in the scope-local space.
+// negWorker is the per-goroutine state of the routing phase: the scope's
+// policy with this worker's self set (the previous-iteration tracks of the
+// net being routed, whose usage must not penalize itself), a search arena,
+// and a membership set for the tracks of the route being built. All three
+// are indexed in the scope-local space.
 type negWorker struct {
 	st        *negState
+	pol       policy
 	ar        *arena
-	self      *markSet // previous-iteration usage of the net being routed
 	cur       *markSet // usage accumulated by the route being built
 	netTracks []device.Track
 }
 
 func (st *negState) newWorker() *negWorker {
 	n := st.sc.tracks()
-	return &negWorker{st: st, ar: getArena(n), self: getMarkSet(n), cur: getMarkSet(n)}
+	w := &negWorker{st: st, pol: st.pol, ar: getArena(n), cur: getMarkSet(n)}
+	w.pol.self = getMarkSet(n)
+	return w
 }
 
 func (w *negWorker) release() {
 	putArena(w.ar)
-	putMarkSet(w.self)
+	putMarkSet(w.pol.self)
 	putMarkSet(w.cur)
 }
 
-// penalty is the congestion surcharge for occupying track i (scope-local).
-func (w *negWorker) penalty(i int32) float64 {
-	st := w.st
-	users := st.cong.presentAt(i)
-	if w.self.has(i) {
-		users-- // our own previous usage does not penalize us
-	}
-	p := st.cong.historyAt(i) * st.histFac
-	if users > 0 {
-		p += float64(users) * st.presFac
-	}
-	return p
-}
-
 // routeNet routes one net (all sinks, with in-net reuse) against the
-// congestion snapshot, without mutating shared state.
+// congestion snapshot, without mutating shared state. Every search is
+// confined to the net's bounding box, identically whether partitioning is
+// on or off — it is what makes scopes with disjoint boxes provably
+// non-interacting. Tracks used by other nets are allowed (that is the
+// negotiation), but tracks already driven on the real device are hard
+// obstacles.
 func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 	dev := w.st.dev
 	sc := w.st.sc
-	w.self.reset()
+	w.pol.box, w.pol.presFac = net.box, w.st.presFac
+	w.pol.self.reset()
 	for _, k := range oldUsed {
-		w.self.add(k)
+		w.pol.self.add(k)
 	}
 	w.cur.reset()
 	srcIdx := sc.idx(net.src)
@@ -573,13 +525,13 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 	w.netTracks = append(w.netTracks[:0], net.src)
 	out := netRoute{used: append(make([]int32, 0, len(oldUsed)+1), srcIdx)}
 	for _, sink := range net.sinks {
-		segment, exp, err := w.search(w.netTracks, sink, net.box)
-		out.explored += exp
+		segment, err := w.pol.search(dev, w.ar, w.netTracks, sink)
+		out.explored += segment.Explored
 		if err != nil {
 			return netRoute{explored: out.explored, err: err}
 		}
-		out.pips = append(out.pips, segment...)
-		for _, p := range segment {
+		out.pips = append(out.pips, segment.PIPs...)
+		for _, p := range segment.PIPs {
 			t, ok := dev.CanonOK(p.Row, p.Col, p.To)
 			if !ok {
 				return netRoute{explored: out.explored, err: fmt.Errorf("maze: bad segment PIP %v", p)}
@@ -597,96 +549,4 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 		}
 	}
 	return out
-}
-
-// search is a congestion-aware A* from the net's tracks to one sink,
-// confined to the net's bounding box: a candidate whose canonical tile
-// falls outside the box is not expanded. Confinement applies identically
-// whether partitioning is on or off — it is what makes scopes with
-// disjoint boxes provably non-interacting. Tracks used by other nets are
-// allowed (that is the negotiation), but tracks already driven on the
-// real device are hard obstacles.
-func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) ([]device.PIP, int, error) {
-	st := w.st
-	dev := st.dev
-	sc := st.sc
-	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	if dev.Driven(dev.TrackIndex(sink)) {
-		return nil, 0, fmt.Errorf("maze: sink %s at (%d,%d) already in use on device: %w",
-			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
-	}
-	h := func(t device.Track) float64 {
-		d := dev.MinTapDistance(t, sinkTile)
-		hexes := d / dev.A.HexLen
-		tail := d % dev.A.HexLen
-		if tail > 2 {
-			tail = 2
-		}
-		return 2 * float64(2*hexes+tail)
-	}
-	ar := w.ar
-	ar.begin()
-	sinkIdx := sc.idx(sink)
-	for _, s := range sources {
-		if s == sink {
-			return nil, 0, nil
-		}
-		si := sc.idx(s)
-		if ar.seen(si) {
-			continue
-		}
-		ar.visit(si, 0, hop{}, -1)
-		ar.push(heapItem{ti: si, gi: dev.TrackIndex(s), g: 0, f: h(s)})
-	}
-	explored := 0
-	maxNodes := st.opt.maxNodes()
-	for len(ar.heap) > 0 {
-		it := ar.pop()
-		if it.g > ar.g[it.ti] {
-			continue
-		}
-		explored++
-		if explored > maxNodes {
-			return nil, explored, fmt.Errorf("maze: negotiation search exceeded %d states: %w", maxNodes, ErrUnroutable)
-		}
-		goal := false
-		edges, at := dev.EdgesAt(it.gi)
-		for _, e := range edges {
-			target := e.Target(at)
-			if !box.contains(target.Row, target.Col) {
-				continue
-			}
-			ti := sc.idx(target)
-			if ti != sinkIdx {
-				if !st.opt.allowKind(e.Kind) {
-					continue
-				}
-				if isNetEndpointKind(e.Kind) {
-					continue
-				}
-			}
-			if st.opt.avoids(dev, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
-				continue
-			}
-			gi := dev.TrackIndex(target)
-			if dev.Driven(gi) {
-				continue
-			}
-			ng := it.g + float64(hopCost(e.Kind)) + w.penalty(ti)
-			if ar.seen(ti) && ar.g[ti] <= ng {
-				continue
-			}
-			ar.visit(ti, ng, hopOf(e, at), it.ti)
-			if ti == sinkIdx {
-				goal = true
-				break
-			}
-			ar.push(heapItem{ti: ti, gi: gi, g: ng, f: ng + h(target)})
-		}
-		if goal {
-			return ar.reconstruct(sinkIdx), explored, nil
-		}
-	}
-	return nil, explored, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
-		dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 }

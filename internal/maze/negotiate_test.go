@@ -2,6 +2,7 @@ package maze
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -143,37 +144,6 @@ func TestNegotiatedRouteRespectsDeviceState(t *testing.T) {
 	applyBatch(t, d, res)
 }
 
-func TestNegotiatedRouteNonConvergence(t *testing.T) {
-	// With a single iteration and zero sharing penalty there is no way to
-	// resolve a forced conflict: two sources in the same CLB whose only
-	// sinks sit in another single CLB — they *can* converge normally, so
-	// assert instead that MaxIterations=1 either converges legally or
-	// reports ErrUnroutable (never an illegal result).
-	d := virtexDev(t)
-	nets := []NetSpec{
-		netSpec(t, d, 2, 2, arch.S0X, [3]int{9, 9, 0}),
-		netSpec(t, d, 2, 2, arch.S0Y, [3]int{9, 9, 4}),
-		netSpec(t, d, 2, 2, arch.S0XQ, [3]int{9, 9, 8}),
-	}
-	res, err := NegotiatedRoute(d, nets, NegotiationOptions{MaxIterations: 1})
-	if err != nil {
-		if !errors.Is(err, ErrUnroutable) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		return
-	}
-	seen := map[device.Key]int{}
-	for i, pips := range res.Nets {
-		for _, p := range pips {
-			tr, _ := d.Canon(p.Row, p.Col, p.To)
-			if prev, ok := seen[tr.Key()]; ok && prev != i {
-				t.Fatalf("converged result shares track %v", tr)
-			}
-			seen[tr.Key()] = i
-		}
-	}
-}
-
 // TestNegotiatedRouteParallelDeterminism: within an iteration every net
 // routes against the same congestion snapshot, so worker count must not
 // change the result at all — same PIPs, same iteration count, same explored
@@ -224,20 +194,6 @@ func TestNegotiatedRouteParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestNegotiationOptionDefaults(t *testing.T) {
-	var o NegotiationOptions
-	if o.maxIterations() != 30 {
-		t.Errorf("default iterations %d", o.maxIterations())
-	}
-	if o.presentFactor() != 2.0 || o.historyFactor() != 1.0 {
-		t.Errorf("default factors %v %v", o.presentFactor(), o.historyFactor())
-	}
-	o = NegotiationOptions{MaxIterations: 5, PresentFactor: 3, HistoryFactor: 0.5}
-	if o.maxIterations() != 5 || o.presentFactor() != 3 || o.historyFactor() != 0.5 {
-		t.Error("explicit options not honoured")
-	}
-}
-
 func TestTemplateRouteToPinsTile(t *testing.T) {
 	d, err := device.New(arch.NewVirtex(), 32, 48)
 	if err != nil {
@@ -250,7 +206,7 @@ func TestTemplateRouteToPinsTile(t *testing.T) {
 		arch.TVEast1, arch.TVWest1, arch.TVClbIn,
 	}
 	// Unconstrained: the long's exit branching can land at several tiles.
-	free, err := TemplateRouteOpt(d, src, arch.S0F1, tmpl, opt)
+	free, err := TemplateRoute(d, src, arch.S0F1, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +274,17 @@ func TestTimingDrivenPrefersFastResources(t *testing.T) {
 }
 
 func TestKindCostModels(t *testing.T) {
-	var o Options
-	if o.kindCost(arch.KindHex) != 2 || o.kindCost(arch.KindSingle) != 1 {
+	wires := Options{}.astar().hop
+	if wires[arch.KindHex] != 2 || wires[arch.KindSingle] != 1 {
 		t.Error("default cost model")
 	}
-	o.TimingDriven = true
+	delay := Options{TimingDriven: true}.astar().hop
 	// Per-tile ordering must favour hexes over singles and longs over
 	// everything for chip spans (these ratios mirror timing.Default).
-	if o.kindCost(arch.KindHex) >= 6*o.kindCost(arch.KindSingle) {
+	if delay[arch.KindHex] >= 6*delay[arch.KindSingle] {
 		t.Error("timing model: hex not cheaper per tile than singles")
 	}
-	if o.kindCost(arch.KindLongH) >= 3*o.kindCost(arch.KindHex) {
+	if delay[arch.KindLongH] >= 3*delay[arch.KindHex] {
 		t.Error("timing model: long not cheaper than three hexes")
 	}
 }
@@ -353,5 +309,46 @@ func TestHopExitsLongBranching(t *testing.T) {
 	at := device.Coord{Row: 3, Col: 3}
 	if ex := appendHopExits(nil, d, mux, at, arch.TVOutMux); len(ex) != 1 || ex[0] != at {
 		t.Errorf("outmux exits = %v", ex)
+	}
+}
+
+// TestNegotiatedRouteSinkOrderStable: a net's sinks are routed nearest
+// first, and sinks equally near in the order the caller gave them — with
+// sort.Slice, past twelve sinks, that order was whatever the Go release's
+// pdqsort made of it. Sixteen sinks at four distances, given in an order
+// that interleaves the distances; the routed order is read back from where
+// each sink's final PIP sits in the net's PIP list.
+func TestNegotiatedRouteSinkOrderStable(t *testing.T) {
+	d := virtexDev(t)
+	const sr, sc = 8, 12
+	offsets := [][2]int{ // (row, col) offsets at distance 2, 3, 4, 5: four of each
+		{2, 0}, {0, 3}, {4, 0}, {0, 5}, {0, 2}, {3, 0}, {0, 4}, {5, 0},
+		{-2, 0}, {0, -3}, {-4, 0}, {0, -5}, {0, -2}, {-3, 0}, {0, -4}, {-5, 0},
+	}
+	var sinks [][3]int
+	for i, o := range offsets {
+		sinks = append(sinks, [3]int{sr + o[0], sc + o[1], i % arch.NumInputs})
+	}
+	net := netSpec(t, d, sr, sc, arch.S0X, sinks...)
+	res, err := NegotiatedRoute(d, []NetSpec{net}, NegotiationOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []device.Track
+	for dist := 2; dist <= 5; dist++ {
+		for i, o := range offsets {
+			if abs(o[0])+abs(o[1]) == dist {
+				want = append(want, net.Sinks[i])
+			}
+		}
+	}
+	var got []device.Track
+	for _, p := range res.Nets[0] {
+		if to, _ := d.CanonOK(p.Row, p.Col, p.To); slices.Contains(net.Sinks, to) {
+			got = append(got, to)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sinks routed in the order\n%v\nwant nearest first, ties in input order:\n%v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package maze
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -225,40 +226,52 @@ func TestPartitionSingleNetRegion(t *testing.T) {
 	}
 }
 
-// TestPartitionDepthCap: PartitionDepth bounds the bisection tree, and
-// the auto depth grows with Parallelism — but neither changes the routed
-// result.
+// TestPartitionDepthCap: the depth handed to buildScopes bounds the
+// bisection tree, and the depth NegotiatedRoute derives grows with
+// Parallelism — but no depth changes the routed result.
 func TestPartitionDepthCap(t *testing.T) {
-	build := func() (*device.Device, []NetSpec) {
-		d := bigDev(t, 64, 96)
-		return d, clusteredNets(t, d, 2, 3, 2)
-	}
-	d, nets := build()
+	d := bigDev(t, 64, 96)
+	nets := clusteredNets(t, d, 2, 3, 2)
 	ref, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, nets = build()
-	depth1, err := NegotiatedRoute(d, nets, NegotiationOptions{Partition: true, PartitionDepth: 1})
-	if err != nil {
-		t.Fatal(err)
+	prepped := make([]preppedNet, len(nets))
+	boxes := make([]rect, len(nets))
+	for i, n := range nets { // one sink each: nothing to order
+		boxes[i] = netBox(d, n.Source, n.Sinks, 2*d.A.HexLen)
+		prepped[i] = preppedNet{src: n.Source, sinks: n.Sinks, box: boxes[i]}
 	}
-	if depth1.Regions > 2 {
-		t.Errorf("depth 1 produced %d regions", depth1.Regions)
+	for _, depth := range []int{1, 2, 3, 7} {
+		scopes, regions, _ := buildScopes(d, boxes, depth)
+		if regions > 1<<depth {
+			t.Errorf("depth %d produced %d regions", depth, regions)
+		}
+		routed := 0
+		for si, r := range runScopes(d, NegotiationOptions{Parallelism: 1}, prepped, scopes) {
+			if r.err != nil {
+				t.Fatalf("depth %d: %v", depth, r.err)
+			}
+			for j, i := range scopes[si].nets {
+				routed++
+				if !slices.Equal(r.routes[j], ref.Nets[i]) {
+					t.Fatalf("depth %d: net %d: %v, global %v", depth, i, r.routes[j], ref.Nets[i])
+				}
+			}
+		}
+		if routed != len(nets) {
+			t.Errorf("depth %d: scopes hold %d of %d nets", depth, routed, len(nets))
+		}
 	}
-	assertSameBatch(t, "depth 1", depth1, ref)
-	// Auto depth: higher Parallelism may only refine the tree, never the
-	// result.
 	for _, par := range []int{1, 8} {
-		d, nets = build()
 		res, err := NegotiatedRoute(d, nets, NegotiationOptions{Partition: true, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameBatch(t, fmt.Sprintf("auto depth par %d", par), res, ref)
+		assertSameBatch(t, fmt.Sprintf("derived depth par %d", par), res, ref)
 	}
 	if (NegotiationOptions{Parallelism: 1}).partitionDepth() >= (NegotiationOptions{Parallelism: 8}).partitionDepth() {
-		t.Error("auto partition depth does not grow with Parallelism")
+		t.Error("derived partition depth does not grow with Parallelism")
 	}
 }
 

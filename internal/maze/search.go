@@ -1,0 +1,298 @@
+package maze
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/arch"
+	"repro/internal/device"
+)
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// isNetEndpointKind reports whether a resource kind is a net endpoint (CLB
+// or IOB or BRAM input side) that must never be routed *through*.
+func isNetEndpointKind(k arch.Kind) bool {
+	switch k {
+	case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
+		return true
+	default:
+		return false
+	}
+}
+
+// nKinds sizes the per-kind tables; arch.Kind is dense and ends at
+// KindBRAMOut.
+const nKinds = int(arch.KindBRAMOut) + 1
+
+// The per-kind tables are filled once, here: the search loop indexes them
+// for every edge, and a search pays nothing to set them up.
+var (
+	wireHops  = hopTable(hopCost)
+	delayHops = hopTable(timingCost)
+	unitHops  = hopTable(func(arch.Kind) int { return 1 })
+
+	passShort = passTable(false)
+	passLongs = passTable(true)
+)
+
+func hopTable(cost func(arch.Kind) int) (t [nKinds]float64) {
+	for k := range t {
+		t[k] = float64(cost(arch.Kind(k)))
+	}
+	return t
+}
+
+// passTable marks the kinds a route may pass through: never a net endpoint
+// (CLB pins are not thoroughfares), and a long line only when asked for.
+func passTable(longs bool) (t [nKinds]bool) {
+	for k := range t {
+		kind := arch.Kind(k)
+		long := kind == arch.KindLongH || kind == arch.KindLongV
+		t[k] = !isNetEndpointKind(kind) && (longs || !long)
+	}
+	return t
+}
+
+// policy is everything the search kernel is told besides the device and the
+// endpoints. The four routers of this package are four ways of filling it:
+//
+//	            hop    heuristic (weight·est)                 confined  surcharge
+//	AStar       wires  2·(hexes·2 + min(tail,4)·1)    [long]  no        no
+//	  delay     delay  2·(hexes·24 + min(tail,4)·12)  [long]  no        no
+//	Lee         1      0                                      no        no
+//	negotiated  wires  2·(hexes·2 + min(tail,2)·1)            box       present + history
+//
+// where a distance of d tiles is d/HexLen hexes and a tail of d%HexLen
+// singles, and [long] caps est at one long plus one hex when long lines are
+// allowed. The negotiated row differs from the first in its tail cap, in
+// never applying the long cap, and in counting wires even when delay was
+// asked for. None of the three is a decision: they are kept because changing
+// one moves routed bytes (ROADMAP item 2 lists them for step B's re-pin).
+type policy struct {
+	hop  [nKinds]float64 // cost of driving a wire of each kind
+	pass [nKinds]bool    // kinds a route may pass through; the sink itself is exempt
+
+	// The heuristic's terms. weight 0 is uniform-cost search.
+	weight, hexCost, singleCost int
+	tailCap                     int // singles counted for the tail, at most
+	longCap                     int // est is at most this
+
+	maxNodes int
+	avoid    []Rect
+
+	// Confinement. With a scope, only tracks canonical inside box are
+	// expanded and the arena is indexed scope-locally; without, the whole
+	// device is searched and the arena index is the device's TrackIndex.
+	sc  *scope
+	box rect
+
+	// Surcharge: what occupying a track costs beyond the hop, from the
+	// nets using it now (presFac each, not counting the net being routed,
+	// whose previous tracks are in self) and its accumulated overuse.
+	cong    *congestion
+	self    *markSet
+	presFac float64
+}
+
+// fill is the part of every policy that comes straight from the options,
+// around a hop table.
+func (o Options) fill(hops *[nKinds]float64) policy {
+	p := policy{hop: *hops, pass: passShort, longCap: math.MaxInt, maxNodes: o.maxNodes(), avoid: o.Avoid}
+	if o.UseLongLines {
+		p.pass = passLongs
+	}
+	return p
+}
+
+// guide sets the heuristic that goes with the policy's hop table.
+func (p *policy) guide(tailCap int) {
+	p.weight, p.hexCost, p.singleCost, p.tailCap = 2, int(p.hop[arch.KindHex]), int(p.hop[arch.KindSingle]), tailCap
+}
+
+// lee is the uniform-cost policy.
+func (o Options) lee() policy { return o.fill(&unitHops) }
+
+// astar is the single-net policy: wire count, or delay when asked for.
+func (o Options) astar() policy {
+	hops := &wireHops
+	if o.TimingDriven {
+		hops = &delayHops
+	}
+	p := o.fill(hops)
+	p.guide(4)
+	if o.UseLongLines {
+		p.longCap = int(p.hop[arch.KindLongH]) + p.hexCost
+	}
+	return p
+}
+
+// negotiated is the policy of one negotiation scope; a worker adds its self
+// set, and the box and present factor of each net it routes.
+func (o Options) negotiated(sc *scope, cong *congestion) policy {
+	p := o.fill(&wireHops)
+	p.guide(2)
+	p.sc, p.cong = sc, cong
+	return p
+}
+
+// AStar searches from any of the source tracks to the sink track, expanding
+// architecture-legal PIPs onto undriven wires only. Multiple sources make
+// net reuse free: RouteFanout seeds the search with every track of the
+// already-routed net at cost zero, so "the router attempts to reuse the
+// previous paths as much as possible" (§3.1).
+func AStar(dev *device.Device, sources []device.Track, sink device.Track, opt Options) (*Route, error) {
+	return opt.astar().route(dev, sources, sink)
+}
+
+// Lee is the uniform-cost breadth-first maze router (Lee's algorithm, the
+// classical reference the paper cites); it expands strictly by PIP count
+// with no distance guidance. Kept as the baseline against which the
+// template-first strategy's search-space reduction is measured (B2).
+func Lee(dev *device.Device, sources []device.Track, sink device.Track, opt Options) (*Route, error) {
+	return opt.lee().route(dev, sources, sink)
+}
+
+// route runs one search on a borrowed whole-device arena.
+func (p policy) route(dev *device.Device, sources []device.Track, sink device.Track) (*Route, error) {
+	ar := getArena(dev.NumTracks())
+	defer putArena(ar)
+	r, err := p.search(dev, ar, sources, sink)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// index is the arena slot of a track.
+func (p *policy) index(dev *device.Device, t device.Track) int32 {
+	if p.sc != nil {
+		return p.sc.idx(t)
+	}
+	return dev.TrackIndex(t)
+}
+
+// h estimates the remaining cost from t: the distance covered with hexes
+// (the cheapest per-tile resource) plus a short single tail; with long lines
+// any distance could in principle be a long hop plus a hex. The search is
+// weighted (f = g + 2·est), trading optimality for focus — the paper's
+// routers are explicitly greedy.
+func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) float64 {
+	if p.weight == 0 {
+		return 0
+	}
+	d := dev.MinTapDistance(t, sinkTile)
+	tail := d % dev.A.HexLen
+	if tail > p.tailCap {
+		tail = p.tailCap
+	}
+	est := d/dev.A.HexLen*p.hexCost + tail*p.singleCost
+	if est > p.longCap {
+		est = p.longCap
+	}
+	return float64(p.weight * est)
+}
+
+// surcharge is the congestion cost of occupying the track at arena slot i.
+func (p *policy) surcharge(i int32) float64 {
+	users := p.cong.presentAt(i)
+	if p.self.has(i) {
+		users-- // our own previous usage does not penalize us
+	}
+	s := p.cong.historyAt(i) * historyFactor
+	if users > 0 {
+		s += float64(users) * p.presFac
+	}
+	return s
+}
+
+// search is the package's one best-first loop: from any of the source tracks
+// to the sink, over PIPs onto tracks no net drives on the device (tracks
+// other nets of a batch merely want are the surcharge's business), first
+// arrival at the sink wins. Every router here is this loop under a policy.
+func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, sink device.Track) (Route, error) {
+	if len(sources) == 0 {
+		return Route{}, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
+	}
+	if dev.Driven(dev.TrackIndex(sink)) {
+		return Route{}, fmt.Errorf("maze: sink %s at (%d,%d) already in use: %w",
+			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
+	}
+	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
+	sinkIdx := p.index(dev, sink)
+	confined := p.sc != nil
+
+	ar.begin()
+	for _, s := range sources {
+		if s == sink {
+			return Route{}, nil // already connected
+		}
+		si := p.index(dev, s)
+		if ar.seen(si) {
+			continue
+		}
+		ar.visit(si, 0, hop{}, -1)
+		ar.push(heapItem{ti: si, gi: dev.TrackIndex(s), g: 0, f: p.h(dev, s, sinkTile)})
+	}
+
+	explored := 0
+	for len(ar.heap) > 0 {
+		it := ar.pop()
+		if it.g > ar.g[it.ti] {
+			continue // stale entry
+		}
+		explored++
+		if explored > p.maxNodes {
+			return Route{}, fmt.Errorf("maze: search exceeded %d states: %w", p.maxNodes, ErrUnroutable)
+		}
+		edges, at := dev.EdgesAt(it.gi)
+		for _, e := range edges {
+			target := e.Target(at)
+			// ti addresses the arena, gi the device; they differ only
+			// when confined, and gi is worked out only for an edge that
+			// survives the filters.
+			var ti int32
+			if confined {
+				if !p.box.contains(target.Row, target.Col) {
+					continue
+				}
+				ti = p.sc.idx(target)
+			} else {
+				ti = dev.TrackIndex(target)
+			}
+			if ti != sinkIdx && !p.pass[e.Kind] {
+				continue
+			}
+			if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
+				continue
+			}
+			gi := ti
+			if confined {
+				gi = dev.TrackIndex(target)
+			}
+			if dev.Driven(gi) {
+				continue
+			}
+			ng := it.g + p.hop[e.Kind]
+			if p.cong != nil {
+				ng += p.surcharge(ti)
+			}
+			if ar.seen(ti) && ar.g[ti] <= ng {
+				continue
+			}
+			ar.visit(ti, ng, hopOf(e, at), it.ti)
+			if ti == sinkIdx {
+				// Goal: stop (greedy routing: first arrival wins).
+				return Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ng), Explored: explored}, nil
+			}
+			ar.push(heapItem{ti: ti, gi: gi, g: ng, f: ng + p.h(dev, target, sinkTile)})
+		}
+	}
+	return Route{}, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
+		dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
+}
