@@ -32,13 +32,13 @@ bench-smoke:
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=30s ./internal/device
-	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=30s ./internal/bitstream
-	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/maze
-	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=30s ./internal/maze
-	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=30s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=30s ./internal/server/protocol/v3
-	$(GO) test -run='^$$' -fuzz=FuzzLibraryDecode -fuzztime=30s ./internal/core/library
+	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s ./internal/device
+	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s ./internal/bitstream
+	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=10s ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=10s ./internal/server/protocol/v3
+	$(GO) test -run='^$$' -fuzz=FuzzLibraryDecode -fuzztime=10s ./internal/core/library
 
 # verify audits the paper's worked examples across the config grid and
 # runs a short seeded differential fuzz campaign, all through the
@@ -77,8 +77,8 @@ noc-smoke:
 	$(GO) run ./cmd/jload -noc-smoke
 
 # soak runs minutes of fault-injected traffic (dropped/truncated/
-# duplicated/delayed frames plus a garbage blaster) on both protocols
-# against an in-process daemon. Hard-fails unless every board ends
+# duplicated/delayed frames plus a garbage blaster) against an in-process
+# daemon. Hard-fails unless every board ends
 # oracle-clean, the malformed filter fired, and a bounded graceful
 # drain leaves zero stuck sessions.
 soak:

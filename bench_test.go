@@ -28,8 +28,8 @@ func mustDevice(b *testing.B, rows, cols int) *device.Device {
 	return d
 }
 
-func mustRouter(b *testing.B, opt core.Options) *core.Router {
-	return core.New(mustDevice(b, 16, 24), core.WithOptions(opt))
+func mustRouter(b *testing.B, opts ...core.Option) *core.Router {
+	return core.New(mustDevice(b, 16, 24), opts...)
 }
 
 // --- B1: cost ordering across the levels of control -------------------------
@@ -37,7 +37,7 @@ func mustRouter(b *testing.B, opt core.Options) *core.Router {
 // The fixed §3.1 example at each level, route+unroute per iteration.
 
 func BenchmarkLevelDirect(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	a := r.Dev.A
 	pips := []device.PIP{
 		{Row: 5, Col: 7, From: arch.S1YQ, To: arch.Out(1)},
@@ -60,7 +60,7 @@ func BenchmarkLevelDirect(b *testing.B) {
 }
 
 func BenchmarkLevelPath(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	a := r.Dev.A
 	p := core.NewPath(5, 7, []arch.Wire{
 		arch.S1YQ, arch.Out(1), a.Single(arch.East, 5), a.Single(arch.North, 0), arch.S0F3,
@@ -78,7 +78,7 @@ func BenchmarkLevelPath(b *testing.B) {
 }
 
 func BenchmarkLevelTemplate(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	tmpl := core.NewTemplate([]arch.TemplateValue{arch.TVOutMux, arch.TVEast1, arch.TVNorth1, arch.TVClbIn})
 	src := core.NewPin(5, 7, arch.S1YQ)
 	b.ResetTimer()
@@ -93,7 +93,7 @@ func BenchmarkLevelTemplate(b *testing.B) {
 }
 
 func BenchmarkLevelAuto(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	src := core.NewPin(5, 7, arch.S1YQ)
 	sink := core.NewPin(6, 8, arch.S0F3)
 	b.ResetTimer()
@@ -164,7 +164,7 @@ func BenchmarkFanoutShared(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.Options{})
+				r := mustRouter(b)
 				if err := r.RouteFanout(src, sinks); err != nil {
 					b.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func BenchmarkFanoutIndividual(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, s := range sinks {
-					r := mustRouter(b, core.Options{})
+					r := mustRouter(b)
 					if err := r.RouteNet(src, s); err != nil {
 						b.Fatal(err)
 					}
@@ -206,7 +206,7 @@ func BenchmarkBus(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.Options{})
+				r := mustRouter(b)
 				if err := r.RouteBus(srcs, dsts); err != nil {
 					b.Fatal(err)
 				}
@@ -231,7 +231,7 @@ func BenchmarkBatchCrossbar(b *testing.B) {
 			srcs, dsts := crossbar(width)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.Options{})
+				r := mustRouter(b)
 				if err := r.RouteBusBatch(srcs, dsts); err != nil {
 					b.Fatal(err)
 				}
@@ -250,7 +250,7 @@ func BenchmarkBatchCrossbarParallel(b *testing.B) {
 			srcs, dsts := crossbar(width)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.Options{Parallelism: 4})
+				r := mustRouter(b, core.WithParallelism(4))
 				if err := r.RouteBusBatch(srcs, dsts); err != nil {
 					b.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func BenchmarkGreedyCrossbar(b *testing.B) {
 			srcs, dsts := crossbar(width)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.Options{})
+				r := mustRouter(b)
 				if err := r.RouteBus(srcs, dsts); err != nil {
 					b.Fatal(err)
 				}
@@ -282,7 +282,7 @@ func BenchmarkUnrouteFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := r.RouteFanout(src, sinks); err != nil {
@@ -301,7 +301,7 @@ func BenchmarkReverseUnroute(b *testing.B) {
 		b.Fatal(err)
 	}
 	firstSink := sinks[0]
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	if err := r.RouteFanout(src, sinks); err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkReverseUnroute(b *testing.B) {
 }
 
 func BenchmarkChurn(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	gen := workload.ForDevice(1, r.Dev)
 	ops, err := gen.Churn(200, 6, 0.45)
 	if err != nil {
@@ -413,7 +413,7 @@ func BenchmarkRTRSwap(b *testing.B) {
 // --- B7: trace / reverse trace -------------------------------------------------
 
 func BenchmarkTrace(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	gen := workload.ForDevice(1, r.Dev)
 	src, sinks, err := gen.Fanout(8, 6)
 	if err != nil {
@@ -431,7 +431,7 @@ func BenchmarkTrace(b *testing.B) {
 }
 
 func BenchmarkReverseTrace(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	gen := workload.ForDevice(1, r.Dev)
 	src, sinks, err := gen.Fanout(8, 6)
 	if err != nil {
@@ -498,7 +498,7 @@ func BenchmarkPortability(b *testing.B) {
 
 func BenchmarkCounterImplement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mustRouter(b, core.Options{})
+		r := mustRouter(b)
 		ctr, err := cores.NewCounter("ctr", 8, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -513,7 +513,7 @@ func BenchmarkCounterImplement(b *testing.B) {
 }
 
 func BenchmarkSimStep(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	ctr, err := cores.NewCounter("ctr", 8, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -558,7 +558,7 @@ func BenchmarkDeviceScale(b *testing.B) {
 // --- B15: IOB and Block RAM routing -------------------------------------------
 
 func BenchmarkIOBPadToPad(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	src := core.NewPin(5, 0, arch.IOBIn(0))
 	sink := core.NewPin(9, 23, arch.IOBOut(0))
 	b.ResetTimer()
@@ -573,7 +573,7 @@ func BenchmarkIOBPadToPad(b *testing.B) {
 }
 
 func BenchmarkBRAMRoute(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	src := core.NewPin(5, 2, arch.S0X)
 	sink := core.NewPin(8, 6, arch.BRAMAddr(0)) // column 6 is a BRAM column
 	b.ResetTimer()
@@ -737,7 +737,7 @@ func BenchmarkTemplateRoute(b *testing.B) {
 // route cache on, each Reconnect replays the remembered path instead of
 // searching.
 func BenchmarkReconnect(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	g := core.NewGroup("cm")
 	out := g.NewPort("q", core.Out)
 	if err := out.Bind(core.NewPin(4, 4, arch.S0X)); err != nil {
@@ -761,7 +761,7 @@ func BenchmarkReconnect(b *testing.B) {
 // region rip-up, relocate, reimplement, reconnect, restore crossing nets),
 // bouncing a core between two placements.
 func BenchmarkReplace(b *testing.B) {
-	r := mustRouter(b, core.Options{})
+	r := mustRouter(b)
 	mul, err := cores.NewConstMul("mul", 3, 2)
 	if err != nil {
 		b.Fatal(err)

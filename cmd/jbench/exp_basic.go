@@ -29,7 +29,7 @@ func runE1(cfg config) error {
 // runE2 performs the §3.1 worked example at all four levels and checks they
 // produce identical connectivity.
 func runE2(cfg config) error {
-	r, err := newRouter(cfg, core.Options{})
+	r, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func runB1(cfg config) error {
 		if err != nil {
 			return err
 		}
-		r, err := newRouter(cfg, core.Options{})
+		r, err := newRouter(cfg)
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func runB1(cfg config) error {
 		samples = append(samples, s)
 	}
 
-	r, err := newRouter(cfg, core.Options{})
+	r, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}
@@ -211,7 +211,7 @@ func runB2(cfg config) error {
 				if err != nil {
 					return err
 				}
-				r, err := newRouter(big, core.Options{Algorithm: alg})
+				r, err := newRouter(big, core.WithAlgorithm(alg))
 				if err != nil {
 					return err
 				}

@@ -41,7 +41,7 @@ func runB8(cfg config) error {
 			src := core.NewPin(row, col, arch.S0X)
 			sink := core.NewPin(row, col+span, arch.S0F1)
 			measure := func(useLongs bool) (delay, pips float64, usedLong bool, err error) {
-				r, err := newRouterAt(big, core.Options{UseLongLines: useLongs})
+				r, err := newRouterAt(big, core.WithLongLines(useLongs))
 				if err != nil {
 					return 0, 0, false, err
 				}
@@ -98,12 +98,12 @@ func runB8(cfg config) error {
 	return nil
 }
 
-func newRouterAt(cfg config, opt core.Options) (*core.Router, error) {
+func newRouterAt(cfg config, opts ...core.Option) (*core.Router, error) {
 	d, err := device.New(arch.NewVirtex(), cfg.rows, cfg.cols)
 	if err != nil {
 		return nil, err
 	}
-	return core.New(d, core.WithOptions(opt)), nil
+	return core.New(d, opts...), nil
 }
 
 // runB9 runs an identical workload through identical router code on the
@@ -150,7 +150,7 @@ func runB9(cfg config) error {
 // is one JBits Set per PIP and per LUT, each requiring architecture
 // knowledge. The counter is then simulated to prove it counts.
 func runB10(cfg config) error {
-	r, err := newRouter(cfg, core.Options{})
+	r, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}

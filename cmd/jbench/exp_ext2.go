@@ -27,7 +27,7 @@ func runB12(cfg config) error {
 		}
 
 		// General routing to BX pins.
-		r, err := newRouter(cfg, core.Options{})
+		r, err := newRouter(cfg)
 		if err != nil {
 			return err
 		}
@@ -50,7 +50,7 @@ func runB12(cfg config) error {
 		}
 
 		// Dedicated global net to the clock pins.
-		r2, err := newRouter(cfg, core.Options{})
+		r2, err := newRouter(cfg)
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func runB13(cfg config) error {
 
 		greedyOK := true
 		greedyWires := 0
-		rg, err := newRouter(cfg, core.Options{})
+		rg, err := newRouter(cfg)
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func runB13(cfg config) error {
 
 		batchOK := true
 		batchWires := 0
-		rb, err := newRouter(cfg, core.Options{})
+		rb, err := newRouter(cfg)
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func runB15(cfg config) error {
 		var ns, delays []float64
 		for i := 0; i < 20; i++ {
 			src, sink := p.gen(i)
-			r, err := newRouter(cfg, core.Options{})
+			r, err := newRouter(cfg)
 			if err != nil {
 				return err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -23,7 +22,7 @@ func runB3(cfg config) error {
 				return err
 			}
 			// Shared: one RouteFanout call.
-			rs, err := newRouter(cfg, core.Options{})
+			rs, err := newRouter(cfg)
 			if err != nil {
 				return err
 			}
@@ -44,7 +43,7 @@ func runB3(cfg config) error {
 			var el time.Duration
 			ok := true
 			for _, sink := range sinks {
-				ri, err := newRouter(cfg, core.Options{})
+				ri, err := newRouter(cfg)
 				if err != nil {
 					return err
 				}
@@ -96,7 +95,7 @@ func runB4(cfg config) error {
 				if err != nil {
 					return err
 				}
-				r, err := newRouter(cfg, core.Options{})
+				r, err := newRouter(cfg)
 				if err != nil {
 					return err
 				}
@@ -129,7 +128,7 @@ func runB7(cfg config) error {
 			if err != nil {
 				return err
 			}
-			r, err := newRouter(cfg, core.Options{})
+			r, err := newRouter(cfg)
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,7 @@ import (
 // as partial-bitstream frames versus full reconfiguration.
 func runB5(cfg config) error {
 	// (a) Churn throughput.
-	r, err := newRouter(cfg, core.Options{})
+	r, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func runB5(cfg config) error {
 		float64(len(ops))/float64(el.Milliseconds()+1), r.Dev.OnPIPCount())
 
 	// (b) Reverse unroute: remove one branch of a fanout net.
-	r2, err := newRouter(cfg, core.Options{})
+	r2, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func runB5(cfg config) error {
 // runB6 demonstrates contention protection (§3.4): manual double-drive
 // attempts raise ContentionError; the automatic router never contends.
 func runB6(cfg config) error {
-	r, err := newRouter(cfg, core.Options{})
+	r, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func runB6(cfg config) error {
 
 	// Automatic invariant: saturate the fabric with random nets; zero
 	// contention errors ever, failures are clean ErrUnroutable.
-	r2, err := newRouter(cfg, core.Options{})
+	r2, err := newRouter(cfg)
 	if err != nil {
 		return err
 	}

@@ -141,13 +141,12 @@ func newDevice(cfg config) (*device.Device, error) {
 	return device.New(arch.NewVirtex(), cfg.rows, cfg.cols)
 }
 
-func newRouter(cfg config, opt core.Options) (*core.Router, error) {
+func newRouter(cfg config, opts ...core.Option) (*core.Router, error) {
 	d, err := newDevice(cfg)
 	if err != nil {
 		return nil, err
 	}
-	opt.ParanoidVerify = cfg.paranoid
-	return core.New(d, core.WithOptions(opt)), nil
+	return core.New(d, append(opts, core.WithParanoidVerify(cfg.paranoid))...), nil
 }
 
 // table is a minimal fixed-width table printer.

@@ -1,6 +1,6 @@
 // jgateway is the stateless multi-fleet gateway daemon: one edge tier
 // fronting N independent jrouted fleets. Clients speak the ordinary
-// v2-hello/v3-binary protocol at it unchanged; the gateway resolves the
+// service protocol at it unchanged; the gateway resolves the
 // device-class alias in the session name to a backend fleet at connect,
 // pins the session there by placement-key affinity, and enforces the
 // multi-tenant edges — bearer-token auth, per-tenant session and ops/s
@@ -142,16 +142,11 @@ func main() {
 	log.Printf("jgateway: drained cleanly")
 }
 
-// runDrain is admin mode: issue gw_drain against a running gateway. The
-// verb is JSON-framing-only, so the connection pins the v2 protocol.
+// runDrain is admin mode: issue gw_drain against a running gateway.
 func runDrain(addr, token, backend string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	opts := []client.Option{client.WithBinary(false)}
-	if token != "" {
-		opts = append(opts, client.WithToken(token))
-	}
-	c, err := client.Dial(ctx, addr, opts...)
+	c, err := client.Dial(ctx, addr, client.WithToken(token))
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
 // The soak harness: jload -soak <duration> runs continuous client traffic
 // against a live daemon over fault-injected transports (seeded drops,
-// truncated frames, duplicated writes, delayed flushes — jbits.FaultConn)
-// on both wire protocols, plus a garbage blaster that feeds the daemon
-// byte noise before and after the v3 upgrade. Workers redial and resume on
+// truncated frames, duplicated writes, delayed flushes — jbits.FaultConn),
+// plus a garbage blaster that feeds the daemon byte noise before and after
+// the hello. Workers redial and resume on
 // every transport death; no op may hang. At the end the daemon must still
 // be fully responsive, every board must re-extract oracle-clean over a
 // fresh connection, the malformed-frame filter must have fired, and (for
@@ -40,8 +40,7 @@ type soakCounters struct {
 }
 
 // soakWorker churns one device through fault-injected connections until
-// the deadline, redialing on every transport death. Even-numbered workers
-// speak v3, odd v2 — both wire paths soak.
+// the deadline, redialing on every transport death.
 func soakWorker(ctx context.Context, addr, dev string, idx int, seed int64,
 	rows, cols int, deadline time.Time, c *soakCounters) error {
 	g := workload.New(seed+int64(idx), rows, cols)
@@ -58,11 +57,7 @@ func soakWorker(ctx context.Context, addr, dev string, idx int, seed int64,
 		}
 		opts.Seed = seed + int64(idx)*1000 + int64(attempt)
 		fc := jbits.NewFaultConn(raw, opts)
-		copts := []client.Option{}
-		if idx%2 == 1 {
-			copts = append(copts, client.WithBinary(false))
-		}
-		cc := client.NewClient(fc, copts...)
+		cc := client.NewClient(fc)
 		err = func() error {
 			s, err := cc.Session(ctx, dev)
 			if err != nil {
@@ -118,9 +113,9 @@ func isTypedErr(err error) bool {
 }
 
 // soakBlaster fires garbage at the daemon: raw byte noise on fresh
-// connections, and (every other shot) noise injected after a legitimate v3
-// upgrade — exercising both the v2 JSON parser's and the v3 pre-parse
-// filter's rejection paths.
+// connections, and (every other shot) noise injected after a legitimate
+// hello — exercising both the handshake's and the v3 pre-parse filter's
+// rejection paths.
 func soakBlaster(addr string, seed int64, deadline time.Time, c *soakCounters) {
 	rng := rand.New(rand.NewSource(seed))
 	for shot := 0; time.Now().Before(deadline); shot++ {
@@ -129,8 +124,7 @@ func soakBlaster(addr string, seed int64, deadline time.Time, c *soakCounters) {
 			return
 		}
 		if shot%2 == 1 {
-			// Legitimate JSON hello with the binv3 cap, then garbage in v3
-			// framing position.
+			// Legitimate hello, then garbage in v3 framing position.
 			cc := client.NewClient(conn)
 			if cc.Hello(context.Background()) != nil {
 				cc.Close()
@@ -161,7 +155,7 @@ func runSoak(addr string, srv *server.Server, sessions, rows, cols int, seed int
 	deadline := time.Now().Add(dur)
 	var c soakCounters
 
-	log.Printf("soak: %v of fault-injected traffic (%d workers, both protocols) against %s", dur, sessions, addr)
+	log.Printf("soak: %v of fault-injected traffic (%d workers) against %s", dur, sessions, addr)
 	var wg sync.WaitGroup
 	errs := make([]error, sessions)
 	for i := 0; i < sessions; i++ {
@@ -203,8 +197,8 @@ func runSoak(addr string, srv *server.Server, sessions, rows, cols int, seed int
 		return fmt.Errorf("post-soak statsz: %w", err)
 	}
 	if stats.Wire != nil {
-		fmt.Printf("soak: wire stats: %d v2 conns, %d v3 conns, %d malformed frames filtered\n",
-			stats.Wire.ConnsV2, stats.Wire.ConnsV3, stats.Wire.Malformed)
+		fmt.Printf("soak: wire stats: %d conns, %d malformed frames filtered\n",
+			stats.Wire.Conns, stats.Wire.Malformed)
 		if c.blasts.Load() > 0 && stats.Wire.Malformed == 0 {
 			return errors.New("garbage was blasted but the malformed filter never fired")
 		}

@@ -1,7 +1,8 @@
 // jrouted is the run-time routing daemon: it hosts named FPGA device
 // sessions and serves the JRoute API (route, unroute, trace, batch and bus
 // routing, core instantiation and replacement, bitstream readback) to
-// remote clients over framed JSON on the XHWIF transport. After every
+// remote clients over the service protocol (a JSON hello, then binary v3
+// frames; see internal/server/protocol). After every
 // mutating operation the daemon pushes back only the frames it dirtied, so
 // thin clients mirror the bitstream incrementally — the partial
 // reconfiguration story of §3.3 extended across a wire.
@@ -85,7 +86,6 @@ func main() {
 	sessionCap := flag.Int("session-cap", 0, "fleet mode: admission cap on sessions per board (0 = unlimited)")
 	portFrameTime := flag.Duration("port-frame-time", 0, "fleet mode: modeled configuration-port time per shipped frame")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet mode: board health-probe period (0 = disabled)")
-	binv3 := flag.Bool("binv3", true, "advertise the binary v3 wire protocol (clients negotiate it via the JSON hello; off = framed JSON only)")
 	libraryPath := flag.String("library", "", "route-template library file (jbench -learn output) seeding every session router")
 	flag.Var(&devices, "device", "hosted device as name:RxC[,arch]; repeatable")
 	flag.Parse()
@@ -109,7 +109,6 @@ func main() {
 		server.WithQueueDepth(*queue),
 		server.WithParallelism(*parallelism),
 		server.WithParanoidVerify(*paranoid),
-		server.WithBinaryProtocol(*binv3),
 		server.WithLibrary(lib),
 	)
 
@@ -154,11 +153,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("jrouted: listen: %v", err)
 	}
-	proto := "v2 JSON + binary v3"
-	if !*binv3 {
-		proto = "v2 JSON only"
-	}
-	log.Printf("jrouted: serving on %s (%s)", addr, proto)
+	log.Printf("jrouted: serving on %s", addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

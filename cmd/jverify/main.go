@@ -20,7 +20,6 @@ import (
 	"os"
 
 	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/oracle/fuzz"
 	"repro/internal/scenario"
@@ -64,17 +63,6 @@ func main() {
 	}
 }
 
-// grid is the cross-configuration matrix scenarios are checked over.
-var grid = []struct {
-	name string
-	opt  core.Options
-}{
-	{"cache-on/par-1", core.Options{RouteCache: core.CacheOn, Parallelism: 1}},
-	{"cache-on/par-8", core.Options{RouteCache: core.CacheOn, Parallelism: 8}},
-	{"cache-off/par-1", core.Options{RouteCache: core.CacheOff, Parallelism: 1}},
-	{"cache-off/par-8", core.Options{RouteCache: core.CacheOff, Parallelism: 8}},
-}
-
 func runScenarios(which string, logf func(string, ...interface{})) bool {
 	a := arch.NewVirtex()
 	var list []scenario.Scenario
@@ -92,15 +80,15 @@ func runScenarios(which string, logf func(string, ...interface{})) bool {
 	for _, s := range list {
 		var ref []byte
 		good := true
-		for _, cfg := range grid {
-			stream, claims, err := s.Run(cfg.opt)
+		for _, cfg := range scenario.Grid {
+			stream, claims, err := s.Run(cfg.Opts...)
 			if err != nil {
-				log.Printf("jverify: scenario %s under %s: %v", s.Name, cfg.name, err)
+				log.Printf("jverify: scenario %s under %s: %v", s.Name, cfg.Name, err)
 				good = false
 				break
 			}
 			if err := oracle.Audit(a, stream, claims, false); err != nil {
-				log.Printf("jverify: scenario %s under %s fails oracle audit: %v", s.Name, cfg.name, err)
+				log.Printf("jverify: scenario %s under %s fails oracle audit: %v", s.Name, cfg.Name, err)
 				good = false
 				break
 			}
@@ -109,13 +97,13 @@ func runScenarios(which string, logf func(string, ...interface{})) bool {
 			} else if !bytes.Equal(ref, stream) {
 				diff, _ := oracle.DiffStreams(a, ref, stream)
 				log.Printf("jverify: scenario %s: %s diverges from %s by %d PIPs: %v",
-					s.Name, cfg.name, grid[0].name, len(diff), diff)
+					s.Name, cfg.Name, scenario.Grid[0].Name, len(diff), diff)
 				good = false
 				break
 			}
 		}
 		if good {
-			logf("scenario %-10s ok across %d configs (%s)", s.Name, len(grid), s.Doc)
+			logf("scenario %-10s ok across %d configs (%s)", s.Name, len(scenario.Grid), s.Doc)
 		}
 		ok = ok && good
 	}

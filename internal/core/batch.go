@@ -7,22 +7,6 @@ import (
 	"repro/internal/maze"
 )
 
-// PartitionMode selects spatial partitioning for batch negotiation. The
-// zero value enables it (PartitionAuto), so existing Options literals get
-// partition-parallel routing by default — safe, because partitioning is
-// an exact decomposition that never changes the routed result.
-type PartitionMode uint8
-
-const (
-	// PartitionAuto (the zero value) enables partition-parallel batch
-	// negotiation.
-	PartitionAuto PartitionMode = iota
-	// PartitionOff forces the single whole-device negotiation loop.
-	PartitionOff
-)
-
-func (o Options) partitionEnabled() bool { return o.Partition != PartitionOff }
-
 // BatchNet is one net of a batch-routing request.
 type BatchNet struct {
 	Source EndPoint
@@ -78,7 +62,7 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	res, err := maze.NegotiatedRoute(r.Dev, specs, maze.NegotiationOptions{
 		Options:     r.mazeOpts(),
 		Parallelism: r.Opt.Parallelism,
-		Partition:   r.Opt.partitionEnabled(),
+		Partition:   true,
 	})
 	if err != nil {
 		return err

@@ -111,8 +111,8 @@ func learnLibrary(t *testing.T, rows, cols int, w []workload.FanNet) *library.Li
 }
 
 // TestLibraryDeterminismSweep: the acceptance sweep —
-// {library on/off} x {parallelism 1,8} x {partition auto/off} all produce
-// byte-identical bitstreams for the relocated workload, and the library
+// {library on/off} x {parallelism 1,8} all produce byte-identical
+// bitstreams for the relocated workload, and the library
 // cells actually replay from the library.
 func TestLibraryDeterminismSweep(t *testing.T) {
 	const rows, cols = 16, 24
@@ -121,7 +121,7 @@ func TestLibraryDeterminismSweep(t *testing.T) {
 	q := shiftFans(w, shiftR, shiftC)
 	lib := learnLibrary(t, rows, cols, w)
 
-	run := func(t *testing.T, withLib bool, par int, part core.PartitionMode) ([]byte, core.Stats) {
+	run := func(t *testing.T, withLib bool, par int) ([]byte, core.Stats) {
 		t.Helper()
 		d, err := device.New(arch.NewVirtex(), rows, cols)
 		if err != nil {
@@ -130,7 +130,6 @@ func TestLibraryDeterminismSweep(t *testing.T) {
 		opts := []core.Option{
 			core.WithRouteCache(core.CacheOn),
 			core.WithParallelism(par),
-			core.WithPartition(part),
 		}
 		if withLib {
 			opts = append(opts, core.WithLibrary(lib))
@@ -145,8 +144,8 @@ func TestLibraryDeterminismSweep(t *testing.T) {
 			}
 		}
 		routeFans(t, r, q)
-		// Batch phase: exercises the parallelism/partition dimensions
-		// (incremental routing ignores them) on top of the replayed state.
+		// Batch phase: exercises the parallelism dimension (incremental
+		// routing ignores it) on top of the replayed state.
 		srcs, dsts, err := workload.ForDevice(7, d).Bus(8, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -164,33 +163,28 @@ func TestLibraryDeterminismSweep(t *testing.T) {
 	var ref []byte
 	for _, withLib := range []bool{false, true} {
 		for _, par := range []int{1, 8} {
-			for _, part := range []struct {
-				name string
-				mode core.PartitionMode
-			}{{"partitioned", core.PartitionAuto}, {"global", core.PartitionOff}} {
-				name := fmt.Sprintf("lib=%v/par=%d/%s", withLib, par, part.name)
-				t.Run(name, func(t *testing.T) {
-					cfg, stats := run(t, withLib, par, part.mode)
-					if ref == nil {
-						ref = cfg
-					} else if !bytes.Equal(cfg, ref) {
-						t.Errorf("bitstream diverged from first cell")
+			name := fmt.Sprintf("lib=%v/par=%d/partitioned", withLib, par)
+			t.Run(name, func(t *testing.T) {
+				cfg, stats := run(t, withLib, par)
+				if ref == nil {
+					ref = cfg
+				} else if !bytes.Equal(cfg, ref) {
+					t.Errorf("bitstream diverged from first cell")
+				}
+				if withLib {
+					if stats.LibrarySeeded != lib.Len() {
+						t.Errorf("LibrarySeeded %d, want %d", stats.LibrarySeeded, lib.Len())
 					}
-					if withLib {
-						if stats.LibrarySeeded != lib.Len() {
-							t.Errorf("LibrarySeeded %d, want %d", stats.LibrarySeeded, lib.Len())
-						}
-						if stats.LibraryHits == 0 {
-							t.Error("library cell routed Q without a single library replay")
-						}
-						if stats.LibrarySkipped != 0 {
-							t.Errorf("LibrarySkipped %d on an audited library", stats.LibrarySkipped)
-						}
-					} else if stats.LibraryHits != 0 || stats.LibrarySeeded != 0 {
-						t.Errorf("library counters moved without a library: %+v", stats)
+					if stats.LibraryHits == 0 {
+						t.Error("library cell routed Q without a single library replay")
 					}
-				})
-			}
+					if stats.LibrarySkipped != 0 {
+						t.Errorf("LibrarySkipped %d on an audited library", stats.LibrarySkipped)
+					}
+				} else if stats.LibraryHits != 0 || stats.LibrarySeeded != 0 {
+					t.Errorf("library counters moved without a library: %+v", stats)
+				}
+			})
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 //
 //	r := core.New(dev, core.WithParallelism(8), core.WithRouteCache(core.CacheOn))
 //
-// New is the one constructor. Code that carries a ready-made Options value
-// (config grids, harness structs) bridges with WithOptions.
+// New is the one constructor; code that builds a configuration
+// dynamically (config grids, harness structs) carries a []Option.
 
 // Option mutates the router Options during construction.
 type Option func(*Options)
@@ -27,13 +27,6 @@ func New(dev *device.Device, opts ...Option) *Router {
 	r.attachLibrary()
 	return r
 }
-
-// WithOptions replaces the whole Options value — the bridge for call sites
-// that build an Options struct dynamically (scenario grids, fuzz configs)
-// before handing it to New. Combine with later options to override fields:
-//
-//	core.New(dev, core.WithOptions(base), core.WithParallelism(1))
-func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
 
 // WithAlgorithm selects the search algorithm for the automatic calls.
 func WithAlgorithm(a Algorithm) Option { return func(o *Options) { o.Algorithm = a } }
@@ -59,11 +52,6 @@ func WithRouteCache(m CacheMode) Option { return func(o *Options) { o.RouteCache
 // learned entries. Entries are audited before use and FIFO eviction never
 // touches them. See Options.Library.
 func WithLibrary(lib *library.Library) Option { return func(o *Options) { o.Library = lib } }
-
-// WithPartition controls spatial partitioning of batch negotiation
-// (PartitionAuto enables it; PartitionOff forces the global loop — the
-// routed result is identical either way).
-func WithPartition(m PartitionMode) Option { return func(o *Options) { o.Partition = m } }
 
 // WithParanoidVerify audits every automatic op boundary through the
 // bitstream oracle.

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -12,16 +11,15 @@ import (
 )
 
 // runBatch builds a fresh device, routes the generated workload with the
-// given parallelism and partition mode, and returns the resulting full
-// bitstream and stats.
-func runBatch(t *testing.T, par int, cache core.CacheMode, part core.PartitionMode,
+// given parallelism, and returns the resulting full bitstream and stats.
+func runBatch(t *testing.T, par int, cache core.CacheMode,
 	rows, cols int, gen func(*workload.Gen) ([]core.EndPoint, []core.EndPoint)) ([]byte, core.Stats) {
 	t.Helper()
 	d, err := device.New(arch.NewVirtex(), rows, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.New(d, core.WithParallelism(par), core.WithRouteCache(cache), core.WithPartition(part))
+	r := core.New(d, core.WithParallelism(par), core.WithRouteCache(cache))
 	srcs, dsts := gen(workload.ForDevice(7, d))
 	if err := r.RouteBusBatch(srcs, dsts); err != nil {
 		t.Fatalf("parallelism %d: %v", par, err)
@@ -35,8 +33,8 @@ func runBatch(t *testing.T, par int, cache core.CacheMode, part core.PartitionMo
 
 // normPartition zeroes the partition-observability counters, which
 // describe scheduling structure (regions, crossing nets, iteration split)
-// and legitimately differ across partition modes and worker counts. All
-// remaining counters — including BatchIterations and NodesExplored — must
+// and may legitimately differ across worker counts. All remaining
+// counters — including BatchIterations and NodesExplored — must
 // match exactly.
 func normPartition(s core.Stats) core.Stats {
 	s.PartitionRegions = 0
@@ -47,9 +45,11 @@ func normPartition(s core.Stats) core.Stats {
 }
 
 // TestRouteBatchParallelDeterminism: the public guarantee of the
-// Parallelism and Partition options — any worker count and either
-// partition mode produces a byte-identical bitstream and identical
-// (structure-normalized) router stats.
+// Parallelism option — any worker count produces a byte-identical
+// bitstream and identical (structure-normalized) router stats. That the
+// partitioned negotiation every RouteBatch runs equals the whole-device
+// loop is held one layer down (maze.TestPartitionEqualsGlobal,
+// TestNegotiationDigests).
 func TestRouteBatchParallelDeterminism(t *testing.T) {
 	workloads := map[string]func(*workload.Gen) ([]core.EndPoint, []core.EndPoint){
 		"crossbar": func(g *workload.Gen) ([]core.EndPoint, []core.EndPoint) {
@@ -74,26 +74,20 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 		name string
 		mode core.CacheMode
 	}{{"cache-on", core.CacheAuto}, {"cache-off", core.CacheOff}}
-	parts := []struct {
-		name string
-		mode core.PartitionMode
-	}{{"partitioned", core.PartitionAuto}, {"global", core.PartitionOff}}
 	for name, gen := range workloads {
 		t.Run(name, func(t *testing.T) {
 			var perMode [][]byte
 			for _, m := range modes {
 				t.Run(m.name, func(t *testing.T) {
-					cfgSeq, statsSeq := runBatch(t, 1, m.mode, core.PartitionOff, 16, 24, gen)
+					cfgSeq, statsSeq := runBatch(t, 1, m.mode, 16, 24, gen)
 					perMode = append(perMode, cfgSeq)
-					for _, pt := range parts {
-						for _, par := range []int{1, 2, 8} {
-							cfg, stats := runBatch(t, par, m.mode, pt.mode, 16, 24, gen)
-							if !bytes.Equal(cfg, cfgSeq) {
-								t.Errorf("%s par %d: bitstream differs from sequential global", pt.name, par)
-							}
-							if got, want := normPartition(stats), normPartition(statsSeq); got != want {
-								t.Errorf("%s par %d: stats %+v, sequential %+v", pt.name, par, got, want)
-							}
+					for _, par := range []int{2, 8} {
+						cfg, stats := runBatch(t, par, m.mode, 16, 24, gen)
+						if !bytes.Equal(cfg, cfgSeq) {
+							t.Errorf("par %d: bitstream differs from sequential", par)
+						}
+						if got, want := normPartition(stats), normPartition(statsSeq); got != want {
+							t.Errorf("par %d: stats %+v, sequential %+v", par, got, want)
 						}
 					}
 				})
@@ -107,8 +101,8 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 
 // TestRouteBatchPartitionedClusters: on a device big enough for real
 // bisection, a clustered workload must split into multiple regions, keep
-// the iteration split observable in Stats, and still produce the exact
-// bytes of the global pass at every worker count.
+// the iteration split observable in Stats, and produce the same bytes at
+// every worker count.
 func TestRouteBatchPartitionedClusters(t *testing.T) {
 	gen := func(g *workload.Gen) ([]core.EndPoint, []core.EndPoint) {
 		srcs, dsts, err := g.Clustered(6, 16, 7)
@@ -117,21 +111,18 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 		}
 		return srcs, dsts
 	}
-	cfgRef, statsRef := runBatch(t, 1, core.CacheOff, core.PartitionOff, 64, 96, gen)
-	if statsRef.PartitionRegions != 0 || statsRef.RegionIterations != 0 {
-		t.Errorf("global run reports partition stats: %+v", statsRef)
-	}
-	if statsRef.GlobalIterations != statsRef.BatchIterations {
-		t.Errorf("global run: GlobalIterations %d != BatchIterations %d",
-			statsRef.GlobalIterations, statsRef.BatchIterations)
-	}
+	var cfgRef []byte
+	var statsRef core.Stats
 	for _, par := range []int{1, 2, 8} {
-		cfg, stats := runBatch(t, par, core.CacheOff, core.PartitionAuto, 64, 96, gen)
+		cfg, stats := runBatch(t, par, core.CacheOff, 64, 96, gen)
+		if cfgRef == nil {
+			cfgRef, statsRef = cfg, stats
+		}
 		if !bytes.Equal(cfg, cfgRef) {
-			t.Errorf("partitioned par %d: bitstream differs from global", par)
+			t.Errorf("par %d: bitstream differs from sequential", par)
 		}
 		if normPartition(stats) != normPartition(statsRef) {
-			t.Errorf("partitioned par %d: stats %+v, global %+v", par, stats, statsRef)
+			t.Errorf("par %d: stats %+v, sequential %+v", par, stats, statsRef)
 		}
 		if stats.PartitionRegions < 2 {
 			t.Errorf("par %d: clustered workload produced %d regions", par, stats.PartitionRegions)
@@ -140,23 +131,4 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 			t.Errorf("par %d: no region iterations recorded", par)
 		}
 	}
-}
-
-// TestRouteBatchPartitionModeOption: the functional option and the struct
-// field agree.
-func TestRouteBatchPartitionModeOption(t *testing.T) {
-	d, err := device.New(arch.NewVirtex(), 16, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := core.New(d, core.WithPartition(core.PartitionOff))
-	if r.Opt.Partition != core.PartitionOff {
-		t.Errorf("WithPartition not applied: %v", r.Opt.Partition)
-	}
-	for _, m := range []core.PartitionMode{core.PartitionAuto, core.PartitionOff} {
-		if got := (core.Options{Partition: m}).Partition; got != m {
-			t.Errorf("mode %v round-trip: %v", m, got)
-		}
-	}
-	_ = fmt.Sprintf("%v", r.Opt) // Options stays printable with the new field
 }

@@ -13,7 +13,7 @@ func newParanoidRouter(t *testing.T, opt Options) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(d, WithOptions(opt))
+	return New(d, func(o *Options) { *o = opt })
 }
 
 // TestParanoidVerifyCleanOps runs the standard op mix under

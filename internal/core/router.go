@@ -53,15 +53,6 @@ type Options struct {
 	// full search. The zero value (CacheAuto) enables it; CacheOff forces
 	// every automatic route through search.
 	RouteCache CacheMode
-	// Partition controls spatial partitioning of batch negotiation
-	// (RouteBatch/RouteBusBatch): nets are grouped into scopes with
-	// disjoint bounding boxes and each scope negotiates concurrently over
-	// region-local state. The zero value (PartitionAuto) enables it;
-	// PartitionOff forces the single whole-device negotiation loop. The
-	// routed result and the committed bitstream are identical either way
-	// — only wall-clock time, memory locality, and the Partition* stats
-	// change.
-	Partition PartitionMode
 	// Library is a persistent route-template library shared read-only by
 	// any number of routers: a pre-seeded template tier consulted below
 	// the in-session learned entries (which shadow it key-by-key) and
@@ -149,7 +140,8 @@ type Stats struct {
 	LibrarySeeded  int // entries accepted into the router's library tier at construction
 	LibrarySkipped int // entries rejected at construction (audit failure, arch/geometry mismatch)
 
-	// Partition observability (see Options.Partition). The counters
+	// Partition observability: RouteBatch negotiates over disjoint scopes
+	// (see maze.NegotiationOptions.Partition). The counters
 	// describe scheduling structure only — the routed result is identical
 	// whatever they read.
 	PartitionRegions  int // bisection leaf regions that received nets

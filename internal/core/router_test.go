@@ -16,7 +16,7 @@ func newTestRouter(t testing.TB, opt Options) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(d, WithOptions(opt))
+	return New(d, func(o *Options) { *o = opt })
 }
 
 // assertConnected verifies via reverse trace that sink's net roots at src.

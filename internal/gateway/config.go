@@ -1,7 +1,7 @@
 // Package gateway is the stateless multi-fleet edge tier: one daemon
 // fronting N independent jrouted fleets. It terminates the ordinary
-// v2-hello/v3-binary client protocol (the thin-mirror client points at a
-// gateway with zero code changes), resolves device-class aliases to backend
+// client protocol (the thin-mirror client points at a gateway with zero
+// code changes), resolves device-class aliases to backend
 // fleets at session open, pins each session to one backend with the same
 // FNV-1a affinity the fleet uses for board placement, and enforces the
 // multi-tenant edges: bearer-token auth, per-tenant session and ops/s
@@ -65,7 +65,7 @@ type Config struct {
 	ProbeIntervalMillis int64 `json:"probe_interval_ms,omitempty"`
 
 	// Dial opens a client connection to a backend address. Nil uses
-	// client.Dial (binary v3 when the backend advertises it).
+	// client.Dial.
 	Dial func(ctx context.Context, addr string) (*client.Client, error) `json:"-"`
 }
 

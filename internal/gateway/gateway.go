@@ -293,26 +293,22 @@ func coded(id uint64, code, msg string) *server.Response {
 	return &server.Response{ID: id, ErrorCode: code, Err: msg}
 }
 
-// mutatingOp mirrors the server worker's mutating-op list: the ops whose
-// acks the journal must capture to reproduce session state elsewhere.
-func mutatingOp(op string) bool {
-	switch op {
-	case "route", "bus", "bus_batch", "batch", "unroute", "reverse_unroute",
-		"core_new", "core_replace":
-		return true
-	}
-	return false
-}
-
-// Submit implements server.Fleet: every per-session request lands here.
+// Submit implements server.Fleet: every session and admin request lands
+// here, and is rejected before it is forwarded anywhere if the op table
+// has no row for it.
 func (g *Gateway) Submit(ctx context.Context, req *server.Request) *server.Response {
-	switch req.Op {
-	case "gw_drain":
+	op := req.Row()
+	switch {
+	case op == nil:
+		return protocol.UnknownOp(req)
+	case op.Byte == protocol.OpGwDrain:
 		return g.drainOp(ctx, req)
-	case "connect":
+	case op.Byte == protocol.OpConnect:
 		return g.connect(ctx, req)
+	case op.Scope == protocol.ScopeSession:
+		return g.sessionOp(ctx, op, req)
 	}
-	return g.sessionOp(ctx, req)
+	return protocol.UnknownOp(req)
 }
 
 // connect admits a session: resolve the class alias, check the tenant's
@@ -415,7 +411,7 @@ func (g *Gateway) reconnect(ctx context.Context, sess *gwSession, req *server.Re
 
 // sessionOp proxies one non-connect op: ownership check, token-bucket
 // admission, forward under the session lock, journal the ack.
-func (g *Gateway) sessionOp(ctx context.Context, req *server.Request) *server.Response {
+func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Request) *server.Response {
 	g.mu.Lock()
 	sess := g.sessions[req.Session]
 	if sess == nil {
@@ -448,7 +444,7 @@ func (g *Gateway) sessionOp(ctx context.Context, req *server.Request) *server.Re
 			fmt.Sprintf("gateway: backend %s unreachable: %v", be.name, err))
 	}
 	if resp.ErrorCode == "" {
-		if mutatingOp(req.Op) {
+		if op.Mutating {
 			// The ack is durable on the backend; capture it so a drain or
 			// ejection can reproduce it elsewhere. The journal owns a
 			// detached copy (the server allocates a fresh Request per wire

@@ -2,13 +2,17 @@ package gateway_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/gateway"
+	"repro/internal/jbits"
 	"repro/internal/oracle"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -83,13 +87,15 @@ func backendOf(t *testing.T, s *client.Session) string {
 	return s.Board[:i]
 }
 
-// TestPassthroughFramings proves the gateway terminates both framings of
-// the unmodified client protocol: a v2-JSON session and a v3-binary session
-// with sibling placement keys land on the same backend and produce
-// byte-equivalent board state for the same ops (DiffStreams-clean).
+// TestPassthroughFramings proves the gateway edge terminates the client
+// protocol unmodified. It speaks the one framing the daemons speak: a
+// JSON-only hello (what a v2 client sent) is refused with the typed version
+// error before any backend is touched, and a default client's session passes
+// through to its backend with a mirror that audits clean and matches the
+// board it reads back.
 func TestPassthroughFramings(t *testing.T) {
 	be0 := startBackend(t, 2)
-	addr, _ := startGateway(t, gateway.Config{
+	addr, g := startGateway(t, gateway.Config{
 		Backends: []gateway.BackendConfig{
 			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
 		},
@@ -97,64 +103,77 @@ func TestPassthroughFramings(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	type result struct {
-		backend string
-		stream  []byte
-	}
-	cases := []struct {
-		name    string
-		binary  bool
-		session string
-		key     uint64
-	}{
-		{"v2-json", false, "v1000-class/v2", 0},
-		{"v3-binary", true, "v1000-class/v3", 1},
-	}
-	results := make(map[string]result)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := client.Dial(ctx, addr, client.WithBinary(tc.binary))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Binary() != tc.binary {
-				t.Fatalf("negotiated binary=%v, want %v", c.Binary(), tc.binary)
-			}
-			s, err := c.SessionWithKey(ctx, tc.session, tc.key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Route(ctx, pin(5, 7, arch.S1YQ), pin(6, 8, arch.S0F3)); err != nil {
-				t.Fatalf("route: %v", err)
-			}
-			if err := s.Route(ctx, pin(8, 12, arch.S1YQ), pin(9, 13, arch.S0F3)); err != nil {
-				t.Fatalf("route: %v", err)
-			}
-			if err := s.VerifyMirror(); err != nil {
-				t.Fatalf("mirror fails oracle audit: %v", err)
-			}
-			stream, err := s.Readback(ctx)
-			if err != nil {
-				t.Fatalf("readback: %v", err)
-			}
-			results[tc.name] = result{backend: backendOf(t, s), stream: stream}
-		})
-	}
-	a, b := results["v2-json"], results["v3-binary"]
-	if a.backend == "" || b.backend == "" {
-		t.Fatal("missing results")
-	}
-	if a.backend != b.backend {
-		t.Errorf("framings landed on different backends: %s vs %s", a.backend, b.backend)
-	}
-	diffs, err := oracle.DiffStreams(arch.NewVirtex(), a.stream, b.stream)
-	if err != nil {
-		t.Fatalf("DiffStreams: %v", err)
-	}
-	if len(diffs) != 0 {
-		t.Errorf("v2 and v3 board state diverge: %d PIP diffs (first: %+v)", len(diffs), diffs[0])
-	}
+	t.Run("v2-json", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello, err := json.Marshal(&server.Request{ID: 1, Op: "hello",
+			Hello: &server.HelloMsg{Version: protocol.Version}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jbits.WriteFrame(conn, server.OpService, hello); err != nil {
+			t.Fatal(err)
+		}
+		_, body, err := jbits.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ErrorCode != protocol.CodeVersion {
+			t.Fatalf("JSON-only hello: code %q (err %q), want %q", resp.ErrorCode, resp.Err, protocol.CodeVersion)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("read after the refusal = %v, want EOF", err)
+		}
+		if ops := g.GatewayStats().BackendsMap["be0"].Ops; ops != 0 {
+			t.Errorf("refused hello reached the backend: %d ops forwarded", ops)
+		}
+	})
+
+	t.Run("v3-binary", func(t *testing.T) {
+		c, err := client.Dial(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		s, err := c.SessionWithKey(ctx, "v1000-class/v3", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := backendOf(t, s); got != "be0" {
+			t.Errorf("session on %s, want be0", got)
+		}
+		if err := s.Route(ctx, pin(5, 7, arch.S1YQ), pin(6, 8, arch.S0F3)); err != nil {
+			t.Fatalf("route: %v", err)
+		}
+		if err := s.Route(ctx, pin(8, 12, arch.S1YQ), pin(9, 13, arch.S0F3)); err != nil {
+			t.Fatalf("route: %v", err)
+		}
+		if err := s.VerifyMirror(); err != nil {
+			t.Fatalf("mirror fails oracle audit: %v", err)
+		}
+		stream, err := s.Readback(ctx)
+		if err != nil {
+			t.Fatalf("readback: %v", err)
+		}
+		mine, err := s.Mirror.FullConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffs, err := oracle.DiffStreams(arch.NewVirtex(), mine, stream)
+		if err != nil {
+			t.Fatalf("DiffStreams: %v", err)
+		}
+		if len(diffs) != 0 {
+			t.Errorf("mirror and board diverge through the gateway: %d PIP diffs (first: %+v)", len(diffs), diffs[0])
+		}
+	})
 }
 
 // TestAuthAndQuotaErrors covers the typed gateway rejections end to end:
@@ -246,21 +265,14 @@ func TestAuthAndQuotaErrors(t *testing.T) {
 	})
 
 	t.Run("gw_drain admin gate", func(t *testing.T) {
-		// gw_drain is an admin verb with no v3 encoding; it travels on the
-		// JSON framing only.
-		aliceJSON, err := client.Dial(ctx, addr, client.WithBinary(false), client.WithToken("tok-alice"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer aliceJSON.Close()
-		resp, err := aliceJSON.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
+		resp, err := alice.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.ErrorCode != protocol.CodeUnauthorized {
 			t.Errorf("non-admin gw_drain: code %q, want %q", resp.ErrorCode, protocol.CodeUnauthorized)
 		}
-		root, err := client.Dial(ctx, addr, client.WithBinary(false), client.WithToken("tok-root"))
+		root, err := client.Dial(ctx, addr, client.WithToken("tok-root"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +348,7 @@ func TestDrainJournalHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	admin, err := client.Dial(ctx, addr, client.WithBinary(false))
+	admin, err := client.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +561,7 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 		t.Fatalf("unroute through gateway: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 
-	admin, err := client.Dial(ctx, addr, client.WithBinary(false))
+	admin, err := client.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +651,7 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	admin, err := client.Dial(ctx, addr, client.WithBinary(false))
+	admin, err := client.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,7 @@ func TestLiveDrainMidChurn(t *testing.T) {
 	const drainAt = 2 * nSess * 4
 	drain := func() {
 		defer close(drained)
-		// gw_drain is a JSON-framing admin verb.
-		admin, err := client.Dial(ctx, addr, client.WithBinary(false))
+		admin, err := client.Dial(ctx, addr)
 		if err != nil {
 			drainErr = err
 			return

@@ -89,7 +89,9 @@ type NegotiationOptions struct {
 	// Partition enables scope decomposition: recursive bisection of the
 	// device plus a conservative merge of cut-crossing nets, each scope
 	// negotiated independently over region-local state. The routed
-	// result is identical with partitioning on or off.
+	// result is identical with partitioning on or off; core.RouteBatch
+	// always sets it, and off is the reference loop the tests compare
+	// against.
 	Partition bool
 }
 

@@ -457,6 +457,9 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 	for geom := 1; geom < len(searchGeoms); geom++ {
 		g := searchGeoms[geom]
+		if RaceEnabled && g.rows > 16 {
+			continue
+		}
 		rng := rand.New(rand.NewSource(int64(geom)))
 		script := make([]byte, 5*min(g.rows*g.cols/12, 128))
 		rng.Read(script)

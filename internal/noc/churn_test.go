@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cores"
+	"repro/internal/scenario"
 )
 
 // dirBetweenForTest gives the mesh direction from node a to adjacent
@@ -169,9 +170,9 @@ func TestAllSingleNodeObstacles(t *testing.T) {
 	}
 }
 
-// TestChurnDeterminism runs one fixed churn script under all six router
+// TestChurnDeterminism runs one fixed churn script under all four router
 // configurations of the differential grid — {cache on, off} x
-// {parallelism 1, 8} x {partition on, off} — and requires the full
+// {parallelism 1, 8} — and requires the full
 // configuration bytes to be identical across configs after every event:
 // the overlay's mutations are byte-deterministic whatever the host router
 // options.
@@ -184,22 +185,10 @@ func TestChurnDeterminism(t *testing.T) {
 		{Place: false, Row: 3, Col: 11, Height: 1, Width: 1},
 		{Place: false, Row: 6, Col: 11, Height: 1, Width: 2},
 	}
-	// The same six-config grid the golden scenarios pin (see
-	// internal/scenario): cache x parallelism, plus partitioning forced
-	// off on both cache modes.
-	opts := []core.Options{
-		{RouteCache: core.CacheOn, Parallelism: 1},
-		{RouteCache: core.CacheOn, Parallelism: 8},
-		{RouteCache: core.CacheOff, Parallelism: 1},
-		{RouteCache: core.CacheOff, Parallelism: 8},
-		{RouteCache: core.CacheOn, Parallelism: 8, Partition: core.PartitionOff},
-		{RouteCache: core.CacheOff, Parallelism: 1, Partition: core.PartitionOff},
-	}
+	// The grid the golden scenarios pin: cache x parallelism.
 	var ref [][]byte
-	for ci, opt := range opts {
-		cfg := DefaultConfig()
-		cfg.Opt = opt
-		h, err := New(cfg)
+	for ci, cfg := range scenario.Grid {
+		h, err := New(DefaultConfig(), cfg.Opts...)
 		if err != nil {
 			t.Fatalf("config %d: %v", ci, err)
 		}

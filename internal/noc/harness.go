@@ -22,7 +22,6 @@ type Config struct {
 	MeshRows, MeshCols int // mesh nodes
 	BaseRow, BaseCol   int // south-west node tile
 	Pitch              int // tiles between adjacent nodes
-	Opt                core.Options
 }
 
 // DefaultConfig is a 3x3 mesh on the 16x24 test board, pitch 3, node
@@ -41,13 +40,14 @@ type Harness struct {
 	Audits int // oracle audits passed so far
 }
 
-// New builds the mesh on a fresh board and audits the result.
-func New(cfg Config) (*Harness, error) {
+// New builds the mesh on a fresh board, its router configured by opts, and
+// audits the result.
+func New(cfg Config, opts ...core.Option) (*Harness, error) {
 	dev, err := device.New(arch.NewVirtex(), cfg.Rows, cfg.Cols)
 	if err != nil {
 		return nil, err
 	}
-	r := core.New(dev, core.WithOptions(cfg.Opt))
+	r := core.New(dev, opts...)
 	mesh, err := cores.NewNoC(r, "noc", cfg.MeshRows, cfg.MeshCols, cfg.BaseRow, cfg.BaseCol, cfg.Pitch, 0)
 	if err != nil {
 		return nil, err

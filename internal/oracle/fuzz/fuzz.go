@@ -2,8 +2,7 @@
 // oracle: one seeded op script (route/unroute/reverse-unroute/reroute,
 // single-sink/fanout/bus, core place/replace) is applied in lockstep to
 // several router configurations — route cache on and off, parallelism 1
-// and N, batch negotiation partitioned and global — and after every step
-// the harness requires (1) all
+// and N — and after every step the harness requires (1) all
 // configurations agree on the op's success or failure, (2) all
 // configurations report identical endpoint claims, (3) configurations
 // sharing a cache mode are byte-identical at the frame level (parallelism
@@ -60,25 +59,16 @@ type Config struct {
 	Name        string
 	Cache       core.CacheMode
 	Parallelism int
-	// Partition selects spatial partitioning for batch negotiation; the
-	// zero value (PartitionAuto) enables it. Partitioning is an exact
-	// decomposition, so boards sharing a cache mode must stay
-	// byte-identical whether batches negotiate globally or per region.
-	Partition core.PartitionMode
 }
 
 // DefaultConfigs is the standard grid: cache {on, off} x parallelism
-// {1, 8} with partitioned batch negotiation (the default), plus a
-// global-negotiation board per cache mode so partitioning itself is under
-// byte-level differential test on every run.
+// {1, 8}.
 func DefaultConfigs() []Config {
 	return []Config{
 		{Name: "cache-on/par-1", Cache: core.CacheOn, Parallelism: 1},
 		{Name: "cache-on/par-8", Cache: core.CacheOn, Parallelism: 8},
-		{Name: "cache-on/par-8/global", Cache: core.CacheOn, Parallelism: 8, Partition: core.PartitionOff},
 		{Name: "cache-off/par-1", Cache: core.CacheOff, Parallelism: 1},
 		{Name: "cache-off/par-8", Cache: core.CacheOff, Parallelism: 8},
-		{Name: "cache-off/par-8/global", Cache: core.CacheOff, Parallelism: 8, Partition: core.PartitionOff},
 	}
 }
 
@@ -368,8 +358,7 @@ func Run(o Options) (*Result, error) {
 			dev: dev,
 			rtr: core.New(dev,
 				core.WithRouteCache(cfg.Cache),
-				core.WithParallelism(cfg.Parallelism),
-				core.WithPartition(cfg.Partition)),
+				core.WithParallelism(cfg.Parallelism)),
 			regs: make(map[int]*cores.Register),
 		}
 		if o.NoC {

@@ -8,35 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/oracle"
 )
 
 var update = flag.Bool("update", false, "rewrite golden bitstreams")
 
-// goldenConfigs is the cross-configuration grid every scenario must agree
-// on byte-for-byte. Scenarios are fresh single-pass flows — no churn
-// between a path being learned and replayed — so here (unlike the
-// differential fuzz harness) even cache-on and cache-off boards must be
-// identical, and the committed stream must not depend on worker count.
-var goldenConfigs = []struct {
-	name string
-	opt  core.Options
-}{
-	{"cache-on/par-1", core.Options{RouteCache: core.CacheOn, Parallelism: 1}},
-	{"cache-on/par-8", core.Options{RouteCache: core.CacheOn, Parallelism: 8}},
-	{"cache-off/par-1", core.Options{RouteCache: core.CacheOff, Parallelism: 1}},
-	{"cache-off/par-8", core.Options{RouteCache: core.CacheOff, Parallelism: 8}},
-	// The entries above negotiate batches partitioned (PartitionAuto is the
-	// zero value); these two force the single global loop — partitioning is
-	// an exact decomposition, so the frames must not move.
-	{"cache-on/par-8/global", core.Options{RouteCache: core.CacheOn, Parallelism: 8, Partition: core.PartitionOff}},
-	{"cache-off/par-1/global", core.Options{RouteCache: core.CacheOff, Parallelism: 1, Partition: core.PartitionOff}},
-}
-
 // TestGoldenBitstreams pins every scenario's committed configuration
-// stream against a checked-in golden file, across the full config grid.
-// A diff means the router now emits different frames for the paper's
+// stream against a checked-in golden file, across the full config Grid.
+// (Partitioned against whole-device negotiation is not a row of it: the
+// maze tests hold that comparison.) A diff means the router now emits different frames for the paper's
 // worked examples — if that is intended (an algorithm change), regenerate
 // with `go test ./internal/scenario -run Golden -update` and review the
 // PIP-level diff the failure printed.
@@ -47,16 +27,16 @@ func TestGoldenBitstreams(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			golden := filepath.Join("testdata", s.Name+".bin")
 			var ref []byte
-			for _, cfg := range goldenConfigs {
-				stream, claims, err := s.Run(cfg.opt)
+			for _, cfg := range Grid {
+				stream, claims, err := s.Run(cfg.Opts...)
 				if err != nil {
-					t.Fatalf("%s under %s: %v", s.Name, cfg.name, err)
+					t.Fatalf("%s under %s: %v", s.Name, cfg.Name, err)
 				}
 				// Every configuration's board must be oracle-clean.
 				// Coverage is non-strict: the template scenario routes
 				// manually, which the router records no claim for.
 				if err := oracle.Audit(a, stream, claims, false); err != nil {
-					t.Fatalf("%s under %s not oracle-clean: %v", s.Name, cfg.name, err)
+					t.Fatalf("%s under %s not oracle-clean: %v", s.Name, cfg.Name, err)
 				}
 				if ref == nil {
 					ref = stream
@@ -68,7 +48,7 @@ func TestGoldenBitstreams(t *testing.T) {
 						t.Fatalf("%s: configs diverge and diff failed: %v", s.Name, derr)
 					}
 					t.Fatalf("%s: %s emits different frames than %s (%d PIPs differ): %v",
-						s.Name, cfg.name, goldenConfigs[0].name, len(diff), diff)
+						s.Name, cfg.Name, Grid[0].Name, len(diff), diff)
 				}
 			}
 			if *update {

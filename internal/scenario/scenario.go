@@ -135,16 +135,31 @@ func ByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
+// Grid is the cross-configuration grid every scenario must agree on
+// byte-for-byte. Scenarios are fresh single-pass flows — no churn between a
+// path being learned and replayed — so here (unlike the differential fuzz
+// harness) even cache-on and cache-off boards must be identical, and the
+// committed stream must not depend on worker count.
+var Grid = []struct {
+	Name string
+	Opts []core.Option
+}{
+	{"cache-on/par-1", []core.Option{core.WithRouteCache(core.CacheOn), core.WithParallelism(1)}},
+	{"cache-on/par-8", []core.Option{core.WithRouteCache(core.CacheOn), core.WithParallelism(8)}},
+	{"cache-off/par-1", []core.Option{core.WithRouteCache(core.CacheOff), core.WithParallelism(1)}},
+	{"cache-off/par-8", []core.Option{core.WithRouteCache(core.CacheOff), core.WithParallelism(8)}},
+}
+
 // Run executes the scenario on a fresh device under the given router
 // options and returns the committed configuration stream plus the
 // router's live endpoint claims for oracle auditing.
-func (s Scenario) Run(opt core.Options) ([]byte, []oracle.Claim, error) {
+func (s Scenario) Run(opts ...core.Option) ([]byte, []oracle.Claim, error) {
 	a := arch.NewVirtex()
 	dev, err := device.New(a, s.Rows, s.Cols)
 	if err != nil {
 		return nil, nil, err
 	}
-	r := core.New(dev, core.WithOptions(opt))
+	r := core.New(dev, opts...)
 	if err := s.Drive(r); err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

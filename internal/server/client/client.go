@@ -4,23 +4,19 @@
 // the dirty frames mutating responses push back — the thin-client side of
 // the partial-reconfiguration story.
 //
-// This is the v2, context-aware API: every RPC takes a context.Context.
-// The context's remaining deadline is propagated to the server (bounding
-// the op's wait in the session's bounded queue) and also applied to the
-// transport, so a canceled or expired context abandons the wire round trip
-// instead of blocking. Server-side rejections come back as typed errors:
-// errors.Is(err, ErrCanceled), ErrBusy, ErrFailover, ... — see ServiceError.
+// Every RPC takes a context.Context. The context's remaining deadline is
+// propagated to the server (bounding the op's wait in the session's bounded
+// queue) and also applied to the transport, so a canceled or expired
+// context abandons the wire round trip instead of blocking. Server-side
+// rejections come back as typed errors: errors.Is(err, ErrCanceled),
+// ErrBusy, ErrFailover, ... — see ServiceError.
 //
-// The client speaks protocol version 2 and opens every connection with the
-// hello handshake; a pre-v2 server (which does not answer hello) or a
-// version-mismatched one surfaces as ErrVersionMismatch.
-//
-// By default the client also offers the compact binary v3 framing in its
-// hello ("binv3" capability) and switches to it when the server advertises
-// it back — dirty configuration frames then travel as raw bytes into
-// pooled read buffers with no JSON marshal on the wire path. Servers
-// without the capability (or clients built WithBinary(false)) keep the
-// framed JSON v2 exchange unmodified.
+// The client speaks protocol version 2: every connection opens with one
+// framed-JSON hello exchange and from then on carries binary v3 frames —
+// dirty configuration frames travel as raw bytes into pooled read buffers
+// with no marshal on the wire path. A server that rejects the hello, or
+// answers it with another version or without the "binv3" capability,
+// surfaces as ErrVersionMismatch.
 package client
 
 import (
@@ -44,7 +40,7 @@ import (
 	v3 "repro/internal/server/protocol/v3"
 )
 
-// Sentinel errors for the structured codes v2 responses carry. Match with
+// Sentinel errors for the structured codes responses carry. Match with
 // errors.Is; the full server message is in the wrapping ServiceError.
 var (
 	// ErrBusy: backpressure — the session's bounded queue stayed full past
@@ -140,9 +136,7 @@ type Client struct {
 	helloed bool
 	caps    []string
 
-	wantBinary bool   // offer the v3 framing in hello
-	binary     bool   // negotiated: connection speaks v3 after hello
-	token      string // bearer token sent in hello (gateway tenants)
+	token string // bearer token sent in hello (gateway tenants)
 
 	hdr  [v3.HeaderSize]byte // reused v3 header scratch
 	wbuf []byte              // reused v3 request-encode buffer
@@ -150,11 +144,6 @@ type Client struct {
 
 // Option configures a Client before its handshake.
 type Option func(*Client)
-
-// WithBinary controls whether the client offers the binary v3 framing in
-// its hello (default true). WithBinary(false) pins the connection to
-// framed JSON v2 regardless of what the server advertises.
-func WithBinary(on bool) Option { return func(c *Client) { c.wantBinary = on } }
 
 // WithToken sets the bearer token the hello handshake presents. Gateways
 // resolve it to a tenant; servers without an authenticator ignore it.
@@ -180,16 +169,12 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 // and the wire. The hello handshake runs lazily before the first call (or
 // eagerly via Hello).
 func NewClient(conn io.ReadWriteCloser, opts ...Option) *Client {
-	c := &Client{conn: conn, wantBinary: true}
+	c := &Client{conn: conn}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
-
-// Binary reports whether the connection negotiated the binary v3 framing.
-// Meaningful once the hello handshake has run.
-func (c *Client) Binary() bool { return c.binary }
 
 // payloadPool recycles v3 response-payload buffers between round trips.
 // A buffer travels with the response it backs (blob fields alias it) and
@@ -226,15 +211,34 @@ func (c *Client) helloLocked(ctx context.Context) error {
 	if c.helloed {
 		return nil
 	}
-	hello := &server.HelloMsg{Version: protocol.Version, Token: c.token}
-	if c.wantBinary {
-		// Offer the binary switch; a v2-only server ignores unknown caps.
-		hello.Caps = append(hello.Caps, protocol.CapBinV3)
+	req := &server.Request{Op: "hello", Hello: &server.HelloMsg{
+		Version: protocol.Version, Caps: []string{protocol.CapBinV3}, Token: c.token}}
+	if err := c.stamp(ctx, req); err != nil {
+		return err
 	}
-	resp, buf, err := c.roundTrip(ctx, &server.Request{Op: "hello", Hello: hello})
-	putPayload(buf) // hello is always JSON; buf is nil, recycle is a no-op
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
+	}
+	if err := jbits.WriteFrame(c.conn, server.OpService, payload); err != nil {
+		return wrapCtx(ctx, err)
+	}
+	op, body, err := jbits.ReadFrame(c.conn)
+	if err != nil {
+		return wrapCtx(ctx, err)
+	}
+	if op != server.OpService|jbits.RespFlag {
+		jbits.RecycleFrame(body)
+		return fmt.Errorf("client: unexpected hello response opcode %#x", op)
+	}
+	resp := new(server.Response)
+	err = json.Unmarshal(body, resp)
+	jbits.RecycleFrame(body) // JSON decoding copied everything out
+	if err != nil {
+		return err
+	}
+	if resp.ID != req.ID {
+		return fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
 	}
 	if err := respError(resp); err != nil {
 		return err
@@ -248,17 +252,17 @@ func (c *Client) helloLocked(ctx context.Context) error {
 			Msg: fmt.Sprintf("client: server speaks protocol v%d, client speaks v%d",
 				resp.Hello.Version, protocol.Version)}
 	}
-	c.helloed = true
 	c.caps = resp.Hello.Caps
-	if c.wantBinary && c.HasCap(protocol.CapBinV3) {
-		// Both sides committed: every frame after this response is v3.
-		c.binary = true
+	if !c.HasCap(protocol.CapBinV3) {
+		return &ServiceError{Code: protocol.CodeVersion,
+			Msg: fmt.Sprintf("client: server does not speak %q", protocol.CapBinV3)}
 	}
+	c.helloed = true // every frame after this response is v3
 	return nil
 }
 
 // Caps returns the capability flags the server advertised in its hello
-// response ("fleet", "paranoid"). Empty until the handshake has run.
+// response ("binv3", "fleet", "paranoid"). Empty until the handshake has run.
 func (c *Client) Caps() []string { return append([]string(nil), c.caps...) }
 
 // HasCap reports whether the server advertised a capability.
@@ -280,20 +284,18 @@ func (c *Client) call(ctx context.Context, req *server.Request) (*server.Respons
 	return resp, err
 }
 
-// callBuf performs one round trip, handshaking first if needed. On the
-// binary framing the returned buffer backs the response's blob fields
-// (Config, Frames); the caller must consume them and then hand the buffer
-// back with putPayload. On JSON (and on error) the buffer is nil.
+// callBuf performs one round trip, handshaking first if needed. The
+// returned buffer backs the response's blob fields (Config, Frames); the
+// caller must consume them and then hand the buffer back with putPayload.
+// On error the buffer is nil.
 func (c *Client) callBuf(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Op != "hello" {
-		if err := c.helloLocked(ctx); err != nil {
-			return nil, nil, err
-		}
+	if err := c.helloLocked(ctx); err != nil {
+		return nil, nil, err
 	}
 	resp, buf, err := c.roundTrip(ctx, req)
 	if err != nil {
@@ -318,10 +320,8 @@ func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Resp
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Op != "hello" {
-		if err := c.helloLocked(ctx); err != nil {
-			return nil, err
-		}
+	if err := c.helloLocked(ctx); err != nil {
+		return nil, err
 	}
 	resp, buf, err := c.roundTrip(ctx, req)
 	if err != nil {
@@ -337,20 +337,17 @@ func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Resp
 	return resp, nil
 }
 
-// roundTrip writes one request frame and reads its response, on whichever
-// framing the connection negotiated. The context deadline is propagated in
-// the request (bounding the server-side queue wait) and applied to the
-// transport when it supports deadlines, so an expired context abandons the
-// read instead of blocking forever. Coded server rejections stay on the
-// response (callBuf converts them with respError; Forward passes them
-// through raw). Callers hold c.mu.
-func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
+// stamp gives the request the connection's next id and propagates the
+// context deadline: in the request, bounding the server-side queue wait,
+// and on the transport when it supports deadlines, so an expired context
+// abandons the read instead of blocking forever. Callers hold c.mu.
+func (c *Client) stamp(ctx context.Context, req *server.Request) error {
 	c.nextID++
 	req.ID = c.nextID
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl)
 		if remaining <= 0 {
-			return nil, nil, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
 		req.TimeoutMillis = int64(remaining / time.Millisecond)
 		if req.TimeoutMillis == 0 {
@@ -362,41 +359,23 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 		dl, _ := ctx.Deadline()
 		_ = dc.SetDeadline(dl) // zero time clears any previous deadline
 	}
-	if c.binary && req.Op != "hello" {
-		return c.roundTripV3(ctx, req)
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := jbits.WriteFrame(c.conn, server.OpService, payload); err != nil {
-		return nil, nil, wrapCtx(ctx, err)
-	}
-	op, body, err := jbits.ReadFrame(c.conn)
-	if err != nil {
-		return nil, nil, wrapCtx(ctx, err)
-	}
-	if op != server.OpService|jbits.RespFlag {
-		jbits.RecycleFrame(body)
-		return nil, nil, fmt.Errorf("client: unexpected response opcode %#x", op)
-	}
-	resp := new(server.Response)
-	uerr := json.Unmarshal(body, resp)
-	jbits.RecycleFrame(body) // JSON decoding copied everything out
-	if uerr != nil {
-		return nil, nil, uerr
-	}
-	if resp.ID != req.ID {
-		return nil, nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
-	}
-	return resp, nil, nil
+	return nil
 }
 
-// roundTripV3 is the binary round trip: the request is encoded into the
-// client's reused buffer, the response payload lands in a pooled buffer
-// that travels with the response (its Config/Frames alias it). Callers
+// roundTrip writes one v3 request frame and reads its response. The request
+// is encoded into the client's reused buffer; the response payload lands in
+// a pooled buffer that travels with the response (its Config/Frames alias
+// it). An op with no row in the op table is answered CodeUnknownOp without
+// touching the wire. Coded server rejections stay on the response (callBuf
+// converts them with respError; Forward passes them through raw). Callers
 // hold c.mu.
-func (c *Client) roundTripV3(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
+func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
+	if req.Row() == nil {
+		return protocol.UnknownOp(req), nil, nil
+	}
+	if err := c.stamp(ctx, req); err != nil {
+		return nil, nil, err
+	}
 	var err error
 	c.wbuf, err = v3.AppendRequest(c.wbuf[:0], req)
 	if err != nil {
@@ -564,10 +543,10 @@ func (s *Session) do(ctx context.Context, req *server.Request) (*server.Response
 	if err != nil {
 		return nil, err
 	}
-	// On the binary framing resp.Frames and resp.Config alias buf, which
-	// returns to the pool when this function is done with it: frames are
-	// consumed into the mirror here; a Config (readback through do) is
-	// detached so the caller can keep it.
+	// resp.Frames and resp.Config alias buf, which returns to the pool
+	// when this function is done with it: frames are consumed into the
+	// mirror here; a Config (readback through do) is detached so the
+	// caller can keep it.
 	if len(resp.Config) > 0 {
 		resp.Config = append([]byte(nil), resp.Config...)
 	}

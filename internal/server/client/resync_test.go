@@ -14,13 +14,14 @@ import (
 	"repro/internal/jbits"
 	"repro/internal/server"
 	"repro/internal/server/protocol"
+	v3 "repro/internal/server/protocol/v3"
 )
 
-// fakeV2Server speaks just enough framed-JSON v2 to drive a Session through
-// an epoch-bump resync: hello, connect, one mutating op that bumps the
-// epoch, then scripted readback responses. It lets the tests inject
-// transient failures on exactly the resync path.
-type fakeV2Server struct {
+// fakeServer speaks just enough of the protocol — the JSON hello, then v3
+// frames — to drive a Session through an epoch-bump resync: connect, one
+// mutating op that bumps the epoch, then scripted readback responses. It
+// lets the tests inject transient failures on exactly the resync path.
+type fakeServer struct {
 	conn      net.Conn
 	config    []byte // full config served on connect and readback
 	rows      int
@@ -30,7 +31,7 @@ type fakeV2Server struct {
 	done      chan struct{}
 }
 
-func startFakeV2(t *testing.T, script []string) (*fakeV2Server, net.Conn) {
+func startFake(t *testing.T, script []string) (*fakeServer, net.Conn) {
 	t.Helper()
 	const rows, cols = 12, 12
 	d, err := device.New(arch.NewVirtex(), rows, cols)
@@ -42,7 +43,7 @@ func startFakeV2(t *testing.T, script []string) (*fakeV2Server, net.Conn) {
 		t.Fatalf("FullConfig: %v", err)
 	}
 	srv, cli := net.Pipe()
-	f := &fakeV2Server{conn: srv, config: cfg, rows: rows, cols: cols,
+	f := &fakeServer{conn: srv, config: cfg, rows: rows, cols: cols,
 		script: script, done: make(chan struct{})}
 	go f.serve()
 	t.Cleanup(func() {
@@ -53,22 +54,34 @@ func startFakeV2(t *testing.T, script []string) (*fakeV2Server, net.Conn) {
 	return f, cli
 }
 
-func (f *fakeV2Server) serve() {
+func (f *fakeServer) serve() {
 	defer close(f.done)
+	op, payload, err := jbits.ReadFrame(f.conn)
+	var hello server.Request
+	if err != nil || op != server.OpService || json.Unmarshal(payload, &hello) != nil || hello.Op != "hello" {
+		return
+	}
+	out, err := json.Marshal(&server.Response{ID: hello.ID,
+		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}}})
+	if err != nil || jbits.WriteFrame(f.conn, server.OpService|jbits.RespFlag, out) != nil {
+		return
+	}
+	var hdr [v3.HeaderSize]byte
 	for {
-		op, payload, err := jbits.ReadFrame(f.conn)
+		h, err := v3.ReadHeader(f.conn, &hdr)
+		if err != nil {
+			return
+		}
+		payload, err := v3.ReadPayloadInto(f.conn, h, nil)
 		if err != nil {
 			return
 		}
 		var req server.Request
-		if op != server.OpService || json.Unmarshal(payload, &req) != nil {
+		if v3.DecodeRequest(h, payload, &req, nil) != nil {
 			return
 		}
-		jbits.RecycleFrame(payload)
 		resp := &server.Response{ID: req.ID}
 		switch req.Op {
-		case "hello":
-			resp.Hello = &server.HelloMsg{Version: protocol.Version}
 		case "connect":
 			resp.Arch = "virtex"
 			resp.Rows, resp.Cols = f.rows, f.cols
@@ -96,11 +109,11 @@ func (f *fakeV2Server) serve() {
 			resp.ErrorCode = protocol.CodeUnknownOp
 			resp.Err = "fake: unknown op " + req.Op
 		}
-		out, err := json.Marshal(resp)
+		head, raw, err := v3.AppendResponse(nil, h.Op, resp)
 		if err != nil {
 			return
 		}
-		if jbits.WriteFrame(f.conn, server.OpService|jbits.RespFlag, out) != nil {
+		if _, err := f.conn.Write(append(head, raw...)); err != nil {
 			return
 		}
 	}
@@ -125,7 +138,7 @@ func openFakeSession(t *testing.T, cli net.Conn) *Session {
 // drain or failover still settling) and only the third succeeds. Before the
 // backoff retry this failed the op on the first transient error.
 func TestResyncRetriesTransient(t *testing.T) {
-	f, cli := startFakeV2(t, []string{protocol.CodeFailover, protocol.CodeBusy, ""})
+	f, cli := startFake(t, []string{protocol.CodeFailover, protocol.CodeBusy, ""})
 	s := openFakeSession(t, cli)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -149,7 +162,7 @@ func TestResyncRetriesTransient(t *testing.T) {
 // non-transient failures: a readback rejected with no_device fails the op
 // immediately, without burning the attempt budget.
 func TestResyncFailsFastOnPermanentError(t *testing.T) {
-	f, cli := startFakeV2(t, []string{protocol.CodeNoDevice})
+	f, cli := startFake(t, []string{protocol.CodeNoDevice})
 	s := openFakeSession(t, cli)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -174,7 +187,7 @@ func TestResyncGivesUpAfterBudget(t *testing.T) {
 	for i := range always {
 		always[i] = protocol.CodeFailover
 	}
-	f, cli := startFakeV2(t, always)
+	f, cli := startFake(t, always)
 	s := openFakeSession(t, cli)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/protocol"
+	v3 "repro/internal/server/protocol/v3"
 )
 
 func testPin(r, c int, w arch.Wire) server.EndPointMsg {
@@ -193,30 +194,35 @@ func TestEveryRPCHonorsCancellation(t *testing.T) {
 	}
 }
 
-// rawCall sends one service frame and decodes the response, bypassing the
-// client (and therefore its automatic hello).
+// rawCall sends one v3 request frame and decodes the response, bypassing
+// the client.
 func rawCall(t *testing.T, conn net.Conn, req *server.Request) *server.Response {
 	t.Helper()
-	payload, err := json.Marshal(req)
+	frame, err := v3.AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jbits.WriteFrame(conn, server.OpService, payload); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	_, body, err := jbits.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := new(server.Response)
-	if err := json.Unmarshal(body, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return readV3(t, conn)
 }
 
-// TestHelloRequired: a pre-v2 client that never sends hello gets one clear
-// typed version error, not undefined behavior.
+// expectClosed fails unless the server has closed the connection: EOF, or
+// a reset when the server closed with bytes of the refused frame unread.
+func expectClosed(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Errorf("%s: connection still open after the response (read: %v)", what, err)
+	}
+}
+
+// TestHelloRequired: a client that never sends hello gets one clear typed
+// version error and a closed connection, not undefined behavior; after a
+// proper hello the same raw connection style is served.
 func TestHelloRequired(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
 	conn, err := net.Dial("tcp", addr)
@@ -224,23 +230,26 @@ func TestHelloRequired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp := rawCall(t, conn, &server.Request{ID: 1, Op: "devices"})
+	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "devices"})
 	if resp.ErrorCode != protocol.CodeVersion {
 		t.Fatalf("op before hello: code %q err %q, want %q", resp.ErrorCode, resp.Err, protocol.CodeVersion)
 	}
-	// The connection survives; a proper hello unlocks it.
-	resp = rawCall(t, conn, &server.Request{ID: 2, Op: "hello", Hello: &server.HelloMsg{Version: protocol.Version}})
-	if resp.Err != "" || resp.Hello == nil || resp.Hello.Version != protocol.Version {
-		t.Fatalf("hello: %+v", resp)
+	expectClosed(t, conn, "op before hello")
+
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp = rawCall(t, conn, &server.Request{ID: 3, Op: "devices"})
-	if resp.Err != "" || len(resp.Devices) != 1 {
+	defer conn2.Close()
+	rawHelloV3(t, conn2)
+	resp = rawCall(t, conn2, &server.Request{ID: 3, Op: "devices"})
+	if resp.Err != "" || resp.ID != 3 || len(resp.Devices) != 1 {
 		t.Fatalf("devices after hello: %+v", resp)
 	}
 }
 
 // TestHelloVersionMismatch: a wrong version in hello is rejected with the
-// typed code, and the session stays locked.
+// typed code, and the connection is closed.
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
 	conn, err := net.Dial("tcp", addr)
@@ -248,14 +257,12 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp := rawCall(t, conn, &server.Request{ID: 1, Op: "hello", Hello: &server.HelloMsg{Version: 1}})
+	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
+		Hello: &server.HelloMsg{Version: 1, Caps: []string{protocol.CapBinV3}}})
 	if resp.ErrorCode != protocol.CodeVersion {
 		t.Fatalf("v1 hello: code %q, want %q", resp.ErrorCode, protocol.CodeVersion)
 	}
-	resp = rawCall(t, conn, &server.Request{ID: 2, Op: "devices"})
-	if resp.ErrorCode != protocol.CodeVersion {
-		t.Fatalf("op after rejected hello: code %q, want %q", resp.ErrorCode, protocol.CodeVersion)
-	}
+	expectClosed(t, conn, "rejected hello")
 }
 
 // TestClientSurfacesVersionMismatch: the typed sentinel comes through the

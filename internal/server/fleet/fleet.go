@@ -156,7 +156,7 @@ func newJournal() *journal {
 func (j *journal) record(req *server.Request, conns []core.ConnectionRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if (req.Op == "core_new" || req.Op == "core_replace") && req.Core != nil {
+	if b := req.Row().Byte; (b == protocol.OpCoreNew || b == protocol.OpCoreReplace) && req.Core != nil {
 		if _, known := j.cores[req.Core.Name]; !known {
 			j.coreOrder = append(j.coreOrder, req.Core.Name)
 		}
@@ -351,11 +351,15 @@ func (c *Coordinator) Sessions() []string {
 // connect, board lookup on everything else. Successful responses carry the
 // serving board's name and epoch so clients can detect failovers.
 func (c *Coordinator) Submit(ctx context.Context, req *server.Request) *server.Response {
+	op := req.Row()
+	if op == nil || op.Scope != protocol.ScopeSession {
+		return protocol.UnknownOp(req)
+	}
 	if req.Session == "" {
 		return &server.Response{ID: req.ID, ErrorCode: protocol.CodeBadRequest,
 			Err: "fleet: op without a session name"}
 	}
-	if req.Op == "connect" {
+	if op.Byte == protocol.OpConnect {
 		return c.connect(ctx, req)
 	}
 	c.mu.Lock()

@@ -35,11 +35,6 @@ func WithEnqueueTimeout(d time.Duration) Opt { return func(o *Options) { o.Enque
 // routing op with the bitstream oracle before acknowledging it.
 func WithParanoidVerify(on bool) Opt { return func(o *Options) { o.ParanoidVerify = on } }
 
-// WithBinaryProtocol toggles the binary v3 framing capability (default
-// on). With it off the daemon neither advertises nor accepts "binv3" and
-// every connection stays on framed JSON v2.
-func WithBinaryProtocol(on bool) Opt { return func(o *Options) { o.DisableBinary = !on } }
-
 // WithLibrary seeds every session router with a persistent route-template
 // library, shared read-only across workers (audited once in New).
 func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }

@@ -2,9 +2,9 @@
 // many named devices, each wrapped in a worker session with its own JRoute
 // router, serving the full JRoute surface — connect, route, unroute, trace,
 // batch/bus routing, core instantiation and replacement, and
-// partial-bitstream readback — over the framed JSON protocol defined in
-// internal/server/protocol (which shares the XHWIF frame format; see
-// internal/jbits).
+// partial-bitstream readback — over the protocol defined in
+// internal/server/protocol: a JSON hello, then binary v3 frames, one row of
+// the op table per call.
 //
 // Concurrency model: every device session owns one worker goroutine and a
 // bounded request queue. Requests against one session are serialized in

@@ -1,17 +1,25 @@
 // Package protocol defines the wire surface of the jrouted routing service:
-// the framed JSON messages carried over the XHWIF frame format (u8 opcode,
-// u32 length, payload; see internal/jbits), the protocol version handshake,
-// and the structured error codes responses carry. It is imported by the
-// server, the fleet coordinator, and the thin client, and holds no
-// behaviour — only the contract.
+// the op table (ops.go), the request and response messages, the hello
+// handshake, and the structured error codes responses carry. It is imported
+// by the server, the fleet coordinator, the gateway and the thin client,
+// and holds no behaviour — only the contract.
+//
+// # Framing
+//
+// A connection opens with one framed-JSON exchange — the "hello" request
+// and its response, each in an XHWIF-format frame (u8 opcode OpService, u32
+// length, payload; see internal/jbits) — and from then on carries only the
+// binary frames of internal/server/protocol/v3. JSON carries the hello and
+// nothing else.
 //
 // # Versioning
 //
-// Every connection must open with a "hello" request declaring the protocol
-// version the client speaks. The server answers with its own version and
-// capability flags ("fleet", "paranoid"); a mismatched version — or any
-// other op sent before hello — is rejected with ErrorCode CodeVersion, so
-// pre-v2 clients get one clear typed error instead of undefined behaviour
+// The hello declares the protocol version the client speaks and must offer
+// the "binv3" capability; the server answers with its own version and
+// capability flags ("fleet", "paranoid", "binv3"). A mismatched version, a
+// hello that does not offer binv3, or any other first frame is answered
+// with ErrorCode CodeVersion and the connection is closed, so an older
+// client gets one clear typed error instead of undefined behaviour
 // mid-session.
 //
 // # Error codes
@@ -26,8 +34,8 @@ package protocol
 // fleet extensions (placement keys, board epochs, fleet statsz).
 const Version = 2
 
-// OpService is the XHWIF-format frame opcode carrying a JSON service
-// request; responses echo it with jbits.RespFlag set.
+// OpService is the XHWIF-format frame opcode carrying the JSON hello
+// request; the response echoes it with jbits.RespFlag set.
 const OpService = 0x10
 
 // Capability flags a server may advertise in its hello response.
@@ -38,20 +46,20 @@ const (
 	// CapParanoid: every automatic routing op is audited by the bitstream
 	// oracle before it is acknowledged.
 	CapParanoid = "paranoid"
-	// CapBinV3: the server accepts the compact binary v3 framing
-	// (internal/server/protocol/v3) on this connection. A client that also
-	// echoes the flag in its hello request switches the connection to v3
-	// immediately after the (always-JSON) hello exchange; clients that do
-	// not echo it keep speaking framed JSON v2 unmodified.
+	// CapBinV3: the binary v3 framing (internal/server/protocol/v3), the
+	// one data plane. Every hello request must offer it and every hello
+	// response advertises it; the connection speaks v3 from the frame after
+	// the hello response.
 	CapBinV3 = "binv3"
 )
 
 // Error codes. The empty string means success.
 const (
-	// CodeBadRequest: the request was malformed (unparseable JSON, missing
+	// CodeBadRequest: the request was malformed (unparseable hello, missing
 	// endpoint, core description, ...).
 	CodeBadRequest = "bad_request"
-	// CodeUnknownOp: the op name is not part of the protocol.
+	// CodeUnknownOp: the op has no row in the op table, or the tier it
+	// reached does not serve that row.
 	CodeUnknownOp = "unknown_op"
 	// CodeVersion: protocol version mismatch, or an op sent before the
 	// hello handshake.
@@ -115,33 +123,9 @@ type HelloMsg struct {
 	Token string `json:"token,omitempty"`
 }
 
-// Request is one service call. Op selects the operation; Session names the
-// device session every per-device op targets.
-//
-// Ops and their fields:
-//
-//	hello            (Hello)                    -> Hello (version handshake)
-//	devices          ()                         -> Devices
-//	connect          (Session [, Key])          -> Rows, Cols, Arch, Config, Epoch, Board
-//	route            (Session, Source, Sinks)   RouteNet / RouteFanout
-//	bus              (Session, Sources, Sinks)  greedy RouteBus
-//	bus_batch        (Session, Sources, Sinks)  negotiated RouteBusBatch
-//	batch            (Session, Nets)            negotiated RouteBatch
-//	unroute          (Session, Source)
-//	reverse_unroute  (Session, Source)          source = the sink pin
-//	trace            (Session, Source)          -> Net
-//	reverse_trace    (Session, Source)          -> Net
-//	core_new         (Session, Core)            instantiate + implement
-//	core_replace     (Session, Core)            §3.3 replace flow
-//	readback         (Session)                  -> Config
-//	statsz           ()                         -> Stats
-//	gw_drain         (Session = backend name)   gateway tier only: drain a
-//	                                            backend fleet with journal
-//	                                            handoff (admin tenants; JSON
-//	                                            v2 framing only)
-//
-// Mutating ops (route, bus, bus_batch, batch, unroute, reverse_unroute,
-// core_new, core_replace) return the dirtied frames in Frames.
+// Request is one service call. Op names a row of the op table (Ops), which
+// documents the fields each op reads and answers; Session names the device
+// session every session-scoped op targets.
 type Request struct {
 	ID      uint64        `json:"id"`
 	Op      string        `json:"op"`
@@ -171,6 +155,8 @@ type Request struct {
 	// every decoded request from per-connection state, so clients cannot
 	// spoof it.
 	Tenant string `json:"-"`
+
+	row *Op // Op resolved against the table; see Row
 }
 
 // Response answers one Request, matched by ID.
@@ -276,21 +262,16 @@ type StatsMsg struct {
 	Gateway  *GatewayStatsMsg           `json:"gateway,omitempty"`
 }
 
-// WireStatsMsg is the transport section of statsz: how many connections
-// negotiated each framing, the traffic they moved, and how many frames the
-// binary pre-parse filter rejected.
+// WireStatsMsg is the transport section of statsz: the connections that
+// completed the hello, the frames they moved (the hello exchange included),
+// and how many frames the v3 pre-parse filter rejected.
 type WireStatsMsg struct {
-	ConnsV2     int `json:"conns_v2"`      // connections that stayed on framed JSON
-	ConnsV3     int `json:"conns_v3"`      // connections switched to binary v3
-	Malformed   int `json:"malformed"`     // v3 frames rejected before dispatch
-	FramesIn    int `json:"frames_in"`     // service frames read (both framings)
-	FramesOut   int `json:"frames_out"`    // service frames written
-	BytesIn     int `json:"bytes_in"`      // payload bytes read
-	BytesOut    int `json:"bytes_out"`     // payload bytes written
-	FramesV3In  int `json:"frames_v3_in"`  // v3 subset of FramesIn
-	FramesV3Out int `json:"frames_v3_out"` // v3 subset of FramesOut
-	BytesV3In   int `json:"bytes_v3_in"`
-	BytesV3Out  int `json:"bytes_v3_out"`
+	Conns     int `json:"conns"`      // connections that completed the hello
+	Malformed int `json:"malformed"`  // v3 frames rejected before dispatch
+	FramesIn  int `json:"frames_in"`  // frames read
+	FramesOut int `json:"frames_out"` // frames written
+	BytesIn   int `json:"bytes_in"`   // payload bytes read
+	BytesOut  int `json:"bytes_out"`  // payload bytes written
 }
 
 // SessionStatsMsg aggregates one device session.
@@ -375,8 +356,8 @@ type BoardHWMsg struct {
 
 // GatewayStatsMsg is the edge section of statsz: coordinator counters plus
 // one entry per tenant and per backend fleet. It travels inside the same
-// statsz payload on both framings (v3 carries statsz as a JSON blob, so no
-// binary ABI change is needed).
+// statsz payload (v3 carries statsz as a JSON blob, so no binary ABI change
+// is needed).
 type GatewayStatsMsg struct {
 	Backends         int `json:"backends"`          // registered backend fleets
 	HealthyBackends  int `json:"healthy_backends"`  // currently in rotation

@@ -32,6 +32,7 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 			Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 5, Col: 6, Wire: 7}}},
 		{ID: 9, Op: "core_replace", Session: "s",
 			Core: &protocol.CoreMsg{Name: "m", Kind: "constmul", Row: 1, Col: 2, K: &key, KBits: 8}},
+		{ID: 10, Op: "gw_drain", Session: "be0"},
 	}
 	var out [][]byte
 	for i := range reqs {
@@ -46,11 +47,12 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 		op   byte
 		resp protocol.Response
 	}{
-		{OpConnect, protocol.Response{ID: 1, Rows: 4, Cols: 4, Arch: "virtex", Config: []byte{1, 2, 3}}},
-		{OpDevices, protocol.Response{ID: 2, Devices: []string{"a", "b"}}},
-		{OpRoute, protocol.Response{ID: 5, Board: "b0", Epoch: 3, FrameN: 2, Frames: []byte{0xAA, 0xBB}}},
-		{OpRoute, protocol.Response{ID: 5, Err: "nope", ErrorCode: protocol.CodeRoute}},
-		{OpTrace, protocol.Response{ID: 6, Net: &protocol.NetMsg{
+		{protocol.OpConnect, protocol.Response{ID: 1, Rows: 4, Cols: 4, Arch: "virtex", Config: []byte{1, 2, 3}}},
+		{protocol.OpDevices, protocol.Response{ID: 2, Devices: []string{"a", "b"}}},
+		{protocol.OpGwDrain, protocol.Response{ID: 10, Devices: []string{"v1000-class/s0"}}},
+		{protocol.OpRoute, protocol.Response{ID: 5, Board: "b0", Epoch: 3, FrameN: 2, Frames: []byte{0xAA, 0xBB}}},
+		{protocol.OpRoute, protocol.Response{ID: 5, Err: "nope", ErrorCode: protocol.CodeRoute}},
+		{protocol.OpTrace, protocol.Response{ID: 6, Net: &protocol.NetMsg{
 			Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(4, 5, 6)}}}},
 	}
 	for _, rc := range resps {
@@ -76,10 +78,10 @@ func FuzzDecodeV3(f *testing.F) {
 	// absurd length, truncated payload.
 	f.Add([]byte("XXXXnot a frame at all"))
 	bad := make([]byte, HeaderSize)
-	PutHeader(bad, Header{Op: OpRoute, ID: 1, Len: 64})
+	PutHeader(bad, Header{Op: protocol.OpRoute, ID: 1, Len: 64})
 	bad[4] = 9
 	f.Add(bad)
-	f.Add(append(hdr(OpBatch, 0, 2, 12), 0xFF, 0xFF))
+	f.Add(append(hdr(protocol.OpBatch, 0, 2, 12), 0xFF, 0xFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch [HeaderSize]byte

@@ -1,8 +1,7 @@
-// Package v3 is the compact binary framing of the jrouted service
-// protocol. It replaces the framed-JSON v2 encoding on connections that
-// negotiate it (hello capability "binv3") with a fixed little-endian
-// header plus varint-encoded op records, so the wire path moves
-// configuration frames as raw bytes with no intermediate marshal.
+// Package v3 is the binary framing of the jrouted service protocol — what
+// every connection speaks after the JSON hello exchange: a fixed
+// little-endian header plus varint-encoded op records, so the wire path
+// moves configuration frames as raw bytes with no intermediate marshal.
 //
 // # Frame layout
 //
@@ -11,7 +10,7 @@
 //	offset  size  field
 //	0       4     magic "JRv3" (4A 52 76 33)
 //	4       1     version (3)
-//	5       1     op byte (Op* constants)
+//	5       1     op byte (protocol.Op* constants)
 //	6       2     flags, little-endian (FlagResp on responses)
 //	8       8     request id, little-endian
 //	16      4     payload length, little-endian (<= MaxPayload)
@@ -56,24 +55,6 @@ const (
 	FlagResp uint16 = 1 << 0
 )
 
-// Op bytes. Values are pinned by the ABI tests; never renumber.
-const (
-	OpConnect        byte = 0x01
-	OpDevices        byte = 0x02
-	OpStatsz         byte = 0x03
-	OpReadback       byte = 0x04
-	OpRoute          byte = 0x10
-	OpBus            byte = 0x11
-	OpBusBatch       byte = 0x12
-	OpBatch          byte = 0x13
-	OpUnroute        byte = 0x14
-	OpReverseUnroute byte = 0x15
-	OpTrace          byte = 0x16
-	OpReverseTrace   byte = 0x17
-	OpCoreNew        byte = 0x20
-	OpCoreReplace    byte = 0x21
-)
-
 // Error-code bytes. Values are pinned by the ABI tests; never renumber.
 // CodeOK (0) means success.
 const (
@@ -104,27 +85,6 @@ const (
 	epPort byte = 0x02
 )
 
-// opBytes maps protocol op names to their wire bytes; opNames is the
-// reverse (array-indexed so the hot decode path does no map lookup).
-var opBytes = map[string]byte{
-	"connect":         OpConnect,
-	"devices":         OpDevices,
-	"statsz":          OpStatsz,
-	"readback":        OpReadback,
-	"route":           OpRoute,
-	"bus":             OpBus,
-	"bus_batch":       OpBusBatch,
-	"batch":           OpBatch,
-	"unroute":         OpUnroute,
-	"reverse_unroute": OpReverseUnroute,
-	"trace":           OpTrace,
-	"reverse_trace":   OpReverseTrace,
-	"core_new":        OpCoreNew,
-	"core_replace":    OpCoreReplace,
-}
-
-var opNames [256]string
-
 // codeBytes maps protocol error-code strings to wire bytes; codeNames is
 // the reverse.
 var codeBytes = map[string]byte{
@@ -150,22 +110,18 @@ var codeBytes = map[string]byte{
 var codeNames [256]string
 
 func init() {
-	for name, b := range opBytes {
-		opNames[b] = name
-	}
 	for name, b := range codeBytes {
 		codeNames[b] = name
 	}
 }
 
 // OpByte returns the wire byte for a protocol op name.
-func OpByte(op string) (byte, bool) {
-	b, ok := opBytes[op]
-	return b, ok
+func OpByte(name string) (byte, bool) {
+	if op := protocol.OpByName(name); op != nil {
+		return op.Byte, true
+	}
+	return 0, false
 }
-
-// OpName returns the protocol op name for a wire byte ("" if unknown).
-func OpName(b byte) string { return opNames[b] }
 
 // CodeByte returns the wire byte for a protocol error-code string.
 // Unknown codes collapse to CodeInternal so the error text still travels.
@@ -368,52 +324,53 @@ func appendCore(dst []byte, c *protocol.CoreMsg) ([]byte, error) {
 
 // AppendRequest encodes one request frame (header + payload) onto dst and
 // returns the extended slice. The hello handshake has no binary form — it
-// always travels as framed JSON v2 before the switch.
+// travels as framed JSON before the first v3 frame.
 func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
-	op, ok := opBytes[req.Op]
-	if !ok {
-		return dst, fmt.Errorf("v3: op %q has no binary encoding", req.Op)
+	row := req.Row()
+	if row == nil {
+		return dst, fmt.Errorf("v3: op %q has no row in the op table", req.Op)
 	}
+	op := row.Byte
 	start := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	dst = appendString(dst, req.Session)
 	dst = appendUvarint(dst, uint64(req.TimeoutMillis))
 	var err error
 	switch op {
-	case OpConnect:
+	case protocol.OpConnect:
 		if req.Key != nil {
 			dst = append(dst, 1)
 			dst = appendUvarint(dst, *req.Key)
 		} else {
 			dst = append(dst, 0)
 		}
-	case OpDevices, OpStatsz, OpReadback:
-	case OpRoute:
+	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
+	case protocol.OpRoute:
 		if dst, err = appendEndpoint(dst, req.Source); err != nil {
 			return dst, err
 		}
 		if dst, err = appendEndpoints(dst, req.Sinks); err != nil {
 			return dst, err
 		}
-	case OpBus, OpBusBatch:
+	case protocol.OpBus, protocol.OpBusBatch:
 		if dst, err = appendEndpoints(dst, req.Sources); err != nil {
 			return dst, err
 		}
 		if dst, err = appendEndpoints(dst, req.Sinks); err != nil {
 			return dst, err
 		}
-	case OpBatch:
+	case protocol.OpBatch:
 		dst = appendUvarint(dst, uint64(len(req.Nets)))
 		for i := range req.Nets {
 			if dst, err = appendNet(dst, &req.Nets[i]); err != nil {
 				return dst, err
 			}
 		}
-	case OpUnroute, OpReverseUnroute, OpTrace, OpReverseTrace:
+	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
 		if dst, err = appendEndpoint(dst, req.Source); err != nil {
 			return dst, err
 		}
-	case OpCoreNew, OpCoreReplace:
+	case protocol.OpCoreNew, protocol.OpCoreReplace:
 		if dst, err = appendCore(dst, req.Core); err != nil {
 			return dst, err
 		}
@@ -449,28 +406,28 @@ func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []b
 		dst = appendString(dst, resp.Board)
 		dst = appendUvarint(dst, resp.Epoch)
 		switch op {
-		case OpConnect:
+		case protocol.OpConnect:
 			dst = appendSvarint(dst, resp.Rows)
 			dst = appendSvarint(dst, resp.Cols)
 			dst = appendString(dst, resp.Arch)
 			dst = appendUvarint(dst, uint64(len(resp.Config)))
 			raw = resp.Config
-		case OpReadback:
+		case protocol.OpReadback:
 			dst = appendUvarint(dst, uint64(len(resp.Config)))
 			raw = resp.Config
-		case OpDevices:
+		case protocol.OpDevices, protocol.OpGwDrain:
 			dst = appendUvarint(dst, uint64(len(resp.Devices)))
 			for _, d := range resp.Devices {
 				dst = appendString(dst, d)
 			}
-		case OpStatsz:
+		case protocol.OpStatsz:
 			blob, merr := json.Marshal(resp.Stats)
 			if merr != nil {
 				return dst, nil, fmt.Errorf("v3: encoding statsz: %w", merr)
 			}
 			dst = appendUvarint(dst, uint64(len(blob)))
 			raw = blob
-		case OpTrace, OpReverseTrace:
+		case protocol.OpTrace, protocol.OpReverseTrace:
 			if resp.Net != nil {
 				dst = append(dst, 1)
 				if dst, err = appendNet(dst, resp.Net); err != nil {
@@ -645,30 +602,30 @@ func (d *dec) net(n *protocol.NetMsg) {
 // alias payload only for blob fields (requests carry none), so req
 // outlives the read buffer safely.
 func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner) error {
-	op := opNames[h.Op]
-	if op == "" {
+	op := protocol.OpByByte(h.Op)
+	if op == nil {
 		return fmt.Errorf("v3: unknown op byte %#x", h.Op)
 	}
 	req.ID = h.ID
-	req.Op = op
+	req.SetOp(op)
 	d := &dec{b: payload, in: in}
 	req.Session = d.str("session")
 	req.TimeoutMillis = int64(d.uvarint())
 	switch h.Op {
-	case OpConnect:
+	case protocol.OpConnect:
 		if d.u8() != 0 {
 			k := d.uvarint()
 			req.Key = &k
 		}
-	case OpDevices, OpStatsz, OpReadback:
-	case OpRoute:
+	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
+	case protocol.OpRoute:
 		req.Source = &protocol.EndPointMsg{}
 		d.endpoint(req.Source)
 		req.Sinks = d.endpoints("sinks")
-	case OpBus, OpBusBatch:
+	case protocol.OpBus, protocol.OpBusBatch:
 		req.Sources = d.endpoints("sources")
 		req.Sinks = d.endpoints("sinks")
-	case OpBatch:
+	case protocol.OpBatch:
 		n := d.count("nets")
 		if n > 0 {
 			req.Nets = make([]protocol.NetMsg, n)
@@ -676,10 +633,10 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 				d.net(&req.Nets[i])
 			}
 		}
-	case OpUnroute, OpReverseUnroute, OpTrace, OpReverseTrace:
+	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
 		req.Source = &protocol.EndPointMsg{}
 		d.endpoint(req.Source)
-	case OpCoreNew, OpCoreReplace:
+	case protocol.OpCoreNew, protocol.OpCoreReplace:
 		c := &protocol.CoreMsg{}
 		c.Name = d.str("core name")
 		c.Kind = d.str("core kind")
@@ -693,7 +650,7 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 		req.Core = c
 	}
 	if d.err == nil && d.off != len(payload) {
-		d.err = fmt.Errorf("v3: %d trailing bytes after %s request", len(payload)-d.off, op)
+		d.err = fmt.Errorf("v3: %d trailing bytes after %s request", len(payload)-d.off, op.Name)
 	}
 	return d.err
 }
@@ -702,13 +659,12 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 // (Config, Frames) alias payload — the caller must consume them before
 // recycling the read buffer.
 func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
-	if opNames[h.Op] == "" {
-		return fmt.Errorf("v3: unknown op byte %#x", h.Op)
-	}
 	resp.ID = h.ID
 	d := &dec{b: payload}
 	code := d.u8()
 	if code != CodeOK {
+		// Every op's error record is the same, so one for an op byte this
+		// side has no row for (the server's CodeUnknownOp answer) decodes.
 		resp.Err = d.str("error text")
 		resp.ErrorCode = codeNames[code]
 		if resp.ErrorCode == "" {
@@ -717,21 +673,24 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 		resp.Busy = code == CodeBusy
 		return d.err
 	}
+	if protocol.OpByByte(h.Op) == nil {
+		return fmt.Errorf("v3: unknown op byte %#x", h.Op)
+	}
 	resp.Board = d.str("board name")
 	resp.Epoch = d.uvarint()
 	switch h.Op {
-	case OpConnect:
+	case protocol.OpConnect:
 		resp.Rows, resp.Cols = d.svarint(), d.svarint()
 		resp.Arch = d.str("arch name")
 		resp.Config = d.bytes("config stream")
-	case OpReadback:
+	case protocol.OpReadback:
 		resp.Config = d.bytes("config stream")
-	case OpDevices:
+	case protocol.OpDevices, protocol.OpGwDrain:
 		n := d.count("devices")
 		for i := 0; i < n && d.err == nil; i++ {
 			resp.Devices = append(resp.Devices, d.str("device name"))
 		}
-	case OpStatsz:
+	case protocol.OpStatsz:
 		blob := d.bytes("statsz blob")
 		if d.err == nil {
 			resp.Stats = &protocol.StatsMsg{}
@@ -739,7 +698,7 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 				return fmt.Errorf("v3: decoding statsz: %w", err)
 			}
 		}
-	case OpTrace, OpReverseTrace:
+	case protocol.OpTrace, protocol.OpReverseTrace:
 		if d.u8() != 0 {
 			resp.Net = &protocol.NetMsg{}
 			d.net(resp.Net)

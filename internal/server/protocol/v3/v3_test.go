@@ -25,7 +25,7 @@ func u64p(v uint64) *uint64 { return &v }
 // any codec change that shifts a byte here is a wire break.
 func TestABIHeader(t *testing.T) {
 	var buf [HeaderSize]byte
-	PutHeader(buf[:], Header{Op: OpRoute, Flags: FlagResp, ID: 0x0102030405060708, Len: 0x01223344})
+	PutHeader(buf[:], Header{Op: protocol.OpRoute, Flags: FlagResp, ID: 0x0102030405060708, Len: 0x01223344})
 	want := []byte{
 		0x4A, 0x52, 0x76, 0x33, // magic "JRv3"
 		0x03,       // version
@@ -41,7 +41,7 @@ func TestABIHeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHeader: %v", err)
 	}
-	if h.Op != OpRoute || h.Flags != FlagResp || h.ID != 0x0102030405060708 || h.Len != 0x01223344 {
+	if h.Op != protocol.OpRoute || h.Flags != FlagResp || h.ID != 0x0102030405060708 || h.Len != 0x01223344 {
 		t.Fatalf("ParseHeader round trip: %+v", h)
 	}
 }
@@ -53,16 +53,17 @@ func TestABIOpBytes(t *testing.T) {
 		"route": 0x10, "bus": 0x11, "bus_batch": 0x12, "batch": 0x13,
 		"unroute": 0x14, "reverse_unroute": 0x15, "trace": 0x16, "reverse_trace": 0x17,
 		"core_new": 0x20, "core_replace": 0x21,
+		"gw_drain": 0x30,
 	}
-	if len(want) != len(opBytes) {
-		t.Fatalf("op table has %d entries, ABI pins %d", len(opBytes), len(want))
+	if len(want) != len(protocol.Ops) {
+		t.Fatalf("op table has %d entries, ABI pins %d", len(protocol.Ops), len(want))
 	}
 	for name, b := range want {
 		if got, ok := OpByte(name); !ok || got != b {
 			t.Errorf("op %q = %#x, ABI pins %#x", name, got, b)
 		}
-		if OpName(b) != name {
-			t.Errorf("op byte %#x = %q, ABI pins %q", b, OpName(b), name)
+		if op := protocol.OpByByte(b); op == nil || op.Name != name {
+			t.Errorf("op byte %#x = %+v, ABI pins %q", b, op, name)
 		}
 	}
 }
@@ -132,6 +133,9 @@ func TestABIRequests(t *testing.T) {
 		{"devices",
 			protocol.Request{ID: 10, Op: "devices"},
 			frame(0x02, 0, 10, 0x00, 0x00)},
+		{"gw_drain",
+			protocol.Request{ID: 11, Op: "gw_drain", Session: "be0"},
+			frame(0x30, 0, 11, 0x03, 'b', 'e', '0', 0x00)},
 		{"statsz",
 			protocol.Request{ID: 8, Op: "statsz"},
 			frame(0x03, 0, 8, 0x00, 0x00)},
@@ -247,7 +251,7 @@ func TestABIResponses(t *testing.T) {
 		wantHead []byte
 		wantRaw  []byte
 	}{
-		{"mutating", OpRoute,
+		{"mutating", protocol.OpRoute,
 			protocol.Response{ID: 2, Board: "b0", Epoch: 3, FrameN: 2, Frames: []byte{0xAA, 0xBB, 0xCC}},
 			append(hdr(0x10, FlagResp, 2, 10),
 				0x00,           // code OK
@@ -257,7 +261,7 @@ func TestABIResponses(t *testing.T) {
 				0x03, // frame-stream length
 			),
 			[]byte{0xAA, 0xBB, 0xCC}},
-		{"connect", OpConnect,
+		{"connect", protocol.OpConnect,
 			protocol.Response{ID: 1, Rows: 4, Cols: 4, Arch: "virtex", Config: []byte{0x01, 0x02}},
 			append(hdr(0x01, FlagResp, 1, 15),
 				0x00,       // code OK
@@ -268,16 +272,21 @@ func TestABIResponses(t *testing.T) {
 				0x02, // config length
 			),
 			[]byte{0x01, 0x02}},
-		{"readback", OpReadback,
+		{"readback", protocol.OpReadback,
 			protocol.Response{ID: 5, Config: []byte{0xDE, 0xAD}},
 			append(hdr(0x04, FlagResp, 5, 6), 0x00, 0x00, 0x00, 0x02),
 			[]byte{0xDE, 0xAD}},
-		{"devices", OpDevices,
+		{"devices", protocol.OpDevices,
 			protocol.Response{ID: 3, Devices: []string{"a", "b"}},
 			append(hdr(0x02, FlagResp, 3, 8),
 				0x00, 0x00, 0x00, 0x02, 0x01, 'a', 0x01, 'b'),
 			nil},
-		{"trace", OpTrace,
+		{"gw_drain", protocol.OpGwDrain,
+			protocol.Response{ID: 9, Devices: []string{"s0"}},
+			append(hdr(0x30, FlagResp, 9, 7),
+				0x00, 0x00, 0x00, 0x01, 0x02, 's', '0'),
+			nil},
+		{"trace", protocol.OpTrace,
 			protocol.Response{ID: 4, Net: &protocol.NetMsg{
 				Source: pin(1, 2, 3),
 				Sinks:  []protocol.EndPointMsg{pin(4, 5, 6)},
@@ -290,11 +299,11 @@ func TestABIResponses(t *testing.T) {
 				0x01, 0x02, 0x04, 0x03, 0x04, // 1 pip: (1,2) 3->4
 			),
 			nil},
-		{"error", OpRoute,
+		{"error", protocol.OpRoute,
 			protocol.Response{ID: 7, Err: "nope", ErrorCode: protocol.CodeRoute},
 			append(hdr(0x10, FlagResp, 7, 6), 0x0B, 0x04, 'n', 'o', 'p', 'e'),
 			nil},
-		{"busy", OpRoute,
+		{"busy", protocol.OpRoute,
 			protocol.Response{ID: 8, Busy: true, Err: "q full", ErrorCode: protocol.CodeBusy},
 			append(hdr(0x10, FlagResp, 8, 8), 0x05, 0x06, 'q', ' ', 'f', 'u', 'l', 'l'),
 			nil},
@@ -337,9 +346,9 @@ func TestABIResponses(t *testing.T) {
 func TestStatszRoundTrip(t *testing.T) {
 	resp := protocol.Response{ID: 9, Stats: &protocol.StatsMsg{
 		Sessions: map[string]protocol.SessionStatsMsg{"d": {Routes: 3}},
-		Wire:     &protocol.WireStatsMsg{ConnsV3: 1, Malformed: 2},
+		Wire:     &protocol.WireStatsMsg{Conns: 1, Malformed: 2},
 	}}
-	head, raw, err := AppendResponse(nil, OpStatsz, &resp)
+	head, raw, err := AppendResponse(nil, protocol.OpStatsz, &resp)
 	if err != nil {
 		t.Fatalf("AppendResponse: %v", err)
 	}
@@ -353,7 +362,7 @@ func TestStatszRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
 	if back.Stats == nil || back.Stats.Sessions["d"].Routes != 3 ||
-		back.Stats.Wire == nil || back.Stats.Wire.ConnsV3 != 1 || back.Stats.Wire.Malformed != 2 {
+		back.Stats.Wire == nil || back.Stats.Wire.Conns != 1 || back.Stats.Wire.Malformed != 2 {
 		t.Fatalf("statsz round trip lost data: %+v", back.Stats)
 	}
 }
@@ -362,7 +371,7 @@ func TestStatszRoundTrip(t *testing.T) {
 // garbage frames; each must be rejected as a typed FilterError (or a short
 // read) before any payload handling.
 func TestFilterGarbage(t *testing.T) {
-	valid := hdr(OpRoute, 0, 1, 4)
+	valid := hdr(protocol.OpRoute, 0, 1, 4)
 	garbageMagic := append([]byte("XXXX"), valid[4:]...)
 	badVersion := append([]byte(nil), valid...)
 	badVersion[4] = 2
@@ -411,7 +420,7 @@ func TestFilterGarbage(t *testing.T) {
 	})
 
 	t.Run("truncated payload", func(t *testing.T) {
-		h := Header{Op: OpRoute, ID: 1, Len: 100}
+		h := Header{Op: protocol.OpRoute, ID: 1, Len: 100}
 		_, err := ReadPayloadInto(strings.NewReader("short"), h, nil)
 		if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("want unexpected EOF, got %v", err)
@@ -451,7 +460,7 @@ func TestDecodeGarbagePayloads(t *testing.T) {
 	// A huge element count bounded only by the varint must be rejected
 	// before allocation (count exceeds remaining bytes).
 	bad := []byte{0x00, 0x00, 0x01, 0x02, 0x04, 0x07, 0xFF, 0xFF, 0xFF, 0x7F}
-	if err := DecodeRequest(Header{Op: OpRoute}, bad, &back, nil); err == nil {
+	if err := DecodeRequest(Header{Op: protocol.OpRoute}, bad, &back, nil); err == nil {
 		t.Fatal("oversized sink count decoded without error")
 	}
 }
@@ -478,7 +487,7 @@ func TestEncodeAllocs(t *testing.T) {
 
 	respBuf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
-		head, raw, err := AppendResponse(respBuf[:0], OpRoute, &resp)
+		head, raw, err := AppendResponse(respBuf[:0], protocol.OpRoute, &resp)
 		if err != nil || len(head) == 0 || len(raw) != len(frames) {
 			t.Fatalf("AppendResponse: %v", err)
 		}
@@ -526,7 +535,7 @@ func BenchmarkAppendResponseFrames(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
-		head, _, err := AppendResponse(buf[:0], OpRoute, &resp)
+		head, _, err := AppendResponse(buf[:0], protocol.OpRoute, &resp)
 		if err != nil {
 			b.Fatal(err)
 		}

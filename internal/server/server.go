@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,9 +31,6 @@ type Options struct {
 	// automatic routing op the committed frames are re-extracted and
 	// audited by the bitstream oracle (see core.Options.ParanoidVerify).
 	ParanoidVerify bool
-	// DisableBinary stops the daemon from advertising (and accepting) the
-	// binary v3 framing; every connection then stays on framed JSON v2.
-	DisableBinary bool
 	// Library, when set, seeds every session router with a persistent
 	// route-template library, shared read-only across all workers. New
 	// audits an unaudited library once so N workers do not each re-sweep
@@ -78,7 +76,8 @@ type GatewayStatser interface {
 }
 
 // Server is the jrouted daemon: many named device sessions behind one
-// TCP listener speaking the framed JSON service protocol.
+// TCP listener speaking the service protocol (a JSON hello, then binary v3
+// frames; see internal/server/protocol).
 type Server struct {
 	opts Options
 
@@ -149,7 +148,7 @@ func (s *Server) SetFleet(f Fleet) {
 
 // caps lists the capability flags the hello response advertises.
 func (s *Server) caps() []string {
-	var caps []string
+	caps := []string{protocol.CapBinV3}
 	s.mu.Lock()
 	fleet := s.fleet
 	s.mu.Unlock()
@@ -159,36 +158,20 @@ func (s *Server) caps() []string {
 	if s.opts.ParanoidVerify {
 		caps = append(caps, protocol.CapParanoid)
 	}
-	if !s.opts.DisableBinary {
-		caps = append(caps, protocol.CapBinV3)
-	}
 	return caps
 }
 
-// noteConn records which framing a connection negotiated.
-func (s *Server) noteConn(binary bool) {
+// noteIO records one request/response exchange's wire traffic; helloed
+// marks the exchange that completed a connection's handshake.
+func (s *Server) noteIO(helloed bool, bytesIn, bytesOut int) {
 	s.wmu.Lock()
-	if binary {
-		s.wire.ConnsV3++
-	} else {
-		s.wire.ConnsV2++
+	if helloed {
+		s.wire.Conns++
 	}
-	s.wmu.Unlock()
-}
-
-// noteIO records one request/response exchange's wire traffic.
-func (s *Server) noteIO(binary bool, bytesIn, bytesOut int) {
-	s.wmu.Lock()
 	s.wire.FramesIn++
 	s.wire.FramesOut++
 	s.wire.BytesIn += bytesIn
 	s.wire.BytesOut += bytesOut
-	if binary {
-		s.wire.FramesV3In++
-		s.wire.FramesV3Out++
-		s.wire.BytesV3In += bytesIn
-		s.wire.BytesV3Out += bytesOut
-	}
 	s.wmu.Unlock()
 }
 
@@ -245,91 +228,49 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.connWG.Done()
 	}()
-	helloed := false
-	counted := false
-	tenant := "" // resolved once, at hello, from the bearer token
-	for {
-		op, payload, err := jbits.ReadFrame(conn)
-		if err != nil {
-			return // EOF, deadline (shutdown), or transport failure
-		}
-		if op != OpService {
-			jbits.RecycleFrame(payload)
-			msg := fmt.Sprintf("server: unknown opcode %#x", op)
-			if jbits.WriteFrame(conn, OpService|jbits.RespFlag, errorJSON(0, msg, protocol.CodeBadRequest)) != nil {
-				return
-			}
-			continue
-		}
-		inBytes := len(payload)
-		var req Request
-		resp := new(Response)
-		toV3 := false
-		if err := json.Unmarshal(payload, &req); err != nil {
-			resp.Err = fmt.Sprintf("server: bad request: %v", err)
-			resp.ErrorCode = protocol.CodeBadRequest
-		} else if req.Op == "hello" {
-			resp, tenant = s.hello(&req)
-			helloed = resp.Err == ""
-			// The connection switches to the binary v3 framing when the
-			// client echoed the capability in its hello and the server
-			// advertises it — immediately after this (JSON) response.
-			toV3 = helloed && !s.opts.DisableBinary && helloHasCap(req.Hello, protocol.CapBinV3)
-			if helloed && !counted {
-				counted = true
-				s.noteConn(toV3)
-			}
-		} else if !helloed {
-			// Pre-v2 clients never sent hello; give them one clear typed
-			// error instead of undefined behaviour mid-session.
-			resp = &Response{ID: req.ID, ErrorCode: protocol.CodeVersion,
-				Err: fmt.Sprintf("server: hello handshake required before %q (server speaks protocol v%d)",
-					req.Op, protocol.Version)}
-		} else {
-			req.Tenant = tenant
-			resp = s.dispatch(&req)
-		}
-		// The request has been fully decoded; the frame buffer can return
-		// to the pool before the (potentially large) response is built.
-		jbits.RecycleFrame(payload)
-		out, err := json.Marshal(resp)
-		if err != nil {
-			out = errorJSON(req.ID, fmt.Sprintf("server: encoding response: %v", err), protocol.CodeInternal)
-		}
-		putStream(resp.Frames) // marshal copied the dirty frames; recycle
-		resp.Frames = nil
-		werr := jbits.WriteFrame(conn, OpService|jbits.RespFlag, out)
-		s.noteIO(false, inBytes, len(out))
-		if werr != nil {
-			return
-		}
-		if toV3 {
-			s.serveV3(conn, tenant)
-			return
-		}
-		s.mu.Lock()
-		closing := s.closing
-		s.mu.Unlock()
-		if closing {
-			return // graceful shutdown: in-flight request answered, stop
-		}
+	if tenant, ok := s.handshake(conn); ok {
+		s.serveV3(conn, tenant)
 	}
 }
 
-// helloHasCap reports whether a hello message requested a capability.
-func helloHasCap(h *HelloMsg, cap string) bool {
-	if h == nil {
-		return false
+// handshake reads the connection's one JSON frame, answers it, and reports
+// whether the connection may go on to v3 and as which tenant. Anything but
+// a well-formed hello that offers binv3 is answered with a typed error and
+// refused, so a client of an older framing gets one clear response instead
+// of undefined behaviour mid-session.
+func (s *Server) handshake(conn net.Conn) (tenant string, ok bool) {
+	op, payload, err := jbits.ReadFrame(conn)
+	if err != nil {
+		return "", false // EOF, deadline (shutdown), or transport failure
 	}
-	for _, c := range h.Caps {
-		if c == cap {
-			return true
-		}
+	var req Request
+	var resp *Response
+	if op != OpService {
+		resp = &Response{ErrorCode: protocol.CodeBadRequest,
+			Err: fmt.Sprintf("server: unknown opcode %#x", op)}
+	} else if err := json.Unmarshal(payload, &req); err != nil {
+		resp = &Response{ErrorCode: protocol.CodeBadRequest,
+			Err: fmt.Sprintf("server: bad request: %v", err)}
+	} else if req.Op != "hello" {
+		resp = &Response{ErrorCode: protocol.CodeVersion,
+			Err: fmt.Sprintf("server: hello handshake required before %q (server speaks protocol v%d)",
+				req.Op, protocol.Version)}
+	} else {
+		resp, tenant = s.hello(&req)
 	}
-	return false
+	resp.ID = req.ID
+	ok = resp.Err == ""
+	out, err := json.Marshal(resp)
+	if err != nil {
+		return "", false
+	}
+	werr := jbits.WriteFrame(conn, OpService|jbits.RespFlag, out)
+	s.noteIO(ok, len(payload), len(out))
+	jbits.RecycleFrame(payload)
+	return tenant, ok && werr == nil
 }
 
-// serveV3 is the per-connection loop after the binary switch: fixed-header
+// serveV3 is the per-connection loop after the hello: fixed-header
 // framing, varint op records, and the zero-copy frame path — a mutating
 // op's dirty frames go from the worker's pooled stream buffer to the
 // socket in one vectored write, with no intermediate marshal. Read buffers
@@ -348,7 +289,7 @@ func (s *Server) serveV3(conn net.Conn, tenant string) {
 			var fe *v3.FilterError
 			if errors.As(err, &fe) {
 				s.noteMalformed()
-				head, _, eerr := v3.AppendResponse(out[:0], v3.OpDevices,
+				head, _, eerr := v3.AppendResponse(out[:0], protocol.OpDevices,
 					&Response{Err: fe.Error(), ErrorCode: protocol.CodeMalformed})
 				if eerr == nil {
 					_ = v3.WriteMsg(conn, &bufs, head, nil)
@@ -365,7 +306,11 @@ func (s *Server) serveV3(conn net.Conn, tenant string) {
 		// be reused across loop iterations.
 		req := new(Request)
 		var resp *Response
-		if derr := v3.DecodeRequest(h, payload, req, interner); derr != nil {
+		if protocol.OpByByte(h.Op) == nil {
+			// A well-formed frame naming an op this server has no row for.
+			resp = &Response{ID: h.ID, ErrorCode: protocol.CodeUnknownOp,
+				Err: fmt.Sprintf("server: unknown op byte %#x", h.Op)}
+		} else if derr := v3.DecodeRequest(h, payload, req, interner); derr != nil {
 			s.noteMalformed()
 			resp = &Response{ID: h.ID, Err: derr.Error(), ErrorCode: protocol.CodeMalformed}
 		} else {
@@ -385,7 +330,7 @@ func (s *Server) serveV3(conn net.Conn, tenant string) {
 		werr := v3.WriteMsg(conn, &bufs, head, raw)
 		putStream(resp.Frames) // frames are on the wire; recycle the buffer
 		resp.Frames = nil
-		s.noteIO(true, len(payload), len(head)+len(raw))
+		s.noteIO(false, len(payload), len(head)+len(raw))
 		if werr != nil {
 			return
 		}
@@ -402,29 +347,29 @@ func (s *Server) serveV3(conn net.Conn, tenant string) {
 // configured, resolves the bearer token to the connection's tenant.
 func (s *Server) hello(req *Request) (*Response, string) {
 	if req.Hello == nil {
-		return &Response{ID: req.ID, ErrorCode: protocol.CodeVersion,
+		return &Response{ErrorCode: protocol.CodeVersion,
 			Err: "server: hello without version"}, ""
 	}
 	if req.Hello.Version != protocol.Version {
-		return &Response{ID: req.ID, ErrorCode: protocol.CodeVersion,
+		return &Response{ErrorCode: protocol.CodeVersion,
 			Err: fmt.Sprintf("server: protocol version mismatch: client speaks v%d, server speaks v%d",
 				req.Hello.Version, protocol.Version)}, ""
+	}
+	if !slices.Contains(req.Hello.Caps, protocol.CapBinV3) {
+		return &Response{ErrorCode: protocol.CodeVersion,
+			Err: fmt.Sprintf("server: hello does not offer %q, the only framing this server speaks",
+				protocol.CapBinV3)}, ""
 	}
 	tenant := ""
 	if s.opts.Auth != nil {
 		var err error
 		tenant, err = s.opts.Auth(req.Hello.Token)
 		if err != nil {
-			return &Response{ID: req.ID, ErrorCode: protocol.CodeUnauthorized,
+			return &Response{ErrorCode: protocol.CodeUnauthorized,
 				Err: fmt.Sprintf("server: %v", err)}, ""
 		}
 	}
-	return &Response{ID: req.ID, Hello: &HelloMsg{Version: protocol.Version, Caps: s.caps()}}, tenant
-}
-
-func errorJSON(id uint64, msg, code string) []byte {
-	out, _ := json.Marshal(&Response{ID: id, Err: msg, ErrorCode: code})
-	return out
+	return &Response{Hello: &HelloMsg{Version: protocol.Version, Caps: s.caps()}}, tenant
 }
 
 // reqContext derives the request context from the deadline the client
@@ -436,15 +381,20 @@ func reqContext(req *Request) (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// dispatch routes a request: server-level ops run inline; per-device ops go
-// through the owning worker's bounded queue, or the fleet coordinator when
-// one is attached.
+// dispatch routes a request by its row's scope: connection ops run inline;
+// session ops go through the owning worker's bounded queue, or the fleet
+// coordinator when one is attached; admin ops only a gateway (attached as
+// the fleet) serves.
 func (s *Server) dispatch(req *Request) *Response {
+	op := req.Row()
+	if op == nil {
+		return protocol.UnknownOp(req)
+	}
 	s.mu.Lock()
 	fleet := s.fleet
 	s.mu.Unlock()
-	switch req.Op {
-	case "devices":
+	switch op.Byte {
+	case protocol.OpDevices:
 		resp := &Response{ID: req.ID}
 		if fleet != nil {
 			resp.Devices = fleet.Sessions()
@@ -456,7 +406,7 @@ func (s *Server) dispatch(req *Request) *Response {
 		}
 		s.mu.Unlock()
 		return resp
-	case "statsz":
+	case protocol.OpStatsz:
 		return &Response{ID: req.ID, Stats: s.Stats()}
 	}
 	ctx, cancel := reqContext(req)
@@ -465,6 +415,9 @@ func (s *Server) dispatch(req *Request) *Response {
 		resp := fleet.Submit(ctx, req)
 		resp.ID = req.ID
 		return resp
+	}
+	if op.Scope != protocol.ScopeSession {
+		return protocol.UnknownOp(req) // admin ops need a gateway behind the listener
 	}
 	s.mu.Lock()
 	sess, ok := s.sessions[req.Session]

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -20,23 +19,64 @@ import (
 	"repro/internal/workload"
 )
 
-// TestV3Negotiation: a default client upgrades to binary framing through
-// the JSON hello, the full session surface works over it, and the server's
-// wire stats see a v3 connection moving v3 frames.
+// TestV3Negotiation: a default client's hello puts the connection on the
+// binary framing, the full session surface works over it, a scripted
+// session leaves the client mirror — advanced only by pushed partial frames
+// — byte-identical to the server's readback and oracle-clean, and the
+// server's wire stats see the connection and its frames.
 func TestV3Negotiation(t *testing.T) {
-	addr, _ := startDaemon(t, server.Options{}, "dev")
+	const rows, cols = 16, 24
+	addr, _ := startDaemon(t, server.Options{}, "dev", "scripted")
 	ctx := context.Background()
 	c, err := client.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Binary() {
-		t.Fatal("default client did not negotiate v3 against a default server")
+	if !c.HasCap(protocol.CapBinV3) {
+		t.Fatalf("server caps %v do not advertise %q", c.Caps(), protocol.CapBinV3)
 	}
 	if err := driveSession(t, addr, "dev"); err != nil {
 		t.Fatalf("full surface over v3: %v", err)
 	}
+
+	script, err := workload.New(7, rows, cols).Script(workload.ScriptOptions{Steps: 120, CoreSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Session(ctx, "scripted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, err := scriptSession(ctx, s, script, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := 0
+	for _, ok := range outcomes {
+		if ok {
+			routed++
+		}
+	}
+	if routed < len(script)/2 {
+		t.Fatalf("only %d of %d scripted ops succeeded", routed, len(script))
+	}
+	theirs, err := s.Readback(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := s.Mirror.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mine, theirs) {
+		diff, derr := oracle.DiffStreams(arch.NewVirtex(), mine, theirs)
+		t.Fatalf("mirror diverged from server after the script (%d PIPs differ, diff err %v)", len(diff), derr)
+	}
+	if err := s.VerifyMirror(); err != nil {
+		t.Errorf("scripted mirror: %v", err)
+	}
+
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -45,65 +85,73 @@ func TestV3Negotiation(t *testing.T) {
 	if w == nil {
 		t.Fatal("statsz has no wire section")
 	}
-	if w.ConnsV3 == 0 {
-		t.Errorf("no v3 connections counted: %+v", w)
+	if w.Conns < 2 { // this client and driveSession's
+		t.Errorf("connections not counted: %+v", w)
 	}
-	if w.FramesV3In == 0 || w.FramesV3Out == 0 || w.BytesV3In == 0 || w.BytesV3Out == 0 {
-		t.Errorf("v3 traffic not counted: %+v", w)
+	if w.FramesIn <= len(script) || w.FramesOut <= len(script) || w.BytesIn == 0 || w.BytesOut == 0 {
+		t.Errorf("traffic not counted: %+v", w)
 	}
 }
 
-// TestV3OptOut: a client pinned to v2 stays on JSON framing, and a server
-// with the capability disabled never upgrades anyone.
-func TestV3OptOut(t *testing.T) {
-	ctx := context.Background()
-
+// TestHandshakeEdge: JSON carries the hello and nothing else. A hello that
+// does not offer binv3 gets one typed version error and a closed
+// connection (so does any other first frame: TestHelloRequired), and a
+// second JSON frame after a good hello lands in v3 framing position, where
+// the garbage filter counts it, answers the typed malformed error and
+// closes.
+func TestHandshakeEdge(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
-	c, err := client.Dial(ctx, addr, client.WithBinary(false))
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	conn := dial()
+	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
+		Hello: &server.HelloMsg{Version: protocol.Version}})
+	if resp.ErrorCode != protocol.CodeVersion || resp.ID != 1 {
+		t.Fatalf("hello without binv3: code %q id %d (err %q), want %q", resp.ErrorCode, resp.ID, resp.Err, protocol.CodeVersion)
+	}
+	expectClosed(t, conn, "hello without binv3")
+
+	conn = dial()
+	rawHelloV3(t, conn)
+	payload, err := json.Marshal(&server.Request{ID: 2, Op: "devices"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jbits.WriteFrame(conn, server.OpService, payload); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readV3(t, conn); resp.ErrorCode != protocol.CodeMalformed {
+		t.Fatalf("JSON frame after hello: code %q err %q, want %q", resp.ErrorCode, resp.Err, protocol.CodeMalformed)
+	}
+	expectClosed(t, conn, "JSON frame after hello")
+
+	c, err := client.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Binary() {
-		t.Fatal("WithBinary(false) client negotiated v3 anyway")
-	}
-	s, err := c.Session(ctx, "dev")
+	stats, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Route(ctx, client.Pin(core.NewPin(5, 7, arch.S1YQ)),
-		client.Pin(core.NewPin(6, 8, arch.S0F3))); err != nil {
-		t.Fatalf("v2 session broken: %v", err)
-	}
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Wire == nil || stats.Wire.ConnsV2 == 0 {
-		t.Errorf("v2 connection not counted: %+v", stats.Wire)
-	}
-
-	addr2, _ := startDaemon(t, server.Options{DisableBinary: true}, "dev")
-	c2, err := client.Dial(ctx, addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if c2.Binary() {
-		t.Fatal("client negotiated v3 against a DisableBinary server")
-	}
-	if _, err := c2.Session(ctx, "dev"); err != nil {
-		t.Fatalf("v2 fallback session: %v", err)
+	if stats.Wire == nil || stats.Wire.Malformed != 1 || stats.Wire.Conns != 2 {
+		t.Errorf("wire stats = %+v, want 1 malformed frame and 2 helloed connections", stats.Wire)
 	}
 }
 
-// rawHelloV3 performs the JSON hello with the binv3 cap over a raw
-// connection and leaves the stream in v3 framing.
-func rawHelloV3(t *testing.T, conn net.Conn) {
+// rawJSON sends one framed-JSON request and decodes the framed-JSON
+// response, bypassing the client (and therefore its hello).
+func rawJSON(t *testing.T, conn net.Conn, req *server.Request) *server.Response {
 	t.Helper()
-	req := server.Request{ID: 1, Op: "hello",
-		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}}}
-	payload, err := json.Marshal(&req)
+	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +162,44 @@ func rawHelloV3(t *testing.T, conn net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp server.Response
-	if err := json.Unmarshal(body, &resp); err != nil {
+	resp := new(server.Response)
+	if err := json.Unmarshal(body, resp); err != nil {
 		t.Fatal(err)
 	}
+	return resp
+}
+
+// rawHelloV3 performs the JSON hello over a raw connection and leaves the
+// stream in v3 framing.
+func rawHelloV3(t *testing.T, conn net.Conn) {
+	t.Helper()
+	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
+		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}}})
 	if resp.Err != "" {
 		t.Fatalf("hello rejected: %s", resp.Err)
 	}
 }
 
-// TestV3MalformedFilter: garbage after the v3 upgrade is rejected by the
+// readV3 reads and decodes one v3 response frame.
+func readV3(t *testing.T, conn net.Conn) *server.Response {
+	t.Helper()
+	var hdr [v3.HeaderSize]byte
+	h, err := v3.ReadHeader(conn, &hdr)
+	if err != nil {
+		t.Fatalf("reading a v3 response: %v", err)
+	}
+	payload, err := v3.ReadPayloadInto(conn, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := new(server.Response)
+	if err := v3.DecodeResponse(h, payload, resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestV3MalformedFilter: garbage after the hello is rejected by the
 // pre-parse filter with a typed malformed error before any dispatch, the
 // statsz counter ticks, and the connection is closed (the stream is no
 // longer frame-aligned).
@@ -139,27 +215,12 @@ func TestV3MalformedFilter(t *testing.T) {
 	if _, err := conn.Write([]byte("this is not a v3 frame, not even close")); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [v3.HeaderSize]byte
-	h, err := v3.ReadHeader(conn, &hdr)
-	if err != nil {
-		t.Fatalf("reading the malformed-error response: %v", err)
-	}
-	payload, err := v3.ReadPayloadInto(conn, h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp server.Response
-	if err := v3.DecodeResponse(h, payload, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := readV3(t, conn)
 	if resp.ErrorCode != protocol.CodeMalformed {
 		t.Fatalf("error code = %q, want %q (err: %s)", resp.ErrorCode, protocol.CodeMalformed, resp.Err)
 	}
 	// The server closes a desynced stream after the typed error.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Error("connection still open after a filtered frame")
-	}
+	expectClosed(t, conn, "filtered frame")
 
 	// A decode-level failure (valid header, corrupt payload) also counts as
 	// malformed but keeps the connection: framing is still trustworthy.
@@ -170,47 +231,18 @@ func TestV3MalformedFilter(t *testing.T) {
 	defer conn2.Close()
 	rawHelloV3(t, conn2)
 	frame := make([]byte, v3.HeaderSize+2)
-	v3.PutHeader(frame, v3.Header{Op: v3.OpRoute, ID: 9, Len: 2})
+	v3.PutHeader(frame, v3.Header{Op: protocol.OpRoute, ID: 9, Len: 2})
 	frame[v3.HeaderSize] = 0xFF
 	frame[v3.HeaderSize+1] = 0xFF
 	if _, err := conn2.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := v3.ReadHeader(conn2, &hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err = v3.ReadPayloadInto(conn2, h2, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp2 server.Response
-	if err := v3.DecodeResponse(h2, payload, &resp2); err != nil {
-		t.Fatal(err)
-	}
+	resp2 := readV3(t, conn2)
 	if resp2.ErrorCode != protocol.CodeMalformed || resp2.ID != 9 {
 		t.Fatalf("decode failure: code=%q id=%d", resp2.ErrorCode, resp2.ID)
 	}
 	// The connection survives: a well-formed request still answers.
-	good, err := v3.AppendRequest(nil, &server.Request{ID: 10, Op: "devices"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn2.Write(good); err != nil {
-		t.Fatal(err)
-	}
-	h3, err := v3.ReadHeader(conn2, &hdr)
-	if err != nil {
-		t.Fatalf("connection dead after recoverable decode error: %v", err)
-	}
-	payload, err = v3.ReadPayloadInto(conn2, h3, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp3 server.Response
-	if err := v3.DecodeResponse(h3, payload, &resp3); err != nil {
-		t.Fatal(err)
-	}
+	resp3 := rawCall(t, conn2, &server.Request{ID: 10, Op: "devices"})
 	if resp3.ID != 10 || len(resp3.Devices) != 1 {
 		t.Fatalf("devices after decode error: %+v", resp3)
 	}
@@ -275,63 +307,4 @@ func scriptSession(ctx context.Context, s *client.Session, script []workload.Scr
 		outcomes = append(outcomes, err == nil)
 	}
 	return outcomes, nil
-}
-
-// TestV2V3Differential is the byte-identity proof for the tentpole: the
-// same workload script routed once over JSON v2 and once over binary v3
-// (against two identical daemons) must agree on every op outcome and leave
-// byte-identical board state — checked with bytes.Equal and, on failure,
-// explained PIP-by-PIP with the bitstream oracle.
-func TestV2V3Differential(t *testing.T) {
-	const rows, cols = 16, 24
-	script, err := workload.New(7, rows, cols).Script(workload.ScriptOptions{Steps: 120, CoreSlots: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	run := func(opt ...client.Option) ([]bool, []byte, *client.Session) {
-		t.Helper()
-		addr, _ := startDaemon(t, server.Options{}, "dev")
-		c, err := client.Dial(ctx, addr, opt...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		s, err := c.Session(ctx, "dev")
-		if err != nil {
-			t.Fatal(err)
-		}
-		outcomes, err := scriptSession(ctx, s, script, rows, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := s.Readback(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcomes, rb, s
-	}
-
-	o2, rb2, s2 := run(client.WithBinary(false))
-	o3, rb3, s3 := run()
-
-	for i := range script {
-		if o2[i] != o3[i] {
-			t.Fatalf("step %d (%s): v2 ok=%v, v3 ok=%v", i, script[i].Kind, o2[i], o3[i])
-		}
-	}
-	if !bytes.Equal(rb2, rb3) {
-		diff, derr := oracle.DiffStreams(arch.NewVirtex(), rb2, rb3)
-		t.Fatalf("board state differs between v2 and v3 (%d bytes vs %d, %d PIPs differ, diff err %v)",
-			len(rb2), len(rb3), len(diff), derr)
-	}
-	// Both client-side mirrors, advanced only by pushed partial frames,
-	// must match the (identical) server state too.
-	if err := s2.VerifyMirror(); err != nil {
-		t.Errorf("v2 mirror: %v", err)
-	}
-	if err := s3.VerifyMirror(); err != nil {
-		t.Errorf("v3 mirror: %v", err)
-	}
 }

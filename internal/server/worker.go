@@ -239,22 +239,15 @@ func (w *Worker) Do(ctx context.Context, fn func(r *core.Router, js *jbits.Sessi
 	}
 }
 
-// mutating reports whether an op changes device configuration and must
-// therefore ship dirty frames back.
-func mutating(op string) bool {
-	switch op {
-	case "route", "bus", "bus_batch", "batch", "unroute", "reverse_unroute",
-		"core_new", "core_replace":
-		return true
-	}
-	return false
-}
-
 // handle executes one request on the worker goroutine.
 func (w *Worker) handle(req *Request) *Response {
+	op := req.Row()
+	if op == nil {
+		return protocol.UnknownOp(req)
+	}
 	resp := &Response{ID: req.ID}
 	before := w.router.Stats()
-	err := w.dispatch(req, resp)
+	err := w.dispatch(op, req, resp)
 	if err != nil {
 		resp.Err = err.Error()
 		if resp.ErrorCode == "" {
@@ -263,7 +256,7 @@ func (w *Worker) handle(req *Request) *Response {
 	}
 	after := w.router.Stats()
 	w.m.addRouterDelta(after.Sub(before), w.router.ConnectionCount())
-	if err == nil && mutating(req.Op) {
+	if err == nil && op.Mutating {
 		if ferr := w.shipDirty(resp); ferr != nil {
 			resp.Err = ferr.Error()
 		} else if w.cfg.JournalHook != nil {
@@ -299,9 +292,9 @@ func (w *Worker) shipDirty(resp *Response) error {
 	return nil
 }
 
-func (w *Worker) dispatch(req *Request, resp *Response) error {
-	switch req.Op {
-	case "connect":
+func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
+	switch op.Byte {
+	case protocol.OpConnect:
 		stream, err := w.js.Dev.FullConfig()
 		if err != nil {
 			resp.ErrorCode = protocol.CodeInternal
@@ -310,7 +303,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		resp.Rows, resp.Cols, resp.Arch, resp.Config = w.cfg.Rows, w.cfg.Cols, w.js.Dev.A.Name, stream
 		return nil
 
-	case "readback":
+	case protocol.OpReadback:
 		stream, err := w.js.Dev.FullConfig()
 		if err != nil {
 			resp.ErrorCode = protocol.CodeInternal
@@ -319,7 +312,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		resp.Config = stream
 		return nil
 
-	case "route":
+	case protocol.OpRoute:
 		src, err := w.endpoint(req.Source)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -340,7 +333,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 			return w.router.RouteFanout(src, sinks)
 		}
 
-	case "bus", "bus_batch":
+	case protocol.OpBus, protocol.OpBusBatch:
 		srcs, err := w.endpoints(req.Sources)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -351,12 +344,12 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 			resp.ErrorCode = protocol.CodeBadRequest
 			return err
 		}
-		if req.Op == "bus" {
+		if op.Byte == protocol.OpBus {
 			return w.router.RouteBus(srcs, sinks)
 		}
 		return w.router.RouteBusBatch(srcs, sinks)
 
-	case "batch":
+	case protocol.OpBatch:
 		nets := make([]core.BatchNet, len(req.Nets))
 		for i, n := range req.Nets {
 			src, err := w.endpoint(&n.Source)
@@ -373,7 +366,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		}
 		return w.router.RouteBatch(nets)
 
-	case "unroute":
+	case protocol.OpUnroute:
 		src, err := w.endpoint(req.Source)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -381,7 +374,7 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		}
 		return w.router.Unroute(src)
 
-	case "reverse_unroute":
+	case protocol.OpReverseUnroute:
 		sink, err := w.endpoint(req.Source)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -389,14 +382,14 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		}
 		return w.router.ReverseUnroute(sink)
 
-	case "trace", "reverse_trace":
+	case protocol.OpTrace, protocol.OpReverseTrace:
 		ep, err := w.endpoint(req.Source)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
 			return err
 		}
 		var net *core.Net
-		if req.Op == "trace" {
+		if op.Byte == protocol.OpTrace {
 			net, err = w.router.Trace(ep)
 		} else {
 			net, err = w.router.ReverseTrace(ep)
@@ -407,15 +400,15 @@ func (w *Worker) dispatch(req *Request, resp *Response) error {
 		resp.Net = netToMsg(net)
 		return nil
 
-	case "core_new":
+	case protocol.OpCoreNew:
 		return w.coreNew(req.Core, resp)
 
-	case "core_replace":
+	case protocol.OpCoreReplace:
 		return w.coreReplace(req.Core, resp)
 
-	default:
+	default: // a row of another scope: not a worker's to serve
 		resp.ErrorCode = protocol.CodeUnknownOp
-		return fmt.Errorf("server: unknown op %q", req.Op)
+		return fmt.Errorf("server: op %q is not a session op", req.Op)
 	}
 }
 
