@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof bench-go bench-smoke fuzz-smoke verify soak soak-smoke noc-smoke
+.PHONY: build vet fmt-check test race ci prof bench-go bench-smoke fuzz-smoke verify soak soak-smoke noc-smoke size
 
 build:
 	$(GO) build ./...
@@ -87,3 +87,15 @@ soak:
 # soak-smoke is the short ci-sized slice of the same harness.
 soak-smoke:
 	$(GO) run ./cmd/jload -inproc -sessions 4 -soak 15s
+
+# size prints, per directory (internal/*, cmd, examples, benchmark) and in
+# total, non-test Go lines and code-only lines (neither blank nor
+# comment-only) — the count a simplicity PR reports, parent beside change.
+# `make size FILES='internal/core/*.go cmd/jverify/main.go'` counts just
+# those files, one row each (test files dropped).
+size:
+ifdef FILES
+	@awk -v perfile=1 -f size.awk $(filter-out %_test.go,$(wildcard $(FILES)))
+else
+	@find internal cmd examples benchmark -name '*.go' ! -name '*_test.go' | sort | xargs awk -f size.awk
+endif

@@ -37,7 +37,7 @@ func runLearn(path string, seed int64, rows, cols int) error {
 	if err != nil {
 		return err
 	}
-	r := core.New(d, core.WithRouteCache(core.CacheOn))
+	r := core.New(d)
 	nets, err := workload.New(seed, rows-learnRowMargin, cols-learnColMargin).FanNets(learnNets, 1, learnRadius)
 	if err != nil {
 		return err

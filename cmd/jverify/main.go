@@ -137,7 +137,7 @@ func runCampaign(steps int, seed int64, logf func(string, ...interface{})) bool 
 		log.Printf("jverify: campaign (seed %d) diverged: %v", seed, err)
 		return false
 	}
-	logf("campaign seed %d: %d steps, %d audits, %d identical op errors, %d reconciled cross-mode splits, %d PIPs final",
-		seed, res.Steps, res.Audits, res.OpErrors, res.Reconciled, res.PIPs)
+	logf("campaign seed %d: %d steps, %d audits, %d identical op errors, %d PIPs final",
+		seed, res.Steps, res.Audits, res.OpErrors, res.PIPs)
 	return true
 }

@@ -61,7 +61,7 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	}
 	res, err := maze.NegotiatedRoute(r.Dev, specs, maze.NegotiationOptions{
 		Options:     r.mazeOpts(),
-		Parallelism: r.Opt.Parallelism,
+		Parallelism: r.opt.Parallelism,
 		Partition:   true,
 	})
 	if err != nil {
@@ -78,19 +78,12 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	// clear the applied PIPs and drop the records this call created.
 	connMark := len(r.conns)
 	var applied []device.PIP
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			q := applied[i]
-			if cerr := r.Dev.ClearPIP(q.Row, q.Col, q.From, q.To); cerr == nil {
-				r.stats.PIPsCleared++
-			}
-		}
-		r.conns = r.conns[:connMark]
-	}
 	for i, pips := range res.Nets {
 		for pi, p := range pips {
 			if err := r.commitBatchPIP(i, pi, p); err != nil {
-				rollback()
+				r.unwind(applied)
+				r.conns = r.conns[:connMark]
+				r.backToEntry()
 				return fmt.Errorf("core: committing batch: %w", err)
 			}
 			applied = append(applied, p)
@@ -118,9 +111,7 @@ func (r *Router) commitBatchPIP(net, pip int, p device.PIP) error {
 
 // RouteBusBatch is RouteBus via the negotiated batch router: each bit
 // becomes one single-sink net, routed together.
-func (r *Router) RouteBusBatch(sources, sinks []EndPoint) (err error) {
-	r.enterOp()
-	defer r.exitOp(&err)
+func (r *Router) RouteBusBatch(sources, sinks []EndPoint) error {
 	if len(sources) != len(sinks) {
 		return fmt.Errorf("core: bus width mismatch: %d sources, %d sinks", len(sources), len(sinks))
 	}

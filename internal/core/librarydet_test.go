@@ -26,7 +26,7 @@ import (
 //
 // (A naive cold-router baseline is NOT byte-comparable: replayed and
 // searched paths may legally differ, which is exactly why the route cache
-// documents divergence in TestCacheModesBytesDiverge. The library inherits
+// documents divergence in fuzz.TestReplayKeepsRememberedDetour. The library inherits
 // the cache's guarantee — same template tier, same bytes — not a stronger
 // one that no cache tier could satisfy.)
 
@@ -80,7 +80,7 @@ func learnLibrary(t *testing.T, rows, cols int, w []workload.FanNet) *library.Li
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.New(d, core.WithRouteCache(core.CacheOn))
+	r := core.New(d)
 	routeFans(t, r, w)
 	b := library.NewBuilder(d.A.Name, rows, cols)
 	if n := r.HarvestTemplates(b); n == 0 {
@@ -127,10 +127,7 @@ func TestLibraryDeterminismSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []core.Option{
-			core.WithRouteCache(core.CacheOn),
-			core.WithParallelism(par),
-		}
+		opts := []core.Option{core.WithParallelism(par)}
 		if withLib {
 			opts = append(opts, core.WithLibrary(lib))
 		}
@@ -203,7 +200,7 @@ func TestLibrarySeededReplayMatchesLearned(t *testing.T) {
 
 	// Learned: warm up in-session, blank, route Q.
 	d1, _ := device.New(arch.NewVirtex(), rows, cols)
-	r1 := core.New(d1, core.WithRouteCache(core.CacheOn))
+	r1 := core.New(d1)
 	routeFans(t, r1, w)
 	if err := r1.UnrouteAll(); err != nil {
 		t.Fatal(err)
@@ -271,7 +268,7 @@ func TestLibraryRestartThroughFile(t *testing.T) {
 	q := shiftFans(w, 2, 3)
 
 	d0, _ := device.New(arch.NewVirtex(), rows, cols)
-	r0 := core.New(d0, core.WithRouteCache(core.CacheOn))
+	r0 := core.New(d0)
 	routeFans(t, r0, w)
 	b := library.NewBuilder(d0.A.Name, rows, cols)
 	if r0.HarvestTemplates(b) == 0 {

@@ -9,7 +9,7 @@ import (
 // representation; New composes it from readable, order-independent
 // constructors:
 //
-//	r := core.New(dev, core.WithParallelism(8), core.WithRouteCache(core.CacheOn))
+//	r := core.New(dev, core.WithParallelism(8), core.WithLibrary(lib))
 //
 // New is the one constructor; code that builds a configuration
 // dynamically (config grids, harness structs) carries a []Option.
@@ -23,7 +23,7 @@ func New(dev *device.Device, opts ...Option) *Router {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	r := &Router{Dev: dev, Opt: o, remembered: make(map[*Port][]*Connection)}
+	r := &Router{Dev: dev, opt: o, remembered: make(map[*Port][]*Connection)}
 	r.attachLibrary()
 	return r
 }
@@ -37,15 +37,9 @@ func WithLongLines(on bool) Option { return func(o *Options) { o.UseLongLines = 
 // WithTimingDriven makes the maze search minimize estimated delay.
 func WithTimingDriven(on bool) Option { return func(o *Options) { o.TimingDriven = on } }
 
-// WithMaxNodes caps maze search effort (0 = default).
-func WithMaxNodes(n int) Option { return func(o *Options) { o.MaxNodes = n } }
-
 // WithParallelism bounds the negotiated batch router's worker goroutines
 // (0 = GOMAXPROCS, 1 = sequential; the result is identical either way).
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// WithRouteCache controls the relocation-aware route cache.
-func WithRouteCache(m CacheMode) Option { return func(o *Options) { o.RouteCache = m } }
 
 // WithLibrary attaches a persistent route-template library: a read-only,
 // shareable tier of relocatable templates consulted below the in-session

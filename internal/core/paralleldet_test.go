@@ -11,17 +11,24 @@ import (
 )
 
 // runBatch builds a fresh device, routes the generated workload with the
-// given parallelism, and returns the resulting full bitstream and stats.
-func runBatch(t *testing.T, par int, cache core.CacheMode,
+// given parallelism — inside WithoutReplay when searchOnly is set — and
+// returns the resulting full bitstream and stats.
+func runBatch(t *testing.T, par int, searchOnly bool,
 	rows, cols int, gen func(*workload.Gen) ([]core.EndPoint, []core.EndPoint)) ([]byte, core.Stats) {
 	t.Helper()
 	d, err := device.New(arch.NewVirtex(), rows, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.New(d, core.WithParallelism(par), core.WithRouteCache(cache))
+	r := core.New(d, core.WithParallelism(par))
 	srcs, dsts := gen(workload.ForDevice(7, d))
-	if err := r.RouteBusBatch(srcs, dsts); err != nil {
+	route := func() error { return r.RouteBusBatch(srcs, dsts) }
+	if searchOnly {
+		err = r.WithoutReplay(route)
+	} else {
+		err = route()
+	}
+	if err != nil {
 		t.Fatalf("parallelism %d: %v", par, err)
 	}
 	cfg, err := d.FullConfig()
@@ -67,22 +74,22 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 			return srcs, dsts
 		},
 	}
-	// The guarantee holds with the route cache enabled (the default) and
-	// disabled, and the cache itself must not change what batch routing
-	// configures.
+	// The guarantee holds for a batch routed plainly ("cache-on") and for
+	// one routed inside WithoutReplay ("cache-off"), and route memory must
+	// not change what batch routing configures.
 	modes := []struct {
-		name string
-		mode core.CacheMode
-	}{{"cache-on", core.CacheAuto}, {"cache-off", core.CacheOff}}
+		name       string
+		searchOnly bool
+	}{{"cache-on", false}, {"cache-off", true}}
 	for name, gen := range workloads {
 		t.Run(name, func(t *testing.T) {
 			var perMode [][]byte
 			for _, m := range modes {
 				t.Run(m.name, func(t *testing.T) {
-					cfgSeq, statsSeq := runBatch(t, 1, m.mode, 16, 24, gen)
+					cfgSeq, statsSeq := runBatch(t, 1, m.searchOnly, 16, 24, gen)
 					perMode = append(perMode, cfgSeq)
 					for _, par := range []int{2, 8} {
-						cfg, stats := runBatch(t, par, m.mode, 16, 24, gen)
+						cfg, stats := runBatch(t, par, m.searchOnly, 16, 24, gen)
 						if !bytes.Equal(cfg, cfgSeq) {
 							t.Errorf("par %d: bitstream differs from sequential", par)
 						}
@@ -93,7 +100,7 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 				})
 			}
 			if len(perMode) == 2 && !bytes.Equal(perMode[0], perMode[1]) {
-				t.Error("cache-on and cache-off batch bitstreams differ")
+				t.Error("batch bitstream differs inside WithoutReplay")
 			}
 		})
 	}
@@ -114,7 +121,7 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 	var cfgRef []byte
 	var statsRef core.Stats
 	for _, par := range []int{1, 2, 8} {
-		cfg, stats := runBatch(t, par, core.CacheOff, 64, 96, gen)
+		cfg, stats := runBatch(t, par, false, 64, 96, gen)
 		if cfgRef == nil {
 			cfgRef, statsRef = cfg, stats
 		}

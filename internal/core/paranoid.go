@@ -21,14 +21,34 @@ import (
 // RoutePath, RouteTemplate) are deliberately unhooked — they legitimately
 // leave mid-construction antennas while a path is being built by hand.
 
-// enterOp marks the start of a (possibly nested) verified routing call.
-func (r *Router) enterOp() { r.opDepth++ }
+// enterOp marks the start of a (possibly nested) verified routing call. The
+// outermost one notes whether any frame is dirty, for backToEntry.
+func (r *Router) enterOp() {
+	if r.opDepth == 0 {
+		r.entryClean, r.unwindLost = r.Dev.DirtyFrameCount() == 0, false
+	}
+	r.opDepth++
+}
+
+// backToEntry is called by an all-or-nothing call that failed and has just
+// unwound every PIP it set. When that call is the outermost one, no unwind
+// since entry was refused a PIP, and no frame was dirty at entry, the
+// configuration is bit for bit what it was, so the frames the attempt
+// touched are not dirty: a service that ships the dirty set after every op
+// has nothing to ship for the failed one, and nothing lags the router.
+// Otherwise the flags stay — a frame sent twice costs time, a frame never
+// sent costs a board.
+func (r *Router) backToEntry() {
+	if r.opDepth == 1 && r.entryClean && !r.unwindLost {
+		r.Dev.ClearDirty()
+	}
+}
 
 // exitOp closes a verified routing call; the outermost successful call
 // runs the oracle audit and surfaces any violation as the call's error.
 func (r *Router) exitOp(err *error) {
 	r.opDepth--
-	if r.opDepth == 0 && r.Opt.ParanoidVerify && *err == nil {
+	if r.opDepth == 0 && r.opt.ParanoidVerify && *err == nil {
 		if verr := r.VerifyOracle(); verr != nil {
 			*err = fmt.Errorf("core: paranoid verify: %w", verr)
 		}
@@ -69,20 +89,4 @@ func (r *Router) VerifyOracle() error {
 		return err
 	}
 	return oracle.Audit(r.Dev.A, stream, r.OracleClaims(), false)
-}
-
-// rollbackCurPath clears every PIP the in-flight automatic call committed,
-// newest-first so each cleared PIP's target has no remaining dependants,
-// restoring the pre-call configuration after a mid-call failure. Without
-// this, a fanout that fails on its third sink would leave the first two
-// sinks' paths configured with no connection record claiming them — a
-// phantom net invisible to trace, unroute, and port memory.
-func (r *Router) rollbackCurPath() {
-	for i := len(r.curPath) - 1; i >= 0; i-- {
-		p := r.curPath[i]
-		if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err == nil {
-			r.stats.PIPsCleared++
-		}
-	}
-	r.curPath = r.curPath[:0]
 }

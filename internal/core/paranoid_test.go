@@ -62,7 +62,7 @@ func TestParanoidVerifyCatchesCorruption(t *testing.T) {
 	if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
 		t.Fatal(err)
 	}
-	r.Opt.ParanoidVerify = true
+	r.opt.ParanoidVerify = true
 	if err := r.RouteNet(NewPin(9, 4, arch.S0XQ), NewPin(11, 2, arch.S0F1)); err == nil {
 		t.Fatal("paranoid verify missed a severed claimed connection")
 	}

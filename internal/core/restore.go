@@ -16,11 +16,18 @@ import (
 // that serves §3.3 relocations — the remembered path is swept for legality
 // in O(path length) and committed verbatim, falling back to a full search
 // only when the sweep fails.
+//
+// Clock nets are exempt. RouteClock sets dedicated global-clock PIPs and
+// records no Connection, so a snapshot never carries them and adoption
+// never restores them: after a failover a clock is back on the spare only
+// because the core that needs it was re-implemented there and called
+// RouteClock again. A journal of pin-level routes alone does not rebuild
+// clock distribution.
 
 // ConnectionRecord is the router-independent snapshot of one live
 // connection: the pins its endpoints resolved to and the PIP path that was
-// committed for it. Path is nil when the route cache was off at record
-// time; adoption then falls back to search.
+// committed for it. A record without a Path (a route that committed no PIP,
+// a peer that stripped it) adopts through search.
 type ConnectionRecord struct {
 	Source Pin
 	Sinks  []Pin
@@ -30,8 +37,8 @@ type ConnectionRecord struct {
 // SnapshotConnections exports every live (non-retired) connection as a
 // ConnectionRecord. Port endpoints are flattened to the pins they resolve
 // to right now, so the snapshot stays meaningful after the router (and any
-// core instances living on it) are gone. Records routed with the cache off
-// carry no path and only endpoint pins.
+// core instances living on it) are gone. Clock nets are not in it (see
+// the note at the top of this file).
 func (r *Router) SnapshotConnections() []ConnectionRecord {
 	out := make([]ConnectionRecord, 0, len(r.conns))
 	for _, c := range r.conns {
@@ -40,7 +47,7 @@ func (r *Router) SnapshotConnections() []ConnectionRecord {
 		}
 		rec := ConnectionRecord{}
 		if len(c.sinkPins) > 0 {
-			// Recorded at route time with the cache on: pins and path are
+			// Recorded with its path at route time: pins and path are
 			// already the canonical replay frame.
 			rec.Source = c.srcPin
 			rec.Sinks = append([]Pin(nil), c.sinkPins...)

@@ -80,13 +80,15 @@ func TestSnapshotAdoptRoundTrip(t *testing.T) {
 }
 
 // TestAdoptWithoutPath: path memory is part of the connection record, not
-// the route cache, so even cache-off snapshots carry the path. A record
-// stripped of its path (say, from an older peer) must still adopt, through
-// search.
+// the route cache, so even a search-only route's snapshot carries the path.
+// A record stripped of its path (say, from an older peer) must still adopt,
+// through search.
 func TestAdoptWithoutPath(t *testing.T) {
 	src := newTestDevice(t)
-	ra := core.New(src, core.WithRouteCache(core.CacheOff))
-	if err := ra.RouteNet(core.NewPin(5, 7, arch.S1YQ), core.NewPin(6, 8, arch.S0F3)); err != nil {
+	ra := core.New(src)
+	if err := ra.WithoutReplay(func() error {
+		return ra.RouteNet(core.NewPin(5, 7, arch.S1YQ), core.NewPin(6, 8, arch.S0F3))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	recs := ra.SnapshotConnections()
@@ -95,7 +97,7 @@ func TestAdoptWithoutPath(t *testing.T) {
 	}
 	recs[0].Path = nil
 	dst := newTestDevice(t)
-	rb := core.New(dst, core.WithRouteCache(core.CacheOff))
+	rb := core.New(dst)
 	if err := rb.AdoptConnection(recs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +114,18 @@ func TestFunctionalOptions(t *testing.T) {
 	r := core.New(d,
 		core.WithAlgorithm(core.AStar),
 		core.WithParallelism(3),
-		core.WithRouteCache(core.CacheOff),
-		core.WithMaxNodes(12345),
 		core.WithLongLines(true),
 		core.WithTimingDriven(false),
 		core.WithParanoidVerify(false),
 	)
-	want := core.Options{Algorithm: core.AStar, Parallelism: 3,
-		RouteCache: core.CacheOff, MaxNodes: 12345, UseLongLines: true}
-	if r.Opt != want {
-		t.Errorf("Opt = %+v, want %+v", r.Opt, want)
+	want := core.Options{Algorithm: core.AStar, Parallelism: 3, UseLongLines: true}
+	if got := r.Options(); got != want {
+		t.Errorf("Options = %+v, want %+v", got, want)
 	}
 	if err := r.RouteNet(core.NewPin(5, 7, arch.S1YQ), core.NewPin(6, 8, arch.S0F3)); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.CacheHits+st.CacheMisses != 0 {
-		t.Errorf("cache consulted despite WithRouteCache(CacheOff): %+v", st)
+	if st := r.Stats(); st.TemplateHits != 0 || st.MazeFallbacks != 1 {
+		t.Errorf("WithAlgorithm(AStar) not honored: %+v", st)
 	}
 }

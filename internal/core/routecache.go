@@ -32,19 +32,6 @@ import (
 // Replayed routes commit through the same apply path as searched routes and
 // are byte-identical in the bitstream to a cold search finding that path.
 
-// CacheMode selects the route-cache behaviour. The zero value enables the
-// cache (CacheAuto), so existing Options literals get it by default.
-type CacheMode uint8
-
-const (
-	// CacheAuto (the zero value) enables the route cache.
-	CacheAuto CacheMode = iota
-	// CacheOn enables the route cache explicitly.
-	CacheOn
-	// CacheOff disables learning and replay; every route searches.
-	CacheOff
-)
-
 // Cache capacities, per router. Eviction is FIFO on insertion order —
 // deterministic, unlike ranging over a Go map — so routing behaviour is
 // reproducible run to run.
@@ -72,9 +59,23 @@ type routeCache struct {
 	keyBuf     []byte // scratch for exact-key encoding
 }
 
-// cacheEnabled reports whether the route cache is active for this router.
-func (r *Router) cacheEnabled() bool {
-	return r.Opt.RouteCache != CacheOff && r.Opt.replaysPaths()
+// cacheEnabled reports whether the automatic calls consult and feed route
+// memory right now: always, except under a cost model that does not replay
+// paths or inside WithoutReplay.
+func (r *Router) cacheEnabled() bool { return r.opt.replaysPaths() && !r.searchOnly }
+
+// WithoutReplay runs f with every route it makes searched on the board as
+// it stands: no exact, learned or library lookup, and nothing learned from
+// what f routes or unroutes. A caller whose bytes must be a function of the
+// present board alone — the NoC overlay, which restores pre-obstacle
+// configurations byte for byte — scopes its mutations with it. Port memory
+// is not route memory: records still snapshot their paths, and
+// RestoreConnection (so Reconnect and AdoptConnection) still replays them.
+// Calls nest; the previous state returns when f does, error or not.
+func (r *Router) WithoutReplay(f func() error) error {
+	defer func(saved bool) { r.searchOnly = saved }(r.searchOnly)
+	r.searchOnly = true
+	return f()
 }
 
 func (r *Router) ensureCache() *routeCache {
@@ -234,7 +235,7 @@ func (r *Router) lookupTemplate(srcTrack device.Track, sink Pin) (rel []device.P
 // live again and purged from every port's remembered list. Restoring a
 // connection that is not retired is a no-op.
 //
-// The replay tier runs whatever the cache mode — the remembered path is
+// The replay tier runs inside WithoutReplay too — the remembered path is
 // port memory on the record, not a cache entry — and is skipped only
 // under a cost model that does not replay paths (Options.replaysPaths).
 func (r *Router) RestoreConnection(c *Connection) (err error) {
@@ -243,7 +244,7 @@ func (r *Router) RestoreConnection(c *Connection) (err error) {
 	if !c.retired {
 		return nil
 	}
-	if r.Opt.replaysPaths() && len(c.Path) > 0 && len(c.sinkPins) > 0 {
+	if r.opt.replaysPaths() && len(c.Path) > 0 && len(c.sinkPins) > 0 {
 		if ok, err := r.replayShifted(c); ok {
 			r.finishRestore(c)
 			return nil

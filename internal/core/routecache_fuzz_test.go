@@ -29,7 +29,7 @@ func FuzzTemplateRelocate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := New(dev, WithRouteCache(CacheOn), WithParanoidVerify(true))
+		r := New(dev, WithParanoidVerify(true))
 
 		fatalIfOracle := func(what string, err error) {
 			if err != nil && strings.Contains(err.Error(), "paranoid verify") {

@@ -40,19 +40,12 @@ type Options struct {
 	// single-net routes only: batch negotiation (RouteBatch,
 	// RouteBusBatch) counts wires under every cost model.
 	TimingDriven bool
-	// MaxNodes caps maze search effort (0 = default).
-	MaxNodes int
 	// Parallelism bounds the worker goroutines the negotiated batch
 	// router (RouteBatch/RouteBusBatch) uses to re-route one iteration's
 	// nets concurrently. 0 means runtime.GOMAXPROCS(0); 1 is fully
 	// sequential. The routed result and the committed bitstream are
 	// identical for every value.
 	Parallelism int
-	// RouteCache controls the relocation-aware route cache: remembered
-	// paths are replayed with an O(path-length) legality sweep before any
-	// full search. The zero value (CacheAuto) enables it; CacheOff forces
-	// every automatic route through search.
-	RouteCache CacheMode
 	// Library is a persistent route-template library shared read-only by
 	// any number of routers: a pre-seeded template tier consulted below
 	// the in-session learned entries (which shadow it key-by-key) and
@@ -78,9 +71,8 @@ func (o Options) replaysPaths() bool { return !o.TimingDriven }
 // the router's live avoid-region list (see AddAvoid).
 func (r *Router) mazeOpts() maze.Options {
 	return maze.Options{
-		UseLongLines: r.Opt.UseLongLines,
-		TimingDriven: r.Opt.TimingDriven,
-		MaxNodes:     r.Opt.MaxNodes,
+		UseLongLines: r.opt.UseLongLines,
+		TimingDriven: r.opt.TimingDriven,
 		Avoid:        r.avoid,
 	}
 }
@@ -182,9 +174,9 @@ type Connection struct {
 	Sinks  []EndPoint
 
 	// Path is the exact PIP path the route configured, in source-to-sink
-	// order. It is part of port memory, not the route cache: it is
-	// snapshotted whatever the cache mode, so Reconnect and churn
-	// re-routes can replay the remembered path instead of searching.
+	// order. It is port memory, snapshotted on every record (under
+	// WithoutReplay too), so Reconnect and churn re-routes can replay the
+	// remembered path instead of searching.
 	Path []device.PIP
 
 	// srcPin and sinkPins are the endpoint resolutions at record time —
@@ -199,7 +191,10 @@ type Connection struct {
 // Router is the JRoute router over one device.
 type Router struct {
 	Dev *device.Device
-	Opt Options
+	// opt is fixed at construction: nothing flips an option mid-session.
+	opt Options
+	// searchOnly is set only inside WithoutReplay.
+	searchOnly bool
 
 	stats      Stats
 	conns      []*Connection
@@ -219,6 +214,9 @@ type Router struct {
 	// opDepth tracks nesting of verified routing calls so ParanoidVerify
 	// audits only at the outermost call boundary (see paranoid.go).
 	opDepth int
+	// entryClean: no frame was dirty when the outermost call began.
+	// unwindLost: an unwind since then could not clear a PIP. See backToEntry.
+	entryClean, unwindLost bool
 	// batchCommitFault, when non-nil, injects a failure before the
 	// (net, pip)-th SetPIP of a RouteBatch commit — test-only, for
 	// auditing the commit rollback path.
@@ -234,7 +232,7 @@ type Router struct {
 // every entry replayed on a blank scratch device first — the failures are
 // counted in LibrarySkipped and dropped.
 func (r *Router) attachLibrary() {
-	lib := r.Opt.Library
+	lib := r.opt.Library
 	if lib == nil {
 		return
 	}
@@ -334,14 +332,6 @@ func (r *Router) RoutePath(p Path) error {
 	}
 	entry := device.Coord{Row: p.Row, Col: p.Col}
 	var applied []device.PIP
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			q := applied[i]
-			if cerr := r.Dev.ClearPIP(q.Row, q.Col, q.From, q.To); cerr == nil {
-				r.stats.PIPsCleared++
-			}
-		}
-	}
 	for _, w := range p.Wires[1:] {
 		taps := forwardFirst(r.Dev.Taps(cur), entry)
 		done := false
@@ -363,7 +353,7 @@ func (r *Router) RoutePath(p Path) error {
 			r.stats.PIPsSet++
 			cur, err = r.Dev.Canon(tp.Row, tp.Col, w)
 			if err != nil {
-				rollback()
+				r.unwind(applied)
 				return err
 			}
 			entry = tp
@@ -371,7 +361,7 @@ func (r *Router) RoutePath(p Path) error {
 			break
 		}
 		if !done {
-			rollback()
+			r.unwind(applied)
 			if lastErr != nil {
 				return fmt.Errorf("core: path step onto %s: %w", r.Dev.A.WireName(w), lastErr)
 			}
@@ -416,15 +406,26 @@ func (r *Router) RouteTemplate(src Pin, endWire arch.Wire, t Template) error {
 	return r.apply(route)
 }
 
+// unwind clears pips newest-first, so each cleared PIP's target has no
+// remaining dependants: the one rollback behind every call that commits
+// several PIPs and can fail partway. A PIP the device refuses to clear is
+// skipped and noted (unwindLost), not reported — the caller is already
+// returning the error that started the unwind.
+func (r *Router) unwind(pips []device.PIP) {
+	for i := len(pips) - 1; i >= 0; i-- {
+		p := pips[i]
+		if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
+			r.unwindLost = true
+			continue
+		}
+		r.stats.PIPsCleared++
+	}
+}
+
 func (r *Router) apply(route *maze.Route) error {
 	for i, p := range route.PIPs {
 		if err := r.Dev.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				q := route.PIPs[j]
-				if cerr := r.Dev.ClearPIP(q.Row, q.Col, q.From, q.To); cerr == nil {
-					r.stats.PIPsCleared++
-				}
-			}
+			r.unwind(route.PIPs[:i])
 			return err
 		}
 		r.stats.PIPsSet++
@@ -503,15 +504,13 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 		}
 	}
 
-	if r.Opt.Algorithm == TemplateFirst && freshNet && r.Opt.replaysPaths() {
+	if r.opt.Algorithm == TemplateFirst && freshNet && r.opt.replaysPaths() {
 		cands := maze.CandidateTemplates(r.Dev.A, srcTrack,
 			device.Coord{Row: sink.Row, Col: sink.Col}, sink.W, mo)
 		// Template attempts are meant to be cheap prefilters before the
 		// maze fallback, so they get a tight exploration budget.
 		tmo := mo
-		if tmo.MaxNodes <= 0 || tmo.MaxNodes > 2000 {
-			tmo.MaxNodes = 2000
-		}
+		tmo.MaxNodes = 2000
 		sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
 		for _, tmpl := range cands {
 			route, terr := maze.TemplateRouteTo(r.Dev, srcTrack, sink.W, sinkTile, tmpl, tmo)
@@ -532,7 +531,7 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 	}
 
 	var route *maze.Route
-	if r.Opt.Algorithm == Lee {
+	if r.opt.Algorithm == Lee {
 		route, err = maze.Lee(r.Dev, sources, sinkTrack, mo)
 	} else {
 		route, err = maze.AStar(r.Dev, sources, sinkTrack, mo)
@@ -554,63 +553,29 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 
 // RouteNet is route(EndPoint source, EndPoint sink): "auto-routing of point
 // to point connections" (§3.1). A sink port may resolve to several pins, in
-// which case all of them are connected (reusing the net).
-func (r *Router) RouteNet(source, sink EndPoint) (err error) {
-	r.enterOp()
-	defer r.exitOp(&err)
-	src, err := sourcePin(source)
-	if err != nil {
-		return err
-	}
-	srcTrack, err := r.Dev.Canon(src.Row, src.Col, src.W)
-	if err != nil {
-		return err
-	}
-	sinkPins := sink.Pins()
-	if len(sinkPins) == 0 {
-		return fmt.Errorf("core: sink endpoint resolves to no pins (unbound port?)")
-	}
-	r.curPath = r.curPath[:0]
-	// Exact tier of the route cache: these endpoints were routed (and
-	// unrouted) before, so replay the remembered whole-net path.
-	if r.cacheEnabled() {
-		sorted := append([]Pin(nil), sinkPins...)
-		sortPins(sorted)
-		if path, ok := r.lookupExact(src, sorted); ok {
-			if r.tryReplay(srcTrack, path, 0, 0) {
-				r.stats.Routes += len(sinkPins)
-				r.stats.CacheHits++
-				r.record(source, sink)
-				return nil
-			}
-			r.stats.ReplayFails++
-		} else {
-			r.stats.CacheMisses++
-		}
-	}
-	for _, sp := range sinkPins {
-		if err := r.routeOne(srcTrack, sp); err != nil {
-			// A multi-pin sink that fails partway must not leave the
-			// already-routed pins configured: no record would claim
-			// those PIPs, making them an untraceable phantom net.
-			r.rollbackCurPath()
-			return err
-		}
-	}
-	r.record(source, sink)
-	return nil
+// which case all of them are connected (reusing the net) in Pins() order.
+func (r *Router) RouteNet(source, sink EndPoint) error {
+	return r.routeSinks(source, []EndPoint{sink}, false)
 }
 
 // RouteFanout is route(EndPoint source, EndPoint[] sinks): "It decides the
 // best path for the entire collection of sinks ... Each sink gets routed in
 // order of increasing distance from the source. For each sink, the router
 // attempts to reuse the previous paths as much as possible." (§3.1)
-func (r *Router) RouteFanout(source EndPoint, sinks []EndPoint) (err error) {
-	r.enterOp()
-	defer r.exitOp(&err)
+func (r *Router) RouteFanout(source EndPoint, sinks []EndPoint) error {
 	if len(sinks) == 0 {
 		return fmt.Errorf("core: fanout with no sinks")
 	}
+	return r.routeSinks(source, sinks, true)
+}
+
+// routeSinks is the one body of RouteNet and RouteFanout: replay the whole
+// net if these endpoints were routed before, else route pin by pin — in
+// the order the endpoints list their pins, or nearest the source first —
+// and record the net only when every pin is connected.
+func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool) (err error) {
+	r.enterOp()
+	defer r.exitOp(&err)
 	src, err := sourcePin(source)
 	if err != nil {
 		return err
@@ -620,14 +585,20 @@ func (r *Router) RouteFanout(source EndPoint, sinks []EndPoint) (err error) {
 		return err
 	}
 	var pins []Pin
-	for _, s := range sinks {
+	for i, s := range sinks {
 		ps := s.Pins()
 		if len(ps) == 0 {
-			return fmt.Errorf("core: fanout sink resolves to no pins (unbound port?)")
+			return fmt.Errorf("core: sink endpoint resolves to no pins (unbound port?)")
 		}
-		pins = append(pins, ps...)
+		if i == 0 {
+			pins = ps // Pins returns a fresh slice: ours to extend and sort
+		} else {
+			pins = append(pins, ps...)
+		}
 	}
 	r.curPath = r.curPath[:0]
+	// Exact tier of the route cache: these endpoints were routed (and
+	// unrouted) before, so replay the remembered whole-net path.
 	if r.cacheEnabled() {
 		sorted := append([]Pin(nil), pins...)
 		sortPins(sorted)
@@ -643,16 +614,22 @@ func (r *Router) RouteFanout(source EndPoint, sinks []EndPoint) (err error) {
 			r.stats.CacheMisses++
 		}
 	}
-	sort.SliceStable(pins, func(i, j int) bool {
-		di := abs(pins[i].Row-src.Row) + abs(pins[i].Col-src.Col)
-		dj := abs(pins[j].Row-src.Row) + abs(pins[j].Col-src.Col)
-		return di < dj
-	})
+	if nearestFirst {
+		sort.SliceStable(pins, func(i, j int) bool {
+			di := abs(pins[i].Row-src.Row) + abs(pins[i].Col-src.Col)
+			dj := abs(pins[j].Row-src.Row) + abs(pins[j].Col-src.Col)
+			return di < dj
+		})
+	}
 	for _, sp := range pins {
 		if err := r.routeOne(srcTrack, sp); err != nil {
-			// Same phantom-net hazard as RouteNet: undo the sinks
-			// already routed by this call before reporting failure.
-			r.rollbackCurPath()
+			// A net that fails partway must not leave the pins already
+			// routed configured: no record would claim those PIPs, making
+			// them a phantom net invisible to trace, unroute and port
+			// memory.
+			r.unwind(r.curPath)
+			r.curPath = r.curPath[:0]
+			r.backToEntry()
 			return err
 		}
 	}
@@ -663,7 +640,9 @@ func (r *Router) RouteFanout(source EndPoint, sinks []EndPoint) (err error) {
 // RouteBus is route(EndPoint[] source, EndPoint[] sink): "a call for bus
 // connections. In a data flow design, the outputs of one stage go to the
 // inputs of the next stage. As a convenience, the user does not need to
-// write a Java loop to connect each one." (§3.1)
+// write a Java loop to connect each one." (§3.1) Either every bit routes
+// or none does: a bit that fails takes the bits before it back down, PIPs
+// and records, as RouteBatch does.
 func (r *Router) RouteBus(sources, sinks []EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
@@ -673,8 +652,17 @@ func (r *Router) RouteBus(sources, sinks []EndPoint) (err error) {
 	if len(sources) == 0 {
 		return fmt.Errorf("core: empty bus")
 	}
+	connMark := len(r.conns)
 	for i := range sources {
 		if err := r.RouteNet(sources[i], sinks[i]); err != nil {
+			// Each routed bit appended one record holding the PIPs it
+			// committed; newest bit first, since a later bit may branch
+			// off an earlier one's net.
+			for j := len(r.conns) - 1; j >= connMark; j-- {
+				r.unwind(r.conns[j].Path)
+			}
+			r.conns = r.conns[:connMark]
+			r.backToEntry()
 			return fmt.Errorf("core: bus bit %d: %w", i, err)
 		}
 	}
@@ -683,7 +671,9 @@ func (r *Router) RouteBus(sources, sinks []EndPoint) (err error) {
 
 // RouteClock connects a dedicated global clock net to the clock pins of the
 // given endpoints using the dedicated low-skew resources (§2's global
-// routing; clock distribution does not consume general routing).
+// routing; clock distribution does not consume general routing). It records
+// no Connection: clock nets are outside port memory, the oracle claims and
+// SnapshotConnections (see restore.go).
 func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)

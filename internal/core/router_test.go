@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -242,6 +243,63 @@ func TestRouteBus(t *testing.T) {
 	}
 	if err := r.RouteBus(nil, nil); err == nil {
 		t.Error("empty bus accepted")
+	}
+}
+
+// TestRouteBusAllOrNothing: a bus whose third bit cannot route (its sink is
+// taken) used to leave bits 0 and 1 routed with live records. The failed
+// call must leave the router and the device exactly as it found them —
+// PIPs, records, bytes, and no frame dirty — and the same bus must route
+// once the obstruction is gone.
+func TestRouteBusAllOrNothing(t *testing.T) {
+	r := newTestRouter(t, Options{})
+	var srcs, dsts []EndPoint
+	for i := 0; i < 4; i++ {
+		srcs = append(srcs, NewPin(4, 4+i, arch.S0X))
+		dsts = append(dsts, NewPin(9, 15+i, arch.S0F1))
+	}
+	blocker := NewPin(12, 3, arch.S0X)
+	if err := r.RouteNet(blocker, dsts[2]); err != nil {
+		t.Fatal(err)
+	}
+	r.Dev.ClearDirty() // as a service does after shipping each op's frames
+	before, err := r.Dev.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pips, conns := r.Dev.OnPIPCount(), r.ConnectionCount()
+
+	if err := r.RouteBus(srcs, dsts); err == nil {
+		t.Fatal("bus routed onto an occupied sink")
+	}
+	if got := r.Dev.OnPIPCount(); got != pips {
+		t.Errorf("failed bus left %d PIPs on, want %d", got, pips)
+	}
+	if got := r.ConnectionCount(); got != conns {
+		t.Errorf("failed bus left %d connection records, want %d", got, conns)
+	}
+	after, err := r.Dev.FullConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("failed bus changed the configuration")
+	}
+	if n := r.Dev.DirtyFrameCount(); n != 0 {
+		t.Errorf("failed bus left %d frames dirty on an unchanged configuration", n)
+	}
+	if err := r.VerifyOracle(); err != nil {
+		t.Errorf("after failed bus: %v", err)
+	}
+
+	if err := r.Unroute(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RouteBus(srcs, dsts); err != nil {
+		t.Fatalf("bus after the obstruction left: %v", err)
+	}
+	for i := range srcs {
+		assertConnected(t, r, srcs[i].(Pin), dsts[i].(Pin))
 	}
 }
 

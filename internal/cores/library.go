@@ -25,7 +25,7 @@ func LearnStdlib(a *arch.Arch, rows, cols int, b *library.Builder) (int, error) 
 	if err != nil {
 		return 0, fmt.Errorf("cores: learn scratch device: %w", err)
 	}
-	r := core.New(dev, core.WithRouteCache(core.CacheOn))
+	r := core.New(dev)
 
 	type coreLike interface {
 		Place(row, col int) error

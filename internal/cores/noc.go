@@ -12,11 +12,11 @@ package cores
 // downed links reconnected from port memory, and the detoured nets ripped
 // and re-routed on their canonical paths.
 //
-// Every routing mutation the overlay makes runs with the route cache
-// forced off, so the PIP-level outcome of a churn sequence is identical
-// whatever cache/parallelism/partition options the hosting router carries
-// — the overlay is byte-deterministic across the whole differential-fuzz
-// config grid.
+// Every routing mutation the overlay makes runs inside the hosting
+// router's WithoutReplay, so each route is searched on the board as it
+// stands and the PIP-level outcome of a churn sequence does not depend on
+// what the router learned from other traffic before it — which is what
+// lets removal restore bytes, not just nets.
 
 import (
 	"fmt"
@@ -407,17 +407,6 @@ func (n *NoC) Obstacles() []maze.Rect {
 	return out
 }
 
-// withCacheOff runs f with the hosting router's route cache disabled, so
-// the overlay's mutations search fresh and land on identical PIPs whatever
-// cache mode the router normally runs — byte-determinism across the
-// differential config grid.
-func (n *NoC) withCacheOff(f func() error) error {
-	saved := n.R.Opt.RouteCache
-	n.R.Opt.RouteCache = core.CacheOff
-	defer func() { n.R.Opt.RouteCache = saved }()
-	return f()
-}
-
 // allLinks enumerates every directed link in canonical order: row-major
 // over nodes, E/W pair then N/S pair. Build, rip-up, and restore all walk
 // this order, which is what keeps churn byte-deterministic.
@@ -451,7 +440,7 @@ func (n *NoC) Build() error {
 	if n.built {
 		return fmt.Errorf("cores: NoC %s already built", n.name)
 	}
-	return n.withCacheOff(func() error {
+	return n.R.WithoutReplay(func() error {
 		for i := 0; i < n.MeshRows; i++ {
 			for j := 0; j < n.MeshCols; j++ {
 				nd := NewRouterNode(fmt.Sprintf("%s.n%d_%d", n.name, i, j), n.Clock)
@@ -598,7 +587,7 @@ func (n *NoC) connectedWithout(minus map[NodeID]bool) bool {
 // replay of the original path, byte-identical whatever happened between.
 func (n *NoC) routeInject(id NodeID) error {
 	r, c := n.InjectSite(id.I, id.J)
-	err := n.withCacheOff(func() error {
+	err := n.R.WithoutReplay(func() error {
 		if n.injectMem[id] {
 			return n.R.Reconnect(n.nodes[id.I][id.J].InjectPort())
 		}
@@ -649,7 +638,7 @@ func (n *NoC) RemoveFlow(id int) error {
 	}
 	if !shared && n.injects[f.Src] {
 		r, c := n.InjectSite(f.Src.I, f.Src.J)
-		if err := n.withCacheOff(func() error {
+		if err := n.R.WithoutReplay(func() error {
 			return n.R.Unroute(core.NewPin(r, c, arch.S0X))
 		}); err != nil {
 			return err
@@ -808,7 +797,7 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 		}
 	}
 	st := &obstacleState{rect: rect, occluded: occl}
-	err := n.withCacheOff(func() error {
+	err := n.R.WithoutReplay(func() error {
 		// 1. Suspend inject taps the rectangle invalidates: source node
 		// occluded, or the tap tile itself covered.
 		for i := 0; i < n.MeshRows; i++ {
@@ -898,8 +887,8 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 // detoured nets are ripped again, the obstacle core is removed and its
 // reservation dropped, the occluded nodes re-implemented, the downed
 // links reconnected from port memory, suspended inject taps re-routed,
-// and finally the detoured and deferred nets re-routed — all with the
-// cache off and in the build's canonical order, so the configuration
+// and finally the detoured and deferred nets re-routed — all inside
+// WithoutReplay and in the build's canonical order, so the configuration
 // returns to its pre-obstacle bytes.
 func (n *NoC) RemoveObstacle(row, col, height, width int) error {
 	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
@@ -914,7 +903,7 @@ func (n *NoC) RemoveObstacle(row, col, height, width int) error {
 		return fmt.Errorf("cores: NoC %s: no obstacle at (%d,%d) %dx%d", n.name, row, col, width, height)
 	}
 	st := n.obstacles[idx]
-	err := n.withCacheOff(func() error {
+	err := n.R.WithoutReplay(func() error {
 		// 1. Rip the detours, taking back their live records. Where a net
 		// still matches its placement-time shape, its remembered path is
 		// rewritten to the original, so step 6 replays the pre-obstacle

@@ -10,9 +10,8 @@ import (
 	"repro/internal/oracle"
 )
 
-// TestDifferentialSmoke runs a short seeded campaign over the full 2x2
-// config grid (cache on/off x parallelism 1/8) and requires zero
-// divergences. The long campaign lives in cmd/jverify; this is the CI
+// TestDifferentialSmoke runs a short seeded campaign over scenario.Grid
+// (parallelism 1 and 8) and requires zero divergences. The long campaign lives in cmd/jverify; this is the CI
 // floor.
 func TestDifferentialSmoke(t *testing.T) {
 	steps := 120
@@ -41,8 +40,7 @@ func TestDifferentialSmoke(t *testing.T) {
 // 3x3 NoC overlay is built on every board and the generator interleaves
 // connectivity-preserving obstacle place/clear ops with the usual route
 // churn. Every step still demands outcome, claim, and byte agreement plus
-// a full strict oracle audit per cache mode — the per-step audit the
-// obstacle ops ride on.
+// a full strict oracle audit — the per-step audit the obstacle ops ride on.
 func TestDifferentialNoCSmoke(t *testing.T) {
 	steps := 100
 	if testing.Short() {
@@ -63,35 +61,37 @@ func TestDifferentialNoCSmoke(t *testing.T) {
 	}
 }
 
-// TestCacheModesBytesDiverge is the reproducer for the harness's first
-// discovery (see the package comment): cache-on and cache-off boards are
-// NOT byte-identical under churn, and that is correct behavior, not a bug.
+// TestReplayKeepsRememberedDetour pins what route memory does to bytes, and
+// what WithoutReplay is for: a replayed net keeps the path it was first
+// given, where a fresh search of the same endpoints on the present board
+// finds another. Neither is wrong — both boards are oracle-clean with equal
+// claims — which is why a caller that owes someone exact bytes (the NoC
+// overlay) must search, and why the differential harness compares boards
+// that all run the one replaying router.
 //
 // Construction: a net is first routed through a congested corridor, so the
 // path it learns is a detour. The congestion is then removed and the net
-// is torn down and rerouted. The cache-on router replays the learned
-// detour; the cache-off router re-searches the now-open board and finds a
-// different (straighter) path. Frames differ, yet both boards are fully
-// oracle-equivalent: same claims, physically continuous, no contention,
-// no antennas.
-func TestCacheModesBytesDiverge(t *testing.T) {
+// is torn down and rerouted. The replaying router replays the learned
+// detour; the router rerouting inside WithoutReplay searches the now-open
+// board and finds a different (straighter) path.
+func TestReplayKeepsRememberedDetour(t *testing.T) {
 	a := arch.NewVirtex()
-	mk := func(mode core.CacheMode) (*device.Device, *core.Router) {
+	mk := func() (*device.Device, *core.Router) {
 		dev, err := device.New(a, 16, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dev, core.New(dev, core.WithRouteCache(mode))
+		return dev, core.New(dev)
 	}
-	devOn, on := mk(core.CacheOn)
-	devOff, off := mk(core.CacheOff)
+	devReplay, replay := mk()
+	devSearch, search := mk()
 	both := func(what string, f func(r *core.Router) error) {
 		t.Helper()
-		if err := f(on); err != nil {
-			t.Fatalf("%s (cache-on): %v", what, err)
+		if err := f(replay); err != nil {
+			t.Fatalf("%s (replaying): %v", what, err)
 		}
-		if err := f(off); err != nil {
-			t.Fatalf("%s (cache-off): %v", what, err)
+		if err := search.WithoutReplay(func() error { return f(search) }); err != nil {
+			t.Fatalf("%s (search-only): %v", what, err)
 		}
 	}
 
@@ -113,7 +113,7 @@ func TestCacheModesBytesDiverge(t *testing.T) {
 
 	// Route the victim through the congestion: it learns a detour.
 	both("victim route", func(r *core.Router) error { return r.RouteNet(src, dst) })
-	// Tear everything down; the cache-on router remembers the detour.
+	// Tear everything down; the replaying router remembers the detour.
 	both("victim unroute", func(r *core.Router) error { return r.Unroute(src) })
 	for _, b := range blockers {
 		b := b
@@ -123,36 +123,36 @@ func TestCacheModesBytesDiverge(t *testing.T) {
 	// Reroute on the now-open board: replay vs fresh search.
 	both("victim reroute", func(r *core.Router) error { return r.RouteNet(src, dst) })
 
-	sOn, err := devOn.FullConfig()
+	sReplay, err := devReplay.FullConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sOff, err := devOff.FullConfig()
+	sSearch, err := devSearch.FullConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(sOn, sOff) {
-		t.Fatal("boards are byte-identical; the replayed detour did not differ from the fresh search (construction no longer congests the corridor?)")
+	if bytes.Equal(sReplay, sSearch) {
+		t.Fatal("boards are byte-identical; the replayed detour did not differ from the fresh search (construction no longer congests the corridor, or WithoutReplay no longer suppresses replay?)")
 	}
-	diff, err := oracle.DiffStreams(a, sOn, sOff)
+	diff, err := oracle.DiffStreams(a, sReplay, sSearch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diff) == 0 {
 		t.Fatal("streams differ but PIP diff is empty")
 	}
-	t.Logf("cache-on and cache-off legally differ by %d PIPs after churn", len(diff))
+	t.Logf("replayed and searched boards differ by %d PIPs after churn", len(diff))
 
 	// The divergence is byte-level only: both boards must be fully
 	// oracle-equivalent.
-	claimsOn, claimsOff := on.OracleClaims(), off.OracleClaims()
-	if !claimsEquivalent(claimsOn, claimsOff) {
+	claimsReplay, claimsSearch := replay.OracleClaims(), search.OracleClaims()
+	if !claimsEqual(claimsReplay, claimsSearch) {
 		t.Fatal("claims diverged — this would be a real bug, not the documented byte divergence")
 	}
-	if err := oracle.Audit(a, sOn, claimsOn, true); err != nil {
-		t.Fatalf("cache-on board not oracle-clean: %v", err)
+	if err := oracle.Audit(a, sReplay, claimsReplay, true); err != nil {
+		t.Fatalf("replaying board not oracle-clean: %v", err)
 	}
-	if err := oracle.Audit(a, sOff, claimsOff, true); err != nil {
-		t.Fatalf("cache-off board not oracle-clean: %v", err)
+	if err := oracle.Audit(a, sSearch, claimsSearch, true); err != nil {
+		t.Fatalf("search-only board not oracle-clean: %v", err)
 	}
 }

@@ -135,19 +135,16 @@ func ByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// Grid is the cross-configuration grid every scenario must agree on
-// byte-for-byte. Scenarios are fresh single-pass flows — no churn between a
-// path being learned and replayed — so here (unlike the differential fuzz
-// harness) even cache-on and cache-off boards must be identical, and the
-// committed stream must not depend on worker count.
+// Grid is the one cross-configuration grid: every scenario, every NoC churn
+// script and every step of the differential fuzz harness must come out
+// byte-for-byte the same under each row. Worker count is the only router
+// option that varies without being meant to move bytes.
 var Grid = []struct {
 	Name string
 	Opts []core.Option
 }{
-	{"cache-on/par-1", []core.Option{core.WithRouteCache(core.CacheOn), core.WithParallelism(1)}},
-	{"cache-on/par-8", []core.Option{core.WithRouteCache(core.CacheOn), core.WithParallelism(8)}},
-	{"cache-off/par-1", []core.Option{core.WithRouteCache(core.CacheOff), core.WithParallelism(1)}},
-	{"cache-off/par-8", []core.Option{core.WithRouteCache(core.CacheOff), core.WithParallelism(8)}},
+	{"par-1", []core.Option{core.WithParallelism(1)}},
+	{"par-8", []core.Option{core.WithParallelism(8)}},
 }
 
 // Run executes the scenario on a fresh device under the given router

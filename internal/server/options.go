@@ -1,23 +1,41 @@
 package server
 
 import (
+	"net"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core/library"
 )
 
-// Opt is a functional option for NewServer. The Options struct stays the
-// internal representation (and New(Options) keeps working); these
-// constructors are the composable surface the CLIs use.
+// Opt is a functional option for NewServer, the one constructor. The
+// Options struct stays the representation fleet.Config and WorkerConfig
+// carry.
 type Opt func(*Options)
 
-// NewServer creates an empty daemon from functional options.
+// NewServer creates an empty daemon from functional options; add devices
+// with AddDevice (or attach a fleet with SetFleet), then Start.
 func NewServer(opts ...Opt) *Server {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return New(o)
+	// Audit the library once here rather than once per worker: every
+	// session router shares the audited copy read-only. An audit failure
+	// (unknown arch) leaves the library unaudited; workers then reject it
+	// individually and count it skipped.
+	if lib := o.Library; lib != nil && !lib.Audited() {
+		if a, err := arch.ByName(lib.Arch()); err == nil {
+			if audited, _, err := lib.Audit(a); err == nil {
+				o.Library = audited
+			}
+		}
+	}
+	return &Server{
+		opts:     o,
+		sessions: make(map[string]*Worker),
+		conns:    make(map[net.Conn]struct{}),
+	}
 }
 
 // WithQueueDepth bounds each session's request queue.
@@ -36,7 +54,7 @@ func WithEnqueueTimeout(d time.Duration) Opt { return func(o *Options) { o.Enque
 func WithParanoidVerify(on bool) Opt { return func(o *Options) { o.ParanoidVerify = on } }
 
 // WithLibrary seeds every session router with a persistent route-template
-// library, shared read-only across workers (audited once in New).
+// library, shared read-only across workers (audited once in NewServer).
 func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }
 
 // WithAuth installs a hello-token authenticator: fn maps the bearer token

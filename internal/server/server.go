@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core/library"
 	"repro/internal/jbits"
 	"repro/internal/server/protocol"
@@ -32,7 +31,7 @@ type Options struct {
 	// audited by the bitstream oracle (see core.Options.ParanoidVerify).
 	ParanoidVerify bool
 	// Library, when set, seeds every session router with a persistent
-	// route-template library, shared read-only across all workers. New
+	// route-template library, shared read-only across all workers. NewServer
 	// audits an unaudited library once so N workers do not each re-sweep
 	// it. See core.Options.Library.
 	Library *library.Library
@@ -92,27 +91,6 @@ type Server struct {
 	wire protocol.WireStatsMsg
 
 	connWG sync.WaitGroup
-}
-
-// New creates an empty daemon; add devices with AddDevice (or attach a
-// fleet with SetFleet), then Start.
-func New(opts Options) *Server {
-	// Audit once here rather than once per worker: every session router
-	// shares the audited copy read-only. An audit failure (unknown arch)
-	// leaves the library unaudited; workers then reject it individually
-	// and count it skipped.
-	if lib := opts.Library; lib != nil && !lib.Audited() {
-		if a, err := arch.ByName(lib.Arch()); err == nil {
-			if audited, _, err := lib.Audit(a); err == nil {
-				opts.Library = audited
-			}
-		}
-	}
-	return &Server{
-		opts:     opts,
-		sessions: make(map[string]*Worker),
-		conns:    make(map[net.Conn]struct{}),
-	}
 }
 
 // AddDevice creates a named static device session. archName may be

@@ -19,7 +19,7 @@ import (
 // returns its address; it is shut down at test cleanup.
 func startDaemon(t *testing.T, opts server.Options, devices ...string) (string, *server.Server) {
 	t.Helper()
-	srv := server.New(opts)
+	srv := server.NewServer(func(o *server.Options) { *o = opts })
 	for _, d := range devices {
 		if err := srv.AddDevice(d, "virtex", 16, 24); err != nil {
 			t.Fatal(err)
@@ -314,7 +314,7 @@ func TestServiceStatsPartition(t *testing.T) {
 // drains, and refuses new work afterwards.
 func TestGracefulShutdown(t *testing.T) {
 	ctx := context.Background()
-	srv := server.New(server.Options{})
+	srv := server.NewServer()
 	if err := srv.AddDevice("dev", "virtex", 16, 24); err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,10 @@ type Worker struct {
 	router *core.Router
 	cores  map[string]*coreEntry
 	m      *sessionMetrics
+	// quarantined, once non-empty, is the answer to every task: an op
+	// panicked, so the router and device behind this worker are in a state
+	// nobody vouches for. Worker goroutine only.
+	quarantined string
 }
 
 // NewWorker creates a worker and starts its goroutine.
@@ -151,20 +155,40 @@ func (w *Worker) run() {
 			t.resp <- ctxErrResponse(t.ctx, reqID(t.req))
 			continue
 		}
-		if t.fn != nil {
-			resp := &Response{}
-			if err := t.fn(w.router, w.js); err != nil {
-				resp.Err = err.Error()
-				resp.ErrorCode = protocol.CodeInternal
-			}
-			t.resp <- resp
-			continue
-		}
-		start := time.Now()
-		resp := w.handle(t.req)
-		w.m.observe(t.req.Op, time.Since(start), resp.Err != "")
-		t.resp <- resp
+		t.resp <- w.serve(t)
 	}
+}
+
+// serve executes one task. A panic in it is this session's fault alone: it
+// is recovered here, on the goroutine every other session's worker does not
+// share, answered as CodeInternal, and the session is quarantined — every
+// later task gets the same answer without touching the router — while the
+// queue keeps draining, so Close and Done work as for a healthy worker.
+func (w *Worker) serve(t task) (resp *Response) {
+	if w.quarantined != "" {
+		return &Response{Err: w.quarantined, ErrorCode: protocol.CodeInternal}
+	}
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			w.quarantined = fmt.Sprintf("server: session %s quarantined: an op panicked: %v", w.cfg.Name, p)
+			resp = &Response{Err: w.quarantined, ErrorCode: protocol.CodeInternal}
+			if t.req != nil {
+				w.m.observe(t.req.Op, time.Since(start), true)
+			}
+		}
+	}()
+	if t.fn != nil {
+		resp = &Response{}
+		if err := t.fn(w.router, w.js); err != nil {
+			resp.Err = err.Error()
+			resp.ErrorCode = protocol.CodeInternal
+		}
+		return resp
+	}
+	resp = w.handle(t.req)
+	w.m.observe(t.req.Op, time.Since(start), resp.Err != "")
+	return resp
 }
 
 func reqID(req *Request) uint64 {
