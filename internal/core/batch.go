@@ -76,13 +76,13 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	// Commit net by net, creating each net's Connection record as soon as
 	// its PIPs are on the device. A failure therefore has to undo both:
 	// clear the applied PIPs and drop the records this call created.
-	connMark := len(r.conns)
+	mark := r.conns.tail
 	var applied []device.PIP
 	for i, pips := range res.Nets {
 		for pi, p := range pips {
 			if err := r.commitBatchPIP(i, pi, p); err != nil {
 				r.unwind(applied)
-				r.conns = r.conns[:connMark]
+				r.conns.truncate(mark)
 				r.backToEntry()
 				return fmt.Errorf("core: committing batch: %w", err)
 			}

@@ -59,10 +59,7 @@ func (r *Router) exitOp(err *error) {
 // record — the only router information the oracle is allowed to see.
 func (r *Router) OracleClaims() []oracle.Claim {
 	var out []oracle.Claim
-	for _, c := range r.conns {
-		if c.retired {
-			continue
-		}
+	for c := r.conns.head; c != nil; c = c.next {
 		src, err := sourcePin(c.Source)
 		if err != nil {
 			continue

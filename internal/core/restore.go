@@ -34,35 +34,89 @@ type ConnectionRecord struct {
 	Path   []device.PIP
 }
 
-// SnapshotConnections exports every live (non-retired) connection as a
-// ConnectionRecord. Port endpoints are flattened to the pins they resolve
-// to right now, so the snapshot stays meaningful after the router (and any
-// core instances living on it) are gone. Clock nets are not in it (see
-// the note at the top of this file).
+// SnapshotConnections exports every live connection as a
+// ConnectionRecord, in insertion order. Port endpoints are flattened to the
+// pins they resolve to right now, so the snapshot stays meaningful after
+// the router (and any core instances living on it) are gone. Clock nets are
+// not in it (see the note at the top of this file).
 func (r *Router) SnapshotConnections() []ConnectionRecord {
-	out := make([]ConnectionRecord, 0, len(r.conns))
-	for _, c := range r.conns {
-		if c.retired {
-			continue
+	out := make([]ConnectionRecord, 0, r.conns.n)
+	for c := r.conns.head; c != nil; c = c.next {
+		if rec, ok := snapshotOf(c); ok {
+			out = append(out, rec)
 		}
-		rec := ConnectionRecord{}
-		if len(c.sinkPins) > 0 {
-			// Recorded with its path at route time: pins and path are
-			// already the canonical replay frame.
-			rec.Source = c.srcPin
-			rec.Sinks = append([]Pin(nil), c.sinkPins...)
-			rec.Path = append([]device.PIP(nil), c.Path...)
-		} else {
-			src, err := sourcePin(c.Source)
-			if err != nil {
-				continue // multi-pin source endpoint: not snapshottable
-			}
-			rec.Source = src
-			rec.Sinks = flattenPins(c.Sinks)
-		}
-		out = append(out, rec)
 	}
 	return out
+}
+
+// snapshotOf is one record's export; false for a record whose source
+// endpoint resolves to several pins, which no snapshot can carry.
+func snapshotOf(c *Connection) (ConnectionRecord, bool) {
+	if len(c.sinkPins) > 0 {
+		// Recorded with its path at route time: pins and path are
+		// already the canonical replay frame.
+		return ConnectionRecord{
+			Source: c.srcPin,
+			Sinks:  append([]Pin(nil), c.sinkPins...),
+			Path:   append([]device.PIP(nil), c.Path...),
+		}, true
+	}
+	src, err := sourcePin(c.Source)
+	if err != nil {
+		return ConnectionRecord{}, false
+	}
+	return ConnectionRecord{Source: src, Sinks: flattenPins(c.Sinks)}, true
+}
+
+// Delta is what changed in a router's live connection table between two
+// TakeDelta calls, keyed by record sequence number: a number is handed out
+// once per router, in insertion order, and never reused, so a consumer that
+// keeps its records ordered by it holds exactly SnapshotConnections.
+type Delta struct {
+	// Upserted are the records inserted or changed in place (a sink split
+	// off by ReverseUnroute) that are still live, as they stand now. A
+	// sequence number may repeat; the copies are equal.
+	Upserted []SeqRecord
+	// Retired are the sequence numbers of the records that left the table.
+	// Apply them after Upserted: a record inserted and removed within one
+	// delta appears only here.
+	Retired []uint64
+}
+
+// SeqRecord is one exported record under its sequence number.
+type SeqRecord struct {
+	Seq uint64
+	ConnectionRecord
+}
+
+// TakeDelta returns what changed in the live connection table since the
+// previous call, at the cost of the records that changed — the export a
+// journal applies after every acknowledged op where it used to copy
+// SnapshotConnections whole. The first call returns every live record and
+// turns the bookkeeping on; a router nobody asks keeps none.
+func (r *Router) TakeDelta() Delta {
+	t := &r.conns
+	if t.log == nil {
+		t.log = &deltaLog{}
+		for c := t.head; c != nil; c = c.next {
+			t.log.touched = append(t.log.touched, c)
+		}
+	}
+	var d Delta
+	for _, c := range t.log.touched {
+		if !c.listed {
+			continue // removed since; its number is in retired
+		}
+		if rec, ok := snapshotOf(c); ok {
+			d.Upserted = append(d.Upserted, SeqRecord{Seq: c.seq, ConnectionRecord: rec})
+		} else {
+			d.Retired = append(d.Retired, c.seq)
+		}
+	}
+	d.Retired = append(d.Retired, t.log.retired...)
+	clear(t.log.touched) // drop the record pointers
+	t.log.touched, t.log.retired = t.log.touched[:0], t.log.retired[:0]
+	return d
 }
 
 // AdoptConnection imports one snapshot record into this router: it builds a
@@ -79,10 +133,8 @@ func (r *Router) AdoptConnection(rec ConnectionRecord) error {
 	sinks := make([]Pin, len(rec.Sinks))
 	copy(sinks, rec.Sinks)
 	sortPins(sinks)
-	for _, c := range r.conns {
-		if c.retired {
-			continue
-		}
+	for c := r.conns.bucket(r.sourceKey(rec.Source)); c != nil; c = c.srcNext {
+		r.stats.RecordsVisited++
 		src, err := sourcePin(c.Source)
 		if err != nil || src != rec.Source {
 			continue

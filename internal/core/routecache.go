@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -319,92 +321,65 @@ func (r *Router) finishRestore(c *Connection) {
 	}
 }
 
-// RipUpRegion unroutes every live net whose routed path or endpoints
-// intersect the height×width tile rectangle at (row, col) — the
-// region-scoped incremental rip-up behind cores.Replace. Nets recorded
-// with a cached path are tested against it directly (no device walk); the
-// rest are traced. A net is ripped whole (all its connection records
-// retire together, remembered under their ports as usual), and the retired
-// records are returned so the caller can RestoreConnection each one after
-// the region's new occupant is in place.
+// RipUpRegion unroutes every live net that touches the height×width tile
+// rectangle at (row, col) — the region-scoped incremental rip-up behind
+// cores.Replace and NoC.PlaceObstacle — and returns the retired records so
+// the caller can RestoreConnection each one after the region's new occupant
+// is in place.
+//
+// What touches the rectangle is read off the fabric, not the connection
+// list, so the cost follows the region and not the session: the device
+// lists the driven tracks whose physical span meets the rectangle and the
+// source pins inside it (Device.AppendTracksOver), each is walked driver by
+// driver to its net's root, and the root's track looks the net's records up.
+// The span matters: a hex driven just west of the region and tapped just
+// east of it crosses every region tile with both its PIPs outside, and a
+// net routed that way would otherwise survive the rip-up only to be severed
+// when the region's new occupant claims the fabric under it. Nets without a
+// record (clock distribution, a core's internal PIPs, manual routes) are
+// found and left alone.
+//
+// A net is ripped whole — all records sharing its source retire together,
+// remembered under their ports as usual. The returned list is in record
+// insertion order and nets are unrouted oldest record first: that is the
+// order exact paths are learned and port memory is filed in, and what
+// restores replay in. If an Unroute fails part-way the error comes back
+// with the records already retired, which the caller must restore or lose:
+// a pin-to-pin record lives in no port's memory.
 func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	inRect := func(rr, cc int) bool {
-		return rr >= row && rr < row+height && cc >= col && cc < col+width
-	}
-	// A net intersects the region if any of its PIPs is made inside it OR
-	// any wire it drives physically spans it. The span check matters: a hex
-	// driven just west of the region and tapped just east of it crosses
-	// every region tile with both its PIPs outside, and a net routed that
-	// way would otherwise survive the rip-up only to be severed when the
-	// region's new occupant claims the fabric under it.
-	pipsIntersect := func(pips []device.PIP) bool {
-		for _, p := range pips {
-			if inRect(p.Row, p.Col) {
-				return true
-			}
-			t, ok := r.Dev.CanonOK(p.Row, p.Col, p.To)
+	r.regionBuf = r.Dev.AppendTracksOver(r.regionBuf[:0], row, col, height, width)
+	roots := r.rootBuf[:0]
+	for _, t := range r.regionBuf {
+		for {
+			p, ok := r.Dev.DriverOf(t)
 			if !ok {
-				continue
+				break
 			}
-			if r0, c0, r1, c1, ok := r.Dev.TrackSpan(t); ok &&
-				r1 >= row && r0 < row+height && c1 >= col && c0 < col+width {
-				return true
+			if t, ok = r.Dev.CanonOK(p.Row, p.Col, p.From); !ok {
+				return nil, fmt.Errorf("core: region rip-up: on-PIP %s has no source track", r.Dev.PIPString(p))
 			}
 		}
-		return false
+		roots = append(roots, r.Dev.TrackIndex(t))
 	}
-	connIntersects := func(c *Connection) (bool, error) {
-		if src, err := sourcePin(c.Source); err == nil && inRect(src.Row, src.Col) {
-			return true, nil
-		}
-		for _, p := range flattenPins(c.Sinks) {
-			if inRect(p.Row, p.Col) {
-				return true, nil
-			}
-		}
-		if len(c.Path) > 0 {
-			return pipsIntersect(c.Path), nil
-		}
-		net, err := r.Trace(c.Source)
-		if err != nil {
-			return false, err
-		}
-		return pipsIntersect(net.PIPs), nil
-	}
-
-	live := append([]*Connection(nil), r.conns...)
-	hit := make(map[*Connection]bool)
-	var sources []EndPoint
-	for _, c := range live {
-		if hit[c] {
-			continue
-		}
-		ok, err := connIntersects(c)
-		if err != nil {
-			return nil, fmt.Errorf("core: region rip-up: %w", err)
-		}
-		if !ok {
-			continue
-		}
-		// The physical net is ripped whole, so every record sharing this
-		// source retires with it.
-		sources = append(sources, c.Source)
-		for _, o := range live {
-			if endPointEqual(o.Source, c.Source) {
-				hit[o] = true
-			}
-		}
-	}
-	for _, c := range live {
-		if hit[c] {
+	slices.Sort(roots)
+	roots = slices.Compact(roots)
+	r.rootBuf = roots
+	for _, root := range roots {
+		for c := r.conns.bucket(root); c != nil; c = c.srcNext {
+			r.stats.RecordsVisited++
 			ripped = append(ripped, c)
 		}
 	}
-	for _, src := range sources {
-		if err := r.Unroute(src); err != nil {
-			return nil, fmt.Errorf("core: region rip-up: %w", err)
+	slices.SortFunc(ripped, func(a, b *Connection) int { return cmp.Compare(a.seq, b.seq) })
+	for _, c := range ripped {
+		if c.retired {
+			continue // went with an older record of the same source
+		}
+		if err := r.Unroute(c.Source); err != nil {
+			return slices.DeleteFunc(ripped, func(c *Connection) bool { return !c.retired }),
+				fmt.Errorf("core: region rip-up: %w", err)
 		}
 	}
 	return ripped, nil
@@ -420,7 +395,8 @@ func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection,
 func (r *Router) RipUpNet(source EndPoint) (ripped []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	for _, c := range r.conns {
+	for c := r.conns.bucket(r.sourceKey(source)); c != nil; c = c.srcNext {
+		r.stats.RecordsVisited++
 		if endPointEqual(c.Source, source) {
 			ripped = append(ripped, c)
 		}

@@ -123,6 +123,12 @@ type Stats struct {
 	CacheHits       int // routes satisfied by replaying a cached path (monotonic)
 	CacheMisses     int // cache lookups that found no applicable entry (monotonic)
 	ReplayFails     int // cached paths whose legality sweep failed (fell back to search; monotonic)
+	// RecordsVisited counts the connection records a connection-level op
+	// (route, unroute, reverse unroute, rip-up, adopt) examined to find the
+	// ones it changes: a constant per net touched, whatever else is
+	// resident. The whole-table exports (Connections, SnapshotConnections,
+	// OracleClaims) are O(live records) by contract and do not count.
+	RecordsVisited int
 
 	// Persistent template-library observability (see Options.Library).
 	// Seeded and Skipped are set at construction; Hits and Misses count
@@ -156,6 +162,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		CacheHits:         s.CacheHits - prev.CacheHits,
 		CacheMisses:       s.CacheMisses - prev.CacheMisses,
 		ReplayFails:       s.ReplayFails - prev.ReplayFails,
+		RecordsVisited:    s.RecordsVisited - prev.RecordsVisited,
 		LibraryHits:       s.LibraryHits - prev.LibraryHits,
 		LibraryMisses:     s.LibraryMisses - prev.LibraryMisses,
 		LibrarySeeded:     s.LibrarySeeded - prev.LibrarySeeded,
@@ -186,6 +193,14 @@ type Connection struct {
 	// retired marks a record whose net has been unrouted (it lives on in
 	// port memory); RestoreConnection flips it back.
 	retired bool
+
+	// Place in the router's connTable while the record is live: list and
+	// source-chain links, the source track index it is filed under, and its
+	// sequence number — insertion order, and the key deltas carry.
+	prev, next, srcNext *Connection
+	key                 int32
+	seq                 uint64
+	listed              bool
 }
 
 // Router is the JRoute router over one device.
@@ -197,7 +212,7 @@ type Router struct {
 	searchOnly bool
 
 	stats      Stats
-	conns      []*Connection
+	conns      connTable
 	remembered map[*Port][]*Connection
 	cache      *routeCache
 	// lib is the attached (audited) persistent template library — the
@@ -208,6 +223,8 @@ type Router struct {
 	// Scratch buffers reused across automatic route calls.
 	netTracksBuf []device.Track
 	fanoutBuf    []device.PIP
+	regionBuf    []device.Track // RipUpRegion: tracks over the rectangle
+	rootBuf      []int32        // RipUpRegion: their nets' root track indices
 	// curPath accumulates the PIPs committed by the automatic route call
 	// in flight, snapshotted onto the Connection record by record().
 	curPath []device.PIP
@@ -295,11 +312,17 @@ func (r *Router) ResetStats() {
 // Connections returns a defensive copy of the live endpoint-level
 // connection records. Callers that only need the count should use
 // ConnectionCount, which does not allocate.
-func (r *Router) Connections() []*Connection { return append([]*Connection(nil), r.conns...) }
+func (r *Router) Connections() []*Connection {
+	out := make([]*Connection, 0, r.conns.n)
+	for c := r.conns.head; c != nil; c = c.next {
+		out = append(out, c)
+	}
+	return out
+}
 
 // ConnectionCount returns the number of live connection records without
-// copying the slice — the server's statsz path reads this every snapshot.
-func (r *Router) ConnectionCount() int { return len(r.conns) }
+// copying them — the server's statsz path reads this every snapshot.
+func (r *Router) ConnectionCount() int { return r.conns.n }
 
 // IsOn is the paper's ison(row, col, wire): whether the wire is in use.
 func (r *Router) IsOn(row, col int, w arch.Wire) bool { return r.Dev.IsOn(row, col, w) }
@@ -436,6 +459,9 @@ func (r *Router) apply(route *maze.Route) error {
 
 // sourcePin resolves a source endpoint, which must name exactly one pin.
 func sourcePin(source EndPoint) (Pin, error) {
+	if p, ok := source.(Pin); ok {
+		return p, nil // without the one-pin slice Pins would build
+	}
 	pins := source.Pins()
 	if len(pins) != 1 {
 		return Pin{}, fmt.Errorf("core: source endpoint must resolve to exactly one pin, got %d", len(pins))
@@ -652,16 +678,16 @@ func (r *Router) RouteBus(sources, sinks []EndPoint) (err error) {
 	if len(sources) == 0 {
 		return fmt.Errorf("core: empty bus")
 	}
-	connMark := len(r.conns)
+	mark := r.conns.tail
 	for i := range sources {
 		if err := r.RouteNet(sources[i], sinks[i]); err != nil {
 			// Each routed bit appended one record holding the PIPs it
 			// committed; newest bit first, since a later bit may branch
 			// off an earlier one's net.
-			for j := len(r.conns) - 1; j >= connMark; j-- {
-				r.unwind(r.conns[j].Path)
+			for c := r.conns.tail; c != mark; c = c.prev {
+				r.unwind(c.Path)
 			}
-			r.conns = r.conns[:connMark]
+			r.conns.truncate(mark)
 			r.backToEntry()
 			return fmt.Errorf("core: bus bit %d: %w", i, err)
 		}
@@ -705,5 +731,5 @@ func (r *Router) record(source EndPoint, sinks ...EndPoint) {
 			c.sinkPins = flattenPins(c.Sinks)
 		}
 	}
-	r.conns = append(r.conns, c)
+	r.conns.insert(c, r.sourceKey(source))
 }

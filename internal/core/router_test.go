@@ -582,3 +582,58 @@ func TestSourceEndpointValidation(t *testing.T) {
 		t.Error("fanout to unbound port accepted")
 	}
 }
+
+// TestTraceOnRoutingLoop: Trace keeps no visited set — a track has one
+// driver, so the only track a walk can meet twice is the one it started
+// on, and only when it started on a loop. Build the shortest loop of
+// singles the fabric allows through (5,5) by hand and trace from a wire on
+// it: the walk must come back round once and stop, as it did when it kept
+// a set.
+func TestTraceOnRoutingLoop(t *testing.T) {
+	r := newTestRouter(t, Options{})
+	d := r.Dev
+	start, err := d.Canon(5, 5, d.A.Single(arch.East, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Breadth-first over legal PIPs, singles only, for a way back to start.
+	type hop struct {
+		at   device.Track
+		path []device.PIP
+	}
+	var loop []device.PIP
+	seen := map[device.Track]bool{start: true}
+	for frontier := []hop{{at: start}}; len(frontier) > 0 && loop == nil; {
+		h := frontier[0]
+		frontier = frontier[1:]
+		edges, at := d.Edges(h.at)
+		for _, e := range edges {
+			if e.Kind != arch.KindSingle {
+				continue
+			}
+			path := append(append([]device.PIP(nil), h.path...), e.PIP(at))
+			if to := e.Target(at); to == start {
+				loop = path
+				break
+			} else if !seen[to] && len(path) < 6 {
+				seen[to] = true
+				frontier = append(frontier, hop{to, path})
+			}
+		}
+	}
+	if loop == nil {
+		t.Fatal("no loop of singles through (5,5)")
+	}
+	for _, p := range loop {
+		if err := r.Route(p.Row, p.Col, p.From, p.To); err != nil {
+			t.Fatalf("closing the loop at %s: %v", d.PIPString(p), err)
+		}
+	}
+	net, err := r.Trace(NewPin(5, 5, d.A.Single(arch.East, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.PIPs) != len(loop)-1 {
+		t.Errorf("trace round a loop of %d PIPs returned %d, want all but the one that closes it: %v", len(loop), len(net.PIPs), net.PIPs)
+	}
+}

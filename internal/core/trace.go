@@ -48,7 +48,6 @@ func (r *Router) Trace(source EndPoint) (*Net, error) {
 		return nil, err
 	}
 	net := &Net{Source: src}
-	seen := map[device.Key]bool{srcTrack.Key(): true}
 	queue := []device.Track{srcTrack}
 	fanout := r.fanoutBuf[:0]
 	defer func() { r.fanoutBuf = fanout }()
@@ -61,10 +60,14 @@ func (r *Router) Trace(source EndPoint) (*Net, error) {
 			if err != nil {
 				return nil, err
 			}
-			if seen[t.Key()] {
+			// A track has one driver, so the walk is over a tree and meets
+			// no track twice — unless it started on a routing loop, and
+			// then the one track it can meet again is the start: every
+			// track reached is driven by the one before it, a loop track's
+			// driver is on the loop, so a loop reached is a loop begun on.
+			if t == srcTrack {
 				continue
 			}
-			seen[t.Key()] = true
 			net.PIPs = append(net.PIPs, p)
 			switch r.Dev.A.ClassOf(t.W).Kind {
 			case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:

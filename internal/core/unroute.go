@@ -35,7 +35,7 @@ func (r *Router) Unroute(source EndPoint) (err error) {
 		}
 		r.stats.PIPsCleared++
 	}
-	r.retireConnections(func(c *Connection) bool { return endPointEqual(c.Source, source) })
+	r.retireSource(source)
 	return nil
 }
 
@@ -58,6 +58,7 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		return err
 	}
 	var branch []device.PIP // cleared PIPs, sink-to-branch-point order
+	root := cur             // the track the walk has reached
 	for {
 		p, ok := r.Dev.DriverOf(cur)
 		if !ok {
@@ -67,6 +68,7 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		if err != nil {
 			return err
 		}
+		root = prev
 		if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
 			return err
 		}
@@ -95,14 +97,28 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		}
 		return false
 	}
-	// Split the sink out of any connection records: the removed part is
+	// The records that can name sp as a sink are the ones sourced where
+	// this net is: carry the driver walk on, past the branch point and
+	// clearing nothing, to the net's root, and take that source's chain.
+	for {
+		p, ok := r.Dev.DriverOf(root)
+		if !ok {
+			break
+		}
+		if root, err = r.Dev.Canon(p.Row, p.Col, p.From); err != nil {
+			return err
+		}
+	}
+	// Split the sink out of those records: the removed part is
 	// remembered (under every port it touches, including the source's)
 	// so Reconnect can restore exactly this branch; the remaining sinks
 	// stay live. The remembered record carries the removed branch as its
 	// path — replayable as long as the rest of the net provides the
 	// branch point — and the surviving record's path sheds those PIPs.
-	kept := r.conns[:0]
-	for _, c := range r.conns {
+	var next *Connection // c may leave the chain below
+	for c := r.conns.bucket(r.Dev.TrackIndex(root)); c != nil; c = next {
+		next = c.srcNext
+		r.stats.RecordsVisited++
 		var stay, gone []EndPoint
 		for _, s := range c.Sinks {
 			if endPointCoversPin(s, sp) {
@@ -111,22 +127,30 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 				stay = append(stay, s)
 			}
 		}
-		if len(gone) > 0 {
-			mem := &Connection{Source: c.Source, Sinks: gone, retired: true}
-			if r.cacheEnabled() {
-				if src, err := sourcePin(c.Source); err == nil {
-					mem.Path = append([]device.PIP(nil), fwd...)
-					mem.srcPin = src
-					mem.sinkPins = flattenPins(gone)
-				}
-			}
-			for _, port := range connectionPorts(mem) {
-				r.remembered[port] = append(r.remembered[port], mem)
+		if len(gone) == 0 {
+			continue
+		}
+		// The net as it stood is learned whole before it is split, as a
+		// retired one is: a core whose driven input ports are reverse-
+		// unrouted pin by pin (cores.Replace) loses its whole record on
+		// the first pin, and without this entry every return to a site
+		// searched each of the port's pins again.
+		r.learnExact(c)
+		mem := &Connection{Source: c.Source, Sinks: gone, retired: true}
+		if r.cacheEnabled() {
+			if src, err := sourcePin(c.Source); err == nil {
+				mem.Path = append([]device.PIP(nil), fwd...)
+				mem.srcPin = src
+				mem.sinkPins = flattenPins(gone)
 			}
 		}
+		for _, port := range connectionPorts(mem) {
+			r.remembered[port] = append(r.remembered[port], mem)
+		}
 		c.Sinks = stay
-		if len(gone) > 0 && len(c.Path) > 0 {
-			liveP := c.Path[:0]
+		if len(c.Path) > 0 {
+			// A fresh slice: the exact cache now holds the old one.
+			liveP := make([]device.PIP, 0, len(c.Path))
 			for _, p := range c.Path {
 				if !inBranch(p) {
 					liveP = append(liveP, p)
@@ -135,11 +159,12 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 			c.Path = liveP
 			c.sinkPins = flattenPins(stay)
 		}
-		if len(c.Sinks) > 0 {
-			kept = append(kept, c)
+		if len(stay) == 0 {
+			r.conns.remove(c)
+		} else {
+			r.conns.touch(c)
 		}
 	}
-	r.conns = kept
 	return nil
 }
 
@@ -154,7 +179,9 @@ func (r *Router) UnrouteAll() (err error) {
 	for {
 		pips = r.Dev.AppendAllOnPIPs(pips[:0])
 		if len(pips) == 0 {
-			r.retireConnections(func(*Connection) bool { return true })
+			for c := r.conns.head; c != nil; c = r.conns.head {
+				r.retire(c)
+			}
 			return nil
 		}
 		progress := false
@@ -179,25 +206,31 @@ func (r *Router) UnrouteAll() (err error) {
 	}
 }
 
-// retireConnections removes matching records from the live list; records
-// that involve ports are remembered for later Reconnect. Every retired
-// record's path is learned into the exact route cache — including pin-only
-// records about to be dropped, which is what makes churn re-routes of the
-// same endpoints replay instead of search.
-func (r *Router) retireConnections(match func(*Connection) bool) {
-	kept := r.conns[:0]
-	for _, c := range r.conns {
-		if !match(c) {
-			kept = append(kept, c)
-			continue
-		}
-		c.retired = true
-		r.learnExact(c)
-		for _, port := range connectionPorts(c) {
-			r.remembered[port] = append(r.remembered[port], c)
+// retireSource retires the live records whose source is this endpoint
+// (pins by value, ports by identity), oldest first.
+func (r *Router) retireSource(source EndPoint) {
+	var next *Connection // retire takes c off the chain
+	for c := r.conns.bucket(r.sourceKey(source)); c != nil; c = next {
+		next = c.srcNext
+		r.stats.RecordsVisited++
+		if endPointEqual(c.Source, source) {
+			r.retire(c)
 		}
 	}
-	r.conns = kept
+}
+
+// retire takes one record off the live table; a record that involves ports
+// is remembered for later Reconnect. Every retired record's path is learned
+// into the exact route cache — including pin-only records about to be
+// dropped, which is what makes churn re-routes of the same endpoints replay
+// instead of search.
+func (r *Router) retire(c *Connection) {
+	r.conns.remove(c)
+	c.retired = true
+	r.learnExact(c)
+	for _, port := range connectionPorts(c) {
+		r.remembered[port] = append(r.remembered[port], c)
+	}
 }
 
 // connectionPorts lists the distinct ports an endpoint-level connection

@@ -843,7 +843,7 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 		// live-to-live links whose routed path or wire span passes over it.
 		ripped, err := n.R.RipUpRegion(row, col, height, width)
 		if err != nil {
-			return err
+			return putBack(n.R, ripped, err)
 		}
 		// 5. The obstacle takes the tiles and the router reserves them.
 		ob := NewObstacle(fmt.Sprintf("%s.ob%d", n.name, n.nObstacle), width, height)

@@ -47,10 +47,12 @@ var (
 // Core relocation is handled in a similar way."
 //
 // The rip-up is region-scoped and incremental: beyond the core's own port
-// nets, only third-party nets whose routed paths intersect the core's
-// *destination* rectangle are unrouted (cheaply tested against their
-// cached paths), and they are restored — replay-first — once the new
-// implementation is in place. Everything else on the device is untouched.
+// nets, only third-party nets that touch the core's *destination*
+// rectangle are unrouted (read off the fabric of the rectangle, at a cost
+// that does not depend on what else is resident), and they are restored —
+// replay-first — once the new implementation is in place. Everything else
+// on the device is untouched. If that rip-up fails part-way, the nets it
+// had already taken are put back before the error returns.
 //
 // Ports that were never externally routed are skipped. The port *objects*
 // survive the swap, which is what lets the router's memory re-resolve them
@@ -102,7 +104,7 @@ func Replace(r *core.Router, c Core, row, col int, groups []string, retune func(
 	// exactly those and no more. Their records come back for step 5.
 	crossing, err := r.RipUpRegion(row, col, height, width)
 	if err != nil {
-		return fmt.Errorf("cores: replacing %s: %w", c.Name(), err)
+		return fmt.Errorf("cores: replacing %s: %w", c.Name(), putBack(r, crossing, err))
 	}
 	// 4. Re-place and re-implement.
 	if err := c.Place(row, col); err != nil {
@@ -127,4 +129,17 @@ func Replace(r *core.Router, c Core, row, col int, groups []string, retune func(
 		}
 	}
 	return nil
+}
+
+// putBack restores the nets a RipUpRegion had already retired when it
+// failed part-way, and returns its error (noting any restore that failed
+// too). A pin-to-pin record lives in no port's memory: the list that came
+// back with the error is the only handle on those nets.
+func putBack(r *core.Router, ripped []*core.Connection, err error) error {
+	for _, rec := range ripped {
+		if rerr := r.RestoreConnection(rec); rerr != nil {
+			err = fmt.Errorf("%w; restoring a net it had ripped: %v", err, rerr)
+		}
+	}
+	return err
 }

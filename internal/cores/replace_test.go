@@ -207,3 +207,109 @@ func TestReplaceRestoresCrossingNets(t *testing.T) {
 		t.Errorf("after Replace with crossing net: q=%d, want 14", got)
 	}
 }
+
+// TestReplacePutsBackAfterFailedRipUp: the destination's rip-up fails
+// part-way — two records on one physical source, one under the pin and one
+// under a port bound to it, are one net to the fabric and two to Unroute —
+// after it has already retired a bystander pin-to-pin net crossing the
+// site. Replace must put that net back before it returns the error: no
+// port remembers a pin-to-pin record, so before RipUpRegion returned what
+// it had retired the net was simply gone.
+func TestReplacePutsBackAfterFailedRipUp(t *testing.T) {
+	r := newRig(t)
+	mul, err := NewConstMul("mul", 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mul.Place(4, 10)
+	if err := mul.Implement(r); err != nil {
+		t.Fatal(err)
+	}
+	// Oldest first: the bystander crossing the destination (9,10), then
+	// the two records that make the rip-up fail after it.
+	bySrc, bySink := core.NewPin(9, 2, arch.S0X), core.NewPin(9, 20, arch.S0F1)
+	if err := r.RouteNet(bySrc, bySink); err != nil {
+		t.Fatal(err)
+	}
+	src := core.NewPin(9, 10, arch.S1X) // inside the destination
+	if err := r.RouteNet(src, core.NewPin(10, 14, arch.S1F1)); err != nil {
+		t.Fatal(err)
+	}
+	port := core.NewGroup("g").NewPort("o", core.Out)
+	if err := port.Bind(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RouteNet(port, core.NewPin(11, 13, arch.S1G1)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := Replace(r, mul, 9, 10, nil, nil); err == nil {
+		t.Fatal("Replace over a pin record and a port record on one source succeeded")
+	}
+	net, err := r.ReverseTrace(bySink)
+	if err != nil {
+		t.Fatalf("bystander net lost to a failed Replace: %v", err)
+	}
+	if net.Source != bySrc {
+		t.Fatalf("bystander traces to %v, want %v", net.Source, bySrc)
+	}
+}
+
+// TestRelocationWithDrivenInputsIsReplayBound is §3.3 with the multiplier's
+// *inputs* driven too ("replaced ... without having to specify connections
+// again"): a ConstMul fed from four pad pins — each x port fans into every
+// product LUT — and feeding a register is moved between two sites and
+// retuned. The first arrival at the second site has to search; after that
+// every net on both sites has been routed before, so relocating must be
+// pure replay: Stats.NodesExplored does not move again, and the design
+// still multiplies.
+func TestRelocationWithDrivenInputsIsReplayBound(t *testing.T) {
+	r := newRig(t)
+	mul, err := NewConstMul("mul", 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := [2][2]int{{4, 10}, {9, 11}}
+	mul.Place(sites[0][0], sites[0][1])
+	if err := mul.Implement(r); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegister("reg", mul.OutBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Place(4, 18)
+	if err := reg.Implement(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RouteBus(mul.Group("p").EndPoints(), reg.Group("d").EndPoints()); err != nil {
+		t.Fatal(err)
+	}
+	padDrive(t, r, sim.New(r.Dev), 6, 3, mul.Ports("x"))
+
+	var explored [6]int
+	for visit := range explored {
+		to, k := sites[(visit+1)%2], uint64(1+visit%3)
+		before := r.Stats().NodesExplored
+		if err := Replace(r, mul, to[0], to[1], []string{"p", "x"}, func() error { return mul.SetConstant(r, k) }); err != nil {
+			t.Fatalf("relocation %d: %v", visit, err)
+		}
+		explored[visit] = r.Stats().NodesExplored - before
+		s := sim.New(r.Dev)
+		padForce(t, s, 6, 3, 4)(6)
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readPorts(t, s, reg.Ports("q")); got != k*6 {
+			t.Fatalf("relocation %d: q=%d, want %d", visit, got, k*6)
+		}
+	}
+	if explored[0] == 0 {
+		t.Error("the first arrival at a new site explored nothing: the test no longer sees a search")
+	}
+	for visit, n := range explored[1:] {
+		if n != 0 {
+			t.Errorf("relocation %d searched %d nodes on a site already visited (all six: %v)", visit+1, n, explored)
+		}
+	}
+}

@@ -149,34 +149,42 @@ func (d *Device) Taps(t Track) []Coord {
 // just the tiles where it can be tapped or driven. A hex driven and tapped
 // outside a region still crosses every tile in between; region-scoped
 // rip-up and avoid-region routing both need that extent. Wires are straight
-// segments on this fabric, so the tap bounding box is exact. Tracks with no
-// tap tiles (global clocks, present everywhere) return ok=false.
+// segments on this fabric, so the box is the track's canonical tile and its
+// far end, computed from the wire class as MinTapDistance is (the device
+// tests pin it to the bounding box of Taps); a long line spans its whole
+// row or column. Tracks with no tap tiles (global clocks, present
+// everywhere) return ok=false.
 func (d *Device) TrackSpan(t Track) (r0, c0, r1, c1 int, ok bool) {
-	switch d.A.ClassOf(t.W).Kind {
+	a := d.A
+	c := a.ClassOf(t.W)
+	reach := 0
+	switch c.Kind {
 	case arch.KindLongH:
 		return t.Row, 0, t.Row, d.Cols - 1, true
 	case arch.KindLongV:
 		return 0, t.Col, d.Rows - 1, t.Col, true
-	}
-	taps := d.Taps(t)
-	if len(taps) == 0 {
+	case arch.KindOutPin:
+		if t.Col+1 < d.Cols {
+			return t.Row, t.Col, t.Row, t.Col + 1, true // direct connect east
+		}
+		return t.Row, t.Col, t.Row, t.Col, true
+	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
+		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
+		return t.Row, t.Col, t.Row, t.Col, true
+	case arch.KindSingle:
+		reach = 1
+	case arch.KindHex:
+		reach = a.HexLen
+	default:
 		return 0, 0, 0, 0, false
 	}
-	r0, c0 = taps[0].Row, taps[0].Col
-	r1, c1 = r0, c0
-	for _, tp := range taps[1:] {
-		if tp.Row < r0 {
-			r0 = tp.Row
-		}
-		if tp.Row > r1 {
-			r1 = tp.Row
-		}
-		if tp.Col < c0 {
-			c0 = tp.Col
-		}
-		if tp.Col > c1 {
-			c1 = tp.Col
-		}
+	dr, dc := c.Dir.Delta()
+	r0, c0, r1, c1 = t.Row, t.Col, t.Row+dr*reach, t.Col+dc*reach
+	if r1 < r0 {
+		r0, r1 = r1, r0
+	}
+	if c1 < c0 {
+		c0, c1 = c1, c0
 	}
 	return r0, c0, r1, c1, true
 }

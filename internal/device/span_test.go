@@ -1,0 +1,139 @@
+package device
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/arch"
+)
+
+// refTrackSpan is TrackSpan as it was computed before it stopped building
+// the tap list: the bounding box of Taps, long lines spanning their whole
+// row or column.
+func refTrackSpan(d *Device, t Track) (r0, c0, r1, c1 int, ok bool) {
+	switch d.A.ClassOf(t.W).Kind {
+	case arch.KindLongH:
+		return t.Row, 0, t.Row, d.Cols - 1, true
+	case arch.KindLongV:
+		return 0, t.Col, d.Rows - 1, t.Col, true
+	}
+	taps := d.Taps(t)
+	if len(taps) == 0 {
+		return 0, 0, 0, 0, false
+	}
+	r0, c0 = taps[0].Row, taps[0].Col
+	r1, c1 = r0, c0
+	for _, tp := range taps[1:] {
+		r0, r1 = min(r0, tp.Row), max(r1, tp.Row)
+		c0, c1 = min(c0, tp.Col), max(c1, tp.Col)
+	}
+	return r0, c0, r1, c1, true
+}
+
+// TestTrackSpanMatchesTaps pins the arithmetic TrackSpan to the tap list
+// for every wire at every tile of a 12×12 device of each architecture —
+// canonical tracks and the aliases Taps also accepts.
+func TestTrackSpanMatchesTaps(t *testing.T) {
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		side := max(12, 2*a.HexLen)
+		d, err := New(a, side, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int32(0); i < int32(d.NumTracks()); i++ {
+			tr := d.TrackAt(i)
+			r0, c0, r1, c1, ok := d.TrackSpan(tr)
+			w0, x0, w1, x1, wok := refTrackSpan(d, tr)
+			if r0 != w0 || c0 != x0 || r1 != w1 || c1 != x1 || ok != wok {
+				t.Fatalf("%s: TrackSpan(%v %s) = (%d,%d)-(%d,%d) %v, taps say (%d,%d)-(%d,%d) %v",
+					a.Name, tr, a.WireName(tr.W), r0, c0, r1, c1, ok, w0, x0, w1, x1, wok)
+			}
+		}
+	}
+}
+
+// growNets turns on random legal PIPs, each sourced from an output pin or
+// from a track already driven, so nets grow past their first wire onto
+// singles, hexes and long lines.
+func growNets(d *Device, rng *rand.Rand, steps int) {
+	var driven []Track
+	for i := 0; i < steps; i++ {
+		src, ok := d.CanonOK(rng.Intn(d.Rows), rng.Intn(d.Cols), arch.OutPin(rng.Intn(arch.NumOutPins)))
+		if len(driven) > 0 && rng.Intn(3) > 0 {
+			src, ok = driven[rng.Intn(len(driven))], true
+		}
+		if !ok {
+			continue
+		}
+		choices := d.PIPChoicesFrom(src)
+		if len(choices) == 0 {
+			continue
+		}
+		p := choices[rng.Intn(len(choices))]
+		if to, ok := d.CanonOK(p.Row, p.Col, p.To); ok && !d.InUse(to) && d.SetPIP(p.Row, p.Col, p.From, p.To) == nil {
+			driven = append(driven, to)
+		}
+	}
+}
+
+// TestAppendTracksOver holds the page-and-occupancy scan to the definition
+// it implements, read off every track of the device: driven with a span
+// meeting the rectangle, or undriven, canonical inside it and sourcing an
+// on-PIP. Rectangles hang over every edge; the scan allocates nothing.
+func TestAppendTracksOver(t *testing.T) {
+	d := virtexDev(t)
+	rng := rand.New(rand.NewSource(24))
+	growNets(d, rng, 4000)
+	if d.OnPIPCount() < 500 {
+		t.Fatalf("only %d PIPs on", d.OnPIPCount())
+	}
+	if err := d.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	// The tracks in use, once: the only candidates, whatever the rectangle.
+	var inUse []int32
+	for i := int32(0); i < int32(d.NumTracks()); i++ {
+		if d.Driven(i) || d.FanoutCount(d.TrackAt(i)) > 0 {
+			inUse = append(inUse, i)
+		}
+	}
+	kinds := map[arch.Kind]int{}
+	buf := make([]Track, 0, d.OnPIPCount()*2)
+	for n := 0; n < 300; n++ {
+		row, col := rng.Intn(d.Rows+4)-2, rng.Intn(d.Cols+4)-2
+		h, w := 1+rng.Intn(6), 1+rng.Intn(8)
+		var want []int32
+		for _, i := range inUse {
+			tr := d.TrackAt(i)
+			if d.Driven(i) {
+				if r0, c0, r1, c1, ok := d.TrackSpan(tr); ok && r1 >= row && r0 < row+h && c1 >= col && c0 < col+w {
+					want = append(want, i)
+					kinds[d.A.ClassOf(tr.W).Kind]++
+				}
+			} else if tr.Row >= row && tr.Row < row+h && tr.Col >= col && tr.Col < col+w {
+				want = append(want, i)
+			}
+		}
+		var got []int32
+		for _, tr := range d.AppendTracksOver(buf[:0], row, col, h, w) {
+			got = append(got, d.TrackIndex(tr))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("rect (%d,%d) %dx%d: scan found tracks %v, the device holds %v", row, col, h, w, got, want)
+		}
+	}
+	for _, k := range []arch.Kind{arch.KindSingle, arch.KindHex, arch.KindLongH, arch.KindLongV, arch.KindInput} {
+		if kinds[k] == 0 {
+			t.Errorf("no driven track of kind %v ever met a rectangle", k)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { buf = d.AppendTracksOver(buf[:0], 4, 6, 5, 7) }); allocs != 0 {
+		t.Errorf("AppendTracksOver allocates %v times into a buffer that fits", allocs)
+	}
+	hex, _ := d.CanonOK(5, 7, d.A.Hex(arch.East, 2))
+	if allocs := testing.AllocsPerRun(50, func() { d.TrackSpan(hex) }); allocs != 0 {
+		t.Errorf("TrackSpan allocates %v times", allocs)
+	}
+}

@@ -241,6 +241,73 @@ func (d *Device) FanoutCount(t Track) int {
 	return n
 }
 
+// AppendTracksOver appends to buf the tracks through which a routed net
+// touches the height x width tile rectangle at (row, col): every driven
+// track whose TrackSpan meets the rectangle — a hex driven and tapped
+// outside it still passes over it — and every undriven track canonical
+// inside it that sources an on-PIP (a net's root pin). It reads the
+// occupancy words and slot pages of the rectangle, of the HexLen tiles
+// south and west of it (segmented wires are canonical at their south or
+// west end) and of the tiles where the long lines of its rows and columns
+// are canonical, so the cost follows the rectangle, not the design. The
+// rectangle may hang over the array edge. Order: tile-major, driven tracks
+// before roots within a tile.
+func (d *Device) AppendTracksOver(buf []Track, row, col, height, width int) []Track {
+	if d.pages == nil || height <= 0 || width <= 0 {
+		return buf
+	}
+	scan := func(tr, tc int) {
+		tile := tr*d.Cols + tc
+		pg := d.pages[tile]
+		if pg == nil {
+			return
+		}
+		lo, hi := tile*d.wireCount, (tile+1)*d.wireCount
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			for word := d.occ[wi]; word != 0; word &= word - 1 {
+				i := wi<<6 + bits.TrailingZeros64(word)
+				if i < lo || i >= hi {
+					continue
+				}
+				t := Track{Row: tr, Col: tc, W: arch.Wire(i - lo)}
+				if r0, c0, r1, c1, ok := d.TrackSpan(t); ok &&
+					r1 >= row && r0 < row+height && c1 >= col && c0 < col+width {
+					buf = append(buf, t)
+				}
+			}
+		}
+		if tr < row || tr >= row+height || tc < col || tc >= col+width {
+			return
+		}
+		for w := range pg.slots {
+			if pg.slots[w].head != 0 && !d.Driven(int32(lo+w)) {
+				buf = append(buf, Track{Row: tr, Col: tc, W: arch.Wire(w)})
+			}
+		}
+	}
+	reach := d.A.HexLen
+	rLo, rHi := max(row-reach, 0), min(row+height, d.Rows)
+	cLo, cHi := max(col-reach, 0), min(col+width, d.Cols)
+	for tr := rLo; tr < rHi; tr++ {
+		for tc := cLo; tc < cHi; tc++ {
+			scan(tr, tc)
+		}
+	}
+	// Long lines: horizontal ones are canonical at column 0 of their row,
+	// vertical ones at row 0 of their column.
+	if cLo > 0 {
+		for tr := max(row, 0); tr < rHi; tr++ {
+			scan(tr, 0)
+		}
+	}
+	if rLo > 0 {
+		for tc := max(col, 0); tc < cHi; tc++ {
+			scan(0, tc)
+		}
+	}
+	return buf
+}
+
 // OnPIPCount returns the number of PIPs currently on.
 func (d *Device) OnPIPCount() int { return d.onPIPs }
 

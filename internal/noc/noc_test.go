@@ -2,6 +2,9 @@ package noc
 
 import (
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/core"
 )
 
 // TestMeshTraversal3x3 builds the default 3x3 mesh and proves packets
@@ -94,5 +97,43 @@ func TestObstacleDetourAndRestore(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("configuration bytes differ after obstacle place+remove cycle")
+	}
+}
+
+// TestPlaceObstaclePutsBackAfterFailedRipUp: the obstacle's region rip-up
+// fails part-way (a pin record and a port record on one physical source:
+// one net to the fabric, two to Unroute) after retiring a pin-to-pin
+// bystander crossing the rectangle. PlaceObstacle must put the bystander
+// back before returning the error — no port remembers a pin-to-pin record.
+func TestPlaceObstaclePutsBackAfterFailedRipUp(t *testing.T) {
+	h, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// South-west of the mesh, clear of every node and link.
+	bySrc, bySink := core.NewPin(13, 1, arch.S0X), core.NewPin(13, 7, arch.S0F1)
+	if err := h.R.RouteNet(bySrc, bySink); err != nil {
+		t.Fatal(err)
+	}
+	src := core.NewPin(12, 3, arch.S1X) // inside the rectangle
+	if err := h.R.RouteNet(src, core.NewPin(13, 6, arch.S1F1)); err != nil {
+		t.Fatal(err)
+	}
+	port := core.NewGroup("g").NewPort("o", core.Out)
+	if err := port.Bind(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.R.RouteNet(port, core.NewPin(14, 6, arch.S1G1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Mesh.PlaceObstacle(12, 3, 2, 2); err == nil {
+		t.Fatal("obstacle over a pin record and a port record on one source was placed")
+	}
+	net, err := h.R.ReverseTrace(bySink)
+	if err != nil {
+		t.Fatalf("bystander net lost to a failed PlaceObstacle: %v", err)
+	}
+	if net.Source != bySrc {
+		t.Fatalf("bystander traces to %v, want %v", net.Source, bySrc)
 	}
 }

@@ -28,6 +28,7 @@ package fleet
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -140,29 +141,67 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 }
 
 // journal is one slot's failover memory: the core instances created on it
-// (latest geometry and tuning per name, in creation order) and the latest
-// pin-level snapshot of the router's live connections.
+// (latest geometry and tuning per name, in creation order) and a mirror of
+// the live connection table of the router now serving the slot, kept by
+// applying each acknowledged op's delta — a record per net the op touched,
+// not a copy of every net resident. Records are keyed by the router's
+// sequence numbers, which rise in insertion order, so a new number goes to
+// the back and the list is always what SnapshotConnections would return.
 type journal struct {
 	mu        sync.Mutex
 	coreOrder []string
 	cores     map[string]protocol.CoreMsg
-	conns     []core.ConnectionRecord
+	gen       uint64                   // which router's numbers conns is keyed by
+	conns     map[uint64]*list.Element // sequence number -> element of order
+	order     *list.List               // of core.ConnectionRecord, insertion order
 }
 
 func newJournal() *journal {
-	return &journal{cores: make(map[string]protocol.CoreMsg)}
+	return &journal{cores: make(map[string]protocol.CoreMsg),
+		conns: make(map[uint64]*list.Element), order: list.New()}
 }
 
-func (j *journal) record(req *server.Request, conns []core.ConnectionRecord) {
+// attach starts the connection mirror over for a fresh router and returns
+// the function that feeds it that router's deltas (req is nil for a delta
+// no client op produced). A router attached earlier numbers its records
+// differently; whatever it still reports is dropped.
+func (j *journal) attach() func(req *server.Request, d core.Delta) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if b := req.Row().Byte; (b == protocol.OpCoreNew || b == protocol.OpCoreReplace) && req.Core != nil {
-		if _, known := j.cores[req.Core.Name]; !known {
-			j.coreOrder = append(j.coreOrder, req.Core.Name)
-		}
-		j.cores[req.Core.Name] = *req.Core
+	j.gen++
+	gen := j.gen
+	clear(j.conns)
+	j.order.Init()
+	return func(req *server.Request, d core.Delta) { j.record(gen, req, d) }
+}
+
+func (j *journal) record(gen uint64, req *server.Request, d core.Delta) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if gen != j.gen {
+		return
 	}
-	j.conns = conns
+	if req != nil && req.Core != nil {
+		if b := req.Row().Byte; b == protocol.OpCoreNew || b == protocol.OpCoreReplace {
+			if _, known := j.cores[req.Core.Name]; !known {
+				j.coreOrder = append(j.coreOrder, req.Core.Name)
+			}
+			j.cores[req.Core.Name] = *req.Core
+		}
+	}
+	for _, u := range d.Upserted {
+		if e, ok := j.conns[u.Seq]; ok {
+			e.Value = u.ConnectionRecord
+		} else {
+			j.conns[u.Seq] = j.order.PushBack(u.ConnectionRecord)
+		}
+	}
+	for _, seq := range d.Retired {
+		if e, ok := j.conns[seq]; ok {
+			j.order.Remove(e)
+			delete(j.conns, seq)
+		}
+	}
 }
 
 // snapshot returns the cores in creation order plus the connection records.
@@ -173,7 +212,10 @@ func (j *journal) snapshot() ([]protocol.CoreMsg, []core.ConnectionRecord) {
 	for _, name := range j.coreOrder {
 		cores = append(cores, j.cores[name])
 	}
-	conns := append([]core.ConnectionRecord(nil), j.conns...)
+	conns := make([]core.ConnectionRecord, 0, j.order.Len())
+	for e := j.order.Front(); e != nil; e = e.Next() {
+		conns = append(conns, e.Value.(core.ConnectionRecord))
+	}
 	return cores, conns
 }
 
@@ -270,7 +312,7 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := c.newWorker(sl, b)
+		w, err := c.newWorker(b, sl.j.attach())
 		if err != nil {
 			return nil, err
 		}
@@ -295,9 +337,10 @@ func New(cfg Config) (*Coordinator, error) {
 
 // newWorker builds the device worker tethered to b: its ship hook pushes
 // every acknowledged op's dirty frames over the board link (paying the
-// modeled configuration-port time), and its journal hook appends to the
-// slot's failover journal.
-func (c *Coordinator) newWorker(sl *slot, b *board) (*server.Worker, error) {
+// modeled configuration-port time), and its journal hook is feed, a fresh
+// journal.attach: the slot's connection mirror starts over with the
+// worker's fresh router.
+func (c *Coordinator) newWorker(b *board, feed func(*server.Request, core.Delta)) (*server.Worker, error) {
 	remote := b.remote
 	return server.NewWorker(server.WorkerConfig{
 		Name: b.name,
@@ -309,9 +352,7 @@ func (c *Coordinator) newWorker(sl *slot, b *board) (*server.Worker, error) {
 			c.chargePort(frames)
 			return remote.ConfigurePartial(stream)
 		},
-		JournalHook: func(req *server.Request, conns []core.ConnectionRecord) {
-			sl.j.record(req, conns)
-		},
+		JournalHook: feed,
 	})
 }
 
@@ -534,7 +575,8 @@ func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
 // that follow cost the same either way).
 func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, time.Duration, error) {
 	coreMsgs, conns := sl.j.snapshot()
-	w, err := c.newWorker(sl, spare)
+	feed := sl.j.attach()
+	w, err := c.newWorker(spare, feed)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -568,6 +610,8 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, 
 		}
 		replayed = r.Stats().CacheHits - before
 		restore = time.Since(restoreStart)
+		// No client op made these records, so no journal hook has seen them.
+		feed(nil, r.TakeDelta())
 		// The adoption dirtied frames the ship hook never saw. The spare
 		// started blank — the same state this worker's device grew from —
 		// so pushing just the dirty delta re-creates the dead board's

@@ -1,0 +1,153 @@
+package fleet
+
+import (
+	"context"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/jbits"
+	"repro/internal/server"
+	"repro/internal/server/protocol"
+)
+
+// TestJournalEqualsSnapshot: the journal is fed each acknowledged op's delta
+// and never sees the connection table whole, yet after every acknowledged
+// op — routes, fanouts, a bus, cores placed and relocated under crossing
+// nets, reverse unroutes that split records in place, unroutes, ops that
+// fail and are rolled back, ops whose push the board refuses — what it
+// would hand a failover is exactly Router.SnapshotConnections, order
+// included. The slot is then killed mid-churn, and the same holds on the
+// spare from the moment it takes over, before any client op reaches it.
+func TestJournalEqualsSnapshot(t *testing.T) {
+	c, err := New(Config{Boards: 1, Spares: 1, Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	defer func() { _ = c.Shutdown(ctx) }()
+	sl := c.slots[0]
+
+	checks := 0
+	check := func(what string) {
+		t.Helper()
+		_, w, _, _, _ := sl.current()
+		var want []core.ConnectionRecord
+		if err := w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
+			want = r.SnapshotConnections()
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if _, got := sl.j.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s the journal holds\n%v\nand the router\n%v", what, got, want)
+		}
+		checks++
+	}
+	pin := func(r, c int, w arch.Wire) server.EndPointMsg {
+		return server.EndPointMsg{Pin: &server.PinMsg{Row: r, Col: c, Wire: int(w)}}
+	}
+	// do submits one op; an acknowledged one is followed by the comparison.
+	do := func(what string, req *server.Request) *server.Response {
+		t.Helper()
+		req.Session = "s"
+		resp := c.Submit(ctx, req)
+		if resp.Err == "" {
+			check(what)
+		}
+		return resp
+	}
+	must := func(what string, req *server.Request) {
+		t.Helper()
+		if resp := do(what, req); resp.Err != "" {
+			t.Fatalf("%s: %s (%s)", what, resp.Err, resp.ErrorCode)
+		}
+	}
+	route := func(src server.EndPointMsg, sinks ...server.EndPointMsg) *server.Request {
+		return &server.Request{Op: "route", Source: &src, Sinks: sinks}
+	}
+	key := uint64(0)
+	must("connect", &server.Request{Op: "connect", Key: &key})
+
+	outs := []arch.Wire{arch.S0X, arch.S0Y, arch.S1X, arch.S1Y}
+	ins := []arch.Wire{arch.S0F1, arch.S0G1, arch.S1F1, arch.S1G1}
+	churn := func(round int) {
+		// Eight nets and a fanout, two of them on one source.
+		for i := 0; i < 8; i++ {
+			must("route", route(pin(1+i, 2, outs[round%4]), pin(2+i, 9+round%3, ins[i%4])))
+		}
+		must("same-source route", route(pin(1, 2, outs[round%4]), pin(4, 12, arch.S1G3)))
+		must("fanout", route(pin(12, 3, arch.S0XQ), pin(13, 8, arch.S0F2), pin(10, 11, arch.S0G2), pin(14, 5, arch.S1F2)))
+		// A bus, then the same bus again: the second fails on its first
+		// bit, is rolled back, and is not acknowledged.
+		bus := &server.Request{Op: "bus"}
+		for i := 0; i < 3; i++ {
+			bus.Sources = append(bus.Sources, pin(9+i, 16, arch.S0YQ))
+			bus.Sinks = append(bus.Sinks, pin(9+i, 21, arch.S0F4))
+		}
+		must("bus", bus)
+		if resp := do("bus again", &server.Request{Op: "bus", Sources: bus.Sources, Sinks: bus.Sinks}); resp.Err == "" {
+			t.Fatal("a bus onto its own sinks was acknowledged")
+		}
+		// Records split in place, one of them down to nothing.
+		for _, sink := range []server.EndPointMsg{pin(10, 11, arch.S0G2), pin(4, 12, arch.S1G3)} {
+			must("reverse unroute", &server.Request{Op: "reverse_unroute", Source: &sink})
+		}
+		for i := 0; i < 8; i += 2 {
+			src := pin(1+i, 2, outs[round%4])
+			must("unroute", &server.Request{Op: "unroute", Source: &src})
+		}
+	}
+	unchurn := func(round int) {
+		for i := 1; i < 8; i += 2 {
+			src := pin(1+i, 2, outs[round%4])
+			must("unroute", &server.Request{Op: "unroute", Source: &src})
+		}
+		for _, src := range []server.EndPointMsg{pin(12, 3, arch.S0XQ), pin(9, 16, arch.S0YQ), pin(10, 16, arch.S0YQ), pin(11, 16, arch.S0YQ)} {
+			must("unroute", &server.Request{Op: "unroute", Source: &src})
+		}
+	}
+
+	churn(0)
+	// A multiplier wired to pins, relocated twice under the live nets: its
+	// port nets retire and come back as new records, crossing nets are
+	// ripped and restored.
+	k := uint64(3)
+	must("core_new", &server.Request{Op: "core_new", Core: &server.CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
+	for i := 0; i < 2; i++ {
+		must("port route", route(server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: i}}, pin(5+i, 20, arch.S1F4)))
+	}
+	for i, site := range [][2]int{{6, 13}, {3, 14}} {
+		k := uint64(1 + i)
+		must("core_replace", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Kind: "constmul", Row: site[0], Col: site[1], K: &k, KBits: 2}})
+	}
+	unchurn(0)
+	churn(1)
+
+	// The board dies under a route: the op is not acknowledged, the spare
+	// takes over, and the journal already mirrors the spare's router.
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	if resp := do("route over a dead link", route(pin(13, 20, arch.S1YQ), pin(14, 22, arch.S0F3))); resp.ErrorCode != protocol.CodeFailover {
+		t.Fatalf("route over a dead link: code %q err %q", resp.ErrorCode, resp.Err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Epoch(0) < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no failover: %+v", c.Stats())
+		}
+	}
+	check("failover")
+	if _, conns := sl.j.snapshot(); len(conns) < 10 {
+		t.Fatalf("only %d records survived the failover", len(conns))
+	}
+	must("retry on the spare", route(pin(13, 20, arch.S1YQ), pin(14, 22, arch.S0F3)))
+	unchurn(1)
+	churn(2)
+	if checks < 70 {
+		t.Errorf("only %d acknowledged ops were compared", checks)
+	}
+}

@@ -78,6 +78,7 @@ type sessionMetrics struct {
 	cacheMisses       int
 	replayFails       int
 	nodesExplored     int
+	recordsVisited    int
 	libraryHits       int
 	libraryMisses     int
 	librarySeeded     int
@@ -126,6 +127,7 @@ func (m *sessionMetrics) addRouterDelta(d core.Stats, connections int) {
 	m.cacheMisses += d.CacheMisses
 	m.replayFails += d.ReplayFails
 	m.nodesExplored += d.NodesExplored
+	m.recordsVisited += d.RecordsVisited
 	m.libraryHits += d.LibraryHits
 	m.libraryMisses += d.LibraryMisses
 	m.librarySeeded += d.LibrarySeeded
@@ -155,6 +157,7 @@ func (m *sessionMetrics) snapshot(queueDepth int) SessionStatsMsg {
 		CacheMisses:       m.cacheMisses,
 		ReplayFails:       m.replayFails,
 		NodesExplored:     m.nodesExplored,
+		RecordsVisited:    m.recordsVisited,
 		LibraryHits:       m.libraryHits,
 		LibraryMisses:     m.libraryMisses,
 		LibrarySeeded:     m.librarySeeded,

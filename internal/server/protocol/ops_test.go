@@ -85,7 +85,7 @@ func TestOpTable(t *testing.T) {
 
 	var journaled *protocol.Request
 	w, err := server.NewWorker(server.WorkerConfig{Name: "dev", Rows: 16, Cols: 24,
-		JournalHook: func(req *protocol.Request, _ []core.ConnectionRecord) { journaled = req }})
+		JournalHook: func(req *protocol.Request, _ core.Delta) { journaled = req }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,6 +283,9 @@ type SessionStatsMsg struct {
 	CacheMisses     int `json:"cache_misses"`   // cache lookups without an entry
 	ReplayFails     int `json:"replay_fails"`   // replays that fell back to search
 	NodesExplored   int `json:"nodes_explored"` // search states expanded (replays expand none)
+	// Connection records the ops examined to find the ones they changed:
+	// a constant per net touched, however many are live (core.Stats).
+	RecordsVisited int `json:"records_visited"`
 	// Persistent template-library tier: replays served from the loaded
 	// library, template misses while a library was attached, entries
 	// seeded at router construction, and entries rejected (failed audit

@@ -244,6 +244,10 @@ func TestServiceStats(t *testing.T) {
 	if ss.RipUps == 0 {
 		t.Error("no rip-ups counted despite unroutes")
 	}
+	// Each unroute examined the one record sourced at src; a route examines none.
+	if ss.RecordsVisited != 3 {
+		t.Errorf("records_visited = %d, want 3", ss.RecordsVisited)
+	}
 	if ss.FramesShipped == 0 || ss.BytesShipped == 0 {
 		t.Errorf("shipped = %d frames / %d bytes", ss.FramesShipped, ss.BytesShipped)
 	}

@@ -67,9 +67,11 @@ type WorkerConfig struct {
 	ShipHook func(stream []byte, frames int) error
 
 	// JournalHook, when set, is called on the worker goroutine after each
-	// acknowledged mutating op with the op and a snapshot of the live
-	// connections — the fleet coordinator's failover journal.
-	JournalHook func(req *Request, conns []core.ConnectionRecord)
+	// acknowledged mutating op with the op and what it (and any failed or
+	// unshipped op since the last call) changed in the router's live
+	// connection table — the fleet coordinator's failover journal. Applied
+	// in call order the deltas add up to Router.SnapshotConnections.
+	JournalHook func(req *Request, delta core.Delta)
 }
 
 // Worker wraps one named device: a JBits session, a JRoute router, named
@@ -284,7 +286,7 @@ func (w *Worker) handle(req *Request) *Response {
 		if ferr := w.shipDirty(resp); ferr != nil {
 			resp.Err = ferr.Error()
 		} else if w.cfg.JournalHook != nil {
-			w.cfg.JournalHook(req, w.router.SnapshotConnections())
+			w.cfg.JournalHook(req, w.router.TakeDelta())
 		}
 	}
 	return resp

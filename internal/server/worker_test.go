@@ -30,7 +30,7 @@ func TestFailedBusLeavesNothingBehind(t *testing.T) {
 	shipped, journaled := 0, 0
 	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24,
 		ShipHook:    func([]byte, int) error { shipped++; return nil },
-		JournalHook: func(*Request, []core.ConnectionRecord) { journaled++ },
+		JournalHook: func(*Request, core.Delta) { journaled++ },
 	})
 	if err != nil {
 		t.Fatal(err)
