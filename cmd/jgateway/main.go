@@ -4,7 +4,7 @@
 // device-class alias in the session name to a backend fleet at connect,
 // pins the session there by placement-key affinity, and enforces the
 // multi-tenant edges — bearer-token auth, per-tenant session and ops/s
-// quotas, health-based backend ejection, and drain with journal handoff.
+// quotas, health-based backend ejection, and drain by state handoff.
 //
 // Usage:
 //
@@ -17,7 +17,7 @@
 // tokens and quotas, default class, probe interval. Flags layer on top of
 // the file; -backend entries append. With -drain-backend the binary acts
 // as an admin client instead of a daemon: it connects, issues gw_drain
-// (moving every pinned session off the named backend by journal replay),
+// (moving every pinned session off the named backend by state handoff),
 // prints the moved sessions, and exits.
 package main
 
@@ -76,7 +76,7 @@ func main() {
 	drainBudget := flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
 	connectAddr := flag.String("connect", "", "admin mode: gateway address to connect to instead of serving")
 	token := flag.String("token", "", "admin mode: bearer token presented in the hello")
-	drainBackend := flag.String("drain-backend", "", "admin mode: drain this backend (journal handoff) via gw_drain and exit")
+	drainBackend := flag.String("drain-backend", "", "admin mode: drain this backend (state handoff) via gw_drain and exit")
 	flag.Var(&backends, "backend", "backend fleet as name=addr[,class,...]; repeatable")
 	flag.Parse()
 

@@ -91,10 +91,10 @@ func printGatewayStats(addr string, copts []client.Option) error {
 	if gs == nil {
 		return errors.New("statsz has no gateway section — is the target a gateway?")
 	}
-	fmt.Printf("gateway: %d backends (%d healthy, %d draining)  %d sessions  probes %d (%d failed)  ejections %d  readmits %d  drains %d  handoffs %d (%d failed)  replayed ops %d (%d skipped)\n",
+	fmt.Printf("gateway: %d backends (%d healthy, %d draining)  %d sessions  probes %d (%d failed)  ejections %d  readmits %d  drains %d  handoffs %d (%d failed)  restored nets %d\n",
 		gs.Backends, gs.HealthyBackends, gs.DrainingBackends, gs.Sessions,
 		gs.Probes, gs.ProbeFails, gs.Ejections, gs.Readmits,
-		gs.Drains, gs.Handoffs, gs.HandoffFails, gs.ReplayedOps, gs.ReplaySkips)
+		gs.Drains, gs.Handoffs, gs.HandoffFails, gs.RestoredNets)
 	var names []string
 	for name := range gs.BackendsMap {
 		names = append(names, name)

@@ -5,22 +5,22 @@
 // fleets at session open, pins each session to one backend with the same
 // FNV-1a affinity the fleet uses for board placement, and enforces the
 // multi-tenant edges: bearer-token auth, per-tenant session and ops/s
-// quotas, health-based backend ejection, and drain with journal handoff.
+// quotas, health-based backend ejection, and drain by state handoff.
 //
-// The gateway holds no durable state: everything it knows about a session
-// is the acked-op journal it replays to move the session between fleets,
-// and that journal is reconstructible from the client's own call history.
-// All bitstream truth lives in the backend fleets.
+// The gateway holds no durable state. Per session it keeps what the acks
+// say the backend holds — cores, live nets and the nets the router
+// remembers under a core's ports, not the ops that made them — and moves a
+// session by replaying that onto another fleet: its cores, one
+// all-or-nothing batch of the live nets, then each remembered net routed
+// and taken down again. The client knows all of it too. All bitstream truth
+// lives in the backend fleets.
 package gateway
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"time"
-
-	"repro/internal/server/client"
 )
 
 // BackendConfig names one jrouted fleet the gateway fronts.
@@ -51,7 +51,7 @@ type TenantConfig struct {
 }
 
 // Config assembles a gateway. The JSON shape is what `jgateway -config`
-// loads; the function fields are wiring for tests and CLIs.
+// loads.
 type Config struct {
 	// DefaultClass resolves session names without a "class/" prefix
 	// ("" = every backend is eligible for un-prefixed names).
@@ -63,10 +63,6 @@ type Config struct {
 	// ProbeIntervalMillis is the health-probe cadence (0 = 2000ms;
 	// negative disables probing — tests drive probes manually).
 	ProbeIntervalMillis int64 `json:"probe_interval_ms,omitempty"`
-
-	// Dial opens a client connection to a backend address. Nil uses
-	// client.Dial.
-	Dial func(ctx context.Context, addr string) (*client.Client, error) `json:"-"`
 }
 
 func (c Config) probeInterval() time.Duration {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,9 +78,9 @@ type tenant struct {
 }
 
 // gwSession is one logical session's pin: which backend serves it, the
-// epochs on both sides of the gateway, and the acked-op journal that moves
-// it. sess.mu serializes client ops against relocation; the pin and
-// counters are additionally read under Gateway.mu by drain/stats.
+// epochs on both sides of the gateway, and the acked state that moves it.
+// sess.mu serializes client ops against relocation; the pin and counters
+// are additionally read under Gateway.mu by drain/stats.
 type gwSession struct {
 	mu sync.Mutex
 
@@ -93,7 +94,32 @@ type gwSession struct {
 	backendEpoch uint64 // the pinned backend's epoch as last observed
 
 	connectReq *server.Request // detached copy of the original connect
-	log        opLog
+	state      sessionState
+	// placed records the cores moves put on backends. Nothing takes one off
+	// again, so a later move to that backend meets it; the core namespace is
+	// the board's, so a name this session did not place there is left alone.
+	placed map[placement]bool
+}
+
+// placement names a core on a backend.
+type placement struct {
+	be   *backend
+	core string
+}
+
+// stamp turns a backend response into the client's: a moved backend epoch
+// (an internal failover broke the client's frame chain too) bumps the
+// client-visible one, and the board is named under its backend.
+func (s *gwSession) stamp(resp *server.Response) *server.Response {
+	if resp.ErrorCode == "" && resp.Epoch != s.backendEpoch {
+		s.backendEpoch = resp.Epoch
+		s.epoch++
+	}
+	resp.Epoch = s.epoch
+	if resp.Board != "" {
+		resp.Board = s.backend.name + "/" + resp.Board
+	}
+	return resp
 }
 
 // Gateway fronts N backend fleets behind the ordinary service protocol.
@@ -117,8 +143,7 @@ type Gateway struct {
 	drains       int
 	handoffs     int
 	handoffFails int
-	replayedOps  int
-	replaySkips  int
+	restoredNets int
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -239,13 +264,7 @@ func (g *Gateway) conn(ctx context.Context, be *backend) (*client.Client, error)
 	if c != nil {
 		return c, nil
 	}
-	dial := g.cfg.Dial
-	if dial == nil {
-		dial = func(ctx context.Context, addr string) (*client.Client, error) {
-			return client.Dial(ctx, addr)
-		}
-	}
-	return dial(ctx, be.addr)
+	return client.Dial(ctx, be.addr)
 }
 
 func (g *Gateway) putConn(be *backend, c *client.Client) {
@@ -317,13 +336,11 @@ func (g *Gateway) Submit(ctx context.Context, req *server.Request) *server.Respo
 func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Response {
 	class := classOf(req.Session, g.cfg.DefaultClass)
 	g.mu.Lock()
-	if sess, ok := g.sessions[req.Session]; ok {
+	if _, ok := g.sessions[req.Session]; ok {
+		// A client re-dialing an open session: the connect runs on the pinned
+		// backend, so the fresh mirror seeds from live state.
 		g.mu.Unlock()
-		if sess.tenant != req.Tenant {
-			return coded(req.ID, protocol.CodeUnauthorized,
-				fmt.Sprintf("gateway: session %q belongs to another tenant", req.Session))
-		}
-		return g.reconnect(ctx, sess, req)
+		return g.sessionOp(ctx, req.Row(), req)
 	}
 	t := g.tenants[req.Tenant]
 	if t != nil && t.sessionCap > 0 && t.sessions >= t.sessionCap {
@@ -349,7 +366,8 @@ func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Resp
 	}
 	be := pool[int(key%uint64(len(pool)))]
 	sess := &gwSession{name: req.Session, tenant: req.Tenant, class: class,
-		key: key, backend: be, epoch: 1}
+		key: key, backend: be, epoch: 1, state: sessionState{nets: make(map[epKey]liveNet)},
+		placed: make(map[placement]bool)}
 	// Registering before the connect round trip makes concurrent connects
 	// to the same name serialize on sess.mu instead of double-admitting.
 	// Locking the freshly made mutex under g.mu cannot block.
@@ -381,36 +399,12 @@ func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Resp
 	cr := *req
 	cr.ID, cr.TimeoutMillis, cr.Tenant = 0, 0, ""
 	sess.connectReq = &cr
-	resp.Epoch = sess.epoch
-	resp.Board = be.name + "/" + resp.Board
-	return resp
+	return sess.stamp(resp)
 }
 
-// reconnect re-opens an existing session (a client re-dialing after a
-// dropped connection): the connect proxies to the pinned backend so the
-// fresh mirror seeds from live state.
-func (g *Gateway) reconnect(ctx context.Context, sess *gwSession, req *server.Request) *server.Response {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	be := sess.backend
-	resp, err := g.forward(ctx, be, req)
-	if err != nil {
-		return coded(req.ID, protocol.CodeFailover,
-			fmt.Sprintf("gateway: backend %s unreachable: %v", be.name, err))
-	}
-	if resp.ErrorCode == "" && resp.Epoch != sess.backendEpoch {
-		sess.backendEpoch = resp.Epoch
-		sess.epoch++
-	}
-	resp.Epoch = sess.epoch
-	if resp.Board != "" {
-		resp.Board = be.name + "/" + resp.Board
-	}
-	return resp
-}
-
-// sessionOp proxies one non-connect op: ownership check, token-bucket
-// admission, forward under the session lock, journal the ack.
+// sessionOp proxies one op on an open session: ownership check, token-bucket
+// admission (a re-dial's connect is not an op: it takes no token and is not
+// counted), forward under the session lock, fold the ack into the state.
 func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Request) *server.Response {
 	g.mu.Lock()
 	sess := g.sessions[req.Session]
@@ -424,7 +418,7 @@ func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Re
 		return coded(req.ID, protocol.CodeUnauthorized,
 			fmt.Sprintf("gateway: session %q belongs to another tenant", req.Session))
 	}
-	if t := g.tenants[req.Tenant]; t != nil {
+	if t := g.tenants[req.Tenant]; t != nil && op.Byte != protocol.OpConnect {
 		if t.bucket != nil && !t.bucket.take(time.Now()) {
 			t.rejectedOps++
 			g.mu.Unlock()
@@ -443,28 +437,12 @@ func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Re
 		return coded(req.ID, protocol.CodeFailover,
 			fmt.Sprintf("gateway: backend %s unreachable: %v", be.name, err))
 	}
-	if resp.ErrorCode == "" {
-		if op.Mutating {
-			// The ack is durable on the backend; capture it so a drain or
-			// ejection can reproduce it elsewhere. The journal owns a
-			// detached copy (the server allocates a fresh Request per wire
-			// message, so aliasing its slices is safe).
-			jr := *req
-			jr.ID, jr.TimeoutMillis, jr.Tenant = 0, 0, ""
-			sess.log.record(&jr)
-		}
-		if resp.Epoch != sess.backendEpoch {
-			// The backend failed over internally (board swap): its epoch
-			// moved, so the client's frame chain broke too.
-			sess.backendEpoch = resp.Epoch
-			sess.epoch++
-		}
+	if resp.ErrorCode == "" && op.Mutating {
+		// The ack is durable on the backend. The state may keep the
+		// request's endpoints: the server decodes a fresh Request per frame.
+		sess.state.apply(op.Byte, req)
 	}
-	resp.Epoch = sess.epoch
-	if resp.Board != "" {
-		resp.Board = be.name + "/" + resp.Board
-	}
-	return resp
+	return sess.stamp(resp)
 }
 
 // drainOp is the gw_drain admin verb: Session names the backend to drain.
@@ -493,10 +471,9 @@ func (g *Gateway) drainOp(ctx context.Context, req *server.Request) *server.Resp
 var errUnknownBackend = errors.New("gateway: unknown backend")
 
 // Drain marks a backend draining (no new sessions placed on it) and moves
-// every session pinned to it onto healthy backends by journal handoff,
-// returning the moved session names. Acked state is never lost: each
-// session's journal replays onto the target before the pin swaps, and the
-// client-visible epoch bump makes mirrors resync.
+// every session pinned to it onto healthy backends, returning the moved
+// session names. A session's pin swaps only once its state is on the
+// target; the client-visible epoch bump makes mirrors resync.
 func (g *Gateway) Drain(ctx context.Context, name string) ([]string, error) {
 	g.mu.Lock()
 	be := g.backends[name]
@@ -539,22 +516,19 @@ func (g *Gateway) pinnedTo(be *backend) []*gwSession {
 }
 
 // relocate moves one session to a healthy backend: fresh connect with the
-// session's placement identity, replay the acked-op journal, then swap the
-// pin and bump the client-visible epoch. The session lock is held
-// throughout, so client ops queue behind the move instead of racing it.
+// session's placement identity, one core_new per core, every live net in
+// one batch — all of them route or none do, so a failed move leaves no net
+// on the target, and a retry there finds the cores it placed — then swap
+// the pin, bump the client-visible epoch and rebuild the port memory. The
+// session lock is held throughout, so client ops queue behind the move
+// instead of racing it.
 func (g *Gateway) relocate(ctx context.Context, sess *gwSession) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	g.mu.Lock()
 	pool, _ := g.poolFor(sess.class)
-	// The pool excludes draining and unhealthy backends, which covers the
-	// backend being left; filter defensively anyway.
-	dst := pool[:0]
-	for _, be := range pool {
-		if be != sess.backend {
-			dst = append(dst, be)
-		}
-	}
+	// A readmit may have put the backend being left back in the pool.
+	dst := slices.DeleteFunc(pool, func(be *backend) bool { return be == sess.backend })
 	if len(dst) == 0 {
 		g.handoffFails++
 		g.mu.Unlock()
@@ -564,99 +538,78 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) error {
 	target := dst[int(sess.key%uint64(len(dst)))]
 	g.mu.Unlock()
 
-	cr := *sess.connectReq
-	resp, err := g.forward(ctx, target, &cr)
-	if err == nil && resp.ErrorCode != "" {
-		err = fmt.Errorf("gateway: target connect rejected: %s (%s)", resp.Err, resp.ErrorCode)
+	replay := []*server.Request{sess.connectReq}
+	for i := range sess.state.cores {
+		replay = append(replay, &server.Request{Op: "core_new", Session: sess.name, Core: &sess.state.cores[i]})
 	}
-	if err != nil {
-		g.mu.Lock()
-		g.handoffFails++
-		g.mu.Unlock()
-		return fmt.Errorf("gateway: handoff of %q to %s failed: %w", sess.name, target.name, err)
+	nets := sess.state.batch()
+	if len(nets) > 0 {
+		replay = append(replay, &server.Request{Op: "batch", Session: sess.name, Nets: nets})
 	}
-	lastEpoch := resp.Epoch
-	replayed, skipped := 0, 0
-	var applied []*server.Request // successfully replayed, for rollback
-	for _, e := range sess.log.replayList() {
-		rr := *e
-		resp, err := g.forward(ctx, target, &rr)
+	var epoch uint64
+	for _, req := range replay {
+		resp, err := g.forward(ctx, target, req)
+		if req.Core != nil && err == nil {
+			at := placement{target, req.Core.Name}
+			if resp.ErrorCode == protocol.CodeBadRequest && sess.placed[at] {
+				// An earlier move placed the core here and the session has
+				// moved or retuned it since: bring this copy up to date.
+				rep := server.CoreMsg{Name: req.Core.Name, Row: req.Core.Row, Col: req.Core.Col}
+				if req.Core.Kind == "constmul" {
+					rep.K = req.Core.K
+				}
+				resp, err = g.forward(ctx, target, &server.Request{Op: "core_replace", Session: sess.name, Core: &rep})
+			}
+			if err == nil && resp.ErrorCode == "" {
+				sess.placed[at] = true
+			}
+		}
 		if err == nil && resp.ErrorCode != "" {
 			err = fmt.Errorf("%s (%s)", resp.Err, resp.ErrorCode)
 		}
-		if err != nil {
-			// The journal can run behind the backend: an op that times out at
-			// the edge may still apply (the ack was lost, so it was never
-			// journaled), after which the client's acked unroute of that net
-			// is journaled with no creation before it. Replaying that unroute
-			// fails "not routed" — but its postcondition (net absent) already
-			// holds on the fresh target, so skipping it loses nothing the
-			// client was ever acked. Failed route-side replays, by contrast,
-			// WOULD lose acked state and still abort the handoff.
-			if rr.Op == "unroute" || rr.Op == "reverse_unroute" {
-				skipped++
-				continue
-			}
+		if err != nil { // the session stays where it was, state intact
 			g.mu.Lock()
 			g.handoffFails++
 			g.mu.Unlock()
-			// Best-effort rollback: without it the partial replay leaves
-			// orphan nets squatting on the target board's wires, so a retry
-			// of the drain would collide with the previous attempt's debris.
-			// The session stays pinned to its old backend, which still holds
-			// the authoritative state.
-			g.rollback(ctx, target, applied)
-			return fmt.Errorf("gateway: replaying %q op %d (%s) on %s: %w",
-				sess.name, replayed, rr.Op, target.name, err)
+			return fmt.Errorf("gateway: handoff of %q to %s failed at %s: %w", sess.name, target.name, req.Op, err)
 		}
-		if resp.Epoch != 0 {
-			lastEpoch = resp.Epoch
-		}
-		applied = append(applied, e)
-		replayed++
+		epoch = resp.Epoch
 	}
 	g.mu.Lock()
 	sess.backend.sessions--
 	target.sessions++
 	sess.backend = target
 	g.handoffs++
-	g.replayedOps += replayed
-	g.replaySkips += skipped
+	g.restoredNets += len(nets)
 	g.mu.Unlock()
-	sess.backendEpoch = lastEpoch
+	sess.backendEpoch = epoch
 	sess.epoch++ // the mirror chain broke at the move; clients resync
+	g.restoreMemory(ctx, sess)
 	return nil
 }
 
-// rollback undoes a partial journal replay on a handoff target: the
-// net-creating entries that did apply are compensated with unroutes of
-// their sources, newest first, freeing the wires they claimed. Best-effort
-// by design — a compensating unroute of a net a later journal entry
-// already removed fails "not routed" and is ignored, and placed cores are
-// left in situ (there is no inverse op, and they hold no wires). Errors
-// are swallowed: the target is a fresh session nothing depends on yet.
-func (g *Gateway) rollback(ctx context.Context, target *backend, applied []*server.Request) {
-	for i := len(applied) - 1; i >= 0; i-- {
-		e := applied[i]
-		var srcs []server.EndPointMsg
-		switch e.Op {
-		case "route":
-			if e.Source != nil {
-				srcs = append(srcs, *e.Source)
+// restoreMemory rebuilds the port memory on a moved session's new backend
+// the way the router builds it — route each remembered net, then take it
+// down again — folding each ack into the state as sessionOp does. A net the
+// backend cannot route is forgotten and one it cannot take down stays live:
+// either way the state keeps saying what the backend holds.
+func (g *Gateway) restoreMemory(ctx context.Context, sess *gwSession) {
+	mem := sess.state.mem
+	sess.state.mem = nil
+	for _, m := range mem {
+		reqs := []*server.Request{{Op: "route", Source: &m.Source, Sinks: m.Sinks}, {Op: "unroute", Source: &m.Source}}
+		if _, live := sess.state.nets[keyOf(&m.Source)]; live { // take down only what was remembered
+			reqs = reqs[:1]
+			for i := range m.Sinks {
+				reqs = append(reqs, &server.Request{Op: "reverse_unroute", Source: &m.Sinks[i]})
 			}
-		case "bus", "bus_batch":
-			srcs = append(srcs, e.Sources...)
-		case "batch":
-			for _, n := range e.Nets {
-				srcs = append(srcs, n.Source)
-			}
-		default: // unroute, reverse_unroute, core_new, core_replace
-			continue
 		}
-		for j := len(srcs) - 1; j >= 0; j-- {
-			src := srcs[j]
-			ur := server.Request{Op: "unroute", Session: e.Session, Source: &src}
-			_, _ = g.forward(ctx, target, &ur)
+		for _, req := range reqs {
+			req.Session = sess.name
+			if resp, err := g.forward(ctx, sess.backend, req); err != nil || resp.ErrorCode != "" {
+				break
+			}
+			sess.state.apply(req.Row().Byte, req)
 		}
 	}
 }
@@ -678,8 +631,9 @@ func (g *Gateway) probeLoop(interval time.Duration) {
 
 // ProbeAll health-checks every backend once: a statsz round trip (which
 // rides the hello handshake on fresh connections). A failing probe ejects
-// the backend from placement and relocates its sessions by journal handoff;
-// a succeeding probe on an ejected backend readmits it.
+// the backend from placement and relocates the sessions still pinned to it
+// — a failed handoff leaves its session pinned, so the next round retries
+// it; a succeeding probe on an ejected backend readmits it.
 func (g *Gateway) ProbeAll(ctx context.Context) {
 	g.mu.Lock()
 	backends := append([]*backend(nil), g.order...)
@@ -691,19 +645,14 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 		if err != nil {
 			g.probeFails++
 			be.probeFails++
-			wasHealthy := be.healthy
-			be.healthy = false
-			if wasHealthy {
+			if be.healthy {
+				be.healthy = false
 				g.ejections++
 			}
 			sessions := g.pinnedTo(be)
 			g.mu.Unlock()
-			if wasHealthy {
-				for _, sess := range sessions {
-					// Best effort: a failed handoff leaves the session
-					// pinned; the next probe round retries.
-					_ = g.relocate(ctx, sess)
-				}
+			for _, sess := range sessions {
+				_ = g.relocate(ctx, sess)
 			}
 			continue
 		}
@@ -755,9 +704,9 @@ func (g *Gateway) GatewayStats() *protocol.GatewayStatsMsg {
 		Probes: g.probes, ProbeFails: g.probeFails,
 		Ejections: g.ejections, Readmits: g.readmits,
 		Drains: g.drains, Handoffs: g.handoffs, HandoffFails: g.handoffFails,
-		ReplayedOps: g.replayedOps, ReplaySkips: g.replaySkips,
-		Tenants:     make(map[string]protocol.GatewayTenantMsg, len(g.tenants)),
-		BackendsMap: make(map[string]protocol.GatewayBackendMsg, len(g.backends)),
+		RestoredNets: g.restoredNets,
+		Tenants:      make(map[string]protocol.GatewayTenantMsg, len(g.tenants)),
+		BackendsMap:  make(map[string]protocol.GatewayBackendMsg, len(g.backends)),
 	}
 	for _, be := range g.order {
 		if be.healthy && !be.draining {

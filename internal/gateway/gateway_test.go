@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -181,7 +182,7 @@ func TestPassthroughFramings(t *testing.T) {
 // cross-tenant session access, and the gw_drain admin gate.
 func TestAuthAndQuotaErrors(t *testing.T) {
 	be0 := startBackend(t, 1)
-	addr, _ := startGateway(t, gateway.Config{
+	addr, g := startGateway(t, gateway.Config{
 		Backends: []gateway.BackendConfig{
 			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
 		},
@@ -189,6 +190,7 @@ func TestAuthAndQuotaErrors(t *testing.T) {
 			{Name: "alice", Token: "tok-alice", SessionCap: 1},
 			{Name: "bob", Token: "tok-bob"},
 			{Name: "carol", Token: "tok-carol", OpsPerSec: 1, Burst: 1},
+			{Name: "dave", Token: "tok-dave", OpsPerSec: 0.001, Burst: 1},
 			{Name: "root", Token: "tok-root", Admin: true},
 		},
 	})
@@ -264,6 +266,33 @@ func TestAuthAndQuotaErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("re-dial outside ops quota", func(t *testing.T) {
+		// A client re-dialing its open session is not spending an op: with
+		// the bucket empty the connect still goes through, uncounted.
+		var sess [2]*client.Session
+		for i := range sess {
+			c, err := client.Dial(ctx, addr, client.WithToken("tok-dave"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if sess[i], err = c.Session(ctx, "v1000-class/d0"); err != nil {
+				t.Fatalf("connect %d: %v", i, err)
+			}
+			if i == 0 {
+				if err := sess[0].Route(ctx, pin(3, 7, arch.S1YQ), pin(4, 8, arch.S0F3)); err != nil {
+					t.Fatalf("the op that empties the bucket: %v", err)
+				}
+			}
+		}
+		if err := sess[1].Route(ctx, pin(3, 13, arch.S1YQ), pin(4, 14, arch.S0F3)); !errors.Is(err, client.ErrQuotaExceeded) {
+			t.Errorf("op after the re-dial: err = %v, want ErrQuotaExceeded", err)
+		}
+		if got := g.GatewayStats().Tenants["dave"]; got.AdmittedOps != 1 || got.RejectedOps != 1 {
+			t.Errorf("admitted/rejected ops = %d/%d, want 1/1", got.AdmittedOps, got.RejectedOps)
+		}
+	})
+
 	t.Run("gw_drain admin gate", func(t *testing.T) {
 		resp, err := alice.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
 		if err != nil {
@@ -288,7 +317,7 @@ func TestAuthAndQuotaErrors(t *testing.T) {
 }
 
 // TestDrainJournalHandoff proves the drain contract: every session pinned
-// to the drained backend moves by journal replay, no acked op is lost, the
+// to the drained backend moves by state handoff, no acked op is lost, the
 // client-visible epoch bump resyncs mirrors, and new sessions avoid the
 // draining backend. The drain is issued over the wire as the gw_drain
 // admin verb.
@@ -327,8 +356,8 @@ func TestDrainJournalHandoff(t *testing.T) {
 		t.Fatalf("s1 on %s, want be1", got)
 	}
 
-	// Acked working set on s0: keep net A, cancel net B (the journal must
-	// compact the route/unroute pair away), keep net C.
+	// Acked working set on s0: keep net A, cancel net B (the state holds
+	// live nets only, so B does not move), keep net C.
 	netA := pin(5, 7, arch.S1YQ)
 	netB := pin(8, 12, arch.S1YQ)
 	netC := pin(11, 3, arch.S1YQ)
@@ -405,10 +434,10 @@ func TestDrainJournalHandoff(t *testing.T) {
 		t.Errorf("drains/handoffs/fails = %d/%d/%d, want 1/1/0",
 			gs.Drains, gs.Handoffs, gs.HandoffFails)
 	}
-	// Journal compaction: route B + unroute B vanished, so exactly nets A
-	// and C replayed.
-	if gs.ReplayedOps != 2 {
-		t.Errorf("replayed ops = %d, want 2 (route/unroute pair compacted)", gs.ReplayedOps)
+	// The state holds live nets only: net B was unrouted, so exactly nets A
+	// and C moved.
+	if gs.RestoredNets != 2 {
+		t.Errorf("restored nets = %d, want 2 (net B is not live)", gs.RestoredNets)
 	}
 	if gs.DrainingBackends != 1 || gs.HealthyBackends != 1 {
 		t.Errorf("draining/healthy = %d/%d, want 1/1", gs.DrainingBackends, gs.HealthyBackends)
@@ -426,7 +455,7 @@ func TestDrainJournalHandoff(t *testing.T) {
 
 // TestEjectionRelocatesSessions proves health-based ejection: when a
 // backend dies, a probe round ejects it and relocates its sessions onto
-// healthy fleets from the gateway-side journal — the dead backend is never
+// healthy fleets from the gateway-side session state — the dead backend is never
 // consulted.
 func TestEjectionRelocatesSessions(t *testing.T) {
 	// be0 gets its own shutdown handle instead of the t.Cleanup helper.
@@ -494,13 +523,12 @@ func TestEjectionRelocatesSessions(t *testing.T) {
 	}
 }
 
-// TestDrainSkipsDivergentUnroute proves the handoff tolerates the journal
-// running behind the backend. Under load an op can time out at the edge yet
-// still apply on the fleet; the lost ack means it was never journaled, so
-// the client's later acked unroute of that net reaches the journal with no
-// creation to pair with. Replaying it on a fresh target fails "not routed" —
-// but its postcondition (net absent) already holds there, so the drain must
-// skip it and finish rather than abort the whole handoff.
+// TestDrainSkipsDivergentUnroute proves the handoff tolerates the session
+// state running behind the backend. Under load an op can time out at the
+// edge yet still apply on the fleet; the lost ack means the state never took
+// in the net, so the client's later acked unroute of it names a source the
+// state does not hold. That changes nothing — the net is absent from the
+// state, as the acked unroute promised — and the drain finishes.
 func TestDrainSkipsDivergentUnroute(t *testing.T) {
 	be0 := startBackend(t, 1)
 	be1 := startBackend(t, 1)
@@ -578,9 +606,6 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 	if gs.Handoffs != 1 || gs.HandoffFails != 0 {
 		t.Errorf("handoffs/fails = %d/%d, want 1/0", gs.Handoffs, gs.HandoffFails)
 	}
-	if gs.ReplaySkips != 1 {
-		t.Errorf("replay skips = %d, want 1 (the orphan unroute)", gs.ReplaySkips)
-	}
 
 	// Every acked net survived; X is absent on the target, which is what
 	// the acked unroute promised the client.
@@ -596,8 +621,8 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 }
 
 // TestFailedHandoffRollsBackTarget proves a failed drain leaves no debris:
-// when replay aborts partway (here a sink collision with a co-tenant net on
-// the target board), the entries that did apply are compensated away, the
+// when the move fails (here a sink collision with a co-tenant net on the
+// target board), the one batch carrying every net routes none of them, the
 // session stays pinned to its old backend with all acked state intact, and
 // a retry after the conflict clears succeeds instead of colliding with the
 // previous attempt's orphans.
@@ -702,5 +727,270 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 	}
 	if got := backendOf(t, s0); got != "be1" {
 		t.Errorf("s0 on %s after retried drain, want be1", got)
+	}
+}
+
+// TestFailedHandoffRetriesPlacedCore is TestFailedHandoffRollsBackTarget's
+// scenario with a register added: the failed move places the register on
+// the target before its batch fails, and nothing takes it off again (there
+// is no inverse of core_new). A retry's core_new therefore meets the core
+// already there: with the description it asks for, which must succeed, and
+// after the session has moved the register, which must bring the copy up to
+// date rather than fail the move.
+func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
+	be0 := startBackend(t, 1)
+	be1 := startBackend(t, 1)
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: be1, Classes: []string{"v1000-class"}},
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s0, err := c.SessionWithKey(ctx, "v1000-class/s0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netA := pin(5, 7, arch.S1YQ)
+	netB := pin(8, 12, arch.S1YQ)
+	sharedSink := pin(9, 10, arch.S0F3)
+	reg := client.PortRef("reg", "q", 0)
+	if err := s0.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range [][2]server.EndPointMsg{{netA, pin(6, 8, arch.S0F3)}, {netB, sharedSink}, {reg, pin(6, 20, arch.S0F3)}} {
+		if err := s0.Route(ctx, n[0], n[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	direct, err := client.Dial(ctx, be1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	bl, err := direct.Session(ctx, "blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSrc := pin(11, 3, arch.S1YQ)
+	if err := bl.Route(ctx, blockSrc, sharedSink); err != nil {
+		t.Fatal(err)
+	}
+	admin, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	drain := func() *server.Response {
+		resp, err := admin.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	// Both attempts fail on the blocked sink; the second gets that far only
+	// if its core_new meets the first one's register and succeeds.
+	for i := 0; i < 2; i++ {
+		if resp := drain(); resp.ErrorCode == "" || !strings.Contains(resp.Err, "failed at batch") {
+			t.Fatalf("gw_drain attempt %d: %q (%s), want a failure at the batch", i, resp.Err, resp.ErrorCode)
+		}
+	}
+	// The session moves the register meanwhile, so the copy the failed moves
+	// left on be1 no longer matches it.
+	if err := s0.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.Unroute(ctx, blockSrc); err != nil {
+		t.Fatal(err)
+	}
+	if resp := drain(); resp.ErrorCode != "" {
+		t.Fatalf("gw_drain retry: %s (%s)", resp.Err, resp.ErrorCode)
+	}
+	for _, src := range []server.EndPointMsg{netA, netB, reg} {
+		if net, err := s0.Trace(ctx, src); err != nil || net == nil || len(net.Sinks) != 1 {
+			t.Errorf("net lost in retried handoff: %+v, %v", net, err)
+		}
+	}
+	if net, err := s0.Trace(ctx, reg); err != nil || net.Source.Pin.Row != 8 {
+		t.Errorf("reg.q traces from %+v (%v), want row 8 where the replace put it", net.Source.Pin, err)
+	}
+	if got := backendOf(t, s0); got != "be1" {
+		t.Errorf("s0 on %s after retried drain, want be1", got)
+	}
+	if gs := g.GatewayStats(); gs.Handoffs != 1 || gs.HandoffFails != 2 {
+		t.Errorf("handoffs/fails = %d/%d, want 1/2", gs.Handoffs, gs.HandoffFails)
+	}
+}
+
+// TestMoveKeepsPortMemory: a net taken off a core's port by unroute or
+// reverse_unroute is remembered by the router, and a core_replace of that
+// core routes it again (§3.3). A move must keep that whether the replace
+// runs before it — the net is live again and moves with the rest — or after
+// it, on a target that must remember the net too.
+func TestMoveKeepsPortMemory(t *testing.T) {
+	q, d := client.PortRef("reg", "q", 0), client.PortRef("reg", "d", 0)
+	out := server.NetMsg{Source: q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3), pin(9, 13, arch.S0F3)}}
+	in := server.NetMsg{Source: pin(5, 7, arch.S1YQ), Sinks: []server.EndPointMsg{d, pin(6, 8, arch.S0F3)}}
+	for _, net := range []struct {
+		name string
+		server.NetMsg
+	}{{"out", out}, {"in", in}} {
+		for _, reverse := range []bool{false, true} {
+			for _, replaceFirst := range []bool{true, false} {
+				name := fmt.Sprintf("%s/reverse=%v/replace-first=%v", net.name, reverse, replaceFirst)
+				t.Run(name, func(t *testing.T) {
+					portMemoryMove(t, net.NetMsg, reverse, replaceFirst)
+				})
+			}
+		}
+	}
+}
+
+func portMemoryMove(t *testing.T, net server.NetMsg, reverse, replaceFirst bool) {
+	be0, be1 := startBackend(t, 1), startBackend(t, 1)
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: be1, Classes: []string{"v1000-class"}},
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.SessionWithKey(ctx, "v1000-class/s0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Route(ctx, net.Source, net.Sinks...); err != nil {
+		t.Fatal(err)
+	}
+	sinks := func() int {
+		traced, err := s.Trace(ctx, net.Source)
+		if err != nil {
+			return 0 // an unrouted source does not trace
+		}
+		return len(traced.Sinks)
+	}
+	left := 0
+	if reverse {
+		err, left = s.ReverseUnroute(ctx, net.Sinks[0]), 1
+	} else {
+		err = s.Unroute(ctx, net.Source)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	replace := func() {
+		t.Helper()
+		if err := s.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if replaceFirst {
+		replace()
+	}
+	if moved, err := g.Drain(ctx, "be0"); err != nil || len(moved) != 1 {
+		t.Fatalf("drain: moved %v, %v", moved, err)
+	}
+	if !replaceFirst {
+		if got := sinks(); got != left {
+			t.Fatalf("after the move, before the replace: %d sinks traced, want %d", got, left)
+		}
+		replace()
+	}
+	if got := sinks(); got != len(net.Sinks) {
+		t.Errorf("after the replace and the move: %d sinks traced, want %d", got, len(net.Sinks))
+	}
+	if got := backendOf(t, s); got != "be1" {
+		t.Errorf("session on %s, want be1", got)
+	}
+}
+
+// TestEjectionRetriesFailedHandoff: when an ejection's handoff fails (here a
+// co-tenant on the only other backend drives a sink the session needs), the
+// session stays pinned to the dead backend, and the next probe round moves
+// it once the conflict has cleared.
+func TestEjectionRetriesFailedHandoff(t *testing.T) {
+	coord0, err := fleet.New(fleet.Config{Boards: 1, Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0 := server.NewServer()
+	srv0.SetFleet(coord0)
+	be0, err := srv0.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	be1 := startBackend(t, 1)
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: be1, Classes: []string{"v1000-class"}},
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s0, err := c.SessionWithKey(ctx, "v1000-class/s0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, sink := pin(5, 7, arch.S1YQ), pin(9, 10, arch.S0F3)
+	if err := s0.Route(ctx, src, sink); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := client.Dial(ctx, be1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	bl, err := direct.Session(ctx, "blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSrc := pin(11, 3, arch.S1YQ)
+	if err := bl.Route(ctx, blockSrc, sink); err != nil {
+		t.Fatal(err)
+	}
+
+	sctx, scancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer scancel()
+	if err := srv0.Shutdown(sctx); err != nil {
+		t.Fatalf("shutting down be0: %v", err)
+	}
+	g.ProbeAll(ctx)
+	if gs := g.GatewayStats(); gs.Ejections != 1 || gs.Handoffs != 0 || gs.HandoffFails != 1 {
+		t.Fatalf("ejections/handoffs/fails = %d/%d/%d, want 1/0/1", gs.Ejections, gs.Handoffs, gs.HandoffFails)
+	}
+	if err := bl.Unroute(ctx, blockSrc); err != nil {
+		t.Fatal(err)
+	}
+	g.ProbeAll(ctx)
+	if gs := g.GatewayStats(); gs.Handoffs != 1 {
+		t.Fatalf("handoffs = %d after the conflict cleared, want 1", gs.Handoffs)
+	}
+	if net, err := s0.Trace(ctx, src); err != nil || net == nil || len(net.Sinks) != 1 {
+		t.Errorf("net lost in the retried ejection handoff: %+v, %v", net, err)
+	}
+	if got := backendOf(t, s0); got != "be1" {
+		t.Errorf("s0 on %s, want be1", got)
 	}
 }

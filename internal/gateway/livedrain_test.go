@@ -45,7 +45,7 @@ func bandNets(i int) []churnNet {
 // four sessions over two single-board backends cycle route-all /
 // unroute-all, gw_drain be0 fires once two rounds of routes are acked, and
 // every session keeps cycling until the drain has returned. TestDrainJournalHandoff drains a quiescent session; here the
-// journal is moving while it is handed off. Zero acked nets may be lost:
+// session state is moving while it is handed off. Zero acked nets may be lost:
 // every net of the final round must trace on the survivor, whose board
 // must audit clean against every session's claims.
 func TestLiveDrainMidChurn(t *testing.T) {

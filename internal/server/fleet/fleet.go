@@ -182,11 +182,16 @@ func (j *journal) record(gen uint64, req *server.Request, d core.Delta) {
 		return
 	}
 	if req != nil && req.Core != nil {
-		if b := req.Row().Byte; b == protocol.OpCoreNew || b == protocol.OpCoreReplace {
+		switch req.Row().Byte {
+		case protocol.OpCoreNew:
 			if _, known := j.cores[req.Core.Name]; !known {
 				j.coreOrder = append(j.coreOrder, req.Core.Name)
 			}
 			j.cores[req.Core.Name] = *req.Core
+		case protocol.OpCoreReplace:
+			held := j.cores[req.Core.Name]
+			server.FoldReplace(&held, req.Core)
+			j.cores[req.Core.Name] = held
 		}
 	}
 	for _, u := range d.Upserted {

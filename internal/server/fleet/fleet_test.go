@@ -346,6 +346,54 @@ func TestProbeDetectsSilentDeath(t *testing.T) {
 	}
 }
 
+// TestFailoverAfterKindlessReplace: clients send core_replace as name,
+// site and (optionally) K — no Kind. The journal must fold such a replace
+// into the core's held description rather than store it whole, or the
+// failover's core_new replay meets "unknown core kind", burns the spare and
+// takes the slot down.
+func TestFailoverAfterKindlessReplace(t *testing.T) {
+	c := newFleet(t, fleet.Config{Boards: 1, Spares: 1})
+	ctx := context.Background()
+	connect(t, c, "only", 0)
+	submit := func(req *server.Request) *server.Response {
+		req.Session = "only"
+		return c.Submit(ctx, req)
+	}
+	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	for _, req := range []*server.Request{
+		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3)}},
+		{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 9, Col: 16}},
+	} {
+		if r := submit(req); r.Err != "" {
+			t.Fatalf("%s: %s (%s)", req.Op, r.Err, r.ErrorCode)
+		}
+	}
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	c.ProbeAll(ctx)
+	deadline := time.Now().Add(10 * time.Second)
+	for st := c.Stats(); st.Failovers+st.FailoverFails == 0; st = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("the dead board was never failed over")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := c.Stats(); st.Failovers != 1 || st.FailoverFails != 0 {
+		t.Fatalf("failovers/fails = %d/%d, want 1/0", st.Failovers, st.FailoverFails)
+	}
+	tr := submit(&server.Request{Op: "trace", Source: &q})
+	if tr.Err != "" || tr.Net == nil || len(tr.Net.Sinks) != 1 {
+		t.Fatalf("the register's net after failover: %q (%s) %+v", tr.Err, tr.ErrorCode, tr.Net)
+	}
+	// The spare holds the register where the replace put it: replacing it
+	// there again is a move of zero.
+	if r := submit(&server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 9, Col: 16}}); r.Err != "" {
+		t.Errorf("core_replace on the spare: %s (%s)", r.Err, r.ErrorCode)
+	}
+}
+
 // TestFailoverStitchesFromLibrary: a fleet built with a template library
 // hands it to failover spares too. A board hosting a rack of counter cores
 // (internal feedback wiring = real routing on restore) is killed; the

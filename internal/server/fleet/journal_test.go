@@ -122,7 +122,7 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	}
 	for i, site := range [][2]int{{6, 13}, {3, 14}} {
 		k := uint64(1 + i)
-		must("core_replace", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Kind: "constmul", Row: site[0], Col: site[1], K: &k, KBits: 2}})
+		must("core_replace", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: site[0], Col: site[1], K: &k}})
 	}
 	unchurn(0)
 	churn(1)

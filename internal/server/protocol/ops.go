@@ -44,8 +44,9 @@ type Op struct {
 	Byte  byte   // v3 header op byte
 	Scope Scope
 	// Mutating ops change device configuration: a successful response
-	// carries the frames the op dirtied (Frames, FrameN), and the fleet and
-	// gateway journals record the acknowledged request.
+	// carries the frames the op dirtied (Frames, FrameN), and the fleet
+	// journal and the gateway's session state take in the acknowledged
+	// request.
 	Mutating bool
 }
 
@@ -103,7 +104,7 @@ var Ops = []Op{
 
 	// Gateway administration.
 	//   gw_drain (Session = backend name) -> Devices: the sessions moved off
-	//                                        the backend by journal handoff
+	//                                        the backend by state handoff
 	{"gw_drain", OpGwDrain, ScopeAdmin, false},
 }
 

@@ -371,10 +371,9 @@ type GatewayStatsMsg struct {
 	Ejections        int `json:"ejections"` // backends removed from rotation by probes
 	Readmits         int `json:"readmits"`  // ejected backends that probed healthy again
 	Drains           int `json:"drains"`    // completed backend drains
-	Handoffs         int `json:"handoffs"`  // sessions moved by journal replay
+	Handoffs         int `json:"handoffs"`  // sessions moved onto another backend
 	HandoffFails     int `json:"handoff_fails"`
-	ReplayedOps      int `json:"replayed_ops"` // journaled ops re-executed on handoff targets
-	ReplaySkips      int `json:"replay_skips"` // replayed unroutes whose net was already absent
+	RestoredNets     int `json:"restored_nets"` // live nets replayed onto handoff targets
 
 	Tenants     map[string]GatewayTenantMsg  `json:"tenants,omitempty"`
 	BackendsMap map[string]GatewayBackendMsg `json:"backends_detail,omitempty"`

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -49,6 +50,7 @@ type task struct {
 type coreEntry struct {
 	c      cores.Core
 	groups []string // port groups the replace flow reconnects
+	msg    CoreMsg  // current description: the core_new's, replaces folded in
 }
 
 // WorkerConfig describes one device-backed routing worker.
@@ -211,32 +213,9 @@ func ctxErrResponse(ctx context.Context, id uint64) *Response {
 	return &Response{ID: id, Err: msg, ErrorCode: code}
 }
 
-// Submit enqueues a request with backpressure. The wait for a queue slot is
-// bounded by both the enqueue timeout (busy response, CodeBusy) and the
-// request context (typed CodeCanceled / CodeDeadline response) — a caller
-// with a deadline never waits past it, and a canceled caller's op is
-// rejected rather than executed late.
+// Submit runs a request on the worker, with backpressure (see enqueue).
 func (w *Worker) Submit(ctx context.Context, req *Request) *Response {
-	t := task{ctx: ctx, req: req, resp: make(chan *Response, 1)}
-	timer := time.NewTimer(w.enqueueTimeout)
-	defer timer.Stop()
-	select {
-	case w.queue <- t:
-	case <-ctx.Done():
-		return ctxErrResponse(ctx, req.ID)
-	case <-timer.C:
-		return &Response{ID: req.ID, Busy: true, ErrorCode: protocol.CodeBusy,
-			Err: fmt.Sprintf("server: session %s queue full (backpressure)", w.cfg.Name)}
-	}
-	select {
-	case resp := <-t.resp:
-		resp.ID = req.ID
-		return resp
-	case <-ctx.Done():
-		// The worker will see the dead context and skip the op (or has
-		// already executed it; its buffered response is dropped).
-		return ctxErrResponse(ctx, req.ID)
-	}
+	return w.enqueue(task{ctx: ctx, req: req})
 }
 
 // Do runs fn on the worker goroutine with exclusive access to the router
@@ -244,24 +223,42 @@ func (w *Worker) Submit(ctx context.Context, req *Request) *Response {
 // serialization and backpressure) as requests. Fleet health probes and
 // failover restores run through here.
 func (w *Worker) Do(ctx context.Context, fn func(r *core.Router, js *jbits.Session) error) error {
-	t := task{ctx: ctx, fn: fn, resp: make(chan *Response, 1)}
+	resp := w.enqueue(task{ctx: ctx, fn: fn})
+	switch {
+	case resp.ErrorCode == protocol.CodeCanceled || resp.ErrorCode == protocol.CodeDeadline:
+		return ctx.Err()
+	case resp.Err != "":
+		return fmt.Errorf("%s", resp.Err)
+	}
+	return nil
+}
+
+// enqueue queues t and waits for its answer. The wait for a queue slot is
+// bounded by both the enqueue timeout (busy response, CodeBusy) and the
+// task's context (typed CodeCanceled / CodeDeadline response) — a caller
+// with a deadline never waits past it, and a canceled caller's op is
+// rejected rather than executed late.
+func (w *Worker) enqueue(t task) *Response {
+	id := reqID(t.req)
+	t.resp = make(chan *Response, 1)
 	timer := time.NewTimer(w.enqueueTimeout)
 	defer timer.Stop()
 	select {
 	case w.queue <- t:
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-t.ctx.Done():
+		return ctxErrResponse(t.ctx, id)
 	case <-timer.C:
-		return fmt.Errorf("server: session %s queue full (backpressure)", w.cfg.Name)
+		return &Response{ID: id, Busy: true, ErrorCode: protocol.CodeBusy,
+			Err: fmt.Sprintf("server: session %s queue full (backpressure)", w.cfg.Name)}
 	}
 	select {
 	case resp := <-t.resp:
-		if resp.Err != "" {
-			return fmt.Errorf("%s", resp.Err)
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+		resp.ID = id
+		return resp
+	case <-t.ctx.Done():
+		// The worker will see the dead context and skip the op (or has
+		// already executed it; its buffered response is dropped).
+		return ctxErrResponse(t.ctx, id)
 	}
 }
 
@@ -443,7 +440,12 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_new without core description")
 	}
-	if _, dup := w.cores[msg.Name]; dup {
+	if entry, dup := w.cores[msg.Name]; dup {
+		// A session move that placed the core and then failed retries with
+		// the same description: that already holds, so it succeeds as is.
+		if reflect.DeepEqual(entry.msg, *msg) {
+			return nil
+		}
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core %q already exists", msg.Name)
 	}
@@ -458,7 +460,7 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 	if err := c.Implement(w.router); err != nil {
 		return err
 	}
-	w.cores[msg.Name] = &coreEntry{c: c, groups: groups}
+	w.cores[msg.Name] = &coreEntry{c: c, groups: groups, msg: *msg}
 	return nil
 }
 
@@ -481,7 +483,22 @@ func (w *Worker) coreReplace(msg *CoreMsg, resp *Response) error {
 		}
 		retune = func() error { return mul.SetConstant(w.router, *msg.K) }
 	}
-	return cores.Replace(w.router, entry.c, msg.Row, msg.Col, entry.groups, retune)
+	if err := cores.Replace(w.router, entry.c, msg.Row, msg.Col, entry.groups, retune); err != nil {
+		return err
+	}
+	FoldReplace(&entry.msg, msg)
+	return nil
+}
+
+// FoldReplace folds a core_replace into the held description of the core
+// it names: the replace moves the core and, with K set, retunes it. Kind,
+// Bits and KBits stay the core_new's — clients send a replace without them.
+func FoldReplace(held, replace *CoreMsg) {
+	held.Row, held.Col = replace.Row, replace.Col
+	if replace.K != nil {
+		k := *replace.K
+		held.K = &k
+	}
 }
 
 // makeCore instantiates a library core from its wire description and
