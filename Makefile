@@ -56,17 +56,18 @@ verify:
 # library-failover checks are `go test`s beside their packages.)
 ci: fmt-check vet build test race bench-smoke verify fuzz-smoke soak-smoke noc-smoke
 
-# prof profiles jbench's route/unroute churn experiment (B5) on the 64x96
-# array and prints the 25 hottest functions — a where-does-the-router-spend
-# look, not a measurement (timing claims go through `go run ./benchmark
-# --workload <w>`; see BENCHMARK.json). The binary and the profile land in
-# PROF_DIR, outside the repository.
+# prof profiles BenchmarkChurn (B5's route/unroute churn, root package) and
+# prints the 25 hottest functions — a where-does-the-router-spend look, not
+# a measurement (timing claims go through `go run ./benchmark --workload
+# <w>`; see BENCHMARK.json). The test binary and the CPU and heap profiles
+# land in PROF_DIR, outside the repository; `go tool pprof -sample_index
+# alloc_space $(PROF_DIR)/repro.test $(PROF_DIR)/mem.prof` reads the heap one.
 PROF_DIR ?= /tmp/jroute-prof
 prof:
 	mkdir -p $(PROF_DIR)
-	$(GO) build -o $(PROF_DIR)/jbench ./cmd/jbench
-	$(PROF_DIR)/jbench -exp B5 -rows 64 -cols 96 -cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof
-	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/jbench $(PROF_DIR)/cpu.prof
+	$(GO) test -run '^$$' -bench BenchmarkChurn -benchtime 3s -o $(PROF_DIR)/repro.test \
+		-cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof .
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/cpu.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

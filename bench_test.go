@@ -1,7 +1,9 @@
 // Package repro_test is the benchmark harness: one testing.B benchmark per
-// experiment in EXPERIMENTS.md (and a few infrastructure benchmarks), so
-// `go test -bench=. -benchmem` regenerates the performance side of every
-// table. cmd/jbench prints the richer shaped tables.
+// experiment in EXPERIMENTS.md (and a few infrastructure benchmarks), the
+// wall-time side of each entry. The counts an entry claims are asserted by
+// its TestPaper test (`go test -run TestPaper ./...`); these rows are not
+// comparable across commits, and speed claims go through `go run
+// ./benchmark`. `make prof` profiles BenchmarkChurn.
 package repro_test
 
 import (

@@ -15,10 +15,15 @@
 // spare through the relocation route cache — clients just see the epoch
 // bump and resync their mirror.
 //
+// With -learn FILE it serves nothing: it runs the template-library learn
+// campaign at -geometry, writes the library to FILE, reads it back and
+// exits. -library FILE then seeds every session router from it.
+//
 // Usage:
 //
 //	jrouted -listen :7411 -device alpha:16x24 -device beta:32x48,kestrel
 //	jrouted -listen :7411 -boards 4 -spares 1 -geometry 16x24
+//	jrouted -learn warm.jrtl -geometry 16x24 && jrouted -library warm.jrtl
 package main
 
 import (
@@ -81,14 +86,26 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
 	boards := flag.Int("boards", 0, "fleet mode: board-backed shards fronted by the coordinator (0 = static -device mode)")
 	spares := flag.Int("spares", 0, "fleet mode: hot-spare boards consumed by failover")
-	geometry := flag.String("geometry", "16x24", "fleet mode: board geometry as RxC")
+	geometry := flag.String("geometry", "16x24", "fleet and -learn mode: board geometry as RxC")
 	archName := flag.String("arch", "virtex", "fleet mode: board architecture")
 	sessionCap := flag.Int("session-cap", 0, "fleet mode: admission cap on sessions per board (0 = unlimited)")
 	portFrameTime := flag.Duration("port-frame-time", 0, "fleet mode: modeled configuration-port time per shipped frame")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet mode: board health-probe period (0 = disabled)")
-	libraryPath := flag.String("library", "", "route-template library file (jbench -learn output) seeding every session router")
+	libraryPath := flag.String("library", "", "route-template library file (jrouted -learn output) seeding every session router")
+	learnPath := flag.String("learn", "", "run the library learn campaign (stdlib manifest + fan-net warm-up) at -geometry, write the template library to this file and exit")
 	flag.Var(&devices, "device", "hosted device as name:RxC[,arch]; repeatable")
 	flag.Parse()
+
+	if *learnPath != "" {
+		rows, cols, err := parseGeometry(*geometry)
+		if err != nil {
+			log.Fatalf("jrouted: %v", err)
+		}
+		if err := runLearn(*learnPath, 1, rows, cols); err != nil {
+			log.Fatalf("jrouted: learn: %v", err)
+		}
+		return
+	}
 
 	// An explicitly requested library must load: a daemon silently running
 	// cold after a typo'd path would defeat the whole warm-start story.
@@ -116,9 +133,9 @@ func main() {
 		if len(devices) > 0 {
 			log.Fatal("jrouted: -device and -boards are mutually exclusive; fleet boards are uniform")
 		}
-		var rows, cols int
-		if _, err := fmt.Sscanf(*geometry, "%dx%d", &rows, &cols); err != nil || rows < 1 || cols < 1 {
-			log.Fatalf("jrouted: bad -geometry %q (want RxC, e.g. 16x24)", *geometry)
+		rows, cols, err := parseGeometry(*geometry)
+		if err != nil {
+			log.Fatalf("jrouted: %v", err)
 		}
 		coord, err := fleet.New(fleet.Config{
 			Boards:        *boards,
@@ -166,4 +183,12 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("jrouted: drained cleanly")
+}
+
+// parseGeometry parses a -geometry value, RxC.
+func parseGeometry(v string) (rows, cols int, err error) {
+	if _, err := fmt.Sscanf(v, "%dx%d", &rows, &cols); err != nil || rows < 1 || cols < 1 {
+		return 0, 0, fmt.Errorf("bad -geometry %q (want RxC, e.g. 16x24)", v)
+	}
+	return rows, cols, nil
 }

@@ -142,16 +142,20 @@ func TestIntegrationDataflow(t *testing.T) {
 	}
 }
 
-// TestIntegrationRTRSwapWithBoard is examples/rtr as a test: a core swap
-// ships a tiny partial bitstream to a board and readback verifies it.
-func TestIntegrationRTRSwapWithBoard(t *testing.T) {
+// swapMultiplier is examples/rtr's core swap: a constant multiplier wired
+// to a register is shipped whole to a board, then unrouted at its ports,
+// removed, retuned, relocated, reimplemented and reconnected from port
+// memory (§3.3), and shipped again as a partial bitstream. It returns the
+// session, the board and both frame counts.
+func swapMultiplier(t *testing.T) (session *jbits.Session, board *jbits.Board, full, partial int) {
+	t.Helper()
 	a := arch.NewVirtex()
 	session, err := jbits.NewSession(a, 16, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := core.New(session.Dev)
-	board, err := jbits.NewBoard("it", a, 16, 24)
+	board, err = jbits.NewBoard("it", a, 16, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +178,7 @@ func TestIntegrationRTRSwapWithBoard(t *testing.T) {
 	if err := r.RouteBus(mul.Group("p").EndPoints(), reg.Group("d").EndPoints()); err != nil {
 		t.Fatal(err)
 	}
-	full, err := session.SyncFull(board)
-	if err != nil {
+	if full, err = session.SyncFull(board); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range mul.Ports("p") {
@@ -198,10 +201,16 @@ func TestIntegrationRTRSwapWithBoard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	partial, err := session.SyncPartial(board)
-	if err != nil {
+	if partial, err = session.SyncPartial(board); err != nil {
 		t.Fatal(err)
 	}
+	return session, board, full, partial
+}
+
+// TestIntegrationRTRSwapWithBoard is examples/rtr as a test: a core swap
+// ships a tiny partial bitstream to a board and readback verifies it.
+func TestIntegrationRTRSwapWithBoard(t *testing.T) {
+	session, board, full, partial := swapMultiplier(t)
 	if partial == 0 || partial > full/20 {
 		t.Errorf("partial frames %d vs full %d: not a small reconfiguration", partial, full)
 	}
@@ -213,6 +222,79 @@ func TestIntegrationRTRSwapWithBoard(t *testing.T) {
 	// LUTs are live on the board at (9,10).
 	if v, used := board.Device().GetLUT(9, 10, 0); !used || v != mulTruthBit0x2 {
 		t.Errorf("board LUT at new site: %#x, used=%v", v, used)
+	}
+}
+
+// TestPaperB5UnrouterAndPartialSwap is §3.3: "Run-time reconfiguration
+// requires an unrouter"; reverse unroute removes only the branch to one
+// sink; and a core "can be removed, unrouted, and replaced ... without
+// having to reconfigure the entire design". A seeded 400-op route/unroute
+// churn on 16×24 frees exactly what each route set; reverse-unrouting one
+// sink of an 8-sink net frees its private branch and leaves 7 sinks; and
+// the multiplier swap ships 43 partial frames against 15 096 full ones,
+// which readback confirms. The counts are pinned; the churn's ops/ms is
+// not asserted.
+func TestPaperB5UnrouterAndPartialSwap(t *testing.T) {
+	d, r := newStack(t)
+	ops, err := workload.ForDevice(1, d).Churn(400, 6, 0.45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, unroutes := 0, 0
+	set := map[core.Pin]int{}
+	for _, op := range ops {
+		before := d.OnPIPCount()
+		if op.Route {
+			if err := r.RouteNet(op.Src, op.Sink); err != nil {
+				t.Fatalf("op %d: %v", op.Serial, err)
+			}
+			set[op.Src] += d.OnPIPCount() - before
+			routes++
+			continue
+		}
+		if err := r.Unroute(op.Src); err != nil {
+			t.Fatalf("op %d: %v", op.Serial, err)
+		}
+		if freed := before - d.OnPIPCount(); freed != set[op.Src] {
+			t.Fatalf("op %d: unroute freed %d PIPs, routes set %d", op.Serial, freed, set[op.Src])
+		}
+		delete(set, op.Src)
+		unroutes++
+	}
+	if routes != 229 || unroutes != 171 || d.OnPIPCount() != 395 {
+		t.Errorf("churn: %d routes, %d unroutes, %d PIPs live; pinned 229, 171, 395",
+			routes, unroutes, d.OnPIPCount())
+	}
+
+	d, r = newStack(t)
+	src, sinks, err := workload.ForDevice(2, d).Fanout(8, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RouteFanout(src, sinks); err != nil {
+		t.Fatal(err)
+	}
+	before := d.OnPIPCount()
+	if err := r.ReverseUnroute(sinks[0].Pins()[0]); err != nil {
+		t.Fatal(err)
+	}
+	net, err := r.Trace(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freed := before - d.OnPIPCount(); freed != 3 || before != 30 || len(net.Sinks) != 7 {
+		t.Errorf("reverse unroute freed %d of %d PIPs, %d sinks remain; pinned 3 of 30, 7",
+			freed, before, len(net.Sinks))
+	}
+
+	session, board, full, partial := swapMultiplier(t)
+	diffs, err := session.VerifyReadback(board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial != 43 || full != 15096 || diffs != 0 {
+		t.Errorf("swap: %d partial vs %d full frames, %d readback diffs; pinned 43, 15096, 0",
+			partial, full, diffs)
 	}
 }
 

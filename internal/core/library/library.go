@@ -6,7 +6,7 @@
 // The route cache (internal/core/routecache.go) learns these templates from
 // real searches but forgets them at process exit, so every jrouted cold
 // start and every spare-promotion failover re-pays full maze searches. A
-// library file closes that gap: a `jbench -learn` campaign warms a router,
+// library file closes that gap: a `jrouted -learn` campaign warms a router,
 // harvests its learned templates (plus the pre-routed intra-core wiring of
 // the stdlib cores), and writes them here; daemons load the file at startup
 // and every session router shares it read-only as a pre-seeded template

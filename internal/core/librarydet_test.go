@@ -73,7 +73,7 @@ func routeFans(t *testing.T, r *core.Router, nets []workload.FanNet) {
 
 // learnLibrary routes W on a scratch router, harvests the templates, and
 // round-trips them through the binary format and the blank-device audit —
-// the same path a jbench -learn file takes to a daemon.
+// the same path a jrouted -learn file takes to a daemon.
 func learnLibrary(t *testing.T, rows, cols int, w []workload.FanNet) *library.Library {
 	t.Helper()
 	d, err := device.New(arch.NewVirtex(), rows, cols)

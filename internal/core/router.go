@@ -275,7 +275,7 @@ func (r *Router) Library() *library.Library { return r.lib }
 
 // HarvestTemplates appends every relocatable template this router has
 // learned from real searches this session to b — the export half of the
-// persistent library (`jbench -learn`). Library-seeded entries are not
+// persistent library (`jrouted -learn`). Library-seeded entries are not
 // re-harvested; they already live in their own file. Returns the number of
 // templates appended.
 func (r *Router) HarvestTemplates(b *library.Builder) int {
