@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof bench-go bench-smoke fuzz-smoke verify soak soak-smoke noc-smoke size
+.PHONY: build vet fmt-check test race ci prof bench-go bench-smoke fuzz-smoke verify soak size
 
 build:
 	$(GO) build ./...
@@ -46,15 +46,17 @@ fuzz-smoke:
 # verify audits the paper's worked examples across the config grid and
 # runs a short seeded differential fuzz campaign, all through the
 # bitstream-level oracle (cmd/jverify). Non-zero exit on any divergence.
+# Not part of ci: TestGoldenBitstreams audits the same scenarios over the
+# same grid, and TestDifferentialSmoke runs the same campaign.
 verify:
 	$(GO) run ./cmd/jverify -scenario all -steps 150 -seed 1 -q
 
 # ci is the full tier-1 gate: formatting + vet + build + tests + race
-# detector + one-shot benchmark smoke + bitstream-oracle verification +
-# fuzz-target smoke + a short fault-injection soak + the NoC
-# obstacle-churn smoke. (The gateway live-drain, library-restart and
-# library-failover checks are `go test`s beside their packages.)
-ci: fmt-check vet build test race bench-smoke verify fuzz-smoke soak-smoke noc-smoke
+# detector + one-shot benchmark smoke + fuzz-target smoke. Every other
+# check (the worked examples, the oracle and differential campaigns, the
+# fault-injection soak, the NoC obstacle churn, the gateway live drain) is
+# a `go test` beside its package, so `test` and `race` run it.
+ci: fmt-check vet build test race bench-smoke fuzz-smoke
 
 # prof profiles BenchmarkChurn (B5's route/unroute churn, root package) and
 # prints the 25 hottest functions — a where-does-the-router-spend look, not
@@ -74,25 +76,15 @@ prof:
 bench-go:
 	$(GO) test -bench . -benchmem -benchtime 200x ./...
 
-# noc-smoke is a short NoC obstacle-churn script: every packet
-# sim-verified at exact hop latency, oracle audit per event, bytes restored
-# at the end.
-noc-smoke:
-	$(GO) run ./cmd/jload -noc-smoke
-
-# soak runs minutes of fault-injected traffic (dropped/truncated/
-# duplicated/delayed frames plus a garbage blaster) against an in-process
-# daemon. Hard-fails unless every board ends
-# oracle-clean, the malformed filter fired, and a bounded graceful
-# drain leaves zero stuck sessions.
+# soak runs TestSoak for two minutes instead of its fixed counts:
+# fault-injected traffic (dropped/truncated/duplicated/delayed frames plus
+# a garbage blaster) against an in-process daemon. It fails unless every
+# board ends oracle-clean, the malformed filter fired, and a bounded
+# graceful drain leaves zero stuck sessions; -v prints its summary.
 soak:
-	$(GO) run ./cmd/jload -inproc -sessions 4 -soak 2m
+	$(GO) test ./internal/server -run TestSoak -soak=2m -v
 
-# soak-smoke is the short ci-sized slice of the same harness.
-soak-smoke:
-	$(GO) run ./cmd/jload -inproc -sessions 4 -soak 15s
-
-# size prints, per directory (internal/*, cmd, examples, benchmark) and in
+# size prints, per directory (internal/*, cmd, benchmark) and in
 # total, non-test Go lines and code-only lines (neither blank nor
 # comment-only) — the count a simplicity PR reports, parent beside change.
 # `make size FILES='internal/core/*.go cmd/jverify/main.go'` counts just
@@ -101,5 +93,5 @@ size:
 ifdef FILES
 	@awk -v perfile=1 -f size.awk $(filter-out %_test.go,$(wildcard $(FILES)))
 else
-	@find internal cmd examples benchmark -name '*.go' ! -name '*_test.go' | sort | xargs awk -f size.awk
+	@find internal cmd benchmark -name '*.go' ! -name '*_test.go' | sort | xargs awk -f size.awk
 endif

@@ -110,7 +110,7 @@ func (r *Router) AvoidRects() []maze.Rect { return append([]maze.Rect(nil), r.av
 // The counters fall into two groups. Work counters (routes, searches,
 // PIPs, iterations) are resettable: ResetStats zeroes them so callers can
 // measure an interval. Cache and library counters are monotonic for the
-// life of the router — hit-rate maths downstream (statsz, jload) divide
+// life of the router — hit-rate maths downstream (statsz) divide
 // them, so they must never rewind mid-session.
 type Stats struct {
 	Routes          int // automatic route calls completed
@@ -707,12 +707,22 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 	if gw == arch.Invalid {
 		return fmt.Errorf("core: no global clock %d", g)
 	}
+	// All or nothing: curPath collects the taps this call turns on, so a
+	// failure takes down those and leaves a tap that was already on.
+	r.curPath = r.curPath[:0]
 	for _, s := range sinks {
 		for _, p := range s.Pins() {
+			was := r.Dev.IsOn(p.Row, p.Col, p.W)
 			if err := r.Dev.SetPIP(p.Row, p.Col, gw, p.W); err != nil {
+				r.unwind(r.curPath)
+				r.curPath = r.curPath[:0]
+				r.backToEntry()
 				return err
 			}
 			r.stats.PIPsSet++
+			if !was {
+				r.curPath = append(r.curPath, device.PIP{Row: p.Row, Col: p.Col, From: gw, To: p.W})
+			}
 		}
 	}
 	return nil

@@ -513,6 +513,25 @@ func TestRouteClock(t *testing.T) {
 	if err := r.RouteClock(0, NewPin(2, 3, arch.S0F1)); err == nil {
 		t.Error("clock onto LUT input accepted")
 	}
+
+	// All or nothing: a failed call takes down the taps it set and leaves
+	// no dirty frame, but a tap an earlier call set stays on.
+	r.Dev.ClearDirty()
+	pips := r.Dev.OnPIPCount()
+	if err := r.RouteClock(0, NewPin(3, 3, arch.S0CLK), NewPin(2, 3, arch.S0F1)); err == nil {
+		t.Fatal("clock onto LUT input accepted after a good tap")
+	}
+	if r.IsOn(3, 3, arch.S0CLK) || r.Dev.OnPIPCount() != pips || r.Dev.DirtyFrameCount() != 0 {
+		t.Errorf("failed call left tap (3,3) on=%v, %d PIPs (entry %d), %d dirty frames",
+			r.IsOn(3, 3, arch.S0CLK), r.Dev.OnPIPCount(), pips, r.Dev.DirtyFrameCount())
+	}
+	if err := r.RouteClock(0, sinks[0], NewPin(2, 3, arch.S0F1)); err == nil {
+		t.Fatal("clock onto LUT input accepted after a repeated tap")
+	}
+	if p := sinks[0].Pins()[0]; !r.IsOn(p.Row, p.Col, p.W) || r.Dev.OnPIPCount() != pips {
+		t.Errorf("after a failed repeat: earlier tap %v on=%v, %d PIPs (entry %d)",
+			p, r.IsOn(p.Row, p.Col, p.W), r.Dev.OnPIPCount(), pips)
+	}
 }
 
 // TestAutoRouteNeverContends is the B6 invariant: whatever the workload,

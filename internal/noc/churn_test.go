@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cores"
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 // dirBetweenForTest gives the mesh direction from node a to adjacent
@@ -170,12 +171,68 @@ func TestAllSingleNodeObstacles(t *testing.T) {
 	}
 }
 
-// TestChurnDeterminism runs one fixed churn script under all four router
-// configurations of the differential grid — {cache on, off} x
-// {parallelism 1, 8} — and requires the full
-// configuration bytes to be identical across configs after every event:
-// the overlay's mutations are byte-deterministic whatever the host router
-// options.
+// TestNoCChurnSmoke is DyNoC's contract on the default 3x3 mesh: two
+// crossing corner flows keep delivering at exact hop-count latency before
+// and after every event of a seeded connectivity-preserving obstacle churn
+// (each event audited against the oracle), and clearing the obstacles
+// still standing returns the board to its pre-churn bytes.
+func TestNoCChurnSmoke(t *testing.T) {
+	h, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []int
+	for _, f := range [][4]int{{0, 0, 2, 2}, {2, 0, 0, 2}} {
+		id, err := h.AddFlow(f[0], f[1], f[2], f[3])
+		if err != nil {
+			t.Fatalf("flow %v: %v", f, err)
+		}
+		flows = append(flows, id)
+	}
+	baseline, err := h.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func(when string) {
+		t.Helper()
+		for _, id := range flows {
+			if err := h.VerifyFlow(id); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+		}
+	}
+	verify("before churn")
+	script := workload.New(1, h.Cfg.Rows, h.Cfg.Cols).NoCChurn(8)
+	for _, op := range script {
+		ev := ChurnEvent{Place: op.Kind == workload.OpNoCObstacle,
+			Row: op.Rect[0], Col: op.Rect[1], Height: op.Rect[2], Width: op.Rect[3]}
+		if err := h.Apply(ev); err != nil {
+			t.Fatalf("event %d (%s at %d,%d): %v", op.Serial, op.Kind, ev.Row, ev.Col, err)
+		}
+		verify(fmt.Sprintf("after event %d (%s)", op.Serial, op.Kind))
+	}
+	for _, rect := range h.Mesh.Obstacles() {
+		if err := h.RemoveObstacle(rect.Row, rect.Col, rect.Height, rect.Width); err != nil {
+			t.Fatalf("final clear at (%d,%d): %v", rect.Row, rect.Col, err)
+		}
+	}
+	final, err := h.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(baseline, final) {
+		t.Error("board not byte-restored after clearing all obstacles")
+	}
+	if len(script) != 8 || h.Audits != 13 {
+		t.Errorf("%d churn events, %d oracle audits; pinned 8, 13", len(script), h.Audits)
+	}
+}
+
+// TestChurnDeterminism runs one fixed churn script under every router
+// configuration of scenario.Grid (parallelism 1 and 8) and requires the
+// full configuration bytes to be identical across configs after every
+// event: the overlay's mutations are byte-deterministic whatever the host
+// router options.
 func TestChurnDeterminism(t *testing.T) {
 	script := []ChurnEvent{
 		{Place: true, Row: 6, Col: 11, Height: 1, Width: 1}, // center node
@@ -185,7 +242,7 @@ func TestChurnDeterminism(t *testing.T) {
 		{Place: false, Row: 3, Col: 11, Height: 1, Width: 1},
 		{Place: false, Row: 6, Col: 11, Height: 1, Width: 2},
 	}
-	// The grid the golden scenarios pin: cache x parallelism.
+	// The grid the golden scenarios pin: parallelism 1 and 8.
 	var ref [][]byte
 	for ci, cfg := range scenario.Grid {
 		h, err := New(DefaultConfig(), cfg.Opts...)

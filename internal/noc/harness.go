@@ -1,8 +1,8 @@
 // Package noc drives a cores.NoC overlay with the gate-level simulator:
 // it builds the mesh, injects packets and proves they traverse the routed
 // fabric hop by hop, churns obstacles, and audits the board against the
-// bitstream oracle after every step. The traversal tests and jload's
-// noc-smoke share this harness.
+// bitstream oracle after every step. The traversal and churn tests share
+// this harness.
 package noc
 
 import (

@@ -10,29 +10,31 @@ import (
 	"repro/internal/oracle"
 )
 
-// TestDifferentialSmoke runs a short seeded campaign over scenario.Grid
-// (parallelism 1 and 8) and requires zero divergences. The long campaign lives in cmd/jverify; this is the CI
-// floor.
+// TestDifferentialSmoke runs short seeded campaigns over scenario.Grid
+// (parallelism 1 and 8) and requires zero divergences. The long campaign
+// lives in cmd/jverify; this is the CI floor, and its seed-1 row is the
+// campaign `make verify` runs.
 func TestDifferentialSmoke(t *testing.T) {
-	steps := 120
-	if testing.Short() {
-		steps = 40
-	}
-	if raceEnabled {
-		steps = 30 // ~5x slower per step under the race detector
-	}
-	res, err := Run(Options{Seed: 42, Steps: steps})
-	if err != nil {
-		t.Fatalf("differential run diverged: %v", err)
-	}
-	if res.Steps != steps {
-		t.Fatalf("ran %d steps, want %d", res.Steps, steps)
-	}
-	if res.Audits == 0 {
-		t.Fatal("no oracle audits performed")
-	}
-	if len(res.Ops) < 4 {
-		t.Fatalf("op mix too narrow: %v", res.Ops)
+	for _, row := range []Options{{Seed: 42, Steps: 120}, {Seed: 1, Steps: 150}} {
+		if testing.Short() {
+			row.Steps = 40
+		}
+		if raceEnabled {
+			row.Steps = 30 // ~5x slower per step under the race detector
+		}
+		res, err := Run(row)
+		if err != nil {
+			t.Fatalf("seed %d: differential run diverged: %v", row.Seed, err)
+		}
+		if res.Steps != row.Steps {
+			t.Fatalf("seed %d: ran %d steps, want %d", row.Seed, res.Steps, row.Steps)
+		}
+		if res.Audits == 0 {
+			t.Fatalf("seed %d: no oracle audits performed", row.Seed)
+		}
+		if len(res.Ops) < 4 {
+			t.Fatalf("seed %d: op mix too narrow: %v", row.Seed, res.Ops)
+		}
 	}
 }
 

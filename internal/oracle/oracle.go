@@ -28,7 +28,7 @@
 //     (phantom nets left behind by buggy partial failures).
 //   - Diff: a PIP-for-PIP structured comparison of two extracted netlists,
 //     for boards claimed equivalent (daemon truth vs thin client mirror,
-//     cache-on vs cache-off).
+//     parallelism 1 vs 8).
 package oracle
 
 import (

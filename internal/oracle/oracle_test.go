@@ -10,7 +10,7 @@ import (
 )
 
 // buildQuickstart routes the §3.1 worked example at the device level (the
-// level-1 PIP steps from examples/quickstart) and returns the device plus
+// level-1 PIP steps from the root Example_quickstart) and returns the device plus
 // the claim describing the net.
 func buildQuickstart(t *testing.T) (*device.Device, Claim) {
 	t.Helper()

@@ -2,9 +2,15 @@ package server_test
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -12,6 +18,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/workload"
 )
 
 // TestSessionUnderTransportFaults drives client sessions over a
@@ -111,5 +118,206 @@ func TestSessionUnderTransportFaults(t *testing.T) {
 	}
 	if errorsSurfaced == 0 {
 		t.Fatal("no session surfaced an error despite injected faults")
+	}
+}
+
+// soakFor switches TestSoak from its fixed counts to running for this long:
+// `go test ./internal/server -run TestSoak -soak=2m -v` is `make soak`. The
+// package comes first: go test hands everything from the first flag it
+// does not know to the test binary.
+var soakFor = flag.Duration("soak", 0, "run TestSoak for this long instead of a fixed number of connections")
+
+// soakCounters aggregates what the soak observed.
+type soakCounters struct {
+	ops      atomic.Int64 // ops answered (success or typed error)
+	opErrors atomic.Int64 // typed op-level errors
+	deaths   atomic.Int64 // transport deaths survived by dialing again
+	faults   atomic.Int64 // faults injected across all connections
+	blasts   atomic.Int64 // garbage connections fired
+}
+
+// TestSoak runs concurrent client traffic against a live daemon over
+// fault-injected transports (seeded drops, truncated frames, duplicated
+// writes, delayed flushes), plus a blaster that feeds the daemon byte noise
+// before and after the hello. Workers dial again after every transport
+// death; no op may hang. At the end faults were injected, a transport
+// death was survived, the malformed-frame filter fired, every board
+// re-extracts oracle-clean with a verified mirror over a fresh connection,
+// and a bounded graceful shutdown drains every session: zero stuck
+// sessions. By default each worker opens a fixed number of connections and
+// the blaster fires a fixed number of shots; -soak bounds both by time.
+func TestSoak(t *testing.T) {
+	const workers, dials, shots = 4, 6, 4
+	var deadline time.Time
+	if *soakFor > 0 {
+		deadline = time.Now().Add(*soakFor)
+	}
+	more := func(count int) func(int) bool {
+		if deadline.IsZero() {
+			return func(n int) bool { return n < count }
+		}
+		return func(int) bool { return time.Now().Before(deadline) }
+	}
+	ctx := context.Background()
+	devs := make([]string, workers)
+	for i := range devs {
+		devs[i] = fmt.Sprintf("dev%d", i)
+	}
+	addr, srv := startDaemon(t, server.Options{}, devs...)
+
+	var c soakCounters
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i, dev := range devs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = soakWorker(ctx, addr, dev, int64(i), more(dials), &c)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		soakBlaster(addr, more(shots), &c)
+	}()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if c.faults.Load() == 0 {
+		t.Fatal("no faults injected: the fault schedule is dead and the soak proved nothing")
+	}
+	if c.deaths.Load() == 0 {
+		t.Fatal("no transport death survived: the redial path never ran")
+	}
+
+	// Terminal audit over a fresh, clean connection: the daemon must be
+	// fully responsive and every board oracle-clean.
+	cc, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatalf("post-soak dial: %v", err)
+	}
+	defer cc.Close()
+	stats, err := cc.Stats(ctx)
+	if err != nil {
+		t.Fatalf("post-soak statsz: %v", err)
+	}
+	if stats.Wire == nil || stats.Wire.Malformed == 0 {
+		t.Fatalf("garbage was blasted but the malformed filter never fired: %+v", stats.Wire)
+	}
+	a := arch.NewVirtex()
+	for _, dev := range devs {
+		s, err := cc.Session(ctx, dev)
+		if err != nil {
+			t.Fatalf("post-soak session %s: %v", dev, err)
+		}
+		stream, err := s.Readback(ctx)
+		if err != nil {
+			t.Fatalf("post-soak readback %s: %v", dev, err)
+		}
+		if err := oracle.Audit(a, stream, nil, false); err != nil {
+			t.Fatalf("board %s not oracle-clean after soak: %v", dev, err)
+		}
+		if err := s.VerifyMirror(); err != nil {
+			t.Fatalf("post-soak mirror %s: %v", dev, err)
+		}
+	}
+	t.Logf("soak: %d ops, %d typed op errors, %d transport deaths survived, %d faults injected, %d garbage blasts, %d malformed frames filtered, %d boards oracle-clean",
+		c.ops.Load(), c.opErrors.Load(), c.deaths.Load(), c.faults.Load(), c.blasts.Load(),
+		stats.Wire.Malformed, len(devs))
+
+	// Zero stuck sessions: a bounded graceful drain must succeed.
+	cc.Close()
+	sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("graceful drain after soak (stuck sessions?): %v", err)
+	}
+}
+
+// soakWorker churns one device through fault-injected connections, dialing
+// again after every transport death; more(n) says whether to open
+// connection n.
+func soakWorker(ctx context.Context, addr, dev string, idx int64, more func(int) bool, c *soakCounters) error {
+	g := workload.New(1+idx, 16, 24)
+	opts := jbits.FaultOptions{PDrop: 0.01, PTruncate: 0.01, PDuplicate: 0.01, PDelay: 0.05}
+	for n := 0; more(n); n++ {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			return fmt.Errorf("dial: %w", err)
+		}
+		opts.Seed = 1 + idx*1000 + int64(n)
+		fc := jbits.NewFaultConn(raw, opts)
+		cc := client.NewClient(fc)
+		err = func() error {
+			s, err := cc.Session(ctx, dev)
+			if err != nil {
+				return err
+			}
+			churn, err := g.Churn(100, 6, 0.35)
+			if err != nil {
+				return err
+			}
+			for _, op := range churn {
+				var oerr error
+				if op.Route {
+					oerr = s.Route(ctx, client.Pin(op.Src), client.Pin(op.Sink))
+				} else {
+					oerr = s.Unroute(ctx, client.Pin(op.Src))
+				}
+				c.ops.Add(1)
+				var se *client.ServiceError
+				if errors.As(oerr, &se) {
+					c.opErrors.Add(1) // a board-level no: session and connection are fine
+				} else if oerr != nil {
+					return oerr
+				}
+			}
+			return nil
+		}()
+		fcount := fc.Counters()
+		c.faults.Add(int64(fcount.Drops + fcount.Truncates + fcount.Duplicates + fcount.Delays))
+		cc.Close()
+		if err != nil {
+			c.deaths.Add(1)
+		}
+	}
+	return nil
+}
+
+// soakBlaster fires garbage at the daemon: byte noise on fresh
+// connections, and on every other shot noise after a legitimate hello, so
+// both the handshake's and the v3 pre-parse filter's rejection paths run;
+// more(n) says whether to fire shot n.
+func soakBlaster(addr string, more func(int) bool, c *soakCounters) {
+	rng := rand.New(rand.NewSource(7777))
+	for shot := 0; more(shot); shot++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		if shot%2 == 1 {
+			cc := client.NewClient(conn)
+			if cc.Hello(context.Background()) != nil {
+				cc.Close()
+				continue
+			}
+		}
+		junk := make([]byte, 16+rng.Intn(256))
+		rng.Read(junk)
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		_, _ = conn.Write(junk)
+		// Drain whatever error response comes back; the server must close.
+		buf := make([]byte, 512)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				break
+			}
+		}
+		conn.Close()
+		c.blasts.Add(1)
+		time.Sleep(50 * time.Millisecond)
 	}
 }

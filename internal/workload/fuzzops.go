@@ -141,7 +141,7 @@ func nocConnectedWithout(occl map[[2]int]bool, minus [2]int) bool {
 // OpNoCObstacle / OpNoCClear steps against the fixed mesh geometry,
 // targeting non-corner nodes only, so packet flows anchored at the four
 // corners stay active through every event. Placements never overlap and
-// always leave the live node graph connected. jload's noc-smoke drives
+// always leave the live node graph connected. noc.TestNoCChurnSmoke drives
 // this sequence.
 func (g *Gen) NoCChurn(events int) []ScriptOp {
 	occl := make(map[[2]int]bool)
