@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -79,6 +80,19 @@ func TestRipUpRegionSpanCrossing(t *testing.T) {
 	assertConnected(t, r, src, sink)
 	if netIntrudes(t, r, src, maze.Rect{Row: 5, Col: 5, Height: 1, Width: 1}) {
 		t.Error("restored net still intrudes on the reserved tile")
+	}
+	// The reservation lifts: ripped and restored once more, the detour's
+	// record replays its home, the wires the net held before it detoured.
+	r.RemoveAvoid(5, 5, 1, 1)
+	recs, err := r.RipUpNet(src)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("rip-up of the detour: %v, %d records", err, len(recs))
+	}
+	if err := r.RestoreConnection(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := r.Trace(src); err != nil || !slices.Equal(back.PIPs, net.PIPs) {
+		t.Errorf("net did not go home: %v, want %v (%v)", back, net.PIPs, err)
 	}
 }
 

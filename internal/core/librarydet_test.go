@@ -25,8 +25,8 @@ import (
 // either partition mode, with the library tier active or absent.
 //
 // (A naive cold-router baseline is NOT byte-comparable: replayed and
-// searched paths may legally differ, which is exactly why the route cache
-// documents divergence in fuzz.TestReplayKeepsRememberedDetour. The library inherits
+// searched paths may legally differ: fuzz.TestReplayKeepsRememberedDetour
+// pins a replayed detour beside a fresh router's path. The library inherits
 // the cache's guarantee — same template tier, same bytes — not a stronger
 // one that no cache tier could satisfy.)
 

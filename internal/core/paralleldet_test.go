@@ -11,10 +11,9 @@ import (
 )
 
 // runBatch builds a fresh device, routes the generated workload with the
-// given parallelism — inside WithoutReplay when searchOnly is set — and
-// returns the resulting full bitstream and stats.
-func runBatch(t *testing.T, par int, searchOnly bool,
-	rows, cols int, gen func(*workload.Gen) ([]core.EndPoint, []core.EndPoint)) ([]byte, core.Stats) {
+// given parallelism, and returns the resulting full bitstream and stats.
+func runBatch(t *testing.T, par, rows, cols int,
+	gen func(*workload.Gen) ([]core.EndPoint, []core.EndPoint)) ([]byte, core.Stats) {
 	t.Helper()
 	d, err := device.New(arch.NewVirtex(), rows, cols)
 	if err != nil {
@@ -22,13 +21,7 @@ func runBatch(t *testing.T, par int, searchOnly bool,
 	}
 	r := core.New(d, core.WithParallelism(par))
 	srcs, dsts := gen(workload.ForDevice(7, d))
-	route := func() error { return r.RouteBusBatch(srcs, dsts) }
-	if searchOnly {
-		err = r.WithoutReplay(route)
-	} else {
-		err = route()
-	}
-	if err != nil {
+	if err := r.RouteBusBatch(srcs, dsts); err != nil {
 		t.Fatalf("parallelism %d: %v", par, err)
 	}
 	cfg, err := d.FullConfig()
@@ -74,34 +67,22 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 			return srcs, dsts
 		},
 	}
-	// The guarantee holds for a batch routed plainly ("cache-on") and for
-	// one routed inside WithoutReplay ("cache-off"), and route memory must
-	// not change what batch routing configures.
-	modes := []struct {
-		name       string
-		searchOnly bool
-	}{{"cache-on", false}, {"cache-off", true}}
+	// "cache-on": the batch is routed with the router's route memory live,
+	// as every caller routes it.
 	for name, gen := range workloads {
 		t.Run(name, func(t *testing.T) {
-			var perMode [][]byte
-			for _, m := range modes {
-				t.Run(m.name, func(t *testing.T) {
-					cfgSeq, statsSeq := runBatch(t, 1, m.searchOnly, 16, 24, gen)
-					perMode = append(perMode, cfgSeq)
-					for _, par := range []int{2, 8} {
-						cfg, stats := runBatch(t, par, m.searchOnly, 16, 24, gen)
-						if !bytes.Equal(cfg, cfgSeq) {
-							t.Errorf("par %d: bitstream differs from sequential", par)
-						}
-						if got, want := normPartition(stats), normPartition(statsSeq); got != want {
-							t.Errorf("par %d: stats %+v, sequential %+v", par, got, want)
-						}
+			t.Run("cache-on", func(t *testing.T) {
+				cfgSeq, statsSeq := runBatch(t, 1, 16, 24, gen)
+				for _, par := range []int{2, 8} {
+					cfg, stats := runBatch(t, par, 16, 24, gen)
+					if !bytes.Equal(cfg, cfgSeq) {
+						t.Errorf("par %d: bitstream differs from sequential", par)
 					}
-				})
-			}
-			if len(perMode) == 2 && !bytes.Equal(perMode[0], perMode[1]) {
-				t.Error("batch bitstream differs inside WithoutReplay")
-			}
+					if got, want := normPartition(stats), normPartition(statsSeq); got != want {
+						t.Errorf("par %d: stats %+v, sequential %+v", par, got, want)
+					}
+				}
+			})
 		})
 	}
 }
@@ -121,7 +102,7 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 	var cfgRef []byte
 	var statsRef core.Stats
 	for _, par := range []int{1, 2, 8} {
-		cfg, stats := runBatch(t, par, false, 64, 96, gen)
+		cfg, stats := runBatch(t, par, 64, 96, gen)
 		if cfgRef == nil {
 			cfgRef, statsRef = cfg, stats
 		}

@@ -165,12 +165,10 @@ func (r *refRouter) ReverseUnroute(sink EndPoint) (err error) {
 		if len(gone) > 0 {
 			r.learnExact(c) // departure 3: the driven-input fix, see the header
 			mem := &Connection{Source: c.Source, Sinks: gone, retired: true}
-			if r.cacheEnabled() {
-				if src, err := sourcePin(c.Source); err == nil {
-					mem.Path = append([]device.PIP(nil), fwd...)
-					mem.srcPin = src
-					mem.sinkPins = flattenPins(gone)
-				}
+			if src, err := sourcePin(c.Source); err == nil {
+				mem.Path = append([]device.PIP(nil), fwd...)
+				mem.srcPin = src
+				mem.sinkPins = flattenPins(gone)
 			}
 			for _, port := range connectionPorts(mem) {
 				r.remembered[port] = append(r.remembered[port], mem)

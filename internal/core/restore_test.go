@@ -79,16 +79,13 @@ func TestSnapshotAdoptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdoptWithoutPath: path memory is part of the connection record, not
-// the route cache, so even a search-only route's snapshot carries the path.
-// A record stripped of its path (say, from an older peer) must still adopt,
-// through search.
+// TestAdoptWithoutPath: path memory is part of the connection record, so a
+// route's snapshot carries the path. A record stripped of its path (say,
+// from an older peer) must still adopt, through search.
 func TestAdoptWithoutPath(t *testing.T) {
 	src := newTestDevice(t)
 	ra := core.New(src)
-	if err := ra.WithoutReplay(func() error {
-		return ra.RouteNet(core.NewPin(5, 7, arch.S1YQ), core.NewPin(6, 8, arch.S0F3))
-	}); err != nil {
+	if err := ra.RouteNet(core.NewPin(5, 7, arch.S1YQ), core.NewPin(6, 8, arch.S0F3)); err != nil {
 		t.Fatal(err)
 	}
 	recs := ra.SnapshotConnections()

@@ -61,25 +61,6 @@ type routeCache struct {
 	keyBuf     []byte // scratch for exact-key encoding
 }
 
-// cacheEnabled reports whether the automatic calls consult and feed route
-// memory right now: always, except under a cost model that does not replay
-// paths or inside WithoutReplay.
-func (r *Router) cacheEnabled() bool { return r.opt.replaysPaths() && !r.searchOnly }
-
-// WithoutReplay runs f with every route it makes searched on the board as
-// it stands: no exact, learned or library lookup, and nothing learned from
-// what f routes or unroutes. A caller whose bytes must be a function of the
-// present board alone — the NoC overlay, which restores pre-obstacle
-// configurations byte for byte — scopes its mutations with it. Port memory
-// is not route memory: records still snapshot their paths, and
-// RestoreConnection (so Reconnect and AdoptConnection) still replays them.
-// Calls nest; the previous state returns when f does, error or not.
-func (r *Router) WithoutReplay(f func() error) error {
-	defer func(saved bool) { r.searchOnly = saved }(r.searchOnly)
-	r.searchOnly = true
-	return f()
-}
-
 func (r *Router) ensureCache() *routeCache {
 	if r.cache == nil {
 		r.cache = &routeCache{
@@ -176,7 +157,7 @@ func (r *Router) tryReplay(srcTrack device.Track, pips []device.PIP, dRow, dCol 
 // learnExact remembers a retired connection's path under its endpoint key,
 // so re-routing the same endpoints later replays instead of searching.
 func (r *Router) learnExact(c *Connection) {
-	if !r.cacheEnabled() || len(c.Path) == 0 || len(c.sinkPins) == 0 {
+	if !r.opt.replaysPaths() || len(c.Path) == 0 || len(c.sinkPins) == 0 {
 		return
 	}
 	rc := r.ensureCache()
@@ -195,7 +176,7 @@ func (r *Router) lookupExact(src Pin, sinks []Pin) ([]device.PIP, bool) {
 // learnTemplate stores a fresh single-sink route as a relocatable shape:
 // the path re-based to the source tile, keyed by wire classes and offset.
 func (r *Router) learnTemplate(srcTrack device.Track, sink Pin, pips []device.PIP) {
-	if !r.cacheEnabled() || len(pips) == 0 {
+	if !r.opt.replaysPaths() || len(pips) == 0 {
 		return
 	}
 	key := tmplKey{srcW: srcTrack.W, sinkW: sink.W,
@@ -237,68 +218,81 @@ func (r *Router) lookupTemplate(srcTrack device.Track, sink Pin) (rel []device.P
 // live again and purged from every port's remembered list. Restoring a
 // connection that is not retired is a no-op.
 //
-// The replay tier runs inside WithoutReplay too — the remembered path is
-// port memory on the record, not a cache entry — and is skipped only
-// under a cost model that does not replay paths (Options.replaysPaths).
+// A record with a home replays it before its Path. A restore that searches
+// while a reservation stands gives the new record the path it searched
+// away from as its home, so a net detoured around a reserved region goes
+// back to its old wires once the region is released (DyNoC's return to
+// the original configuration). Only a cost model that does not replay
+// paths (Options.replaysPaths) skips both replays.
 func (r *Router) RestoreConnection(c *Connection) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
 	if !c.retired {
 		return nil
 	}
-	if r.opt.replaysPaths() && len(c.Path) > 0 && len(c.sinkPins) > 0 {
-		if ok, err := r.replayShifted(c); ok {
-			r.finishRestore(c)
-			return nil
-		} else if err != nil {
-			r.stats.ReplayFails++
+	home := c.home
+	switch {
+	case r.replayShifted(c, c.home):
+		home = nil
+	case r.replayShifted(c, c.Path):
+	default:
+		if len(c.Sinks) == 1 {
+			err = r.RouteNet(c.Source, c.Sinks[0])
+		} else {
+			err = r.RouteFanout(c.Source, c.Sinks)
+		}
+		if err != nil {
+			return err
+		}
+		if home == nil && len(r.avoid) > 0 {
+			home = c.Path
 		}
 	}
-	if len(c.Sinks) == 1 {
-		err = r.RouteNet(c.Source, c.Sinks[0])
-	} else {
-		err = r.RouteFanout(c.Source, c.Sinks)
-	}
-	if err != nil {
-		return err
+	// The way home is in c's frame: the new record keeps it only where c was.
+	if nc := r.conns.tail; nc.srcPin == c.srcPin && slices.Equal(nc.sinkPins, c.sinkPins) {
+		nc.home = home
 	}
 	r.finishRestore(c)
 	return nil
 }
 
-// replayShifted attempts the shifted replay of c's recorded path. The
-// bool reports success; a non-nil error with ok=false means a replay was
-// actually attempted and failed (counted as a replay failure by the
-// caller), while (false, nil) means the record did not apply — endpoints
-// moved non-uniformly — and no sweep was run.
-func (r *Router) replayShifted(c *Connection) (bool, error) {
+// replayShifted replays path, recorded in c's frame, shifted by the one
+// uniform (Δrow, Δcol) c's endpoints have moved since — zero included —
+// and reports whether it did. A sweep that finds the path blocked counts a
+// replay failure; no path, a cost model that does not replay paths, or
+// endpoints that moved non-uniformly run no sweep.
+func (r *Router) replayShifted(c *Connection, path []device.PIP) bool {
+	if !r.opt.replaysPaths() || len(path) == 0 || len(c.sinkPins) == 0 {
+		return false
+	}
 	src, err := sourcePin(c.Source)
 	if err != nil {
-		return false, nil
+		return false
 	}
 	cur := flattenPins(c.Sinks)
 	if len(cur) != len(c.sinkPins) || src.W != c.srcPin.W {
-		return false, nil
+		return false
 	}
 	dRow, dCol := src.Row-c.srcPin.Row, src.Col-c.srcPin.Col
 	for i, p := range cur {
 		q := c.sinkPins[i]
 		if p.W != q.W || p.Row-q.Row != dRow || p.Col-q.Col != dCol {
-			return false, nil
+			return false
 		}
 	}
 	srcTrack, err := r.Dev.Canon(src.Row, src.Col, src.W)
 	if err != nil {
-		return false, nil
+		return false
 	}
 	r.curPath = r.curPath[:0]
-	if !r.tryReplay(srcTrack, c.Path, dRow, dCol) {
-		return false, fmt.Errorf("core: replay of remembered path failed")
+	if !r.tryReplay(srcTrack, path, dRow, dCol) {
+		r.stats.ReplayFails++
+		return false
 	}
 	r.stats.Routes += len(cur)
 	r.stats.CacheHits++
 	r.record(c.Source, c.Sinks...)
-	return true, nil
+	return true
 }
 
 // finishRestore marks a restored record live and drops it from every
@@ -388,10 +382,10 @@ func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection,
 // RipUpNet unroutes the live net sourced at source and returns its
 // retired connection records — the single-net analogue of RipUpRegion.
 // Churn flows use it to take back the handle of a net they previously
-// restored (e.g. a detour routed around an obstacle) so they can rewrite
-// its remembered Path and RestoreConnection it along the original wires.
-// When no live net is sourced there (its owner unrouted it in the
-// meantime) it returns an empty list, not an error.
+// restored (e.g. a detour routed around an obstacle) so RestoreConnection
+// can send it home once the obstacle is gone. When no live net is sourced
+// there (its owner unrouted it in the meantime) it returns an empty list,
+// not an error.
 func (r *Router) RipUpNet(source EndPoint) (ripped []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/arch"
@@ -49,19 +48,6 @@ func TestExactReplayByteIdentical(t *testing.T) {
 		assertConnected(t, r, src, s.Pins()[0])
 	}
 
-	// A cold router searching under WithoutReplay produces the same bytes
-	// for the same endpoints: replay never changes what gets configured.
-	rOff := newTestRouter(t, Options{})
-	if err := rOff.WithoutReplay(func() error { return rOff.RouteFanout(src, sinks) }); err != nil {
-		t.Fatal(err)
-	}
-	offCfg, err := rOff.Dev.FullConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cold, offCfg) {
-		t.Error("replaying router's cold route differs from a search-only route of the same endpoints")
-	}
 }
 
 // TestTemplateTierRelocation: a single-sink route learned at one position
@@ -232,102 +218,6 @@ func TestRipUpRegion(t *testing.T) {
 	assertConnected(t, r, aSrc, aSink)
 	assertConnected(t, r, bSrc, bSink)
 	assertConnected(t, r, cSrc, cSink)
-}
-
-// TestWithoutReplay: inside the scope no route memory is consulted and none
-// is learned — every route searches and no cache counter moves — while port
-// memory is untouched: records still snapshot their paths and
-// RestoreConnection still replays them. The scope nests and is restored on
-// an error return.
-func TestWithoutReplay(t *testing.T) {
-	r := newTestRouter(t, Options{})
-	src := NewPin(5, 5, arch.S0X)
-	sink := NewPin(9, 9, arch.S0F1)
-	cycle := func() error {
-		if err := r.RouteNet(src, sink); err != nil {
-			return err
-		}
-		if conns := r.Connections(); len(conns) != 1 || len(conns[0].Path) == 0 {
-			t.Fatal("search-only connection lost its path memory")
-		}
-		return r.Unroute(src)
-	}
-	// Lookup suppressed: two rounds of the same endpoints, and neither the
-	// exact nor the template tier is asked. Learning suppressed: the round
-	// after the scope misses both tiers, so nothing was stored inside it.
-	err := r.WithoutReplay(func() error {
-		if err := cycle(); err != nil {
-			return err
-		}
-		return r.WithoutReplay(cycle) // nested; must not re-enable on exit
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.searchOnly {
-		t.Fatal("flag still set after the outer scope returned")
-	}
-	if st := r.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.ReplayFails != 0 {
-		t.Fatalf("search-only scope moved cache counters: %+v", st)
-	}
-	if r.cache != nil {
-		t.Fatalf("search-only scope learned: %d exact, %d template entries", len(r.cache.exact), len(r.cache.tmpl))
-	}
-	if err := r.RouteNet(src, sink); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.CacheHits != 0 || st.CacheMisses != 2 {
-		t.Fatalf("first replaying route after the scope: %+v, want 0 hits and 2 misses (exact, template)", st)
-	}
-
-	// An error return restores the flag, and so does an inner one.
-	boom := errors.New("boom")
-	if err := r.WithoutReplay(func() error {
-		if err := r.WithoutReplay(func() error { return boom }); err != boom {
-			t.Fatalf("inner scope returned %v", err)
-		}
-		if !r.searchOnly {
-			t.Fatal("inner error return cleared the outer scope's flag")
-		}
-		return boom
-	}); err != boom {
-		t.Fatalf("outer scope returned %v", err)
-	}
-	if r.searchOnly {
-		t.Fatal("flag still set after an error return")
-	}
-
-	// RestoreConnection replays the record's path inside the scope: a cache
-	// hit with no search, on a port-level net that Unroute remembered.
-	p := NewGroup("g").NewPort("p", In)
-	if err := p.Bind(sink); err != nil {
-		t.Fatal(err)
-	}
-	src2 := NewPin(3, 3, arch.S0X)
-	if err := r.Unroute(src); err != nil {
-		t.Fatal(err)
-	}
-	err = r.WithoutReplay(func() error {
-		if err := r.RouteNet(src2, p); err != nil {
-			return err
-		}
-		if err := r.Unroute(src2); err != nil {
-			return err
-		}
-		before := r.Stats()
-		if err := r.Reconnect(p); err != nil {
-			return err
-		}
-		after := r.Stats()
-		if after.CacheHits != before.CacheHits+1 || after.NodesExplored != before.NodesExplored {
-			t.Errorf("Reconnect inside the scope searched: %+v -> %+v", before, after)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertConnected(t, r, src2, sink)
 }
 
 // TestTimingDrivenBypassesCache: timing-driven routing optimizes delay, so

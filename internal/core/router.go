@@ -101,9 +101,6 @@ func (r *Router) RemoveAvoid(row, col, height, width int) bool {
 	return false
 }
 
-// AvoidRects returns a copy of the live avoid-region list.
-func (r *Router) AvoidRects() []maze.Rect { return append([]maze.Rect(nil), r.avoid...) }
-
 // Stats counts router work, feeding the B1/B2 experiments and the routing
 // service's statsz endpoint.
 //
@@ -181,26 +178,32 @@ type Connection struct {
 	Sinks  []EndPoint
 
 	// Path is the exact PIP path the route configured, in source-to-sink
-	// order. It is port memory, snapshotted on every record (under
-	// WithoutReplay too), so Reconnect and churn re-routes can replay the
-	// remembered path instead of searching.
+	// order. It is port memory, snapshotted on every record, so Reconnect
+	// and churn re-routes can replay the remembered path instead of
+	// searching.
 	Path []device.PIP
+	// home is the path a restore searched away from while a reservation
+	// stood (see AddAvoid), in this record's frame: where the net lived
+	// before it detoured. RestoreConnection replays it before Path, so the
+	// net goes back to its old wires once the reservation lifts.
+	home []device.PIP
 
 	// srcPin and sinkPins are the endpoint resolutions at record time —
 	// the reference frame for shifted replay after a core relocation.
 	srcPin   Pin
 	sinkPins []Pin
-	// retired marks a record whose net has been unrouted (it lives on in
-	// port memory); RestoreConnection flips it back.
-	retired bool
 
 	// Place in the router's connTable while the record is live: list and
-	// source-chain links, the source track index it is filed under, and its
-	// sequence number — insertion order, and the key deltas carry.
+	// source-chain links, its sequence number — insertion order, and the
+	// key deltas carry — and the source track index it is filed under.
 	prev, next, srcNext *Connection
-	key                 int32
 	seq                 uint64
+	key                 int32
 	listed              bool
+	// retired marks a record whose net has been unrouted (it lives on in
+	// port memory); RestoreConnection flips it back. It shares a word with
+	// key and listed, which keeps a record at 176 bytes.
+	retired bool
 }
 
 // Router is the JRoute router over one device.
@@ -208,8 +211,6 @@ type Router struct {
 	Dev *device.Device
 	// opt is fixed at construction: nothing flips an option mid-session.
 	opt Options
-	// searchOnly is set only inside WithoutReplay.
-	searchOnly bool
 
 	stats      Stats
 	conns      connTable
@@ -511,7 +512,7 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 	// route whose (source wire, sink wire, Δrow, Δcol) shape was learned
 	// anywhere on the fabric replays the remembered relative path at this
 	// position — the paper's §3.1 level-3 replay, discovered automatically.
-	if freshNet && r.cacheEnabled() {
+	if freshNet && r.opt.replaysPaths() {
 		if rel, fromLib, ok := r.lookupTemplate(srcTrack, sink); ok {
 			if r.tryReplay(srcTrack, rel, srcTrack.Row, srcTrack.Col) {
 				r.stats.Routes++
@@ -625,7 +626,7 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 	r.curPath = r.curPath[:0]
 	// Exact tier of the route cache: these endpoints were routed (and
 	// unrouted) before, so replay the remembered whole-net path.
-	if r.cacheEnabled() {
+	if r.opt.replaysPaths() {
 		sorted := append([]Pin(nil), pins...)
 		sortPins(sorted)
 		if path, ok := r.lookupExact(src, sorted); ok {

@@ -137,17 +137,16 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		// searched each of the port's pins again.
 		r.learnExact(c)
 		mem := &Connection{Source: c.Source, Sinks: gone, retired: true}
-		if r.cacheEnabled() {
-			if src, err := sourcePin(c.Source); err == nil {
-				mem.Path = append([]device.PIP(nil), fwd...)
-				mem.srcPin = src
-				mem.sinkPins = flattenPins(gone)
-			}
+		if src, err := sourcePin(c.Source); err == nil {
+			mem.Path = append([]device.PIP(nil), fwd...)
+			mem.srcPin = src
+			mem.sinkPins = flattenPins(gone)
 		}
 		for _, port := range connectionPorts(mem) {
 			r.remembered[port] = append(r.remembered[port], mem)
 		}
-		c.Sinks = stay
+		// A reshaped net has no way home: its home still reaches the gone sinks.
+		c.Sinks, c.home = stay, nil
 		if len(c.Path) > 0 {
 			// A fresh slice: the exact cache now holds the old one.
 			liveP := make([]device.PIP, 0, len(c.Path))
@@ -258,13 +257,6 @@ func connectionPorts(c *Connection) []*Port {
 // port.
 func (r *Router) RememberedConnections(port *Port) []*Connection {
 	return append([]*Connection(nil), r.remembered[port]...)
-}
-
-// ForgetRemembered drops every remembered (unrouted) connection for a
-// port, so a later Reconnect restores nothing. Use it when a torn-down
-// port net must stay down across core replacements.
-func (r *Router) ForgetRemembered(port *Port) {
-	delete(r.remembered, port)
 }
 
 // Reconnect re-routes every remembered connection involving the port,

@@ -10,17 +10,12 @@ package cores
 // (DyNoC's surrounded-obstacle guarantee). Removing the obstacle restores
 // the original configuration byte-for-byte: nodes are re-implemented, the
 // downed links reconnected from port memory, and the detoured nets ripped
-// and re-routed on their canonical paths.
-//
-// Every routing mutation the overlay makes runs inside the hosting
-// router's WithoutReplay, so each route is searched on the board as it
-// stands and the PIP-level outcome of a churn sequence does not depend on
-// what the router learned from other traffic before it — which is what
-// lets removal restore bytes, not just nets.
+// and restored — each detour's record keeps the path it was pushed off as
+// its home, and the router replays that first.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -271,42 +266,13 @@ type Flow struct {
 	path     []NodeID
 }
 
-// detouredNet remembers a net that was re-routed around an obstacle: its
-// source, a canonical signature of its sink pins (to re-identify the
-// record after the detour is ripped), and the original pre-obstacle path
-// the removal must put back.
-type detouredNet struct {
-	source   core.EndPoint
-	sinkSig  string
-	origPath []device.PIP
-}
-
 type obstacleState struct {
 	rect      maze.Rect
 	core      *Obstacle
 	occluded  []NodeID
 	suspended []NodeID           // nodes whose inject net was unrouted
-	detoured  []detouredNet      // crossing nets re-routed around the rect
+	detoured  []core.EndPoint    // sources of crossing nets re-routed around the rect
 	deferred  []*core.Connection // crossing nets with an endpoint inside it
-}
-
-// sinkSig builds a canonical signature of a connection's current sink
-// pins, stable across rip-up/restore cycles of the same endpoints.
-func sinkSig(c *core.Connection) string {
-	var pins []core.Pin
-	for _, s := range c.Sinks {
-		pins = append(pins, s.Pins()...)
-	}
-	sort.Slice(pins, func(i, j int) bool {
-		if pins[i].Row != pins[j].Row {
-			return pins[i].Row < pins[j].Row
-		}
-		if pins[i].Col != pins[j].Col {
-			return pins[i].Col < pins[j].Col
-		}
-		return pins[i].W < pins[j].W
-	})
-	return fmt.Sprint(pins)
 }
 
 // NoC is the mesh overlay: an N x M grid of RouterNodes at a fixed tile
@@ -327,7 +293,6 @@ type NoC struct {
 	occluded  [][]bool
 	links     map[meshLink]bool // true = currently routed
 	injects   map[NodeID]bool   // true = inject net currently routed
-	injectMem map[NodeID]bool   // true = inject net remembered by the port
 	flows     []*Flow
 	obstacles []*obstacleState
 	nObstacle int // monotone obstacle-name counter
@@ -348,10 +313,9 @@ func NewNoC(r *core.Router, name string, meshRows, meshCols, baseRow, baseCol, p
 	n := &NoC{
 		R: r, MeshRows: meshRows, MeshCols: meshCols,
 		BaseRow: baseRow, BaseCol: baseCol, Pitch: pitch, Clock: g,
-		name:      name,
-		links:     make(map[meshLink]bool),
-		injects:   make(map[NodeID]bool),
-		injectMem: make(map[NodeID]bool),
+		name:    name,
+		links:   make(map[meshLink]bool),
+		injects: make(map[NodeID]bool),
 	}
 	topRow := baseRow + (meshRows-1)*pitch + 1 // +1: inject tap tile
 	rightCol := baseCol + (meshCols-1)*pitch
@@ -440,28 +404,26 @@ func (n *NoC) Build() error {
 	if n.built {
 		return fmt.Errorf("cores: NoC %s already built", n.name)
 	}
-	return n.R.WithoutReplay(func() error {
-		for i := 0; i < n.MeshRows; i++ {
-			for j := 0; j < n.MeshCols; j++ {
-				nd := NewRouterNode(fmt.Sprintf("%s.n%d_%d", n.name, i, j), n.Clock)
-				r, c := n.NodeSite(i, j)
-				if err := nd.Place(r, c); err != nil {
-					return err
-				}
-				if err := nd.Implement(n.R); err != nil {
-					return fmt.Errorf("cores: NoC %s node (%d,%d): %w", n.name, i, j, err)
-				}
-				n.nodes[i][j] = nd
-			}
-		}
-		for _, l := range n.allLinks() {
-			if err := n.routeLink(l); err != nil {
+	for i := 0; i < n.MeshRows; i++ {
+		for j := 0; j < n.MeshCols; j++ {
+			nd := NewRouterNode(fmt.Sprintf("%s.n%d_%d", n.name, i, j), n.Clock)
+			r, c := n.NodeSite(i, j)
+			if err := nd.Place(r, c); err != nil {
 				return err
 			}
+			if err := nd.Implement(n.R); err != nil {
+				return fmt.Errorf("cores: NoC %s node (%d,%d): %w", n.name, i, j, err)
+			}
+			n.nodes[i][j] = nd
 		}
-		n.built = true
-		return nil
-	})
+	}
+	for _, l := range n.allLinks() {
+		if err := n.routeLink(l); err != nil {
+			return err
+		}
+	}
+	n.built = true
+	return nil
 }
 
 func dirBetween(a, b NodeID) Direction {
@@ -506,42 +468,37 @@ func (n *NoC) xyPath(src, dst NodeID) ([]NodeID, bool) {
 	return path, true
 }
 
-// bfsPath returns a shortest detour over live nodes, exploring neighbors
-// in fixed E, N, W, S order for determinism.
-func (n *NoC) bfsPath(src, dst NodeID) ([]NodeID, bool) {
+// bfs walks the nodes live reports breadth-first from src, exploring
+// neighbors in fixed E, N, W, S order for determinism, and returns the
+// predecessor of every node it reaches (src is its own).
+func bfs(src NodeID, live func(NodeID) bool) map[NodeID]NodeID {
 	prev := map[NodeID]NodeID{src: src}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
+	for queue := []NodeID{src}; len(queue) > 0; queue = queue[1:] {
 		cur := queue[0]
-		queue = queue[1:]
-		if cur == dst {
-			var rev []NodeID
-			for p := dst; ; p = prev[p] {
-				rev = append(rev, p)
-				if p == src {
-					break
-				}
-			}
-			path := make([]NodeID, len(rev))
-			for i, p := range rev {
-				path[len(rev)-1-i] = p
-			}
-			return path, true
-		}
 		for d := East; d <= South; d++ {
 			di, dj := d.delta()
 			next := NodeID{cur.I + di, cur.J + dj}
-			if !n.Live(next.I, next.J) {
-				continue
+			if _, seen := prev[next]; !seen && live(next) {
+				prev[next] = cur
+				queue = append(queue, next)
 			}
-			if _, seen := prev[next]; seen {
-				continue
-			}
-			prev[next] = cur
-			queue = append(queue, next)
 		}
 	}
-	return nil, false
+	return prev
+}
+
+// bfsPath returns a shortest detour over live nodes.
+func (n *NoC) bfsPath(src, dst NodeID) ([]NodeID, bool) {
+	prev := bfs(src, func(id NodeID) bool { return n.Live(id.I, id.J) })
+	if _, ok := prev[dst]; !ok {
+		return nil, false
+	}
+	path := []NodeID{dst}
+	for p := dst; p != src; p = prev[p] {
+		path = append(path, prev[p])
+	}
+	slices.Reverse(path)
+	return path, true
 }
 
 // connectedWithout reports whether the live nodes minus `minus` still form
@@ -549,36 +506,18 @@ func (n *NoC) bfsPath(src, dst NodeID) ([]NodeID, bool) {
 func (n *NoC) connectedWithout(minus map[NodeID]bool) bool {
 	live := func(id NodeID) bool { return n.Live(id.I, id.J) && !minus[id] }
 	var start NodeID
-	found := false
 	total := 0
 	for i := 0; i < n.MeshRows; i++ {
 		for j := 0; j < n.MeshCols; j++ {
 			if live(NodeID{i, j}) {
-				if !found {
-					start, found = NodeID{i, j}, true
+				if total == 0 {
+					start = NodeID{i, j}
 				}
 				total++
 			}
 		}
 	}
-	if total == 0 {
-		return false
-	}
-	seen := map[NodeID]bool{start: true}
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for d := East; d <= South; d++ {
-			di, dj := d.delta()
-			next := NodeID{cur.I + di, cur.J + dj}
-			if live(next) && !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	return len(seen) == total
+	return total > 0 && len(bfs(start, live)) == total
 }
 
 // routeInject routes the packet-injection tap for node id. The first
@@ -587,17 +526,17 @@ func (n *NoC) connectedWithout(minus map[NodeID]bool) bool {
 // replay of the original path, byte-identical whatever happened between.
 func (n *NoC) routeInject(id NodeID) error {
 	r, c := n.InjectSite(id.I, id.J)
-	err := n.R.WithoutReplay(func() error {
-		if n.injectMem[id] {
-			return n.R.Reconnect(n.nodes[id.I][id.J].InjectPort())
-		}
-		return n.R.RouteNet(core.NewPin(r, c, arch.S0X), n.nodes[id.I][id.J].InjectPort())
-	})
+	port := n.nodes[id.I][id.J].InjectPort()
+	var err error
+	if len(n.R.RememberedConnections(port)) > 0 {
+		err = n.R.Reconnect(port)
+	} else {
+		err = n.R.RouteNet(core.NewPin(r, c, arch.S0X), port)
+	}
 	if err != nil {
 		return fmt.Errorf("cores: NoC %s: inject net for node (%d,%d): %w", n.name, id.I, id.J, err)
 	}
 	n.injects[id] = true
-	n.injectMem[id] = true
 	return nil
 }
 
@@ -638,9 +577,7 @@ func (n *NoC) RemoveFlow(id int) error {
 	}
 	if !shared && n.injects[f.Src] {
 		r, c := n.InjectSite(f.Src.I, f.Src.J)
-		if err := n.R.WithoutReplay(func() error {
-			return n.R.Unroute(core.NewPin(r, c, arch.S0X))
-		}); err != nil {
+		if err := n.R.Unroute(core.NewPin(r, c, arch.S0X)); err != nil {
 			return err
 		}
 		n.injects[f.Src] = false
@@ -797,87 +734,77 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 		}
 	}
 	st := &obstacleState{rect: rect, occluded: occl}
-	err := n.R.WithoutReplay(func() error {
-		// 1. Suspend inject taps the rectangle invalidates: source node
-		// occluded, or the tap tile itself covered.
-		for i := 0; i < n.MeshRows; i++ {
-			for j := 0; j < n.MeshCols; j++ {
-				id := NodeID{i, j}
-				if !n.injects[id] {
-					continue
-				}
-				ir, ic := n.InjectSite(i, j)
-				if !occlSet[id] && !rect.Contains(ir, ic) {
-					continue
-				}
-				r, c := n.InjectSite(i, j)
-				if err := n.R.Unroute(core.NewPin(r, c, arch.S0X)); err != nil {
-					return err
-				}
-				n.injects[id] = false
-				st.suspended = append(st.suspended, id)
-			}
-		}
-		// 2. Take down links incident to occluded nodes, in canonical
-		// order; port memory remembers them for the restore.
-		for _, l := range n.allLinks() {
-			if !n.links[l] {
+	// 1. Suspend inject taps the rectangle invalidates: source node
+	// occluded, or the tap tile itself covered.
+	for i := 0; i < n.MeshRows; i++ {
+		for j := 0; j < n.MeshCols; j++ {
+			id := NodeID{i, j}
+			if !n.injects[id] {
 				continue
 			}
-			if !occlSet[NodeID{l.FI, l.FJ}] && !occlSet[l.to()] {
+			ir, ic := n.InjectSite(i, j)
+			if !occlSet[id] && !rect.Contains(ir, ic) {
 				continue
 			}
-			if err := n.R.Unroute(n.nodes[l.FI][l.FJ].OutPort(l.Dir)); err != nil {
+			if err := n.R.Unroute(core.NewPin(ir, ic, arch.S0X)); err != nil {
 				return err
 			}
-			n.links[l] = false
+			n.injects[id] = false
+			st.suspended = append(st.suspended, id)
 		}
-		// 3. Remove the occluded nodes.
-		for _, id := range occl {
-			if err := n.nodes[id.I][id.J].Remove(n.R); err != nil {
-				return err
-			}
-			n.occluded[id.I][id.J] = true
+	}
+	// 2. Take down links incident to occluded nodes, in canonical
+	// order; port memory remembers them for the restore.
+	for _, l := range n.allLinks() {
+		if !n.links[l] {
+			continue
 		}
-		// 4. Rip every remaining net crossing the rectangle — including
-		// live-to-live links whose routed path or wire span passes over it.
-		ripped, err := n.R.RipUpRegion(row, col, height, width)
-		if err != nil {
-			return putBack(n.R, ripped, err)
+		if !occlSet[NodeID{l.FI, l.FJ}] && !occlSet[l.to()] {
+			continue
 		}
-		// 5. The obstacle takes the tiles and the router reserves them.
-		ob := NewObstacle(fmt.Sprintf("%s.ob%d", n.name, n.nObstacle), width, height)
-		n.nObstacle++
-		if err := ob.Place(row, col); err != nil {
+		if err := n.R.Unroute(n.nodes[l.FI][l.FJ].OutPort(l.Dir)); err != nil {
 			return err
 		}
-		if err := ob.Implement(n.R); err != nil {
+		n.links[l] = false
+	}
+	// 3. Remove the occluded nodes.
+	for _, id := range occl {
+		if err := n.nodes[id.I][id.J].Remove(n.R); err != nil {
 			return err
 		}
-		st.core = ob
-		n.R.AddAvoid(row, col, height, width)
-		// 6. Re-route the crossing nets: the reservation vetoes a replay of
-		// the remembered path, so each restore detours. The original path is
-		// captured first — removal rewrites it onto the detour's record so
-		// the net replays its pre-obstacle wires byte-exactly. Nets with an
-		// endpoint inside the rectangle cannot come back until the obstacle
-		// leaves; they stay retired.
-		for _, rec := range ripped {
-			if connEndpointIn(rec, rect) {
-				st.deferred = append(st.deferred, rec)
-				continue
-			}
-			dn := detouredNet{source: rec.Source, sinkSig: sinkSig(rec),
-				origPath: append([]device.PIP(nil), rec.Path...)}
-			if err := n.R.RestoreConnection(rec); err != nil {
-				return fmt.Errorf("cores: NoC %s: detouring net around obstacle: %w", n.name, err)
-			}
-			st.detoured = append(st.detoured, dn)
-		}
-		return nil
-	})
+		n.occluded[id.I][id.J] = true
+	}
+	// 4. Rip every remaining net crossing the rectangle — including
+	// live-to-live links whose routed path or wire span passes over it.
+	ripped, err := n.R.RipUpRegion(row, col, height, width)
 	if err != nil {
+		return putBack(n.R, ripped, err)
+	}
+	// 5. The obstacle takes the tiles and the router reserves them.
+	ob := NewObstacle(fmt.Sprintf("%s.ob%d", n.name, n.nObstacle), width, height)
+	n.nObstacle++
+	if err := ob.Place(row, col); err != nil {
 		return err
+	}
+	if err := ob.Implement(n.R); err != nil {
+		return err
+	}
+	st.core = ob
+	n.R.AddAvoid(row, col, height, width)
+	// 6. Re-route the crossing nets: the reservation vetoes a replay of
+	// the remembered path, so each restore detours, and the detour's
+	// record keeps the path it left as its home. Nets with an endpoint
+	// inside the rectangle cannot come back until the obstacle leaves;
+	// they stay retired.
+	for _, rec := range ripped {
+		if connEndpointIn(rec, rect) {
+			st.deferred = append(st.deferred, rec)
+			continue
+		}
+		if err := n.R.RestoreConnection(rec); err != nil {
+			return fmt.Errorf("cores: NoC %s: detouring net around obstacle: %w", n.name, err)
+		}
+		st.detoured = append(st.detoured, rec.Source)
 	}
 	n.obstacles = append(n.obstacles, st)
 	return n.recomputeFlows()
@@ -887,9 +814,9 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 // detoured nets are ripped again, the obstacle core is removed and its
 // reservation dropped, the occluded nodes re-implemented, the downed
 // links reconnected from port memory, suspended inject taps re-routed,
-// and finally the detoured and deferred nets re-routed — all inside
-// WithoutReplay and in the build's canonical order, so the configuration
-// returns to its pre-obstacle bytes.
+// and finally the detoured nets sent home and the deferred ones restored —
+// all in the build's canonical order, so the configuration returns to its
+// pre-obstacle bytes.
 func (n *NoC) RemoveObstacle(row, col, height, width int) error {
 	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
 	idx := -1
@@ -903,104 +830,77 @@ func (n *NoC) RemoveObstacle(row, col, height, width int) error {
 		return fmt.Errorf("cores: NoC %s: no obstacle at (%d,%d) %dx%d", n.name, row, col, width, height)
 	}
 	st := n.obstacles[idx]
-	err := n.R.WithoutReplay(func() error {
-		// 1. Rip the detours, taking back their live records. Where a net
-		// still matches its placement-time shape, its remembered path is
-		// rewritten to the original, so step 6 replays the pre-obstacle
-		// wires exactly. Nets their owner unrouted while detoured yield no
-		// records and are skipped; nets reshaped in the meantime (a fanout
-		// branch dropped, say) restore along whatever path they hold now.
-		orig := make(map[string][]device.PIP, len(st.detoured))
-		for _, d := range st.detoured {
-			orig[d.sinkSig] = d.origPath
-		}
-		var refreshed []*core.Connection
-		seen := make(map[core.Pin]bool)
-		for _, d := range st.detoured {
-			p := d.source.Pins()[0]
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			recs, err := n.R.RipUpNet(d.source)
-			if err != nil {
-				return err
-			}
-			for _, rec := range recs {
-				if op, ok := orig[sinkSig(rec)]; ok {
-					rec.Path = append([]device.PIP(nil), op...)
-				}
-				refreshed = append(refreshed, rec)
-			}
-		}
-		// 2. Obstacle off, reservation dropped.
-		if err := st.core.Remove(n.R); err != nil {
+	// 1. Rip the detours, taking back their live records: each keeps its
+	// way home, so step 6 replays the pre-obstacle wires exactly. Nets their
+	// owner unrouted while detoured yield no records, and so does a second
+	// record of a net already ripped; nets reshaped in the meantime (a
+	// fanout branch dropped, say) restore along whatever path they hold now.
+	var displaced []*core.Connection
+	for _, src := range st.detoured {
+		recs, err := n.R.RipUpNet(src)
+		if err != nil {
 			return err
 		}
-		n.R.RemoveAvoid(row, col, height, width)
-		// 3. Nodes back, in row-major order, with pristine forwarding so
-		// the LUT bytes match the original build (flows reprogram after).
-		for _, id := range st.occluded {
-			nd := n.nodes[id.I][id.J]
-			nd.fwd = [4][5]bool{}
-			if err := nd.Implement(n.R); err != nil {
-				return err
-			}
-			n.occluded[id.I][id.J] = false
-		}
-		// 4. Downed links reconnect from port memory, in canonical order —
-		// every link whose endpoints are both live again, whichever
-		// obstacle took it down. A link into a node still occluded by
-		// another obstacle stays down; the removal freeing that node
-		// reconnects it.
-		for _, l := range n.allLinks() {
-			if n.links[l] {
-				continue
-			}
-			to := l.to()
-			if n.occluded[l.FI][l.FJ] || n.occluded[to.I][to.J] {
-				continue
-			}
-			if err := n.R.Reconnect(n.nodes[l.FI][l.FJ].OutPort(l.Dir)); err != nil {
-				return err
-			}
-			n.links[l] = true
-		}
-		// 5. Suspended inject taps, in suspension order.
-		for _, id := range st.suspended {
-			if n.injects[id] {
-				continue
-			}
-			used := false
-			for _, f := range n.flows {
-				if !f.removed && f.Src == id {
-					used = true
-				}
-			}
-			if !used {
-				continue
-			}
-			if err := n.routeInject(id); err != nil {
-				return err
-			}
-		}
-		// 6. Displaced nets return to their canonical paths — each record
-		// now carries its original pre-obstacle path, and the obstacle's
-		// tracks are free again, so every restore replays byte-exactly.
-		for _, rec := range refreshed {
-			if err := n.R.RestoreConnection(rec); err != nil {
-				return err
-			}
-		}
-		for _, rec := range st.deferred {
-			if err := n.R.RestoreConnection(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+		displaced = append(displaced, recs...)
+	}
+	// 2. Obstacle off, reservation dropped.
+	if err := st.core.Remove(n.R); err != nil {
 		return err
+	}
+	n.R.RemoveAvoid(row, col, height, width)
+	// 3. Nodes back, in row-major order, with pristine forwarding so
+	// the LUT bytes match the original build (flows reprogram after).
+	for _, id := range st.occluded {
+		nd := n.nodes[id.I][id.J]
+		nd.fwd = [4][5]bool{}
+		if err := nd.Implement(n.R); err != nil {
+			return err
+		}
+		n.occluded[id.I][id.J] = false
+	}
+	// 4. Downed links reconnect from port memory, in canonical order —
+	// every link whose endpoints are both live again, whichever
+	// obstacle took it down. A link into a node still occluded by
+	// another obstacle stays down; the removal freeing that node
+	// reconnects it.
+	for _, l := range n.allLinks() {
+		if n.links[l] {
+			continue
+		}
+		to := l.to()
+		if n.occluded[l.FI][l.FJ] || n.occluded[to.I][to.J] {
+			continue
+		}
+		if err := n.R.Reconnect(n.nodes[l.FI][l.FJ].OutPort(l.Dir)); err != nil {
+			return err
+		}
+		n.links[l] = true
+	}
+	// 5. Suspended inject taps, in suspension order.
+	for _, id := range st.suspended {
+		if n.injects[id] {
+			continue
+		}
+		used := false
+		for _, f := range n.flows {
+			if !f.removed && f.Src == id {
+				used = true
+			}
+		}
+		if !used {
+			continue
+		}
+		if err := n.routeInject(id); err != nil {
+			return err
+		}
+	}
+	// 6. Displaced nets go home and deferred ones come back: the
+	// obstacle's tracks are free again, so every restore replays
+	// byte-exactly.
+	for _, rec := range append(displaced, st.deferred...) {
+		if err := n.R.RestoreConnection(rec); err != nil {
+			return err
+		}
 	}
 	n.obstacles = append(n.obstacles[:idx], n.obstacles[idx+1:]...)
 	return n.recomputeFlows()

@@ -47,7 +47,12 @@ func New(cfg Config, opts ...core.Option) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := core.New(dev, opts...)
+	return NewOn(cfg, core.New(dev, opts...))
+}
+
+// NewOn builds the mesh with a router that may already have routed (and
+// learned) before, on its cfg-sized board, and audits the result.
+func NewOn(cfg Config, r *core.Router) (*Harness, error) {
 	mesh, err := cores.NewNoC(r, "noc", cfg.MeshRows, cfg.MeshCols, cfg.BaseRow, cfg.BaseCol, cfg.Pitch, 0)
 	if err != nil {
 		return nil, err
@@ -55,7 +60,7 @@ func New(cfg Config, opts ...core.Option) (*Harness, error) {
 	if err := mesh.Build(); err != nil {
 		return nil, err
 	}
-	h := &Harness{Cfg: cfg, Dev: dev, R: r, Mesh: mesh, Sim: sim.New(dev)}
+	h := &Harness{Cfg: cfg, Dev: r.Dev, R: r, Mesh: mesh, Sim: sim.New(r.Dev)}
 	if err := h.Audit(); err != nil {
 		return nil, err
 	}

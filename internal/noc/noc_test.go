@@ -1,10 +1,13 @@
 package noc
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/device"
 )
 
 // TestMeshTraversal3x3 builds the default 3x3 mesh and proves packets
@@ -97,6 +100,89 @@ func TestObstacleDetourAndRestore(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("configuration bytes differ after obstacle place+remove cycle")
+	}
+}
+
+// TestBystanderGoesHome: a pin-to-pin net that is no part of the mesh but
+// crosses it detours around each obstacle laid over its wires and, when the
+// obstacle leaves, goes back to exactly the wires it held before — the
+// router remembers where a displaced net came from. A 1x1 obstacle goes on
+// every node in turn, and each removal must restore the pre-obstacle bytes.
+// Two rows: a cold router, and one that routed and unrouted a few nets
+// before the mesh was built, so its route memory is warm. The mesh bytes
+// may depend on that history; restoring them must not.
+func TestBystanderGoesHome(t *testing.T) {
+	bySrc, bySink := core.NewPin(6, 2, arch.S0X), core.NewPin(6, 16, arch.S0F1)
+	for warm, warmUp := range [][][2]core.Pin{
+		nil, // a cold router
+		{ // the shapes of the bystander and of mesh links, routed off the mesh
+			{core.NewPin(13, 2, arch.S0X), core.NewPin(13, 16, arch.S0F1)},
+			{core.NewPin(13, 2, arch.S0XQ), core.NewPin(13, 5, arch.S0F1)},
+			{core.NewPin(11, 3, arch.S0YQ), core.NewPin(14, 3, arch.S0F2)},
+		},
+	} {
+		cfg := DefaultConfig()
+		dev, err := device.New(arch.NewVirtex(), cfg.Rows, cfg.Cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := core.New(dev)
+		for _, n := range warmUp {
+			if err := r.RouteNet(n[0], n[1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Unroute(n[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := NewOn(cfg, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range [][4]int{{0, 0, 2, 2}, {2, 0, 0, 2}} {
+			if _, err := h.AddFlow(f[0], f[1], f[2], f[3]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.RouteNet(bySrc, bySink); err != nil {
+			t.Fatal(err)
+		}
+		before, err := h.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := func() string {
+			t.Helper()
+			net, err := r.Trace(bySrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(net.PIPs)
+		}
+		home := trace()
+		moved := 0
+		for i := 0; i < cfg.MeshRows; i++ {
+			for j := 0; j < cfg.MeshCols; j++ {
+				row, col := h.Mesh.NodeSite(i, j)
+				if err := h.PlaceObstacle(row, col, 1, 1); err != nil {
+					t.Fatalf("warm=%d: obstacle on (%d,%d): %v", warm, i, j, err)
+				}
+				if trace() != home {
+					moved++
+				}
+				if err := h.RemoveObstacle(row, col, 1, 1); err != nil {
+					t.Fatalf("warm=%d: remove obstacle on (%d,%d): %v", warm, i, j, err)
+				}
+				if after, _ := h.Stream(); !bytes.Equal(before, after) {
+					t.Fatalf("warm=%d: obstacle on (%d,%d): bytes not restored (bystander %s, home %s)",
+						warm, i, j, trace(), home)
+				}
+			}
+		}
+		if moved == 0 {
+			t.Errorf("warm=%d: no obstacle moved the bystander; the test no longer detours anything", warm)
+		}
+		t.Logf("warm=%d: %d of 9 obstacles detoured the bystander", warm, moved)
 	}
 }
 

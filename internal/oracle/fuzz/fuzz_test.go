@@ -63,19 +63,19 @@ func TestDifferentialNoCSmoke(t *testing.T) {
 	}
 }
 
-// TestReplayKeepsRememberedDetour pins what route memory does to bytes, and
-// what WithoutReplay is for: a replayed net keeps the path it was first
-// given, where a fresh search of the same endpoints on the present board
-// finds another. Neither is wrong — both boards are oracle-clean with equal
-// claims — which is why a caller that owes someone exact bytes (the NoC
-// overlay) must search, and why the differential harness compares boards
-// that all run the one replaying router.
+// TestReplayKeepsRememberedDetour pins what route memory does to bytes: a
+// replayed net keeps the path it was first given, where a fresh router
+// routing the same endpoints on the same board finds another. Neither is
+// wrong — both boards are oracle-clean with equal claims — which is why the
+// differential harness compares boards that run one script on one kind of
+// router, and why a detour's way home is kept on its record: searching
+// again would not find the old wires.
 //
 // Construction: a net is first routed through a congested corridor, so the
 // path it learns is a detour. The congestion is then removed and the net
-// is torn down and rerouted. The replaying router replays the learned
-// detour; the router rerouting inside WithoutReplay searches the now-open
-// board and finds a different (straighter) path.
+// is torn down and rerouted, and the router replays the learned detour. A
+// fresh router routes only the victim on the open board and finds a
+// different (straighter) path.
 func TestReplayKeepsRememberedDetour(t *testing.T) {
 	a := arch.NewVirtex()
 	mk := func() (*device.Device, *core.Router) {
@@ -86,14 +86,11 @@ func TestReplayKeepsRememberedDetour(t *testing.T) {
 		return dev, core.New(dev)
 	}
 	devReplay, replay := mk()
-	devSearch, search := mk()
-	both := func(what string, f func(r *core.Router) error) {
+	devFresh, fresh := mk()
+	must := func(what string, err error) {
 		t.Helper()
-		if err := f(replay); err != nil {
-			t.Fatalf("%s (replaying): %v", what, err)
-		}
-		if err := search.WithoutReplay(func() error { return f(search) }); err != nil {
-			t.Fatalf("%s (search-only): %v", what, err)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 
@@ -101,7 +98,7 @@ func TestReplayKeepsRememberedDetour(t *testing.T) {
 	dst := core.NewPin(5, 12, arch.S0F3)
 
 	// Congest the row-5 corridor between the endpoints with competing
-	// east-west nets, identically on both boards.
+	// east-west nets.
 	blockers := []struct{ s, d core.Pin }{
 		{core.NewPin(5, 5, arch.S0YQ), core.NewPin(5, 11, arch.S0G1)},
 		{core.NewPin(5, 6, arch.S1XQ), core.NewPin(5, 10, arch.S0G2)},
@@ -109,52 +106,51 @@ func TestReplayKeepsRememberedDetour(t *testing.T) {
 		{core.NewPin(5, 6, arch.S1YQ), core.NewPin(5, 10, arch.S0G4)},
 	}
 	for _, b := range blockers {
-		b := b
-		both("blocker route", func(r *core.Router) error { return r.RouteNet(b.s, b.d) })
+		must("blocker route", replay.RouteNet(b.s, b.d))
 	}
 
 	// Route the victim through the congestion: it learns a detour.
-	both("victim route", func(r *core.Router) error { return r.RouteNet(src, dst) })
-	// Tear everything down; the replaying router remembers the detour.
-	both("victim unroute", func(r *core.Router) error { return r.Unroute(src) })
+	must("victim route", replay.RouteNet(src, dst))
+	// Tear everything down; the router remembers the detour.
+	must("victim unroute", replay.Unroute(src))
 	for _, b := range blockers {
-		b := b
-		both("blocker unroute", func(r *core.Router) error { return r.Unroute(b.s) })
+		must("blocker unroute", replay.Unroute(b.s))
 	}
 
-	// Reroute on the now-open board: replay vs fresh search.
-	both("victim reroute", func(r *core.Router) error { return r.RouteNet(src, dst) })
+	// Reroute on the now-open board, beside a fresh router's first route.
+	must("victim reroute", replay.RouteNet(src, dst))
+	must("fresh route", fresh.RouteNet(src, dst))
 
 	sReplay, err := devReplay.FullConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sSearch, err := devSearch.FullConfig()
+	sFresh, err := devFresh.FullConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(sReplay, sSearch) {
-		t.Fatal("boards are byte-identical; the replayed detour did not differ from the fresh search (construction no longer congests the corridor, or WithoutReplay no longer suppresses replay?)")
+	if bytes.Equal(sReplay, sFresh) {
+		t.Fatal("boards are byte-identical; the replayed detour did not differ from the fresh route (construction no longer congests the corridor, or the router no longer replays?)")
 	}
-	diff, err := oracle.DiffStreams(a, sReplay, sSearch)
+	diff, err := oracle.DiffStreams(a, sReplay, sFresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diff) == 0 {
 		t.Fatal("streams differ but PIP diff is empty")
 	}
-	t.Logf("replayed and searched boards differ by %d PIPs after churn", len(diff))
+	t.Logf("replayed and fresh boards differ by %d PIPs after churn", len(diff))
 
 	// The divergence is byte-level only: both boards must be fully
 	// oracle-equivalent.
-	claimsReplay, claimsSearch := replay.OracleClaims(), search.OracleClaims()
-	if !claimsEqual(claimsReplay, claimsSearch) {
+	claimsReplay, claimsFresh := replay.OracleClaims(), fresh.OracleClaims()
+	if !claimsEqual(claimsReplay, claimsFresh) {
 		t.Fatal("claims diverged — this would be a real bug, not the documented byte divergence")
 	}
 	if err := oracle.Audit(a, sReplay, claimsReplay, true); err != nil {
 		t.Fatalf("replaying board not oracle-clean: %v", err)
 	}
-	if err := oracle.Audit(a, sSearch, claimsSearch, true); err != nil {
-		t.Fatalf("search-only board not oracle-clean: %v", err)
+	if err := oracle.Audit(a, sFresh, claimsFresh, true); err != nil {
+		t.Fatalf("fresh board not oracle-clean: %v", err)
 	}
 }

@@ -97,7 +97,7 @@ func All() []Scenario {
 		},
 		{
 			Name: "noc",
-			Doc:  "dynamic NoC overlay: mesh build, obstacle detour, removal restores the original bytes",
+			Doc:  "dynamic NoC overlay: mesh build, obstacle over a node, removal restores the original bytes",
 			Rows: 16, Cols: 24,
 			Drive: func(r *core.Router) error {
 				mesh, err := cores.NewNoC(r, "noc", 2, 3, 3, 8, 3, 0)
@@ -111,8 +111,8 @@ func All() []Scenario {
 					return err
 				}
 				// Occlude the middle of the packet's XY path: the flow
-				// detours over the north row, crossing nets re-route around
-				// the rectangle.
+				// detours over the north row. The node's links go down with
+				// it; no other net crosses the tile, so none detours.
 				row, col := mesh.NodeSite(0, 1)
 				if err := mesh.PlaceObstacle(row, col, 1, 1); err != nil {
 					return err
