@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof bench-go bench-smoke fuzz-smoke verify soak size
+.PHONY: build vet fmt-check test race ci prof prof-negotiate bench-go bench-smoke fuzz-smoke verify soak size
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,16 @@ prof:
 	$(GO) test -run '^$$' -bench BenchmarkChurn -benchtime 3s -o $(PROF_DIR)/repro.test \
 		-cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof .
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/cpu.prof
+
+# prof-negotiate does the same for BenchmarkNegotiate (internal/maze: eight
+# Clustered(6, 32, 5) designs negotiated on a 64×96 array, at 1 and 2
+# workers), the kernel under batch_reload. Its files in PROF_DIR are
+# maze.test, negotiate-cpu.prof and negotiate-mem.prof.
+prof-negotiate:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench BenchmarkNegotiate -benchtime 3s -o $(PROF_DIR)/maze.test \
+		-cpuprofile $(PROF_DIR)/negotiate-cpu.prof -memprofile $(PROF_DIR)/negotiate-mem.prof ./internal/maze
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-cpu.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

@@ -156,29 +156,3 @@ func (a *Arch) DriveTemplate(from, to Wire) TemplateValue {
 		return TVNone
 	}
 }
-
-// TemplateOf classifies a wire name under the template vocabulary,
-// answering the paper's "which template value each wire can be classified
-// under". For alias kinds it classifies the underlying resource with the
-// alias's direction sense.
-func (a *Arch) TemplateOf(w Wire) TemplateValue {
-	c := a.ClassOf(w)
-	switch c.Kind {
-	case KindOutMux:
-		return TVOutMux
-	case KindInput, KindCtrl, KindIOBOut, KindBRAMIn, KindBRAMClk:
-		return TVClbIn
-	case KindSingle:
-		return SingleTV(c.Dir)
-	case KindHex, KindHexMid:
-		return HexTV(c.Dir)
-	case KindLongH:
-		return TVLongH
-	case KindLongV:
-		return TVLongV
-	case KindGClk:
-		return TVGClk
-	default:
-		return TVNone
-	}
-}

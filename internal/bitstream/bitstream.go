@@ -73,9 +73,6 @@ func New(l Layout) (*Bitstream, error) {
 // Layout returns the geometry.
 func (b *Bitstream) Layout() Layout { return b.layout }
 
-// FrameSize returns the byte length of one frame.
-func (b *Bitstream) FrameSize() int { return b.layout.Rows }
-
 // FrameCount returns the total number of frames.
 func (b *Bitstream) FrameCount() int { return b.layout.Cols * b.layout.BytesPerTile }
 

@@ -177,9 +177,6 @@ func NewCounter(name string, bits int, step uint64) (*Counter, error) {
 	return c, nil
 }
 
-// Adder exposes the internal constant adder (e.g. to retune the step).
-func (c *Counter) Adder() *ConstAdder { return c.adder }
-
 // Implement places and implements the internal adder, feeds the registered
 // sums back to the x inputs with a bus route, and re-exports the sums as
 // the "q" group.

@@ -262,7 +262,6 @@ func (l meshLink) to() NodeID {
 type Flow struct {
 	Src, Dst NodeID
 	active   bool
-	removed  bool
 	path     []NodeID
 }
 
@@ -561,32 +560,8 @@ func (n *NoC) AddFlow(si, sj, di, dj int) (int, error) {
 	return len(n.flows) - 1, n.recomputeFlows()
 }
 
-// RemoveFlow deletes a flow, unrouting the source's inject tap when no
-// other flow shares it.
-func (n *NoC) RemoveFlow(id int) error {
-	f, err := n.flow(id)
-	if err != nil {
-		return err
-	}
-	f.removed = true
-	shared := false
-	for _, o := range n.flows {
-		if !o.removed && o.Src == f.Src {
-			shared = true
-		}
-	}
-	if !shared && n.injects[f.Src] {
-		r, c := n.InjectSite(f.Src.I, f.Src.J)
-		if err := n.R.Unroute(core.NewPin(r, c, arch.S0X)); err != nil {
-			return err
-		}
-		n.injects[f.Src] = false
-	}
-	return n.recomputeFlows()
-}
-
 func (n *NoC) flow(id int) (*Flow, error) {
-	if id < 0 || id >= len(n.flows) || n.flows[id].removed {
+	if id < 0 || id >= len(n.flows) {
 		return nil, fmt.Errorf("cores: NoC %s: no flow %d", n.name, id)
 	}
 	return n.flows[id], nil
@@ -640,7 +615,7 @@ func (n *NoC) ArrivalPin(id int) (core.Pin, error) {
 }
 
 // recomputeFlows reprograms every node's forwarding LUTs from scratch:
-// all forwards cleared, then each non-removed flow whose endpoints are
+// all forwards cleared, then each flow whose endpoints are
 // live and whose inject tap is routed gets its current path (XY if clear,
 // BFS detour otherwise) enabled hop by hop.
 func (n *NoC) recomputeFlows() error {
@@ -656,7 +631,7 @@ func (n *NoC) recomputeFlows() error {
 	for _, f := range n.flows {
 		f.active = false
 		f.path = nil
-		if f.removed || !n.Live(f.Src.I, f.Src.J) || !n.Live(f.Dst.I, f.Dst.J) || !n.injects[f.Src] {
+		if !n.Live(f.Src.I, f.Src.J) || !n.Live(f.Dst.I, f.Dst.J) || !n.injects[f.Src] {
 			continue
 		}
 		path, ok := n.xyPath(f.Src, f.Dst)
@@ -883,7 +858,7 @@ func (n *NoC) RemoveObstacle(row, col, height, width int) error {
 		}
 		used := false
 		for _, f := range n.flows {
-			if !f.removed && f.Src == id {
+			if f.Src == id {
 				used = true
 			}
 		}

@@ -1,47 +1,29 @@
 package maze
 
 import (
-	"math/bits"
 	"sync"
 
-	"repro/internal/arch"
 	"repro/internal/device"
 )
 
-// Scratch objects (arenas, mark sets, congestion tables) are pooled per
-// power-of-two size class rather than in one mixed pool. Partition-scoped
-// negotiation requests tiny region-local tables while a global pass over
-// a 256×384 device requests tens of millions of slots; a mixed pool would
-// hand a region-sized object to the global pass (forcing a giant
-// reallocation every time) and park grid-sized objects on region work.
-// Classing by requested capacity keeps reallocation bounded: an object
-// grows at most once within its class and then stays there.
-
-const poolClasses = 36 // class 35 covers every int32-indexable size
-
-type sizedPools [poolClasses]sync.Pool
-
-func sizeClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-func poolGet[T any](p *sizedPools, n int, fresh func() T) T {
-	if v := p[sizeClass(n)].Get(); v != nil {
-		return v.(T)
-	}
-	return fresh()
-}
-
-func poolPut[T any](p *sizedPools, n int, v T) { p[sizeClass(n)].Put(v) }
-
+// Scratch objects (arenas, mark sets, congestion tables) are pooled in
+// three plain pools. Every request is device-sized — negotiation scopes
+// index by device.TrackIndex like the single-net search — so an object
+// taken for one device serves the next; ensure grows it for a larger one
+// and never shrinks it.
 var (
-	arenaPools sizedPools
-	markPools  sizedPools
-	congPools  sizedPools
+	arenaPool sync.Pool
+	markPool  sync.Pool
+	congPool  sync.Pool
 )
+
+// pooled takes an object from p, or a fresh one when the pool is empty.
+func pooled[T any](p *sync.Pool) *T {
+	if v, ok := p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
 
 // The search arena is the zero-steady-state-allocation scratch space behind
 // every maze search. The seed implementation allocated three fresh
@@ -51,55 +33,44 @@ var (
 // through a sync.Pool so steady-state searches allocate nothing.
 //
 // Staleness is handled by epoch stamping: begin() bumps the generation, and
-// a slot's g/via/prev values are only meaningful when its stamp equals the
+// a slot's g/prev/via values are only meaningful when its stamp equals the
 // current epoch — so "clearing" the tables between searches is O(1).
+//
+// Every table here, the mark sets and the congestion table are as narrow as
+// their values allow: they are device-sized and a process keeps several
+// (one set per negotiation worker), so each byte per track is 1.6 MB on a
+// 64×96 array. Stamps are 16 bits, paying one O(n) clear when the epoch
+// wraps, every 65 535 generations.
 
-// heapItem is one frontier entry of the best-first search. Items are
-// values, not pointers, and duplicates are pushed instead of decrease-key;
-// stale pops are skipped by the g-check in the search loop. ti indexes the
-// arena; gi is the device's TrackIndex, which addresses the adjacency. The
-// two differ only in a partition scope, whose arena is region-sized.
+// heapItem is one frontier entry of the best-first search: a track by its
+// device.TrackIndex, which addresses both the arena and the adjacency.
+// Items are values, not pointers, and duplicates are pushed instead of
+// decrease-key; stale pops are skipped by the g-check in the search loop.
 type heapItem struct {
-	ti, gi int32
-	g, f   float64
-}
-
-// hop is a PIP at a third the width of a device.PIP: the arena holds one
-// per track of the device (or of the partition scope), most of them never
-// read back.
-type hop struct {
-	row, col, from, to uint16
-}
-
-// hopOf packs the PIP of an edge of a track canonical at tile at.
-func hopOf(e device.Edge, at device.Coord) hop {
-	return hop{uint16(at.Row + int(e.PRow)), uint16(at.Col + int(e.PCol)), e.From, e.To}
-}
-
-func (h hop) pip() device.PIP {
-	return device.PIP{Row: int(h.row), Col: int(h.col), From: arch.Wire(h.from), To: arch.Wire(h.to)}
+	i    int32
+	g, f float64
 }
 
 // arena is the reusable scratch state of one search.
 type arena struct {
 	n     int
-	epoch uint32
-	stamp []uint32   // epoch mark per track index
+	epoch uint16
+	stamp []uint16   // epoch mark per track index
 	g     []float64  // best path cost found so far
-	via   []hop      // PIP that reached the track
 	prev  []int32    // predecessor track index; -1 for search sources
+	via   []uint16   // ordinal of the edge, in EdgesAt(prev) order, that reached the track
 	heap  []heapItem // frontier backing storage, reused across searches
 }
 
 // getArena returns a pooled arena ready for a fresh search over n tracks.
 func getArena(n int) *arena {
-	ar := poolGet(&arenaPools, n, func() *arena { return new(arena) })
+	ar := pooled[arena](&arenaPool)
 	ar.ensure(n)
 	ar.begin()
 	return ar
 }
 
-func putArena(ar *arena) { poolPut(&arenaPools, ar.n, ar) }
+func putArena(ar *arena) { arenaPool.Put(ar) }
 
 // ensure sizes the tables for n tracks. Growing reallocates (zeroed stamps
 // restart the epoch); shrinking never happens — a large-device arena serves
@@ -108,10 +79,10 @@ func (ar *arena) ensure(n int) {
 	if ar.n >= n {
 		return
 	}
-	ar.stamp = make([]uint32, n)
+	ar.stamp = make([]uint16, n)
 	ar.g = make([]float64, n)
-	ar.via = make([]hop, n)
 	ar.prev = make([]int32, n)
+	ar.via = make([]uint16, n)
 	ar.epoch = 0
 	ar.n = n
 }
@@ -119,7 +90,7 @@ func (ar *arena) ensure(n int) {
 // begin opens a new search generation: every previous mark becomes stale.
 func (ar *arena) begin() {
 	ar.epoch++
-	if ar.epoch == 0 { // wrapped: pay one O(n) clear every 2^32 searches
+	if ar.epoch == 0 { // wrapped: pay one O(n) clear
 		for i := range ar.stamp {
 			ar.stamp[i] = 0
 		}
@@ -131,18 +102,20 @@ func (ar *arena) begin() {
 // seen reports whether track i was reached in this generation.
 func (ar *arena) seen(i int32) bool { return ar.stamp[i] == ar.epoch }
 
-// visit records the best-known path to track i.
-func (ar *arena) visit(i int32, g float64, via hop, prev int32) {
+// visit records the best-known path to track i: reached at cost g over
+// edge via of track prev. A track has at most a few hundred edges (a long
+// line's taps along its row), so the ordinal fits 16 bits.
+func (ar *arena) visit(i int32, g float64, prev int32, via int) {
 	ar.stamp[i] = ar.epoch
 	ar.g[i] = g
-	ar.via[i] = via
 	ar.prev[i] = prev
+	ar.via[i] = uint16(via)
 }
 
 // reconstruct walks prev links from the sink back to a source and returns
 // the PIPs in source-to-sink order. Only the result slice is allocated —
 // it outlives the arena.
-func (ar *arena) reconstruct(sink int32) []device.PIP {
+func (ar *arena) reconstruct(dev *device.Device, sink int32) []device.PIP {
 	n := 0
 	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
 		n++
@@ -150,7 +123,8 @@ func (ar *arena) reconstruct(sink int32) []device.PIP {
 	pips := make([]device.PIP, n)
 	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
 		n--
-		pips[n] = ar.via[k].pip()
+		edges, at := dev.EdgesAt(ar.prev[k])
+		pips[n] = edges[ar.via[k]].PIP(at)
 	}
 	return pips
 }
@@ -210,21 +184,21 @@ func (ar *arena) siftDown(i0, n int) {
 // track" in O(1) without per-net map allocations.
 type markSet struct {
 	n     int
-	epoch uint32
-	stamp []uint32
+	epoch uint16
+	stamp []uint16
 }
 
 func getMarkSet(n int) *markSet {
-	m := poolGet(&markPools, n, func() *markSet { return new(markSet) })
+	m := pooled[markSet](&markPool)
 	if m.n < n {
-		m.stamp = make([]uint32, n)
+		m.stamp = make([]uint16, n)
 		m.epoch = 0
 		m.n = n
 	}
 	return m
 }
 
-func putMarkSet(m *markSet) { poolPut(&markPools, m.n, m) }
+func putMarkSet(m *markSet) { markPool.Put(m) }
 
 // reset empties the set in O(1).
 func (m *markSet) reset() {

@@ -55,15 +55,7 @@ func BenchmarkAStar(b *testing.B) {
 // iteration, partitioned, on one worker and on two.
 func BenchmarkNegotiate(b *testing.B) {
 	d := blankVirtex(b, 64, 96)
-	gen := workload.ForDevice(1, d)
-	designs := make([][]maze.NetSpec, 8)
-	for i := range designs {
-		srcs, dsts, err := gen.ClusteredPins(6, 32, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		designs[i] = pairSpecs(b, d, srcs, dsts)
-	}
+	designs := clusteredDesigns(b, d, 8)
 	for _, par := range []int{1, 2} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			negotiate := func(i int) {

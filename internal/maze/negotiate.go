@@ -33,13 +33,15 @@ import (
 // On top of that, Partition splits the batch into independent *scopes*
 // (see partition.go): groups of nets whose inflated bounding boxes are
 // pairwise disjoint across groups. Each scope runs its own negotiation
-// loop concurrently over scope-local congestion, arena and mark-set
-// arrays — no global iteration barrier, and state sized by the region
-// instead of the whole grid. Because every net's search is confined to
-// its box in both modes and disjoint boxes cannot share tracks, the
-// scoped loops compute exactly what the single global loop computes:
-// partitioning never changes the routed result, only wall-clock time and
-// memory locality.
+// loop concurrently, with no global iteration barrier. Scopes own no
+// memory: every table is indexed by device.TrackIndex, the call's one
+// congestion table is shared by all its scopes, and each worker searches
+// on a pooled whole-device arena, as the single-net search does. Because
+// every net's search is confined to its box in both modes and disjoint
+// boxes cannot share tracks, concurrent scopes read and write disjoint
+// slots, and the scoped loops compute exactly what the single global loop
+// computes: partitioning never changes the routed result, only wall-clock
+// time.
 
 // NetSpec is one net to batch-route: a source track and its sink tracks.
 type NetSpec struct {
@@ -88,7 +90,7 @@ type NegotiationOptions struct {
 	Parallelism int
 	// Partition enables scope decomposition: recursive bisection of the
 	// device plus a conservative merge of cut-crossing nets, each scope
-	// negotiated independently over region-local state. The routed
+	// negotiated independently of the others. The routed
 	// result is identical with partitioning on or off; core.RouteBatch
 	// always sets it, and off is the reference loop the tests compare
 	// against.
@@ -121,23 +123,28 @@ func (o NegotiationOptions) partitionDepth() int {
 	return d
 }
 
-// congestion holds the dense per-track negotiation state, epoch-stamped so
-// a pooled instance resets in O(1). A slot's counters are zero unless its
-// stamp matches the current epoch.
+// congestion holds the dense per-track negotiation state of one
+// NegotiatedRoute call, indexed by device.TrackIndex and shared by all of
+// its scopes. present and history are epoch-stamped, so a pooled instance
+// resets in O(1): a slot's counters are zero unless its stamp matches the
+// current epoch. keeper is not stamped; it is zero at rest, and the scope
+// that sets a slot clears it again in the same overuse pass.
 type congestion struct {
 	n       int
-	epoch   uint32
-	stamp   []uint32
+	epoch   uint16
+	stamp   []uint16
 	present []int32   // nets currently using the track
 	history []float64 // accumulated overuse
+	keeper  []int32   // 1 + global index of the net that keeps an overused track
 }
 
 func getCongestion(n int) *congestion {
-	c := poolGet(&congPools, n, func() *congestion { return new(congestion) })
+	c := pooled[congestion](&congPool)
 	if c.n < n {
-		c.stamp = make([]uint32, n)
+		c.stamp = make([]uint16, n)
 		c.present = make([]int32, n)
 		c.history = make([]float64, n)
+		c.keeper = make([]int32, n)
 		c.epoch = 0
 		c.n = n
 	}
@@ -151,7 +158,7 @@ func getCongestion(n int) *congestion {
 	return c
 }
 
-func putCongestion(c *congestion) { poolPut(&congPools, c.n, c) }
+func putCongestion(c *congestion) { congPool.Put(c) }
 
 func (c *congestion) touch(i int32) {
 	if c.stamp[i] != c.epoch {
@@ -187,7 +194,8 @@ func (c *congestion) addHistory(i int32, d float64) {
 
 // negState is the per-scope negotiation state. During the routing phase
 // of an iteration it is read-only; all mutation happens in the merge
-// phase on the scope's own goroutine.
+// phase on the scope's own goroutine, and only to the slots of tracks its
+// nets use.
 type negState struct {
 	dev     *device.Device
 	sc      *scope
@@ -208,7 +216,7 @@ type preppedNet struct {
 // netRoute is one net's routing result within an iteration.
 type netRoute struct {
 	pips     []device.PIP
-	used     []int32 // scope-local track indices occupied, source first, deduplicated
+	used     []int32 // track indices occupied, source first, deduplicated
 	explored int
 	err      error
 }
@@ -267,8 +275,7 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 		for i := range all {
 			all[i] = i
 		}
-		wc := dev.NumTracks() / (dev.Rows * dev.Cols)
-		scopes = []*scope{{rc: rect{0, 0, dev.Rows - 1, dev.Cols - 1}, nets: all, wc: wc, par: 1}}
+		scopes = []*scope{{nets: all, par: 1}}
 	}
 
 	results := runScopes(dev, opt, prepped, scopes)
@@ -310,15 +317,18 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 }
 
 // runScopes executes every scope's negotiation loop, concurrently when
-// there are several scopes and workers to spare. A single scope instead
-// gets the full Parallelism budget for its intra-iteration reroutes —
-// which is exactly the pre-partitioning behaviour.
+// there are several scopes and workers to spare, all over one pooled
+// congestion table. A single scope instead gets the full Parallelism
+// budget for its intra-iteration reroutes — which is exactly the
+// pre-partitioning behaviour.
 func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []*scope) []scopeResult {
+	cong := getCongestion(dev.NumTracks())
+	defer putCongestion(cong)
 	results := make([]scopeResult, len(scopes))
 	par := opt.parallelism()
 	if len(scopes) == 1 {
 		scopes[0].par = par
-		results[0] = runScope(dev, opt, prepped, scopes[0])
+		results[0] = runScope(dev, opt, prepped, scopes[0], cong)
 		return results
 	}
 	workers := par
@@ -327,7 +337,7 @@ func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet,
 	}
 	if workers <= 1 {
 		for i, sc := range scopes {
-			results[i] = runScope(dev, opt, prepped, sc)
+			results[i] = runScope(dev, opt, prepped, sc, cong)
 		}
 		return results
 	}
@@ -343,7 +353,7 @@ func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet,
 				if i >= len(scopes) {
 					return
 				}
-				results[i] = runScope(dev, opt, prepped, scopes[i])
+				results[i] = runScope(dev, opt, prepped, scopes[i], cong)
 			}
 		}()
 	}
@@ -351,25 +361,15 @@ func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet,
 	return results
 }
 
-// runScope runs the negotiation loop for one scope. All state is sized by
-// the scope rectangle, so small regions touch small arrays.
-func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope) scopeResult {
+// runScope runs the negotiation loop for one scope over the call's shared
+// congestion table, touching only the slots of tracks its nets use.
+func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope, cong *congestion) scopeResult {
 	// presFac starts at 0: the first iteration ignores sharing entirely.
-	st := &negState{dev: dev, sc: sc, cong: getCongestion(sc.tracks())}
-	defer putCongestion(st.cong)
-	st.pol = opt.negotiated(sc, st.cong)
+	st := &negState{dev: dev, sc: sc, cong: cong, pol: opt.negotiated(cong)}
 
 	n := len(sc.nets)
 	out := scopeResult{routes: make([][]device.PIP, n)}
 	used := make([][]int32, n)
-
-	// keeper[k] remembers, per iteration, the first net that claimed
-	// overused track k; tracked via the pooled mark set's epoch. The
-	// value is the *global* net index — the keeper rule's tie-break must
-	// not depend on how nets were grouped.
-	keeperSet := getMarkSet(sc.tracks())
-	keeperVal := make([]int32, sc.tracks())
-	defer putMarkSet(keeperSet)
 
 	reroute := make([]int, n) // scope-local positions
 	for j := range reroute {
@@ -403,11 +403,15 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		// reroutes next round (everyone sharing a track except its first
 		// claimant, so each conflict strands at most one net in place).
 		// Scope nets ascend in global order, so the first claimant here
-		// is the first claimant of the global loop too.
-		keeperSet.reset()
+		// is the first claimant of the global loop too. The keeper is the
+		// *global* net index — the tie-break must not depend on how nets
+		// were grouped. The pass sets a keeper on exactly the overused
+		// tracks of the scope's nets, and clears them straight after, so
+		// every return leaves the shared table's keeper clean.
 		reroute = reroute[:0]
 		overused := false
 		for j := 0; j < n; j++ {
+			me := int32(sc.nets[j]) + 1
 			needs := false
 			for _, k := range used[j] {
 				c := st.cong.presentAt(k)
@@ -415,17 +419,23 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 					continue
 				}
 				overused = true
-				if !keeperSet.has(k) {
-					keeperSet.add(k)
-					keeperVal[k] = int32(sc.nets[j])
+				if st.cong.keeper[k] == 0 {
+					st.cong.keeper[k] = me
 					st.cong.addHistory(k, float64(c-1))
 				}
-				if keeperVal[k] != int32(sc.nets[j]) {
+				if st.cong.keeper[k] != me {
 					needs = true
 				}
 			}
 			if needs {
 				reroute = append(reroute, j)
+			}
+		}
+		for j := 0; overused && j < n; j++ {
+			for _, k := range used[j] {
+				if st.cong.presentAt(k) > 1 {
+					st.cong.keeper[k] = 0
+				}
 			}
 		}
 		if !overused {
@@ -440,9 +450,9 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 }
 
 // routeAll routes the given nets against the current congestion snapshot,
-// sequentially or on a bounded worker pool. reroute holds scope-local net
-// positions; results[x] corresponds to reroute[x], and slot contents do
-// not depend on the worker count.
+// sequentially or on a bounded worker pool. reroute holds positions in the
+// scope's net list; results[x] corresponds to reroute[x], and slot contents
+// do not depend on the worker count.
 func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]int32) []netRoute {
 	results := make([]netRoute, len(reroute))
 	par := st.sc.par
@@ -484,7 +494,8 @@ func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]in
 // policy with this worker's self set (the previous-iteration tracks of the
 // net being routed, whose usage must not penalize itself), a search arena,
 // and a membership set for the tracks of the route being built. All three
-// are indexed in the scope-local space.
+// are the pooled whole-device objects the single-net search uses, indexed
+// by device.TrackIndex.
 type negWorker struct {
 	st        *negState
 	pol       policy
@@ -494,7 +505,7 @@ type negWorker struct {
 }
 
 func (st *negState) newWorker() *negWorker {
-	n := st.sc.tracks()
+	n := st.dev.NumTracks()
 	w := &negWorker{st: st, pol: st.pol, ar: getArena(n), cur: getMarkSet(n)}
 	w.pol.self = getMarkSet(n)
 	return w
@@ -515,14 +526,13 @@ func (w *negWorker) release() {
 // obstacles.
 func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 	dev := w.st.dev
-	sc := w.st.sc
 	w.pol.box, w.pol.presFac = net.box, w.st.presFac
 	w.pol.self.reset()
 	for _, k := range oldUsed {
 		w.pol.self.add(k)
 	}
 	w.cur.reset()
-	srcIdx := sc.idx(net.src)
+	srcIdx := dev.TrackIndex(net.src)
 	w.cur.add(srcIdx)
 	w.netTracks = append(w.netTracks[:0], net.src)
 	out := netRoute{used: append(make([]int32, 0, len(oldUsed)+1), srcIdx)}
@@ -538,7 +548,7 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 			if !ok {
 				return netRoute{explored: out.explored, err: fmt.Errorf("maze: bad segment PIP %v", p)}
 			}
-			k := sc.idx(t)
+			k := dev.TrackIndex(t)
 			if w.cur.has(k) {
 				continue
 			}

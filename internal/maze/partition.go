@@ -97,25 +97,14 @@ func netBox(dev *device.Device, src device.Track, sinks []device.Track, margin i
 	return b
 }
 
-// scope is one independently negotiated group of nets. Its rectangle
-// covers every member's box; track state (arena, mark sets, congestion)
-// is indexed in the scope-local space ((row-r0)*cols+(col-c0))*wc+wire,
-// so a small region pays for small arrays regardless of device size.
+// scope is one independently negotiated group of nets. It decides
+// scheduling only: its members' boxes are disjoint from every other
+// scope's, so its searches touch their own slots of the call's
+// device-indexed tables and no other scope's.
 type scope struct {
-	rc       rect
 	nets     []int // global net indices, ascending
 	crossing int   // members that crossed a bisection cut
-	wc       int   // wires per tile (device-wide constant)
 	par      int   // intra-scope routing parallelism
-}
-
-// tracks is the size of the scope-local index space.
-func (s *scope) tracks() int { return s.rc.rows() * s.rc.cols() * s.wc }
-
-// idx maps a track whose canonical tile lies inside the scope rectangle
-// to its scope-local index.
-func (s *scope) idx(t device.Track) int32 {
-	return int32(((t.Row-s.rc.r0)*s.rc.cols()+(t.Col-s.rc.c0))*s.wc + int(t.W))
 }
 
 // unionFind is a plain path-halving union-find over net indices.
@@ -226,7 +215,6 @@ func bestCut(rc rect, boxes []rect, nets []int) cutStats {
 // nets. boxes[i] is net i's inflated bounding box.
 func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scope, regions, crossing int) {
 	n := len(boxes)
-	wc := dev.NumTracks() / (dev.Rows * dev.Cols)
 	uf := newUnionFind(n)
 
 	type node struct {
@@ -261,32 +249,40 @@ func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scop
 			leaf()
 			continue
 		}
-		var left, right []int
 		lrc, rrc := nd.rc, nd.rc
 		if cut.axis == 0 {
 			lrc.r1, rrc.r0 = cut.pos-1, cut.pos
 		} else {
 			lrc.c1, rrc.c0 = cut.pos-1, cut.pos
 		}
-		for _, i := range nd.nets {
-			b := boxes[i]
+		// Split nd.nets in place, so a deeper bisection allocates nothing
+		// more: left side first, then the crossers, then the right side.
+		// Net order within a node decides nothing downstream.
+		nets := nd.nets
+		lo, hi := 0, len(nets)
+		for k := 0; k < hi; {
+			b := boxes[nets[k]]
 			b0, b1 := b.r0, b.r1
 			if cut.axis == 1 {
 				b0, b1 = b.c0, b.c1
 			}
 			switch {
 			case b1 < cut.pos:
-				left = append(left, i)
+				nets[lo], nets[k] = nets[k], nets[lo]
+				lo++
+				k++
 			case b0 >= cut.pos:
-				right = append(right, i)
+				hi--
+				nets[hi], nets[k] = nets[k], nets[hi]
 			default:
-				crossers = append(crossers, i)
+				k++
 			}
 		}
-		crossing += len(nd.nets) - len(left) - len(right)
+		crossers = append(crossers, nets[lo:hi]...)
+		crossing += hi - lo
 		stack = append(stack,
-			node{rc: rrc, nets: right, depth: nd.depth + 1},
-			node{rc: lrc, nets: left, depth: nd.depth + 1})
+			node{rc: rrc, nets: nets[hi:], depth: nd.depth + 1},
+			node{rc: lrc, nets: nets[:lo], depth: nd.depth + 1})
 	}
 
 	// Conservative exactness merge: a crossing net joins the scope of
@@ -300,9 +296,7 @@ func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scop
 		}
 	}
 
-	// Materialize components as scopes; the scope rectangle is the union
-	// of the member boxes, so every member search stays in-bounds of the
-	// scope-local index space.
+	// Materialize components as scopes.
 	crossSet := make(map[int]bool, len(crossers))
 	for _, ci := range crossers {
 		crossSet[ci] = true
@@ -312,11 +306,10 @@ func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scop
 		root := uf.find(i)
 		sc := byRoot[root]
 		if sc == nil {
-			sc = &scope{rc: boxes[i], wc: wc, par: 1}
+			sc = &scope{par: 1}
 			byRoot[root] = sc
 			scopes = append(scopes, sc)
 		}
-		sc.rc = sc.rc.union(boxes[i])
 		sc.nets = append(sc.nets, i)
 		if crossSet[i] {
 			sc.crossing++

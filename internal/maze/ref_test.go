@@ -14,10 +14,12 @@ import (
 // The two best-first loops the package had before policy.search replaced
 // them — search (astar.go, behind AStar and Lee) and negWorker.search with
 // negWorker.penalty (negotiate.go) — kept verbatim as reference models, as
-// device_test.go keeps refState and bitstream keeps refBitstream. The one
-// edit is mechanical: what they read from Options methods and negWorker
+// device_test.go keeps refState and bitstream keeps refBitstream. The
+// edits are mechanical: what they read from Options methods and negWorker
 // fields that no longer exist comes from refKindCost, refAllowKind,
-// refAvoids and the fields of refNegWorker. TestSearchMatchesReference and FuzzSearch hold
+// refAvoids and the fields of refNegWorker, and their arena calls follow
+// the arena's API (visit takes the predecessor and the edge's ordinal,
+// reconstruct the device). TestSearchMatchesReference and FuzzSearch hold
 // the kernel to them decision for decision: same PIPs, same cost, same
 // number of states expanded, an error exactly when the reference has one.
 
@@ -92,15 +94,15 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 		if ar.seen(si) {
 			continue
 		}
-		ar.visit(si, 0, hop{}, -1)
-		ar.push(heapItem{ti: si, gi: si, g: 0, f: h(s)})
+		ar.visit(si, 0, -1, 0)
+		ar.push(heapItem{i: si, g: 0, f: h(s)})
 	}
 
 	explored := 0
 	maxNodes := opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.ti] {
+		if it.g > ar.g[it.i] {
 			continue // stale entry
 		}
 		explored++
@@ -108,8 +110,8 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 			return nil, fmt.Errorf("maze: search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		edges, at := dev.EdgesAt(it.gi)
-		for _, e := range edges {
+		edges, at := dev.EdgesAt(it.i)
+		for j, e := range edges {
 			target := e.Target(at)
 			ti := dev.TrackIndex(target)
 			if ti != sinkIdx {
@@ -132,16 +134,16 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
-			ar.visit(ti, ng, hopOf(e, at), it.ti)
+			ar.visit(ti, ng, it.i, j)
 			if ti == sinkIdx {
 				// Goal: stop (greedy routing: first arrival wins).
 				goal = true
 				break
 			}
-			ar.push(heapItem{ti: ti, gi: ti, g: ng, f: ng + h(target)})
+			ar.push(heapItem{i: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
-			return &Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
+			return &Route{PIPs: ar.reconstruct(dev, sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
 		}
 	}
 	return nil, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
@@ -149,11 +151,12 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 }
 
 // refNegWorker carries what negWorker.search and negWorker.penalty read
-// through w and w.st.
+// through w and w.st. The loop indexed its arena and congestion table in a
+// scope-local space when it was written; the tables are indexed by
+// device.TrackIndex now, and so is this copy.
 type refNegWorker struct {
 	dev     *device.Device
 	opt     Options
-	sc      *scope
 	cong    *congestion
 	presFac float64
 	histFac float64
@@ -161,7 +164,7 @@ type refNegWorker struct {
 	self    *markSet
 }
 
-// penalty is the congestion surcharge for occupying track i (scope-local).
+// penalty is the congestion surcharge for occupying track i.
 func (w *refNegWorker) penalty(i int32) float64 {
 	st := w
 	users := st.cong.presentAt(i)
@@ -178,7 +181,6 @@ func (w *refNegWorker) penalty(i int32) float64 {
 func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rect) ([]device.PIP, int, error) {
 	st := w
 	dev := st.dev
-	sc := st.sc
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
 	if dev.Driven(dev.TrackIndex(sink)) {
 		return nil, 0, fmt.Errorf("maze: sink %s at (%d,%d) already in use on device: %w",
@@ -195,23 +197,23 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 	}
 	ar := w.ar
 	ar.begin()
-	sinkIdx := sc.idx(sink)
+	sinkIdx := dev.TrackIndex(sink)
 	for _, s := range sources {
 		if s == sink {
 			return nil, 0, nil
 		}
-		si := sc.idx(s)
+		si := dev.TrackIndex(s)
 		if ar.seen(si) {
 			continue
 		}
-		ar.visit(si, 0, hop{}, -1)
-		ar.push(heapItem{ti: si, gi: dev.TrackIndex(s), g: 0, f: h(s)})
+		ar.visit(si, 0, -1, 0)
+		ar.push(heapItem{i: si, g: 0, f: h(s)})
 	}
 	explored := 0
 	maxNodes := st.opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.ti] {
+		if it.g > ar.g[it.i] {
 			continue
 		}
 		explored++
@@ -219,13 +221,13 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 			return nil, explored, fmt.Errorf("maze: negotiation search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		edges, at := dev.EdgesAt(it.gi)
-		for _, e := range edges {
+		edges, at := dev.EdgesAt(it.i)
+		for j, e := range edges {
 			target := e.Target(at)
 			if !box.contains(target.Row, target.Col) {
 				continue
 			}
-			ti := sc.idx(target)
+			ti := dev.TrackIndex(target)
 			if ti != sinkIdx {
 				if !refAllowKind(st.opt, e.Kind) {
 					continue
@@ -237,23 +239,22 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 			if refAvoids(st.opt, dev, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
 				continue
 			}
-			gi := dev.TrackIndex(target)
-			if dev.Driven(gi) {
+			if dev.Driven(ti) {
 				continue
 			}
 			ng := it.g + float64(hopCost(e.Kind)) + w.penalty(ti)
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
-			ar.visit(ti, ng, hopOf(e, at), it.ti)
+			ar.visit(ti, ng, it.i, j)
 			if ti == sinkIdx {
 				goal = true
 				break
 			}
-			ar.push(heapItem{ti: ti, gi: gi, g: ng, f: ng + h(target)})
+			ar.push(heapItem{i: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
-			return ar.reconstruct(sinkIdx), explored, nil
+			return ar.reconstruct(dev, sinkIdx), explored, nil
 		}
 	}
 	return nil, explored, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
@@ -281,7 +282,7 @@ const (
 	bitNetSources             // search from every track of a routed net, not from one pin
 	bitNodeCap                // MaxNodes small enough to be hit
 	bitNegotiated             // the confined, surcharged form against negWorker.search
-	bitScoped                 // with bitNegotiated: a scope no larger than it must be
+	bitForeign                // with bitNegotiated: load outside the box too, as other scopes leave it
 )
 
 // searchFabric is a device occupied by a script's routes, and the tracks of
@@ -377,22 +378,21 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 		return
 	}
 
-	// The negotiated form: a box around the endpoints, a scope that is the
-	// box or the whole device, and a congestion snapshot with fractional
-	// history and present factor, so that the order the surcharge is added
-	// in shows in the low bits of g.
+	// The negotiated form: a box around the endpoints and a congestion
+	// snapshot with fractional history and present factor, so that the
+	// order the surcharge is added in shows in the low bits of g. With
+	// bitForeign the device-wide table also carries load on tracks outside
+	// the box, as the other scopes of a call leave it there; the kernel
+	// must not read it, or scopes could not share one table.
 	box := netBox(dev, sink, sources, 2*dev.A.HexLen) // around all of them, whichever is called the source
-	sc := &scope{rc: rect{0, 0, dev.Rows - 1, dev.Cols - 1}, wc: dev.NumTracks() / (dev.Rows * dev.Cols)}
-	if bits&bitScoped != 0 {
-		sc.rc = box
-	}
+	wc := dev.NumTracks() / (dev.Rows * dev.Cols)
 	rng := rand.New(rand.NewSource(int64(head[11])<<8 | int64(bits)))
-	cong, self := getCongestion(sc.tracks()), getMarkSet(sc.tracks())
+	cong, self := getCongestion(dev.NumTracks()), getMarkSet(dev.NumTracks())
 	defer putCongestion(cong)
 	defer putMarkSet(self)
 	self.reset()
-	for i := box.rows() * box.cols() * sc.wc / 2; i > 0; i-- {
-		k := sc.idx(device.Track{Row: box.r0 + rng.Intn(box.rows()), Col: box.c0 + rng.Intn(box.cols()), W: arch.Wire(rng.Intn(sc.wc))})
+	for i := box.rows() * box.cols() * wc / 2; i > 0; i-- {
+		k := dev.TrackIndex(device.Track{Row: box.r0 + rng.Intn(box.rows()), Col: box.c0 + rng.Intn(box.cols()), W: arch.Wire(rng.Intn(wc))})
 		switch rng.Intn(4) {
 		case 0:
 			cong.addPresent(k, int32(1+rng.Intn(3)))
@@ -403,15 +403,26 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 			cong.addHistory(k, rng.Float64())
 		}
 	}
+	if bits&bitForeign != 0 {
+		for i := dev.Rows * dev.Cols * wc / 8; i > 0; i-- {
+			t := device.Track{Row: rng.Intn(dev.Rows), Col: rng.Intn(dev.Cols), W: arch.Wire(rng.Intn(wc))}
+			if box.contains(t.Row, t.Col) {
+				continue
+			}
+			k := dev.TrackIndex(t)
+			cong.addPresent(k, int32(1+rng.Intn(3)))
+			cong.addHistory(k, 100*rng.Float64())
+		}
+	}
 	presFac := float64(int(head[11])%4) * 0.7
-	ref := refNegWorker{dev: dev, opt: opt, sc: sc, cong: cong, presFac: presFac, histFac: historyFactor,
-		ar: getArena(sc.tracks()), self: self}
+	ref := refNegWorker{dev: dev, opt: opt, cong: cong, presFac: presFac, histFac: historyFactor,
+		ar: getArena(dev.NumTracks()), self: self}
 	defer putArena(ref.ar)
 	want, wantExplored, werr := ref.search(sources, sink, box)
 
-	p := opt.negotiated(sc, cong)
+	p := opt.negotiated(cong)
 	p.self, p.box, p.presFac = self, box, presFac
-	ar := getArena(sc.tracks())
+	ar := getArena(dev.NumTracks())
 	defer putArena(ar)
 	r, gerr := p.search(dev, ar, sources, sink)
 	if (gerr == nil) != (werr == nil) {
@@ -424,7 +435,7 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 		t.Fatalf("negotiated: kernel %d PIPs explored %d, reference %d PIPs explored %d\n%v\n%v",
 			len(r.PIPs), r.Explored, len(want), wantExplored, r.PIPs, want)
 	}
-	if k := sc.idx(sink); len(want) > 0 && math.Float64bits(ar.g[k]) != math.Float64bits(ref.ar.g[k]) {
+	if k := dev.TrackIndex(sink); len(want) > 0 && math.Float64bits(ar.g[k]) != math.Float64bits(ref.ar.g[k]) {
 		t.Fatalf("negotiated: kernel reaches the sink at g=%v, reference at g=%v", ar.g[k], ref.ar.g[k])
 	}
 }
@@ -434,8 +445,8 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 // occupied by seeded random routes: {A*, A*+longs, delay, delay+longs, Lee,
 // Lee+longs} × {no avoid, one avoid rectangle} × {one source, a net's tracks
 // as sources}, each also with a node cap low enough to be hit, and the
-// negotiated form × {longs} × {avoid} × {whole-device scope, box-sized
-// scope}. Caught by it, for one each: the long-line cap applied without
+// negotiated form × {longs} × {avoid} × {load inside the box only, load
+// outside it too}. Caught by it, for one each: the long-line cap applied without
 // UseLongLines (single-net rows); the surcharge added to g before the hop
 // cost, or the box tested against the PIP's tile instead of the target's
 // canonical tile (negotiated rows).
@@ -448,7 +459,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, neg := range []byte{bitNegotiated, bitNegotiated | bitScoped} {
+	for _, neg := range []byte{bitNegotiated, bitNegotiated | bitForeign} {
 		for _, longs := range []byte{0, bitLongs} {
 			for _, avoid := range []byte{0, bitAvoid} {
 				policies = append(policies, neg|longs|avoid|bitNetSources, neg|longs|avoid)
@@ -487,7 +498,7 @@ func TestSearchMatchesReference(t *testing.T) {
 func FuzzSearch(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i, bits := range []byte{0, bitLongs | bitNetSources, bitDelay | bitAvoid, bitLee, bitNodeCap,
-		bitNegotiated, bitNegotiated | bitScoped | bitLongs | bitNetSources, bitNegotiated | bitAvoid} {
+		bitNegotiated, bitNegotiated | bitForeign | bitLongs | bitNetSources, bitNegotiated | bitAvoid} {
 		script := make([]byte, 13+5*12)
 		rng.Read(script)
 		script[0], script[1] = byte(i), bits

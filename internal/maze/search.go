@@ -86,15 +86,12 @@ type policy struct {
 	maxNodes int
 	avoid    []Rect
 
-	// Confinement. With a scope, only tracks canonical inside box are
-	// expanded and the arena is indexed scope-locally; without, the whole
-	// device is searched and the arena index is the device's TrackIndex.
-	sc  *scope
-	box rect
-
 	// Surcharge: what occupying a track costs beyond the hop, from the
 	// nets using it now (presFac each, not counting the net being routed,
-	// whose previous tracks are in self) and its accumulated overuse.
+	// whose previous tracks are in self) and its accumulated overuse. A
+	// policy with a congestion table is also confined: only tracks
+	// canonical inside box are expanded.
+	box     rect
 	cong    *congestion
 	self    *markSet
 	presFac float64
@@ -134,10 +131,10 @@ func (o Options) astar() policy {
 
 // negotiated is the policy of one negotiation scope; a worker adds its self
 // set, and the box and present factor of each net it routes.
-func (o Options) negotiated(sc *scope, cong *congestion) policy {
+func (o Options) negotiated(cong *congestion) policy {
 	p := o.fill(&wireHops)
 	p.guide(2)
-	p.sc, p.cong = sc, cong
+	p.cong = cong
 	return p
 }
 
@@ -169,14 +166,6 @@ func (p policy) route(dev *device.Device, sources []device.Track, sink device.Tr
 	return &r, nil
 }
 
-// index is the arena slot of a track.
-func (p *policy) index(dev *device.Device, t device.Track) int32 {
-	if p.sc != nil {
-		return p.sc.idx(t)
-	}
-	return dev.TrackIndex(t)
-}
-
 // h estimates the remaining cost from t: the distance covered with hexes
 // (the cheapest per-tile resource) plus a short single tail; with long lines
 // any distance could in principle be a long hop plus a hex. The search is
@@ -198,7 +187,7 @@ func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) fl
 	return float64(p.weight * est)
 }
 
-// surcharge is the congestion cost of occupying the track at arena slot i.
+// surcharge is the congestion cost of occupying track i.
 func (p *policy) surcharge(i int32) float64 {
 	users := p.cong.presentAt(i)
 	if p.self.has(i) {
@@ -219,63 +208,51 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 	if len(sources) == 0 {
 		return Route{}, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
 	}
-	if dev.Driven(dev.TrackIndex(sink)) {
+	sinkIdx := dev.TrackIndex(sink)
+	if dev.Driven(sinkIdx) {
 		return Route{}, fmt.Errorf("maze: sink %s at (%d,%d) already in use: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	sinkIdx := p.index(dev, sink)
-	confined := p.sc != nil
+	confined := p.cong != nil
 
 	ar.begin()
 	for _, s := range sources {
 		if s == sink {
 			return Route{}, nil // already connected
 		}
-		si := p.index(dev, s)
+		si := dev.TrackIndex(s)
 		if ar.seen(si) {
 			continue
 		}
-		ar.visit(si, 0, hop{}, -1)
-		ar.push(heapItem{ti: si, gi: dev.TrackIndex(s), g: 0, f: p.h(dev, s, sinkTile)})
+		ar.visit(si, 0, -1, 0)
+		ar.push(heapItem{i: si, g: 0, f: p.h(dev, s, sinkTile)})
 	}
 
 	explored := 0
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.ti] {
+		if it.g > ar.g[it.i] {
 			continue // stale entry
 		}
 		explored++
 		if explored > p.maxNodes {
 			return Route{}, fmt.Errorf("maze: search exceeded %d states: %w", p.maxNodes, ErrUnroutable)
 		}
-		edges, at := dev.EdgesAt(it.gi)
-		for _, e := range edges {
+		edges, at := dev.EdgesAt(it.i)
+		for j, e := range edges {
 			target := e.Target(at)
-			// ti addresses the arena, gi the device; they differ only
-			// when confined, and gi is worked out only for an edge that
-			// survives the filters.
-			var ti int32
-			if confined {
-				if !p.box.contains(target.Row, target.Col) {
-					continue
-				}
-				ti = p.sc.idx(target)
-			} else {
-				ti = dev.TrackIndex(target)
+			if confined && !p.box.contains(target.Row, target.Col) {
+				continue
 			}
+			ti := dev.TrackIndex(target)
 			if ti != sinkIdx && !p.pass[e.Kind] {
 				continue
 			}
 			if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
 				continue
 			}
-			gi := ti
-			if confined {
-				gi = dev.TrackIndex(target)
-			}
-			if dev.Driven(gi) {
+			if dev.Driven(ti) {
 				continue
 			}
 			ng := it.g + p.hop[e.Kind]
@@ -285,12 +262,12 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
-			ar.visit(ti, ng, hopOf(e, at), it.ti)
+			ar.visit(ti, ng, it.i, j)
 			if ti == sinkIdx {
 				// Goal: stop (greedy routing: first arrival wins).
-				return Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ng), Explored: explored}, nil
+				return Route{PIPs: ar.reconstruct(dev, sinkIdx), Cost: int(ng), Explored: explored}, nil
 			}
-			ar.push(heapItem{ti: ti, gi: gi, g: ng, f: ng + p.h(dev, target, sinkTile)})
+			ar.push(heapItem{i: ti, g: ng, f: ng + p.h(dev, target, sinkTile)})
 		}
 	}
 	return Route{}, fmt.Errorf("maze: no path to %s at (%d,%d): %w",

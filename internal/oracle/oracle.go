@@ -203,17 +203,6 @@ func (d *Decoder) PairBit(from, to arch.Wire) (int, bool) {
 	return i, ok
 }
 
-// PairAt returns the (from, to) wires of per-tile PIP bit i.
-func (d *Decoder) PairAt(i int) (from, to arch.Wire, ok bool) {
-	if i < 0 || i >= len(d.pairs) {
-		return 0, 0, false
-	}
-	return d.pairs[i][0], d.pairs[i][1], true
-}
-
-// PairCount returns the number of PIP configuration bits per tile.
-func (d *Decoder) PairCount() int { return len(d.pairs) }
-
 // BytesPerTile returns the derived tile width in bytes — the value a valid
 // stream header for this architecture must carry.
 func (d *Decoder) BytesPerTile() int { return d.bytesPerTile }

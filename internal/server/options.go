@@ -2,7 +2,6 @@ package server
 
 import (
 	"net"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core/library"
@@ -44,10 +43,6 @@ func WithQueueDepth(n int) Opt { return func(o *Options) { o.QueueDepth = n } }
 // WithParallelism sets the negotiated-batch worker count for every session
 // router (0 = GOMAXPROCS).
 func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } }
-
-// WithEnqueueTimeout bounds how long a request waits for a queue slot
-// before the busy response.
-func WithEnqueueTimeout(d time.Duration) Opt { return func(o *Options) { o.EnqueueTimeout = d } }
 
 // WithParanoidVerify makes every session router audit each automatic
 // routing op with the bitstream oracle before acknowledging it.
