@@ -6,43 +6,56 @@ import (
 	"repro/internal/arch"
 )
 
-// TestTrackIndexBoundsAndUniqueness: every canonical track maps into
-// [0, NumTracks) and no two canonical tracks collide — the property the
-// maze arena's dense scratch tables depend on.
+// TestTrackIndexBoundsAndUniqueness: the index space is one slot per
+// canonical wire name per tile, every canonical track maps into
+// [0, NumTracks) and back through TrackAt, and no two canonical tracks
+// collide — the property the maze arena's dense scratch tables depend on.
+// An alias name has no index of its own.
 func TestTrackIndexBoundsAndUniqueness(t *testing.T) {
-	d, err := New(arch.NewVirtex(), 12, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.NumTracks()
-	if n != 12*16*d.A.WireCount() {
-		t.Fatalf("NumTracks = %d, want %d", n, 12*16*d.A.WireCount())
-	}
-	seen := make(map[int32]Track)
-	for row := 0; row < d.Rows; row++ {
-		for col := 0; col < d.Cols; col++ {
-			for w := 0; w < d.A.WireCount(); w++ {
-				tr, ok := d.CanonOK(row, col, arch.Wire(w))
-				if !ok {
-					continue
-				}
-				// Count each physical track once, at its canonical name.
-				if tr != (Track{Row: row, Col: col, W: arch.Wire(w)}) {
-					continue
-				}
-				idx := d.TrackIndex(tr)
-				if idx < 0 || int(idx) >= n {
-					t.Fatalf("TrackIndex(%v) = %d out of [0,%d)", tr, idx, n)
-				}
-				if prev, dup := seen[idx]; dup {
-					t.Fatalf("tracks %v and %v share index %d", prev, tr, idx)
-				}
-				seen[idx] = tr
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		d, err := New(a, 12, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := 0
+		for w := 0; w < a.WireCount(); w++ {
+			if a.IsCanonicalWire(arch.Wire(w)) {
+				slots++
 			}
 		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("no canonical tracks enumerated")
+		n := d.NumTracks()
+		if n != 12*16*slots {
+			t.Fatalf("%s: NumTracks = %d, want %d", a.Name, n, 12*16*slots)
+		}
+		seen := make(map[int32]Track)
+		for row := 0; row < d.Rows; row++ {
+			for col := 0; col < d.Cols; col++ {
+				for w := 0; w < a.WireCount(); w++ {
+					tr := Track{Row: row, Col: col, W: arch.Wire(w)}
+					if _, ok := d.index(tr); ok != a.IsCanonicalWire(tr.W) {
+						t.Fatalf("%s: index(%v %s) ok = %v", a.Name, tr, a.WireName(tr.W), ok)
+					}
+					// Count each physical track once, at its canonical name.
+					if c, ok := d.CanonOK(row, col, tr.W); !ok || c != tr {
+						continue
+					}
+					idx := d.TrackIndex(tr)
+					if idx < 0 || int(idx) >= n {
+						t.Fatalf("%s: TrackIndex(%v) = %d out of [0,%d)", a.Name, tr, idx, n)
+					}
+					if back := d.TrackAt(idx); back != tr {
+						t.Fatalf("%s: TrackAt(TrackIndex(%v)) = %v", a.Name, tr, back)
+					}
+					if prev, dup := seen[idx]; dup {
+						t.Fatalf("%s: tracks %v and %v share index %d", a.Name, prev, tr, idx)
+					}
+					seen[idx] = tr
+				}
+			}
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%s: no canonical tracks enumerated", a.Name)
+		}
 	}
 }
 

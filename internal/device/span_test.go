@@ -41,13 +41,15 @@ func TestTrackSpanMatchesTaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int32(0); i < int32(d.NumTracks()); i++ {
-			tr := d.TrackAt(i)
-			r0, c0, r1, c1, ok := d.TrackSpan(tr)
-			w0, x0, w1, x1, wok := refTrackSpan(d, tr)
-			if r0 != w0 || c0 != x0 || r1 != w1 || c1 != x1 || ok != wok {
-				t.Fatalf("%s: TrackSpan(%v %s) = (%d,%d)-(%d,%d) %v, taps say (%d,%d)-(%d,%d) %v",
-					a.Name, tr, a.WireName(tr.W), r0, c0, r1, c1, ok, w0, x0, w1, x1, wok)
+		for tile := 0; tile < side*side; tile++ {
+			for w := 0; w < a.WireCount(); w++ {
+				tr := Track{Row: tile / side, Col: tile % side, W: arch.Wire(w)}
+				r0, c0, r1, c1, ok := d.TrackSpan(tr)
+				w0, x0, w1, x1, wok := refTrackSpan(d, tr)
+				if r0 != w0 || c0 != x0 || r1 != w1 || c1 != x1 || ok != wok {
+					t.Fatalf("%s: TrackSpan(%v %s) = (%d,%d)-(%d,%d) %v, taps say (%d,%d)-(%d,%d) %v",
+						a.Name, tr, a.WireName(tr.W), r0, c0, r1, c1, ok, w0, x0, w1, x1, wok)
+				}
 			}
 		}
 	}

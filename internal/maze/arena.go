@@ -38,9 +38,11 @@ func pooled[T any](p *sync.Pool) *T {
 //
 // Every table here, the mark sets and the congestion table are as narrow as
 // their values allow: they are device-sized and a process keeps several
-// (one set per negotiation worker), so each byte per track is 1.6 MB on a
-// 64×96 array. Stamps are 16 bits, paying one O(n) clear when the epoch
-// wraps, every 65 535 generations.
+// (one set per negotiation worker), so each byte per track is 1.0 MB on a
+// 64×96 array. Costs are int32 — every hop, heuristic and surcharge term is
+// an integer — so an arena is 12 bytes a track and a heap item 12 bytes.
+// Stamps are 16 bits, paying one O(n) clear when the epoch wraps, every
+// 65 535 generations.
 
 // heapItem is one frontier entry of the best-first search: a track by its
 // device.TrackIndex, which addresses both the arena and the adjacency.
@@ -48,7 +50,7 @@ func pooled[T any](p *sync.Pool) *T {
 // decrease-key; stale pops are skipped by the g-check in the search loop.
 type heapItem struct {
 	i    int32
-	g, f float64
+	g, f int32
 }
 
 // arena is the reusable scratch state of one search.
@@ -56,7 +58,7 @@ type arena struct {
 	n     int
 	epoch uint16
 	stamp []uint16   // epoch mark per track index
-	g     []float64  // best path cost found so far
+	g     []int32    // best path cost found so far
 	prev  []int32    // predecessor track index; -1 for search sources
 	via   []uint16   // ordinal of the edge, in EdgesAt(prev) order, that reached the track
 	heap  []heapItem // frontier backing storage, reused across searches
@@ -80,7 +82,7 @@ func (ar *arena) ensure(n int) {
 		return
 	}
 	ar.stamp = make([]uint16, n)
-	ar.g = make([]float64, n)
+	ar.g = make([]int32, n)
 	ar.prev = make([]int32, n)
 	ar.via = make([]uint16, n)
 	ar.epoch = 0
@@ -105,7 +107,7 @@ func (ar *arena) seen(i int32) bool { return ar.stamp[i] == ar.epoch }
 // visit records the best-known path to track i: reached at cost g over
 // edge via of track prev. A track has at most a few hundred edges (a long
 // line's taps along its row), so the ordinal fits 16 bits.
-func (ar *arena) visit(i int32, g float64, prev int32, via int) {
+func (ar *arena) visit(i int32, g int32, prev int32, via int) {
 	ar.stamp[i] = ar.epoch
 	ar.g[i] = g
 	ar.prev[i] = prev

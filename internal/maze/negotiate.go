@@ -100,9 +100,9 @@ type NegotiationOptions struct {
 // The negotiation's constants. Every pinned result (TestNegotiationDigests,
 // the goldens that route batches) depends on each of them.
 const (
-	maxIterations = 30  // rip-up/re-route rounds before giving up
-	presentFactor = 2.0 // growth per iteration of the cost of a track another net uses now
-	historyFactor = 1.0 // weight of a track's accumulated overuse
+	maxIterations = 30 // rip-up/re-route rounds before giving up
+	presentFactor = 2  // growth per iteration of the cost of a track another net uses now
+	historyFactor = 1  // weight of a track's accumulated overuse
 )
 
 func (o NegotiationOptions) parallelism() int {
@@ -133,9 +133,9 @@ type congestion struct {
 	n       int
 	epoch   uint16
 	stamp   []uint16
-	present []int32   // nets currently using the track
-	history []float64 // accumulated overuse
-	keeper  []int32   // 1 + global index of the net that keeps an overused track
+	present []int32 // nets currently using the track
+	history []int32 // accumulated overuse
+	keeper  []int32 // 1 + global index of the net that keeps an overused track
 }
 
 func getCongestion(n int) *congestion {
@@ -143,7 +143,7 @@ func getCongestion(n int) *congestion {
 	if c.n < n {
 		c.stamp = make([]uint16, n)
 		c.present = make([]int32, n)
-		c.history = make([]float64, n)
+		c.history = make([]int32, n)
 		c.keeper = make([]int32, n)
 		c.epoch = 0
 		c.n = n
@@ -175,7 +175,7 @@ func (c *congestion) presentAt(i int32) int32 {
 	return c.present[i]
 }
 
-func (c *congestion) historyAt(i int32) float64 {
+func (c *congestion) historyAt(i int32) int32 {
 	if c.stamp[i] != c.epoch {
 		return 0
 	}
@@ -187,7 +187,7 @@ func (c *congestion) addPresent(i int32, d int32) {
 	c.present[i] += d
 }
 
-func (c *congestion) addHistory(i int32, d float64) {
+func (c *congestion) addHistory(i int32, d int32) {
 	c.touch(i)
 	c.history[i] += d
 }
@@ -200,8 +200,8 @@ type negState struct {
 	dev     *device.Device
 	sc      *scope
 	cong    *congestion
-	pol     policy  // the scope's search policy, less what each worker and net adds
-	presFac float64 // cost per other net on a track, this iteration
+	pol     policy // the scope's search policy, less what each worker and net adds
+	presFac int32  // cost per other net on a track, this iteration
 }
 
 // preppedNet is a NetSpec resolved once up front: sinks in the fixed
@@ -421,7 +421,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 				overused = true
 				if st.cong.keeper[k] == 0 {
 					st.cong.keeper[k] = me
-					st.cong.addHistory(k, float64(c-1))
+					st.cong.addHistory(k, c-1)
 				}
 				if st.cong.keeper[k] != me {
 					needs = true
@@ -441,7 +441,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		if !overused {
 			return out
 		}
-		st.presFac = presentFactor * float64(iter)
+		st.presFac = presentFactor * int32(iter)
 	}
 	out.err = fmt.Errorf("maze: negotiation did not converge in %d iterations: %w",
 		maxIterations, ErrUnroutable)

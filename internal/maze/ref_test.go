@@ -2,7 +2,6 @@ package maze
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,7 +18,9 @@ import (
 // fields that no longer exist comes from refKindCost, refAllowKind,
 // refAvoids and the fields of refNegWorker, and their arena calls follow
 // the arena's API (visit takes the predecessor and the edge's ordinal,
-// reconstruct the device). TestSearchMatchesReference and FuzzSearch hold
+// reconstruct the device), and they compute costs in the arena's int32
+// rather than the float64 they were written in: every term is an integer,
+// so the values are the same. TestSearchMatchesReference and FuzzSearch hold
 // the kernel to them decision for decision: same PIPs, same cost, same
 // number of states expanded, an error exactly when the reference has one.
 
@@ -60,7 +61,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 	hexC := refKindCost(opt, arch.KindHex)
 	singleC := refKindCost(opt, arch.KindSingle)
 	longC := refKindCost(opt, arch.KindLongH)
-	h := func(t device.Track) float64 {
+	h := func(t device.Track) int32 {
 		if !astar {
 			return 0
 		}
@@ -74,7 +75,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 		if opt.UseLongLines && est > longC+hexC {
 			est = longC + hexC
 		}
-		return float64(2 * est)
+		return int32(2 * est)
 	}
 	cost := func(k arch.Kind) int {
 		if !astar {
@@ -130,7 +131,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 			if dev.Driven(ti) {
 				continue
 			}
-			ng := it.g + float64(cost(e.Kind))
+			ng := it.g + int32(cost(e.Kind))
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
@@ -158,14 +159,14 @@ type refNegWorker struct {
 	dev     *device.Device
 	opt     Options
 	cong    *congestion
-	presFac float64
-	histFac float64
+	presFac int32
+	histFac int32
 	ar      *arena
 	self    *markSet
 }
 
 // penalty is the congestion surcharge for occupying track i.
-func (w *refNegWorker) penalty(i int32) float64 {
+func (w *refNegWorker) penalty(i int32) int32 {
 	st := w
 	users := st.cong.presentAt(i)
 	if w.self.has(i) {
@@ -173,7 +174,7 @@ func (w *refNegWorker) penalty(i int32) float64 {
 	}
 	p := st.cong.historyAt(i) * st.histFac
 	if users > 0 {
-		p += float64(users) * st.presFac
+		p += users * st.presFac
 	}
 	return p
 }
@@ -186,14 +187,14 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 		return nil, 0, fmt.Errorf("maze: sink %s at (%d,%d) already in use on device: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
-	h := func(t device.Track) float64 {
+	h := func(t device.Track) int32 {
 		d := dev.MinTapDistance(t, sinkTile)
 		hexes := d / dev.A.HexLen
 		tail := d % dev.A.HexLen
 		if tail > 2 {
 			tail = 2
 		}
-		return 2 * float64(2*hexes+tail)
+		return 2 * int32(2*hexes+tail)
 	}
 	ar := w.ar
 	ar.begin()
@@ -242,7 +243,7 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 			if dev.Driven(ti) {
 				continue
 			}
-			ng := it.g + float64(hopCost(e.Kind)) + w.penalty(ti)
+			ng := it.g + int32(hopCost(e.Kind)) + w.penalty(ti)
 			if ar.seen(ti) && ar.g[ti] <= ng {
 				continue
 			}
@@ -379,20 +380,24 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 	}
 
 	// The negotiated form: a box around the endpoints and a congestion
-	// snapshot with fractional history and present factor, so that the
-	// order the surcharge is added in shows in the low bits of g. With
-	// bitForeign the device-wide table also carries load on tracks outside
-	// the box, as the other scopes of a call leave it there; the kernel
-	// must not read it, or scopes could not share one table.
+	// snapshot of integer history and present factor, as runScope seeds
+	// them. With bitForeign the device-wide table also carries load on
+	// tracks outside the box, as the other scopes of a call leave it there;
+	// the kernel must not read it, or scopes could not share one table.
+	// Load is drawn by index slot, read back through TrackAt: a wire number
+	// drawn at random may name an alias, which has no slot.
 	box := netBox(dev, sink, sources, 2*dev.A.HexLen) // around all of them, whichever is called the source
-	wc := dev.NumTracks() / (dev.Rows * dev.Cols)
+	slots := dev.NumTracks() / (dev.Rows * dev.Cols)
 	rng := rand.New(rand.NewSource(int64(head[11])<<8 | int64(bits)))
+	track := func(row, col int) device.Track {
+		return dev.TrackAt(int32((row*dev.Cols+col)*slots + rng.Intn(slots)))
+	}
 	cong, self := getCongestion(dev.NumTracks()), getMarkSet(dev.NumTracks())
 	defer putCongestion(cong)
 	defer putMarkSet(self)
 	self.reset()
-	for i := box.rows() * box.cols() * wc / 2; i > 0; i-- {
-		k := dev.TrackIndex(device.Track{Row: box.r0 + rng.Intn(box.rows()), Col: box.c0 + rng.Intn(box.cols()), W: arch.Wire(rng.Intn(wc))})
+	for i := box.rows() * box.cols() * slots / 2; i > 0; i-- {
+		k := dev.TrackIndex(track(box.r0+rng.Intn(box.rows()), box.c0+rng.Intn(box.cols())))
 		switch rng.Intn(4) {
 		case 0:
 			cong.addPresent(k, int32(1+rng.Intn(3)))
@@ -400,21 +405,21 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 			self.add(k)
 			cong.addPresent(k, int32(1+rng.Intn(2)))
 		default:
-			cong.addHistory(k, rng.Float64())
+			cong.addHistory(k, int32(1+rng.Intn(3)))
 		}
 	}
 	if bits&bitForeign != 0 {
-		for i := dev.Rows * dev.Cols * wc / 8; i > 0; i-- {
-			t := device.Track{Row: rng.Intn(dev.Rows), Col: rng.Intn(dev.Cols), W: arch.Wire(rng.Intn(wc))}
+		for i := dev.Rows * dev.Cols * slots / 8; i > 0; i-- {
+			t := track(rng.Intn(dev.Rows), rng.Intn(dev.Cols))
 			if box.contains(t.Row, t.Col) {
 				continue
 			}
 			k := dev.TrackIndex(t)
 			cong.addPresent(k, int32(1+rng.Intn(3)))
-			cong.addHistory(k, 100*rng.Float64())
+			cong.addHistory(k, int32(1+rng.Intn(100)))
 		}
 	}
-	presFac := float64(int(head[11])%4) * 0.7
+	presFac := presentFactor * int32(head[11]%4)
 	ref := refNegWorker{dev: dev, opt: opt, cong: cong, presFac: presFac, histFac: historyFactor,
 		ar: getArena(dev.NumTracks()), self: self}
 	defer putArena(ref.ar)
@@ -435,7 +440,7 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 		t.Fatalf("negotiated: kernel %d PIPs explored %d, reference %d PIPs explored %d\n%v\n%v",
 			len(r.PIPs), r.Explored, len(want), wantExplored, r.PIPs, want)
 	}
-	if k := dev.TrackIndex(sink); len(want) > 0 && math.Float64bits(ar.g[k]) != math.Float64bits(ref.ar.g[k]) {
+	if k := dev.TrackIndex(sink); len(want) > 0 && ar.g[k] != ref.ar.g[k] {
 		t.Fatalf("negotiated: kernel reaches the sink at g=%v, reference at g=%v", ar.g[k], ref.ar.g[k])
 	}
 }
@@ -447,9 +452,8 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 // as sources}, each also with a node cap low enough to be hit, and the
 // negotiated form × {longs} × {avoid} × {load inside the box only, load
 // outside it too}. Caught by it, for one each: the long-line cap applied without
-// UseLongLines (single-net rows); the surcharge added to g before the hop
-// cost, or the box tested against the PIP's tile instead of the target's
-// canonical tile (negotiated rows).
+// UseLongLines (single-net rows); the box tested against the PIP's tile
+// instead of the target's canonical tile (negotiated rows).
 func TestSearchMatchesReference(t *testing.T) {
 	var policies []byte
 	for _, model := range []byte{0, bitLongs, bitDelay, bitDelay | bitLongs, bitLee, bitLee | bitLongs} {

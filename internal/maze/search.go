@@ -41,9 +41,9 @@ var (
 	passLongs = passTable(true)
 )
 
-func hopTable(cost func(arch.Kind) int) (t [nKinds]float64) {
+func hopTable(cost func(arch.Kind) int) (t [nKinds]int32) {
 	for k := range t {
-		t[k] = float64(cost(arch.Kind(k)))
+		t[k] = int32(cost(arch.Kind(k)))
 	}
 	return t
 }
@@ -75,8 +75,8 @@ func passTable(longs bool) (t [nKinds]bool) {
 // asked for. None of the three is a decision: they are kept because changing
 // one moves routed bytes (ROADMAP item 2 lists them for step B's re-pin).
 type policy struct {
-	hop  [nKinds]float64 // cost of driving a wire of each kind
-	pass [nKinds]bool    // kinds a route may pass through; the sink itself is exempt
+	hop  [nKinds]int32 // cost of driving a wire of each kind
+	pass [nKinds]bool  // kinds a route may pass through; the sink itself is exempt
 
 	// The heuristic's terms. weight 0 is uniform-cost search.
 	weight, hexCost, singleCost int
@@ -94,12 +94,12 @@ type policy struct {
 	box     rect
 	cong    *congestion
 	self    *markSet
-	presFac float64
+	presFac int32
 }
 
 // fill is the part of every policy that comes straight from the options,
 // around a hop table.
-func (o Options) fill(hops *[nKinds]float64) policy {
+func (o Options) fill(hops *[nKinds]int32) policy {
 	p := policy{hop: *hops, pass: passShort, longCap: math.MaxInt, maxNodes: o.maxNodes(), avoid: o.Avoid}
 	if o.UseLongLines {
 		p.pass = passLongs
@@ -171,7 +171,7 @@ func (p policy) route(dev *device.Device, sources []device.Track, sink device.Tr
 // any distance could in principle be a long hop plus a hex. The search is
 // weighted (f = g + 2·est), trading optimality for focus — the paper's
 // routers are explicitly greedy.
-func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) float64 {
+func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) int32 {
 	if p.weight == 0 {
 		return 0
 	}
@@ -184,18 +184,18 @@ func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) fl
 	if est > p.longCap {
 		est = p.longCap
 	}
-	return float64(p.weight * est)
+	return int32(p.weight * est)
 }
 
 // surcharge is the congestion cost of occupying track i.
-func (p *policy) surcharge(i int32) float64 {
+func (p *policy) surcharge(i int32) int32 {
 	users := p.cong.presentAt(i)
 	if p.self.has(i) {
 		users-- // our own previous usage does not penalize us
 	}
 	s := p.cong.historyAt(i) * historyFactor
 	if users > 0 {
-		s += float64(users) * p.presFac
+		s += users * p.presFac
 	}
 	return s
 }
