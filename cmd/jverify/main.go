@@ -87,7 +87,7 @@ func runScenarios(which string, logf func(string, ...interface{})) bool {
 				good = false
 				break
 			}
-			if err := oracle.Audit(a, stream, claims, false); err != nil {
+			if err := oracle.Audit(a, stream, claims, true); err != nil {
 				log.Printf("jverify: scenario %s under %s fails oracle audit: %v", s.Name, cfg.Name, err)
 				good = false
 				break

@@ -93,7 +93,7 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 		// Each net's negotiated path goes onto its record so the route
 		// cache can replay it after an unroute, just like sequential routes.
 		r.curPath = append(r.curPath[:0], pips...)
-		r.record(nets[i].Source, nets[i].Sinks...)
+		r.record(netRec, nets[i].Source, nets[i].Sinks...)
 	}
 	return nil
 }

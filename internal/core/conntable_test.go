@@ -25,8 +25,9 @@ type ripPair struct {
 const ripRows, ripCols = 16, 24
 
 var (
-	ripOuts = [4]arch.Wire{arch.S0X, arch.S0Y, arch.S1X, arch.S1YQ}
-	ripIns  = [4]arch.Wire{arch.S0F1, arch.S0G2, arch.S1F3, arch.S1G4}
+	ripOuts    = [4]arch.Wire{arch.S0X, arch.S0Y, arch.S1X, arch.S1YQ}
+	ripIns     = [4]arch.Wire{arch.S0F1, arch.S0G2, arch.S1F3, arch.S1G4}
+	ripTmpl, _ = ParseTemplate("OUTMUX,EAST1,NORTH1,CLBIN")
 )
 
 func newRipPair(t *testing.T) *ripPair {
@@ -269,13 +270,26 @@ func (p *ripPair) run(data []byte) {
 				p.both(what, func() error { return p.a.Reconnect(qa) }, func() error { return p.b.Reconnect(qb) })
 			}
 		case 8:
-			// Nets with no record: a clock, or a core-internal feedback PIP.
-			if e%2 == 0 {
+			// A clock tap and the three manual levels, each recorded: a
+			// feedback PIP (S0F1 until this op could succeed), a hand-built stub S0X -> Out[0] -> SingleEast[0]
+			// (S1X: 4) sunk at a routing wire, and the §3.1 template. Bit 4
+			// picks path or template, so e < 16 does what it did before
+			// the last two were added.
+			switch e%2 + (e>>4)%2*2 {
+			case 0:
 				clk := NewPin(c%ripRows, d%ripCols, arch.S0CLK)
 				p.both(what, func() error { return p.a.RouteClock(a%4, clk) }, func() error { return p.b.RouteClock(a%4, clk) })
-			} else {
-				p.both(what, func() error { return p.a.Route(src.Row, src.Col, src.W, arch.S0F1) },
-					func() error { return p.b.Route(src.Row, src.Col, src.W, arch.S0F1) })
+			case 1:
+				fb := [4]arch.Wire{1: arch.S1F2, 3: arch.S1F4}[e%4] // a feedback input src reaches
+				p.both(what, func() error { return p.a.Route(src.Row, src.Col, src.W, fb) },
+					func() error { return p.b.Route(src.Row, src.Col, src.W, fb) })
+			case 2:
+				k := 2 * (e % 4)
+				stub := NewPath(src.Row, src.Col, []arch.Wire{src.W, arch.Out(k), p.a.Dev.A.Single(arch.East, k)})
+				p.both(what, func() error { return p.a.RoutePath(stub) }, func() error { return p.b.RoutePath(stub) })
+			case 3:
+				p.both(what, func() error { return p.a.RouteTemplate(src, sink.W, ripTmpl) },
+					func() error { return p.b.RouteTemplate(src, sink.W, ripTmpl) })
 			}
 		case 9:
 			// A path-less record (a peer stripped its path): rip-up must trace it.
@@ -330,7 +344,8 @@ var ripSeeds = map[string][]byte{
 	// Path-less record through Trace, then a region over its middle.
 	"pathless": ripScript(ripOp(0, 4, 3, 4, 15, 0), ripOp(9, 0, 0, 0, 0, 0), ripOp(5, 3, 8, 2, 2, 0),
 		ripOp(6, 0, 0, 0, 0, 0), ripOp(3, 4, 3, 0, 0, 0)),
-	// A clock net and a feedback PIP inside the region: found, no record.
+	// A clock tap and a feedback PIP inside the region. Both were once
+	// unrecorded and left alone; now each is a record, ripped and restored.
 	"no-record": ripScript(ripOp(8, 1, 0, 6, 6, 0), ripOp(8, 6, 6, 0, 0, 1), ripOp(0, 6, 2, 6, 12, 1),
 		ripOp(5, 5, 5, 2, 2, 0), ripOp(6, 0, 0, 0, 0, 0)),
 	// Port-sourced nets: rip, reconnect from port memory, fanout, reverse unroute.
@@ -341,6 +356,16 @@ var ripSeeds = map[string][]byte{
 	"churn": ripScript(ripOp(0, 3, 3, 10, 18, 0), ripOp(0, 12, 5, 4, 16, 5), ripOp(3, 3, 3, 0, 0, 0),
 		ripOp(0, 3, 3, 10, 18, 0), ripOp(5, 6, 9, 3, 5, 0), ripOp(0, 8, 1, 8, 22, 2), ripOp(5, 8, 10, 0, 1, 0),
 		ripOp(6, 0, 0, 0, 0, 0), ripOp(6, 0, 0, 0, 0, 0), ripOp(4, 0, 0, 4, 16, 4)),
+	// Two cores' clock taps on one global net, a region over one of them:
+	// only that record retires, and the restore puts its tap back.
+	"clock-taps": ripScript(ripOp(8, 0, 0, 4, 4, 0), ripOp(8, 0, 0, 10, 12, 0), ripOp(0, 4, 2, 4, 9, 1),
+		ripOp(5, 3, 3, 1, 1, 0), ripOp(6, 0, 0, 0, 0, 0), ripOp(5, 9, 11, 1, 1, 0)),
+	// The manual levels: a stub path, a template, and a net extended by a
+	// feedback PIP, which goes with the net; regions over each, restores,
+	// and an unroute of the extended net.
+	"manual": ripScript(ripOp(8, 6, 6, 0, 0, 18), ripOp(8, 9, 4, 0, 0, 19), ripOp(0, 3, 14, 5, 18, 3),
+		ripOp(8, 3, 14, 0, 0, 3), ripOp(5, 6, 6, 1, 2, 0), ripOp(5, 9, 4, 2, 2, 0), ripOp(6, 0, 0, 0, 0, 0),
+		ripOp(5, 3, 13, 1, 2, 0), ripOp(6, 0, 0, 0, 0, 0), ripOp(6, 0, 0, 0, 0, 0), ripOp(3, 3, 14, 0, 0, 3)),
 }
 
 // FuzzRipUpRegion holds the keyed connection table and the fabric-read

@@ -7,19 +7,19 @@ import (
 )
 
 // This file wires the router to the independent bitstream-level oracle.
-// With Options.ParanoidVerify set, every top-level automatic routing call
-// (route, fanout, bus, batch, unroute, reconnect, restore, rip-up) is
-// followed by a full oracle audit: the current configuration is serialized,
-// re-extracted from raw frames only, structurally checked, and compared
+// With Options.ParanoidVerify set, every top-level routing call (manual
+// levels 1–3, clock, route, fanout, bus, batch, unroute, reconnect, restore,
+// rip-up) is followed by a full oracle audit: the current configuration is
+// serialized, re-extracted from raw frames only, structurally checked, and compared
 // against the endpoint claims of every live connection record. The router
 // never hands its own routing state to the oracle — only frames and
 // endpoint claims cross the boundary.
 //
 // The depth counter keeps composite calls (RouteBus calling RouteNet,
 // Reconnect calling RestoreConnection) from auditing half-finished work:
-// only the outermost call verifies. The manual level-1/2/3 calls (Route,
-// RoutePath, RouteTemplate) are deliberately unhooked — they legitimately
-// leave mid-construction antennas while a path is being built by hand.
+// only the outermost call verifies. A manual call that leaves a
+// mid-construction antenna fails its audit like any other call: under
+// ParanoidVerify, build a path by hand with one RoutePath.
 
 // enterOp marks the start of a (possibly nested) verified routing call. The
 // outermost one notes whether any frame is dirty, for backToEntry.
@@ -75,15 +75,12 @@ func (r *Router) OracleClaims() []oracle.Claim {
 
 // VerifyOracle serializes the device configuration and audits it with the
 // bitstream oracle: structural invariants (single driver, no antennas, no
-// orphan roots, no loops) plus physical continuity of every live claim.
-// Coverage (no phantom nets) is not enforced here because manual routing
-// and clock distribution legitimately create unrecorded nets; harnesses
-// that use only the recorded automatic calls check it via OracleClaims and
-// oracle.Audit with strict coverage.
+// orphan roots, no loops), physical continuity of every live claim, and
+// coverage — every net in the frames roots at a claimed source.
 func (r *Router) VerifyOracle() error {
 	stream, err := r.Dev.FullConfig()
 	if err != nil {
 		return err
 	}
-	return oracle.Audit(r.Dev.A, stream, r.OracleClaims(), false)
+	return oracle.Audit(r.Dev.A, stream, r.OracleClaims(), true)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -21,7 +22,7 @@ import (
 // the embedded Unroute, ReverseUnroute, RipUpNet or RipUpRegion, so the
 // embedded table only ever grows and is read only by sync.
 //
-// Three deliberate departures from verbatim, each marked where it is:
+// Four deliberate departures from verbatim, each marked where it is:
 // RipUpRegion is cut in two at its final loop (scanRegion decides, ripUp
 // unroutes) so the harness can compare decisions before anything moves;
 // scanRegion takes traceAll, which sends every record through Trace as
@@ -29,7 +30,11 @@ import (
 // whole path before splitting it (and so sheds the branch into a fresh
 // slice, not in place) — the behaviour change this PR makes on purpose
 // (TestRelocationWithDrivenInputsIsReplayBound in internal/cores), which
-// the model has to share to stay comparable.
+// the model has to share to stay comparable. The fourth is the clock rule:
+// records now own every PIP, clock taps included, and a global clock is one
+// net every clock record shares, so scanRegion rips a clock record only when
+// one of its taps is inside the region, and ripUp clears only that
+// record's taps.
 type refRouter struct {
 	*Router
 	conns []*Connection
@@ -215,7 +220,7 @@ func (r *refRouter) retireConnections(match func(*Connection) bool) {
 }
 
 // scanRegion is the deciding half of the parent's RipUpRegion.
-func (r *refRouter) scanRegion(row, col, height, width int) (ripped []*Connection, sources []EndPoint, err error) {
+func (r *refRouter) scanRegion(row, col, height, width int) (ripped, nets []*Connection, err error) {
 	inRect := func(rr, cc int) bool {
 		return rr >= row && rr < row+height && cc >= col && cc < col+width
 	}
@@ -242,6 +247,9 @@ func (r *refRouter) scanRegion(row, col, height, width int) (ripped []*Connectio
 		return false
 	}
 	connIntersects := func(c *Connection) (bool, error) {
+		if c.kind == clockRec { // departure 4
+			return slices.ContainsFunc(flattenPins(c.Sinks), func(p Pin) bool { return inRect(p.Row, p.Col) }), nil
+		}
 		if src, err := sourcePin(c.Source); err == nil && inRect(src.Row, src.Col) {
 			return true, nil
 		}
@@ -274,10 +282,10 @@ func (r *refRouter) scanRegion(row, col, height, width int) (ripped []*Connectio
 			continue
 		}
 		// The physical net is ripped whole, so every record sharing this
-		// source retires with it.
-		sources = append(sources, c.Source)
+		// source retires with it — but a clock record goes alone.
+		nets = append(nets, c)
 		for _, o := range live {
-			if endPointEqual(o.Source, c.Source) {
+			if o == c || c.kind != clockRec && endPointEqual(o.Source, c.Source) {
 				hit[o] = true
 			}
 		}
@@ -287,21 +295,40 @@ func (r *refRouter) scanRegion(row, col, height, width int) (ripped []*Connectio
 			ripped = append(ripped, c)
 		}
 	}
-	return ripped, sources, nil
+	return ripped, nets, nil
 }
 
-// ripUp is the tail of the parent's RipUpRegion: unroute each hit source in
-// scan order. (The parent returned nil records with the error; what the
-// change returns there is pinned by TestRipUpRegionPartialFailure.)
-func (r *refRouter) ripUp(ripped []*Connection, sources []EndPoint) (_ []*Connection, err error) {
+// ripUp is the tail of the parent's RipUpRegion: unroute each hit net in
+// scan order, from the source of its first record, or a clock record's own
+// taps (departure 4). (The parent returned nil records with the error; what
+// the change returns there is pinned by TestRipUpRegionPartialFailure.)
+func (r *refRouter) ripUp(ripped, nets []*Connection) (_ []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	for _, src := range sources {
-		if err := r.Unroute(src); err != nil {
+	for _, c := range nets {
+		if c.kind != clockRec {
+			err = r.Unroute(c.Source)
+		} else {
+			err = r.clearTaps(c)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: region rip-up: %w", err)
 		}
 	}
 	return ripped, nil
+}
+
+// clearTaps turns a clock record's taps off and retires it alone.
+func (r *refRouter) clearTaps(c *Connection) error {
+	src, _ := sourcePin(c.Source)
+	for _, p := range flattenPins(c.Sinks) {
+		if err := r.Dev.ClearPIP(p.Row, p.Col, src.W, p.W); err != nil {
+			return err
+		}
+		r.stats.PIPsCleared++
+	}
+	r.retireConnections(func(o *Connection) bool { return o == c })
+	return nil
 }
 
 // snapshot is the parent's SnapshotConnections over the slice.
@@ -311,7 +338,7 @@ func (r *refRouter) snapshot() []ConnectionRecord {
 		if c.retired {
 			continue
 		}
-		rec := ConnectionRecord{}
+		rec := ConnectionRecord{kind: c.kind}
 		if len(c.sinkPins) > 0 {
 			rec.Source = c.srcPin
 			rec.Sinks = append([]Pin(nil), c.sinkPins...)

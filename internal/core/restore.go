@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -17,12 +18,8 @@ import (
 // in O(path length) and committed verbatim, falling back to a full search
 // only when the sweep fails.
 //
-// Clock nets are exempt. RouteClock sets dedicated global-clock PIPs and
-// records no Connection, so a snapshot never carries them and adoption
-// never restores them: after a failover a clock is back on the spare only
-// because the core that needs it was re-implemented there and called
-// RouteClock again. A journal of pin-level routes alone does not rebuild
-// clock distribution.
+// Every PIP the router sets belongs to a record, clock taps included, so a
+// snapshot is the whole routing of the board.
 
 // ConnectionRecord is the router-independent snapshot of one live
 // connection: the pins its endpoints resolved to and the PIP path that was
@@ -32,13 +29,13 @@ type ConnectionRecord struct {
 	Source Pin
 	Sinks  []Pin
 	Path   []device.PIP
+	kind   recKind // so the adopted record is the same kind of record
 }
 
 // SnapshotConnections exports every live connection as a
 // ConnectionRecord, in insertion order. Port endpoints are flattened to the
 // pins they resolve to right now, so the snapshot stays meaningful after
-// the router (and any core instances living on it) are gone. Clock nets are
-// not in it (see the note at the top of this file).
+// the router (and any core instances living on it) are gone.
 func (r *Router) SnapshotConnections() []ConnectionRecord {
 	out := make([]ConnectionRecord, 0, r.conns.n)
 	for c := r.conns.head; c != nil; c = c.next {
@@ -52,20 +49,20 @@ func (r *Router) SnapshotConnections() []ConnectionRecord {
 // snapshotOf is one record's export; false for a record whose source
 // endpoint resolves to several pins, which no snapshot can carry.
 func snapshotOf(c *Connection) (ConnectionRecord, bool) {
+	src, sinks, ok := c.pins()
+	return ConnectionRecord{Source: src, Sinks: append([]Pin(nil), sinks...),
+		Path: append([]device.PIP(nil), c.Path...), kind: c.kind}, ok
+}
+
+// pins returns the pins c's endpoints resolved to when it was recorded with
+// its path — the canonical replay frame — or, for a record without one,
+// resolves them now.
+func (c *Connection) pins() (Pin, []Pin, bool) {
 	if len(c.sinkPins) > 0 {
-		// Recorded with its path at route time: pins and path are
-		// already the canonical replay frame.
-		return ConnectionRecord{
-			Source: c.srcPin,
-			Sinks:  append([]Pin(nil), c.sinkPins...),
-			Path:   append([]device.PIP(nil), c.Path...),
-		}, true
+		return c.srcPin, c.sinkPins, true
 	}
 	src, err := sourcePin(c.Source)
-	if err != nil {
-		return ConnectionRecord{}, false
-	}
-	return ConnectionRecord{Source: src, Sinks: flattenPins(c.Sinks)}, true
+	return src, flattenPins(c.Sinks), err == nil
 }
 
 // Delta is what changed in a router's live connection table between two
@@ -139,7 +136,7 @@ func (r *Router) AdoptConnection(rec ConnectionRecord) error {
 		if err != nil || src != rec.Source {
 			continue
 		}
-		if pinsEqual(flattenPins(c.Sinks), sinks) {
+		if slices.Equal(flattenPins(c.Sinks), sinks) {
 			return nil // already live, e.g. routed by a replayed core's Implement
 		}
 	}
@@ -154,21 +151,10 @@ func (r *Router) AdoptConnection(rec ConnectionRecord) error {
 		srcPin:   rec.Source,
 		sinkPins: sinks,
 		retired:  true,
+		kind:     rec.kind,
 	}
 	if err := r.RestoreConnection(c); err != nil {
 		return fmt.Errorf("core: adopting connection %v: %w", rec.Source, err)
 	}
 	return nil
-}
-
-func pinsEqual(a, b []Pin) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -123,14 +122,8 @@ func flattenPins(sinks []EndPoint) []Pin {
 }
 
 func sortPins(pins []Pin) {
-	sort.Slice(pins, func(i, j int) bool {
-		if pins[i].Row != pins[j].Row {
-			return pins[i].Row < pins[j].Row
-		}
-		if pins[i].Col != pins[j].Col {
-			return pins[i].Col < pins[j].Col
-		}
-		return pins[i].W < pins[j].W
+	slices.SortFunc(pins, func(a, b Pin) int {
+		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col), cmp.Compare(a.W, b.W))
 	})
 }
 
@@ -154,10 +147,10 @@ func (r *Router) tryReplay(srcTrack device.Track, pips []device.PIP, dRow, dCol 
 	return r.apply(route) == nil
 }
 
-// learnExact remembers a retired connection's path under its endpoint key,
-// so re-routing the same endpoints later replays instead of searching.
+// learnExact remembers a retired automatic route's path under its endpoint
+// key, so re-routing the same endpoints later replays instead of searching.
 func (r *Router) learnExact(c *Connection) {
-	if !r.opt.replaysPaths() || len(c.Path) == 0 || len(c.sinkPins) == 0 {
+	if !r.opt.replaysPaths() || c.kind != netRec || len(c.Path) == 0 || len(c.sinkPins) == 0 {
 		return
 	}
 	rc := r.ensureCache()
@@ -236,9 +229,12 @@ func (r *Router) RestoreConnection(c *Connection) (err error) {
 		home = nil
 	case r.replayShifted(c, c.Path):
 	default:
-		if len(c.Sinks) == 1 {
+		switch src, _ := sourcePin(c.Source); {
+		case c.kind == clockRec:
+			err = r.RouteClock(r.Dev.A.ClassOf(src.W).Index, c.Sinks...)
+		case len(c.Sinks) == 1:
 			err = r.RouteNet(c.Source, c.Sinks[0])
-		} else {
+		default:
 			err = r.RouteFanout(c.Source, c.Sinks)
 		}
 		if err != nil {
@@ -249,7 +245,7 @@ func (r *Router) RestoreConnection(c *Connection) (err error) {
 		}
 	}
 	// The way home is in c's frame: the new record keeps it only where c was.
-	if nc := r.conns.tail; nc.srcPin == c.srcPin && slices.Equal(nc.sinkPins, c.sinkPins) {
+	if nc := r.conns.tail; nc != nil && nc.srcPin == c.srcPin && slices.Equal(nc.sinkPins, c.sinkPins) {
 		nc.home = home
 	}
 	r.finishRestore(c)
@@ -291,7 +287,7 @@ func (r *Router) replayShifted(c *Connection, path []device.PIP) bool {
 	}
 	r.stats.Routes += len(cur)
 	r.stats.CacheHits++
-	r.record(c.Source, c.Sinks...)
+	r.record(c.kind, c.Source, c.Sinks...)
 	return true
 }
 
@@ -329,9 +325,9 @@ func (r *Router) finishRestore(c *Connection) {
 // The span matters: a hex driven just west of the region and tapped just
 // east of it crosses every region tile with both its PIPs outside, and a
 // net routed that way would otherwise survive the rip-up only to be severed
-// when the region's new occupant claims the fabric under it. Nets without a
-// record (clock distribution, a core's internal PIPs, manual routes) are
-// found and left alone.
+// when the region's new occupant claims the fabric under it. A global clock
+// is one net shared by every core on it: a clock record goes only when one
+// of its taps is inside the rectangle, and takes only its own taps.
 //
 // A net is ripped whole — all records sharing its source retire together,
 // remembered under their ports as usual. The returned list is in record
@@ -343,6 +339,31 @@ func (r *Router) finishRestore(c *Connection) {
 func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
+	return r.ripRegion(row, col, height, width, nil)
+}
+
+// UnrouteWithin unroutes the live records made after number since (see Seq)
+// whose endpoints — a clock record's taps — all lie in the rectangle: how a
+// core takes back what its Implement routed. They are found by RipUpRegion's
+// fabric read, so the cost follows the core and not the session.
+func (r *Router) UnrouteWithin(row, col, height, width int, since uint64) (err error) {
+	r.enterOp()
+	defer r.exitOp(&err)
+	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
+	_, err = r.ripRegion(row, col, height, width, func(c *Connection) bool {
+		src, sinks, ok := c.pins()
+		return ok && c.seq > since && (c.kind == clockRec || rect.Contains(src.Row, src.Col)) &&
+			!slices.ContainsFunc(sinks, func(p Pin) bool { return !rect.Contains(p.Row, p.Col) })
+	})
+	return err
+}
+
+// Seq returns the sequence number of the newest record made so far.
+func (r *Router) Seq() uint64 { return r.conns.seq }
+
+// ripRegion unroutes, oldest first, the records RipUpRegion's fabric read
+// finds that keep (if not nil) accepts.
+func (r *Router) ripRegion(row, col, height, width int, keep func(*Connection) bool) (ripped []*Connection, err error) {
 	r.regionBuf = r.Dev.AppendTracksOver(r.regionBuf[:0], row, col, height, width)
 	roots := r.rootBuf[:0]
 	for _, t := range r.regionBuf {
@@ -360,23 +381,49 @@ func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection,
 	slices.Sort(roots)
 	roots = slices.Compact(roots)
 	r.rootBuf = roots
+	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
+	tapIn := func(p Pin) bool { return rect.Contains(p.Row, p.Col) }
 	for _, root := range roots {
 		for c := r.conns.bucket(root); c != nil; c = c.srcNext {
 			r.stats.RecordsVisited++
-			ripped = append(ripped, c)
+			if c.kind == clockRec {
+				if _, taps, _ := c.pins(); !slices.ContainsFunc(taps, tapIn) {
+					continue
+				}
+			}
+			if keep == nil || keep(c) {
+				ripped = append(ripped, c)
+			}
 		}
 	}
 	slices.SortFunc(ripped, func(a, b *Connection) int { return cmp.Compare(a.seq, b.seq) })
 	for _, c := range ripped {
-		if c.retired {
-			continue // went with an older record of the same source
-		}
-		if err := r.Unroute(c.Source); err != nil {
+		if err := r.take(c); err != nil {
 			return slices.DeleteFunc(ripped, func(c *Connection) bool { return !c.retired }),
 				fmt.Errorf("core: region rip-up: %w", err)
 		}
 	}
 	return ripped, nil
+}
+
+// take unroutes c's net and retires its records, unless an older record of
+// the same net already has. A clock record clears only its own taps.
+func (r *Router) take(c *Connection) error {
+	if c.retired {
+		return nil
+	}
+	if c.kind != clockRec {
+		return r.Unroute(c.Source)
+	}
+	src, taps, _ := c.pins()
+	for _, p := range taps {
+		if err := r.Dev.ClearPIP(p.Row, p.Col, src.W, p.W); err != nil {
+			return err
+		}
+		r.stats.PIPsCleared++
+	}
+	r.retire(c)
+	return nil
 }
 
 // RipUpNet unroutes the live net sourced at source and returns its

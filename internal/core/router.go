@@ -55,7 +55,7 @@ type Options struct {
 	// for a different architecture or geometry is skipped wholesale.
 	Library *library.Library
 	// ParanoidVerify runs the independent bitstream oracle after every
-	// top-level automatic routing call: the configuration is serialized,
+	// top-level routing call: the configuration is serialized,
 	// re-extracted from raw frames, structurally checked, and compared
 	// against the live connection records. Any divergence fails the call.
 	// Debug/verification mode — every op pays a full-board audit.
@@ -172,7 +172,8 @@ func (s Stats) Sub(prev Stats) Stats {
 }
 
 // Connection records one routed net at the endpoint level, which is what
-// port memory restores after a core swap (§3.3).
+// port memory restores after a core swap (§3.3). Every PIP the router sets
+// belongs to one (see recKind).
 type Connection struct {
 	Source EndPoint
 	Sinks  []EndPoint
@@ -201,10 +202,23 @@ type Connection struct {
 	key                 int32
 	listed              bool
 	// retired marks a record whose net has been unrouted (it lives on in
-	// port memory); RestoreConnection flips it back. It shares a word with
-	// key and listed, which keeps a record at 176 bytes.
+	// port memory); RestoreConnection flips it back. It and kind share a
+	// word with key and listed, which keeps a record at 176 bytes.
 	retired bool
+	kind    recKind
 }
+
+// recKind says which call made a record: an automatic route (the only kind
+// the exact route cache learns), a level-1–3 call, or a clock — any record
+// sourced at a global clock net, which all share one source track, so each
+// owns only its own taps.
+type recKind uint8
+
+const (
+	netRec recKind = iota
+	manualRec
+	clockRec
+)
 
 // Router is the JRoute router over one device.
 type Router struct {
@@ -226,7 +240,7 @@ type Router struct {
 	fanoutBuf    []device.PIP
 	regionBuf    []device.Track // RipUpRegion: tracks over the rectangle
 	rootBuf      []int32        // RipUpRegion: their nets' root track indices
-	// curPath accumulates the PIPs committed by the automatic route call
+	// curPath accumulates the PIPs committed by the routing call
 	// in flight, snapshotted onto the Connection record by record().
 	curPath []device.PIP
 	// opDepth tracks nesting of verified routing calls so ParanoidVerify
@@ -332,11 +346,26 @@ func (r *Router) IsOn(row, col int, w arch.Wire) bool { return r.Dev.IsOn(row, c
 // single connection (i.e. the user decides the path). This can be useful in
 // cases where there is a real time constraint on the amount of time spent
 // configuring the device." (§3.1)
-func (r *Router) Route(row, col int, from, to arch.Wire) error {
-	if err := r.Dev.SetPIP(row, col, from, to); err != nil {
+func (r *Router) Route(row, col int, from, to arch.Wire) (err error) {
+	r.enterOp()
+	defer r.exitOp(&err)
+	r.curPath = r.curPath[:0]
+	if err := r.setManual(row, col, from, to); err != nil {
+		return err
+	}
+	r.recordManual()
+	return nil
+}
+
+// setManual sets one PIP of a level-1–3 or clock call and adds it to
+// curPath, unless it was already on: then it stays whoever's it was.
+func (r *Router) setManual(row, col int, from, to arch.Wire) error {
+	was := r.Dev.IsOn(row, col, to)
+	if err := r.Dev.SetPIP(row, col, from, to); err != nil || was {
 		return err
 	}
 	r.stats.PIPsSet++
+	r.curPath = append(r.curPath, device.PIP{Row: row, Col: col, From: from, To: to})
 	return nil
 }
 
@@ -346,7 +375,9 @@ func (r *Router) Route(row, col int, from, to arch.Wire) error {
 // example names SingleEast[5] at (5,7), whose continuation happens at
 // (5,8) where the same track is SingleWest[5]). On failure, any
 // connections already made by this call are turned off again.
-func (r *Router) RoutePath(p Path) error {
+func (r *Router) RoutePath(p Path) (err error) {
+	r.enterOp()
+	defer r.exitOp(&err)
 	if err := p.Validate(r.Dev.A); err != nil {
 		return err
 	}
@@ -355,45 +386,39 @@ func (r *Router) RoutePath(p Path) error {
 		return err
 	}
 	entry := device.Coord{Row: p.Row, Col: p.Col}
-	var applied []device.PIP
+	r.curPath = r.curPath[:0]
 	for _, w := range p.Wires[1:] {
-		taps := forwardFirst(r.Dev.Taps(cur), entry)
-		done := false
-		var lastErr error
-		for _, tp := range taps {
-			fromName := r.Dev.LocalName(cur, tp)
-			if fromName == arch.Invalid {
-				continue
-			}
-			if !r.Dev.A.PIPLegalLocal(fromName, w) {
-				continue
-			}
-			if err := r.Dev.SetPIP(tp.Row, tp.Col, fromName, w); err != nil {
-				lastErr = err
-				continue
-			}
-			q := device.PIP{Row: tp.Row, Col: tp.Col, From: fromName, To: w}
-			applied = append(applied, q)
-			r.stats.PIPsSet++
-			cur, err = r.Dev.Canon(tp.Row, tp.Col, w)
-			if err != nil {
-				r.unwind(applied)
-				return err
-			}
-			entry = tp
-			done = true
-			break
-		}
-		if !done {
-			r.unwind(applied)
-			if lastErr != nil {
-				return fmt.Errorf("core: path step onto %s: %w", r.Dev.A.WireName(w), lastErr)
-			}
-			return fmt.Errorf("core: path step onto %s has no legal connection from %s",
-				r.Dev.A.WireName(w), r.Dev.A.WireName(cur.W))
+		if cur, entry, err = r.pathStep(cur, entry, w); err != nil {
+			r.unwind(r.curPath)
+			r.backToEntry()
+			return err
 		}
 	}
+	r.recordManual()
 	return nil
+}
+
+// pathStep makes one RoutePath connection from track cur onto wire w,
+// trying the tiles where cur can be tapped farthest from entry first.
+func (r *Router) pathStep(cur device.Track, entry device.Coord, w arch.Wire) (device.Track, device.Coord, error) {
+	var lastErr error
+	for _, tp := range forwardFirst(r.Dev.Taps(cur), entry) {
+		fromName := r.Dev.LocalName(cur, tp)
+		if fromName == arch.Invalid || !r.Dev.A.PIPLegalLocal(fromName, w) {
+			continue
+		}
+		if err := r.setManual(tp.Row, tp.Col, fromName, w); err != nil {
+			lastErr = err
+			continue
+		}
+		next, err := r.Dev.Canon(tp.Row, tp.Col, w)
+		return next, tp, err
+	}
+	if lastErr != nil {
+		return cur, entry, fmt.Errorf("core: path step onto %s: %w", r.Dev.A.WireName(w), lastErr)
+	}
+	return cur, entry, fmt.Errorf("core: path step onto %s has no legal connection from %s",
+		r.Dev.A.WireName(w), r.Dev.A.WireName(cur.W))
 }
 
 // forwardFirst orders tap tiles so the ones farthest from the entry tile
@@ -417,7 +442,9 @@ func abs(v int) int {
 // RouteTemplate routes from a start pin to an end wire following a
 // template: "the user ... specify a template and the router picks the
 // wires" (§3.1).
-func (r *Router) RouteTemplate(src Pin, endWire arch.Wire, t Template) error {
+func (r *Router) RouteTemplate(src Pin, endWire arch.Wire, t Template) (err error) {
+	r.enterOp()
+	defer r.exitOp(&err)
 	start, err := r.Dev.Canon(src.Row, src.Col, src.W)
 	if err != nil {
 		return err
@@ -427,7 +454,36 @@ func (r *Router) RouteTemplate(src Pin, endWire arch.Wire, t Template) error {
 		return err
 	}
 	r.stats.NodesExplored += route.Explored
-	return r.apply(route)
+	r.curPath = r.curPath[:0]
+	if err := r.apply(route); err != nil {
+		r.backToEntry()
+		return err
+	}
+	r.recordManual()
+	return nil
+}
+
+// recordManual records the PIPs a level-1–3 call turned on as one
+// Connection sunk at the last track it drove. An extension of a live net
+// goes with that net: its record takes the source endpoint of the net's
+// oldest record (the root pin when there is none).
+func (r *Router) recordManual() {
+	if len(r.curPath) == 0 {
+		return
+	}
+	first, last := r.curPath[0], r.curPath[len(r.curPath)-1]
+	start, _ := r.Dev.CanonOK(first.Row, first.Col, first.From)
+	root := start
+	for p, ok := r.Dev.DriverOf(root); ok; p, ok = r.Dev.DriverOf(root) {
+		if root, _ = r.Dev.CanonOK(p.Row, p.Col, p.From); root == start {
+			break // a routing loop has no root
+		}
+	}
+	var source EndPoint = NewPin(root.Row, root.Col, root.W)
+	if c := r.conns.bucket(r.Dev.TrackIndex(root)); c != nil {
+		source = c.Source
+	}
+	r.record(manualRec, source, NewPin(last.Row, last.Col, last.To))
 }
 
 // unwind clears pips newest-first, so each cleared PIP's target has no
@@ -633,7 +689,7 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 			if r.tryReplay(srcTrack, path, 0, 0) {
 				r.stats.Routes += len(pins)
 				r.stats.CacheHits++
-				r.record(source, sinks...)
+				r.record(netRec, source, sinks...)
 				return nil
 			}
 			r.stats.ReplayFails++
@@ -660,7 +716,7 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 			return err
 		}
 	}
-	r.record(source, sinks...)
+	r.record(netRec, source, sinks...)
 	return nil
 }
 
@@ -698,9 +754,9 @@ func (r *Router) RouteBus(sources, sinks []EndPoint) (err error) {
 
 // RouteClock connects a dedicated global clock net to the clock pins of the
 // given endpoints using the dedicated low-skew resources (§2's global
-// routing; clock distribution does not consume general routing). It records
-// no Connection: clock nets are outside port memory, the oracle claims and
-// SnapshotConnections (see restore.go).
+// routing; clock distribution does not consume general routing). Either
+// every tap goes on or none does. The call leaves one record: its source is
+// the global net, its sinks the taps it turned on (not those already on).
 func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
@@ -708,23 +764,23 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 	if gw == arch.Invalid {
 		return fmt.Errorf("core: no global clock %d", g)
 	}
-	// All or nothing: curPath collects the taps this call turns on, so a
-	// failure takes down those and leaves a tap that was already on.
 	r.curPath = r.curPath[:0]
+	var taps []EndPoint
 	for _, s := range sinks {
 		for _, p := range s.Pins() {
-			was := r.Dev.IsOn(p.Row, p.Col, p.W)
-			if err := r.Dev.SetPIP(p.Row, p.Col, gw, p.W); err != nil {
+			n := len(r.curPath)
+			if err := r.setManual(p.Row, p.Col, gw, p.W); err != nil {
 				r.unwind(r.curPath)
-				r.curPath = r.curPath[:0]
 				r.backToEntry()
 				return err
 			}
-			r.stats.PIPsSet++
-			if !was {
-				r.curPath = append(r.curPath, device.PIP{Row: p.Row, Col: p.Col, From: gw, To: p.W})
+			if len(r.curPath) > n {
+				taps = append(taps, p)
 			}
 		}
+	}
+	if len(taps) > 0 {
+		r.record(clockRec, NewPin(0, 0, gw), taps...)
 	}
 	return nil
 }
@@ -733,13 +789,16 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 // the PIP path the call committed (and the pins the endpoints resolved to)
 // so restores can replay it later. The snapshot is unconditional — path
 // memory belongs to the connection record, not the route cache.
-func (r *Router) record(source EndPoint, sinks ...EndPoint) {
-	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...)}
+func (r *Router) record(kind recKind, source EndPoint, sinks ...EndPoint) {
+	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...), kind: kind}
 	if len(r.curPath) > 0 {
 		if src, err := sourcePin(source); err == nil {
 			c.Path = append([]device.PIP(nil), r.curPath...)
 			c.srcPin = src
 			c.sinkPins = flattenPins(c.Sinks)
+			if r.Dev.A.ClassOf(src.W).Kind == arch.KindGClk {
+				c.kind = clockRec
+			}
 		}
 	}
 	r.conns.insert(c, r.sourceKey(source))

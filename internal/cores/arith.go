@@ -51,10 +51,11 @@ func (a *ConstAdder) sumPin(i int) core.Pin {
 // Implement configures the adder at its placement and routes the carry
 // chain, binding all ports (§3.2: "the router needs to be called for each
 // port defined").
-func (a *ConstAdder) Implement(r *core.Router) error {
-	if err := a.checkPlacement(r.Dev); err != nil {
+func (a *ConstAdder) Implement(r *core.Router) (err error) {
+	if err := a.begin(r); err != nil {
 		return err
 	}
+	defer a.settle(r, a, &err)
 	for i := 0; i < a.Bits; i++ {
 		row, col, s := a.bitSite(i)
 		k := a.K>>uint(i)&1 != 0
@@ -82,10 +83,10 @@ func (a *ConstAdder) Implement(r *core.Router) error {
 	for i := 0; i+1 < a.Bits; i++ {
 		row, col, s := a.bitSite(i)
 		if s == 0 {
-			if err := a.routePIP(r, row, col, arch.S0Y, arch.S1F2); err != nil {
+			if err := r.Route(row, col, arch.S0Y, arch.S1F2); err != nil {
 				return err
 			}
-			if err := a.routePIP(r, row, col, arch.S0Y, arch.S1G2); err != nil {
+			if err := r.Route(row, col, arch.S0Y, arch.S1G2); err != nil {
 				return err
 			}
 		} else {
@@ -94,7 +95,7 @@ func (a *ConstAdder) Implement(r *core.Router) error {
 				core.NewPin(row+1, col, arch.S0F2),
 				core.NewPin(row+1, col, arch.S0G2),
 			}
-			if err := a.routeInternal(r, src, sinks...); err != nil {
+			if err := r.RouteFanout(src, sinks); err != nil {
 				return err
 			}
 		}
@@ -115,7 +116,7 @@ func (a *ConstAdder) Implement(r *core.Router) error {
 		return err
 	}
 	if a.Registered {
-		var clkPins []core.Pin
+		var clkPins []core.EndPoint
 		for i := 0; i < a.Bits; i++ {
 			row, col, s := a.bitSite(i)
 			clk := arch.S0CLK
@@ -124,11 +125,10 @@ func (a *ConstAdder) Implement(r *core.Router) error {
 			}
 			clkPins = append(clkPins, core.NewPin(row, col, clk))
 		}
-		if err := a.routeClock(r, a.Clock, clkPins...); err != nil {
+		if err := r.RouteClock(a.Clock, clkPins...); err != nil {
 			return err
 		}
 	}
-	a.implemented = true
 	return nil
 }
 
@@ -180,10 +180,11 @@ func NewCounter(name string, bits int, step uint64) (*Counter, error) {
 // Implement places and implements the internal adder, feeds the registered
 // sums back to the x inputs with a bus route, and re-exports the sums as
 // the "q" group.
-func (c *Counter) Implement(r *core.Router) error {
-	if err := c.checkPlacement(r.Dev); err != nil {
+func (c *Counter) Implement(r *core.Router) (err error) {
+	if err := c.begin(r); err != nil {
 		return err
 	}
+	defer c.settle(r, c, &err)
 	c.adder.Clock = c.Clock
 	if err := c.adder.Place(c.row, c.col); err != nil {
 		return err
@@ -194,14 +195,13 @@ func (c *Counter) Implement(r *core.Router) error {
 	sums := c.adder.Group("sum").Ports()
 	xs := c.adder.Group("x").Ports()
 	for i := 0; i < c.Bits; i++ {
-		if err := c.routeInternal(r, sums[i], xs[i]); err != nil {
+		if err := r.RouteNet(sums[i], xs[i]); err != nil {
 			return err
 		}
 		if err := c.port("q", i, core.Out).BindPort(sums[i]); err != nil {
 			return err
 		}
 	}
-	c.implemented = true
 	return nil
 }
 
@@ -211,9 +211,10 @@ func (c *Counter) SetStep(r *core.Router, step uint64) error {
 	return c.adder.SetConstant(r, step)
 }
 
-// Remove unroutes the feedback bus and removes the internal adder.
+// Remove unroutes the feedback bus and removes the internal adder (if a
+// failed Implement got that far).
 func (c *Counter) Remove(r *core.Router) error {
-	if err := c.Base.Remove(r); err != nil {
+	if err := c.Base.Remove(r); err != nil || !c.adder.Implemented() {
 		return err
 	}
 	return c.adder.Remove(r)

@@ -61,10 +61,11 @@ var (
 
 // Implement configures the adder, routes its carry chain, and binds all
 // ports.
-func (a *Adder2) Implement(r *core.Router) error {
-	if err := a.checkPlacement(r.Dev); err != nil {
+func (a *Adder2) Implement(r *core.Router) (err error) {
+	if err := a.begin(r); err != nil {
 		return err
 	}
+	defer a.settle(r, a, &err)
 	for i := 0; i < a.Bits; i++ {
 		row, col, s := a.bitSite(i)
 		if err := a.setLUT(r.Dev, row, col, s*2+0, truthSum3); err != nil {
@@ -93,10 +94,10 @@ func (a *Adder2) Implement(r *core.Router) error {
 	for i := 0; i+1 < a.Bits; i++ {
 		row, col, s := a.bitSite(i)
 		if s == 0 {
-			if err := a.routePIP(r, row, col, arch.S0Y, arch.S1F2); err != nil {
+			if err := r.Route(row, col, arch.S0Y, arch.S1F2); err != nil {
 				return err
 			}
-			if err := a.routePIP(r, row, col, arch.S0Y, arch.S1G2); err != nil {
+			if err := r.Route(row, col, arch.S0Y, arch.S1G2); err != nil {
 				return err
 			}
 		} else {
@@ -105,7 +106,7 @@ func (a *Adder2) Implement(r *core.Router) error {
 				core.NewPin(row+1, col, arch.S0F2),
 				core.NewPin(row+1, col, arch.S0G2),
 			}
-			if err := a.routeInternal(r, src, sinks...); err != nil {
+			if err := r.RouteFanout(src, sinks); err != nil {
 				return err
 			}
 		}
@@ -125,7 +126,7 @@ func (a *Adder2) Implement(r *core.Router) error {
 		return err
 	}
 	if a.Registered {
-		var clkPins []core.Pin
+		var clkPins []core.EndPoint
 		for i := 0; i < a.Bits; i++ {
 			row, col, s := a.bitSite(i)
 			clk := arch.S0CLK
@@ -134,11 +135,10 @@ func (a *Adder2) Implement(r *core.Router) error {
 			}
 			clkPins = append(clkPins, core.NewPin(row, col, clk))
 		}
-		if err := a.routeClock(r, a.Clock, clkPins...); err != nil {
+		if err := r.RouteClock(a.Clock, clkPins...); err != nil {
 			return err
 		}
 	}
-	a.implemented = true
 	return nil
 }
 
@@ -191,10 +191,11 @@ func (m *MAC) AccBits() int { return m.mul.OutBits() + AccExtra }
 
 // Implement places and implements the subcores, buses them together, and
 // re-exports the outer ports.
-func (m *MAC) Implement(r *core.Router) error {
-	if err := m.checkPlacement(r.Dev); err != nil {
+func (m *MAC) Implement(r *core.Router) (err error) {
+	if err := m.begin(r); err != nil {
 		return err
 	}
+	defer m.settle(r, m, &err)
 	m.add.Clock = m.Clock
 	m.reg.Clock = m.Clock
 	if err := m.mul.Place(m.row, m.col); err != nil {
@@ -219,7 +220,7 @@ func (m *MAC) Implement(r *core.Router) error {
 	pPorts := m.mul.Group("p").Ports()
 	aPorts := m.add.Group("a").Ports()
 	for i := range pPorts {
-		if err := m.routeInternal(r, pPorts[i], aPorts[i]); err != nil {
+		if err := r.RouteNet(pPorts[i], aPorts[i]); err != nil {
 			return err
 		}
 	}
@@ -230,10 +231,10 @@ func (m *MAC) Implement(r *core.Router) error {
 	dPorts := m.reg.Group("d").Ports()
 	sPorts := m.add.Group("sum").Ports()
 	for i := 0; i < m.AccBits(); i++ {
-		if err := m.routeInternal(r, qPorts[i], bPorts[i]); err != nil {
+		if err := r.RouteNet(qPorts[i], bPorts[i]); err != nil {
 			return err
 		}
-		if err := m.routeInternal(r, sPorts[i], dPorts[i]); err != nil {
+		if err := r.RouteNet(sPorts[i], dPorts[i]); err != nil {
 			return err
 		}
 	}
@@ -248,7 +249,6 @@ func (m *MAC) Implement(r *core.Router) error {
 			return err
 		}
 	}
-	m.implemented = true
 	return nil
 }
 
@@ -258,14 +258,16 @@ func (m *MAC) SetConstant(r *core.Router, k uint64) error {
 	return m.mul.SetConstant(r, k)
 }
 
-// Remove unroutes the internal buses and removes the subcores.
+// Remove unroutes the internal buses and removes the subcores (those a
+// failed Implement got to).
 func (m *MAC) Remove(r *core.Router) error {
 	if err := m.Base.Remove(r); err != nil {
 		return err
 	}
-	for _, sub := range []interface {
-		Remove(*core.Router) error
-	}{m.mul, m.add, m.reg} {
+	for _, sub := range []Core{m.mul, m.add, m.reg} {
+		if !sub.Implemented() {
+			continue
+		}
 		if err := sub.Remove(r); err != nil {
 			return err
 		}

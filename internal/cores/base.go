@@ -19,7 +19,6 @@ package cores
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
 )
@@ -34,9 +33,8 @@ type Base struct {
 
 	groups map[string]*core.Group
 
-	lutCells  []lutCell
-	clockPIPs []device.PIP
-	internal  []core.EndPoint // sources of internally routed nets
+	lutCells []lutCell
+	since    uint64 // the router's Seq when Implement began (see Remove)
 }
 
 type lutCell struct {
@@ -105,22 +103,36 @@ func (b *Base) port(group string, i int, dir core.PortDir) *core.Port {
 	return g.Ports()[i]
 }
 
-func (b *Base) checkPlacement(dev *device.Device) error {
+// begin starts an Implement: the core must be placed on a free, in-bounds
+// rectangle. An Implement that gets past begin ends with settle.
+func (b *Base) begin(r *core.Router) error {
 	if !b.placed {
 		return fmt.Errorf("cores: %s is not placed", b.name)
 	}
-	if b.row < 0 || b.col < 0 || b.row+b.height > dev.Rows || b.col+b.width > dev.Cols {
+	if b.row < 0 || b.col < 0 || b.row+b.height > r.Dev.Rows || b.col+b.width > r.Dev.Cols {
 		return fmt.Errorf("cores: %s at (%d,%d) size %dx%d does not fit the %dx%d array",
-			b.name, b.row, b.col, b.width, b.height, dev.Rows, dev.Cols)
+			b.name, b.row, b.col, b.width, b.height, r.Dev.Rows, r.Dev.Cols)
 	}
-	for r := b.row; r < b.row+b.height; r++ {
-		for c := b.col; c < b.col+b.width; c++ {
-			if dev.CLBActive(r, c) {
-				return fmt.Errorf("cores: %s overlaps configured CLB (%d,%d)", b.name, r, c)
+	for row := b.row; row < b.row+b.height; row++ {
+		for col := b.col; col < b.col+b.width; col++ {
+			if r.Dev.CLBActive(row, col) {
+				return fmt.Errorf("cores: %s overlaps configured CLB (%d,%d)", b.name, row, col)
 			}
 		}
 	}
+	b.since = r.Seq()
 	return nil
+}
+
+// settle ends an Implement that got past begin: c is implemented, or, when
+// *err is set, c.Remove takes back whatever the failed call had set.
+func (b *Base) settle(r *core.Router, c Core, err *error) {
+	b.implemented = true
+	if *err != nil {
+		if rerr := c.Remove(r); rerr != nil {
+			*err = fmt.Errorf("%w (and undoing it: %v)", *err, rerr)
+		}
+	}
 }
 
 // setLUT configures a LUT and records it for Remove.
@@ -132,76 +144,17 @@ func (b *Base) setLUT(dev *device.Device, row, col, n int, truth uint16) error {
 	return nil
 }
 
-// routeInternal routes an internal net and records its source for Remove.
-func (b *Base) routeInternal(r *core.Router, src core.EndPoint, sinks ...core.EndPoint) error {
-	var err error
-	if len(sinks) == 1 {
-		err = r.RouteNet(src, sinks[0])
-	} else {
-		err = r.RouteFanout(src, sinks)
-	}
-	if err != nil {
-		return err
-	}
-	b.internal = append(b.internal, src)
-	return nil
-}
-
-// routePIP turns on a single internal PIP (used for carry chains and other
-// local connections) and records it via an implicit net source.
-func (b *Base) routePIP(r *core.Router, row, col int, from, to arch.Wire) error {
-	if err := r.Route(row, col, from, to); err != nil {
-		return err
-	}
-	src, err := r.Dev.Canon(row, col, from)
-	if err != nil {
-		return err
-	}
-	b.internal = append(b.internal, core.NewPin(src.Row, src.Col, src.W))
-	return nil
-}
-
-// routeClock distributes a global clock to the core's clock pins.
-func (b *Base) routeClock(r *core.Router, g int, pins ...core.Pin) error {
-	for _, p := range pins {
-		if err := r.RouteClock(g, p); err != nil {
-			return err
-		}
-		b.clockPIPs = append(b.clockPIPs, device.PIP{Row: p.Row, Col: p.Col, From: arch.GClk(g), To: p.W})
-	}
-	return nil
-}
-
-// Remove takes the core off the device: internal nets are unrouted, clock
-// taps cleared, LUTs and FF inits wiped. External connections to the
-// core's ports must be unrouted by the caller first (they are the user's
-// nets); the router remembers them for Reconnect (§3.3).
+// Remove takes the core off the device: what its Implement routed (the
+// records made since, inside the footprint) is unrouted, and LUTs and FF
+// inits are wiped. External connections to the core's ports must be
+// unrouted by the caller first (they are the user's nets); the router
+// remembers them for Reconnect (§3.3).
 func (b *Base) Remove(r *core.Router) error {
 	if !b.implemented {
 		return fmt.Errorf("cores: %s is not implemented", b.name)
 	}
-	// Unroute internal nets, deduplicated by source.
-	seen := map[core.Pin]bool{}
-	for _, src := range b.internal {
-		pins := src.Pins()
-		if len(pins) == 1 && seen[pins[0]] {
-			continue
-		}
-		if len(pins) == 1 {
-			seen[pins[0]] = true
-		}
-		if err := r.Unroute(src); err != nil {
-			// The net may already be gone if several internal
-			// records shared a source; tolerate only that case.
-			if sourceStillDrives(r, pins) {
-				return fmt.Errorf("cores: removing %s: %w", b.name, err)
-			}
-		}
-	}
-	for _, p := range b.clockPIPs {
-		if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
-			return err
-		}
+	if err := r.UnrouteWithin(b.row, b.col, b.height, b.width, b.since); err != nil {
+		return fmt.Errorf("cores: removing %s: %w", b.name, err)
 	}
 	for _, lc := range b.lutCells {
 		if err := r.Dev.ClearLUT(lc.row, lc.col, lc.n); err != nil {
@@ -214,19 +167,6 @@ func (b *Base) Remove(r *core.Router) error {
 		}
 	}
 	b.lutCells = nil
-	b.clockPIPs = nil
-	b.internal = nil
 	b.implemented = false
 	return nil
-}
-
-// sourceStillDrives reports whether any of the pins still sources an
-// on-PIP.
-func sourceStillDrives(r *core.Router, pins []core.Pin) bool {
-	for _, p := range pins {
-		if t, ok := r.Dev.CanonOK(p.Row, p.Col, p.W); ok && r.Dev.FanoutCount(t) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -51,10 +51,11 @@ func (m *ConstMul) lutSite(j int) (row, col, n int) {
 func lutOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + n%2) }
 
 // Implement configures the product LUTs and binds the ports.
-func (m *ConstMul) Implement(r *core.Router) error {
-	if err := m.checkPlacement(r.Dev); err != nil {
+func (m *ConstMul) Implement(r *core.Router) (err error) {
+	if err := m.begin(r); err != nil {
 		return err
 	}
+	defer m.settle(r, m, &err)
 	out := m.OutBits()
 	// Each x bit enters input i+1 of every product LUT.
 	xPins := make([][]core.Pin, 4)
@@ -75,7 +76,6 @@ func (m *ConstMul) Implement(r *core.Router) error {
 			return err
 		}
 	}
-	m.implemented = true
 	return nil
 }
 

@@ -27,29 +27,23 @@ func LearnStdlib(a *arch.Arch, rows, cols int, b *library.Builder) (int, error) 
 	}
 	r := core.New(dev)
 
-	type coreLike interface {
-		Place(row, col int) error
-		Implement(r *core.Router) error
-		Remove(r *core.Router) error
-		Bounds() (row, col, width, height int)
-	}
 	// Each exercise builds one unplaced core. Constructors that cannot fail
 	// with these literals panic on error — a failure here is a programming
 	// bug in the manifest, not an input condition.
-	must := func(c coreLike, err error) coreLike {
+	must := func(c Core, err error) Core {
 		if err != nil {
 			panic(fmt.Sprintf("cores: stdlib manifest: %v", err))
 		}
 		return c
 	}
-	exercises := []func() coreLike{
-		func() coreLike { return must(NewConstAdder("lib.add", 4, 1, false)) },
-		func() coreLike { return must(NewConstAdder("lib.addr", 4, 3, true)) },
-		func() coreLike { return must(NewCounter("lib.ctr", 4, 1)) },
-		func() coreLike { return must(NewShiftRegister("lib.shift", 8)) },
-		func() coreLike { return must(NewConstMul("lib.mul", 5, 4)) },
-		func() coreLike { return must(NewRegister("lib.reg", 4)) },
-		func() coreLike { return NewRAM16x8("lib.ram", [arch.BRAMWords]byte{}) },
+	exercises := []func() Core{
+		func() Core { return must(NewConstAdder("lib.add", 4, 1, false)) },
+		func() Core { return must(NewConstAdder("lib.addr", 4, 3, true)) },
+		func() Core { return must(NewCounter("lib.ctr", 4, 1)) },
+		func() Core { return must(NewShiftRegister("lib.shift", 8)) },
+		func() Core { return must(NewConstMul("lib.mul", 5, 4)) },
+		func() Core { return must(NewRegister("lib.reg", 4)) },
+		func() Core { return NewRAM16x8("lib.ram", [arch.BRAMWords]byte{}) },
 	}
 	for _, mk := range exercises {
 		c := mk()

@@ -24,10 +24,11 @@ func NewComparator4(name string) *Comparator4 {
 }
 
 // Implement configures the comparator at its placement.
-func (c *Comparator4) Implement(r *core.Router) error {
-	if err := c.checkPlacement(r.Dev); err != nil {
+func (c *Comparator4) Implement(r *core.Router) (err error) {
+	if err := c.begin(r); err != nil {
 		return err
 	}
+	defer c.settle(r, c, &err)
 	row, col := c.row, c.col
 	// S0F compares bits 0,1; S1F compares bits 2,3; S0G ANDs them.
 	if err := c.setLUT(r.Dev, row, col, 0, TruthEq2); err != nil { // S0F
@@ -41,10 +42,10 @@ func (c *Comparator4) Implement(r *core.Router) error {
 	}
 	// eq01 (S0X) reaches S0G1 by local feedback; eq23 (S1X) crosses
 	// slices through the routing matrix.
-	if err := c.routePIP(r, row, col, arch.S0X, arch.S0G1); err != nil {
+	if err := r.Route(row, col, arch.S0X, arch.S0G1); err != nil {
 		return err
 	}
-	if err := c.routeInternal(r, core.NewPin(row, col, arch.S1X),
+	if err := r.RouteNet(core.NewPin(row, col, arch.S1X),
 		core.NewPin(row, col, arch.S0G2)); err != nil {
 		return err
 	}
@@ -69,7 +70,6 @@ func (c *Comparator4) Implement(r *core.Router) error {
 	if err := c.port("eq", 0, core.Out).Bind(core.NewPin(row, col, arch.S0Y)); err != nil {
 		return err
 	}
-	c.implemented = true
 	return nil
 }
 
@@ -99,10 +99,11 @@ func (m *Mux2) bitSite(i int) (row, col, n int) {
 }
 
 // Implement configures the mux LUTs and binds ports.
-func (m *Mux2) Implement(r *core.Router) error {
-	if err := m.checkPlacement(r.Dev); err != nil {
+func (m *Mux2) Implement(r *core.Router) (err error) {
+	if err := m.begin(r); err != nil {
 		return err
 	}
+	defer m.settle(r, m, &err)
 	var selPins []core.Pin
 	for i := 0; i < m.Bits; i++ {
 		row, col, n := m.bitSite(i)
@@ -123,6 +124,5 @@ func (m *Mux2) Implement(r *core.Router) error {
 	if err := m.port("sel", 0, core.In).Bind(selPins...); err != nil {
 		return err
 	}
-	m.implemented = true
 	return nil
 }

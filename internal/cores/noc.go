@@ -131,10 +131,11 @@ func (nd *RouterNode) InjectPort() *core.Port { return nd.port("inject", 0, core
 
 // Implement configures the four forwarding LUTs, binds the ports, and
 // routes the clock to both slices.
-func (nd *RouterNode) Implement(r *core.Router) error {
-	if err := nd.checkPlacement(r.Dev); err != nil {
+func (nd *RouterNode) Implement(r *core.Router) (err error) {
+	if err := nd.begin(r); err != nil {
 		return err
 	}
+	defer nd.settle(r, nd, &err)
 	for d := East; d <= South; d++ {
 		n := nd.outLUT(d)
 		if err := nd.setLUT(r.Dev, nd.row, nd.col, n, nd.truth(d)); err != nil {
@@ -166,12 +167,11 @@ func (nd *RouterNode) Implement(r *core.Router) error {
 	if err := nd.port("inject", 0, core.In).Bind(inj...); err != nil {
 		return err
 	}
-	if err := nd.routeClock(r, nd.Clock,
+	if err := r.RouteClock(nd.Clock,
 		core.NewPin(nd.row, nd.col, arch.S0CLK),
 		core.NewPin(nd.row, nd.col, arch.S1CLK)); err != nil {
 		return err
 	}
-	nd.implemented = true
 	return nil
 }
 
@@ -218,10 +218,11 @@ func NewObstacle(name string, width, height int) *Obstacle {
 }
 
 // Implement claims every CLB in the rectangle.
-func (o *Obstacle) Implement(r *core.Router) error {
-	if err := o.checkPlacement(r.Dev); err != nil {
+func (o *Obstacle) Implement(r *core.Router) (err error) {
+	if err := o.begin(r); err != nil {
 		return err
 	}
+	defer o.settle(r, o, &err)
 	for row := o.row; row < o.row+o.height; row++ {
 		for col := o.col; col < o.col+o.width; col++ {
 			if r.Dev.A.BRAMColumn(col) {
@@ -234,7 +235,6 @@ func (o *Obstacle) Implement(r *core.Router) error {
 			}
 		}
 	}
-	o.implemented = true
 	return nil
 }
 

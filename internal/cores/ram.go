@@ -40,7 +40,7 @@ func NewROM16x8(name string, table [arch.BRAMWords]byte) *RAM16x8 {
 
 // Implement configures the site and binds the ports. The placement column
 // must be a BRAM column of the architecture.
-func (m *RAM16x8) Implement(r *core.Router) error {
+func (m *RAM16x8) Implement(r *core.Router) (err error) {
 	if !m.placed {
 		return fmt.Errorf("cores: %s is not placed", m.name)
 	}
@@ -54,6 +54,8 @@ func (m *RAM16x8) Implement(r *core.Router) error {
 	if _, used := r.Dev.GetBRAMInit(m.row, m.col); used {
 		return fmt.Errorf("cores: BRAM site (%d,%d) already in use", m.row, m.col)
 	}
+	m.since = r.Seq()
+	defer m.settle(r, m, &err)
 	if err := r.Dev.SetBRAMInit(m.row, m.col, m.Contents); err != nil {
 		return err
 	}
@@ -75,10 +77,9 @@ func (m *RAM16x8) Implement(r *core.Router) error {
 			return err
 		}
 	}
-	if err := m.routeClock(r, m.Clock, core.NewPin(m.row, m.col, arch.BRAMClk())); err != nil {
+	if err := r.RouteClock(m.Clock, core.NewPin(m.row, m.col, arch.BRAMClk())); err != nil {
 		return err
 	}
-	m.implemented = true
 	return nil
 }
 
@@ -96,9 +97,6 @@ func (m *RAM16x8) SetContents(r *core.Router, contents [arch.BRAMWords]byte) err
 // Remove clears the site and its clock tap. External nets to the ports
 // must be unrouted by the caller first (§3.3), as with every core.
 func (m *RAM16x8) Remove(r *core.Router) error {
-	if !m.implemented {
-		return fmt.Errorf("cores: %s is not implemented", m.name)
-	}
 	if err := m.Base.Remove(r); err != nil {
 		return err
 	}

@@ -37,12 +37,12 @@ func ffOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + 2 + n%2) }
 
 // Implement configures buffer LUTs in front of the flip-flops, binds the
 // ports, and routes the clock.
-func (reg *Register) Implement(r *core.Router) error {
-	if err := reg.checkPlacement(r.Dev); err != nil {
+func (reg *Register) Implement(r *core.Router) (err error) {
+	if err := reg.begin(r); err != nil {
 		return err
 	}
-	clkSeen := map[core.Pin]bool{}
-	var clkPins []core.Pin
+	defer reg.settle(r, reg, &err)
+	var clkPins []core.EndPoint
 	for i := 0; i < reg.Bits; i++ {
 		row, col, n := reg.bitSite(i)
 		if err := reg.setLUT(r.Dev, row, col, n, TruthBuf); err != nil {
@@ -58,16 +58,11 @@ func (reg *Register) Implement(r *core.Router) error {
 		if n/2 == 1 {
 			clk = arch.S1CLK
 		}
-		cp := core.NewPin(row, col, clk)
-		if !clkSeen[cp] {
-			clkSeen[cp] = true
-			clkPins = append(clkPins, cp)
-		}
+		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
-	if err := reg.routeClock(r, reg.Clock, clkPins...); err != nil {
+	if err := r.RouteClock(reg.Clock, clkPins...); err != nil {
 		return err
 	}
-	reg.implemented = true
 	return nil
 }
 
@@ -113,12 +108,12 @@ func (l *LFSR) qPin(i int) core.Pin {
 
 // Implement configures the shift and feedback logic, seeds the state via
 // flip-flop init values, binds "q", and routes the clock.
-func (l *LFSR) Implement(r *core.Router) error {
-	if err := l.checkPlacement(r.Dev); err != nil {
+func (l *LFSR) Implement(r *core.Router) (err error) {
+	if err := l.begin(r); err != nil {
 		return err
 	}
-	clkSeen := map[core.Pin]bool{}
-	var clkPins []core.Pin
+	defer l.settle(r, l, &err)
+	var clkPins []core.EndPoint
 	for i := 0; i < l.Bits; i++ {
 		row, col, n := l.bitSite(i)
 		truth := TruthBuf
@@ -138,17 +133,13 @@ func (l *LFSR) Implement(r *core.Router) error {
 		if n/2 == 1 {
 			clk = arch.S1CLK
 		}
-		cp := core.NewPin(row, col, clk)
-		if !clkSeen[cp] {
-			clkSeen[cp] = true
-			clkPins = append(clkPins, cp)
-		}
+		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
 	// Shift connections: q[i-1] -> d[i] (input 1 of LUT i).
 	for i := 1; i < l.Bits; i++ {
 		row, col, n := l.bitSite(i)
 		d := core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))
-		if err := l.routeInternal(r, l.qPin(i-1), d); err != nil {
+		if err := r.RouteNet(l.qPin(i-1), d); err != nil {
 			return err
 		}
 	}
@@ -156,15 +147,14 @@ func (l *LFSR) Implement(r *core.Router) error {
 	row0, col0, n0 := l.bitSite(0)
 	fa := core.NewPin(row0, col0, arch.LUTInput(n0/2, n0%2, 1))
 	fb := core.NewPin(row0, col0, arch.LUTInput(n0/2, n0%2, 2))
-	if err := l.routeInternal(r, l.qPin(l.TapA), fa); err != nil {
+	if err := r.RouteNet(l.qPin(l.TapA), fa); err != nil {
 		return err
 	}
-	if err := l.routeInternal(r, l.qPin(l.TapB), fb); err != nil {
+	if err := r.RouteNet(l.qPin(l.TapB), fb); err != nil {
 		return err
 	}
-	if err := l.routeClock(r, l.Clock, clkPins...); err != nil {
+	if err := r.RouteClock(l.Clock, clkPins...); err != nil {
 		return err
 	}
-	l.implemented = true
 	return nil
 }

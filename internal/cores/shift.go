@@ -40,12 +40,12 @@ func (s *ShiftRegister) qPin(i int) core.Pin {
 
 // Implement configures buffer LUTs, routes the shift chain, binds ports,
 // and routes the clock.
-func (s *ShiftRegister) Implement(r *core.Router) error {
-	if err := s.checkPlacement(r.Dev); err != nil {
+func (s *ShiftRegister) Implement(r *core.Router) (err error) {
+	if err := s.begin(r); err != nil {
 		return err
 	}
-	clkSeen := map[core.Pin]bool{}
-	var clkPins []core.Pin
+	defer s.settle(r, s, &err)
+	var clkPins []core.EndPoint
 	for i := 0; i < s.Bits; i++ {
 		row, col, n := s.bitSite(i)
 		if err := s.setLUT(r.Dev, row, col, n, TruthBuf); err != nil {
@@ -58,11 +58,7 @@ func (s *ShiftRegister) Implement(r *core.Router) error {
 		if n/2 == 1 {
 			clk = arch.S1CLK
 		}
-		cp := core.NewPin(row, col, clk)
-		if !clkSeen[cp] {
-			clkSeen[cp] = true
-			clkPins = append(clkPins, cp)
-		}
+		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
 	// The serial input enters bit 0's LUT.
 	row0, col0, n0 := s.bitSite(0)
@@ -75,13 +71,12 @@ func (s *ShiftRegister) Implement(r *core.Router) error {
 	for i := 1; i < s.Bits; i++ {
 		row, col, n := s.bitSite(i)
 		d := core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))
-		if err := s.routeInternal(r, s.qPin(i-1), d); err != nil {
+		if err := r.RouteNet(s.qPin(i-1), d); err != nil {
 			return err
 		}
 	}
-	if err := s.routeClock(r, s.Clock, clkPins...); err != nil {
+	if err := r.RouteClock(s.Clock, clkPins...); err != nil {
 		return err
 	}
-	s.implemented = true
 	return nil
 }

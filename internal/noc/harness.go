@@ -74,7 +74,7 @@ func (h *Harness) Audit() error {
 	if err != nil {
 		return err
 	}
-	if err := oracle.Audit(h.Dev.A, stream, h.R.OracleClaims(), false); err != nil {
+	if err := oracle.Audit(h.Dev.A, stream, h.R.OracleClaims(), true); err != nil {
 		return fmt.Errorf("noc: oracle audit: %w", err)
 	}
 	h.Audits++

@@ -437,34 +437,28 @@ func (n *Netlist) Check() []Violation {
 	return out
 }
 
-// reach walks the net rooted at track src and returns the set of canonical
-// sink tracks it terminates at.
+// reach walks the net rooted at track src and returns every track it
+// reaches.
 func (n *Netlist) reach(src device.Track) map[device.Key]bool {
-	sinks := make(map[device.Key]bool)
 	seen := map[device.Key]bool{src.Key(): true}
 	queue := []device.Track{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, p := range n.fanout[cur.Key()] {
-			t, ok := n.Rules.CanonOK(p.Row, p.Col, p.To)
-			if !ok || seen[t.Key()] {
-				continue
+			if t, ok := n.Rules.CanonOK(p.Row, p.Col, p.To); ok && !seen[t.Key()] {
+				seen[t.Key()] = true
+				queue = append(queue, t)
 			}
-			seen[t.Key()] = true
-			if sinkKind(n.A.ClassOf(t.W).Kind) {
-				sinks[t.Key()] = true
-				continue
-			}
-			queue = append(queue, t)
 		}
 	}
-	return sinks
+	return seen
 }
 
 // VerifyClaims checks that every claimed connection is physically
 // continuous in the frames: starting from the claim's source pin, the
-// decoded PIPs must reach every claimed sink pin.
+// decoded PIPs must reach every claimed sink — a sink pin, or the last
+// track of a path routed by hand.
 func (n *Netlist) VerifyClaims(claims []Claim) []Violation {
 	var out []Violation
 	for _, c := range claims {
@@ -475,7 +469,7 @@ func (n *Netlist) VerifyClaims(claims []Claim) []Violation {
 					n.A.WireName(c.Source.W), c.Source.Row, c.Source.Col)})
 			continue
 		}
-		sinks := n.reach(src)
+		reached := n.reach(src)
 		for _, sp := range c.Sinks {
 			st, ok := n.Rules.CanonOK(sp.Row, sp.Col, sp.W)
 			if !ok {
@@ -484,7 +478,7 @@ func (n *Netlist) VerifyClaims(claims []Claim) []Violation {
 						n.A.WireName(sp.W), sp.Row, sp.Col)})
 				continue
 			}
-			if !sinks[st.Key()] {
+			if !reached[st.Key()] {
 				out = append(out, Violation{Kind: Discontinuity, Track: st,
 					Detail: fmt.Sprintf("claimed connection %s(%d,%d) -> %s(%d,%d) is not continuous in the frames",
 						n.A.WireName(c.Source.W), c.Source.Row, c.Source.Col,
@@ -496,12 +490,9 @@ func (n *Netlist) VerifyClaims(claims []Claim) []Violation {
 }
 
 // UncoveredRoots returns the root track of every net in the frames that no
-// claim's source accounts for, in deterministic order. Global clock nets
-// are exempt: clock distribution is legitimately unrecorded at the
-// endpoint level. Callers that route exclusively through the recorded
-// automatic calls treat a non-empty result as a phantom-net violation;
-// callers that also place manual single-PIP routes (the §3.1 level-1 API)
-// use it as an inventory instead.
+// claim's source accounts for, in deterministic order. A router claims
+// every net it routed, clock distribution included, so a non-empty result
+// is a phantom-net violation.
 func (n *Netlist) UncoveredRoots(claims []Claim) []device.Track {
 	covered := make(map[device.Key]bool)
 	for _, c := range claims {
@@ -511,9 +502,6 @@ func (n *Netlist) UncoveredRoots(claims []Claim) []device.Track {
 	}
 	var out []device.Track
 	for _, root := range n.Roots() {
-		if n.A.ClassOf(root.W).Kind == arch.KindGClk {
-			continue
-		}
 		if !covered[root.Key()] {
 			out = append(out, root)
 		}
@@ -585,8 +573,9 @@ func DiffStreams(a *arch.Arch, streamA, streamB []byte) ([]DiffEntry, error) {
 // structural checks, and verify the claims. A nil error means the board is
 // oracle-clean; otherwise the returned error is a *VerifyError listing
 // every violation (or a plain error if the stream itself cannot be
-// decoded). Phantom-net detection is opt-in via strictCoverage, for
-// callers that guarantee every net goes through a recorded routing call.
+// decoded). Phantom-net detection is on with strictCoverage: a router
+// claims every net it routes, so only an audit without the router's claims
+// (a readback checked for structure alone) turns it off.
 func Audit(a *arch.Arch, stream []byte, claims []Claim, strictCoverage bool) error {
 	n, err := Extract(a, stream)
 	if err != nil {

@@ -70,6 +70,12 @@ func TestExtractCleanBoard(t *testing.T) {
 	if viol := n.VerifyClaims([]Claim{claim}); len(viol) != 0 {
 		t.Fatalf("VerifyClaims on a continuous net: %v", viol)
 	}
+	// A path routed by hand may stop on a routing track: claimed, it is
+	// reached like a sink pin.
+	stub := Claim{Source: claim.Source, Sinks: []Pin{{Row: 5, Col: 8, W: a.Single(arch.North, 0)}}}
+	if viol := n.VerifyClaims([]Claim{stub}); len(viol) != 0 {
+		t.Fatalf("VerifyClaims on a track the net reaches: %v", viol)
+	}
 	if roots := n.UncoveredRoots([]Claim{claim}); len(roots) != 0 {
 		t.Fatalf("UncoveredRoots with a covering claim: %v", roots)
 	}
@@ -229,17 +235,21 @@ func TestDiscontinuityCaught(t *testing.T) {
 	}
 }
 
-// TestPhantomNetCaught audits with no claims: the routed net must surface
-// as an unaccounted root.
+// TestPhantomNetCaught audits with no claims: the routed net and a global
+// clock's tap must both surface as unaccounted roots — a clock is a net
+// like any other.
 func TestPhantomNetCaught(t *testing.T) {
 	d, _ := buildQuickstart(t)
+	if err := d.SetPIP(3, 3, arch.GClk(0), arch.S0CLK); err != nil {
+		t.Fatal(err)
+	}
 	err := Audit(arch.NewVirtex(), fullConfig(t, d), nil, true)
 	ve, ok := err.(*VerifyError)
 	if !ok {
 		t.Fatalf("want *VerifyError, got %v", err)
 	}
-	if kinds(ve.Violations)[Phantom] == 0 {
-		t.Fatalf("oracle missed the phantom net: %v", ve.Violations)
+	if kinds(ve.Violations)[Phantom] != 2 {
+		t.Fatalf("want the net and the clock as phantoms: %v", ve.Violations)
 	}
 }
 

@@ -32,10 +32,9 @@ func TestGoldenBitstreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s under %s: %v", s.Name, cfg.Name, err)
 				}
-				// Every configuration's board must be oracle-clean.
-				// Coverage is non-strict: the template scenario routes
-				// manually, which the router records no claim for.
-				if err := oracle.Audit(a, stream, claims, false); err != nil {
+				// Every configuration's board must be oracle-clean,
+				// every net on it claimed.
+				if err := oracle.Audit(a, stream, claims, true); err != nil {
 					t.Fatalf("%s under %s not oracle-clean: %v", s.Name, cfg.Name, err)
 				}
 				if ref == nil {

@@ -638,7 +638,8 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, 
 		js.Dev.ClearDirty()
 		// Audit the spare through its own configuration port before
 		// trusting it: readback must match the replayed device's full
-		// configuration and pass the oracle's structural invariants.
+		// configuration and pass the oracle's structural invariants, and
+		// every net on it — clocks included — must be a replayed record.
 		full, err := js.Dev.FullConfig()
 		if err != nil {
 			return err
@@ -651,7 +652,7 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, 
 		if !bytes.Equal(back, full) {
 			return fmt.Errorf("fleet: spare %s readback diverges from pushed configuration", spare.name)
 		}
-		return oracle.Audit(js.Dev.A, back, nil, false)
+		return oracle.Audit(js.Dev.A, back, r.OracleClaims(), true)
 	})
 	if err != nil {
 		return fail(err)

@@ -472,3 +472,45 @@ func TestFailoverStitchesFromLibrary(t *testing.T) {
 			spare.Worker.LibrarySeeded, spare.Worker.LibraryHits)
 	}
 }
+
+// TestFailoverAuditsEveryNet: the spare's post-failover audit demands
+// strict coverage — every net on the readback is a replayed record. A
+// session holding a clocked register (and a net off its output) is killed;
+// the failover passes that audit, and the spare's clock net reaches the
+// register's clock pins.
+func TestFailoverAuditsEveryNet(t *testing.T) {
+	c := newFleet(t, fleet.Config{Boards: 1, Spares: 1})
+	ctx := context.Background()
+	connect(t, c, "only", 0)
+	submit := func(req *server.Request) *server.Response {
+		req.Session = "only"
+		return c.Submit(ctx, req)
+	}
+	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	for _, req := range []*server.Request{
+		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3)}},
+	} {
+		if r := submit(req); r.Err != "" {
+			t.Fatalf("%s: %s (%s)", req.Op, r.Err, r.ErrorCode)
+		}
+	}
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	c.ProbeAll(ctx)
+	deadline := time.Now().Add(10 * time.Second)
+	for st := c.Stats(); st.Failovers+st.FailoverFails == 0; st = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("the dead board was never failed over")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := c.Stats(); st.Failovers != 1 || st.FailoverFails != 0 {
+		t.Fatalf("failovers/fails = %d/%d, want 1/0", st.Failovers, st.FailoverFails)
+	}
+	tr := submit(&server.Request{Op: "trace", Source: sp(pin(0, 0, arch.GClk(0)))})
+	if tr.Err != "" || tr.Net == nil || len(tr.Net.Sinks) != 2 || tr.Epoch != 2 {
+		t.Fatalf("the clock net on the spare: %q (%s) epoch %d %+v", tr.Err, tr.ErrorCode, tr.Epoch, tr.Net)
+	}
+}
