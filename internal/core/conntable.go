@@ -4,15 +4,15 @@ package core
 // connection-level op costs what it touches, not what is resident:
 //
 //   - a doubly linked list in insertion order. The order is byte-relevant —
-//     Connections and SnapshotConnections export it, failover adopts records
+//     Connections and Export give it, an import adopts records
 //     in it, and a rip-up retires records (so learns their paths and files
 //     them in port memory) in it — and a list keeps it under O(1) removal.
 //   - an index from the canonical track of a record's source pin to the
 //     records sourced there, chained through the records themselves in
 //     insertion order. A chain holds one net's records (a handful), so
 //     Unroute, ReverseUnroute, RipUpNet, RipUpRegion and AdoptConnection
-//     walk one chain each. Callers filter a chain with endPointEqual where
-//     pin-versus-port identity matters; the index is by track.
+//     walk one chain each: a chain is one net, whichever endpoint — a pin
+//     or a port bound to it — routed its records.
 //
 // A route pays one map insert per new record and allocates nothing beyond
 // the record it already made.
@@ -100,7 +100,7 @@ func (t *connTable) remove(c *Connection) {
 	}
 	c.prev, c.next, c.srcNext, c.listed = nil, nil, nil, false
 	if t.log != nil {
-		t.log.retired = append(t.log.retired, c.seq)
+		t.log.retired = append(t.log.retired, Gone{c.seq, c.owner})
 	}
 }
 
@@ -119,11 +119,12 @@ func (t *connTable) truncate(mark *Connection) {
 	}
 }
 
-// deltaLog accumulates what TakeDelta reports: records inserted or changed
-// in place, and the sequence numbers of records removed, since the last
-// call. A record may appear more than once, and may have been removed
-// since it was touched.
+// deltaLog accumulates what TakeDelta reports since the last call: records
+// inserted or changed in place, records filed in port memory, and the
+// sequence numbers of records that left the table or the memory. A record
+// may appear more than once, and may have left since it was logged.
 type deltaLog struct {
-	touched []*Connection
-	retired []uint64
+	touched, remembered []*Connection
+	retired             []Gone
+	delta               Delta // TakeDelta's result, reused
 }

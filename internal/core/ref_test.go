@@ -22,7 +22,7 @@ import (
 // the embedded Unroute, ReverseUnroute, RipUpNet or RipUpRegion, so the
 // embedded table only ever grows and is read only by sync.
 //
-// Four deliberate departures from verbatim, each marked where it is:
+// Six deliberate departures from verbatim, each marked where it is:
 // RipUpRegion is cut in two at its final loop (scanRegion decides, ripUp
 // unroutes) so the harness can compare decisions before anything moves;
 // scanRegion takes traceAll, which sends every record through Trace as
@@ -34,7 +34,12 @@ import (
 // records now own every PIP, clock taps included, and a global clock is one
 // net every clock record shares, so scanRegion rips a clock record only when
 // one of its taps is inside the region, and ripUp clears only that
-// record's taps.
+// record's taps. The fifth: Unroute retires every record sourced where the
+// endpoint resolves, since the fabric net they share is gone, not only the
+// records naming that endpoint; a region scan groups records the same way.
+// The sixth: a ReverseUnroute that drops a record hands what is left of its
+// path — the trunk the rest of the net hangs off — to the net's next record
+// (the oldest one when none is newer), ahead of that record's own path.
 type refRouter struct {
 	*Router
 	conns []*Connection
@@ -91,7 +96,8 @@ func (r *refRouter) Unroute(source EndPoint) (err error) {
 		}
 		r.stats.PIPsCleared++
 	}
-	r.retireConnections(func(c *Connection) bool { return endPointEqual(c.Source, source) })
+	key := r.sourceKey(source) // departure 5: the whole net's records, whatever endpoint routed them
+	r.retireConnections(func(c *Connection) bool { return r.sourceKey(c.Source) == key })
 	return nil
 }
 
@@ -158,7 +164,7 @@ func (r *refRouter) ReverseUnroute(sink EndPoint) (err error) {
 	// path — replayable as long as the rest of the net provides the
 	// branch point — and the surviving record's path sheds those PIPs.
 	kept := r.conns[:0]
-	for _, c := range r.conns {
+	for i, c := range r.conns {
 		var stay, gone []EndPoint
 		for _, s := range c.Sinks {
 			if endPointCoversPin(s, sp) {
@@ -192,6 +198,18 @@ func (r *refRouter) ReverseUnroute(sink EndPoint) (err error) {
 		}
 		if len(c.Sinks) > 0 {
 			kept = append(kept, c)
+		} else if len(c.Path) > 0 { // departure 6
+			key := r.sourceKey(c.Source)
+			same := func(o *Connection) bool { return r.sourceKey(o.Source) == key }
+			heir := slices.IndexFunc(r.conns[i+1:], same)
+			if heir >= 0 {
+				heir += i + 1
+			} else if heir = slices.IndexFunc(kept, same); heir >= 0 {
+				heir = slices.Index(r.conns, kept[heir])
+			}
+			if heir >= 0 {
+				r.conns[heir].Path = append(slices.Clone(c.Path), r.conns[heir].Path...)
+			}
 		}
 	}
 	r.conns = kept
@@ -285,7 +303,7 @@ func (r *refRouter) scanRegion(row, col, height, width int) (ripped, nets []*Con
 		// source retires with it — but a clock record goes alone.
 		nets = append(nets, c)
 		for _, o := range live {
-			if o == c || c.kind != clockRec && endPointEqual(o.Source, c.Source) {
+			if o == c || c.kind != clockRec && r.sourceKey(o.Source) == r.sourceKey(c.Source) {
 				hit[o] = true
 			}
 		}
@@ -338,7 +356,10 @@ func (r *refRouter) snapshot() []ConnectionRecord {
 		if c.retired {
 			continue
 		}
-		rec := ConnectionRecord{kind: c.kind}
+		rec := ConnectionRecord{Kind: c.kind, Home: c.home}
+		if isPort(c.Source) || slices.ContainsFunc(c.Sinks, isPort) {
+			rec.Ends = append([]EndPoint{c.Source}, c.Sinks...)
+		}
 		if len(c.sinkPins) > 0 {
 			rec.Source = c.srcPin
 			rec.Sinks = append([]Pin(nil), c.sinkPins...)

@@ -126,3 +126,41 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Errorf("WithAlgorithm(AStar) not honored: %+v", st)
 	}
 }
+
+// TestImportKeepsInheritedTrunk: a reverse unroute that drops the record
+// which routed a trunk, while a later record of the net still branches off
+// it, hands the trunk to that record. So every PIP is on a record's path,
+// and an export imported onto a blank router replays every net and holds
+// the original bytes.
+func TestImportKeepsInheritedTrunk(t *testing.T) {
+	src := newTestDevice(t)
+	ra := core.New(src)
+	from := core.NewPin(7, 2, arch.S0X)
+	for _, sink := range []core.Pin{core.NewPin(7, 20, arch.S0F1), core.NewPin(9, 14, arch.S1G1)} {
+		if err := ra.RouteNet(from, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ra.ReverseUnroute(core.NewPin(7, 20, arch.S0F1)); err != nil {
+		t.Fatal(err)
+	}
+	live, mem := ra.Export()
+	if len(live) != 1 || len(mem) != 0 {
+		t.Fatalf("export holds %d live and %d remembered records, want 1 and 0", len(live), len(mem))
+	}
+	if want := src.OnPIPCount(); len(live[0].Path) != want {
+		t.Fatalf("the record left holds %d of the net's %d PIPs", len(live[0].Path), want)
+	}
+	dst := newTestDevice(t)
+	rb := core.New(dst)
+	if err := rb.Import(live, mem); err != nil {
+		t.Fatal(err)
+	}
+	if st := rb.Stats(); st.CacheHits != 1 || st.MazeFallbacks != 0 {
+		t.Errorf("the import replayed %d and searched %d nets, want 1 and 0", st.CacheHits, st.MazeFallbacks)
+	}
+	want, _ := src.FullConfig()
+	if got, _ := dst.FullConfig(); !bytes.Equal(got, want) {
+		t.Error("the imported configuration differs from the original")
+	}
+}

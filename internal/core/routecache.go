@@ -223,6 +223,8 @@ func (r *Router) RestoreConnection(c *Connection) (err error) {
 	if !c.retired {
 		return nil
 	}
+	defer func(o uint8) { r.owner = o }(r.owner)
+	r.owner = c.owner
 	home := c.home
 	switch {
 	case r.replayShifted(c, c.home):
@@ -295,6 +297,12 @@ func (r *Router) replayShifted(c *Connection, path []device.PIP) bool {
 // remembered-port list (the restored route got a fresh live record).
 func (r *Router) finishRestore(c *Connection) {
 	c.retired = false
+	r.forget(c)
+}
+
+// forget drops c from every remembered-port list it is in.
+func (r *Router) forget(c *Connection) {
+	found := false
 	for _, q := range connectionPorts(c) {
 		list := r.remembered[q]
 		kept := list[:0]
@@ -303,11 +311,15 @@ func (r *Router) finishRestore(c *Connection) {
 				kept = append(kept, x)
 			}
 		}
+		found = found || len(kept) < len(list)
 		if len(kept) == 0 {
 			delete(r.remembered, q)
 		} else {
 			r.remembered[q] = kept
 		}
+	}
+	if t := r.conns.log; found && t != nil {
+		t.retired = append(t.retired, Gone{c.seq, c.owner})
 	}
 }
 
@@ -438,9 +450,7 @@ func (r *Router) RipUpNet(source EndPoint) (ripped []*Connection, err error) {
 	defer r.exitOp(&err)
 	for c := r.conns.bucket(r.sourceKey(source)); c != nil; c = c.srcNext {
 		r.stats.RecordsVisited++
-		if endPointEqual(c.Source, source) {
-			ripped = append(ripped, c)
-		}
+		ripped = append(ripped, c)
 	}
 	if len(ripped) == 0 {
 		return nil, nil

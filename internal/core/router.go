@@ -123,7 +123,7 @@ type Stats struct {
 	// RecordsVisited counts the connection records a connection-level op
 	// (route, unroute, reverse unroute, rip-up, adopt) examined to find the
 	// ones it changes: a constant per net touched, whatever else is
-	// resident. The whole-table exports (Connections, SnapshotConnections,
+	// resident. The whole-table exports (Connections, Export,
 	// OracleClaims) are O(live records) by contract and do not count.
 	RecordsVisited int
 
@@ -202,10 +202,13 @@ type Connection struct {
 	key                 int32
 	listed              bool
 	// retired marks a record whose net has been unrouted (it lives on in
-	// port memory); RestoreConnection flips it back. It and kind share a
-	// word with key and listed, which keeps a record at 176 bytes.
+	// port memory); RestoreConnection flips it back. It, kind and owner
+	// share a word with key and listed, which keeps a record at 176 bytes.
 	retired bool
 	kind    recKind
+	// owner is the session that made the record (see SetOwner); a restore
+	// keeps it, as it keeps home.
+	owner uint8
 }
 
 // recKind says which call made a record: an automatic route (the only kind
@@ -229,6 +232,7 @@ type Router struct {
 	stats      Stats
 	conns      connTable
 	remembered map[*Port][]*Connection
+	owner      uint8 // stamped on the records the calls make (see SetOwner)
 	cache      *routeCache
 	// lib is the attached (audited) persistent template library — the
 	// read-only tier below the learned template cache. Nil when no
@@ -302,6 +306,11 @@ func (r *Router) HarvestTemplates(b *library.Builder) int {
 	}
 	return len(r.cache.tmplOrder)
 }
+
+// SetOwner names the session the following calls work for: every record
+// they make carries o, and a record restored later keeps the owner it had.
+// 0, the default, is a bare router's.
+func (r *Router) SetOwner(o uint8) { r.owner = o }
 
 // Stats returns a copy of the counters.
 func (r *Router) Stats() Stats { return r.stats }
@@ -790,7 +799,7 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 // so restores can replay it later. The snapshot is unconditional — path
 // memory belongs to the connection record, not the route cache.
 func (r *Router) record(kind recKind, source EndPoint, sinks ...EndPoint) {
-	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...), kind: kind}
+	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...), kind: kind, owner: r.owner}
 	if len(r.curPath) > 0 {
 		if src, err := sourcePin(source); err == nil {
 			c.Path = append([]device.PIP(nil), r.curPath...)

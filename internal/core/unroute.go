@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -11,10 +12,11 @@ import (
 // the wires the pin drives and turns it off. This continues until all of
 // the sinks are found." (§3.3)
 //
-// Endpoint-level connection records whose source matches are removed; if
-// any port is involved, the connection is remembered so that re-routing the
-// port (after a core swap or relocation) can restore it (§3.3: "The port
-// connections are removed, but are remembered").
+// Every record of the net goes with its wires — whichever endpoint routed
+// it: a port and the pin it resolves to source one net. A record that
+// involves a port is remembered so that re-routing the port (after a core
+// swap or relocation) can restore it (§3.3: "The port connections are
+// removed, but are remembered").
 func (r *Router) Unroute(source EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
@@ -136,15 +138,13 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		// the first pin, and without this entry every return to a site
 		// searched each of the port's pins again.
 		r.learnExact(c)
-		mem := &Connection{Source: c.Source, Sinks: gone, retired: true}
+		mem := &Connection{Source: c.Source, Sinks: gone, retired: true, owner: c.owner}
 		if src, err := sourcePin(c.Source); err == nil {
 			mem.Path = append([]device.PIP(nil), fwd...)
 			mem.srcPin = src
 			mem.sinkPins = flattenPins(gone)
 		}
-		for _, port := range connectionPorts(mem) {
-			r.remembered[port] = append(r.remembered[port], mem)
-		}
+		r.remember(mem)
 		// A reshaped net has no way home: its home still reaches the gone sinks.
 		c.Sinks, c.home = stay, nil
 		if len(c.Path) > 0 {
@@ -159,12 +159,29 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 			c.sinkPins = flattenPins(stay)
 		}
 		if len(stay) == 0 {
+			r.bequeath(c)
 			r.conns.remove(c)
 		} else {
 			r.conns.touch(c)
 		}
 	}
 	return nil
+}
+
+// bequeath hands what is left of the path of c, a record about to go, to
+// another record of its net: it is the trunk the rest of the net hangs
+// off. The next record after c gets it ahead of its own path, so every PIP
+// stays on a record's path and an import that adopts the net's records in
+// order replays it.
+func (r *Router) bequeath(c *Connection) {
+	heir := c.srcNext
+	if heir == nil && r.conns.bucket(c.key) != c {
+		heir = r.conns.bucket(c.key)
+	}
+	if heir != nil && len(c.Path) > 0 {
+		heir.Path = append(slices.Clone(c.Path), heir.Path...)
+		r.conns.touch(heir)
+	}
 }
 
 // UnrouteAll removes every routed net on the device (used when tearing a
@@ -205,16 +222,13 @@ func (r *Router) UnrouteAll() (err error) {
 	}
 }
 
-// retireSource retires the live records whose source is this endpoint
-// (pins by value, ports by identity), oldest first.
+// retireSource retires the live records sourced where this endpoint
+// resolves, oldest first: the net the fabric holds there is gone.
 func (r *Router) retireSource(source EndPoint) {
-	var next *Connection // retire takes c off the chain
-	for c := r.conns.bucket(r.sourceKey(source)); c != nil; c = next {
-		next = c.srcNext
+	key := r.sourceKey(source)
+	for c := r.conns.bucket(key); c != nil; c = r.conns.bucket(key) {
 		r.stats.RecordsVisited++
-		if endPointEqual(c.Source, source) {
-			r.retire(c)
-		}
+		r.retire(c)
 	}
 }
 
@@ -227,8 +241,24 @@ func (r *Router) retire(c *Connection) {
 	r.conns.remove(c)
 	c.retired = true
 	r.learnExact(c)
-	for _, port := range connectionPorts(c) {
+	r.remember(c)
+}
+
+// remember files a retired record under every port it touches, numbered
+// anew, so each port's list is in sequence order. A record that touches no
+// port is not remembered.
+func (r *Router) remember(c *Connection) {
+	ports := connectionPorts(c)
+	if len(ports) == 0 {
+		return
+	}
+	r.conns.seq++
+	c.seq = r.conns.seq
+	for _, port := range ports {
 		r.remembered[port] = append(r.remembered[port], c)
+	}
+	if t := r.conns.log; t != nil {
+		t.remembered = append(t.remembered, c)
 	}
 }
 
@@ -275,20 +305,6 @@ func (r *Router) Reconnect(port *Port) (err error) {
 		}
 	}
 	return nil
-}
-
-// endPointEqual compares endpoints: pins by value, ports by identity.
-func endPointEqual(a, b EndPoint) bool {
-	switch x := a.(type) {
-	case Pin:
-		y, ok := b.(Pin)
-		return ok && x == y
-	case *Port:
-		y, ok := b.(*Port)
-		return ok && x == y
-	default:
-		return false
-	}
 }
 
 // endPointCoversPin reports whether endpoint e currently resolves to pin p.

@@ -209,10 +209,9 @@ func TestReplaceRestoresCrossingNets(t *testing.T) {
 }
 
 // TestReplacePutsBackAfterFailedRipUp: the destination's rip-up fails
-// part-way — two records on one physical source, one under the pin and one
-// under a port bound to it, are one net to the fabric and two to Unroute —
-// after it has already retired a bystander pin-to-pin net crossing the
-// site. Replace must put that net back before it returns the error: no
+// part-way — a net routed from a port that has been bound elsewhere since,
+// so its Unroute traces a pin that drives nothing — after it has already
+// retired a bystander pin-to-pin net crossing the site. Replace must put that net back before it returns the error: no
 // port remembers a pin-to-pin record, so before RipUpRegion returned what
 // it had retired the net was simply gone.
 func TestReplacePutsBackAfterFailedRipUp(t *testing.T) {
@@ -226,25 +225,24 @@ func TestReplacePutsBackAfterFailedRipUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Oldest first: the bystander crossing the destination (9,10), then
-	// the two records that make the rip-up fail after it.
+	// the record that makes the rip-up fail after it.
 	bySrc, bySink := core.NewPin(9, 2, arch.S0X), core.NewPin(9, 20, arch.S0F1)
 	if err := r.RouteNet(bySrc, bySink); err != nil {
 		t.Fatal(err)
 	}
-	src := core.NewPin(9, 10, arch.S1X) // inside the destination
-	if err := r.RouteNet(src, core.NewPin(10, 14, arch.S1F1)); err != nil {
-		t.Fatal(err)
-	}
 	port := core.NewGroup("g").NewPort("o", core.Out)
-	if err := port.Bind(src); err != nil {
+	if err := port.Bind(core.NewPin(9, 10, arch.S1X)); err != nil { // inside the destination
 		t.Fatal(err)
 	}
 	if err := r.RouteNet(port, core.NewPin(11, 13, arch.S1G1)); err != nil {
 		t.Fatal(err)
 	}
+	if err := port.Bind(core.NewPin(2, 2, arch.S1X)); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := Replace(r, mul, 9, 10, nil, nil); err == nil {
-		t.Fatal("Replace over a pin record and a port record on one source succeeded")
+		t.Fatal("Replace over a net whose port was bound elsewhere succeeded")
 	}
 	net, err := r.ReverseTrace(bySink)
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/fleet"
+	"repro/internal/server/journal"
 	"repro/internal/server/protocol"
 )
 
@@ -26,6 +26,10 @@ type backend struct {
 	name    string
 	addr    string
 	classes map[string]bool
+	// j holds the sessions pinned here as the backend's routers export
+	// them, kept from the deltas of the acknowledged ops the gateway
+	// forwarded.
+	j *journal.Journal
 
 	healthy    bool
 	draining   bool
@@ -77,10 +81,10 @@ type tenant struct {
 	rejectedSessions int
 }
 
-// gwSession is one logical session's pin: which backend serves it, the
-// epochs on both sides of the gateway, and the acked state that moves it.
-// sess.mu serializes client ops against relocation; the pin and counters
-// are additionally read under Gateway.mu by drain/stats.
+// gwSession is one logical session's pin: which backend serves it and the
+// epochs on both sides of the gateway; its backend's journal holds what
+// moves it. sess.mu serializes client ops against relocation; the pin and
+// counters are additionally read under Gateway.mu by drain/stats.
 type gwSession struct {
 	mu sync.Mutex
 
@@ -93,24 +97,13 @@ type gwSession struct {
 	epoch        uint64 // client-visible; bumps whenever the mirror chain breaks
 	backendEpoch uint64 // the pinned backend's epoch as last observed
 
-	connectReq *server.Request // detached copy of the original connect
-	state      sessionState
-	// placed records the cores moves put on backends. Nothing takes one off
-	// again, so a later move to that backend meets it; the core namespace is
-	// the board's, so a name this session did not place there is left alone.
-	placed map[placement]bool
-}
-
-// placement names a core on a backend.
-type placement struct {
-	be   *backend
-	core string
+	connectReq *protocol.Request // detached copy of the original connect
 }
 
 // stamp turns a backend response into the client's: a moved backend epoch
 // (an internal failover broke the client's frame chain too) bumps the
 // client-visible one, and the board is named under its backend.
-func (s *gwSession) stamp(resp *server.Response) *server.Response {
+func (s *gwSession) stamp(resp *protocol.Response) *protocol.Response {
 	if resp.ErrorCode == "" && resp.Epoch != s.backendEpoch {
 		s.backendEpoch = resp.Epoch
 		s.epoch++
@@ -170,7 +163,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", bc.Name)
 		}
 		be := &backend{name: bc.Name, addr: bc.Addr, healthy: true,
-			classes: make(map[string]bool, len(bc.Classes))}
+			classes: make(map[string]bool, len(bc.Classes)), j: journal.New()}
 		for _, cl := range bc.Classes {
 			be.classes[cl] = true
 		}
@@ -264,7 +257,7 @@ func (g *Gateway) conn(ctx context.Context, be *backend) (*client.Client, error)
 	if c != nil {
 		return c, nil
 	}
-	return client.Dial(ctx, be.addr)
+	return client.Dial(ctx, be.addr, client.WithDelta())
 }
 
 func (g *Gateway) putConn(be *backend, c *client.Client) {
@@ -284,7 +277,7 @@ func (g *Gateway) putConn(be *backend, c *client.Client) {
 // the response by the client's ID). A transport error closes the
 // connection — after an abandoned round trip the stream is no longer
 // frame-aligned — and counts against the backend.
-func (g *Gateway) forward(ctx context.Context, be *backend, req *server.Request) (*server.Response, error) {
+func (g *Gateway) forward(ctx context.Context, be *backend, req *protocol.Request) (*protocol.Response, error) {
 	c, err := g.conn(ctx, be)
 	if err != nil {
 		g.mu.Lock()
@@ -308,14 +301,14 @@ func (g *Gateway) forward(ctx context.Context, be *backend, req *server.Request)
 	return resp, nil
 }
 
-func coded(id uint64, code, msg string) *server.Response {
-	return &server.Response{ID: id, ErrorCode: code, Err: msg}
+func coded(id uint64, code, msg string) *protocol.Response {
+	return &protocol.Response{ID: id, ErrorCode: code, Err: msg}
 }
 
 // Submit implements server.Fleet: every session and admin request lands
 // here, and is rejected before it is forwarded anywhere if the op table
 // has no row for it.
-func (g *Gateway) Submit(ctx context.Context, req *server.Request) *server.Response {
+func (g *Gateway) Submit(ctx context.Context, req *protocol.Request) *protocol.Response {
 	op := req.Row()
 	switch {
 	case op == nil:
@@ -333,7 +326,7 @@ func (g *Gateway) Submit(ctx context.Context, req *server.Request) *server.Respo
 // connect admits a session: resolve the class alias, check the tenant's
 // session cap, pick the backend by affinity, and proxy the connect through
 // so the client seeds its mirror from the backend's real configuration.
-func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Response {
+func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.Response {
 	class := classOf(req.Session, g.cfg.DefaultClass)
 	g.mu.Lock()
 	if _, ok := g.sessions[req.Session]; ok {
@@ -366,8 +359,7 @@ func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Resp
 	}
 	be := pool[int(key%uint64(len(pool)))]
 	sess := &gwSession{name: req.Session, tenant: req.Tenant, class: class,
-		key: key, backend: be, epoch: 1, state: sessionState{nets: make(map[epKey]liveNet)},
-		placed: make(map[placement]bool)}
+		key: key, backend: be, epoch: 1}
 	// Registering before the connect round trip makes concurrent connects
 	// to the same name serialize on sess.mu instead of double-admitting.
 	// Locking the freshly made mutex under g.mu cannot block.
@@ -404,8 +396,9 @@ func (g *Gateway) connect(ctx context.Context, req *server.Request) *server.Resp
 
 // sessionOp proxies one op on an open session: ownership check, token-bucket
 // admission (a re-dial's connect is not an op: it takes no token and is not
-// counted), forward under the session lock, fold the ack into the state.
-func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Request) *server.Response {
+// counted), forward under the session lock, apply the ack's delta to the
+// backend's journal.
+func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *protocol.Request) *protocol.Response {
 	g.mu.Lock()
 	sess := g.sessions[req.Session]
 	if sess == nil {
@@ -438,16 +431,15 @@ func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *server.Re
 			fmt.Sprintf("gateway: backend %s unreachable: %v", be.name, err))
 	}
 	if resp.ErrorCode == "" && op.Mutating {
-		// The ack is durable on the backend. The state may keep the
-		// request's endpoints: the server decodes a fresh Request per frame.
-		sess.state.apply(op.Byte, req)
+		_ = be.j.Apply(resp.Delta) // Forward detached it: the journal may keep it
+		resp.Delta = nil
 	}
 	return sess.stamp(resp)
 }
 
 // drainOp is the gw_drain admin verb: Session names the backend to drain.
 // Admin-tenant only (any caller when auth is off).
-func (g *Gateway) drainOp(ctx context.Context, req *server.Request) *server.Response {
+func (g *Gateway) drainOp(ctx context.Context, req *protocol.Request) *protocol.Response {
 	g.mu.Lock()
 	t := g.tenants[req.Tenant]
 	authed := len(g.tenants) == 0 || (t != nil && t.admin)
@@ -457,7 +449,7 @@ func (g *Gateway) drainOp(ctx context.Context, req *server.Request) *server.Resp
 			"gateway: gw_drain requires an admin tenant")
 	}
 	moved, err := g.Drain(ctx, req.Session)
-	resp := &server.Response{ID: req.ID, Devices: moved}
+	resp := &protocol.Response{ID: req.ID, Devices: moved}
 	if err != nil {
 		resp.ErrorCode = protocol.CodeInternal
 		if errors.Is(err, errUnknownBackend) {
@@ -488,13 +480,13 @@ func (g *Gateway) Drain(ctx context.Context, name string) ([]string, error) {
 	var moved []string
 	var firstErr error
 	for _, sess := range affected {
-		if err := g.relocate(ctx, sess); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		ok, err := g.relocate(ctx, sess)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		moved = append(moved, sess.name)
+		if ok {
+			moved = append(moved, sess.name)
+		}
 	}
 	g.mu.Lock()
 	g.drains++
@@ -515,103 +507,64 @@ func (g *Gateway) pinnedTo(be *backend) []*gwSession {
 	return out
 }
 
-// relocate moves one session to a healthy backend: fresh connect with the
-// session's placement identity, one core_new per core, every live net in
-// one batch — all of them route or none do, so a failed move leaves no net
-// on the target, and a retry there finds the cores it placed — then swap
-// the pin, bump the client-visible epoch and rebuild the port memory. The
-// session lock is held throughout, so client ops queue behind the move
-// instead of racing it.
-func (g *Gateway) relocate(ctx context.Context, sess *gwSession) error {
+// relocate moves one session to a healthy backend in two round trips: a
+// connect with the session's placement identity, then one session_import of
+// the session's form from its backend's journal, which places it all or
+// nothing — a failed move leaves nothing on the target. Then it swaps the
+// pin and bumps the client-visible epoch. The session lock is held
+// throughout, so client ops queue behind the move instead of racing it. A
+// session that is gone by the time the lock is taken (its connect failed)
+// is skipped; moved reports whether this one moved.
+func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	g.mu.Lock()
+	if g.sessions[sess.name] != sess {
+		g.mu.Unlock()
+		return false, nil
+	}
 	pool, _ := g.poolFor(sess.class)
 	// A readmit may have put the backend being left back in the pool.
 	dst := slices.DeleteFunc(pool, func(be *backend) bool { return be == sess.backend })
 	if len(dst) == 0 {
 		g.handoffFails++
 		g.mu.Unlock()
-		return fmt.Errorf("gateway: no healthy backend to receive session %q (class %q)",
+		return false, fmt.Errorf("gateway: no healthy backend to receive session %q (class %q)",
 			sess.name, sess.class)
 	}
-	target := dst[int(sess.key%uint64(len(dst)))]
+	target, src := dst[int(sess.key%uint64(len(dst)))], sess.backend
 	g.mu.Unlock()
 
-	replay := []*server.Request{sess.connectReq}
-	for i := range sess.state.cores {
-		replay = append(replay, &server.Request{Op: "core_new", Session: sess.name, Core: &sess.state.cores[i]})
-	}
-	nets := sess.state.batch()
-	if len(nets) > 0 {
-		replay = append(replay, &server.Request{Op: "batch", Session: sess.name, Nets: nets})
-	}
-	var epoch uint64
-	for _, req := range replay {
-		resp, err := g.forward(ctx, target, req)
-		if req.Core != nil && err == nil {
-			at := placement{target, req.Core.Name}
-			if resp.ErrorCode == protocol.CodeBadRequest && sess.placed[at] {
-				// An earlier move placed the core here and the session has
-				// moved or retuned it since: bring this copy up to date.
-				rep := server.CoreMsg{Name: req.Core.Name, Row: req.Core.Row, Col: req.Core.Col}
-				if req.Core.Kind == "constmul" {
-					rep.K = req.Core.K
-				}
-				resp, err = g.forward(ctx, target, &server.Request{Op: "core_replace", Session: sess.name, Core: &rep})
-			}
-			if err == nil && resp.ErrorCode == "" {
-				sess.placed[at] = true
-			}
+	form, err := src.j.Form(sess.name)
+	var resp *protocol.Response
+	for _, req := range []*protocol.Request{sess.connectReq, {Op: "session_import", Session: sess.name, Form: &form}} {
+		if err == nil {
+			resp, err = g.forward(ctx, target, req)
 		}
 		if err == nil && resp.ErrorCode != "" {
 			err = fmt.Errorf("%s (%s)", resp.Err, resp.ErrorCode)
 		}
-		if err != nil { // the session stays where it was, state intact
+		if err != nil { // the session stays where it was
 			g.mu.Lock()
 			g.handoffFails++
 			g.mu.Unlock()
-			return fmt.Errorf("gateway: handoff of %q to %s failed at %s: %w", sess.name, target.name, req.Op, err)
+			return false, fmt.Errorf("gateway: handoff of %q to %s failed at %s: %w", sess.name, target.name, req.Op, err)
 		}
-		epoch = resp.Epoch
 	}
+	// The import's delta starts by dropping whatever the target journal
+	// held of the session, then lists it as the target now holds it.
+	_ = target.j.Apply(resp.Delta)
+	src.j.Drop(sess.name)
 	g.mu.Lock()
-	sess.backend.sessions--
+	src.sessions--
 	target.sessions++
 	sess.backend = target
 	g.handoffs++
-	g.restoredNets += len(nets)
+	g.restoredNets += len(form.Live)
 	g.mu.Unlock()
-	sess.backendEpoch = epoch
+	sess.backendEpoch = resp.Epoch
 	sess.epoch++ // the mirror chain broke at the move; clients resync
-	g.restoreMemory(ctx, sess)
-	return nil
-}
-
-// restoreMemory rebuilds the port memory on a moved session's new backend
-// the way the router builds it — route each remembered net, then take it
-// down again — folding each ack into the state as sessionOp does. A net the
-// backend cannot route is forgotten and one it cannot take down stays live:
-// either way the state keeps saying what the backend holds.
-func (g *Gateway) restoreMemory(ctx context.Context, sess *gwSession) {
-	mem := sess.state.mem
-	sess.state.mem = nil
-	for _, m := range mem {
-		reqs := []*server.Request{{Op: "route", Source: &m.Source, Sinks: m.Sinks}, {Op: "unroute", Source: &m.Source}}
-		if _, live := sess.state.nets[keyOf(&m.Source)]; live { // take down only what was remembered
-			reqs = reqs[:1]
-			for i := range m.Sinks {
-				reqs = append(reqs, &server.Request{Op: "reverse_unroute", Source: &m.Sinks[i]})
-			}
-		}
-		for _, req := range reqs {
-			req.Session = sess.name
-			if resp, err := g.forward(ctx, sess.backend, req); err != nil || resp.ErrorCode != "" {
-				break
-			}
-			sess.state.apply(req.Row().Byte, req)
-		}
-	}
+	return true, nil
 }
 
 // probeLoop runs health probes on a fixed cadence until Shutdown.
@@ -652,7 +605,7 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 			sessions := g.pinnedTo(be)
 			g.mu.Unlock()
 			for _, sess := range sessions {
-				_ = g.relocate(ctx, sess)
+				_, _ = g.relocate(ctx, sess)
 			}
 			continue
 		}

@@ -732,11 +732,11 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 
 // TestFailedHandoffRetriesPlacedCore is TestFailedHandoffRollsBackTarget's
 // scenario with a register added: the failed move places the register on
-// the target before its batch fails, and nothing takes it off again (there
-// is no inverse of core_new). A retry's core_new therefore meets the core
-// already there: with the description it asks for, which must succeed, and
-// after the session has moved the register, which must bring the copy up to
-// date rather than fail the move.
+// the target before its nets fail, and session_import, all or nothing,
+// takes it off again with every net it adopted. So the target holds none of
+// the session after each failed attempt, and the retry — made after the
+// session has moved the register — places it fresh where the session has
+// it now.
 func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 	be0 := startBackend(t, 1)
 	be1 := startBackend(t, 1)
@@ -795,15 +795,20 @@ func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 		}
 		return resp
 	}
-	// Both attempts fail on the blocked sink; the second gets that far only
-	// if its core_new meets the first one's register and succeeds.
+	// Both attempts fail on the blocked sink, and each leaves nothing of the
+	// session on the target: no register, no net.
 	for i := 0; i < 2; i++ {
-		if resp := drain(); resp.ErrorCode == "" || !strings.Contains(resp.Err, "failed at batch") {
-			t.Fatalf("gw_drain attempt %d: %q (%s), want a failure at the batch", i, resp.Err, resp.ErrorCode)
+		if resp := drain(); resp.ErrorCode == "" || !strings.Contains(resp.Err, "failed at session_import") {
+			t.Fatalf("gw_drain attempt %d: %q (%s), want a failure at the import", i, resp.Err, resp.ErrorCode)
+		}
+		if tr, err := direct.Forward(ctx, &server.Request{Op: "trace", Session: "v1000-class/s0", Source: &reg}); err != nil || tr.ErrorCode != protocol.CodeBadRequest {
+			t.Fatalf("attempt %d left the register on the target: %+v, %v", i, tr, err)
+		}
+		if tr, err := direct.Forward(ctx, &server.Request{Op: "trace", Session: "v1000-class/s0", Source: &netA}); err != nil || (tr.Net != nil && len(tr.Net.Sinks) > 0) {
+			t.Fatalf("attempt %d left net A on the target: %+v, %v", i, tr, err)
 		}
 	}
-	// The session moves the register meanwhile, so the copy the failed moves
-	// left on be1 no longer matches it.
+	// The session moves the register meanwhile.
 	if err := s0.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gateway_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -24,9 +25,10 @@ import (
 // output port, Kind-less core replaces — and moves the session four times:
 // three gw_drains, then an ejection. Each move lands on a backend that holds
 // nothing of the session (a drained backend is restarted as a fresh fleet
-// behind its address before it is readmitted). After every move each live
-// source traces the sinks it traced before the move, each unrouted source
-// traces nothing, and the target's readback audits clean against the nets.
+// behind its address before it is readmitted). After every move the
+// target's readback is the source's last configuration byte for byte, each
+// live source traces the sinks it traced before the move, each unrouted
+// source traces nothing, and the readback audits clean against the nets.
 func TestScriptMovesKeepState(t *testing.T) {
 	const rows, cols, steps = 16, 24, 200
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -187,11 +189,18 @@ func TestScriptMovesKeepState(t *testing.T) {
 		t.Helper()
 		from := int(backendOf(t, s)[2] - '0')
 		before, _ := traced()
+		shipped, err := s.Readback(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 		do(from)
 		moves++
 		back, err := s.Readback(ctx) // the first op after the move resyncs the mirror
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(back, shipped) {
+			t.Fatalf("%s: the target's configuration differs from the source's", what)
 		}
 		if to := backendOf(t, s); to == fmt.Sprintf("be%d", from) || s.Resyncs != moves {
 			t.Fatalf("%s: the session is on %s after %d resyncs", what, to, s.Resyncs)

@@ -187,8 +187,8 @@ func TestBystanderGoesHome(t *testing.T) {
 }
 
 // TestPlaceObstaclePutsBackAfterFailedRipUp: the obstacle's region rip-up
-// fails part-way (a pin record and a port record on one physical source:
-// one net to the fabric, two to Unroute) after retiring a pin-to-pin
+// fails part-way (a net routed from a port bound elsewhere since, so its
+// Unroute traces a pin that drives nothing) after retiring a pin-to-pin
 // bystander crossing the rectangle. PlaceObstacle must put the bystander
 // back before returning the error — no port remembers a pin-to-pin record.
 func TestPlaceObstaclePutsBackAfterFailedRipUp(t *testing.T) {
@@ -201,19 +201,18 @@ func TestPlaceObstaclePutsBackAfterFailedRipUp(t *testing.T) {
 	if err := h.R.RouteNet(bySrc, bySink); err != nil {
 		t.Fatal(err)
 	}
-	src := core.NewPin(12, 3, arch.S1X) // inside the rectangle
-	if err := h.R.RouteNet(src, core.NewPin(13, 6, arch.S1F1)); err != nil {
-		t.Fatal(err)
-	}
 	port := core.NewGroup("g").NewPort("o", core.Out)
-	if err := port.Bind(src); err != nil {
+	if err := port.Bind(core.NewPin(12, 3, arch.S1X)); err != nil { // inside the rectangle
 		t.Fatal(err)
 	}
 	if err := h.R.RouteNet(port, core.NewPin(14, 6, arch.S1G1)); err != nil {
 		t.Fatal(err)
 	}
+	if err := port.Bind(core.NewPin(15, 1, arch.S1X)); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.Mesh.PlaceObstacle(12, 3, 2, 2); err == nil {
-		t.Fatal("obstacle over a pin record and a port record on one source was placed")
+		t.Fatal("obstacle over a net whose port was bound elsewhere was placed")
 	}
 	net, err := h.R.ReverseTrace(bySink)
 	if err != nil {

@@ -137,6 +137,7 @@ type Client struct {
 	caps    []string
 
 	token string // bearer token sent in hello (gateway tenants)
+	delta bool   // the hello asks for record deltas (protocol.CapDelta)
 
 	hdr  [v3.HeaderSize]byte // reused v3 header scratch
 	wbuf []byte              // reused v3 request-encode buffer
@@ -148,6 +149,10 @@ type Option func(*Client)
 // WithToken sets the bearer token the hello handshake presents. Gateways
 // resolve it to a tenant; servers without an authenticator ignore it.
 func WithToken(tok string) Option { return func(c *Client) { c.token = tok } }
+
+// WithDelta makes the hello ask for the record delta of every acknowledged
+// mutating op (Response.Delta): the gateway tier's journal reads them.
+func WithDelta() Option { return func(c *Client) { c.delta = true } }
 
 // Dial connects to a daemon and performs the protocol handshake.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
@@ -213,6 +218,9 @@ func (c *Client) helloLocked(ctx context.Context) error {
 	}
 	req := &server.Request{Op: "hello", Hello: &server.HelloMsg{
 		Version: protocol.Version, Caps: []string{protocol.CapBinV3}, Token: c.token}}
+	if c.delta {
+		req.Hello.Caps = append(req.Hello.Caps, protocol.CapDelta)
+	}
 	if err := c.stamp(ctx, req); err != nil {
 		return err
 	}
@@ -311,8 +319,8 @@ func (c *Client) callBuf(ctx context.Context, req *server.Request) (*server.Resp
 // Forward performs one raw round trip: the request travels as-is (after the
 // lazy handshake) and the response comes back even when it carries a typed
 // error code — the caller inspects ErrorCode itself. Blob fields (Config,
-// Frames) are detached from the transport buffer, so the response owns its
-// memory. This is the gateway tier's proxy primitive; transport and
+// Frames, Delta) are detached from the transport buffer, so the response
+// owns its memory. This is the gateway tier's proxy primitive; transport and
 // encoding failures still return an error. Forward stamps req.ID.
 func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Response, error) {
 	if err := ctx.Err(); err != nil {
@@ -332,6 +340,9 @@ func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Resp
 	}
 	if len(resp.Frames) > 0 {
 		resp.Frames = append([]byte(nil), resp.Frames...)
+	}
+	if resp.Delta != nil {
+		resp.Delta = append([]byte{}, resp.Delta...)
 	}
 	putPayload(buf)
 	return resp, nil

@@ -6,17 +6,20 @@
 // given the same fleet size computes the same placement with no shared
 // state. Admission control bounds the sessions per slot.
 //
-// Every acknowledged mutating op is journaled (the core instances created,
-// plus a pin-level snapshot of the live connections with their exact PIP
-// paths). When a board dies — detected by a failed configuration push or a
-// failed health probe — the coordinator replays the slot's journal onto a
-// spare: cores are re-instantiated through the normal op path, connections
-// are re-adopted replay-first through the relocation route cache (the
-// remembered paths are swept for legality and committed verbatim; a full
-// maze search is paid only when a sweep fails), the spare gets a full
-// configuration push, and the bitstream oracle audits the result before the
-// slot is swapped. The slot epoch increments on every swap; clients observe
-// the epoch change and re-seed their mirrors.
+// Every acknowledged mutating op is journaled: the slot's worker hands what
+// the op changed in each session's cores and records — live ones with
+// their exact PIP paths and ways home, and port memory — to the slot's
+// journal.Journal. When a board dies — detected by a failed configuration
+// push or a failed health probe — the coordinator imports the journal's
+// form of every session onto a spare with one session_import, the op a
+// gateway moves a session with: cores first, connections adopted
+// replay-first through the route cache (the remembered paths are swept for
+// legality and committed verbatim; a full maze search is paid only when a
+// sweep fails), then port memory. The import pushes the spare its frames,
+// the bitstream oracle audits the result, and only then is the spare's
+// journal — fed by the import's own delta — the slot's and the slot
+// swapped. The slot epoch increments on every swap; clients observe the
+// epoch change and re-seed their mirrors.
 //
 // Journal consistency: a worker serializes everything behind its queue, and
 // the journal is appended on the worker goroutine immediately after the
@@ -28,7 +31,6 @@ package fleet
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -42,6 +44,7 @@ import (
 	"repro/internal/jbits"
 	"repro/internal/oracle"
 	"repro/internal/server"
+	"repro/internal/server/journal"
 	"repro/internal/server/protocol"
 )
 
@@ -140,90 +143,6 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 	return b, nil
 }
 
-// journal is one slot's failover memory: the core instances created on it
-// (latest geometry and tuning per name, in creation order) and a mirror of
-// the live connection table of the router now serving the slot, kept by
-// applying each acknowledged op's delta — a record per net the op touched,
-// not a copy of every net resident. Records are keyed by the router's
-// sequence numbers, which rise in insertion order, so a new number goes to
-// the back and the list is always what SnapshotConnections would return.
-type journal struct {
-	mu        sync.Mutex
-	coreOrder []string
-	cores     map[string]protocol.CoreMsg
-	gen       uint64                   // which router's numbers conns is keyed by
-	conns     map[uint64]*list.Element // sequence number -> element of order
-	order     *list.List               // of core.ConnectionRecord, insertion order
-}
-
-func newJournal() *journal {
-	return &journal{cores: make(map[string]protocol.CoreMsg),
-		conns: make(map[uint64]*list.Element), order: list.New()}
-}
-
-// attach starts the connection mirror over for a fresh router and returns
-// the function that feeds it that router's deltas (req is nil for a delta
-// no client op produced). A router attached earlier numbers its records
-// differently; whatever it still reports is dropped.
-func (j *journal) attach() func(req *server.Request, d core.Delta) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.gen++
-	gen := j.gen
-	clear(j.conns)
-	j.order.Init()
-	return func(req *server.Request, d core.Delta) { j.record(gen, req, d) }
-}
-
-func (j *journal) record(gen uint64, req *server.Request, d core.Delta) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if gen != j.gen {
-		return
-	}
-	if req != nil && req.Core != nil {
-		switch req.Row().Byte {
-		case protocol.OpCoreNew:
-			if _, known := j.cores[req.Core.Name]; !known {
-				j.coreOrder = append(j.coreOrder, req.Core.Name)
-			}
-			j.cores[req.Core.Name] = *req.Core
-		case protocol.OpCoreReplace:
-			held := j.cores[req.Core.Name]
-			server.FoldReplace(&held, req.Core)
-			j.cores[req.Core.Name] = held
-		}
-	}
-	for _, u := range d.Upserted {
-		if e, ok := j.conns[u.Seq]; ok {
-			e.Value = u.ConnectionRecord
-		} else {
-			j.conns[u.Seq] = j.order.PushBack(u.ConnectionRecord)
-		}
-	}
-	for _, seq := range d.Retired {
-		if e, ok := j.conns[seq]; ok {
-			j.order.Remove(e)
-			delete(j.conns, seq)
-		}
-	}
-}
-
-// snapshot returns the cores in creation order plus the connection records.
-func (j *journal) snapshot() ([]protocol.CoreMsg, []core.ConnectionRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	cores := make([]protocol.CoreMsg, 0, len(j.coreOrder))
-	for _, name := range j.coreOrder {
-		cores = append(cores, j.cores[name])
-	}
-	conns := make([]core.ConnectionRecord, 0, j.order.Len())
-	for e := j.order.Front(); e != nil; e = e.Next() {
-		conns = append(conns, e.Value.(core.ConnectionRecord))
-	}
-	return cores, conns
-}
-
 // slot is one board slot: the board currently serving it, the worker bound
 // to that board, and the slot's journal and epoch.
 type slot struct {
@@ -236,14 +155,19 @@ type slot struct {
 	down     bool // dead with no spare left
 	failing  bool // failover pending: reject ops instead of hitting the dead worker
 	sessions map[string]struct{}
-
-	j *journal
+	j        *journal.Journal // fed by worker
 }
 
 func (s *slot) current() (*board, *server.Worker, uint64, bool, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b, s.worker, s.epoch, s.down, s.failing
+}
+
+func (s *slot) journal() *journal.Journal {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.j
 }
 
 // Coordinator fronts the board fleet; it implements server.Fleet.
@@ -312,12 +236,12 @@ func New(cfg Config) (*Coordinator, error) {
 		probeDone:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Boards; i++ {
-		sl := &slot{idx: i, epoch: 1, sessions: make(map[string]struct{}), j: newJournal()}
+		sl := &slot{idx: i, epoch: 1, sessions: make(map[string]struct{}), j: journal.New()}
 		b, err := c.newBoard(fmt.Sprintf("board%d", i))
 		if err != nil {
 			return nil, err
 		}
-		w, err := c.newWorker(b, sl.j.attach())
+		w, err := c.newWorker(b, sl.j)
 		if err != nil {
 			return nil, err
 		}
@@ -342,10 +266,8 @@ func New(cfg Config) (*Coordinator, error) {
 
 // newWorker builds the device worker tethered to b: its ship hook pushes
 // every acknowledged op's dirty frames over the board link (paying the
-// modeled configuration-port time), and its journal hook is feed, a fresh
-// journal.attach: the slot's connection mirror starts over with the
-// worker's fresh router.
-func (c *Coordinator) newWorker(b *board, feed func(*server.Request, core.Delta)) (*server.Worker, error) {
+// modeled configuration-port time), and its journal hook feeds j.
+func (c *Coordinator) newWorker(b *board, j *journal.Journal) (*server.Worker, error) {
 	remote := b.remote
 	return server.NewWorker(server.WorkerConfig{
 		Name: b.name,
@@ -357,7 +279,7 @@ func (c *Coordinator) newWorker(b *board, feed func(*server.Request, core.Delta)
 			c.chargePort(frames)
 			return remote.ConfigurePartial(stream)
 		},
-		JournalHook: feed,
+		JournalHook: func(d []byte) { _ = j.Apply(d) },
 	})
 }
 
@@ -396,13 +318,13 @@ func (c *Coordinator) Sessions() []string {
 // Submit handles one per-session request: placement and admission on
 // connect, board lookup on everything else. Successful responses carry the
 // serving board's name and epoch so clients can detect failovers.
-func (c *Coordinator) Submit(ctx context.Context, req *server.Request) *server.Response {
+func (c *Coordinator) Submit(ctx context.Context, req *protocol.Request) *protocol.Response {
 	op := req.Row()
 	if op == nil || op.Scope != protocol.ScopeSession {
 		return protocol.UnknownOp(req)
 	}
 	if req.Session == "" {
-		return &server.Response{ID: req.ID, ErrorCode: protocol.CodeBadRequest,
+		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeBadRequest,
 			Err: "fleet: op without a session name"}
 	}
 	if op.Byte == protocol.OpConnect {
@@ -412,7 +334,7 @@ func (c *Coordinator) Submit(ctx context.Context, req *server.Request) *server.R
 	key, admitted := c.sessionKey[req.Session]
 	c.mu.Unlock()
 	if !admitted {
-		return &server.Response{ID: req.ID, ErrorCode: protocol.CodeNoDevice,
+		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeNoDevice,
 			Err: fmt.Sprintf("fleet: no session %q (connect first)", req.Session)}
 	}
 	sl := c.slotFor(key)
@@ -425,14 +347,14 @@ func (c *Coordinator) Submit(ctx context.Context, req *server.Request) *server.R
 // unacknowledged mutations of the ops the dead link failed, and running the
 // retries there would surface phantom conflicts instead of the retryable
 // failover code.
-func (c *Coordinator) submitToSlot(ctx context.Context, sl *slot, req *server.Request) *server.Response {
+func (c *Coordinator) submitToSlot(ctx context.Context, sl *slot, req *protocol.Request) *protocol.Response {
 	b, w, epoch, down, failing := sl.current()
 	if down || b == nil {
-		return &server.Response{ID: req.ID, ErrorCode: protocol.CodeBoardDown,
+		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeBoardDown,
 			Err: fmt.Sprintf("fleet: slot %d is down and no spare is left", sl.idx)}
 	}
 	if failing {
-		return &server.Response{ID: req.ID, ErrorCode: protocol.CodeFailover,
+		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeFailover,
 			Err: fmt.Sprintf("fleet: slot %d is failing over, retry", sl.idx)}
 	}
 	resp := w.Submit(ctx, req)
@@ -442,7 +364,7 @@ func (c *Coordinator) submitToSlot(ctx context.Context, sl *slot, req *server.Re
 
 // connect admits (or re-attaches) a session and returns the slot's current
 // configuration.
-func (c *Coordinator) connect(ctx context.Context, req *server.Request) *server.Response {
+func (c *Coordinator) connect(ctx context.Context, req *protocol.Request) *protocol.Response {
 	key := PlacementKey(req.Session)
 	if req.Key != nil {
 		key = *req.Key
@@ -456,7 +378,7 @@ func (c *Coordinator) connect(ctx context.Context, req *server.Request) *server.
 			c.mu.Lock()
 			c.counters.admissionRejects++
 			c.mu.Unlock()
-			return &server.Response{ID: req.ID, ErrorCode: protocol.CodeAdmission,
+			return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeAdmission,
 				Err: fmt.Sprintf("fleet: slot %d at its session cap (%d)", sl.idx, c.cfg.SessionCap)}
 		}
 		sl.sessions[req.Session] = struct{}{}
@@ -470,7 +392,7 @@ func (c *Coordinator) connect(ctx context.Context, req *server.Request) *server.
 
 // noteResult stamps the serving board and epoch on successful responses and
 // turns push failures into failover requests.
-func (c *Coordinator) noteResult(sl *slot, epoch uint64, resp *server.Response) {
+func (c *Coordinator) noteResult(sl *slot, epoch uint64, resp *protocol.Response) {
 	if resp.ErrorCode == protocol.CodeFailover {
 		c.requestFailover(sl, epoch)
 		return
@@ -538,7 +460,7 @@ func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
 	c.spares = c.spares[1:]
 	c.mu.Unlock()
 
-	newWorker, restored, replayed, restoreTime, err := c.replay(sl, spare)
+	newWorker, j, restored, replayed, restoreTime, err := c.replay(sl, spare)
 	if err != nil {
 		// The spare itself is bad; consume it and report the slot dead
 		// rather than serving a board the oracle rejected.
@@ -556,6 +478,7 @@ func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
 	sl.mu.Lock()
 	sl.b = spare
 	sl.worker = newWorker
+	sl.j = j
 	sl.epoch++
 	sl.failing = false
 	sl.mu.Unlock()
@@ -572,74 +495,39 @@ func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
 }
 
 // replay rebuilds the slot's journaled state on a fresh worker tethered to
-// the spare and audits the result. Returns the replayed worker, how many
-// connections were restored, how many of those were served by cached-path
-// replay rather than a fresh search, and the time spent on the restore
-// routing itself (core re-implementation + connection adoption — the part
-// a warm template library accelerates; the config push and oracle audit
-// that follow cost the same either way).
-func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, time.Duration, error) {
-	coreMsgs, conns := sl.j.snapshot()
-	feed := sl.j.attach()
-	w, err := c.newWorker(spare, feed)
+// the spare — one session_import of the form of every session, which pushes
+// the spare its frames — and audits the result. It returns the replayed
+// worker and its journal, how many connections were restored, how many
+// routes were served by cached-path replay rather than a fresh search, and
+// the time the import took (the part a warm template library accelerates;
+// the audit that follows costs the same either way).
+func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.Journal, int, int, time.Duration, error) {
+	form, err := sl.journal().Form("")
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, nil, 0, 0, 0, err
+	}
+	j := journal.New()
+	w, err := c.newWorker(spare, j)
+	if err != nil {
+		return nil, nil, 0, 0, 0, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	fail := func(err error) (*server.Worker, int, int, time.Duration, error) {
+	fail := func(err error) (*server.Worker, *journal.Journal, int, int, time.Duration, error) {
 		w.Close()
 		<-w.Done()
-		return nil, 0, 0, 0, err
+		return nil, nil, 0, 0, 0, err
 	}
-	restoreStart := time.Now()
-	// Cores first: re-instantiating them re-routes their internal nets.
-	for i := range coreMsgs {
-		msg := coreMsgs[i]
-		resp := w.Submit(ctx, &server.Request{Op: "core_new", Session: "replay", Core: &msg})
-		if resp.Err != "" {
-			return fail(fmt.Errorf("fleet: replaying core %q: %s", msg.Name, resp.Err))
-		}
+	start := time.Now()
+	if resp := w.Submit(ctx, &protocol.Request{Op: "session_import", Form: &form}); resp.Err != "" {
+		return fail(fmt.Errorf("fleet: importing onto %s: %s", spare.name, resp.Err))
 	}
-	// Then the connection records. Adoption is idempotent against nets the
-	// cores' Implement already routed, and replay-first: the remembered
-	// paths are swept for legality and committed without a search.
-	var replayed int
-	var restore time.Duration
+	restore := time.Since(start)
+	// Audit the spare through its own configuration port before trusting
+	// it: readback must match the replayed device's full configuration and
+	// pass the oracle's structural invariants, and every net on it — clocks
+	// included — must be a replayed record.
 	err = w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
-		before := r.Stats().CacheHits
-		for _, rec := range conns {
-			if err := r.AdoptConnection(rec); err != nil {
-				return err
-			}
-		}
-		replayed = r.Stats().CacheHits - before
-		restore = time.Since(restoreStart)
-		// No client op made these records, so no journal hook has seen them.
-		feed(nil, r.TakeDelta())
-		// The adoption dirtied frames the ship hook never saw. The spare
-		// started blank — the same state this worker's device grew from —
-		// so pushing just the dirty delta re-creates the dead board's
-		// configuration without streaming the whole device through the
-		// port: the failover window scales with the remembered state, not
-		// the device size.
-		if n := js.Dev.DirtyFrameCount(); n > 0 {
-			stream, err := js.Dev.AppendPartialConfig(nil)
-			if err != nil {
-				return err
-			}
-			c.chargePort(n)
-			if err := spare.remote.ConfigurePartial(stream); err != nil {
-				return err
-			}
-			// On the wire and applied; the buffer can seed the frame pool.
-			jbits.RecycleFrame(stream)
-		}
-		js.Dev.ClearDirty()
-		// Audit the spare through its own configuration port before
-		// trusting it: readback must match the replayed device's full
-		// configuration and pass the oracle's structural invariants, and
-		// every net on it — clocks included — must be a replayed record.
 		full, err := js.Dev.FullConfig()
 		if err != nil {
 			return err
@@ -657,7 +545,7 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, int, int, 
 	if err != nil {
 		return fail(err)
 	}
-	return w, len(conns), replayed, restore, nil
+	return w, j, len(form.Live), w.StatsSnapshot().CacheHits, restore, nil
 }
 
 // KillBoard severs slot i's board link immediately — the test and demo

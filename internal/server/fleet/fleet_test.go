@@ -397,10 +397,12 @@ func TestFailoverAfterKindlessReplace(t *testing.T) {
 // TestFailoverStitchesFromLibrary: a fleet built with a template library
 // hands it to failover spares too. A board hosting a rack of counter cores
 // (internal feedback wiring = real routing on restore) is killed; the
-// spare's fresh router re-implements every journaled core by stitching
-// library templates, the replay's own readback byte-compare and oracle
-// audit pass (or the slot would not have swapped), and every acked net
-// still traces.
+// spare's fresh router is seeded from the library and re-implements every
+// journaled core along the paths the journal holds (the import teaches its
+// route cache every record's path first, so no feedback net is searched or
+// stitched anew), the replay's own readback byte-compare and oracle audit
+// pass (or the slot would not have swapped), and every acked net still
+// traces.
 func TestFailoverStitchesFromLibrary(t *testing.T) {
 	b := library.NewBuilder("virtex", 16, 24)
 	if _, err := cores.LearnStdlib(arch.NewVirtex(), 16, 24, b); err != nil {
@@ -467,9 +469,11 @@ func TestFailoverStitchesFromLibrary(t *testing.T) {
 	if spare.Board != "spare0" {
 		t.Fatalf("slot0 served by %s, want spare0", spare.Board)
 	}
-	if spare.Worker.LibrarySeeded == 0 || spare.Worker.LibraryHits == 0 {
-		t.Errorf("spare restored with library seeded/hits = %d/%d: the fleet's library never reached it",
-			spare.Worker.LibrarySeeded, spare.Worker.LibraryHits)
+	if spare.Worker.LibrarySeeded == 0 {
+		t.Error("spare restored with no library entry seeded: the fleet's library never reached it")
+	}
+	if st.ReplayedPaths < counters*bits {
+		t.Errorf("%d routes of the restore were replays, want every feedback net's %d", st.ReplayedPaths, counters*bits)
 	}
 }
 
@@ -512,5 +516,44 @@ func TestFailoverAuditsEveryNet(t *testing.T) {
 	tr := submit(&server.Request{Op: "trace", Source: sp(pin(0, 0, arch.GClk(0)))})
 	if tr.Err != "" || tr.Net == nil || len(tr.Net.Sinks) != 2 || tr.Epoch != 2 {
 		t.Fatalf("the clock net on the spare: %q (%s) epoch %d %+v", tr.Err, tr.ErrorCode, tr.Epoch, tr.Net)
+	}
+}
+
+// TestFailoverKeepsPortMemory: a sink reverse-unrouted off a port net is
+// remembered under the port (§3.3), and a failover carries port memory to
+// the spare with everything else, so a core_replace after it routes the
+// sink back, as it would have on the dead board.
+func TestFailoverKeepsPortMemory(t *testing.T) {
+	c := newFleet(t, fleet.Config{Boards: 1, Spares: 1})
+	ctx := context.Background()
+	connect(t, c, "only", 0)
+	submit := func(req *server.Request) *server.Response {
+		req.Session = "only"
+		return c.Submit(ctx, req)
+	}
+	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	gone := pin(9, 13, arch.S0F3)
+	for _, req := range []*server.Request{
+		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3), gone}},
+		{Op: "reverse_unroute", Source: &gone},
+	} {
+		if r := submit(req); r.Err != "" {
+			t.Fatalf("%s: %s (%s)", req.Op, r.Err, r.ErrorCode)
+		}
+	}
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	if r := submit(&server.Request{Op: "route", Source: sp(pin(13, 3, arch.S1YQ)), Sinks: []server.EndPointMsg{pin(14, 5, arch.S0F3)}}); r.ErrorCode != protocol.CodeFailover {
+		t.Fatalf("route on the killed board: %q (%s)", r.Err, r.ErrorCode)
+	}
+	waitEpoch(t, c, 0, 2)
+	if r := submit(&server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 8, Col: 16}}); r.Err != "" {
+		t.Fatalf("core_replace on the spare: %s (%s)", r.Err, r.ErrorCode)
+	}
+	tr := submit(&server.Request{Op: "trace", Source: &q})
+	if tr.Err != "" || tr.Net == nil || len(tr.Net.Sinks) != 2 || tr.Epoch != 2 {
+		t.Fatalf("reg.q on the spare after the replace: %q epoch %d %+v, want both sinks back", tr.Err, tr.Epoch, tr.Net)
 	}
 }

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,13 +16,17 @@ import (
 )
 
 // TestJournalEqualsSnapshot: the journal is fed each acknowledged op's delta
-// and never sees the connection table whole, yet after every acknowledged
-// op — routes, fanouts, a bus, cores placed and relocated under crossing
-// nets, reverse unroutes that split records in place, unroutes, ops that
-// fail and are rolled back, ops whose push the board refuses — what it
-// would hand a failover is exactly Router.SnapshotConnections, order
-// included. The slot is then killed mid-churn, and the same holds on the
-// spare from the moment it takes over, before any client op reaches it.
+// and never sees the router whole, yet after every acknowledged op —
+// routes, fanouts, a bus, cores placed and relocated under crossing nets,
+// reverse unroutes that split records in place, unroutes, port nets taken
+// down into port memory, a net detoured around a reservation (so it has a
+// way home), ops that fail and are rolled back, ops whose push the board
+// refuses — what it would hand a failover is exactly the worker's export:
+// the cores, the live records, the remembered ones and their ways home,
+// order included. A second session shares the slot, and each owner's form
+// holds only its own. The slot is then killed mid-churn, and the same holds
+// on the spare from the moment it takes over, before any client op reaches
+// it.
 func TestJournalEqualsSnapshot(t *testing.T) {
 	c, err := New(Config{Boards: 1, Spares: 1, Rows: 16, Cols: 24})
 	if err != nil {
@@ -32,18 +38,28 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	sl := c.slots[0]
 
 	checks := 0
+	form := func(owner string) protocol.SessionMsg {
+		t.Helper()
+		got, err := sl.journal().Form(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	check := func(what string) {
 		t.Helper()
 		_, w, _, _, _ := sl.current()
-		var want []core.ConnectionRecord
-		if err := w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
-			want = r.SnapshotConnections()
-			return nil
-		}); err != nil {
+		want, err := w.Export(ctx)
+		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if _, got := sl.j.snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after %s the journal holds\n%v\nand the router\n%v", what, got, want)
+		if got := form(""); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s the journal holds\n%+v\nand the router\n%+v", what, got, want)
+		}
+		for _, owner := range []string{"s", "t"} {
+			if got, want := form(owner), ownedBy(want, owner); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s the journal holds for %s\n%+v\nand the router\n%+v", what, owner, got, want)
+			}
 		}
 		checks++
 	}
@@ -53,7 +69,9 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	// do submits one op; an acknowledged one is followed by the comparison.
 	do := func(what string, req *server.Request) *server.Response {
 		t.Helper()
-		req.Session = "s"
+		if req.Session == "" {
+			req.Session = "s"
+		}
 		resp := c.Submit(ctx, req)
 		if resp.Err == "" {
 			check(what)
@@ -71,6 +89,7 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	}
 	key := uint64(0)
 	must("connect", &server.Request{Op: "connect", Key: &key})
+	must("connect t", &server.Request{Op: "connect", Session: "t", Key: &key})
 
 	outs := []arch.Wire{arch.S0X, arch.S0Y, arch.S1X, arch.S1Y}
 	ins := []arch.Wire{arch.S0F1, arch.S0G1, arch.S1F1, arch.S1G1}
@@ -124,8 +143,47 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		k := uint64(1 + i)
 		must("core_replace", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: site[0], Col: site[1], K: &k}})
 	}
+	// Port memory: one port net loses a sink, the other goes whole; a
+	// replace of the multiplier routes both back.
+	must("reverse unroute of a port net", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
+	must("unroute of a port net", &server.Request{Op: "unroute", Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: 1}}})
+	if f := form("s"); len(f.Memory) != 2 {
+		t.Fatalf("port memory holds %d records, want 2: %+v", len(f.Memory), f.Memory)
+	}
+	must("core_replace from memory", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: 6, Col: 13}})
+	if f := form("s"); len(f.Memory) != 0 {
+		t.Fatalf("port memory holds %d records after the replace, want 0", len(f.Memory))
+	}
+	must("reverse unroute of a port net again", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
+	// The second session: a register, a net off its port, a pin net.
+	must("t core_new", &server.Request{Op: "core_new", Session: "t", Core: &server.CoreMsg{Name: "treg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
+	must("t port route", &server.Request{Op: "route", Session: "t", Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "treg", Group: "q", Index: 0}}, Sinks: []server.EndPointMsg{pin(14, 14, arch.S0G4)}})
+	must("t route", &server.Request{Op: "route", Session: "t", Source: ptr(pin(15, 2, arch.S1YQ)), Sinks: []server.EndPointMsg{pin(15, 6, arch.S0F1)}})
 	unchurn(0)
 	churn(1)
+	// A net detoured around a reservation keeps the way home; the next op
+	// carries the change.
+	_, w, _, _, _ := sl.current()
+	if err := w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
+		ripped, err := r.RipUpNet(core.NewPin(2, 2, outs[1]))
+		if err != nil || len(ripped) == 0 {
+			return fmt.Errorf("ripping the net to detour: %v, %d records", err, len(ripped))
+		}
+		r.AddAvoid(2, 4, 3, 3)
+		defer r.RemoveAvoid(2, 4, 3, 3)
+		for _, rec := range ripped {
+			if err := r.RestoreConnection(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	must("route after a detour", route(pin(15, 9, arch.S1YQ), pin(15, 12, arch.S0F2)))
+	if f := form("s"); !slices.ContainsFunc(f.Live, func(r protocol.RecordMsg) bool { return len(r.Home) > 0 }) {
+		t.Fatal("no live record has a way home after the detour")
+	}
 
 	// The board dies under a route: the op is not acknowledged, the spare
 	// takes over, and the journal already mirrors the spare's router.
@@ -141,8 +199,8 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		}
 	}
 	check("failover")
-	if _, conns := sl.j.snapshot(); len(conns) < 10 {
-		t.Fatalf("only %d records survived the failover", len(conns))
+	if f := form(""); len(f.Live) < 10 || len(f.Memory) == 0 || len(f.Cores) != 2 {
+		t.Fatalf("the failover kept %d live records, %d remembered and %d cores", len(f.Live), len(f.Memory), len(f.Cores))
 	}
 	must("retry on the spare", route(pin(13, 20, arch.S1YQ), pin(14, 22, arch.S0F3)))
 	unchurn(1)
@@ -151,3 +209,26 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		t.Errorf("only %d acknowledged ops were compared", checks)
 	}
 }
+
+// ownedBy is the part of a form one owner holds.
+func ownedBy(f protocol.SessionMsg, owner string) protocol.SessionMsg {
+	var out protocol.SessionMsg
+	for _, c := range f.Cores {
+		if c.Owner == owner {
+			out.Cores = append(out.Cores, c)
+		}
+	}
+	for _, r := range f.Live {
+		if r.Owner == owner {
+			out.Live = append(out.Live, r)
+		}
+	}
+	for _, r := range f.Memory {
+		if r.Owner == owner {
+			out.Memory = append(out.Memory, r)
+		}
+	}
+	return out
+}
+
+func ptr(m server.EndPointMsg) *server.EndPointMsg { return &m }

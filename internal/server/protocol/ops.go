@@ -35,6 +35,7 @@ const (
 	OpReverseTrace   byte = 0x17
 	OpCoreNew        byte = 0x20
 	OpCoreReplace    byte = 0x21
+	OpSessionImport  byte = 0x22
 	OpGwDrain        byte = 0x30
 )
 
@@ -44,9 +45,9 @@ type Op struct {
 	Byte  byte   // v3 header op byte
 	Scope Scope
 	// Mutating ops change device configuration: a successful response
-	// carries the frames the op dirtied (Frames, FrameN), and the fleet
-	// journal and the gateway's session state take in the acknowledged
-	// request.
+	// carries the frames the op dirtied (Frames, FrameN), and the worker
+	// hands what the op changed in its records to the fleet journal and, as
+	// Response.Delta, to a tier that asked for it.
 	Mutating bool
 }
 
@@ -101,6 +102,12 @@ var Ops = []Op{
 	//   reverse_trace (Session, Source) -> Net: Source is a sink pin: its branch
 	{"trace", OpTrace, ScopeSession, false},
 	{"reverse_trace", OpReverseTrace, ScopeSession, false},
+
+	// A session moved whole.
+	//   session_import (Session, Form)  replace what the session holds here
+	//                                   with the form, all or nothing: cores,
+	//                                   then live records, then port memory
+	{"session_import", OpSessionImport, ScopeSession, true},
 
 	// Gateway administration.
 	//   gw_drain (Session = backend name) -> Devices: the sessions moved off

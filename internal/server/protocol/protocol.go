@@ -51,6 +51,11 @@ const (
 	// response advertises it; the connection speaks v3 from the frame after
 	// the hello response.
 	CapBinV3 = "binv3"
+	// CapDelta, offered in a hello request, asks for the record delta of
+	// every acknowledged mutating op (Response.Delta). A tier that journals
+	// the sessions behind it — the gateway — asks; a client does not, and
+	// its responses stay as they were.
+	CapDelta = "delta"
 )
 
 // Error codes. The empty string means success.
@@ -135,6 +140,7 @@ type Request struct {
 	Sources []EndPointMsg `json:"sources,omitempty"`
 	Nets    []NetMsg      `json:"nets,omitempty"`
 	Core    *CoreMsg      `json:"core,omitempty"`
+	Form    *SessionMsg   `json:"form,omitempty"` // session_import
 	Hello   *HelloMsg     `json:"hello,omitempty"`
 
 	// TimeoutMillis propagates the client context's remaining deadline.
@@ -155,6 +161,9 @@ type Request struct {
 	// every decoded request from per-connection state, so clients cannot
 	// spoof it.
 	Tenant string `json:"-"`
+	// WantDelta says the connection's hello offered CapDelta; like Tenant,
+	// the server stamps it and it never travels.
+	WantDelta bool `json:"-"`
 
 	row *Op // Op resolved against the table; see Row
 }
@@ -194,6 +203,10 @@ type Response struct {
 	// mirror reproduces the server's bitstream exactly.
 	Frames []byte `json:"frames,omitempty"`
 	FrameN int    `json:"frame_n,omitempty"`
+	// Delta is what an acknowledged mutating op changed in the session
+	// records behind it, in the v3 delta-entry encoding, for a connection
+	// whose hello offered CapDelta; nil for every other.
+	Delta []byte `json:"delta,omitempty"`
 
 	Net   *NetMsg   `json:"net,omitempty"`   // trace results
 	Stats *StatsMsg `json:"stats,omitempty"` // statsz
@@ -243,6 +256,9 @@ type PipMsg struct {
 //	constmul: K, KBits      (replace retunes K)
 //	register: Bits
 type CoreMsg struct {
+	// Owner is the session that made the core, in a session form; a request
+	// leaves it empty, since a core belongs to the session that asks.
+	Owner string  `json:"owner,omitempty"`
 	Name  string  `json:"name"`
 	Kind  string  `json:"kind,omitempty"`
 	Row   int     `json:"row"`
@@ -250,6 +266,36 @@ type CoreMsg struct {
 	K     *uint64 `json:"k,omitempty"`
 	KBits int     `json:"kbits,omitempty"`
 	Bits  int     `json:"bits,omitempty"`
+}
+
+// SessionMsg is a session's form: what its router holds of it (§3.3's
+// cores, connections and port memory), not the ops that made it — the
+// cores in creation order with their current descriptions, the live
+// records, and the records port memory keeps for Reconnect, each in
+// sequence order. A remembered record is filed under every port among its
+// endpoints. session_import places a form; a journal that applies deltas
+// holds one per session.
+type SessionMsg struct {
+	Cores  []CoreMsg   `json:"cores,omitempty"`
+	Live   []RecordMsg `json:"live,omitempty"`
+	Memory []RecordMsg `json:"memory,omitempty"`
+}
+
+// RecordMsg is one connection record: its endpoints as routed (ports by
+// core, group and index) and the PIP path it set (NetMsg.Pips), under the
+// sequence number its router gave it.
+type RecordMsg struct {
+	Seq   uint64 `json:"seq"`
+	Owner string `json:"owner,omitempty"`
+	Kind  uint8  `json:"kind,omitempty"` // which call made it: automatic, level 1–3, clock
+	NetMsg
+	// At lists the pins the endpoints resolved to when Pips was recorded —
+	// the source's, then the sinks' sorted — when an endpoint is a port:
+	// the frame a replay shifts from once the core has moved.
+	At []PinMsg `json:"at,omitempty"`
+	// Home is the path a detoured restore searched away from; a restore
+	// replays it first.
+	Home []PipMsg `json:"home,omitempty"`
 }
 
 // StatsMsg is the statsz payload: per-session counters and per-op latency

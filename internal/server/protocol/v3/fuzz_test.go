@@ -33,6 +33,7 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 		{ID: 9, Op: "core_replace", Session: "s",
 			Core: &protocol.CoreMsg{Name: "m", Kind: "constmul", Row: 1, Col: 2, K: &key, KBits: 8}},
 		{ID: 10, Op: "gw_drain", Session: "be0"},
+		{ID: 11, Op: "session_import", Session: "d", Form: testForm()},
 	}
 	var out [][]byte
 	for i := range reqs {
@@ -52,6 +53,8 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 		{protocol.OpGwDrain, protocol.Response{ID: 10, Devices: []string{"v1000-class/s0"}}},
 		{protocol.OpRoute, protocol.Response{ID: 5, Board: "b0", Epoch: 3, FrameN: 2, Frames: []byte{0xAA, 0xBB}}},
 		{protocol.OpRoute, protocol.Response{ID: 5, Err: "nope", ErrorCode: protocol.CodeRoute}},
+		{protocol.OpRoute, protocol.Response{ID: 5, Board: "b0", Epoch: 3, FrameN: 1, Frames: []byte{0xAA},
+			Delta: []byte{EntryGone, 0x01, 'd', 0x07}}},
 		{protocol.OpTrace, protocol.Response{ID: 6, Net: &protocol.NetMsg{
 			Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(4, 5, 6)}}}},
 	}

@@ -28,7 +28,9 @@
 // therefore return the blob separately from the encoded head so callers
 // can hand both to the socket in one vectored write (WriteMsg) without
 // copying the frame data; decoders return blobs aliasing the read buffer,
-// which the caller owns and recycles.
+// which the caller owns and recycles. The one exception is the tier hop:
+// a mutating response with a record delta (FlagDelta, delta.go) has the
+// delta after its frames and is encoded whole.
 package v3
 
 import (
@@ -53,6 +55,10 @@ const (
 	MaxPayload = 64 << 20
 	// FlagResp marks a response frame.
 	FlagResp uint16 = 1 << 0
+	// FlagDelta marks a response that carries a record delta as its trailing
+	// section (see Response.Delta): only a connection whose hello offered
+	// protocol.CapDelta gets one.
+	FlagDelta uint16 = 1 << 1
 )
 
 // Error-code bytes. Values are pinned by the ABI tests; never renumber.
@@ -260,10 +266,7 @@ func appendEndpoint(dst []byte, ep *protocol.EndPointMsg) ([]byte, error) {
 	case ep == nil:
 		return dst, fmt.Errorf("v3: missing endpoint")
 	case ep.Pin != nil:
-		dst = append(dst, epPin)
-		dst = appendSvarint(dst, ep.Pin.Row)
-		dst = appendSvarint(dst, ep.Pin.Col)
-		return appendUvarint(dst, uint64(ep.Pin.Wire)), nil
+		return appendPin(append(dst, epPin), *ep.Pin), nil
 	case ep.Port != nil:
 		dst = append(dst, epPort)
 		dst = appendString(dst, ep.Port.Core)
@@ -272,6 +275,12 @@ func appendEndpoint(dst []byte, ep *protocol.EndPointMsg) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("v3: endpoint is neither pin nor port")
 	}
+}
+
+func appendPin(dst []byte, p protocol.PinMsg) []byte {
+	dst = appendSvarint(dst, p.Row)
+	dst = appendSvarint(dst, p.Col)
+	return appendUvarint(dst, uint64(p.Wire))
 }
 
 func appendEndpoints(dst []byte, eps []protocol.EndPointMsg) ([]byte, error) {
@@ -293,15 +302,19 @@ func appendNet(dst []byte, n *protocol.NetMsg) ([]byte, error) {
 	if dst, err = appendEndpoints(dst, n.Sinks); err != nil {
 		return dst, err
 	}
-	dst = appendUvarint(dst, uint64(len(n.Pips)))
-	for i := range n.Pips {
-		p := &n.Pips[i]
+	return appendPips(dst, n.Pips), nil
+}
+
+func appendPips(dst []byte, pips []protocol.PipMsg) []byte {
+	dst = appendUvarint(dst, uint64(len(pips)))
+	for i := range pips {
+		p := &pips[i]
 		dst = appendSvarint(dst, p.Row)
 		dst = appendSvarint(dst, p.Col)
 		dst = appendUvarint(dst, uint64(p.From))
 		dst = appendUvarint(dst, uint64(p.To))
 	}
-	return dst, nil
+	return dst
 }
 
 func appendCore(dst []byte, c *protocol.CoreMsg) ([]byte, error) {
@@ -374,6 +387,14 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 		if dst, err = appendCore(dst, req.Core); err != nil {
 			return dst, err
 		}
+	case protocol.OpSessionImport:
+		if req.Form == nil {
+			return dst, fmt.Errorf("v3: session_import without a form")
+		}
+		// The form's entries run to the end of the payload.
+		if dst, err = AppendSession(dst, req.Form); err != nil {
+			return dst, err
+		}
 	}
 	n := len(dst) - start - HeaderSize
 	if n > MaxPayload {
@@ -388,9 +409,12 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 // raw blob tail separately: the configuration stream, dirty frames or
 // statsz JSON are NOT copied into head — write both with WriteMsg for the
 // zero-copy path. raw aliases resp's buffers and must be written before
-// they are recycled.
+// they are recycled. A mutating response that carries a delta (the tier
+// hop) has it as a section after the frames, and is encoded whole into
+// head.
 func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []byte, err error) {
 	start := len(dst)
+	var flags uint16
 	dst = append(dst, make([]byte, HeaderSize)...)
 	code := CodeByte(resp.ErrorCode)
 	if code == CodeOK && (resp.Err != "" || resp.Busy) {
@@ -440,13 +464,18 @@ func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []b
 			dst = appendUvarint(dst, uint64(resp.FrameN))
 			dst = appendUvarint(dst, uint64(len(resp.Frames)))
 			raw = resp.Frames
+			if resp.Delta != nil {
+				dst = append(dst, raw...)
+				dst = appendUvarint(dst, uint64(len(resp.Delta)))
+				dst, raw, flags = append(dst, resp.Delta...), nil, FlagDelta
+			}
 		}
 	}
 	n := len(dst) - start - HeaderSize + len(raw)
 	if n > MaxPayload {
 		return dst, nil, fmt.Errorf("v3: response payload of %d bytes exceeds limit", n)
 	}
-	PutHeader(dst[start:], Header{Op: op, Flags: FlagResp, ID: resp.ID, Len: uint32(n)})
+	PutHeader(dst[start:], Header{Op: op, Flags: FlagResp | flags, ID: resp.ID, Len: uint32(n)})
 	return dst, raw, nil
 }
 
@@ -530,13 +559,14 @@ func (d *dec) count(what string) int {
 	return int(n)
 }
 
-func (d *dec) bytes(what string) []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
+func (d *dec) bytes(what string) []byte { return d.take(d.uvarint(), what) }
+
+// take returns the next n bytes, aliasing the payload.
+func (d *dec) take(n uint64, what string) []byte {
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
 		d.fail(what)
+	}
+	if d.err != nil {
 		return nil
 	}
 	v := d.b[d.off : d.off+int(n)]
@@ -585,16 +615,33 @@ func (d *dec) endpoints(what string) []protocol.EndPointMsg {
 func (d *dec) net(n *protocol.NetMsg) {
 	d.endpoint(&n.Source)
 	n.Sinks = d.endpoints("sinks")
+	n.Pips = d.pips()
+}
+
+func (d *dec) pips() []protocol.PipMsg {
 	np := d.count("pips")
 	if d.err != nil || np == 0 {
-		return
+		return nil
 	}
-	n.Pips = make([]protocol.PipMsg, np)
-	for i := range n.Pips {
-		p := &n.Pips[i]
+	pips := make([]protocol.PipMsg, np)
+	for i := range pips {
+		p := &pips[i]
 		p.Row, p.Col = d.svarint(), d.svarint()
 		p.From, p.To = int(d.uvarint()), int(d.uvarint())
 	}
+	return pips
+}
+
+func (d *dec) core(c *protocol.CoreMsg) {
+	c.Name = d.str("core name")
+	c.Kind = d.str("core kind")
+	c.Row, c.Col = d.svarint(), d.svarint()
+	if d.u8() != 0 {
+		k := d.uvarint()
+		c.K = &k
+	}
+	c.KBits = d.svarint()
+	c.Bits = d.svarint()
 }
 
 // DecodeRequest decodes a request payload into req. An optional Interner
@@ -637,17 +684,14 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 		req.Source = &protocol.EndPointMsg{}
 		d.endpoint(req.Source)
 	case protocol.OpCoreNew, protocol.OpCoreReplace:
-		c := &protocol.CoreMsg{}
-		c.Name = d.str("core name")
-		c.Kind = d.str("core kind")
-		c.Row, c.Col = d.svarint(), d.svarint()
-		if d.u8() != 0 {
-			k := d.uvarint()
-			c.K = &k
+		req.Core = &protocol.CoreMsg{}
+		d.core(req.Core)
+	case protocol.OpSessionImport:
+		req.Form = &protocol.SessionMsg{}
+		if d.err == nil {
+			d.err = DecodeSession(payload[d.off:], req.Form)
+			d.off = len(payload)
 		}
-		c.KBits = d.svarint()
-		c.Bits = d.svarint()
-		req.Core = c
 	}
 	if d.err == nil && d.off != len(payload) {
 		d.err = fmt.Errorf("v3: %d trailing bytes after %s request", len(payload)-d.off, op.Name)
@@ -706,6 +750,9 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 	default:
 		resp.FrameN = int(d.uvarint())
 		resp.Frames = d.bytes("frame stream")
+		if h.Flags&FlagDelta != 0 {
+			resp.Delta = d.bytes("delta section")
+		}
 	}
 	if d.err == nil && d.off != len(payload) {
 		d.err = fmt.Errorf("v3: %d trailing bytes after response", len(payload)-d.off)

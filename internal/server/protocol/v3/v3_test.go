@@ -52,7 +52,7 @@ func TestABIOpBytes(t *testing.T) {
 		"connect": 0x01, "devices": 0x02, "statsz": 0x03, "readback": 0x04,
 		"route": 0x10, "bus": 0x11, "bus_batch": 0x12, "batch": 0x13,
 		"unroute": 0x14, "reverse_unroute": 0x15, "trace": 0x16, "reverse_trace": 0x17,
-		"core_new": 0x20, "core_replace": 0x21,
+		"core_new": 0x20, "core_replace": 0x21, "session_import": 0x22,
 		"gw_drain": 0x30,
 	}
 	if len(want) != len(protocol.Ops) {
@@ -210,6 +210,32 @@ func TestABIRequests(t *testing.T) {
 				0x01, 0x0B, // K present, K=11
 				0x10, 0x00, // zigzag(8), bits 0
 			)},
+		{"session_import",
+			protocol.Request{ID: 15, Op: "session_import", Session: "d", Form: testForm()},
+			frame(0x22, 0, 15,
+				0x01, 'd', 0x00,
+				0x01, 0x01, 'd', // core entry, owner "d"
+				0x01, 'r',
+				0x08, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r',
+				0x02, 0x04, // zigzag(1), zigzag(2)
+				0x00,       // no K
+				0x00, 0x04, // kbits 0, zigzag(2)
+				0x02, 0x01, 'd', 0x03, // live entry, owner "d", seq 3
+				0x11, 0x00, 0x00, 0x00, // record blob of 17 bytes
+				0x00,                   // kind
+				0x01, 0x02, 0x04, 0x03, // source pin(1,2,3)
+				0x01, 0x01, 0x08, 0x0A, 0x06, // 1 sink: pin(4,5,6)
+				0x01, 0x02, 0x04, 0x03, 0x04, // 1 pip: (1,2) 3->4
+				0x00, 0x00, // no At pins, no home
+				0x03, 0x01, 'd', 0x05, // memory entry, owner "d", seq 5
+				0x19, 0x00, 0x00, 0x00, // record blob of 25 bytes
+				0x00,                             // kind
+				0x02, 0x01, 'r', 0x01, 'q', 0x00, // source port "r"."q"[0]
+				0x01, 0x01, 0x08, 0x0A, 0x06, // 1 sink: pin(4,5,6)
+				0x01, 0x02, 0x04, 0x03, 0x04, // 1 pip
+				0x02, 0x02, 0x04, 0x03, 0x08, 0x0A, 0x06, // At: pin(1,2,3), pin(4,5,6)
+				0x00, // no home
+			)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,6 +287,20 @@ func TestABIResponses(t *testing.T) {
 				0x03, // frame-stream length
 			),
 			[]byte{0xAA, 0xBB, 0xCC}},
+		{"mutating+delta", protocol.OpRoute,
+			protocol.Response{ID: 2, Board: "b0", Epoch: 3, FrameN: 2, Frames: []byte{0xAA, 0xBB, 0xCC},
+				Delta: []byte{EntryGone, 0x01, 'd', 0x07}},
+			append(hdr(0x10, FlagResp|FlagDelta, 2, 15),
+				0x00,           // code OK
+				0x02, 'b', '0', // board
+				0x03,             // epoch
+				0x02,             // frame count
+				0x03,             // frame-stream length
+				0xAA, 0xBB, 0xCC, // the frames, in the head with a delta behind them
+				0x04,                  // delta length
+				0x04, 0x01, 'd', 0x07, // gone: owner "d", seq 7
+			),
+			nil},
 		{"connect", protocol.OpConnect,
 			protocol.Response{ID: 1, Rows: 4, Cols: 4, Arch: "virtex", Config: []byte{0x01, 0x02}},
 			append(hdr(0x01, FlagResp, 1, 15),
@@ -560,5 +600,57 @@ func BenchmarkDecodeRequestRoute(b *testing.B) {
 		if err := DecodeRequest(h, payload, &back, in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// testForm is a session form with one core, one live record and one
+// remembered record filed under a port.
+func testForm() *protocol.SessionMsg {
+	net := protocol.NetMsg{Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(4, 5, 6)},
+		Pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}}
+	mem := net
+	mem.Source = port("r", "q", 0)
+	return &protocol.SessionMsg{
+		Cores: []protocol.CoreMsg{{Owner: "d", Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2}},
+		Live:  []protocol.RecordMsg{{Seq: 3, Owner: "d", NetMsg: net}},
+		Memory: []protocol.RecordMsg{{Seq: 5, Owner: "d", NetMsg: mem,
+			At: []protocol.PinMsg{{Row: 1, Col: 2, Wire: 3}, {Row: 4, Col: 5, Wire: 6}}}},
+	}
+}
+
+// TestRecordEntryRoundTrip: a record whose blob outgrows the one-byte length
+// prefix (a long path and a way home) decodes to what was encoded, and so
+// does every entry kind around it.
+func TestRecordEntryRoundTrip(t *testing.T) {
+	rec := protocol.RecordMsg{Seq: 300, Owner: "sess", Kind: 2,
+		NetMsg: protocol.NetMsg{Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(9, 9, 1), port("c", "d", 2)}}}
+	for i := 0; i < 40; i++ {
+		rec.Pips = append(rec.Pips, protocol.PipMsg{Row: i, Col: -i, From: i + 1, To: i + 200})
+		rec.Home = append(rec.Home, protocol.PipMsg{Row: 2 * i, Col: i, From: 7, To: 9})
+	}
+	rec.At = []protocol.PinMsg{{Row: 1, Col: 2, Wire: 3}, {Row: 9, Col: 9, Wire: 1}, {Row: 4, Col: 4, Wire: 4}}
+	buf, err := AppendRecordEntry(nil, true, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = AppendMarkEntry(buf, EntryGone, "sess", 12)
+	buf = AppendMarkEntry(buf, EntryDrop, "other", 0)
+	e, rest, err := NextEntry(buf)
+	if err != nil || e.Tag != EntryMemory || string(e.Owner) != "sess" || e.Seq != 300 {
+		t.Fatalf("first entry %+v, %v", e, err)
+	}
+	back := protocol.RecordMsg{Seq: e.Seq, Owner: string(e.Owner)}
+	if err := decodeRecord(e.Record, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := AppendRecordEntry(nil, true, &back)
+	if len(e.Record) < 0x80 || !bytes.Equal(again, buf[:len(buf)-len(rest)]) {
+		t.Fatalf("a %d-byte record does not round trip", len(e.Record))
+	}
+	if e, rest, err = NextEntry(rest); err != nil || e.Tag != EntryGone || e.Seq != 12 {
+		t.Fatalf("gone entry %+v, %v", e, err)
+	}
+	if e, rest, err = NextEntry(rest); err != nil || e.Tag != EntryDrop || string(e.Owner) != "other" || len(rest) != 0 {
+		t.Fatalf("drop entry %+v, %v, %d bytes left", e, err, len(rest))
 	}
 }

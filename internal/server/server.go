@@ -206,8 +206,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.connWG.Done()
 	}()
-	if tenant, ok := s.handshake(conn); ok {
-		s.serveV3(conn, tenant)
+	if tenant, delta, ok := s.handshake(conn); ok {
+		s.serveV3(conn, tenant, delta)
 	}
 }
 
@@ -215,11 +215,12 @@ func (s *Server) handleConn(conn net.Conn) {
 // whether the connection may go on to v3 and as which tenant. Anything but
 // a well-formed hello that offers binv3 is answered with a typed error and
 // refused, so a client of an older framing gets one clear response instead
-// of undefined behaviour mid-session.
-func (s *Server) handshake(conn net.Conn) (tenant string, ok bool) {
+// of undefined behaviour mid-session. delta reports whether the hello asked
+// for record deltas (protocol.CapDelta).
+func (s *Server) handshake(conn net.Conn) (tenant string, delta, ok bool) {
 	op, payload, err := jbits.ReadFrame(conn)
 	if err != nil {
-		return "", false // EOF, deadline (shutdown), or transport failure
+		return "", false, false // EOF, deadline (shutdown), or transport failure
 	}
 	var req Request
 	var resp *Response
@@ -235,17 +236,18 @@ func (s *Server) handshake(conn net.Conn) (tenant string, ok bool) {
 				req.Op, protocol.Version)}
 	} else {
 		resp, tenant = s.hello(&req)
+		delta = req.Hello != nil && slices.Contains(req.Hello.Caps, protocol.CapDelta)
 	}
 	resp.ID = req.ID
 	ok = resp.Err == ""
 	out, err := json.Marshal(resp)
 	if err != nil {
-		return "", false
+		return "", false, false
 	}
 	werr := jbits.WriteFrame(conn, OpService|jbits.RespFlag, out)
 	s.noteIO(ok, len(payload), len(out))
 	jbits.RecycleFrame(payload)
-	return tenant, ok && werr == nil
+	return tenant, delta, ok && werr == nil
 }
 
 // serveV3 is the per-connection loop after the hello: fixed-header
@@ -254,8 +256,9 @@ func (s *Server) handshake(conn net.Conn) (tenant string, ok bool) {
 // socket in one vectored write, with no intermediate marshal. Read buffers
 // are reused across requests; a frame failing the pre-parse filter is
 // answered with a typed malformed error and the connection closed (the
-// byte stream can no longer be trusted to be frame-aligned).
-func (s *Server) serveV3(conn net.Conn, tenant string) {
+// byte stream can no longer be trusted to be frame-aligned). Only a
+// connection whose hello asked for deltas gets them.
+func (s *Server) serveV3(conn net.Conn, tenant string, delta bool) {
 	var hdr [v3.HeaderSize]byte
 	var payload []byte // reused request-payload buffer
 	var out []byte     // reused response-encode buffer
@@ -292,8 +295,11 @@ func (s *Server) serveV3(conn net.Conn, tenant string) {
 			s.noteMalformed()
 			resp = &Response{ID: h.ID, Err: derr.Error(), ErrorCode: protocol.CodeMalformed}
 		} else {
-			req.Tenant = tenant
+			req.Tenant, req.WantDelta = tenant, delta
 			resp = s.dispatch(req)
+			if !delta {
+				resp.Delta = nil
+			}
 		}
 		head, raw, err := v3.AppendResponse(out[:0], h.Op, resp)
 		if err != nil {

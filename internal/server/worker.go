@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -51,6 +50,8 @@ type coreEntry struct {
 	c      cores.Core
 	groups []string // port groups the replace flow reconnects
 	msg    CoreMsg  // current description: the core_new's, replaces folded in
+	owner  uint8
+	stamp  uint64 // creation order
 }
 
 // WorkerConfig describes one device-backed routing worker.
@@ -69,11 +70,12 @@ type WorkerConfig struct {
 	ShipHook func(stream []byte, frames int) error
 
 	// JournalHook, when set, is called on the worker goroutine after each
-	// acknowledged mutating op with the op and what it (and any failed or
-	// unshipped op since the last call) changed in the router's live
-	// connection table — the fleet coordinator's failover journal. Applied
-	// in call order the deltas add up to Router.SnapshotConnections.
-	JournalHook func(req *Request, delta core.Delta)
+	// acknowledged mutating op with what it (and any failed or unshipped op
+	// since the last call) changed in the sessions' cores and records, as v3
+	// delta entries — the fleet coordinator's failover journal. Applied in
+	// call order the deltas add up to every owner's form (see Export). The
+	// hook may keep the slice; nothing writes into it again.
+	JournalHook func(delta []byte)
 }
 
 // Worker wraps one named device: a JBits session, a JRoute router, named
@@ -92,6 +94,25 @@ type Worker struct {
 	router *core.Router
 	cores  map[string]*coreEntry
 	m      *sessionMetrics
+
+	// Each session a request names owns what its ops make: a slot-local
+	// index the router stamps on records (Router.SetOwner), names[index]
+	// its session name; 0 is no session's.
+	owners map[string]uint8
+	names  []string
+	cur    uint8 // owner of the op in flight
+	stamp  uint64
+	// Delta bookkeeping (see delta): whether the router logs changes, the
+	// cores the op in flight made or changed, the entries held for owners
+	// other than the one whose response carries a delta, and scratch.
+	deltaOn bool
+	touched []*coreEntry
+	dropped []uint8
+	mixed   bool
+	pending map[uint8][]byte
+	ports   map[*core.Port]protocol.PortRefMsg
+	rec     protocol.RecordMsg
+	pins    []protocol.PinMsg
 	// quarantined, once non-empty, is the answer to every task: an op
 	// panicked, so the router and device behind this worker are in a state
 	// nobody vouches for. Worker goroutine only.
@@ -122,8 +143,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			core.WithParallelism(cfg.Opts.Parallelism),
 			core.WithParanoidVerify(cfg.Opts.ParanoidVerify),
 			core.WithLibrary(cfg.Opts.Library)),
-		cores: make(map[string]*coreEntry),
-		m:     newSessionMetrics(),
+		cores:   make(map[string]*coreEntry),
+		m:       newSessionMetrics(),
+		owners:  make(map[string]uint8),
+		names:   []string{""},
+		pending: make(map[uint8][]byte),
+		ports:   make(map[*core.Port]protocol.PortRefMsg),
 	}
 	// Seed the session counters with the router's construction-time stats
 	// (library entries seeded or skipped) — op handlers only fold in
@@ -269,6 +294,14 @@ func (w *Worker) handle(req *Request) *Response {
 		return protocol.UnknownOp(req)
 	}
 	resp := &Response{ID: req.ID}
+	if op.Scope == protocol.ScopeSession {
+		o, err := w.ownerOf(req.Session)
+		if err != nil {
+			return &Response{ID: req.ID, Err: err.Error(), ErrorCode: protocol.CodeAdmission}
+		}
+		w.cur = o
+		w.router.SetOwner(o)
+	}
 	before := w.router.Stats()
 	err := w.dispatch(op, req, resp)
 	if err != nil {
@@ -282,9 +315,16 @@ func (w *Worker) handle(req *Request) *Response {
 	if err == nil && op.Mutating {
 		if ferr := w.shipDirty(resp); ferr != nil {
 			resp.Err = ferr.Error()
-		} else if w.cfg.JournalHook != nil {
-			w.cfg.JournalHook(req, w.router.TakeDelta())
+		} else if w.cfg.JournalHook != nil || req.WantDelta {
+			d := w.delta()
+			if w.cfg.JournalHook != nil {
+				w.cfg.JournalHook(d)
+			}
+			resp.Delta = w.deliver(d, req.WantDelta)
 		}
+	}
+	if !w.deltaOn { // the first delta reports everything anyway
+		w.touched, w.dropped = w.touched[:0], w.dropped[:0]
 	}
 	return resp
 }
@@ -429,6 +469,9 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 	case protocol.OpCoreReplace:
 		return w.coreReplace(req.Core, resp)
 
+	case protocol.OpSessionImport:
+		return w.sessionImport(req, resp)
+
 	default: // a row of another scope: not a worker's to serve
 		resp.ErrorCode = protocol.CodeUnknownOp
 		return fmt.Errorf("server: op %q is not a session op", req.Op)
@@ -440,12 +483,7 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_new without core description")
 	}
-	if entry, dup := w.cores[msg.Name]; dup {
-		// A session move that placed the core and then failed retries with
-		// the same description: that already holds, so it succeeds as is.
-		if reflect.DeepEqual(entry.msg, *msg) {
-			return nil
-		}
+	if _, dup := w.cores[msg.Name]; dup {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core %q already exists", msg.Name)
 	}
@@ -460,7 +498,16 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 	if err := c.Implement(w.router); err != nil {
 		return err
 	}
-	w.cores[msg.Name] = &coreEntry{c: c, groups: groups, msg: *msg}
+	w.stamp++
+	e := &coreEntry{c: c, groups: groups, msg: *msg, owner: w.cur, stamp: w.stamp}
+	e.msg.Owner = w.names[w.cur]
+	w.cores[msg.Name] = e
+	w.touched = append(w.touched, e)
+	for _, g := range groups {
+		for i, p := range c.Ports(g) {
+			w.ports[p] = protocol.PortRefMsg{Core: msg.Name, Group: g, Index: i}
+		}
+	}
 	return nil
 }
 
@@ -486,19 +533,15 @@ func (w *Worker) coreReplace(msg *CoreMsg, resp *Response) error {
 	if err := cores.Replace(w.router, entry.c, msg.Row, msg.Col, entry.groups, retune); err != nil {
 		return err
 	}
-	FoldReplace(&entry.msg, msg)
-	return nil
-}
-
-// FoldReplace folds a core_replace into the held description of the core
-// it names: the replace moves the core and, with K set, retunes it. Kind,
-// Bits and KBits stay the core_new's — clients send a replace without them.
-func FoldReplace(held, replace *CoreMsg) {
-	held.Row, held.Col = replace.Row, replace.Col
-	if replace.K != nil {
-		k := *replace.K
-		held.K = &k
+	// The replace moves the core and, with K set, retunes it. Kind, Bits and
+	// KBits stay the core_new's: clients send a replace without them.
+	entry.msg.Row, entry.msg.Col = msg.Row, msg.Col
+	if msg.K != nil {
+		k := *msg.K
+		entry.msg.K = &k
 	}
+	w.touched = append(w.touched, entry)
+	return nil
 }
 
 // makeCore instantiates a library core from its wire description and
