@@ -62,6 +62,11 @@ type Arch struct {
 	// wire order, computed by New; a device indexes its tracks by them.
 	slotOf   []int16 // wire -> slot; -1 for an alias name
 	slotWire []Wire  // slot -> wire
+
+	// The plane table's pair indices and the fingerprint of the bit order
+	// they give (planes.go), set by New.
+	planes      []int
+	layoutPrint string
 }
 
 // New validates the parameters and computes the wire layout. Most callers
@@ -104,6 +109,7 @@ func New(a Arch) (*Arch, error) {
 		}
 	}
 	a.buildFanout()
+	a.setLayout()
 	return &a, nil
 }
 

@@ -16,8 +16,8 @@ type FaultOptions struct {
 	// connection is closed — the peer sees the stream end mid-protocol.
 	PDrop float64
 	// PTruncate: only a prefix of the write reaches the wire, then the
-	// connection is closed — the peer's next ReadFrame must report
-	// ErrShortFrame, not hang or succeed.
+	// connection is closed — the writer gets io.ErrShortWrite and the
+	// peer's next ReadFrame must report ErrShortFrame, not hang or succeed.
 	PTruncate float64
 	// PDuplicate: the bytes are written twice — a retransmission bug; the
 	// peer sees a protocol desync (e.g. a duplicated response frame).
@@ -123,7 +123,8 @@ func (f *FaultConn) Write(p []byte) (int, error) {
 			}
 		}
 		f.closeUnderlying()
-		return len(p), nil
+		// A short write owes its writer an error (io.Writer).
+		return n, io.ErrShortWrite
 	case duplicate:
 		f.counters.Duplicates++
 		if err := f.flushPendingLocked(); err != nil {

@@ -66,21 +66,21 @@ func (e *ShortFrameError) Is(target error) bool { return target == ErrShortFrame
 func (e *ShortFrameError) Unwrap() error { return e.Cause }
 
 // WriteFrame writes one frame of the shared XHWIF wire format: u8 opcode,
-// u32 big-endian payload length, payload.
+// u32 big-endian payload length, payload — in one Write, which is never
+// empty (zero-length writes block on rendezvous transports like net.Pipe).
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = op
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		// Zero-length writes block on rendezvous transports (net.Pipe).
-		return nil
-	}
-	_, err := w.Write(payload)
+	bp := writePool.Get().(*[]byte)
+	buf := append((*bp)[:0], op, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
+	buf = append(buf, payload...)
+	_, err := w.Write(buf)
+	*bp = buf
+	writePool.Put(bp)
 	return err
 }
+
+// writePool recycles WriteFrame's header-plus-payload buffers.
+var writePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // framePool recycles frame payload buffers between ReadFrame calls. Only
 // callers that fully consume a payload before their next read hand it back

@@ -435,3 +435,26 @@ func TestConcurrentRemoteClientsTCP(t *testing.T) {
 		t.Error("no frames counted")
 	}
 }
+
+// countingWriter records the size of every Write it is handed.
+type countingWriter struct{ writes []int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return len(p), nil
+}
+
+// TestWriteFrameOneWrite holds WriteFrame to one Write per frame, header and
+// payload together, and an empty payload to its header alone: never a
+// zero-length Write, which blocks on net.Pipe.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, payload := range [][]byte{[]byte("x"), make([]byte, 70000), nil} {
+		var cw countingWriter
+		if err := WriteFrame(&cw, opPartial, payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(cw.writes) != 1 || cw.writes[0] != 5+len(payload) {
+			t.Errorf("%d-byte payload: writes %v, want one of %d bytes", len(payload), cw.writes, 5+len(payload))
+		}
+	}
+}

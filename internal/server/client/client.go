@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -259,6 +260,10 @@ func (c *Client) helloLocked(ctx context.Context) error {
 		return &ServiceError{Code: protocol.CodeVersion,
 			Msg: fmt.Sprintf("client: server speaks protocol v%d, client speaks v%d",
 				resp.Hello.Version, protocol.Version)}
+	}
+	if !maps.Equal(resp.Hello.Layouts, arch.Layouts()) {
+		return &ServiceError{Code: protocol.CodeVersion, Msg: fmt.Sprintf(
+			"client: server lays out PIP bits as %v, client as %v", resp.Hello.Layouts, arch.Layouts())}
 	}
 	c.caps = resp.Hello.Caps
 	if !c.HasCap(protocol.CapBinV3) {

@@ -62,7 +62,7 @@ func (f *fakeServer) serve() {
 		return
 	}
 	out, err := json.Marshal(&server.Response{ID: hello.ID,
-		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}}})
+		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}, Layouts: arch.Layouts()}})
 	if err != nil || jbits.WriteFrame(f.conn, server.OpService|jbits.RespFlag, out) != nil {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core/library"
 	"repro/internal/jbits"
 	"repro/internal/server/protocol"
@@ -353,7 +354,7 @@ func (s *Server) hello(req *Request) (*Response, string) {
 				Err: fmt.Sprintf("server: %v", err)}, ""
 		}
 	}
-	return &Response{Hello: &HelloMsg{Version: protocol.Version, Caps: s.caps()}}, tenant
+	return &Response{Hello: &HelloMsg{Version: protocol.Version, Caps: s.caps(), Layouts: arch.Layouts()}}, tenant
 }
 
 // reqContext derives the request context from the deadline the client
