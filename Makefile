@@ -31,8 +31,9 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
-# Eight targets in the 70 s seven used to take: the two byte decoders run
-# thousands of inputs a second and gave 5 s each to FuzzRipUpRegion.
+# Nine targets: the two byte decoders run thousands of inputs a second and
+# get 5 s each, as does FuzzSessionImport, which imports each input onto a
+# fresh worker and audits what it places.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s ./internal/device
 	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s ./internal/bitstream
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s ./internal/server/protocol/v3
+	$(GO) test -run='^$$' -fuzz=FuzzSessionImport -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzLibraryDecode -fuzztime=5s ./internal/core/library
 
 # verify audits the paper's worked examples across the config grid and

@@ -535,9 +535,9 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	target, src := dst[int(sess.key%uint64(len(dst)))], sess.backend
 	g.mu.Unlock()
 
-	form, err := src.j.Form(sess.name)
+	form, live := src.j.Form(sess.name)
 	var resp *protocol.Response
-	for _, req := range []*protocol.Request{sess.connectReq, {Op: "session_import", Session: sess.name, Form: &form}} {
+	for _, req := range []*protocol.Request{sess.connectReq, {Op: "session_import", Session: sess.name, Form: form}} {
 		if err == nil {
 			resp, err = g.forward(ctx, target, req)
 		}
@@ -560,7 +560,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	target.sessions++
 	sess.backend = target
 	g.handoffs++
-	g.restoredNets += len(form.Live)
+	g.restoredNets += live
 	g.mu.Unlock()
 	sess.backendEpoch = resp.Epoch
 	sess.epoch++ // the mirror chain broke at the move; clients resync

@@ -3,6 +3,7 @@ package maze
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -316,11 +317,10 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 	return res, nil
 }
 
-// runScopes executes every scope's negotiation loop, concurrently when
-// there are several scopes and workers to spare, all over one pooled
-// congestion table. A single scope instead gets the full Parallelism
-// budget for its intra-iteration reroutes — which is exactly the
-// pre-partitioning behaviour.
+// runScopes executes every scope's negotiation loop on a worker pool, all
+// over one pooled congestion table. A single scope instead gets the full
+// Parallelism budget for its intra-iteration reroutes — which is exactly
+// the pre-partitioning behaviour.
 func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []*scope) []scopeResult {
 	cong := getCongestion(dev.NumTracks())
 	defer putCongestion(cong)
@@ -331,33 +331,11 @@ func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet,
 		results[0] = runScope(dev, opt, prepped, scopes[0], cong)
 		return results
 	}
-	workers := par
-	if workers > len(scopes) {
-		workers = len(scopes)
-	}
-	if workers <= 1 {
-		for i, sc := range scopes {
-			results[i] = runScope(dev, opt, prepped, sc, cong)
+	runPool(min(par, len(scopes)), func(p *pool) {
+		for i := p.take(); i < len(scopes); i = p.take() {
+			results[i] = runScope(dev, opt, prepped, scopes[i], cong)
 		}
-		return results
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(scopes) {
-					return
-				}
-				results[i] = runScope(dev, opt, prepped, scopes[i], cong)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return results
 }
 
@@ -455,40 +433,62 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 // do not depend on the worker count.
 func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]int32) []netRoute {
 	results := make([]netRoute, len(reroute))
-	par := st.sc.par
-	if par > len(reroute) {
-		par = len(reroute)
-	}
+	par := min(st.sc.par, len(reroute))
 	if par <= 1 {
 		w := st.newWorker()
-		defer w.release()
 		for x, j := range reroute {
 			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j])
 		}
+		w.release() // not deferred, as in runPool
 		return results
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := st.newWorker()
-			defer w.release()
-			for {
-				x := int(next.Add(1))
-				if x >= len(reroute) {
-					return
-				}
-				j := reroute[x]
-				results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j])
-			}
-		}()
-	}
-	wg.Wait()
+	runPool(par, func(p *pool) {
+		w := st.newWorker()
+		for x := p.take(); x < len(reroute); x = p.take() {
+			j := reroute[x]
+			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j])
+		}
+		w.release() // not deferred: a goroutine that panics drops its tables
+	})
 	return results
 }
+
+// runPool runs body on workers goroutines, which take turns at the indices
+// the pool hands out. A panic ends its goroutine and skips the rest of its
+// body; the first is raised again here, with its stack, once all are done.
+func runPool(workers int, body func(*pool)) {
+	p := &pool{}
+	p.wg.Add(workers)
+	for g := 0; g < workers; g++ {
+		go func() {
+			defer func() {
+				if v := recover(); v != nil {
+					p.caught.CompareAndSwap(nil, &poolPanic{v, debug.Stack()})
+				}
+				p.wg.Done()
+			}()
+			body(p)
+		}()
+	}
+	if p.wg.Wait(); p.caught.Load() != nil {
+		panic(p.caught.Load())
+	}
+}
+
+type pool struct {
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	caught atomic.Pointer[poolPanic] // the first panic, with its stack
+}
+
+func (p *pool) take() int { return int(p.next.Add(1) - 1) }
+
+type poolPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *poolPanic) String() string { return fmt.Sprintf("%v\n\n%s", p.value, p.stack) }
 
 // negWorker is the per-goroutine state of the routing phase: the scope's
 // policy with this worker's self set (the previous-iteration tracks of the

@@ -2,7 +2,10 @@ package maze
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arch"
@@ -350,5 +353,35 @@ func TestNegotiatedRouteSinkOrderStable(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("sinks routed in the order\n%v\nwant nearest first, ties in input order:\n%v", got, want)
+	}
+}
+
+// TestRunPoolRaisesOnCaller: a panic in one of a pool's goroutines ends that
+// goroutine only. The others take every index left, and the pool's caller
+// gets the panic — its value, and the stack it was raised on — once they
+// are all done.
+func TestRunPoolRaisesOnCaller(t *testing.T) {
+	const n, k = 64, 37
+	var done [n]atomic.Bool
+	raised := func() (v any) {
+		defer func() { v = recover() }()
+		runPool(4, func(p *pool) {
+			for i := p.take(); i < n; i = p.take() {
+				if i == k {
+					panic(fmt.Sprintf("index %d", i))
+				}
+				done[i].Store(true)
+			}
+		})
+		return nil
+	}()
+	p, ok := raised.(*poolPanic)
+	if !ok || p.value != "index 37" || !strings.Contains(string(p.stack), "TestRunPoolRaisesOnCaller") {
+		t.Fatalf("the caller recovered %v", raised)
+	}
+	for i := range done {
+		if done[i].Load() == (i == k) {
+			t.Errorf("index %d done: %v", i, done[i].Load())
+		}
 	}
 }

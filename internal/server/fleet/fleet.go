@@ -487,10 +487,7 @@ func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
 // the time the import took (the part a warm template library accelerates;
 // the audit that follows costs the same either way).
 func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.Journal, int, int, time.Duration, error) {
-	form, err := sl.journal().Form("")
-	if err != nil {
-		return nil, nil, 0, 0, 0, err
-	}
+	form, live := sl.journal().Form("")
 	j := journal.New()
 	w, err := c.newWorker(spare, j)
 	if err != nil {
@@ -504,7 +501,7 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.J
 		return nil, nil, 0, 0, 0, err
 	}
 	start := time.Now()
-	if resp := w.Submit(ctx, &protocol.Request{Op: "session_import", Form: &form}); resp.Err != "" {
+	if resp := w.Submit(ctx, &protocol.Request{Op: "session_import", Form: form}); resp.Err != "" {
 		return fail(fmt.Errorf("fleet: importing onto %s: %s", spare.name, resp.Err))
 	}
 	restore := time.Since(start)
@@ -530,7 +527,7 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.J
 	if err != nil {
 		return fail(err)
 	}
-	return w, j, len(form.Live), w.StatsSnapshot().CacheHits, restore, nil
+	return w, j, live, w.StatsSnapshot().CacheHits, restore, nil
 }
 
 // KillBoard severs slot i's board link immediately — the test and demo

@@ -1,9 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/jbits"
 	"repro/internal/server"
 	"repro/internal/server/protocol"
+	v3 "repro/internal/server/protocol/v3"
 )
 
 // TestJournalEqualsSnapshot: the journal is fed each acknowledged op's delta
@@ -38,11 +39,10 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	sl := c.slots[0]
 
 	checks := 0
-	form := func(owner string) protocol.SessionMsg {
-		t.Helper()
-		got, err := sl.journal().Form(owner)
-		if err != nil {
-			t.Fatal(err)
+	form := func(owner string) []byte {
+		got, live := sl.journal().Form(owner)
+		if n := len(entries(t, got, v3.EntryLive)); n != live {
+			t.Fatalf("the form of %q holds %d live records and counts %d", owner, n, live)
 		}
 		return got
 	}
@@ -53,12 +53,18 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if got := form(""); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after %s the journal holds\n%+v\nand the router\n%+v", what, got, want)
+		if got := form(""); !bytes.Equal(got, want) {
+			t.Fatalf("after %s the journal holds\n%x\nand the router\n%x", what, got, want)
 		}
 		for _, owner := range []string{"s", "t"} {
-			if got, want := form(owner), ownedBy(want, owner); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after %s the journal holds for %s\n%+v\nand the router\n%+v", what, owner, got, want)
+			var own []byte
+			for _, e := range entries(t, want, 0) {
+				if string(e.Owner) == owner {
+					own = append(own, e.raw...)
+				}
+			}
+			if got := form(owner); !bytes.Equal(got, own) {
+				t.Fatalf("after %s the journal holds for %s\n%x\nand the router\n%x", what, owner, got, own)
 			}
 		}
 		checks++
@@ -147,12 +153,12 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	// replace of the multiplier routes both back.
 	must("reverse unroute of a port net", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
 	must("unroute of a port net", &server.Request{Op: "unroute", Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: 1}}})
-	if f := form("s"); len(f.Memory) != 2 {
-		t.Fatalf("port memory holds %d records, want 2: %+v", len(f.Memory), f.Memory)
+	if n := len(entries(t, form("s"), v3.EntryMemory)); n != 2 {
+		t.Fatalf("port memory holds %d records, want 2", n)
 	}
 	must("core_replace from memory", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: 6, Col: 13}})
-	if f := form("s"); len(f.Memory) != 0 {
-		t.Fatalf("port memory holds %d records after the replace, want 0", len(f.Memory))
+	if n := len(entries(t, form("s"), v3.EntryMemory)); n != 0 {
+		t.Fatalf("port memory holds %d records after the replace, want 0", n)
 	}
 	must("reverse unroute of a port net again", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
 	// The second session: a register, a net off its port, a pin net.
@@ -181,7 +187,7 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	must("route after a detour", route(pin(15, 9, arch.S1YQ), pin(15, 12, arch.S0F2)))
-	if f := form("s"); !slices.ContainsFunc(f.Live, func(r protocol.RecordMsg) bool { return len(r.Home) > 0 }) {
+	if !slices.ContainsFunc(entries(t, form("s"), v3.EntryLive), func(e entry) bool { return homeLen(e.Record) > 0 }) {
 		t.Fatal("no live record has a way home after the detour")
 	}
 
@@ -199,8 +205,9 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		}
 	}
 	check("failover")
-	if f := form(""); len(f.Live) < 10 || len(f.Memory) == 0 || len(f.Cores) != 2 {
-		t.Fatalf("the failover kept %d live records, %d remembered and %d cores", len(f.Live), len(f.Memory), len(f.Cores))
+	f := form("")
+	if live, mem, cores := len(entries(t, f, v3.EntryLive)), len(entries(t, f, v3.EntryMemory)), len(entries(t, f, v3.EntryCore)); live < 10 || mem == 0 || cores != 2 {
+		t.Fatalf("the failover kept %d live records, %d remembered and %d cores", live, mem, cores)
 	}
 	must("retry on the spare", route(pin(13, 20, arch.S1YQ), pin(14, 22, arch.S0F3)))
 	unchurn(1)
@@ -210,25 +217,48 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	}
 }
 
-// ownedBy is the part of a form one owner holds.
-func ownedBy(f protocol.SessionMsg, owner string) protocol.SessionMsg {
-	var out protocol.SessionMsg
-	for _, c := range f.Cores {
-		if c.Owner == owner {
-			out.Cores = append(out.Cores, c)
+// entry is one entry of a run and its bytes.
+type entry struct {
+	v3.Entry
+	raw []byte
+}
+
+// entries lists a run's entries of one tag, or with tag 0 all of them.
+func entries(t *testing.T, run []byte, tag byte) (out []entry) {
+	t.Helper()
+	for len(run) > 0 {
+		e, rest, err := v3.NextEntry(run)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, r := range f.Live {
-		if r.Owner == owner {
-			out.Live = append(out.Live, r)
+		if tag == 0 || e.Tag == tag {
+			out = append(out, entry{e, run[:len(run)-len(rest)]})
 		}
-	}
-	for _, r := range f.Memory {
-		if r.Owner == owner {
-			out.Memory = append(out.Memory, r)
-		}
+		run = rest
 	}
 	return out
+}
+
+// homeLen reads a record blob through to its way home and returns its
+// length.
+func homeLen(blob []byte) int {
+	r := v3.NewReader(blob)
+	r.Byte()
+	for i, n := 0, 1; i < n; i++ {
+		if _, port := r.End(); !port {
+			r.Pin()
+		}
+		if i == 0 {
+			n += r.Count()
+		}
+	}
+	for n := r.Count(); n > 0; n-- {
+		r.Pip()
+	}
+	for n := r.Count(); n > 0; n-- {
+		r.Pin()
+	}
+	return r.Count()
 }
 
 func ptr(m server.EndPointMsg) *server.EndPointMsg { return &m }

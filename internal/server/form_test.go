@@ -1,0 +1,341 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/jbits"
+	"repro/internal/oracle"
+	"repro/internal/server/journal"
+	"repro/internal/server/protocol"
+	v3 "repro/internal/server/protocol/v3"
+)
+
+// testRecord is a form's record entry as a test writes or reads one: its
+// endpoints as routed, its path, the pins it was routed at when an endpoint
+// is a port, and its way home.
+type testRecord struct {
+	memory bool
+	owner  string
+	seq    uint64
+	kind   byte
+	ends   []EndPointMsg
+	pips   []PipMsg
+	at     []PinMsg
+	home   []PipMsg
+}
+
+func (r *testRecord) append(run []byte) []byte {
+	run, at := v3.AppendRecordEntry(run, r.memory, r.owner, r.seq)
+	run = append(run, r.kind)
+	for i, ep := range r.ends {
+		if ep.Port != nil {
+			run = v3.AppendPortEnd(run, *ep.Port)
+		} else {
+			run = v3.AppendPinEnd(run, ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire)
+		}
+		if i == 0 {
+			run = v3.AppendCount(run, len(r.ends)-1)
+		}
+	}
+	pips := func(ps []PipMsg) {
+		run = v3.AppendCount(run, len(ps))
+		for _, p := range ps {
+			run = v3.AppendPip(run, p.Row, p.Col, p.From, p.To)
+		}
+	}
+	pips(r.pips)
+	run = v3.AppendCount(run, len(r.at))
+	for _, p := range r.at {
+		run = v3.AppendPin(run, p.Row, p.Col, p.Wire)
+	}
+	pips(r.home)
+	return v3.EndRecordEntry(run, at)
+}
+
+func readTestRecord(t testing.TB, e v3.Entry) testRecord {
+	t.Helper()
+	r := v3.NewReader(e.Record)
+	rec := testRecord{memory: e.Tag == v3.EntryMemory, owner: string(e.Owner), seq: e.Seq, kind: r.Byte()}
+	for i, n := 0, 1; i < n; i++ {
+		if ref, port := r.End(); port {
+			rec.ends = append(rec.ends, EndPointMsg{Port: &ref})
+		} else {
+			row, col, wire := r.Pin()
+			rec.ends = append(rec.ends, pinMsg(row, col, arch.Wire(wire)))
+		}
+		if i == 0 {
+			n += r.Count()
+		}
+	}
+	pips := func() (out []PipMsg) {
+		for n := r.Count(); n > 0; n-- {
+			row, col, from, to := r.Pip()
+			out = append(out, PipMsg{Row: row, Col: col, From: from, To: to})
+		}
+		return out
+	}
+	rec.pips = pips()
+	for n := r.Count(); n > 0; n-- {
+		row, col, wire := r.Pin()
+		rec.at = append(rec.at, PinMsg{Row: row, Col: col, Wire: wire})
+	}
+	rec.home = pips()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// spans splits a run into its entries' bytes.
+func spans(t testing.TB, run []byte) (out [][]byte) {
+	t.Helper()
+	for len(run) > 0 {
+		_, rest, err := v3.NextEntry(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, run = append(out, run[:len(run)-len(rest)]), rest
+	}
+	return out
+}
+
+func newTestWorker(t testing.TB) *Worker {
+	t.Helper()
+	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close(); <-w.Done() })
+	return w
+}
+
+// seedSession gives session s of a 16×24 worker two cores, 26 live records
+// (two off the multiplier's ports, one off the register's) and one record
+// in port memory, and returns the worker's form.
+func seedSession(t testing.TB, w *Worker) []byte {
+	t.Helper()
+	ctx := context.Background()
+	must := func(req *Request) {
+		t.Helper()
+		req.Session = "s"
+		if resp := w.Submit(ctx, req); resp.Err != "" {
+			t.Fatalf("%s: %s", req.Op, resp.Err)
+		}
+	}
+	port := func(c, g string, i int) EndPointMsg {
+		return EndPointMsg{Port: &PortRefMsg{Core: c, Group: g, Index: i}}
+	}
+	route := func(src EndPointMsg, sinks ...EndPointMsg) *Request {
+		return &Request{Op: "route", Source: &src, Sinks: sinks}
+	}
+	k := uint64(3)
+	must(&Request{Op: "core_new", Core: &CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
+	must(&Request{Op: "core_new", Core: &CoreMsg{Name: "reg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
+	for i := 0; i < 3; i++ {
+		must(route(port("mul", "p", i), pinMsg(5+i, 20, arch.S1F4)))
+	}
+	must(route(port("reg", "q", 0), pinMsg(14, 14, arch.S0G4)))
+	outs := []arch.Wire{arch.S0X, arch.S0Y, arch.S1X}
+	ins := []arch.Wire{arch.S0F1, arch.S0G1, arch.S1F1, arch.S1G1}
+	for r, out := range outs {
+		for i := 0; i < 8; i++ {
+			must(route(pinMsg(1+i, 2, out), pinMsg(2+i, 9+r, ins[i%4])))
+		}
+	}
+	must(&Request{Op: "unroute", Source: ptr(port("mul", "p", 2))})
+	run, err := w.Export(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+func ptr(m EndPointMsg) *EndPointMsg { return &m }
+
+// TestImportRejectsBadForms: session_import takes a form from the wire.
+// Endpoints off the array, wires outside the architecture, a record with no
+// sinks, a port of no core, a core that does not fit, another session's
+// part — each is refused as a request or routing error, leaves the worker
+// serving, and places nothing.
+func TestImportRejectsBadForms(t *testing.T) {
+	w := newTestWorker(t)
+	ctx := context.Background()
+	live := func(src EndPointMsg, sinks []EndPointMsg, pips ...PipMsg) []byte {
+		r := testRecord{seq: 1, ends: append([]EndPointMsg{src}, sinks...), pips: pips}
+		return r.append(nil)
+	}
+	sink := []EndPointMsg{pinMsg(4, 5, arch.S0F3)}
+	memory := testRecord{memory: true, seq: 1, ends: append([]EndPointMsg{{Port: &PortRefMsg{Core: "x", Group: "q"}}}, sink...),
+		at: []PinMsg{{Row: 1, Col: 2, Wire: int(arch.S1YQ)}, {Row: 4, Col: 5, Wire: int(arch.S0F3)}}}
+	coreForm := func(owner string, c CoreMsg) []byte {
+		run, _ := v3.AppendCoreEntry(nil, owner, &c)
+		return run
+	}
+	forms := map[string][]byte{
+		"source off the array": live(pinMsg(1000, 2, arch.S1YQ), sink),
+		"wire outside":         live(pinMsg(1, 2, arch.S1YQ), sink, PipMsg{Row: 1, Col: 2, From: 1 << 20, To: 2}),
+		"no sinks":             live(pinMsg(1, 2, arch.S1YQ), nil),
+		"port of no core":      memory.append(nil),
+		"core off the array":   coreForm("", CoreMsg{Name: "r", Kind: "register", Row: 100, Col: 2, Bits: 4}),
+		"another's part":       coreForm("other", CoreMsg{Name: "r", Kind: "register", Row: 4, Col: 16, Bits: 4}),
+	}
+	for name, f := range forms {
+		resp := w.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: f})
+		if resp.Err == "" || resp.ErrorCode == protocol.CodeInternal {
+			t.Errorf("%s: %q (%s), want a request or routing error", name, resp.Err, resp.ErrorCode)
+		}
+	}
+	var pips, conns int
+	if err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
+		pips, conns = js.Dev.OnPIPCount(), r.ConnectionCount()
+		return nil
+	}); err != nil || pips != 0 || conns != 0 {
+		t.Fatalf("after the refused imports: %d PIPs on, %d records, %v", pips, conns, err)
+	}
+}
+
+// TestImportIsAllOrNothing: a real form broken two ways — cut inside any
+// entry, or any one record with a wire past the architecture — is refused
+// as a bad request before anything comes off, so the worker it was
+// imported onto exports what it did before, byte for byte.
+func TestImportIsAllOrNothing(t *testing.T) {
+	w := newTestWorker(t)
+	ctx := context.Background()
+	run := seedSession(t, w)
+	entries := spans(t, run)
+	var bad [][]byte
+	off := 0
+	for _, e := range entries {
+		for cut := off + 1; cut < off+len(e); cut++ {
+			bad = append(bad, run[:cut])
+		}
+		off += len(e)
+	}
+	cuts, records := len(bad), 0
+	for i, raw := range entries {
+		e, _, _ := v3.NextEntry(raw)
+		if e.Tag == v3.EntryCore {
+			continue
+		}
+		records++
+		rec := readTestRecord(t, e)
+		if again := rec.append(nil); !bytes.Equal(again, raw) {
+			t.Fatalf("record %d does not read back as written", e.Seq)
+		}
+		if len(rec.at) > 0 {
+			rec.at[0].Wire = w.js.Dev.A.WireCount()
+		} else {
+			rec.ends[0].Pin.Wire = w.js.Dev.A.WireCount()
+		}
+		var broken []byte
+		for j, other := range entries {
+			if j == i {
+				other = rec.append(nil)
+			}
+			broken = append(broken, other...)
+		}
+		bad = append(bad, broken)
+	}
+	if records < 21 || cuts < len(run)-len(entries) {
+		t.Fatalf("%d records, %d cuts in a run of %d bytes", records, cuts, len(run))
+	}
+	for i, f := range bad {
+		resp := w.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: f})
+		if resp.ErrorCode != protocol.CodeBadRequest {
+			t.Fatalf("bad form %d of %d: %q (%s), want a bad request", i, len(bad), resp.Err, resp.ErrorCode)
+		}
+		if now, err := w.Export(ctx); err != nil || !bytes.Equal(now, run) {
+			t.Fatalf("bad form %d of %d changed the worker (%v)", i, len(bad), err)
+		}
+	}
+}
+
+// FuzzSessionImport imports arbitrary runs onto a fresh worker. The worker
+// must not panic, and must either refuse the form with nothing on, or place
+// it so that the device passes a strict oracle audit.
+func FuzzSessionImport(f *testing.F) {
+	f.Add(seedSession(f, newTestWorker(f)))
+	form, _ := v3.AppendCoreEntry(nil, "d", &CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
+	net := []EndPointMsg{pinMsg(1, 2, 3), pinMsg(4, 5, 6)}
+	for _, r := range []testRecord{
+		{owner: "d", seq: 3, ends: net, pips: []PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}},
+		{memory: true, owner: "d", seq: 5, ends: []EndPointMsg{{Port: &PortRefMsg{Core: "r", Group: "q"}}, net[1]},
+			pips: []PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}, at: []PinMsg{*net[0].Pin, *net[1].Pin}},
+	} {
+		form = r.append(form)
+	}
+	f.Add(form)
+	f.Fuzz(func(t *testing.T, run []byte) {
+		w := newTestWorker(t)
+		ctx := context.Background()
+		resp := w.Submit(ctx, &Request{Op: "session_import", Form: run})
+		if resp.ErrorCode == protocol.CodeInternal {
+			t.Fatalf("import answered %s: %s", resp.ErrorCode, resp.Err)
+		}
+		err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
+			if resp.Err != "" {
+				if n := js.Dev.OnPIPCount(); n != 0 {
+					t.Errorf("refused import (%s) left %d PIPs on", resp.Err, n)
+				}
+				return nil
+			}
+			full, err := js.Dev.FullConfig()
+			if err != nil {
+				return err
+			}
+			return oracle.Audit(js.Dev.A, full, r.OracleClaims(), true)
+		})
+		if err != nil {
+			t.Fatalf("placed form fails the audit: %v", err)
+		}
+	})
+}
+
+// TestMoveAllocations counts what a 50-net move allocates between two
+// journals: the source journal's form, the session_import request encoded
+// and decoded, and the import on the target worker. The form travels as
+// bytes, so that is about 1 145 allocations (17 + 2 + 1 + 1 125), 1 322
+// under the race detector; a hop that decodes the form into structs and
+// encodes it again costs some 200 more each way.
+func TestMoveAllocations(t *testing.T) {
+	ctx := context.Background()
+	j := journal.New()
+	src, err := NewWorker(WorkerConfig{Name: "src", Rows: 16, Cols: 24, JournalHook: func(d []byte) { _ = j.Apply(d) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { src.Close(); <-src.Done() }()
+	outs := []arch.Wire{arch.S0X, arch.S0Y, arch.S1X, arch.S1Y}
+	ins := []arch.Wire{arch.S0F1, arch.S0G1, arch.S1F1, arch.S1G1}
+	for i, nets := 0, 0; nets < 50; i++ {
+		s, d := pinMsg(1+i%14, 1+(i/14)%22, outs[(i/56)%4]), pinMsg(1+(i+3)%14, 1+(i/14+4)%22, ins[i%4])
+		if resp := src.Submit(ctx, routeReq("s", s, d)); resp.Err == "" {
+			nets++
+		}
+	}
+	dst := newTestWorker(t)
+	form, live := j.Form("s")
+	req := &Request{ID: 1, Op: "session_import", Session: "s", Form: form}
+	frame, err := v3.AppendRequest(nil, req)
+	h, _ := v3.ParseHeader(frame)
+	if err != nil || live != 50 {
+		t.Fatalf("a form of %d live records: %v", live, err)
+	}
+	allocs := []float64{
+		testing.AllocsPerRun(20, func() { j.Form("s") }),
+		testing.AllocsPerRun(20, func() { _, _ = v3.AppendRequest(nil, req) }),
+		testing.AllocsPerRun(20, func() { _ = v3.DecodeRequest(h, frame[v3.HeaderSize:], &Request{}, nil) }),
+		testing.AllocsPerRun(20, func() {
+			if resp := dst.Submit(ctx, req); resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+		}),
+	}
+	if total := allocs[0] + allocs[1] + allocs[2] + allocs[3]; total > 1500 {
+		t.Errorf("a 50-net move allocates %.0f (form, encode, decode, import: %v), want at most 1 500", total, allocs)
+	}
+}

@@ -2,12 +2,12 @@
 // worker hands out what each acknowledged mutating op changed in its
 // records as a run of v3 delta entries (cores made or changed, live and
 // remembered records by sequence number, records gone, owners dropped);
-// a Journal applies those runs and hands back each owner's form — the
-// protocol.SessionMsg that session_import places on another router. The
-// fleet keeps one per board slot, fed by the slot's worker, and fails a
-// slot over by importing the form of every owner; the gateway keeps one
-// per backend, fed by the deltas its responses carry, and moves a session
-// by importing that session's form.
+// a Journal applies those runs and hands back each owner's form — the run
+// of entries session_import carries to another router as it is, which
+// only that router decodes. The fleet keeps one per board slot, fed by the
+// slot's worker, and fails a slot over by importing the form of every
+// owner; the gateway keeps one per backend, fed by the deltas its
+// responses carry, and moves a session by importing that session's form.
 package journal
 
 import (
@@ -16,13 +16,11 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/server/protocol"
 	v3 "repro/internal/server/protocol/v3"
 )
 
 // Journal is a set of session forms kept by applying deltas. It keeps each
-// entry as it came and decodes only to hand a form out. It is safe for
-// concurrent use.
+// entry as it came. It is safe for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
 	stamp  uint64 // creation stamp of the newest core
@@ -44,16 +42,20 @@ type entry struct {
 // New returns an empty journal.
 func New() *Journal { return &Journal{owners: make(map[string]*owned)} }
 
-// Apply folds one run of delta entries in. It keeps slices of delta: the
+// Apply folds one run of delta entries in, all or nothing: a run that
+// does not decode whole changes nothing. It keeps slices of delta: the
 // caller must not write into it afterwards.
 func (j *Journal) Apply(delta []byte) error {
+	for b := delta; len(b) > 0; {
+		var err error
+		if _, b, err = v3.NextEntry(b); err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for len(delta) > 0 {
-		e, rest, err := v3.NextEntry(delta)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
+		e, rest, _ := v3.NextEntry(delta)
 		raw := delta[:len(delta)-len(rest)]
 		delta = rest
 		o := j.owners[string(e.Owner)]
@@ -91,30 +93,35 @@ func (j *Journal) Drop(owner string) {
 	delete(j.owners, owner)
 }
 
-// Form returns one owner's form, or with owner "" every owner's together:
-// cores in creation order, records in sequence order. A journal fed by one
+// Form returns one owner's form, or with owner "" every owner's together,
+// and how many live records it holds: cores in creation order, then live
+// records and remembered ones, each in sequence order. A journal fed by one
 // router holds one sequence, so the form of all of them is that router's.
-func (j *Journal) Form(owner string) (form protocol.SessionMsg, err error) {
+func (j *Journal) Form(owner string) (run []byte, live int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var cores, records []entry
+	var es []entry
 	for name, o := range j.owners {
 		if owner != "" && name != owner {
 			continue
 		}
 		for _, e := range o.cores {
-			cores = append(cores, e)
+			es = append(es, e)
 		}
 		for _, e := range o.records {
-			records = append(records, e)
+			es = append(es, e)
 		}
 	}
-	var run []byte
-	for _, es := range [2][]entry{cores, records} {
-		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
-		for _, e := range es {
-			run = append(run, e.raw...)
+	// An entry's tag, its first byte, puts cores before live records and
+	// those before remembered ones.
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.raw[0], b.raw[0]), cmp.Compare(a.key, b.key))
+	})
+	for _, e := range es {
+		run = append(run, e.raw...)
+		if e.raw[0] == v3.EntryLive {
+			live++
 		}
 	}
-	return form, v3.DecodeSession(run, &form)
+	return run, live
 }

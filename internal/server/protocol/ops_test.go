@@ -21,6 +21,14 @@ func pin(r, c int, w arch.Wire) protocol.EndPointMsg {
 	return protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 }
 
+// pinNet is a session form of one live pin net with no path.
+func pinNet(src, sink protocol.EndPointMsg) []byte {
+	run, at := v3.AppendRecordEntry(nil, false, "", 1)
+	run = v3.AppendPinEnd(append(run, 0), src.Pin.Row, src.Pin.Col, src.Pin.Wire)
+	run = v3.AppendPinEnd(v3.AppendCount(run, 1), sink.Pin.Row, sink.Pin.Col, sink.Pin.Wire)
+	return v3.EndRecordEntry(v3.AppendCount(v3.AppendCount(v3.AppendCount(run, 0), 0), 0), at)
+}
+
 // fixtures holds one servable request per row, keyed by op name. The rows
 // are dispatched in table order against one worker, so each fixture may
 // lean on what the rows above it left on the device: route's two-sink net
@@ -52,8 +60,7 @@ func fixtures() map[string]*protocol.Request {
 		"trace":         {Source: &n1},
 		"reverse_trace": {Source: &n1a},
 
-		"session_import": {Form: &protocol.SessionMsg{Live: []protocol.RecordMsg{
-			{Seq: 1, NetMsg: protocol.NetMsg{Source: n2, Sinks: []protocol.EndPointMsg{n2a}}}}}},
+		"session_import": {Form: pinNet(n2, n2a)},
 
 		"gw_drain": {Session: "be0"},
 	}

@@ -143,7 +143,7 @@ type Request struct {
 	Sources []EndPointMsg `json:"sources,omitempty"`
 	Nets    []NetMsg      `json:"nets,omitempty"`
 	Core    *CoreMsg      `json:"core,omitempty"`
-	Form    *SessionMsg   `json:"form,omitempty"` // session_import
+	Form    []byte        `json:"form,omitempty"` // session_import: v3 delta entries, what a router holds of the session
 	Hello   *HelloMsg     `json:"hello,omitempty"`
 
 	// TimeoutMillis propagates the client context's remaining deadline.
@@ -259,9 +259,6 @@ type PipMsg struct {
 //	constmul: K, KBits      (replace retunes K)
 //	register: Bits
 type CoreMsg struct {
-	// Owner is the session that made the core, in a session form; a request
-	// leaves it empty, since a core belongs to the session that asks.
-	Owner string  `json:"owner,omitempty"`
 	Name  string  `json:"name"`
 	Kind  string  `json:"kind,omitempty"`
 	Row   int     `json:"row"`
@@ -269,36 +266,6 @@ type CoreMsg struct {
 	K     *uint64 `json:"k,omitempty"`
 	KBits int     `json:"kbits,omitempty"`
 	Bits  int     `json:"bits,omitempty"`
-}
-
-// SessionMsg is a session's form: what its router holds of it (§3.3's
-// cores, connections and port memory), not the ops that made it — the
-// cores in creation order with their current descriptions, the live
-// records, and the records port memory keeps for Reconnect, each in
-// sequence order. A remembered record is filed under every port among its
-// endpoints. session_import places a form; a journal that applies deltas
-// holds one per session.
-type SessionMsg struct {
-	Cores  []CoreMsg   `json:"cores,omitempty"`
-	Live   []RecordMsg `json:"live,omitempty"`
-	Memory []RecordMsg `json:"memory,omitempty"`
-}
-
-// RecordMsg is one connection record: its endpoints as routed (ports by
-// core, group and index) and the PIP path it set (NetMsg.Pips), under the
-// sequence number its router gave it.
-type RecordMsg struct {
-	Seq   uint64 `json:"seq"`
-	Owner string `json:"owner,omitempty"`
-	Kind  uint8  `json:"kind,omitempty"` // which call made it: automatic, level 1–3, clock
-	NetMsg
-	// At lists the pins the endpoints resolved to when Pips was recorded —
-	// the source's, then the sinks' sorted — when an endpoint is a port:
-	// the frame a replay shifts from once the core has moved.
-	At []PinMsg `json:"at,omitempty"`
-	// Home is the path a detoured restore searched away from; a restore
-	// replays it first.
-	Home []PipMsg `json:"home,omitempty"`
 }
 
 // StatsMsg is the statsz payload: per-session counters and per-op latency

@@ -19,9 +19,13 @@ import (
 //	EntryGone    uvarint seq: a record that left the live table or the memory
 //	EntryDrop    nothing: everything the owner held is gone
 //
-// A record blob is a u32 little-endian length, then the kind byte, the net
-// record (source, sinks, path), the At pins and the Home path: a journal
-// keeps a record as it came, and decodes it only to hand a form out.
+// A form holds cores in creation order, then live records and remembered
+// ones, each in sequence order. A record blob is a u32 little-endian
+// length, then the kind byte, the source endpoint, the sinks (a count, then
+// endpoints), the path (a count, then PIPs), the At pins (a count, then the
+// pins a record with a port was routed at) and the Home path. A worker
+// writes these fields and only the importing worker decodes them; every
+// tier between keeps entries whole.
 const (
 	EntryCore   byte = 0x01
 	EntryLive   byte = 0x02
@@ -30,32 +34,28 @@ const (
 	EntryDrop   byte = 0x05
 )
 
-// AppendCoreEntry appends a core entry.
-func AppendCoreEntry(dst []byte, c *protocol.CoreMsg) ([]byte, error) {
-	dst = append(dst, EntryCore)
-	dst = appendString(dst, c.Owner)
-	return appendCore(dst, c)
+// AppendCoreEntry appends a core entry of the owner's.
+func AppendCoreEntry(dst []byte, owner string, c *protocol.CoreMsg) ([]byte, error) {
+	return appendCore(appendString(append(dst, EntryCore), owner), c)
 }
 
-// AppendRecordEntry appends a live record entry, or a memory one.
-func AppendRecordEntry(dst []byte, memory bool, rec *protocol.RecordMsg) ([]byte, error) {
+// AppendRecordEntry appends the head of a live record entry, or a memory
+// one, and room for its blob's length: append the blob's fields, then
+// close the entry with EndRecordEntry(dst, at).
+func AppendRecordEntry(dst []byte, memory bool, owner string, seq uint64) (out []byte, at int) {
 	tag := EntryLive
 	if memory {
 		tag = EntryMemory
 	}
-	dst = append(dst, tag)
-	dst = appendString(dst, rec.Owner)
-	dst = appendUvarint(dst, rec.Seq)
-	at := len(dst)
-	dst = append(dst, 0, 0, 0, 0, rec.Kind)
-	dst, err := appendNet(dst, &rec.NetMsg)
-	dst = appendUvarint(dst, uint64(len(rec.At)))
-	for _, p := range rec.At {
-		dst = appendPin(dst, p)
-	}
-	dst = appendPips(dst, rec.Home)
+	dst = appendUvarint(appendString(append(dst, tag), owner), seq)
+	at = len(dst)
+	return append(dst, 0, 0, 0, 0), at
+}
+
+// EndRecordEntry writes the length of the blob appended since at.
+func EndRecordEntry(dst []byte, at int) []byte {
 	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	return dst, err
+	return dst
 }
 
 // AppendMarkEntry appends an entry with no body but a sequence number: a
@@ -69,6 +69,20 @@ func AppendMarkEntry(dst []byte, tag byte, owner string, seq uint64) []byte {
 	return dst
 }
 
+// AppendCount appends the count a list of a record's fields starts with.
+func AppendCount(dst []byte, n int) []byte { return appendUvarint(dst, uint64(n)) }
+
+// AppendPinEnd appends a pin endpoint.
+func AppendPinEnd(dst []byte, row, col, wire int) []byte {
+	return AppendPin(append(dst, epPin), row, col, wire)
+}
+
+// AppendPortEnd appends a port endpoint.
+func AppendPortEnd(dst []byte, p protocol.PortRefMsg) []byte {
+	dst = appendString(append(dst, epPort), p.Core)
+	return appendSvarint(appendString(dst, p.Group), p.Index)
+}
+
 // Entry is one decoded entry. Owner and Record alias the encoding.
 type Entry struct {
 	Tag    byte
@@ -80,13 +94,12 @@ type Entry struct {
 
 // NextEntry decodes the entry b starts with and returns the rest of b.
 func NextEntry(b []byte) (e Entry, rest []byte, err error) {
-	d := &dec{b: b}
-	e.Tag = d.u8()
+	d := &Reader{b: b}
+	e.Tag = d.Byte()
 	e.Owner = d.bytes("owner")
 	switch e.Tag {
 	case EntryCore:
 		d.core(&e.Core)
-		e.Core.Owner = string(e.Owner)
 	case EntryLive, EntryMemory:
 		e.Seq = d.uvarint()
 		if n := d.take(4, "record length"); n != nil {
@@ -104,71 +117,4 @@ func NextEntry(b []byte) (e Entry, rest []byte, err error) {
 		return e, nil, d.err
 	}
 	return e, b[d.off:], nil
-}
-
-// decodeRecord decodes a record blob's body into rec's kind, net, At and
-// Home; Seq and Owner come from the entry.
-func decodeRecord(b []byte, rec *protocol.RecordMsg) error {
-	d := &dec{b: b}
-	rec.Kind = d.u8()
-	d.net(&rec.NetMsg)
-	if n := d.count("at pins"); n > 0 {
-		rec.At = make([]protocol.PinMsg, n)
-		for i := range rec.At {
-			rec.At[i] = protocol.PinMsg{Row: d.svarint(), Col: d.svarint(), Wire: int(d.uvarint())}
-		}
-	}
-	rec.Home = d.pips()
-	if d.err == nil && d.off != len(b) {
-		d.err = fmt.Errorf("v3: %d trailing bytes after a record", len(b)-d.off)
-	}
-	return d.err
-}
-
-// AppendSession appends a session form as a run of entries: its cores, its
-// live records, then its memory.
-func AppendSession(dst []byte, s *protocol.SessionMsg) ([]byte, error) {
-	var err error
-	for i := range s.Cores {
-		if dst, err = AppendCoreEntry(dst, &s.Cores[i]); err != nil {
-			return dst, err
-		}
-	}
-	for i, recs := range [2][]protocol.RecordMsg{s.Live, s.Memory} {
-		for j := range recs {
-			if dst, err = AppendRecordEntry(dst, i == 1, &recs[j]); err != nil {
-				return dst, err
-			}
-		}
-	}
-	return dst, nil
-}
-
-// DecodeSession decodes a run of entries into a form: core, live and
-// memory entries only.
-func DecodeSession(b []byte, s *protocol.SessionMsg) error {
-	for len(b) > 0 {
-		e, rest, err := NextEntry(b)
-		if err != nil {
-			return err
-		}
-		b = rest
-		switch e.Tag {
-		case EntryCore:
-			s.Cores = append(s.Cores, e.Core)
-		case EntryLive, EntryMemory:
-			rec := protocol.RecordMsg{Seq: e.Seq, Owner: string(e.Owner)}
-			if err := decodeRecord(e.Record, &rec); err != nil {
-				return err
-			}
-			if e.Tag == EntryLive {
-				s.Live = append(s.Live, rec)
-			} else {
-				s.Memory = append(s.Memory, rec)
-			}
-		default:
-			return fmt.Errorf("v3: a session form holds no entry of tag %#x", e.Tag)
-		}
-	}
-	return nil
 }

@@ -266,21 +266,22 @@ func appendEndpoint(dst []byte, ep *protocol.EndPointMsg) ([]byte, error) {
 	case ep == nil:
 		return dst, fmt.Errorf("v3: missing endpoint")
 	case ep.Pin != nil:
-		return appendPin(append(dst, epPin), *ep.Pin), nil
+		return AppendPinEnd(dst, ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire), nil
 	case ep.Port != nil:
-		dst = append(dst, epPort)
-		dst = appendString(dst, ep.Port.Core)
-		dst = appendString(dst, ep.Port.Group)
-		return appendSvarint(dst, ep.Port.Index), nil
+		return AppendPortEnd(dst, *ep.Port), nil
 	default:
 		return dst, fmt.Errorf("v3: endpoint is neither pin nor port")
 	}
 }
 
-func appendPin(dst []byte, p protocol.PinMsg) []byte {
-	dst = appendSvarint(dst, p.Row)
-	dst = appendSvarint(dst, p.Col)
-	return appendUvarint(dst, uint64(p.Wire))
+// AppendPin appends a bare pin.
+func AppendPin(dst []byte, row, col, wire int) []byte {
+	return appendUvarint(appendSvarint(appendSvarint(dst, row), col), uint64(wire))
+}
+
+// AppendPip appends a PIP.
+func AppendPip(dst []byte, row, col, from, to int) []byte {
+	return appendUvarint(AppendPin(dst, row, col, from), uint64(to))
 }
 
 func appendEndpoints(dst []byte, eps []protocol.EndPointMsg) ([]byte, error) {
@@ -306,13 +307,9 @@ func appendNet(dst []byte, n *protocol.NetMsg) ([]byte, error) {
 }
 
 func appendPips(dst []byte, pips []protocol.PipMsg) []byte {
-	dst = appendUvarint(dst, uint64(len(pips)))
-	for i := range pips {
-		p := &pips[i]
-		dst = appendSvarint(dst, p.Row)
-		dst = appendSvarint(dst, p.Col)
-		dst = appendUvarint(dst, uint64(p.From))
-		dst = appendUvarint(dst, uint64(p.To))
+	dst = AppendCount(dst, len(pips))
+	for _, p := range pips {
+		dst = AppendPip(dst, p.Row, p.Col, p.From, p.To)
 	}
 	return dst
 }
@@ -387,14 +384,8 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 		if dst, err = appendCore(dst, req.Core); err != nil {
 			return dst, err
 		}
-	case protocol.OpSessionImport:
-		if req.Form == nil {
-			return dst, fmt.Errorf("v3: session_import without a form")
-		}
-		// The form's entries run to the end of the payload.
-		if dst, err = AppendSession(dst, req.Form); err != nil {
-			return dst, err
-		}
+	case protocol.OpSessionImport: // the form's entries run to the end of the payload
+		dst = append(dst, req.Form...)
 	}
 	n := len(dst) - start - HeaderSize
 	if n > MaxPayload {
@@ -502,21 +493,24 @@ func (in *Interner) intern(b []byte) string {
 	return s
 }
 
-// dec is a cursor over one payload; the first failure sticks.
-type dec struct {
+// A Reader is a cursor over one payload, or over a record blob (an Entry's
+// Record) to read its fields in the order they were appended. Its first
+// failure sticks.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 	in  *Interner
 }
 
-func (d *dec) fail(what string) {
+func (d *Reader) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("v3: truncated or corrupt %s at offset %d", what, d.off)
 	}
 }
 
-func (d *dec) u8() byte {
+// Byte reads a byte.
+func (d *Reader) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -529,7 +523,7 @@ func (d *dec) u8() byte {
 	return v
 }
 
-func (d *dec) uvarint() uint64 {
+func (d *Reader) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -542,7 +536,7 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
-func (d *dec) svarint() int {
+func (d *Reader) svarint() int {
 	u := d.uvarint()
 	return int(int64(u>>1) ^ -int64(u&1))
 }
@@ -550,7 +544,7 @@ func (d *dec) svarint() int {
 // count reads a collection length and bounds it by the bytes remaining
 // (each element costs at least one byte), so corrupt counts cannot force
 // huge allocations.
-func (d *dec) count(what string) int {
+func (d *Reader) count(what string) int {
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(d.b)-d.off) {
 		d.fail(what + " count")
@@ -559,10 +553,10 @@ func (d *dec) count(what string) int {
 	return int(n)
 }
 
-func (d *dec) bytes(what string) []byte { return d.take(d.uvarint(), what) }
+func (d *Reader) bytes(what string) []byte { return d.take(d.uvarint(), what) }
 
 // take returns the next n bytes, aliasing the payload.
-func (d *dec) take(n uint64, what string) []byte {
+func (d *Reader) take(n uint64, what string) []byte {
 	if d.err == nil && n > uint64(len(d.b)-d.off) {
 		d.fail(what)
 	}
@@ -574,7 +568,7 @@ func (d *dec) take(n uint64, what string) []byte {
 	return v
 }
 
-func (d *dec) str(what string) string {
+func (d *Reader) str(what string) string {
 	b := d.bytes(what)
 	if d.err != nil {
 		return ""
@@ -585,22 +579,54 @@ func (d *dec) str(what string) string {
 	return string(b)
 }
 
-func (d *dec) endpoint(ep *protocol.EndPointMsg) {
-	switch tag := d.u8(); tag {
+// NewReader reads a record blob.
+func NewReader(blob []byte) *Reader { return &Reader{b: blob} }
+
+// Count reads the count a list of a record's fields starts with.
+func (d *Reader) Count() int { return d.count("list") }
+
+// End reads an endpoint up to its pin, which Pin then reads, or whole when
+// it is a port.
+func (d *Reader) End() (ref protocol.PortRefMsg, port bool) {
+	switch tag := d.Byte(); tag {
 	case epPin:
-		p := &protocol.PinMsg{Row: d.svarint(), Col: d.svarint(), Wire: int(d.uvarint())}
-		ep.Pin, ep.Port = p, nil
 	case epPort:
-		p := &protocol.PortRefMsg{Core: d.str("core name"), Group: d.str("group name"), Index: d.svarint()}
-		ep.Port, ep.Pin = p, nil
+		return protocol.PortRefMsg{Core: d.str("core name"), Group: d.str("group name"), Index: d.svarint()}, true
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("v3: unknown endpoint tag %#x at offset %d", tag, d.off-1)
 		}
 	}
+	return ref, false
 }
 
-func (d *dec) endpoints(what string) []protocol.EndPointMsg {
+// Pin reads a pin; Pip reads a PIP.
+func (d *Reader) Pin() (row, col, wire int) { return d.svarint(), d.svarint(), int(d.uvarint()) }
+
+func (d *Reader) Pip() (row, col, from, to int) {
+	row, col, from = d.Pin()
+	return row, col, from, int(d.uvarint())
+}
+
+// Err returns the first failure, or one for bytes left unread.
+func (d *Reader) Err() error {
+	if d.err == nil && d.off != len(d.b) {
+		return fmt.Errorf("v3: %d trailing bytes", len(d.b)-d.off)
+	}
+	return d.err
+}
+
+func (d *Reader) endpoint(ep *protocol.EndPointMsg) {
+	if ref, port := d.End(); port {
+		p := ref // taking &ref would put every endpoint's on the heap
+		ep.Port, ep.Pin = &p, nil
+	} else if d.err == nil {
+		row, col, wire := d.Pin()
+		ep.Pin, ep.Port = &protocol.PinMsg{Row: row, Col: col, Wire: wire}, nil
+	}
+}
+
+func (d *Reader) endpoints(what string) []protocol.EndPointMsg {
 	n := d.count(what)
 	if d.err != nil || n == 0 {
 		return nil
@@ -612,13 +638,13 @@ func (d *dec) endpoints(what string) []protocol.EndPointMsg {
 	return eps
 }
 
-func (d *dec) net(n *protocol.NetMsg) {
+func (d *Reader) net(n *protocol.NetMsg) {
 	d.endpoint(&n.Source)
 	n.Sinks = d.endpoints("sinks")
 	n.Pips = d.pips()
 }
 
-func (d *dec) pips() []protocol.PipMsg {
+func (d *Reader) pips() []protocol.PipMsg {
 	np := d.count("pips")
 	if d.err != nil || np == 0 {
 		return nil
@@ -626,17 +652,16 @@ func (d *dec) pips() []protocol.PipMsg {
 	pips := make([]protocol.PipMsg, np)
 	for i := range pips {
 		p := &pips[i]
-		p.Row, p.Col = d.svarint(), d.svarint()
-		p.From, p.To = int(d.uvarint()), int(d.uvarint())
+		p.Row, p.Col, p.From, p.To = d.Pip()
 	}
 	return pips
 }
 
-func (d *dec) core(c *protocol.CoreMsg) {
+func (d *Reader) core(c *protocol.CoreMsg) {
 	c.Name = d.str("core name")
 	c.Kind = d.str("core kind")
 	c.Row, c.Col = d.svarint(), d.svarint()
-	if d.u8() != 0 {
+	if d.Byte() != 0 {
 		k := d.uvarint()
 		c.K = &k
 	}
@@ -645,9 +670,8 @@ func (d *dec) core(c *protocol.CoreMsg) {
 }
 
 // DecodeRequest decodes a request payload into req. An optional Interner
-// deduplicates the recurring name strings. Slices and strings in req may
-// alias payload only for blob fields (requests carry none), so req
-// outlives the read buffer safely.
+// deduplicates the recurring name strings. Nothing in req aliases payload
+// (a form is copied), so req outlives the read buffer safely.
 func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner) error {
 	op := protocol.OpByByte(h.Op)
 	if op == nil {
@@ -655,12 +679,12 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 	}
 	req.ID = h.ID
 	req.SetOp(op)
-	d := &dec{b: payload, in: in}
+	d := &Reader{b: payload, in: in}
 	req.Session = d.str("session")
 	req.TimeoutMillis = int64(d.uvarint())
 	switch h.Op {
 	case protocol.OpConnect:
-		if d.u8() != 0 {
+		if d.Byte() != 0 {
 			k := d.uvarint()
 			req.Key = &k
 		}
@@ -686,12 +710,15 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 	case protocol.OpCoreNew, protocol.OpCoreReplace:
 		req.Core = &protocol.CoreMsg{}
 		d.core(req.Core)
-	case protocol.OpSessionImport:
-		req.Form = &protocol.SessionMsg{}
-		if d.err == nil {
-			d.err = DecodeSession(payload[d.off:], req.Form)
-			d.off = len(payload)
+	case protocol.OpSessionImport: // a copy: the request outlives the read buffer
+		req.Form = append([]byte{}, payload[d.off:]...)
+		for run := req.Form; d.err == nil && len(run) > 0; {
+			var e Entry
+			if e, run, d.err = NextEntry(run); d.err == nil && (e.Tag == EntryGone || e.Tag == EntryDrop) {
+				d.err = fmt.Errorf("v3: a session form holds no entry of tag %#x", e.Tag)
+			}
 		}
+		d.off = len(payload)
 	}
 	if d.err == nil && d.off != len(payload) {
 		d.err = fmt.Errorf("v3: %d trailing bytes after %s request", len(payload)-d.off, op.Name)
@@ -704,8 +731,8 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 // recycling the read buffer.
 func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 	resp.ID = h.ID
-	d := &dec{b: payload}
-	code := d.u8()
+	d := &Reader{b: payload}
+	code := d.Byte()
 	if code != CodeOK {
 		// Every op's error record is the same, so one for an op byte this
 		// side has no row for (the server's CodeUnknownOp answer) decodes.
@@ -743,7 +770,7 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 			}
 		}
 	case protocol.OpTrace, protocol.OpReverseTrace:
-		if d.u8() != 0 {
+		if d.Byte() != 0 {
 			resp.Net = &protocol.NetMsg{}
 			d.net(resp.Net)
 		}

@@ -605,47 +605,92 @@ func BenchmarkDecodeRequestRoute(b *testing.B) {
 
 // testForm is a session form with one core, one live record and one
 // remembered record filed under a port.
-func testForm() *protocol.SessionMsg {
-	net := protocol.NetMsg{Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(4, 5, 6)},
-		Pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}}
-	mem := net
-	mem.Source = port("r", "q", 0)
-	return &protocol.SessionMsg{
-		Cores: []protocol.CoreMsg{{Owner: "d", Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2}},
-		Live:  []protocol.RecordMsg{{Seq: 3, Owner: "d", NetMsg: net}},
-		Memory: []protocol.RecordMsg{{Seq: 5, Owner: "d", NetMsg: mem,
-			At: []protocol.PinMsg{{Row: 1, Col: 2, Wire: 3}, {Row: 4, Col: 5, Wire: 6}}}},
+func testForm() []byte {
+	run, _ := AppendCoreEntry(nil, "d", &protocol.CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
+	for _, memory := range []bool{false, true} {
+		seq, at := uint64(3), 0
+		if memory {
+			seq = 5
+		}
+		run, at = AppendRecordEntry(run, memory, "d", seq)
+		run = append(run, 0) // kind
+		if memory {
+			run = AppendPortEnd(run, protocol.PortRefMsg{Core: "r", Group: "q"})
+		} else {
+			run = AppendPinEnd(run, 1, 2, 3)
+		}
+		run = AppendPinEnd(AppendCount(run, 1), 4, 5, 6)
+		run = AppendPip(AppendCount(run, 1), 1, 2, 3, 4)
+		if memory {
+			run = AppendPin(AppendPin(AppendCount(run, 2), 1, 2, 3), 4, 5, 6)
+		} else {
+			run = AppendCount(run, 0)
+		}
+		run = EndRecordEntry(AppendCount(run, 0), at)
 	}
+	return run
 }
 
 // TestRecordEntryRoundTrip: a record whose blob outgrows the one-byte length
-// prefix (a long path and a way home) decodes to what was encoded, and so
-// does every entry kind around it.
+// prefix (a long path and a way home) reads back field by field as it was
+// appended, and every entry kind around it decodes.
 func TestRecordEntryRoundTrip(t *testing.T) {
-	rec := protocol.RecordMsg{Seq: 300, Owner: "sess", Kind: 2,
-		NetMsg: protocol.NetMsg{Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(9, 9, 1), port("c", "d", 2)}}}
+	buf, at := AppendRecordEntry(nil, true, "sess", 300)
+	buf = AppendPinEnd(append(buf, 2), 1, 2, 3)
+	buf = AppendPortEnd(AppendCount(buf, 1), protocol.PortRefMsg{Core: "c", Group: "d", Index: 2})
+	buf = AppendCount(buf, 40)
 	for i := 0; i < 40; i++ {
-		rec.Pips = append(rec.Pips, protocol.PipMsg{Row: i, Col: -i, From: i + 1, To: i + 200})
-		rec.Home = append(rec.Home, protocol.PipMsg{Row: 2 * i, Col: i, From: 7, To: 9})
+		buf = AppendPip(buf, i, -i, i+1, i+200)
 	}
-	rec.At = []protocol.PinMsg{{Row: 1, Col: 2, Wire: 3}, {Row: 9, Col: 9, Wire: 1}, {Row: 4, Col: 4, Wire: 4}}
-	buf, err := AppendRecordEntry(nil, true, &rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf = AppendPin(AppendPin(AppendCount(buf, 2), 1, 2, 3), 9, 9, 1)
+	buf = EndRecordEntry(AppendPip(AppendCount(buf, 1), 2, 1, 7, 9), at)
 	buf = AppendMarkEntry(buf, EntryGone, "sess", 12)
 	buf = AppendMarkEntry(buf, EntryDrop, "other", 0)
 	e, rest, err := NextEntry(buf)
-	if err != nil || e.Tag != EntryMemory || string(e.Owner) != "sess" || e.Seq != 300 {
+	if err != nil || e.Tag != EntryMemory || string(e.Owner) != "sess" || e.Seq != 300 || len(e.Record) < 0x80 {
 		t.Fatalf("first entry %+v, %v", e, err)
 	}
-	back := protocol.RecordMsg{Seq: e.Seq, Owner: string(e.Owner)}
-	if err := decodeRecord(e.Record, &back); err != nil {
-		t.Fatal(err)
+	r := NewReader(e.Record)
+	pin := func(row, col, wire int) {
+		t.Helper()
+		if r, c, w := r.Pin(); r != row || c != col || w != wire {
+			t.Fatalf("pin (%d,%d) %d, want (%d,%d) %d", r, c, w, row, col, wire)
+		}
 	}
-	again, _ := AppendRecordEntry(nil, true, &back)
-	if len(e.Record) < 0x80 || !bytes.Equal(again, buf[:len(buf)-len(rest)]) {
-		t.Fatalf("a %d-byte record does not round trip", len(e.Record))
+	if k := r.Byte(); k != 2 {
+		t.Fatalf("kind %d", k)
+	}
+	if _, port := r.End(); port {
+		t.Fatal("the source pin reads as a port")
+	}
+	pin(1, 2, 3)
+	if n := r.Count(); n != 1 {
+		t.Fatalf("%d sinks", n)
+	}
+	if ref, port := r.End(); !port || ref != (protocol.PortRefMsg{Core: "c", Group: "d", Index: 2}) {
+		t.Fatalf("sink %+v, %v", ref, port)
+	}
+	if n := r.Count(); n != 40 {
+		t.Fatalf("%d PIPs", n)
+	}
+	for i := 0; i < 40; i++ {
+		if row, col, from, to := r.Pip(); row != i || col != -i || from != i+1 || to != i+200 {
+			t.Fatalf("PIP %d reads (%d,%d) %d->%d", i, row, col, from, to)
+		}
+	}
+	if n := r.Count(); n != 2 {
+		t.Fatalf("%d At pins", n)
+	}
+	pin(1, 2, 3)
+	pin(9, 9, 1)
+	if n := r.Count(); n != 1 {
+		t.Fatalf("%d home PIPs", n)
+	}
+	if row, col, from, to := r.Pip(); row != 2 || col != 1 || from != 7 || to != 9 || r.Err() != nil {
+		t.Fatalf("home PIP (%d,%d) %d->%d, %v", row, col, from, to, r.Err())
+	}
+	if r.Byte(); r.Err() == nil {
+		t.Fatal("a read past the blob has no error")
 	}
 	if e, rest, err = NextEntry(rest); err != nil || e.Tag != EntryGone || e.Seq != 12 {
 		t.Fatalf("gone entry %+v, %v", e, err)

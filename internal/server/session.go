@@ -59,7 +59,7 @@ func (w *Worker) encode(buf []byte, dropped []uint8, cores []*coreEntry, d core.
 	}
 	for _, e := range cores {
 		note(e.owner)
-		buf, _ = v3.AppendCoreEntry(buf, &e.msg)
+		buf, _ = v3.AppendCoreEntry(buf, w.names[e.owner], &e.msg)
 	}
 	for i, recs := range [2][]core.SeqRecord{d.Upserted, d.Remembered} {
 		for _, r := range recs {
@@ -102,9 +102,10 @@ func (w *Worker) deliver(d []byte, want bool) []byte {
 }
 
 // appendRecord appends one router record as a delta entry, its ports named
-// by core, group and index. A record with a port no request can name (an
-// inner core's) goes as its pins, or, remembered, not at all: no request
-// can Reconnect it.
+// by core, group and index, and then its pins as At: the frame a replay
+// shifts from once the core has moved. A record with a port no request can
+// name (an inner core's) goes as its pins, or, remembered, not at all: no
+// request can Reconnect it.
 func (w *Worker) appendRecord(dst []byte, memory bool, sr core.SeqRecord) []byte {
 	ends := sr.Ends
 	for _, e := range ends {
@@ -115,65 +116,51 @@ func (w *Worker) appendRecord(dst []byte, memory bool, sr core.SeqRecord) []byte
 	if memory && ends == nil {
 		return dst
 	}
-	r := &w.rec
-	r.Seq, r.Owner, r.Kind = sr.Seq, w.names[sr.Owner], uint8(sr.Kind)
-	pin := func(i int) protocol.PinMsg { // the i-th pin as recorded, the source's first
-		if i == 0 {
-			return wirePin(sr.Source)
+	pins := append(append(make([]core.Pin, 0, 16), sr.Source), sr.Sinks...)
+	dst, at := v3.AppendRecordEntry(dst, memory, w.names[sr.Owner], sr.Seq)
+	dst = append(dst, uint8(sr.Kind))
+	if ends == nil {
+		for i, p := range pins {
+			if dst = v3.AppendPinEnd(dst, p.Row, p.Col, int(p.W)); i == 0 {
+				dst = v3.AppendCount(dst, len(pins)-1)
+			}
 		}
-		return wirePin(sr.Sinks[i-1])
+		pins = nil // no At pins
 	}
-	n := 1 + len(sr.Sinks)
-	if ends != nil {
-		n = len(ends)
-	}
-	// The endpoints point into w.pins, sized before the first pointer.
-	w.pins = append(w.pins[:0], make([]protocol.PinMsg, n)...)
-	r.Sinks = append(r.Sinks[:0], make([]protocol.EndPointMsg, n-1)...)
-	r.At = r.At[:0]
-	for i := 0; i < n; i++ {
-		ep := &r.Source
-		if i > 0 {
-			ep = &r.Sinks[i-1]
-		}
-		*ep = protocol.EndPointMsg{Pin: &w.pins[i]}
-		if ends == nil {
-			w.pins[i] = pin(i)
-		} else if p, ok := ends[i].(*core.Port); ok {
-			ref := w.ports[p]
-			*ep = protocol.EndPointMsg{Port: &ref}
+	for i, e := range ends {
+		if p, ok := e.(core.Pin); ok {
+			dst = v3.AppendPinEnd(dst, p.Row, p.Col, int(p.W))
 		} else {
-			w.pins[i] = wirePin(ends[i].(core.Pin))
+			dst = v3.AppendPortEnd(dst, w.ports[e.(*core.Port)])
+		}
+		if i == 0 {
+			dst = v3.AppendCount(dst, len(ends)-1)
 		}
 	}
-	for i := 0; ends != nil && i <= len(sr.Sinks); i++ {
-		r.At = append(r.At, pin(i))
+	dst = v3.AppendCount(appendPips(dst, sr.Path), len(pins))
+	for _, p := range pins {
+		dst = v3.AppendPin(dst, p.Row, p.Col, int(p.W))
 	}
-	r.Pips, r.Home = pipMsgs(r.Pips[:0], sr.Path), pipMsgs(r.Home[:0], sr.Home)
-	dst, _ = v3.AppendRecordEntry(dst, memory, r)
-	return dst
+	return v3.EndRecordEntry(appendPips(dst, sr.Home), at)
 }
 
-func wirePin(p core.Pin) protocol.PinMsg {
-	return protocol.PinMsg{Row: p.Row, Col: p.Col, Wire: int(p.W)}
-}
-
-func pipMsgs(dst []protocol.PipMsg, pips []device.PIP) []protocol.PipMsg {
+func appendPips(dst []byte, pips []device.PIP) []byte {
+	dst = v3.AppendCount(dst, len(pips))
 	for _, p := range pips {
-		dst = append(dst, protocol.PipMsg{Row: p.Row, Col: p.Col, From: int(p.From), To: int(p.To)})
+		dst = v3.AppendPip(dst, p.Row, p.Col, int(p.From), int(p.To))
 	}
 	return dst
 }
 
 // Export returns the form of every session on the worker as its router
 // holds it now: what a journal its deltas fed holds too.
-func (w *Worker) Export(ctx context.Context) (form protocol.SessionMsg, err error) {
+func (w *Worker) Export(ctx context.Context) (run []byte, err error) {
 	err = w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
 		live, mem := r.Export()
-		buf := w.encode(nil, nil, w.coreList(nil), core.Delta{Upserted: live, Remembered: mem})
-		return v3.DecodeSession(buf, &form)
+		run = w.encode(nil, nil, w.coreList(nil), core.Delta{Upserted: live, Remembered: mem})
+		return nil
 	})
-	return form, err
+	return run, err
 }
 
 // coreList lists the cores keep accepts (nil: every one) in creation order.
@@ -189,63 +176,56 @@ func (w *Worker) coreList(keep func(*coreEntry) bool) []*coreEntry {
 }
 
 // sessionImport replaces what the form's owners hold here with the form,
-// all or nothing: their cores, live records and memory come off, then the
-// form's cores are made in creation order as they are described now, its
-// live records adopted replay-first in sequence order, and its memory
-// filed under its ports. An entry with no owner is the request's session's,
-// and a form imported for a session holds no other's. A step that fails
-// takes off everything the import placed.
+// all or nothing. The form is read whole first, every wire checked: an
+// entry with no owner is the request's session's, and a form imported for
+// a session holds no other's. Then the owners' cores, live records and
+// memory come off, the form's cores are made in creation order as they are
+// described now, its live records adopted replay-first in sequence order,
+// and its memory filed under its ports. A step that fails takes off
+// everything the import placed.
 func (w *Worker) sessionImport(req *Request, resp *Response) error {
-	f, session := req.Form, w.cur
-	if f == nil {
-		resp.ErrorCode = protocol.CodeBadRequest
-		return fmt.Errorf("server: session_import without a form")
-	}
-	var owners []uint8
-	own := func(name string) (o uint8, err error) {
+	session := w.cur
+	owners := []uint8{session}
+	var cores []coreEntry // made by place
+	var recs [2][]core.SeqRecord
+	resp.ErrorCode = protocol.CodeBadRequest // what a refusal here is, bar admission
+	for run := req.Form; len(run) > 0; {
+		e, rest, err := v3.NextEntry(run)
+		o, name := session, string(e.Owner)
 		switch {
-		case name == "":
-			o = session
-		case session != 0 && name != w.names[session]:
-			resp.ErrorCode = protocol.CodeBadRequest
-			return 0, fmt.Errorf("server: a form imported for %q holds %q's part", w.names[session], name)
-		default:
+		case err != nil:
+			return err
+		case session != 0 && name != "" && name != w.names[session]:
+			return fmt.Errorf("server: a form imported for %q holds %q's part", w.names[session], name)
+		case name != "":
 			if o, err = w.ownerOf(name); err != nil {
 				resp.ErrorCode = protocol.CodeAdmission
-				return 0, err
+				return err
 			}
 		}
-		if o != 0 && !slices.Contains(owners, o) {
+		if !slices.Contains(owners, o) {
 			owners = append(owners, o)
 		}
-		return o, nil
-	}
-	own("")
-	coreOwners := make([]uint8, len(f.Cores))
-	var recs [2][]core.SeqRecord
-	for i, c := range f.Cores {
-		var err error
-		if coreOwners[i], err = own(c.Owner); err != nil {
-			return err
-		}
-	}
-	for i, msgs := range [2][]protocol.RecordMsg{f.Live, f.Memory} {
-		for j := range msgs {
-			sr, err := w.recordOf(&msgs[j])
+		switch run = rest; e.Tag {
+		case v3.EntryCore:
+			cores = append(cores, coreEntry{msg: e.Core, owner: o})
+		case v3.EntryLive, v3.EntryMemory:
+			sr, err := w.readRecord(e)
 			if err != nil {
-				resp.ErrorCode = protocol.CodeBadRequest
 				return err
 			}
-			if sr.Owner, err = own(msgs[j].Owner); err != nil {
-				return err
-			}
-			recs[i] = append(recs[i], sr)
+			sr.Owner = o
+			recs[e.Tag-v3.EntryLive] = append(recs[e.Tag-v3.EntryLive], sr)
+		default:
+			return fmt.Errorf("server: a session form holds no entry of tag %#x", e.Tag)
 		}
 	}
+	resp.ErrorCode = ""
+	owners = slices.DeleteFunc(owners, func(o uint8) bool { return o == 0 })
 	for _, o := range owners {
 		w.drop(o)
 	}
-	err := w.place(f, coreOwners, recs, resp)
+	err := w.place(cores, recs, resp)
 	w.cur = session
 	w.router.SetOwner(session)
 	if err != nil {
@@ -258,75 +238,91 @@ func (w *Worker) sessionImport(req *Request, resp *Response) error {
 
 // place is sessionImport's placing half: the cores, whose Implement
 // replays the paths it shares with the records, then the records.
-func (w *Worker) place(f *protocol.SessionMsg, coreOwners []uint8, recs [2][]core.SeqRecord, resp *Response) error {
+func (w *Worker) place(cores []coreEntry, recs [2][]core.SeqRecord, resp *Response) error {
 	w.router.LearnPaths(recs[0])
-	for i := range f.Cores {
-		msg := f.Cores[i]
-		w.cur = coreOwners[i]
+	for _, c := range cores {
+		w.cur = c.owner
 		w.router.SetOwner(w.cur)
-		if err := w.coreNew(&msg, resp); err != nil {
+		if err := w.coreNew(&c.msg, resp); err != nil {
 			return err
 		}
 	}
 	// The cores' ports exist now: the records that name them resolve.
-	for i, msgs := range [2][]protocol.RecordMsg{f.Live, f.Memory} {
-		for j, m := range msgs {
-			if len(m.At) > 0 {
-				ends, err := w.endpoints(append([]protocol.EndPointMsg{m.Source}, m.Sinks...))
-				if err != nil {
+	for _, sr := range slices.Concat(recs[0], recs[1]) {
+		for i, e := range sr.Ends {
+			if ref, ok := e.(portRef); ok {
+				var err error
+				if sr.Ends[i], err = w.endpoint(&EndPointMsg{Port: (*PortRefMsg)(&ref)}); err != nil {
 					resp.ErrorCode = protocol.CodeBadRequest
 					return err
 				}
-				recs[i][j].Ends = ends
 			}
 		}
 	}
 	return w.router.Import(recs[0], recs[1])
 }
 
-// recordOf converts a form's record to the router's, checking every wire.
-// Its pins are At, or the endpoints when every one is a pin.
-func (w *Worker) recordOf(m *protocol.RecordMsg) (core.SeqRecord, error) {
-	sr := core.SeqRecord{Seq: m.Seq}
-	sr.Kind = core.RecordKind(m.Kind)
-	pins := m.At
-	for i := 0; len(m.At) == 0 && i <= len(m.Sinks); i++ {
-		ep := &m.Source
-		if i > 0 {
-			ep = &m.Sinks[i-1]
-		}
-		if ep.Pin == nil {
-			return sr, fmt.Errorf("server: record %d names a port but no pins", m.Seq)
-		}
-		pins = append(pins, *ep.Pin)
+// portRef stands for a port in a record read off a form until the form's
+// cores exist.
+type portRef protocol.PortRefMsg
+
+func (portRef) Pins() []core.Pin { return nil }
+
+// readRecord reads a form's record entry into the router's record,
+// checking every wire. Its pins are the At pins, with its endpoints as
+// Ends, or else its endpoints, each a pin.
+func (w *Worker) readRecord(e v3.Entry) (sr core.SeqRecord, err error) {
+	r, bad := v3.NewReader(e.Record), false
+	wire := func(x int) arch.Wire {
+		bad = bad || x < 0 || x >= w.js.Dev.A.WireCount()
+		return arch.Wire(x)
 	}
-	wires := func(ws ...int) error {
-		if slices.ContainsFunc(ws, func(x int) bool { return x < 0 || x >= w.js.Dev.A.WireCount() }) {
-			return fmt.Errorf("server: record %d names a wire outside the architecture", m.Seq)
-		}
-		return nil
+	pin := func() core.Pin {
+		row, col, x := r.Pin()
+		return core.NewPin(row, col, wire(x))
 	}
-	for i, p := range pins {
-		if err := wires(p.Wire); err != nil {
-			return sr, err
+	pips := func() (out []device.PIP) {
+		for n := r.Count(); n > 0; n-- {
+			row, col, from, to := r.Pip()
+			out = append(slices.Grow(out, n), device.PIP{Row: row, Col: col, From: wire(from), To: wire(to)})
 		}
-		if pin := core.NewPin(p.Row, p.Col, arch.Wire(p.Wire)); i == 0 {
-			sr.Source = pin
+		return out
+	}
+	sr.Seq, sr.Kind = e.Seq, core.RecordKind(r.Byte())
+	ends := make([]core.EndPoint, 0, 2)
+	for i, n := 0, 1; i < n; i++ {
+		if ref, port := r.End(); port {
+			ends = append(ends, portRef(ref))
 		} else {
-			sr.Sinks = append(sr.Sinks, pin)
+			ends = append(ends, pin())
+		}
+		if i == 0 {
+			n += r.Count()
 		}
 	}
-	for _, p := range slices.Concat(m.Pips, m.Home) {
-		if err := wires(p.From, p.To); err != nil {
-			return sr, err
-		}
-		pip := device.PIP{Row: p.Row, Col: p.Col, From: arch.Wire(p.From), To: arch.Wire(p.To)}
-		if len(sr.Path) < len(m.Pips) {
-			sr.Path = append(sr.Path, pip)
-		} else {
-			sr.Home = append(sr.Home, pip)
+	sr.Path = pips()
+	var pins []core.Pin
+	for n := r.Count(); n > 0; n-- {
+		pins = append(slices.Grow(pins, n), pin())
+	}
+	sr.Home = pips()
+	switch {
+	case r.Err() != nil:
+		return sr, r.Err()
+	case bad:
+		return sr, fmt.Errorf("server: record %d names a wire outside the architecture", e.Seq)
+	case pins != nil:
+		sr.Ends = ends
+	default:
+		for _, end := range ends {
+			p, ok := end.(core.Pin)
+			if !ok {
+				return sr, fmt.Errorf("server: record %d names a port but no pins", e.Seq)
+			}
+			pins = append(slices.Grow(pins, len(ends)), p)
 		}
 	}
+	sr.Source, sr.Sinks = pins[0], pins[1:]
 	return sr, nil
 }
 

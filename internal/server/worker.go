@@ -111,8 +111,6 @@ type Worker struct {
 	mixed   bool
 	pending map[uint8][]byte
 	ports   map[*core.Port]protocol.PortRefMsg
-	rec     protocol.RecordMsg
-	pins    []protocol.PinMsg
 	// quarantined, once non-empty, is the answer to every task: an op
 	// panicked, so the router and device behind this worker are in a state
 	// nobody vouches for. Worker goroutine only.
@@ -500,7 +498,6 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 	}
 	w.stamp++
 	e := &coreEntry{c: c, groups: groups, msg: *msg, owner: w.cur, stamp: w.stamp}
-	e.msg.Owner = w.names[w.cur]
 	w.cores[msg.Name] = e
 	w.touched = append(w.touched, e)
 	for _, g := range groups {

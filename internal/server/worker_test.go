@@ -111,45 +111,3 @@ func TestPanicQuarantinesOneSession(t *testing.T) {
 		t.Fatalf("shutdown with a quarantined session: %v", err)
 	}
 }
-
-// TestImportRejectsBadForms: session_import takes a form from the wire.
-// Endpoints off the array, wires outside the architecture, a record with no
-// sinks, a port of no core, a core that does not fit, another session's
-// part — each is refused as a request or routing error, leaves the worker
-// serving, and places nothing.
-func TestImportRejectsBadForms(t *testing.T) {
-	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { w.Close(); <-w.Done() }()
-	ctx := context.Background()
-	net := func(src EndPointMsg, pips ...PipMsg) NetMsg {
-		return NetMsg{Source: src, Sinks: []EndPointMsg{pinMsg(4, 5, arch.S0F3)}, Pips: pips}
-	}
-	live := func(n NetMsg) *protocol.SessionMsg {
-		return &protocol.SessionMsg{Live: []protocol.RecordMsg{{Seq: 1, NetMsg: n}}}
-	}
-	forms := map[string]*protocol.SessionMsg{
-		"source off the array": live(net(pinMsg(1000, 2, arch.S1YQ))),
-		"wire outside":         live(net(pinMsg(1, 2, arch.S1YQ), PipMsg{Row: 1, Col: 2, From: 1 << 20, To: 2})),
-		"no sinks":             live(NetMsg{Source: pinMsg(1, 2, arch.S1YQ)}),
-		"port of no core": {Memory: []protocol.RecordMsg{{Seq: 1, NetMsg: net(EndPointMsg{Port: &PortRefMsg{Core: "x", Group: "q"}}),
-			At: []PinMsg{{Row: 1, Col: 2, Wire: int(arch.S1YQ)}, {Row: 4, Col: 5, Wire: int(arch.S0F3)}}}}},
-		"core off the array": {Cores: []CoreMsg{{Name: "r", Kind: "register", Row: 100, Col: 2, Bits: 4}}},
-		"another's part":     {Cores: []CoreMsg{{Owner: "other", Name: "r", Kind: "register", Row: 4, Col: 16, Bits: 4}}},
-	}
-	for name, f := range forms {
-		resp := w.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: f})
-		if resp.Err == "" || resp.ErrorCode == protocol.CodeInternal {
-			t.Errorf("%s: %q (%s), want a request or routing error", name, resp.Err, resp.ErrorCode)
-		}
-	}
-	var pips, conns int
-	if err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
-		pips, conns = js.Dev.OnPIPCount(), r.ConnectionCount()
-		return nil
-	}); err != nil || pips != 0 || conns != 0 {
-		t.Fatalf("after the refused imports: %d PIPs on, %d records, %v", pips, conns, err)
-	}
-}
