@@ -64,9 +64,11 @@ ci: fmt-check vet build test race bench-smoke fuzz-smoke
 # prints the 25 hottest functions — a where-does-the-router-spend look, not
 # a measurement (timing claims go through `go run ./benchmark --workload
 # <w>`; see BENCHMARK.json). It then prints the 10 largest holders of live
-# heap (`-sample_index=inuse_space`), the split a memory change starts from.
-# The test binary and the CPU and heap profiles land in PROF_DIR, outside
-# the repository; `go tool pprof -sample_index alloc_space
+# heap (`-sample_index=inuse_space`), the split a memory change starts from,
+# and the 10 sites that allocate the most objects
+# (`-sample_index=alloc_objects`), the split an allocation change starts
+# from. The test binary and the CPU and heap profiles land in PROF_DIR,
+# outside the repository; `go tool pprof -sample_index alloc_space
 # $(PROF_DIR)/repro.test $(PROF_DIR)/mem.prof` reads the heap one by bytes
 # allocated instead.
 PROF_DIR ?= /tmp/jroute-prof
@@ -76,10 +78,12 @@ prof:
 		-cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof .
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/mem.prof
 
 # prof-negotiate does the same for BenchmarkNegotiate (internal/maze: eight
 # Clustered(6, 32, 5) designs negotiated on a 64×96 array, at 1 and 2
-# workers), the kernel under batch_reload, live-heap top 10 included. Its
+# workers), the kernel under batch_reload, live-heap and allocated-object
+# top 10s included. Its
 # files in PROF_DIR are maze.test, negotiate-cpu.prof and negotiate-mem.prof.
 prof-negotiate:
 	mkdir -p $(PROF_DIR)
@@ -87,6 +91,7 @@ prof-negotiate:
 		-cpuprofile $(PROF_DIR)/negotiate-cpu.prof -memprofile $(PROF_DIR)/negotiate-mem.prof ./internal/maze
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-mem.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

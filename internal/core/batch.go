@@ -45,17 +45,18 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 		if len(n.Sinks) == 0 {
 			return fmt.Errorf("core: batch net %d has no sinks", i)
 		}
+		pins := r.sinkPins[:0]
 		for _, s := range n.Sinks {
-			pins := s.Pins()
-			if len(pins) == 0 {
+			k := len(pins)
+			if pins = appendPins(pins, s); len(pins) == k {
 				return fmt.Errorf("core: batch net %d: sink resolves to no pins", i)
 			}
-			for _, p := range pins {
-				t, err := r.Dev.Canon(p.Row, p.Col, p.W)
-				if err != nil {
-					return fmt.Errorf("core: batch net %d: %w", i, err)
-				}
-				specs[i].Sinks = append(specs[i].Sinks, t)
+		}
+		r.sinkPins = pins
+		specs[i].Sinks = make([]device.Track, len(pins))
+		for k, p := range pins {
+			if specs[i].Sinks[k], err = r.Dev.Canon(p.Row, p.Col, p.W); err != nil {
+				return fmt.Errorf("core: batch net %d: %w", i, err)
 			}
 		}
 	}
@@ -75,25 +76,27 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	r.stats.GlobalIterations += res.GlobalIterations
 	// Commit net by net, creating each net's Connection record as soon as
 	// its PIPs are on the device. A failure therefore has to undo both:
-	// clear the applied PIPs and drop the records this call created.
+	// clear the PIPs applied, newest net first, and drop the records this
+	// call created.
 	mark := r.conns.tail
-	var applied []device.PIP
 	for i, pips := range res.Nets {
 		for pi, p := range pips {
 			if err := r.commitBatchPIP(i, pi, p); err != nil {
-				r.unwind(applied)
+				r.unwind(pips[:pi])
+				for j := i - 1; j >= 0; j-- {
+					r.unwind(res.Nets[j])
+				}
 				r.conns.truncate(mark)
 				r.backToEntry()
 				return fmt.Errorf("core: committing batch: %w", err)
 			}
-			applied = append(applied, p)
 			r.stats.PIPsSet++
 		}
 		r.stats.Routes += len(nets[i].Sinks)
 		// Each net's negotiated path goes onto its record so the route
-		// cache can replay it after an unroute, just like sequential routes.
-		r.curPath = append(r.curPath[:0], pips...)
-		r.record(netRec, nets[i].Source, nets[i].Sinks...)
+		// cache can replay it after an unroute, just like sequential routes;
+		// the negotiation made it for the record to keep.
+		r.recordPath(netRec, pips, nets[i].Source, nets[i].Sinks...)
 	}
 	return nil
 }

@@ -131,16 +131,31 @@ func (p *Port) BindPort(inner *Port) error {
 }
 
 // Bound reports whether the port resolves to at least one pin.
-func (p *Port) Bound() bool { return len(p.Pins()) > 0 }
+func (p *Port) Bound() bool { return len(p.resolved()) > 0 }
 
 // Pins implements EndPoint, resolving forwards ("the router knows about
 // ports and when one is encountered, it translates it to the corresponding
 // list of pins", §3.2).
-func (p *Port) Pins() []Pin {
-	if p.forward != nil {
-		return p.forward.Pins()
+func (p *Port) Pins() []Pin { return append([]Pin(nil), p.resolved()...) }
+
+// resolved is the pin list at the end of p's forward chain, not a copy.
+func (p *Port) resolved() []Pin {
+	for p.forward != nil {
+		p = p.forward
 	}
-	return append([]Pin(nil), p.pins...)
+	return p.pins
+}
+
+// appendPins appends the pins e resolves to onto dst, reading a Pin or a
+// *Port in place; any other endpoint resolves through Pins.
+func appendPins(dst []Pin, e EndPoint) []Pin {
+	switch e := e.(type) {
+	case Pin:
+		return append(dst, e)
+	case *Port:
+		return append(dst, e.resolved()...)
+	}
+	return append(dst, e.Pins()...)
 }
 
 // String renders "group.port".

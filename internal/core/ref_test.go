@@ -181,7 +181,7 @@ func (r *refRouter) ReverseUnroute(sink EndPoint) (err error) {
 				mem.srcPin = src
 				mem.sinkPins = flattenPins(gone)
 			}
-			for _, port := range connectionPorts(mem) {
+			for _, port := range new(Router).connectionPorts(mem) {
 				r.remembered[port] = append(r.remembered[port], mem)
 			}
 		}
@@ -230,7 +230,7 @@ func (r *refRouter) retireConnections(match func(*Connection) bool) {
 		}
 		c.retired = true
 		r.learnExact(c)
-		for _, port := range connectionPorts(c) {
+		for _, port := range new(Router).connectionPorts(c) {
 			r.remembered[port] = append(r.remembered[port], c)
 		}
 	}

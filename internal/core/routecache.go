@@ -111,14 +111,16 @@ func (rc *routeCache) putTmpl(key tmplKey, rel []device.PIP) {
 }
 
 // flattenPins resolves a sink endpoint list to its pins, sorted by
-// (row, col, wire) so the set is canonical regardless of routing order.
+// (row, col, wire) so the set is canonical regardless of routing order. Up
+// to 16 pins it resolves on the stack: one exact-size allocation.
 func flattenPins(sinks []EndPoint) []Pin {
-	var pins []Pin
+	var buf [16]Pin
+	pins := buf[:0]
 	for _, s := range sinks {
-		pins = append(pins, s.Pins()...)
+		pins = appendPins(pins, s)
 	}
 	sortPins(pins)
-	return pins
+	return owned(pins)
 }
 
 func sortPins(pins []Pin) {
@@ -139,8 +141,8 @@ func (r *Router) tryReplay(srcTrack device.Track, pips []device.PIP, dRow, dCol 
 	if maze.PathAvoids(r.Dev, pips, dRow, dCol, r.avoid) {
 		return false
 	}
-	sources := r.netTracks(srcTrack)
-	route, err := maze.Replay(r.Dev, sources, pips, dRow, dCol)
+	r.walk(srcTrack)
+	route, err := maze.Replay(r.Dev, r.walkTracks, pips, dRow, dCol)
 	if err != nil {
 		return false
 	}
@@ -267,7 +269,12 @@ func (r *Router) replayShifted(c *Connection, path []device.PIP) bool {
 	if err != nil {
 		return false
 	}
-	cur := flattenPins(c.Sinks)
+	cur := r.keyPins[:0]
+	for _, s := range c.Sinks {
+		cur = appendPins(cur, s)
+	}
+	sortPins(cur)
+	r.keyPins = cur
 	if len(cur) != len(c.sinkPins) || src.W != c.srcPin.W {
 		return false
 	}
@@ -303,7 +310,7 @@ func (r *Router) finishRestore(c *Connection) {
 // forget drops c from every remembered-port list it is in.
 func (r *Router) forget(c *Connection) {
 	found := false
-	for _, q := range connectionPorts(c) {
+	for _, q := range r.connectionPorts(c) {
 		list := r.remembered[q]
 		kept := list[:0]
 		for _, x := range list {

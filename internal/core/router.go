@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/core/library"
@@ -239,11 +240,17 @@ type Router struct {
 	// library was configured or the configured one was rejected.
 	lib *library.Library
 
-	// Scratch buffers reused across automatic route calls.
-	netTracksBuf []device.Track
-	fanoutBuf    []device.PIP
-	regionBuf    []device.Track // RipUpRegion: tracks over the rectangle
-	rootBuf      []int32        // RipUpRegion: their nets' root track indices
+	// Scratch the ops write into, so an op allocates only what a caller or
+	// a record keeps. Each buffer is valid until its next use.
+	walkTracks []device.Track // walk: the net's tracks that drive on
+	walkPIPs   []device.PIP   // walk: the net's PIPs; ReverseTrace/ReverseUnroute: the branch
+	walkSinks  []Pin          // walk: the net's sink pins
+	fanoutBuf  []device.PIP   // walk: one track's fanout
+	sinkPins   []Pin          // routeSinks: the sinks' pins in routing order
+	keyPins    []Pin          // routeSinks, replayShifted: the same, sorted
+	portBuf    []*Port        // connectionPorts
+	regionBuf  []device.Track // RipUpRegion: tracks over the rectangle
+	rootBuf    []int32        // RipUpRegion: their nets' root track indices
 	// curPath accumulates the PIPs committed by the routing call
 	// in flight, snapshotted onto the Connection record by record().
 	curPath []device.PIP
@@ -437,7 +444,7 @@ func forwardFirst(taps []device.Coord, entry device.Coord) []device.Coord {
 	dist := func(c device.Coord) int {
 		return abs(c.Row-entry.Row) + abs(c.Col-entry.Col)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return dist(out[i]) > dist(out[j]) })
+	slices.SortStableFunc(out, func(a, b device.Coord) int { return cmp.Compare(dist(b), dist(a)) })
 	return out
 }
 
@@ -525,42 +532,22 @@ func (r *Router) apply(route *maze.Route) error {
 
 // sourcePin resolves a source endpoint, which must name exactly one pin.
 func sourcePin(source EndPoint) (Pin, error) {
-	if p, ok := source.(Pin); ok {
-		return p, nil // without the one-pin slice Pins would build
+	p, n := solePin(source)
+	if n != 1 {
+		return Pin{}, fmt.Errorf("core: source endpoint must resolve to exactly one pin, got %d", n)
 	}
-	pins := source.Pins()
-	if len(pins) != 1 {
-		return Pin{}, fmt.Errorf("core: source endpoint must resolve to exactly one pin, got %d", len(pins))
-	}
-	return pins[0], nil
+	return p, nil
 }
 
-// netTracks returns every track of the net sourced at `src` (the source and
-// all driven non-pin tracks), for path reuse in fanout routing. The
-// returned slice is r's scratch buffer: valid until the next netTracks
-// call.
-func (r *Router) netTracks(src device.Track) []device.Track {
-	out := append(r.netTracksBuf[:0], src)
-	seen := map[device.Key]bool{src.Key(): true}
-	fanout := r.fanoutBuf[:0]
-	for head := 0; head < len(out); head++ {
-		cur := out[head]
-		fanout = r.Dev.AppendFanoutOf(fanout[:0], cur)
-		for _, p := range fanout {
-			t, err := r.Dev.Canon(p.Row, p.Col, p.To)
-			if err != nil || seen[t.Key()] {
-				continue
-			}
-			seen[t.Key()] = true
-			k := r.Dev.A.ClassOf(t.W).Kind
-			if k != arch.KindInput && k != arch.KindCtrl && k != arch.KindIOBOut && k != arch.KindBRAMIn && k != arch.KindBRAMClk {
-				out = append(out, t)
-			}
-		}
+// solePin resolves e without copying a port's pins: the pin when e resolves
+// to exactly one, and how many it resolves to.
+func solePin(e EndPoint) (Pin, int) {
+	var one [1]Pin
+	pins := appendPins(one[:0], e)
+	if len(pins) != 1 {
+		return Pin{}, len(pins)
 	}
-	r.netTracksBuf = out
-	r.fanoutBuf = fanout
-	return out
+	return pins[0], 1
 }
 
 // routeOne routes srcTrack (plus the rest of its net) to one sink pin.
@@ -569,7 +556,8 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 	if err != nil {
 		return err
 	}
-	sources := r.netTracks(srcTrack)
+	r.walk(srcTrack) // the net's tracks so far: where a new branch may start
+	sources := r.walkTracks
 	freshNet := len(sources) == 1
 	mo := r.mazeOpts()
 
@@ -676,25 +664,21 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 	if err != nil {
 		return err
 	}
-	var pins []Pin
-	for i, s := range sinks {
-		ps := s.Pins()
-		if len(ps) == 0 {
+	pins := r.sinkPins[:0]
+	for _, s := range sinks {
+		n := len(pins)
+		if pins = appendPins(pins, s); len(pins) == n {
 			return fmt.Errorf("core: sink endpoint resolves to no pins (unbound port?)")
 		}
-		if i == 0 {
-			pins = ps // Pins returns a fresh slice: ours to extend and sort
-		} else {
-			pins = append(pins, ps...)
-		}
 	}
+	r.sinkPins = pins
 	r.curPath = r.curPath[:0]
 	// Exact tier of the route cache: these endpoints were routed (and
 	// unrouted) before, so replay the remembered whole-net path.
 	if r.opt.replaysPaths() {
-		sorted := append([]Pin(nil), pins...)
-		sortPins(sorted)
-		if path, ok := r.lookupExact(src, sorted); ok {
+		r.keyPins = append(r.keyPins[:0], pins...)
+		sortPins(r.keyPins)
+		if path, ok := r.lookupExact(src, r.keyPins); ok {
 			if r.tryReplay(srcTrack, path, 0, 0) {
 				r.stats.Routes += len(pins)
 				r.stats.CacheHits++
@@ -707,11 +691,8 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 		}
 	}
 	if nearestFirst {
-		sort.SliceStable(pins, func(i, j int) bool {
-			di := abs(pins[i].Row-src.Row) + abs(pins[i].Col-src.Col)
-			dj := abs(pins[j].Row-src.Row) + abs(pins[j].Col-src.Col)
-			return di < dj
-		})
+		dist := func(p Pin) int { return abs(p.Row-src.Row) + abs(p.Col-src.Col) }
+		slices.SortStableFunc(pins, func(a, b Pin) int { return cmp.Compare(dist(a), dist(b)) })
 	}
 	for _, sp := range pins {
 		if err := r.routeOne(srcTrack, sp); err != nil {
@@ -799,10 +780,16 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 // so restores can replay it later. The snapshot is unconditional — path
 // memory belongs to the connection record, not the route cache.
 func (r *Router) record(kind recKind, source EndPoint, sinks ...EndPoint) {
+	r.recordPath(kind, owned(r.curPath), source, sinks...)
+}
+
+// recordPath is record with the path given instead of taken from curPath:
+// the record keeps path.
+func (r *Router) recordPath(kind recKind, path []device.PIP, source EndPoint, sinks ...EndPoint) {
 	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...), kind: kind, owner: r.owner}
-	if len(r.curPath) > 0 {
+	if len(path) > 0 {
 		if src, err := sourcePin(source); err == nil {
-			c.Path = append([]device.PIP(nil), r.curPath...)
+			c.Path = path
 			c.srcPin = src
 			c.sinkPins = flattenPins(c.Sinks)
 			if r.Dev.A.ClassOf(src.W).Kind == arch.KindGClk {

@@ -610,6 +610,20 @@ func TestSourceEndpointValidation(t *testing.T) {
 // a set.
 func TestTraceOnRoutingLoop(t *testing.T) {
 	r := newTestRouter(t, Options{})
+	loop := routeSinglesLoop(t, r)
+	net, err := r.Trace(NewPin(5, 5, r.Dev.A.Single(arch.East, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.PIPs) != len(loop)-1 {
+		t.Errorf("trace round a loop of %d PIPs returned %d, want all but the one that closes it: %v", len(loop), len(net.PIPs), net.PIPs)
+	}
+}
+
+// routeSinglesLoop routes, PIP by PIP, a loop of singles that leaves
+// SingleEast[0] at (5,5) and drives it again, and returns the loop's PIPs.
+func routeSinglesLoop(t *testing.T, r *Router) []device.PIP {
+	t.Helper()
 	d := r.Dev
 	start, err := d.Canon(5, 5, d.A.Single(arch.East, 0))
 	if err != nil {
@@ -648,11 +662,5 @@ func TestTraceOnRoutingLoop(t *testing.T) {
 			t.Fatalf("closing the loop at %s: %v", d.PIPString(p), err)
 		}
 	}
-	net, err := r.Trace(NewPin(5, 5, d.A.Single(arch.East, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(net.PIPs) != len(loop)-1 {
-		t.Errorf("trace round a loop of %d PIPs returned %d, want all but the one that closes it: %v", len(loop), len(net.PIPs), net.PIPs)
-	}
+	return loop
 }

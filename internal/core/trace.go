@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -28,8 +30,7 @@ func (n *Net) WireCount(dev *device.Device) int {
 			continue
 		}
 		seen[t.Key()] = true
-		k := dev.A.ClassOf(t.W).Kind
-		if k != arch.KindInput && k != arch.KindCtrl && k != arch.KindIOBOut && k != arch.KindBRAMIn && k != arch.KindBRAMClk {
+		if !isSinkKind(dev.A.ClassOf(t.W).Kind) {
 			count++
 		}
 	}
@@ -39,62 +40,92 @@ func (n *Net) WireCount(dev *device.Device) int {
 // Trace is the paper's trace(EndPoint source): "A JRoute call traces a
 // source to all of its sinks. The entire net is returned." (§3.5)
 func (r *Router) Trace(source EndPoint) (*Net, error) {
+	src, err := r.walkFrom(source)
+	if err != nil {
+		return nil, err
+	}
+	return &Net{Source: src, PIPs: owned(r.walkPIPs), Sinks: owned(r.walkSinks)}, nil
+}
+
+// walkFrom resolves source to its one pin and walks the net it drives.
+func (r *Router) walkFrom(source EndPoint) (Pin, error) {
 	src, err := sourcePin(source)
 	if err != nil {
-		return nil, err
+		return src, err
 	}
-	srcTrack, err := r.Dev.Canon(src.Row, src.Col, src.W)
+	t, err := r.Dev.Canon(src.Row, src.Col, src.W)
 	if err != nil {
-		return nil, err
+		return src, err
 	}
-	net := &Net{Source: src}
-	queue := []device.Track{srcTrack}
-	fanout := r.fanoutBuf[:0]
-	defer func() { r.fanoutBuf = fanout }()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		fanout = r.Dev.AppendFanoutOf(fanout[:0], cur)
+	return src, r.walk(t)
+}
+
+// walk is the one forward walk over a net, breadth first from its source
+// track src, into router scratch: the on-PIPs in the order reached
+// (walkPIPs), the sink pins (walkSinks), and src plus every other track
+// reached that drives on (walkTracks). A PIP whose target has no canonical
+// track is skipped; the first such error is returned after the walk.
+func (r *Router) walk(src device.Track) (err error) {
+	queue := append(r.walkTracks[:0], src)
+	pips, sinks, fanout := r.walkPIPs[:0], r.walkSinks[:0], r.fanoutBuf
+	for head := 0; head < len(queue); head++ {
+		fanout = r.Dev.AppendFanoutOf(fanout[:0], queue[head])
 		for _, p := range fanout {
-			t, err := r.Dev.Canon(p.Row, p.Col, p.To)
-			if err != nil {
-				return nil, err
+			t, terr := r.Dev.Canon(p.Row, p.Col, p.To)
+			if terr != nil {
+				err = cmp.Or(err, terr)
+				continue
 			}
 			// A track has one driver, so the walk is over a tree and meets
 			// no track twice — unless it started on a routing loop, and
 			// then the one track it can meet again is the start: every
 			// track reached is driven by the one before it, a loop track's
 			// driver is on the loop, so a loop reached is a loop begun on.
-			if t == srcTrack {
+			if t == src {
 				continue
 			}
-			net.PIPs = append(net.PIPs, p)
-			switch r.Dev.A.ClassOf(t.W).Kind {
-			case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
-				net.Sinks = append(net.Sinks, Pin{Row: p.Row, Col: p.Col, W: p.To})
-			default:
+			pips = append(pips, p)
+			if isSinkKind(r.Dev.A.ClassOf(t.W).Kind) {
+				sinks = append(sinks, Pin{Row: p.Row, Col: p.Col, W: p.To})
+			} else {
 				queue = append(queue, t)
 			}
 		}
 	}
-	return net, nil
+	r.walkTracks, r.walkPIPs, r.walkSinks, r.fanoutBuf = queue, pips, sinks, fanout
+	return err
+}
+
+// isSinkKind reports whether a wire of kind k is a sink pin, where a net ends.
+func isSinkKind(k arch.Kind) bool {
+	switch k {
+	case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
+		return true
+	}
+	return false
+}
+
+// owned returns an exact-size copy of scratch s for a caller to keep.
+func owned[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // ReverseTrace is the paper's reversetrace(EndPoint sink): "A sink is
 // traced back to its source. Only the net that leads to the sink is
 // returned." (§3.5)
 func (r *Router) ReverseTrace(sink EndPoint) (*Net, error) {
-	pins := sink.Pins()
-	if len(pins) != 1 {
-		return nil, fmt.Errorf("core: reverse trace needs exactly one sink pin, got %d", len(pins))
+	sp, n := solePin(sink)
+	if n != 1 {
+		return nil, fmt.Errorf("core: reverse trace needs exactly one sink pin, got %d", n)
 	}
-	sp := pins[0]
 	cur, err := r.Dev.Canon(sp.Row, sp.Col, sp.W)
 	if err != nil {
 		return nil, err
 	}
-	net := &Net{Sinks: []Pin{sp}}
-	var rev []device.PIP
+	rev := r.walkPIPs[:0]
 	for {
 		p, ok := r.Dev.DriverOf(cur)
 		if !ok {
@@ -106,14 +137,13 @@ func (r *Router) ReverseTrace(sink EndPoint) (*Net, error) {
 			return nil, err
 		}
 	}
+	r.walkPIPs = rev
 	if len(rev) == 0 {
 		return nil, fmt.Errorf("core: %s at (%d,%d) is not routed",
 			r.Dev.A.WireName(sp.W), sp.Row, sp.Col)
 	}
-	net.PIPs = make([]device.PIP, len(rev))
-	for i := range rev {
-		net.PIPs[i] = rev[len(rev)-1-i]
-	}
+	net := &Net{PIPs: owned(rev), Sinks: []Pin{sp}}
+	slices.Reverse(net.PIPs)
 	first := net.PIPs[0]
 	// The root track's local name at the first PIP's tile is the source.
 	net.Source = Pin{Row: first.Row, Col: first.Col, W: first.From}

@@ -20,18 +20,19 @@ import (
 func (r *Router) Unroute(source EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	net, err := r.Trace(source)
+	src, err := r.walkFrom(source)
 	if err != nil {
 		return err
 	}
-	if len(net.PIPs) == 0 {
+	pips := r.walkPIPs
+	if len(pips) == 0 {
 		return fmt.Errorf("core: %s at (%d,%d) is not routed",
-			r.Dev.A.WireName(net.Source.W), net.Source.Row, net.Source.Col)
+			r.Dev.A.WireName(src.W), src.Row, src.Col)
 	}
-	// Clear leaves-first (reverse BFS order) so every ClearPIP removes a
+	// Clear leaves-first (reverse walk order) so every ClearPIP removes a
 	// PIP whose target has no remaining dependants.
-	for i := len(net.PIPs) - 1; i >= 0; i-- {
-		p := net.PIPs[i]
+	for i := len(pips) - 1; i >= 0; i-- {
+		p := pips[i]
 		if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
 			return err
 		}
@@ -50,17 +51,16 @@ func (r *Router) Unroute(source EndPoint) (err error) {
 func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	pins := sink.Pins()
-	if len(pins) != 1 {
-		return fmt.Errorf("core: reverse unroute needs exactly one sink pin, got %d", len(pins))
+	sp, n := solePin(sink)
+	if n != 1 {
+		return fmt.Errorf("core: reverse unroute needs exactly one sink pin, got %d", n)
 	}
-	sp := pins[0]
 	cur, err := r.Dev.Canon(sp.Row, sp.Col, sp.W)
 	if err != nil {
 		return err
 	}
-	var branch []device.PIP // cleared PIPs, sink-to-branch-point order
-	root := cur             // the track the walk has reached
+	branch := r.walkPIPs[:0] // cleared PIPs, sink-to-branch-point order
+	root := cur              // the track the walk has reached
 	for {
 		p, ok := r.Dev.DriverOf(cur)
 		if !ok {
@@ -82,14 +82,10 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		}
 		cur = prev
 	}
+	r.walkPIPs = branch
 	if len(branch) == 0 {
 		return fmt.Errorf("core: %s at (%d,%d) is not routed",
 			r.Dev.A.WireName(sp.W), sp.Row, sp.Col)
-	}
-	// Forward (branch-point→sink) order, the valid replay order.
-	fwd := make([]device.PIP, len(branch))
-	for i := range branch {
-		fwd[i] = branch[len(branch)-1-i]
 	}
 	inBranch := func(p device.PIP) bool {
 		for _, q := range branch {
@@ -140,7 +136,9 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 		r.learnExact(c)
 		mem := &Connection{Source: c.Source, Sinks: gone, retired: true, owner: c.owner}
 		if src, err := sourcePin(c.Source); err == nil {
-			mem.Path = append([]device.PIP(nil), fwd...)
+			// Forward (branch-point→sink) order, the valid replay order.
+			mem.Path = owned(branch)
+			slices.Reverse(mem.Path)
 			mem.srcPin = src
 			mem.sinkPins = flattenPins(gone)
 		}
@@ -248,7 +246,7 @@ func (r *Router) retire(c *Connection) {
 // anew, so each port's list is in sequence order. A record that touches no
 // port is not remembered.
 func (r *Router) remember(c *Connection) {
-	ports := connectionPorts(c)
+	ports := r.connectionPorts(c)
 	if len(ports) == 0 {
 		return
 	}
@@ -263,16 +261,11 @@ func (r *Router) remember(c *Connection) {
 }
 
 // connectionPorts lists the distinct ports an endpoint-level connection
-// touches.
-func connectionPorts(c *Connection) []*Port {
-	var out []*Port
+// touches, in router scratch.
+func (r *Router) connectionPorts(c *Connection) []*Port {
+	out := r.portBuf[:0]
 	add := func(e EndPoint) {
-		if p, ok := e.(*Port); ok {
-			for _, q := range out {
-				if q == p {
-					return
-				}
-			}
+		if p, ok := e.(*Port); ok && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
@@ -280,6 +273,7 @@ func connectionPorts(c *Connection) []*Port {
 	for _, s := range c.Sinks {
 		add(s)
 	}
+	r.portBuf = out
 	return out
 }
 
@@ -309,12 +303,8 @@ func (r *Router) Reconnect(port *Port) (err error) {
 
 // endPointCoversPin reports whether endpoint e currently resolves to pin p.
 func endPointCoversPin(e EndPoint, p Pin) bool {
-	for _, q := range e.Pins() {
-		if q == p {
-			return true
-		}
-	}
-	return false
+	var buf [4]Pin
+	return slices.Contains(appendPins(buf[:0], e), p)
 }
 
 // UsedTracks returns the number of tracks currently in use on the device

@@ -67,11 +67,11 @@ func Replace(r *core.Router, c Core, row, col int, groups []string, retune func(
 	// unroute their branch).
 	for _, g := range groups {
 		for _, p := range c.Ports(g) {
+			pins := p.Pins()
 			switch p.Dir() {
 			case core.Out:
-				if len(p.Pins()) == 1 {
-					pin := p.Pins()[0]
-					if t, ok := r.Dev.CanonOK(pin.Row, pin.Col, pin.W); !ok || r.Dev.FanoutCount(t) == 0 {
+				if len(pins) == 1 {
+					if t, ok := r.Dev.CanonOK(pins[0].Row, pins[0].Col, pins[0].W); !ok || r.Dev.FanoutCount(t) == 0 {
 						continue // never routed externally
 					}
 				}
@@ -79,7 +79,7 @@ func Replace(r *core.Router, c Core, row, col int, groups []string, retune func(
 					return fmt.Errorf("cores: replacing %s: %w", c.Name(), err)
 				}
 			case core.In:
-				for _, pin := range p.Pins() {
+				for _, pin := range pins {
 					if !r.Dev.IsOn(pin.Row, pin.Col, pin.W) {
 						continue
 					}

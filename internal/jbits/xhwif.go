@@ -85,14 +85,22 @@ var writePool = sync.Pool{New: func() any { return new([]byte) }}
 // framePool recycles frame payload buffers between ReadFrame calls. Only
 // callers that fully consume a payload before their next read hand it back
 // (RecycleFrame); payloads that escape into long-lived state simply never
-// return to the pool.
-var framePool sync.Pool
+// return to the pool, each in a *[]byte box frameBoxes recycles.
+var (
+	framePool  sync.Pool
+	frameBoxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // frameBuf takes a pooled buffer of at least n bytes, falling back to a
 // fresh allocation when the pool is empty or too small.
 func frameBuf(n int) []byte {
-	if p, _ := framePool.Get().(*[]byte); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+	if p, _ := framePool.Get().(*[]byte); p != nil {
+		b := *p
+		*p = nil
+		frameBoxes.Put(p)
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
 	return make([]byte, n)
 }
@@ -105,8 +113,9 @@ func RecycleFrame(payload []byte) {
 	if cap(payload) == 0 {
 		return
 	}
-	b := payload[:0]
-	framePool.Put(&b)
+	p := frameBoxes.Get().(*[]byte)
+	*p = payload[:0]
+	framePool.Put(p)
 }
 
 // ReadFrame reads one frame of the shared XHWIF wire format, rejecting

@@ -1,6 +1,7 @@
 package maze
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/device"
@@ -114,21 +115,22 @@ func (ar *arena) visit(i int32, g int32, prev int32, via int) {
 	ar.via[i] = uint16(via)
 }
 
-// reconstruct walks prev links from the sink back to a source and returns
-// the PIPs in source-to-sink order. Only the result slice is allocated —
-// it outlives the arena.
-func (ar *arena) reconstruct(dev *device.Device, sink int32) []device.PIP {
+// reconstruct walks prev links from the sink back to a source and appends
+// the PIPs to dst in source-to-sink order: the path is the only thing that
+// outlives the arena, so its caller says where it goes.
+func (ar *arena) reconstruct(dst []device.PIP, dev *device.Device, sink int32) []device.PIP {
 	n := 0
 	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
 		n++
 	}
-	pips := make([]device.PIP, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
 	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
 		n--
 		edges, at := dev.EdgesAt(ar.prev[k])
-		pips[n] = edges[ar.via[k]].PIP(at)
+		dst[base+n] = edges[ar.via[k]].PIP(at)
 	}
-	return pips
+	return dst
 }
 
 // push and pop implement a binary min-heap on f with exactly the element

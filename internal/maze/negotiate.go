@@ -1,10 +1,11 @@
 package maze
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -253,14 +254,13 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 		if len(n.Sinks) == 0 {
 			return nil, fmt.Errorf("maze: batch net %d has no sinks: %w", i, ErrUnroutable)
 		}
-		sinks := append([]device.Track(nil), n.Sinks...)
 		// Route sinks nearest-first, equidistant ones in the order given.
-		src := n.Source
-		sort.SliceStable(sinks, func(a, b int) bool {
-			da := abs(sinks[a].Row-src.Row) + abs(sinks[a].Col-src.Col)
-			db := abs(sinks[b].Row-src.Row) + abs(sinks[b].Col-src.Col)
-			return da < db
-		})
+		src, sinks := n.Source, n.Sinks
+		if len(sinks) > 1 {
+			dist := func(t device.Track) int { return abs(t.Row-src.Row) + abs(t.Col-src.Col) }
+			sinks = slices.Clone(sinks)
+			slices.SortStableFunc(sinks, func(a, b device.Track) int { return cmp.Compare(dist(a), dist(b)) })
+		}
 		box := netBox(dev, src, sinks, margin)
 		prepped[i] = preppedNet{src: src, sinks: sinks, box: box}
 		boxes[i] = box
@@ -347,7 +347,10 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 
 	n := len(sc.nets)
 	out := scopeResult{routes: make([][]device.PIP, n)}
-	used := make([][]int32, n)
+	// A net's tracks this iteration and the buffer its next route fills:
+	// the merge still reads the old list after every reroute has run.
+	used, spare := make([][]int32, n), make([][]int32, n)
+	results := make([]netRoute, n)
 
 	reroute := make([]int, n) // scope-local positions
 	for j := range reroute {
@@ -356,7 +359,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 
 	for iter := 1; iter <= maxIterations; iter++ {
 		out.iterations = iter
-		results := st.routeAll(prepped, reroute, used)
+		results := st.routeAll(results[:len(reroute)], prepped, reroute, used, spare)
 		// Merge in net order. Results are per-net pure functions of the
 		// iteration snapshot, so this ordering — not the worker
 		// scheduling — defines the outcome.
@@ -371,7 +374,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 				st.cong.addPresent(k, -1)
 			}
 			out.routes[j] = r.pips
-			used[j] = r.used
+			used[j], spare[j] = r.used, used[j]
 			for _, k := range r.used {
 				st.cong.addPresent(k, 1)
 			}
@@ -428,16 +431,15 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 }
 
 // routeAll routes the given nets against the current congestion snapshot,
-// sequentially or on a bounded worker pool. reroute holds positions in the
-// scope's net list; results[x] corresponds to reroute[x], and slot contents
-// do not depend on the worker count.
-func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]int32) []netRoute {
-	results := make([]netRoute, len(reroute))
+// sequentially or on a bounded worker pool, into results. reroute holds
+// positions j in the scope's net list; results[x] is reroute[x]'s route,
+// with its used list in spare[j], and does not depend on the worker count.
+func (st *negState) routeAll(results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32) []netRoute {
 	par := min(st.sc.par, len(reroute))
 	if par <= 1 {
 		w := st.newWorker()
 		for x, j := range reroute {
-			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j])
+			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j], spare[j])
 		}
 		w.release() // not deferred, as in runPool
 		return results
@@ -446,7 +448,7 @@ func (st *negState) routeAll(prepped []preppedNet, reroute []int, oldUsed [][]in
 		w := st.newWorker()
 		for x := p.take(); x < len(reroute); x = p.take() {
 			j := reroute[x]
-			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j])
+			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j], spare[j])
 		}
 		w.release() // not deferred: a goroutine that panics drops its tables
 	})
@@ -493,20 +495,25 @@ func (p *poolPanic) String() string { return fmt.Sprintf("%v\n\n%s", p.value, p.
 // negWorker is the per-goroutine state of the routing phase: the scope's
 // policy with this worker's self set (the previous-iteration tracks of the
 // net being routed, whose usage must not penalize itself), a search arena,
-// and a membership set for the tracks of the route being built. All three
-// are the pooled whole-device objects the single-net search uses, indexed
-// by device.TrackIndex.
+// and a membership set for the tracks of the route being built — the
+// pooled whole-device objects the single-net search uses — and, pooled with
+// the worker, the scratch a route is built in.
 type negWorker struct {
 	st        *negState
 	pol       policy
 	ar        *arena
 	cur       *markSet // usage accumulated by the route being built
 	netTracks []device.Track
+	pips      []device.PIP
+	used      []int32
 }
+
+var workerPool sync.Pool
 
 func (st *negState) newWorker() *negWorker {
 	n := st.dev.NumTracks()
-	w := &negWorker{st: st, pol: st.pol, ar: getArena(n), cur: getMarkSet(n)}
+	w := pooled[negWorker](&workerPool)
+	w.st, w.pol, w.ar, w.cur = st, st.pol, getArena(n), getMarkSet(n)
 	w.pol.self = getMarkSet(n)
 	return w
 }
@@ -515,6 +522,8 @@ func (w *negWorker) release() {
 	putArena(w.ar)
 	putMarkSet(w.pol.self)
 	putMarkSet(w.cur)
+	w.st, w.pol, w.ar, w.cur = nil, policy{}, nil, nil
+	workerPool.Put(w)
 }
 
 // routeNet routes one net (all sinks, with in-net reuse) against the
@@ -523,8 +532,9 @@ func (w *negWorker) release() {
 // on or off — it is what makes scopes with disjoint boxes provably
 // non-interacting. Tracks used by other nets are allowed (that is the
 // negotiation), but tracks already driven on the real device are hard
-// obstacles.
-func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
+// obstacles. The route is built in the worker's scratch; its PIPs come back
+// in one exact-size allocation and its used list in usedBuf.
+func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32) netRoute {
 	dev := w.st.dev
 	w.pol.box, w.pol.presFac = net.box, w.st.presFac
 	w.pol.self.reset()
@@ -535,30 +545,32 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed []int32) netRoute {
 	srcIdx := dev.TrackIndex(net.src)
 	w.cur.add(srcIdx)
 	w.netTracks = append(w.netTracks[:0], net.src)
-	out := netRoute{used: append(make([]int32, 0, len(oldUsed)+1), srcIdx)}
+	w.pips, w.used = w.pips[:0], append(w.used[:0], srcIdx)
+	explored := 0
 	for _, sink := range net.sinks {
-		segment, err := w.pol.search(dev, w.ar, w.netTracks, sink)
-		out.explored += segment.Explored
+		from := len(w.pips)
+		route, err := w.pol.search(dev, w.ar, w.netTracks, sink, w.pips)
+		explored += route.Explored
 		if err != nil {
-			return netRoute{explored: out.explored, err: err}
+			return netRoute{explored: explored, err: err}
 		}
-		out.pips = append(out.pips, segment.PIPs...)
-		for _, p := range segment.PIPs {
+		w.pips = route.PIPs
+		for _, p := range w.pips[from:] {
 			t, ok := dev.CanonOK(p.Row, p.Col, p.To)
 			if !ok {
-				return netRoute{explored: out.explored, err: fmt.Errorf("maze: bad segment PIP %v", p)}
+				return netRoute{explored: explored, err: fmt.Errorf("maze: bad segment PIP %v", p)}
 			}
 			k := dev.TrackIndex(t)
 			if w.cur.has(k) {
 				continue
 			}
 			w.cur.add(k)
-			out.used = append(out.used, k)
+			w.used = append(w.used, k)
 			if !isNetEndpointKind(dev.A.ClassOf(t.W).Kind) {
 				// sinks are not reusable as sources
 				w.netTracks = append(w.netTracks, t)
 			}
 		}
 	}
-	return out
+	return netRoute{pips: slices.Clone(w.pips), used: append(usedBuf[:0], w.used...), explored: explored}
 }

@@ -144,7 +144,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 			ar.push(heapItem{i: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
-			return &Route{PIPs: ar.reconstruct(dev, sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
+			return &Route{PIPs: ar.reconstruct(nil, dev, sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
 		}
 	}
 	return nil, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
@@ -255,7 +255,7 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 			ar.push(heapItem{i: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
-			return ar.reconstruct(dev, sinkIdx), explored, nil
+			return ar.reconstruct(nil, dev, sinkIdx), explored, nil
 		}
 	}
 	return nil, explored, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
@@ -429,7 +429,7 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 	p.self, p.box, p.presFac = self, box, presFac
 	ar := getArena(dev.NumTracks())
 	defer putArena(ar)
-	r, gerr := p.search(dev, ar, sources, sink)
+	r, gerr := p.search(dev, ar, sources, sink, nil)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("negotiated: kernel error %v, reference error %v", gerr, werr)
 	}

@@ -159,7 +159,7 @@ func Lee(dev *device.Device, sources []device.Track, sink device.Track, opt Opti
 func (p policy) route(dev *device.Device, sources []device.Track, sink device.Track) (*Route, error) {
 	ar := getArena(dev.NumTracks())
 	defer putArena(ar)
-	r, err := p.search(dev, ar, sources, sink)
+	r, err := p.search(dev, ar, sources, sink, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +204,8 @@ func (p *policy) surcharge(i int32) int32 {
 // to the sink, over PIPs onto tracks no net drives on the device (tracks
 // other nets of a batch merely want are the surcharge's business), first
 // arrival at the sink wins. Every router here is this loop under a policy.
-func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, sink device.Track) (Route, error) {
+// The route's PIPs are appended to dst: Route.PIPs is dst extended by them.
+func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, sink device.Track, dst []device.PIP) (Route, error) {
 	if len(sources) == 0 {
 		return Route{}, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
 	}
@@ -219,7 +220,7 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 	ar.begin()
 	for _, s := range sources {
 		if s == sink {
-			return Route{}, nil // already connected
+			return Route{PIPs: dst}, nil // already connected
 		}
 		si := dev.TrackIndex(s)
 		if ar.seen(si) {
@@ -265,7 +266,7 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 			ar.visit(ti, ng, it.i, j)
 			if ti == sinkIdx {
 				// Goal: stop (greedy routing: first arrival wins).
-				return Route{PIPs: ar.reconstruct(dev, sinkIdx), Cost: int(ng), Explored: explored}, nil
+				return Route{PIPs: ar.reconstruct(dst, dev, sinkIdx), Cost: int(ng), Explored: explored}, nil
 			}
 			ar.push(heapItem{i: ti, g: ng, f: ng + p.h(dev, target, sinkTile)})
 		}

@@ -184,12 +184,19 @@ func NewClient(conn io.ReadWriteCloser, opts ...Option) *Client {
 
 // payloadPool recycles v3 response-payload buffers between round trips.
 // A buffer travels with the response it backs (blob fields alias it) and
-// returns to the pool once the caller has consumed them.
-var payloadPool sync.Pool
+// returns to the pool once the caller has consumed them, in a *[]byte box
+// that payloadBoxes recycles, so a put allocates none.
+var (
+	payloadPool  sync.Pool
+	payloadBoxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 func takePayload() []byte {
 	if p, _ := payloadPool.Get().(*[]byte); p != nil {
-		return *p
+		b := *p
+		*p = nil
+		payloadBoxes.Put(p)
+		return b
 	}
 	return nil
 }
@@ -198,8 +205,9 @@ func putPayload(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	payloadPool.Put(&b)
+	p := payloadBoxes.Get().(*[]byte)
+	*p = b[:0]
+	payloadPool.Put(p)
 }
 
 // Close closes the connection.

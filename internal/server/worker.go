@@ -17,12 +17,19 @@ import (
 // when serializing a mutating op's frames and hands ownership to the
 // response; the connection handler returns it once the frames are on the
 // wire. Responses that never reach a handler (direct Submit callers,
-// dropped on a canceled context) simply keep their buffer.
-var streamPool sync.Pool
+// dropped on a canceled context) simply keep their buffer. A pooled buffer
+// sits in a *[]byte box that streamBoxes recycles, so a put allocates none.
+var (
+	streamPool  sync.Pool
+	streamBoxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 func takeStream() []byte {
 	if p, _ := streamPool.Get().(*[]byte); p != nil {
-		return (*p)[:0]
+		b := *p
+		*p = nil
+		streamBoxes.Put(p)
+		return b[:0]
 	}
 	return nil
 }
@@ -31,8 +38,9 @@ func putStream(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	streamPool.Put(&b)
+	p := streamBoxes.Get().(*[]byte)
+	*p = b[:0]
+	streamPool.Put(p)
 }
 
 // task is one queued request plus its reply channel. Exactly one of req or
