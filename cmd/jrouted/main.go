@@ -1,8 +1,8 @@
 // jrouted is the run-time routing daemon: it hosts named FPGA device
 // sessions and serves the JRoute API (route, unroute, trace, batch and bus
 // routing, core instantiation and replacement, bitstream readback) to
-// remote clients over the service protocol (a JSON hello, then binary v3
-// frames; see internal/server/protocol). After every
+// remote clients over the service protocol (binary v3 frames from the
+// first byte, a hello first; see internal/server/protocol). After every
 // mutating operation the daemon pushes back only the frames it dirtied, so
 // thin clients mirror the bitstream incrementally — the partial
 // reconfiguration story of §3.3 extended across a wire.

@@ -583,7 +583,7 @@ func (g *Gateway) probeLoop(interval time.Duration) {
 }
 
 // ProbeAll health-checks every backend once: a statsz round trip (which
-// rides the hello handshake on fresh connections). A failing probe ejects
+// rides the hello on fresh connections). A failing probe ejects
 // the backend from placement and relocates the sessions still pinned to it
 // — a failed handoff leaves its session pinned, so the next round retries
 // it; a succeeding probe on an ejected backend readmits it.

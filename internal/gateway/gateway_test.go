@@ -89,11 +89,11 @@ func backendOf(t *testing.T, s *client.Session) string {
 }
 
 // TestPassthroughFramings proves the gateway edge terminates the client
-// protocol unmodified. It speaks the one framing the daemons speak: a
-// JSON-only hello (what a v2 client sent) is refused with the typed version
-// error before any backend is touched, and a default client's session passes
-// through to its backend with a mirror that audits clean and matches the
-// board it reads back.
+// protocol unmodified. It speaks the one framing the daemons speak: the
+// XHWIF-framed JSON hello a v2 client sent gets the constant typed version
+// refusal before any backend is touched, and a default client's session
+// passes through to its backend with a mirror that audits clean and matches
+// the board it reads back.
 func TestPassthroughFramings(t *testing.T) {
 	be0 := startBackend(t, 2)
 	addr, g := startGateway(t, gateway.Config{
@@ -110,24 +110,23 @@ func TestPassthroughFramings(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello, err := json.Marshal(&server.Request{ID: 1, Op: "hello",
-			Hello: &server.HelloMsg{Version: protocol.Version}})
+		hello := []byte(`{"id":1,"op":"hello","hello":{"version":2}}`)
+		if err := jbits.WriteFrame(conn, 0x10, hello); err != nil {
+			t.Fatal(err)
+		}
+		op, body, err := jbits.ReadFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := jbits.WriteFrame(conn, server.OpService, hello); err != nil {
-			t.Fatal(err)
+		var resp struct {
+			Code string `json:"code"`
+			Err  string `json:"err"`
 		}
-		_, body, err := jbits.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
+		if err := json.Unmarshal(body, &resp); err != nil || op != 0x10|jbits.RespFlag {
+			t.Fatalf("refusal: op %#x, %v", op, err)
 		}
-		var resp server.Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.ErrorCode != protocol.CodeVersion {
-			t.Fatalf("JSON-only hello: code %q (err %q), want %q", resp.ErrorCode, resp.Err, protocol.CodeVersion)
+		if resp.Code != protocol.CodeVersion {
+			t.Fatalf("JSON-only hello: code %q (err %q), want %q", resp.Code, resp.Err, protocol.CodeVersion)
 		}
 		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 			t.Errorf("read after the refusal = %v, want EOF", err)

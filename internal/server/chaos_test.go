@@ -289,7 +289,7 @@ func soakWorker(ctx context.Context, addr, dev string, idx int64, more func(int)
 
 // soakBlaster fires garbage at the daemon: byte noise on fresh
 // connections, and on every other shot noise after a legitimate hello, so
-// both the handshake's and the v3 pre-parse filter's rejection paths run;
+// the v3 pre-parse filter's rejection path runs before and after a hello;
 // more(n) says whether to fire shot n.
 func soakBlaster(addr string, more func(int) bool, c *soakCounters) {
 	rng := rand.New(rand.NewSource(7777))

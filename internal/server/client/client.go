@@ -11,17 +11,16 @@
 // rejections come back as typed errors: errors.Is(err, ErrCanceled),
 // ErrBusy, ErrFailover, ... — see ServiceError.
 //
-// The client speaks protocol version 2: every connection opens with one
-// framed-JSON hello exchange and from then on carries binary v3 frames —
-// dirty configuration frames travel as raw bytes into pooled read buffers
-// with no marshal on the wire path. A server that rejects the hello, or
-// answers it with another version or without the "binv3" capability,
+// A connection carries binary v3 frames from its first byte — dirty
+// configuration frames travel as raw bytes into pooled read buffers with
+// no marshal on the wire path. The first frame is the hello row. A server
+// that refuses the hello, answers it outside the v3 framing or with
+// another version byte, or lays out PIP bits other than this client does,
 // surfaces as ErrVersionMismatch.
 package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/jbits"
 	"repro/internal/oracle"
 	"repro/internal/server"
 	"repro/internal/server/protocol"
@@ -51,7 +49,7 @@ var (
 	// queued server-side; the op was rejected without executing.
 	ErrCanceled = errors.New("client: request canceled")
 	// ErrVersionMismatch: the server speaks a different protocol version
-	// (or the hello handshake was rejected).
+	// or PIP bit layout (or refused the hello).
 	ErrVersionMismatch = errors.New("client: protocol version mismatch")
 	// ErrAdmission: fleet admission control rejected the session.
 	ErrAdmission = errors.New("client: session rejected by admission control")
@@ -135,19 +133,18 @@ type Client struct {
 	conn    io.ReadWriteCloser
 	nextID  uint64
 	helloed bool
-	caps    []string
 
 	token string // bearer token sent in hello (gateway tenants)
-	delta bool   // the hello asks for record deltas (protocol.CapDelta)
+	delta bool   // the hello asks for record deltas
 
 	hdr  [v3.HeaderSize]byte // reused v3 header scratch
 	wbuf []byte              // reused v3 request-encode buffer
 }
 
-// Option configures a Client before its handshake.
+// Option configures a Client before its hello.
 type Option func(*Client)
 
-// WithToken sets the bearer token the hello handshake presents. Gateways
+// WithToken sets the bearer token the hello presents. Gateways
 // resolve it to a tenant; servers without an authenticator ignore it.
 func WithToken(tok string) Option { return func(c *Client) { c.token = tok } }
 
@@ -155,7 +152,7 @@ func WithToken(tok string) Option { return func(c *Client) { c.token = tok } }
 // mutating op (Response.Delta): the gateway tier's journal reads them.
 func WithDelta() Option { return func(c *Client) { c.delta = true } }
 
-// Dial connects to a daemon and performs the protocol handshake.
+// Dial connects to a daemon and says hello.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -172,8 +169,8 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 
 // NewClient wraps an already-established transport. Tests use this to
 // interpose fault injection (jbits.FaultConn) between the protocol layer
-// and the wire. The hello handshake runs lazily before the first call (or
-// eagerly via Hello).
+// and the wire. The hello runs lazily before the first call (or eagerly
+// via Hello).
 func NewClient(conn io.ReadWriteCloser, opts ...Option) *Client {
 	c := &Client{conn: conn}
 	for _, o := range opts {
@@ -213,8 +210,7 @@ func putPayload(b []byte) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Hello performs the version handshake explicitly and records the server's
-// capability flags.
+// Hello says hello explicitly: the connection's first frame.
 func (c *Client) Hello(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,75 +221,30 @@ func (c *Client) helloLocked(ctx context.Context) error {
 	if c.helloed {
 		return nil
 	}
-	req := &server.Request{Op: "hello", Hello: &server.HelloMsg{
-		Version: protocol.Version, Caps: []string{protocol.CapBinV3}, Token: c.token}}
-	if c.delta {
-		req.Hello.Caps = append(req.Hello.Caps, protocol.CapDelta)
+	resp, buf, err := c.roundTrip(ctx, &server.Request{Op: "hello",
+		Hello: &protocol.HelloMsg{Token: c.token, Delta: c.delta}})
+	putPayload(buf) // the layouts were copied out
+	var fe *v3.FilterError
+	if errors.As(err, &fe) {
+		return &ServiceError{Code: protocol.CodeVersion,
+			Msg: fmt.Sprintf("client: server answered hello outside v3: %v", fe)}
 	}
-	if err := c.stamp(ctx, req); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(req)
 	if err != nil {
 		return err
-	}
-	if err := jbits.WriteFrame(c.conn, server.OpService, payload); err != nil {
-		return wrapCtx(ctx, err)
-	}
-	op, body, err := jbits.ReadFrame(c.conn)
-	if err != nil {
-		return wrapCtx(ctx, err)
-	}
-	if op != server.OpService|jbits.RespFlag {
-		jbits.RecycleFrame(body)
-		return fmt.Errorf("client: unexpected hello response opcode %#x", op)
-	}
-	resp := new(server.Response)
-	err = json.Unmarshal(body, resp)
-	jbits.RecycleFrame(body) // JSON decoding copied everything out
-	if err != nil {
-		return err
-	}
-	if resp.ID != req.ID {
-		return fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
 	}
 	if err := respError(resp); err != nil {
 		return err
 	}
-	if resp.Hello == nil {
-		return &ServiceError{Code: protocol.CodeVersion,
-			Msg: "client: server answered hello without a version"}
+	var layouts map[string]string
+	if resp.Hello != nil {
+		layouts = resp.Hello.Layouts
 	}
-	if resp.Hello.Version != protocol.Version {
-		return &ServiceError{Code: protocol.CodeVersion,
-			Msg: fmt.Sprintf("client: server speaks protocol v%d, client speaks v%d",
-				resp.Hello.Version, protocol.Version)}
-	}
-	if !maps.Equal(resp.Hello.Layouts, arch.Layouts()) {
+	if !maps.Equal(layouts, arch.Layouts()) {
 		return &ServiceError{Code: protocol.CodeVersion, Msg: fmt.Sprintf(
-			"client: server lays out PIP bits as %v, client as %v", resp.Hello.Layouts, arch.Layouts())}
+			"client: server lays out PIP bits as %v, client as %v", layouts, arch.Layouts())}
 	}
-	c.caps = resp.Hello.Caps
-	if !c.HasCap(protocol.CapBinV3) {
-		return &ServiceError{Code: protocol.CodeVersion,
-			Msg: fmt.Sprintf("client: server does not speak %q", protocol.CapBinV3)}
-	}
-	c.helloed = true // every frame after this response is v3
+	c.helloed = true
 	return nil
-}
-
-// Caps returns the capability flags the server advertised in its hello
-// response ("binv3", "fleet", "paranoid"). Empty until the handshake has run.
-func (c *Client) Caps() []string { return append([]string(nil), c.caps...) }
-
-// HasCap reports whether the server advertised a capability.
-func (c *Client) HasCap(cap string) bool {
-	for _, have := range c.caps {
-		if have == cap {
-			return true
-		}
-	}
-	return false
 }
 
 // call performs one round trip for ops whose response carries no blob
@@ -305,46 +256,43 @@ func (c *Client) call(ctx context.Context, req *server.Request) (*server.Respons
 	return resp, err
 }
 
-// callBuf performs one round trip, handshaking first if needed. The
+// callBuf performs one round trip, saying hello first if needed. The
 // returned buffer backs the response's blob fields (Config, Frames); the
 // caller must consume them and then hand the buffer back with putPayload.
 // On error the buffer is nil.
 func (c *Client) callBuf(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	resp, buf, err := c.exchange(ctx, req)
+	if err == nil {
+		err = respError(resp)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.helloLocked(ctx); err != nil {
-		return nil, nil, err
-	}
-	resp, buf, err := c.roundTrip(ctx, req)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := respError(resp); err != nil {
 		putPayload(buf)
 		return nil, nil, err
 	}
 	return resp, buf, nil
 }
 
+// exchange is roundTrip under the lock, after the hello.
+func (c *Client) exchange(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.helloLocked(ctx); err != nil {
+		return nil, nil, err
+	}
+	return c.roundTrip(ctx, req)
+}
+
 // Forward performs one raw round trip: the request travels as-is (after the
-// lazy handshake) and the response comes back even when it carries a typed
+// lazy hello) and the response comes back even when it carries a typed
 // error code — the caller inspects ErrorCode itself. Blob fields (Config,
 // Frames, Delta) are detached from the transport buffer, so the response
 // owns its memory. This is the gateway tier's proxy primitive; transport and
 // encoding failures still return an error. Forward stamps req.ID.
 func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.helloLocked(ctx); err != nil {
-		return nil, err
-	}
-	resp, buf, err := c.roundTrip(ctx, req)
+	resp, buf, err := c.exchange(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +396,7 @@ func (c *Client) Devices(ctx context.Context) ([]string, error) {
 }
 
 // Stats fetches the daemon's statsz snapshot.
-func (c *Client) Stats(ctx context.Context) (*server.StatsMsg, error) {
+func (c *Client) Stats(ctx context.Context) (*protocol.StatsMsg, error) {
 	resp, err := c.call(ctx, &server.Request{Op: "statsz"})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -11,13 +10,12 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/jbits"
 	"repro/internal/server"
 	"repro/internal/server/protocol"
 	v3 "repro/internal/server/protocol/v3"
 )
 
-// fakeServer speaks just enough of the protocol — the JSON hello, then v3
+// fakeServer speaks just enough of the protocol — a hello first, then v3
 // frames — to drive a Session through an epoch-bump resync: connect, one
 // mutating op that bumps the epoch, then scripted readback responses. It
 // lets the tests inject transient failures on exactly the resync path.
@@ -56,18 +54,8 @@ func startFake(t *testing.T, script []string) (*fakeServer, net.Conn) {
 
 func (f *fakeServer) serve() {
 	defer close(f.done)
-	op, payload, err := jbits.ReadFrame(f.conn)
-	var hello server.Request
-	if err != nil || op != server.OpService || json.Unmarshal(payload, &hello) != nil || hello.Op != "hello" {
-		return
-	}
-	out, err := json.Marshal(&server.Response{ID: hello.ID,
-		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}, Layouts: arch.Layouts()}})
-	if err != nil || jbits.WriteFrame(f.conn, server.OpService|jbits.RespFlag, out) != nil {
-		return
-	}
 	var hdr [v3.HeaderSize]byte
-	for {
+	for first := true; ; first = false {
 		h, err := v3.ReadHeader(f.conn, &hdr)
 		if err != nil {
 			return
@@ -77,11 +65,13 @@ func (f *fakeServer) serve() {
 			return
 		}
 		var req server.Request
-		if v3.DecodeRequest(h, payload, &req, nil) != nil {
-			return
+		if v3.DecodeRequest(h, payload, &req, nil) != nil || first != (req.Op == "hello") {
+			return // a hello first, and only first
 		}
 		resp := &server.Response{ID: req.ID}
 		switch req.Op {
+		case "hello":
+			resp.Hello = &protocol.HelloMsg{Layouts: arch.Layouts()}
 		case "connect":
 			resp.Arch = "virtex"
 			resp.Rows, resp.Cols = f.rows, f.cols

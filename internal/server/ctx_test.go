@@ -221,8 +221,8 @@ func expectClosed(t *testing.T, conn net.Conn, what string) {
 }
 
 // TestHelloRequired: a client that never sends hello gets one clear typed
-// version error and a closed connection, not undefined behavior; after a
-// proper hello the same raw connection style is served.
+// version error, answered by id, and a closed connection, not undefined
+// behavior; after a proper hello the same raw connection style is served.
 func TestHelloRequired(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
 	conn, err := net.Dial("tcp", addr)
@@ -230,9 +230,9 @@ func TestHelloRequired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "devices"})
-	if resp.ErrorCode != protocol.CodeVersion {
-		t.Fatalf("op before hello: code %q err %q, want %q", resp.ErrorCode, resp.Err, protocol.CodeVersion)
+	resp := rawCall(t, conn, &server.Request{ID: 1, Op: "devices"})
+	if resp.ErrorCode != protocol.CodeVersion || resp.ID != 1 {
+		t.Fatalf("op before hello: code %q id %d err %q, want %q id 1", resp.ErrorCode, resp.ID, resp.Err, protocol.CodeVersion)
 	}
 	expectClosed(t, conn, "op before hello")
 
@@ -241,15 +241,15 @@ func TestHelloRequired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	rawHelloV3(t, conn2)
+	rawHello(t, conn2)
 	resp = rawCall(t, conn2, &server.Request{ID: 3, Op: "devices"})
 	if resp.Err != "" || resp.ID != 3 || len(resp.Devices) != 1 {
 		t.Fatalf("devices after hello: %+v", resp)
 	}
 }
 
-// TestHelloVersionMismatch: a wrong version in hello is rejected with the
-// typed code, and the connection is closed.
+// TestHelloVersionMismatch: a hello at another version byte is rejected
+// with the typed code, and the connection is closed.
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
 	conn, err := net.Dial("tcp", addr)
@@ -257,62 +257,68 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
-		Hello: &server.HelloMsg{Version: 1, Caps: []string{protocol.CapBinV3}}})
-	if resp.ErrorCode != protocol.CodeVersion {
-		t.Fatalf("v1 hello: code %q, want %q", resp.ErrorCode, protocol.CodeVersion)
+	frame, err := v3.AppendRequest(nil, &server.Request{ID: 1, Op: "hello", Hello: &protocol.HelloMsg{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[4] = v3.Version - 1
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readV3(t, conn); resp.ErrorCode != protocol.CodeVersion {
+		t.Fatalf("v2 hello: code %q, want %q", resp.ErrorCode, protocol.CodeVersion)
 	}
 	expectClosed(t, conn, "rejected hello")
 }
 
 // TestClientSurfacesVersionMismatch: the typed sentinel comes through the
-// client error chain.
+// client error chain, whether the server refuses the hello in v3 or
+// answers it outside v3, as a server of the earlier framing would.
 func TestClientSurfacesVersionMismatch(t *testing.T) {
-	// A fake daemon that answers every request with a version error, as a
-	// v3 server would answer a v2 hello.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	refusals := map[string]func(conn net.Conn, h v3.Header) error{
+		"v3 refusal": func(conn net.Conn, h v3.Header) error {
+			head, _, err := v3.AppendResponse(nil, h.Op, &server.Response{ID: h.ID, ErrorCode: protocol.CodeVersion,
+				Err: "server: protocol version mismatch"})
+			if err == nil {
+				_, err = conn.Write(head)
+			}
+			return err
+		},
+		"framed JSON": func(conn net.Conn, h v3.Header) error {
+			out, _ := json.Marshal(map[string]any{"id": h.ID, "code": protocol.CodeBadRequest,
+				"err": "server: unknown opcode 0x4a"})
+			return jbits.WriteFrame(conn, 0x10|jbits.RespFlag, out)
+		},
 	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			_, payload, err := jbits.ReadFrame(conn)
+	for name, refuse := range refusals {
+		t.Run(name, func(t *testing.T) {
+			// A fake daemon that refuses every request.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			var req server.Request
-			_ = json.Unmarshal(payload, &req)
-			out, _ := json.Marshal(&server.Response{ID: req.ID, ErrorCode: protocol.CodeVersion,
-				Err: "server: protocol version mismatch: client speaks v2, server speaks v3"})
-			if jbits.WriteFrame(conn, server.OpService|jbits.RespFlag, out) != nil {
-				return
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var hdr [v3.HeaderSize]byte
+				for {
+					h, err := v3.ReadHeader(conn, &hdr)
+					if err != nil {
+						return
+					}
+					if _, err := v3.ReadPayloadInto(conn, h, nil); err != nil || refuse(conn, h) != nil {
+						return
+					}
+				}
+			}()
+			_, err = client.Dial(context.Background(), ln.Addr().String())
+			if !errors.Is(err, client.ErrVersionMismatch) {
+				t.Fatalf("err = %v, want ErrVersionMismatch", err)
 			}
-		}
-	}()
-	_, err = client.Dial(context.Background(), ln.Addr().String())
-	if !errors.Is(err, client.ErrVersionMismatch) {
-		t.Fatalf("err = %v, want ErrVersionMismatch", err)
-	}
-}
-
-// TestHelloAdvertisesCaps: capability flags reach the client.
-func TestHelloAdvertisesCaps(t *testing.T) {
-	addr, _ := startDaemon(t, server.Options{ParanoidVerify: true}, "dev")
-	c, err := client.Dial(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if !c.HasCap(protocol.CapParanoid) {
-		t.Errorf("caps = %v, want %q advertised", c.Caps(), protocol.CapParanoid)
-	}
-	if c.HasCap(protocol.CapFleet) {
-		t.Error("static daemon advertises the fleet capability")
+		})
 	}
 }

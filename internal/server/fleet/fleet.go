@@ -69,11 +69,6 @@ type Config struct {
 	// ProbeInterval is the background health-probe period (0 = no
 	// background probing; probes can still be run with ProbeAll).
 	ProbeInterval time.Duration
-
-	// WrapLink, when set, wraps each board's coordinator-side transport as
-	// it is created — the hook tests use to interpose jbits.FaultConn
-	// between the coordinator and a board.
-	WrapLink func(board string, link io.ReadWriter) io.ReadWriter
 }
 
 // swappableConn is an io.ReadWriter whose inner transport can be wrapped
@@ -115,11 +110,7 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 		return nil, err
 	}
 	coordSide, boardSide := net.Pipe()
-	var rw io.ReadWriter = coordSide
-	if c.cfg.WrapLink != nil {
-		rw = c.cfg.WrapLink(name, rw)
-	}
-	link := &swappableConn{inner: rw}
+	link := &swappableConn{inner: coordSide}
 	b := &board{
 		name:   name,
 		hw:     hw,

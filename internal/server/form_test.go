@@ -23,9 +23,9 @@ type testRecord struct {
 	seq    uint64
 	kind   byte
 	ends   []EndPointMsg
-	pips   []PipMsg
+	pips   []protocol.PipMsg
 	at     []PinMsg
-	home   []PipMsg
+	home   []protocol.PipMsg
 }
 
 func (r *testRecord) append(run []byte) []byte {
@@ -41,7 +41,7 @@ func (r *testRecord) append(run []byte) []byte {
 			run = v3.AppendCount(run, len(r.ends)-1)
 		}
 	}
-	pips := func(ps []PipMsg) {
+	pips := func(ps []protocol.PipMsg) {
 		run = v3.AppendCount(run, len(ps))
 		for _, p := range ps {
 			run = v3.AppendPip(run, p.Row, p.Col, p.From, p.To)
@@ -71,10 +71,10 @@ func readTestRecord(t testing.TB, e v3.Entry) testRecord {
 			n += r.Count()
 		}
 	}
-	pips := func() (out []PipMsg) {
+	pips := func() (out []protocol.PipMsg) {
 		for n := r.Count(); n > 0; n-- {
 			row, col, from, to := r.Pip()
-			out = append(out, PipMsg{Row: row, Col: col, From: from, To: to})
+			out = append(out, protocol.PipMsg{Row: row, Col: col, From: from, To: to})
 		}
 		return out
 	}
@@ -164,7 +164,7 @@ func ptr(m EndPointMsg) *EndPointMsg { return &m }
 func TestImportRejectsBadForms(t *testing.T) {
 	w := newTestWorker(t)
 	ctx := context.Background()
-	live := func(src EndPointMsg, sinks []EndPointMsg, pips ...PipMsg) []byte {
+	live := func(src EndPointMsg, sinks []EndPointMsg, pips ...protocol.PipMsg) []byte {
 		r := testRecord{seq: 1, ends: append([]EndPointMsg{src}, sinks...), pips: pips}
 		return r.append(nil)
 	}
@@ -177,7 +177,7 @@ func TestImportRejectsBadForms(t *testing.T) {
 	}
 	forms := map[string][]byte{
 		"source off the array": live(pinMsg(1000, 2, arch.S1YQ), sink),
-		"wire outside":         live(pinMsg(1, 2, arch.S1YQ), sink, PipMsg{Row: 1, Col: 2, From: 1 << 20, To: 2}),
+		"wire outside":         live(pinMsg(1, 2, arch.S1YQ), sink, protocol.PipMsg{Row: 1, Col: 2, From: 1 << 20, To: 2}),
 		"no sinks":             live(pinMsg(1, 2, arch.S1YQ), nil),
 		"port of no core":      memory.append(nil),
 		"core off the array":   coreForm("", CoreMsg{Name: "r", Kind: "register", Row: 100, Col: 2, Bits: 4}),
@@ -262,9 +262,9 @@ func FuzzSessionImport(f *testing.F) {
 	form, _ := v3.AppendCoreEntry(nil, "d", &CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
 	net := []EndPointMsg{pinMsg(1, 2, 3), pinMsg(4, 5, 6)}
 	for _, r := range []testRecord{
-		{owner: "d", seq: 3, ends: net, pips: []PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}},
+		{owner: "d", seq: 3, ends: net, pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}},
 		{memory: true, owner: "d", seq: 5, ends: []EndPointMsg{{Port: &PortRefMsg{Core: "r", Group: "q"}}, net[1]},
-			pips: []PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}, at: []PinMsg{*net[0].Pin, *net[1].Pin}},
+			pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}, at: []PinMsg{*net[0].Pin, *net[1].Pin}},
 	} {
 		form = r.append(form)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/server/protocol"
 )
 
 // histBuckets is the number of power-of-two latency buckets; bucket i
@@ -70,27 +71,12 @@ type opMetrics struct {
 // sessionMetrics collects one device session's counters. The worker
 // goroutine writes; statsz readers snapshot under the mutex.
 type sessionMetrics struct {
-	mu                sync.Mutex
-	routes            int
-	ripUps            int
-	batchIterations   int
-	cacheHits         int
-	cacheMisses       int
-	replayFails       int
-	nodesExplored     int
-	recordsVisited    int
-	libraryHits       int
-	libraryMisses     int
-	librarySeeded     int
-	librarySkipped    int
-	partitionRegions  int
-	partitionCrossing int
-	regionIterations  int
-	globalIterations  int
-	connections       int // live connection records (absolute, not a delta)
-	framesShipped     int
-	bytesShipped      int
-	ops               map[string]*opMetrics
+	mu            sync.Mutex
+	router        core.Stats // the router's counters after its last op
+	connections   int        // live connection records after its last op
+	framesShipped int
+	bytesShipped  int
+	ops           map[string]*opMetrics
 }
 
 func newSessionMetrics() *sessionMetrics {
@@ -112,31 +98,13 @@ func (m *sessionMetrics) observe(op string, d time.Duration, failed bool) {
 	om.hist.observe(d)
 }
 
-// addRouterDelta folds one op's router-stat delta (after.Sub(before))
-// into the session counters; connections is the router's live record
-// count *after* the op (stored absolute). Called from the worker
-// goroutine, which owns the router, so statsz readers never touch router
-// state directly.
-func (m *sessionMetrics) addRouterDelta(d core.Stats, connections int) {
+// noteRouter stores the router's counters and live record count. Called
+// from the worker goroutine, which owns the router, so statsz readers
+// never touch router state directly.
+func (m *sessionMetrics) noteRouter(s core.Stats, connections int) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.routes += d.Routes
-	m.ripUps += d.PIPsCleared
-	m.batchIterations += d.BatchIterations
-	m.cacheHits += d.CacheHits
-	m.cacheMisses += d.CacheMisses
-	m.replayFails += d.ReplayFails
-	m.nodesExplored += d.NodesExplored
-	m.recordsVisited += d.RecordsVisited
-	m.libraryHits += d.LibraryHits
-	m.libraryMisses += d.LibraryMisses
-	m.librarySeeded += d.LibrarySeeded
-	m.librarySkipped += d.LibrarySkipped
-	m.partitionRegions += d.PartitionRegions
-	m.partitionCrossing += d.PartitionCrossing
-	m.regionIterations += d.RegionIterations
-	m.globalIterations += d.GlobalIterations
-	m.connections = connections
+	m.router, m.connections = s, connections
+	m.mu.Unlock()
 }
 
 func (m *sessionMetrics) addShipped(frames, bytes int) {
@@ -149,31 +117,32 @@ func (m *sessionMetrics) addShipped(frames, bytes int) {
 func (m *sessionMetrics) snapshot(queueDepth int) SessionStatsMsg {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	r := &m.router
 	out := SessionStatsMsg{
-		Routes:            m.routes,
-		RipUps:            m.ripUps,
-		BatchIterations:   m.batchIterations,
-		CacheHits:         m.cacheHits,
-		CacheMisses:       m.cacheMisses,
-		ReplayFails:       m.replayFails,
-		NodesExplored:     m.nodesExplored,
-		RecordsVisited:    m.recordsVisited,
-		LibraryHits:       m.libraryHits,
-		LibraryMisses:     m.libraryMisses,
-		LibrarySeeded:     m.librarySeeded,
-		LibrarySkipped:    m.librarySkipped,
-		PartitionRegions:  m.partitionRegions,
-		PartitionCrossing: m.partitionCrossing,
-		RegionIterations:  m.regionIterations,
-		GlobalIterations:  m.globalIterations,
+		Routes:            r.Routes,
+		RipUps:            r.PIPsCleared,
+		BatchIterations:   r.BatchIterations,
+		CacheHits:         r.CacheHits,
+		CacheMisses:       r.CacheMisses,
+		ReplayFails:       r.ReplayFails,
+		NodesExplored:     r.NodesExplored,
+		RecordsVisited:    r.RecordsVisited,
+		LibraryHits:       r.LibraryHits,
+		LibraryMisses:     r.LibraryMisses,
+		LibrarySeeded:     r.LibrarySeeded,
+		LibrarySkipped:    r.LibrarySkipped,
+		PartitionRegions:  r.PartitionRegions,
+		PartitionCrossing: r.PartitionCrossing,
+		RegionIterations:  r.RegionIterations,
+		GlobalIterations:  r.GlobalIterations,
 		Connections:       m.connections,
 		FramesShipped:     m.framesShipped,
 		BytesShipped:      m.bytesShipped,
 		QueueDepth:        queueDepth,
-		Ops:               make(map[string]OpStatsMsg, len(m.ops)),
+		Ops:               make(map[string]protocol.OpStatsMsg, len(m.ops)),
 	}
 	for op, om := range m.ops {
-		out.Ops[op] = OpStatsMsg{
+		out.Ops[op] = protocol.OpStatsMsg{
 			Count:  om.count,
 			Errors: om.errors,
 			P50us:  om.hist.quantile(0.50),

@@ -53,8 +53,8 @@ func WithParanoidVerify(on bool) Opt { return func(o *Options) { o.ParanoidVerif
 func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }
 
 // WithAuth installs a hello-token authenticator: fn maps the bearer token
-// from each connection's hello to a tenant name, or errors to reject the
-// handshake with the unauthorized code. The gateway tier uses this; plain
+// from each connection's hello to a tenant name, or errors to refuse the
+// hello with the unauthorized code. The gateway tier uses this; plain
 // daemons leave it nil and admit everyone as the anonymous tenant.
 func WithAuth(fn func(token string) (tenant string, err error)) Opt {
 	return func(o *Options) { o.Auth = fn }

@@ -3,8 +3,8 @@
 // router, serving the full JRoute surface — connect, route, unroute, trace,
 // batch/bus routing, core instantiation and replacement, and
 // partial-bitstream readback — over the protocol defined in
-// internal/server/protocol: a JSON hello, then binary v3 frames, one row of
-// the op table per call.
+// internal/server/protocol: binary v3 frames from the first byte, the first
+// of them a hello, one row of the op table per call.
 //
 // Concurrency model: every device session owns one worker goroutine and a
 // bounded request queue. Requests against one session are serialized in
@@ -28,29 +28,14 @@ package server
 import "repro/internal/server/protocol"
 
 // The wire types live in internal/server/protocol; these aliases keep the
-// historical server.Request / server.Response spelling working for existing
-// callers while the protocol package remains the single source of truth.
+// server.* spelling of the types benchmark/ and the client use.
 type (
 	Request         = protocol.Request
 	Response        = protocol.Response
-	HelloMsg        = protocol.HelloMsg
 	PinMsg          = protocol.PinMsg
 	PortRefMsg      = protocol.PortRefMsg
 	EndPointMsg     = protocol.EndPointMsg
 	NetMsg          = protocol.NetMsg
-	PipMsg          = protocol.PipMsg
 	CoreMsg         = protocol.CoreMsg
-	StatsMsg        = protocol.StatsMsg
 	SessionStatsMsg = protocol.SessionStatsMsg
-	OpStatsMsg      = protocol.OpStatsMsg
-	FleetStatsMsg   = protocol.FleetStatsMsg
-	BoardStatsMsg   = protocol.BoardStatsMsg
-	BoardHWMsg      = protocol.BoardHWMsg
-
-	GatewayStatsMsg   = protocol.GatewayStatsMsg
-	GatewayTenantMsg  = protocol.GatewayTenantMsg
-	GatewayBackendMsg = protocol.GatewayBackendMsg
 )
-
-// OpService is re-exported from the protocol package.
-const OpService = protocol.OpService

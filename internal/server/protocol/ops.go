@@ -25,6 +25,7 @@ const (
 	OpDevices        byte = 0x02
 	OpStatsz         byte = 0x03
 	OpReadback       byte = 0x04
+	OpHello          byte = 0x05
 	OpRoute          byte = 0x10
 	OpBus            byte = 0x11
 	OpBusBatch       byte = 0x12
@@ -63,11 +64,14 @@ type Op struct {
 // core.Router and have no row yet.
 var Ops = []Op{
 	// The service itself.
+	//   hello   (Token, Delta)    -> Layouts: a connection's first frame,
+	//                                and only its first
 	//   devices ()                -> Devices: the hosted (fleet: admitted) session names
 	//   statsz  ()                -> Stats
 	//   connect (Session [, Key]) -> Rows, Cols, Arch, Config, Epoch, Board;
 	//                                opens the session, in fleet mode placing it by Key
 	//   readback (Session)        -> Config: the full configuration stream
+	{"hello", OpHello, ScopeConn, false},
 	{"devices", OpDevices, ScopeConn, false},
 	{"statsz", OpStatsz, ScopeConn, false},
 	{"connect", OpConnect, ScopeSession, false},

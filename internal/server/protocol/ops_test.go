@@ -41,6 +41,7 @@ func fixtures() map[string]*protocol.Request {
 	n3, n3a := pin(11, 2, arch.OutPin(1)), pin(12, 6, arch.Input(1))
 	n4, n4a := pin(12, 2, arch.OutPin(2)), pin(11, 6, arch.Input(2))
 	return map[string]*protocol.Request{
+		"hello":    {Hello: &protocol.HelloMsg{}},
 		"devices":  {},
 		"statsz":   {},
 		"connect":  {},
@@ -70,7 +71,8 @@ func fixtures() map[string]*protocol.Request {
 // resolve both ways (the byte values themselves are pinned by the v3 ABI
 // goldens, TestABIOpBytes). Then every row is dispatched once against the
 // live tier its scope names — session rows on a worker, connection rows on
-// a server over the wire, admin rows on a gateway — so a row no tier
+// a server over the wire (hello as a fresh connection's first frame), admin
+// rows on a gateway — so a row no tier
 // handles, or a row the test has no fixture for, fails here; and per row,
 // "Mutating" is held to what the op did: the device configuration moved if
 // and only if the row says so, and exactly then the response carries the
@@ -160,7 +162,9 @@ func TestOpTable(t *testing.T) {
 					op.Name, op.Mutating, moved, framed, resp.FrameN, journaled)
 			}
 		case protocol.ScopeConn:
-			if resp, err = c.Forward(ctx, req); err != nil {
+			if op.Byte == protocol.OpHello {
+				resp = firstFrame(t, addr, req)
+			} else if resp, err = c.Forward(ctx, req); err != nil {
 				t.Fatalf("row %q over the wire: %v", op.Name, err)
 			}
 		case protocol.ScopeAdmin:
@@ -175,6 +179,44 @@ func TestOpTable(t *testing.T) {
 	for name := range fix {
 		t.Errorf("fixture %q has no row in the table", name)
 	}
+}
+
+// firstFrame sends req as the first frame of a fresh connection to addr
+// and returns the response.
+func firstFrame(t *testing.T, addr string, req *protocol.Request) *protocol.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := v3.AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	return readResponse(t, conn)
+}
+
+// readResponse reads and decodes one v3 response frame.
+func readResponse(t *testing.T, conn net.Conn) *protocol.Response {
+	t.Helper()
+	var hdr [v3.HeaderSize]byte
+	h, err := v3.ReadHeader(conn, &hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := v3.ReadPayloadInto(conn, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := new(protocol.Response)
+	if err := v3.DecodeResponse(h, payload, resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // TestUnknownOpEveryTier: an op with no row is the typed unknown_op code at
@@ -243,19 +285,7 @@ func TestUnknownOpEveryTier(t *testing.T) {
 			if _, err := conn.Write(frame); err != nil {
 				t.Fatal(err)
 			}
-			var hdr [v3.HeaderSize]byte
-			h, err := v3.ReadHeader(conn, &hdr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := v3.ReadPayloadInto(conn, h, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp := new(protocol.Response)
-			if err := v3.DecodeResponse(h, payload, resp); err != nil {
-				t.Fatal(err)
-			}
+			resp := readResponse(t, conn)
 			if resp.ID != 9 {
 				t.Errorf("response id %d, want 9", resp.ID)
 			}

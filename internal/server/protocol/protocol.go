@@ -1,26 +1,27 @@
 // Package protocol defines the wire surface of the jrouted routing service:
-// the op table (ops.go), the request and response messages, the hello
-// handshake, and the structured error codes responses carry. It is imported
-// by the server, the fleet coordinator, the gateway and the thin client,
-// and holds no behaviour — only the contract.
+// the op table (ops.go), the request and response messages, and the
+// structured error codes responses carry. It is imported by the server,
+// the fleet coordinator, the gateway and the thin client, and holds no
+// behaviour — only the contract.
 //
 // # Framing
 //
-// A connection opens with one framed-JSON exchange — the "hello" request
-// and its response, each in an XHWIF-format frame (u8 opcode OpService, u32
-// length, payload; see internal/jbits) — and from then on carries only the
-// binary frames of internal/server/protocol/v3. JSON carries the hello and
-// nothing else.
+// A connection speaks the binary frames of internal/server/protocol/v3
+// from its first byte. The first frame must be the "hello" row of the op
+// table: the client presents its tenant token and says whether it wants
+// record deltas, and the server answers with the PIP bit layouts it
+// decodes frames by (arch.Layouts). Any other first frame is answered with
+// ErrorCode CodeVersion and the connection is closed; a later hello is
+// CodeBadRequest.
 //
 // # Versioning
 //
-// The hello declares the protocol version the client speaks and must offer
-// the "binv3" capability; the server answers with its own version and
-// capability flags ("fleet", "paranoid", "binv3"). A mismatched version, a
-// hello that does not offer binv3, or any other first frame is answered
-// with ErrorCode CodeVersion and the connection is closed, so an older
-// client gets one clear typed error instead of undefined behaviour
-// mid-session.
+// The version byte of the v3 frame header is the one protocol version. A
+// frame with the v3 magic and another version byte is answered CodeVersion.
+// A client of the earlier two-framing protocol opens with an XHWIF-framed
+// JSON hello; the server answers that first frame with one constant
+// framed-JSON CodeVersion refusal, so the older client gets one clear typed
+// error instead of undefined behaviour mid-session.
 //
 // # Error codes
 //
@@ -29,45 +30,16 @@
 // CodeCanceled as a context error, ...) instead of parsing error strings.
 package protocol
 
-// Version is the protocol version this tree speaks. Version 2 added the
-// hello handshake, structured error codes, request deadlines, and the
-// fleet extensions (placement keys, board epochs, fleet statsz).
-const Version = 2
-
-// OpService is the XHWIF-format frame opcode carrying the JSON hello
-// request; the response echoes it with jbits.RespFlag set.
-const OpService = 0x10
-
-// Capability flags a server may advertise in its hello response.
-const (
-	// CapFleet: the daemon runs fleet mode — sessions are sharded over a
-	// board fleet with health-checked automatic failover.
-	CapFleet = "fleet"
-	// CapParanoid: every automatic routing op is audited by the bitstream
-	// oracle before it is acknowledged.
-	CapParanoid = "paranoid"
-	// CapBinV3: the binary v3 framing (internal/server/protocol/v3), the
-	// one data plane. Every hello request must offer it and every hello
-	// response advertises it; the connection speaks v3 from the frame after
-	// the hello response.
-	CapBinV3 = "binv3"
-	// CapDelta, offered in a hello request, asks for the record delta of
-	// every acknowledged mutating op (Response.Delta). A tier that journals
-	// the sessions behind it — the gateway — asks; a client does not, and
-	// its responses stay as they were.
-	CapDelta = "delta"
-)
-
 // Error codes. The empty string means success.
 const (
-	// CodeBadRequest: the request was malformed (unparseable hello, missing
+	// CodeBadRequest: the request was malformed (a second hello, missing
 	// endpoint, core description, ...).
 	CodeBadRequest = "bad_request"
 	// CodeUnknownOp: the op has no row in the op table, or the tier it
 	// reached does not serve that row.
 	CodeUnknownOp = "unknown_op"
 	// CodeVersion: protocol version mismatch, or an op sent before the
-	// hello handshake.
+	// hello.
 	CodeVersion = "version_mismatch"
 	// CodeNoDevice: the named device session does not exist.
 	CodeNoDevice = "no_device"
@@ -97,9 +69,10 @@ const (
 	// server.
 	CodeInternal = "internal"
 	// CodeMalformed: a binary v3 frame failed the pre-parse filter (bad
-	// magic, wrong version, oversized length) or its payload did not
-	// decode. The frame was rejected before dispatch; the connection stays
-	// usable.
+	// magic, oversized length), and the connection is closed because the
+	// stream is no longer frame-aligned; or its payload did not decode, and
+	// the connection stays usable. Either way the frame was rejected before
+	// dispatch.
 	CodeMalformed = "malformed"
 	// CodeUnauthorized: the hello bearer token was missing or unknown, or
 	// an op targeted a session owned by a different tenant. Gateway tier
@@ -114,42 +87,44 @@ const (
 	CodeUnknownAlias = "unknown_alias"
 )
 
-// HelloMsg is the handshake payload, both directions: the client announces
-// the version it speaks (and, against an authenticating gateway, its
-// bearer token); the server answers with its version and the capabilities
-// it serves.
+// HelloMsg is the hello row's payload, both directions. The client
+// presents its bearer token and whether it wants record deltas; the server
+// answers with its PIP bit layouts.
 type HelloMsg struct {
-	Version int      `json:"version"`
-	Caps    []string `json:"caps,omitempty"`
 	// Token is the tenant bearer token, client to server only. Servers
 	// without an authenticator ignore it; an authenticating gateway maps
 	// it to a tenant and rejects the hello with CodeUnauthorized when it
 	// is missing or unknown.
-	Token string `json:"token,omitempty"`
+	Token string
+	// Delta, client to server, asks for the record delta of every
+	// acknowledged mutating op (Response.Delta). A tier that journals the
+	// sessions behind it — the gateway — asks; a client does not, and its
+	// responses stay as they were.
+	Delta bool
 	// Layouts, server to client, is arch.Layouts: a client refuses a
 	// server whose PIP bit layouts differ from its own as version_mismatch.
-	Layouts map[string]string `json:"layouts,omitempty"`
+	Layouts map[string]string
 }
 
 // Request is one service call. Op names a row of the op table (Ops), which
 // documents the fields each op reads and answers; Session names the device
 // session every session-scoped op targets.
 type Request struct {
-	ID      uint64        `json:"id"`
-	Op      string        `json:"op"`
-	Session string        `json:"session,omitempty"`
-	Source  *EndPointMsg  `json:"source,omitempty"`
-	Sinks   []EndPointMsg `json:"sinks,omitempty"`
-	Sources []EndPointMsg `json:"sources,omitempty"`
-	Nets    []NetMsg      `json:"nets,omitempty"`
-	Core    *CoreMsg      `json:"core,omitempty"`
-	Form    []byte        `json:"form,omitempty"` // session_import: v3 delta entries, what a router holds of the session
-	Hello   *HelloMsg     `json:"hello,omitempty"`
+	ID      uint64
+	Op      string
+	Session string
+	Source  *EndPointMsg
+	Sinks   []EndPointMsg
+	Sources []EndPointMsg
+	Nets    []NetMsg
+	Core    *CoreMsg
+	Form    []byte // session_import: v3 delta entries, what a router holds of the session
+	Hello   *HelloMsg
 
 	// TimeoutMillis propagates the client context's remaining deadline.
 	// The server bounds the op's queue wait (and rejects the op with
 	// CodeDeadline / CodeCanceled) by it. 0 means no deadline.
-	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
+	TimeoutMillis int64
 
 	// Key is the fleet placement key for connect: the session is placed on
 	// board slot Key mod fleet size. Nil means the key is derived from the
@@ -157,100 +132,101 @@ type Request struct {
 	// name. The gateway tier uses the same key (same FNV-1a default) to
 	// pin the session to a backend fleet before the fleet uses it again
 	// for board placement.
-	Key *uint64 `json:"key,omitempty"`
+	Key *uint64
 
 	// Tenant is the authenticated tenant the connection's hello token
 	// resolved to. It never travels on the wire — the server stamps it on
 	// every decoded request from per-connection state, so clients cannot
 	// spoof it.
-	Tenant string `json:"-"`
-	// WantDelta says the connection's hello offered CapDelta; like Tenant,
-	// the server stamps it and it never travels.
-	WantDelta bool `json:"-"`
+	Tenant string
+	// WantDelta says the connection's hello asked for deltas
+	// (HelloMsg.Delta); like Tenant, the server stamps it and it never
+	// travels.
+	WantDelta bool
 
 	row *Op // Op resolved against the table; see Row
 }
 
 // Response answers one Request, matched by ID.
 type Response struct {
-	ID  uint64 `json:"id"`
-	Err string `json:"err,omitempty"`
+	ID  uint64
+	Err string
 	// ErrorCode is the structured code for Err; see the Code constants.
-	ErrorCode string `json:"code,omitempty"`
-	Busy      bool   `json:"busy,omitempty"` // backpressure: queue full, retry later
+	ErrorCode string
+	Busy      bool // backpressure: queue full, retry later
 
-	// Hello answers the handshake with the server's version and caps.
-	Hello *HelloMsg `json:"hello,omitempty"`
+	// Hello answers the hello row with the server's PIP bit layouts.
+	Hello *HelloMsg
 
 	// connect / devices
-	Rows    int      `json:"rows,omitempty"`
-	Cols    int      `json:"cols,omitempty"`
-	Arch    string   `json:"arch,omitempty"`
-	Devices []string `json:"devices,omitempty"`
+	Rows    int
+	Cols    int
+	Arch    string
+	Devices []string
 
 	// Board names the fleet board currently serving the session (connect
 	// responses, fleet mode only).
-	Board string `json:"board,omitempty"`
+	Board string
 
 	// Epoch is the serving board's incarnation, bumped on every failover.
 	// A client that sees the epoch change mid-session re-seeds its mirror
 	// from a readback — the dirty-frame push chain broke at the swap.
 	// 0 on static (non-fleet) sessions.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 
 	// Config is a full configuration stream (connect, readback).
-	Config []byte `json:"config,omitempty"`
+	Config []byte
 
 	// Frames is the partial stream of configuration frames dirtied by a
 	// mutating op; FrameN counts them. Applying Frames to an up-to-date
 	// mirror reproduces the server's bitstream exactly.
-	Frames []byte `json:"frames,omitempty"`
-	FrameN int    `json:"frame_n,omitempty"`
+	Frames []byte
+	FrameN int
 	// Delta is what an acknowledged mutating op changed in the session
 	// records behind it, in the v3 delta-entry encoding, for a connection
-	// whose hello offered CapDelta; nil for every other.
-	Delta []byte `json:"delta,omitempty"`
+	// whose hello asked for deltas; nil for every other.
+	Delta []byte
 
-	Net   *NetMsg   `json:"net,omitempty"`   // trace results
-	Stats *StatsMsg `json:"stats,omitempty"` // statsz
+	Net   *NetMsg   // trace results
+	Stats *StatsMsg // statsz
 }
 
 // PinMsg is a physical pin on the wire: row, column, and the
 // architecture-independent wire number.
 type PinMsg struct {
-	Row  int `json:"row"`
-	Col  int `json:"col"`
-	Wire int `json:"wire"`
+	Row  int
+	Col  int
+	Wire int
 }
 
 // PortRefMsg names a port of a server-side core instance.
 type PortRefMsg struct {
-	Core  string `json:"core"`
-	Group string `json:"group"`
-	Index int    `json:"index"`
+	Core  string
+	Group string
+	Index int
 }
 
 // EndPointMsg is the wire form of core.EndPoint: exactly one of Pin or
 // Port is set.
 type EndPointMsg struct {
-	Pin  *PinMsg     `json:"pin,omitempty"`
-	Port *PortRefMsg `json:"port,omitempty"`
+	Pin  *PinMsg
+	Port *PortRefMsg
 }
 
 // NetMsg is one net: a source and its sinks. It doubles as the trace
 // result, where Pips carries the net's PIPs in breadth-first order.
 type NetMsg struct {
-	Source EndPointMsg   `json:"source"`
-	Sinks  []EndPointMsg `json:"sinks,omitempty"`
-	Pips   []PipMsg      `json:"pips,omitempty"`
+	Source EndPointMsg
+	Sinks  []EndPointMsg
+	Pips   []PipMsg
 }
 
 // PipMsg is one programmable interconnect point on the wire.
 type PipMsg struct {
-	Row  int `json:"row"`
-	Col  int `json:"col"`
-	From int `json:"from"`
-	To   int `json:"to"`
+	Row  int
+	Col  int
+	From int
+	To   int
 }
 
 // CoreMsg describes a core instance for core_new / core_replace. Kind
@@ -259,13 +235,13 @@ type PipMsg struct {
 //	constmul: K, KBits      (replace retunes K)
 //	register: Bits
 type CoreMsg struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind,omitempty"`
-	Row   int     `json:"row"`
-	Col   int     `json:"col"`
-	K     *uint64 `json:"k,omitempty"`
-	KBits int     `json:"kbits,omitempty"`
-	Bits  int     `json:"bits,omitempty"`
+	Name  string
+	Kind  string
+	Row   int
+	Col   int
+	K     *uint64
+	KBits int
+	Bits  int
 }
 
 // StatsMsg is the statsz payload: per-session counters and per-op latency
@@ -279,8 +255,9 @@ type StatsMsg struct {
 }
 
 // WireStatsMsg is the transport section of statsz: the connections that
-// completed the hello, the frames they moved (the hello exchange included),
-// and how many frames the v3 pre-parse filter rejected.
+// completed the hello, the frames they moved (the hello included), how many
+// frames the v3 pre-parse filter rejected, and how many connections a
+// panic on their goroutine ended.
 type WireStatsMsg struct {
 	Conns     int `json:"conns"`      // connections that completed the hello
 	Malformed int `json:"malformed"`  // v3 frames rejected before dispatch
@@ -288,6 +265,7 @@ type WireStatsMsg struct {
 	FramesOut int `json:"frames_out"` // frames written
 	BytesIn   int `json:"bytes_in"`   // payload bytes read
 	BytesOut  int `json:"bytes_out"`  // payload bytes written
+	Panics    int `json:"panics"`     // connections closed by a recovered panic
 }
 
 // SessionStatsMsg aggregates one device session.

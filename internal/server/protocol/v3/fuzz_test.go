@@ -34,6 +34,7 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 			Core: &protocol.CoreMsg{Name: "m", Kind: "constmul", Row: 1, Col: 2, K: &key, KBits: 8}},
 		{ID: 10, Op: "gw_drain", Session: "be0"},
 		{ID: 11, Op: "session_import", Session: "d", Form: testForm()},
+		{ID: 12, Op: "hello", Hello: &protocol.HelloMsg{Token: "tk", Delta: true}},
 	}
 	var out [][]byte
 	for i := range reqs {
@@ -57,6 +58,8 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 			Delta: []byte{EntryGone, 0x01, 'd', 0x07}}},
 		{protocol.OpTrace, protocol.Response{ID: 6, Net: &protocol.NetMsg{
 			Source: pin(1, 2, 3), Sinks: []protocol.EndPointMsg{pin(4, 5, 6)}}}},
+		{protocol.OpHello, protocol.Response{ID: 12, Hello: &protocol.HelloMsg{
+			Layouts: map[string]string{"virtex": "ab", "kestrel": "cd"}}}},
 	}
 	for _, rc := range resps {
 		head, raw, err := AppendResponse(nil, rc.op, &rc.resp)

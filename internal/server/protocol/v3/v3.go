@@ -1,5 +1,5 @@
 // Package v3 is the binary framing of the jrouted service protocol — what
-// every connection speaks after the JSON hello exchange: a fixed
+// every connection speaks from its first byte, the hello included: a fixed
 // little-endian header plus varint-encoded op records, so the wire path
 // moves configuration frames as raw bytes with no intermediate marshal.
 //
@@ -19,7 +19,8 @@
 // fields use zigzag. Strings and blobs are a uvarint length followed by
 // the bytes. Error codes travel as single bytes (Code* constants). Every
 // op record pins its layout in the ABI golden tests — a byte shift there
-// is a wire break and must bump the version.
+// is a wire break and must bump the version byte, the protocol's one
+// version number.
 //
 // # Zero-copy convention
 //
@@ -39,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 
 	"repro/internal/server/protocol"
 )
@@ -49,15 +51,16 @@ const (
 	HeaderSize = 20
 	// Magic opens every v3 frame.
 	Magic = "JRv3"
-	// Version is the wire version byte carried in every header.
+	// Version is the wire version byte carried in every header: the
+	// protocol's version.
 	Version = 3
 	// MaxPayload bounds a frame payload, matching the XHWIF frame limit.
 	MaxPayload = 64 << 20
 	// FlagResp marks a response frame.
 	FlagResp uint16 = 1 << 0
 	// FlagDelta marks a response that carries a record delta as its trailing
-	// section (see Response.Delta): only a connection whose hello offered
-	// protocol.CapDelta gets one.
+	// section (see Response.Delta): only a connection whose hello asked for
+	// deltas gets one.
 	FlagDelta uint16 = 1 << 1
 )
 
@@ -154,9 +157,12 @@ type Header struct {
 
 // FilterError is the pre-parse rejection: the fixed header failed the
 // magic/version/length checks, so the frame was refused before any payload
-// allocation or dispatch. It maps to protocol.CodeMalformed on the wire.
+// allocation or dispatch. Code is what the wire answers it with:
+// protocol.CodeVersion for a frame of this magic and another version byte,
+// protocol.CodeMalformed for every other failure.
 type FilterError struct {
 	Reason string
+	Code   string
 }
 
 func (e *FilterError) Error() string { return "v3: malformed frame: " + e.Reason }
@@ -177,13 +183,15 @@ func PutHeader(dst []byte, h Header) {
 // payload buffer or dispatches anything. b must hold HeaderSize bytes.
 func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
-		return Header{}, &FilterError{Reason: fmt.Sprintf("header is %d bytes, need %d", len(b), HeaderSize)}
+		return Header{}, &FilterError{Reason: fmt.Sprintf("header is %d bytes, need %d", len(b), HeaderSize),
+			Code: protocol.CodeMalformed}
 	}
 	if string(b[:4]) != Magic {
-		return Header{}, &FilterError{Reason: fmt.Sprintf("bad magic %x", b[:4])}
+		return Header{}, &FilterError{Reason: fmt.Sprintf("bad magic %x", b[:4]), Code: protocol.CodeMalformed}
 	}
 	if b[4] != Version {
-		return Header{}, &FilterError{Reason: fmt.Sprintf("version %d, want %d", b[4], Version)}
+		return Header{}, &FilterError{Reason: fmt.Sprintf("version %d, want %d", b[4], Version),
+			Code: protocol.CodeVersion}
 	}
 	h := Header{
 		Op:    b[5],
@@ -192,7 +200,8 @@ func ParseHeader(b []byte) (Header, error) {
 		Len:   binary.LittleEndian.Uint32(b[16:]),
 	}
 	if h.Len > MaxPayload {
-		return Header{}, &FilterError{Reason: fmt.Sprintf("payload of %d bytes exceeds %d limit", h.Len, MaxPayload)}
+		return Header{}, &FilterError{Reason: fmt.Sprintf("payload of %d bytes exceeds %d limit", h.Len, MaxPayload),
+			Code: protocol.CodeMalformed}
 	}
 	return h, nil
 }
@@ -333,8 +342,7 @@ func appendCore(dst []byte, c *protocol.CoreMsg) ([]byte, error) {
 }
 
 // AppendRequest encodes one request frame (header + payload) onto dst and
-// returns the extended slice. The hello handshake has no binary form — it
-// travels as framed JSON before the first v3 frame.
+// returns the extended slice.
 func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 	row := req.Row()
 	if row == nil {
@@ -353,6 +361,13 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 			dst = appendUvarint(dst, *req.Key)
 		} else {
 			dst = append(dst, 0)
+		}
+	case protocol.OpHello:
+		if req.Hello == nil {
+			return dst, fmt.Errorf("v3: missing hello")
+		}
+		if dst = append(appendString(dst, req.Hello.Token), 0); req.Hello.Delta {
+			dst[len(dst)-1] = 1
 		}
 	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
 	case protocol.OpRoute:
@@ -430,6 +445,19 @@ func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []b
 		case protocol.OpReadback:
 			dst = appendUvarint(dst, uint64(len(resp.Config)))
 			raw = resp.Config
+		case protocol.OpHello: // the layouts sorted by family name, so the bytes are pinned
+			if resp.Hello == nil {
+				return dst, nil, fmt.Errorf("v3: hello answered without layouts")
+			}
+			names := make([]string, 0, len(resp.Hello.Layouts))
+			for name := range resp.Hello.Layouts {
+				names = append(names, name)
+			}
+			slices.Sort(names)
+			dst = appendUvarint(dst, uint64(len(names)))
+			for _, name := range names {
+				dst = appendString(appendString(dst, name), resp.Hello.Layouts[name])
+			}
 		case protocol.OpDevices, protocol.OpGwDrain:
 			dst = appendUvarint(dst, uint64(len(resp.Devices)))
 			for _, d := range resp.Devices {
@@ -688,6 +716,8 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 			k := d.uvarint()
 			req.Key = &k
 		}
+	case protocol.OpHello:
+		req.Hello = &protocol.HelloMsg{Token: d.str("token"), Delta: d.Byte() != 0}
 	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
 	case protocol.OpRoute:
 		req.Source = &protocol.EndPointMsg{}
@@ -756,6 +786,13 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 		resp.Config = d.bytes("config stream")
 	case protocol.OpReadback:
 		resp.Config = d.bytes("config stream")
+	case protocol.OpHello:
+		n := d.count("layouts")
+		resp.Hello = &protocol.HelloMsg{Layouts: make(map[string]string, n)}
+		for i := 0; i < n && d.err == nil; i++ {
+			name := d.str("family name")
+			resp.Hello.Layouts[name] = d.str("layout")
+		}
 	case protocol.OpDevices, protocol.OpGwDrain:
 		n := d.count("devices")
 		for i := 0; i < n && d.err == nil; i++ {

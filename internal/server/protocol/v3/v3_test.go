@@ -49,7 +49,7 @@ func TestABIHeader(t *testing.T) {
 // TestABIOpBytes pins every op byte assignment.
 func TestABIOpBytes(t *testing.T) {
 	want := map[string]byte{
-		"connect": 0x01, "devices": 0x02, "statsz": 0x03, "readback": 0x04,
+		"connect": 0x01, "devices": 0x02, "statsz": 0x03, "readback": 0x04, "hello": 0x05,
 		"route": 0x10, "bus": 0x11, "bus_batch": 0x12, "batch": 0x13,
 		"unroute": 0x14, "reverse_unroute": 0x15, "trace": 0x16, "reverse_trace": 0x17,
 		"core_new": 0x20, "core_replace": 0x21, "session_import": 0x22,
@@ -236,6 +236,14 @@ func TestABIRequests(t *testing.T) {
 				0x02, 0x02, 0x04, 0x03, 0x08, 0x0A, 0x06, // At: pin(1,2,3), pin(4,5,6)
 				0x00, // no home
 			)},
+		{"hello",
+			protocol.Request{ID: 16, Op: "hello", Hello: &protocol.HelloMsg{Token: "tk", Delta: true}},
+			frame(0x05, 0, 16,
+				0x00,           // session ""
+				0x00,           // timeout 0
+				0x02, 't', 'k', // token "tk"
+				0x01, // delta asked for
+			)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -347,6 +355,16 @@ func TestABIResponses(t *testing.T) {
 			protocol.Response{ID: 8, Busy: true, Err: "q full", ErrorCode: protocol.CodeBusy},
 			append(hdr(0x10, FlagResp, 8, 8), 0x05, 0x06, 'q', ' ', 'f', 'u', 'l', 'l'),
 			nil},
+		{"hello", protocol.OpHello,
+			protocol.Response{ID: 16, Hello: &protocol.HelloMsg{
+				Layouts: map[string]string{"virtex": "ab", "kestrel": "cd"}}},
+			append(hdr(0x05, FlagResp, 16, 25),
+				0x00, 0x00, 0x00, // code OK, board "", epoch 0
+				0x02,                                                    // 2 layouts, sorted by name
+				0x07, 'k', 'e', 's', 't', 'r', 'e', 'l', 0x02, 'c', 'd', // kestrel: "cd"
+				0x06, 'v', 'i', 'r', 't', 'e', 'x', 0x02, 'a', 'b', // virtex: "ab"
+			),
+			nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -421,17 +439,18 @@ func TestFilterGarbage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		in   []byte
+		code string
 	}{
-		{"garbage magic", garbageMagic},
-		{"wrong version", badVersion},
-		{"oversized length", oversized},
+		{"garbage magic", garbageMagic, protocol.CodeMalformed},
+		{"wrong version", badVersion, protocol.CodeVersion},
+		{"oversized length", oversized, protocol.CodeMalformed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var scratch [HeaderSize]byte
 			_, err := ReadHeader(bytes.NewReader(tc.in), &scratch)
 			var fe *FilterError
-			if !errors.As(err, &fe) {
-				t.Fatalf("want FilterError, got %v", err)
+			if !errors.As(err, &fe) || fe.Code != tc.code {
+				t.Fatalf("want FilterError answered %q, got %v", tc.code, err)
 			}
 			// And via ParseHeader directly, without a reader.
 			if _, err := ParseHeader(tc.in); !errors.As(err, &fe) {

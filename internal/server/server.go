@@ -2,17 +2,16 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core/library"
-	"repro/internal/jbits"
 	"repro/internal/server/protocol"
 	v3 "repro/internal/server/protocol/v3"
 )
@@ -37,7 +36,7 @@ type Options struct {
 	// it. See core.Options.Library.
 	Library *library.Library
 	// Auth, when set, must map the hello bearer token to a tenant name.
-	// A non-nil error rejects the handshake with CodeUnauthorized. The
+	// A non-nil error refuses the hello with CodeUnauthorized. The
 	// resolved tenant is stamped on every request the connection sends
 	// (Request.Tenant), so downstream admission can trust it. Nil Auth
 	// (every plain daemon) admits every hello as the anonymous tenant "".
@@ -63,7 +62,7 @@ type Fleet interface {
 	// Sessions lists the admitted logical session names.
 	Sessions() []string
 	// Stats snapshots the coordinator counters and per-board sections.
-	Stats() *FleetStatsMsg
+	Stats() *protocol.FleetStatsMsg
 	// Shutdown stops health probing and drains the board workers.
 	Shutdown(ctx context.Context) error
 }
@@ -76,8 +75,8 @@ type GatewayStatser interface {
 }
 
 // Server is the jrouted daemon: many named device sessions behind one
-// TCP listener speaking the service protocol (a JSON hello, then binary v3
-// frames; see internal/server/protocol).
+// TCP listener speaking the service protocol (binary v3 frames from the
+// first byte, the first of them a hello; see internal/server/protocol).
 type Server struct {
 	opts Options
 
@@ -117,31 +116,15 @@ func (s *Server) AddDevice(name, archName string, rows, cols int) error {
 }
 
 // SetFleet attaches a fleet coordinator: all per-device traffic is routed
-// through it, and the daemon advertises the "fleet" capability. Attach
-// before Start.
+// through it. Attach before Start.
 func (s *Server) SetFleet(f Fleet) {
 	s.mu.Lock()
 	s.fleet = f
 	s.mu.Unlock()
 }
 
-// caps lists the capability flags the hello response advertises.
-func (s *Server) caps() []string {
-	caps := []string{protocol.CapBinV3}
-	s.mu.Lock()
-	fleet := s.fleet
-	s.mu.Unlock()
-	if fleet != nil {
-		caps = append(caps, protocol.CapFleet)
-	}
-	if s.opts.ParanoidVerify {
-		caps = append(caps, protocol.CapParanoid)
-	}
-	return caps
-}
-
 // noteIO records one request/response exchange's wire traffic; helloed
-// marks the exchange that completed a connection's handshake.
+// marks the exchange that was a connection's accepted hello.
 func (s *Server) noteIO(helloed bool, bytesIn, bytesOut int) {
 	s.wmu.Lock()
 	if helloed {
@@ -199,80 +182,71 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// handleConn serves one connection. A panic on its goroutine — in
+// dispatch, or in a fleet's or gateway's Submit, which run here — ends
+// this connection only, and is counted in statsz.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
+		if recover() != nil {
+			s.wmu.Lock()
+			s.wire.Panics++
+			s.wmu.Unlock()
+		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		s.connWG.Done()
 	}()
-	if tenant, delta, ok := s.handshake(conn); ok {
-		s.serveV3(conn, tenant, delta)
-	}
+	s.serve(conn)
 }
 
-// handshake reads the connection's one JSON frame, answers it, and reports
-// whether the connection may go on to v3 and as which tenant. Anything but
-// a well-formed hello that offers binv3 is answered with a typed error and
-// refused, so a client of an older framing gets one clear response instead
-// of undefined behaviour mid-session. delta reports whether the hello asked
-// for record deltas (protocol.CapDelta).
-func (s *Server) handshake(conn net.Conn) (tenant string, delta, ok bool) {
-	op, payload, err := jbits.ReadFrame(conn)
-	if err != nil {
-		return "", false, false // EOF, deadline (shutdown), or transport failure
-	}
-	var req Request
-	var resp *Response
-	if op != OpService {
-		resp = &Response{ErrorCode: protocol.CodeBadRequest,
-			Err: fmt.Sprintf("server: unknown opcode %#x", op)}
-	} else if err := json.Unmarshal(payload, &req); err != nil {
-		resp = &Response{ErrorCode: protocol.CodeBadRequest,
-			Err: fmt.Sprintf("server: bad request: %v", err)}
-	} else if req.Op != "hello" {
-		resp = &Response{ErrorCode: protocol.CodeVersion,
-			Err: fmt.Sprintf("server: hello handshake required before %q (server speaks protocol v%d)",
-				req.Op, protocol.Version)}
-	} else {
-		resp, tenant = s.hello(&req)
-		delta = req.Hello != nil && slices.Contains(req.Hello.Caps, protocol.CapDelta)
-	}
-	resp.ID = req.ID
-	ok = resp.Err == ""
-	out, err := json.Marshal(resp)
-	if err != nil {
-		return "", false, false
-	}
-	werr := jbits.WriteFrame(conn, OpService|jbits.RespFlag, out)
-	s.noteIO(ok, len(payload), len(out))
-	jbits.RecycleFrame(payload)
-	return tenant, delta, ok && werr == nil
-}
+// legacyHello is byte 0 of the XHWIF-framed JSON hello a client of the
+// earlier two-framing protocol opens with (op 0x10, a big-endian u32
+// length, the payload; never shorter than a v3 header). Such a first frame
+// is drained and answered with legacyRefusal, the one framed-JSON message
+// this server writes: op 0x90 (the response bit set), length 0x6f, and a
+// version_mismatch response with id 1, the id those clients gave their
+// hello.
+const (
+	legacyHello   = 0x10
+	legacyRefusal = "\x90\x00\x00\x00\x6f" +
+		`{"id":1,"code":"version_mismatch","err":"server: protocol version mismatch: this server speaks binary v3 only"}`
+)
 
-// serveV3 is the per-connection loop after the hello: fixed-header
-// framing, varint op records, and the zero-copy frame path — a mutating
-// op's dirty frames go from the worker's pooled stream buffer to the
-// socket in one vectored write, with no intermediate marshal. Read buffers
-// are reused across requests; a frame failing the pre-parse filter is
-// answered with a typed malformed error and the connection closed (the
-// byte stream can no longer be trusted to be frame-aligned). Only a
-// connection whose hello asked for deltas gets them.
-func (s *Server) serveV3(conn net.Conn, tenant string, delta bool) {
+// serve is the connection loop: fixed-header framing, varint op records,
+// and the zero-copy frame path — a mutating op's dirty frames go from the
+// worker's pooled stream buffer to the socket in one vectored write, with
+// no intermediate marshal. Read buffers are reused across requests.
+//
+// The first frame must be a hello; any other first frame, or a hello that
+// is refused, is answered and the connection closed. A frame failing the
+// pre-parse filter is answered with its typed error and the connection
+// closed (the byte stream can no longer be trusted to be frame-aligned).
+// Only a connection whose hello asked for deltas gets them.
+func (s *Server) serve(conn net.Conn) {
 	var hdr [v3.HeaderSize]byte
 	var payload []byte // reused request-payload buffer
 	var out []byte     // reused response-encode buffer
 	var bufs net.Buffers
 	interner := v3.NewInterner()
+	var tenant string
+	helloed, delta := false, false
 	for {
 		h, err := v3.ReadHeader(conn, &hdr)
 		if err != nil {
 			var fe *v3.FilterError
-			if errors.As(err, &fe) {
+			if !helloed && hdr[0] == legacyHello {
+				// Drain the frame, so closing with its bytes unread does not
+				// reset the connection under the refusal.
+				if n := int64(binary.BigEndian.Uint32(hdr[1:5])) - (v3.HeaderSize - 5); n > 0 && n <= v3.MaxPayload {
+					_, _ = io.CopyN(io.Discard, conn, n)
+				}
+				_, _ = io.WriteString(conn, legacyRefusal)
+			} else if errors.As(err, &fe) {
 				s.noteMalformed()
 				head, _, eerr := v3.AppendResponse(out[:0], protocol.OpDevices,
-					&Response{Err: fe.Error(), ErrorCode: protocol.CodeMalformed})
+					&Response{Err: fe.Error(), ErrorCode: fe.Code})
 				if eerr == nil {
 					_ = v3.WriteMsg(conn, &bufs, head, nil)
 				}
@@ -288,13 +262,23 @@ func (s *Server) serveV3(conn net.Conn, tenant string, delta bool) {
 		// be reused across loop iterations.
 		req := new(Request)
 		var resp *Response
-		if protocol.OpByByte(h.Op) == nil {
+		first := !helloed
+		if first && h.Op != protocol.OpHello {
+			resp = &Response{ID: h.ID, ErrorCode: protocol.CodeVersion,
+				Err: "server: a connection's first frame must be a hello"}
+		} else if protocol.OpByByte(h.Op) == nil {
 			// A well-formed frame naming an op this server has no row for.
 			resp = &Response{ID: h.ID, ErrorCode: protocol.CodeUnknownOp,
 				Err: fmt.Sprintf("server: unknown op byte %#x", h.Op)}
 		} else if derr := v3.DecodeRequest(h, payload, req, interner); derr != nil {
 			s.noteMalformed()
 			resp = &Response{ID: h.ID, Err: derr.Error(), ErrorCode: protocol.CodeMalformed}
+		} else if first {
+			resp, tenant = s.hello(req)
+			delta, helloed = req.Hello.Delta, resp.Err == ""
+		} else if h.Op == protocol.OpHello {
+			resp = &Response{ID: h.ID, ErrorCode: protocol.CodeBadRequest,
+				Err: "server: a connection says hello once"}
 		} else {
 			req.Tenant, req.WantDelta = tenant, delta
 			resp = s.dispatch(req)
@@ -315,8 +299,8 @@ func (s *Server) serveV3(conn net.Conn, tenant string, delta bool) {
 		werr := v3.WriteMsg(conn, &bufs, head, raw)
 		putStream(resp.Frames) // frames are on the wire; recycle the buffer
 		resp.Frames = nil
-		s.noteIO(false, len(payload), len(head)+len(raw))
-		if werr != nil {
+		s.noteIO(first && helloed, len(payload), len(head)+len(raw))
+		if werr != nil || !helloed {
 			return
 		}
 		s.mu.Lock()
@@ -328,33 +312,18 @@ func (s *Server) serveV3(conn net.Conn, tenant string, delta bool) {
 	}
 }
 
-// hello answers the version handshake and, when an authenticator is
-// configured, resolves the bearer token to the connection's tenant.
-func (s *Server) hello(req *Request) (*Response, string) {
-	if req.Hello == nil {
-		return &Response{ErrorCode: protocol.CodeVersion,
-			Err: "server: hello without version"}, ""
-	}
-	if req.Hello.Version != protocol.Version {
-		return &Response{ErrorCode: protocol.CodeVersion,
-			Err: fmt.Sprintf("server: protocol version mismatch: client speaks v%d, server speaks v%d",
-				req.Hello.Version, protocol.Version)}, ""
-	}
-	if !slices.Contains(req.Hello.Caps, protocol.CapBinV3) {
-		return &Response{ErrorCode: protocol.CodeVersion,
-			Err: fmt.Sprintf("server: hello does not offer %q, the only framing this server speaks",
-				protocol.CapBinV3)}, ""
-	}
-	tenant := ""
+// hello answers a connection's hello with the server's PIP bit layouts
+// and, when an authenticator is configured, resolves the bearer token to
+// the connection's tenant.
+func (s *Server) hello(req *Request) (resp *Response, tenant string) {
 	if s.opts.Auth != nil {
 		var err error
-		tenant, err = s.opts.Auth(req.Hello.Token)
-		if err != nil {
-			return &Response{ErrorCode: protocol.CodeUnauthorized,
+		if tenant, err = s.opts.Auth(req.Hello.Token); err != nil {
+			return &Response{ID: req.ID, ErrorCode: protocol.CodeUnauthorized,
 				Err: fmt.Sprintf("server: %v", err)}, ""
 		}
 	}
-	return &Response{Hello: &HelloMsg{Version: protocol.Version, Caps: s.caps(), Layouts: arch.Layouts()}}, tenant
+	return &Response{ID: req.ID, Hello: &protocol.HelloMsg{Layouts: arch.Layouts()}}, tenant
 }
 
 // reqContext derives the request context from the deadline the client
@@ -414,17 +383,22 @@ func (s *Server) dispatch(req *Request) *Response {
 	return sess.Submit(ctx, req)
 }
 
-// Stats snapshots every session's counters — the statsz payload — plus the
-// fleet section when a coordinator is attached.
-func (s *Server) Stats() *StatsMsg {
+// workers snapshots the static sessions and the attached fleet.
+func (s *Server) workers() ([]*Worker, Fleet) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sessions := make([]*Worker, 0, len(s.sessions))
 	for _, w := range s.sessions {
 		sessions = append(sessions, w)
 	}
-	fleet := s.fleet
-	s.mu.Unlock()
-	out := &StatsMsg{Sessions: make(map[string]SessionStatsMsg, len(sessions))}
+	return sessions, s.fleet
+}
+
+// Stats snapshots every session's counters — the statsz payload — plus the
+// fleet section when a coordinator is attached.
+func (s *Server) Stats() *protocol.StatsMsg {
+	sessions, fleet := s.workers()
+	out := &protocol.StatsMsg{Sessions: make(map[string]SessionStatsMsg, len(sessions))}
 	for _, w := range sessions {
 		out.Sessions[w.Name()] = w.StatsSnapshot()
 	}
@@ -454,7 +428,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.closing = true
 	ln := s.ln
-	// Unblock connection handlers idling in ReadFrame; handlers that are
+	// Unblock connection handlers idling in a read; handlers that are
 	// mid-request finish processing and writing first.
 	for conn := range s.conns {
 		_ = conn.SetReadDeadline(time.Now())
@@ -484,13 +458,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	// All submitters are gone; close the queues and wait for the workers
 	// to drain what is left.
-	s.mu.Lock()
-	sessions := make([]*Worker, 0, len(s.sessions))
-	for _, w := range s.sessions {
-		sessions = append(sessions, w)
-	}
-	fleet := s.fleet
-	s.mu.Unlock()
+	sessions, fleet := s.workers()
 	for _, w := range sessions {
 		w.Close()
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/protocol"
 )
 
 // startDaemon boots an in-process jrouted with the given devices and
@@ -371,5 +372,59 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := client.Dial(sctx, addr); err == nil {
 		t.Error("daemon still accepting after shutdown")
+	}
+}
+
+// panicFleet is a server.Fleet whose Submit panics on readback and answers
+// every other op empty.
+type panicFleet struct{}
+
+func (panicFleet) Submit(_ context.Context, req *server.Request) *server.Response {
+	if req.Op == "readback" {
+		panic("panicFleet: readback")
+	}
+	return &server.Response{ID: req.ID}
+}
+func (panicFleet) Sessions() []string                 { return nil }
+func (panicFleet) Stats() *protocol.FleetStatsMsg     { return &protocol.FleetStatsMsg{} }
+func (panicFleet) Shutdown(ctx context.Context) error { return nil }
+
+// TestConnPanicEndsOneConnection: a panic on a connection goroutine — here
+// in the attached fleet's Submit, which a gateway edge also runs there —
+// closes that connection only. Its op ends in a transport error; a second
+// connection on the same server keeps serving statsz, which counts the
+// panic.
+func TestConnPanicEndsOneConnection(t *testing.T) {
+	srv := server.NewServer()
+	srv.SetFleet(panicFleet{})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer srv.Shutdown(ctx)
+	dial := func() *client.Client {
+		t.Helper()
+		c, err := client.Dial(ctx, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	c1, c2 := dial(), dial()
+
+	_, err = c1.Forward(ctx, &server.Request{Op: "readback", Session: "s"})
+	var se *client.ServiceError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("op that panicked: err %v, want a transport error", err)
+	}
+	stats, err := c2.Stats(ctx)
+	if err != nil {
+		t.Fatalf("second connection after the panic: %v", err)
+	}
+	if stats.Wire == nil || stats.Wire.Panics != 1 {
+		t.Errorf("wire stats = %+v, want 1 panic", stats.Wire)
 	}
 }

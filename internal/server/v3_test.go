@@ -19,8 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestV3Negotiation: a default client's hello puts the connection on the
-// binary framing, the full session surface works over it, a scripted
+// TestV3Negotiation: a default client's hello is accepted, the full
+// session surface works over the binary framing, a scripted
 // session leaves the client mirror — advanced only by pushed partial frames
 // — byte-identical to the server's readback and oracle-clean, and the
 // server's wire stats see the connection and its frames.
@@ -33,9 +33,6 @@ func TestV3Negotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.HasCap(protocol.CapBinV3) {
-		t.Fatalf("server caps %v do not advertise %q", c.Caps(), protocol.CapBinV3)
-	}
 	if err := driveSession(t, addr, "dev"); err != nil {
 		t.Fatalf("full surface over v3: %v", err)
 	}
@@ -93,12 +90,13 @@ func TestV3Negotiation(t *testing.T) {
 	}
 }
 
-// TestHandshakeEdge: JSON carries the hello and nothing else. A hello that
-// does not offer binv3 gets one typed version error and a closed
-// connection (so does any other first frame: TestHelloRequired), and a
-// second JSON frame after a good hello lands in v3 framing position, where
-// the garbage filter counts it, answers the typed malformed error and
-// closes.
+// TestHandshakeEdge: a connection speaks v3 from its first byte. The
+// XHWIF-framed JSON hello an earlier client opens with gets the constant
+// typed version refusal, which that client can read, and a closed
+// connection (so does any other first frame: TestHelloRequired). A JSON
+// frame after a good hello lands in v3 framing position, where the garbage
+// filter counts it, answers the typed malformed error and closes. A second
+// hello is a bad request, answered by id, and the connection goes on.
 func TestHandshakeEdge(t *testing.T) {
 	addr, _ := startDaemon(t, server.Options{}, "dev")
 	dial := func() net.Conn {
@@ -110,28 +108,36 @@ func TestHandshakeEdge(t *testing.T) {
 		t.Cleanup(func() { conn.Close() })
 		return conn
 	}
+	legacyHello := []byte(`{"id":1,"op":"hello","hello":{"version":2,"caps":["binv3"]}}`)
 
 	conn := dial()
-	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
-		Hello: &server.HelloMsg{Version: protocol.Version}})
-	if resp.ErrorCode != protocol.CodeVersion || resp.ID != 1 {
-		t.Fatalf("hello without binv3: code %q id %d (err %q), want %q", resp.ErrorCode, resp.ID, resp.Err, protocol.CodeVersion)
-	}
-	expectClosed(t, conn, "hello without binv3")
-
-	conn = dial()
-	rawHelloV3(t, conn)
-	payload, err := json.Marshal(&server.Request{ID: 2, Op: "devices"})
-	if err != nil {
+	if err := jbits.WriteFrame(conn, 0x10, legacyHello); err != nil {
 		t.Fatal(err)
 	}
-	if err := jbits.WriteFrame(conn, server.OpService, payload); err != nil {
+	if code, id := readRefusal(t, conn); code != protocol.CodeVersion || id != 1 {
+		t.Fatalf("JSON hello: code %q id %d, want %q id 1", code, id, protocol.CodeVersion)
+	}
+	expectClosed(t, conn, "JSON hello")
+
+	conn = dial()
+	rawHello(t, conn)
+	if err := jbits.WriteFrame(conn, 0x10, legacyHello); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readV3(t, conn); resp.ErrorCode != protocol.CodeMalformed {
 		t.Fatalf("JSON frame after hello: code %q err %q, want %q", resp.ErrorCode, resp.Err, protocol.CodeMalformed)
 	}
 	expectClosed(t, conn, "JSON frame after hello")
+
+	conn = dial()
+	rawHello(t, conn)
+	resp := rawCall(t, conn, &server.Request{ID: 2, Op: "hello", Hello: &protocol.HelloMsg{}})
+	if resp.ErrorCode != protocol.CodeBadRequest || resp.ID != 2 {
+		t.Fatalf("second hello: code %q id %d (err %q), want %q id 2", resp.ErrorCode, resp.ID, resp.Err, protocol.CodeBadRequest)
+	}
+	if resp := rawCall(t, conn, &server.Request{ID: 3, Op: "devices"}); resp.Err != "" || resp.ID != 3 {
+		t.Fatalf("devices after a second hello: %+v", resp)
+	}
 
 	c, err := client.Dial(context.Background(), addr)
 	if err != nil {
@@ -142,40 +148,33 @@ func TestHandshakeEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Wire == nil || stats.Wire.Malformed != 1 || stats.Wire.Conns != 2 {
-		t.Errorf("wire stats = %+v, want 1 malformed frame and 2 helloed connections", stats.Wire)
+	if stats.Wire == nil || stats.Wire.Malformed != 1 || stats.Wire.Conns != 3 {
+		t.Errorf("wire stats = %+v, want 1 malformed frame and 3 helloed connections", stats.Wire)
 	}
 }
 
-// rawJSON sends one framed-JSON request and decodes the framed-JSON
-// response, bypassing the client (and therefore its hello).
-func rawJSON(t *testing.T, conn net.Conn, req *server.Request) *server.Response {
+// readRefusal reads the server's one framed-JSON message, the refusal of
+// an earlier client's hello, and returns its code and id.
+func readRefusal(t *testing.T, conn net.Conn) (code string, id uint64) {
 	t.Helper()
-	payload, err := json.Marshal(req)
+	op, body, err := jbits.ReadFrame(conn)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading the refusal: %v", err)
 	}
-	if err := jbits.WriteFrame(conn, server.OpService, payload); err != nil {
-		t.Fatal(err)
+	var refusal struct {
+		ID   uint64 `json:"id"`
+		Code string `json:"code"`
 	}
-	_, body, err := jbits.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
+	if op != 0x10|jbits.RespFlag || json.Unmarshal(body, &refusal) != nil {
+		t.Fatalf("refusal: op %#x body %q", op, body)
 	}
-	resp := new(server.Response)
-	if err := json.Unmarshal(body, resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return refusal.Code, refusal.ID
 }
 
-// rawHelloV3 performs the JSON hello over a raw connection and leaves the
-// stream in v3 framing.
-func rawHelloV3(t *testing.T, conn net.Conn) {
+// rawHello says hello over a raw connection.
+func rawHello(t *testing.T, conn net.Conn) {
 	t.Helper()
-	resp := rawJSON(t, conn, &server.Request{ID: 1, Op: "hello",
-		Hello: &server.HelloMsg{Version: protocol.Version, Caps: []string{protocol.CapBinV3}}})
-	if resp.Err != "" {
+	if resp := rawCall(t, conn, &server.Request{ID: 1, Op: "hello", Hello: &protocol.HelloMsg{}}); resp.Err != "" {
 		t.Fatalf("hello rejected: %s", resp.Err)
 	}
 }
@@ -210,7 +209,7 @@ func TestV3MalformedFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rawHelloV3(t, conn)
+	rawHello(t, conn)
 
 	if _, err := conn.Write([]byte("this is not a v3 frame, not even close")); err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestV3MalformedFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	rawHelloV3(t, conn2)
+	rawHello(t, conn2)
 	frame := make([]byte, v3.HeaderSize+2)
 	v3.PutHeader(frame, v3.Header{Op: protocol.OpRoute, ID: 9, Len: 2})
 	frame[v3.HeaderSize] = 0xFF

@@ -156,10 +156,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		pending: make(map[uint8][]byte),
 		ports:   make(map[*core.Port]protocol.PortRefMsg),
 	}
-	// Seed the session counters with the router's construction-time stats
-	// (library entries seeded or skipped) — op handlers only fold in
-	// per-op deltas, which would never include them.
-	w.m.addRouterDelta(w.router.Stats(), 0)
+	// The router's construction-time stats (library entries seeded or
+	// skipped) are in statsz before its first op.
+	w.m.noteRouter(w.router.Stats(), 0)
 	go w.run()
 	return w, nil
 }
@@ -308,7 +307,6 @@ func (w *Worker) handle(req *Request) *Response {
 		w.cur = o
 		w.router.SetOwner(o)
 	}
-	before := w.router.Stats()
 	err := w.dispatch(op, req, resp)
 	if err != nil {
 		resp.Err = err.Error()
@@ -316,8 +314,7 @@ func (w *Worker) handle(req *Request) *Response {
 			resp.ErrorCode = protocol.CodeRoute
 		}
 	}
-	after := w.router.Stats()
-	w.m.addRouterDelta(after.Sub(before), w.router.ConnectionCount())
+	w.m.noteRouter(w.router.Stats(), w.router.ConnectionCount())
 	if err == nil && op.Mutating {
 		if ferr := w.shipDirty(resp); ferr != nil {
 			resp.Err = ferr.Error()
@@ -628,7 +625,7 @@ func (w *Worker) endpoints(ms []EndPointMsg) ([]core.EndPoint, error) {
 func netToMsg(n *core.Net) *NetMsg {
 	msg := &NetMsg{Source: EndPointMsg{Pin: &PinMsg{Row: n.Source.Row, Col: n.Source.Col, Wire: int(n.Source.W)}}}
 	for _, p := range n.PIPs {
-		msg.Pips = append(msg.Pips, PipMsg{Row: p.Row, Col: p.Col, From: int(p.From), To: int(p.To)})
+		msg.Pips = append(msg.Pips, protocol.PipMsg{Row: p.Row, Col: p.Col, From: int(p.From), To: int(p.To)})
 	}
 	for _, sp := range n.Sinks {
 		msg.Sinks = append(msg.Sinks, EndPointMsg{Pin: &PinMsg{Row: sp.Row, Col: sp.Col, Wire: int(sp.W)}})

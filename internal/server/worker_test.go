@@ -111,3 +111,68 @@ func TestPanicQuarantinesOneSession(t *testing.T) {
 		t.Fatalf("shutdown with a quarantined session: %v", err)
 	}
 }
+
+// TestStatsAreTheRouters: the router-derived statsz fields have one
+// definition, the router's own counters. After a fixed op script — search,
+// rip-up, replay, negotiation, a core placed and moved — each equals its
+// core.Stats field read through Do.
+func TestStatsAreTheRouters(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { w.Close(); <-w.Done() }()
+	ctx := context.Background()
+	src, sink := pinMsg(5, 7, arch.S1YQ), pinMsg(6, 8, arch.S0F3)
+	for i, req := range []*Request{
+		routeReq("dev", src, sink),
+		{Op: "unroute", Session: "dev", Source: &src},
+		routeReq("dev", src, sink),
+		{Op: "batch", Session: "dev", Nets: []NetMsg{{Source: pinMsg(10, 2, arch.OutPin(0)),
+			Sinks: []EndPointMsg{pinMsg(13, 6, arch.Input(0))}}}},
+		{Op: "core_new", Session: "dev", Core: &CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "core_replace", Session: "dev", Core: &CoreMsg{Name: "reg", Row: 9, Col: 16}},
+	} {
+		if resp := w.Submit(ctx, req); resp.Err != "" {
+			t.Fatalf("op %d (%s): %s", i, req.Op, resp.Err)
+		}
+	}
+	var st core.Stats
+	var conns int
+	if err := w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
+		st, conns = r.Stats(), r.ConnectionCount()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := w.StatsSnapshot()
+	for _, f := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Routes", got.Routes, st.Routes},
+		{"RipUps", got.RipUps, st.PIPsCleared},
+		{"BatchIterations", got.BatchIterations, st.BatchIterations},
+		{"CacheHits", got.CacheHits, st.CacheHits},
+		{"CacheMisses", got.CacheMisses, st.CacheMisses},
+		{"ReplayFails", got.ReplayFails, st.ReplayFails},
+		{"NodesExplored", got.NodesExplored, st.NodesExplored},
+		{"RecordsVisited", got.RecordsVisited, st.RecordsVisited},
+		{"LibraryHits", got.LibraryHits, st.LibraryHits},
+		{"LibraryMisses", got.LibraryMisses, st.LibraryMisses},
+		{"LibrarySeeded", got.LibrarySeeded, st.LibrarySeeded},
+		{"LibrarySkipped", got.LibrarySkipped, st.LibrarySkipped},
+		{"PartitionRegions", got.PartitionRegions, st.PartitionRegions},
+		{"PartitionCrossing", got.PartitionCrossing, st.PartitionCrossing},
+		{"RegionIterations", got.RegionIterations, st.RegionIterations},
+		{"GlobalIterations", got.GlobalIterations, st.GlobalIterations},
+		{"Connections", got.Connections, conns},
+	} {
+		if f.got != f.want {
+			t.Errorf("statsz %s = %d, router says %d", f.name, f.got, f.want)
+		}
+	}
+	if st.Routes == 0 || st.PIPsCleared == 0 || st.CacheHits == 0 || st.BatchIterations == 0 || conns == 0 {
+		t.Errorf("the script did not exercise the counters: %+v, %d records", st, conns)
+	}
+}
