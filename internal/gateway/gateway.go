@@ -98,11 +98,14 @@ type gwSession struct {
 	backendEpoch uint64 // the pinned backend's epoch as last observed
 
 	connectReq *protocol.Request // detached copy of the original connect
+
+	board, boardName string // the backend board last seen and its name here
 }
 
 // stamp turns a backend response into the client's: a moved backend epoch
 // (an internal failover broke the client's frame chain too) bumps the
-// client-visible one, and the board is named under its backend.
+// client-visible one, and the board is named under its backend (a name
+// built once per backend board, not per op).
 func (s *gwSession) stamp(resp *protocol.Response) *protocol.Response {
 	if resp.ErrorCode == "" && resp.Epoch != s.backendEpoch {
 		s.backendEpoch = resp.Epoch
@@ -110,7 +113,10 @@ func (s *gwSession) stamp(resp *protocol.Response) *protocol.Response {
 	}
 	resp.Epoch = s.epoch
 	if resp.Board != "" {
-		resp.Board = s.backend.name + "/" + resp.Board
+		if resp.Board != s.board {
+			s.board, s.boardName = resp.Board, s.backend.name+"/"+resp.Board
+		}
+		resp.Board = s.boardName
 	}
 	return resp
 }
@@ -558,7 +564,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	g.mu.Lock()
 	src.sessions--
 	target.sessions++
-	sess.backend = target
+	sess.backend, sess.board = target, "" // the board's name here changes with its backend
 	g.handoffs++
 	g.restoredNets += live
 	g.mu.Unlock()

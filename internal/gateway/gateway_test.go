@@ -34,7 +34,7 @@ func startBackend(t *testing.T, boards int) string {
 
 // startBackendSized is startBackend at a chosen board geometry; it also
 // returns the coordinator, for probing the boards directly.
-func startBackendSized(t *testing.T, boards, rows, cols int) (string, *fleet.Coordinator) {
+func startBackendSized(t testing.TB, boards, rows, cols int) (string, *fleet.Coordinator) {
 	t.Helper()
 	coord, err := fleet.New(fleet.Config{Boards: boards, Rows: rows, Cols: cols})
 	if err != nil {
@@ -56,7 +56,7 @@ func startBackendSized(t *testing.T, boards, rows, cols int) (string, *fleet.Coo
 
 // startGateway boots a gateway daemon over the config and returns its
 // address plus the coordinator (for direct drain/probe calls).
-func startGateway(t *testing.T, cfg gateway.Config) (string, *gateway.Gateway) {
+func startGateway(t testing.TB, cfg gateway.Config) (string, *gateway.Gateway) {
 	t.Helper()
 	if cfg.ProbeIntervalMillis == 0 {
 		cfg.ProbeIntervalMillis = -1 // tests drive probes explicitly

@@ -69,31 +69,29 @@ func (e *ShortFrameError) Unwrap() error { return e.Cause }
 // u32 big-endian payload length, payload — in one Write, which is never
 // empty (zero-length writes block on rendezvous transports like net.Pipe).
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	bp := writePool.Get().(*[]byte)
-	buf := append((*bp)[:0], op, 0, 0, 0, 0)
+	buf := append(FrameBuf(0), op, 0, 0, 0, 0)
 	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
 	buf = append(buf, payload...)
 	_, err := w.Write(buf)
-	*bp = buf
-	writePool.Put(bp)
+	RecycleFrame(buf)
 	return err
 }
 
-// writePool recycles WriteFrame's header-plus-payload buffers.
-var writePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// framePool recycles frame payload buffers between ReadFrame calls. Only
-// callers that fully consume a payload before their next read hand it back
-// (RecycleFrame); payloads that escape into long-lived state simply never
-// return to the pool, each in a *[]byte box frameBoxes recycles.
+// framePool is the one pool of frame buffers on the service path. A buffer
+// is taken with FrameBuf — by ReadFrame for a frame's payload, by a worker
+// for a response's dirty frames, by a client for a response payload — and
+// handed back with RecycleFrame by whichever tier consumes it last, so a
+// buffer taken on one tier may return from another. A buffer that escapes
+// into long-lived state simply never returns. Buffers travel in *[]byte
+// boxes that frameBoxes recycles, so a put allocates none.
 var (
 	framePool  sync.Pool
 	frameBoxes = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// frameBuf takes a pooled buffer of at least n bytes, falling back to a
-// fresh allocation when the pool is empty or too small.
-func frameBuf(n int) []byte {
+// FrameBuf takes a pooled buffer of length n, falling back to a fresh
+// allocation when the pool is empty or its buffer too small.
+func FrameBuf(n int) []byte {
 	if p, _ := framePool.Get().(*[]byte); p != nil {
 		b := *p
 		*p = nil
@@ -105,10 +103,10 @@ func frameBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// RecycleFrame returns a payload obtained from ReadFrame to the buffer
-// pool. The caller must not touch the slice afterwards — the next
-// ReadFrame on any connection may reuse it. Recycling a nil or foreign
-// slice is harmless.
+// RecycleFrame returns a buffer obtained from FrameBuf (or ReadFrame) to
+// the pool. The caller must not touch the slice afterwards — the next
+// FrameBuf on any goroutine may reuse it. Recycling a nil or foreign slice
+// is harmless.
 func RecycleFrame(payload []byte) {
 	if cap(payload) == 0 {
 		return
@@ -119,11 +117,17 @@ func RecycleFrame(payload []byte) {
 }
 
 // ReadFrame reads one frame of the shared XHWIF wire format, rejecting
-// payloads over the 64 MiB frame limit. The payload buffer comes from an
-// internal pool: callers that are done with it before their next read
-// should return it with RecycleFrame; callers that retain it just keep it.
+// payloads over the 64 MiB frame limit. A non-empty payload comes from the
+// frame pool: callers that are done with it before their next read should
+// return it with RecycleFrame; callers that retain it just keep it. An
+// empty payload is nil. Its header costs an allocation; the serve loop and
+// RemoteBoard read through readFrame with a header scratch they keep.
 func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var hdr [5]byte
+	return readFrame(r, new([5]byte))
+}
+
+// readFrame is ReadFrame into the caller's reusable header scratch.
+func readFrame(r io.Reader, hdr *[5]byte) (op byte, payload []byte, err error) {
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		// A clean close between frames (zero bytes read) stays a plain
 		// io.EOF so serve loops can distinguish it; anything else — the
@@ -138,7 +142,10 @@ func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 	if n > maxFramePayld {
 		return 0, nil, fmt.Errorf("jbits: frame of %d bytes exceeds limit", n)
 	}
-	payload = frameBuf(int(n))
+	if n == 0 {
+		return hdr[0], nil, nil
+	}
+	payload = FrameBuf(int(n))
 	if got, err := io.ReadFull(r, payload); err != nil {
 		// The header promised n payload bytes; any failure here means a
 		// truncated frame, never a clean close. The partially filled
@@ -154,8 +161,9 @@ func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 // loops may share one Board concurrently (one per connection); the board
 // serializes configuration-port access internally.
 func Serve(conn io.ReadWriter, b *Board) error {
+	var hdr [5]byte
 	for {
-		op, payload, err := ReadFrame(conn)
+		op, payload, err := readFrame(conn, &hdr)
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -215,6 +223,7 @@ func serveFrame(conn io.ReadWriter, b *Board, op byte, payload []byte) (done boo
 // Configure-and-readback role as a local Board, over any transport.
 type RemoteBoard struct {
 	conn io.ReadWriter
+	hdr  [5]byte // readFrame's header scratch
 }
 
 // Dial wraps a connected transport as a remote board.
@@ -224,7 +233,7 @@ func (rb *RemoteBoard) call(op byte, payload []byte) ([]byte, error) {
 	if err := WriteFrame(rb.conn, op, payload); err != nil {
 		return nil, err
 	}
-	rop, rp, err := ReadFrame(rb.conn)
+	rop, rp, err := readFrame(rb.conn, &rb.hdr)
 	if err != nil {
 		return nil, err
 	}

@@ -194,8 +194,19 @@ func timingCost(k arch.Kind) int {
 // driven wire must have (e.g. S0F3). The returned PIPs have not been turned
 // on.
 func TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, tmpl []arch.TemplateValue) (*Route, error) {
-	return templateRoute(dev, start, endWire, nil, tmpl, Options{})
+	r, err := templateRoute(dev, start, endWire, nil, tmpl, Options{})
+	if err == errTemplateMiss {
+		return nil, fmt.Errorf("maze: no available resources follow template %v from %s at (%d,%d): %w",
+			tmpl, dev.A.WireName(start.W), start.Row, start.Col, ErrUnroutable)
+	}
+	return r, err
 }
+
+// errTemplateMiss is a template that no free resources follow, as the
+// automatic path reports it: the router tries several candidates and drops
+// every miss, so a miss formats nothing. TemplateRoute, a caller's own
+// template, says which template failed where.
+var errTemplateMiss = fmt.Errorf("maze: no available resources follow the template: %w", ErrUnroutable)
 
 // TemplateRouteTo additionally pins the tile the final hop must land on.
 // The paper's route(Pin, end_wire, Template) lets the template define the
@@ -235,8 +246,7 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("maze: no available resources follow template %v from %s at (%d,%d): %w",
-			tmpl, dev.A.WireName(start.W), start.Row, start.Col, ErrUnroutable)
+		return nil, errTemplateMiss
 	}
 	r := &Route{PIPs: s.pips, Explored: s.explored}
 	for _, p := range r.PIPs {

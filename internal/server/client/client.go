@@ -20,6 +20,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/jbits"
 	"repro/internal/oracle"
 	"repro/internal/server"
 	"repro/internal/server/protocol"
@@ -131,6 +133,7 @@ func respError(resp *server.Response) error {
 type Client struct {
 	mu      sync.Mutex
 	conn    io.ReadWriteCloser
+	rd      *bufio.Reader // every read of conn goes through it
 	nextID  uint64
 	helloed bool
 
@@ -172,39 +175,11 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 // and the wire. The hello runs lazily before the first call (or eagerly
 // via Hello).
 func NewClient(conn io.ReadWriteCloser, opts ...Option) *Client {
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, rd: bufio.NewReaderSize(conn, v3.BufSize)}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// payloadPool recycles v3 response-payload buffers between round trips.
-// A buffer travels with the response it backs (blob fields alias it) and
-// returns to the pool once the caller has consumed them, in a *[]byte box
-// that payloadBoxes recycles, so a put allocates none.
-var (
-	payloadPool  sync.Pool
-	payloadBoxes = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-func takePayload() []byte {
-	if p, _ := payloadPool.Get().(*[]byte); p != nil {
-		b := *p
-		*p = nil
-		payloadBoxes.Put(p)
-		return b
-	}
-	return nil
-}
-
-func putPayload(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p := payloadBoxes.Get().(*[]byte)
-	*p = b[:0]
-	payloadPool.Put(p)
 }
 
 // Close closes the connection.
@@ -223,7 +198,7 @@ func (c *Client) helloLocked(ctx context.Context) error {
 	}
 	resp, buf, err := c.roundTrip(ctx, &server.Request{Op: "hello",
 		Hello: &protocol.HelloMsg{Token: c.token, Delta: c.delta}})
-	putPayload(buf) // the layouts were copied out
+	jbits.RecycleFrame(buf) // the layouts were copied out
 	var fe *v3.FilterError
 	if errors.As(err, &fe) {
 		return &ServiceError{Code: protocol.CodeVersion,
@@ -252,21 +227,21 @@ func (c *Client) helloLocked(ctx context.Context) error {
 // Responses with Config or Frames must go through callBuf instead.
 func (c *Client) call(ctx context.Context, req *server.Request) (*server.Response, error) {
 	resp, buf, err := c.callBuf(ctx, req)
-	putPayload(buf)
+	jbits.RecycleFrame(buf)
 	return resp, err
 }
 
 // callBuf performs one round trip, saying hello first if needed. The
 // returned buffer backs the response's blob fields (Config, Frames); the
-// caller must consume them and then hand the buffer back with putPayload.
-// On error the buffer is nil.
+// caller must consume them and then hand the buffer back to the frame pool
+// with jbits.RecycleFrame. On error the buffer is nil.
 func (c *Client) callBuf(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
 	resp, buf, err := c.exchange(ctx, req)
 	if err == nil {
 		err = respError(resp)
 	}
 	if err != nil {
-		putPayload(buf)
+		jbits.RecycleFrame(buf)
 		return nil, nil, err
 	}
 	return resp, buf, nil
@@ -289,8 +264,10 @@ func (c *Client) exchange(ctx context.Context, req *server.Request) (*server.Res
 // lazy hello) and the response comes back even when it carries a typed
 // error code — the caller inspects ErrorCode itself. Blob fields (Config,
 // Frames, Delta) are detached from the transport buffer, so the response
-// owns its memory. This is the gateway tier's proxy primitive; transport and
-// encoding failures still return an error. Forward stamps req.ID.
+// owns its memory; Frames land in a buffer of the frame pool, which the
+// serving connection returns once they are on the wire. This is the gateway
+// tier's proxy primitive; transport and encoding failures still return an
+// error. Forward stamps req.ID.
 func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Response, error) {
 	resp, buf, err := c.exchange(ctx, req)
 	if err != nil {
@@ -300,12 +277,12 @@ func (c *Client) Forward(ctx context.Context, req *server.Request) (*server.Resp
 		resp.Config = append([]byte(nil), resp.Config...)
 	}
 	if len(resp.Frames) > 0 {
-		resp.Frames = append([]byte(nil), resp.Frames...)
+		resp.Frames = append(jbits.FrameBuf(0), resp.Frames...)
 	}
 	if resp.Delta != nil {
 		resp.Delta = append([]byte{}, resp.Delta...)
 	}
-	putPayload(buf)
+	jbits.RecycleFrame(buf)
 	return resp, nil
 }
 
@@ -335,12 +312,13 @@ func (c *Client) stamp(ctx context.Context, req *server.Request) error {
 }
 
 // roundTrip writes one v3 request frame and reads its response. The request
-// is encoded into the client's reused buffer; the response payload lands in
-// a pooled buffer that travels with the response (its Config/Frames alias
-// it). An op with no row in the op table is answered CodeUnknownOp without
-// touching the wire. Coded server rejections stay on the response (callBuf
-// converts them with respError; Forward passes them through raw). Callers
-// hold c.mu.
+// is encoded into the client's reused buffer and goes out in one Write; the
+// response is read through the connection's buffered reader, its payload
+// into a buffer of the frame pool that travels with the response (its
+// Config/Frames alias it). An op with no row in the op table is answered
+// CodeUnknownOp without touching the wire. Coded server rejections stay on
+// the response (callBuf converts them with respError; Forward passes them
+// through raw). Callers hold c.mu.
 func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, []byte, error) {
 	if req.Row() == nil {
 		return protocol.UnknownOp(req), nil, nil
@@ -356,21 +334,21 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return nil, nil, wrapCtx(ctx, err)
 	}
-	h, err := v3.ReadHeader(c.conn, &c.hdr)
+	h, err := v3.ReadHeader(c.rd, &c.hdr)
 	if err != nil {
 		return nil, nil, wrapCtx(ctx, err)
 	}
-	payload, err := v3.ReadPayloadInto(c.conn, h, takePayload())
+	payload, err := v3.ReadPayloadInto(c.rd, h, jbits.FrameBuf(int(h.Len)))
 	if err != nil {
 		return nil, nil, wrapCtx(ctx, err)
 	}
 	resp := new(server.Response)
 	if err := v3.DecodeResponse(h, payload, resp); err != nil {
-		putPayload(payload)
+		jbits.RecycleFrame(payload)
 		return nil, nil, err
 	}
 	if resp.ID != req.ID {
-		putPayload(payload)
+		jbits.RecycleFrame(payload)
 		return nil, nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
 	}
 	return resp, payload, nil
@@ -468,7 +446,7 @@ func (c *Client) session(ctx context.Context, req *server.Request) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	defer putPayload(buf) // the mirror copies the config as it applies it
+	defer jbits.RecycleFrame(buf) // the mirror copies the config as it applies it
 	a, err := arch.ByName(resp.Arch)
 	if err != nil {
 		return nil, err
@@ -524,7 +502,7 @@ func (s *Session) do(ctx context.Context, req *server.Request) (*server.Response
 	}
 	if resp.Epoch != s.Epoch {
 		resp.Frames = nil
-		putPayload(buf)
+		jbits.RecycleFrame(buf)
 		s.Board, s.Epoch = resp.Board, resp.Epoch
 		if err := s.resync(ctx); err != nil {
 			return nil, err
@@ -536,7 +514,7 @@ func (s *Session) do(ctx context.Context, req *server.Request) (*server.Response
 	if len(resp.Frames) > 0 {
 		_, aerr := s.Mirror.ApplyFramesRaw(resp.Frames)
 		resp.Frames = nil
-		putPayload(buf)
+		jbits.RecycleFrame(buf)
 		if aerr != nil {
 			return nil, fmt.Errorf("client: applying pushed frames: %w", aerr)
 		}
@@ -545,7 +523,7 @@ func (s *Session) do(ctx context.Context, req *server.Request) (*server.Response
 		s.stale = true
 		return resp, nil
 	}
-	putPayload(buf)
+	jbits.RecycleFrame(buf)
 	return resp, nil
 }
 
@@ -591,7 +569,7 @@ func (s *Session) resync(ctx context.Context) error {
 			s.Board, s.Epoch = resp.Board, resp.Epoch
 		}
 		aerr := s.Mirror.ApplyConfig(resp.Config)
-		putPayload(buf)
+		jbits.RecycleFrame(buf)
 		if aerr != nil {
 			return fmt.Errorf("client: re-seeding mirror after failover: %w", aerr)
 		}

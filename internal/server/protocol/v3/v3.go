@@ -26,12 +26,12 @@
 //
 // Each response carries at most one large blob (config stream, dirty
 // frames, statsz JSON) and the blob is always the final field. Encoders
-// therefore return the blob separately from the encoded head so callers
-// can hand both to the socket in one vectored write (WriteMsg) without
-// copying the frame data; decoders return blobs aliasing the read buffer,
-// which the caller owns and recycles. The one exception is the tier hop:
-// a mutating response with a record delta (FlagDelta, delta.go) has the
-// delta after its frames and is encoded whole.
+// therefore return the blob separately from the encoded head; WriteMsg
+// sends a message under BufSize as one copied Write and a larger one as one
+// vectored write that never copies the blob. Decoders return blobs aliasing
+// the read buffer, which the caller owns and recycles. The one exception is
+// the tier hop: a mutating response with a record delta (FlagDelta,
+// delta.go) has the delta after its frames and is encoded whole.
 package v3
 
 import (
@@ -243,17 +243,36 @@ func ReadPayloadInto(r io.Reader, h Header, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// BufSize is a typical message: each connection end reads through a
+// buffer of this size, so a header and payload that arrived together cost
+// one read, and WriteMsg sends a message up to this size as one Write.
+const BufSize = 16 << 10
+
+// WriteScratch is one connection's reusable write state for WriteMsg.
+type WriteScratch struct {
+	buf   []byte      // a small message, copied whole
+	slots [2][]byte   // head and raw of a large one
+	bufs  net.Buffers // re-sliced from slots per message: WriteTo consumes it to zero capacity
+}
+
 // WriteMsg writes head (a complete header+meta encoding) and the optional
-// raw blob tail as one message, using a vectored write (writev on TCP) so
-// the blob is never copied into the head buffer. bufs is the caller's
-// reusable scratch; it is consumed and reset on every call.
-func WriteMsg(w io.Writer, bufs *net.Buffers, head, raw []byte) error {
+// raw blob tail as one message: one Write on any transport up to BufSize
+// bytes, else one vectored write (writev on TCP) that never copies the
+// blob. A warm scratch allocates nothing.
+func WriteMsg(w io.Writer, s *WriteScratch, head, raw []byte) error {
 	if len(raw) == 0 {
 		_, err := w.Write(head)
 		return err
 	}
-	*bufs = append((*bufs)[:0], head, raw)
-	_, err := bufs.WriteTo(w)
+	if len(head)+len(raw) <= BufSize {
+		s.buf = append(append(s.buf[:0], head...), raw...)
+		_, err := w.Write(s.buf)
+		return err
+	}
+	s.slots = [2][]byte{head, raw}
+	s.bufs = s.slots[:]
+	_, err := s.bufs.WriteTo(w)
+	s.slots = [2][]byte{} // the blob goes back to its pool; hold no reference
 	return err
 }
 
@@ -529,6 +548,9 @@ type Reader struct {
 	off int
 	err error
 	in  *Interner
+
+	eps   []protocol.EndPointMsg // the slab's unread endpoints (see slab)
+	cells []endCell
 }
 
 func (d *Reader) fail(what string) {
@@ -644,22 +666,80 @@ func (d *Reader) Err() error {
 	return d.err
 }
 
-func (d *Reader) endpoint(ep *protocol.EndPointMsg) {
-	if ref, port := d.End(); port {
-		p := ref // taking &ref would put every endpoint's on the heap
-		ep.Port, ep.Pin = &p, nil
-	} else if d.err == nil {
-		row, col, wire := d.Pin()
-		ep.Pin, ep.Port = &protocol.PinMsg{Row: row, Col: col, Wire: wire}, nil
+// endCell is what one decoded endpoint points at: its pin or its port.
+type endCell struct {
+	pin  protocol.PinMsg
+	port protocol.PortRefMsg
+}
+
+// slabOf is one allocation of endpoints E and their cells C.
+type slabOf[E, C any] struct {
+	e E
+	c C
+}
+
+// slab sets aside room for n endpoints and their cells — one allocation
+// for up to 16, each a pin or a port — capped by what the rest of the
+// payload holds (an endpoint takes at least four bytes), so a corrupt count
+// cannot force a huge slab. A request keeps its slab whole: nothing in it
+// is reused while anyone holds the request.
+func (d *Reader) slab(n int) {
+	switch n = min(n, (len(d.b)-d.off)/4); {
+	case n <= 1:
+		s := new(slabOf[[1]protocol.EndPointMsg, [1]endCell])
+		d.eps, d.cells = s.e[:], s.c[:]
+	case n <= 4:
+		s := new(slabOf[[4]protocol.EndPointMsg, [4]endCell])
+		d.eps, d.cells = s.e[:], s.c[:]
+	case n <= 16:
+		s := new(slabOf[[16]protocol.EndPointMsg, [16]endCell])
+		d.eps, d.cells = s.e[:], s.c[:]
+	default:
+		d.eps, d.cells = make([]protocol.EndPointMsg, n), make([]endCell, n)
 	}
 }
 
-func (d *Reader) endpoints(what string) []protocol.EndPointMsg {
-	n := d.count(what)
-	if d.err != nil || n == 0 {
+// sinksAhead reads, without moving d, the count of the list after the next
+// endpoint: a route's or a net's sinks.
+func (d *Reader) sinksAhead() int {
+	p := *d
+	if _, port := p.End(); !port {
+		p.Pin()
+	}
+	return p.count("sinks")
+}
+
+// endpoint reads an endpoint into ep, pointing it at the slab's next cell.
+func (d *Reader) endpoint(ep *protocol.EndPointMsg) {
+	if d.err == nil && len(d.cells) == 0 {
+		d.fail("endpoint")
+	}
+	if d.err != nil {
+		return
+	}
+	c := &d.cells[0]
+	d.cells = d.cells[1:]
+	if ref, port := d.End(); port {
+		c.port = ref
+		ep.Port, ep.Pin = &c.port, nil
+	} else if d.err == nil {
+		c.pin.Row, c.pin.Col, c.pin.Wire = d.Pin()
+		ep.Pin, ep.Port = &c.pin, nil
+	}
+}
+
+// ends reads n endpoints into the slab's next n slots; a fresh slab always
+// has the one a source takes.
+func (d *Reader) ends(n int, what string) []protocol.EndPointMsg {
+	if n > len(d.eps) {
+		d.fail(what)
 		return nil
 	}
-	eps := make([]protocol.EndPointMsg, n)
+	if n == 0 {
+		return nil
+	}
+	eps := d.eps[:n:n]
+	d.eps = d.eps[n:]
 	for i := range eps {
 		d.endpoint(&eps[i])
 	}
@@ -668,7 +748,7 @@ func (d *Reader) endpoints(what string) []protocol.EndPointMsg {
 
 func (d *Reader) net(n *protocol.NetMsg) {
 	d.endpoint(&n.Source)
-	n.Sinks = d.endpoints("sinks")
+	n.Sinks = d.ends(d.count("sinks"), "sinks")
 	n.Pips = d.pips()
 }
 
@@ -720,23 +800,25 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 		req.Hello = &protocol.HelloMsg{Token: d.str("token"), Delta: d.Byte() != 0}
 	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
 	case protocol.OpRoute:
-		req.Source = &protocol.EndPointMsg{}
-		d.endpoint(req.Source)
-		req.Sinks = d.endpoints("sinks")
+		d.slab(1 + d.sinksAhead())
+		req.Source = &d.ends(1, "source")[0]
+		req.Sinks = d.ends(d.count("sinks"), "sinks")
 	case protocol.OpBus, protocol.OpBusBatch:
-		req.Sources = d.endpoints("sources")
-		req.Sinks = d.endpoints("sinks")
+		d.slab(len(payload))
+		req.Sources = d.ends(d.count("sources"), "sources")
+		req.Sinks = d.ends(d.count("sinks"), "sinks")
 	case protocol.OpBatch:
 		n := d.count("nets")
 		if n > 0 {
+			d.slab(len(payload))
 			req.Nets = make([]protocol.NetMsg, n)
 			for i := range req.Nets {
 				d.net(&req.Nets[i])
 			}
 		}
 	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
-		req.Source = &protocol.EndPointMsg{}
-		d.endpoint(req.Source)
+		d.slab(1)
+		req.Source = &d.ends(1, "source")[0]
 	case protocol.OpCoreNew, protocol.OpCoreReplace:
 		req.Core = &protocol.CoreMsg{}
 		d.core(req.Core)
@@ -808,6 +890,7 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 		}
 	case protocol.OpTrace, protocol.OpReverseTrace:
 		if d.Byte() != 0 {
+			d.slab(1 + d.sinksAhead())
 			resp.Net = &protocol.NetMsg{}
 			d.net(resp.Net)
 		}

@@ -718,3 +718,66 @@ func TestRecordEntryRoundTrip(t *testing.T) {
 		t.Fatalf("drop entry %+v, %v, %d bytes left", e, err, len(rest))
 	}
 }
+
+// TestWriteMsgAllocatesNothing: a warm WriteScratch writes a small message
+// as one copied Write and a large one as a vectored write, with nothing
+// allocated. net.Buffers.WriteTo consumes its slice to zero capacity, so a
+// scratch that kept appending into the consumed slice re-allocated on every
+// message with a raw tail.
+func TestWriteMsgAllocatesNothing(t *testing.T) {
+	head := make([]byte, HeaderSize+8)
+	for _, size := range []int{512, 4 * BufSize} {
+		raw := bytes.Repeat([]byte{0x5A}, size)
+		var ws WriteScratch
+		if err := WriteMsg(io.Discard, &ws, head, raw); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := WriteMsg(io.Discard, &ws, head, raw); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("WriteMsg with a %d-byte tail allocates %v objects, want 0", size, n)
+		}
+	}
+}
+
+// TestDecodeRequestOneAllocation: a request's endpoints — pins and ports —
+// decode into one slab, so a warm decode allocates once however many
+// endpoints it carries (up to 16), and a fresh request owns what it holds.
+func TestDecodeRequestOneAllocation(t *testing.T) {
+	port := protocol.EndPointMsg{Port: &protocol.PortRefMsg{Core: "mul", Group: "p", Index: 2}}
+	for _, req := range []*protocol.Request{
+		{ID: 1, Op: "route", Session: "dev0", Source: &port,
+			Sinks: []protocol.EndPointMsg{pin(3, 4, 9), pin(5, 6, 7), port}},
+		{ID: 2, Op: "unroute", Session: "dev0", Source: &port},
+		{ID: 3, Op: "bus", Session: "dev0", Sources: []protocol.EndPointMsg{pin(1, 1, 1), pin(1, 2, 1)},
+			Sinks: []protocol.EndPointMsg{pin(9, 1, 4), port}},
+	} {
+		wire, err := AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := ParseHeader(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := NewInterner()
+		var got protocol.Request
+		if err := DecodeRequest(h, wire[HeaderSize:], &got, in); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := AppendRequest(nil, &got)
+		if !bytes.Equal(again, wire) {
+			t.Fatalf("%s does not round-trip", req.Op)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			var r protocol.Request
+			if err := DecodeRequest(h, wire[HeaderSize:], &r, in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("decoding a %s request allocates %v objects, want 1", req.Op, n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core/library"
+	"repro/internal/jbits"
 	"repro/internal/server/protocol"
 	v3 "repro/internal/server/protocol/v3"
 )
@@ -215,9 +217,12 @@ const (
 )
 
 // serve is the connection loop: fixed-header framing, varint op records,
-// and the zero-copy frame path — a mutating op's dirty frames go from the
-// worker's pooled stream buffer to the socket in one vectored write, with
-// no intermediate marshal. Read buffers are reused across requests.
+// and the frame path — a mutating op's dirty frames go from the worker's
+// pooled frame buffer to the socket in one write, with no intermediate
+// marshal, and the buffer goes back to the pool (jbits.FrameBuf). Every
+// read goes through one buffered reader, so a request whose header and
+// payload arrived together costs one read; read buffers are reused across
+// requests.
 //
 // The first frame must be a hello; any other first frame, or a hello that
 // is refused, is answered and the connection closed. A frame failing the
@@ -225,22 +230,23 @@ const (
 // closed (the byte stream can no longer be trusted to be frame-aligned).
 // Only a connection whose hello asked for deltas gets them.
 func (s *Server) serve(conn net.Conn) {
+	rd := bufio.NewReaderSize(conn, v3.BufSize)
 	var hdr [v3.HeaderSize]byte
 	var payload []byte // reused request-payload buffer
 	var out []byte     // reused response-encode buffer
-	var bufs net.Buffers
+	var ws v3.WriteScratch
 	interner := v3.NewInterner()
 	var tenant string
 	helloed, delta := false, false
 	for {
-		h, err := v3.ReadHeader(conn, &hdr)
+		h, err := v3.ReadHeader(rd, &hdr)
 		if err != nil {
 			var fe *v3.FilterError
 			if !helloed && hdr[0] == legacyHello {
 				// Drain the frame, so closing with its bytes unread does not
 				// reset the connection under the refusal.
 				if n := int64(binary.BigEndian.Uint32(hdr[1:5])) - (v3.HeaderSize - 5); n > 0 && n <= v3.MaxPayload {
-					_, _ = io.CopyN(io.Discard, conn, n)
+					_, _ = io.CopyN(io.Discard, rd, n)
 				}
 				_, _ = io.WriteString(conn, legacyRefusal)
 			} else if errors.As(err, &fe) {
@@ -248,12 +254,12 @@ func (s *Server) serve(conn net.Conn) {
 				head, _, eerr := v3.AppendResponse(out[:0], protocol.OpDevices,
 					&Response{Err: fe.Error(), ErrorCode: fe.Code})
 				if eerr == nil {
-					_ = v3.WriteMsg(conn, &bufs, head, nil)
+					_, _ = conn.Write(head)
 				}
 			}
 			return // EOF, deadline (shutdown), garbage, or transport failure
 		}
-		payload, err = v3.ReadPayloadInto(conn, h, payload)
+		payload, err = v3.ReadPayloadInto(rd, h, payload)
 		if err != nil {
 			return
 		}
@@ -296,8 +302,8 @@ func (s *Server) serve(conn net.Conn) {
 			}
 		}
 		out = head[:0] // keep the grown capacity for the next response
-		werr := v3.WriteMsg(conn, &bufs, head, raw)
-		putStream(resp.Frames) // frames are on the wire; recycle the buffer
+		werr := v3.WriteMsg(conn, &ws, head, raw)
+		jbits.RecycleFrame(resp.Frames) // frames are on the wire; recycle the buffer
 		resp.Frames = nil
 		s.noteIO(first && helloed, len(payload), len(head)+len(raw))
 		if werr != nil || !helloed {

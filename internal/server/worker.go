@@ -13,36 +13,6 @@ import (
 	"repro/internal/server/protocol"
 )
 
-// streamPool recycles dirty-frame stream buffers. A worker takes a buffer
-// when serializing a mutating op's frames and hands ownership to the
-// response; the connection handler returns it once the frames are on the
-// wire. Responses that never reach a handler (direct Submit callers,
-// dropped on a canceled context) simply keep their buffer. A pooled buffer
-// sits in a *[]byte box that streamBoxes recycles, so a put allocates none.
-var (
-	streamPool  sync.Pool
-	streamBoxes = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-func takeStream() []byte {
-	if p, _ := streamPool.Get().(*[]byte); p != nil {
-		b := *p
-		*p = nil
-		streamBoxes.Put(p)
-		return b[:0]
-	}
-	return nil
-}
-
-func putStream(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p := streamBoxes.Get().(*[]byte)
-	*p = b[:0]
-	streamPool.Put(p)
-}
-
 // task is one queued request plus its reply channel. Exactly one of req or
 // fn is set: fn tasks run an arbitrary closure on the worker goroutine
 // (health probes, failover restores) with exclusive access to the router.
@@ -263,26 +233,39 @@ func (w *Worker) Do(ctx context.Context, fn func(r *core.Router, js *jbits.Sessi
 	return nil
 }
 
+// replies recycles reply channels. A channel goes back only once its
+// answer has been received: one a canceled caller walked away from may
+// still get the worker's send.
+var replies = sync.Pool{New: func() any { return make(chan *Response, 1) }}
+
 // enqueue queues t and waits for its answer. The wait for a queue slot is
 // bounded by both the enqueue timeout (busy response, CodeBusy) and the
 // task's context (typed CodeCanceled / CodeDeadline response) — a caller
 // with a deadline never waits past it, and a canceled caller's op is
-// rejected rather than executed late.
+// rejected rather than executed late. A queue with room takes the task at
+// once; only a full one arms the timer.
 func (w *Worker) enqueue(t task) *Response {
 	id := reqID(t.req)
-	t.resp = make(chan *Response, 1)
-	timer := time.NewTimer(w.enqueueTimeout)
-	defer timer.Stop()
+	t.resp = replies.Get().(chan *Response)
 	select {
 	case w.queue <- t:
-	case <-t.ctx.Done():
-		return ctxErrResponse(t.ctx, id)
-	case <-timer.C:
-		return &Response{ID: id, Busy: true, ErrorCode: protocol.CodeBusy,
-			Err: fmt.Sprintf("server: session %s queue full (backpressure)", w.cfg.Name)}
+	default:
+		timer := time.NewTimer(w.enqueueTimeout)
+		defer timer.Stop()
+		select {
+		case w.queue <- t:
+		case <-t.ctx.Done():
+			replies.Put(t.resp)
+			return ctxErrResponse(t.ctx, id)
+		case <-timer.C:
+			replies.Put(t.resp)
+			return &Response{ID: id, Busy: true, ErrorCode: protocol.CodeBusy,
+				Err: fmt.Sprintf("server: session %s queue full (backpressure)", w.cfg.Name)}
+		}
 	}
 	select {
 	case resp := <-t.resp:
+		replies.Put(t.resp)
 		resp.ID = id
 		return resp
 	case <-t.ctx.Done():
@@ -340,7 +323,7 @@ func (w *Worker) handle(req *Request) *Response {
 // records state the board does not hold.
 func (w *Worker) shipDirty(resp *Response) error {
 	n := w.js.Dev.DirtyFrameCount()
-	stream, err := w.js.Dev.AppendPartialConfig(takeStream())
+	stream, err := w.js.Dev.AppendPartialConfig(jbits.FrameBuf(0))
 	if err != nil {
 		resp.ErrorCode = protocol.CodeInternal
 		return fmt.Errorf("server: serializing dirty frames: %w", err)
