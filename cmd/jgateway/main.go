@@ -155,7 +155,7 @@ func runDrain(addr, token, backend string) error {
 	if err != nil {
 		return err
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != 0 { // CodeOK
 		return fmt.Errorf("%s (%s)", resp.Err, resp.ErrorCode)
 	}
 	log.Printf("jgateway: drained %s, moved %d sessions", backend, len(resp.Devices))

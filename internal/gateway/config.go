@@ -9,11 +9,11 @@
 //
 // The gateway holds no durable state. Per session it keeps what the acks
 // say the backend holds — cores, live nets and the nets the router
-// remembers under a core's ports, not the ops that made them — and moves a
-// session by replaying that onto another fleet: its cores, one
-// all-or-nothing batch of the live nets, then each remembered net routed
-// and taken down again. The client knows all of it too. All bitstream truth
-// lives in the backend fleets.
+// remembers under a core's ports, not the ops that made them — as the
+// session's form, and moves a session onto another fleet with a connect and
+// one session_import of that form, which places it all or nothing. The
+// client knows all of it too. All bitstream truth lives in the backend
+// fleets.
 package gateway
 
 import (

@@ -107,7 +107,7 @@ type gwSession struct {
 // client-visible one, and the board is named under its backend (a name
 // built once per backend board, not per op).
 func (s *gwSession) stamp(resp *protocol.Response) *protocol.Response {
-	if resp.ErrorCode == "" && resp.Epoch != s.backendEpoch {
+	if resp.ErrorCode == protocol.CodeOK && resp.Epoch != s.backendEpoch {
 		s.backendEpoch = resp.Epoch
 		s.epoch++
 	}
@@ -307,7 +307,7 @@ func (g *Gateway) forward(ctx context.Context, be *backend, req *protocol.Reques
 	return resp, nil
 }
 
-func coded(id uint64, code, msg string) *protocol.Response {
+func coded(id uint64, code protocol.Code, msg string) *protocol.Response {
 	return &protocol.Response{ID: id, ErrorCode: code, Err: msg}
 }
 
@@ -379,7 +379,7 @@ func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.
 	defer sess.mu.Unlock()
 
 	resp, err := g.forward(ctx, be, req)
-	if err != nil || resp.ErrorCode != "" {
+	if err != nil || resp.ErrorCode != protocol.CodeOK {
 		g.mu.Lock()
 		delete(g.sessions, req.Session)
 		be.sessions--
@@ -436,7 +436,7 @@ func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *protocol.
 		return coded(req.ID, protocol.CodeFailover,
 			fmt.Sprintf("gateway: backend %s unreachable: %v", be.name, err))
 	}
-	if resp.ErrorCode == "" && op.Mutating {
+	if resp.ErrorCode == protocol.CodeOK && op.Mutating {
 		_ = be.j.Apply(resp.Delta) // Forward detached it: the journal may keep it
 		resp.Delta = nil
 	}
@@ -547,7 +547,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 		if err == nil {
 			resp, err = g.forward(ctx, target, req)
 		}
-		if err == nil && resp.ErrorCode != "" {
+		if err == nil && resp.ErrorCode != protocol.CodeOK {
 			err = fmt.Errorf("%s (%s)", resp.Err, resp.ErrorCode)
 		}
 		if err != nil { // the session stays where it was

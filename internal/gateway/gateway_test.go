@@ -22,7 +22,7 @@ import (
 )
 
 func pin(r, c int, w arch.Wire) server.EndPointMsg {
-	return server.EndPointMsg{Pin: &server.PinMsg{Row: r, Col: c, Wire: int(w)}}
+	return server.EndPointMsg{Pin: protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 }
 
 // startBackend boots one in-process jrouted fleet and returns its address.
@@ -125,7 +125,7 @@ func TestPassthroughFramings(t *testing.T) {
 		if err := json.Unmarshal(body, &resp); err != nil || op != 0x10|jbits.RespFlag {
 			t.Fatalf("refusal: op %#x, %v", op, err)
 		}
-		if resp.Code != protocol.CodeVersion {
+		if resp.Code != protocol.CodeVersion.String() {
 			t.Fatalf("JSON-only hello: code %q (err %q), want %q", resp.Code, resp.Err, protocol.CodeVersion)
 		}
 		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
@@ -385,7 +385,7 @@ func TestDrainJournalHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gw_drain: %v", err)
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("gw_drain: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 	if len(resp.Devices) != 1 || resp.Devices[0] != "v1000-class/s0" {
@@ -572,7 +572,7 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("out-of-band route: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 
@@ -584,7 +584,7 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("unroute through gateway: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 
@@ -597,7 +597,7 @@ func TestDrainSkipsDivergentUnroute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gw_drain: %v", err)
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("gw_drain must survive the divergent unroute: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 
@@ -681,7 +681,7 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 	}
 	defer admin.Close()
 	resp, err := admin.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
-	if err == nil && resp.ErrorCode == "" {
+	if err == nil && resp.ErrorCode == protocol.CodeOK {
 		t.Fatal("gw_drain succeeded despite the sink collision on the target")
 	}
 	gs := g.GatewayStats()
@@ -696,7 +696,7 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.ErrorCode == "" && tr.Net != nil && len(tr.Net.Sinks) > 0 {
+	if tr.ErrorCode == protocol.CodeOK && tr.Net != nil && len(tr.Net.Sinks) > 0 {
 		t.Errorf("net A left on target after aborted replay: %+v", tr.Net)
 	}
 	// The session kept serving from be0 with all acked state.
@@ -712,7 +712,7 @@ func TestFailedHandoffRollsBackTarget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gw_drain retry: %v", err)
 	}
-	if resp.ErrorCode != "" {
+	if resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("gw_drain retry: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 	if len(resp.Devices) != 1 || resp.Devices[0] != "v1000-class/s0" {
@@ -760,7 +760,7 @@ func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 	netB := pin(8, 12, arch.S1YQ)
 	sharedSink := pin(9, 10, arch.S0F3)
 	reg := client.PortRef("reg", "q", 0)
-	if err := s0.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+	if err := s0.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range [][2]server.EndPointMsg{{netA, pin(6, 8, arch.S0F3)}, {netB, sharedSink}, {reg, pin(6, 20, arch.S0F3)}} {
@@ -797,7 +797,7 @@ func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 	// Both attempts fail on the blocked sink, and each leaves nothing of the
 	// session on the target: no register, no net.
 	for i := 0; i < 2; i++ {
-		if resp := drain(); resp.ErrorCode == "" || !strings.Contains(resp.Err, "failed at session_import") {
+		if resp := drain(); resp.ErrorCode == protocol.CodeOK || !strings.Contains(resp.Err, "failed at session_import") {
 			t.Fatalf("gw_drain attempt %d: %q (%s), want a failure at the import", i, resp.Err, resp.ErrorCode)
 		}
 		if tr, err := direct.Forward(ctx, &server.Request{Op: "trace", Session: "v1000-class/s0", Source: &reg}); err != nil || tr.ErrorCode != protocol.CodeBadRequest {
@@ -808,13 +808,13 @@ func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 		}
 	}
 	// The session moves the register meanwhile.
-	if err := s0.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
+	if err := s0.ReplaceCore(ctx, protocol.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bl.Unroute(ctx, blockSrc); err != nil {
 		t.Fatal(err)
 	}
-	if resp := drain(); resp.ErrorCode != "" {
+	if resp := drain(); resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("gw_drain retry: %s (%s)", resp.Err, resp.ErrorCode)
 	}
 	for _, src := range []server.EndPointMsg{netA, netB, reg} {
@@ -840,11 +840,11 @@ func TestFailedHandoffRetriesPlacedCore(t *testing.T) {
 // it, on a target that must remember the net too.
 func TestMoveKeepsPortMemory(t *testing.T) {
 	q, d := client.PortRef("reg", "q", 0), client.PortRef("reg", "d", 0)
-	out := server.NetMsg{Source: q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3), pin(9, 13, arch.S0F3)}}
-	in := server.NetMsg{Source: pin(5, 7, arch.S1YQ), Sinks: []server.EndPointMsg{d, pin(6, 8, arch.S0F3)}}
+	out := protocol.NetMsg{Source: q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3), pin(9, 13, arch.S0F3)}}
+	in := protocol.NetMsg{Source: pin(5, 7, arch.S1YQ), Sinks: []server.EndPointMsg{d, pin(6, 8, arch.S0F3)}}
 	for _, net := range []struct {
 		name string
-		server.NetMsg
+		protocol.NetMsg
 	}{{"out", out}, {"in", in}} {
 		for _, reverse := range []bool{false, true} {
 			for _, replaceFirst := range []bool{true, false} {
@@ -857,7 +857,7 @@ func TestMoveKeepsPortMemory(t *testing.T) {
 	}
 }
 
-func portMemoryMove(t *testing.T, net server.NetMsg, reverse, replaceFirst bool) {
+func portMemoryMove(t *testing.T, net protocol.NetMsg, reverse, replaceFirst bool) {
 	be0, be1 := startBackend(t, 1), startBackend(t, 1)
 	addr, g := startGateway(t, gateway.Config{
 		Backends: []gateway.BackendConfig{
@@ -876,7 +876,7 @@ func portMemoryMove(t *testing.T, net server.NetMsg, reverse, replaceFirst bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Route(ctx, net.Source, net.Sinks...); err != nil {
@@ -900,7 +900,7 @@ func portMemoryMove(t *testing.T, net server.NetMsg, reverse, replaceFirst bool)
 	}
 	replace := func() {
 		t.Helper()
-		if err := s.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
+		if err := s.ReplaceCore(ctx, protocol.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
 			t.Fatal(err)
 		}
 	}

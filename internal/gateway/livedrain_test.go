@@ -15,6 +15,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/fleet"
+	"repro/internal/server/protocol"
 )
 
 // churnNet is one session-owned net: a source and its expected sinks.
@@ -100,7 +101,7 @@ func TestLiveDrainMidChurn(t *testing.T) {
 		resp, err := admin.Forward(ctx, &server.Request{Op: "gw_drain", Session: "be0"})
 		if err != nil {
 			drainErr = err
-		} else if resp.ErrorCode != "" {
+		} else if resp.ErrorCode != protocol.CodeOK {
 			drainErr = fmt.Errorf("gw_drain: %s (%s)", resp.Err, resp.ErrorCode)
 		}
 	}

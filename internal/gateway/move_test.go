@@ -71,7 +71,7 @@ func sinksOf(ctx context.Context, s *client.Session, src protocol.EndPointMsg) [
 	}
 	var out []string
 	for _, sk := range net.Sinks {
-		out = append(out, fmt.Sprint(*sk.Pin))
+		out = append(out, fmt.Sprint(sk.Pin))
 	}
 	sort.Strings(out)
 	return out
@@ -94,7 +94,7 @@ func TestMovePortNetUnroutedByPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	q := client.PortRef("reg", "q", 0)
@@ -131,7 +131,7 @@ func TestMoveSeparatelyRoutedSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	src := pin(5, 7, arch.S1YQ)
@@ -143,7 +143,7 @@ func TestMoveSeparatelyRoutedSinks(t *testing.T) {
 	if err := s.Unroute(ctx, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplaceCore(ctx, server.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
+	if err := s.ReplaceCore(ctx, protocol.CoreMsg{Name: "reg", Row: 8, Col: 16}); err != nil {
 		t.Fatal(err)
 	}
 	before := sinksOf(ctx, s, src)
@@ -224,7 +224,7 @@ func TestMoveLeavesSlotmateUntouched(t *testing.T) {
 	for _, s := range []*client.Session{moved, stay} {
 		name := "reg" + s.Device()[len(s.Device())-1:]
 		row := map[bool]int{true: 2, false: 9}[s == moved]
-		if err := s.NewCore(ctx, server.CoreMsg{Name: name, Kind: "register", Row: row, Col: 16, Bits: 2}); err != nil {
+		if err := s.NewCore(ctx, protocol.CoreMsg{Name: name, Kind: "register", Row: row, Col: 16, Bits: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Route(ctx, client.PortRef(name, "q", 0), pin(row+1, 20, arch.S0F3)); err != nil {
@@ -288,7 +288,7 @@ func TestEdgeResponsesCarryNoDelta(t *testing.T) {
 		{Op: "route", Session: "tier", Source: &src, Sinks: []protocol.EndPointMsg{sink}},
 	} {
 		resp, err := tier.Forward(ctx, req)
-		if err != nil || resp.ErrorCode != "" {
+		if err != nil || resp.ErrorCode != protocol.CodeOK {
 			t.Fatalf("%s on the tier hop: %+v, %v", req.Op, resp, err)
 		}
 		if req.Op == "route" && len(resp.Delta) == 0 {
@@ -324,7 +324,7 @@ func TestEdgeResponsesCarryNoDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp protocol.Response
-	if err := v3.DecodeResponse(h, payload, &resp); err != nil || resp.ErrorCode != "" {
+	if err := v3.DecodeResponse(h, payload, &resp); err != nil || resp.ErrorCode != protocol.CodeOK {
 		t.Fatalf("route through the gateway: %+v, %v", resp, err)
 	}
 	head, raw, err := v3.AppendResponse(nil, protocol.OpRoute, &protocol.Response{ID: 99,
@@ -454,7 +454,7 @@ func TestMoveAfterBackendFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	netA, netB := pin(5, 7, arch.S1YQ), pin(8, 12, arch.S1YQ)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/fleet"
+	"repro/internal/server/protocol"
 	"repro/internal/workload"
 )
 
@@ -72,10 +73,10 @@ func TestScriptMovesKeepState(t *testing.T) {
 	live := map[string]server.EndPointMsg{}
 	gone := map[string]server.EndPointMsg{}
 	name := func(ep server.EndPointMsg) string {
-		if ep.Port != nil {
-			return fmt.Sprintf("%+v", *ep.Port)
+		if ep.IsPort {
+			return fmt.Sprintf("%+v", ep.Port)
 		}
-		return fmt.Sprintf("%+v", *ep.Pin)
+		return fmt.Sprintf("%+v", ep.Pin)
 	}
 	routed := func(srcs ...server.EndPointMsg) {
 		for _, src := range srcs {
@@ -109,9 +110,9 @@ func TestScriptMovesKeepState(t *testing.T) {
 			case 1:
 				kind, err = "bus_batch", s.RouteBusBatch(ctx, srcs, dsts)
 			default:
-				nets := make([]server.NetMsg, len(srcs))
+				nets := make([]protocol.NetMsg, len(srcs))
 				for i := range srcs {
-					nets[i] = server.NetMsg{Source: srcs[i], Sinks: dsts[i : i+1]}
+					nets[i] = protocol.NetMsg{Source: srcs[i], Sinks: dsts[i : i+1]}
 				}
 				kind, err = "batch", s.RouteBatch(ctx, nets)
 			}
@@ -129,7 +130,7 @@ func TestScriptMovesKeepState(t *testing.T) {
 		case workload.OpCoreNew:
 			reg := fmt.Sprintf("reg%d_%d", op.Slot, op.Serial)
 			row, col := workload.CoreSlotSite(op.Slot, rows, cols)
-			if kind, err = "core_new", s.NewCore(ctx, server.CoreMsg{Name: reg, Kind: "register", Row: row, Col: col, Bits: 4}); err != nil {
+			if kind, err = "core_new", s.NewCore(ctx, protocol.CoreMsg{Name: reg, Kind: "register", Row: row, Col: col, Bits: 4}); err != nil {
 				break
 			}
 			regs[op.Slot] = reg
@@ -144,7 +145,7 @@ func TestScriptMovesKeepState(t *testing.T) {
 				return
 			}
 			row, col := workload.CoreSlotSite(op.Slot, rows, cols)
-			kind, err = "core_replace", s.ReplaceCore(ctx, server.CoreMsg{Name: reg, Row: row, Col: col})
+			kind, err = "core_replace", s.ReplaceCore(ctx, protocol.CoreMsg{Name: reg, Row: row, Col: col})
 		default:
 			t.Fatalf("step %d: op kind %v", op.Serial, op.Kind)
 		}

@@ -76,9 +76,9 @@ func servedCycle(tb testing.TB, s *client.Session, nets []servedNet) int {
 // across every tier of the in-process stack once its routes are replays:
 // the objects the request, the response and the pushed frames keep, and
 // nothing per message besides — reads buffered, frame buffers pooled, a
-// request's endpoints in one slab, no enqueue timer. It read 39.4 before
-// those went and reads 21.8 with them; the budget leaves room for a stray
-// runtime object, not for a per-message one.
+// request's endpoints in one slice, no enqueue timer, a traced net's pins
+// in two. It read 39.4 before those went and reads 19.8 with them; the
+// budget leaves room for a stray runtime object, not for a per-message one.
 func TestServedOpAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops what is put back")

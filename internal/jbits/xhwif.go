@@ -1,6 +1,7 @@
 package jbits
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -32,6 +33,9 @@ const (
 	opError       = 0x7F
 	respFlag      = 0x80
 	maxFramePayld = 64 << 20
+	// linkBuf is what each end of a link reads through: a frame up to
+	// this size, header and payload, costs one read of the transport.
+	linkBuf = 16 << 10
 )
 
 // RespFlag is the response bit of the shared XHWIF frame format: responses
@@ -121,7 +125,8 @@ func RecycleFrame(payload []byte) {
 // frame pool: callers that are done with it before their next read should
 // return it with RecycleFrame; callers that retain it just keep it. An
 // empty payload is nil. Its header costs an allocation; the serve loop and
-// RemoteBoard read through readFrame with a header scratch they keep.
+// RemoteBoard read through readFrame, from a buffered reader, with a header
+// scratch they keep.
 func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
 	return readFrame(r, new([5]byte))
 }
@@ -162,8 +167,9 @@ func readFrame(r io.Reader, hdr *[5]byte) (op byte, payload []byte, err error) {
 // serializes configuration-port access internally.
 func Serve(conn io.ReadWriter, b *Board) error {
 	var hdr [5]byte
+	r := bufio.NewReaderSize(conn, linkBuf)
 	for {
-		op, payload, err := readFrame(conn, &hdr)
+		op, payload, err := readFrame(r, &hdr)
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -223,17 +229,20 @@ func serveFrame(conn io.ReadWriter, b *Board, op byte, payload []byte) (done boo
 // Configure-and-readback role as a local Board, over any transport.
 type RemoteBoard struct {
 	conn io.ReadWriter
-	hdr  [5]byte // readFrame's header scratch
+	r    *bufio.Reader // conn's read side
+	hdr  [5]byte       // readFrame's header scratch
 }
 
 // Dial wraps a connected transport as a remote board.
-func Dial(conn io.ReadWriter) *RemoteBoard { return &RemoteBoard{conn: conn} }
+func Dial(conn io.ReadWriter) *RemoteBoard {
+	return &RemoteBoard{conn: conn, r: bufio.NewReaderSize(conn, linkBuf)}
+}
 
 func (rb *RemoteBoard) call(op byte, payload []byte) ([]byte, error) {
 	if err := WriteFrame(rb.conn, op, payload); err != nil {
 		return nil, err
 	}
-	rop, rp, err := readFrame(rb.conn, &rb.hdr)
+	rop, rp, err := readFrame(rb.r, &rb.hdr)
 	if err != nil {
 		return nil, err
 	}

@@ -311,7 +311,7 @@ func TestServeUnknownOpcode(t *testing.T) {
 		t.Error("error frame has no message")
 	}
 	// The loop must still serve afterwards.
-	rb := &RemoteBoard{conn: client}
+	rb := Dial(client)
 	if _, err := rb.Stats(); err != nil {
 		t.Fatalf("connection dead after unknown opcode: %v", err)
 	}

@@ -76,12 +76,12 @@ var (
 // code. It unwraps to the matching sentinel (or context.DeadlineExceeded
 // for CodeDeadline), so callers branch with errors.Is.
 type ServiceError struct {
-	Code string // one of the protocol.Code* constants
+	Code protocol.Code
 	Msg  string // the server's human-readable error text
 }
 
 func (e *ServiceError) Error() string {
-	if e.Code == "" {
+	if e.Code == protocol.CodeOK {
 		return e.Msg
 	}
 	return fmt.Sprintf("%s (%s)", e.Msg, e.Code)
@@ -115,7 +115,7 @@ func (e *ServiceError) Unwrap() error {
 
 // respError converts a response's error fields to a typed error.
 func respError(resp *server.Response) error {
-	if resp.Busy && resp.ErrorCode == "" {
+	if resp.Busy && resp.ErrorCode == protocol.CodeOK {
 		resp.ErrorCode = protocol.CodeBusy
 	}
 	if resp.Err == "" && !resp.Busy {
@@ -584,12 +584,12 @@ func (s *Session) resync(ctx context.Context) error {
 
 // Pin converts a core.Pin to its wire form.
 func Pin(p core.Pin) server.EndPointMsg {
-	return server.EndPointMsg{Pin: &server.PinMsg{Row: p.Row, Col: p.Col, Wire: int(p.W)}}
+	return server.EndPointMsg{Pin: protocol.PinMsg{Row: p.Row, Col: p.Col, Wire: int(p.W)}}
 }
 
 // PortRef names a port of a server-side core instance.
 func PortRef(coreName, group string, index int) server.EndPointMsg {
-	return server.EndPointMsg{Port: &server.PortRefMsg{Core: coreName, Group: group, Index: index}}
+	return server.EndPointMsg{Port: protocol.PortRefMsg{Core: coreName, Group: group, Index: index}, IsPort: true}
 }
 
 // Route connects source to one or more sinks (RouteNet / RouteFanout).
@@ -611,7 +611,7 @@ func (s *Session) RouteBusBatch(ctx context.Context, sources, sinks []server.End
 }
 
 // RouteBatch routes a set of nets together under negotiated congestion.
-func (s *Session) RouteBatch(ctx context.Context, nets []server.NetMsg) error {
+func (s *Session) RouteBatch(ctx context.Context, nets []protocol.NetMsg) error {
 	_, err := s.do(ctx, &server.Request{Op: "batch", Nets: nets})
 	return err
 }
@@ -629,7 +629,7 @@ func (s *Session) ReverseUnroute(ctx context.Context, sink server.EndPointMsg) e
 }
 
 // Trace returns the net driven by the source endpoint.
-func (s *Session) Trace(ctx context.Context, source server.EndPointMsg) (*server.NetMsg, error) {
+func (s *Session) Trace(ctx context.Context, source server.EndPointMsg) (*protocol.NetMsg, error) {
 	resp, err := s.do(ctx, &server.Request{Op: "trace", Source: &source})
 	if err != nil {
 		return nil, err
@@ -638,7 +638,7 @@ func (s *Session) Trace(ctx context.Context, source server.EndPointMsg) (*server
 }
 
 // ReverseTrace returns the net branch feeding the sink endpoint.
-func (s *Session) ReverseTrace(ctx context.Context, sink server.EndPointMsg) (*server.NetMsg, error) {
+func (s *Session) ReverseTrace(ctx context.Context, sink server.EndPointMsg) (*protocol.NetMsg, error) {
 	resp, err := s.do(ctx, &server.Request{Op: "reverse_trace", Source: &sink})
 	if err != nil {
 		return nil, err
@@ -648,7 +648,7 @@ func (s *Session) ReverseTrace(ctx context.Context, sink server.EndPointMsg) (*s
 
 // NewCore instantiates and implements a library core on the session's
 // device.
-func (s *Session) NewCore(ctx context.Context, msg server.CoreMsg) error {
+func (s *Session) NewCore(ctx context.Context, msg protocol.CoreMsg) error {
 	_, err := s.do(ctx, &server.Request{Op: "core_new", Core: &msg})
 	return err
 }
@@ -656,7 +656,7 @@ func (s *Session) NewCore(ctx context.Context, msg server.CoreMsg) error {
 // ReplaceCore runs the §3.3 replace flow on a named core: unroute its
 // ports, remove, optionally retune (constmul K), re-place at (row,col),
 // re-implement, reconnect.
-func (s *Session) ReplaceCore(ctx context.Context, msg server.CoreMsg) error {
+func (s *Session) ReplaceCore(ctx context.Context, msg protocol.CoreMsg) error {
 	_, err := s.do(ctx, &server.Request{Op: "core_replace", Core: &msg})
 	return err
 }

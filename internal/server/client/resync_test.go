@@ -24,12 +24,12 @@ type fakeServer struct {
 	config    []byte // full config served on connect and readback
 	rows      int
 	cols      int
-	readbacks int      // readback ops seen
-	script    []string // per-readback error codes ("" = succeed)
+	readbacks int             // readback ops seen
+	script    []protocol.Code // per-readback error codes (CodeOK = succeed)
 	done      chan struct{}
 }
 
-func startFake(t *testing.T, script []string) (*fakeServer, net.Conn) {
+func startFake(t *testing.T, script []protocol.Code) (*fakeServer, net.Conn) {
 	t.Helper()
 	const rows, cols = 12, 12
 	d, err := device.New(arch.NewVirtex(), rows, cols)
@@ -83,14 +83,14 @@ func (f *fakeServer) serve() {
 			// holds, which must trigger a mirror resync.
 			resp.Board, resp.Epoch = "b1", 2
 		case "readback":
-			code := ""
+			code := protocol.CodeOK
 			if f.readbacks < len(f.script) {
 				code = f.script[f.readbacks]
 			}
 			f.readbacks++
-			if code != "" {
+			if code != protocol.CodeOK {
 				resp.ErrorCode = code
-				resp.Err = "fake: injected " + code
+				resp.Err = "fake: injected " + code.String()
 			} else {
 				resp.Config = f.config
 				resp.Board, resp.Epoch = "b1", 2
@@ -128,7 +128,7 @@ func openFakeSession(t *testing.T, cli net.Conn) *Session {
 // drain or failover still settling) and only the third succeeds. Before the
 // backoff retry this failed the op on the first transient error.
 func TestResyncRetriesTransient(t *testing.T) {
-	f, cli := startFake(t, []string{protocol.CodeFailover, protocol.CodeBusy, ""})
+	f, cli := startFake(t, []protocol.Code{protocol.CodeFailover, protocol.CodeBusy, protocol.CodeOK})
 	s := openFakeSession(t, cli)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -152,7 +152,7 @@ func TestResyncRetriesTransient(t *testing.T) {
 // non-transient failures: a readback rejected with no_device fails the op
 // immediately, without burning the attempt budget.
 func TestResyncFailsFastOnPermanentError(t *testing.T) {
-	f, cli := startFake(t, []string{protocol.CodeNoDevice})
+	f, cli := startFake(t, []protocol.Code{protocol.CodeNoDevice})
 	s := openFakeSession(t, cli)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -173,7 +173,7 @@ func TestResyncFailsFastOnPermanentError(t *testing.T) {
 // readback that never stops answering failover eventually surfaces the
 // transient error instead of looping forever.
 func TestResyncGivesUpAfterBudget(t *testing.T) {
-	always := make([]string, 32)
+	always := make([]protocol.Code, 32)
 	for i := range always {
 		always[i] = protocol.CodeFailover
 	}

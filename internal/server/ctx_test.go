@@ -18,7 +18,7 @@ import (
 )
 
 func testPin(r, c int, w arch.Wire) server.EndPointMsg {
-	return server.EndPointMsg{Pin: &server.PinMsg{Row: r, Col: c, Wire: int(w)}}
+	return server.EndPointMsg{Pin: protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 }
 
 // newTestWorker builds a bare worker (no daemon, no wire) for queue-level
@@ -168,20 +168,22 @@ func TestEveryRPCHonorsCancellation(t *testing.T) {
 			return s.RouteBusBatch(ctx, []server.EndPointMsg{src}, []server.EndPointMsg{testPin(6, 8, arch.S0F3)})
 		},
 		"batch": func(ctx context.Context) error {
-			return s.RouteBatch(ctx, []server.NetMsg{{Source: src, Sinks: []server.EndPointMsg{testPin(6, 8, arch.S0F3)}}})
+			return s.RouteBatch(ctx, []protocol.NetMsg{{Source: src, Sinks: []server.EndPointMsg{testPin(6, 8, arch.S0F3)}}})
 		},
 		"unroute":         func(ctx context.Context) error { return s.Unroute(ctx, src) },
 		"reverse_unroute": func(ctx context.Context) error { return s.ReverseUnroute(ctx, testPin(6, 8, arch.S0F3)) },
 		"trace":           func(ctx context.Context) error { _, err := s.Trace(ctx, src); return err },
 		"reverse_trace":   func(ctx context.Context) error { _, err := s.ReverseTrace(ctx, testPin(6, 8, arch.S0F3)); return err },
 		"core_new": func(ctx context.Context) error {
-			return s.NewCore(ctx, server.CoreMsg{Name: "m", Kind: "constmul", Row: 4, Col: 10, K: &k, KBits: 2})
+			return s.NewCore(ctx, protocol.CoreMsg{Name: "m", Kind: "constmul", Row: 4, Col: 10, K: &k, KBits: 2})
 		},
-		"core_replace": func(ctx context.Context) error { return s.ReplaceCore(ctx, server.CoreMsg{Name: "m", Row: 5, Col: 10}) },
-		"readback":     func(ctx context.Context) error { _, err := s.Readback(ctx); return err },
-		"devices":      func(ctx context.Context) error { _, err := c.Devices(ctx); return err },
-		"statsz":       func(ctx context.Context) error { _, err := c.Stats(ctx); return err },
-		"connect":      func(ctx context.Context) error { _, err := c.Session(ctx, "dev"); return err },
+		"core_replace": func(ctx context.Context) error {
+			return s.ReplaceCore(ctx, protocol.CoreMsg{Name: "m", Row: 5, Col: 10})
+		},
+		"readback": func(ctx context.Context) error { _, err := s.Readback(ctx); return err },
+		"devices":  func(ctx context.Context) error { _, err := c.Devices(ctx); return err },
+		"statsz":   func(ctx context.Context) error { _, err := c.Stats(ctx); return err },
+		"connect":  func(ctx context.Context) error { _, err := c.Session(ctx, "dev"); return err },
 	}
 	for name, rpc := range rpcs {
 		if err := rpc(dead); !errors.Is(err, context.Canceled) {

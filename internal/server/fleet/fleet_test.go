@@ -17,7 +17,7 @@ import (
 )
 
 func pin(r, c int, w arch.Wire) server.EndPointMsg {
-	return server.EndPointMsg{Pin: &server.PinMsg{Row: r, Col: c, Wire: int(w)}}
+	return server.EndPointMsg{Pin: protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 }
 
 func newFleet(t *testing.T, cfg fleet.Config) *fleet.Coordinator {
@@ -144,7 +144,7 @@ func TestFailoverReplaysAckedState(t *testing.T) {
 	}
 	k := uint64(3)
 	if r := c.Submit(ctx, &server.Request{Op: "core_new", Session: "victim",
-		Core: &server.CoreMsg{Name: "mul", Kind: "constmul", Row: 10, Col: 14, K: &k, KBits: 2}}); r.Err != "" {
+		Core: &protocol.CoreMsg{Name: "mul", Kind: "constmul", Row: 10, Col: 14, K: &k, KBits: 2}}); r.Err != "" {
 		t.Fatalf("core_new: %s", r.Err)
 	}
 	if r := route("bystander", pin(8, 12, arch.S1YQ), pin(9, 13, arch.S0F3)); r.Err != "" {
@@ -179,7 +179,7 @@ func TestFailoverReplaysAckedState(t *testing.T) {
 	}
 	// The core instance too: its output port is traceable by name.
 	tr := c.Submit(ctx, &server.Request{Op: "trace", Session: "victim",
-		Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: 0}}})
+		Source: &server.EndPointMsg{Port: protocol.PortRefMsg{Core: "mul", Group: "p", Index: 0}, IsPort: true}})
 	if tr.Err != "" {
 		t.Errorf("core lost after failover: %s", tr.Err)
 	}
@@ -359,11 +359,11 @@ func TestFailoverAfterKindlessReplace(t *testing.T) {
 		req.Session = "only"
 		return c.Submit(ctx, req)
 	}
-	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	q := server.EndPointMsg{Port: protocol.PortRefMsg{Core: "reg", Group: "q", Index: 0}, IsPort: true}
 	for _, req := range []*server.Request{
-		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
 		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3)}},
-		{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 9, Col: 16}},
+		{Op: "core_replace", Core: &protocol.CoreMsg{Name: "reg", Row: 9, Col: 16}},
 	} {
 		if r := submit(req); r.Err != "" {
 			t.Fatalf("%s: %s (%s)", req.Op, r.Err, r.ErrorCode)
@@ -389,7 +389,7 @@ func TestFailoverAfterKindlessReplace(t *testing.T) {
 	}
 	// The spare holds the register where the replace put it: replacing it
 	// there again is a move of zero.
-	if r := submit(&server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 9, Col: 16}}); r.Err != "" {
+	if r := submit(&server.Request{Op: "core_replace", Core: &protocol.CoreMsg{Name: "reg", Row: 9, Col: 16}}); r.Err != "" {
 		t.Errorf("core_replace on the spare: %s (%s)", r.Err, r.ErrorCode)
 	}
 }
@@ -414,7 +414,7 @@ func TestFailoverStitchesFromLibrary(t *testing.T) {
 
 	const counters, bits = 6, 4
 	for i := 0; i < counters; i++ {
-		msg := server.CoreMsg{Name: fmt.Sprintf("ctr%d", i), Kind: "counter",
+		msg := protocol.CoreMsg{Name: fmt.Sprintf("ctr%d", i), Kind: "counter",
 			Row: 2 + 4*(i%3), Col: 3 + 5*(i/3), Bits: bits}
 		if r := c.Submit(ctx, &server.Request{Op: "core_new", Session: "victim", Core: &msg}); r.Err != "" {
 			t.Fatalf("core %d: %s", i, r.Err)
@@ -432,7 +432,7 @@ func TestFailoverStitchesFromLibrary(t *testing.T) {
 		for i := 0; i < counters; i++ {
 			for bit := 0; bit < bits; bit++ {
 				tr := c.Submit(ctx, &server.Request{Op: "trace", Session: "victim",
-					Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: fmt.Sprintf("ctr%d", i), Group: "q", Index: bit}}})
+					Source: &server.EndPointMsg{Port: protocol.PortRefMsg{Core: fmt.Sprintf("ctr%d", i), Group: "q", Index: bit}, IsPort: true}})
 				if tr.Err != "" || tr.Net == nil {
 					t.Fatalf("trace ctr%d.q[%d]: %q", i, bit, tr.Err)
 				}
@@ -490,9 +490,9 @@ func TestFailoverAuditsEveryNet(t *testing.T) {
 		req.Session = "only"
 		return c.Submit(ctx, req)
 	}
-	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	q := server.EndPointMsg{Port: protocol.PortRefMsg{Core: "reg", Group: "q", Index: 0}, IsPort: true}
 	for _, req := range []*server.Request{
-		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
 		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3)}},
 	} {
 		if r := submit(req); r.Err != "" {
@@ -531,10 +531,10 @@ func TestFailoverKeepsPortMemory(t *testing.T) {
 		req.Session = "only"
 		return c.Submit(ctx, req)
 	}
-	q := server.EndPointMsg{Port: &server.PortRefMsg{Core: "reg", Group: "q", Index: 0}}
+	q := server.EndPointMsg{Port: protocol.PortRefMsg{Core: "reg", Group: "q", Index: 0}, IsPort: true}
 	gone := pin(9, 13, arch.S0F3)
 	for _, req := range []*server.Request{
-		{Op: "core_new", Core: &server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
 		{Op: "route", Source: &q, Sinks: []server.EndPointMsg{pin(6, 20, arch.S0F3), gone}},
 		{Op: "reverse_unroute", Source: &gone},
 	} {
@@ -549,7 +549,7 @@ func TestFailoverKeepsPortMemory(t *testing.T) {
 		t.Fatalf("route on the killed board: %q (%s)", r.Err, r.ErrorCode)
 	}
 	waitEpoch(t, c, 0, 2)
-	if r := submit(&server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "reg", Row: 8, Col: 16}}); r.Err != "" {
+	if r := submit(&server.Request{Op: "core_replace", Core: &protocol.CoreMsg{Name: "reg", Row: 8, Col: 16}}); r.Err != "" {
 		t.Fatalf("core_replace on the spare: %s (%s)", r.Err, r.ErrorCode)
 	}
 	tr := submit(&server.Request{Op: "trace", Source: &q})

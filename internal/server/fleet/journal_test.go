@@ -70,7 +70,7 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 		checks++
 	}
 	pin := func(r, c int, w arch.Wire) server.EndPointMsg {
-		return server.EndPointMsg{Pin: &server.PinMsg{Row: r, Col: c, Wire: int(w)}}
+		return server.EndPointMsg{Pin: protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 	}
 	// do submits one op; an acknowledged one is followed by the comparison.
 	do := func(what string, req *server.Request) *server.Response {
@@ -141,29 +141,29 @@ func TestJournalEqualsSnapshot(t *testing.T) {
 	// port nets retire and come back as new records, crossing nets are
 	// ripped and restored.
 	k := uint64(3)
-	must("core_new", &server.Request{Op: "core_new", Core: &server.CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
+	must("core_new", &server.Request{Op: "core_new", Core: &protocol.CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
 	for i := 0; i < 2; i++ {
-		must("port route", route(server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: i}}, pin(5+i, 20, arch.S1F4)))
+		must("port route", route(server.EndPointMsg{Port: protocol.PortRefMsg{Core: "mul", Group: "p", Index: i}, IsPort: true}, pin(5+i, 20, arch.S1F4)))
 	}
 	for i, site := range [][2]int{{6, 13}, {3, 14}} {
 		k := uint64(1 + i)
-		must("core_replace", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: site[0], Col: site[1], K: &k}})
+		must("core_replace", &server.Request{Op: "core_replace", Core: &protocol.CoreMsg{Name: "mul", Row: site[0], Col: site[1], K: &k}})
 	}
 	// Port memory: one port net loses a sink, the other goes whole; a
 	// replace of the multiplier routes both back.
 	must("reverse unroute of a port net", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
-	must("unroute of a port net", &server.Request{Op: "unroute", Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "mul", Group: "p", Index: 1}}})
+	must("unroute of a port net", &server.Request{Op: "unroute", Source: &server.EndPointMsg{Port: protocol.PortRefMsg{Core: "mul", Group: "p", Index: 1}, IsPort: true}})
 	if n := len(entries(t, form("s"), v3.EntryMemory)); n != 2 {
 		t.Fatalf("port memory holds %d records, want 2", n)
 	}
-	must("core_replace from memory", &server.Request{Op: "core_replace", Core: &server.CoreMsg{Name: "mul", Row: 6, Col: 13}})
+	must("core_replace from memory", &server.Request{Op: "core_replace", Core: &protocol.CoreMsg{Name: "mul", Row: 6, Col: 13}})
 	if n := len(entries(t, form("s"), v3.EntryMemory)); n != 0 {
 		t.Fatalf("port memory holds %d records after the replace, want 0", n)
 	}
 	must("reverse unroute of a port net again", &server.Request{Op: "reverse_unroute", Source: ptr(pin(5, 20, arch.S1F4))})
 	// The second session: a register, a net off its port, a pin net.
-	must("t core_new", &server.Request{Op: "core_new", Session: "t", Core: &server.CoreMsg{Name: "treg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
-	must("t port route", &server.Request{Op: "route", Session: "t", Source: &server.EndPointMsg{Port: &server.PortRefMsg{Core: "treg", Group: "q", Index: 0}}, Sinks: []server.EndPointMsg{pin(14, 14, arch.S0G4)}})
+	must("t core_new", &server.Request{Op: "core_new", Session: "t", Core: &protocol.CoreMsg{Name: "treg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
+	must("t port route", &server.Request{Op: "route", Session: "t", Source: &server.EndPointMsg{Port: protocol.PortRefMsg{Core: "treg", Group: "q", Index: 0}, IsPort: true}, Sinks: []server.EndPointMsg{pin(14, 14, arch.S0G4)}})
 	must("t route", &server.Request{Op: "route", Session: "t", Source: ptr(pin(15, 2, arch.S1YQ)), Sinks: []server.EndPointMsg{pin(15, 6, arch.S0F1)}})
 	unchurn(0)
 	churn(1)

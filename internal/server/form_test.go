@@ -24,7 +24,7 @@ type testRecord struct {
 	kind   byte
 	ends   []EndPointMsg
 	pips   []protocol.PipMsg
-	at     []PinMsg
+	at     []protocol.PinMsg
 	home   []protocol.PipMsg
 }
 
@@ -32,8 +32,8 @@ func (r *testRecord) append(run []byte) []byte {
 	run, at := v3.AppendRecordEntry(run, r.memory, r.owner, r.seq)
 	run = append(run, r.kind)
 	for i, ep := range r.ends {
-		if ep.Port != nil {
-			run = v3.AppendPortEnd(run, *ep.Port)
+		if ep.IsPort {
+			run = v3.AppendPortEnd(run, ep.Port)
 		} else {
 			run = v3.AppendPinEnd(run, ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire)
 		}
@@ -62,7 +62,7 @@ func readTestRecord(t testing.TB, e v3.Entry) testRecord {
 	rec := testRecord{memory: e.Tag == v3.EntryMemory, owner: string(e.Owner), seq: e.Seq, kind: r.Byte()}
 	for i, n := 0, 1; i < n; i++ {
 		if ref, port := r.End(); port {
-			rec.ends = append(rec.ends, EndPointMsg{Port: &ref})
+			rec.ends = append(rec.ends, EndPointMsg{Port: ref, IsPort: true})
 		} else {
 			row, col, wire := r.Pin()
 			rec.ends = append(rec.ends, pinMsg(row, col, arch.Wire(wire)))
@@ -81,7 +81,7 @@ func readTestRecord(t testing.TB, e v3.Entry) testRecord {
 	rec.pips = pips()
 	for n := r.Count(); n > 0; n-- {
 		row, col, wire := r.Pin()
-		rec.at = append(rec.at, PinMsg{Row: row, Col: col, Wire: wire})
+		rec.at = append(rec.at, protocol.PinMsg{Row: row, Col: col, Wire: wire})
 	}
 	rec.home = pips()
 	if err := r.Err(); err != nil {
@@ -127,14 +127,14 @@ func seedSession(t testing.TB, w *Worker) []byte {
 		}
 	}
 	port := func(c, g string, i int) EndPointMsg {
-		return EndPointMsg{Port: &PortRefMsg{Core: c, Group: g, Index: i}}
+		return EndPointMsg{Port: protocol.PortRefMsg{Core: c, Group: g, Index: i}, IsPort: true}
 	}
 	route := func(src EndPointMsg, sinks ...EndPointMsg) *Request {
 		return &Request{Op: "route", Source: &src, Sinks: sinks}
 	}
 	k := uint64(3)
-	must(&Request{Op: "core_new", Core: &CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
-	must(&Request{Op: "core_new", Core: &CoreMsg{Name: "reg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
+	must(&Request{Op: "core_new", Core: &protocol.CoreMsg{Name: "mul", Kind: "constmul", Row: 3, Col: 14, K: &k, KBits: 2}})
+	must(&Request{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 12, Col: 18, Bits: 2}})
 	for i := 0; i < 3; i++ {
 		must(route(port("mul", "p", i), pinMsg(5+i, 20, arch.S1F4)))
 	}
@@ -169,9 +169,9 @@ func TestImportRejectsBadForms(t *testing.T) {
 		return r.append(nil)
 	}
 	sink := []EndPointMsg{pinMsg(4, 5, arch.S0F3)}
-	memory := testRecord{memory: true, seq: 1, ends: append([]EndPointMsg{{Port: &PortRefMsg{Core: "x", Group: "q"}}}, sink...),
-		at: []PinMsg{{Row: 1, Col: 2, Wire: int(arch.S1YQ)}, {Row: 4, Col: 5, Wire: int(arch.S0F3)}}}
-	coreForm := func(owner string, c CoreMsg) []byte {
+	memory := testRecord{memory: true, seq: 1, ends: append([]EndPointMsg{{Port: protocol.PortRefMsg{Core: "x", Group: "q"}, IsPort: true}}, sink...),
+		at: []protocol.PinMsg{{Row: 1, Col: 2, Wire: int(arch.S1YQ)}, {Row: 4, Col: 5, Wire: int(arch.S0F3)}}}
+	coreForm := func(owner string, c protocol.CoreMsg) []byte {
 		run, _ := v3.AppendCoreEntry(nil, owner, &c)
 		return run
 	}
@@ -180,8 +180,8 @@ func TestImportRejectsBadForms(t *testing.T) {
 		"wire outside":         live(pinMsg(1, 2, arch.S1YQ), sink, protocol.PipMsg{Row: 1, Col: 2, From: 1 << 20, To: 2}),
 		"no sinks":             live(pinMsg(1, 2, arch.S1YQ), nil),
 		"port of no core":      memory.append(nil),
-		"core off the array":   coreForm("", CoreMsg{Name: "r", Kind: "register", Row: 100, Col: 2, Bits: 4}),
-		"another's part":       coreForm("other", CoreMsg{Name: "r", Kind: "register", Row: 4, Col: 16, Bits: 4}),
+		"core off the array":   coreForm("", protocol.CoreMsg{Name: "r", Kind: "register", Row: 100, Col: 2, Bits: 4}),
+		"another's part":       coreForm("other", protocol.CoreMsg{Name: "r", Kind: "register", Row: 4, Col: 16, Bits: 4}),
 	}
 	for name, f := range forms {
 		resp := w.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: f})
@@ -259,12 +259,12 @@ func TestImportIsAllOrNothing(t *testing.T) {
 // it so that the device passes a strict oracle audit.
 func FuzzSessionImport(f *testing.F) {
 	f.Add(seedSession(f, newTestWorker(f)))
-	form, _ := v3.AppendCoreEntry(nil, "d", &CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
+	form, _ := v3.AppendCoreEntry(nil, "d", &protocol.CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
 	net := []EndPointMsg{pinMsg(1, 2, 3), pinMsg(4, 5, 6)}
 	for _, r := range []testRecord{
 		{owner: "d", seq: 3, ends: net, pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}},
-		{memory: true, owner: "d", seq: 5, ends: []EndPointMsg{{Port: &PortRefMsg{Core: "r", Group: "q"}}, net[1]},
-			pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}, at: []PinMsg{*net[0].Pin, *net[1].Pin}},
+		{memory: true, owner: "d", seq: 5, ends: []EndPointMsg{{Port: protocol.PortRefMsg{Core: "r", Group: "q"}, IsPort: true}, net[1]},
+			pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}, at: []protocol.PinMsg{net[0].Pin, net[1].Pin}},
 	} {
 		form = r.append(form)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cores"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/protocol"
 )
 
 // stdlibLibrary learns the stdlib wiring manifest for the test geometry.
@@ -55,7 +56,7 @@ func TestServiceLibraryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "ctr", Kind: "counter", Row: 3, Col: 4, Bits: 4}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "ctr", Kind: "counter", Row: 3, Col: 4, Bits: 4}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err = c.Stats(ctx)

@@ -28,14 +28,10 @@ package server
 import "repro/internal/server/protocol"
 
 // The wire types live in internal/server/protocol; these aliases keep the
-// server.* spelling of the types benchmark/ and the client use.
+// server.* spelling of the types benchmark/ uses.
 type (
 	Request         = protocol.Request
 	Response        = protocol.Response
-	PinMsg          = protocol.PinMsg
-	PortRefMsg      = protocol.PortRefMsg
 	EndPointMsg     = protocol.EndPointMsg
-	NetMsg          = protocol.NetMsg
-	CoreMsg         = protocol.CoreMsg
 	SessionStatsMsg = protocol.SessionStatsMsg
 )

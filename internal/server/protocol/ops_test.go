@@ -18,7 +18,7 @@ import (
 )
 
 func pin(r, c int, w arch.Wire) protocol.EndPointMsg {
-	return protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
+	return protocol.EndPointMsg{Pin: protocol.PinMsg{Row: r, Col: c, Wire: int(w)}}
 }
 
 // pinNet is a session form of one live pin net with no path.
@@ -172,7 +172,7 @@ func TestOpTable(t *testing.T) {
 		default:
 			t.Fatalf("row %q has scope %d, which no tier serves", op.Name, op.Scope)
 		}
-		if resp.Err != "" || resp.ErrorCode != "" {
+		if resp.Err != "" || resp.ErrorCode != protocol.CodeOK {
 			t.Errorf("row %q is not served by its tier: %s (%s)", op.Name, resp.Err, resp.ErrorCode)
 		}
 	}

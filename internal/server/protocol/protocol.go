@@ -26,66 +26,86 @@
 // # Error codes
 //
 // Responses carry a machine-readable ErrorCode alongside the human Err
-// text. Clients branch on the code (retry on CodeFailover, surface
-// CodeCanceled as a context error, ...) instead of parsing error strings.
+// text: a Code, whose value is the one byte v3 carries it as and whose
+// String is its name. Clients branch on the code (retry on CodeFailover,
+// surface CodeCanceled as a context error, ...) instead of parsing error
+// strings.
 package protocol
 
-// Error codes. The empty string means success.
+// Code is a structured error code: its value is the byte a v3 response
+// carries it as (the ABI tests pin each one; never renumber), and String
+// is its name. CodeOK (0) means success and prints as "".
+type Code byte
+
+// Error codes.
 const (
+	CodeOK Code = iota
 	// CodeBadRequest: the request was malformed (a second hello, missing
 	// endpoint, core description, ...).
-	CodeBadRequest = "bad_request"
+	CodeBadRequest
 	// CodeUnknownOp: the op has no row in the op table, or the tier it
 	// reached does not serve that row.
-	CodeUnknownOp = "unknown_op"
+	CodeUnknownOp
 	// CodeVersion: protocol version mismatch, or an op sent before the
 	// hello.
-	CodeVersion = "version_mismatch"
+	CodeVersion
 	// CodeNoDevice: the named device session does not exist.
-	CodeNoDevice = "no_device"
+	CodeNoDevice
 	// CodeBusy: backpressure — the session queue stayed full past the
 	// enqueue timeout. Retryable.
-	CodeBusy = "busy"
+	CodeBusy
 	// CodeCanceled: the request's context was canceled while the op was
 	// queued; the op was rejected without executing.
-	CodeCanceled = "canceled"
+	CodeCanceled
 	// CodeDeadline: the request's deadline expired while the op waited in
 	// the bounded queue.
-	CodeDeadline = "deadline"
+	CodeDeadline
 	// CodeAdmission: fleet admission control rejected a new session (the
 	// target board is at its session cap).
-	CodeAdmission = "admission"
+	CodeAdmission
 	// CodeBoardDown: the session's board is dead and no spare is left to
 	// fail over to.
-	CodeBoardDown = "board_down"
+	CodeBoardDown
 	// CodeFailover: the op raced a board death; its board is being (or has
 	// just been) replaced by a spare. Acknowledged state is preserved;
 	// retry the op.
-	CodeFailover = "failover"
+	CodeFailover
 	// CodeRoute: the routing op itself failed (contention, bad endpoint,
 	// unrouted net, ...). Not retryable without changing the request.
-	CodeRoute = "route"
+	CodeRoute
 	// CodeInternal: serialization or device-state failure inside the
 	// server.
-	CodeInternal = "internal"
+	CodeInternal
 	// CodeMalformed: a binary v3 frame failed the pre-parse filter (bad
 	// magic, oversized length), and the connection is closed because the
 	// stream is no longer frame-aligned; or its payload did not decode, and
 	// the connection stays usable. Either way the frame was rejected before
 	// dispatch.
-	CodeMalformed = "malformed"
+	CodeMalformed
 	// CodeUnauthorized: the hello bearer token was missing or unknown, or
 	// an op targeted a session owned by a different tenant. Gateway tier
 	// only; daemons without an authenticator never emit it.
-	CodeUnauthorized = "unauthorized"
+	CodeUnauthorized
 	// CodeQuota: a tenant quota rejected the request — the tenant is at its
 	// session cap (connect) or its ops/s token bucket is empty (any op).
 	// Rate rejections are retryable after a pause.
-	CodeQuota = "quota_exceeded"
+	CodeQuota
 	// CodeUnknownAlias: connect named a device-class alias no registered
 	// backend fleet serves. Gateway tier only.
-	CodeUnknownAlias = "unknown_alias"
+	CodeUnknownAlias
 )
+
+var codeText = [...]string{"", "bad_request", "unknown_op", "version_mismatch", "no_device", "busy",
+	"canceled", "deadline", "admission", "board_down", "failover", "route", "internal", "malformed",
+	"unauthorized", "quota_exceeded", "unknown_alias"}
+
+// String is the code's name; "" for CodeOK and for a byte no code has.
+func (c Code) String() string {
+	if int(c) < len(codeText) {
+		return codeText[c]
+	}
+	return ""
+}
 
 // HelloMsg is the hello row's payload, both directions. The client
 // presents its bearer token and whether it wants record deltas; the server
@@ -151,8 +171,8 @@ type Request struct {
 type Response struct {
 	ID  uint64
 	Err string
-	// ErrorCode is the structured code for Err; see the Code constants.
-	ErrorCode string
+	// ErrorCode is the structured code for Err; see Code.
+	ErrorCode Code
 	Busy      bool // backpressure: queue full, retry later
 
 	// Hello answers the hello row with the server's PIP bit layouts.
@@ -206,11 +226,12 @@ type PortRefMsg struct {
 	Index int
 }
 
-// EndPointMsg is the wire form of core.EndPoint: exactly one of Pin or
-// Port is set.
+// EndPointMsg is the wire form of core.EndPoint: its Port when IsPort,
+// else its Pin.
 type EndPointMsg struct {
-	Pin  *PinMsg
-	Port *PortRefMsg
+	Pin    PinMsg
+	Port   PortRefMsg
+	IsPort bool
 }
 
 // NetMsg is one net: a source and its sinks. It doubles as the trace

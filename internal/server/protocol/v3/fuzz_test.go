@@ -2,6 +2,7 @@ package v3
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/server/protocol"
@@ -18,7 +19,7 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 		{ID: 3, Op: "statsz"},
 		{ID: 4, Op: "readback", Session: "s"},
 		{ID: 5, Op: "route", Session: "s",
-			Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+			Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 			Sinks:  []protocol.EndPointMsg{pin(3, 4, 9), port("m0", "q", 1)}},
 		{ID: 6, Op: "bus", Session: "s",
 			Sources: []protocol.EndPointMsg{pin(0, 1, 2)},
@@ -29,7 +30,7 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 				Sinks:  []protocol.EndPointMsg{pin(2, 2, 5)},
 				Pips:   []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}}}},
 		{ID: 8, Op: "unroute", Session: "s",
-			Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 5, Col: 6, Wire: 7}}},
+			Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 5, Col: 6, Wire: 7}}},
 		{ID: 9, Op: "core_replace", Session: "s",
 			Core: &protocol.CoreMsg{Name: "m", Kind: "constmul", Row: 1, Col: 2, K: &key, KBits: 8}},
 		{ID: 10, Op: "gw_drain", Session: "be0"},
@@ -74,8 +75,9 @@ func seedFrames(t interface{ Fatal(...interface{}) }) [][]byte {
 // FuzzDecodeV3 throws arbitrary bytes at the full server-side ingest path:
 // header filter, then request decode; and at the client-side response
 // decode. The invariants under fuzz are (1) no panic, no unbounded
-// allocation; (2) anything that decodes as a request re-encodes to a
-// frame that decodes identically (no state smuggled past the codec).
+// allocation; (2) anything that decodes re-encodes to a frame that decodes
+// to an equal message (no state smuggled past the codec, no port read back
+// as a pin), and a request's re-encoding is canonical.
 func FuzzDecodeV3(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -88,6 +90,22 @@ func FuzzDecodeV3(f *testing.F) {
 	bad[4] = 9
 	f.Add(bad)
 	f.Add(append(hdr(protocol.OpBatch, 0, 2, 12), 0xFF, 0xFF))
+	// Pins and ports mixed in one list.
+	for _, req := range []protocol.Request{
+		{ID: 13, Op: "bus", Session: "s",
+			Sources: []protocol.EndPointMsg{port("m0", "p", 0), pin(0, 1, 2), port("r", "q", 3)},
+			Sinks:   []protocol.EndPointMsg{pin(3, 4, 5), port("m1", "x", 1), pin(6, 7, 8)}},
+		{ID: 14, Op: "batch", Session: "s", Nets: []protocol.NetMsg{
+			{Source: port("m0", "p", 1), Sinks: []protocol.EndPointMsg{pin(2, 2, 5), port("r", "d", 0)}},
+			{Source: pin(0, 1, 3), Sinks: []protocol.EndPointMsg{port("m1", "x", 2)},
+				Pips: []protocol.PipMsg{{Row: 1, Col: 2, From: 3, To: 4}}}}},
+	} {
+		b, err := AppendRequest(nil, &req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch [HeaderSize]byte
@@ -118,6 +136,9 @@ func FuzzDecodeV3(f *testing.F) {
 			if err := DecodeResponse(h2, reFrame[HeaderSize:], &resp2); err != nil {
 				t.Fatalf("re-encoded response does not decode: %v", err)
 			}
+			if !reflect.DeepEqual(resp, resp2) {
+				t.Fatalf("response changed in a round trip:\n%+v\n%+v", resp, resp2)
+			}
 			return
 		}
 
@@ -137,6 +158,9 @@ func FuzzDecodeV3(f *testing.F) {
 		var req2 protocol.Request
 		if err := DecodeRequest(h2, re[HeaderSize:], &req2, in); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(req, req2) {
+			t.Fatalf("request changed in a round trip:\n%+v\n%+v", req, req2)
 		}
 		re2, err := AppendRequest(nil, &req2)
 		if err != nil || !bytes.Equal(re, re2) {

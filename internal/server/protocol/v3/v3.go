@@ -17,7 +17,7 @@
 //
 // Integers inside payloads are unsigned varints (binary.Uvarint); signed
 // fields use zigzag. Strings and blobs are a uvarint length followed by
-// the bytes. Error codes travel as single bytes (Code* constants). Every
+// the bytes. An error code travels as one byte, its protocol.Code. Every
 // op record pins its layout in the ABI golden tests — a byte shift there
 // is a wire break and must bump the version byte, the protocol's one
 // version number.
@@ -64,65 +64,11 @@ const (
 	FlagDelta uint16 = 1 << 1
 )
 
-// Error-code bytes. Values are pinned by the ABI tests; never renumber.
-// CodeOK (0) means success.
-const (
-	CodeOK         byte = 0x00
-	CodeBadRequest byte = 0x01
-	CodeUnknownOp  byte = 0x02
-	CodeVersion    byte = 0x03
-	CodeNoDevice   byte = 0x04
-	CodeBusy       byte = 0x05
-	CodeCanceled   byte = 0x06
-	CodeDeadline   byte = 0x07
-	CodeAdmission  byte = 0x08
-	CodeBoardDown  byte = 0x09
-	CodeFailover   byte = 0x0A
-	CodeRoute      byte = 0x0B
-	CodeInternal   byte = 0x0C
-	CodeMalformed  byte = 0x0D
-	// Gateway-tier codes (PR 7). Daemons without an authenticator never
-	// emit them, but the bytes are part of the ABI like every other code.
-	CodeUnauthorized byte = 0x0E
-	CodeQuota        byte = 0x0F
-	CodeUnknownAlias byte = 0x10
-)
-
 // Endpoint tags.
 const (
 	epPin  byte = 0x01
 	epPort byte = 0x02
 )
-
-// codeBytes maps protocol error-code strings to wire bytes; codeNames is
-// the reverse.
-var codeBytes = map[string]byte{
-	protocol.CodeBadRequest: CodeBadRequest,
-	protocol.CodeUnknownOp:  CodeUnknownOp,
-	protocol.CodeVersion:    CodeVersion,
-	protocol.CodeNoDevice:   CodeNoDevice,
-	protocol.CodeBusy:       CodeBusy,
-	protocol.CodeCanceled:   CodeCanceled,
-	protocol.CodeDeadline:   CodeDeadline,
-	protocol.CodeAdmission:  CodeAdmission,
-	protocol.CodeBoardDown:  CodeBoardDown,
-	protocol.CodeFailover:   CodeFailover,
-	protocol.CodeRoute:      CodeRoute,
-	protocol.CodeInternal:   CodeInternal,
-	protocol.CodeMalformed:  CodeMalformed,
-
-	protocol.CodeUnauthorized: CodeUnauthorized,
-	protocol.CodeQuota:        CodeQuota,
-	protocol.CodeUnknownAlias: CodeUnknownAlias,
-}
-
-var codeNames [256]string
-
-func init() {
-	for name, b := range codeBytes {
-		codeNames[b] = name
-	}
-}
 
 // OpByte returns the wire byte for a protocol op name.
 func OpByte(name string) (byte, bool) {
@@ -131,21 +77,6 @@ func OpByte(name string) (byte, bool) {
 	}
 	return 0, false
 }
-
-// CodeByte returns the wire byte for a protocol error-code string.
-// Unknown codes collapse to CodeInternal so the error text still travels.
-func CodeByte(code string) byte {
-	if code == "" {
-		return CodeOK
-	}
-	if b, ok := codeBytes[code]; ok {
-		return b
-	}
-	return CodeInternal
-}
-
-// CodeName returns the protocol error-code string for a wire byte.
-func CodeName(b byte) string { return codeNames[b] }
 
 // Header is a parsed frame header.
 type Header struct {
@@ -162,7 +93,7 @@ type Header struct {
 // protocol.CodeMalformed for every other failure.
 type FilterError struct {
 	Reason string
-	Code   string
+	Code   protocol.Code
 }
 
 func (e *FilterError) Error() string { return "v3: malformed frame: " + e.Reason }
@@ -289,17 +220,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendEndpoint(dst []byte, ep *protocol.EndPointMsg) ([]byte, error) {
-	switch {
-	case ep == nil:
-		return dst, fmt.Errorf("v3: missing endpoint")
-	case ep.Pin != nil:
-		return AppendPinEnd(dst, ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire), nil
-	case ep.Port != nil:
-		return AppendPortEnd(dst, *ep.Port), nil
-	default:
-		return dst, fmt.Errorf("v3: endpoint is neither pin nor port")
+func appendEndpoint(dst []byte, ep *protocol.EndPointMsg) []byte {
+	if ep.IsPort {
+		return AppendPortEnd(dst, ep.Port)
 	}
+	return AppendPinEnd(dst, ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire)
 }
 
 // AppendPin appends a bare pin.
@@ -312,26 +237,16 @@ func AppendPip(dst []byte, row, col, from, to int) []byte {
 	return appendUvarint(AppendPin(dst, row, col, from), uint64(to))
 }
 
-func appendEndpoints(dst []byte, eps []protocol.EndPointMsg) ([]byte, error) {
+func appendEndpoints(dst []byte, eps []protocol.EndPointMsg) []byte {
 	dst = appendUvarint(dst, uint64(len(eps)))
 	for i := range eps {
-		var err error
-		if dst, err = appendEndpoint(dst, &eps[i]); err != nil {
-			return dst, err
-		}
+		dst = appendEndpoint(dst, &eps[i])
 	}
-	return dst, nil
+	return dst
 }
 
-func appendNet(dst []byte, n *protocol.NetMsg) ([]byte, error) {
-	dst, err := appendEndpoint(dst, &n.Source)
-	if err != nil {
-		return dst, err
-	}
-	if dst, err = appendEndpoints(dst, n.Sinks); err != nil {
-		return dst, err
-	}
-	return appendPips(dst, n.Pips), nil
+func appendNet(dst []byte, n *protocol.NetMsg) []byte {
+	return appendPips(appendEndpoints(appendEndpoint(dst, &n.Source), n.Sinks), n.Pips)
 }
 
 func appendPips(dst []byte, pips []protocol.PipMsg) []byte {
@@ -372,7 +287,6 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 	dst = append(dst, make([]byte, HeaderSize)...)
 	dst = appendString(dst, req.Session)
 	dst = appendUvarint(dst, uint64(req.TimeoutMillis))
-	var err error
 	switch op {
 	case protocol.OpConnect:
 		if req.Key != nil {
@@ -389,32 +303,22 @@ func AppendRequest(dst []byte, req *protocol.Request) ([]byte, error) {
 			dst[len(dst)-1] = 1
 		}
 	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
-	case protocol.OpRoute:
-		if dst, err = appendEndpoint(dst, req.Source); err != nil {
-			return dst, err
+	case protocol.OpRoute, protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
+		if req.Source == nil {
+			return dst, fmt.Errorf("v3: missing endpoint")
 		}
-		if dst, err = appendEndpoints(dst, req.Sinks); err != nil {
-			return dst, err
+		if dst = appendEndpoint(dst, req.Source); op == protocol.OpRoute {
+			dst = appendEndpoints(dst, req.Sinks)
 		}
 	case protocol.OpBus, protocol.OpBusBatch:
-		if dst, err = appendEndpoints(dst, req.Sources); err != nil {
-			return dst, err
-		}
-		if dst, err = appendEndpoints(dst, req.Sinks); err != nil {
-			return dst, err
-		}
+		dst = appendEndpoints(appendEndpoints(dst, req.Sources), req.Sinks)
 	case protocol.OpBatch:
 		dst = appendUvarint(dst, uint64(len(req.Nets)))
 		for i := range req.Nets {
-			if dst, err = appendNet(dst, &req.Nets[i]); err != nil {
-				return dst, err
-			}
-		}
-	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
-		if dst, err = appendEndpoint(dst, req.Source); err != nil {
-			return dst, err
+			dst = appendNet(dst, &req.Nets[i])
 		}
 	case protocol.OpCoreNew, protocol.OpCoreReplace:
+		var err error
 		if dst, err = appendCore(dst, req.Core); err != nil {
 			return dst, err
 		}
@@ -441,15 +345,15 @@ func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []b
 	start := len(dst)
 	var flags uint16
 	dst = append(dst, make([]byte, HeaderSize)...)
-	code := CodeByte(resp.ErrorCode)
-	if code == CodeOK && (resp.Err != "" || resp.Busy) {
-		code = CodeInternal
+	code := resp.ErrorCode
+	if code == protocol.CodeOK && (resp.Err != "" || resp.Busy) {
+		code = protocol.CodeInternal
 		if resp.Busy {
-			code = CodeBusy
+			code = protocol.CodeBusy
 		}
 	}
-	dst = append(dst, code)
-	if code != CodeOK {
+	dst = append(dst, byte(code))
+	if code != protocol.CodeOK {
 		dst = appendString(dst, resp.Err)
 	} else {
 		dst = appendString(dst, resp.Board)
@@ -491,10 +395,7 @@ func AppendResponse(dst []byte, op byte, resp *protocol.Response) (head, raw []b
 			raw = blob
 		case protocol.OpTrace, protocol.OpReverseTrace:
 			if resp.Net != nil {
-				dst = append(dst, 1)
-				if dst, err = appendNet(dst, resp.Net); err != nil {
-					return dst, nil, err
-				}
+				dst = appendNet(append(dst, 1), resp.Net)
 			} else {
 				dst = append(dst, 0)
 			}
@@ -549,8 +450,7 @@ type Reader struct {
 	err error
 	in  *Interner
 
-	eps   []protocol.EndPointMsg // the slab's unread endpoints (see slab)
-	cells []endCell
+	eps []protocol.EndPointMsg // the room's unread endpoints (see room)
 }
 
 func (d *Reader) fail(what string) {
@@ -666,80 +566,35 @@ func (d *Reader) Err() error {
 	return d.err
 }
 
-// endCell is what one decoded endpoint points at: its pin or its port.
-type endCell struct {
-	pin  protocol.PinMsg
-	port protocol.PortRefMsg
-}
+// room sets aside one slice for every endpoint of a request: as many as
+// the bytes left hold at four bytes, the least an endpoint takes. A
+// request keeps its room whole: nothing in it is reused while anyone holds
+// the request.
+func (d *Reader) room() { d.eps = make([]protocol.EndPointMsg, (len(d.b)-d.off)/4) }
 
-// slabOf is one allocation of endpoints E and their cells C.
-type slabOf[E, C any] struct {
-	e E
-	c C
-}
-
-// slab sets aside room for n endpoints and their cells — one allocation
-// for up to 16, each a pin or a port — capped by what the rest of the
-// payload holds (an endpoint takes at least four bytes), so a corrupt count
-// cannot force a huge slab. A request keeps its slab whole: nothing in it
-// is reused while anyone holds the request.
-func (d *Reader) slab(n int) {
-	switch n = min(n, (len(d.b)-d.off)/4); {
-	case n <= 1:
-		s := new(slabOf[[1]protocol.EndPointMsg, [1]endCell])
-		d.eps, d.cells = s.e[:], s.c[:]
-	case n <= 4:
-		s := new(slabOf[[4]protocol.EndPointMsg, [4]endCell])
-		d.eps, d.cells = s.e[:], s.c[:]
-	case n <= 16:
-		s := new(slabOf[[16]protocol.EndPointMsg, [16]endCell])
-		d.eps, d.cells = s.e[:], s.c[:]
-	default:
-		d.eps, d.cells = make([]protocol.EndPointMsg, n), make([]endCell, n)
-	}
-}
-
-// sinksAhead reads, without moving d, the count of the list after the next
-// endpoint: a route's or a net's sinks.
-func (d *Reader) sinksAhead() int {
-	p := *d
-	if _, port := p.End(); !port {
-		p.Pin()
-	}
-	return p.count("sinks")
-}
-
-// endpoint reads an endpoint into ep, pointing it at the slab's next cell.
+// endpoint reads an endpoint into ep.
 func (d *Reader) endpoint(ep *protocol.EndPointMsg) {
-	if d.err == nil && len(d.cells) == 0 {
-		d.fail("endpoint")
-	}
-	if d.err != nil {
-		return
-	}
-	c := &d.cells[0]
-	d.cells = d.cells[1:]
-	if ref, port := d.End(); port {
-		c.port = ref
-		ep.Port, ep.Pin = &c.port, nil
-	} else if d.err == nil {
-		c.pin.Row, c.pin.Col, c.pin.Wire = d.Pin()
-		ep.Pin, ep.Port = &c.pin, nil
+	if ep.Port, ep.IsPort = d.End(); !ep.IsPort {
+		ep.Pin.Row, ep.Pin.Col, ep.Pin.Wire = d.Pin()
 	}
 }
 
-// ends reads n endpoints into the slab's next n slots; a fresh slab always
-// has the one a source takes.
+// ends reads n endpoints into the room's next n slots, or into a slice of
+// their own when no room was set aside (a response's). A count the bytes
+// left cannot hold fails before anything is made.
 func (d *Reader) ends(n int, what string) []protocol.EndPointMsg {
-	if n > len(d.eps) {
+	if d.err == nil && n > (len(d.b)-d.off)/4 {
 		d.fail(what)
+	}
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	if n == 0 {
-		return nil
+	var eps []protocol.EndPointMsg
+	if d.eps == nil {
+		eps = make([]protocol.EndPointMsg, n)
+	} else {
+		eps, d.eps = d.eps[:n:n], d.eps[n:]
 	}
-	eps := d.eps[:n:n]
-	d.eps = d.eps[n:]
 	for i := range eps {
 		d.endpoint(&eps[i])
 	}
@@ -799,26 +654,27 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 	case protocol.OpHello:
 		req.Hello = &protocol.HelloMsg{Token: d.str("token"), Delta: d.Byte() != 0}
 	case protocol.OpDevices, protocol.OpStatsz, protocol.OpReadback, protocol.OpGwDrain:
-	case protocol.OpRoute:
-		d.slab(1 + d.sinksAhead())
-		req.Source = &d.ends(1, "source")[0]
-		req.Sinks = d.ends(d.count("sinks"), "sinks")
+	case protocol.OpRoute, protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
+		d.room()
+		if src := d.ends(1, "source"); src != nil {
+			req.Source = &src[0]
+		}
+		if h.Op == protocol.OpRoute {
+			req.Sinks = d.ends(d.count("sinks"), "sinks")
+		}
 	case protocol.OpBus, protocol.OpBusBatch:
-		d.slab(len(payload))
+		d.room()
 		req.Sources = d.ends(d.count("sources"), "sources")
 		req.Sinks = d.ends(d.count("sinks"), "sinks")
 	case protocol.OpBatch:
 		n := d.count("nets")
 		if n > 0 {
-			d.slab(len(payload))
+			d.room()
 			req.Nets = make([]protocol.NetMsg, n)
 			for i := range req.Nets {
 				d.net(&req.Nets[i])
 			}
 		}
-	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
-		d.slab(1)
-		req.Source = &d.ends(1, "source")[0]
 	case protocol.OpCoreNew, protocol.OpCoreReplace:
 		req.Core = &protocol.CoreMsg{}
 		d.core(req.Core)
@@ -844,16 +700,15 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 	resp.ID = h.ID
 	d := &Reader{b: payload}
-	code := d.Byte()
-	if code != CodeOK {
+	if code := protocol.Code(d.Byte()); code != protocol.CodeOK {
 		// Every op's error record is the same, so one for an op byte this
 		// side has no row for (the server's CodeUnknownOp answer) decodes.
+		// A byte no code has reads as CodeInternal.
 		resp.Err = d.str("error text")
-		resp.ErrorCode = codeNames[code]
-		if resp.ErrorCode == "" {
+		if resp.ErrorCode = code; code.String() == "" {
 			resp.ErrorCode = protocol.CodeInternal
 		}
-		resp.Busy = code == CodeBusy
+		resp.Busy = code == protocol.CodeBusy
 		return d.err
 	}
 	if protocol.OpByByte(h.Op) == nil {
@@ -890,7 +745,6 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 		}
 	case protocol.OpTrace, protocol.OpReverseTrace:
 		if d.Byte() != 0 {
-			d.slab(1 + d.sinksAhead())
 			resp.Net = &protocol.NetMsg{}
 			d.net(resp.Net)
 		}

@@ -12,11 +12,11 @@ import (
 
 // pin / port build endpoint messages for the golden fixtures.
 func pin(row, col, wire int) protocol.EndPointMsg {
-	return protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: row, Col: col, Wire: wire}}
+	return protocol.EndPointMsg{Pin: protocol.PinMsg{Row: row, Col: col, Wire: wire}}
 }
 
 func port(core, group string, index int) protocol.EndPointMsg {
-	return protocol.EndPointMsg{Port: &protocol.PortRefMsg{Core: core, Group: group, Index: index}}
+	return protocol.EndPointMsg{Port: protocol.PortRefMsg{Core: core, Group: group, Index: index}, IsPort: true}
 }
 
 func u64p(v uint64) *uint64 { return &v }
@@ -68,28 +68,30 @@ func TestABIOpBytes(t *testing.T) {
 	}
 }
 
-// TestABICodeBytes pins every error-code byte assignment.
+// TestABICodeBytes pins every error code's byte and name.
 func TestABICodeBytes(t *testing.T) {
-	want := map[string]byte{
-		protocol.CodeBadRequest: 0x01, protocol.CodeUnknownOp: 0x02,
-		protocol.CodeVersion: 0x03, protocol.CodeNoDevice: 0x04,
-		protocol.CodeBusy: 0x05, protocol.CodeCanceled: 0x06,
-		protocol.CodeDeadline: 0x07, protocol.CodeAdmission: 0x08,
-		protocol.CodeBoardDown: 0x09, protocol.CodeFailover: 0x0A,
-		protocol.CodeRoute: 0x0B, protocol.CodeInternal: 0x0C,
-		protocol.CodeMalformed: 0x0D, protocol.CodeUnauthorized: 0x0E,
-		protocol.CodeQuota: 0x0F, protocol.CodeUnknownAlias: 0x10,
+	want := []struct {
+		code protocol.Code
+		b    byte
+		name string
+	}{
+		{protocol.CodeOK, 0x00, ""},
+		{protocol.CodeBadRequest, 0x01, "bad_request"}, {protocol.CodeUnknownOp, 0x02, "unknown_op"},
+		{protocol.CodeVersion, 0x03, "version_mismatch"}, {protocol.CodeNoDevice, 0x04, "no_device"},
+		{protocol.CodeBusy, 0x05, "busy"}, {protocol.CodeCanceled, 0x06, "canceled"},
+		{protocol.CodeDeadline, 0x07, "deadline"}, {protocol.CodeAdmission, 0x08, "admission"},
+		{protocol.CodeBoardDown, 0x09, "board_down"}, {protocol.CodeFailover, 0x0A, "failover"},
+		{protocol.CodeRoute, 0x0B, "route"}, {protocol.CodeInternal, 0x0C, "internal"},
+		{protocol.CodeMalformed, 0x0D, "malformed"}, {protocol.CodeUnauthorized, 0x0E, "unauthorized"},
+		{protocol.CodeQuota, 0x0F, "quota_exceeded"}, {protocol.CodeUnknownAlias, 0x10, "unknown_alias"},
 	}
-	if len(want) != len(codeBytes) {
-		t.Fatalf("code table has %d entries, ABI pins %d", len(codeBytes), len(want))
+	for _, w := range want {
+		if byte(w.code) != w.b || w.code.String() != w.name {
+			t.Errorf("code %q = %#x, ABI pins %q = %#x", w.code, byte(w.code), w.name, w.b)
+		}
 	}
-	for name, b := range want {
-		if CodeByte(name) != b {
-			t.Errorf("code %q = %#x, ABI pins %#x", name, CodeByte(name), b)
-		}
-		if CodeName(b) != name {
-			t.Errorf("code byte %#x = %q, ABI pins %q", b, CodeName(b), name)
-		}
+	if s := protocol.Code(len(want)).String(); s != "" {
+		t.Errorf("code byte %#x has name %q, ABI pins none", len(want), s)
 	}
 }
 
@@ -114,7 +116,7 @@ func TestABIRequests(t *testing.T) {
 	}{
 		{"route",
 			protocol.Request{ID: 1, Op: "route", Session: "dev0",
-				Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+				Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 				Sinks:  []protocol.EndPointMsg{pin(3, 4, 9)}},
 			frame(0x10, 0, 1,
 				0x04, 'd', 'e', 'v', '0', // session "dev0"
@@ -174,19 +176,19 @@ func TestABIRequests(t *testing.T) {
 			)},
 		{"unroute",
 			protocol.Request{ID: 5, Op: "unroute", Session: "d",
-				Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 5, Col: 6, Wire: 7}}},
+				Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 5, Col: 6, Wire: 7}}},
 			frame(0x14, 0, 5, 0x01, 'd', 0x00, 0x01, 0x0A, 0x0C, 0x07)},
 		{"reverse_unroute",
 			protocol.Request{ID: 13, Op: "reverse_unroute", Session: "d",
-				Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 0, Col: 0, Wire: 1}}},
+				Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 0, Col: 0, Wire: 1}}},
 			frame(0x15, 0, 13, 0x01, 'd', 0x00, 0x01, 0x00, 0x00, 0x01)},
 		{"trace",
 			protocol.Request{ID: 9, Op: "trace", Session: "d",
-				Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 1, Wire: 1}}},
+				Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 1, Wire: 1}}},
 			frame(0x16, 0, 9, 0x01, 'd', 0x00, 0x01, 0x02, 0x02, 0x01)},
 		{"reverse_trace",
 			protocol.Request{ID: 14, Op: "reverse_trace", Session: "d",
-				Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 0, Col: 0, Wire: 2}}},
+				Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 0, Col: 0, Wire: 2}}},
 			frame(0x17, 0, 14, 0x01, 'd', 0x00, 0x01, 0x00, 0x00, 0x02)},
 		{"core_new",
 			protocol.Request{ID: 6, Op: "core_new", Session: "d",
@@ -439,7 +441,7 @@ func TestFilterGarbage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		in   []byte
-		code string
+		code protocol.Code
 	}{
 		{"garbage magic", garbageMagic, protocol.CodeMalformed},
 		{"wrong version", badVersion, protocol.CodeVersion},
@@ -491,7 +493,7 @@ func TestFilterGarbage(t *testing.T) {
 // without panicking or over-allocating.
 func TestDecodeGarbagePayloads(t *testing.T) {
 	req := protocol.Request{ID: 1, Op: "route", Session: "dev0",
-		Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+		Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 		Sinks:  []protocol.EndPointMsg{pin(3, 4, 9)}}
 	full, err := AppendRequest(nil, &req)
 	if err != nil {
@@ -529,7 +531,7 @@ func TestDecodeGarbagePayloads(t *testing.T) {
 // target.
 func TestEncodeAllocs(t *testing.T) {
 	req := protocol.Request{ID: 1, Op: "route", Session: "dev0",
-		Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+		Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 		Sinks:  []protocol.EndPointMsg{pin(3, 4, 9)}}
 	frames := bytes.Repeat([]byte{0x5A}, 512)
 	resp := protocol.Response{ID: 1, Epoch: 1, FrameN: 3, Frames: frames}
@@ -575,7 +577,7 @@ func TestInterner(t *testing.T) {
 
 func BenchmarkAppendRequestRoute(b *testing.B) {
 	req := protocol.Request{ID: 1, Op: "route", Session: "dev0",
-		Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+		Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 		Sinks:  []protocol.EndPointMsg{pin(3, 4, 9)}}
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
@@ -604,7 +606,7 @@ func BenchmarkAppendResponseFrames(b *testing.B) {
 
 func BenchmarkDecodeRequestRoute(b *testing.B) {
 	req := protocol.Request{ID: 1, Op: "route", Session: "dev0",
-		Source: &protocol.EndPointMsg{Pin: &protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
+		Source: &protocol.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 2, Wire: 7}},
 		Sinks:  []protocol.EndPointMsg{pin(3, 4, 9)}}
 	full, err := AppendRequest(nil, &req)
 	if err != nil {
@@ -743,10 +745,10 @@ func TestWriteMsgAllocatesNothing(t *testing.T) {
 }
 
 // TestDecodeRequestOneAllocation: a request's endpoints — pins and ports —
-// decode into one slab, so a warm decode allocates once however many
-// endpoints it carries (up to 16), and a fresh request owns what it holds.
+// decode into one slice, so a warm decode allocates once however many
+// endpoints it carries, and a fresh request owns what it holds.
 func TestDecodeRequestOneAllocation(t *testing.T) {
-	port := protocol.EndPointMsg{Port: &protocol.PortRefMsg{Core: "mul", Group: "p", Index: 2}}
+	port := protocol.EndPointMsg{Port: protocol.PortRefMsg{Core: "mul", Group: "p", Index: 2}, IsPort: true}
 	for _, req := range []*protocol.Request{
 		{ID: 1, Op: "route", Session: "dev0", Source: &port,
 			Sinks: []protocol.EndPointMsg{pin(3, 4, 9), pin(5, 6, 7), port}},

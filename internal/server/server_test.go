@@ -77,9 +77,9 @@ func driveSession(t *testing.T, addr, dev string) error {
 	}
 
 	// Negotiated batch routing of a small crossing bus.
-	var nets []server.NetMsg
+	var nets []protocol.NetMsg
 	for i := 0; i < 4; i++ {
-		nets = append(nets, server.NetMsg{
+		nets = append(nets, protocol.NetMsg{
 			Source: client.Pin(core.NewPin(10+i, 2, arch.OutPin(i))),
 			Sinks:  []server.EndPointMsg{client.Pin(core.NewPin(13-i, 6, arch.Input(i)))},
 		})
@@ -90,10 +90,10 @@ func driveSession(t *testing.T, addr, dev string) error {
 
 	// Core instantiation: constant multiplier feeding a register.
 	k := uint64(3)
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "mul", Kind: "constmul", Row: 4, Col: 10, K: &k, KBits: 2}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "mul", Kind: "constmul", Row: 4, Col: 10, K: &k, KBits: 2}); err != nil {
 		return fmt.Errorf("core_new mul: %w", err)
 	}
-	if err := s.NewCore(ctx, server.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 6}); err != nil {
+	if err := s.NewCore(ctx, protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 6}); err != nil {
 		return fmt.Errorf("core_new reg: %w", err)
 	}
 	var srcs, dsts []server.EndPointMsg
@@ -112,7 +112,7 @@ func driveSession(t *testing.T, addr, dev string) error {
 	// §3.3 replacement: retune K and relocate; remembered connections are
 	// restored against the new placement.
 	k2 := uint64(2)
-	if err := s.ReplaceCore(ctx, server.CoreMsg{Name: "mul", Row: 9, Col: 10, K: &k2}); err != nil {
+	if err := s.ReplaceCore(ctx, protocol.CoreMsg{Name: "mul", Row: 9, Col: 10, K: &k2}); err != nil {
 		return fmt.Errorf("core_replace: %w", err)
 	}
 	if _, err := s.Trace(ctx, client.PortRef("mul", "p", 0)); err != nil {
@@ -189,7 +189,7 @@ func TestServiceErrors(t *testing.T) {
 		t.Error("unroute of unrouted net succeeded")
 	}
 	// Bad wire number.
-	if err := s.Route(ctx, server.EndPointMsg{Pin: &server.PinMsg{Row: 1, Col: 1, Wire: 1 << 20}},
+	if err := s.Route(ctx, server.EndPointMsg{Pin: protocol.PinMsg{Row: 1, Col: 1, Wire: 1 << 20}},
 		client.Pin(core.NewPin(2, 2, arch.S0F1))); err == nil {
 		t.Error("absurd wire number accepted")
 	}

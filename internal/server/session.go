@@ -220,7 +220,7 @@ func (w *Worker) sessionImport(req *Request, resp *Response) error {
 			return fmt.Errorf("server: a session form holds no entry of tag %#x", e.Tag)
 		}
 	}
-	resp.ErrorCode = ""
+	resp.ErrorCode = protocol.CodeOK
 	owners = slices.DeleteFunc(owners, func(o uint8) bool { return o == 0 })
 	for _, o := range owners {
 		w.drop(o)
@@ -252,7 +252,7 @@ func (w *Worker) place(cores []coreEntry, recs [2][]core.SeqRecord, resp *Respon
 		for i, e := range sr.Ends {
 			if ref, ok := e.(portRef); ok {
 				var err error
-				if sr.Ends[i], err = w.endpoint(&EndPointMsg{Port: (*PortRefMsg)(&ref)}); err != nil {
+				if sr.Ends[i], err = w.endpoint(&EndPointMsg{Port: protocol.PortRefMsg(ref), IsPort: true}); err != nil {
 					resp.ErrorCode = protocol.CodeBadRequest
 					return err
 				}

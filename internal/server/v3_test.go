@@ -114,7 +114,7 @@ func TestHandshakeEdge(t *testing.T) {
 	if err := jbits.WriteFrame(conn, 0x10, legacyHello); err != nil {
 		t.Fatal(err)
 	}
-	if code, id := readRefusal(t, conn); code != protocol.CodeVersion || id != 1 {
+	if code, id := readRefusal(t, conn); code != protocol.CodeVersion.String() || id != 1 {
 		t.Fatalf("JSON hello: code %q id %d, want %q id 1", code, id, protocol.CodeVersion)
 	}
 	expectClosed(t, conn, "JSON hello")
@@ -287,7 +287,7 @@ func scriptSession(ctx context.Context, s *client.Session, script []workload.Scr
 		case workload.OpCoreNew:
 			name := fmt.Sprintf("reg_s%d_%d", op.Slot, op.Serial)
 			row, col := workload.CoreSlotSite(op.Slot, rows, cols)
-			err = s.NewCore(ctx, server.CoreMsg{Name: name, Kind: "register", Row: row, Col: col, Bits: 4})
+			err = s.NewCore(ctx, protocol.CoreMsg{Name: name, Kind: "register", Row: row, Col: col, Bits: 4})
 			if err == nil {
 				regs[op.Slot] = name
 				err = s.Route(ctx, client.PortRef(name, "q", 0), client.Pin(op.Sinks[0]))
@@ -298,7 +298,7 @@ func scriptSession(ctx context.Context, s *client.Session, script []workload.Scr
 				err = fmt.Errorf("no core at slot %d", op.Slot)
 			} else {
 				row, col := workload.CoreSlotSite(op.Slot, rows, cols)
-				err = s.ReplaceCore(ctx, server.CoreMsg{Name: name, Row: row, Col: col})
+				err = s.ReplaceCore(ctx, protocol.CoreMsg{Name: name, Row: row, Col: col})
 			}
 		default:
 			return nil, fmt.Errorf("step %d: unknown op kind %v", i, op.Kind)

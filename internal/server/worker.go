@@ -26,8 +26,8 @@ type task struct {
 // coreEntry tracks one named core instance living on a worker's device.
 type coreEntry struct {
 	c      cores.Core
-	groups []string // port groups the replace flow reconnects
-	msg    CoreMsg  // current description: the core_new's, replaces folded in
+	groups []string         // port groups the replace flow reconnects
+	msg    protocol.CoreMsg // current description: the core_new's, replaces folded in
 	owner  uint8
 	stamp  uint64 // creation order
 }
@@ -293,7 +293,7 @@ func (w *Worker) handle(req *Request) *Response {
 	err := w.dispatch(op, req, resp)
 	if err != nil {
 		resp.Err = err.Error()
-		if resp.ErrorCode == "" {
+		if resp.ErrorCode == protocol.CodeOK {
 			resp.ErrorCode = protocol.CodeRoute
 		}
 	}
@@ -464,7 +464,7 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 	}
 }
 
-func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
+func (w *Worker) coreNew(msg *protocol.CoreMsg, resp *Response) error {
 	if msg == nil {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_new without core description")
@@ -496,7 +496,7 @@ func (w *Worker) coreNew(msg *CoreMsg, resp *Response) error {
 	return nil
 }
 
-func (w *Worker) coreReplace(msg *CoreMsg, resp *Response) error {
+func (w *Worker) coreReplace(msg *protocol.CoreMsg, resp *Response) error {
 	if msg == nil {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_replace without core description")
@@ -531,7 +531,7 @@ func (w *Worker) coreReplace(msg *CoreMsg, resp *Response) error {
 
 // makeCore instantiates a library core from its wire description and
 // returns it with the port groups the replace flow must reconnect.
-func makeCore(msg *CoreMsg) (cores.Core, []string, error) {
+func makeCore(msg *protocol.CoreMsg) (cores.Core, []string, error) {
 	switch msg.Kind {
 	case "constmul":
 		k := uint64(0)
@@ -570,26 +570,22 @@ func (w *Worker) endpoint(m *EndPointMsg) (core.EndPoint, error) {
 	if m == nil {
 		return nil, fmt.Errorf("server: missing endpoint")
 	}
-	switch {
-	case m.Pin != nil:
+	if !m.IsPort {
 		if m.Pin.Wire < 0 || m.Pin.Wire >= w.js.Dev.A.WireCount() {
 			return nil, fmt.Errorf("server: wire %d outside architecture", m.Pin.Wire)
 		}
 		return core.NewPin(m.Pin.Row, m.Pin.Col, arch.Wire(m.Pin.Wire)), nil
-	case m.Port != nil:
-		entry, ok := w.cores[m.Port.Core]
-		if !ok {
-			return nil, fmt.Errorf("server: no core %q", m.Port.Core)
-		}
-		ports := entry.c.Ports(m.Port.Group)
-		if m.Port.Index < 0 || m.Port.Index >= len(ports) {
-			return nil, fmt.Errorf("server: core %q group %q has no port %d",
-				m.Port.Core, m.Port.Group, m.Port.Index)
-		}
-		return ports[m.Port.Index], nil
-	default:
-		return nil, fmt.Errorf("server: endpoint is neither pin nor port")
 	}
+	entry, ok := w.cores[m.Port.Core]
+	if !ok {
+		return nil, fmt.Errorf("server: no core %q", m.Port.Core)
+	}
+	ports := entry.c.Ports(m.Port.Group)
+	if m.Port.Index < 0 || m.Port.Index >= len(ports) {
+		return nil, fmt.Errorf("server: core %q group %q has no port %d",
+			m.Port.Core, m.Port.Group, m.Port.Index)
+	}
+	return ports[m.Port.Index], nil
 }
 
 func (w *Worker) endpoints(ms []EndPointMsg) ([]core.EndPoint, error) {
@@ -604,14 +600,20 @@ func (w *Worker) endpoints(ms []EndPointMsg) ([]core.EndPoint, error) {
 	return out, nil
 }
 
-// netToMsg converts a traced net to its wire form.
-func netToMsg(n *core.Net) *NetMsg {
-	msg := &NetMsg{Source: EndPointMsg{Pin: &PinMsg{Row: n.Source.Row, Col: n.Source.Col, Wire: int(n.Source.W)}}}
-	for _, p := range n.PIPs {
-		msg.Pips = append(msg.Pips, protocol.PipMsg{Row: p.Row, Col: p.Col, From: int(p.From), To: int(p.To)})
+// netToMsg converts a traced net to its wire form: the net and one slice
+// each of its sinks and its PIPs.
+func netToMsg(n *core.Net) *protocol.NetMsg {
+	msg := &protocol.NetMsg{Source: pinEnd(n.Source),
+		Sinks: make([]EndPointMsg, len(n.Sinks)), Pips: make([]protocol.PipMsg, len(n.PIPs))}
+	for i, sp := range n.Sinks {
+		msg.Sinks[i] = pinEnd(sp)
 	}
-	for _, sp := range n.Sinks {
-		msg.Sinks = append(msg.Sinks, EndPointMsg{Pin: &PinMsg{Row: sp.Row, Col: sp.Col, Wire: int(sp.W)}})
+	for i, p := range n.PIPs {
+		msg.Pips[i] = protocol.PipMsg{Row: p.Row, Col: p.Col, From: int(p.From), To: int(p.To)}
 	}
 	return msg
+}
+
+func pinEnd(p core.Pin) EndPointMsg {
+	return EndPointMsg{Pin: protocol.PinMsg{Row: p.Row, Col: p.Col, Wire: int(p.W)}}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func pinMsg(row, col int, w arch.Wire) EndPointMsg {
-	return EndPointMsg{Pin: &PinMsg{Row: row, Col: col, Wire: int(w)}}
+	return EndPointMsg{Pin: protocol.PinMsg{Row: row, Col: col, Wire: int(w)}}
 }
 
 func routeReq(session string, src, sink EndPointMsg) *Request {
@@ -128,10 +128,10 @@ func TestStatsAreTheRouters(t *testing.T) {
 		routeReq("dev", src, sink),
 		{Op: "unroute", Session: "dev", Source: &src},
 		routeReq("dev", src, sink),
-		{Op: "batch", Session: "dev", Nets: []NetMsg{{Source: pinMsg(10, 2, arch.OutPin(0)),
+		{Op: "batch", Session: "dev", Nets: []protocol.NetMsg{{Source: pinMsg(10, 2, arch.OutPin(0)),
 			Sinks: []EndPointMsg{pinMsg(13, 6, arch.Input(0))}}}},
-		{Op: "core_new", Session: "dev", Core: &CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
-		{Op: "core_replace", Session: "dev", Core: &CoreMsg{Name: "reg", Row: 9, Col: 16}},
+		{Op: "core_new", Session: "dev", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 16, Bits: 4}},
+		{Op: "core_replace", Session: "dev", Core: &protocol.CoreMsg{Name: "reg", Row: 9, Col: 16}},
 	} {
 		if resp := w.Submit(ctx, req); resp.Err != "" {
 			t.Fatalf("op %d (%s): %s", i, req.Op, resp.Err)
