@@ -55,48 +55,6 @@ func TestPortAccessors(t *testing.T) {
 	}
 }
 
-// TestResetStats: the reset zeroes work counters but must not rewind the
-// monotonic cache/library counters — statsz consumers derive hit rates
-// from them, and a mid-session reset used to zero the denominators and
-// skew every report after it.
-func TestResetStats(t *testing.T) {
-	r := newTestRouter(t, Options{})
-	if err := r.RouteNet(NewPin(2, 2, arch.S0X), NewPin(4, 4, arch.S0F1)); err != nil {
-		t.Fatal(err)
-	}
-	before := r.Stats()
-	if before == (Stats{}) {
-		t.Fatal("no stats recorded")
-	}
-	if before.CacheMisses == 0 {
-		t.Fatal("fresh route should have missed the cache")
-	}
-	r.ResetStats()
-	after := r.Stats()
-	if after.Routes != 0 || after.PIPsSet != 0 || after.NodesExplored != 0 {
-		t.Errorf("work counters survived reset: %+v", after)
-	}
-	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses ||
-		after.ReplayFails != before.ReplayFails {
-		t.Errorf("monotonic cache counters rewound: before %+v after %+v", before, after)
-	}
-	if after.LibraryHits != before.LibraryHits || after.LibrarySeeded != before.LibrarySeeded ||
-		after.LibraryMisses != before.LibraryMisses || after.LibrarySkipped != before.LibrarySkipped {
-		t.Errorf("monotonic library counters rewound: before %+v after %+v", before, after)
-	}
-	// Re-routing the same endpoints after the reset must hit the cache and
-	// keep counting upward from the preserved values.
-	if err := r.Unroute(NewPin(2, 2, arch.S0X)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RouteNet(NewPin(2, 2, arch.S0X), NewPin(4, 4, arch.S0F1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Stats().CacheHits; got != before.CacheHits+1 {
-		t.Errorf("CacheHits after reset+replay = %d, want %d", got, before.CacheHits+1)
-	}
-}
-
 func TestUnrouteAll(t *testing.T) {
 	r := newTestRouter(t, Options{})
 	// A few nets, including fanout.

@@ -478,12 +478,12 @@ func TestPaperB9PortsToKestrel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.ResetStats()
+			before := r.Stats()
 			if err := r.RouteNet(src, sink); err != nil {
 				continue
 			}
 			routed++
-			nodes = append(nodes, r.Stats().NodesExplored)
+			nodes = append(nodes, r.Stats().Sub(before).NodesExplored)
 		}
 		want := map[string]int{"virtex": 10, "kestrel": 8}[a.Name]
 		if routed != 149 || medianInt(nodes) != want {

@@ -103,13 +103,8 @@ func (r *Router) RemoveAvoid(row, col, height, width int) bool {
 }
 
 // Stats counts router work, feeding the B1/B2 experiments and the routing
-// service's statsz endpoint.
-//
-// The counters fall into two groups. Work counters (routes, searches,
-// PIPs, iterations) are resettable: ResetStats zeroes them so callers can
-// measure an interval. Cache and library counters are monotonic for the
-// life of the router — hit-rate maths downstream (statsz) divide
-// them, so they must never rewind mid-session.
+// service's statsz endpoint. No counter is ever reset; Sub measures an
+// interval.
 type Stats struct {
 	Routes          int // automatic route calls completed
 	TemplateHits    int // routes satisfied by a predefined template
@@ -118,9 +113,9 @@ type Stats struct {
 	PIPsSet         int
 	PIPsCleared     int
 	BatchIterations int // negotiation rip-up/re-route rounds consumed by RouteBatch
-	CacheHits       int // routes satisfied by replaying a cached path (monotonic)
-	CacheMisses     int // cache lookups that found no applicable entry (monotonic)
-	ReplayFails     int // cached paths whose legality sweep failed (fell back to search; monotonic)
+	CacheHits       int // routes satisfied by replaying a cached path
+	CacheMisses     int // cache lookups that found no applicable entry
+	ReplayFails     int // cached paths whose legality sweep failed (fell back to search)
 	// RecordsVisited counts the connection records a connection-level op
 	// (route, unroute, reverse unroute, rip-up, adopt) examined to find the
 	// ones it changes: a constant per net touched, whatever else is
@@ -130,7 +125,7 @@ type Stats struct {
 
 	// Persistent template-library observability (see Options.Library).
 	// Seeded and Skipped are set at construction; Hits and Misses count
-	// library-tier lookups. All four are monotonic.
+	// library-tier lookups.
 	LibraryHits    int // replays served from the seeded library tier
 	LibraryMisses  int // template lookups that consulted the library and found nothing
 	LibrarySeeded  int // entries accepted into the router's library tier at construction
@@ -251,6 +246,7 @@ type Router struct {
 	portBuf    []*Port        // connectionPorts
 	regionBuf  []device.Track // RipUpRegion: tracks over the rectangle
 	rootBuf    []int32        // RipUpRegion: their nets' root track indices
+	tapBuf     []device.Coord // pathStep: the current track's taps
 	// curPath accumulates the PIPs committed by the routing call
 	// in flight, snapshotted onto the Connection record by record().
 	curPath []device.PIP
@@ -321,24 +317,6 @@ func (r *Router) SetOwner(o uint8) { r.owner = o }
 
 // Stats returns a copy of the counters.
 func (r *Router) Stats() Stats { return r.stats }
-
-// ResetStats zeroes the resettable work counters (routes, searches, PIPs,
-// batch iterations). The cache and library counters are monotonic for the
-// life of the router and survive the reset: statsz consumers derive hit
-// rates from them, and a mid-session rewind would skew every report that
-// follows.
-func (r *Router) ResetStats() {
-	keep := r.stats
-	r.stats = Stats{
-		CacheHits:      keep.CacheHits,
-		CacheMisses:    keep.CacheMisses,
-		ReplayFails:    keep.ReplayFails,
-		LibraryHits:    keep.LibraryHits,
-		LibraryMisses:  keep.LibraryMisses,
-		LibrarySeeded:  keep.LibrarySeeded,
-		LibrarySkipped: keep.LibrarySkipped,
-	}
-}
 
 // Connections returns a defensive copy of the live endpoint-level
 // connection records. Callers that only need the count should use
@@ -418,7 +396,8 @@ func (r *Router) RoutePath(p Path) (err error) {
 // trying the tiles where cur can be tapped farthest from entry first.
 func (r *Router) pathStep(cur device.Track, entry device.Coord, w arch.Wire) (device.Track, device.Coord, error) {
 	var lastErr error
-	for _, tp := range forwardFirst(r.Dev.Taps(cur), entry) {
+	r.tapBuf = forwardFirst(r.Dev.AppendTaps(r.tapBuf[:0], cur), entry)
+	for _, tp := range r.tapBuf {
 		fromName := r.Dev.LocalName(cur, tp)
 		if fromName == arch.Invalid || !r.Dev.A.PIPLegalLocal(fromName, w) {
 			continue
@@ -437,15 +416,14 @@ func (r *Router) pathStep(cur device.Track, entry device.Coord, w arch.Wire) (de
 		r.Dev.A.WireName(w), r.Dev.A.WireName(cur.W))
 }
 
-// forwardFirst orders tap tiles so the ones farthest from the entry tile
-// come first: a path normally travels forward along each wire.
+// forwardFirst orders tap tiles in place so the ones farthest from the
+// entry tile come first: a path normally travels forward along each wire.
 func forwardFirst(taps []device.Coord, entry device.Coord) []device.Coord {
-	out := append([]device.Coord(nil), taps...)
 	dist := func(c device.Coord) int {
 		return abs(c.Row-entry.Row) + abs(c.Col-entry.Col)
 	}
-	slices.SortStableFunc(out, func(a, b device.Coord) int { return cmp.Compare(dist(b), dist(a)) })
-	return out
+	slices.SortStableFunc(taps, func(a, b device.Coord) int { return cmp.Compare(dist(b), dist(a)) })
+	return taps
 }
 
 func abs(v int) int {

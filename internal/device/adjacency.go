@@ -178,12 +178,14 @@ func (d *Device) deriveChunk(tile int) *adjChunk {
 		off:   make([]uint32, d.slots+1),
 		edges: make([]Edge, 0, 24*d.slots), // a Virtex tile has ~3600; intern trims
 	}
+	taps := make([]Coord, 0, max(d.Rows, d.Cols)) // a long line's taps at most
 	for s := range d.slots {
 		ch.off[s] = uint32(len(ch.edges))
 		w := d.A.SlotWire(s)
 		t := Track{row, col, w}
 		if c, ok := d.CanonOK(row, col, w); ok && c == t {
-			ch.edges = d.derivePIPChoices(ch.edges, t)
+			taps = d.AppendTaps(taps[:0], t)
+			ch.edges = d.derivePIPChoices(ch.edges, t, taps)
 		}
 	}
 	ch.off[d.slots] = uint32(len(ch.edges))
@@ -193,8 +195,8 @@ func (d *Device) deriveChunk(tile int) *adjChunk {
 // derivePIPChoices is the derivation step: walk the track's tap tiles,
 // resolve its local name there, and append each architecture-legal fanout
 // target that exists on the array and may be driven at that tile.
-func (d *Device) derivePIPChoices(out []Edge, t Track) []Edge {
-	for _, tap := range d.Taps(t) {
+func (d *Device) derivePIPChoices(out []Edge, t Track, taps []Coord) []Edge {
+	for _, tap := range taps {
 		f := d.LocalName(t, tap)
 		if f == arch.Invalid {
 			continue

@@ -80,10 +80,10 @@ type refChoice struct {
 }
 
 // refPIPChoices is the reference derivation, independent of the chunk
-// builder: walk Taps/LocalName/LocalFanout/DriveAllowedAt for one track.
+// builder: walk AppendTaps/LocalName/LocalFanout/DriveAllowedAt for one track.
 func refPIPChoices(d *Device, t Track) []refChoice {
 	var out []refChoice
-	for _, tap := range d.Taps(t) {
+	for _, tap := range d.AppendTaps(nil, t) {
 		f := d.LocalName(t, tap)
 		if f == arch.Invalid {
 			continue
@@ -142,7 +142,7 @@ func checkTileEdges(t *testing.T, d *Device, row, col int) (tracks, edges int) {
 }
 
 // TestPIPChoicesMatchDirectDerivation: the compact per-tile adjacency must
-// decode to exactly what walking Taps/LocalName/LocalFanout/DriveAllowedAt
+// decode to exactly what walking AppendTaps/LocalName/LocalFanout/DriveAllowedAt
 // produces — every canonical track of the small arrays of both
 // architectures, and on the 64x96 array the tiles where the rules have
 // edges: boundary rows and columns (IOBs, wires that would leave the

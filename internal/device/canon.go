@@ -100,47 +100,45 @@ func (d *Device) CanonOK(row, col int, w arch.Wire) (Track, bool) {
 	}
 }
 
-// Taps returns the tiles at which a canonical track can be tapped as a PIP
-// source, in canonical order. Global clocks return nil: they are available
-// at every tile and are handled specially by clock routing.
-func (d *Device) Taps(t Track) []Coord {
+// AppendTaps appends to dst the tiles at which a canonical track can be
+// tapped as a PIP source, in canonical order, and returns the extended
+// slice. Global clocks append nothing: they are available at every tile and
+// are handled specially by clock routing.
+func (d *Device) AppendTaps(dst []Coord, t Track) []Coord {
 	a := d.A
 	c := a.ClassOf(t.W)
 	switch c.Kind {
 	case arch.KindOutPin:
-		taps := []Coord{{t.Row, t.Col}}
+		dst = append(dst, Coord{t.Row, t.Col})
 		if t.Col+1 < d.Cols {
-			taps = append(taps, Coord{t.Row, t.Col + 1}) // direct connect east
+			dst = append(dst, Coord{t.Row, t.Col + 1}) // direct connect east
 		}
-		return taps
+		return dst
 	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
 		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		return []Coord{{t.Row, t.Col}}
+		return append(dst, Coord{t.Row, t.Col})
 	case arch.KindSingle:
 		dr, dc := c.Dir.Delta()
-		return []Coord{{t.Row, t.Col}, {t.Row + dr, t.Col + dc}}
+		return append(dst, Coord{t.Row, t.Col}, Coord{t.Row + dr, t.Col + dc})
 	case arch.KindHex:
 		dr, dc := c.Dir.Delta()
 		half := a.HexLen / 2
-		return []Coord{
-			{t.Row, t.Col},
-			{t.Row + dr*half, t.Col + dc*half},
-			{t.Row + dr*a.HexLen, t.Col + dc*a.HexLen},
-		}
+		return append(dst,
+			Coord{t.Row, t.Col},
+			Coord{t.Row + dr*half, t.Col + dc*half},
+			Coord{t.Row + dr*a.HexLen, t.Col + dc*a.HexLen})
 	case arch.KindLongH:
-		var taps []Coord
 		for col := 0; col < d.Cols; col += a.LongAccessPeriod {
-			taps = append(taps, Coord{t.Row, col})
+			dst = append(dst, Coord{t.Row, col})
 		}
-		return taps
+		return dst
 	case arch.KindLongV:
-		var taps []Coord
 		for row := 0; row < d.Rows; row += a.LongAccessPeriod {
-			taps = append(taps, Coord{row, t.Col})
+			dst = append(dst, Coord{row, t.Col})
 		}
-		return taps
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 
@@ -151,7 +149,7 @@ func (d *Device) Taps(t Track) []Coord {
 // rip-up and avoid-region routing both need that extent. Wires are straight
 // segments on this fabric, so the box is the track's canonical tile and its
 // far end, computed from the wire class as MinTapDistance is (the device
-// tests pin it to the bounding box of Taps); a long line spans its whole
+// tests pin it to the bounding box of AppendTaps); a long line spans its whole
 // row or column. Tracks with no tap tiles (global clocks, present
 // everywhere) return ok=false.
 func (d *Device) TrackSpan(t Track) (r0, c0, r1, c1 int, ok bool) {
@@ -190,10 +188,11 @@ func (d *Device) TrackSpan(t Track) (r0, c0, r1, c1 int, ok bool) {
 }
 
 // MinTapDistance returns the Manhattan distance from the nearest tap tile
-// of track t to tile c — the allocation-free form of "min over Taps(t)"
+// of track t to tile c — "min over AppendTaps(t)" without a tap list —
 // that the search heuristics call once per frontier pop. Tracks with no tap
 // tiles (global clocks, reachable everywhere) return 0. The tap positions
-// mirror Taps exactly; the device consistency tests pin the correspondence.
+// mirror AppendTaps exactly; the device consistency tests pin the
+// correspondence.
 func (d *Device) MinTapDistance(t Track, c Coord) int {
 	a := d.A
 	cl := a.ClassOf(t.W)

@@ -398,7 +398,7 @@ func TestTapsAndLocalNames(t *testing.T) {
 	d := virtexDev(t)
 	a := d.A
 	hex, _ := d.Canon(4, 3, a.Hex(arch.East, 7))
-	taps := d.Taps(hex)
+	taps := d.AppendTaps(nil, hex)
 	want := []Coord{{4, 3}, {4, 6}, {4, 9}}
 	if len(taps) != len(want) {
 		t.Fatalf("hex taps = %v", taps)
@@ -420,13 +420,40 @@ func TestTapsAndLocalNames(t *testing.T) {
 		t.Error("hex has a name at a non-tap tile")
 	}
 	long, _ := d.Canon(3, 0, a.LongH(2))
-	lt := d.Taps(long)
+	lt := d.AppendTaps(nil, long)
 	if len(lt) != 4 { // cols 0, 6, 12, 18 on a 24-wide device
 		t.Errorf("long taps = %v", lt)
 	}
 	out, _ := d.Canon(3, 23, arch.S0X) // east edge: no direct-connect tap
-	if len(d.Taps(out)) != 1 {
-		t.Errorf("edge output taps = %v", d.Taps(out))
+	if len(d.AppendTaps(nil, out)) != 1 {
+		t.Errorf("edge output taps = %v", d.AppendTaps(nil, out))
+	}
+}
+
+// TestAppendTapsAllocatesNothing: with warm scratch, listing a track's
+// taps — the search's start positions, a long line's exits, a RoutePath
+// step, an adjacency derivation — allocates nothing.
+func TestAppendTapsAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	d := virtexDev(t)
+	a := d.A
+	var tracks []Track
+	for _, w := range []arch.Wire{arch.S0X, arch.S1YQ, arch.S0F1, a.Hex(arch.East, 7), a.LongH(2), a.LongV(1), arch.GClk(0)} {
+		tr, err := d.Canon(6, 6, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracks = append(tracks, tr)
+	}
+	buf := make([]Coord, 0, max(d.Rows, d.Cols))
+	if n := testing.AllocsPerRun(100, func() {
+		for _, tr := range tracks {
+			buf = d.AppendTaps(buf[:0], tr)
+		}
+	}); n != 0 {
+		t.Errorf("AppendTaps into warm scratch allocates %v objects, want 0", n)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestKestrelLongAccessPeriod(t *testing.T) {
 	d := kestrelDev(t)
 	a := d.A
 	long, _ := d.Canon(3, 0, a.LongH(2))
-	taps := d.Taps(long)
+	taps := d.AppendTaps(nil, long)
 	if len(taps) != 4 { // cols 0, 4, 8, 12 on a 16-wide device
 		t.Errorf("long taps = %v", taps)
 	}
@@ -146,7 +146,7 @@ func TestCanonTapNameConsistency(t *testing.T) {
 			samples = append(samples, Track{mid.Row, mid.Col, arch.OutPin(p)})
 		}
 		for _, tr := range samples {
-			for _, tap := range d.Taps(tr) {
+			for _, tap := range d.AppendTaps(nil, tr) {
 				name := d.LocalName(tr, tap)
 				if name == arch.Invalid {
 					t.Fatalf("%s: track %v has no name at tap %v", a.Name, tr, tap)

@@ -9,7 +9,7 @@ import (
 )
 
 // refTrackSpan is TrackSpan as it was computed before it stopped building
-// the tap list: the bounding box of Taps, long lines spanning their whole
+// the tap list: the bounding box of AppendTaps, long lines spanning their whole
 // row or column.
 func refTrackSpan(d *Device, t Track) (r0, c0, r1, c1 int, ok bool) {
 	switch d.A.ClassOf(t.W).Kind {
@@ -18,7 +18,7 @@ func refTrackSpan(d *Device, t Track) (r0, c0, r1, c1 int, ok bool) {
 	case arch.KindLongV:
 		return 0, t.Col, d.Rows - 1, t.Col, true
 	}
-	taps := d.Taps(t)
+	taps := d.AppendTaps(nil, t)
 	if len(taps) == 0 {
 		return 0, 0, 0, 0, false
 	}
@@ -33,7 +33,7 @@ func refTrackSpan(d *Device, t Track) (r0, c0, r1, c1 int, ok bool) {
 
 // TestTrackSpanMatchesTaps pins the arithmetic TrackSpan to the tap list
 // for every wire at every tile of a 12×12 device of each architecture —
-// canonical tracks and the aliases Taps also accepts.
+// canonical tracks and the aliases AppendTaps also accepts.
 func TestTrackSpanMatchesTaps(t *testing.T) {
 	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
 		side := max(12, 2*a.HexLen)

@@ -236,11 +236,17 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 		dev: dev, avoid: opt.Avoid, endWire: endWire, endTile: endTile, maxNodes: opt.maxNodes(),
 		pips:  make([]device.PIP, 0, len(tmpl)),
 		used:  append(make([]int32, 0, len(tmpl)+1), dev.TrackIndex(start)),
-		exits: make([]device.Coord, 0, len(tmpl)),
+		exits: make([]device.Coord, 0, len(tmpl)+3), // the start's taps (three but for a long) and an exit a hop
+	}
+	// The first hop may be taken from every tap of the start track: they
+	// are the bottom run of the exits stack.
+	s.exits = dev.AppendTaps(s.exits, start)
+	if len(s.exits) == 0 {
+		s.exits = append(s.exits, device.Coord{Row: start.Row, Col: start.Col})
 	}
 	found := false
-	for _, tap := range startPositions(dev, start) {
-		if s.from(start, tap, tmpl) {
+	for i, end := 0, len(s.exits); i < end; i++ {
+		if s.from(start, s.exits[i], tmpl) {
 			found = true
 			break
 		}
@@ -322,16 +328,6 @@ func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.Te
 	return false
 }
 
-// startPositions lists the tiles from which the first template hop may be
-// taken: every tap of the start track.
-func startPositions(dev *device.Device, start device.Track) []device.Coord {
-	taps := dev.Taps(start)
-	if len(taps) == 0 {
-		return []device.Coord{{Row: start.Row, Col: start.Col}}
-	}
-	return taps
-}
-
 // appendHopExits appends the position(s) the router occupies after driving
 // `target` at `at` under template value tv: the tile the hop's direction
 // and span lead to for directional values, the same tile for local values,
@@ -339,10 +335,10 @@ func startPositions(dev *device.Device, start device.Track) []device.Coord {
 func appendHopExits(out []device.Coord, dev *device.Device, target device.Track, at device.Coord, tv arch.TemplateValue) []device.Coord {
 	switch tv {
 	case arch.TVLongH, arch.TVLongV:
-		for _, t := range dev.Taps(target) {
-			if t != at {
-				out = append(out, t)
-			}
+		n := len(out)
+		out = dev.AppendTaps(out, target)
+		if i := slices.Index(out[n:], at); i >= 0 {
+			out = slices.Delete(out, n+i, n+i+1) // the entry tile is no exit
 		}
 		return out
 	default:

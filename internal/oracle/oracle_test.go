@@ -116,7 +116,7 @@ func TestDoubleDriverCaught(t *testing.T) {
 		t.Fatal("victim track does not canonicalize")
 	}
 	var second *device.PIP
-	for _, tap := range d.Taps(victim) {
+	for _, tap := range d.AppendTaps(nil, victim) {
 		local := d.LocalName(victim, tap)
 		if local == arch.Invalid {
 			continue

@@ -10,23 +10,26 @@
 // the op changed in each session's cores and records — live ones with
 // their exact PIP paths and ways home, and port memory — to the slot's
 // journal.Journal. When a board dies — detected by a failed configuration
-// push or a failed health probe — the coordinator imports the journal's
-// form of every session onto a spare with one session_import, the op a
-// gateway moves a session with: cores first, connections adopted
+// push, a failed health probe, or an op that panicked and quarantined the
+// slot's worker — the call that saw it imports the journal's form of every
+// session onto a spare with one session_import, the op a gateway moves a
+// session with, before it returns: cores first, connections adopted
 // replay-first through the route cache (the remembered paths are swept for
 // legality and committed verbatim; a full maze search is paid only when a
 // sweep fails), then port memory. The import pushes the spare its frames,
 // the bitstream oracle audits the result, and only then is the spare's
 // journal — fed by the import's own delta — the slot's and the slot
 // swapped. The slot epoch increments on every swap; clients observe the
-// epoch change and re-seed their mirrors.
+// epoch change and re-seed their mirrors. Calls that race the failover are
+// answered with the retryable failover code.
 //
 // Journal consistency: a worker serializes everything behind its queue, and
 // the journal is appended on the worker goroutine immediately after the
-// board acknowledged the op's frames. Any failure that triggers failover
-// (an op's push failing, a probe failing) therefore executes after every
+// board acknowledged the op's frames. Any failure that starts a failover
+// (an op's push failing, a probe failing, a panic) is seen only after every
 // acknowledged op's journal entry is in place — the journal can never miss
-// an acked op.
+// an acked op. The import and audit run as tasks on the spare's worker, so
+// a panic in them is contained there like any op's.
 package fleet
 
 import (
@@ -71,35 +74,12 @@ type Config struct {
 	ProbeInterval time.Duration
 }
 
-// swappableConn is an io.ReadWriter whose inner transport can be wrapped
-// mid-session (fault injection) without re-dialing the RemoteBoard.
-type swappableConn struct {
-	mu    sync.Mutex
-	inner io.ReadWriter
-}
-
-func (s *swappableConn) get() io.ReadWriter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner
-}
-
-func (s *swappableConn) Read(p []byte) (int, error)  { return s.get().Read(p) }
-func (s *swappableConn) Write(p []byte) (int, error) { return s.get().Write(p) }
-
-func (s *swappableConn) wrap(f func(io.ReadWriter) io.ReadWriter) {
-	s.mu.Lock()
-	s.inner = f(s.inner)
-	s.mu.Unlock()
-}
-
 // board is one emulated FPGA board plus its XHWIF tether: the hardware-side
 // Serve loop and the coordinator-side RemoteBoard handle.
 type board struct {
 	name   string
 	hw     *jbits.Board
 	remote *jbits.RemoteBoard
-	link   *swappableConn
 	raw    net.Conn // coordinator-side pipe end; Close severs the link
 	served chan struct{}
 }
@@ -110,12 +90,10 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 		return nil, err
 	}
 	coordSide, boardSide := net.Pipe()
-	link := &swappableConn{inner: coordSide}
 	b := &board{
 		name:   name,
 		hw:     hw,
-		remote: jbits.Dial(link),
-		link:   link,
+		remote: jbits.Dial(coordSide),
 		raw:    coordSide,
 		served: make(chan struct{}),
 	}
@@ -137,7 +115,7 @@ type slot struct {
 	worker   *server.Worker
 	epoch    uint64
 	down     bool // dead with no spare left
-	failing  bool // failover pending: reject ops instead of hitting the dead worker
+	failing  bool // a call is failing the slot over: reject ops instead of hitting the dead worker
 	sessions map[string]struct{}
 	j        *journal.Journal // fed by worker
 }
@@ -178,20 +156,13 @@ type Coordinator struct {
 		restoreUs        int64 // cumulative failover restore-routing time
 	}
 
-	failoverCh   chan failoverReq
-	failoverDone chan struct{}
-	stopProbe    chan struct{}
-	probeDone    chan struct{}
-}
-
-type failoverReq struct {
-	slot  *slot
-	epoch uint64 // the epoch observed dead; stale requests are dropped
+	stopProbe chan struct{}
+	probeDone chan struct{}
 }
 
 // New builds the fleet: Boards slots with one board and worker each, plus
-// Spares idle boards, and starts the failover executor (and the background
-// health-probe loop when ProbeInterval is set).
+// Spares idle boards, and starts the background health-probe loop when
+// ProbeInterval is set.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Boards < 1 {
 		return nil, fmt.Errorf("fleet: need at least one board")
@@ -211,13 +182,11 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Opts.Library = audited
 	}
 	c := &Coordinator{
-		cfg:          cfg,
-		arch:         a,
-		sessionKey:   make(map[string]uint64),
-		failoverCh:   make(chan failoverReq, 4*cfg.Boards),
-		failoverDone: make(chan struct{}),
-		stopProbe:    make(chan struct{}),
-		probeDone:    make(chan struct{}),
+		cfg:        cfg,
+		arch:       a,
+		sessionKey: make(map[string]uint64),
+		stopProbe:  make(chan struct{}),
+		probeDone:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Boards; i++ {
 		sl := &slot{idx: i, epoch: 1, sessions: make(map[string]struct{}), j: journal.New()}
@@ -239,7 +208,6 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.spares = append(c.spares, b)
 	}
-	go c.failoverLoop()
 	if cfg.ProbeInterval > 0 {
 		go c.probeLoop()
 	} else {
@@ -322,19 +290,30 @@ func (c *Coordinator) Submit(ctx context.Context, req *protocol.Request) *protoc
 // board's worker once the death is known — its router still holds the
 // unacknowledged mutations of the ops the dead link failed, and running the
 // retries there would surface phantom conflicts instead of the retryable
-// failover code.
+// failover code. A quarantined worker (an op panicked on it) is failed over
+// as a dead board is. Successful responses are stamped with the serving
+// board and epoch.
 func (c *Coordinator) submitToSlot(ctx context.Context, sl *slot, req *protocol.Request) *protocol.Response {
 	b, w, epoch, down, failing := sl.current()
 	if down || b == nil {
 		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeBoardDown,
 			Err: fmt.Sprintf("fleet: slot %d is down and no spare is left", sl.idx)}
 	}
+	if !failing && w.Quarantined() {
+		c.requestFailover(sl, epoch)
+		failing = true
+	}
 	if failing {
 		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeFailover,
 			Err: fmt.Sprintf("fleet: slot %d is failing over, retry", sl.idx)}
 	}
 	resp := w.Submit(ctx, req)
-	c.noteResult(sl, epoch, resp)
+	if resp.ErrorCode == protocol.CodeFailover || w.Quarantined() {
+		c.requestFailover(sl, epoch)
+	} else if resp.Err == "" {
+		b, _, cur, _, _ := sl.current()
+		resp.Board, resp.Epoch = b.name, cur
+	}
 	return resp
 }
 
@@ -366,43 +345,22 @@ func (c *Coordinator) connect(ctx context.Context, req *protocol.Request) *proto
 	return c.submitToSlot(ctx, sl, req)
 }
 
-// noteResult stamps the serving board and epoch on successful responses and
-// turns push failures into failover requests.
-func (c *Coordinator) noteResult(sl *slot, epoch uint64, resp *protocol.Response) {
-	if resp.ErrorCode == protocol.CodeFailover {
-		c.requestFailover(sl, epoch)
-		return
-	}
-	if resp.Err == "" {
-		b, _, cur, _, _ := sl.current()
-		if b != nil {
-			resp.Board, resp.Epoch = b.name, cur
-		}
-	}
-}
-
-// requestFailover queues a failover for the slot if its epoch is still the
-// one observed dead (duplicates and stale reports are dropped). The slot is
-// marked failing so further ops are rejected with the retryable code rather
-// than executed against the dead board's worker.
+// requestFailover fails the slot over on the calling goroutine — the op's
+// or ProbeAll's — if its epoch is still the one observed dead and no other
+// call has claimed it: stale and duplicate reports are dropped. The claim
+// marks the slot failing, so ops that race it are rejected with the
+// retryable code rather than executed against the dead board's worker, and
+// the call that saw the death returns only once the slot has swapped or
+// gone down.
 func (c *Coordinator) requestFailover(sl *slot, epoch uint64) {
 	sl.mu.Lock()
-	if sl.epoch == epoch && !sl.down {
+	claim := sl.epoch == epoch && !sl.down && !sl.failing
+	if claim {
 		sl.failing = true
 	}
 	sl.mu.Unlock()
-	select {
-	case c.failoverCh <- failoverReq{slot: sl, epoch: epoch}:
-	default:
-		// Queue full: a failover for this slot is already pending; the
-		// epoch check will drop the duplicate anyway.
-	}
-}
-
-func (c *Coordinator) failoverLoop() {
-	defer close(c.failoverDone)
-	for req := range c.failoverCh {
-		c.failover(req.slot, req.epoch)
+	if claim {
+		c.failover(sl)
 	}
 }
 
@@ -412,13 +370,9 @@ func (c *Coordinator) failoverLoop() {
 // the full configuration, audit the spare with the bitstream oracle, then
 // swap it in under a new epoch. The dead worker is parked in the graveyard
 // — its queue must stay open for any straggling submitters — and drained at
-// Shutdown.
-func (c *Coordinator) failover(sl *slot, deadEpoch uint64) {
+// Shutdown. The caller has claimed the slot (see requestFailover).
+func (c *Coordinator) failover(sl *slot) {
 	sl.mu.Lock()
-	if sl.epoch != deadEpoch || sl.down {
-		sl.mu.Unlock()
-		return // stale report: this epoch was already failed over
-	}
 	oldBoard, oldWorker := sl.b, sl.worker
 	sl.mu.Unlock()
 
@@ -523,7 +477,7 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.J
 
 // KillBoard severs slot i's board link immediately — the test and demo
 // lever for "the board died". The next push or probe on the slot fails and
-// triggers failover.
+// fails the slot over.
 func (c *Coordinator) KillBoard(i int) error {
 	if i < 0 || i >= len(c.slots) {
 		return fmt.Errorf("fleet: no slot %d", i)
@@ -533,23 +487,6 @@ func (c *Coordinator) KillBoard(i int) error {
 		return fmt.Errorf("fleet: slot %d has no board", i)
 	}
 	return b.raw.Close()
-}
-
-// FaultLink wraps slot i's current board link with seeded fault injection
-// (jbits.FaultConn), so the board dies according to the fault schedule —
-// e.g. mid-RouteFanout — instead of instantly.
-func (c *Coordinator) FaultLink(i int, opts jbits.FaultOptions) error {
-	if i < 0 || i >= len(c.slots) {
-		return fmt.Errorf("fleet: no slot %d", i)
-	}
-	b, _, _, _, _ := c.slots[i].current()
-	if b == nil {
-		return fmt.Errorf("fleet: slot %d has no board", i)
-	}
-	b.link.wrap(func(inner io.ReadWriter) io.ReadWriter {
-		return jbits.NewFaultConn(inner, opts)
-	})
-	return nil
 }
 
 // Epoch returns slot i's current epoch.
@@ -578,7 +515,7 @@ func (c *Coordinator) probeLoop() {
 // ProbeAll health-probes every live slot once: the board is read back over
 // its link and audited by the bitstream oracle against the worker's own
 // bitstream. A failed probe (dead link, divergent or structurally invalid
-// configuration) triggers failover.
+// configuration) fails the slot over before ProbeAll moves on.
 func (c *Coordinator) ProbeAll(ctx context.Context) {
 	for _, sl := range c.slots {
 		b, w, epoch, down, failing := sl.current()
@@ -660,10 +597,10 @@ func (c *Coordinator) Stats() *protocol.FleetStatsMsg {
 	return out
 }
 
-// Shutdown stops probing and failover, drains every worker (live and
-// graveyard), and tears down the board links. Callers must guarantee no
-// Submit is in flight — the daemon calls this only after its connection
-// handlers have exited.
+// Shutdown stops probing (a failover a probe started finishes first),
+// drains every worker (live and graveyard), and tears down the board
+// links. Callers must guarantee no Submit is in flight — the daemon calls
+// this only after its connection handlers have exited.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	if c.closed {
@@ -672,12 +609,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	// Stop the probe loop before closing the failover channel: probes are
-	// a failover-request producer.
 	close(c.stopProbe)
 	<-c.probeDone
-	close(c.failoverCh)
-	<-c.failoverDone
 
 	var workers []*server.Worker
 	var boards []*board

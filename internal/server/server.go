@@ -444,21 +444,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 
-	connsDone := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(connsDone)
-	}()
-	var err error
-	select {
-	case <-connsDone:
-	case <-ctx.Done():
+	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
 		for conn := range s.conns {
 			conn.Close()
 		}
 		s.mu.Unlock()
-		<-connsDone
+	})
+	s.connWG.Wait()
+	var err error
+	if !stop() {
 		err = fmt.Errorf("server: shutdown deadline exceeded, connections closed forcibly")
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -89,10 +90,10 @@ type Worker struct {
 	mixed   bool
 	pending map[uint8][]byte
 	ports   map[*core.Port]protocol.PortRefMsg
-	// quarantined, once non-empty, is the answer to every task: an op
-	// panicked, so the router and device behind this worker are in a state
-	// nobody vouches for. Worker goroutine only.
-	quarantined string
+	// quarantined, once set, is the answer to every task: an op panicked,
+	// so the router and device behind this worker are in a state nobody
+	// vouches for.
+	quarantined atomic.Pointer[string]
 }
 
 // NewWorker creates a worker and starts its goroutine.
@@ -139,6 +140,10 @@ func (w *Worker) Name() string { return w.cfg.Name }
 // StatsSnapshot returns the worker's session counters.
 func (w *Worker) StatsSnapshot() SessionStatsMsg { return w.m.snapshot(len(w.queue)) }
 
+// Quarantined reports whether an op panicked on the worker, so that it
+// answers every later task with CodeInternal without running it.
+func (w *Worker) Quarantined() bool { return w.quarantined.Load() != nil }
+
 // Close closes the request queue. Callers must guarantee no Submit or Do is
 // in flight or will follow (the daemon closes only after every connection
 // handler has exited). Wait on Done for the drain to finish.
@@ -169,14 +174,15 @@ func (w *Worker) run() {
 // later task gets the same answer without touching the router — while the
 // queue keeps draining, so Close and Done work as for a healthy worker.
 func (w *Worker) serve(t task) (resp *Response) {
-	if w.quarantined != "" {
-		return &Response{Err: w.quarantined, ErrorCode: protocol.CodeInternal}
+	if q := w.quarantined.Load(); q != nil {
+		return &Response{Err: *q, ErrorCode: protocol.CodeInternal}
 	}
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			w.quarantined = fmt.Sprintf("server: session %s quarantined: an op panicked: %v", w.cfg.Name, p)
-			resp = &Response{Err: w.quarantined, ErrorCode: protocol.CodeInternal}
+			q := fmt.Sprintf("server: session %s quarantined: an op panicked: %v", w.cfg.Name, p)
+			w.quarantined.Store(&q)
+			resp = &Response{Err: q, ErrorCode: protocol.CodeInternal}
 			if t.req != nil {
 				w.m.observe(t.req.Op, time.Since(start), true)
 			}
