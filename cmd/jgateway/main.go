@@ -103,11 +103,7 @@ func main() {
 		cfg.DefaultClass = *defaultClass
 	}
 	if cfg.ProbeIntervalMillis == 0 {
-		if *probeInterval <= 0 {
-			cfg.ProbeIntervalMillis = -1
-		} else {
-			cfg.ProbeIntervalMillis = probeInterval.Milliseconds()
-		}
+		cfg.ProbeIntervalMillis = probeInterval.Milliseconds()
 	}
 
 	gw, err := gateway.New(cfg)

@@ -16,10 +16,11 @@
 //
 //   - every entry carries a CRC32 over its encoding; a corrupt entry is
 //     skipped and counted at load, never decoded into the usable set.
-//   - Audit replays every surviving entry on a blank scratch device of the
-//     library's architecture and geometry through maze.Replay — the same
-//     legality sweep that gates runtime replays — and additionally demands
-//     that the path actually drives the keyed sink wire. Entries that fail
+//   - Audit replays every surviving entry, once per loaded library, on a
+//     blank scratch device of the library's architecture and geometry
+//     through maze.Replay — the same legality sweep that gates runtime
+//     replays — and additionally demands that the path actually drives
+//     the keyed sink wire. Entries that fail
 //     (stale against the current rules engine, truncated shapes, paths
 //     that end short of their sink) are dropped and counted.
 //   - at use time every template still passes a fresh maze.Replay sweep
@@ -52,6 +53,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -93,14 +95,17 @@ type LoadStats struct {
 
 // Library is an immutable template collection. After construction it is
 // read-only and safe for concurrent use from any number of routers — the
-// fleet loads one library and every board shard shares it.
+// fleet loads one library and every board shard shares it, audited once
+// (see Audit).
 type Library struct {
 	archName   string
 	rows, cols int
 	entries    map[Key][]device.PIP
 	order      []Key
 	id         uint64
-	audited    bool
+	auditOnce  sync.Once
+	audit      *Library // Audit's result, once it has run
+	auditErr   error
 }
 
 // Arch returns the architecture family the library was learned on.
@@ -114,11 +119,6 @@ func (l *Library) Len() int { return len(l.order) }
 
 // ID returns the content address: a stable hash over the entry payloads.
 func (l *Library) ID() string { return fmt.Sprintf("%016x", l.id) }
-
-// Audited reports whether every entry has passed the blank-device legality
-// audit (see Audit). Routers attach unaudited libraries by auditing them
-// first; pre-auditing once lets N shards skip N-1 redundant sweeps.
-func (l *Library) Audited() bool { return l.audited }
 
 // Lookup returns the relative path for a shape key, or false. The returned
 // slice is the library's own storage: callers must not mutate it.
@@ -145,38 +145,47 @@ func (l *Library) CompatibleWith(archName string, rows, cols int) bool {
 }
 
 // Audit replays every entry on a blank scratch device of the library's own
-// architecture and geometry and returns a new, audited library holding the
+// architecture and geometry and returns the audited library holding the
 // survivors plus the count of entries dropped. a must be the library's
 // architecture. Beyond maze.Replay's legality sweep (existence, PIP
 // legality, tap/drive rules, connectivity from the source wire), an entry
 // must actually drive its keyed sink wire at (ΔRow, ΔCol) — a CRC-valid
 // but semantically stale entry would otherwise count a route without
 // connecting anything.
+//
+// The sweep runs once per library value: every later call, from any
+// goroutine, returns the first one's result, and the audited library's own
+// Audit returns itself with nothing dropped. So every router that attaches
+// one loaded library shares one audited copy and reports the same count.
 func (l *Library) Audit(a *arch.Arch) (*Library, int, error) {
 	if a == nil || a.Name != l.archName {
 		return nil, 0, fmt.Errorf("library: audit arch %q does not match library arch %q",
 			archNameOf(a), l.archName)
 	}
-	dev, err := device.New(a, l.rows, l.cols)
-	if err != nil {
-		return nil, 0, fmt.Errorf("library: audit scratch device: %w", err)
-	}
-	out := &Library{
-		archName: l.archName, rows: l.rows, cols: l.cols,
-		entries: make(map[Key][]device.PIP, len(l.entries)),
-		audited: true,
-	}
-	skipped := 0
-	for _, k := range l.order {
-		if auditEntry(dev, k, l.entries[k]) {
-			out.entries[k] = l.entries[k]
-			out.order = append(out.order, k)
-		} else {
-			skipped++
+	l.auditOnce.Do(func() {
+		dev, err := device.New(a, l.rows, l.cols)
+		if err != nil {
+			l.auditErr = fmt.Errorf("library: audit scratch device: %w", err)
+			return
 		}
+		out := &Library{
+			archName: l.archName, rows: l.rows, cols: l.cols,
+			entries: make(map[Key][]device.PIP, len(l.entries)),
+		}
+		for _, k := range l.order {
+			if auditEntry(dev, k, l.entries[k]) {
+				out.entries[k] = l.entries[k]
+				out.order = append(out.order, k)
+			}
+		}
+		out.id = contentHash(out.order, out.entries)
+		out.auditOnce.Do(func() { out.audit = out })
+		l.audit = out
+	})
+	if l.auditErr != nil {
+		return nil, 0, l.auditErr
 	}
-	out.id = contentHash(out.order, out.entries)
-	return out, skipped, nil
+	return l.audit, l.Len() - l.audit.Len(), nil
 }
 
 func archNameOf(a *arch.Arch) string {
@@ -279,8 +288,8 @@ func (b *Builder) Add(k Key, path []device.PIP) {
 // Len returns the number of entries added so far.
 func (b *Builder) Len() int { return len(b.order) }
 
-// Library freezes the builder's current contents into an (unaudited)
-// library.
+// Library freezes the builder's current contents into a library, not yet
+// audited.
 func (b *Builder) Library() *Library {
 	l := &Library{
 		archName: b.archName, rows: b.rows, cols: b.cols,
@@ -503,18 +512,4 @@ func decodeEntry(payload []byte) (Key, []device.PIP, bool) {
 		return Key{}, nil, false
 	}
 	return k, path, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

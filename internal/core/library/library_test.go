@@ -193,7 +193,8 @@ func TestWriteFileLoad(t *testing.T) {
 
 // TestAuditRejectsGarbage: CRC-valid but semantically bogus entries (wires
 // that do not exist, shapes that overflow the array, paths that never
-// reach their sink) are dropped by the blank-device audit.
+// reach their sink) are dropped by the blank-device audit, which runs once
+// per library.
 func TestAuditRejectsGarbage(t *testing.T) {
 	a := arch.NewVirtex()
 	b := library.NewBuilder(a.Name, 16, 24)
@@ -204,9 +205,6 @@ func TestAuditRejectsGarbage(t *testing.T) {
 	b.Add(library.Key{SrcW: 3, SinkW: 9, DRow: 0, DCol: 500},
 		[]device.PIP{{Row: 0, Col: 500, From: 3, To: 9}})
 	l := b.Library()
-	if l.Audited() {
-		t.Fatal("fresh library claims audited")
-	}
 	audited, skipped, err := l.Audit(a)
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +212,11 @@ func TestAuditRejectsGarbage(t *testing.T) {
 	if skipped != 2 || audited.Len() != 0 {
 		t.Errorf("audit kept %d, skipped %d; want 0 kept, 2 skipped", audited.Len(), skipped)
 	}
-	if !audited.Audited() {
-		t.Error("audited library not marked")
+	if again, n, _ := l.Audit(arch.NewVirtex()); again != audited || n != skipped {
+		t.Errorf("second audit returned a new library or %d skipped: the sweep ran twice", n)
+	}
+	if self, n, _ := audited.Audit(a); self != audited || n != 0 {
+		t.Errorf("auditing the audited library dropped %d entries or copied it", n)
 	}
 	if _, _, err := l.Audit(arch.NewKestrel()); err == nil {
 		t.Error("audit against the wrong architecture succeeded")
@@ -223,8 +224,9 @@ func TestAuditRejectsGarbage(t *testing.T) {
 }
 
 // TestConcurrentLookup: the library is shared read-only across fleet
-// shards; N goroutines hammering Lookup must be race-clean (this test is
-// part of the -race CI sweep).
+// shards; N goroutines attaching it (each auditing it, as a router does)
+// and hammering Lookup must be race-clean and all get the one audited
+// copy (this test is part of the -race CI sweep).
 func TestConcurrentLookup(t *testing.T) {
 	data := buildLibrary(t, testEntries())
 	l, _, err := library.Decode(data)
@@ -232,10 +234,15 @@ func TestConcurrentLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	audited := make([]*library.Library, 8)
+	for i := range audited {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var err error
+			if audited[i], _, err = l.Audit(arch.NewVirtex()); err != nil {
+				t.Error(err)
+			}
 			for j := 0; j < 1000; j++ {
 				for _, e := range testEntries() {
 					if _, ok := l.Lookup(e.Key.SrcW, e.Key.SinkW, e.Key.DRow, e.Key.DCol); !ok {
@@ -250,4 +257,9 @@ func TestConcurrentLookup(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for _, a := range audited {
+		if a != audited[0] {
+			t.Fatal("concurrent attaches audited the library more than once")
+		}
+	}
 }

@@ -70,9 +70,10 @@ func (r *Router) ensureCache() *routeCache {
 	return r.cache
 }
 
-// exactKey encodes a source pin plus sorted sink pins into a compact string
-// key. The scratch buffer is reused; only the map key string is retained.
-func (rc *routeCache) exactKey(src Pin, sinks []Pin) string {
+// exactKey encodes a source pin plus sorted sink pins into the cache's key
+// scratch and returns it. A lookup indexes the map with it in place; only
+// putExact copies it into a string.
+func (rc *routeCache) exactKey(src Pin, sinks []Pin) []byte {
 	b := rc.keyBuf[:0]
 	b = binary.AppendVarint(b, int64(src.Row))
 	b = binary.AppendVarint(b, int64(src.Col))
@@ -83,10 +84,11 @@ func (rc *routeCache) exactKey(src Pin, sinks []Pin) string {
 		b = binary.AppendVarint(b, int64(p.W))
 	}
 	rc.keyBuf = b
-	return string(b)
+	return b
 }
 
-func (rc *routeCache) putExact(key string, path []device.PIP) {
+func (rc *routeCache) putExact(b []byte, path []device.PIP) {
+	key := string(b)
 	if _, ok := rc.exact[key]; !ok {
 		if len(rc.exactOrder) >= cacheMaxExact {
 			oldest := rc.exactOrder[0]
@@ -164,7 +166,7 @@ func (r *Router) lookupExact(src Pin, sinks []Pin) ([]device.PIP, bool) {
 	if r.cache == nil {
 		return nil, false
 	}
-	path, ok := r.cache.exact[r.cache.exactKey(src, sinks)]
+	path, ok := r.cache.exact[string(r.cache.exactKey(src, sinks))]
 	return path, ok
 }
 

@@ -50,10 +50,11 @@ type Options struct {
 	// Library is a persistent route-template library shared read-only by
 	// any number of routers: a pre-seeded template tier consulted below
 	// the in-session learned entries (which shadow it key-by-key) and
-	// never evicted. An unaudited library is audited at construction;
-	// entries that fail the blank-device legality sweep are skipped and
-	// counted in Stats.LibrarySkipped, never trusted. A library learned
-	// for a different architecture or geometry is skipped wholesale.
+	// never evicted. The library is audited at construction, once per
+	// library however many routers attach it; entries that fail the
+	// blank-device legality sweep are skipped and counted in
+	// Stats.LibrarySkipped, never trusted. A library learned for a
+	// different architecture or geometry is skipped wholesale.
 	Library *library.Library
 	// ParanoidVerify runs the independent bitstream oracle after every
 	// top-level routing call: the configuration is serialized,
@@ -267,9 +268,9 @@ type Router struct {
 
 // attachLibrary resolves Options.Library into the router's seeded template
 // tier. Nothing in a library file is trusted: a library for another
-// architecture or geometry is skipped wholesale, and an unaudited one has
-// every entry replayed on a blank scratch device first — the failures are
-// counted in LibrarySkipped and dropped.
+// architecture or geometry is skipped wholesale, and a compatible one is
+// attached as its audit (library.Library.Audit, run once per library) left
+// it — the entries that failed are counted in LibrarySkipped.
 func (r *Router) attachLibrary() {
 	lib := r.opt.Library
 	if lib == nil {
@@ -279,17 +280,14 @@ func (r *Router) attachLibrary() {
 		r.stats.LibrarySkipped += lib.Len()
 		return
 	}
-	if !lib.Audited() {
-		audited, skipped, err := lib.Audit(r.Dev.A)
-		if err != nil {
-			r.stats.LibrarySkipped += lib.Len()
-			return
-		}
-		r.stats.LibrarySkipped += skipped
-		lib = audited
+	audited, skipped, err := lib.Audit(r.Dev.A)
+	if err != nil {
+		r.stats.LibrarySkipped += lib.Len()
+		return
 	}
-	r.stats.LibrarySeeded += lib.Len()
-	r.lib = lib
+	r.stats.LibrarySkipped += skipped
+	r.stats.LibrarySeeded += audited.Len()
+	r.lib = audited
 }
 
 // Library returns the attached (audited) template library, or nil.

@@ -207,3 +207,37 @@ func TestReconnectResolvesPortsInPlace(t *testing.T) {
 		t.Errorf("unroute → Reconnect allocates %v objects from an out port, %v into an in port", byPort, byPin)
 	}
 }
+
+// TestExactReplayCycleBudget pins what the p2p shape allocates: a warm
+// pin-to-pin route → unroute cycle whose route is an exact-cache replay.
+// The cache lookup indexes its map with the key scratch in place; only the
+// unroute's put copies the key into a string.
+func TestExactReplayCycleBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
+	}
+	const budget = 10
+	r := newTestRouter(t, Options{})
+	src, sink := NewPin(5, 7, arch.S1YQ), NewPin(9, 12, arch.S0F3)
+	if err := r.RouteNet(src, sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Unroute(src); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+	got := allocsPerRun(func() {
+		if err := r.RouteNet(src, sink); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Unroute(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d := r.Stats().Sub(before); d.Routes == 0 || d.CacheHits != d.Routes {
+		t.Fatalf("%d routes, %d cache hits: not an exact replay", d.Routes, d.CacheHits)
+	}
+	if got > budget {
+		t.Errorf("a replayed route → unroute cycle allocates %v objects, budget %d", got, budget)
+	}
+}

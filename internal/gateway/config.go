@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 )
 
 // BackendConfig names one jrouted fleet the gateway fronts.
@@ -60,19 +59,9 @@ type Config struct {
 	// Tenants, when non-empty, turns on auth: every hello must present a
 	// known token. Empty means anonymous single-tenant mode.
 	Tenants []TenantConfig `json:"tenants,omitempty"`
-	// ProbeIntervalMillis is the health-probe cadence (0 = 2000ms;
-	// negative disables probing — tests drive probes manually).
+	// ProbeIntervalMillis is the background health-probe cadence (<= 0 =
+	// no background probing; ProbeAll still runs a round on demand).
 	ProbeIntervalMillis int64 `json:"probe_interval_ms,omitempty"`
-}
-
-func (c Config) probeInterval() time.Duration {
-	switch {
-	case c.ProbeIntervalMillis < 0:
-		return 0
-	case c.ProbeIntervalMillis == 0:
-		return 2 * time.Second
-	}
-	return time.Duration(c.ProbeIntervalMillis) * time.Millisecond
 }
 
 // LoadConfig reads a gateway config file (JSON).

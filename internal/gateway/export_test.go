@@ -5,6 +5,6 @@ package gateway
 // verb; a drained backend stays out of rotation.
 func (g *Gateway) Undrain(name string) {
 	g.mu.Lock()
-	g.backends[name].draining = false
+	g.backends[name].Draining = false
 	g.mu.Unlock()
 }

@@ -20,28 +20,26 @@ import (
 // connections returned to a full pool are closed.
 const maxIdleConns = 8
 
-// backend is one fronted fleet as the gateway tracks it. Mutable fields
-// are guarded by Gateway.mu.
+// probeTimeout bounds each health probe and each handoff a failed probe
+// starts, so a backend that accepts and never answers costs a probe round
+// this long per call instead of wedging it.
+const probeTimeout = 2 * time.Second
+
+// backend is one fronted fleet as the gateway tracks it: its statsz entry
+// (address, sorted classes, health and counters) and what statsz does not
+// show. Mutable fields are guarded by Gateway.mu.
 type backend struct {
-	name    string
-	addr    string
-	classes map[string]bool
+	protocol.GatewayBackendMsg
+	name string
 	// j holds the sessions pinned here as the backend's routers export
 	// them, kept from the deltas of the acknowledged ops the gateway
 	// forwarded.
-	j *journal.Journal
-
-	healthy    bool
-	draining   bool
-	sessions   int
-	ops        int
-	errs       int
-	probeFails int
-	idle       []*client.Client
+	j    *journal.Journal
+	idle []*client.Client
 }
 
 func (b *backend) serves(class string) bool {
-	return class == "" || b.classes[class]
+	return class == "" || slices.Contains(b.Classes, class)
 }
 
 // bucket is a token-bucket rate limiter (guarded by Gateway.mu).
@@ -67,18 +65,14 @@ func (b *bucket) take(now time.Time) bool {
 	return false
 }
 
-// tenant is one configured tenant's live admission state (guarded by
-// Gateway.mu).
+// tenant is one configured tenant's live admission state; its counters are
+// its statsz entry (guarded by Gateway.mu).
 type tenant struct {
+	protocol.GatewayTenantMsg
 	name       string
 	admin      bool
 	sessionCap int
 	bucket     *bucket // nil = unlimited ops/s
-
-	sessions         int
-	admittedOps      int
-	rejectedOps      int
-	rejectedSessions int
 }
 
 // gwSession is one logical session's pin: which backend serves it and the
@@ -96,8 +90,6 @@ type gwSession struct {
 	backend      *backend
 	epoch        uint64 // client-visible; bumps whenever the mirror chain breaks
 	backendEpoch uint64 // the pinned backend's epoch as last observed
-
-	connectReq *protocol.Request // detached copy of the original connect
 
 	board, boardName string // the backend board last seen and its name here
 }
@@ -134,15 +126,9 @@ type Gateway struct {
 	tenants  map[string]*tenant // by name
 	tokens   map[string]*tenant // by bearer token
 	closing  bool
-
-	probes       int
-	probeFails   int
-	ejections    int
-	readmits     int
-	drains       int
-	handoffs     int
-	handoffFails int
-	restoredNets int
+	// stats holds the edge's statsz counters; GatewayStats fills in the
+	// counts and the per-tenant and per-backend sections.
+	stats protocol.GatewayStatsMsg
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -168,11 +154,10 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := g.backends[bc.Name]; dup {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", bc.Name)
 		}
-		be := &backend{name: bc.Name, addr: bc.Addr, healthy: true,
-			classes: make(map[string]bool, len(bc.Classes)), j: journal.New()}
-		for _, cl := range bc.Classes {
-			be.classes[cl] = true
-		}
+		classes := append([]string{}, bc.Classes...)
+		slices.Sort(classes)
+		be := &backend{name: bc.Name, j: journal.New(), GatewayBackendMsg: protocol.GatewayBackendMsg{
+			Addr: bc.Addr, Classes: slices.Compact(classes), Healthy: true}}
 		g.backends[bc.Name] = be
 		g.order = append(g.order, be)
 	}
@@ -201,10 +186,10 @@ func New(cfg Config) (*Gateway, error) {
 		g.tenants[tc.Name] = t
 		g.tokens[tc.Token] = t
 	}
-	if iv := cfg.probeInterval(); iv > 0 {
+	if cfg.ProbeIntervalMillis > 0 {
 		g.probeStop = make(chan struct{})
 		g.probeDone = make(chan struct{})
-		go g.probeLoop(iv)
+		go g.probeLoop(time.Duration(cfg.ProbeIntervalMillis) * time.Millisecond)
 	}
 	return g, nil
 }
@@ -243,7 +228,7 @@ func (g *Gateway) poolFor(class string) (pool []*backend, served bool) {
 			continue
 		}
 		served = true
-		if be.healthy && !be.draining {
+		if be.Healthy && !be.Draining {
 			pool = append(pool, be)
 		}
 	}
@@ -263,7 +248,7 @@ func (g *Gateway) conn(ctx context.Context, be *backend) (*client.Client, error)
 	if c != nil {
 		return c, nil
 	}
-	return client.Dial(ctx, be.addr, client.WithDelta())
+	return client.Dial(ctx, be.Addr, client.WithDelta())
 }
 
 func (g *Gateway) putConn(be *backend, c *client.Client) {
@@ -287,7 +272,7 @@ func (g *Gateway) forward(ctx context.Context, be *backend, req *protocol.Reques
 	c, err := g.conn(ctx, be)
 	if err != nil {
 		g.mu.Lock()
-		be.errs++
+		be.Errors++
 		g.mu.Unlock()
 		return nil, err
 	}
@@ -295,9 +280,9 @@ func (g *Gateway) forward(ctx context.Context, be *backend, req *protocol.Reques
 	fwd.Tenant = ""
 	resp, err := c.Forward(ctx, &fwd)
 	g.mu.Lock()
-	be.ops++
+	be.Ops++
 	if err != nil {
-		be.errs++
+		be.Errors++
 		g.mu.Unlock()
 		c.Close()
 		return nil, err
@@ -342,8 +327,8 @@ func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.
 		return g.sessionOp(ctx, req.Row(), req)
 	}
 	t := g.tenants[req.Tenant]
-	if t != nil && t.sessionCap > 0 && t.sessions >= t.sessionCap {
-		t.rejectedSessions++
+	if t != nil && t.sessionCap > 0 && t.Sessions >= t.sessionCap {
+		t.RejectedSessions++
 		g.mu.Unlock()
 		return coded(req.ID, protocol.CodeQuota,
 			fmt.Sprintf("gateway: tenant %q at its session cap (%d)", t.name, t.sessionCap))
@@ -371,9 +356,9 @@ func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.
 	// Locking the freshly made mutex under g.mu cannot block.
 	sess.mu.Lock()
 	g.sessions[req.Session] = sess
-	be.sessions++
+	be.Sessions++
 	if t != nil {
-		t.sessions++
+		t.Sessions++
 	}
 	g.mu.Unlock()
 	defer sess.mu.Unlock()
@@ -382,9 +367,9 @@ func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.
 	if err != nil || resp.ErrorCode != protocol.CodeOK {
 		g.mu.Lock()
 		delete(g.sessions, req.Session)
-		be.sessions--
+		be.Sessions--
 		if t != nil {
-			t.sessions--
+			t.Sessions--
 		}
 		g.mu.Unlock()
 		if err != nil {
@@ -394,9 +379,6 @@ func (g *Gateway) connect(ctx context.Context, req *protocol.Request) *protocol.
 		return resp
 	}
 	sess.backendEpoch = resp.Epoch
-	cr := *req
-	cr.ID, cr.TimeoutMillis, cr.Tenant = 0, 0, ""
-	sess.connectReq = &cr
 	return sess.stamp(resp)
 }
 
@@ -419,12 +401,12 @@ func (g *Gateway) sessionOp(ctx context.Context, op *protocol.Op, req *protocol.
 	}
 	if t := g.tenants[req.Tenant]; t != nil && op.Byte != protocol.OpConnect {
 		if t.bucket != nil && !t.bucket.take(time.Now()) {
-			t.rejectedOps++
+			t.RejectedOps++
 			g.mu.Unlock()
 			return coded(req.ID, protocol.CodeQuota,
 				fmt.Sprintf("gateway: tenant %q over its ops/s quota", t.name))
 		}
-		t.admittedOps++
+		t.AdmittedOps++
 	}
 	g.mu.Unlock()
 
@@ -479,7 +461,7 @@ func (g *Gateway) Drain(ctx context.Context, name string) ([]string, error) {
 		g.mu.Unlock()
 		return nil, fmt.Errorf("%w %q", errUnknownBackend, name)
 	}
-	be.draining = true
+	be.Draining = true
 	affected := g.pinnedTo(be)
 	g.mu.Unlock()
 
@@ -495,7 +477,7 @@ func (g *Gateway) Drain(ctx context.Context, name string) ([]string, error) {
 		}
 	}
 	g.mu.Lock()
-	g.drains++
+	g.stats.Drains++
 	g.mu.Unlock()
 	return moved, firstErr
 }
@@ -533,7 +515,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	// A readmit may have put the backend being left back in the pool.
 	dst := slices.DeleteFunc(pool, func(be *backend) bool { return be == sess.backend })
 	if len(dst) == 0 {
-		g.handoffFails++
+		g.stats.HandoffFails++
 		g.mu.Unlock()
 		return false, fmt.Errorf("gateway: no healthy backend to receive session %q (class %q)",
 			sess.name, sess.class)
@@ -541,9 +523,12 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	target, src := dst[int(sess.key%uint64(len(dst)))], sess.backend
 	g.mu.Unlock()
 
+	// The connect carries the session's key, the connect's own or its
+	// default, so the target places it on the slot the first connect did.
 	form, live := src.j.Form(sess.name)
 	var resp *protocol.Response
-	for _, req := range []*protocol.Request{sess.connectReq, {Op: "session_import", Session: sess.name, Form: form}} {
+	for _, req := range []*protocol.Request{{Op: "connect", Session: sess.name, Key: &sess.key},
+		{Op: "session_import", Session: sess.name, Form: form}} {
 		if err == nil {
 			resp, err = g.forward(ctx, target, req)
 		}
@@ -552,7 +537,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 		}
 		if err != nil { // the session stays where it was
 			g.mu.Lock()
-			g.handoffFails++
+			g.stats.HandoffFails++
 			g.mu.Unlock()
 			return false, fmt.Errorf("gateway: handoff of %q to %s failed at %s: %w", sess.name, target.name, req.Op, err)
 		}
@@ -562,11 +547,11 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	_ = target.j.Apply(resp.Delta)
 	src.j.Drop(sess.name)
 	g.mu.Lock()
-	src.sessions--
-	target.sessions++
+	src.Sessions--
+	target.Sessions++
 	sess.backend, sess.board = target, "" // the board's name here changes with its backend
-	g.handoffs++
-	g.restoredNets += live
+	g.stats.Handoffs++
+	g.stats.RestoredNets += live
 	g.mu.Unlock()
 	sess.backendEpoch = resp.Epoch
 	sess.epoch++ // the mirror chain broke at the move; clients resync
@@ -590,9 +575,10 @@ func (g *Gateway) probeLoop(interval time.Duration) {
 
 // ProbeAll health-checks every backend once: a statsz round trip (which
 // rides the hello on fresh connections). A failing probe ejects
-// the backend from placement and relocates the sessions still pinned to it
-// — a failed handoff leaves its session pinned, so the next round retries
-// it; a succeeding probe on an ejected backend readmits it.
+// the backend from placement and relocates the sessions still pinned to it,
+// each handoff bounded by probeTimeout — a failed or cut-off handoff leaves
+// its session pinned, so the next round retries it; a succeeding probe on an
+// ejected backend readmits it.
 func (g *Gateway) ProbeAll(ctx context.Context) {
 	g.mu.Lock()
 	backends := append([]*backend(nil), g.order...)
@@ -600,31 +586,33 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 	for _, be := range backends {
 		err := g.probe(ctx, be)
 		g.mu.Lock()
-		g.probes++
+		g.stats.Probes++
 		if err != nil {
-			g.probeFails++
-			be.probeFails++
-			if be.healthy {
-				be.healthy = false
-				g.ejections++
+			g.stats.ProbeFails++
+			be.ProbeFails++
+			if be.Healthy {
+				be.Healthy = false
+				g.stats.Ejections++
 			}
 			sessions := g.pinnedTo(be)
 			g.mu.Unlock()
 			for _, sess := range sessions {
-				_, _ = g.relocate(ctx, sess)
+				hctx, cancel := context.WithTimeout(ctx, probeTimeout)
+				_, _ = g.relocate(hctx, sess)
+				cancel()
 			}
 			continue
 		}
-		if !be.healthy {
-			be.healthy = true
-			g.readmits++
+		if !be.Healthy {
+			be.Healthy = true
+			g.stats.Readmits++
 		}
 		g.mu.Unlock()
 	}
 }
 
 func (g *Gateway) probe(ctx context.Context, be *backend) error {
-	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	c, err := g.conn(pctx, be)
 	if err != nil {
@@ -658,41 +646,23 @@ func (g *Gateway) Stats() *protocol.FleetStatsMsg { return nil }
 func (g *Gateway) GatewayStats() *protocol.GatewayStatsMsg {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := &protocol.GatewayStatsMsg{
-		Backends: len(g.backends), Sessions: len(g.sessions),
-		Probes: g.probes, ProbeFails: g.probeFails,
-		Ejections: g.ejections, Readmits: g.readmits,
-		Drains: g.drains, Handoffs: g.handoffs, HandoffFails: g.handoffFails,
-		RestoredNets: g.restoredNets,
-		Tenants:      make(map[string]protocol.GatewayTenantMsg, len(g.tenants)),
-		BackendsMap:  make(map[string]protocol.GatewayBackendMsg, len(g.backends)),
-	}
+	out := g.stats
+	out.Backends, out.Sessions = len(g.backends), len(g.sessions)
+	out.Tenants = make(map[string]protocol.GatewayTenantMsg, len(g.tenants))
+	out.BackendsMap = make(map[string]protocol.GatewayBackendMsg, len(g.backends))
 	for _, be := range g.order {
-		if be.healthy && !be.draining {
+		if be.Healthy && !be.Draining {
 			out.HealthyBackends++
 		}
-		if be.draining {
+		if be.Draining {
 			out.DrainingBackends++
 		}
-		classes := make([]string, 0, len(be.classes))
-		for cl := range be.classes {
-			classes = append(classes, cl)
-		}
-		sort.Strings(classes)
-		out.BackendsMap[be.name] = protocol.GatewayBackendMsg{
-			Addr: be.addr, Classes: classes,
-			Healthy: be.healthy, Draining: be.draining,
-			Sessions: be.sessions, Ops: be.ops, Errors: be.errs,
-			ProbeFails: be.probeFails,
-		}
+		out.BackendsMap[be.name] = be.GatewayBackendMsg
 	}
 	for name, t := range g.tenants {
-		out.Tenants[name] = protocol.GatewayTenantMsg{
-			Sessions: t.sessions, AdmittedOps: t.admittedOps,
-			RejectedOps: t.rejectedOps, RejectedSessions: t.rejectedSessions,
-		}
+		out.Tenants[name] = t.GatewayTenantMsg
 	}
-	return out
+	return &out
 }
 
 // Shutdown implements server.Fleet: stop probing and drop pooled backend

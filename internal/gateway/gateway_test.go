@@ -58,9 +58,6 @@ func startBackendSized(t testing.TB, boards, rows, cols int) (string, *fleet.Coo
 // address plus the coordinator (for direct drain/probe calls).
 func startGateway(t testing.TB, cfg gateway.Config) (string, *gateway.Gateway) {
 	t.Helper()
-	if cfg.ProbeIntervalMillis == 0 {
-		cfg.ProbeIntervalMillis = -1 // tests drive probes explicitly
-	}
 	g, err := gateway.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -996,5 +993,73 @@ func TestEjectionRetriesFailedHandoff(t *testing.T) {
 	}
 	if got := backendOf(t, s0); got != "be1" {
 		t.Errorf("s0 on %s, want be1", got)
+	}
+}
+
+// TestProbeHandoffIsBounded: a probe round whose handoff target accepts
+// connections and never answers gives the handoff up at its bound. be0
+// dies with a session pinned to it and be1 is a listener that never reads:
+// ProbeAll returns (two probes and one handoff, each bounded at 2 s), the
+// handoff counts as failed, and the session, still pinned to be0, answers
+// its next op with the retryable failover code inside that op's deadline
+// instead of queueing behind a move that never ends.
+func TestProbeHandoffIsBounded(t *testing.T) {
+	coord0, err := fleet.New(fleet.Config{Boards: 1, Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0 := server.NewServer()
+	srv0.SetFleet(coord0)
+	be0, err := srv0.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: silent.Addr().String(), Classes: []string{"v1000-class"}},
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s0, err := c.SessionWithKey(ctx, "v1000-class/s0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := pin(5, 7, arch.S1YQ)
+	if err := s0.Route(ctx, src, pin(6, 8, arch.S0F3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv0.Shutdown(ctx); err != nil {
+		t.Fatalf("shutting down be0: %v", err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		g.ProbeAll(context.Background())
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ProbeAll still running after 10 s: its handoff to a silent target is unbounded")
+	}
+	if gs := g.GatewayStats(); gs.Handoffs != 0 || gs.HandoffFails != 1 {
+		t.Errorf("handoffs/handoff_fails = %d/%d, want 0/1", gs.Handoffs, gs.HandoffFails)
+	}
+	opCtx, opCancel := context.WithTimeout(ctx, 2*time.Second)
+	defer opCancel()
+	if _, err := s0.Trace(opCtx, src); !errors.Is(err, client.ErrFailover) {
+		t.Errorf("trace on the stranded session: %v, want the failover code", err)
 	}
 }

@@ -145,16 +145,9 @@ type Coordinator struct {
 	sessionKey map[string]uint64 // admitted sessions and the key that placed them
 	closed     bool
 
-	counters struct {
-		failovers        int
-		failoverFails    int
-		healthProbes     int
-		probeFails       int
-		admissionRejects int
-		restoredConns    int
-		replayedPaths    int
-		restoreUs        int64 // cumulative failover restore-routing time
-	}
+	// stats holds the coordinator's statsz counters; Stats fills in the
+	// counts and the per-slot sections.
+	stats protocol.FleetStatsMsg
 
 	stopProbe chan struct{}
 	probeDone chan struct{}
@@ -170,16 +163,6 @@ func New(cfg Config) (*Coordinator, error) {
 	a, err := arch.ByName(cfg.Arch)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	// Audit a template library once for the whole fleet: every board
-	// worker (and every failover spare) then shares the audited copy
-	// read-only instead of each paying its own blank-device sweep.
-	if lib := cfg.Opts.Library; lib != nil && !lib.Audited() && lib.Arch() == a.Name {
-		audited, _, err := lib.Audit(a)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: template library: %w", err)
-		}
-		cfg.Opts.Library = audited
 	}
 	c := &Coordinator{
 		cfg:        cfg,
@@ -331,7 +314,7 @@ func (c *Coordinator) connect(ctx context.Context, req *protocol.Request) *proto
 		if c.cfg.SessionCap > 0 && len(sl.sessions) >= c.cfg.SessionCap {
 			sl.mu.Unlock()
 			c.mu.Lock()
-			c.counters.admissionRejects++
+			c.stats.AdmissionRejects++
 			c.mu.Unlock()
 			return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeAdmission,
 				Err: fmt.Sprintf("fleet: slot %d at its session cap (%d)", sl.idx, c.cfg.SessionCap)}
@@ -378,7 +361,7 @@ func (c *Coordinator) failover(sl *slot) {
 
 	c.mu.Lock()
 	if len(c.spares) == 0 {
-		c.counters.failoverFails++
+		c.stats.FailoverFails++
 		c.mu.Unlock()
 		sl.mu.Lock()
 		sl.down = true
@@ -395,7 +378,7 @@ func (c *Coordinator) failover(sl *slot) {
 		// The spare itself is bad; consume it and report the slot dead
 		// rather than serving a board the oracle rejected.
 		c.mu.Lock()
-		c.counters.failoverFails++
+		c.stats.FailoverFails++
 		c.deadBoards = append(c.deadBoards, spare)
 		c.mu.Unlock()
 		sl.mu.Lock()
@@ -414,10 +397,10 @@ func (c *Coordinator) failover(sl *slot) {
 	sl.mu.Unlock()
 
 	c.mu.Lock()
-	c.counters.failovers++
-	c.counters.restoredConns += restored
-	c.counters.replayedPaths += replayed
-	c.counters.restoreUs += restoreTime.Microseconds()
+	c.stats.Failovers++
+	c.stats.RestoredConns += restored
+	c.stats.ReplayedPaths += replayed
+	c.stats.RestoreUs += restoreTime.Microseconds()
 	c.graveyard = append(c.graveyard, oldWorker)
 	c.deadBoards = append(c.deadBoards, oldBoard)
 	c.mu.Unlock()
@@ -523,7 +506,7 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 			continue // dead or already failing over: nothing to learn
 		}
 		c.mu.Lock()
-		c.counters.healthProbes++
+		c.stats.HealthProbes++
 		c.mu.Unlock()
 		err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
 			back, err := b.remote.Readback()
@@ -545,7 +528,7 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 		})
 		if err != nil {
 			c.mu.Lock()
-			c.counters.probeFails++
+			c.stats.ProbeFails++
 			c.mu.Unlock()
 			c.requestFailover(sl, epoch)
 		}
@@ -555,21 +538,10 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 // Stats snapshots the coordinator counters and per-slot sections.
 func (c *Coordinator) Stats() *protocol.FleetStatsMsg {
 	c.mu.Lock()
-	out := &protocol.FleetStatsMsg{
-		Boards:           len(c.slots),
-		SparesLeft:       len(c.spares),
-		Sessions:         len(c.sessionKey),
-		Failovers:        c.counters.failovers,
-		FailoverFails:    c.counters.failoverFails,
-		HealthProbes:     c.counters.healthProbes,
-		ProbeFails:       c.counters.probeFails,
-		AdmissionRejects: c.counters.admissionRejects,
-		RestoredConns:    c.counters.restoredConns,
-		ReplayedPaths:    c.counters.replayedPaths,
-		RestoreUs:        c.counters.restoreUs,
-		Slots:            make(map[string]protocol.BoardStatsMsg, len(c.slots)),
-	}
+	out := c.stats
+	out.Boards, out.SparesLeft, out.Sessions = len(c.slots), len(c.spares), len(c.sessionKey)
 	c.mu.Unlock()
+	out.Slots = make(map[string]protocol.BoardStatsMsg, len(c.slots))
 	for _, sl := range c.slots {
 		sl.mu.Lock()
 		b, w, epoch, down := sl.b, sl.worker, sl.epoch, sl.down
@@ -594,7 +566,7 @@ func (c *Coordinator) Stats() *protocol.FleetStatsMsg {
 		}
 		out.Slots[fmt.Sprintf("slot%d", sl.idx)] = entry
 	}
-	return out
+	return &out
 }
 
 // Shutdown stops probing (a failover a probe started finishes first),

@@ -339,3 +339,111 @@ func TestMoveAllocations(t *testing.T) {
 		t.Errorf("a 50-net move allocates %.0f (form, encode, decode, import: %v), want at most 1 500", total, allocs)
 	}
 }
+
+// newJournaledWorker is newTestWorker with a journal its deltas feed, as a
+// fleet slot's is.
+func newJournaledWorker(t testing.TB) (*Worker, *journal.Journal) {
+	t.Helper()
+	j := journal.New()
+	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24, JournalHook: func(d []byte) { _ = j.Apply(d) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close(); <-w.Done() })
+	return w, j
+}
+
+// readback returns the worker's full configuration.
+func readback(t testing.TB, w *Worker) (full []byte) {
+	t.Helper()
+	if err := w.Do(context.Background(), func(_ *core.Router, js *jbits.Session) (err error) {
+		full, err = js.Dev.FullConfig()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return full
+}
+
+// TestReplaceOfSlotmateCoreRefused: a core name resolves through the
+// requesting session's cores only. Session b's core_replace of session s's
+// register is refused as naming no core of b's, and s's configuration and
+// form stay as they were.
+func TestReplaceOfSlotmateCoreRefused(t *testing.T) {
+	w, j := newJournaledWorker(t)
+	seedSession(t, w)
+	config := readback(t, w)
+	form, _ := j.Form("s")
+	resp := w.Submit(context.Background(), &Request{Op: "core_replace", Session: "b",
+		Core: &protocol.CoreMsg{Name: "reg", Row: 2, Col: 4}})
+	if resp.ErrorCode != protocol.CodeBadRequest {
+		t.Errorf("b's core_replace of s's reg: %q (%s), want a bad request", resp.Err, resp.ErrorCode)
+	}
+	if !bytes.Equal(readback(t, w), config) {
+		t.Error("the refused replace changed the configuration")
+	}
+	if now, _ := j.Form("s"); !bytes.Equal(now, form) {
+		t.Error("the refused replace changed s's form")
+	}
+}
+
+// TestImportBesideSlotmateCore: session t's form, holding a register named
+// as session s's is, imports onto the worker that holds s — twice, the
+// second dropping the first — and each session's port then resolves to its
+// own register, s's form unchanged. The whole worker's form, two cores of
+// one name in it, imports onto a fresh worker (a failover) the same way:
+// each record's ports resolve through its own owner's cores.
+func TestImportBesideSlotmateCore(t *testing.T) {
+	ctx := context.Background()
+	w, j := newJournaledWorker(t)
+	seedSession(t, w)
+	sForm, _ := j.Form("s")
+
+	port := EndPointMsg{Port: protocol.PortRefMsg{Core: "reg", Group: "q", Index: 0}, IsPort: true}
+	other := newTestWorker(t)
+	for _, req := range []*Request{
+		{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 4, Col: 2, Bits: 2}},
+		{Op: "route", Source: ptr(port), Sinks: []EndPointMsg{pinMsg(10, 4, arch.S0F3)}},
+	} {
+		req.Session = "t"
+		if resp := other.Submit(ctx, req); resp.Err != "" {
+			t.Fatalf("%s on t: %s", req.Op, resp.Err)
+		}
+	}
+	tForm, err := other.Export(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if resp := w.Submit(ctx, &Request{Op: "session_import", Session: "t", Form: tForm}); resp.Err != "" {
+			t.Fatalf("import %d of t beside s's reg: %s (%s)", i, resp.Err, resp.ErrorCode)
+		}
+	}
+	if now, _ := j.Form("s"); !bytes.Equal(now, sForm) {
+		t.Error("importing t changed s's form")
+	}
+	all, err := w.Export(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := journal.New()
+	if err := exported.Apply(all); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := exported.Form("s"); !bytes.Equal(got, sForm) {
+		t.Error("after t's imports the worker exports s's part other than s's form: dropping t took s's port names")
+	}
+	spare := newTestWorker(t)
+	if resp := spare.Submit(ctx, &Request{Op: "session_import", Form: all}); resp.Err != "" {
+		t.Fatalf("importing both sessions onto a spare: %s (%s)", resp.Err, resp.ErrorCode)
+	}
+	sinks := map[string]protocol.PinMsg{"s": {Row: 14, Col: 14, Wire: int(arch.S0G4)}, "t": {Row: 10, Col: 4, Wire: int(arch.S0F3)}}
+	for i, on := range []*Worker{w, spare} {
+		for session, want := range sinks {
+			resp := on.Submit(ctx, &Request{Op: "trace", Session: session, Source: ptr(port)})
+			if resp.Err != "" || resp.Net == nil || len(resp.Net.Sinks) != 1 || resp.Net.Sinks[0].Pin != want {
+				t.Errorf("worker %d: %s's reg.q[0] traces %+v (%q), want one sink at %+v", i, session, resp.Net, resp.Err, want)
+			}
+		}
+	}
+}

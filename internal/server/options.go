@@ -3,7 +3,6 @@ package server
 import (
 	"net"
 
-	"repro/internal/arch"
 	"repro/internal/core/library"
 )
 
@@ -18,17 +17,6 @@ func NewServer(opts ...Opt) *Server {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	// Audit the library once here rather than once per worker: every
-	// session router shares the audited copy read-only. An audit failure
-	// (unknown arch) leaves the library unaudited; workers then reject it
-	// individually and count it skipped.
-	if lib := o.Library; lib != nil && !lib.Audited() {
-		if a, err := arch.ByName(lib.Arch()); err == nil {
-			if audited, _, err := lib.Audit(a); err == nil {
-				o.Library = audited
-			}
-		}
 	}
 	return &Server{
 		opts:     o,
@@ -49,7 +37,8 @@ func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } 
 func WithParanoidVerify(on bool) Opt { return func(o *Options) { o.ParanoidVerify = on } }
 
 // WithLibrary seeds every session router with a persistent route-template
-// library, shared read-only across workers (audited once in NewServer).
+// library, shared read-only across workers (audited once, by the first
+// router to attach it).
 func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }
 
 // WithAuth installs a hello-token authenticator: fn maps the bearer token

@@ -33,9 +33,8 @@ type Options struct {
 	// audited by the bitstream oracle (see core.Options.ParanoidVerify).
 	ParanoidVerify bool
 	// Library, when set, seeds every session router with a persistent
-	// route-template library, shared read-only across all workers. NewServer
-	// audits an unaudited library once so N workers do not each re-sweep
-	// it. See core.Options.Library.
+	// route-template library, shared read-only across all workers and
+	// audited once, by the first of them. See core.Options.Library.
 	Library *library.Library
 	// Auth, when set, must map the hello bearer token to a tenant name.
 	// A non-nil error refuses the hello with CodeUnauthorized. The

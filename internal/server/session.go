@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/arch"
@@ -247,8 +246,10 @@ func (w *Worker) place(cores []coreEntry, recs [2][]core.SeqRecord, resp *Respon
 			return err
 		}
 	}
-	// The cores' ports exist now: the records that name them resolve.
+	// The cores' ports exist now: the records that name them resolve,
+	// each through its owner's cores.
 	for _, sr := range slices.Concat(recs[0], recs[1]) {
+		w.cur = sr.Owner
 		for i, e := range sr.Ends {
 			if ref, ok := e.(portRef); ok {
 				var err error
@@ -335,8 +336,12 @@ func (w *Worker) drop(o uint8) {
 		if e.c.Implemented() {
 			_ = e.c.Remove(w.router)
 		}
-		delete(w.cores, e.msg.Name)
-		maps.DeleteFunc(w.ports, func(_ *core.Port, ref protocol.PortRefMsg) bool { return ref.Core == e.msg.Name })
+		delete(w.cores, coreKey{o, e.msg.Name})
+		for _, g := range e.groups {
+			for _, p := range e.c.Ports(g) {
+				delete(w.ports, p)
+			}
+		}
 	}
 	w.touched = slices.DeleteFunc(w.touched, func(e *coreEntry) bool { return e.owner == o })
 	w.router.DropOwner(o)

@@ -24,6 +24,13 @@ type task struct {
 	resp chan *Response
 }
 
+// coreKey names a core on a worker: a core name is unique per owner, so
+// sessions sharing a slot each resolve their own.
+type coreKey struct {
+	owner uint8
+	name  string
+}
+
 // coreEntry tracks one named core instance living on a worker's device.
 type coreEntry struct {
 	c      cores.Core
@@ -71,7 +78,7 @@ type Worker struct {
 
 	js     *jbits.Session
 	router *core.Router
-	cores  map[string]*coreEntry
+	cores  map[coreKey]*coreEntry
 	m      *sessionMetrics
 
 	// Each session a request names owns what its ops make: a slot-local
@@ -120,7 +127,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			core.WithParallelism(cfg.Opts.Parallelism),
 			core.WithParanoidVerify(cfg.Opts.ParanoidVerify),
 			core.WithLibrary(cfg.Opts.Library)),
-		cores:   make(map[string]*coreEntry),
+		cores:   make(map[coreKey]*coreEntry),
 		m:       newSessionMetrics(),
 		owners:  make(map[string]uint8),
 		names:   []string{""},
@@ -475,7 +482,7 @@ func (w *Worker) coreNew(msg *protocol.CoreMsg, resp *Response) error {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_new without core description")
 	}
-	if _, dup := w.cores[msg.Name]; dup {
+	if _, dup := w.cores[coreKey{w.cur, msg.Name}]; dup {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core %q already exists", msg.Name)
 	}
@@ -492,7 +499,7 @@ func (w *Worker) coreNew(msg *protocol.CoreMsg, resp *Response) error {
 	}
 	w.stamp++
 	e := &coreEntry{c: c, groups: groups, msg: *msg, owner: w.cur, stamp: w.stamp}
-	w.cores[msg.Name] = e
+	w.cores[coreKey{w.cur, msg.Name}] = e
 	w.touched = append(w.touched, e)
 	for _, g := range groups {
 		for i, p := range c.Ports(g) {
@@ -507,7 +514,7 @@ func (w *Worker) coreReplace(msg *protocol.CoreMsg, resp *Response) error {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: core_replace without core description")
 	}
-	entry, ok := w.cores[msg.Name]
+	entry, ok := w.cores[coreKey{w.cur, msg.Name}]
 	if !ok {
 		resp.ErrorCode = protocol.CodeBadRequest
 		return fmt.Errorf("server: no core %q", msg.Name)
@@ -571,7 +578,7 @@ func makeCore(msg *protocol.CoreMsg) (cores.Core, []string, error) {
 }
 
 // endpoint resolves a wire endpoint to a core.EndPoint: a raw pin, or a
-// port of a named server-side core.
+// port of a named server-side core of the op's owner.
 func (w *Worker) endpoint(m *EndPointMsg) (core.EndPoint, error) {
 	if m == nil {
 		return nil, fmt.Errorf("server: missing endpoint")
@@ -582,7 +589,7 @@ func (w *Worker) endpoint(m *EndPointMsg) (core.EndPoint, error) {
 		}
 		return core.NewPin(m.Pin.Row, m.Pin.Col, arch.Wire(m.Pin.Wire)), nil
 	}
-	entry, ok := w.cores[m.Port.Core]
+	entry, ok := w.cores[coreKey{w.cur, m.Port.Core}]
 	if !ok {
 		return nil, fmt.Errorf("server: no core %q", m.Port.Core)
 	}
