@@ -106,9 +106,10 @@ bench-go:
 soak:
 	$(GO) test ./internal/server -run TestSoak -soak=2m -v
 
-# size prints, per directory (internal/*, cmd, benchmark) and in
-# total, non-test Go lines and code-only lines (neither blank nor
-# comment-only) — the count a simplicity PR reports, parent beside change.
+# size prints, per directory (internal/*, cmd, benchmark), in total and
+# for ROADMAP item 5's set (core, maze, server, gateway), non-test Go lines
+# and code-only lines (neither blank nor comment-only) — the count a
+# simplicity PR reports, parent beside change.
 # `make size FILES='internal/core/*.go cmd/jverify/main.go'` counts just
 # those files, one row each (test files dropped).
 size:

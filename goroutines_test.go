@@ -19,12 +19,10 @@ import (
 // until it is.
 func TestGoroutineInventory(t *testing.T) {
 	want := []string{
-		"internal/gateway/gateway.go New",
 		"internal/maze/negotiate.go runPool",
-		"internal/server/fleet/fleet.go New",
 		"internal/server/fleet/fleet.go newBoard",
-		"internal/server/server.go Start",
-		"internal/server/server.go acceptLoop",
+		"internal/server/server.go StartLoop",
+		"internal/server/server.go acceptOne",
 		"internal/server/worker.go NewWorker",
 	}
 	var got []string

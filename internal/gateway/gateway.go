@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/fleet"
 	"repro/internal/server/journal"
@@ -130,8 +131,7 @@ type Gateway struct {
 	// counts and the per-tenant and per-backend sections.
 	stats protocol.GatewayStatsMsg
 
-	probeStop chan struct{}
-	probeDone chan struct{}
+	probes *server.Loop // background health probes; nil when off
 }
 
 // New builds a gateway from a config. Backends start healthy; the probe
@@ -187,9 +187,9 @@ func New(cfg Config) (*Gateway, error) {
 		g.tokens[tc.Token] = t
 	}
 	if cfg.ProbeIntervalMillis > 0 {
-		g.probeStop = make(chan struct{})
-		g.probeDone = make(chan struct{})
-		go g.probeLoop(time.Duration(cfg.ProbeIntervalMillis) * time.Millisecond)
+		g.probes = server.StartLoop(time.Duration(cfg.ProbeIntervalMillis)*time.Millisecond,
+			func(ctx context.Context) bool { g.ProbeAll(ctx); return true },
+			func() { g.mu.Lock(); g.stats.ProbeFails++; g.mu.Unlock() }) // a tick that panicked
 	}
 	return g, nil
 }
@@ -558,21 +558,6 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 	return true, nil
 }
 
-// probeLoop runs health probes on a fixed cadence until Shutdown.
-func (g *Gateway) probeLoop(interval time.Duration) {
-	defer close(g.probeDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.probeStop:
-			return
-		case <-ticker.C:
-			g.ProbeAll(context.Background())
-		}
-	}
-}
-
 // ProbeAll health-checks every backend once: a statsz round trip (which
 // rides the hello on fresh connections). A failing probe ejects
 // the backend from placement and relocates the sessions still pinned to it,
@@ -585,6 +570,9 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 	g.mu.Unlock()
 	for _, be := range backends {
 		err := g.probe(ctx, be)
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return // stopped mid-round: the probe learned nothing
+		}
 		g.mu.Lock()
 		g.stats.Probes++
 		if err != nil {
@@ -675,19 +663,13 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	g.closing = true
-	var conns []*client.Client
 	for _, be := range g.backends {
-		conns = append(conns, be.idle...)
+		for _, c := range be.idle {
+			c.Close()
+		}
 		be.idle = nil
 	}
-	stop := g.probeStop
 	g.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-g.probeDone
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	g.probes.Stop()
 	return nil
 }

@@ -1063,3 +1063,114 @@ func TestProbeHandoffIsBounded(t *testing.T) {
 		t.Errorf("trace on the stranded session: %v, want the failover code", err)
 	}
 }
+
+// TestBackgroundProbeMovesSession: with background probing on and no
+// client traffic, a session pinned to a backend that was shut down is moved
+// by a probe tick, its net with it.
+func TestBackgroundProbeMovesSession(t *testing.T) {
+	coord0, err := fleet.New(fleet.Config{Boards: 1, Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0 := server.NewServer()
+	srv0.SetFleet(coord0)
+	be0, err := srv0.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: startBackend(t, 1), Classes: []string{"v1000-class"}},
+		},
+		ProbeIntervalMillis: 20,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s0, err := c.SessionWithKey(ctx, "v1000-class/s0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := pin(5, 7, arch.S1YQ)
+	if err := s0.Route(ctx, src, pin(9, 10, arch.S0F3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := backendOf(t, s0); got != "be0" {
+		t.Fatalf("s0 placed on %s, want be0", got)
+	}
+	if err := srv0.Shutdown(ctx); err != nil {
+		t.Fatalf("shutting down be0: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); g.GatewayStats().Handoffs != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no probe tick moved s0 within 10 s: %+v", g.GatewayStats())
+		}
+	}
+	if net, err := s0.Trace(ctx, src); err != nil || net == nil || len(net.Sinks) != 1 {
+		t.Errorf("net lost in the probe-driven move: %+v, %v", net, err)
+	}
+	if got := backendOf(t, s0); got != "be1" {
+		t.Errorf("s0 on %s, want be1", got)
+	}
+}
+
+// TestShutdownCutsProbeTick: Shutdown stops a probe tick in flight against
+// a backend that accepts connections and never answers (the set-up of
+// TestProbeHandoffIsBounded) instead of waiting out that tick's probe and
+// handoff bounds.
+func TestShutdownCutsProbeTick(t *testing.T) {
+	coord0, err := fleet.New(fleet.Config{Boards: 1, Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv0 := server.NewServer()
+	srv0.SetFleet(coord0)
+	be0, err := srv0.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	addr, g := startGateway(t, gateway.Config{
+		Backends: []gateway.BackendConfig{
+			{Name: "be0", Addr: be0, Classes: []string{"v1000-class"}},
+			{Name: "be1", Addr: silent.Addr().String(), Classes: []string{"v1000-class"}},
+		},
+		ProbeIntervalMillis: 20,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := client.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.SessionWithKey(ctx, "v1000-class/s0", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv0.Shutdown(ctx); err != nil {
+		t.Fatalf("shutting down be0: %v", err)
+	}
+	// be0's probe fails at once; the tick then spends up to 2 s on the
+	// handoff to be1 and 2 s more on be1's probe.
+	for deadline := time.Now().Add(10 * time.Second); g.GatewayStats().ProbeFails == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe tick saw be0 down within 10 s")
+		}
+	}
+	start := time.Now()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Shutdown took %v with a probe tick in flight, want under 1 s", took)
+	}
+}

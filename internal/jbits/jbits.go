@@ -22,8 +22,8 @@ import (
 // Session is a JBits editing session over a host-side device image.
 type Session struct {
 	Dev *device.Device
-	// partial is the reused buffer SyncPartial and SyncPartialRemote
-	// serialize into; neither target keeps a reference to it.
+	// partial is the reused buffer SyncPartial serializes into; no link
+	// keeps a reference to it.
 	partial []byte
 }
 
@@ -179,8 +179,16 @@ func (b *Board) Device() *device.Device {
 	return b.dev
 }
 
+// Link is a board's configuration port as a session ships to it: a local
+// *Board, or a *RemoteBoard across the XHWIF wire, which tags a partial
+// stream opPartial.
+type Link interface {
+	Configure(stream []byte) error
+	ConfigurePartial(stream []byte) error
+}
+
 // SyncFull ships the session's complete configuration to the board.
-func (s *Session) SyncFull(b *Board) (frames int, err error) {
+func (s *Session) SyncFull(b Link) (frames int, err error) {
 	stream, err := s.Dev.FullConfig()
 	if err != nil {
 		return 0, err
@@ -194,20 +202,14 @@ func (s *Session) SyncFull(b *Board) (frames int, err error) {
 }
 
 // SyncPartial ships only the frames dirtied since the last sync — the
-// partial reconfiguration step that makes RTR cheap. It returns the number
-// of frames shipped.
-func (s *Session) SyncPartial(b *Board) (frames int, err error) {
-	return s.syncPartial(b.ConfigurePartial)
-}
-
-// syncPartial serializes the dirty frames once into the session's buffer,
-// hands the stream to ship, and clears the dirty set if it was accepted.
-func (s *Session) syncPartial(ship func(stream []byte) error) (frames int, err error) {
+// partial reconfiguration step that makes RTR cheap, serialized once into
+// the session's buffer. It returns the number of frames shipped.
+func (s *Session) SyncPartial(b Link) (frames int, err error) {
 	frames = s.Dev.DirtyFrameCount()
 	if s.partial, err = s.Dev.AppendPartialConfig(s.partial[:0]); err != nil {
 		return 0, err
 	}
-	if err := ship(s.partial); err != nil {
+	if err := b.ConfigurePartial(s.partial); err != nil {
 		return 0, err
 	}
 	s.Dev.ClearDirty()

@@ -1,6 +1,7 @@
 package jbits
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -61,15 +62,20 @@ func TestFrameCostsOneWriteOneRead(t *testing.T) {
 	go func() { done <- Serve(bc, board) }()
 	t.Cleanup(func() { hostEnd.Close() })
 	rb := Dial(hc)
-	if _, err := s.SyncFullRemote(rb); err != nil { // a full configuration is larger than the buffer
+	if _, err := s.SyncFull(rb); err != nil { // a full configuration is larger than the buffer
 		t.Fatal(err)
+	}
+	if back, err := rb.Readback(); err != nil {
+		t.Fatal(err)
+	} else if want, _ := s.Dev.FullConfig(); !bytes.Equal(back, want) {
+		t.Fatal("remote readback differs from the session's configuration")
 	}
 	br0, bw0 := bc.counts()
 	hr0, hw0 := hc.counts()
 	frames := 0
 	for i := 0; i < 8; i++ {
 		s.Set(2+i, 3, arch.S1YQ, arch.Out(1), true)
-		if n, err := s.SyncPartialRemote(rb); err != nil || n == 0 {
+		if n, err := s.SyncPartial(rb); err != nil || n == 0 {
 			t.Fatalf("partial sync: %d frames, %v", n, err)
 		}
 		if _, err := rb.Stats(); err != nil {

@@ -2,14 +2,11 @@ package jbits
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
-
-	"repro/internal/device"
 )
 
 // XHWIF-style remote board access. JBits talks to hardware through the
@@ -23,7 +20,8 @@ import (
 // Frame format (big-endian): u8 opcode, u32 payload length, payload.
 // Responses echo the opcode with the high bit set; error responses use
 // opError with a string payload. The routing service (internal/server)
-// shares this frame format with its own opcode.
+// speaks its own binary v3 framing; the only frame of this shape it writes
+// is a byte literal, its refusal of a legacy framed-JSON hello.
 const (
 	opConfigure   = 0x01 // payload: full configuration stream
 	opReadback    = 0x02 // payload: empty; response: full config stream
@@ -296,54 +294,4 @@ func (rb *RemoteBoard) Stats() (BoardCounters, error) {
 func (rb *RemoteBoard) Close() error {
 	_, err := rb.call(opClose, nil)
 	return err
-}
-
-// SyncFullRemote ships the session's complete configuration to a remote
-// board and verifies it by readback, returning the number of differing
-// frames (0 on success). A readback that cannot be compared frame by frame
-// (wrong length or unparseable stream) counts as 1, the length-mismatch
-// sentinel.
-func (s *Session) SyncFullRemote(rb *RemoteBoard) (int, error) {
-	stream, err := s.Dev.FullConfig()
-	if err != nil {
-		return 0, err
-	}
-	if err := rb.Configure(stream); err != nil {
-		return 0, err
-	}
-	s.Dev.ClearDirty()
-	back, err := rb.Readback()
-	if err != nil {
-		return 0, err
-	}
-	mine, err := s.Dev.FullConfig()
-	if err != nil {
-		return 0, err
-	}
-	if bytes.Equal(back, mine) {
-		return 0, nil
-	}
-	// Frame-level diff: load the readback into a scratch device of the
-	// session's geometry and count differing frames.
-	scratch, err := device.New(s.Dev.A, s.Dev.Rows, s.Dev.Cols)
-	if err != nil {
-		return 0, err
-	}
-	if err := scratch.ApplyConfig(back); err != nil {
-		return 1, nil // not frame-comparable: length/geometry sentinel
-	}
-	diff, err := s.Dev.DiffFrames(scratch)
-	if err != nil {
-		return 1, nil
-	}
-	if len(diff) == 0 {
-		return 1, nil // streams differ outside frame data (header/CRC)
-	}
-	return len(diff), nil
-}
-
-// SyncPartialRemote ships only the dirty frames to a remote board, tagged
-// opPartial on the wire.
-func (s *Session) SyncPartialRemote(rb *RemoteBoard) (frames int, err error) {
-	return s.syncPartial(rb.ConfigurePartial)
 }

@@ -1,6 +1,7 @@
 package jbits
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/device"
 )
 
 // startServer runs Serve over an in-memory duplex pipe and returns the
@@ -41,8 +41,15 @@ func TestRemoteConfigureAndReadback(t *testing.T) {
 	s.Set(5, 7, arch.S1YQ, arch.Out(1), true)
 	s.SetLUT(6, 8, 0, 0xBEEF)
 
-	if diff, err := s.SyncFullRemote(rb); err != nil || diff != 0 {
-		t.Fatalf("full remote sync: diff=%d err=%v", diff, err)
+	if _, err := s.SyncFull(rb); err != nil {
+		t.Fatalf("full remote sync: %v", err)
+	}
+	back, err := rb.Readback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := s.Dev.FullConfig(); !bytes.Equal(back, want) {
+		t.Error("remote readback differs from the session's configuration")
 	}
 	if !board.Device().PIPIsOn(5, 7, arch.S1YQ, arch.Out(1)) {
 		t.Error("board missing PIP after remote configure")
@@ -53,7 +60,7 @@ func TestRemoteConfigureAndReadback(t *testing.T) {
 
 	// Partial step over the wire.
 	s.Set(5, 7, arch.Out(1), s.Dev.A.Single(arch.East, 5), true)
-	frames, err := s.SyncPartialRemote(rb)
+	frames, err := s.SyncPartial(rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,134 +137,6 @@ func TestServeStopsOnEOF(t *testing.T) {
 		if err != nil && err.Error() != "EOF" {
 			t.Logf("server exit: %v (accepted)", err)
 		}
-	}
-}
-
-// TestSyncFullRemoteCountsFrames verifies the readback diff is counted in
-// frames, not bytes: a hand-rolled board host tampers with two tiles in
-// distinct columns before answering the readback, and the reported diff
-// must equal the frame-level difference — which is far smaller than the
-// number of differing bytes.
-func TestSyncFullRemoteCountsFrames(t *testing.T) {
-	a := arch.NewVirtex()
-	s, err := NewSession(a, 16, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boardDev, err := device.New(a, 16, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
-	t.Cleanup(func() { client.Close() })
-	done := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		for {
-			op, payload, err := ReadFrame(server)
-			if err != nil {
-				done <- err
-				return
-			}
-			switch op {
-			case opConfigure:
-				if err := boardDev.ApplyConfig(payload); err != nil {
-					done <- err
-					return
-				}
-				if err := WriteFrame(server, opConfigure|respFlag, nil); err != nil {
-					done <- err
-					return
-				}
-			case opReadback:
-				// Tamper: flip state at two tiles in different columns
-				// so the byte-level diff spans many bytes but only a
-				// handful of frames.
-				if err := boardDev.SetLUT(2, 3, 0, 0xFFFF); err != nil {
-					done <- err
-					return
-				}
-				if err := boardDev.SetLUT(9, 17, 1, 0xAAAA); err != nil {
-					done <- err
-					return
-				}
-				stream, err := boardDev.FullConfig()
-				if err != nil {
-					done <- err
-					return
-				}
-				if err := WriteFrame(server, opReadback|respFlag, stream); err != nil {
-					done <- err
-					return
-				}
-				done <- nil
-				return
-			}
-		}
-	}()
-
-	s.SetLUT(6, 8, 0, 0xBEEF)
-	diff, err := s.SyncFullRemote(Dial(client))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.Dev.DiffFrames(boardDev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("tampering produced no frame diff")
-	}
-	if diff != len(want) {
-		t.Errorf("SyncFullRemote diff = %d, want %d frames", diff, len(want))
-	}
-	// Byte counting would report a different (much larger) figure: each
-	// tampered LUT flips many bits across 16-bit truth tables plus used
-	// bits. Guard against regressing to byte semantics.
-	if diff > s.Dev.FrameCount() {
-		t.Errorf("diff %d exceeds total frame count %d (byte counting?)", diff, s.Dev.FrameCount())
-	}
-}
-
-// TestSyncFullRemoteSentinel: a readback that is not frame-comparable
-// (garbage / wrong length) reports the sentinel value 1.
-func TestSyncFullRemoteSentinel(t *testing.T) {
-	a := arch.NewVirtex()
-	s, err := NewSession(a, 16, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
-	t.Cleanup(func() { client.Close() })
-	go func() {
-		defer server.Close()
-		for {
-			op, _, err := ReadFrame(server)
-			if err != nil {
-				return
-			}
-			switch op {
-			case opConfigure:
-				if err := WriteFrame(server, opConfigure|respFlag, nil); err != nil {
-					return
-				}
-			case opReadback:
-				if err := WriteFrame(server, opReadback|respFlag, []byte("not a bitstream")); err != nil {
-					return
-				}
-				return
-			}
-		}
-	}()
-	diff, err := s.SyncFullRemote(Dial(client))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != 1 {
-		t.Errorf("unparseable readback: diff = %d, want sentinel 1", diff)
 	}
 }
 
@@ -405,7 +284,7 @@ func TestConcurrentRemoteClientsTCP(t *testing.T) {
 			}
 			for k := 0; k < perClient; k++ {
 				s.SetLUT(seed*4, 2*k, seed, uint16(0x1000*seed+k))
-				if _, err := s.SyncPartialRemote(rb); err != nil {
+				if _, err := s.SyncPartial(rb); err != nil {
 					errs <- err
 					return
 				}

@@ -155,7 +155,8 @@ func WithToken(tok string) Option { return func(c *Client) { c.token = tok } }
 // mutating op (Response.Delta): the gateway tier's journal reads them.
 func WithDelta() Option { return func(c *Client) { c.delta = true } }
 
-// Dial connects to a daemon and says hello.
+// Dial connects to a daemon and says hello. Canceling ctx abandons the
+// hello, as its deadline does.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -163,7 +164,12 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 		return nil, err
 	}
 	c := NewClient(conn, opts...)
-	if err := c.Hello(ctx); err != nil {
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	err = c.Hello(ctx)
+	if !stop() && err == nil {
+		err = ctx.Err() // canceled as the hello finished: conn is closed
+	}
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func fill(t *testing.T, w *server.Worker) {
 // with the typed canceled code — it neither busy-waits the full enqueue
 // timeout nor executes.
 func TestSubmitCanceledWhileWaitingForQueueSlot(t *testing.T) {
-	w := newTestWorker(t, server.Options{QueueDepth: 1, EnqueueTimeout: time.Minute})
+	w := newTestWorker(t, server.Options{QueueDepth: 1})
 	release := jam(t, w)
 	defer release()
 	fill(t, w)
@@ -94,7 +94,7 @@ func TestSubmitCanceledWhileWaitingForQueueSlot(t *testing.T) {
 // TestSubmitDeadlineWhileWaitingForQueueSlot: same, for an expiring
 // deadline — the typed deadline code, well before the enqueue timeout.
 func TestSubmitDeadlineWhileWaitingForQueueSlot(t *testing.T) {
-	w := newTestWorker(t, server.Options{QueueDepth: 1, EnqueueTimeout: time.Minute})
+	w := newTestWorker(t, server.Options{QueueDepth: 1})
 	release := jam(t, w)
 	defer release()
 	fill(t, w)

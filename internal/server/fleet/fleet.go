@@ -35,6 +35,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -81,7 +82,6 @@ type board struct {
 	hw     *jbits.Board
 	remote *jbits.RemoteBoard
 	raw    net.Conn // coordinator-side pipe end; Close severs the link
-	served chan struct{}
 }
 
 func (c *Coordinator) newBoard(name string) (*board, error) {
@@ -90,19 +90,16 @@ func (c *Coordinator) newBoard(name string) (*board, error) {
 		return nil, err
 	}
 	coordSide, boardSide := net.Pipe()
-	b := &board{
-		name:   name,
-		hw:     hw,
-		remote: jbits.Dial(coordSide),
-		raw:    coordSide,
-		served: make(chan struct{}),
-	}
 	go func() {
-		defer close(b.served)
+		// A board whose server panics closes its link, as one that fails
+		// does, so the slot fails over on its next push or probe.
+		defer func() {
+			_ = recover()
+			boardSide.Close()
+		}()
 		_ = jbits.Serve(boardSide, hw)
-		boardSide.Close()
 	}()
-	return b, nil
+	return &board{name: name, hw: hw, remote: jbits.Dial(coordSide), raw: coordSide}, nil
 }
 
 // slot is one board slot: the board currently serving it, the worker bound
@@ -149,8 +146,7 @@ type Coordinator struct {
 	// counts and the per-slot sections.
 	stats protocol.FleetStatsMsg
 
-	stopProbe chan struct{}
-	probeDone chan struct{}
+	probes *server.Loop // background health probes; nil when off
 }
 
 // New builds the fleet: Boards slots with one board and worker each, plus
@@ -168,8 +164,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		arch:       a,
 		sessionKey: make(map[string]uint64),
-		stopProbe:  make(chan struct{}),
-		probeDone:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Boards; i++ {
 		sl := &slot{idx: i, epoch: 1, sessions: make(map[string]struct{}), j: journal.New()}
@@ -192,9 +186,12 @@ func New(cfg Config) (*Coordinator, error) {
 		c.spares = append(c.spares, b)
 	}
 	if cfg.ProbeInterval > 0 {
-		go c.probeLoop()
-	} else {
-		close(c.probeDone)
+		c.probes = server.StartLoop(cfg.ProbeInterval, func(ctx context.Context) bool {
+			ctx, cancel := context.WithTimeout(ctx, cfg.ProbeInterval)
+			defer cancel()
+			c.ProbeAll(ctx)
+			return true
+		}, c.noteProbeFail)
 	}
 	return c, nil
 }
@@ -277,8 +274,8 @@ func (c *Coordinator) Submit(ctx context.Context, req *protocol.Request) *protoc
 // as a dead board is. Successful responses are stamped with the serving
 // board and epoch.
 func (c *Coordinator) submitToSlot(ctx context.Context, sl *slot, req *protocol.Request) *protocol.Response {
-	b, w, epoch, down, failing := sl.current()
-	if down || b == nil {
+	_, w, epoch, down, failing := sl.current()
+	if down {
 		return &protocol.Response{ID: req.ID, ErrorCode: protocol.CodeBoardDown,
 			Err: fmt.Sprintf("fleet: slot %d is down and no spare is left", sl.idx)}
 	}
@@ -433,26 +430,9 @@ func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.J
 		return fail(fmt.Errorf("fleet: importing onto %s: %s", spare.name, resp.Err))
 	}
 	restore := time.Since(start)
-	// Audit the spare through its own configuration port before trusting
-	// it: readback must match the replayed device's full configuration and
-	// pass the oracle's structural invariants, and every net on it — clocks
-	// included — must be a replayed record.
-	err = w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
-		full, err := js.Dev.FullConfig()
-		if err != nil {
-			return err
-		}
-		back, err := spare.remote.Readback()
-		if err != nil {
-			return err
-		}
-		defer jbits.RecycleFrame(back)
-		if !bytes.Equal(back, full) {
-			return fmt.Errorf("fleet: spare %s readback diverges from pushed configuration", spare.name)
-		}
-		return oracle.Audit(js.Dev.A, back, r.OracleClaims(), true)
-	})
-	if err != nil {
+	// Audit the spare before trusting it: every net on it, clocks included,
+	// must be a replayed record.
+	if err := spare.audit(ctx, w, true); err != nil {
 		return fail(err)
 	}
 	return w, j, live, w.StatsSnapshot().CacheHits, restore, nil
@@ -466,9 +446,6 @@ func (c *Coordinator) KillBoard(i int) error {
 		return fmt.Errorf("fleet: no slot %d", i)
 	}
 	b, _, _, _, _ := c.slots[i].current()
-	if b == nil {
-		return fmt.Errorf("fleet: slot %d has no board", i)
-	}
 	return b.raw.Close()
 }
 
@@ -478,23 +455,6 @@ func (c *Coordinator) Epoch(i int) uint64 {
 	return epoch
 }
 
-// probeLoop runs background health probes.
-func (c *Coordinator) probeLoop() {
-	defer close(c.probeDone)
-	ticker := time.NewTicker(c.cfg.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
-			c.ProbeAll(ctx)
-			cancel()
-		case <-c.stopProbe:
-			return
-		}
-	}
-}
-
 // ProbeAll health-probes every live slot once: the board is read back over
 // its link and audited by the bitstream oracle against the worker's own
 // bitstream. A failed probe (dead link, divergent or structurally invalid
@@ -502,37 +462,55 @@ func (c *Coordinator) probeLoop() {
 func (c *Coordinator) ProbeAll(ctx context.Context) {
 	for _, sl := range c.slots {
 		b, w, epoch, down, failing := sl.current()
-		if down || failing || b == nil {
+		if down || failing {
 			continue // dead or already failing over: nothing to learn
 		}
 		c.mu.Lock()
 		c.stats.HealthProbes++
 		c.mu.Unlock()
-		err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
-			back, err := b.remote.Readback()
-			if err != nil {
-				return err
+		if err := b.audit(ctx, w, false); err != nil {
+			if errors.Is(ctx.Err(), context.Canceled) {
+				return // stopped mid-round: the probe learned nothing
 			}
-			// The readback travels through the pooled frame path; it is
-			// dead once audited, so hand it back instead of churning a
-			// full-config allocation per probe per board.
-			defer jbits.RecycleFrame(back)
-			want, err := js.Dev.FullConfig()
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(back, want) {
-				return fmt.Errorf("fleet: %s readback diverges from session state", b.name)
-			}
-			return oracle.Audit(js.Dev.A, back, nil, false)
-		})
-		if err != nil {
-			c.mu.Lock()
-			c.stats.ProbeFails++
-			c.mu.Unlock()
+			c.noteProbeFail()
 			c.requestFailover(sl, epoch)
 		}
 	}
+}
+
+// noteProbeFail counts one failed probe, or one probe tick that panicked.
+func (c *Coordinator) noteProbeFail() {
+	c.mu.Lock()
+	c.stats.ProbeFails++
+	c.mu.Unlock()
+}
+
+// audit reads the board back over its link, as a task on w, the worker
+// tethered to it: the readback must equal w's full configuration and pass
+// the oracle's structural invariants. strict also holds every net on the
+// board to a record of w's router. A failed probe and a rejected spare are
+// both this audit failing.
+func (b *board) audit(ctx context.Context, w *server.Worker, strict bool) error {
+	return w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
+		back, err := b.remote.Readback()
+		if err != nil {
+			return err
+		}
+		// The readback came from the frame pool and is dead once audited.
+		defer jbits.RecycleFrame(back)
+		want, err := js.Dev.FullConfig()
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(back, want) {
+			return fmt.Errorf("fleet: %s readback diverges from its worker's configuration", b.name)
+		}
+		var claims []oracle.Claim
+		if strict {
+			claims = r.OracleClaims()
+		}
+		return oracle.Audit(js.Dev.A, back, claims, strict)
+	})
 }
 
 // Stats snapshots the coordinator counters and per-slot sections.
@@ -550,21 +528,13 @@ func (c *Coordinator) Stats() *protocol.FleetStatsMsg {
 		if down {
 			out.DownSlots++
 		}
-		entry := protocol.BoardStatsMsg{Epoch: epoch, Healthy: !down, Sessions: nSessions}
-		if b != nil {
-			entry.Board = b.name
-			hc := b.hw.Counters()
-			entry.HW = protocol.BoardHWMsg{
-				FullConfigs:    hc.FullConfigs,
-				PartialConfigs: hc.PartialConfigs,
-				FramesWritten:  hc.FramesWritten,
-				BytesWritten:   hc.BytesWritten,
-			}
+		hc := b.hw.Counters()
+		out.Slots[fmt.Sprintf("slot%d", sl.idx)] = protocol.BoardStatsMsg{
+			Board: b.name, Epoch: epoch, Healthy: !down, Sessions: nSessions,
+			HW: protocol.BoardHWMsg{FullConfigs: hc.FullConfigs, PartialConfigs: hc.PartialConfigs,
+				FramesWritten: hc.FramesWritten, BytesWritten: hc.BytesWritten},
+			Worker: w.StatsSnapshot(),
 		}
-		if w != nil {
-			entry.Worker = w.StatsSnapshot()
-		}
-		out.Slots[fmt.Sprintf("slot%d", sl.idx)] = entry
 	}
 	return &out
 }
@@ -581,19 +551,13 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.stopProbe)
-	<-c.probeDone
+	c.probes.Stop()
 
 	var workers []*server.Worker
 	var boards []*board
 	for _, sl := range c.slots {
 		sl.mu.Lock()
-		if sl.worker != nil {
-			workers = append(workers, sl.worker)
-		}
-		if sl.b != nil {
-			boards = append(boards, sl.b)
-		}
+		workers, boards = append(workers, sl.worker), append(boards, sl.b)
 		sl.mu.Unlock()
 	}
 	c.mu.Lock()

@@ -337,6 +337,24 @@ func TestProbeDetectsSilentDeath(t *testing.T) {
 	}
 }
 
+// TestBackgroundProbeFailsOver: with background probing on and no client
+// traffic, a killed board is failed over by a probe tick.
+func TestBackgroundProbeFailsOver(t *testing.T) {
+	c := newFleet(t, fleet.Config{Boards: 1, Spares: 1, ProbeInterval: 20 * time.Millisecond})
+	connect(t, c, "only", 0)
+	if err := c.KillBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Epoch(0) != 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("slot 0 still at epoch %d 10 s after its board died", c.Epoch(0))
+		}
+	}
+	if st := c.Stats(); st.ProbeFails == 0 || st.Failovers != 1 {
+		t.Errorf("probe_fails=%d failovers=%d, want >0/1", st.ProbeFails, st.Failovers)
+	}
+}
+
 // TestFailoverAfterKindlessReplace: clients send core_replace as name,
 // site and (optionally) K — no Kind. The journal must fold such a replace
 // into the core's held description rather than store it whole, or the

@@ -25,9 +25,6 @@ type Options struct {
 	// Parallelism is passed to every session router's negotiated batch
 	// routing (0 = GOMAXPROCS).
 	Parallelism int
-	// EnqueueTimeout is how long a request waits for a slot in a full
-	// session queue before the server answers busy (default 5s).
-	EnqueueTimeout time.Duration
 	// ParanoidVerify is passed to every session router: after each
 	// automatic routing op the committed frames are re-extracted and
 	// audited by the bitstream oracle (see core.Options.ParanoidVerify).
@@ -42,13 +39,6 @@ type Options struct {
 	// (Request.Tenant), so downstream admission can trust it. Nil Auth
 	// (every plain daemon) admits every hello as the anonymous tenant "".
 	Auth func(token string) (tenant string, err error)
-}
-
-func (o Options) enqueueTimeout() time.Duration {
-	if o.EnqueueTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.EnqueueTimeout
 }
 
 // Fleet is the coordinator hook: when attached with SetFleet, per-device
@@ -87,6 +77,7 @@ type Server struct {
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closing  bool
+	accept   *Loop
 
 	wmu  sync.Mutex
 	wire protocol.WireStatsMsg
@@ -145,6 +136,65 @@ func (s *Server) noteMalformed() {
 	s.wmu.Unlock()
 }
 
+// Loop is a goroutine that runs one step over and over until it is
+// stopped: the accept loop, and the fleet's and the gateway's health
+// probes. A step that panics is recovered and counted where that loop's
+// work is counted, and the next step runs, so no loop takes the process
+// down.
+type Loop struct {
+	stop context.CancelFunc
+	done chan struct{}
+}
+
+// StartLoop runs step until Stop is called or step returns false: each
+// step on the next tick of period every when every > 0, back to back
+// otherwise. A step that panics calls panicked, and the loop goes on. Stop
+// cancels the context every step gets.
+func StartLoop(every time.Duration, step func(context.Context) bool, panicked func()) *Loop {
+	ctx, stop := context.WithCancel(context.Background())
+	l := &Loop{stop: stop, done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		wait := func() {}
+		if every > 0 {
+			t := time.NewTicker(every)
+			defer t.Stop()
+			wait = func() {
+				select {
+				case <-t.C:
+				case <-ctx.Done():
+				}
+			}
+		}
+		for {
+			if wait(); ctx.Err() != nil || !runStep(ctx, step, panicked) {
+				return
+			}
+		}
+	}()
+	return l
+}
+
+// runStep runs one step; a step that panicked asks for the next.
+func runStep(ctx context.Context, step func(context.Context) bool, panicked func()) (more bool) {
+	defer func() {
+		if recover() != nil {
+			panicked()
+			more = true
+		}
+	}()
+	return step(ctx)
+}
+
+// Stop cancels the step in flight, waits for it to return, and starts no
+// step after. A nil Loop, one never started, stops at once.
+func (l *Loop) Stop() {
+	if l != nil {
+		l.stop()
+		<-l.done
+	}
+}
+
 // Start listens on addr and serves connections in the background,
 // returning the bound address (useful with ":0").
 func (s *Server) Start(addr string) (string, error) {
@@ -159,28 +209,37 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("server: shutting down")
 	}
 	s.ln = ln
+	s.accept = StartLoop(0, func(context.Context) bool { return s.acceptOne(ln) }, s.notePanic)
 	s.mu.Unlock()
-	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
+// acceptOne is the accept loop's step: it accepts one connection and
+// serves it on its own goroutine, and reports false once the listener is
+// closed or the server is shutting down.
+func (s *Server) acceptOne(ln net.Listener) bool {
+	conn, err := ln.Accept()
+	if err != nil {
+		return false
 	}
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		conn.Close()
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.connWG.Add(1)
+	s.mu.Unlock()
+	go s.handleConn(conn)
+	return true
+}
+
+// notePanic counts one recovered panic on a connection or accept step.
+func (s *Server) notePanic() {
+	s.wmu.Lock()
+	s.wire.Panics++
+	s.wmu.Unlock()
 }
 
 // handleConn serves one connection. A panic on its goroutine — in
@@ -189,9 +248,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		if recover() != nil {
-			s.wmu.Lock()
-			s.wire.Panics++
-			s.wmu.Unlock()
+			s.notePanic()
 		}
 		conn.Close()
 		s.mu.Lock()
@@ -432,7 +489,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return errors.New("server: already shut down")
 	}
 	s.closing = true
-	ln := s.ln
+	ln, accept := s.ln, s.accept
 	// Unblock connection handlers idling in a read; handlers that are
 	// mid-request finish processing and writing first.
 	for conn := range s.conns {
@@ -442,6 +499,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
+	accept.Stop()
 
 	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()

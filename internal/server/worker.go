@@ -70,8 +70,7 @@ type WorkerConfig struct {
 // single-threaded and needs no locks (metrics excepted). It serves both the
 // daemon's static per-device sessions and the fleet's boards.
 type Worker struct {
-	cfg            WorkerConfig
-	enqueueTimeout time.Duration
+	cfg WorkerConfig
 
 	queue chan task
 	done  chan struct{} // closed when the worker has drained and exited
@@ -118,11 +117,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		queueDepth = 64
 	}
 	w := &Worker{
-		cfg:            cfg,
-		enqueueTimeout: cfg.Opts.enqueueTimeout(),
-		queue:          make(chan task, queueDepth),
-		done:           make(chan struct{}),
-		js:             js,
+		cfg:   cfg,
+		queue: make(chan task, queueDepth),
+		done:  make(chan struct{}),
+		js:    js,
 		router: core.New(js.Dev,
 			core.WithParallelism(cfg.Opts.Parallelism),
 			core.WithParanoidVerify(cfg.Opts.ParanoidVerify),
@@ -252,18 +250,18 @@ func (w *Worker) Do(ctx context.Context, fn func(r *core.Router, js *jbits.Sessi
 var replies = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
 // enqueue queues t and waits for its answer. The wait for a queue slot is
-// bounded by both the enqueue timeout (busy response, CodeBusy) and the
-// task's context (typed CodeCanceled / CodeDeadline response) — a caller
-// with a deadline never waits past it, and a canceled caller's op is
-// rejected rather than executed late. A queue with room takes the task at
-// once; only a full one arms the timer.
+// bounded by both 5 s (busy response, CodeBusy) and the task's context
+// (typed CodeCanceled / CodeDeadline response) — a caller with a deadline
+// never waits past it, and a canceled caller's op is rejected rather than
+// executed late. A queue with room takes the task at once; only a full one
+// arms the timer.
 func (w *Worker) enqueue(t task) *Response {
 	id := reqID(t.req)
 	t.resp = replies.Get().(chan *Response)
 	select {
 	case w.queue <- t:
 	default:
-		timer := time.NewTimer(w.enqueueTimeout)
+		timer := time.NewTimer(5 * time.Second)
 		defer timer.Stop()
 		select {
 		case w.queue <- t:

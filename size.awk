@@ -1,7 +1,9 @@
 # size.awk counts Go source lines for `make size`: per group and in total,
 # all lines and code-only lines (neither blank nor comment-only). Files are
 # grouped by directory — internal/<pkg>, or the first path component — or,
-# with -v perfile=1, not at all. Run it over non-test files.
+# with -v perfile=1, not at all. Grouped, it ends with ROADMAP item 5's set
+# (internal/core, maze, server and gateway, subpackages included). Run it
+# over non-test files.
 
 FNR == 1 {
 	inblock = 0
@@ -39,4 +41,8 @@ END {
 		tl += lines[k]; tc += code[k]
 	}
 	printf "%-28s %8d %8d\n", "total", tl, tc
+	if (perfile) exit
+	# ROADMAP item 5's set: the packages its size target is stated over.
+	for (k in lines) if (k ~ /^internal\/(core|maze|server|gateway)$/) { il += lines[k]; ic += code[k] }
+	printf "%-28s %8d %8d\n", "item 5: core+maze+server+gw", il, ic
 }
