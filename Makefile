@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof prof-negotiate bench-go bench-smoke fuzz-smoke verify soak size
+.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace bench-go bench-smoke fuzz-smoke verify soak size
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,19 @@ prof-negotiate:
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-mem.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/maze.test $(PROF_DIR)/negotiate-mem.prof
+
+# prof-replace does the same for BenchmarkReplace (root package: cores.Replace
+# bouncing a constant multiplier between two sites, the op under core_swap),
+# live-heap and allocated-object top 10s included, so the core-swap
+# allocation split reads off a `go test` benchmark. Its files in PROF_DIR
+# are repro.test, replace-cpu.prof and replace-mem.prof.
+prof-replace:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench BenchmarkReplace -benchtime 3s -o $(PROF_DIR)/repro.test \
+		-cpuprofile $(PROF_DIR)/replace-cpu.prof -memprofile $(PROF_DIR)/replace-mem.prof .
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/replace-cpu.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/replace-mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/replace-mem.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/maze"
@@ -31,7 +32,8 @@ type BatchNet struct {
 func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	specs := make([]maze.NetSpec, len(nets))
+	specs := slices.Grow(r.specBuf[:0], len(nets))[:len(nets)]
+	r.specBuf = specs
 	for i, n := range nets {
 		src, err := sourcePin(n.Source)
 		if err != nil {
@@ -48,12 +50,12 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 		pins := r.sinkPins[:0]
 		for _, s := range n.Sinks {
 			k := len(pins)
-			if pins = appendPins(pins, s); len(pins) == k {
+			if pins = AppendPins(pins, s); len(pins) == k {
 				return fmt.Errorf("core: batch net %d: sink resolves to no pins", i)
 			}
 		}
 		r.sinkPins = pins
-		specs[i].Sinks = make([]device.Track, len(pins))
+		specs[i].Sinks = slices.Grow(specs[i].Sinks[:0], len(pins))[:len(pins)]
 		for k, p := range pins {
 			if specs[i].Sinks[k], err = r.Dev.Canon(p.Row, p.Col, p.W); err != nil {
 				return fmt.Errorf("core: batch net %d: %w", i, err)

@@ -104,7 +104,7 @@ func (p *Port) Bind(pins ...Pin) error {
 	if p.dir == In && len(pins) == 0 {
 		return fmt.Errorf("core: in port %q must bind at least one pin", p.name)
 	}
-	p.pins = append([]Pin(nil), pins...)
+	p.pins = append(p.pins[:0], pins...) // resolved() is never kept: readers copy
 	p.forward = nil
 	return nil
 }
@@ -126,7 +126,7 @@ func (p *Port) BindPort(inner *Port) error {
 		}
 	}
 	p.forward = inner
-	p.pins = nil
+	p.pins = p.pins[:0]
 	return nil
 }
 
@@ -146,9 +146,9 @@ func (p *Port) resolved() []Pin {
 	return p.pins
 }
 
-// appendPins appends the pins e resolves to onto dst, reading a Pin or a
+// AppendPins appends the pins e resolves to onto dst, reading a Pin or a
 // *Port in place; any other endpoint resolves through Pins.
-func appendPins(dst []Pin, e EndPoint) []Pin {
+func AppendPins(dst []Pin, e EndPoint) []Pin {
 	switch e := e.(type) {
 	case Pin:
 		return append(dst, e)
@@ -190,8 +190,9 @@ func (g *Group) NewPort(name string, dir PortDir) *Port {
 
 // Ports returns the group's ports in creation order — the paper's required
 // getPorts() accessor ("a getports() method must be defined for each
-// group, which returns the array of Ports associated with that group").
-func (g *Group) Ports() []*Port { return append([]*Port(nil), g.ports...) }
+// group, which returns the array of Ports associated with that group"). The
+// slice is the group's, to read: an append to it copies.
+func (g *Group) Ports() []*Port { return g.ports[:len(g.ports):len(g.ports)] }
 
 // Size returns the number of ports in the group.
 func (g *Group) Size() int { return len(g.ports) }

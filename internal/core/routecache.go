@@ -53,7 +53,7 @@ type tmplKey struct {
 // per-device and per-architecture, and needs no locking: routers are
 // single-goroutine for mutations.
 type routeCache struct {
-	exact      map[string][]device.PIP
+	exact      map[string]*[]device.PIP // a relearned key's path is replaced in place
 	exactOrder []string
 	tmpl       map[tmplKey][]device.PIP
 	tmplOrder  []tmplKey
@@ -63,7 +63,7 @@ type routeCache struct {
 func (r *Router) ensureCache() *routeCache {
 	if r.cache == nil {
 		r.cache = &routeCache{
-			exact: make(map[string][]device.PIP),
+			exact: make(map[string]*[]device.PIP),
 			tmpl:  make(map[tmplKey][]device.PIP),
 		}
 	}
@@ -72,7 +72,7 @@ func (r *Router) ensureCache() *routeCache {
 
 // exactKey encodes a source pin plus sorted sink pins into the cache's key
 // scratch and returns it. A lookup indexes the map with it in place; only
-// putExact copies it into a string.
+// putExact copies it into a string, and only for a key not yet filed.
 func (rc *routeCache) exactKey(src Pin, sinks []Pin) []byte {
 	b := rc.keyBuf[:0]
 	b = binary.AppendVarint(b, int64(src.Row))
@@ -88,16 +88,19 @@ func (rc *routeCache) exactKey(src Pin, sinks []Pin) []byte {
 }
 
 func (rc *routeCache) putExact(b []byte, path []device.PIP) {
-	key := string(b)
-	if _, ok := rc.exact[key]; !ok {
-		if len(rc.exactOrder) >= cacheMaxExact {
-			oldest := rc.exactOrder[0]
-			rc.exactOrder = rc.exactOrder[1:]
-			delete(rc.exact, oldest)
-		}
-		rc.exactOrder = append(rc.exactOrder, key)
+	if p, ok := rc.exact[string(b)]; ok {
+		*p = path
+		return
 	}
-	rc.exact[key] = path
+	key := string(b)
+	if len(rc.exactOrder) >= cacheMaxExact {
+		oldest := rc.exactOrder[0]
+		rc.exactOrder = rc.exactOrder[1:]
+		delete(rc.exact, oldest)
+	}
+	kept := path // the holder a new key keeps; a filed key's is reused
+	rc.exactOrder = append(rc.exactOrder, key)
+	rc.exact[key] = &kept
 }
 
 func (rc *routeCache) putTmpl(key tmplKey, rel []device.PIP) {
@@ -119,7 +122,7 @@ func flattenPins(sinks []EndPoint) []Pin {
 	var buf [16]Pin
 	pins := buf[:0]
 	for _, s := range sinks {
-		pins = appendPins(pins, s)
+		pins = AppendPins(pins, s)
 	}
 	sortPins(pins)
 	return owned(pins)
@@ -144,11 +147,8 @@ func (r *Router) tryReplay(srcTrack device.Track, pips []device.PIP, dRow, dCol 
 		return false
 	}
 	r.walk(srcTrack)
-	route, err := maze.Replay(r.Dev, r.walkTracks, pips, dRow, dCol)
-	if err != nil {
-		return false
-	}
-	return r.apply(route) == nil
+	path, err := r.ms.Replay(r.Dev, r.walkTracks, pips, dRow, dCol)
+	return err == nil && r.apply(path) == nil
 }
 
 // learnExact remembers a retired automatic route's path under its endpoint
@@ -166,8 +166,10 @@ func (r *Router) lookupExact(src Pin, sinks []Pin) ([]device.PIP, bool) {
 	if r.cache == nil {
 		return nil, false
 	}
-	path, ok := r.cache.exact[string(r.cache.exactKey(src, sinks))]
-	return path, ok
+	if p, ok := r.cache.exact[string(r.cache.exactKey(src, sinks))]; ok {
+		return *p, true
+	}
+	return nil, false
 }
 
 // learnTemplate stores a fresh single-sink route as a relocatable shape:
@@ -273,7 +275,7 @@ func (r *Router) replayShifted(c *Connection, path []device.PIP) bool {
 	}
 	cur := r.keyPins[:0]
 	for _, s := range c.Sinks {
-		cur = appendPins(cur, s)
+		cur = AppendPins(cur, s)
 	}
 	sortPins(cur)
 	r.keyPins = cur
@@ -322,6 +324,8 @@ func (r *Router) forget(c *Connection) {
 		}
 		found = found || len(kept) < len(list)
 		if len(kept) == 0 {
+			clear(list)
+			r.memFree = append(r.memFree, kept)
 			delete(r.remembered, q)
 		} else {
 			r.remembered[q] = kept

@@ -238,16 +238,20 @@ type Router struct {
 
 	// Scratch the ops write into, so an op allocates only what a caller or
 	// a record keeps. Each buffer is valid until its next use.
-	walkTracks []device.Track // walk: the net's tracks that drive on
-	walkPIPs   []device.PIP   // walk: the net's PIPs; ReverseTrace/ReverseUnroute: the branch
-	walkSinks  []Pin          // walk: the net's sink pins
-	fanoutBuf  []device.PIP   // walk: one track's fanout
-	sinkPins   []Pin          // routeSinks: the sinks' pins in routing order
-	keyPins    []Pin          // routeSinks, replayShifted: the same, sorted
-	portBuf    []*Port        // connectionPorts
-	regionBuf  []device.Track // RipUpRegion: tracks over the rectangle
-	rootBuf    []int32        // RipUpRegion: their nets' root track indices
-	tapBuf     []device.Coord // pathStep: the current track's taps
+	walkTracks []device.Track  // walk: the net's tracks that drive on
+	walkPIPs   []device.PIP    // walk: the net's PIPs; ReverseTrace/ReverseUnroute: the branch; UnrouteAll: the on-PIPs
+	walkSinks  []Pin           // walk: the net's sink pins
+	fanoutBuf  []device.PIP    // walk: one track's fanout
+	sinkPins   []Pin           // routeSinks: the sinks' pins in routing order
+	keyPins    []Pin           // routeSinks, replayShifted: the same, sorted
+	portBuf    []*Port         // connectionPorts
+	regionBuf  []device.Track  // RipUpRegion: tracks over the rectangle
+	rootBuf    []int32         // RipUpRegion: their nets' root track indices
+	tapBuf     []device.Coord  // pathStep: the current track's taps
+	reconnBuf  []*Connection   // Reconnect: the port's memory as it began
+	memFree    [][]*Connection // remember: port-memory lists forget emptied
+	ms         maze.Scratch    // replay, candidate templates, template search
+	specBuf    []maze.NetSpec  // RouteBatch: the nets as the negotiation takes them
 	// curPath accumulates the PIPs committed by the routing call
 	// in flight, snapshotted onto the Connection record by record().
 	curPath []device.PIP
@@ -447,7 +451,7 @@ func (r *Router) RouteTemplate(src Pin, endWire arch.Wire, t Template) (err erro
 	}
 	r.stats.NodesExplored += route.Explored
 	r.curPath = r.curPath[:0]
-	if err := r.apply(route); err != nil {
+	if err := r.apply(route.PIPs); err != nil {
 		r.backToEntry()
 		return err
 	}
@@ -494,15 +498,15 @@ func (r *Router) unwind(pips []device.PIP) {
 	}
 }
 
-func (r *Router) apply(route *maze.Route) error {
-	for i, p := range route.PIPs {
+func (r *Router) apply(pips []device.PIP) error {
+	for i, p := range pips {
 		if err := r.Dev.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
-			r.unwind(route.PIPs[:i])
+			r.unwind(pips[:i])
 			return err
 		}
 		r.stats.PIPsSet++
 	}
-	r.curPath = append(r.curPath, route.PIPs...)
+	r.curPath = append(r.curPath, pips...)
 	return nil
 }
 
@@ -519,7 +523,7 @@ func sourcePin(source EndPoint) (Pin, error) {
 // to exactly one, and how many it resolves to.
 func solePin(e EndPoint) (Pin, int) {
 	var one [1]Pin
-	pins := appendPins(one[:0], e)
+	pins := AppendPins(one[:0], e)
 	if len(pins) != 1 {
 		return Pin{}, len(pins)
 	}
@@ -561,27 +565,23 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 	}
 
 	if r.opt.Algorithm == TemplateFirst && freshNet && r.opt.replaysPaths() {
-		cands := maze.CandidateTemplates(r.Dev.A, srcTrack,
-			device.Coord{Row: sink.Row, Col: sink.Col}, sink.W, mo)
+		sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
 		// Template attempts are meant to be cheap prefilters before the
 		// maze fallback, so they get a tight exploration budget.
 		tmo := mo
 		tmo.MaxNodes = 2000
-		sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-		for _, tmpl := range cands {
-			route, terr := maze.TemplateRouteTo(r.Dev, srcTrack, sink.W, sinkTile, tmpl, tmo)
+		for _, tmpl := range r.ms.Candidates(r.Dev.A, srcTrack, sinkTile, sink.W, mo) {
+			pips, explored, terr := r.ms.TemplateRoute(r.Dev, srcTrack, sink.W, sinkTile, true, tmpl, tmo)
 			if terr != nil {
 				continue
 			}
-			r.stats.NodesExplored += route.Explored
-			if err := r.apply(route); err != nil {
+			r.stats.NodesExplored += explored
+			if err := r.apply(pips); err != nil {
 				continue
 			}
 			r.stats.Routes++
 			r.stats.TemplateHits++
-			if freshNet {
-				r.learnTemplate(srcTrack, sink, route.PIPs)
-			}
+			r.learnTemplate(srcTrack, sink, pips)
 			return nil
 		}
 	}
@@ -596,7 +596,7 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 		return err
 	}
 	r.stats.NodesExplored += route.Explored
-	if err := r.apply(route); err != nil {
+	if err := r.apply(route.PIPs); err != nil {
 		return err
 	}
 	r.stats.Routes++
@@ -643,7 +643,7 @@ func (r *Router) routeSinks(source EndPoint, sinks []EndPoint, nearestFirst bool
 	pins := r.sinkPins[:0]
 	for _, s := range sinks {
 		n := len(pins)
-		if pins = appendPins(pins, s); len(pins) == n {
+		if pins = AppendPins(pins, s); len(pins) == n {
 			return fmt.Errorf("core: sink endpoint resolves to no pins (unbound port?)")
 		}
 	}

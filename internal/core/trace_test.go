@@ -210,13 +210,15 @@ func TestReconnectResolvesPortsInPlace(t *testing.T) {
 
 // TestExactReplayCycleBudget pins what the p2p shape allocates: a warm
 // pin-to-pin route → unroute cycle whose route is an exact-cache replay.
-// The cache lookup indexes its map with the key scratch in place; only the
-// unroute's put copies the key into a string.
+// The cache lookup indexes its map with the key scratch in place, and the
+// unroute's put re-files a key already cached without copying it: 7
+// objects, the record's four and the test's three boxed pins. It read 10
+// when every put copied its key and the replay allocated its path twice.
 func TestExactReplayCycleBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
 	}
-	const budget = 10
+	const budget = 8
 	r := newTestRouter(t, Options{})
 	src, sink := NewPin(5, 7, arch.S1YQ), NewPin(9, 12, arch.S0F3)
 	if err := r.RouteNet(src, sink); err != nil {
@@ -237,6 +239,7 @@ func TestExactReplayCycleBudget(t *testing.T) {
 	if d := r.Stats().Sub(before); d.Routes == 0 || d.CacheHits != d.Routes {
 		t.Fatalf("%d routes, %d cache hits: not an exact replay", d.Routes, d.CacheHits)
 	}
+	t.Logf("a replayed route → unroute cycle allocates %v objects", got)
 	if got > budget {
 		t.Errorf("a replayed route → unroute cycle allocates %v objects, budget %d", got, budget)
 	}

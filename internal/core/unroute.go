@@ -189,10 +189,9 @@ func (r *Router) bequeath(c *Connection) {
 func (r *Router) UnrouteAll() (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	var pips []device.PIP
 	for {
-		pips = r.Dev.AppendAllOnPIPs(pips[:0])
-		if len(pips) == 0 {
+		pips := r.Dev.AppendAllOnPIPs(r.walkPIPs[:0])
+		if r.walkPIPs = pips; len(pips) == 0 {
 			for c := r.conns.head; c != nil; c = r.conns.head {
 				r.retire(c)
 			}
@@ -253,7 +252,11 @@ func (r *Router) remember(c *Connection) {
 	r.conns.seq++
 	c.seq = r.conns.seq
 	for _, port := range ports {
-		r.remembered[port] = append(r.remembered[port], c)
+		list, ok := r.remembered[port]
+		if n := len(r.memFree); !ok && n > 0 {
+			list, r.memFree = r.memFree[n-1], r.memFree[:n-1]
+		}
+		r.remembered[port] = append(list, c)
 	}
 	if t := r.conns.log; t != nil {
 		t.remembered = append(t.remembered, c)
@@ -292,8 +295,8 @@ func (r *Router) RememberedConnections(port *Port) []*Connection {
 func (r *Router) Reconnect(port *Port) (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	conns := append([]*Connection(nil), r.remembered[port]...)
-	for _, c := range conns {
+	r.reconnBuf = append(r.reconnBuf[:0], r.remembered[port]...)
+	for _, c := range r.reconnBuf {
 		if err := r.RestoreConnection(c); err != nil {
 			return fmt.Errorf("core: reconnecting %v: %w", port, err)
 		}
@@ -304,7 +307,7 @@ func (r *Router) Reconnect(port *Port) (err error) {
 // endPointCoversPin reports whether endpoint e currently resolves to pin p.
 func endPointCoversPin(e EndPoint, p Pin) bool {
 	var buf [4]Pin
-	return slices.Contains(appendPins(buf[:0], e), p)
+	return slices.Contains(AppendPins(buf[:0], e), p)
 }
 
 // UsedTracks returns the number of tracks currently in use on the device

@@ -166,7 +166,7 @@ func (b *Base) Remove(r *core.Router) error {
 			}
 		}
 	}
-	b.lutCells = nil
+	b.lutCells = b.lutCells[:0]
 	b.implemented = false
 	return nil
 }

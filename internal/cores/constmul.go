@@ -57,22 +57,23 @@ func (m *ConstMul) Implement(r *core.Router) (err error) {
 	}
 	defer m.settle(r, m, &err)
 	out := m.OutBits()
-	// Each x bit enters input i+1 of every product LUT.
-	xPins := make([][]core.Pin, 4)
 	for j := 0; j < out; j++ {
 		row, col, n := m.lutSite(j)
 		if err := m.setLUT(r.Dev, row, col, n, mulTruth(m.K, j)); err != nil {
 			return err
 		}
-		for i := 0; i < 4; i++ {
-			xPins[i] = append(xPins[i], core.NewPin(row, col, arch.LUTInput(n/2, n%2, i+1)))
-		}
 		if err := m.port("p", j, core.Out).Bind(core.NewPin(row, col, lutOutPin(n))); err != nil {
 			return err
 		}
 	}
+	// Each x bit enters input i+1 of every product LUT.
+	var xPins [16]core.Pin
 	for i := 0; i < 4; i++ {
-		if err := m.port("x", i, core.In).Bind(xPins[i]...); err != nil {
+		for j := 0; j < out; j++ {
+			row, col, n := m.lutSite(j)
+			xPins[j] = core.NewPin(row, col, arch.LUTInput(n/2, n%2, i+1))
+		}
+		if err := m.port("x", i, core.In).Bind(xPins[:out]...); err != nil {
 			return err
 		}
 	}

@@ -65,9 +65,10 @@ func Replace(r *core.Router, c Core, row, col int, groups []string, retune func(
 	// 1. Unroute external nets on the named port groups. Out-ports are
 	// net sources (unroute forward); in-ports are sinks (reverse
 	// unroute their branch).
+	var buf [16]core.Pin
 	for _, g := range groups {
 		for _, p := range c.Ports(g) {
-			pins := p.Pins()
+			pins := core.AppendPins(buf[:0], p)
 			switch p.Dir() {
 			case core.Out:
 				if len(pins) == 1 {

@@ -21,11 +21,6 @@ import (
 // connections returned to a full pool are closed.
 const maxIdleConns = 8
 
-// probeTimeout bounds each health probe and each handoff a failed probe
-// starts, so a backend that accepts and never answers costs a probe round
-// this long per call instead of wedging it.
-const probeTimeout = 2 * time.Second
-
 // backend is one fronted fleet as the gateway tracks it: its statsz entry
 // (address, sorted classes, health and counters) and what statsz does not
 // show. Mutable fields are guarded by Gateway.mu.
@@ -561,7 +556,7 @@ func (g *Gateway) relocate(ctx context.Context, sess *gwSession) (moved bool, er
 // ProbeAll health-checks every backend once: a statsz round trip (which
 // rides the hello on fresh connections). A failing probe ejects
 // the backend from placement and relocates the sessions still pinned to it,
-// each handoff bounded by probeTimeout — a failed or cut-off handoff leaves
+// each handoff bounded by server.ProbeTimeout — a failed or cut-off handoff leaves
 // its session pinned, so the next round retries it; a succeeding probe on an
 // ejected backend readmits it.
 func (g *Gateway) ProbeAll(ctx context.Context) {
@@ -585,7 +580,7 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 			sessions := g.pinnedTo(be)
 			g.mu.Unlock()
 			for _, sess := range sessions {
-				hctx, cancel := context.WithTimeout(ctx, probeTimeout)
+				hctx, cancel := context.WithTimeout(ctx, server.ProbeTimeout)
 				_, _ = g.relocate(hctx, sess)
 				cancel()
 			}
@@ -600,7 +595,7 @@ func (g *Gateway) ProbeAll(ctx context.Context) {
 }
 
 func (g *Gateway) probe(ctx context.Context, be *backend) error {
-	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, server.ProbeTimeout)
 	defer cancel()
 	c, err := g.conn(pctx, be)
 	if err != nil {

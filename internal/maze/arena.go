@@ -13,9 +13,10 @@ import (
 // taken for one device serves the next; ensure grows it for a larger one
 // and never shrinks it.
 var (
-	arenaPool sync.Pool
-	markPool  sync.Pool
-	congPool  sync.Pool
+	arenaPool   sync.Pool
+	markPool    sync.Pool
+	congPool    sync.Pool
+	scratchPool sync.Pool // the Scratch a package-level replay or template call borrows
 )
 
 // pooled takes an object from p, or a fresh one when the pool is empty.

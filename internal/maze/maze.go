@@ -132,6 +132,18 @@ func (o Options) maxNodes() int {
 	return o.MaxNodes
 }
 
+// Scratch is the working memory of replay, candidate templates and template
+// search for a caller that routes again and again: a call writes into it and
+// returns slices of it, valid until its next call.
+type Scratch struct {
+	ts             templateSearch       // its pips are the result of Replay and TemplateRoute
+	vals           []arch.TemplateValue // Candidates' templates, their ends and views, and its givens
+	ends           []int
+	tmpls          [][]arch.TemplateValue
+	a              *arch.Arch
+	prefix, suffix run // n = 0: the template has none
+}
+
 // Route is the result of a successful search: the PIPs to turn on, in
 // source-to-sink order, plus search statistics.
 type Route struct {
@@ -194,12 +206,14 @@ func timingCost(k arch.Kind) int {
 // driven wire must have (e.g. S0F3). The returned PIPs have not been turned
 // on.
 func TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, tmpl []arch.TemplateValue) (*Route, error) {
-	r, err := templateRoute(dev, start, endWire, nil, tmpl, Options{})
-	if err == errTemplateMiss {
-		return nil, fmt.Errorf("maze: no available resources follow template %v from %s at (%d,%d): %w",
-			tmpl, dev.A.WireName(start.W), start.Row, start.Col, ErrUnroutable)
-	}
-	return r, err
+	return ownedRoute(dev, func(s *Scratch) ([]device.PIP, int, error) {
+		pips, explored, err := s.TemplateRoute(dev, start, endWire, device.Coord{}, false, tmpl, Options{})
+		if err == errTemplateMiss {
+			err = fmt.Errorf("maze: no available resources follow template %v from %s at (%d,%d): %w",
+				tmpl, dev.A.WireName(start.W), start.Row, start.Col, ErrUnroutable)
+		}
+		return pips, explored, err
+	})
 }
 
 // errTemplateMiss is a template that no free resources follow, as the
@@ -214,16 +228,21 @@ var errTemplateMiss = fmt.Errorf("maze: no available resources follow the templa
 // long-line hops branch over every access tap, so an automatic caller that
 // knows the sink location must constrain it.
 func TemplateRouteTo(dev *device.Device, start device.Track, endWire arch.Wire, endTile device.Coord, tmpl []arch.TemplateValue, opt Options) (*Route, error) {
-	return templateRoute(dev, start, endWire, &endTile, tmpl, opt)
+	return ownedRoute(dev, func(s *Scratch) ([]device.PIP, int, error) {
+		return s.TemplateRoute(dev, start, endWire, endTile, true, tmpl, opt)
+	})
 }
 
-func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, endTile *device.Coord, tmpl []arch.TemplateValue, opt Options) (*Route, error) {
+// TemplateRoute is the one body of the template calls, into s: the first
+// path from start along tmpl onto endWire — landing on endTile when pinned —
+// and the states it explored. A miss formats nothing.
+func (s *Scratch) TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, endTile device.Coord, pinned bool, tmpl []arch.TemplateValue, opt Options) ([]device.PIP, int, error) {
 	if len(tmpl) == 0 {
-		return nil, fmt.Errorf("maze: empty template: %w", ErrUnroutable)
+		return nil, 0, fmt.Errorf("maze: empty template: %w", ErrUnroutable)
 	}
 	for _, v := range tmpl {
 		if v == arch.TVNone {
-			return nil, fmt.Errorf("maze: template contains NONE: %w", ErrUnroutable)
+			return nil, 0, fmt.Errorf("maze: template contains NONE: %w", ErrUnroutable)
 		}
 	}
 	// A template hop both names a resource and *travels*: an EAST1 hop
@@ -231,31 +250,35 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 	// recursion therefore tracks the current tile and only considers
 	// PIPs there; after a directional hop the position advances by the
 	// hop's span. Long-line hops have no fixed span, so the recursion
-	// branches over every access tap of the driven long.
-	s := templateSearch{
-		dev: dev, avoid: opt.Avoid, endWire: endWire, endTile: endTile, maxNodes: opt.maxNodes(),
-		pips:  make([]device.PIP, 0, len(tmpl)),
-		used:  append(make([]int32, 0, len(tmpl)+1), dev.TrackIndex(start)),
-		exits: make([]device.Coord, 0, len(tmpl)+3), // the start's taps (three but for a long) and an exit a hop
+	// branches over every access tap of the driven long. The first hop
+	// may be taken from every tap of the start track: they are the bottom
+	// run of the exits stack.
+	ts := &s.ts
+	*ts = templateSearch{
+		dev: dev, avoid: opt.Avoid, endWire: endWire, endTile: endTile, pinned: pinned, maxNodes: opt.maxNodes(),
+		pips: ts.pips[:0], used: append(ts.used[:0], dev.TrackIndex(start)), exits: dev.AppendTaps(ts.exits[:0], start),
 	}
-	// The first hop may be taken from every tap of the start track: they
-	// are the bottom run of the exits stack.
-	s.exits = dev.AppendTaps(s.exits, start)
-	if len(s.exits) == 0 {
-		s.exits = append(s.exits, device.Coord{Row: start.Row, Col: start.Col})
+	if len(ts.exits) == 0 {
+		ts.exits = append(ts.exits, device.Coord{Row: start.Row, Col: start.Col})
 	}
-	found := false
-	for i, end := 0, len(s.exits); i < end; i++ {
-		if s.from(start, s.exits[i], tmpl) {
-			found = true
-			break
+	for i, end := 0, len(ts.exits); i < end; i++ {
+		if ts.from(start, ts.exits[i], tmpl) {
+			return ts.pips, ts.explored, nil
 		}
 	}
-	if !found {
-		return nil, errTemplateMiss
+	return nil, 0, errTemplateMiss
+}
+
+// ownedRoute runs call on a pooled Scratch and returns its own copy, costed.
+func ownedRoute(dev *device.Device, call func(*Scratch) ([]device.PIP, int, error)) (*Route, error) {
+	s := pooled[Scratch](&scratchPool)
+	defer scratchPool.Put(s)
+	pips, explored, err := call(s)
+	if err != nil {
+		return nil, err
 	}
-	r := &Route{PIPs: s.pips, Explored: s.explored}
-	for _, p := range r.PIPs {
+	r := &Route{PIPs: slices.Clone(pips), Explored: explored}
+	for _, p := range pips {
 		r.Cost += hopCost(dev.A.ClassOf(p.To).Kind)
 	}
 	return r, nil
@@ -266,7 +289,8 @@ type templateSearch struct {
 	dev      *device.Device
 	avoid    []Rect
 	endWire  arch.Wire
-	endTile  *device.Coord
+	endTile  device.Coord
+	pinned   bool // the final hop must land on endTile
 	maxNodes int
 
 	explored int
@@ -306,7 +330,7 @@ func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.Te
 			if arch.Wire(e.To) != s.endWire {
 				continue
 			}
-			if s.endTile != nil && pos != *s.endTile {
+			if s.pinned && pos != s.endTile {
 				continue
 			}
 			s.pips = append(s.pips, e.PIP(at))

@@ -31,6 +31,14 @@ import (
 // Route is the caller's concern, so a replayed route configures the device
 // byte-identically to a cold search that found the same path.
 func Replay(dev *device.Device, sources []device.Track, pips []device.PIP, dRow, dCol int) (*Route, error) {
+	return ownedRoute(dev, func(s *Scratch) ([]device.PIP, int, error) {
+		path, err := s.Replay(dev, sources, pips, dRow, dCol)
+		return path, 0, err
+	})
+}
+
+// Replay is the package's Replay into s: the shifted path it returns is s's.
+func (s *Scratch) Replay(dev *device.Device, sources []device.Track, pips []device.PIP, dRow, dCol int) ([]device.PIP, error) {
 	if len(pips) == 0 {
 		return nil, fmt.Errorf("maze: empty replay path: %w", ErrUnroutable)
 	}
@@ -40,11 +48,11 @@ func Replay(dev *device.Device, sources []device.Track, pips []device.PIP, dRow,
 	marks := getMarkSet(dev.NumTracks())
 	defer putMarkSet(marks)
 	marks.reset()
-	for _, s := range sources {
-		marks.add(dev.TrackIndex(s))
+	for _, t := range sources {
+		marks.add(dev.TrackIndex(t))
 	}
 
-	route := &Route{PIPs: make([]device.PIP, len(pips))}
+	s.ts.pips = s.ts.pips[:0]
 	for i, p := range pips {
 		q := device.PIP{Row: p.Row + dRow, Col: p.Col + dCol, From: p.From, To: p.To}
 		from, ok := dev.CanonOK(q.Row, q.Col, q.From)
@@ -77,8 +85,7 @@ func Replay(dev *device.Device, sources []device.Track, pips []device.PIP, dRow,
 				i, dev.A.WireName(q.To), ErrUnroutable)
 		}
 		marks.add(ti)
-		route.PIPs[i] = q
-		route.Cost += hopCost(dev.A.ClassOf(q.To).Kind)
+		s.ts.pips = append(s.ts.pips, q)
 	}
-	return route, nil
+	return s.ts.pips, nil
 }

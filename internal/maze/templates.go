@@ -15,42 +15,34 @@ import (
 // src must be a CLB output pin or OUT mux reference; sinkWire is the local
 // wire name at the sink tile (typically an input pin).
 func CandidateTemplates(a *arch.Arch, src device.Track, sinkTile device.Coord, sinkWire arch.Wire, opt Options) [][]arch.TemplateValue {
+	var s Scratch // the result keeps its lists
+	return s.Candidates(a, src, sinkTile, sinkWire, opt)
+}
+
+// Candidates is CandidateTemplates into s: the templates are runs of one
+// list of values closed by end offsets, and the slice returned views them.
+func (s *Scratch) Candidates(a *arch.Arch, src device.Track, sinkTile device.Coord, sinkWire arch.Wire, opt Options) [][]arch.TemplateValue {
 	dr := sinkTile.Row - src.Row
 	dc := sinkTile.Col - src.Col
 
 	srcKind := a.ClassOf(src.W).Kind
 	sinkKind := a.ClassOf(sinkWire).Kind
 
-	var prefix, suffix []arch.TemplateValue
+	s.a, s.vals, s.ends = a, s.vals[:0], s.ends[:0]
+	s.prefix, s.suffix = run{arch.TVOutMux, 0}, run{arch.TVClbIn, 0}
 	if srcKind == arch.KindOutPin {
-		prefix = []arch.TemplateValue{arch.TVOutMux}
+		s.prefix.n = 1
 	}
 	sinkIsPin := sinkKind == arch.KindInput || sinkKind == arch.KindCtrl || sinkKind == arch.KindIOBOut || sinkKind == arch.KindBRAMIn
 	if sinkIsPin {
-		suffix = []arch.TemplateValue{arch.TVClbIn}
+		s.suffix.n = 1
 	}
 
-	var out [][]arch.TemplateValue
-	emit := func(body ...[]arch.TemplateValue) {
-		var t []arch.TemplateValue
-		t = append(t, prefix...)
-		for _, b := range body {
-			t = append(t, b...)
-		}
-		t = append(t, suffix...)
-		if len(t) > 0 {
-			out = append(out, t)
-		}
-	}
-
-	// Local resources bypass the routing matrix entirely (§2).
-	if srcKind == arch.KindOutPin && sinkIsPin {
-		if dr == 0 && dc == 0 {
-			out = append(out, []arch.TemplateValue{arch.TVFeedback})
-		}
-		if dr == 0 && dc == 1 {
-			out = append(out, []arch.TemplateValue{arch.TVDirect})
-		}
+	// Local resources bypass the routing matrix entirely (§2): they take
+	// no prefix or suffix.
+	if srcKind == arch.KindOutPin && sinkIsPin && dr == 0 && (dc == 0 || dc == 1) {
+		s.vals = append(s.vals, [2]arch.TemplateValue{arch.TVFeedback, arch.TVDirect}[dc])
+		s.ends = append(s.ends, len(s.vals))
 	}
 
 	xDir, yDir := arch.East, arch.North
@@ -62,47 +54,14 @@ func CandidateTemplates(a *arch.Arch, src device.Track, sinkTile device.Coord, s
 	}
 	adc, adr := abs(dc), abs(dr)
 
-	hexes := func(d arch.Dir, n int) []arch.TemplateValue {
-		return repeat(arch.HexTV(d), n)
-	}
-	singles := func(d arch.Dir, n int) []arch.TemplateValue {
-		return repeat(arch.SingleTV(d), n)
-	}
-
 	// Hex + single decomposition per axis. Because singles can never
 	// drive hexes (§2), every hex hop must precede every single hop, so
 	// the variants interleave at the axis level but keep hexes first
 	// globally.
-	hx := hexes(xDir, adc/a.HexLen)
-	hy := hexes(yDir, adr/a.HexLen)
-	sx := singles(xDir, adc%a.HexLen)
-	sy := singles(yDir, adr%a.HexLen)
-
-	// A route into a CLB pin must arrive on a single (hexes drive only
-	// singles and hexes; longs only hexes, §2), so bodies ending in a hex
-	// get a zero-displacement single detour appended, in all four
-	// orientations.
-	detours := [][]arch.TemplateValue{
-		append(singles(arch.East, 1), singles(arch.West, 1)...),
-		append(singles(arch.North, 1), singles(arch.South, 1)...),
-		append(singles(arch.West, 1), singles(arch.East, 1)...),
-		append(singles(arch.South, 1), singles(arch.North, 1)...),
-	}
-	emitBody := func(parts ...[]arch.TemplateValue) {
-		last := arch.TVNone
-		for _, p := range parts {
-			if len(p) > 0 {
-				last = p[len(p)-1]
-			}
-		}
-		if !sinkIsPin || a.TVSpan(last) == 1 {
-			emit(parts...)
-			return
-		}
-		for _, d := range detours {
-			emit(append(append([][]arch.TemplateValue{}, parts...), d)...)
-		}
-	}
+	hx := run{arch.HexTV(xDir), adc / a.HexLen}
+	hy := run{arch.HexTV(yDir), adr / a.HexLen}
+	sx := run{arch.SingleTV(xDir), adc % a.HexLen}
+	sy := run{arch.SingleTV(yDir), adr % a.HexLen}
 
 	// Long-line variants (§6 future work, option-gated) come first for
 	// spans where a long clearly wins. A horizontal long is drivable
@@ -117,52 +76,86 @@ func CandidateTemplates(a *arch.Arch, src device.Track, sinkTile device.Coord, s
 			if xDir == arch.West {
 				m = (p - sinkTile.Col%p) % p
 			}
-			emitBody([]arch.TemplateValue{arch.TVLongH},
-				hexes(xDir, 1), hy, singles(xDir, m), sy)
+			s.body(run{arch.TVLongH, 1}, run{arch.HexTV(xDir), 1}, hy, run{arch.SingleTV(xDir), m}, sy)
 		}
 		if adr >= 3*a.HexLen && src.Row%p == 0 {
 			m := sinkTile.Row % p
 			if yDir == arch.South {
 				m = (p - sinkTile.Row%p) % p
 			}
-			emitBody([]arch.TemplateValue{arch.TVLongV},
-				hexes(yDir, 1), hx, singles(yDir, m), sx)
+			s.body(run{arch.TVLongV, 1}, run{arch.HexTV(yDir), 1}, hx, run{arch.SingleTV(yDir), m}, sx)
 		}
 	}
 
 	if adc == 0 && adr == 0 {
 		// Same tile through the matrix: out and back on singles, in
 		// all four orders so edge and corner tiles stay routable.
-		emit(singles(arch.East, 1), singles(arch.West, 1))
-		emit(singles(arch.North, 1), singles(arch.South, 1))
-		emit(singles(arch.West, 1), singles(arch.East, 1))
-		emit(singles(arch.South, 1), singles(arch.North, 1))
+		for _, d := range outAndBack {
+			s.emit([]run{{arch.SingleTV(d), 1}, {arch.SingleTV(d.Opposite()), 1}}, nil)
+		}
 	} else {
-		emitBody(hx, hy, sx, sy)
+		s.body(hx, hy, sx, sy)
 		if adr > 0 && adc > 0 {
-			emitBody(hy, hx, sy, sx)
-			emitBody(hx, hy, sy, sx)
+			s.body(hy, hx, sy, sx)
+			s.body(hx, hy, sy, sx)
 		}
 		// Single-only variants for short spans give the template
 		// router an alternative when the hex patterns are congested.
 		if adc+adr > 0 && adc+adr <= 2*a.HexLen {
-			emit(singles(xDir, adc), singles(yDir, adr))
+			s.emit([]run{{arch.SingleTV(xDir), adc}, {arch.SingleTV(yDir), adr}}, nil)
 			if adr > 0 && adc > 0 {
-				emit(singles(yDir, adr), singles(xDir, adc))
+				s.emit([]run{{arch.SingleTV(yDir), adr}, {arch.SingleTV(xDir), adc}}, nil)
 			}
 		}
 	}
-
-	return out
+	s.tmpls = s.tmpls[:0]
+	for start, i := 0, 0; i < len(s.ends); start, i = s.ends[i], i+1 {
+		s.tmpls = append(s.tmpls, s.vals[start:s.ends[i]:s.ends[i]])
+	}
+	return s.tmpls
 }
 
-func repeat(v arch.TemplateValue, n int) []arch.TemplateValue {
-	if n <= 0 {
-		return nil
+// run is n hops of one template value.
+type run struct {
+	v arch.TemplateValue
+	n int
+}
+
+// outAndBack are the directions of the zero-displacement single detours,
+// in the order they are tried: a route into a CLB pin must arrive on a
+// single (hexes drive only singles and hexes; longs only hexes, §2).
+var outAndBack = [4]arch.Dir{arch.East, arch.North, arch.West, arch.South}
+
+// emit appends the prefix, the hops of body and then of detour, and the
+// suffix as one template, unless that is empty.
+func (s *Scratch) emit(body, detour []run) {
+	n := len(s.vals)
+	for _, part := range [...][]run{{s.prefix}, body, detour, {s.suffix}} {
+		for _, r := range part {
+			for i := 0; i < r.n; i++ {
+				s.vals = append(s.vals, r.v)
+			}
+		}
 	}
-	out := make([]arch.TemplateValue, n)
-	for i := range out {
-		out[i] = v
+	if len(s.vals) > n {
+		s.ends = append(s.ends, len(s.vals))
 	}
-	return out
+}
+
+// body emits a decomposition, once with each detour when it would reach a
+// sink pin (the templates' suffix) on anything but a single.
+func (s *Scratch) body(parts ...run) {
+	last := arch.TVNone
+	for _, p := range parts {
+		if p.n > 0 {
+			last = p.v
+		}
+	}
+	if s.suffix.n == 0 || s.a.TVSpan(last) == 1 {
+		s.emit(parts, nil)
+		return
+	}
+	for _, d := range outAndBack {
+		s.emit(parts, []run{{arch.SingleTV(d), 1}, {arch.SingleTV(d.Opposite()), 1}})
+	}
 }

@@ -140,8 +140,9 @@ type Client struct {
 	token string // bearer token sent in hello (gateway tenants)
 	delta bool   // the hello asks for record deltas
 
-	hdr  [v3.HeaderSize]byte // reused v3 header scratch
-	wbuf []byte              // reused v3 request-encode buffer
+	hdr   [v3.HeaderSize]byte // reused v3 header scratch
+	wbuf  []byte              // reused v3 request-encode buffer
+	board string              // the last response's board: a decode that reads it again keeps it
 }
 
 // Option configures a Client before its hello.
@@ -348,11 +349,12 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 	if err != nil {
 		return nil, nil, wrapCtx(ctx, err)
 	}
-	resp := new(server.Response)
+	resp := &server.Response{Board: c.board}
 	if err := v3.DecodeResponse(h, payload, resp); err != nil {
 		jbits.RecycleFrame(payload)
 		return nil, nil, err
 	}
+	c.board = resp.Board
 	if resp.ID != req.ID {
 		jbits.RecycleFrame(payload)
 		return nil, nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)

@@ -187,7 +187,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ProbeInterval > 0 {
 		c.probes = server.StartLoop(cfg.ProbeInterval, func(ctx context.Context) bool {
-			ctx, cancel := context.WithTimeout(ctx, cfg.ProbeInterval)
+			ctx, cancel := context.WithTimeout(ctx, server.ProbeTimeout)
 			defer cancel()
 			c.ProbeAll(ctx)
 			return true

@@ -699,12 +699,13 @@ func DecodeRequest(h Header, payload []byte, req *protocol.Request, in *Interner
 // recycling the read buffer.
 func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 	resp.ID = h.ID
+	board := resp.Board // kept, not copied, when the payload names it again
 	d := &Reader{b: payload}
 	if code := protocol.Code(d.Byte()); code != protocol.CodeOK {
 		// Every op's error record is the same, so one for an op byte this
 		// side has no row for (the server's CodeUnknownOp answer) decodes.
 		// A byte no code has reads as CodeInternal.
-		resp.Err = d.str("error text")
+		resp.Board, resp.Err = "", d.str("error text")
 		if resp.ErrorCode = code; code.String() == "" {
 			resp.ErrorCode = protocol.CodeInternal
 		}
@@ -714,8 +715,10 @@ func DecodeResponse(h Header, payload []byte, resp *protocol.Response) error {
 	if protocol.OpByByte(h.Op) == nil {
 		return fmt.Errorf("v3: unknown op byte %#x", h.Op)
 	}
-	resp.Board = d.str("board name")
-	resp.Epoch = d.uvarint()
+	if b := d.bytes("board name"); string(b) != board {
+		board = string(b)
+	}
+	resp.Board, resp.Epoch = board, d.uvarint()
 	switch h.Op {
 	case protocol.OpConnect:
 		resp.Rows, resp.Cols = d.svarint(), d.svarint()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/server/protocol"
 )
@@ -781,5 +782,45 @@ func TestDecodeRequestOneAllocation(t *testing.T) {
 		}); n != 1 {
 			t.Errorf("decoding a %s request allocates %v objects, want 1", req.Op, n)
 		}
+	}
+}
+
+// TestDecodeResponseKeepsBoardName: a response decoded into one that already
+// holds its board name keeps that string — a client seeds each response with
+// the last board it read — so a warm route response decodes with nothing
+// allocated; another name, or an error response, is decoded as sent.
+func TestDecodeResponseKeepsBoardName(t *testing.T) {
+	frame := func(resp protocol.Response) (Header, []byte) {
+		head, raw, err := AppendResponse(nil, protocol.OpRoute, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := append(head, raw...)
+		h, err := ParseHeader(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, full[HeaderSize:]
+	}
+	h, payload := frame(protocol.Response{ID: 1, Board: "board0", Epoch: 2, FrameN: 1, Frames: []byte{1, 2}})
+	last := strings.Clone("board0")
+	var got protocol.Response
+	if n := testing.AllocsPerRun(100, func() {
+		got = protocol.Response{Board: last}
+		if err := DecodeResponse(h, payload, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || unsafe.StringData(got.Board) != unsafe.StringData(last) || got.Epoch != 2 {
+		t.Errorf("decoding board0 over board0: %v objects, board %q (kept %v), epoch %d; want 0, the same string, 2",
+			n, got.Board, unsafe.StringData(got.Board) == unsafe.StringData(last), got.Epoch)
+	}
+	got = protocol.Response{Board: "board1"}
+	if err := DecodeResponse(h, payload, &got); err != nil || got.Board != "board0" {
+		t.Errorf("decoding board0 over board1: board %q, %v", got.Board, err)
+	}
+	h, payload = frame(protocol.Response{ID: 1, Err: "no", ErrorCode: protocol.CodeBadRequest})
+	got = protocol.Response{Board: last}
+	if err := DecodeResponse(h, payload, &got); err != nil || got.Board != "" || got.Err != "no" {
+		t.Errorf("decoding an error over board0: board %q, err %q, %v", got.Board, got.Err, err)
 	}
 }

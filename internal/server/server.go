@@ -136,6 +136,9 @@ func (s *Server) noteMalformed() {
 	s.wmu.Unlock()
 }
 
+// ProbeTimeout bounds a health probe: a fleet's tick, a gateway's probe or handoff.
+const ProbeTimeout = 2 * time.Second
+
 // Loop is a goroutine that runs one step over and over until it is
 // stopped: the accept loop, and the fleet's and the gateway's health
 // probes. A step that panics is recovered and counted where that loop's
