@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace bench-go bench-smoke fuzz-smoke verify soak size
+.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace prof-batch bench-go bench-smoke fuzz-smoke verify soak size
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,19 @@ prof-replace:
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/replace-cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/replace-mem.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/replace-mem.prof
+
+# prof-batch does the same for BenchmarkBatchCrossbar (root package: a
+# crossbar routed by negotiation and taken down by UnrouteAll on one router,
+# the op under batch_reload), live-heap and allocated-object top 10s
+# included, so the batch allocation split reads off a `go test` benchmark.
+# Its files in PROF_DIR are repro.test, batch-cpu.prof and batch-mem.prof.
+prof-batch:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkBatchCrossbar$$' -benchtime 3s -o $(PROF_DIR)/repro.test \
+		-cpuprofile $(PROF_DIR)/batch-cpu.prof -memprofile $(PROF_DIR)/batch-mem.prof .
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/batch-cpu.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

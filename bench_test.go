@@ -227,33 +227,29 @@ func crossbar(width int) (srcs, dsts []core.EndPoint) {
 	return srcs, dsts
 }
 
-func BenchmarkBatchCrossbar(b *testing.B) {
-	for _, width := range []int{8, 16} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			srcs, dsts := crossbar(width)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := mustRouter(b)
-				if err := r.RouteBusBatch(srcs, dsts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// BenchmarkBatchCrossbar reloads a crossbar on one router: the bus routed
+// by negotiation, then taken down by UnrouteAll — batch_reload's shape, on
+// the router's warm scratch. A batch never consults the route cache, so
+// every iteration negotiates afresh. `make prof-batch` profiles it.
+func BenchmarkBatchCrossbar(b *testing.B) { benchBatchCrossbar(b) }
 
 // BenchmarkBatchCrossbarParallel is BenchmarkBatchCrossbar with the
 // negotiation's per-iteration rerouting spread over 4 workers. The result
 // is bit-identical to the sequential run (snapshot-based iterations); the
 // point of comparison is wall-clock only.
-func BenchmarkBatchCrossbarParallel(b *testing.B) {
+func BenchmarkBatchCrossbarParallel(b *testing.B) { benchBatchCrossbar(b, core.WithParallelism(4)) }
+
+func benchBatchCrossbar(b *testing.B, opts ...core.Option) {
 	for _, width := range []int{8, 16} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			srcs, dsts := crossbar(width)
+			r := mustRouter(b, opts...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := mustRouter(b, core.WithParallelism(4))
 				if err := r.RouteBusBatch(srcs, dsts); err != nil {
+					b.Fatal(err)
+				}
+				if err := r.UnrouteAll(); err != nil {
 					b.Fatal(err)
 				}
 			}

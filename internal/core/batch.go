@@ -62,7 +62,7 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 			}
 		}
 	}
-	res, err := maze.NegotiatedRoute(r.Dev, specs, maze.NegotiationOptions{
+	res, err := r.ms.NegotiatedRoute(r.Dev, specs, maze.NegotiationOptions{
 		Options:     r.mazeOpts(),
 		Parallelism: r.opt.Parallelism,
 		Partition:   true,
@@ -97,8 +97,8 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 		r.stats.Routes += len(nets[i].Sinks)
 		// Each net's negotiated path goes onto its record so the route
 		// cache can replay it after an unroute, just like sequential routes;
-		// the negotiation made it for the record to keep.
-		r.recordPath(netRec, pips, nets[i].Source, nets[i].Sinks...)
+		// it keeps a copy, for the negotiation's routes are router scratch.
+		r.recordPath(netRec, owned(pips), nets[i].Source, nets[i].Sinks...)
 	}
 	return nil
 }
@@ -115,7 +115,7 @@ func (r *Router) commitBatchPIP(net, pip int, p device.PIP) error {
 }
 
 // RouteBusBatch is RouteBus via the negotiated batch router: each bit
-// becomes one single-sink net, routed together.
+// becomes one single-sink net, routed together; RouteBatch copies sinks.
 func (r *Router) RouteBusBatch(sources, sinks []EndPoint) error {
 	if len(sources) != len(sinks) {
 		return fmt.Errorf("core: bus width mismatch: %d sources, %d sinks", len(sources), len(sinks))
@@ -125,7 +125,7 @@ func (r *Router) RouteBusBatch(sources, sinks []EndPoint) error {
 	}
 	nets := make([]BatchNet, len(sources))
 	for i := range sources {
-		nets[i] = BatchNet{Source: sources[i], Sinks: []EndPoint{sinks[i]}}
+		nets[i] = BatchNet{Source: sources[i], Sinks: sinks[i : i+1 : i+1]}
 	}
 	return r.RouteBatch(nets)
 }

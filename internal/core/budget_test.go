@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/device"
+	"repro/internal/maze"
 )
 
 // The allocation budgets of the router's run-time shapes on a 16×24 Virtex
@@ -17,17 +19,18 @@ import (
 // TestP2PCycleBudget: a point-to-point cycle in the p2p_cold shape — a
 // pair never routed before, whose shape no template was learned for, goes
 // through the candidate templates; unrouted, it is routed again by exact
-// replay, and unrouted again. It reads 11 objects a cycle: two records of
-// four objects each (the record, its sinks, its path, its sink pins), the
-// learned template, and the exact-cache entry the first unroute files (its
-// key and the holder of its path; the second unroute re-files it). It read
-// 43 when the template tier and replay allocated their working memory per
-// call and every unroute copied its cache key.
+// replay, and unrouted again. It reads 7 objects a cycle: two records of
+// two objects each (the record with its sink and sink pin, and its path),
+// the learned template, and the exact-cache entry the first unroute files
+// (its key and the holder of its path; the second unroute re-files it). It
+// read 11 when a record was four objects (its sinks and sink pins apart),
+// and 43 when the template tier and replay allocated their working memory
+// per call and every unroute copied its cache key.
 func TestP2PCycleBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
 	}
-	const budget = 12
+	const budget = 8
 	r := newTestRouter(t, Options{})
 	var src EndPoint = NewPin(2, 2, arch.S1YQ)
 	var sinks []EndPoint // every sink a new (Δrow, Δcol): no learned template serves it
@@ -73,32 +76,84 @@ func TestP2PCycleBudget(t *testing.T) {
 
 // TestBatchReloadBudget: a small design in the batch_reload shape — six
 // crossing nets negotiated together, committed, then taken down by
-// UnrouteAll — allocates what the negotiation returns and works in, and the
-// records it makes: 50 objects. It read 70 when RouteBatch built its net
-// list and UnrouteAll its PIP list on every call, and every net's unroute
-// copied its cache key.
+// UnrouteAll — allocates the records it makes and nothing the negotiation
+// works in: two objects a net (the record with its sink and sink pin, and
+// its path), 12 objects. It read 50 when the negotiation allocated its
+// lists, route buffers and result on every call and a record was four
+// objects, and 70 before that, when RouteBatch built its net list and
+// UnrouteAll its PIP list on every call, and every net's unroute copied its
+// cache key.
+//
+// The Parallelism 2 twin routes two such knots far apart on a 64×96
+// array: two scopes, which run on the pool. It reads 28: the records of
+// twelve nets, and the pool's four (the pool, its body, and a closure for
+// each of its two goroutines).
 func TestBatchReloadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
 	}
-	const budget = 52
-	r := newTestRouter(t, Options{Parallelism: 1})
-	var nets []BatchNet
-	for i := range 6 {
-		nets = append(nets, BatchNet{Source: NewPin(3+i, 4, arch.S1YQ), Sinks: []EndPoint{NewPin(8-i, 14, arch.S0F3)}})
+	knot := func(row, col int) []BatchNet {
+		var nets []BatchNet
+		for i := range 6 {
+			nets = append(nets, BatchNet{Source: NewPin(row+i, col, arch.S1YQ), Sinks: []EndPoint{NewPin(row+5-i, col+10, arch.S0F3)}})
+		}
+		return nets
 	}
-	reload := func() {
-		if err := r.RouteBatch(nets); err != nil {
+	for _, c := range []struct {
+		par, rows, cols int
+		nets            []BatchNet
+		apart           bool // the knots are scopes of their own
+		budget          int
+	}{
+		{1, 16, 24, knot(3, 4), false, 14},
+		{2, 64, 96, append(knot(3, 4), knot(40, 70)...), true, 30},
+	} {
+		d, err := device.New(arch.NewVirtex(), c.rows, c.cols)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.UnrouteAll(); err != nil {
-			t.Fatal(err)
+		r := New(d, WithParallelism(c.par))
+		reload := func() {
+			if err := r.RouteBatch(c.nets); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.UnrouteAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reload()
+		if c.apart {
+			if n := scopesOf(t, d, c.nets); n != 2 {
+				t.Fatalf("par %d: the knots negotiate in %d scopes, want 2", c.par, n)
+			}
+		}
+		got := allocsPerRun(reload)
+		t.Logf("par %d: a route → unroute-all reload of %d nets allocates %.2f objects", c.par, len(c.nets), got)
+		if got > float64(c.budget) {
+			t.Errorf("par %d: a route → unroute-all reload of %d nets allocates %.2f objects, budget %d", c.par, len(c.nets), got, c.budget)
 		}
 	}
-	reload()
-	got := allocsPerRun(reload)
-	t.Logf("a route → unroute-all reload of six nets allocates %.2f objects", got)
-	if got > budget {
-		t.Errorf("a route → unroute-all reload of six nets allocates %.2f objects, budget %d", got, budget)
+}
+
+// scopesOf reports how many scopes a partitioned negotiation of pin-to-pin
+// nets runs on d.
+func scopesOf(t *testing.T, d *device.Device, nets []BatchNet) int {
+	t.Helper()
+	track := func(e EndPoint) device.Track {
+		p := e.(Pin)
+		tr, err := d.Canon(p.Row, p.Col, p.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
+	var specs []maze.NetSpec
+	for _, n := range nets {
+		specs = append(specs, maze.NetSpec{Source: track(n.Source), Sinks: []device.Track{track(n.Sinks[0])}})
+	}
+	res, err := maze.NegotiatedRoute(d, specs, maze.NegotiationOptions{Partition: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Scopes
 }

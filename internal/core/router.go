@@ -759,15 +759,38 @@ func (r *Router) record(kind recKind, source EndPoint, sinks ...EndPoint) {
 	r.recordPath(kind, owned(r.curPath), source, sinks...)
 }
 
+// soleSink is a record of one sink resolving to one pin, in one allocation:
+// Sinks and sinkPins view its arrays, at capacity one so an append copies.
+type soleSink struct {
+	Connection
+	sink [1]EndPoint
+	pin  [1]Pin
+}
+
+// newRecord makes a record of its own copy of sinks, and a soleSink's pin.
+func newRecord(sinks []EndPoint) (*Connection, []Pin) {
+	if len(sinks) == 1 {
+		if p, n := solePin(sinks[0]); n == 1 {
+			one := &soleSink{sink: [1]EndPoint{sinks[0]}, pin: [1]Pin{p}}
+			one.Sinks = one.sink[:]
+			return &one.Connection, one.pin[:]
+		}
+	}
+	return &Connection{Sinks: append([]EndPoint(nil), sinks...)}, nil
+}
+
 // recordPath is record with the path given instead of taken from curPath:
 // the record keeps path.
 func (r *Router) recordPath(kind recKind, path []device.PIP, source EndPoint, sinks ...EndPoint) {
-	c := &Connection{Source: source, Sinks: append([]EndPoint(nil), sinks...), kind: kind, owner: r.owner}
+	c, pins := newRecord(sinks)
+	c.Source, c.kind, c.owner = source, kind, r.owner
 	if len(path) > 0 {
 		if src, err := sourcePin(source); err == nil {
 			c.Path = path
 			c.srcPin = src
-			c.sinkPins = flattenPins(c.Sinks)
+			if c.sinkPins = pins; pins == nil {
+				c.sinkPins = flattenPins(c.Sinks)
+			}
 			if r.Dev.A.ClassOf(src.W).Kind == arch.KindGClk {
 				c.kind = clockRec
 			}

@@ -211,14 +211,16 @@ func TestReconnectResolvesPortsInPlace(t *testing.T) {
 // TestExactReplayCycleBudget pins what the p2p shape allocates: a warm
 // pin-to-pin route → unroute cycle whose route is an exact-cache replay.
 // The cache lookup indexes its map with the key scratch in place, and the
-// unroute's put re-files a key already cached without copying it: 7
-// objects, the record's four and the test's three boxed pins. It read 10
-// when every put copied its key and the replay allocated its path twice.
+// unroute's put re-files a key already cached without copying it: 5
+// objects, the record's two (itself with its sink and sink pin, and its
+// path) and the test's three boxed pins. It read 7 when a record was four
+// objects, and 10 when every put copied its key and the replay allocated
+// its path twice.
 func TestExactReplayCycleBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
 	}
-	const budget = 8
+	const budget = 6
 	r := newTestRouter(t, Options{})
 	src, sink := NewPin(5, 7, arch.S1YQ), NewPin(9, 12, arch.S0F3)
 	if err := r.RouteNet(src, sink); err != nil {

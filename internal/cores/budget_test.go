@@ -8,16 +8,18 @@ import (
 // TestReplaceBounceBudget: cores.Replace in the shape of BenchmarkReplace
 // and the core_swap workload — a constant multiplier whose product bus
 // feeds a register, bounced between two sites and back — allocates, once
-// both sites have been seen, the records it keeps — four objects each for
-// the twelve product nets it restores — and nothing else: 48 objects a round
-// trip. It read 228 when the replay, the port memory, the group and port
-// copies, the multiplier's input-pin lists and the LUT list allocated their
-// working memory per call and every unroute copied its cache key.
+// both sites have been seen, the records it keeps — two objects each for
+// the twelve product nets it restores, the record with its sink and sink
+// pin, and its path — and nothing else: 24 objects a round trip. It read 48
+// when a record was four objects, and 228 when the replay, the port memory,
+// the group and port copies, the multiplier's input-pin lists and the LUT
+// list allocated their working memory per call and every unroute copied its
+// cache key.
 func TestReplaceBounceBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
 	}
-	const budget = 50
+	const budget = 26
 	r := newRig(t)
 	mul, err := NewConstMul("mul", 3, 2)
 	if err != nil {

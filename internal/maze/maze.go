@@ -132,10 +132,11 @@ func (o Options) maxNodes() int {
 	return o.MaxNodes
 }
 
-// Scratch is the working memory of replay, candidate templates and template
-// search for a caller that routes again and again: a call writes into it and
-// returns slices of it, valid until its next call.
+// Scratch is the working memory of replay, templates and negotiation for a
+// caller that routes again and again: a call writes into it and returns
+// slices of it, valid until its next call of the same kind.
 type Scratch struct {
+	neg            negScratch
 	ts             templateSearch       // its pips are the result of Replay and TemplateRoute
 	vals           []arch.TemplateValue // Candidates' templates, their ends and views, and its givens
 	ends           []int

@@ -194,18 +194,6 @@ func (c *congestion) addHistory(i int32, d int32) {
 	c.history[i] += d
 }
 
-// negState is the per-scope negotiation state. During the routing phase
-// of an iteration it is read-only; all mutation happens in the merge
-// phase on the scope's own goroutine, and only to the slots of tracks its
-// nets use.
-type negState struct {
-	dev     *device.Device
-	sc      *scope
-	cong    *congestion
-	pol     policy // the scope's search policy, less what each worker and net adds
-	presFac int32  // cost per other net on a track, this iteration
-}
-
 // preppedNet is a NetSpec resolved once up front: sinks in the fixed
 // nearest-first routing order, plus the inflated bounding box that
 // confines its searches (and drives partitioning).
@@ -233,32 +221,80 @@ type scopeResult struct {
 	errNet     int // global index of the failing net
 }
 
+// negScratch is a negotiation's memory, kept across calls (whole-device
+// tables are pooled per call). Per-net lists are indexed by a net's place in
+// members, the scopes' nets end to end: each scope has its own window.
+type negScratch struct {
+	prepped                    []preppedNet
+	boxes                      []rect
+	sinks                      []device.Track // every net's sinks in routing order
+	res                        BatchResult
+	uf                         unionFind
+	members, crossers, reroute []int // see buildScopes; reroute per place
+	stack                      []bisection
+	crossed                    []bool
+	scopes                     []scope
+	results                    []scopeResult
+	routes                     []netRoute // an iteration's reroutes, in reroute order
+	// A net's used tracks and route, twice: each pair trades places when
+	// the net is rerouted, as the merge still reads the old used list.
+	used, usedSpare [][]int32
+	pips, pipsSpare [][]device.PIP
+}
+
+// fit returns s at length n, keeping the elements it held past its length.
+func fit[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 // NegotiatedRoute routes all nets together under negotiated congestion and
 // returns the per-net PIP lists without touching device state; Apply the
 // result (or use core.Router.RouteBatch, which does both). It fails if the
 // negotiation does not converge within 30 iterations. The result is
 // deterministic: independent of Parallelism and Partition settings, and
-// repeatable across runs.
+// repeatable across runs. The caller owns it.
 func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions) (*BatchResult, error) {
+	s := pooled[Scratch](&scratchPool)
+	defer scratchPool.Put(s)
+	res, err := s.NegotiatedRoute(dev, nets, opt)
+	if err != nil {
+		return nil, err
+	}
+	own := *res
+	own.Nets = make([][]device.PIP, len(res.Nets))
+	for i, pips := range res.Nets {
+		own.Nets[i] = slices.Clone(pips)
+	}
+	return &own, nil
+}
+
+// NegotiatedRoute is the one body of the negotiation, in s: the result and
+// its Nets are s's, valid until s negotiates again.
+func (s *Scratch) NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions) (*BatchResult, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("maze: empty batch: %w", ErrUnroutable)
 	}
+	ns := &s.neg
 	// Every net's bounding box is inflated by 2×HexLen on all sides
 	// before confinement and partitioning — detour room plus the
 	// canonical-origin span of the longest non-long wire. It is part of
 	// the search definition, identical in both partition modes.
 	margin := 2 * dev.A.HexLen
-	prepped := make([]preppedNet, len(nets))
-	boxes := make([]rect, len(nets))
+	prepped, boxes := fit(ns.prepped, len(nets)), fit(ns.boxes, len(nets))
+	ns.prepped, ns.boxes, ns.sinks = prepped, boxes, ns.sinks[:0]
 	for i, n := range nets {
 		if len(n.Sinks) == 0 {
 			return nil, fmt.Errorf("maze: batch net %d has no sinks: %w", i, ErrUnroutable)
 		}
 		// Route sinks nearest-first, equidistant ones in the order given.
-		src, sinks := n.Source, n.Sinks
+		from := len(ns.sinks)
+		ns.sinks = append(ns.sinks, n.Sinks...)
+		src, sinks := n.Source, ns.sinks[from:len(ns.sinks):len(ns.sinks)]
 		if len(sinks) > 1 {
 			dist := func(t device.Track) int { return abs(t.Row-src.Row) + abs(t.Col-src.Col) }
-			sinks = slices.Clone(sinks)
 			slices.SortStableFunc(sinks, func(a, b device.Track) int { return cmp.Compare(dist(a), dist(b)) })
 		}
 		box := netBox(dev, src, sinks, margin)
@@ -266,20 +302,18 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 		boxes[i] = box
 	}
 
-	res := &BatchResult{}
-	var scopes []*scope
+	res := &ns.res
+	*res = BatchResult{Nets: fit(res.Nets, len(nets))}
+	depth := 0 // unpartitioned: the device is one region, all nets one scope
 	if opt.Partition {
-		scopes, res.Regions, res.CrossingNets = buildScopes(dev, boxes, opt.partitionDepth())
-		res.Scopes = len(scopes)
-	} else {
-		all := make([]int, len(nets))
-		for i := range all {
-			all[i] = i
-		}
-		scopes = []*scope{{nets: all, par: 1}}
+		depth = opt.partitionDepth()
+	}
+	scopes, regions, crossing := ns.buildScopes(dev, boxes, depth)
+	if opt.Partition {
+		res.Regions, res.CrossingNets, res.Scopes = regions, crossing, len(scopes)
 	}
 
-	results := runScopes(dev, opt, prepped, scopes)
+	results := ns.runScopes(dev, opt, prepped, scopes)
 
 	// A deterministic failure: among failed scopes, report the one whose
 	// failure happened first — lexicographically by (iteration, net) —
@@ -298,9 +332,8 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 		return nil, results[errAt].err
 	}
 
-	res.Nets = make([][]device.PIP, len(nets))
-	for si, sc := range scopes {
-		r := &results[si]
+	for si := range scopes {
+		sc, r := &scopes[si], &results[si]
 		for j, i := range sc.nets {
 			res.Nets[i] = r.routes[j]
 		}
@@ -321,45 +354,51 @@ func NegotiatedRoute(dev *device.Device, nets []NetSpec, opt NegotiationOptions)
 // over one pooled congestion table. A single scope instead gets the full
 // Parallelism budget for its intra-iteration reroutes — which is exactly
 // the pre-partitioning behaviour.
-func runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []*scope) []scopeResult {
+func (s *negScratch) runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []scope) []scopeResult {
 	cong := getCongestion(dev.NumTracks())
 	defer putCongestion(cong)
-	results := make([]scopeResult, len(scopes))
+	n := len(prepped)
+	s.used, s.usedSpare, s.pips, s.pipsSpare = fit(s.used, n), fit(s.usedSpare, n), fit(s.pips, n), fit(s.pipsSpare, n)
+	s.routes, s.reroute, s.results = fit(s.routes, n), fit(s.reroute, n), fit(s.results, len(scopes))
 	par := opt.parallelism()
-	if len(scopes) == 1 {
+	if len(scopes) == 1 || par == 1 {
 		scopes[0].par = par
-		results[0] = runScope(dev, opt, prepped, scopes[0], cong)
-		return results
+		for i := range scopes {
+			s.results[i] = s.runScope(dev, opt, prepped, &scopes[i], cong)
+		}
+		return s.results
 	}
 	runPool(min(par, len(scopes)), func(p *pool) {
 		for i := p.take(); i < len(scopes); i = p.take() {
-			results[i] = runScope(dev, opt, prepped, scopes[i], cong)
+			s.results[i] = s.runScope(dev, opt, prepped, &scopes[i], cong)
 		}
 	})
-	return results
+	return s.results
 }
 
 // runScope runs the negotiation loop for one scope over the call's shared
-// congestion table, touching only the slots of tracks its nets use.
-func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope, cong *congestion) scopeResult {
+// congestion table, touching only the slots of tracks its nets use, in
+// its windows of s's lists.
+func (s *negScratch) runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope, cong *congestion) scopeResult {
 	// presFac starts at 0: the first iteration ignores sharing entirely.
-	st := &negState{dev: dev, sc: sc, cong: cong, pol: opt.negotiated(cong)}
+	sc.dev, sc.cong, sc.pol, sc.presFac = dev, cong, opt.negotiated(cong), 0
 
 	n := len(sc.nets)
-	out := scopeResult{routes: make([][]device.PIP, n)}
-	// A net's tracks this iteration and the buffer its next route fills:
-	// the merge still reads the old list after every reroute has run.
-	used, spare := make([][]int32, n), make([][]int32, n)
-	results := make([]netRoute, n)
+	lo, hi := sc.off, sc.off+n
+	used, spare, pipsSpare := s.used[lo:hi:hi], s.usedSpare[lo:hi:hi], s.pipsSpare[lo:hi:hi]
+	for j := range used {
+		used[j] = used[j][:0] // no net has tracks before its first route
+	}
+	out, results := scopeResult{routes: s.pips[lo:hi:hi]}, s.routes[lo:hi:hi]
 
-	reroute := make([]int, n) // scope-local positions
+	reroute := s.reroute[lo:hi:hi] // scope-local positions
 	for j := range reroute {
 		reroute[j] = j
 	}
 
 	for iter := 1; iter <= maxIterations; iter++ {
 		out.iterations = iter
-		results := st.routeAll(results[:len(reroute)], prepped, reroute, used, spare)
+		results := sc.routeAll(results[:len(reroute)], prepped, reroute, used, spare, pipsSpare)
 		// Merge in net order. Results are per-net pure functions of the
 		// iteration snapshot, so this ordering — not the worker
 		// scheduling — defines the outcome.
@@ -371,12 +410,12 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 				return out
 			}
 			for _, k := range used[j] {
-				st.cong.addPresent(k, -1)
+				sc.cong.addPresent(k, -1)
 			}
-			out.routes[j] = r.pips
+			out.routes[j], pipsSpare[j] = r.pips, out.routes[j]
 			used[j], spare[j] = r.used, used[j]
 			for _, k := range r.used {
-				st.cong.addPresent(k, 1)
+				sc.cong.addPresent(k, 1)
 			}
 			out.explored += r.explored
 		}
@@ -395,16 +434,16 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 			me := int32(sc.nets[j]) + 1
 			needs := false
 			for _, k := range used[j] {
-				c := st.cong.presentAt(k)
+				c := sc.cong.presentAt(k)
 				if c <= 1 {
 					continue
 				}
 				overused = true
-				if st.cong.keeper[k] == 0 {
-					st.cong.keeper[k] = me
-					st.cong.addHistory(k, c-1)
+				if sc.cong.keeper[k] == 0 {
+					sc.cong.keeper[k] = me
+					sc.cong.addHistory(k, c-1)
 				}
-				if st.cong.keeper[k] != me {
+				if sc.cong.keeper[k] != me {
 					needs = true
 				}
 			}
@@ -414,15 +453,15 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		}
 		for j := 0; overused && j < n; j++ {
 			for _, k := range used[j] {
-				if st.cong.presentAt(k) > 1 {
-					st.cong.keeper[k] = 0
+				if sc.cong.presentAt(k) > 1 {
+					sc.cong.keeper[k] = 0
 				}
 			}
 		}
 		if !overused {
 			return out
 		}
-		st.presFac = presentFactor * int32(iter)
+		sc.presFac = presentFactor * int32(iter)
 	}
 	out.err = fmt.Errorf("maze: negotiation did not converge in %d iterations: %w",
 		maxIterations, ErrUnroutable)
@@ -433,22 +472,22 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 // routeAll routes the given nets against the current congestion snapshot,
 // sequentially or on a bounded worker pool, into results. reroute holds
 // positions j in the scope's net list; results[x] is reroute[x]'s route,
-// with its used list in spare[j], and does not depend on the worker count.
-func (st *negState) routeAll(results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32) []netRoute {
-	par := min(st.sc.par, len(reroute))
+// built in pipsSpare[j] and spare[j], and does not depend on the worker count.
+func (sc *scope) routeAll(results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32, pipsSpare [][]device.PIP) []netRoute {
+	par := min(sc.par, len(reroute))
 	if par <= 1 {
-		w := st.newWorker()
+		w := sc.newWorker()
 		for x, j := range reroute {
-			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j], spare[j])
+			results[x] = w.routeNet(prepped[sc.nets[j]], oldUsed[j], spare[j], pipsSpare[j])
 		}
 		w.release() // not deferred, as in runPool
 		return results
 	}
 	runPool(par, func(p *pool) {
-		w := st.newWorker()
+		w := sc.newWorker()
 		for x := p.take(); x < len(reroute); x = p.take() {
 			j := reroute[x]
-			results[x] = w.routeNet(prepped[st.sc.nets[j]], oldUsed[j], spare[j])
+			results[x] = w.routeNet(prepped[sc.nets[j]], oldUsed[j], spare[j], pipsSpare[j])
 		}
 		w.release() // not deferred: a goroutine that panics drops its tables
 	})
@@ -497,23 +536,21 @@ func (p *poolPanic) String() string { return fmt.Sprintf("%v\n\n%s", p.value, p.
 // net being routed, whose usage must not penalize itself), a search arena,
 // and a membership set for the tracks of the route being built — the
 // pooled whole-device objects the single-net search uses — and, pooled with
-// the worker, the scratch a route is built in.
+// the worker, the tracks a route may branch from.
 type negWorker struct {
-	st        *negState
+	sc        *scope
 	pol       policy
 	ar        *arena
 	cur       *markSet // usage accumulated by the route being built
 	netTracks []device.Track
-	pips      []device.PIP
-	used      []int32
 }
 
 var workerPool sync.Pool
 
-func (st *negState) newWorker() *negWorker {
-	n := st.dev.NumTracks()
+func (sc *scope) newWorker() *negWorker {
+	n := sc.dev.NumTracks()
 	w := pooled[negWorker](&workerPool)
-	w.st, w.pol, w.ar, w.cur = st, st.pol, getArena(n), getMarkSet(n)
+	w.sc, w.pol, w.ar, w.cur = sc, sc.pol, getArena(n), getMarkSet(n)
 	w.pol.self = getMarkSet(n)
 	return w
 }
@@ -522,7 +559,7 @@ func (w *negWorker) release() {
 	putArena(w.ar)
 	putMarkSet(w.pol.self)
 	putMarkSet(w.cur)
-	w.st, w.pol, w.ar, w.cur = nil, policy{}, nil, nil
+	w.sc, w.pol, w.ar, w.cur = nil, policy{}, nil, nil
 	workerPool.Put(w)
 }
 
@@ -532,11 +569,11 @@ func (w *negWorker) release() {
 // on or off — it is what makes scopes with disjoint boxes provably
 // non-interacting. Tracks used by other nets are allowed (that is the
 // negotiation), but tracks already driven on the real device are hard
-// obstacles. The route is built in the worker's scratch; its PIPs come back
-// in one exact-size allocation and its used list in usedBuf.
-func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32) netRoute {
-	dev := w.st.dev
-	w.pol.box, w.pol.presFac = net.box, w.st.presFac
+// obstacles. The route is built in the net's spare buffers: its PIPs in
+// pipBuf's and its used list in usedBuf's.
+func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32, pipBuf []device.PIP) netRoute {
+	dev := w.sc.dev
+	w.pol.box, w.pol.presFac = net.box, w.sc.presFac
 	w.pol.self.reset()
 	for _, k := range oldUsed {
 		w.pol.self.add(k)
@@ -545,17 +582,17 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32) netRoute 
 	srcIdx := dev.TrackIndex(net.src)
 	w.cur.add(srcIdx)
 	w.netTracks = append(w.netTracks[:0], net.src)
-	w.pips, w.used = w.pips[:0], append(w.used[:0], srcIdx)
+	pips, used := pipBuf[:0], append(usedBuf[:0], srcIdx)
 	explored := 0
 	for _, sink := range net.sinks {
-		from := len(w.pips)
-		route, err := w.pol.search(dev, w.ar, w.netTracks, sink, w.pips)
+		from := len(pips)
+		route, err := w.pol.search(dev, w.ar, w.netTracks, sink, pips)
 		explored += route.Explored
 		if err != nil {
 			return netRoute{explored: explored, err: err}
 		}
-		w.pips = route.PIPs
-		for _, p := range w.pips[from:] {
+		pips = route.PIPs
+		for _, p := range pips[from:] {
 			t, ok := dev.CanonOK(p.Row, p.Col, p.To)
 			if !ok {
 				return netRoute{explored: explored, err: fmt.Errorf("maze: bad segment PIP %v", p)}
@@ -565,12 +602,12 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32) netRoute 
 				continue
 			}
 			w.cur.add(k)
-			w.used = append(w.used, k)
+			used = append(used, k)
 			if !isNetEndpointKind(dev.A.ClassOf(t.W).Kind) {
 				// sinks are not reusable as sources
 				w.netTracks = append(w.netTracks, t)
 			}
 		}
 	}
-	return netRoute{pips: slices.Clone(w.pips), used: append(usedBuf[:0], w.used...), explored: explored}
+	return netRoute{pips: pips, used: used, explored: explored}
 }

@@ -1,7 +1,8 @@
 package maze
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/device"
 )
@@ -97,26 +98,24 @@ func netBox(dev *device.Device, src device.Track, sinks []device.Track, margin i
 	return b
 }
 
-// scope is one independently negotiated group of nets. It decides
-// scheduling only: its members' boxes are disjoint from every other
-// scope's, so its searches touch their own slots of the call's
-// device-indexed tables and no other scope's.
+// scope is one independently negotiated group of nets, with its loop's
+// state: read-only while an iteration routes, merged on the scope's own
+// goroutine. Its members' boxes are disjoint from every other scope's, so
+// its searches touch their own slots of the call's device-indexed tables.
 type scope struct {
-	nets     []int // global net indices, ascending
+	nets     []int // global net indices, ascending: a window of the scratch's members
+	off      int   // where nets starts in members: the scope's window of every per-net list
 	crossing int   // members that crossed a bisection cut
 	par      int   // intra-scope routing parallelism
+
+	dev     *device.Device
+	cong    *congestion
+	pol     policy // the scope's search policy, less what each worker and net adds
+	presFac int32  // cost per other net on a track, this iteration
 }
 
 // unionFind is a plain path-halving union-find over net indices.
 type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
 
 func (u *unionFind) find(x int) int {
 	for u.parent[x] != x {
@@ -134,6 +133,13 @@ func (u *unionFind) union(a, b int) {
 		}
 		u.parent[rb] = ra
 	}
+}
+
+// bisection is one device region still to bisect, with the nets inside it.
+type bisection struct {
+	rc    rect
+	nets  []int
+	depth int
 }
 
 // cutStats describes one candidate bisection of a node.
@@ -209,44 +215,34 @@ func bestCut(rc rect, boxes []rect, nets []int) cutStats {
 	return best
 }
 
-// buildScopes partitions the batch. It returns the scopes (each a group
-// of nets whose boxes are disjoint from every other scope's), the number
-// of leaf regions that received nets, and the number of cut-crossing
-// nets. boxes[i] is net i's inflated bounding box.
-func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scope, regions, crossing int) {
+// buildScopes partitions the batch into s's scopes. It returns the scopes
+// (each a group of nets whose boxes are disjoint from every other scope's),
+// the number of leaf regions that received nets, and the number of
+// cut-crossing nets. boxes[i] is net i's inflated bounding box.
+func (s *negScratch) buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []scope, regions, crossing int) {
 	n := len(boxes)
-	uf := newUnionFind(n)
-
-	type node struct {
-		rc    rect
-		nets  []int
-		depth int
+	uf, members := &s.uf, fit(s.members, n)
+	uf.parent, s.members = fit(uf.parent, n), members
+	for i := range members {
+		members[i], uf.parent[i] = i, i // singletons
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	var crossers []int
-	stack := []node{{rc: rect{0, 0, dev.Rows - 1, dev.Cols - 1}, nets: all}}
+	crossers := s.crossers[:0]
+	stack := append(s.stack[:0], bisection{rc: rect{0, 0, dev.Rows - 1, dev.Cols - 1}, nets: members})
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if len(nd.nets) == 0 {
 			continue
 		}
-		leaf := func() {
+		cut := cutStats{}
+		if nd.depth < maxDepth && len(nd.nets) > 1 {
+			cut = bestCut(nd.rc, boxes, nd.nets)
+		}
+		if !cut.ok { // a leaf
 			regions++
 			for _, i := range nd.nets[1:] {
 				uf.union(nd.nets[0], i)
 			}
-		}
-		if nd.depth >= maxDepth || len(nd.nets) <= 1 {
-			leaf()
-			continue
-		}
-		cut := bestCut(nd.rc, boxes, nd.nets)
-		if !cut.ok {
-			leaf()
 			continue
 		}
 		lrc, rrc := nd.rc, nd.rc
@@ -281,14 +277,18 @@ func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scop
 		crossers = append(crossers, nets[lo:hi]...)
 		crossing += hi - lo
 		stack = append(stack,
-			node{rc: rrc, nets: nets[hi:], depth: nd.depth + 1},
-			node{rc: lrc, nets: nets[:lo], depth: nd.depth + 1})
+			bisection{rc: rrc, nets: nets[hi:], depth: nd.depth + 1},
+			bisection{rc: lrc, nets: nets[:lo], depth: nd.depth + 1})
 	}
+	s.stack, s.crossers = stack, crossers
 
 	// Conservative exactness merge: a crossing net joins the scope of
 	// every net whose box its own intersects (and transitively, via the
 	// union-find, everything those touch).
+	s.crossed = fit(s.crossed, n)
+	clear(s.crossed)
 	for _, ci := range crossers {
+		s.crossed[ci] = true
 		for j := 0; j < n; j++ {
 			if j != ci && boxes[ci].intersects(boxes[j]) {
 				uf.union(ci, j)
@@ -296,35 +296,30 @@ func buildScopes(dev *device.Device, boxes []rect, maxDepth int) (scopes []*scop
 		}
 	}
 
-	// Materialize components as scopes.
-	crossSet := make(map[int]bool, len(crossers))
-	for _, ci := range crossers {
-		crossSet[ci] = true
+	// Materialize components as scopes, each a window of members (free
+	// again now that bisection is done). A component's root is its least
+	// net, so grouping by root, then net, leaves each scope's nets ascending.
+	for i := range members {
+		members[i], uf.parent[i] = i, uf.find(i)
 	}
-	byRoot := make(map[int]*scope)
-	for i := 0; i < n; i++ {
-		root := uf.find(i)
-		sc := byRoot[root]
-		if sc == nil {
-			sc = &scope{par: 1}
-			byRoot[root] = sc
-			scopes = append(scopes, sc)
+	slices.SortFunc(members, func(a, b int) int { return cmp.Or(cmp.Compare(uf.parent[a], uf.parent[b]), cmp.Compare(a, b)) })
+	scopes = s.scopes[:0]
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		for hi = lo; hi < n && uf.parent[members[hi]] == uf.parent[members[lo]]; hi++ {
 		}
-		sc.nets = append(sc.nets, i)
-		if crossSet[i] {
-			sc.crossing++
+		sc := scope{nets: members[lo:hi:hi], off: lo, par: 1}
+		for _, i := range sc.nets {
+			if s.crossed[i] {
+				sc.crossing++
+			}
 		}
-	}
-	for _, sc := range scopes {
-		sort.Ints(sc.nets)
+		scopes = append(scopes, sc)
 	}
 	// Largest scopes first so the worker pool drains stragglers early;
 	// first-net tie-break keeps the order deterministic.
-	sort.Slice(scopes, func(a, b int) bool {
-		if len(scopes[a].nets) != len(scopes[b].nets) {
-			return len(scopes[a].nets) > len(scopes[b].nets)
-		}
-		return scopes[a].nets[0] < scopes[b].nets[0]
+	slices.SortFunc(scopes, func(a, b scope) int {
+		return cmp.Or(cmp.Compare(len(b.nets), len(a.nets)), cmp.Compare(a.nets[0], b.nets[0]))
 	})
+	s.scopes = scopes
 	return scopes, regions, crossing
 }

@@ -242,13 +242,14 @@ func TestPartitionDepthCap(t *testing.T) {
 		boxes[i] = netBox(d, n.Source, n.Sinks, 2*d.A.HexLen)
 		prepped[i] = preppedNet{src: n.Source, sinks: n.Sinks, box: boxes[i]}
 	}
+	var s negScratch
 	for _, depth := range []int{1, 2, 3, 7} {
-		scopes, regions, _ := buildScopes(d, boxes, depth)
+		scopes, regions, _ := s.buildScopes(d, boxes, depth)
 		if regions > 1<<depth {
 			t.Errorf("depth %d produced %d regions", depth, regions)
 		}
 		routed := 0
-		for si, r := range runScopes(d, NegotiationOptions{Parallelism: 1}, prepped, scopes) {
+		for si, r := range s.runScopes(d, NegotiationOptions{Parallelism: 1}, prepped, scopes) {
 			if r.err != nil {
 				t.Fatalf("depth %d: %v", depth, r.err)
 			}

@@ -96,6 +96,7 @@ type Worker struct {
 	mixed   bool
 	pending map[uint8][]byte
 	ports   map[*core.Port]protocol.PortRefMsg
+	eps     []core.EndPoint // the op's endpoints, which the router copies
 	// quarantined, once set, is the answer to every task: an op panicked,
 	// so the router and device behind this worker are in a state nobody
 	// vouches for.
@@ -353,6 +354,8 @@ func (w *Worker) shipDirty(resp *Response) error {
 }
 
 func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
+	clear(w.eps) // the last op's would keep a removed core's ports
+	w.eps = w.eps[:0]
 	switch op.Byte {
 	case protocol.OpConnect:
 		stream, err := w.js.Dev.FullConfig()
@@ -599,16 +602,17 @@ func (w *Worker) endpoint(m *EndPointMsg) (core.EndPoint, error) {
 	return ports[m.Port.Index], nil
 }
 
+// endpoints resolves ms onto the op's endpoints and returns them, clipped.
 func (w *Worker) endpoints(ms []EndPointMsg) ([]core.EndPoint, error) {
-	out := make([]core.EndPoint, len(ms))
+	from := len(w.eps)
 	for i := range ms {
 		ep, err := w.endpoint(&ms[i])
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ep
+		w.eps = append(w.eps, ep)
 	}
-	return out, nil
+	return w.eps[from:len(w.eps):len(w.eps)], nil
 }
 
 // netToMsg converts a traced net to its wire form: the net and one slice
