@@ -152,3 +152,33 @@ func (r *Router) ReverseTrace(sink EndPoint) (*Net, error) {
 	}
 	return net, nil
 }
+
+// ForeignNet reports whether the net ep's pin is on holds a record of an
+// owner other than o: the driver chain is walked back to the net's root,
+// as ReverseUnroute does, and the owners of the records filed at the root
+// are read. It costs the chain plus the records at that key, allocates
+// nothing and counts nothing in Stats. A pin on no recorded net, or an
+// endpoint that does not resolve to one pin, is no other owner's.
+func (r *Router) ForeignNet(ep EndPoint, o uint8) bool {
+	sp, n := solePin(ep)
+	if n != 1 {
+		return false
+	}
+	root, ok := r.Dev.CanonOK(sp.Row, sp.Col, sp.W)
+	for ok {
+		p, driven := r.Dev.DriverOf(root)
+		if !driven {
+			break
+		}
+		root, ok = r.Dev.CanonOK(p.Row, p.Col, p.From)
+	}
+	if !ok {
+		return false
+	}
+	for c := r.conns.bucket(r.Dev.TrackIndex(root)); c != nil; c = c.srcNext {
+		if c.owner != o {
+			return true
+		}
+	}
+	return false
+}

@@ -7,81 +7,73 @@ import (
 	"repro/internal/core"
 )
 
-// ConstAdder computes y = x + K for a run-time constant K: the paper's
-// §4 example builds a counter from exactly this core. One ripple bit per
-// slice, two bits per CLB, stacked northward. Groups:
+// ripple is the column ConstAdder and Adder2 share: one full-adder bit per
+// slice, two bits per CLB, stacked northward. Bit i's F LUT computes its
+// sum and its G LUT its carry, both reading the carry in on input 2; the
+// operands enter inputs the adder names. Groups:
 //
-//	"x"    In  — operand bits (LSB first)
 //	"sum"  Out — result bits (registered when Registered)
 //	"cin"  In  — optional carry in (reads 0 when unconnected)
 //	"cout" Out — carry out of the top bit
-type ConstAdder struct {
+type ripple struct {
 	Base
 	Bits       int
-	K          uint64
 	Registered bool
 	Clock      int // global clock index used when Registered
 }
 
-// NewConstAdder creates an unplaced constant adder.
-func NewConstAdder(name string, bits int, k uint64, registered bool) (*ConstAdder, error) {
+func (c *ripple) init(name string, bits int, registered bool) error {
 	if bits < 1 || bits > 64 {
-		return nil, fmt.Errorf("cores: adder width %d out of range", bits)
+		return fmt.Errorf("cores: adder width %d out of range", bits)
 	}
-	a := &ConstAdder{Bits: bits, K: k, Registered: registered}
-	a.init(name, 1, (bits+1)/2)
-	return a, nil
-}
-
-// bitSite returns the CLB and slice of bit i.
-func (a *ConstAdder) bitSite(i int) (row, col, slice int) {
-	return a.row + i/2, a.col, i % 2
+	c.Bits, c.Registered = bits, registered
+	c.Base.init(name, 1, (bits+1)/2)
+	return nil
 }
 
 // sumPin returns the output pin carrying sum bit i.
-func (a *ConstAdder) sumPin(i int) core.Pin {
-	r, c, s := a.bitSite(i)
-	p := s * 4 // X pin of the slice
-	if a.Registered {
-		p += 2 // XQ
+func (c *ripple) sumPin(i int) core.Pin {
+	row, col, s := c.rippleSite(i)
+	if c.Registered {
+		return core.NewPin(row, col, ffOutPin(s*2))
 	}
-	return core.NewPin(r, c, arch.OutPin(p))
+	return core.NewPin(row, col, lutOutPin(s*2))
 }
 
-// Implement configures the adder at its placement and routes the carry
-// chain, binding all ports (§3.2: "the router needs to be called for each
-// port defined").
-func (a *ConstAdder) Implement(r *core.Router) (err error) {
-	if err := a.begin(r); err != nil {
-		return err
-	}
-	defer a.settle(r, a, &err)
-	for i := 0; i < a.Bits; i++ {
-		row, col, s := a.bitSite(i)
-		k := a.K>>uint(i)&1 != 0
-		if err := a.setLUT(r.Dev, row, col, s*2+0, sumTruth(k)); err != nil {
+// operand is an input group of a ripple column: bit i's port binds input
+// in of both of the bit's LUTs.
+type operand struct {
+	group string
+	in    int
+}
+
+// implement configures bit i's LUTs with truth(i), binds the operand,
+// sum, cin and cout ports, routes the carry chain, and clocks the sums when
+// Registered (§3.2: "the router needs to be called for each port defined").
+func (c *ripple) implement(r *core.Router, truth func(i int) (sum, carry uint16), ops ...operand) error {
+	for i := 0; i < c.Bits; i++ {
+		row, col, s := c.rippleSite(i)
+		sum, carry := truth(i)
+		if err := c.setLUT(r.Dev, row, col, s*2, sum); err != nil {
 			return err
 		}
-		if err := a.setLUT(r.Dev, row, col, s*2+1, carryTruth(k)); err != nil {
+		if err := c.setLUT(r.Dev, row, col, s*2+1, carry); err != nil {
 			return err
 		}
-		// Ports: x_i enters both the sum and the carry LUT.
-		xPort := a.port("x", i, core.In)
-		if err := xPort.Bind(
-			core.NewPin(row, col, arch.LUTInput(s, 0, 1)),
-			core.NewPin(row, col, arch.LUTInput(s, 1, 1)),
-		); err != nil {
-			return err
+		for _, op := range ops {
+			if err := c.port(op.group, i, core.In).Bind(lutIn(row, col, s*2, op.in), lutIn(row, col, s*2+1, op.in)); err != nil {
+				return err
+			}
 		}
-		if err := a.port("sum", i, core.Out).Bind(a.sumPin(i)); err != nil {
+		if err := c.port("sum", i, core.Out).Bind(c.sumPin(i)); err != nil {
 			return err
 		}
 	}
 	// Carry chain: slice 0 -> slice 1 by local feedback (S0Y reaches
 	// S1F2/S1G2 directly, §2 "feedback to inputs in the same logic
 	// block"); CLB -> CLB northward through the general routing matrix.
-	for i := 0; i+1 < a.Bits; i++ {
-		row, col, s := a.bitSite(i)
+	for i := 0; i+1 < c.Bits; i++ {
+		row, col, s := c.rippleSite(i)
 		if s == 0 {
 			if err := r.Route(row, col, arch.S0Y, arch.S1F2); err != nil {
 				return err
@@ -101,52 +93,68 @@ func (a *ConstAdder) Implement(r *core.Router) (err error) {
 		}
 	}
 	// cin feeds bit 0's carry inputs; cout is the top bit's carry LUT.
-	if err := a.port("cin", 0, core.In).Bind(
-		core.NewPin(a.row, a.col, arch.S0F2),
-		core.NewPin(a.row, a.col, arch.S0G2),
-	); err != nil {
+	if err := c.port("cin", 0, core.In).Bind(lutIn(c.row, c.col, 0, 2), lutIn(c.row, c.col, 1, 2)); err != nil {
 		return err
 	}
-	topRow, topCol, topSlice := a.bitSite(a.Bits - 1)
-	coutPin := arch.S0Y
-	if topSlice == 1 {
-		coutPin = arch.S1Y
-	}
-	if err := a.port("cout", 0, core.Out).Bind(core.NewPin(topRow, topCol, coutPin)); err != nil {
+	row, col, s := c.rippleSite(c.Bits - 1)
+	if err := c.port("cout", 0, core.Out).Bind(core.NewPin(row, col, lutOutPin(s*2+1))); err != nil {
 		return err
 	}
-	if a.Registered {
-		var clkPins []core.EndPoint
-		for i := 0; i < a.Bits; i++ {
-			row, col, s := a.bitSite(i)
-			clk := arch.S0CLK
-			if s == 1 {
-				clk = arch.S1CLK
-			}
-			clkPins = append(clkPins, core.NewPin(row, col, clk))
-		}
-		if err := r.RouteClock(a.Clock, clkPins...); err != nil {
-			return err
-		}
+	if c.Registered {
+		return c.routeClock(r, c.Clock, c.Bits, 1)
 	}
 	return nil
+}
+
+// ConstAdder computes y = x + K for a run-time constant K: the paper's
+// §4 example builds a counter from exactly this core. It is a ripple
+// column (width Bits, sums registered on Clock when Registered) whose x
+// bit enters input 1 of both of its LUTs. Groups: "x" In (operand bits,
+// LSB first) beside the ripple column's "sum", "cin" and "cout".
+type ConstAdder struct {
+	ripple
+	K uint64
+}
+
+// NewConstAdder creates an unplaced constant adder.
+func NewConstAdder(name string, bits int, k uint64, registered bool) (*ConstAdder, error) {
+	a := &ConstAdder{K: k}
+	if err := a.init(name, bits, registered); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// bitTruth returns the sum and carry tables of bit i for the current K.
+func (a *ConstAdder) bitTruth(i int) (sum, carry uint16) {
+	k := a.K>>uint(i)&1 != 0
+	return sumTruth(k), carryTruth(k)
+}
+
+// Implement configures the adder at its placement, routes the carry chain
+// and binds all ports.
+func (a *ConstAdder) Implement(r *core.Router) (err error) {
+	if err := a.begin(r); err != nil {
+		return err
+	}
+	defer a.settle(r, a, &err)
+	return a.implement(r, a.bitTruth, operand{"x", 1})
 }
 
 // SetConstant changes K at run time by rewriting LUT truth tables only —
 // no routing changes, the essence of a run-time parameterizable core.
 func (a *ConstAdder) SetConstant(r *core.Router, k uint64) error {
+	a.K = k
 	if !a.implemented {
-		a.K = k
 		return nil
 	}
-	a.K = k
 	for i := 0; i < a.Bits; i++ {
-		row, col, s := a.bitSite(i)
-		kb := k>>uint(i)&1 != 0
-		if err := r.Dev.SetLUT(row, col, s*2+0, sumTruth(kb)); err != nil {
+		row, col, s := a.rippleSite(i)
+		sum, carry := a.bitTruth(i)
+		if err := r.Dev.SetLUT(row, col, s*2, sum); err != nil {
 			return err
 		}
-		if err := r.Dev.SetLUT(row, col, s*2+1, carryTruth(kb)); err != nil {
+		if err := r.Dev.SetLUT(row, col, s*2+1, carry); err != nil {
 			return err
 		}
 	}

@@ -1,48 +1,24 @@
 package cores
 
-import (
-	"fmt"
-
-	"repro/internal/arch"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Adder2 computes sum = a + b (+ cin) with two run-time operands — the
-// general ripple adder the MAC composes with. One bit per slice, two bits
-// per CLB, stacked northward. Groups:
-//
-//	"a", "b" In  — operands (LSB first)
-//	"sum"   Out  — result (registered when Registered)
-//	"cin"   In   — optional carry in
-//	"cout"  Out  — carry out
+// general ripple adder the MAC composes with. It is a ripple column
+// (width Bits, sums registered on Clock when Registered) whose a and b
+// bits enter inputs 1 and 3 of both of its LUTs. Groups: "a", "b" In
+// (operands, LSB first) beside the ripple column's "sum", "cin" and
+// "cout".
 type Adder2 struct {
-	Base
-	Bits       int
-	Registered bool
-	Clock      int
+	ripple
 }
 
 // NewAdder2 creates an unplaced two-operand adder.
 func NewAdder2(name string, bits int, registered bool) (*Adder2, error) {
-	if bits < 1 || bits > 64 {
-		return nil, fmt.Errorf("cores: adder width %d out of range", bits)
+	a := &Adder2{}
+	if err := a.init(name, bits, registered); err != nil {
+		return nil, err
 	}
-	a := &Adder2{Bits: bits, Registered: registered}
-	a.init(name, 1, (bits+1)/2)
 	return a, nil
-}
-
-func (a *Adder2) bitSite(i int) (row, col, slice int) {
-	return a.row + i/2, a.col, i % 2
-}
-
-func (a *Adder2) sumPin(i int) core.Pin {
-	r, c, s := a.bitSite(i)
-	p := s * 4
-	if a.Registered {
-		p += 2
-	}
-	return core.NewPin(r, c, arch.OutPin(p))
 }
 
 // Full-adder truth tables over inputs 1 = a, 2 = carry, 3 = b.
@@ -59,6 +35,9 @@ var (
 	})
 )
 
+// fullAdderTruth gives every bit of an Adder2 the same two tables.
+func fullAdderTruth(int) (sum, carry uint16) { return truthSum3, truthMaj3 }
+
 // Implement configures the adder, routes its carry chain, and binds all
 // ports.
 func (a *Adder2) Implement(r *core.Router) (err error) {
@@ -66,80 +45,7 @@ func (a *Adder2) Implement(r *core.Router) (err error) {
 		return err
 	}
 	defer a.settle(r, a, &err)
-	for i := 0; i < a.Bits; i++ {
-		row, col, s := a.bitSite(i)
-		if err := a.setLUT(r.Dev, row, col, s*2+0, truthSum3); err != nil {
-			return err
-		}
-		if err := a.setLUT(r.Dev, row, col, s*2+1, truthMaj3); err != nil {
-			return err
-		}
-		if err := a.port("a", i, core.In).Bind(
-			core.NewPin(row, col, arch.LUTInput(s, 0, 1)),
-			core.NewPin(row, col, arch.LUTInput(s, 1, 1)),
-		); err != nil {
-			return err
-		}
-		if err := a.port("b", i, core.In).Bind(
-			core.NewPin(row, col, arch.LUTInput(s, 0, 3)),
-			core.NewPin(row, col, arch.LUTInput(s, 1, 3)),
-		); err != nil {
-			return err
-		}
-		if err := a.port("sum", i, core.Out).Bind(a.sumPin(i)); err != nil {
-			return err
-		}
-	}
-	// Carry chain on inputs 2 (F2/G2), exactly as in ConstAdder.
-	for i := 0; i+1 < a.Bits; i++ {
-		row, col, s := a.bitSite(i)
-		if s == 0 {
-			if err := r.Route(row, col, arch.S0Y, arch.S1F2); err != nil {
-				return err
-			}
-			if err := r.Route(row, col, arch.S0Y, arch.S1G2); err != nil {
-				return err
-			}
-		} else {
-			src := core.NewPin(row, col, arch.S1Y)
-			sinks := []core.EndPoint{
-				core.NewPin(row+1, col, arch.S0F2),
-				core.NewPin(row+1, col, arch.S0G2),
-			}
-			if err := r.RouteFanout(src, sinks); err != nil {
-				return err
-			}
-		}
-	}
-	if err := a.port("cin", 0, core.In).Bind(
-		core.NewPin(a.row, a.col, arch.S0F2),
-		core.NewPin(a.row, a.col, arch.S0G2),
-	); err != nil {
-		return err
-	}
-	topRow, topCol, topSlice := a.bitSite(a.Bits - 1)
-	coutPin := arch.S0Y
-	if topSlice == 1 {
-		coutPin = arch.S1Y
-	}
-	if err := a.port("cout", 0, core.Out).Bind(core.NewPin(topRow, topCol, coutPin)); err != nil {
-		return err
-	}
-	if a.Registered {
-		var clkPins []core.EndPoint
-		for i := 0; i < a.Bits; i++ {
-			row, col, s := a.bitSite(i)
-			clk := arch.S0CLK
-			if s == 1 {
-				clk = arch.S1CLK
-			}
-			clkPins = append(clkPins, core.NewPin(row, col, clk))
-		}
-		if err := r.RouteClock(a.Clock, clkPins...); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.implement(r, fullAdderTruth, operand{"a", 1}, operand{"b", 3})
 }
 
 // MAC is a multiply-accumulate core, acc' = acc + K*x, composed

@@ -19,6 +19,7 @@ package cores
 import (
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
 )
@@ -142,6 +143,70 @@ func (b *Base) setLUT(dev *device.Device, row, col, n int, truth uint16) error {
 	}
 	b.lutCells = append(b.lutCells, lutCell{row, col, n})
 	return nil
+}
+
+// A core stacks its bits northward from its south-west CLB in one of two
+// columns. A ripple column holds one bit per slice, two per CLB, so a carry
+// reaches the next bit by local feedback or one CLB north. A LUT column
+// holds one bit per LUT, four per CLB; LUT n (0..3) is S0F, S0G, S1F, S1G.
+
+// rippleSite returns the CLB and slice of bit i of a ripple column.
+func (b *Base) rippleSite(i int) (row, col, slice int) {
+	return b.row + i/2, b.col, i % 2
+}
+
+// lutSite returns the CLB and LUT of bit i of a LUT column.
+func (b *Base) lutSite(i int) (row, col, n int) {
+	return b.row + i/4, b.col, i % 4
+}
+
+// qPin returns the registered output of bit i of a LUT column.
+func (b *Base) qPin(i int) core.Pin {
+	row, col, n := b.lutSite(i)
+	return core.NewPin(row, col, ffOutPin(n))
+}
+
+// shiftChain routes q[i-1] to input 1 of bit i's LUT for every bit of a
+// LUT column but the first.
+func (b *Base) shiftChain(r *core.Router, bits int) error {
+	for i := 1; i < bits; i++ {
+		row, col, n := b.lutSite(i)
+		if err := r.RouteNet(b.qPin(i-1), lutIn(row, col, n, 1)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// routeClock routes global clock `clock` to the flip-flops of a column's
+// bits, one clock pin per bit in bit order, where a slice holds perSlice
+// bits: 1 in a ripple column, 2 in a LUT column.
+func (b *Base) routeClock(r *core.Router, clock, bits, perSlice int) error {
+	var pins []core.EndPoint
+	for i := 0; i < bits; i++ {
+		s := i / perSlice
+		pins = append(pins, clockPin(b.row+s/2, b.col, s%2))
+	}
+	return r.RouteClock(clock, pins...)
+}
+
+// lutIn returns input k (1..4) of LUT n of the CLB at (row, col).
+func lutIn(row, col, n, k int) core.Pin {
+	return core.NewPin(row, col, arch.LUTInput(n/2, n%2, k))
+}
+
+// lutOutPin returns the combinational output of LUT n (X for F, Y for G).
+func lutOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + n%2) }
+
+// ffOutPin returns the registered output of LUT n (XQ for F, YQ for G).
+func ffOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + 2 + n%2) }
+
+// clockPin returns the clock pin of slice s of the CLB at (row, col).
+func clockPin(row, col, s int) core.Pin {
+	if s == 1 {
+		return core.NewPin(row, col, arch.S1CLK)
+	}
+	return core.NewPin(row, col, arch.S0CLK)
 }
 
 // Remove takes the core off the device: what its Implement routed (the

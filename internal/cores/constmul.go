@@ -3,7 +3,6 @@ package cores
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 )
 
@@ -42,14 +41,6 @@ func NewConstMul(name string, k uint64, kBits int) (*ConstMul, error) {
 // OutBits returns the product width.
 func (m *ConstMul) OutBits() int { return 4 + m.KBits }
 
-// lutSite returns the CLB and LUT index of product bit j.
-func (m *ConstMul) lutSite(j int) (row, col, n int) {
-	return m.row + j/4, m.col, j % 4
-}
-
-// outPin returns the combinational output pin of LUT n (X for F, Y for G).
-func lutOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + n%2) }
-
 // Implement configures the product LUTs and binds the ports.
 func (m *ConstMul) Implement(r *core.Router) (err error) {
 	if err := m.begin(r); err != nil {
@@ -71,7 +62,7 @@ func (m *ConstMul) Implement(r *core.Router) (err error) {
 	for i := 0; i < 4; i++ {
 		for j := 0; j < out; j++ {
 			row, col, n := m.lutSite(j)
-			xPins[j] = core.NewPin(row, col, arch.LUTInput(n/2, n%2, i+1))
+			xPins[j] = lutIn(row, col, n, i+1)
 		}
 		if err := m.port("x", i, core.In).Bind(xPins[:out]...); err != nil {
 			return err

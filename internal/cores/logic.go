@@ -94,10 +94,6 @@ func NewMux2(name string, bits int) (*Mux2, error) {
 	return m, nil
 }
 
-func (m *Mux2) bitSite(i int) (row, col, n int) {
-	return m.row + i/4, m.col, i % 4
-}
-
 // Implement configures the mux LUTs and binds ports.
 func (m *Mux2) Implement(r *core.Router) (err error) {
 	if err := m.begin(r); err != nil {
@@ -106,20 +102,20 @@ func (m *Mux2) Implement(r *core.Router) (err error) {
 	defer m.settle(r, m, &err)
 	var selPins []core.Pin
 	for i := 0; i < m.Bits; i++ {
-		row, col, n := m.bitSite(i)
+		row, col, n := m.lutSite(i)
 		if err := m.setLUT(r.Dev, row, col, n, TruthMux); err != nil {
 			return err
 		}
-		if err := m.port("a", i, core.In).Bind(core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))); err != nil {
+		if err := m.port("a", i, core.In).Bind(lutIn(row, col, n, 1)); err != nil {
 			return err
 		}
-		if err := m.port("b", i, core.In).Bind(core.NewPin(row, col, arch.LUTInput(n/2, n%2, 2))); err != nil {
+		if err := m.port("b", i, core.In).Bind(lutIn(row, col, n, 2)); err != nil {
 			return err
 		}
 		if err := m.port("z", i, core.Out).Bind(core.NewPin(row, col, lutOutPin(n))); err != nil {
 			return err
 		}
-		selPins = append(selPins, core.NewPin(row, col, arch.LUTInput(n/2, n%2, 3)))
+		selPins = append(selPins, lutIn(row, col, n, 3))
 	}
 	if err := m.port("sel", 0, core.In).Bind(selPins...); err != nil {
 		return err

@@ -153,7 +153,7 @@ func (nd *RouterNode) Implement(r *core.Router) (err error) {
 				continue
 			}
 			n := nd.outLUT(out)
-			pins = append(pins, core.NewPin(nd.row, nd.col, arch.LUTInput(n/2, n%2, idx)))
+			pins = append(pins, lutIn(nd.row, nd.col, n, idx))
 		}
 		if err := nd.port("in", int(din), core.In).Bind(pins...); err != nil {
 			return err
@@ -162,17 +162,12 @@ func (nd *RouterNode) Implement(r *core.Router) (err error) {
 	var inj []core.Pin
 	for out := East; out <= South; out++ {
 		n := nd.outLUT(out)
-		inj = append(inj, core.NewPin(nd.row, nd.col, arch.LUTInput(n/2, n%2, lutInIdx[out][InjectIn])))
+		inj = append(inj, lutIn(nd.row, nd.col, n, lutInIdx[out][InjectIn]))
 	}
 	if err := nd.port("inject", 0, core.In).Bind(inj...); err != nil {
 		return err
 	}
-	if err := r.RouteClock(nd.Clock,
-		core.NewPin(nd.row, nd.col, arch.S0CLK),
-		core.NewPin(nd.row, nd.col, arch.S1CLK)); err != nil {
-		return err
-	}
-	return nil
+	return r.RouteClock(nd.Clock, clockPin(nd.row, nd.col, 0), clockPin(nd.row, nd.col, 1))
 }
 
 // SetForward enables or disables forwarding from input `in` (a Direction,

@@ -3,7 +3,6 @@ package cores
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 )
 
@@ -28,13 +27,6 @@ func NewRegister(name string, bits int) (*Register, error) {
 	return reg, nil
 }
 
-func (reg *Register) bitSite(i int) (row, col, n int) {
-	return reg.row + i/4, reg.col, i % 4
-}
-
-// ffOutPin returns the registered output pin of LUT n (XQ for F, YQ for G).
-func ffOutPin(n int) arch.Wire { return arch.OutPin((n/2)*4 + 2 + n%2) }
-
 // Implement configures buffer LUTs in front of the flip-flops, binds the
 // ports, and routes the clock.
 func (reg *Register) Implement(r *core.Router) (err error) {
@@ -42,28 +34,19 @@ func (reg *Register) Implement(r *core.Router) (err error) {
 		return err
 	}
 	defer reg.settle(r, reg, &err)
-	var clkPins []core.EndPoint
 	for i := 0; i < reg.Bits; i++ {
-		row, col, n := reg.bitSite(i)
+		row, col, n := reg.lutSite(i)
 		if err := reg.setLUT(r.Dev, row, col, n, TruthBuf); err != nil {
 			return err
 		}
-		if err := reg.port("d", i, core.In).Bind(core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))); err != nil {
+		if err := reg.port("d", i, core.In).Bind(lutIn(row, col, n, 1)); err != nil {
 			return err
 		}
-		if err := reg.port("q", i, core.Out).Bind(core.NewPin(row, col, ffOutPin(n))); err != nil {
+		if err := reg.port("q", i, core.Out).Bind(reg.qPin(i)); err != nil {
 			return err
 		}
-		clk := arch.S0CLK
-		if n/2 == 1 {
-			clk = arch.S1CLK
-		}
-		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
-	if err := r.RouteClock(reg.Clock, clkPins...); err != nil {
-		return err
-	}
-	return nil
+	return reg.routeClock(r, reg.Clock, reg.Bits, 2)
 }
 
 // LFSR is a Fibonacci linear-feedback shift register: bit 0's next state is
@@ -96,16 +79,6 @@ func NewLFSR(name string, bits, tapA, tapB int, seed uint64) (*LFSR, error) {
 	return l, nil
 }
 
-func (l *LFSR) bitSite(i int) (row, col, n int) {
-	return l.row + i/4, l.col, i % 4
-}
-
-// qPin returns the registered output pin of state bit i.
-func (l *LFSR) qPin(i int) core.Pin {
-	row, col, n := l.bitSite(i)
-	return core.NewPin(row, col, ffOutPin(n))
-}
-
 // Implement configures the shift and feedback logic, seeds the state via
 // flip-flop init values, binds "q", and routes the clock.
 func (l *LFSR) Implement(r *core.Router) (err error) {
@@ -113,9 +86,8 @@ func (l *LFSR) Implement(r *core.Router) (err error) {
 		return err
 	}
 	defer l.settle(r, l, &err)
-	var clkPins []core.EndPoint
 	for i := 0; i < l.Bits; i++ {
-		row, col, n := l.bitSite(i)
+		row, col, n := l.lutSite(i)
 		truth := TruthBuf
 		if i == 0 {
 			truth = TruthXor2
@@ -129,32 +101,16 @@ func (l *LFSR) Implement(r *core.Router) (err error) {
 		if err := l.port("q", i, core.Out).Bind(l.qPin(i)); err != nil {
 			return err
 		}
-		clk := arch.S0CLK
-		if n/2 == 1 {
-			clk = arch.S1CLK
-		}
-		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
-	// Shift connections: q[i-1] -> d[i] (input 1 of LUT i).
-	for i := 1; i < l.Bits; i++ {
-		row, col, n := l.bitSite(i)
-		d := core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))
-		if err := r.RouteNet(l.qPin(i-1), d); err != nil {
-			return err
-		}
+	if err := l.shiftChain(r, l.Bits); err != nil {
+		return err
 	}
 	// Feedback: q[tapA] XOR q[tapB] -> bit 0.
-	row0, col0, n0 := l.bitSite(0)
-	fa := core.NewPin(row0, col0, arch.LUTInput(n0/2, n0%2, 1))
-	fb := core.NewPin(row0, col0, arch.LUTInput(n0/2, n0%2, 2))
-	if err := r.RouteNet(l.qPin(l.TapA), fa); err != nil {
+	if err := r.RouteNet(l.qPin(l.TapA), lutIn(l.row, l.col, 0, 1)); err != nil {
 		return err
 	}
-	if err := r.RouteNet(l.qPin(l.TapB), fb); err != nil {
+	if err := r.RouteNet(l.qPin(l.TapB), lutIn(l.row, l.col, 0, 2)); err != nil {
 		return err
 	}
-	if err := r.RouteClock(l.Clock, clkPins...); err != nil {
-		return err
-	}
-	return nil
+	return l.routeClock(r, l.Clock, l.Bits, 2)
 }

@@ -3,7 +3,6 @@ package cores
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 )
 
@@ -29,15 +28,6 @@ func NewShiftRegister(name string, bits int) (*ShiftRegister, error) {
 	return s, nil
 }
 
-func (s *ShiftRegister) bitSite(i int) (row, col, n int) {
-	return s.row + i/4, s.col, i % 4
-}
-
-func (s *ShiftRegister) qPin(i int) core.Pin {
-	row, col, n := s.bitSite(i)
-	return core.NewPin(row, col, ffOutPin(n))
-}
-
 // Implement configures buffer LUTs, routes the shift chain, binds ports,
 // and routes the clock.
 func (s *ShiftRegister) Implement(r *core.Router) (err error) {
@@ -45,38 +35,21 @@ func (s *ShiftRegister) Implement(r *core.Router) (err error) {
 		return err
 	}
 	defer s.settle(r, s, &err)
-	var clkPins []core.EndPoint
 	for i := 0; i < s.Bits; i++ {
-		row, col, n := s.bitSite(i)
+		row, col, n := s.lutSite(i)
 		if err := s.setLUT(r.Dev, row, col, n, TruthBuf); err != nil {
 			return err
 		}
 		if err := s.port("q", i, core.Out).Bind(s.qPin(i)); err != nil {
 			return err
 		}
-		clk := arch.S0CLK
-		if n/2 == 1 {
-			clk = arch.S1CLK
-		}
-		clkPins = append(clkPins, core.NewPin(row, col, clk))
 	}
 	// The serial input enters bit 0's LUT.
-	row0, col0, n0 := s.bitSite(0)
-	if err := s.port("sin", 0, core.In).Bind(
-		core.NewPin(row0, col0, arch.LUTInput(n0/2, n0%2, 1)),
-	); err != nil {
+	if err := s.port("sin", 0, core.In).Bind(lutIn(s.row, s.col, 0, 1)); err != nil {
 		return err
 	}
-	// Shift chain: q[i-1] -> d[i].
-	for i := 1; i < s.Bits; i++ {
-		row, col, n := s.bitSite(i)
-		d := core.NewPin(row, col, arch.LUTInput(n/2, n%2, 1))
-		if err := r.RouteNet(s.qPin(i-1), d); err != nil {
-			return err
-		}
-	}
-	if err := r.RouteClock(s.Clock, clkPins...); err != nil {
+	if err := s.shiftChain(r, s.Bits); err != nil {
 		return err
 	}
-	return nil
+	return s.routeClock(r, s.Clock, s.Bits, 2)
 }

@@ -223,20 +223,13 @@ func TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, tm
 // template, says which template failed where.
 var errTemplateMiss = fmt.Errorf("maze: no available resources follow the template: %w", ErrUnroutable)
 
-// TemplateRouteTo additionally pins the tile the final hop must land on.
-// The paper's route(Pin, end_wire, Template) lets the template define the
-// destination implicitly — which is unambiguous for fixed-span hops — but
-// long-line hops branch over every access tap, so an automatic caller that
-// knows the sink location must constrain it.
-func TemplateRouteTo(dev *device.Device, start device.Track, endWire arch.Wire, endTile device.Coord, tmpl []arch.TemplateValue, opt Options) (*Route, error) {
-	return ownedRoute(dev, func(s *Scratch) ([]device.PIP, int, error) {
-		return s.TemplateRoute(dev, start, endWire, endTile, true, tmpl, opt)
-	})
-}
-
 // TemplateRoute is the one body of the template calls, into s: the first
 // path from start along tmpl onto endWire — landing on endTile when pinned —
-// and the states it explored. A miss formats nothing.
+// and the states it explored. A miss formats nothing. The paper's
+// route(Pin, end_wire, Template) lets the template define the destination
+// implicitly, which is unambiguous for fixed-span hops; but long-line hops
+// branch over every access tap, so an automatic caller that knows the sink
+// location pins it.
 func (s *Scratch) TemplateRoute(dev *device.Device, start device.Track, endWire arch.Wire, endTile device.Coord, pinned bool, tmpl []arch.TemplateValue, opt Options) ([]device.PIP, int, error) {
 	if len(tmpl) == 0 {
 		return nil, 0, fmt.Errorf("maze: empty template: %w", ErrUnroutable)

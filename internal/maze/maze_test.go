@@ -278,19 +278,20 @@ func TestLongLineOptionFilter(t *testing.T) {
 func TestCandidateTemplates(t *testing.T) {
 	a := arch.NewVirtex()
 	src := device.Track{Row: 5, Col: 7, W: arch.S1YQ}
+	var s, s2 Scratch
 
 	// Same tile: FEEDBACK first.
-	ts := CandidateTemplates(a, src, device.Coord{Row: 5, Col: 7}, arch.S0F1, Options{})
+	ts := s.Candidates(a, src, device.Coord{Row: 5, Col: 7}, arch.S0F1, Options{})
 	if len(ts) == 0 || len(ts[0]) != 1 || ts[0][0] != arch.TVFeedback {
 		t.Errorf("same-tile candidates start with %v", ts)
 	}
 	// East neighbour: DIRECT first.
-	ts = CandidateTemplates(a, src, device.Coord{Row: 5, Col: 8}, arch.S0F1, Options{})
+	ts = s.Candidates(a, src, device.Coord{Row: 5, Col: 8}, arch.S0F1, Options{})
 	if len(ts) == 0 || len(ts[0]) != 1 || ts[0][0] != arch.TVDirect {
 		t.Errorf("east-neighbour candidates start with %v", ts)
 	}
 	// Displacement (+1, +7): 1 hex east + 1 single east + 1 single north.
-	ts = CandidateTemplates(a, src, device.Coord{Row: 6, Col: 14}, arch.S0F3, Options{})
+	ts = s.Candidates(a, src, device.Coord{Row: 6, Col: 14}, arch.S0F3, Options{})
 	if len(ts) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -316,8 +317,8 @@ func TestCandidateTemplates(t *testing.T) {
 	// Long variants appear only with the option, aligned access columns,
 	// and a large span.
 	srcAligned := device.Track{Row: 6, Col: 0, W: arch.S0X}
-	with := CandidateTemplates(a, srcAligned, device.Coord{Row: 6, Col: 18}, arch.S0F1, Options{UseLongLines: true})
-	without := CandidateTemplates(a, srcAligned, device.Coord{Row: 6, Col: 18}, arch.S0F1, Options{})
+	with := s.Candidates(a, srcAligned, device.Coord{Row: 6, Col: 18}, arch.S0F1, Options{UseLongLines: true})
+	without := s2.Candidates(a, srcAligned, device.Coord{Row: 6, Col: 18}, arch.S0F1, Options{})
 	hasLong := func(ts [][]arch.TemplateValue) bool {
 		for _, c := range ts {
 			for _, v := range c {
@@ -345,7 +346,8 @@ func TestCandidateTemplatesRoutable(t *testing.T) {
 	} {
 		d := virtexDev(t)
 		src, _ := d.Canon(c.sr, c.sc, arch.S0X)
-		ts := CandidateTemplates(d.A, src, device.Coord{Row: c.tr, Col: c.tc}, arch.S0F1, Options{})
+		var s Scratch
+		ts := s.Candidates(d.A, src, device.Coord{Row: c.tr, Col: c.tc}, arch.S0F1, Options{})
 		ok := false
 		for _, tmpl := range ts {
 			if _, err := TemplateRoute(d, src, arch.S0F1, tmpl); err == nil {

@@ -240,6 +240,9 @@ type negScratch struct {
 	// the net is rerouted, as the merge still reads the old used list.
 	used, usedSpare [][]int32
 	pips, pipsSpare [][]device.PIP
+	// The pool a negotiation runs its scopes, or a scope its reroutes, on:
+	// never both, so one pool serves every runPool of a call.
+	pool pool
 }
 
 // fit returns s at length n, keeping the elements it held past its length.
@@ -368,7 +371,7 @@ func (s *negScratch) runScopes(dev *device.Device, opt NegotiationOptions, prepp
 		}
 		return s.results
 	}
-	runPool(min(par, len(scopes)), func(p *pool) {
+	runPool(&s.pool, min(par, len(scopes)), func(p *pool) {
 		for i := p.take(); i < len(scopes); i = p.take() {
 			s.results[i] = s.runScope(dev, opt, prepped, &scopes[i], cong)
 		}
@@ -398,7 +401,7 @@ func (s *negScratch) runScope(dev *device.Device, opt NegotiationOptions, preppe
 
 	for iter := 1; iter <= maxIterations; iter++ {
 		out.iterations = iter
-		results := sc.routeAll(results[:len(reroute)], prepped, reroute, used, spare, pipsSpare)
+		results := sc.routeAll(&s.pool, results[:len(reroute)], prepped, reroute, used, spare, pipsSpare)
 		// Merge in net order. Results are per-net pure functions of the
 		// iteration snapshot, so this ordering — not the worker
 		// scheduling — defines the outcome.
@@ -470,10 +473,11 @@ func (s *negScratch) runScope(dev *device.Device, opt NegotiationOptions, preppe
 }
 
 // routeAll routes the given nets against the current congestion snapshot,
-// sequentially or on a bounded worker pool, into results. reroute holds
-// positions j in the scope's net list; results[x] is reroute[x]'s route,
-// built in pipsSpare[j] and spare[j], and does not depend on the worker count.
-func (sc *scope) routeAll(results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32, pipsSpare [][]device.PIP) []netRoute {
+// sequentially or on at most sc.par of p's goroutines, into results.
+// reroute holds positions j in the scope's net list; results[x] is
+// reroute[x]'s route, built in pipsSpare[j] and spare[j], and does not
+// depend on the worker count.
+func (sc *scope) routeAll(p *pool, results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32, pipsSpare [][]device.PIP) []netRoute {
 	par := min(sc.par, len(reroute))
 	if par <= 1 {
 		w := sc.newWorker()
@@ -483,7 +487,7 @@ func (sc *scope) routeAll(results []netRoute, prepped []preppedNet, reroute []in
 		w.release() // not deferred, as in runPool
 		return results
 	}
-	runPool(par, func(p *pool) {
+	runPool(p, par, func(p *pool) {
 		w := sc.newWorker()
 		for x := p.take(); x < len(reroute); x = p.take() {
 			j := reroute[x]
@@ -495,10 +499,12 @@ func (sc *scope) routeAll(results []netRoute, prepped []preppedNet, reroute []in
 }
 
 // runPool runs body on workers goroutines, which take turns at the indices
-// the pool hands out. A panic ends its goroutine and skips the rest of its
+// p hands out from 0. A panic ends its goroutine and skips the rest of its
 // body; the first is raised again here, with its stack, once all are done.
-func runPool(workers int, body func(*pool)) {
-	p := &pool{}
+// p is reset first, so a caller keeps one for calls that do not nest.
+func runPool(p *pool, workers int, body func(*pool)) {
+	p.next.Store(0)
+	p.caught.Store(nil)
 	p.wg.Add(workers)
 	for g := 0; g < workers; g++ {
 		go func() {

@@ -217,16 +217,17 @@ func TestTemplateRouteToPinsTile(t *testing.T) {
 		t.Fatal("no route")
 	}
 	// Constrained to (6,42): the final PIP must be there.
-	to, err := TemplateRouteTo(d, src, arch.S0F1, device.Coord{Row: 6, Col: 42}, tmpl, opt)
+	var s Scratch
+	to, _, err := s.TemplateRoute(d, src, arch.S0F1, device.Coord{Row: 6, Col: 42}, true, tmpl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := to.PIPs[len(to.PIPs)-1]
+	last := to[len(to)-1]
 	if last.Row != 6 || last.Col != 42 || last.To != arch.S0F1 {
 		t.Errorf("constrained route ends at %v", last)
 	}
 	// Constraining to an unreachable tile fails.
-	if _, err := TemplateRouteTo(d, src, arch.S0F1, device.Coord{Row: 20, Col: 1}, tmpl, opt); !errors.Is(err, ErrUnroutable) {
+	if _, _, err := s.TemplateRoute(d, src, arch.S0F1, device.Coord{Row: 20, Col: 1}, true, tmpl, opt); !errors.Is(err, ErrUnroutable) {
 		t.Errorf("impossible tile: %v", err)
 	}
 }
@@ -365,7 +366,7 @@ func TestRunPoolRaisesOnCaller(t *testing.T) {
 	var done [n]atomic.Bool
 	raised := func() (v any) {
 		defer func() { v = recover() }()
-		runPool(4, func(p *pool) {
+		runPool(&pool{}, 4, func(p *pool) {
 			for i := p.take(); i < n; i = p.take() {
 				if i == k {
 					panic(fmt.Sprintf("index %d", i))

@@ -5,22 +5,17 @@ import (
 	"repro/internal/device"
 )
 
-// CandidateTemplates generates the "set of unique and predefined templates
-// that would get from the source to the sink" which route(src, sink) tries
+// Candidates generates the "set of unique and predefined templates that
+// would get from the source to the sink" which route(src, sink) tries
 // before falling back on the maze algorithm (§3.1). The set is ordered
 // cheapest-first: local resources (feedback, direct) when applicable, then
 // hex+single decompositions in both axis orders, then single-only
 // decompositions for short spans, then long-line variants when enabled.
 //
 // src must be a CLB output pin or OUT mux reference; sinkWire is the local
-// wire name at the sink tile (typically an input pin).
-func CandidateTemplates(a *arch.Arch, src device.Track, sinkTile device.Coord, sinkWire arch.Wire, opt Options) [][]arch.TemplateValue {
-	var s Scratch // the result keeps its lists
-	return s.Candidates(a, src, sinkTile, sinkWire, opt)
-}
-
-// Candidates is CandidateTemplates into s: the templates are runs of one
-// list of values closed by end offsets, and the slice returned views them.
+// wire name at the sink tile (typically an input pin). The templates are
+// runs of one list of values in s closed by end offsets, and the slice
+// returned views them until s's next call.
 func (s *Scratch) Candidates(a *arch.Arch, src device.Track, sinkTile device.Coord, sinkWire arch.Wire, opt Options) [][]arch.TemplateValue {
 	dr := sinkTile.Row - src.Row
 	dc := sinkTile.Col - src.Col

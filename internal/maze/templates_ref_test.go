@@ -8,7 +8,7 @@ import (
 	"repro/internal/device"
 )
 
-// refCandidateTemplates is CandidateTemplates as it was before candidates
+// refCandidateTemplates is Scratch.Candidates as it was before candidates
 // were written into one flat scratch list: each candidate its own slice,
 // built from repeated-hop slices and detour slices. It is kept verbatim (but
 // for its name) as the reference TestCandidatesMatchReference holds the
@@ -186,7 +186,8 @@ func TestCandidatesMatchReference(t *testing.T) {
 								sink := device.Coord{Row: 24 + dr, Col: sc + dc}
 								opt := Options{UseLongLines: longs}
 								want := refCandidateTemplates(a, src, sink, sinkW, opt)
-								got := CandidateTemplates(a, src, sink, sinkW, opt)
+								var fresh Scratch
+								got := fresh.Candidates(a, src, sink, sinkW, opt)
 								views := reused.Candidates(a, src, sink, sinkW, opt)
 								var wantEnds []int
 								for _, w := range want {

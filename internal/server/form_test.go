@@ -447,3 +447,45 @@ func TestImportBesideSlotmateCore(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpointOpsOnSlotmateNetRefused: an endpoint op acts only on nets the
+// requesting session holds. On one slot, session b names session s's net
+// by a raw pin — its source for unroute, trace and a grafting route, bus or
+// batch, one of its sinks for the reverse ops — and each op is refused as a
+// routing error that names neither s nor its net; s's configuration and
+// form stay as they were, and b still routes from a pin of its own.
+func TestEndpointOpsOnSlotmateNetRefused(t *testing.T) {
+	ctx := context.Background()
+	w, j := newJournaledWorker(t)
+	seedSession(t, w)
+	config := readback(t, w)
+	form, _ := j.Form("s")
+	src, sink, free := pinMsg(1, 2, arch.S0X), pinMsg(2, 9, arch.S0F1), pinMsg(12, 3, arch.S1G2)
+	for _, req := range []*Request{
+		{Op: "unroute", Source: &src},
+		{Op: "reverse_unroute", Source: &sink},
+		{Op: "trace", Source: &src},
+		{Op: "reverse_trace", Source: &sink},
+		{Op: "route", Source: &src, Sinks: []EndPointMsg{free}},
+		{Op: "bus", Sources: []EndPointMsg{src}, Sinks: []EndPointMsg{free}},
+		{Op: "batch", Nets: []protocol.NetMsg{{Source: src, Sinks: []EndPointMsg{free}}}},
+	} {
+		req.Session = "b"
+		resp := w.Submit(ctx, req)
+		if resp.ErrorCode != protocol.CodeRoute || resp.Err != errForeignNet.Error() || resp.Net != nil {
+			t.Errorf("b's %s on s's net: %q (%s), want %q", req.Op, resp.Err, resp.ErrorCode, errForeignNet)
+		}
+		if !bytes.Equal(readback(t, w), config) {
+			t.Fatalf("b's refused %s changed the configuration", req.Op)
+		}
+		if now, _ := j.Form("s"); !bytes.Equal(now, form) {
+			t.Fatalf("b's refused %s changed s's form", req.Op)
+		}
+	}
+	if resp := w.Submit(ctx, &Request{Op: "trace", Session: "s", Source: &src}); resp.Err != "" || resp.Net == nil {
+		t.Errorf("s's trace of its own net: %q", resp.Err)
+	}
+	if resp := w.Submit(ctx, routeReq("b", pinMsg(12, 2, arch.S0X), free)); resp.Err != "" {
+		t.Errorf("b's route from a pin of its own: %q", resp.Err)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -353,6 +354,12 @@ func (w *Worker) shipDirty(resp *Response) error {
 	return nil
 }
 
+// errForeignNet refuses an op whose endpoint is on a net another session
+// holds records of: unrouting or tracing it would act on that session's
+// net, and routing from it would graft onto that session's tree (§3.1's
+// fanout reuses a net's wires). It names neither the session nor its net.
+var errForeignNet = errors.New("server: the endpoint is on another session's net")
+
 func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 	clear(w.eps) // the last op's would keep a removed core's ports
 	w.eps = w.eps[:0]
@@ -381,6 +388,9 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 			resp.ErrorCode = protocol.CodeBadRequest
 			return err
 		}
+		if w.router.ForeignNet(src, w.cur) {
+			return errForeignNet
+		}
 		sinks, err := w.endpoints(req.Sinks)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -402,6 +412,11 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 			resp.ErrorCode = protocol.CodeBadRequest
 			return err
 		}
+		for _, src := range srcs {
+			if w.router.ForeignNet(src, w.cur) {
+				return errForeignNet
+			}
+		}
 		sinks, err := w.endpoints(req.Sinks)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
@@ -420,6 +435,9 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 				resp.ErrorCode = protocol.CodeBadRequest
 				return err
 			}
+			if w.router.ForeignNet(src, w.cur) {
+				return errForeignNet
+			}
 			sinks, err := w.endpoints(n.Sinks)
 			if err != nil {
 				resp.ErrorCode = protocol.CodeBadRequest
@@ -429,32 +447,24 @@ func (w *Worker) dispatch(op *protocol.Op, req *Request, resp *Response) error {
 		}
 		return w.router.RouteBatch(nets)
 
-	case protocol.OpUnroute:
-		src, err := w.endpoint(req.Source)
-		if err != nil {
-			resp.ErrorCode = protocol.CodeBadRequest
-			return err
-		}
-		return w.router.Unroute(src)
-
-	case protocol.OpReverseUnroute:
-		sink, err := w.endpoint(req.Source)
-		if err != nil {
-			resp.ErrorCode = protocol.CodeBadRequest
-			return err
-		}
-		return w.router.ReverseUnroute(sink)
-
-	case protocol.OpTrace, protocol.OpReverseTrace:
+	case protocol.OpUnroute, protocol.OpReverseUnroute, protocol.OpTrace, protocol.OpReverseTrace:
 		ep, err := w.endpoint(req.Source)
 		if err != nil {
 			resp.ErrorCode = protocol.CodeBadRequest
 			return err
 		}
+		if w.router.ForeignNet(ep, w.cur) {
+			return errForeignNet
+		}
 		var net *core.Net
-		if op.Byte == protocol.OpTrace {
+		switch op.Byte {
+		case protocol.OpUnroute:
+			return w.router.Unroute(ep)
+		case protocol.OpReverseUnroute:
+			return w.router.ReverseUnroute(ep)
+		case protocol.OpTrace:
 			net, err = w.router.Trace(ep)
-		} else {
+		default:
 			net, err = w.router.ReverseTrace(ep)
 		}
 		if err != nil {
