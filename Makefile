@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace prof-batch bench-go bench-smoke fuzz-smoke verify soak size
+.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace prof-batch prof-search bench-go bench-smoke fuzz-smoke verify soak size
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,22 @@ prof-batch:
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/repro.test $(PROF_DIR)/batch-cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
+
+# prof-search does the same for BenchmarkAStar (internal/maze: 256 seeded
+# pairs searched on a blank 64×96 array, the A* kernel under p2p_cold,
+# where MinTapDistance runs on every frontier pop), live-heap and
+# allocated-object top 10s included. The root package's
+# BenchmarkAutoMazeOnly does not serve here: it routes one pair over and
+# over, so after its first iteration every route is an exact-cache replay
+# and the search is absent from its profile. Its files in PROF_DIR are
+# maze.test, search-cpu.prof and search-mem.prof.
+prof-search:
+	mkdir -p $(PROF_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkAStar$$' -benchtime 3s -o $(PROF_DIR)/maze.test \
+		-cpuprofile $(PROF_DIR)/search-cpu.prof -memprofile $(PROF_DIR)/search-mem.prof ./internal/maze
+	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/maze.test $(PROF_DIR)/search-cpu.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/maze.test $(PROF_DIR)/search-mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/maze.test $(PROF_DIR)/search-mem.prof
 
 # bench-go prints the `go test -bench` rows. They are not comparable
 # across commits; speed claims go through `go run ./benchmark`.

@@ -123,6 +123,16 @@ const (
 	KindBRAMOut       // block-RAM data output (a source, BRAM tiles only)
 )
 
+// IsSink reports whether a wire of kind k is a sink pin: where a net ends,
+// so a route never passes through it and no PIP taps it.
+func (k Kind) IsSink() bool {
+	switch k {
+	case KindInput, KindCtrl, KindIOBOut, KindBRAMIn, KindBRAMClk:
+		return true
+	}
+	return false
+}
+
 // String returns the kind name.
 func (k Kind) String() string {
 	switch k {

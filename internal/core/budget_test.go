@@ -158,3 +158,40 @@ func scopesOf(t *testing.T, d *device.Device, nets []BatchNet) int {
 	}
 	return res.Scopes
 }
+
+// TestClockCycleBudget: a core's clock in the core_swap shape — RouteClock
+// onto eight clock pins, four CLBs' S0CLK and S1CLK, taken back by
+// UnrouteWithin — allocates the clock record. It reads 15: RouteClock's
+// tap list, the eight taps and the clock source boxed as endpoints, the
+// record with its own copy of the taps, their pins and its path, and the
+// rip-up's list of what it takes. It read 26 when RouteClock resolved each
+// sink with Pins, one object a pin, and grew its tap list by appending.
+func TestClockCycleBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
+	}
+	const budget = 16
+	r := newTestRouter(t, Options{})
+	var sinks []EndPoint
+	for row := 4; row < 8; row++ {
+		sinks = append(sinks, NewPin(row, 6, arch.S0CLK), NewPin(row, 6, arch.S1CLK))
+	}
+	cycle := func() {
+		since := r.Seq()
+		if err := r.RouteClock(0, sinks...); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.UnrouteWithin(4, 6, 4, 1, since); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := r.Dev.OnPIPCount(); n != 0 {
+		t.Fatalf("UnrouteWithin left %d PIPs on", n)
+	}
+	got := allocsPerRun(cycle)
+	t.Logf("a RouteClock → UnrouteWithin cycle of %d taps allocates %.2f objects", len(sinks), got)
+	if got > budget {
+		t.Errorf("a RouteClock → UnrouteWithin cycle of %d taps allocates %.2f objects, budget %d", len(sinks), got, budget)
+	}
+}

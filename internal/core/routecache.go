@@ -392,16 +392,8 @@ func (r *Router) ripRegion(row, col, height, width int, keep func(*Connection) b
 	r.regionBuf = r.Dev.AppendTracksOver(r.regionBuf[:0], row, col, height, width)
 	roots := r.rootBuf[:0]
 	for _, t := range r.regionBuf {
-		for {
-			p, ok := r.Dev.DriverOf(t)
-			if !ok {
-				break
-			}
-			if t, ok = r.Dev.CanonOK(p.Row, p.Col, p.From); !ok {
-				return nil, fmt.Errorf("core: region rip-up: on-PIP %s has no source track", r.Dev.PIPString(p))
-			}
-		}
-		roots = append(roots, r.Dev.TrackIndex(t))
+		root, _ := r.Dev.RootOf(t, nil) // t itself, on a routing loop
+		roots = append(roots, r.Dev.TrackIndex(root))
 	}
 	slices.Sort(roots)
 	roots = slices.Compact(roots)

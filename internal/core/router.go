@@ -242,7 +242,7 @@ type Router struct {
 	walkPIPs   []device.PIP    // walk: the net's PIPs; ReverseTrace/ReverseUnroute: the branch; UnrouteAll: the on-PIPs
 	walkSinks  []Pin           // walk: the net's sink pins
 	fanoutBuf  []device.PIP    // walk: one track's fanout
-	sinkPins   []Pin           // routeSinks: the sinks' pins in routing order
+	sinkPins   []Pin           // routeSinks, RouteClock: the sinks' pins in routing order
 	keyPins    []Pin           // routeSinks, replayShifted: the same, sorted
 	portBuf    []*Port         // connectionPorts
 	regionBuf  []device.Track  // RipUpRegion: tracks over the rectangle
@@ -469,12 +469,7 @@ func (r *Router) recordManual() {
 	}
 	first, last := r.curPath[0], r.curPath[len(r.curPath)-1]
 	start, _ := r.Dev.CanonOK(first.Row, first.Col, first.From)
-	root := start
-	for p, ok := r.Dev.DriverOf(root); ok; p, ok = r.Dev.DriverOf(root) {
-		if root, _ = r.Dev.CanonOK(p.Row, p.Col, p.From); root == start {
-			break // a routing loop has no root
-		}
-	}
+	root, _ := r.Dev.RootOf(start, nil) // start, on a routing loop
 	var source EndPoint = NewPin(root.Row, root.Col, root.W)
 	if c := r.conns.bucket(r.Dev.TrackIndex(root)); c != nil {
 		source = c.Source
@@ -731,18 +726,21 @@ func (r *Router) RouteClock(g int, sinks ...EndPoint) (err error) {
 		return fmt.Errorf("core: no global clock %d", g)
 	}
 	r.curPath = r.curPath[:0]
-	var taps []EndPoint
+	pins := r.sinkPins[:0]
 	for _, s := range sinks {
-		for _, p := range s.Pins() {
-			n := len(r.curPath)
-			if err := r.setManual(p.Row, p.Col, gw, p.W); err != nil {
-				r.unwind(r.curPath)
-				r.backToEntry()
-				return err
-			}
-			if len(r.curPath) > n {
-				taps = append(taps, p)
-			}
+		pins = AppendPins(pins, s)
+	}
+	r.sinkPins = pins
+	taps := make([]EndPoint, 0, len(pins))
+	for _, p := range pins {
+		n := len(r.curPath)
+		if err := r.setManual(p.Row, p.Col, gw, p.W); err != nil {
+			r.unwind(r.curPath)
+			r.backToEntry()
+			return err
+		}
+		if len(r.curPath) > n {
+			taps = append(taps, p)
 		}
 	}
 	if len(taps) > 0 {

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -617,6 +621,93 @@ func TestTraceOnRoutingLoop(t *testing.T) {
 	}
 	if len(net.PIPs) != len(loop)-1 {
 		t.Errorf("trace round a loop of %d PIPs returned %d, want all but the one that closes it: %v", len(loop), len(net.PIPs), net.PIPs)
+	}
+}
+
+// TestCallsReturnOnRoutingLoop: every call that walks a net's driver or
+// fanout chain returns on a routing loop, with a pinned answer. The loop
+// routeSinglesLoop builds closes on its first PIP, a single driving
+// itself, and its one record is filed at SingleEast[0] (5,5), the pin
+// each call is given:
+//   - ReverseTrace names the loop: the chain has no root.
+//   - ForeignNet reads the records at the pin, where a loop's root stands.
+//   - Trace finds nothing past the PIP that closes the loop, so Unroute,
+//     and RipUpRegion through it, find nothing routed and leave it on.
+//   - ReverseUnroute clears the loop from the pin back.
+//
+// A walk caught in the loop spins (ReverseTrace also appends) without end,
+// and its goroutine cannot be stopped: the calls run at once, on a router
+// each, and one still running after 5 s or a heap grown past 256 MB fails
+// the test and ends the test binary.
+func TestCallsReturnOnRoutingLoop(t *testing.T) {
+	pin := func(r *Router) Pin { return NewPin(5, 5, r.Dev.A.Single(arch.East, 0)) }
+	on := func(r *Router, err error) string { return fmt.Sprintf("%v, %d on", err, r.Dev.OnPIPCount()) }
+	cases := []struct {
+		name string
+		call func(r *Router) string
+		want string
+	}{
+		{"Trace", func(r *Router) string {
+			net, err := r.Trace(pin(r))
+			return fmt.Sprintf("%d PIPs, %d sinks, %v", len(net.PIPs), len(net.Sinks), err)
+		}, "0 PIPs, 0 sinks, <nil>"},
+		{"ReverseTrace", func(r *Router) string {
+			_, err := r.ReverseTrace(pin(r))
+			return fmt.Sprint(err)
+		}, "core: SingleEast[0] at (5,5) is on a routing loop"},
+		{"Unroute", func(r *Router) string {
+			return on(r, r.Unroute(pin(r)))
+		}, "core: SingleEast[0] at (5,5) is not routed, 1 on"},
+		{"ReverseUnroute", func(r *Router) string {
+			return on(r, r.ReverseUnroute(pin(r)))
+		}, "<nil>, 0 on"},
+		{"ForeignNet", func(r *Router) string {
+			return fmt.Sprintf("owner 0: %v, owner 1: %v", r.ForeignNet(pin(r), 0), r.ForeignNet(pin(r), 1))
+		}, "owner 0: false, owner 1: true"},
+		{"RipUpRegion", func(r *Router) string {
+			ripped, err := r.RipUpRegion(4, 4, 3, 3)
+			return fmt.Sprintf("%d ripped, %s", len(ripped), on(r, err))
+		}, "0 ripped, core: region rip-up: core: SingleEast[0] at (5,5) is not routed, 1 on"},
+	}
+	got := make([]string, len(cases))
+	done := make(chan int, len(cases))
+	for i, c := range cases {
+		r := newTestRouter(t, Options{})
+		routeSinglesLoop(t, r)
+		go func() { got[i] = c.call(r); done <- i }()
+	}
+	returned := make([]bool, len(cases))
+	stuck := func(why string) {
+		var names []string
+		for i, c := range cases {
+			if !returned[i] {
+				names = append(names, c.name)
+			}
+		}
+		t.Errorf("on a routing loop, %s still running %s", strings.Join(names, ", "), why)
+		panic("walks caught in a routing loop cannot be stopped")
+	}
+	deadline := time.After(5 * time.Second)
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for n := 0; n < len(cases); {
+		select {
+		case i := <-done:
+			returned[i] = true
+			n++
+		case <-tick.C:
+			var ms runtime.MemStats
+			if runtime.ReadMemStats(&ms); ms.HeapAlloc > 256<<20 {
+				stuck("with the heap past 256 MB")
+			}
+		case <-deadline:
+			stuck("after 5 s")
+		}
+	}
+	for i, c := range cases {
+		if got[i] != c.want {
+			t.Errorf("%s on a routing loop: %s, want %s", c.name, got[i], c.want)
+		}
 	}
 }
 

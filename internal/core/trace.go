@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/arch"
 	"repro/internal/device"
 )
 
@@ -30,7 +29,7 @@ func (n *Net) WireCount(dev *device.Device) int {
 			continue
 		}
 		seen[t.Key()] = true
-		if !isSinkKind(dev.A.ClassOf(t.W).Kind) {
+		if !dev.A.ClassOf(t.W).Kind.IsSink() {
 			count++
 		}
 	}
@@ -85,7 +84,7 @@ func (r *Router) walk(src device.Track) (err error) {
 				continue
 			}
 			pips = append(pips, p)
-			if isSinkKind(r.Dev.A.ClassOf(t.W).Kind) {
+			if r.Dev.A.ClassOf(t.W).Kind.IsSink() {
 				sinks = append(sinks, Pin{Row: p.Row, Col: p.Col, W: p.To})
 			} else {
 				queue = append(queue, t)
@@ -94,15 +93,6 @@ func (r *Router) walk(src device.Track) (err error) {
 	}
 	r.walkTracks, r.walkPIPs, r.walkSinks, r.fanoutBuf = queue, pips, sinks, fanout
 	return err
-}
-
-// isSinkKind reports whether a wire of kind k is a sink pin, where a net ends.
-func isSinkKind(k arch.Kind) bool {
-	switch k {
-	case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
-		return true
-	}
-	return false
 }
 
 // owned returns an exact-size copy of scratch s for a caller to keep.
@@ -115,7 +105,8 @@ func owned[T any](s []T) []T {
 
 // ReverseTrace is the paper's reversetrace(EndPoint sink): "A sink is
 // traced back to its source. Only the net that leads to the sink is
-// returned." (§3.5)
+// returned." (§3.5) A sink whose driver chain closes on itself has no
+// source, and is an error.
 func (r *Router) ReverseTrace(sink EndPoint) (*Net, error) {
 	sp, n := solePin(sink)
 	if n != 1 {
@@ -125,31 +116,18 @@ func (r *Router) ReverseTrace(sink EndPoint) (*Net, error) {
 	if err != nil {
 		return nil, err
 	}
-	rev := r.walkPIPs[:0]
-	for {
-		p, ok := r.Dev.DriverOf(cur)
-		if !ok {
-			break
-		}
-		rev = append(rev, p)
-		cur, err = r.Dev.Canon(p.Row, p.Col, p.From)
-		if err != nil {
-			return nil, err
-		}
-	}
-	r.walkPIPs = rev
-	if len(rev) == 0 {
+	r.walkPIPs = r.walkPIPs[:0]
+	root, loop := r.Dev.RootOf(cur, &r.walkPIPs)
+	switch {
+	case loop:
+		return nil, fmt.Errorf("core: %s at (%d,%d) is on a routing loop",
+			r.Dev.A.WireName(sp.W), sp.Row, sp.Col)
+	case len(r.walkPIPs) == 0:
 		return nil, fmt.Errorf("core: %s at (%d,%d) is not routed",
 			r.Dev.A.WireName(sp.W), sp.Row, sp.Col)
 	}
-	net := &Net{PIPs: owned(rev), Sinks: []Pin{sp}}
+	net := &Net{Source: Pin{Row: root.Row, Col: root.Col, W: root.W}, PIPs: owned(r.walkPIPs), Sinks: []Pin{sp}}
 	slices.Reverse(net.PIPs)
-	first := net.PIPs[0]
-	// The root track's local name at the first PIP's tile is the source.
-	net.Source = Pin{Row: first.Row, Col: first.Col, W: first.From}
-	if root, err := r.Dev.Canon(first.Row, first.Col, first.From); err == nil {
-		net.Source = Pin{Row: root.Row, Col: root.Col, W: root.W}
-	}
 	return net, nil
 }
 
@@ -164,17 +142,11 @@ func (r *Router) ForeignNet(ep EndPoint, o uint8) bool {
 	if n != 1 {
 		return false
 	}
-	root, ok := r.Dev.CanonOK(sp.Row, sp.Col, sp.W)
-	for ok {
-		p, driven := r.Dev.DriverOf(root)
-		if !driven {
-			break
-		}
-		root, ok = r.Dev.CanonOK(p.Row, p.Col, p.From)
-	}
+	t, ok := r.Dev.CanonOK(sp.Row, sp.Col, sp.W)
 	if !ok {
 		return false
 	}
+	root, _ := r.Dev.RootOf(t, nil) // t itself, on a routing loop
 	for c := r.conns.bucket(r.Dev.TrackIndex(root)); c != nil; c = c.srcNext {
 		if c.owner != o {
 			return true

@@ -74,7 +74,7 @@ func routeChain(t *testing.T, r *Router, src Pin, n int) (Pin, []device.PIP) {
 			to := e.Target(tap)
 			last := len(path) == n-1
 			kind := d.A.ClassOf(to.W).Kind
-			if seen[to] || d.Driven(d.TrackIndex(to)) || last != (kind == arch.KindInput) || isSinkKind(kind) != last {
+			if seen[to] || d.Driven(d.TrackIndex(to)) || last != (kind == arch.KindInput) || kind.IsSink() != last {
 				continue
 			}
 			seen[to] = true

@@ -98,15 +98,7 @@ func (r *Router) ReverseUnroute(sink EndPoint) (err error) {
 	// The records that can name sp as a sink are the ones sourced where
 	// this net is: carry the driver walk on, past the branch point and
 	// clearing nothing, to the net's root, and take that source's chain.
-	for {
-		p, ok := r.Dev.DriverOf(root)
-		if !ok {
-			break
-		}
-		if root, err = r.Dev.Canon(p.Row, p.Col, p.From); err != nil {
-			return err
-		}
-	}
+	root, _ = r.Dev.RootOf(root, nil)
 	// Split the sink out of those records: the removed part is
 	// remembered (under every port it touches, including the source's)
 	// so Reconnect can restore exactly this branch; the remaining sinks

@@ -66,6 +66,7 @@ type adjChunk struct {
 // one chunk per tile would be.
 type adjCache struct {
 	chunks []atomic.Pointer[adjChunk] // by tile
+	shapes []tapShape                 // by wire
 
 	mu     sync.Mutex
 	shared map[uint64][]*adjChunk // content hash -> the distinct chunks with it
@@ -110,6 +111,7 @@ func adjCacheFor(a *arch.Arch, rows, cols int) *adjCache {
 	}
 	c := &adjCache{
 		chunks: make([]atomic.Pointer[adjChunk], rows*cols),
+		shapes: tapShapes(a),
 		shared: map[uint64][]*adjChunk{},
 	}
 	adjTab[k] = c

@@ -100,46 +100,102 @@ func (d *Device) CanonOK(row, col int, w arch.Wire) (Track, bool) {
 	}
 }
 
+// A wire's geometry is written down once, as its tapShape: the tiles at
+// which the track the wire names from its canonical tile can be tapped, and
+// the track's name and drive rule at each. AppendTaps, TrackSpan,
+// MinTapDistance, LocalName, DriveAllowedAt and TapAllowedAt all read it;
+// CanonOK, the inverse map, keeps its own switch.
+
+// tapShape is one wire's taps, each a step from the track's canonical
+// tile, in AppendTaps order. A tap off the array is no tap (an output
+// pin's direct connect at the east edge). A long line's one tap repeats
+// instead, at every LongAccessPeriod-th tile of its row (KindLongH) or
+// column (KindLongV). Global clocks, present at every tile, and alias
+// names have no taps.
+type tapShape struct {
+	n    uint8
+	long arch.Kind // KindLongH or KindLongV: the tap is periodic
+	taps [3]tap
+}
+
+// tap is one tap of a shape: its step from the canonical tile, the track's
+// local name there, and whether a PIP at that tile may drive the track.
+type tap struct {
+	dr, dc int16
+	drive  bool
+	name   arch.Wire
+}
+
+// tapShapes derives the shape of every wire of a from its class.
+func tapShapes(a *arch.Arch) []tapShape {
+	shapes := make([]tapShape, a.WireCount())
+	for i := range shapes {
+		w := arch.Wire(i)
+		c := a.ClassOf(w)
+		dr, dc := c.Dir.Delta()
+		along := func(k int, name arch.Wire, drive bool) tap {
+			return tap{dr: int16(dr * k), dc: int16(dc * k), drive: drive, name: name}
+		}
+		own := tap{name: w, drive: true}
+		var taps []tap
+		switch c.Kind {
+		case arch.KindOutPin: // a source, tapped too by the east neighbour's direct connect
+			taps = []tap{{name: w}, {dc: 1, name: arch.OutAlias(c.Index)}}
+		case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
+			arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
+			own.drive = c.Kind != arch.KindIOBIn && c.Kind != arch.KindBRAMOut // sources
+			taps = []tap{own}
+		case arch.KindSingle: // driven at either end
+			taps = []tap{own, along(1, a.Single(c.Dir.Opposite(), c.Index), true)}
+		case arch.KindHex: // driven at its origin, and at its far end if bidirectional
+			taps = []tap{own, along(a.HexLen/2, a.HexMid(c.Dir, c.Index), false),
+				along(a.HexLen, a.Hex(c.Dir.Opposite(), c.Index), a.HexBidirectional(c.Index))}
+		case arch.KindLongH, arch.KindLongV: // driven at every access tile
+			taps, shapes[i].long = []tap{own}, c.Kind
+		}
+		shapes[i].n = uint8(copy(shapes[i].taps[:], taps))
+	}
+	return shapes
+}
+
+var noTaps tapShape
+
+// shape returns the taps of wire w.
+func (d *Device) shape(w arch.Wire) *tapShape {
+	if uint(w) < uint(len(d.shapes)) {
+		return &d.shapes[w]
+	}
+	return &noTaps
+}
+
+// onArray reports whether a tile lies on the array.
+func (d *Device) onArray(row, col int) bool {
+	return uint(row) < uint(d.Rows) && uint(col) < uint(d.Cols)
+}
+
 // AppendTaps appends to dst the tiles at which a canonical track can be
 // tapped as a PIP source, in canonical order, and returns the extended
 // slice. Global clocks append nothing: they are available at every tile and
 // are handled specially by clock routing.
 func (d *Device) AppendTaps(dst []Coord, t Track) []Coord {
-	a := d.A
-	c := a.ClassOf(t.W)
-	switch c.Kind {
-	case arch.KindOutPin:
-		dst = append(dst, Coord{t.Row, t.Col})
-		if t.Col+1 < d.Cols {
-			dst = append(dst, Coord{t.Row, t.Col + 1}) // direct connect east
-		}
-		return dst
-	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
-		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		return append(dst, Coord{t.Row, t.Col})
-	case arch.KindSingle:
-		dr, dc := c.Dir.Delta()
-		return append(dst, Coord{t.Row, t.Col}, Coord{t.Row + dr, t.Col + dc})
-	case arch.KindHex:
-		dr, dc := c.Dir.Delta()
-		half := a.HexLen / 2
-		return append(dst,
-			Coord{t.Row, t.Col},
-			Coord{t.Row + dr*half, t.Col + dc*half},
-			Coord{t.Row + dr*a.HexLen, t.Col + dc*a.HexLen})
+	s := d.shape(t.W)
+	switch s.long {
 	case arch.KindLongH:
-		for col := 0; col < d.Cols; col += a.LongAccessPeriod {
+		for col := 0; col < d.Cols; col += d.A.LongAccessPeriod {
 			dst = append(dst, Coord{t.Row, col})
 		}
-		return dst
 	case arch.KindLongV:
-		for row := 0; row < d.Rows; row += a.LongAccessPeriod {
+		for row := 0; row < d.Rows; row += d.A.LongAccessPeriod {
 			dst = append(dst, Coord{row, t.Col})
 		}
-		return dst
 	default:
-		return dst
+		for _, tp := range s.taps[:s.n] {
+			if r, c := t.Row+int(tp.dr), t.Col+int(tp.dc); d.onArray(r, c) {
+				dst = append(dst, Coord{r, c})
+			}
+		}
 	}
+	return dst
 }
 
 // TrackSpan returns the inclusive tile bounding box [r0,r1] x [c0,c1] of a
@@ -147,93 +203,53 @@ func (d *Device) AppendTaps(dst []Coord, t Track) []Coord {
 // just the tiles where it can be tapped or driven. A hex driven and tapped
 // outside a region still crosses every tile in between; region-scoped
 // rip-up and avoid-region routing both need that extent. Wires are straight
-// segments on this fabric, so the box is the track's canonical tile and its
-// far end, computed from the wire class as MinTapDistance is (the device
-// tests pin it to the bounding box of AppendTaps); a long line spans its whole
-// row or column. Tracks with no tap tiles (global clocks, present
-// everywhere) return ok=false.
+// segments on this fabric with a tap at each end, so the box is that of
+// its taps; a long line spans its whole row or column. Tracks with no tap
+// tiles (global clocks, present everywhere) return ok=false.
 func (d *Device) TrackSpan(t Track) (r0, c0, r1, c1 int, ok bool) {
-	a := d.A
-	c := a.ClassOf(t.W)
-	reach := 0
-	switch c.Kind {
+	s := d.shape(t.W)
+	switch s.long {
 	case arch.KindLongH:
 		return t.Row, 0, t.Row, d.Cols - 1, true
 	case arch.KindLongV:
 		return 0, t.Col, d.Rows - 1, t.Col, true
-	case arch.KindOutPin:
-		if t.Col+1 < d.Cols {
-			return t.Row, t.Col, t.Row, t.Col + 1, true // direct connect east
+	}
+	for _, tp := range s.taps[:s.n] {
+		r, c := t.Row+int(tp.dr), t.Col+int(tp.dc)
+		switch {
+		case !d.onArray(r, c):
+		case !ok:
+			r0, c0, r1, c1, ok = r, c, r, c, true
+		default:
+			r0, c0, r1, c1 = min(r0, r), min(c0, c), max(r1, r), max(c1, c)
 		}
-		return t.Row, t.Col, t.Row, t.Col, true
-	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
-		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		return t.Row, t.Col, t.Row, t.Col, true
-	case arch.KindSingle:
-		reach = 1
-	case arch.KindHex:
-		reach = a.HexLen
-	default:
-		return 0, 0, 0, 0, false
 	}
-	dr, dc := c.Dir.Delta()
-	r0, c0, r1, c1 = t.Row, t.Col, t.Row+dr*reach, t.Col+dc*reach
-	if r1 < r0 {
-		r0, r1 = r1, r0
-	}
-	if c1 < c0 {
-		c0, c1 = c1, c0
-	}
-	return r0, c0, r1, c1, true
+	return r0, c0, r1, c1, ok
 }
 
 // MinTapDistance returns the Manhattan distance from the nearest tap tile
 // of track t to tile c — "min over AppendTaps(t)" without a tap list —
 // that the search heuristics call once per frontier pop. Tracks with no tap
-// tiles (global clocks, reachable everywhere) return 0. The tap positions
-// mirror AppendTaps exactly; the device consistency tests pin the
-// correspondence.
+// tiles (global clocks, reachable everywhere) return 0.
 func (d *Device) MinTapDistance(t Track, c Coord) int {
-	a := d.A
-	cl := a.ClassOf(t.W)
-	md := func(r, co int) int { return absInt(r-c.Row) + absInt(co-c.Col) }
-	switch cl.Kind {
-	case arch.KindOutPin:
-		best := md(t.Row, t.Col)
-		if t.Col+1 < d.Cols {
-			if v := md(t.Row, t.Col+1); v < best {
-				best = v
-			}
-		}
-		return best
-	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
-		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		return md(t.Row, t.Col)
-	case arch.KindSingle:
-		dr, dc := cl.Dir.Delta()
-		best := md(t.Row, t.Col)
-		if v := md(t.Row+dr, t.Col+dc); v < best {
-			best = v
-		}
-		return best
-	case arch.KindHex:
-		dr, dc := cl.Dir.Delta()
-		half := a.HexLen / 2
-		best := md(t.Row, t.Col)
-		if v := md(t.Row+dr*half, t.Col+dc*half); v < best {
-			best = v
-		}
-		if v := md(t.Row+dr*a.HexLen, t.Col+dc*a.HexLen); v < best {
-			best = v
-		}
-		return best
+	s := d.shape(t.W)
+	switch s.long {
 	case arch.KindLongH:
-		return absInt(t.Row-c.Row) + nearestPeriodic(c.Col, a.LongAccessPeriod, d.Cols)
+		return absInt(t.Row-c.Row) + nearestPeriodic(c.Col, d.A.LongAccessPeriod, d.Cols)
 	case arch.KindLongV:
-		return absInt(t.Col-c.Col) + nearestPeriodic(c.Row, a.LongAccessPeriod, d.Rows)
-	default:
+		return absInt(t.Col-c.Col) + nearestPeriodic(c.Row, d.A.LongAccessPeriod, d.Rows)
+	}
+	if s.n == 0 {
 		return 0
 	}
+	best := absInt(t.Row-c.Row) + absInt(t.Col-c.Col) // tap 0, the canonical tile
+	for _, tp := range s.taps[1:s.n] {
+		r, co := t.Row+int(tp.dr), t.Col+int(tp.dc)
+		if v := absInt(r-c.Row) + absInt(co-c.Col); v < best && d.onArray(r, co) {
+			best = v
+		}
+	}
+	return best
 }
 
 // nearestPeriodic is the distance from x (assumed in [0, limit)) to the
@@ -257,112 +273,58 @@ func absInt(v int) int {
 	return v
 }
 
-// LocalName returns the name of canonical track t at tile tap, which must
-// be one of its tap tiles (or, for drive-only positions, an endpoint).
-// It returns arch.Invalid if t has no name there.
-func (d *Device) LocalName(t Track, tap Coord) arch.Wire {
-	a := d.A
-	c := a.ClassOf(t.W)
-	switch c.Kind {
-	case arch.KindOutPin:
-		if tap.Row == t.Row && tap.Col == t.Col {
-			return t.W
-		}
-		if tap.Row == t.Row && tap.Col == t.Col+1 {
-			return arch.OutAlias(c.Index)
-		}
-	case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
-		arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		if tap.Row == t.Row && tap.Col == t.Col {
-			return t.W
-		}
-	case arch.KindGClk:
-		return t.W
-	case arch.KindSingle:
-		dr, dc := c.Dir.Delta()
-		if tap.Row == t.Row && tap.Col == t.Col {
-			return t.W
-		}
-		if tap.Row == t.Row+dr && tap.Col == t.Col+dc {
-			return a.Single(c.Dir.Opposite(), c.Index)
-		}
-	case arch.KindHex:
-		dr, dc := c.Dir.Delta()
-		half := a.HexLen / 2
-		switch {
-		case tap.Row == t.Row && tap.Col == t.Col:
-			return t.W
-		case tap.Row == t.Row+dr*half && tap.Col == t.Col+dc*half:
-			return a.HexMid(c.Dir, c.Index)
-		case tap.Row == t.Row+dr*a.HexLen && tap.Col == t.Col+dc*a.HexLen:
-			return a.Hex(c.Dir.Opposite(), c.Index)
-		}
+// tapAt returns the tap of track t at tile at, if at is one of its taps.
+func (d *Device) tapAt(t Track, at Coord) (tap, bool) {
+	s := d.shape(t.W)
+	if !d.onArray(at.Row, at.Col) {
+		return tap{}, false
+	}
+	switch s.long {
 	case arch.KindLongH:
-		if tap.Row == t.Row {
-			return t.W
-		}
+		return s.taps[0], at.Row == t.Row && at.Col%d.A.LongAccessPeriod == 0
 	case arch.KindLongV:
-		if tap.Col == t.Col {
-			return t.W
+		return s.taps[0], at.Col == t.Col && at.Row%d.A.LongAccessPeriod == 0
+	}
+	dr, dc := at.Row-t.Row, at.Col-t.Col
+	for _, tp := range s.taps[:s.n] {
+		if int(tp.dr) == dr && int(tp.dc) == dc {
+			return tp, true
 		}
+	}
+	return tap{}, false
+}
+
+// LocalName returns the name of canonical track t at tile at, which must
+// be one of its tap tiles; a global clock has its own name everywhere.
+// It returns arch.Invalid if t has no name there.
+func (d *Device) LocalName(t Track, at Coord) arch.Wire {
+	if d.A.ClassOf(t.W).Kind == arch.KindGClk {
+		return t.W
+	}
+	if tp, ok := d.tapAt(t, at); ok {
+		return tp.name
 	}
 	return arch.Invalid
 }
 
-// DriveAllowedAt reports whether a PIP at tile `at` may drive track t:
-// singles at both endpoints; hexes at the origin always and at the far
-// endpoint only if the index is bidirectional; longs at access tiles; muxes
-// and pins only at their own tile; output pins and global clocks never
-// (they are sources).
+// DriveAllowedAt reports whether a PIP at tile `at` may drive canonical
+// track t: singles at both endpoints; hexes at the origin always and at the
+// far endpoint only if the index is bidirectional; longs at access tiles;
+// muxes and pins only at their own tile; output pins, pads' and block RAMs'
+// outputs and global clocks never (they are sources).
 func (d *Device) DriveAllowedAt(t Track, at Coord) bool {
-	a := d.A
-	c := a.ClassOf(t.W)
-	switch c.Kind {
-	case arch.KindOutMux, arch.KindInput, arch.KindCtrl:
-		return at.Row == t.Row && at.Col == t.Col
-	case arch.KindIOBOut:
-		return at.Row == t.Row && at.Col == t.Col && d.boundary(at.Row, at.Col)
-	case arch.KindBRAMIn, arch.KindBRAMClk:
-		return at.Row == t.Row && at.Col == t.Col && a.BRAMColumn(at.Col)
-	case arch.KindSingle:
-		dr, dc := c.Dir.Delta()
-		return (at.Row == t.Row && at.Col == t.Col) ||
-			(at.Row == t.Row+dr && at.Col == t.Col+dc)
-	case arch.KindHex:
-		if at.Row == t.Row && at.Col == t.Col {
-			return true
-		}
-		dr, dc := c.Dir.Delta()
-		return a.HexBidirectional(c.Index) &&
-			at.Row == t.Row+dr*a.HexLen && at.Col == t.Col+dc*a.HexLen
-	case arch.KindLongH:
-		return at.Row == t.Row && at.Col%a.LongAccessPeriod == 0
-	case arch.KindLongV:
-		return at.Col == t.Col && at.Row%a.LongAccessPeriod == 0
-	default:
-		return false
-	}
+	tp, ok := d.tapAt(t, at)
+	return ok && tp.drive
 }
 
-// TapAllowedAt reports whether a PIP at tile `at` may use track t as its
-// source. Inputs and control pins are pure sinks; global clocks may be
-// tapped at any tile (onto clock pins only).
+// TapAllowedAt reports whether a PIP at tile `at` may use canonical track t
+// as its source: at any of its taps unless it is a sink pin; global clocks
+// at any tile (onto clock pins only).
 func (d *Device) TapAllowedAt(t Track, at Coord) bool {
-	c := d.A.ClassOf(t.W)
-	switch c.Kind {
-	case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
-		return false
-	case arch.KindIOBIn:
-		return at.Row == t.Row && at.Col == t.Col && d.boundary(at.Row, at.Col)
-	case arch.KindBRAMOut:
-		return at.Row == t.Row && at.Col == t.Col && d.A.BRAMColumn(at.Col)
-	case arch.KindGClk:
-		return at.Row >= 0 && at.Row < d.Rows && at.Col >= 0 && at.Col < d.Cols
-	case arch.KindLongH:
-		return at.Row == t.Row && at.Col%d.A.LongAccessPeriod == 0
-	case arch.KindLongV:
-		return at.Col == t.Col && at.Row%d.A.LongAccessPeriod == 0
-	default:
-		return d.LocalName(t, at) != arch.Invalid
+	k := d.A.ClassOf(t.W).Kind
+	if k == arch.KindGClk {
+		return d.onArray(at.Row, at.Col)
 	}
+	_, ok := d.tapAt(t, at)
+	return ok && !k.IsSink()
 }

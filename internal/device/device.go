@@ -36,8 +36,9 @@ type Device struct {
 	A          *arch.Arch
 	Rows, Cols int
 
-	slots int       // A.Slots(): TrackIndex's stride
-	adjc  *adjCache // PIP-choice adjacency, shared per (arch, size)
+	slots  int        // A.Slots(): TrackIndex's stride
+	adjc   *adjCache  // PIP-choice adjacency, shared per (arch, size)
+	shapes []tapShape // by wire; see canon.go
 
 	bits   *bitstream.Bitstream
 	layout bitLayout
@@ -94,6 +95,7 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 	}
 	d.bits = bits
 	d.adjc = adjCacheFor(a, rows, cols)
+	d.shapes = d.adjc.shapes
 	return d, nil
 }
 

@@ -55,6 +55,40 @@ func TestTrackSpanMatchesTaps(t *testing.T) {
 	}
 }
 
+// TestMinTapDistanceMatchesTaps pins MinTapDistance, the search
+// heuristic's call on every frontier pop, to the minimum distance over
+// AppendTaps (0 for a track with no taps) from every tile, for every wire
+// at every tile of a 12×12 device of each architecture.
+func TestMinTapDistanceMatchesTaps(t *testing.T) {
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		side := max(12, 2*a.HexLen)
+		d, err := New(a, side, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var taps []Coord
+		for tile := 0; tile < side*side; tile++ {
+			for w := 0; w < a.WireCount(); w++ {
+				tr := Track{Row: tile / side, Col: tile % side, W: arch.Wire(w)}
+				taps = d.AppendTaps(taps[:0], tr)
+				for to := 0; to < side*side; to++ {
+					c := Coord{to / side, to % side}
+					want := 0
+					for i, tp := range taps {
+						if v := absInt(tp.Row-c.Row) + absInt(tp.Col-c.Col); i == 0 || v < want {
+							want = v
+						}
+					}
+					if got := d.MinTapDistance(tr, c); got != want {
+						t.Fatalf("%s: MinTapDistance(%v %s, %v) = %d, taps %v say %d",
+							a.Name, tr, a.WireName(tr.W), c, got, taps, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // growNets turns on random legal PIPs, each sourced from an output pin or
 // from a track already driven, so nets grow past their first wire onto
 // singles, hexes and long lines.

@@ -216,6 +216,32 @@ func (d *Device) DriverOf(t Track) (PIP, bool) {
 	return d.driverAt(i), true
 }
 
+// RootOf walks the driver chain of canonical track t back to its root, the
+// first track on it that no on-PIP drives, and returns the root; if pips is
+// not nil, the chain's PIPs are appended to *pips, t's driver first. It
+// allocates nothing beyond *pips' growth. A track has one driver, so a
+// chain of more PIPs than are on has closed on itself: the walk stops
+// there and reports loop, with t as the root — a loop has none.
+func (d *Device) RootOf(t Track, pips *[]PIP) (root Track, loop bool) {
+	i, ok := d.index(t)
+	if !ok {
+		return t, false
+	}
+	root = t
+	for hops := 0; d.Driven(i); hops++ {
+		if hops == d.onPIPs {
+			return t, true
+		}
+		p := d.driverAt(i)
+		if pips != nil {
+			*pips = append(*pips, p)
+		}
+		root, _ = d.CanonOK(p.Row, p.Col, p.From) // SetPIP resolved it
+		i = d.TrackIndex(root)
+	}
+	return root, false
+}
+
 // FanoutOf returns the on-PIPs sourced from a track, oldest first (see
 // unlink for what a ClearPIP does to the order). The returned slice is a
 // copy.

@@ -175,7 +175,9 @@ func hopCost(k arch.Kind) int {
 
 // timingCost assigns per-hop costs in tenths of a nanosecond, mirroring
 // the timing.Default model (kept numerically independent to avoid an
-// import cycle; timing's tests pin the correspondence).
+// import cycle). No test pins the two tables to each other —
+// TestKindCostModels checks only their ratios; ROADMAP's "Two delay
+// models" finding weighs one per-kind delay table in arch instead.
 func timingCost(k arch.Kind) int {
 	switch k {
 	case arch.KindSingle:

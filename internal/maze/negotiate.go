@@ -609,7 +609,7 @@ func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32, pipBuf []
 			}
 			w.cur.add(k)
 			used = append(used, k)
-			if !isNetEndpointKind(dev.A.ClassOf(t.W).Kind) {
+			if !dev.A.ClassOf(t.W).Kind.IsSink() {
 				// sinks are not reusable as sources
 				w.netTracks = append(w.netTracks, t)
 			}

@@ -121,7 +121,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 				}
 				// Do not route through CLB pins: they are net
 				// endpoints, not thoroughfares.
-				if isNetEndpointKind(e.Kind) {
+				if e.Kind.IsSink() {
 					continue
 				}
 			}
@@ -233,7 +233,7 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 				if !refAllowKind(st.opt, e.Kind) {
 					continue
 				}
-				if isNetEndpointKind(e.Kind) {
+				if e.Kind.IsSink() {
 					continue
 				}
 			}
@@ -325,7 +325,7 @@ func occupy(t testing.TB, geom int, script []byte) *searchFabric {
 			if err := dev.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
 				t.Fatalf("occupying: %v", err)
 			}
-			if to, _ := dev.CanonOK(p.Row, p.Col, p.To); !isNetEndpointKind(dev.A.ClassOf(to.W).Kind) {
+			if to, _ := dev.CanonOK(p.Row, p.Col, p.To); !dev.A.ClassOf(to.W).Kind.IsSink() {
 				tracks = append(tracks, to)
 			}
 		}

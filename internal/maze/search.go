@@ -15,17 +15,6 @@ func abs(v int) int {
 	return v
 }
 
-// isNetEndpointKind reports whether a resource kind is a net endpoint (CLB
-// or IOB or BRAM input side) that must never be routed *through*.
-func isNetEndpointKind(k arch.Kind) bool {
-	switch k {
-	case arch.KindInput, arch.KindCtrl, arch.KindIOBOut, arch.KindBRAMIn, arch.KindBRAMClk:
-		return true
-	default:
-		return false
-	}
-}
-
 // nKinds sizes the per-kind tables; arch.Kind is dense and ends at
 // KindBRAMOut.
 const nKinds = int(arch.KindBRAMOut) + 1
@@ -48,13 +37,13 @@ func hopTable(cost func(arch.Kind) int) (t [nKinds]int32) {
 	return t
 }
 
-// passTable marks the kinds a route may pass through: never a net endpoint
+// passTable marks the kinds a route may pass through: never a sink pin
 // (CLB pins are not thoroughfares), and a long line only when asked for.
 func passTable(longs bool) (t [nKinds]bool) {
 	for k := range t {
 		kind := arch.Kind(k)
 		long := kind == arch.KindLongH || kind == arch.KindLongV
-		t[k] = !isNetEndpointKind(kind) && (longs || !long)
+		t[k] = !kind.IsSink() && (longs || !long)
 	}
 	return t
 }

@@ -156,21 +156,9 @@ func (s *Simulator) outPinValue(t device.Track) bool {
 // rootValue resolves the value carried by a track by walking its driver
 // chain to the source.
 func (s *Simulator) rootValue(t device.Track) bool {
-	for hops := 0; ; hops++ {
-		if hops > 4096 {
-			// Defensive: driver chains are acyclic by construction
-			// (a track has one driver and PIPs cannot form a loop
-			// without contention), but guard anyway.
-			return false
-		}
-		p, ok := s.dev.DriverOf(t)
-		if !ok {
-			break
-		}
-		t, ok = s.dev.CanonOK(p.Row, p.Col, p.From)
-		if !ok {
-			return false
-		}
+	t, loop := s.dev.RootOf(t, nil)
+	if loop {
+		return false // a routing loop has no source to carry
 	}
 	switch s.dev.A.ClassOf(t.W).Kind {
 	case arch.KindOutPin:

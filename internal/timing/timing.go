@@ -77,26 +77,18 @@ func (m Model) SinkDelay(dev *device.Device, sink core.Pin) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := 0.0
-	hops := 0
-	for {
-		p, ok := dev.DriverOf(cur)
-		if !ok {
-			break
-		}
-		total += m.PIPDelay(dev.A, p)
-		hops++
-		if hops > 4096 {
-			return 0, fmt.Errorf("timing: driver chain too long at %v", sink)
-		}
-		cur, err = dev.Canon(p.Row, p.Col, p.From)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if hops == 0 {
+	var chain []device.PIP
+	switch _, loop := dev.RootOf(cur, &chain); {
+	case loop:
+		return 0, fmt.Errorf("timing: %s at (%d,%d) is on a routing loop",
+			dev.A.WireName(sink.W), sink.Row, sink.Col)
+	case len(chain) == 0:
 		return 0, fmt.Errorf("timing: %s at (%d,%d) is not routed",
 			dev.A.WireName(sink.W), sink.Row, sink.Col)
+	}
+	total := 0.0
+	for _, p := range chain {
+		total += m.PIPDelay(dev.A, p)
 	}
 	return total, nil
 }
