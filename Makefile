@@ -119,17 +119,17 @@ prof-batch:
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/batch-mem.prof
 
-# prof-search does the same for BenchmarkAStar (internal/maze: 256 seeded
-# pairs searched on a blank 64×96 array, the A* kernel under p2p_cold,
-# where MinTapDistance runs on every frontier pop), live-heap and
-# allocated-object top 10s included. The root package's
-# BenchmarkAutoMazeOnly does not serve here: it routes one pair over and
-# over, so after its first iteration every route is an exact-cache replay
-# and the search is absent from its profile. Its files in PROF_DIR are
-# maze.test, search-cpu.prof and search-mem.prof.
+# prof-search does the same for BenchmarkAStar's loaded row (internal/maze:
+# 256 seeded pairs searched on a 64×96 array that 400 live nets occupy, the
+# p2p_cold shape, so the profile carries the tail of long, obstructed
+# searches the workload pays for), live-heap and allocated-object top 10s
+# included. The root package's B2 rows (BenchmarkAutoMazeOnly and its
+# siblings) route one pair on a fresh router each iteration: they time one
+# search of one shape, not this mix. Its files in PROF_DIR are maze.test,
+# search-cpu.prof and search-mem.prof.
 prof-search:
 	mkdir -p $(PROF_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkAStar$$' -benchtime 3s -o $(PROF_DIR)/maze.test \
+	$(GO) test -run '^$$' -bench '^BenchmarkAStar$$/^loaded$$' -benchtime 3s -o $(PROF_DIR)/maze.test \
 		-cpuprofile $(PROF_DIR)/search-cpu.prof -memprofile $(PROF_DIR)/search-mem.prof ./internal/maze
 	$(GO) tool pprof -top -nodecount=25 $(PROF_DIR)/maze.test $(PROF_DIR)/search-cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=inuse_space $(PROF_DIR)/maze.test $(PROF_DIR)/search-mem.prof

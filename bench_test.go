@@ -111,9 +111,12 @@ func BenchmarkLevelAuto(b *testing.B) {
 
 // --- B2: template-first vs maze algorithms across distance ------------------
 
+// benchAutoAt routes and unroutes one pair dist tiles apart an iteration,
+// each on a router made outside the timer for that iteration: a router that
+// has seen the pair replays it from its route cache, and the algorithm the
+// row names would not run.
 func benchAutoAt(b *testing.B, alg core.Algorithm, dist int) {
 	d := mustDevice(b, 32, 48)
-	r := core.New(d, core.WithAlgorithm(alg))
 	gen := workload.ForDevice(1, d)
 	src, sink, err := gen.Pair(dist)
 	if err != nil {
@@ -121,11 +124,17 @@ func benchAutoAt(b *testing.B, alg core.Algorithm, dist int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := core.New(d, core.WithAlgorithm(alg))
+		b.StartTimer()
 		if err := r.RouteNet(src, sink); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.Unroute(src); err != nil {
 			b.Fatal(err)
+		}
+		if hits := r.Stats().CacheHits; hits != 0 {
+			b.Fatalf("%d routes replayed from the route cache", hits)
 		}
 	}
 }

@@ -364,7 +364,7 @@ func (r *Router) forget(c *Connection) {
 func (r *Router) RipUpRegion(row, col, height, width int) (ripped []*Connection, err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	return r.ripRegion(row, col, height, width, nil)
+	return r.ripRegion(nil, row, col, height, width, nil)
 }
 
 // UnrouteWithin unroutes the live records made after number since (see Seq)
@@ -375,11 +375,13 @@ func (r *Router) UnrouteWithin(row, col, height, width int, since uint64) (err e
 	r.enterOp()
 	defer r.exitOp(&err)
 	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
-	_, err = r.ripRegion(row, col, height, width, func(c *Connection) bool {
+	ripped, err := r.ripRegion(r.rippedBuf[:0], row, col, height, width, func(c *Connection) bool {
 		src, sinks, ok := c.pins()
 		return ok && c.seq > since && (c.kind == clockRec || rect.Contains(src.Row, src.Col)) &&
 			!slices.ContainsFunc(sinks, func(p Pin) bool { return !rect.Contains(p.Row, p.Col) })
 	})
+	clear(ripped) // the scratch holds no retired record alive
+	r.rippedBuf = ripped[:0]
 	return err
 }
 
@@ -387,8 +389,8 @@ func (r *Router) UnrouteWithin(row, col, height, width int, since uint64) (err e
 func (r *Router) Seq() uint64 { return r.conns.seq }
 
 // ripRegion unroutes, oldest first, the records RipUpRegion's fabric read
-// finds that keep (if not nil) accepts.
-func (r *Router) ripRegion(row, col, height, width int, keep func(*Connection) bool) (ripped []*Connection, err error) {
+// finds that keep (if not nil) accepts, and returns them in dst's storage.
+func (r *Router) ripRegion(dst []*Connection, row, col, height, width int, keep func(*Connection) bool) (ripped []*Connection, err error) {
 	r.regionBuf = r.Dev.AppendTracksOver(r.regionBuf[:0], row, col, height, width)
 	roots := r.rootBuf[:0]
 	for _, t := range r.regionBuf {
@@ -400,6 +402,7 @@ func (r *Router) ripRegion(row, col, height, width int, keep func(*Connection) b
 	r.rootBuf = roots
 	rect := maze.Rect{Row: row, Col: col, Height: height, Width: width}
 	tapIn := func(p Pin) bool { return rect.Contains(p.Row, p.Col) }
+	ripped = dst[:0]
 	for _, root := range roots {
 		for c := r.conns.bucket(root); c != nil; c = c.srcNext {
 			r.stats.RecordsVisited++

@@ -247,6 +247,7 @@ type Router struct {
 	portBuf    []*Port         // connectionPorts
 	regionBuf  []device.Track  // RipUpRegion: tracks over the rectangle
 	rootBuf    []int32         // RipUpRegion: their nets' root track indices
+	rippedBuf  []*Connection   // UnrouteWithin: the records it takes
 	tapBuf     []device.Coord  // pathStep: the current track's taps
 	reconnBuf  []*Connection   // Reconnect: the port's memory as it began
 	memFree    [][]*Connection // remember: port-memory lists forget emptied

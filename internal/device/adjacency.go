@@ -10,30 +10,61 @@ import (
 
 // Edge is one architecture-legal expansion from a track, in the compact
 // form the search loops stream through: the PIP to turn on and the
-// canonical track it drives, 16 bytes where PIP plus Track are 48. Tiles
+// canonical track it drives, 20 bytes where PIP plus Track are 48. Tiles
 // are stored relative to the source track's canonical tile, which makes the
 // adjacency of two tiles that sit alike on the array — same distances to
 // the nearby edges, same phase in the long-line and block-RAM periods —
 // identical, so they share one chunk (see adjCache). A long line's fixed
 // coordinate is the exception: a horizontal long is canonical at column 0
 // and a vertical one at row 0 wherever it is driven from, so that
-// coordinate is absolute. Only a choice that survives the search filters
-// is widened to a PIP.
+// coordinate is absolute. The driven track's TrackIndex is stored too, as
+// Delta from one of the source tile's Bases, so a search reads an edge's
+// target without widening it. Only a choice that survives the search
+// filters is widened to a PIP or a Track.
 type Edge struct {
 	TRow, TCol int16     // canonical tile of the driven track, relative
 	PRow, PCol int16     // tile of the PIP, relative
 	TW         uint16    // canonical wire of the driven track
 	From, To   uint16    // the PIP's local wires at its tile
 	Kind       arch.Kind // ClassOf(TW).Kind
+	Base       uint8     // the Bases entry Delta is from: BaseTile, BaseRow or BaseCol
+	Delta      int32     // TrackIndex of the driven track, less that base
 }
 
+// Bases are the three track indices of a tile that an edge's target index
+// is relative to: the tile's first slot, the first slot of its row (where a
+// horizontal long line is canonical), and the first slot of its column in
+// row 0 (where a vertical one is). Like the edges' tile offsets they make
+// Delta the same at every tile that shares a chunk.
+type Bases [3]int32
+
+// The entries of Bases.
+const (
+	BaseTile = iota
+	BaseRow
+	BaseCol
+)
+
+// BasesAt returns the bases of tile at.
+func (d *Device) BasesAt(at Coord) Bases {
+	return Bases{
+		BaseTile: int32((at.Row*d.Cols + at.Col) * d.slots),
+		BaseRow:  int32(at.Row * d.Cols * d.slots),
+		BaseCol:  int32(at.Col * d.slots),
+	}
+}
+
+// TargetIndex is TrackIndex(e.Target(at)) for an edge of a track canonical
+// at tile at, given b = BasesAt(at).
+func (e *Edge) TargetIndex(b *Bases) int32 { return b[e.Base] + e.Delta }
+
 // PIP widens the PIP of an edge of a track canonical at tile at.
-func (e Edge) PIP(at Coord) PIP {
+func (e *Edge) PIP(at Coord) PIP {
 	return PIP{Row: at.Row + int(e.PRow), Col: at.Col + int(e.PCol), From: arch.Wire(e.From), To: arch.Wire(e.To)}
 }
 
 // Target widens the track driven by an edge of a track canonical at tile at.
-func (e Edge) Target(at Coord) Track {
+func (e *Edge) Target(at Coord) Track {
 	t := Track{Row: at.Row + int(e.TRow), Col: at.Col + int(e.TCol), W: arch.Wire(e.TW)}
 	switch e.Kind {
 	case arch.KindLongH:
@@ -144,7 +175,7 @@ func (d *Device) EdgesAt(i int32) ([]Edge, Coord) {
 
 // Edges is EdgesAt for a track; nil if t is not on the array.
 func (d *Device) Edges(t Track) ([]Edge, Coord) {
-	i, ok := d.index(t)
+	i, ok := d.TrackIndexOK(t)
 	if !ok {
 		return nil, Coord{}
 	}
@@ -157,9 +188,10 @@ func (c *adjCache) intern(ch *adjChunk) *adjChunk {
 	for _, o := range ch.off {
 		h = (h ^ uint64(o)) * 0x100000001b3
 	}
-	for _, e := range ch.edges {
+	for i := range ch.edges {
+		e := &ch.edges[i]
 		h = (h ^ (uint64(uint16(e.TRow)) | uint64(uint16(e.TCol))<<16 | uint64(uint16(e.PRow))<<32 | uint64(uint16(e.PCol))<<48)) * 0x100000001b3
-		h = (h ^ (uint64(e.TW) | uint64(e.From)<<16 | uint64(e.To)<<32 | uint64(e.Kind)<<48)) * 0x100000001b3
+		h = (h ^ (uint64(e.TW) | uint64(e.From)<<16 | uint64(e.To)<<32 | uint64(e.Kind)<<48 | uint64(e.Base)<<56) ^ uint64(uint32(e.Delta))<<8) * 0x100000001b3
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,13 +213,14 @@ func (d *Device) deriveChunk(tile int) *adjChunk {
 		edges: make([]Edge, 0, 24*d.slots), // a Virtex tile has ~3600; intern trims
 	}
 	taps := make([]Coord, 0, max(d.Rows, d.Cols)) // a long line's taps at most
+	bases := d.BasesAt(Coord{row, col})
 	for s := range d.slots {
 		ch.off[s] = uint32(len(ch.edges))
 		w := d.A.SlotWire(s)
 		t := Track{row, col, w}
 		if c, ok := d.CanonOK(row, col, w); ok && c == t {
 			taps = d.AppendTaps(taps[:0], t)
-			ch.edges = d.derivePIPChoices(ch.edges, t, taps)
+			ch.edges = d.derivePIPChoices(ch.edges, t, taps, &bases)
 		}
 	}
 	ch.off[d.slots] = uint32(len(ch.edges))
@@ -196,8 +229,9 @@ func (d *Device) deriveChunk(tile int) *adjChunk {
 
 // derivePIPChoices is the derivation step: walk the track's tap tiles,
 // resolve its local name there, and append each architecture-legal fanout
-// target that exists on the array and may be driven at that tile.
-func (d *Device) derivePIPChoices(out []Edge, t Track, taps []Coord) []Edge {
+// target that exists on the array and may be driven at that tile. b is
+// BasesAt the track's tile.
+func (d *Device) derivePIPChoices(out []Edge, t Track, taps []Coord, b *Bases) []Edge {
 	for _, tap := range taps {
 		f := d.LocalName(t, tap)
 		if f == arch.Invalid {
@@ -219,10 +253,11 @@ func (d *Device) derivePIPChoices(out []Edge, t Track, taps []Coord) []Edge {
 			}
 			switch e.Kind {
 			case arch.KindLongH:
-				e.TCol = 0
+				e.TCol, e.Base = 0, BaseRow
 			case arch.KindLongV:
-				e.TRow = 0
+				e.TRow, e.Base = 0, BaseCol
 			}
+			e.Delta = d.TrackIndex(to) - b[e.Base]
 			out = append(out, e)
 		}
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -32,7 +33,7 @@ func TestTrackIndexBoundsAndUniqueness(t *testing.T) {
 			for col := 0; col < d.Cols; col++ {
 				for w := 0; w < a.WireCount(); w++ {
 					tr := Track{Row: row, Col: col, W: arch.Wire(w)}
-					if _, ok := d.index(tr); ok != a.IsCanonicalWire(tr.W) {
+					if _, ok := d.TrackIndexOK(tr); ok != a.IsCanonicalWire(tr.W) {
 						t.Fatalf("%s: index(%v %s) ok = %v", a.Name, tr, a.WireName(tr.W), ok)
 					}
 					// Count each physical track once, at its canonical name.
@@ -277,4 +278,82 @@ func TestAppendVariantsMatchCopying(t *testing.T) {
 	if len(out) != 1+len(all) || out[0] != (PIP{Row: 9, Col: 9}) {
 		t.Error("AppendAllOnPIPs clobbered the caller prefix")
 	}
+}
+
+// TestEdgeTargetIndex: every edge of every track carries its target's
+// TrackIndex, relative to the right one of its tile's Bases, so that tiles
+// alike share their chunk — on the 64×96
+// Virtex array, on Kestrel, and on an odd-sized Virtex array whose sides
+// are no multiple of the long-line access period. The horizontal long line
+// of every row and the vertical one of every column is driven by some edge
+// and so checked. The test is one goroutine, so the race detector learns
+// nothing from the 22 M edges of the large array and skips it.
+func TestEdgeTargetIndex(t *testing.T) {
+	for _, g := range []struct {
+		a          *arch.Arch
+		rows, cols int
+	}{{arch.NewVirtex(), 64, 96}, {arch.NewKestrel(), 12, 16}, {arch.NewVirtex(), 13, 19}} {
+		if raceEnabled && g.rows*g.cols > 1000 {
+			continue
+		}
+		d, err := New(g.a, g.rows, g.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		longRows, longCols := make([]bool, g.rows), make([]bool, g.cols)
+		edges := 0
+		for i := int32(0); int(i) < d.NumTracks(); i++ {
+			es, at := d.EdgesAt(i)
+			b := d.BasesAt(at)
+			for _, e := range es {
+				to := e.Target(at)
+				if got, want := e.TargetIndex(&b), d.TrackIndex(to); got != want {
+					t.Fatalf("%s %dx%d: edge %v of %v at %v: TargetIndex %d, TrackIndex(Target) %d",
+						g.a.Name, g.rows, g.cols, e, d.TrackAt(i), at, got, want)
+				}
+				switch e.Kind {
+				case arch.KindLongH:
+					longRows[to.Row] = true
+				case arch.KindLongV:
+					longCols[to.Col] = true
+				}
+				edges++
+			}
+		}
+		if edges == 0 || slices.Contains(longRows, false) || slices.Contains(longCols, false) {
+			t.Fatalf("%s %dx%d: %d edges; horizontal long lines driven by row %v, vertical by column %v",
+				g.a.Name, g.rows, g.cols, edges, longRows, longCols)
+		}
+		// A delta from the wrong base still decodes, because it is worked
+		// out at each tile, but it then differs between tiles that sit
+		// alike, and they stop sharing a chunk: chunks that are alike but
+		// for their deltas must be one chunk.
+		chunks, alike := map[*adjChunk]bool{}, map[uint64]bool{}
+		for tile := range d.adjc.chunks {
+			ch := d.adjc.chunks[tile].Load()
+			if !chunks[ch] {
+				chunks[ch] = true
+				alike[hashSansDeltas(ch)] = true
+			}
+		}
+		if len(chunks) != len(alike) {
+			t.Fatalf("%s %dx%d: %d chunks, %d of them alike but for their deltas",
+				g.a.Name, g.rows, g.cols, len(chunks), len(alike))
+		}
+	}
+}
+
+// hashSansDeltas hashes a chunk as intern does, leaving out each edge's
+// Base and Delta.
+func hashSansDeltas(ch *adjChunk) uint64 {
+	h := uint64(len(ch.edges))
+	mix := func(v uint64) { h = (h ^ v) * 0x100000001b3 }
+	for _, o := range ch.off {
+		mix(uint64(o))
+	}
+	for _, e := range ch.edges {
+		mix(uint64(uint16(e.TRow)) | uint64(uint16(e.TCol))<<16 | uint64(uint16(e.PRow))<<32 | uint64(uint16(e.PCol))<<48)
+		mix(uint64(e.TW) | uint64(e.From)<<16 | uint64(e.To)<<32 | uint64(e.Kind)<<48)
+	}
+	return h
 }

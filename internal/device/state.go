@@ -38,10 +38,10 @@ type tilePage struct {
 	slots []trackSlot
 }
 
-// index is TrackIndex with a range check, for tracks that come from callers.
-// An alias name has no slot of its own; TrackIndex would file it under a
-// neighbouring track's.
-func (d *Device) index(t Track) (int32, bool) {
+// TrackIndexOK is TrackIndex with a range check, for tracks that come from
+// callers. An alias name has no slot of its own; TrackIndex would file it
+// under a neighbouring track's.
+func (d *Device) TrackIndexOK(t Track) (int32, bool) {
 	if t.Row < 0 || t.Row >= d.Rows || t.Col < 0 || t.Col >= d.Cols || d.A.SlotOf(t.W) < 0 {
 		return 0, false
 	}
@@ -83,7 +83,7 @@ func (d *Device) driverAt(i int32) PIP {
 
 // headOf returns the fanout-list head link of track t: 0 if t drives nothing.
 func (d *Device) headOf(t Track) int32 {
-	i, ok := d.index(t)
+	i, ok := d.TrackIndexOK(t)
 	if !ok {
 		return 0
 	}
@@ -203,13 +203,13 @@ func (d *Device) IsOn(row, col int, w arch.Wire) bool {
 // it sources at least one on-PIP (output pins, for instance, are never
 // driven but are in use once routed).
 func (d *Device) InUse(t Track) bool {
-	i, ok := d.index(t)
+	i, ok := d.TrackIndexOK(t)
 	return ok && (d.Driven(i) || d.headOf(t) != 0)
 }
 
 // DriverOf returns the PIP driving a track, if any.
 func (d *Device) DriverOf(t Track) (PIP, bool) {
-	i, ok := d.index(t)
+	i, ok := d.TrackIndexOK(t)
 	if !ok || !d.Driven(i) {
 		return PIP{}, false
 	}
@@ -223,7 +223,7 @@ func (d *Device) DriverOf(t Track) (PIP, bool) {
 // chain of more PIPs than are on has closed on itself: the walk stops
 // there and reports loop, with t as the root — a loop has none.
 func (d *Device) RootOf(t Track, pips *[]PIP) (root Track, loop bool) {
-	i, ok := d.index(t)
+	i, ok := d.TrackIndexOK(t)
 	if !ok {
 		return t, false
 	}

@@ -30,21 +30,22 @@ func pooled[T any](p *sync.Pool) *T {
 // The search arena is the zero-steady-state-allocation scratch space behind
 // every maze search. The seed implementation allocated three fresh
 // map[device.Key] tables and one boxed heap node per frontier push on every
-// call; the arena replaces the maps with flat slices indexed by the compact
-// device.TrackIndex and the boxed nodes with a value heap, and is recycled
-// through a sync.Pool so steady-state searches allocate nothing.
+// call; the arena replaces the maps with one flat slice of cells indexed by
+// the compact device.TrackIndex and the boxed nodes with a value heap, and
+// is recycled through a sync.Pool so steady-state searches allocate nothing.
 //
 // Staleness is handled by epoch stamping: begin() bumps the generation, and
-// a slot's g/prev/via values are only meaningful when its stamp equals the
-// current epoch — so "clearing" the tables between searches is O(1).
+// a cell's g/prev/via values are only meaningful when its stamp equals the
+// current epoch — so "clearing" the table between searches is O(1).
 //
 // Every table here, the mark sets and the congestion table are as narrow as
 // their values allow: they are device-sized and a process keeps several
 // (one set per negotiation worker), so each byte per track is 1.0 MB on a
 // 64×96 array. Costs are int32 — every hop, heuristic and surcharge term is
-// an integer — so an arena is 12 bytes a track and a heap item 12 bytes.
-// Stamps are 16 bits, paying one O(n) clear when the epoch wraps, every
-// 65 535 generations.
+// an integer — so a cell is 12 bytes and a heap item 12 bytes. A track's
+// search state is one cell, so the loop's seen-and-cheaper test and its
+// visit touch one cache line. Stamps are 16 bits, paying one O(n) clear
+// when the epoch wraps, every 65 535 generations.
 
 // heapItem is one frontier entry of the best-first search: a track by its
 // device.TrackIndex, which addresses both the arena and the adjacency.
@@ -55,15 +56,24 @@ type heapItem struct {
 	g, f int32
 }
 
+// cell is the search state of one track.
+type cell struct {
+	g     int32  // best path cost found so far
+	prev  int32  // predecessor track index; -1 for search sources
+	stamp uint16 // epoch of the search that wrote g, prev and via
+	via   uint16 // ordinal of the edge, in EdgesAt(prev) order, that reached the track
+}
+
 // arena is the reusable scratch state of one search.
 type arena struct {
-	n     int
 	epoch uint16
-	stamp []uint16   // epoch mark per track index
-	g     []int32    // best path cost found so far
-	prev  []int32    // predecessor track index; -1 for search sources
-	via   []uint16   // ordinal of the edge, in EdgesAt(prev) order, that reached the track
+	cells []cell     // by track index
 	heap  []heapItem // frontier backing storage, reused across searches
+
+	// est is the weighted heuristic by tap distance, 0..rows+cols, for the
+	// policy and geometry in estFor; see policy.estimate.
+	est    []int32
+	estFor estKey
 }
 
 // getArena returns a pooled arena ready for a fresh search over n tracks.
@@ -76,27 +86,23 @@ func getArena(n int) *arena {
 
 func putArena(ar *arena) { arenaPool.Put(ar) }
 
-// ensure sizes the tables for n tracks. Growing reallocates (zeroed stamps
+// ensure sizes the table for n tracks. Growing reallocates (zeroed stamps
 // restart the epoch); shrinking never happens — a large-device arena serves
 // small devices fine.
 func (ar *arena) ensure(n int) {
-	if ar.n >= n {
+	if len(ar.cells) >= n {
 		return
 	}
-	ar.stamp = make([]uint16, n)
-	ar.g = make([]int32, n)
-	ar.prev = make([]int32, n)
-	ar.via = make([]uint16, n)
+	ar.cells = make([]cell, n)
 	ar.epoch = 0
-	ar.n = n
 }
 
 // begin opens a new search generation: every previous mark becomes stale.
 func (ar *arena) begin() {
 	ar.epoch++
 	if ar.epoch == 0 { // wrapped: pay one O(n) clear
-		for i := range ar.stamp {
-			ar.stamp[i] = 0
+		for i := range ar.cells {
+			ar.cells[i].stamp = 0
 		}
 		ar.epoch = 1
 	}
@@ -104,16 +110,13 @@ func (ar *arena) begin() {
 }
 
 // seen reports whether track i was reached in this generation.
-func (ar *arena) seen(i int32) bool { return ar.stamp[i] == ar.epoch }
+func (ar *arena) seen(i int32) bool { return ar.cells[i].stamp == ar.epoch }
 
 // visit records the best-known path to track i: reached at cost g over
 // edge via of track prev. A track has at most a few hundred edges (a long
 // line's taps along its row), so the ordinal fits 16 bits.
 func (ar *arena) visit(i int32, g int32, prev int32, via int) {
-	ar.stamp[i] = ar.epoch
-	ar.g[i] = g
-	ar.prev[i] = prev
-	ar.via[i] = uint16(via)
+	ar.cells[i] = cell{g: g, prev: prev, stamp: ar.epoch, via: uint16(via)}
 }
 
 // reconstruct walks prev links from the sink back to a source and appends
@@ -121,67 +124,64 @@ func (ar *arena) visit(i int32, g int32, prev int32, via int) {
 // outlives the arena, so its caller says where it goes.
 func (ar *arena) reconstruct(dst []device.PIP, dev *device.Device, sink int32) []device.PIP {
 	n := 0
-	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
+	for k := sink; ar.cells[k].prev >= 0; k = ar.cells[k].prev {
 		n++
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
-	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
+	for k := sink; ar.cells[k].prev >= 0; k = ar.cells[k].prev {
 		n--
-		edges, at := dev.EdgesAt(ar.prev[k])
-		dst[base+n] = edges[ar.via[k]].PIP(at)
+		c := &ar.cells[k]
+		edges, at := dev.EdgesAt(c.prev)
+		dst[base+n] = edges[c.via].PIP(at)
 	}
 	return dst
 }
 
 // push and pop implement a binary min-heap on f with exactly the element
-// movement of container/heap, so search behaviour (tie-breaking included)
-// matches the seed implementation without its per-node allocations.
+// placement of container/heap, so search behaviour (tie-breaking included)
+// matches the seed implementation without its per-node allocations. Where
+// container/heap swaps the moving item with each parent or child it passes,
+// these move a hole and write the item once, where it comes to rest.
 func (ar *arena) push(it heapItem) {
-	ar.heap = append(ar.heap, it)
-	ar.siftUp(len(ar.heap) - 1)
+	h := append(ar.heap, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.f < h[i].f) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = it
+	ar.heap = h
 }
 
+// pop removes the root: container/heap swaps the last item into the root
+// and sifts it down over the rest, which is where x goes here.
 func (ar *arena) pop() heapItem {
 	h := ar.heap
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	ar.siftDown(0, n)
-	it := h[n]
-	ar.heap = h[:n]
-	return it
-}
-
-func (ar *arena) siftUp(j int) {
-	h := ar.heap
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].f < h[i].f) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (ar *arena) siftDown(i0, n int) {
-	h := ar.heap
-	i := i0
+	top, x := h[0], h[n]
+	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].f < h[j1].f {
+		if j2 := j + 1; j2 < n && h[j2].f < h[j].f {
 			j = j2
 		}
-		if !(h[j].f < h[i].f) {
+		if !(h[j].f < x.f) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = x
+	ar.heap = h[:n]
+	return top
 }
 
 // markSet is a pooled epoch-stamped membership set over track indices,

@@ -1,7 +1,10 @@
 package maze
 
 import (
+	"container/heap"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -36,5 +39,42 @@ func TestScratchSizes(t *testing.T) {
 	// Large allocations round up to whole pages, well under a byte a track.
 	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n); per < 12 || per >= 12.5 {
 		t.Errorf("an arena costs %.2f bytes a track, want 12", per)
+	}
+}
+
+// refHeap is container/heap's min-heap on f, the placement the arena's heap
+// keeps.
+type refHeap []heapItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].f < h[j].f }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// TestHeapMatchesContainerHeap: the arena's heap holds every item where
+// container/heap would, after every push and pop of a seeded script whose
+// few distinct keys make ties the rule, so the search pops equal-f items
+// in the same order.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ar := new(arena)
+	var ref refHeap
+	for step := 0; step < 20000; step++ {
+		if len(ref) == 0 || rng.Intn(5) < 3 {
+			it := heapItem{i: int32(step), g: int32(rng.Intn(4)), f: int32(rng.Intn(8))}
+			ar.push(it)
+			heap.Push(&ref, it)
+		} else if got, want := ar.pop(), heap.Pop(&ref).(heapItem); got != want {
+			t.Fatalf("step %d: popped %+v, container/heap pops %+v", step, got, want)
+		}
+		if !slices.Equal(ar.heap, ref) {
+			t.Fatalf("step %d: placement differs from container/heap", step)
+		}
 	}
 }

@@ -249,16 +249,20 @@ func (s *Scratch) TemplateRoute(dev *device.Device, start device.Track, endWire 
 	// branches over every access tap of the driven long. The first hop
 	// may be taken from every tap of the start track: they are the bottom
 	// run of the exits stack.
+	si, ok := dev.TrackIndexOK(start)
+	if !ok {
+		return nil, 0, errTemplateMiss // no track there, so no edges
+	}
 	ts := &s.ts
 	*ts = templateSearch{
 		dev: dev, avoid: opt.Avoid, endWire: endWire, endTile: endTile, pinned: pinned, maxNodes: opt.maxNodes(),
-		pips: ts.pips[:0], used: append(ts.used[:0], dev.TrackIndex(start)), exits: dev.AppendTaps(ts.exits[:0], start),
+		pips: ts.pips[:0], used: append(ts.used[:0], si), exits: dev.AppendTaps(ts.exits[:0], start),
 	}
 	if len(ts.exits) == 0 {
 		ts.exits = append(ts.exits, device.Coord{Row: start.Row, Col: start.Col})
 	}
 	for i, end := 0, len(ts.exits); i < end; i++ {
-		if ts.from(start, ts.exits[i], tmpl) {
+		if ts.from(si, ts.exits[i], tmpl) {
 			return ts.pips, ts.explored, nil
 		}
 	}
@@ -295,28 +299,29 @@ type templateSearch struct {
 	exits    []device.Coord // hop exits still to try, a stack with one run per recursion level
 }
 
-// from tries to complete the template's remaining hops from track cur,
-// standing at tile pos.
-func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.TemplateValue) bool {
+// from tries to complete the template's remaining hops from the track at
+// index ci, standing at tile pos.
+func (s *templateSearch) from(ci int32, pos device.Coord, rest []arch.TemplateValue) bool {
 	if s.explored >= s.maxNodes {
 		return false
 	}
 	s.explored++
 	dev := s.dev
-	edges, at := dev.Edges(cur)
-	for _, e := range edges {
+	edges, at := dev.EdgesAt(ci)
+	bases := dev.BasesAt(at)
+	for j := range edges {
+		e := &edges[j]
 		if at.Row+int(e.PRow) != pos.Row || at.Col+int(e.PCol) != pos.Col {
 			continue
 		}
 		if dev.A.DriveTemplate(arch.Wire(e.From), arch.Wire(e.To)) != rest[0] {
 			continue
 		}
-		target := e.Target(at)
-		ti := dev.TrackIndex(target)
+		ti := e.TargetIndex(&bases)
 		if slices.Contains(s.used, ti) {
 			continue
 		}
-		if len(s.avoid) > 0 && intrudes(dev, s.avoid, pos.Row, pos.Col, target) {
+		if len(s.avoid) > 0 && intrudes(dev, s.avoid, pos.Row, pos.Col, e.Target(at)) {
 			continue
 		}
 		if dev.Driven(ti) {
@@ -335,9 +340,9 @@ func (s *templateSearch) from(cur device.Track, pos device.Coord, rest []arch.Te
 		s.used = append(s.used, ti)
 		s.pips = append(s.pips, e.PIP(at))
 		base := len(s.exits)
-		s.exits = appendHopExits(s.exits, dev, target, pos, rest[0])
+		s.exits = appendHopExits(s.exits, dev, e.Target(at), pos, rest[0])
 		for i, end := base, len(s.exits); i < end; i++ {
-			if s.from(target, s.exits[i], rest[1:]) {
+			if s.from(ti, s.exits[i], rest[1:]) {
 				return true
 			}
 		}

@@ -126,6 +126,13 @@ func TestTemplateRouteFailures(t *testing.T) {
 	if _, err := TemplateRoute(d, edge, arch.S0F1, west); !errors.Is(err, ErrUnroutable) {
 		t.Errorf("west off the edge: %v", err)
 	}
+	// A start off the array, whose index would land on a track at the
+	// east edge of the row below.
+	offArray := device.Track{Row: 5, Col: -1, W: arch.S1YQ}
+	east := []arch.TemplateValue{arch.TVOutMux, arch.TVEast1, arch.TVClbIn}
+	if _, err := TemplateRoute(d, offArray, arch.S0F1, east); !errors.Is(err, ErrUnroutable) {
+		t.Errorf("start off the array: %v", err)
+	}
 }
 
 func TestAStarPointToPoint(t *testing.T) {
@@ -372,5 +379,15 @@ func TestSearchTrivialCases(t *testing.T) {
 	sink, _ := d.Canon(5, 5, arch.S0F1)
 	if _, err := AStar(d, nil, sink, Options{}); !errors.Is(err, ErrUnroutable) {
 		t.Errorf("no sources: %v", err)
+	}
+	// An endpoint off the array is no track, not the track whose index
+	// its arithmetic lands on: (5,-1) would be (4, cols-1).
+	off := device.Track{Row: 5, Col: -1, W: arch.S0F1}
+	if _, err := AStar(d, []device.Track{src}, off, Options{}); !errors.Is(err, ErrUnroutable) {
+		t.Errorf("sink off the array: %v", err)
+	}
+	off.W = arch.S0X
+	if _, err := Lee(d, []device.Track{off}, sink, Options{}); !errors.Is(err, ErrUnroutable) {
+		t.Errorf("source off the array: %v", err)
 	}
 }

@@ -103,7 +103,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 	maxNodes := opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.i] {
+		if it.g > ar.cells[it.i].g {
 			continue // stale entry
 		}
 		explored++
@@ -132,7 +132,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 				continue
 			}
 			ng := it.g + int32(cost(e.Kind))
-			if ar.seen(ti) && ar.g[ti] <= ng {
+			if ar.seen(ti) && ar.cells[ti].g <= ng {
 				continue
 			}
 			ar.visit(ti, ng, it.i, j)
@@ -144,7 +144,7 @@ func refSearch(dev *device.Device, sources []device.Track, sink device.Track, op
 			ar.push(heapItem{i: ti, g: ng, f: ng + h(target)})
 		}
 		if goal {
-			return &Route{PIPs: ar.reconstruct(nil, dev, sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
+			return &Route{PIPs: ar.reconstruct(nil, dev, sinkIdx), Cost: int(ar.cells[sinkIdx].g), Explored: explored}, nil
 		}
 	}
 	return nil, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
@@ -214,7 +214,7 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 	maxNodes := st.opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.i] {
+		if it.g > ar.cells[it.i].g {
 			continue
 		}
 		explored++
@@ -244,7 +244,7 @@ func (w *refNegWorker) search(sources []device.Track, sink device.Track, box rec
 				continue
 			}
 			ng := it.g + int32(hopCost(e.Kind)) + w.penalty(ti)
-			if ar.seen(ti) && ar.g[ti] <= ng {
+			if ar.seen(ti) && ar.cells[ti].g <= ng {
 				continue
 			}
 			ar.visit(ti, ng, it.i, j)
@@ -440,8 +440,8 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 		t.Fatalf("negotiated: kernel %d PIPs explored %d, reference %d PIPs explored %d\n%v\n%v",
 			len(r.PIPs), r.Explored, len(want), wantExplored, r.PIPs, want)
 	}
-	if k := dev.TrackIndex(sink); len(want) > 0 && ar.g[k] != ref.ar.g[k] {
-		t.Fatalf("negotiated: kernel reaches the sink at g=%v, reference at g=%v", ar.g[k], ref.ar.g[k])
+	if k := dev.TrackIndex(sink); len(want) > 0 && ar.cells[k].g != ref.ar.cells[k].g {
+		t.Fatalf("negotiated: kernel reaches the sink at g=%v, reference at g=%v", ar.cells[k].g, ref.ar.cells[k].g)
 	}
 }
 

@@ -3,6 +3,7 @@ package maze
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/device"
@@ -155,25 +156,42 @@ func (p policy) route(dev *device.Device, sources []device.Track, sink device.Tr
 	return &r, nil
 }
 
-// h estimates the remaining cost from t: the distance covered with hexes
-// (the cheapest per-tile resource) plus a short single tail; with long lines
-// any distance could in principle be a long hop plus a hex. The search is
-// weighted (f = g + 2·est), trading optimality for focus — the paper's
-// routers are explicitly greedy.
-func (p *policy) h(dev *device.Device, t device.Track, sinkTile device.Coord) int32 {
+// estKey is what a heuristic table depends on: the policy's terms and the
+// array's hex length and span.
+type estKey struct {
+	weight, hexCost, singleCost, tailCap, longCap int
+	hexLen, n                                     int
+}
+
+// estimate returns the policy's heuristic by tap distance on dev, held in
+// ar and rebuilt only when the policy's terms or the geometry change: the
+// distance covered with hexes (the cheapest per-tile resource) plus a
+// short single tail; with long lines any distance could in principle be a
+// long hop plus a hex. The search is weighted (f = g + 2·est), trading
+// optimality for focus — the paper's routers are explicitly greedy. A tap
+// distance on the array is at most rows+cols.
+func (p *policy) estimate(dev *device.Device, ar *arena) []int32 {
+	k := estKey{p.weight, p.hexCost, p.singleCost, p.tailCap, p.longCap, dev.A.HexLen, dev.Rows + dev.Cols + 1}
+	if ar.estFor == k {
+		return ar.est
+	}
+	ar.est = slices.Grow(ar.est[:0], k.n)[:k.n]
+	for d := range ar.est {
+		tail := min(d%k.hexLen, p.tailCap)
+		est := min(d/k.hexLen*p.hexCost+tail*p.singleCost, p.longCap)
+		ar.est[d] = int32(p.weight * est)
+	}
+	ar.estFor = k
+	return ar.est
+}
+
+// h is the heuristic at t: est, estimate's table, at t's tap distance to
+// the sink, or 0 under uniform-cost search, which has no table.
+func (p *policy) h(dev *device.Device, est []int32, t device.Track, sinkTile device.Coord) int32 {
 	if p.weight == 0 {
 		return 0
 	}
-	d := dev.MinTapDistance(t, sinkTile)
-	tail := d % dev.A.HexLen
-	if tail > p.tailCap {
-		tail = p.tailCap
-	}
-	est := d/dev.A.HexLen*p.hexCost + tail*p.singleCost
-	if est > p.longCap {
-		est = p.longCap
-	}
-	return int32(p.weight * est)
+	return est[dev.MinTapDistance(t, sinkTile)]
 }
 
 // surcharge is the congestion cost of occupying track i.
@@ -194,35 +212,50 @@ func (p *policy) surcharge(i int32) int32 {
 // other nets of a batch merely want are the surcharge's business), first
 // arrival at the sink wins. Every router here is this loop under a policy.
 // The route's PIPs are appended to dst: Route.PIPs is dst extended by them.
+//
+// An edge is read by its target's index; it is widened to a Track only to
+// be pushed (for h), or to be tested against the box or the avoid regions
+// of a policy that has them.
 func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, sink device.Track, dst []device.PIP) (Route, error) {
 	if len(sources) == 0 {
 		return Route{}, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
 	}
-	sinkIdx := dev.TrackIndex(sink)
+	sinkIdx, ok := dev.TrackIndexOK(sink)
+	if !ok {
+		return Route{}, fmt.Errorf("maze: sink %v is no track on the array: %w", sink, ErrUnroutable)
+	}
 	if dev.Driven(sinkIdx) {
 		return Route{}, fmt.Errorf("maze: sink %s at (%d,%d) already in use: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
 	confined := p.cong != nil
+	widen := confined || len(p.avoid) > 0
+	var est []int32
+	if p.weight != 0 {
+		est = p.estimate(dev, ar)
+	}
 
 	ar.begin()
 	for _, s := range sources {
 		if s == sink {
 			return Route{PIPs: dst}, nil // already connected
 		}
-		si := dev.TrackIndex(s)
+		si, ok := dev.TrackIndexOK(s)
+		if !ok {
+			return Route{}, fmt.Errorf("maze: source %v is no track on the array: %w", s, ErrUnroutable)
+		}
 		if ar.seen(si) {
 			continue
 		}
 		ar.visit(si, 0, -1, 0)
-		ar.push(heapItem{i: si, g: 0, f: p.h(dev, s, sinkTile)})
+		ar.push(heapItem{i: si, g: 0, f: p.h(dev, est, s, sinkTile)})
 	}
 
 	explored := 0
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.i] {
+		if it.g > ar.cells[it.i].g {
 			continue // stale entry
 		}
 		explored++
@@ -230,34 +263,39 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 			return Route{}, fmt.Errorf("maze: search exceeded %d states: %w", p.maxNodes, ErrUnroutable)
 		}
 		edges, at := dev.EdgesAt(it.i)
-		for j, e := range edges {
-			target := e.Target(at)
-			if confined && !p.box.contains(target.Row, target.Col) {
-				continue
-			}
-			ti := dev.TrackIndex(target)
+		bases := dev.BasesAt(at)
+		for j := range edges {
+			e := &edges[j]
+			ti := e.TargetIndex(&bases)
 			if ti != sinkIdx && !p.pass[e.Kind] {
-				continue
-			}
-			if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
 				continue
 			}
 			if dev.Driven(ti) {
 				continue
 			}
+			if widen {
+				target := e.Target(at)
+				if confined && !p.box.contains(target.Row, target.Col) {
+					continue
+				}
+				if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
+					continue
+				}
+			}
 			ng := it.g + p.hop[e.Kind]
-			if p.cong != nil {
+			if confined {
 				ng += p.surcharge(ti)
 			}
-			if ar.seen(ti) && ar.g[ti] <= ng {
+			c := &ar.cells[ti]
+			if c.stamp == ar.epoch && c.g <= ng {
 				continue
 			}
-			ar.visit(ti, ng, it.i, j)
+			*c = cell{g: ng, prev: it.i, stamp: ar.epoch, via: uint16(j)}
 			if ti == sinkIdx {
 				// Goal: stop (greedy routing: first arrival wins).
 				return Route{PIPs: ar.reconstruct(dst, dev, sinkIdx), Cost: int(ng), Explored: explored}, nil
 			}
-			ar.push(heapItem{i: ti, g: ng, f: ng + p.h(dev, target, sinkTile)})
+			ar.push(heapItem{i: ti, g: ng, f: ng + p.h(dev, est, e.Target(at), sinkTile)})
 		}
 	}
 	return Route{}, fmt.Errorf("maze: no path to %s at (%d,%d): %w",
