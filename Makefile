@@ -31,8 +31,8 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
-# Nine targets: the two byte decoders run thousands of inputs a second and
-# get 5 s each, as does FuzzSessionImport, which imports each input onto a
+# Eight targets: the v3 byte decoder runs thousands of inputs a second and
+# gets 5 s, as does FuzzSessionImport, which imports each input onto a
 # fresh worker and audits what it places.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s ./internal/device
@@ -43,7 +43,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s ./internal/server/protocol/v3
 	$(GO) test -run='^$$' -fuzz=FuzzSessionImport -fuzztime=5s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzLibraryDecode -fuzztime=5s ./internal/core/library
 
 # verify audits the paper's worked examples across the config grid and
 # runs a short seeded differential fuzz campaign, all through the

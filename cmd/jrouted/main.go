@@ -15,15 +15,10 @@
 // spare through the relocation route cache — clients just see the epoch
 // bump and resync their mirror.
 //
-// With -learn FILE it serves nothing: it runs the template-library learn
-// campaign at -geometry, writes the library to FILE, reads it back and
-// exits. -library FILE then seeds every session router from it.
-//
 // Usage:
 //
 //	jrouted -listen :7411 -device alpha:16x24 -device beta:32x48,kestrel
 //	jrouted -listen :7411 -boards 4 -spares 1 -geometry 16x24
-//	jrouted -learn warm.jrtl -geometry 16x24 && jrouted -library warm.jrtl
 package main
 
 import (
@@ -37,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core/library"
 	"repro/internal/server"
 	"repro/internal/server/fleet"
 )
@@ -86,46 +80,17 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
 	boards := flag.Int("boards", 0, "fleet mode: board-backed shards fronted by the coordinator (0 = static -device mode)")
 	spares := flag.Int("spares", 0, "fleet mode: hot-spare boards consumed by failover")
-	geometry := flag.String("geometry", "16x24", "fleet and -learn mode: board geometry as RxC")
+	geometry := flag.String("geometry", "16x24", "fleet mode: board geometry as RxC")
 	archName := flag.String("arch", "virtex", "fleet mode: board architecture")
 	sessionCap := flag.Int("session-cap", 0, "fleet mode: admission cap on sessions per board (0 = unlimited)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "fleet mode: board health-probe period (0 = disabled)")
-	libraryPath := flag.String("library", "", "route-template library file (jrouted -learn output) seeding every session router")
-	learnPath := flag.String("learn", "", "run the library learn campaign (stdlib manifest + fan-net warm-up) at -geometry, write the template library to this file and exit")
 	flag.Var(&devices, "device", "hosted device as name:RxC[,arch]; repeatable")
 	flag.Parse()
-
-	if *learnPath != "" {
-		rows, cols, err := parseGeometry(*geometry)
-		if err != nil {
-			log.Fatalf("jrouted: %v", err)
-		}
-		if err := runLearn(*learnPath, 1, rows, cols); err != nil {
-			log.Fatalf("jrouted: learn: %v", err)
-		}
-		return
-	}
-
-	// An explicitly requested library must load: a daemon silently running
-	// cold after a typo'd path would defeat the whole warm-start story.
-	var lib *library.Library
-	if *libraryPath != "" {
-		var st library.LoadStats
-		var err error
-		lib, st, err = library.Load(*libraryPath)
-		if err != nil {
-			log.Fatalf("jrouted: -library %s: %v", *libraryPath, err)
-		}
-		libRows, libCols := lib.Geometry()
-		log.Printf("jrouted: template library %s: %d entries (%d skipped), %s %dx%d, id %s",
-			*libraryPath, st.Entries, st.Skipped, lib.Arch(), libRows, libCols, lib.ID())
-	}
 
 	srv := server.NewServer(
 		server.WithQueueDepth(*queue),
 		server.WithParallelism(*parallelism),
 		server.WithParanoidVerify(*paranoid),
-		server.WithLibrary(lib),
 	)
 
 	if *boards > 0 {
@@ -143,7 +108,7 @@ func main() {
 			Rows:          rows,
 			Cols:          cols,
 			SessionCap:    *sessionCap,
-			Opts:          server.Options{QueueDepth: *queue, Parallelism: *parallelism, ParanoidVerify: *paranoid, Library: lib},
+			Opts:          server.Options{QueueDepth: *queue, Parallelism: *parallelism, ParanoidVerify: *paranoid},
 			ProbeInterval: *probeInterval,
 		})
 		if err != nil {

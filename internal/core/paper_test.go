@@ -638,6 +638,21 @@ func TestPaperB15IOBAndBlockRAM(t *testing.T) {
 	}
 }
 
+// routeFans routes each fan net with RouteFanout, failing the test on the
+// first error.
+func routeFans(t *testing.T, r *core.Router, nets []workload.FanNet) {
+	t.Helper()
+	for _, n := range nets {
+		eps := make([]core.EndPoint, len(n.Sinks))
+		for i, s := range n.Sinks {
+			eps[i] = s
+		}
+		if err := r.RouteFanout(n.Src, eps); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPaperB17ReplayInsteadOfSearch is the route cache built on §3.3's
 // re-route-the-same-connections workflow and §3.1's relocatable level-3
 // shapes. One router routes a working set of 24 fanout-3 nets on 32×48

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -118,5 +119,61 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 		if stats.RegionIterations == 0 {
 			t.Errorf("par %d: no region iterations recorded", par)
 		}
+	}
+}
+
+// TestRelocatedReplayParallelDeterminism: a router that learned a fan-net
+// workload W, returned the device to blank and then routes W shifted by
+// (3, 5) replays the learned templates relocated; a batch routed on top of
+// that replayed state configures the same bytes at every worker count.
+func TestRelocatedReplayParallelDeterminism(t *testing.T) {
+	const rows, cols = 16, 24
+	const shiftR, shiftC = 3, 5
+	// W is generated in the array less the shift, so Q stays on the array.
+	w, err := workload.New(11, rows-shiftR, cols-shiftC).FanNets(8, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]workload.FanNet, len(w))
+	for i, n := range w {
+		q[i].Src = core.NewPin(n.Src.Row+shiftR, n.Src.Col+shiftC, n.Src.W)
+		for _, s := range n.Sinks {
+			q[i].Sinks = append(q[i].Sinks, core.NewPin(s.Row+shiftR, s.Col+shiftC, s.W))
+		}
+	}
+	var ref []byte
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			d, err := device.New(arch.NewVirtex(), rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := core.New(d, core.WithParallelism(par))
+			routeFans(t, r, w)
+			if err := r.UnrouteAll(); err != nil {
+				t.Fatal(err)
+			}
+			before := r.Stats().CacheHits
+			routeFans(t, r, q)
+			if r.Stats().CacheHits == before {
+				t.Error("the shifted workload replayed no learned template")
+			}
+			srcs, dsts, err := workload.ForDevice(7, d).Bus(8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.RouteBusBatch(srcs, dsts); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := d.FullConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = cfg
+			} else if !bytes.Equal(cfg, ref) {
+				t.Error("bitstream differs from par=1")
+			}
+		})
 	}
 }

@@ -178,34 +178,16 @@ func (r *Router) learnTemplate(srcTrack device.Track, sink Pin, pips []device.PI
 	if !r.opt.replaysPaths() || len(pips) == 0 {
 		return
 	}
-	key := tmplKey{srcW: srcTrack.W, sinkW: sink.W,
-		dRow: sink.Row - srcTrack.Row, dCol: sink.Col - srcTrack.Col}
 	rel := make([]device.PIP, len(pips))
 	for i, p := range pips {
 		rel[i] = device.PIP{Row: p.Row - srcTrack.Row, Col: p.Col - srcTrack.Col, From: p.From, To: p.To}
 	}
-	r.ensureCache().putTmpl(key, rel)
+	r.ensureCache().putTmpl(shapeOf(srcTrack, sink), rel)
 }
 
-// lookupTemplate returns the relocatable path (relative to the source
-// tile) for this source/sink shape, if any. In-session learned entries are
-// consulted first and shadow the persistent library key-by-key; the
-// library tier below them is read-only and never evicted. fromLib reports
-// which tier answered, for the library hit counters.
-func (r *Router) lookupTemplate(srcTrack device.Track, sink Pin) (rel []device.PIP, fromLib, ok bool) {
-	if r.cache != nil {
-		key := tmplKey{srcW: srcTrack.W, sinkW: sink.W,
-			dRow: sink.Row - srcTrack.Row, dCol: sink.Col - srcTrack.Col}
-		if rel, ok := r.cache.tmpl[key]; ok {
-			return rel, false, true
-		}
-	}
-	if r.lib != nil {
-		if rel, ok := r.lib.Lookup(srcTrack.W, sink.W, sink.Row-srcTrack.Row, sink.Col-srcTrack.Col); ok {
-			return rel, true, true
-		}
-	}
-	return nil, false, false
+// shapeOf keys a single-sink route by its wire classes and offset.
+func shapeOf(srcTrack device.Track, sink Pin) tmplKey {
+	return tmplKey{srcW: srcTrack.W, sinkW: sink.W, dRow: sink.Row - srcTrack.Row, dCol: sink.Col - srcTrack.Col}
 }
 
 // RestoreConnection re-routes one retired connection record, replay-first:

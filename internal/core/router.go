@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/arch"
-	"repro/internal/core/library"
 	"repro/internal/device"
 	"repro/internal/maze"
 )
@@ -47,15 +46,6 @@ type Options struct {
 	// sequential. The routed result and the committed bitstream are
 	// identical for every value.
 	Parallelism int
-	// Library is a persistent route-template library shared read-only by
-	// any number of routers: a pre-seeded template tier consulted below
-	// the in-session learned entries (which shadow it key-by-key) and
-	// never evicted. The library is audited at construction, once per
-	// library however many routers attach it; entries that fail the
-	// blank-device legality sweep are skipped and counted in
-	// Stats.LibrarySkipped, never trusted. A library learned for a
-	// different architecture or geometry is skipped wholesale.
-	Library *library.Library
 	// ParanoidVerify runs the independent bitstream oracle after every
 	// top-level routing call: the configuration is serialized,
 	// re-extracted from raw frames, structurally checked, and compared
@@ -124,14 +114,6 @@ type Stats struct {
 	// OracleClaims) are O(live records) by contract and do not count.
 	RecordsVisited int
 
-	// Persistent template-library observability (see Options.Library).
-	// Seeded and Skipped are set at construction; Hits and Misses count
-	// library-tier lookups.
-	LibraryHits    int // replays served from the seeded library tier
-	LibraryMisses  int // template lookups that consulted the library and found nothing
-	LibrarySeeded  int // entries accepted into the router's library tier at construction
-	LibrarySkipped int // entries rejected at construction (audit failure, arch/geometry mismatch)
-
 	// Partition observability: RouteBatch negotiates over disjoint scopes
 	// (see maze.NegotiationOptions.Partition). The counters
 	// describe scheduling structure only — the routed result is identical
@@ -157,10 +139,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		CacheMisses:       s.CacheMisses - prev.CacheMisses,
 		ReplayFails:       s.ReplayFails - prev.ReplayFails,
 		RecordsVisited:    s.RecordsVisited - prev.RecordsVisited,
-		LibraryHits:       s.LibraryHits - prev.LibraryHits,
-		LibraryMisses:     s.LibraryMisses - prev.LibraryMisses,
-		LibrarySeeded:     s.LibrarySeeded - prev.LibrarySeeded,
-		LibrarySkipped:    s.LibrarySkipped - prev.LibrarySkipped,
 		PartitionRegions:  s.PartitionRegions - prev.PartitionRegions,
 		PartitionCrossing: s.PartitionCrossing - prev.PartitionCrossing,
 		RegionIterations:  s.RegionIterations - prev.RegionIterations,
@@ -231,10 +209,6 @@ type Router struct {
 	remembered map[*Port][]*Connection
 	owner      uint8 // stamped on the records the calls make (see SetOwner)
 	cache      *routeCache
-	// lib is the attached (audited) persistent template library — the
-	// read-only tier below the learned template cache. Nil when no
-	// library was configured or the configured one was rejected.
-	lib *library.Library
 
 	// Scratch the ops write into, so an op allocates only what a caller or
 	// a record keeps. Each buffer is valid until its next use.
@@ -269,48 +243,6 @@ type Router struct {
 	// avoid lists the tile rectangles currently reserved against automatic
 	// routing (see AddAvoid).
 	avoid []maze.Rect
-}
-
-// attachLibrary resolves Options.Library into the router's seeded template
-// tier. Nothing in a library file is trusted: a library for another
-// architecture or geometry is skipped wholesale, and a compatible one is
-// attached as its audit (library.Library.Audit, run once per library) left
-// it — the entries that failed are counted in LibrarySkipped.
-func (r *Router) attachLibrary() {
-	lib := r.opt.Library
-	if lib == nil {
-		return
-	}
-	if !lib.CompatibleWith(r.Dev.A.Name, r.Dev.Rows, r.Dev.Cols) {
-		r.stats.LibrarySkipped += lib.Len()
-		return
-	}
-	audited, skipped, err := lib.Audit(r.Dev.A)
-	if err != nil {
-		r.stats.LibrarySkipped += lib.Len()
-		return
-	}
-	r.stats.LibrarySkipped += skipped
-	r.stats.LibrarySeeded += audited.Len()
-	r.lib = audited
-}
-
-// Library returns the attached (audited) template library, or nil.
-func (r *Router) Library() *library.Library { return r.lib }
-
-// HarvestTemplates appends every relocatable template this router has
-// learned from real searches this session to b — the export half of the
-// persistent library (`jrouted -learn`). Library-seeded entries are not
-// re-harvested; they already live in their own file. Returns the number of
-// templates appended.
-func (r *Router) HarvestTemplates(b *library.Builder) int {
-	if r.cache == nil {
-		return 0
-	}
-	for _, k := range r.cache.tmplOrder {
-		b.Add(library.Key{SrcW: k.srcW, SinkW: k.sinkW, DRow: k.dRow, DCol: k.dCol}, r.cache.tmpl[k])
-	}
-	return len(r.cache.tmplOrder)
 }
 
 // SetOwner names the session the following calls work for: every record
@@ -354,15 +286,33 @@ func (r *Router) Route(row, col int, from, to arch.Wire) (err error) {
 	return nil
 }
 
-// setManual sets one PIP of a level-1–3 or clock call and adds it to
-// curPath, unless it was already on: then it stays whoever's it was.
+// LoopError refuses a manual PIP that would close a routing loop: it drives
+// Root, the root of its own source's driver chain. Nothing is set.
+type LoopError struct {
+	PIP  device.PIP
+	Root device.Track
+	msg  string
+}
+
+func (e *LoopError) Error() string { return e.msg }
+
+// setManual sets one PIP of a level-1–3 or clock call, refusing one that
+// closes a loop, and adds it to curPath unless it was already on: then it
+// stays whoever's it was.
 func (r *Router) setManual(row, col int, from, to arch.Wire) error {
+	p := device.PIP{Row: row, Col: col, From: from, To: to}
+	src, okSrc := r.Dev.CanonOK(row, col, from)
+	dst, okDst := r.Dev.CanonOK(row, col, to)
+	if root, _ := r.Dev.RootOf(src, nil); okSrc && okDst && root == dst {
+		return &LoopError{PIP: p, Root: root, msg: fmt.Sprintf("core: PIP %s would close a routing loop: %s at (%d,%d) is the root of its source",
+			r.Dev.PIPString(p), r.Dev.A.WireName(root.W), root.Row, root.Col)}
+	}
 	was := r.Dev.IsOn(row, col, to)
 	if err := r.Dev.SetPIP(row, col, from, to); err != nil || was {
 		return err
 	}
 	r.stats.PIPsSet++
-	r.curPath = append(r.curPath, device.PIP{Row: row, Col: col, From: from, To: to})
+	r.curPath = append(r.curPath, p)
 	return nil
 }
 
@@ -542,21 +492,15 @@ func (r *Router) routeOne(srcTrack device.Track, sink Pin) error {
 	// anywhere on the fabric replays the remembered relative path at this
 	// position — the paper's §3.1 level-3 replay, discovered automatically.
 	if freshNet && r.opt.replaysPaths() {
-		if rel, fromLib, ok := r.lookupTemplate(srcTrack, sink); ok {
+		if rel, ok := r.ensureCache().tmpl[shapeOf(srcTrack, sink)]; ok {
 			if r.tryReplay(srcTrack, rel, srcTrack.Row, srcTrack.Col) {
 				r.stats.Routes++
 				r.stats.CacheHits++
-				if fromLib {
-					r.stats.LibraryHits++
-				}
 				return nil
 			}
 			r.stats.ReplayFails++
 		} else {
 			r.stats.CacheMisses++
-			if r.lib != nil {
-				r.stats.LibraryMisses++
-			}
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -627,12 +628,13 @@ func TestTraceOnRoutingLoop(t *testing.T) {
 // TestCallsReturnOnRoutingLoop: every call that walks a net's driver or
 // fanout chain returns on a routing loop, with a pinned answer. The loop
 // routeSinglesLoop builds closes on its first PIP, a single driving
-// itself, and its one record is filed at SingleEast[0] (5,5), the pin
-// each call is given:
+// itself. It is set below the API, which refuses it, so it has no record;
+// each call is given SingleEast[0] (5,5):
 //   - ReverseTrace names the loop: the chain has no root.
-//   - ForeignNet reads the records at the pin, where a loop's root stands.
-//   - Trace finds nothing past the PIP that closes the loop, so Unroute,
-//     and RipUpRegion through it, find nothing routed and leave it on.
+//   - ForeignNet reads the records at the pin and finds none.
+//   - Trace finds nothing past the PIP that closes the loop, so Unroute
+//     finds nothing routed and leaves it on; RipUpRegion finds no record
+//     over the region and leaves it on.
 //   - ReverseUnroute clears the loop from the pin back.
 //
 // A walk caught in the loop spins (ReverseTrace also appends) without end,
@@ -663,11 +665,11 @@ func TestCallsReturnOnRoutingLoop(t *testing.T) {
 		}, "<nil>, 0 on"},
 		{"ForeignNet", func(r *Router) string {
 			return fmt.Sprintf("owner 0: %v, owner 1: %v", r.ForeignNet(pin(r), 0), r.ForeignNet(pin(r), 1))
-		}, "owner 0: false, owner 1: true"},
+		}, "owner 0: false, owner 1: false"},
 		{"RipUpRegion", func(r *Router) string {
 			ripped, err := r.RipUpRegion(4, 4, 3, 3)
 			return fmt.Sprintf("%d ripped, %s", len(ripped), on(r, err))
-		}, "0 ripped, core: region rip-up: core: SingleEast[0] at (5,5) is not routed, 1 on"},
+		}, "0 ripped, <nil>, 1 on"},
 	}
 	got := make([]string, len(cases))
 	done := make(chan int, len(cases))
@@ -711,6 +713,62 @@ func TestCallsReturnOnRoutingLoop(t *testing.T) {
 	}
 }
 
+// TestManualCallsRefuseRoutingLoop: Route and RoutePath refuse the PIP
+// that closes routeSinglesLoop's loop, SingleEast[0] at (5,5) driving
+// itself, because it drives the root of its own source. The refusal is a
+// *LoopError naming the PIP and the track, and it leaves the device and
+// the records as they were.
+func TestManualCallsRefuseRoutingLoop(t *testing.T) {
+	r := newTestRouter(t, Options{})
+	se := r.Dev.A.Single(arch.East, 0)
+	root, err := r.Dev.Canon(5, 5, se)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closing := device.PIP{Row: 5, Col: 5, From: se, To: se}
+	if loop := routeSinglesLoop(t, newTestRouter(t, Options{})); !slices.Equal(loop, []device.PIP{closing}) {
+		t.Fatalf("routeSinglesLoop built %v, want the one PIP %s", loop, r.Dev.PIPString(closing))
+	}
+	// RoutePath would step onto SingleEast[0] at (5,6) from the track's
+	// far end first; drive that track from elsewhere, so the only step
+	// left is the one that closes the loop.
+	for _, w := range r.Dev.A.LocalDrivers(se) {
+		if tr, ok := r.Dev.CanonOK(5, 6, w); ok && tr != root {
+			if err := r.Route(5, 6, w, se); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	on, records := r.Dev.OnPIPCount(), r.ConnectionCount()
+	if on != 1 || records != 1 {
+		t.Fatalf("blocker: %d PIPs on, %d records, want 1 and 1", on, records)
+	}
+	for _, c := range []struct {
+		call string
+		err  error
+	}{
+		{"Route", r.Route(5, 5, se, se)},
+		{"RoutePath", r.RoutePath(Path{Row: 5, Col: 5, Wires: []arch.Wire{se, se}})},
+	} {
+		var le *LoopError
+		if !errors.As(c.err, &le) {
+			t.Errorf("%s closing the loop: %v, want a *LoopError", c.call, c.err)
+			continue
+		}
+		if le.PIP != closing || le.Root != root {
+			t.Errorf("%s: refused %s onto %v, want %s onto %v", c.call, r.Dev.PIPString(le.PIP), le.Root, r.Dev.PIPString(closing), root)
+		}
+		if !strings.Contains(c.err.Error(), "(5,5) SingleEast[0] -> SingleEast[0]") || !strings.Contains(c.err.Error(), "SingleEast[0] at (5,5)") {
+			t.Errorf("%s: %q does not name the PIP and the track", c.call, c.err)
+		}
+		if r.Dev.OnPIPCount() != on || r.ConnectionCount() != records {
+			t.Errorf("%s: %d PIPs on and %d records after the refusal, want %d and %d",
+				c.call, r.Dev.OnPIPCount(), r.ConnectionCount(), on, records)
+		}
+	}
+}
+
 // routeSinglesLoop routes, PIP by PIP, a loop of singles that leaves
 // SingleEast[0] at (5,5) and drives it again, and returns the loop's PIPs.
 func routeSinglesLoop(t *testing.T, r *Router) []device.PIP {
@@ -748,8 +806,9 @@ func routeSinglesLoop(t *testing.T, r *Router) []device.PIP {
 	if loop == nil {
 		t.Fatal("no loop of singles through (5,5)")
 	}
+	// Below the API: Route refuses the PIP that closes the loop.
 	for _, p := range loop {
-		if err := r.Route(p.Row, p.Col, p.From, p.To); err != nil {
+		if err := d.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
 			t.Fatalf("closing the loop at %s: %v", d.PIPString(p), err)
 		}
 	}

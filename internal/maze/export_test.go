@@ -1,5 +1,11 @@
 package maze
 
+import "repro/internal/arch"
+
+// TimingCost is the delay-driven search's per-hop cost of a wire class, in
+// tenths of a nanosecond.
+func TimingCost(k arch.Kind) int { return timingCost(k) }
+
 // PooledKeepersZero drains the pooled congestion tables, puts them back, and
 // reports how many there were and whether every keeper slot of every one
 // was zero, as the negotiation must leave it whatever the outcome.

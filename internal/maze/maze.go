@@ -175,9 +175,9 @@ func hopCost(k arch.Kind) int {
 
 // timingCost assigns per-hop costs in tenths of a nanosecond, mirroring
 // the timing.Default model (kept numerically independent to avoid an
-// import cycle). No test pins the two tables to each other —
-// TestKindCostModels checks only their ratios; ROADMAP's "Two delay
-// models" finding weighs one per-kind delay table in arch instead.
+// import cycle). TestTimingCostMatchesDefault pins the two tables to each
+// other class by class; ROADMAP's "Two delay models" finding weighs one
+// per-kind delay table in arch instead.
 func timingCost(k arch.Kind) int {
 	switch k {
 	case arch.KindSingle:

@@ -66,7 +66,7 @@ type Config struct {
 	SessionCap int
 
 	// Opts configure every board worker (queue depth, parallelism,
-	// paranoid verify, template library). The failover journal leans on
+	// paranoid verify). The failover journal leans on
 	// the workers' route cache to remember exact paths.
 	Opts server.Options
 
@@ -409,8 +409,7 @@ func (c *Coordinator) failover(sl *slot) {
 // the spare its frames — and audits the result. It returns the replayed
 // worker and its journal, how many connections were restored, how many
 // routes were served by cached-path replay rather than a fresh search, and
-// the time the import took (the part a warm template library accelerates;
-// the audit that follows costs the same either way).
+// the time the import took, the audit that follows not counted.
 func (c *Coordinator) replay(sl *slot, spare *board) (*server.Worker, *journal.Journal, int, int, time.Duration, error) {
 	form, live := sl.journal().Form("")
 	j := journal.New()

@@ -127,10 +127,6 @@ func (m *sessionMetrics) snapshot(queueDepth int) SessionStatsMsg {
 		ReplayFails:       r.ReplayFails,
 		NodesExplored:     r.NodesExplored,
 		RecordsVisited:    r.RecordsVisited,
-		LibraryHits:       r.LibraryHits,
-		LibraryMisses:     r.LibraryMisses,
-		LibrarySeeded:     r.LibrarySeeded,
-		LibrarySkipped:    r.LibrarySkipped,
 		PartitionRegions:  r.PartitionRegions,
 		PartitionCrossing: r.PartitionCrossing,
 		RegionIterations:  r.RegionIterations,

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"net"
-
-	"repro/internal/core/library"
-)
+import "net"
 
 // Opt is a functional option for NewServer, the one constructor. The
 // Options struct stays the representation fleet.Config and WorkerConfig
@@ -35,11 +31,6 @@ func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } 
 // WithParanoidVerify makes every session router audit each automatic
 // routing op with the bitstream oracle before acknowledging it.
 func WithParanoidVerify(on bool) Opt { return func(o *Options) { o.ParanoidVerify = on } }
-
-// WithLibrary seeds every session router with a persistent route-template
-// library, shared read-only across workers (audited once, by the first
-// router to attach it).
-func WithLibrary(lib *library.Library) Opt { return func(o *Options) { o.Library = lib } }
 
 // WithAuth installs a hello-token authenticator: fn maps the bearer token
 // from each connection's hello to a tenant name, or errors to refuse the

@@ -301,14 +301,6 @@ type SessionStatsMsg struct {
 	// Connection records the ops examined to find the ones they changed:
 	// a constant per net touched, however many are live (core.Stats).
 	RecordsVisited int `json:"records_visited"`
-	// Persistent template-library tier: replays served from the loaded
-	// library, template misses while a library was attached, entries
-	// seeded at router construction, and entries rejected (failed audit
-	// or whole-library arch/geometry mismatch).
-	LibraryHits    int `json:"library_hits,omitempty"`
-	LibraryMisses  int `json:"library_misses,omitempty"`
-	LibrarySeeded  int `json:"library_seeded,omitempty"`
-	LibrarySkipped int `json:"library_skipped,omitempty"`
 	// Partition-parallel batch negotiation observability: regions the
 	// batch planner created, nets whose bounding boxes crossed a cut, and
 	// the split of negotiation iterations between region-local loops and

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/core/library"
 	"repro/internal/jbits"
 	"repro/internal/server/protocol"
 	v3 "repro/internal/server/protocol/v3"
@@ -29,10 +28,6 @@ type Options struct {
 	// automatic routing op the committed frames are re-extracted and
 	// audited by the bitstream oracle (see core.Options.ParanoidVerify).
 	ParanoidVerify bool
-	// Library, when set, seeds every session router with a persistent
-	// route-template library, shared read-only across all workers and
-	// audited once, by the first of them. See core.Options.Library.
-	Library *library.Library
 	// Auth, when set, must map the hello bearer token to a tenant name.
 	// A non-nil error refuses the hello with CodeUnauthorized. The
 	// resolved tenant is stamped on every request the connection sends

@@ -125,8 +125,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		js:    js,
 		router: core.New(js.Dev,
 			core.WithParallelism(cfg.Opts.Parallelism),
-			core.WithParanoidVerify(cfg.Opts.ParanoidVerify),
-			core.WithLibrary(cfg.Opts.Library)),
+			core.WithParanoidVerify(cfg.Opts.ParanoidVerify)),
 		cores:   make(map[coreKey]*coreEntry),
 		m:       newSessionMetrics(),
 		owners:  make(map[string]uint8),
@@ -134,9 +133,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		pending: make(map[uint8][]byte),
 		ports:   make(map[*core.Port]protocol.PortRefMsg),
 	}
-	// The router's construction-time stats (library entries seeded or
-	// skipped) are in statsz before its first op.
-	w.m.noteRouter(w.router.Stats(), 0)
 	go w.run()
 	return w, nil
 }

@@ -158,10 +158,6 @@ func TestStatsAreTheRouters(t *testing.T) {
 		{"ReplayFails", got.ReplayFails, st.ReplayFails},
 		{"NodesExplored", got.NodesExplored, st.NodesExplored},
 		{"RecordsVisited", got.RecordsVisited, st.RecordsVisited},
-		{"LibraryHits", got.LibraryHits, st.LibraryHits},
-		{"LibraryMisses", got.LibraryMisses, st.LibraryMisses},
-		{"LibrarySeeded", got.LibrarySeeded, st.LibrarySeeded},
-		{"LibrarySkipped", got.LibrarySkipped, st.LibrarySkipped},
 		{"PartitionRegions", got.PartitionRegions, st.PartitionRegions},
 		{"PartitionCrossing", got.PartitionCrossing, st.PartitionCrossing},
 		{"RegionIterations", got.RegionIterations, st.RegionIterations},
