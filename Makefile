@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace prof-batch prof-search bench-go bench-smoke fuzz-smoke verify soak size
+.PHONY: build vet fmt-check test race ci prof prof-negotiate prof-replace prof-batch prof-search bench-go bench-smoke fuzz-smoke verify soak size mutants
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,13 @@ bench-go:
 # graceful drain leaves zero stuck sessions; -v prints its summary.
 soak:
 	$(GO) test ./internal/server -run TestSoak -soak=2m -v
+
+# mutants runs the mutant table, testdata/mutants.txt: each row lays a
+# mutated copy of one file over the tree with `go test -overlay` (the tree
+# is never written) and requires the row's named test to fail. Not part of
+# ci: a row costs a package build and a test run, about 1.5 s each here.
+mutants:
+	$(GO) test -run TestMutants -mutants -v -timeout 30m .
 
 # size prints, per directory (internal/*, cmd, benchmark), in total and
 # for ROADMAP item 5's set (core, maze, server, gateway), non-test Go lines

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -14,14 +15,20 @@ type BatchNet struct {
 	Sinks  []EndPoint
 }
 
+// ErrTimingDrivenBatch is RouteBatch's and RouteBusBatch's answer on a
+// TimingDriven router. The negotiation's congestion costs are in wire units
+// and it has no delay model, so it would count wires: it refuses rather
+// than ignore the option.
+var ErrTimingDrivenBatch = errors.New("core: the negotiated batch router has no delay model; TimingDriven is refused")
+
 // RouteBatch routes a set of nets together under negotiated congestion —
 // the §6 "different algorithms" extension (after Swartz/Betz/Rose's
 // routability-driven router). Unlike the greedy sequential calls, the
 // batch router may trade wires between nets: every net is ripped up and
 // re-routed with congestion-inflated costs until no track is shared, and
 // only the converged solution is committed to the device. Either all nets
-// route or none do. The negotiation counts wires whatever Options.TimingDriven
-// says: its congestion costs are in wire units, and it has no delay model.
+// route or none do. Under Options.TimingDriven it refuses with
+// ErrTimingDrivenBatch and changes nothing.
 //
 // Connection records are created for every net, so port memory and
 // unrouting behave exactly as with the sequential calls. If a commit
@@ -30,6 +37,9 @@ type BatchNet struct {
 // set and the Connection records already created by this call are rolled
 // back.
 func (r *Router) RouteBatch(nets []BatchNet) (err error) {
+	if r.opt.TimingDriven {
+		return ErrTimingDrivenBatch
+	}
 	r.enterOp()
 	defer r.exitOp(&err)
 	specs := slices.Grow(r.specBuf[:0], len(nets))[:len(nets)]

@@ -31,6 +31,30 @@ func TestRouteBatchSimple(t *testing.T) {
 	}
 }
 
+// TestRouteBatchRefusesTimingDriven: the negotiation has no delay model,
+// so on a TimingDriven router RouteBatch and RouteBusBatch answer
+// ErrTimingDrivenBatch and change nothing — no PIP, no record — where they
+// used to count wires. A sequential route on the same router still runs.
+func TestRouteBatchRefusesTimingDriven(t *testing.T) {
+	r := newTestRouter(t, Options{TimingDriven: true})
+	if err := r.RouteNet(NewPin(2, 2, arch.S0X), NewPin(6, 9, arch.S0F1)); err != nil {
+		t.Fatal(err)
+	}
+	pips, recs := r.Dev.OnPIPCount(), len(r.Connections())
+	src, sink := NewPin(3, 2, arch.S0X), NewPin(7, 9, arch.S0F1)
+	for name, err := range map[string]error{
+		"RouteBatch":    r.RouteBatch([]BatchNet{{Source: src, Sinks: []EndPoint{sink}}}),
+		"RouteBusBatch": r.RouteBusBatch([]EndPoint{src}, []EndPoint{sink}),
+	} {
+		if !errors.Is(err, ErrTimingDrivenBatch) {
+			t.Errorf("%s under TimingDriven: %v, want ErrTimingDrivenBatch", name, err)
+		}
+	}
+	if r.Dev.OnPIPCount() != pips || len(r.Connections()) != recs {
+		t.Errorf("refused batches left %d PIPs and %d records, want %d and %d", r.Dev.OnPIPCount(), len(r.Connections()), pips, recs)
+	}
+}
+
 // TestRouteBatchCongestedCrossbar: many bits crossing through a narrow
 // column region, routed as a batch. The negotiation must spread them over
 // disjoint tracks.

@@ -21,7 +21,7 @@ type bitLayout struct {
 	lutBase      int
 	ffInitBase   int
 	lutUsedBase  int
-	bramBase     int // BRAMWords*BRAMWidth content bits + 1 used bit
+	bramBase     int // bramBits content bits + 1 used bit
 	bitsPerTile  int
 	bytesPerTile int
 }
@@ -34,6 +34,7 @@ const (
 	lutBits  = 16
 	ffBits   = 1
 	usedBits = 1
+	bramBits = arch.BRAMWords * arch.BRAMWidth // a site's words; its used bit follows
 )
 
 // LUT indices.
@@ -72,17 +73,12 @@ func newBitLayout(a *arch.Arch) bitLayout {
 	l.ffInitBase = l.lutBase + NumLUTs*lutBits
 	l.lutUsedBase = l.ffInitBase + NumFFs*ffBits
 	l.bramBase = l.lutUsedBase + NumLUTs*usedBits
-	l.bitsPerTile = l.bramBase + arch.BRAMWords*arch.BRAMWidth + 1
+	l.bitsPerTile = l.bramBase + bramBits + 1
 	l.bytesPerTile = (l.bitsPerTile + 7) / 8
 	return l
 }
 
 func (l *bitLayout) pipBit(from, to arch.Wire) (int, bool) {
-	i, ok := l.pipIdx(from, to)
-	return i, ok
-}
-
-func (l *bitLayout) pipIdx(from, to arch.Wire) (int, bool) {
 	i, ok := l.pairIdx[[2]arch.Wire{from, to}]
 	return i, ok
 }
@@ -91,7 +87,13 @@ func (l *bitLayout) pipIdx(from, to arch.Wire) (int, bool) {
 // tile (used by the architecture audit of experiment E1).
 func (d *Device) PIPBitCount() int { return len(d.layout.pairs) }
 
-func (d *Device) lutKeyOK(row, col, n int) error {
+// Logic configuration lives only in the tile's bits, so a device reads
+// what a stream wrote whether or not its routing state was rebuilt: a
+// LUT's truth table at lutBase, its used flag at lutUsedBase, a flip-flop's
+// init value at ffInitBase, a BRAM site's words and used flag at bramBase.
+// A read off the array or of an index out of range answers zero, unused.
+
+func (d *Device) lutSiteOK(row, col, n int) error {
 	if row < 0 || row >= d.Rows || col < 0 || col >= d.Cols {
 		return fmt.Errorf("device: tile (%d,%d) outside array", row, col)
 	}
@@ -105,80 +107,68 @@ func (d *Device) lutKeyOK(row, col, n int) error {
 // LUT as used. Truth-table bit i gives the output for input value i, where
 // input bit 0 is F1/G1 and bit 3 is F4/G4.
 func (d *Device) SetLUT(row, col, n int, truth uint16) error {
-	if err := d.lutKeyOK(row, col, n); err != nil {
-		return err
-	}
-	k := lutKey{row, col, n}
-	d.luts[k] = truth
-	d.lutUsed[k] = true
-	if err := d.bits.SetBits(row, col, d.layout.lutBase+n*lutBits, lutBits, uint64(truth)); err != nil {
-		return err
-	}
-	return d.bits.SetBit(row, col, d.layout.lutUsedBase+n, true)
+	return d.writeLUT(row, col, n, truth, true)
 }
 
 // ClearLUT unconfigures a LUT.
 func (d *Device) ClearLUT(row, col, n int) error {
-	if err := d.lutKeyOK(row, col, n); err != nil {
+	return d.writeLUT(row, col, n, 0, false)
+}
+
+func (d *Device) writeLUT(row, col, n int, truth uint16, used bool) error {
+	if err := d.lutSiteOK(row, col, n); err != nil {
 		return err
 	}
-	k := lutKey{row, col, n}
-	delete(d.luts, k)
-	delete(d.lutUsed, k)
-	if err := d.bits.SetBits(row, col, d.layout.lutBase+n*lutBits, lutBits, 0); err != nil {
+	if err := d.bits.SetBits(row, col, d.layout.lutBase+n*lutBits, lutBits, uint64(truth)); err != nil {
 		return err
 	}
-	return d.bits.SetBit(row, col, d.layout.lutUsedBase+n, false)
+	return d.bits.SetBit(row, col, d.layout.lutUsedBase+n, used)
 }
 
 // GetLUT returns a LUT's truth table and whether the LUT is in use.
 func (d *Device) GetLUT(row, col, n int) (uint16, bool) {
-	k := lutKey{row, col, n}
-	v, ok := d.luts[k]
-	return v, ok
+	if d.lutSiteOK(row, col, n) != nil {
+		return 0, false
+	}
+	if used, _ := d.bits.GetBit(row, col, d.layout.lutUsedBase+n); !used {
+		return 0, false
+	}
+	v, _ := d.bits.GetBits(row, col, d.layout.lutBase+n*lutBits, lutBits)
+	return uint16(v), true
 }
 
 // SetFFInit sets the initial (power-up) value of flip-flop n at (row, col).
 func (d *Device) SetFFInit(row, col, n int, v bool) error {
-	if err := d.lutKeyOK(row, col, n); err != nil {
+	if err := d.lutSiteOK(row, col, n); err != nil {
 		return err
 	}
-	d.ffInit[lutKey{row, col, n}] = v
 	return d.bits.SetBit(row, col, d.layout.ffInitBase+n, v)
 }
 
 // FFInit returns the initial value of flip-flop n at (row, col).
 func (d *Device) FFInit(row, col, n int) bool {
-	return d.ffInit[lutKey{row, col, n}]
+	if d.lutSiteOK(row, col, n) != nil {
+		return false
+	}
+	v, _ := d.bits.GetBit(row, col, d.layout.ffInitBase+n)
+	return v
 }
 
 // CLBActive reports whether any LUT of the CLB is configured.
 func (d *Device) CLBActive(row, col int) bool {
-	for n := 0; n < NumLUTs; n++ {
-		if d.lutUsed[lutKey{row, col, n}] {
-			return true
-		}
-	}
-	return false
+	used, _ := d.bits.GetBits(row, col, d.layout.lutUsedBase, NumLUTs)
+	return used != 0
 }
 
 // ActiveCLBs returns the coordinates of all CLBs with configured logic,
 // in row-major order.
 func (d *Device) ActiveCLBs() []Coord {
 	var out []Coord
-	seen := make(map[Coord]bool)
-	for k := range d.lutUsed {
-		c := Coord{k.Row, k.Col}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].Row < out[j-1].Row ||
-			(out[j].Row == out[j-1].Row && out[j].Col < out[j-1].Col)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for row := 0; row < d.Rows; row++ {
+		for col := 0; col < d.Cols; col++ {
+			if d.CLBActive(row, col) {
+				out = append(out, Coord{row, col})
+			}
 		}
 	}
 	return out
@@ -201,6 +191,15 @@ func (d *Device) bramSiteOK(row, col int) error {
 // SetBRAMInit configures a block RAM site's initial contents and marks it
 // used.
 func (d *Device) SetBRAMInit(row, col int, words [arch.BRAMWords]byte) error {
+	return d.writeBRAM(row, col, words, true)
+}
+
+// ClearBRAM unconfigures a block RAM site.
+func (d *Device) ClearBRAM(row, col int) error {
+	return d.writeBRAM(row, col, [arch.BRAMWords]byte{}, false)
+}
+
+func (d *Device) writeBRAM(row, col int, words [arch.BRAMWords]byte, used bool) error {
 	if err := d.bramSiteOK(row, col); err != nil {
 		return err
 	}
@@ -209,48 +208,36 @@ func (d *Device) SetBRAMInit(row, col int, words [arch.BRAMWords]byte) error {
 			return err
 		}
 	}
-	if err := d.bits.SetBit(row, col, d.layout.bramBase+arch.BRAMWords*arch.BRAMWidth, true); err != nil {
-		return err
-	}
-	d.bramInit[Coord{row, col}] = words
-	d.bramUsed[Coord{row, col}] = true
-	return nil
+	return d.bits.SetBit(row, col, d.layout.bramBase+bramBits, used)
 }
 
-// ClearBRAM unconfigures a block RAM site.
-func (d *Device) ClearBRAM(row, col int) error {
-	if err := d.bramSiteOK(row, col); err != nil {
-		return err
-	}
-	for i := 0; i < arch.BRAMWords; i++ {
-		if err := d.bits.SetBits(row, col, d.layout.bramBase+i*arch.BRAMWidth, arch.BRAMWidth, 0); err != nil {
-			return err
-		}
-	}
-	if err := d.bits.SetBit(row, col, d.layout.bramBase+arch.BRAMWords*arch.BRAMWidth, false); err != nil {
-		return err
-	}
-	delete(d.bramInit, Coord{row, col})
-	delete(d.bramUsed, Coord{row, col})
-	return nil
+// bramUsed reads a site's used bit; a tile off the BRAM columns has none.
+func (d *Device) bramUsed(row, col int) bool {
+	used, _ := d.bits.GetBit(row, col, d.layout.bramBase+bramBits)
+	return used && d.A.BRAMColumn(col)
 }
 
 // GetBRAMInit returns a site's initial contents and whether it is used.
 func (d *Device) GetBRAMInit(row, col int) ([arch.BRAMWords]byte, bool) {
-	w, ok := d.bramInit[Coord{row, col}]
-	return w, ok
+	var words [arch.BRAMWords]byte
+	if !d.bramUsed(row, col) {
+		return words, false
+	}
+	for i := range words {
+		v, _ := d.bits.GetBits(row, col, d.layout.bramBase+i*arch.BRAMWidth, arch.BRAMWidth)
+		words[i] = byte(v)
+	}
+	return words, true
 }
 
 // ActiveBRAMs returns the configured block-RAM sites in row-major order.
 func (d *Device) ActiveBRAMs() []Coord {
 	var out []Coord
-	for c := range d.bramUsed {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].Row < out[j-1].Row ||
-			(out[j].Row == out[j-1].Row && out[j].Col < out[j-1].Col)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for row := 0; row < d.Rows; row++ {
+		for col := 0; col < d.Cols; col++ {
+			if d.bramUsed(row, col) {
+				out = append(out, Coord{row, col})
+			}
 		}
 	}
 	return out
@@ -288,45 +275,34 @@ func (d *Device) DiffFrames(o *Device) ([]bitstream.FrameAddr, error) {
 }
 
 // ApplyConfig loads a configuration stream (full or partial) into the
-// device and rebuilds the routing and logic state from the new bits. A CRC
-// or format error leaves the state rebuilt from whatever bits landed, and
-// is returned.
+// device and rebuilds the routing state from the new bits; the logic
+// configuration is read from the bits as they stand. A CRC or format error
+// leaves the state rebuilt from whatever bits landed, and is returned.
 func (d *Device) ApplyConfig(stream []byte) error {
-	_, err := d.ApplyConfigFrames(stream)
-	return err
-}
-
-// ApplyConfigFrames is ApplyConfig, additionally reporting how many
-// configuration frames the stream wrote — the per-configuration traffic
-// counter a Board needs.
-func (d *Device) ApplyConfigFrames(stream []byte) (int, error) {
-	n, err := d.bits.ApplyConfig(stream)
+	_, err := d.bits.ApplyConfig(stream)
 	if rerr := d.RebuildFromBits(); rerr != nil && err == nil {
 		err = rerr
 	}
-	return n, err
+	return err
 }
 
 // ApplyFramesRaw patches the configuration bitstream without reconstructing
-// the in-memory routing and logic state, and reports the frames written.
-// The caller owns calling RebuildFromBits before reading routing state —
-// the cheap path for passive mirrors that apply many partial streams and
-// only occasionally inspect the result.
+// the in-memory routing state, and reports the frames written — the
+// per-configuration traffic counter a Board needs. LUT, flip-flop and BRAM
+// reads see the new bits at once; the caller owns calling RebuildFromBits
+// before reading routing state — the cheap path for passive mirrors that
+// apply many partial streams and only occasionally inspect their routing.
 func (d *Device) ApplyFramesRaw(stream []byte) (int, error) {
 	return d.bits.ApplyConfig(stream)
 }
 
-// RebuildFromBits reconstructs the in-memory routing and logic state from
-// the configuration bitstream — the readback direction. It fails if the
-// bits encode contention or reference impossible resources, which is how a
-// corrupt bitstream surfaces.
+// RebuildFromBits reconstructs the in-memory routing state from the
+// configuration bitstream — the readback direction; logic configuration
+// has no state but its bits. It fails if the bits encode contention,
+// reference impossible resources or mark a BRAM used off the BRAM columns,
+// which is how a corrupt bitstream surfaces.
 func (d *Device) RebuildFromBits() error {
 	d.resetRouting()
-	d.luts = make(map[lutKey]uint16)
-	d.ffInit = make(map[lutKey]bool)
-	d.lutUsed = make(map[lutKey]bool)
-	d.bramInit = make(map[Coord][arch.BRAMWords]byte)
-	d.bramUsed = make(map[Coord]bool)
 	for row := 0; row < d.Rows; row++ {
 		for col := 0; col < d.Cols; col++ {
 			// PIP bits, 64 at a time, skipping zero words.
@@ -355,48 +331,8 @@ func (d *Device) RebuildFromBits() error {
 					d.link(p, d.TrackIndex(from), ti)
 				}
 			}
-			for n := 0; n < NumLUTs; n++ {
-				used, err := d.bits.GetBit(row, col, d.layout.lutUsedBase+n)
-				if err != nil {
-					return err
-				}
-				if used {
-					v, err := d.bits.GetBits(row, col, d.layout.lutBase+n*lutBits, lutBits)
-					if err != nil {
-						return err
-					}
-					k := lutKey{row, col, n}
-					d.luts[k] = uint16(v)
-					d.lutUsed[k] = true
-				}
-			}
-			for n := 0; n < NumFFs; n++ {
-				v, err := d.bits.GetBit(row, col, d.layout.ffInitBase+n)
-				if err != nil {
-					return err
-				}
-				if v {
-					d.ffInit[lutKey{row, col, n}] = true
-				}
-			}
-			used, err := d.bits.GetBit(row, col, d.layout.bramBase+arch.BRAMWords*arch.BRAMWidth)
-			if err != nil {
-				return err
-			}
-			if used {
-				if !d.A.BRAMColumn(col) {
-					return fmt.Errorf("device: bitstream marks BRAM at non-BRAM tile (%d,%d)", row, col)
-				}
-				var words [arch.BRAMWords]byte
-				for i := range words {
-					v, err := d.bits.GetBits(row, col, d.layout.bramBase+i*arch.BRAMWidth, arch.BRAMWidth)
-					if err != nil {
-						return err
-					}
-					words[i] = byte(v)
-				}
-				d.bramInit[Coord{row, col}] = words
-				d.bramUsed[Coord{row, col}] = true
+			if used, _ := d.bits.GetBit(row, col, d.layout.bramBase+bramBits); used && !d.A.BRAMColumn(col) {
+				return fmt.Errorf("device: bitstream marks BRAM at non-BRAM tile (%d,%d)", row, col)
 			}
 		}
 	}

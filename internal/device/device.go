@@ -48,17 +48,6 @@ type Device struct {
 	pages     []*tilePage
 	freePages []*tilePage
 	onPIPs    int
-
-	luts     map[lutKey]uint16
-	ffInit   map[lutKey]bool
-	lutUsed  map[lutKey]bool
-	bramInit map[Coord][arch.BRAMWords]byte
-	bramUsed map[Coord]bool
-}
-
-type lutKey struct {
-	Row, Col int
-	N        int // LUT 0..3 (S0F, S0G, S1F, S1G) / FF 0..3 (S0XQ, S0YQ, S1XQ, S1YQ)
 }
 
 // maxSide bounds rows and columns: an Edge holds tile offsets as int16.
@@ -76,15 +65,10 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 		return nil, fmt.Errorf("device: array %dx%d too large (track indices are int32, tile offsets int16)", rows, cols)
 	}
 	d := &Device{
-		A:        a,
-		Rows:     rows,
-		Cols:     cols,
-		slots:    a.Slots(),
-		luts:     make(map[lutKey]uint16),
-		ffInit:   make(map[lutKey]bool),
-		lutUsed:  make(map[lutKey]bool),
-		bramInit: make(map[Coord][arch.BRAMWords]byte),
-		bramUsed: make(map[Coord]bool),
+		A:     a,
+		Rows:  rows,
+		Cols:  cols,
+		slots: a.Slots(),
 	}
 	d.layout = newBitLayout(a)
 	bits, err := bitstream.New(bitstream.Layout{

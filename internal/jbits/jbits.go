@@ -71,9 +71,10 @@ type Board struct {
 	mu   sync.Mutex
 	dev  *device.Device
 	// stale marks that configurations landed since the interpreted routing
-	// and logic state was last rebuilt. The configuration port only latches
-	// frames — as on real hardware — so interpretation is deferred until
-	// someone inspects the device.
+	// state was last rebuilt. The configuration port only latches frames —
+	// as on real hardware — so interpretation is deferred until someone
+	// inspects the device. Logic (LUTs, flip-flops, BRAM) is read from the
+	// bits and needs no rebuild.
 	stale bool
 
 	// Statistics of the configuration traffic this board has seen.
@@ -163,11 +164,12 @@ func (b *Board) Readback() ([]byte, error) {
 
 // Device exposes the board-side device for readback-style inspection
 // (BoardScope reads board state, not host state), rebuilding the
-// interpreted routing and logic state first if configurations landed since
-// the last inspection. A rebuild failure (bits encoding illegal state)
-// leaves the board marked stale so the next inspection retries; the raw
-// bits remain authoritative either way. Callers must not use the returned
-// device while a Serve loop may be configuring the board concurrently.
+// interpreted routing state first if configurations landed since the last
+// inspection; its logic reads come straight from the bits. A rebuild
+// failure (bits encoding illegal state) leaves the board marked stale so
+// the next inspection retries; the raw bits remain authoritative either
+// way. Callers must not use the returned device while a Serve loop may be
+// configuring the board concurrently.
 func (b *Board) Device() *device.Device {
 	b.mu.Lock()
 	defer b.mu.Unlock()

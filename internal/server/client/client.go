@@ -399,8 +399,9 @@ type Session struct {
 	// Mirror is the client-side device image, advanced only by the dirty
 	// frames mutating responses carry (after the initial full sync at
 	// connect time). Frames are patched into the mirror's bitstream as they
-	// arrive; the in-memory routing view is rebuilt lazily — call
-	// SyncMirror before inspecting it.
+	// arrive, and its LUT, flip-flop and BRAM reads see them at once; the
+	// in-memory routing view is rebuilt lazily — call SyncMirror before
+	// inspecting the routing.
 	Mirror *device.Device
 
 	// FramesApplied counts partial frames applied to the mirror.
@@ -419,10 +420,11 @@ type Session struct {
 	stale bool // bits newer than Mirror's in-memory routing state
 }
 
-// SyncMirror rebuilds the mirror's in-memory routing and logic state from
-// the accumulated bitstream patches. It is a no-op when already in sync,
-// so callers can invoke it before every inspection and pay the full
-// reconstruction only once per burst of pushed frames.
+// SyncMirror rebuilds the mirror's in-memory routing state from the
+// accumulated bitstream patches (its logic needs no rebuild: it is read
+// from the bits). It is a no-op when already in sync, so callers can
+// invoke it before every inspection and pay the full reconstruction only
+// once per burst of pushed frames.
 func (s *Session) SyncMirror() error {
 	if !s.stale {
 		return nil

@@ -198,6 +198,69 @@ func TestImportRejectsBadForms(t *testing.T) {
 	}
 }
 
+// claimElsewhere returns the form of a worker that routed (5,5)S0X →
+// (5,9)S0F1, its one record's sink rewritten to sink.
+func claimElsewhere(t testing.TB, sink EndPointMsg) []byte {
+	t.Helper()
+	w := newTestWorker(t)
+	ctx := context.Background()
+	if resp := w.Submit(ctx, routeReq("s", pinMsg(5, 5, arch.S0X), pinMsg(5, 9, arch.S0F1))); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	run, err := w.Export(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, rest, err := v3.NextEntry(run)
+	if err != nil || len(rest) != 0 || e.Tag != v3.EntryLive {
+		t.Fatalf("the form of one route: %v, %d bytes after its first entry", err, len(rest))
+	}
+	rec := readTestRecord(t, e)
+	rec.ends[1] = sink
+	return rec.append(nil)
+}
+
+// TestImportRefusesUnreachedSinks: a record whose path does not reach the
+// sink it claims — a sink off the array, a sink on it that nothing in the
+// form drives — is refused as a bad request before anything is placed or
+// learned: no PIP is on, and a route of the claimed endpoints afterwards
+// searches (a cache miss), where a learned path would have replayed.
+func TestImportRefusesUnreachedSinks(t *testing.T) {
+	ctx := context.Background()
+	src := pinMsg(5, 5, arch.S0X)
+	for _, sink := range []EndPointMsg{pinMsg(9, -13, arch.S1G1), pinMsg(7, 3, arch.S1G1)} {
+		w := newTestWorker(t)
+		resp := w.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: claimElsewhere(t, sink)})
+		if resp.ErrorCode != protocol.CodeBadRequest {
+			t.Errorf("sink %+v: import answered %q (%s), want a bad request", sink.Pin, resp.Err, resp.ErrorCode)
+		}
+		var before core.Stats
+		if err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
+			if n := js.Dev.OnPIPCount(); n != 0 {
+				t.Errorf("sink %+v: the refused import left %d PIPs on", sink.Pin, n)
+			}
+			before = r.Stats()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		routed := w.Submit(ctx, routeReq("s", src, sink)).Err == ""
+		if err := w.Do(ctx, func(r *core.Router, _ *jbits.Session) error {
+			d := r.Stats().Sub(before)
+			if d.CacheHits != 0 || routed && d.CacheMisses == 0 {
+				t.Errorf("sink %+v: a route of the claimed endpoints counted %d hits, %d misses; want 0 hits and, routed, a miss",
+					sink.Pin, d.CacheHits, d.CacheMisses)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if sink.Pin.Col >= 0 && !routed {
+			t.Errorf("sink %+v: the route of the claimed endpoints failed", sink.Pin)
+		}
+	}
+}
+
 // TestImportIsAllOrNothing: a real form broken two ways — cut inside any
 // entry, or any one record with a wire past the architecture — is refused
 // as a bad request before anything comes off, so the worker it was
@@ -269,6 +332,8 @@ func FuzzSessionImport(f *testing.F) {
 		form = r.append(form)
 	}
 	f.Add(form)
+	f.Add(claimElsewhere(f, pinMsg(9, -13, arch.S1G1)))
+	f.Add(claimElsewhere(f, pinMsg(7, 3, arch.S1G1)))
 	f.Fuzz(func(t *testing.T, run []byte) {
 		w := newTestWorker(t)
 		ctx := context.Background()

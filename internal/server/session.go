@@ -175,10 +175,11 @@ func (w *Worker) coreList(keep func(*coreEntry) bool) []*coreEntry {
 }
 
 // sessionImport replaces what the form's owners hold here with the form,
-// all or nothing. The form is read whole first, every wire checked: an
-// entry with no owner is the request's session's, and a form imported for
-// a session holds no other's. Then the owners' cores, live records and
-// memory come off, the form's cores are made in creation order as they are
+// all or nothing. The form is read whole first, every wire and tile checked
+// and every record's path held to the sinks it claims: an entry with no
+// owner is the request's session's, and a form imported for a session
+// holds no other's. Then the owners' cores, live records and memory come
+// off, the form's cores are made in creation order as they are
 // described now, its live records adopted replay-first in sequence order,
 // and its memory filed under its ports. A step that fails takes off
 // everything the import placed.
@@ -218,6 +219,9 @@ func (w *Worker) sessionImport(req *Request, resp *Response) error {
 		default:
 			return fmt.Errorf("server: a session form holds no entry of tag %#x", e.Tag)
 		}
+	}
+	if err := checkReach(w.js.Dev, recs); err != nil {
+		return err
 	}
 	resp.ErrorCode = protocol.CodeOK
 	owners = slices.DeleteFunc(owners, func(o uint8) bool { return o == 0 })
@@ -270,21 +274,27 @@ type portRef protocol.PortRefMsg
 func (portRef) Pins() []core.Pin { return nil }
 
 // readRecord reads a form's record entry into the router's record,
-// checking every wire. Its pins are the At pins, with its endpoints as
-// Ends, or else its endpoints, each a pin.
+// checking every wire and tile. Its pins are the At pins, with its
+// endpoints as Ends, or else its endpoints, each a pin.
 func (w *Worker) readRecord(e v3.Entry) (sr core.SeqRecord, err error) {
-	r, bad := v3.NewReader(e.Record), false
+	d := w.js.Dev
+	r, bad, off := v3.NewReader(e.Record), false, false
 	wire := func(x int) arch.Wire {
-		bad = bad || x < 0 || x >= w.js.Dev.A.WireCount()
+		bad = bad || x < 0 || x >= d.A.WireCount()
 		return arch.Wire(x)
+	}
+	tile := func(row, col int) {
+		off = off || row < 0 || row >= d.Rows || col < 0 || col >= d.Cols
 	}
 	pin := func() core.Pin {
 		row, col, x := r.Pin()
+		tile(row, col)
 		return core.NewPin(row, col, wire(x))
 	}
 	pips := func() (out []device.PIP) {
 		for n := r.Count(); n > 0; n-- {
 			row, col, from, to := r.Pip()
+			tile(row, col)
 			out = append(slices.Grow(out, n), device.PIP{Row: row, Col: col, From: wire(from), To: wire(to)})
 		}
 		return out
@@ -312,6 +322,8 @@ func (w *Worker) readRecord(e v3.Entry) (sr core.SeqRecord, err error) {
 		return sr, r.Err()
 	case bad:
 		return sr, fmt.Errorf("server: record %d names a wire outside the architecture", e.Seq)
+	case off:
+		return sr, fmt.Errorf("server: record %d names a tile off the array", e.Seq)
 	case pins != nil:
 		sr.Ends = ends
 	default:
@@ -325,6 +337,64 @@ func (w *Worker) readRecord(e v3.Entry) (sr core.SeqRecord, err error) {
 	}
 	sr.Source, sr.Sinks = pins[0], pins[1:]
 	return sr, nil
+}
+
+// checkReach refuses a form whose records claim sinks their paths do not
+// reach. A path may start on a net that older records routed (a route that
+// grew a net, a manual extension), so a live record's sink counts as
+// reached when the form's live paths lead to it from the record's source,
+// and a remembered one's when its live and remembered paths do. A record
+// without a path adopts through a search, and is not held to one.
+func checkReach(d *device.Device, recs [2][]core.SeqRecord) error {
+	index := func(row, col int, w arch.Wire) (int32, bool) {
+		t, ok := d.CanonOK(row, col, w)
+		if !ok {
+			return 0, false
+		}
+		return d.TrackIndex(t), true
+	}
+	var edges [][2]int32         // from, to: one per PIP, sorted by from
+	seen := make(map[int32]bool) // the tracks the walk in progress reached
+	var queue []int32
+	for _, list := range recs {
+		for _, sr := range list {
+			for _, p := range sr.Path {
+				from, okFrom := index(p.Row, p.Col, p.From)
+				to, okTo := index(p.Row, p.Col, p.To)
+				if !okFrom || !okTo {
+					return fmt.Errorf("server: record %d's path names no resource at (%d,%d)", sr.Seq, p.Row, p.Col)
+				}
+				edges = append(edges, [2]int32{from, to})
+			}
+		}
+		slices.SortFunc(edges, func(a, b [2]int32) int { return cmp.Compare(a[0], b[0]) })
+		for _, sr := range list {
+			if len(sr.Path) == 0 {
+				continue
+			}
+			src, ok := index(sr.Source.Row, sr.Source.Col, sr.Source.W)
+			if !ok {
+				return fmt.Errorf("server: record %d's source names no resource", sr.Seq)
+			}
+			clear(seen)
+			seen[src], queue = true, append(queue[:0], src)
+			for i := 0; i < len(queue); i++ {
+				j, _ := slices.BinarySearchFunc(edges, queue[i], func(e [2]int32, t int32) int { return cmp.Compare(e[0], t) })
+				for ; j < len(edges) && edges[j][0] == queue[i]; j++ {
+					if to := edges[j][1]; !seen[to] {
+						seen[to], queue = true, append(queue, to)
+					}
+				}
+			}
+			for _, p := range sr.Sinks {
+				if t, ok := index(p.Row, p.Col, p.W); !ok || !seen[t] {
+					return fmt.Errorf("server: record %d claims sink %s at (%d,%d), which its path does not reach",
+						sr.Seq, d.A.WireName(p.W), p.Row, p.Col)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // drop takes everything owner o holds off this worker: its cores, newest
