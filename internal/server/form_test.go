@@ -261,6 +261,56 @@ func TestImportRefusesUnreachedSinks(t *testing.T) {
 	}
 }
 
+// TestImportKeepsRememberedBranch: a remembered record is often part of a
+// net. Route a pin, grow the net to a core's input port, reverse-unroute
+// the port and unroute the net: the form holds only the port's memory,
+// whose path starts at a branch point no record in the form drives. It
+// imports, and the core's replacement reconnects the port from the source.
+func TestImportKeepsRememberedBranch(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorker(t)
+	src := pinMsg(5, 5, arch.S0X)
+	d0 := EndPointMsg{Port: protocol.PortRefMsg{Core: "reg", Group: "d"}, IsPort: true}
+	for _, req := range []*Request{
+		{Op: "core_new", Core: &protocol.CoreMsg{Name: "reg", Kind: "register", Row: 12, Col: 18, Bits: 2}},
+		routeReq("s", src, pinMsg(5, 9, arch.S0F1)),
+		routeReq("s", src, d0),
+		{Op: "reverse_unroute", Source: &d0},
+		{Op: "unroute", Source: &src},
+	} {
+		req.Session = "s"
+		if resp := w.Submit(ctx, req); resp.Err != "" {
+			t.Fatalf("%s: %s", req.Op, resp.Err)
+		}
+	}
+	run, err := w.Export(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var branch *testRecord
+	for _, s := range spans(t, run) {
+		if e, _, _ := v3.NextEntry(s); e.Tag == v3.EntryMemory {
+			rec := readTestRecord(t, e)
+			branch = &rec
+		}
+	}
+	if branch == nil || len(branch.pips) == 0 || branch.pips[0].From == src.Pin.Wire && branch.pips[0].Row == 5 && branch.pips[0].Col == 5 {
+		t.Fatalf("want the port's memory to start past the net's source, got %+v", branch)
+	}
+	spare := newTestWorker(t)
+	if resp := spare.Submit(ctx, &Request{Op: "session_import", Session: "s", Form: run}); resp.Err != "" {
+		t.Fatalf("import: %s (%s)", resp.Err, resp.ErrorCode)
+	}
+	replace := &Request{Op: "core_replace", Session: "s", Core: &protocol.CoreMsg{Name: "reg", Row: 9, Col: 16}}
+	if resp := spare.Submit(ctx, replace); resp.Err != "" {
+		t.Fatalf("core_replace after the import: %s", resp.Err)
+	}
+	resp := spare.Submit(ctx, &Request{Op: "trace", Session: "s", Source: &src})
+	if resp.Err != "" || resp.Net == nil || len(resp.Net.Sinks) != 1 {
+		t.Errorf("the source after the replacement traces %+v (%q), want the port's one pin", resp.Net, resp.Err)
+	}
+}
+
 // TestImportIsAllOrNothing: a real form broken two ways — cut inside any
 // entry, or any one record with a wire past the architecture — is refused
 // as a bad request before anything comes off, so the worker it was

@@ -220,7 +220,7 @@ func (w *Worker) sessionImport(req *Request, resp *Response) error {
 			return fmt.Errorf("server: a session form holds no entry of tag %#x", e.Tag)
 		}
 	}
-	if err := checkReach(w.js.Dev, recs); err != nil {
+	if err := checkReach(w.js.Dev, recs[0]); err != nil {
 		return err
 	}
 	resp.ErrorCode = protocol.CodeOK
@@ -339,13 +339,14 @@ func (w *Worker) readRecord(e v3.Entry) (sr core.SeqRecord, err error) {
 	return sr, nil
 }
 
-// checkReach refuses a form whose records claim sinks their paths do not
-// reach. A path may start on a net that older records routed (a route that
-// grew a net, a manual extension), so a live record's sink counts as
-// reached when the form's live paths lead to it from the record's source,
-// and a remembered one's when its live and remembered paths do. A record
-// without a path adopts through a search, and is not held to one.
-func checkReach(d *device.Device, recs [2][]core.SeqRecord) error {
+// checkReach refuses a form whose live records claim sinks their paths do
+// not reach. A path may start on a net that older records routed (a route
+// that grew a net, a manual extension), so a sink counts as reached when the
+// form's live paths lead to it from the record's source. A record without a
+// path adopts through a search, and is not held to one. Remembered records
+// are not held to reach: one is often a branch cut from a net (a reverse
+// unroute) whose branch point nothing in the form drives.
+func checkReach(d *device.Device, live []core.SeqRecord) error {
 	index := func(row, col int, w arch.Wire) (int32, bool) {
 		t, ok := d.CanonOK(row, col, w)
 		if !ok {
@@ -353,44 +354,42 @@ func checkReach(d *device.Device, recs [2][]core.SeqRecord) error {
 		}
 		return d.TrackIndex(t), true
 	}
-	var edges [][2]int32         // from, to: one per PIP, sorted by from
+	var edges [][2]int32 // from, to: one per PIP, sorted by from
+	for _, sr := range live {
+		for _, p := range sr.Path {
+			from, okFrom := index(p.Row, p.Col, p.From)
+			to, okTo := index(p.Row, p.Col, p.To)
+			if !okFrom || !okTo {
+				return fmt.Errorf("server: record %d's path names no resource at (%d,%d)", sr.Seq, p.Row, p.Col)
+			}
+			edges = append(edges, [2]int32{from, to})
+		}
+	}
+	slices.SortFunc(edges, func(a, b [2]int32) int { return cmp.Compare(a[0], b[0]) })
 	seen := make(map[int32]bool) // the tracks the walk in progress reached
 	var queue []int32
-	for _, list := range recs {
-		for _, sr := range list {
-			for _, p := range sr.Path {
-				from, okFrom := index(p.Row, p.Col, p.From)
-				to, okTo := index(p.Row, p.Col, p.To)
-				if !okFrom || !okTo {
-					return fmt.Errorf("server: record %d's path names no resource at (%d,%d)", sr.Seq, p.Row, p.Col)
+	for _, sr := range live {
+		if len(sr.Path) == 0 {
+			continue
+		}
+		src, ok := index(sr.Source.Row, sr.Source.Col, sr.Source.W)
+		if !ok {
+			return fmt.Errorf("server: record %d's source names no resource", sr.Seq)
+		}
+		clear(seen)
+		seen[src], queue = true, append(queue[:0], src)
+		for i := 0; i < len(queue); i++ {
+			j, _ := slices.BinarySearchFunc(edges, queue[i], func(e [2]int32, t int32) int { return cmp.Compare(e[0], t) })
+			for ; j < len(edges) && edges[j][0] == queue[i]; j++ {
+				if to := edges[j][1]; !seen[to] {
+					seen[to], queue = true, append(queue, to)
 				}
-				edges = append(edges, [2]int32{from, to})
 			}
 		}
-		slices.SortFunc(edges, func(a, b [2]int32) int { return cmp.Compare(a[0], b[0]) })
-		for _, sr := range list {
-			if len(sr.Path) == 0 {
-				continue
-			}
-			src, ok := index(sr.Source.Row, sr.Source.Col, sr.Source.W)
-			if !ok {
-				return fmt.Errorf("server: record %d's source names no resource", sr.Seq)
-			}
-			clear(seen)
-			seen[src], queue = true, append(queue[:0], src)
-			for i := 0; i < len(queue); i++ {
-				j, _ := slices.BinarySearchFunc(edges, queue[i], func(e [2]int32, t int32) int { return cmp.Compare(e[0], t) })
-				for ; j < len(edges) && edges[j][0] == queue[i]; j++ {
-					if to := edges[j][1]; !seen[to] {
-						seen[to], queue = true, append(queue, to)
-					}
-				}
-			}
-			for _, p := range sr.Sinks {
-				if t, ok := index(p.Row, p.Col, p.W); !ok || !seen[t] {
-					return fmt.Errorf("server: record %d claims sink %s at (%d,%d), which its path does not reach",
-						sr.Seq, d.A.WireName(p.W), p.Row, p.Col)
-				}
+		for _, p := range sr.Sinks {
+			if t, ok := index(p.Row, p.Col, p.W); !ok || !seen[t] {
+				return fmt.Errorf("server: record %d claims sink %s at (%d,%d), which its path does not reach",
+					sr.Seq, d.A.WireName(p.W), p.Row, p.Col)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ var runMutants = flag.Bool("mutants", false, "run the mutant table in testdata/m
 // mutant is one row of testdata/mutants.txt (its header says what each
 // key holds).
 type mutant struct {
-	name, file, find, replace, pkg, run, why string
+	name, file, find, replace, pkg, test, why string
 }
 
 // readMutants parses the table: blocks of "key: value" lines separated by
@@ -44,12 +44,12 @@ func readMutants(t *testing.T) []mutant {
 		if len(f) == 0 {
 			continue
 		}
-		m := mutant{name: f["name"], file: f["file"], pkg: f["pkg"], run: f["run"], why: f["why"]}
+		m := mutant{name: f["name"], file: f["file"], pkg: f["pkg"], test: f["test"], why: f["why"]}
 		if m.find, err = strconv.Unquote(f["find"]); err == nil {
 			m.replace, err = strconv.Unquote(f["replace"])
 		}
-		if err != nil || m.name == "" || m.file == "" || m.find == "" || m.pkg == "" || m.run == "" || len(f) != 7 {
-			t.Fatalf("mutants.txt: row %q: want name, file, find, replace, pkg, run and why, find and replace quoted (%v)", f["name"], err)
+		if err != nil || m.name == "" || m.file == "" || m.find == "" || m.pkg == "" || m.test == "" || len(f) != 7 {
+			t.Fatalf("mutants.txt: row %q: want name, file, find, replace, pkg, test and why, find and replace quoted (%v)", f["name"], err)
 		}
 		rows = append(rows, m)
 	}
@@ -58,8 +58,10 @@ func readMutants(t *testing.T) []mutant {
 
 // TestMutants runs the mutant table: each row's file, mutated, is laid over
 // the tree with go test -overlay, and the row's test must then fail. A row
-// whose snippet does not match exactly once, or whose mutant does not
-// build, fails too. It runs only under -mutants (make mutants): a row costs
+// whose snippet does not match exactly once fails too, and so does one
+// whose run fails any other way (a mutant that does not build, a package
+// that does not load, another test failing): only the named test's own
+// failure kills a mutant. It runs only under -mutants (make mutants): a row costs
 // a package build and a test run.
 func TestMutants(t *testing.T) {
 	if !*runMutants {
@@ -91,12 +93,12 @@ func TestMutants(t *testing.T) {
 			if err := os.WriteFile(overlay, js, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			out, err := exec.Command("go", "test", "-count=1", "-vet=off", "-overlay="+overlay, "-run", m.run, m.pkg).CombinedOutput()
+			out, err := exec.Command("go", "test", "-count=1", "-vet=off", "-overlay="+overlay, "-run", "^"+m.test+"$", m.pkg).CombinedOutput()
 			switch {
 			case err == nil:
-				t.Errorf("%s survives the mutant of %s (%s):\n%s", m.run, m.file, m.why, out)
-			case bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")):
-				t.Errorf("the mutant of %s does not build, so it tests nothing:\n%s", m.file, out)
+				t.Errorf("%s survives the mutant of %s (%s):\n%s", m.test, m.file, m.why, out)
+			case !bytes.Contains(out, []byte("--- FAIL: "+m.test+" (")):
+				t.Errorf("the run against the mutant of %s fails, but not in %s, so it tests nothing:\n%s", m.file, m.test, out)
 			}
 		})
 	}
