@@ -31,9 +31,10 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
-# Eight targets: the v3 byte decoder runs thousands of inputs a second and
+# Nine targets: the v3 byte decoder runs thousands of inputs a second and
 # gets 5 s, as does FuzzSessionImport, which imports each input onto a
-# fresh worker and audits what it places.
+# fresh worker and audits what it places, and FuzzParseWire, which holds
+# every name the wire parser accepts to a WireName round trip.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s ./internal/device
 	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s ./internal/bitstream
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s ./internal/server/protocol/v3
 	$(GO) test -run='^$$' -fuzz=FuzzSessionImport -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzParseWire -fuzztime=5s ./internal/arch
 
 # verify audits the paper's worked examples across the config grid and
 # runs a short seeded differential fuzz campaign, all through the

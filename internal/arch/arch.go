@@ -63,10 +63,15 @@ type Arch struct {
 	slotOf   []int16 // wire -> slot; -1 for an alias name
 	slotWire []Wire  // slot -> wire
 
-	// The plane table's pair indices and the fingerprint of the bit order
-	// they give (planes.go), set by New.
+	// The plane table's pair indices, the tile's PIP pairs in the bit order
+	// they give, each pair's bit, and that order's fingerprint (planes.go),
+	// set by New.
 	planes      []int
+	pipPairs    [][2]Wire
+	pipBit      map[[2]Wire]int
 	layoutPrint string
+
+	names map[string]Wire // WireName of every wire, for ParseWire; set by New
 }
 
 // New validates the parameters and computes the wire layout. Most callers
@@ -108,8 +113,11 @@ func New(a Arch) (*Arch, error) {
 			a.slotWire = append(a.slotWire, Wire(w))
 		}
 	}
-	a.buildFanout()
-	a.setLayout()
+	a.names = make(map[string]Wire, a.wireCount)
+	for w := range a.wireCount {
+		a.names[a.WireName(w)] = w
+	}
+	a.setLayout(a.buildFanout())
 	return &a, nil
 }
 

@@ -11,6 +11,7 @@ func FuzzParseWire(f *testing.F) {
 		"LongH[0]", "GClk[3]", "West.S0Y", "S0F3", "S0CLK",
 		"", "Out[", "Out[]", "Out[99]", "Single[1]", "[[1]]", "Out[-1]",
 		"SingleEast[999999999999999999999]",
+		"Out[01]", "SingleEast[+5]", "GClk[-0]", " S1YQ\t",
 	} {
 		f.Add(seed)
 	}

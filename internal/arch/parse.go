@@ -8,94 +8,13 @@ import (
 
 // ParseWire parses a paper-style wire name ("S1YQ", "Out[1]",
 // "SingleEast[5]", "HexMidNorth[2]", "LongH[3]", "GClk[0]", "West.S0Y")
-// into a Wire of this architecture. Parsing is the inverse of WireName.
+// into a Wire of this architecture. It accepts exactly the names WireName
+// prints, after trimming surrounding space.
 func (a *Arch) ParseWire(s string) (Wire, error) {
-	s = strings.TrimSpace(s)
-	// Fixed pin names first.
-	for p, n := range outPinNames {
-		if s == n {
-			return OutPin(p), nil
-		}
-	}
-	for i, n := range inputNames {
-		if s == n {
-			return Input(i), nil
-		}
-	}
-	for i, n := range ctrlNames {
-		if s == n {
-			return ctrlBase + Wire(i), nil
-		}
-	}
-	switch s {
-	case "BRAMWE":
-		return BRAMWE(), nil
-	case "BRAMClk":
-		return BRAMClk(), nil
-	}
-	if rest, ok := strings.CutPrefix(s, "West."); ok {
-		for p, n := range outPinNames {
-			if rest == n {
-				return OutAlias(p), nil
-			}
-		}
-		return Invalid, fmt.Errorf("arch: unknown output alias %q", s)
-	}
-
-	base, idx, err := splitIndexed(s)
-	if err != nil {
-		return Invalid, err
-	}
-	mk := func(w Wire) (Wire, error) {
-		if w == Invalid {
-			return Invalid, fmt.Errorf("arch %s: index %d out of range in %q", a.Name, idx, s)
-		}
+	if w, ok := a.names[strings.TrimSpace(s)]; ok {
 		return w, nil
 	}
-	switch {
-	case base == "Out":
-		return mk(Out(idx))
-	case base == "GClk":
-		return mk(GClk(idx))
-	case base == "IOBIn":
-		return mk(IOBIn(idx))
-	case base == "IOBOut":
-		return mk(IOBOut(idx))
-	case base == "BRAMAddr":
-		return mk(BRAMAddr(idx))
-	case base == "BRAMDin":
-		return mk(BRAMDin(idx))
-	case base == "BRAMDout":
-		return mk(BRAMDout(idx))
-	case base == "LongH":
-		return mk(a.LongH(idx))
-	case base == "LongV":
-		return mk(a.LongV(idx))
-	}
-	for _, d := range []Dir{North, East, South, West} {
-		if base == "Single"+d.String() {
-			return mk(a.Single(d, idx))
-		}
-		if base == "Hex"+d.String() {
-			return mk(a.Hex(d, idx))
-		}
-		if base == "HexMid"+d.String() {
-			return mk(a.HexMid(d, idx))
-		}
-	}
-	return Invalid, fmt.Errorf("arch: unknown wire name %q", s)
-}
-
-func splitIndexed(s string) (base string, idx int, err error) {
-	open := strings.IndexByte(s, '[')
-	if open < 0 || !strings.HasSuffix(s, "]") {
-		return "", 0, fmt.Errorf("arch: wire name %q is not NAME[i]", s)
-	}
-	idx, err = strconv.Atoi(s[open+1 : len(s)-1])
-	if err != nil {
-		return "", 0, fmt.Errorf("arch: bad index in %q: %w", s, err)
-	}
-	return s[:open], idx, nil
+	return Invalid, fmt.Errorf("arch %s: unknown wire name %q", a.Name, s)
 }
 
 // ParsePin parses "row,col,WIRE" (e.g. "5,7,S1YQ") into its parts.

@@ -24,6 +24,8 @@ func TestParseWireErrors(t *testing.T) {
 	for _, s := range []string{
 		"", "S9X", "Out[9]", "Out[x]", "Out", "Single[1]", "SingleUp[1]",
 		"SingleEast[99]", "West.NOPE", "LongH[99]", "GClk[-1]",
+		// Only the spelling WireName prints: no other way to write an index.
+		"Out[01]", "SingleEast[+5]", "GClk[-0]", "HexNorth[ 4]", "LongV[0x1]",
 	} {
 		if _, err := a.ParseWire(s); err == nil {
 			t.Errorf("ParseWire(%q) accepted", s)

@@ -19,11 +19,12 @@ import (
 var planeFiles embed.FS
 
 // PIPPairs enumerates a tile's (from, to) pairs in wire order: the list a
-// plane table indexes. The device and the oracle each derive it themselves.
+// plane table indexes. New enumerates it once and keeps it in bit order
+// (PIPBits); the oracle derives its own as the independent reference.
 func (a *Arch) PIPPairs() [][2]Wire {
 	var pairs [][2]Wire
-	for from := Wire(0); from < a.wireCount; from++ {
-		for _, to := range a.fanout(from) {
+	for from := range a.wireCount {
+		for _, to := range a.LocalFanout(from) {
 			pairs = append(pairs, [2]Wire{from, to})
 		}
 	}
@@ -40,10 +41,10 @@ func HashPairs(pairs [][2]Wire) uint64 {
 	return h
 }
 
-// setLayout applies the family's plane table if it is keyed to this
-// enumeration, and fingerprints the bit order that results.
-func (a *Arch) setLayout() {
-	pairs := a.PIPPairs()
+// setLayout applies the family's plane table if it is keyed to the
+// enumeration pairs, keeps the bit order that results with each pair's bit,
+// and fingerprints it.
+func (a *Arch) setLayout(pairs [][2]Wire) {
 	raw, _ := planeFiles.ReadFile("planes/" + a.Name + ".txt")
 	if _, tab, ok := strings.Cut(string(raw), fmt.Sprintf("pairs=%016x\n", HashPairs(pairs))); ok {
 		for _, f := range strings.Fields(tab) {
@@ -51,8 +52,25 @@ func (a *Arch) setLayout() {
 			a.planes = append(a.planes, i)
 		}
 	}
-	a.layoutPrint = fmt.Sprintf("%016x", HashPairs(a.PIPOrder(pairs)))
+	a.pipPairs = a.PIPOrder(pairs)
+	a.pipBit = make(map[[2]Wire]int, len(pairs))
+	for i, p := range a.pipPairs {
+		a.pipBit[p] = i
+	}
+	a.layoutPrint = fmt.Sprintf("%016x", HashPairs(a.pipPairs))
 }
+
+// PIPBit returns the tile's configuration bit of the PIP (from -> to), and
+// whether the connectivity rules allow that PIP at all: legality and bit
+// position in one lookup.
+func (a *Arch) PIPBit(from, to Wire) (int, bool) {
+	i, ok := a.pipBit[[2]Wire{from, to}]
+	return i, ok
+}
+
+// PIPBits returns the tile's PIP pairs in bit order, the inverse of
+// PIPBit. The slice is shared; callers must not modify it.
+func (a *Arch) PIPBits() [][2]Wire { return a.pipPairs }
 
 // PIPOrder returns the per-tile bit order of pairs, an enumeration as
 // PIPPairs derives it: the pairs the plane table lists, in its order, then

@@ -16,49 +16,38 @@ package arch
 // LocalFanout answers tile-independently; the device layer filters by
 // array bounds and long-line access tiles.
 
-// fanoutTable is indexed by the *from* local wire name and lists the local
-// wire names it may drive through a PIP at the same tile.
-func (a *Arch) fanout(from Wire) []Wire {
-	if a.fanoutTab == nil {
-		a.buildFanout()
-	}
-	if from < 0 || from >= a.wireCount {
-		return nil
-	}
-	return a.fanoutTab[from]
-}
-
 // LocalFanout returns the local wire names that a signal available on wire
 // `from` at a tile may drive through PIPs at that tile. The result is
 // shared; callers must not modify it.
-func (a *Arch) LocalFanout(from Wire) []Wire { return a.fanout(from) }
+func (a *Arch) LocalFanout(from Wire) []Wire {
+	if uint(from) < uint(len(a.fanoutTab)) {
+		return a.fanoutTab[from]
+	}
+	return nil
+}
 
 // LocalDrivers returns the local wire names that may drive wire `to`
 // through a PIP at the same tile (the inverse of LocalFanout).
 func (a *Arch) LocalDrivers(to Wire) []Wire {
-	if a.fanoutTab == nil {
-		a.buildFanout()
+	if uint(to) < uint(len(a.driverTab)) {
+		return a.driverTab[to]
 	}
-	if to < 0 || to >= a.wireCount {
-		return nil
-	}
-	return a.driverTab[to]
+	return nil
 }
 
-func (a *Arch) buildFanout() {
-	n := int(a.wireCount)
-	tab := make([][]Wire, n)
-	for w := Wire(0); w < a.wireCount; w++ {
-		tab[w] = a.computeFanout(w)
+// buildFanout derives every wire's fanout from the rules below and its
+// inverse from the tile's PIP pairs, which it returns in enumeration order.
+func (a *Arch) buildFanout() [][2]Wire {
+	a.fanoutTab = make([][]Wire, a.wireCount)
+	for w := range a.wireCount {
+		a.fanoutTab[w] = a.computeFanout(w)
 	}
-	inv := make([][]Wire, n)
-	for from := Wire(0); from < a.wireCount; from++ {
-		for _, to := range tab[from] {
-			inv[to] = append(inv[to], from)
-		}
+	pairs := a.PIPPairs()
+	a.driverTab = make([][]Wire, a.wireCount)
+	for _, p := range pairs {
+		a.driverTab[p[1]] = append(a.driverTab[p[1]], p[0])
 	}
-	a.fanoutTab = tab
-	a.driverTab = inv
+	return pairs
 }
 
 // allDirs is the direction order used when enumerating fanouts.
@@ -213,10 +202,6 @@ func (a *Arch) computeFanout(from Wire) []Wire {
 // connectivity rules, ignoring tile position (bounds and long-line access
 // are the device layer's concern).
 func (a *Arch) PIPLegalLocal(from, to Wire) bool {
-	for _, w := range a.fanout(from) {
-		if w == to {
-			return true
-		}
-	}
-	return false
+	_, ok := a.PIPBit(from, to)
+	return ok
 }

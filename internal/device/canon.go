@@ -24,113 +24,80 @@ func (d *Device) Canon(row, col int, w arch.Wire) (Track, error) {
 	return t, nil
 }
 
-// CanonOK is Canon without error construction, for search inner loops.
+// CanonOK is Canon without error construction, for search inner loops. A
+// name resolves through the tap that names it, the inverse of tapShapes:
+// the track exists where all its taps but an optional one lie on the array.
+// The rules no tap encodes stay here: pads only on the boundary, block-RAM
+// pins only in BRAM columns, global clocks canonical at (0,0), and long
+// lines at their row's or column's origin.
 func (d *Device) CanonOK(row, col int, w arch.Wire) (Track, bool) {
-	if row < 0 || row >= d.Rows || col < 0 || col >= d.Cols {
+	if !d.onArray(row, col) {
 		return Track{}, false
 	}
-	a := d.A
-	c := a.ClassOf(w)
-	switch c.Kind {
-	case arch.KindOutPin, arch.KindOutMux, arch.KindInput, arch.KindCtrl:
-		return Track{row, col, w}, true
+	switch d.A.ClassOf(w).Kind {
+	case arch.KindInvalid:
+		return Track{}, false
 	case arch.KindIOBIn, arch.KindIOBOut:
 		if !d.boundary(row, col) {
 			return Track{}, false
 		}
-		return Track{row, col, w}, true
 	case arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
-		if !a.BRAMColumn(col) {
+		if !d.A.BRAMColumn(col) {
 			return Track{}, false
 		}
-		return Track{row, col, w}, true
 	case arch.KindGClk:
 		return Track{0, 0, w}, true
-	case arch.KindOutAlias:
-		if col == 0 {
-			return Track{}, false
-		}
-		return Track{row, col - 1, arch.OutPin(c.Index)}, true
-	case arch.KindSingle:
-		or, oc := row, col
-		dir := c.Dir
-		if dir == arch.South || dir == arch.West {
-			dr, dc := dir.Delta()
-			or, oc = row+dr, col+dc
-			dir = dir.Opposite()
-		}
-		dr, dc := dir.Delta()
-		fr, fc := or+dr, oc+dc
-		if or < 0 || or >= d.Rows || oc < 0 || oc >= d.Cols ||
-			fr < 0 || fr >= d.Rows || fc < 0 || fc >= d.Cols {
-			return Track{}, false
-		}
-		return Track{or, oc, a.Single(dir, c.Index)}, true
-	case arch.KindHex:
-		or, oc := row, col
-		dir := c.Dir
-		if dir == arch.South || dir == arch.West {
-			dr, dc := dir.Delta()
-			or, oc = row+dr*a.HexLen, col+dc*a.HexLen
-			dir = dir.Opposite()
-		}
-		dr, dc := dir.Delta()
-		fr, fc := or+dr*a.HexLen, oc+dc*a.HexLen
-		if or < 0 || or >= d.Rows || oc < 0 || oc >= d.Cols ||
-			fr < 0 || fr >= d.Rows || fc < 0 || fc >= d.Cols {
-			return Track{}, false
-		}
-		return Track{or, oc, a.Hex(dir, c.Index)}, true
-	case arch.KindHexMid:
-		dr, dc := c.Dir.Delta()
-		half := a.HexLen / 2
-		or, oc := row-dr*half, col-dc*half
-		fr, fc := row+dr*half, col+dc*half
-		if or < 0 || or >= d.Rows || oc < 0 || oc >= d.Cols ||
-			fr < 0 || fr >= d.Rows || fc < 0 || fc >= d.Cols {
-			return Track{}, false
-		}
-		return Track{or, oc, a.Hex(c.Dir, c.Index)}, true
 	case arch.KindLongH:
 		return Track{row, 0, w}, true
 	case arch.KindLongV:
 		return Track{0, col, w}, true
-	default:
-		return Track{}, false
 	}
+	by := d.shapes[w].by
+	t := Track{row - int(by.dr), col - int(by.dc), by.name}
+	s := &d.shapes[t.W]
+	for _, tp := range s.taps[:s.n] {
+		if !tp.opt && !d.onArray(t.Row+int(tp.dr), t.Col+int(tp.dc)) {
+			return Track{}, false
+		}
+	}
+	return t, true
 }
 
 // A wire's geometry is written down once, as its tapShape: the tiles at
 // which the track the wire names from its canonical tile can be tapped, and
 // the track's name and drive rule at each. AppendTaps, TrackSpan,
-// MinTapDistance, LocalName, DriveAllowedAt and TapAllowedAt all read it;
-// CanonOK, the inverse map, keeps its own switch.
+// MinTapDistance, LocalName, DriveAllowedAt and TapAllowedAt all read it,
+// and CanonOK reads its inverse.
 
 // tapShape is one wire's taps, each a step from the track's canonical
 // tile, in AppendTaps order. A tap off the array is no tap (an output
 // pin's direct connect at the east edge). A long line's one tap repeats
 // instead, at every LongAccessPeriod-th tile of its row (KindLongH) or
 // column (KindLongV). Global clocks, present at every tile, and alias
-// names have no taps.
+// names have no taps. by is the inverse: the tap through which the wire
+// names a track, with that track's canonical wire as its name.
 type tapShape struct {
 	n    uint8
 	long arch.Kind // KindLongH or KindLongV: the tap is periodic
 	taps [3]tap
+	by   tap
 }
 
 // tap is one tap of a shape: its step from the canonical tile, the track's
-// local name there, and whether a PIP at that tile may drive the track.
+// local name there, whether a PIP at that tile may drive the track, and
+// whether the track exists without the tap (opt).
 type tap struct {
-	dr, dc int16
-	drive  bool
-	name   arch.Wire
+	dr, dc     int16
+	drive, opt bool
+	name       arch.Wire
 }
 
-// tapShapes derives the shape of every wire of a from its class.
+// tapShapes derives the shape of every canonical wire of a from its class,
+// and files each tap under the name it gives the track: the inverse.
 func tapShapes(a *arch.Arch) []tapShape {
 	shapes := make([]tapShape, a.WireCount())
-	for i := range shapes {
-		w := arch.Wire(i)
+	for s := range a.Slots() {
+		w := a.SlotWire(s)
 		c := a.ClassOf(w)
 		dr, dc := c.Dir.Delta()
 		along := func(k int, name arch.Wire, drive bool) tap {
@@ -140,7 +107,7 @@ func tapShapes(a *arch.Arch) []tapShape {
 		var taps []tap
 		switch c.Kind {
 		case arch.KindOutPin: // a source, tapped too by the east neighbour's direct connect
-			taps = []tap{{name: w}, {dc: 1, name: arch.OutAlias(c.Index)}}
+			taps = []tap{{name: w}, {dc: 1, opt: true, name: arch.OutAlias(c.Index)}}
 		case arch.KindOutMux, arch.KindInput, arch.KindCtrl, arch.KindIOBIn, arch.KindIOBOut,
 			arch.KindBRAMIn, arch.KindBRAMClk, arch.KindBRAMOut:
 			own.drive = c.Kind != arch.KindIOBIn && c.Kind != arch.KindBRAMOut // sources
@@ -151,9 +118,12 @@ func tapShapes(a *arch.Arch) []tapShape {
 			taps = []tap{own, along(a.HexLen/2, a.HexMid(c.Dir, c.Index), false),
 				along(a.HexLen, a.Hex(c.Dir.Opposite(), c.Index), a.HexBidirectional(c.Index))}
 		case arch.KindLongH, arch.KindLongV: // driven at every access tile
-			taps, shapes[i].long = []tap{own}, c.Kind
+			taps, shapes[w].long = []tap{own}, c.Kind
 		}
-		shapes[i].n = uint8(copy(shapes[i].taps[:], taps))
+		shapes[w].n = uint8(copy(shapes[w].taps[:], taps))
+		for _, tp := range taps {
+			shapes[tp.name].by = tap{dr: tp.dr, dc: tp.dc, name: w}
+		}
 	}
 	return shapes
 }

@@ -12,12 +12,11 @@ import (
 // tables, flip-flop init values) onto bit positions in the tile's slice of
 // the configuration bitstream. The layout is a function of the architecture
 // only, so any two devices of the same family agree on it — which is what
-// makes shipping bitstreams between them meaningful. PIP bits follow the
-// family's plane table (arch.PIPOrder): pairs that routes set together
-// share a byte plane, so an op dirties fewer frames.
+// makes shipping bitstreams between them meaningful. The PIP bits come
+// first, one per pair in the architecture's bit order (Arch.PIPBit, which
+// follows the family's plane table: pairs that routes set together share a
+// byte plane, so an op dirties fewer frames); the logic bits follow.
 type bitLayout struct {
-	pairIdx      map[[2]arch.Wire]int
-	pairs        [][2]arch.Wire
 	lutBase      int
 	ffInitBase   int
 	lutUsedBase  int
@@ -54,22 +53,7 @@ const (
 )
 
 func newBitLayout(a *arch.Arch) bitLayout {
-	l := bitLayout{pairIdx: make(map[[2]arch.Wire]int)}
-	for from := arch.Wire(0); from < arch.Wire(a.WireCount()); from++ {
-		for _, to := range a.LocalFanout(from) {
-			key := [2]arch.Wire{from, to}
-			if _, dup := l.pairIdx[key]; dup {
-				continue
-			}
-			l.pairIdx[key] = len(l.pairs)
-			l.pairs = append(l.pairs, key)
-		}
-	}
-	l.pairs = a.PIPOrder(l.pairs)
-	for i, key := range l.pairs {
-		l.pairIdx[key] = i
-	}
-	l.lutBase = len(l.pairs)
+	l := bitLayout{lutBase: len(a.PIPBits())}
 	l.ffInitBase = l.lutBase + NumLUTs*lutBits
 	l.lutUsedBase = l.ffInitBase + NumFFs*ffBits
 	l.bramBase = l.lutUsedBase + NumLUTs*usedBits
@@ -78,14 +62,9 @@ func newBitLayout(a *arch.Arch) bitLayout {
 	return l
 }
 
-func (l *bitLayout) pipBit(from, to arch.Wire) (int, bool) {
-	i, ok := l.pairIdx[[2]arch.Wire{from, to}]
-	return i, ok
-}
-
 // PIPBitCount returns the number of distinct PIP configuration bits per
 // tile (used by the architecture audit of experiment E1).
-func (d *Device) PIPBitCount() int { return len(d.layout.pairs) }
+func (d *Device) PIPBitCount() int { return d.layout.lutBase }
 
 // Logic configuration lives only in the tile's bits, so a device reads
 // what a stream wrote whether or not its routing state was rebuilt: a
@@ -303,14 +282,12 @@ func (d *Device) ApplyFramesRaw(stream []byte) (int, error) {
 // which is how a corrupt bitstream surfaces.
 func (d *Device) RebuildFromBits() error {
 	d.resetRouting()
+	pairs := d.A.PIPBits()
 	for row := 0; row < d.Rows; row++ {
 		for col := 0; col < d.Cols; col++ {
 			// PIP bits, 64 at a time, skipping zero words.
-			for base := 0; base < len(d.layout.pairs); base += 64 {
-				width := 64
-				if base+width > len(d.layout.pairs) {
-					width = len(d.layout.pairs) - base
-				}
+			for base := 0; base < len(pairs); base += 64 {
+				width := min(64, len(pairs)-base)
 				word, err := d.bits.GetBits(row, col, base, width)
 				if err != nil {
 					return err
@@ -318,12 +295,11 @@ func (d *Device) RebuildFromBits() error {
 				for word != 0 {
 					i := bits.TrailingZeros64(word)
 					word &^= 1 << i
-					pair := d.layout.pairs[base+i]
-					from, to, err := d.validatePIP(PIP{row, col, pair[0], pair[1]})
+					p := PIP{row, col, pairs[base+i][0], pairs[base+i][1]}
+					from, to, _, err := d.validatePIP(p)
 					if err != nil {
 						return fmt.Errorf("device: bitstream encodes illegal PIP: %w", err)
 					}
-					p := PIP{row, col, pair[0], pair[1]}
 					ti := d.TrackIndex(to)
 					if d.Driven(ti) {
 						return &ContentionError{Track: to, Existing: d.driverAt(ti), Attempt: p, Name: d.A.WireName(to.W)}

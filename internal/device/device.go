@@ -109,30 +109,31 @@ func (d *Device) PIPString(p PIP) string {
 }
 
 // validatePIP resolves and legality-checks a PIP, returning the canonical
-// source and target tracks.
-func (d *Device) validatePIP(p PIP) (from, to Track, err error) {
-	if !d.A.PIPLegalLocal(p.From, p.To) {
-		return from, to, fmt.Errorf("device: no PIP %s -> %s in architecture %s",
+// source and target tracks and the PIP's configuration bit.
+func (d *Device) validatePIP(p PIP) (from, to Track, bit int, err error) {
+	bit, ok := d.A.PIPBit(p.From, p.To)
+	if !ok {
+		return from, to, bit, fmt.Errorf("device: no PIP %s -> %s in architecture %s",
 			d.A.WireName(p.From), d.A.WireName(p.To), d.A.Name)
 	}
 	from, err = d.Canon(p.Row, p.Col, p.From)
 	if err != nil {
-		return from, to, err
+		return from, to, bit, err
 	}
 	to, err = d.Canon(p.Row, p.Col, p.To)
 	if err != nil {
-		return from, to, err
+		return from, to, bit, err
 	}
 	at := Coord{p.Row, p.Col}
 	if !d.TapAllowedAt(from, at) {
-		return from, to, fmt.Errorf("device: %s cannot be tapped at (%d,%d)",
+		return from, to, bit, fmt.Errorf("device: %s cannot be tapped at (%d,%d)",
 			d.A.WireName(p.From), p.Row, p.Col)
 	}
 	if !d.DriveAllowedAt(to, at) {
-		return from, to, fmt.Errorf("device: %s cannot be driven at (%d,%d)",
+		return from, to, bit, fmt.Errorf("device: %s cannot be driven at (%d,%d)",
 			d.A.WireName(p.To), p.Row, p.Col)
 	}
-	return from, to, nil
+	return from, to, bit, nil
 }
 
 // SetPIP turns on the connection from `from` to `to` in CLB (row, col),
@@ -141,7 +142,7 @@ func (d *Device) validatePIP(p PIP) (from, to Track, err error) {
 // target already has a different driver returns *ContentionError.
 func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 	p := PIP{row, col, fromW, toW}
-	from, to, err := d.validatePIP(p)
+	from, to, bit, err := d.validatePIP(p)
 	if err != nil {
 		return err
 	}
@@ -154,19 +155,14 @@ func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 		return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
 	}
 	d.link(p, d.TrackIndex(from), ti)
-	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
-		if err := d.bits.SetBit(row, col, bit, true); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.bits.SetBit(row, col, bit, true)
 }
 
 // ClearPIP turns off a connection. Clearing a PIP that is off is an error,
 // since unrouting bookkeeping depends on exact net knowledge.
 func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	p := PIP{row, col, fromW, toW}
-	from, to, err := d.validatePIP(p)
+	from, to, bit, err := d.validatePIP(p)
 	if err != nil {
 		return err
 	}
@@ -175,10 +171,5 @@ func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 		return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
 	}
 	d.unlink(d.TrackIndex(from), ti)
-	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
-		if err := d.bits.SetBit(row, col, bit, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.bits.SetBit(row, col, bit, false)
 }

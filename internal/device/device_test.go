@@ -640,7 +640,7 @@ func newRefState() *refState {
 // set mirrors SetPIP: nil, a validation error, or contention (returned as
 // the PIP already there).
 func (r *refState) set(d *Device, p PIP) (exist PIP, contended bool, err error) {
-	from, to, err := d.validatePIP(p)
+	from, to, _, err := d.validatePIP(p)
 	if err != nil {
 		return PIP{}, false, err
 	}
@@ -654,7 +654,7 @@ func (r *refState) set(d *Device, p PIP) (exist PIP, contended bool, err error) 
 
 // clear mirrors ClearPIP; ok is false where ClearPIP must fail.
 func (r *refState) clear(d *Device, p PIP) (ok bool) {
-	from, to, err := d.validatePIP(p)
+	from, to, _, err := d.validatePIP(p)
 	if err != nil {
 		return false
 	}
@@ -686,7 +686,7 @@ func (r *refState) rebuild(t testing.TB, d *Device) {
 	*r = *newRefState()
 	for row := 0; row < d.Rows; row++ {
 		for col := 0; col < d.Cols; col++ {
-			for i, pair := range d.layout.pairs {
+			for i, pair := range d.A.PIPBits() {
 				on, err := d.bits.GetBit(row, col, i)
 				if err != nil {
 					t.Fatal(err)

@@ -119,47 +119,73 @@ func TestKestrelPIPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonTapNameConsistency is the cross-architecture property: for every
-// canonical track, every tap tile names the track back to the same
-// canonical form.
+// TestCanonTapNameConsistency is the cross-architecture property, checked
+// at every tile of two geometries, edges included. Every canonical track
+// resolves back to itself from its local name at each of its taps.
+// Conversely, every (tile, wire) that CanonOK accepts is the name its
+// track's shape gives it at that tile, and the track is its own canonical
+// form. No tap names a global clock or a long line, so those are checked by
+// their own rule.
 func TestCanonTapNameConsistency(t *testing.T) {
-	for _, d := range []*Device{virtexDev(t), kestrelDev(t)} {
-		a := d.A
-		samples := []Track{}
-		mid := Coord{d.Rows / 2, d.Cols / 2}
-		for i := 0; i < a.SinglesPerDir; i++ {
-			samples = append(samples,
-				Track{mid.Row, mid.Col, a.Single(arch.North, i)},
-				Track{mid.Row, mid.Col, a.Single(arch.East, i)})
-		}
-		for i := 0; i < a.HexesPerDir; i++ {
-			samples = append(samples,
-				Track{2, 2, a.Hex(arch.North, i)},
-				Track{2, 2, a.Hex(arch.East, i)})
-		}
-		for i := 0; i < a.NumLong; i++ {
-			samples = append(samples,
-				Track{mid.Row, 0, a.LongH(i)},
-				Track{0, mid.Col, a.LongV(i)})
-		}
-		for p := 0; p < arch.NumOutPins; p++ {
-			samples = append(samples, Track{mid.Row, mid.Col, arch.OutPin(p)})
-		}
-		for _, tr := range samples {
-			for _, tap := range d.AppendTaps(nil, tr) {
-				name := d.LocalName(tr, tap)
-				if name == arch.Invalid {
-					t.Fatalf("%s: track %v has no name at tap %v", a.Name, tr, tap)
-				}
-				back, err := d.Canon(tap.Row, tap.Col, name)
-				if err != nil {
-					t.Fatalf("%s: Canon(%v, %s): %v", a.Name, tap, a.WireName(name), err)
-				}
-				if back != tr {
-					t.Fatalf("%s: tap %v name %s resolves to %v, want %v",
-						a.Name, tap, a.WireName(name), back, tr)
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		for _, size := range []Coord{{16, 24}, {13, 19}} {
+			d, err := New(a, size.Row, size.Col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row := range d.Rows {
+				for col := range d.Cols {
+					for w := range arch.Wire(a.WireCount()) {
+						checkCanonAt(t, d, Coord{row, col}, w)
+					}
 				}
 			}
+		}
+	}
+}
+
+// checkCanonAt checks both directions of the canon property for the name w
+// at tile at.
+func checkCanonAt(t *testing.T, d *Device, at Coord, w arch.Wire) {
+	t.Helper()
+	a := d.A
+	tr, ok := d.CanonOK(at.Row, at.Col, w)
+	if !ok {
+		return
+	}
+	var named bool
+	switch a.ClassOf(w).Kind {
+	case arch.KindGClk:
+		named = tr == Track{0, 0, w}
+	case arch.KindLongH:
+		named = tr == Track{at.Row, 0, w}
+	case arch.KindLongV:
+		named = tr == Track{0, at.Col, w}
+	default:
+		named = d.LocalName(tr, at) == w
+	}
+	if !named {
+		t.Fatalf("%s %dx%d: %s at %v resolves to %v, whose shape does not name it there",
+			a.Name, d.Rows, d.Cols, a.WireName(w), at, tr)
+	}
+	if back, ok := d.CanonOK(tr.Row, tr.Col, tr.W); !ok || back != tr {
+		t.Fatalf("%s %dx%d: %v is not canonical (%v, %v)", a.Name, d.Rows, d.Cols, tr, back, ok)
+	}
+	if tr != (Track{at.Row, at.Col, w}) {
+		return
+	}
+	for _, tap := range d.AppendTaps(nil, tr) {
+		name := d.LocalName(tr, tap)
+		if name == arch.Invalid {
+			t.Fatalf("%s %dx%d: track %v has no name at tap %v", a.Name, d.Rows, d.Cols, tr, tap)
+		}
+		back, err := d.Canon(tap.Row, tap.Col, name)
+		if err != nil {
+			t.Fatalf("%s %dx%d: Canon(%v, %s): %v", a.Name, d.Rows, d.Cols, tap, a.WireName(name), err)
+		}
+		if back != tr {
+			t.Fatalf("%s %dx%d: tap %v name %s resolves to %v, want %v",
+				a.Name, d.Rows, d.Cols, tap, a.WireName(name), back, tr)
 		}
 	}
 }

@@ -378,7 +378,7 @@ func (d *Device) CheckConsistency() error {
 			} else {
 				driven++
 				p := d.driverAt(i)
-				from, to, err := d.validatePIP(p)
+				from, to, bit, err := d.validatePIP(p)
 				if err != nil {
 					return fmt.Errorf("device: track %v driven by invalid PIP %v: %w", d.TrackAt(i), p, err)
 				}
@@ -396,14 +396,12 @@ func (d *Device) CheckConsistency() error {
 				}
 				refs[tile]++
 				refs[int(d.TrackIndex(from))/d.slots]++
-				if bit, ok := d.layout.pipBit(p.From, p.To); ok {
-					v, err := d.bits.GetBit(p.Row, p.Col, bit)
-					if err != nil {
-						return err
-					}
-					if !v {
-						return fmt.Errorf("device: on-PIP %v has a clear configuration bit", p)
-					}
+				v, err := d.bits.GetBit(p.Row, p.Col, bit)
+				if err != nil {
+					return err
+				}
+				if !v {
+					return fmt.Errorf("device: on-PIP %v has a clear configuration bit", p)
 				}
 			}
 			for l := s.head; l != 0; l = d.slot(l - 1).next {
