@@ -85,10 +85,10 @@ func TestP2PCycleBudget(t *testing.T) {
 // cache key.
 //
 // The Parallelism 2 twin routes two such knots far apart on a 64×96
-// array: two scopes, which run on the pool. It reads 27: the records of
-// twelve nets, and the pool's three (its body, and a closure for each of its
-// two goroutines; the pool itself is the router's scratch). It read 28 when
-// every pool was allocated.
+// array: two scopes, which run on the pool. It reads 24: the records of
+// twelve nets; the pool, its job and the goroutines' function are the
+// router's scratch. It read 27 when the pool's body was a closure and each
+// goroutine another, and 28 when every pool was allocated.
 func TestBatchReloadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
@@ -107,7 +107,7 @@ func TestBatchReloadBudget(t *testing.T) {
 		budget          int
 	}{
 		{1, 16, 24, knot(3, 4), false, 14},
-		{2, 64, 96, append(knot(3, 4), knot(40, 70)...), true, 27},
+		{2, 64, 96, append(knot(3, 4), knot(40, 70)...), true, 24},
 	} {
 		d, err := device.New(arch.NewVirtex(), c.rows, c.cols)
 		if err != nil {

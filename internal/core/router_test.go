@@ -636,6 +636,7 @@ func TestTraceOnRoutingLoop(t *testing.T) {
 //     finds nothing routed and leaves it on; RipUpRegion finds no record
 //     over the region and leaves it on.
 //   - ReverseUnroute clears the loop from the pin back.
+//   - UnrouteAll finds no leaf to clear, leaves the loop on and fails.
 //
 // A walk caught in the loop spins (ReverseTrace also appends) without end,
 // and its goroutine cannot be stopped: the calls run at once, on a router
@@ -670,6 +671,9 @@ func TestCallsReturnOnRoutingLoop(t *testing.T) {
 			ripped, err := r.RipUpRegion(4, 4, 3, 3)
 			return fmt.Sprintf("%d ripped, %s", len(ripped), on(r, err))
 		}, "0 ripped, <nil>, 1 on"},
+		{"UnrouteAll", func(r *Router) string {
+			return on(r, r.UnrouteAll())
+		}, "core: unroute-all stuck with 1 PIPs (routing cycle?), 1 on"},
 	}
 	got := make([]string, len(cases))
 	done := make(chan int, len(cases))

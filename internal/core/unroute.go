@@ -178,37 +178,49 @@ func (r *Router) bequeath(c *Connection) {
 // whole design down). Every live connection record is retired along with
 // the configuration bits: leaving the records live would claim nets that
 // no longer exist on the device.
+//
+// It reads the on-PIPs once and clears each leaf, a PIP whose target
+// drives nothing, and then its driver chain upwards for as long as the
+// source it reaches drives nothing more. A PIP met in the list after its
+// subtree went is cleared by the walk up from its last leaf; a PIP that
+// waits for its subtree is passed over and cleared by that walk later. PIPs
+// on a routing loop always drive one more, so they stay on, and the call
+// fails with them.
 func (r *Router) UnrouteAll() (err error) {
 	r.enterOp()
 	defer r.exitOp(&err)
-	for {
-		pips := r.Dev.AppendAllOnPIPs(r.walkPIPs[:0])
-		if r.walkPIPs = pips; len(pips) == 0 {
-			for c := r.conns.head; c != nil; c = r.conns.head {
-				r.retire(c)
-			}
-			return nil
-		}
-		progress := false
-		for _, p := range pips {
+	pips := r.Dev.AppendAllOnPIPs(r.walkPIPs[:0])
+	r.walkPIPs = pips
+	for _, p := range pips {
+		for {
 			t, err := r.Dev.Canon(p.Row, p.Col, p.To)
 			if err != nil {
 				return err
 			}
-			// Only clear PIPs whose target drives nothing (leaves).
-			if r.Dev.FanoutCount(t) > 0 {
-				continue
+			if on, _ := r.Dev.DriverOf(t); on != p || r.Dev.FanoutCount(t) > 0 {
+				break // cleared by a walk up from below, or not a leaf yet
 			}
 			if err := r.Dev.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
 				return err
 			}
 			r.stats.PIPsCleared++
-			progress = true
-		}
-		if !progress {
-			return fmt.Errorf("core: unroute-all stuck with %d PIPs (routing cycle?)", len(pips))
+			src, err := r.Dev.Canon(p.Row, p.Col, p.From)
+			if err != nil {
+				return err
+			}
+			var ok bool
+			if p, ok = r.Dev.DriverOf(src); !ok {
+				break
+			}
 		}
 	}
+	if n := r.Dev.OnPIPCount(); n > 0 {
+		return fmt.Errorf("core: unroute-all stuck with %d PIPs (routing cycle?)", n)
+	}
+	for c := r.conns.head; c != nil; c = r.conns.head {
+		r.retire(c)
+	}
+	return nil
 }
 
 // retireSource retires the live records sourced where this endpoint

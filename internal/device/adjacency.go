@@ -65,14 +65,21 @@ func (e *Edge) PIP(at Coord) PIP {
 
 // Target widens the track driven by an edge of a track canonical at tile at.
 func (e *Edge) Target(at Coord) Track {
-	t := Track{Row: at.Row + int(e.TRow), Col: at.Col + int(e.TCol), W: arch.Wire(e.TW)}
+	row, col := e.TargetTile(at)
+	return Track{Row: row, Col: col, W: arch.Wire(e.TW)}
+}
+
+// TargetTile is the tile of Target, for a caller that needs no more: the
+// search's box test.
+func (e *Edge) TargetTile(at Coord) (row, col int) {
+	row, col = at.Row+int(e.TRow), at.Col+int(e.TCol)
 	switch e.Kind {
 	case arch.KindLongH:
-		t.Col = 0
+		col = 0
 	case arch.KindLongV:
-		t.Row = 0
+		row = 0
 	}
-	return t
+	return row, col
 }
 
 // adjChunk is the adjacency of the tracks canonical at one tile, in
@@ -98,6 +105,7 @@ type adjChunk struct {
 type adjCache struct {
 	chunks []atomic.Pointer[adjChunk] // by tile
 	shapes []tapShape                 // by wire
+	taps   tapTable                   // the shapes' tap distances, for SinkDist
 
 	mu     sync.Mutex
 	shared map[uint64][]*adjChunk // content hash -> the distinct chunks with it
@@ -145,6 +153,7 @@ func adjCacheFor(a *arch.Arch, rows, cols int) *adjCache {
 		shapes: tapShapes(a),
 		shared: map[uint64][]*adjChunk{},
 	}
+	c.taps = newTapTable(c.shapes)
 	adjTab[k] = c
 	return c
 }

@@ -67,7 +67,7 @@ func (d *Device) CanonOK(row, col int, w arch.Wire) (Track, bool) {
 // which the track the wire names from its canonical tile can be tapped, and
 // the track's name and drive rule at each. AppendTaps, TrackSpan,
 // MinTapDistance, LocalName, DriveAllowedAt and TapAllowedAt all read it,
-// and CanonOK reads its inverse.
+// CanonOK reads its inverse, and SinkDist a table of its tap distances.
 
 // tapShape is one wire's taps, each a step from the track's canonical
 // tile, in AppendTaps order. A tap off the array is no tap (an output
@@ -220,6 +220,96 @@ func (d *Device) MinTapDistance(t Track, c Coord) int {
 		}
 	}
 	return best
+}
+
+// tapTable is MinTapDistance by table. Tap k of a shape, at step (dr, dc)
+// from the canonical tile, is |Δr−dr|+|Δc−dc| from a tile at offset
+// (Δr, Δc) from it, and past the largest tap step on an axis that term is
+// linear in the offset. So what a shape's taps save over its canonical
+// tile, |Δr|+|Δc| less the least of them, depends only on the offset
+// clamped to ±reach: corr holds it, one square of offsets per distinct
+// shape. Wires whose taps take the same steps share a square.
+type tapTable struct {
+	center []int32 // by wire: the index in corr of its square's offset (0, 0)
+	corr   []int8  // by square, then (Δr+reach)·side + Δc+reach
+	reach  int     // the largest tap step on either axis
+	side   int     // 2·reach+1
+}
+
+func newTapTable(shapes []tapShape) tapTable {
+	t := tapTable{center: make([]int32, len(shapes))}
+	for _, s := range shapes {
+		for _, tp := range s.taps[:s.n] {
+			t.reach = max(t.reach, absInt(int(tp.dr)), absInt(int(tp.dc)))
+		}
+	}
+	t.side = 2*t.reach + 1
+	type steps struct {
+		n    uint8
+		taps [3][2]int16
+	}
+	squares := map[steps]int32{}
+	for w, s := range shapes {
+		k := steps{n: s.n}
+		for i, tp := range s.taps[:s.n] {
+			k.taps[i] = [2]int16{tp.dr, tp.dc}
+		}
+		mid, ok := squares[k]
+		if !ok {
+			mid = int32(len(t.corr) + t.reach*t.side + t.reach)
+			squares[k] = mid
+			for r := -t.reach; r <= t.reach; r++ {
+				for c := -t.reach; c <= t.reach; c++ {
+					best := absInt(r) + absInt(c)
+					for _, tp := range s.taps[:s.n] {
+						best = min(best, absInt(r-int(tp.dr))+absInt(c-int(tp.dc)))
+					}
+					t.corr = append(t.corr, int8(absInt(r)+absInt(c)-best))
+				}
+			}
+		}
+		t.center[w] = mid
+	}
+	return t
+}
+
+// SinkDist is MinTapDistance to one sink tile for the tracks that edges
+// drive, read from a table beside the tap shapes: a search pays two loads
+// an edge where MinTapDistance resolves the target's shape and walks its
+// taps.
+type SinkDist struct {
+	tapTable
+	longRow, longCol int // from the sink to the nearest access row of a vertical long, column of a horizontal
+}
+
+// SinkDist returns the measure to tile c.
+func (d *Device) SinkDist(c Coord) SinkDist {
+	p := d.A.LongAccessPeriod
+	return SinkDist{d.adjc.taps, nearestPeriodic(c.Row, p, d.Rows), nearestPeriodic(c.Col, p, d.Cols)}
+}
+
+// Of is MinTapDistance(e.Target(at), c) for an edge of a track canonical at
+// tile at, given (dr, dc) = c − at. It is exact for every edge: CanonOK puts
+// each tap of a track on the array but an optional one, and the optional
+// tap, an output pin's east direct connect, belongs to a source that no
+// PIP drives.
+func (s *SinkDist) Of(e *Edge, dr, dc int) int {
+	if e.Kind == arch.KindLongH || e.Kind == arch.KindLongV {
+		return s.long(e, dr, dc)
+	}
+	r, c := dr-int(e.TRow), dc-int(e.TCol)
+	m := s.reach
+	r0, c0 := min(max(r, -m), m), min(max(c, -m), m)
+	return absInt(r) + absInt(c) - int(s.corr[int(s.center[e.TW])+r0*s.side+c0])
+}
+
+// long is Of for a long line: its distance across, and the sink's to the
+// nearest access tile along it.
+func (s *SinkDist) long(e *Edge, dr, dc int) int {
+	if e.Kind == arch.KindLongH {
+		return absInt(dr-int(e.TRow)) + s.longCol
+	}
+	return absInt(dc-int(e.TCol)) + s.longRow
 }
 
 // nearestPeriodic is the distance from x (assumed in [0, limit)) to the

@@ -89,6 +89,82 @@ func TestMinTapDistanceMatchesTaps(t *testing.T) {
 	}
 }
 
+// TestSinkDistMatchesMinTapDistance: a search reads a pushed edge's tap
+// distance to the sink from SinkDist's table by the edge's tile offset, and
+// it must be MinTapDistance(e.Target(at), sink) exactly: for every edge of
+// every tile against every sink tile of Virtex and Kestrel at 13×19, 12×16
+// and the smallest array New accepts, and for every edge of 64 tiles of
+// 64×96 Virtex, its corners among them, against 64 sinks. The small arrays'
+// edges are where a tap falls off the array, and the table assumes none
+// does. The test is one goroutine, so the race detector learns nothing
+// from its 560 million checks and skips it.
+func TestSinkDistMatchesMinTapDistance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine: nothing for the race detector")
+	}
+	all := func(d *Device) []Coord {
+		var cs []Coord
+		for tile := range d.Rows * d.Cols {
+			cs = append(cs, Coord{tile / d.Cols, tile % d.Cols})
+		}
+		return cs
+	}
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		for _, g := range [][2]int{{2 * a.HexLen, 2 * a.HexLen}, {12, 16}, {13, 19}} {
+			d, err := New(a, g[0], g[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSinkDist(t, d, all(d), all(d))
+		}
+	}
+	d, err := New(arch.NewVirtex(), 64, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tiles := []Coord{{0, 0}, {0, 95}, {63, 0}, {63, 95}}
+	sinks := slices.Clone(tiles)
+	for len(tiles) < 64 {
+		tiles = append(tiles, Coord{rng.Intn(64), rng.Intn(96)})
+		sinks = append(sinks, Coord{rng.Intn(64), rng.Intn(96)})
+	}
+	checkSinkDist(t, d, tiles, sinks)
+}
+
+// checkSinkDist holds SinkDist to MinTapDistance for every edge of every
+// track canonical at tiles, to each of sinks.
+func checkSinkDist(t *testing.T, d *Device, tiles, sinks []Coord) {
+	t.Helper()
+	want := make([]int32, d.NumTracks()) // by target index, 1 + MinTapDistance; 0 not yet known
+	edges := 0
+	for _, c := range sinks {
+		clear(want)
+		to := d.SinkDist(c)
+		for _, at := range tiles {
+			b := d.BasesAt(at)
+			for s := range d.slots {
+				es, _ := d.EdgesAt(b[BaseTile] + int32(s))
+				for j := range es {
+					e := &es[j]
+					ti := e.TargetIndex(&b)
+					if want[ti] == 0 {
+						want[ti] = int32(1 + d.MinTapDistance(e.Target(at), c))
+					}
+					if got := to.Of(e, c.Row-at.Row, c.Col-at.Col); got != int(want[ti]-1) {
+						t.Fatalf("%s %dx%d: edge %v at %v onto %v: SinkDist(%v) says %d, MinTapDistance %d",
+							d.A.Name, d.Rows, d.Cols, *e, at, e.Target(at), c, got, want[ti]-1)
+					}
+					edges++
+				}
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatalf("%s %dx%d: no edges checked", d.A.Name, d.Rows, d.Cols)
+	}
+}
+
 // growNets turns on random legal PIPs, each sourced from an output pin or
 // from a track already driven, so nets grow past their first wire onto
 // singles, hexes and long lines.

@@ -30,3 +30,12 @@ func PooledKeepersZero() (tables int, zero bool) {
 	}
 	return len(held), zero
 }
+
+// historyAt is a track's accumulated overuse, as the reference surcharge
+// reads it.
+func (c *congestion) historyAt(i int32) int32 {
+	if c.stamp[i] != c.epoch {
+		return 0
+	}
+	return c.load[i].history
+}

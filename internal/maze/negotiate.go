@@ -127,25 +127,29 @@ func (o NegotiationOptions) partitionDepth() int {
 
 // congestion holds the dense per-track negotiation state of one
 // NegotiatedRoute call, indexed by device.TrackIndex and shared by all of
-// its scopes. present and history are epoch-stamped, so a pooled instance
-// resets in O(1): a slot's counters are zero unless its stamp matches the
-// current epoch. keeper is not stamped; it is zero at rest, and the scope
-// that sets a slot clears it again in the same overuse pass.
+// its scopes. A track's load is epoch-stamped, so a pooled instance resets
+// in O(1): a slot's counters are zero unless its stamp matches the current
+// epoch. keeper is not stamped; it is zero at rest, and the scope that sets
+// a slot clears it again in the same overuse pass.
 type congestion struct {
-	n       int
-	epoch   uint16
-	stamp   []uint16
-	present []int32 // nets currently using the track
-	history []int32 // accumulated overuse
-	keeper  []int32 // 1 + global index of the net that keeps an overused track
+	n      int
+	epoch  uint16
+	stamp  []uint16
+	load   []load  // what the surcharge reads, in one cell
+	keeper []int32 // 1 + global index of the net that keeps an overused track
+}
+
+// load is a track's congestion: 8 bytes, as the two tables it replaces.
+type load struct {
+	present int32 // nets currently using the track
+	history int32 // accumulated overuse
 }
 
 func getCongestion(n int) *congestion {
 	c := pooled[congestion](&congPool)
 	if c.n < n {
 		c.stamp = make([]uint16, n)
-		c.present = make([]int32, n)
-		c.history = make([]int32, n)
+		c.load = make([]load, n)
 		c.keeper = make([]int32, n)
 		c.epoch = 0
 		c.n = n
@@ -162,37 +166,25 @@ func getCongestion(n int) *congestion {
 
 func putCongestion(c *congestion) { congPool.Put(c) }
 
-func (c *congestion) touch(i int32) {
+// at returns track i's load, zeroed first if it is stale.
+func (c *congestion) at(i int32) *load {
 	if c.stamp[i] != c.epoch {
 		c.stamp[i] = c.epoch
-		c.present[i] = 0
-		c.history[i] = 0
+		c.load[i] = load{}
 	}
+	return &c.load[i]
 }
 
 func (c *congestion) presentAt(i int32) int32 {
 	if c.stamp[i] != c.epoch {
 		return 0
 	}
-	return c.present[i]
+	return c.load[i].present
 }
 
-func (c *congestion) historyAt(i int32) int32 {
-	if c.stamp[i] != c.epoch {
-		return 0
-	}
-	return c.history[i]
-}
+func (c *congestion) addPresent(i int32, d int32) { c.at(i).present += d }
 
-func (c *congestion) addPresent(i int32, d int32) {
-	c.touch(i)
-	c.present[i] += d
-}
-
-func (c *congestion) addHistory(i int32, d int32) {
-	c.touch(i)
-	c.history[i] += d
-}
+func (c *congestion) addHistory(i int32, d int32) { c.at(i).history += d }
 
 // preppedNet is a NetSpec resolved once up front: sinks in the fixed
 // nearest-first routing order, plus the inflated bounding box that
@@ -232,6 +224,7 @@ type negScratch struct {
 	uf                         unionFind
 	members, crossers, reroute []int // see buildScopes; reroute per place
 	stack                      []bisection
+	cutCount                   []int // bestCutOnAxis's box ends by position
 	crossed                    []bool
 	scopes                     []scope
 	results                    []scopeResult
@@ -356,52 +349,60 @@ func (s *Scratch) NegotiatedRoute(dev *device.Device, nets []NetSpec, opt Negoti
 // runScopes executes every scope's negotiation loop on a worker pool, all
 // over one pooled congestion table. A single scope instead gets the full
 // Parallelism budget for its intra-iteration reroutes — which is exactly
-// the pre-partitioning behaviour.
+// the pre-partitioning behaviour. scopes are s's, as buildScopes left them.
 func (s *negScratch) runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []scope) []scopeResult {
 	cong := getCongestion(dev.NumTracks())
 	defer putCongestion(cong)
 	n := len(prepped)
 	s.used, s.usedSpare, s.pips, s.pipsSpare = fit(s.used, n), fit(s.usedSpare, n), fit(s.pips, n), fit(s.pipsSpare, n)
 	s.routes, s.reroute, s.results = fit(s.routes, n), fit(s.reroute, n), fit(s.results, len(scopes))
+	for i := range scopes {
+		sc := &scopes[i]
+		lo, hi := sc.off, sc.off+len(sc.nets)
+		// presFac starts at 0: the first iteration ignores sharing entirely.
+		sc.dev, sc.cong, sc.pol, sc.presFac, sc.prepped = dev, cong, opt.negotiated(cong), 0, prepped
+		sc.used, sc.spare, sc.pipsSpare = s.used[lo:hi:hi], s.usedSpare[lo:hi:hi], s.pipsSpare[lo:hi:hi]
+		sc.routes, sc.reroute = s.routes[lo:hi:hi], s.reroute[lo:hi:hi]
+	}
 	par := opt.parallelism()
 	if len(scopes) == 1 || par == 1 {
 		scopes[0].par = par
 		for i := range scopes {
-			s.results[i] = s.runScope(dev, opt, prepped, &scopes[i], cong)
+			s.results[i] = s.runScope(&scopes[i])
 		}
 		return s.results
 	}
-	runPool(&s.pool, min(par, len(scopes)), func(p *pool) {
-		for i := p.take(); i < len(scopes); i = p.take() {
-			s.results[i] = s.runScope(dev, opt, prepped, &scopes[i], cong)
-		}
-	})
+	runPool(&s.pool, min(par, len(scopes)), s)
 	return s.results
+}
+
+// work runs the scopes p hands out: s is the job of runScopes' pool.
+func (s *negScratch) work(p *pool) {
+	for i := p.take(); i < len(s.scopes); i = p.take() {
+		s.results[i] = s.runScope(&s.scopes[i])
+	}
 }
 
 // runScope runs the negotiation loop for one scope over the call's shared
 // congestion table, touching only the slots of tracks its nets use, in
 // its windows of s's lists.
-func (s *negScratch) runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, sc *scope, cong *congestion) scopeResult {
-	// presFac starts at 0: the first iteration ignores sharing entirely.
-	sc.dev, sc.cong, sc.pol, sc.presFac = dev, cong, opt.negotiated(cong), 0
-
+func (s *negScratch) runScope(sc *scope) scopeResult {
 	n := len(sc.nets)
-	lo, hi := sc.off, sc.off+n
-	used, spare, pipsSpare := s.used[lo:hi:hi], s.usedSpare[lo:hi:hi], s.pipsSpare[lo:hi:hi]
+	used, spare, pipsSpare := sc.used, sc.spare, sc.pipsSpare
 	for j := range used {
 		used[j] = used[j][:0] // no net has tracks before its first route
 	}
-	out, results := scopeResult{routes: s.pips[lo:hi:hi]}, s.routes[lo:hi:hi]
+	out := scopeResult{routes: s.pips[sc.off : sc.off+n : sc.off+n]}
 
-	reroute := s.reroute[lo:hi:hi] // scope-local positions
+	reroute := sc.reroute[:n] // scope-local positions
 	for j := range reroute {
 		reroute[j] = j
 	}
 
 	for iter := 1; iter <= maxIterations; iter++ {
 		out.iterations = iter
-		results := sc.routeAll(&s.pool, results[:len(reroute)], prepped, reroute, used, spare, pipsSpare)
+		sc.reroute = reroute
+		results := sc.routeAll(&s.pool)
 		// Merge in net order. Results are per-net pure functions of the
 		// iteration snapshot, so this ordering — not the worker
 		// scheduling — defines the outcome.
@@ -472,53 +473,62 @@ func (s *negScratch) runScope(dev *device.Device, opt NegotiationOptions, preppe
 	return out
 }
 
-// routeAll routes the given nets against the current congestion snapshot,
-// sequentially or on at most sc.par of p's goroutines, into results.
-// reroute holds positions j in the scope's net list; results[x] is
-// reroute[x]'s route, built in pipsSpare[j] and spare[j], and does not
+// routeAll routes the nets at sc.reroute against the current congestion
+// snapshot, sequentially or on at most sc.par of p's goroutines. Result x
+// is reroute[x]'s route, built in the net's spare buffers, and does not
 // depend on the worker count.
-func (sc *scope) routeAll(p *pool, results []netRoute, prepped []preppedNet, reroute []int, oldUsed, spare [][]int32, pipsSpare [][]device.PIP) []netRoute {
-	par := min(sc.par, len(reroute))
-	if par <= 1 {
+func (sc *scope) routeAll(p *pool) []netRoute {
+	if par := min(sc.par, len(sc.reroute)); par > 1 {
+		runPool(p, par, sc)
+	} else {
 		w := sc.newWorker()
-		for x, j := range reroute {
-			results[x] = w.routeNet(prepped[sc.nets[j]], oldUsed[j], spare[j], pipsSpare[j])
+		for x := range sc.reroute {
+			sc.route(w, x)
 		}
-		w.release() // not deferred, as in runPool
-		return results
+		w.release() // not deferred, as in work
 	}
-	runPool(p, par, func(p *pool) {
-		w := sc.newWorker()
-		for x := p.take(); x < len(reroute); x = p.take() {
-			j := reroute[x]
-			results[x] = w.routeNet(prepped[sc.nets[j]], oldUsed[j], spare[j], pipsSpare[j])
-		}
-		w.release() // not deferred: a goroutine that panics drops its tables
-	})
-	return results
+	return sc.routes[:len(sc.reroute)]
 }
 
-// runPool runs body on workers goroutines, which take turns at the indices
+// work routes the reroutes p hands out: sc is the job of routeAll's pool.
+func (sc *scope) work(p *pool) {
+	w := sc.newWorker()
+	for x := p.take(); x < len(sc.reroute); x = p.take() {
+		sc.route(w, x)
+	}
+	w.release() // not deferred: a goroutine that panics drops its tables
+}
+
+// route routes reroute[x] on w into routes[x].
+func (sc *scope) route(w *negWorker, x int) {
+	j := sc.reroute[x]
+	sc.routes[x] = w.routeNet(sc.prepped[sc.nets[j]], sc.used[j], sc.spare[j], sc.pipsSpare[j])
+}
+
+// A poolJob is the work a pool's goroutines share: each calls work, which
+// takes indices from the pool until they run out.
+type poolJob interface{ work(p *pool) }
+
+// runPool runs job on workers goroutines, which take turns at the indices
 // p hands out from 0. A panic ends its goroutine and skips the rest of its
-// body; the first is raised again here, with its stack, once all are done.
-// p is reset first, so a caller keeps one for calls that do not nest.
-func runPool(p *pool, workers int, body func(*pool)) {
+// work; the first is raised again here, with its stack, once all are done.
+// p is reset first, so a caller keeps one for calls that do not nest. A
+// goroutine finds its job in p, so starting one allocates nothing.
+func runPool(p *pool, workers int, job poolJob) {
+	if p.run == nil {
+		p.run = p.worker
+	}
 	p.next.Store(0)
 	p.caught.Store(nil)
+	p.job = job
 	p.wg.Add(workers)
 	for g := 0; g < workers; g++ {
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					p.caught.CompareAndSwap(nil, &poolPanic{v, debug.Stack()})
-				}
-				p.wg.Done()
-			}()
-			body(p)
-		}()
+		go p.run()
 	}
-	if p.wg.Wait(); p.caught.Load() != nil {
-		panic(p.caught.Load())
+	p.wg.Wait()
+	p.job = nil
+	if v := p.caught.Load(); v != nil {
+		panic(v)
 	}
 }
 
@@ -526,6 +536,19 @@ type pool struct {
 	next   atomic.Int64
 	wg     sync.WaitGroup
 	caught atomic.Pointer[poolPanic] // the first panic, with its stack
+	job    poolJob                   // what runPool's goroutines run
+	run    func()                    // p.worker, made once
+}
+
+// worker is one of runPool's goroutines.
+func (p *pool) worker() {
+	defer func() {
+		if v := recover(); v != nil {
+			p.caught.CompareAndSwap(nil, &poolPanic{v, debug.Stack()})
+		}
+		p.wg.Done()
+	}()
+	p.job.work(p)
 }
 
 func (p *pool) take() int { return int(p.next.Add(1) - 1) }

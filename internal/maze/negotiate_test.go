@@ -357,6 +357,11 @@ func TestNegotiatedRouteSinkOrderStable(t *testing.T) {
 	}
 }
 
+// poolFunc is a pool job written as a function.
+type poolFunc func(*pool)
+
+func (f poolFunc) work(p *pool) { f(p) }
+
 // TestRunPoolRaisesOnCaller: a panic in one of a pool's goroutines ends that
 // goroutine only. The others take every index left, and the pool's caller
 // gets the panic — its value, and the stack it was raised on — once they
@@ -366,14 +371,14 @@ func TestRunPoolRaisesOnCaller(t *testing.T) {
 	var done [n]atomic.Bool
 	raised := func() (v any) {
 		defer func() { v = recover() }()
-		runPool(&pool{}, 4, func(p *pool) {
+		runPool(&pool{}, 4, poolFunc(func(p *pool) {
 			for i := p.take(); i < n; i = p.take() {
 				if i == k {
 					panic(fmt.Sprintf("index %d", i))
 				}
 				done[i].Store(true)
 			}
-		})
+		}))
 		return nil
 	}()
 	p, ok := raised.(*poolPanic)

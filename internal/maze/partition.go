@@ -112,6 +112,16 @@ type scope struct {
 	cong    *congestion
 	pol     policy // the scope's search policy, less what each worker and net adds
 	presFac int32  // cost per other net on a track, this iteration
+
+	// What an iteration's reroutes read and fill: every net of the call by
+	// global index, and the scope's windows of the scratch's per-net
+	// lists, by place in nets (see runScope) — but reroute, the places
+	// rerouted this iteration, and routes, their results in that order.
+	prepped     []preppedNet
+	used, spare [][]int32
+	pipsSpare   [][]device.PIP
+	reroute     []int
+	routes      []netRoute
 }
 
 // unionFind is a plain path-halving union-find over net indices.
@@ -156,29 +166,38 @@ type cutStats struct {
 // split and then the lower position. Cuts that leave one side empty are
 // still considered (they can trim dead space) but only if they cross
 // fewer boxes than a balanced alternative would.
-func bestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
+//
+// A box is left of the cut at p when it ends before p, and right of it when
+// it starts at p or later, so the scan counts the boxes ending and starting
+// at each position once, in s's scratch, and reads both sides of every cut
+// off running sums. A box's ends are clamped to the region first: one that
+// ends before it is left of every cut, one that starts past it right of
+// none.
+func (s *negScratch) bestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
 	lo, hi := rc.r0, rc.r1
 	if axis == 1 {
 		lo, hi = rc.c0, rc.c1
 	}
-	best := cutStats{axis: axis}
-	for p := lo + 1; p <= hi; p++ {
-		crossing, left, right := 0, 0, 0
-		for _, i := range nets {
-			b := boxes[i]
-			b0, b1 := b.r0, b.r1
-			if axis == 1 {
-				b0, b1 = b.c0, b.c1
-			}
-			switch {
-			case b1 < p:
-				left++
-			case b0 >= p:
-				right++
-			default:
-				crossing++
-			}
+	span := hi - lo + 1
+	s.cutCount = fit(s.cutCount, 2*span)
+	clear(s.cutCount)
+	ends, starts := s.cutCount[:span], s.cutCount[span:]
+	for _, i := range nets {
+		b := boxes[i]
+		b0, b1 := b.r0, b.r1
+		if axis == 1 {
+			b0, b1 = b.c0, b.c1
 		}
+		ends[min(max(b1, lo), hi)-lo]++
+		starts[min(max(b0, lo), hi)-lo]++
+	}
+	best := cutStats{axis: axis}
+	left, notRight := 0, 0
+	for p := lo + 1; p <= hi; p++ {
+		left += ends[p-1-lo]       // boxes with b1 < p
+		notRight += starts[p-1-lo] // boxes with b0 < p
+		right := len(nets) - notRight
+		crossing := len(nets) - left - right
 		bal := left - right
 		if bal < 0 {
 			bal = -bal
@@ -195,9 +214,9 @@ func bestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
 // bestCut picks the lighter-loaded axis: the axis whose best cut crosses
 // fewer net boxes; ties go to the longer dimension, then to rows. A cut
 // that crosses every net is useless and reported as not ok.
-func bestCut(rc rect, boxes []rect, nets []int) cutStats {
-	row := bestCutOnAxis(rc, boxes, nets, 0)
-	col := bestCutOnAxis(rc, boxes, nets, 1)
+func (s *negScratch) bestCut(rc rect, boxes []rect, nets []int) cutStats {
+	row := s.bestCutOnAxis(rc, boxes, nets, 0)
+	col := s.bestCutOnAxis(rc, boxes, nets, 1)
 	best := row
 	switch {
 	case !row.ok:
@@ -236,7 +255,7 @@ func (s *negScratch) buildScopes(dev *device.Device, boxes []rect, maxDepth int)
 		}
 		cut := cutStats{}
 		if nd.depth < maxDepth && len(nd.nets) > 1 {
-			cut = bestCut(nd.rc, boxes, nd.nets)
+			cut = s.bestCut(nd.rc, boxes, nd.nets)
 		}
 		if !cut.ok { // a leaf
 			regions++

@@ -313,12 +313,12 @@ func TestPartitionValidationAndErrors(t *testing.T) {
 func TestBestCutDeterminism(t *testing.T) {
 	boxes := []rect{{0, 0, 10, 10}, {20, 0, 30, 10}, {0, 40, 10, 50}, {20, 40, 30, 50}}
 	nets := []int{0, 1, 2, 3}
-	first := bestCut(rect{0, 0, 63, 95}, boxes, nets)
+	first := new(negScratch).bestCut(rect{0, 0, 63, 95}, boxes, nets)
 	if !first.ok || first.crossing != 0 {
 		t.Fatalf("clean cut not found: %+v", first)
 	}
 	for i := 0; i < 10; i++ {
-		if got := bestCut(rect{0, 0, 63, 95}, boxes, nets); got != first {
+		if got := new(negScratch).bestCut(rect{0, 0, 63, 95}, boxes, nets); got != first {
 			t.Fatalf("cut changed between calls: %+v vs %+v", got, first)
 		}
 	}

@@ -185,8 +185,8 @@ func (p *policy) estimate(dev *device.Device, ar *arena) []int32 {
 	return ar.est
 }
 
-// h is the heuristic at t: est, estimate's table, at t's tap distance to
-// the sink, or 0 under uniform-cost search, which has no table.
+// h is the heuristic at source track t: est, estimate's table, at t's tap
+// distance to the sink, or 0 under uniform-cost search, which has no table.
 func (p *policy) h(dev *device.Device, est []int32, t device.Track, sinkTile device.Coord) int32 {
 	if p.weight == 0 {
 		return 0
@@ -194,13 +194,28 @@ func (p *policy) h(dev *device.Device, est []int32, t device.Track, sinkTile dev
 	return est[dev.MinTapDistance(t, sinkTile)]
 }
 
-// surcharge is the congestion cost of occupying track i.
+// hEdge is h at the target of edge e of a track canonical at tile at, given
+// (dr, dc), the sink tile less at: the tap distance comes from to's table.
+func (p *policy) hEdge(est []int32, to *device.SinkDist, e *device.Edge, dr, dc int) int32 {
+	if p.weight == 0 {
+		return 0
+	}
+	return est[to.Of(e, dr, dc)]
+}
+
+// surcharge is the congestion cost of occupying track i: its stamp and its
+// congestion cell, and the self set only when other nets use the track.
 func (p *policy) surcharge(i int32) int32 {
-	users := p.cong.presentAt(i)
-	if p.self.has(i) {
+	c := p.cong
+	if c.stamp[i] != c.epoch {
+		return 0
+	}
+	l := c.load[i]
+	users := l.present
+	if users > 0 && p.self.has(i) {
 		users-- // our own previous usage does not penalize us
 	}
-	s := p.cong.historyAt(i) * historyFactor
+	s := l.history * historyFactor
 	if users > 0 {
 		s += users * p.presFac
 	}
@@ -213,9 +228,11 @@ func (p *policy) surcharge(i int32) int32 {
 // arrival at the sink wins. Every router here is this loop under a policy.
 // The route's PIPs are appended to dst: Route.PIPs is dst extended by them.
 //
-// An edge is read by its target's index; it is widened to a Track only to
-// be pushed (for h), or to be tested against the box or the avoid regions
-// of a policy that has them.
+// An edge is read by its target's index and its target's tile offset: the
+// box test adds the offset to the popped tile, and the heuristic reads the
+// target's tap distance from a table by that offset. It is widened to a
+// Track only to be tested against the avoid regions of a policy that has
+// them.
 func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, sink device.Track, dst []device.PIP) (Route, error) {
 	if len(sources) == 0 {
 		return Route{}, fmt.Errorf("maze: no sources: %w", ErrUnroutable)
@@ -232,8 +249,9 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 	confined := p.cong != nil
 	widen := confined || len(p.avoid) > 0
 	var est []int32
+	var to device.SinkDist
 	if p.weight != 0 {
-		est = p.estimate(dev, ar)
+		est, to = p.estimate(dev, ar), dev.SinkDist(sinkTile)
 	}
 
 	ar.begin()
@@ -264,6 +282,7 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 		}
 		edges, at := dev.EdgesAt(it.i)
 		bases := dev.BasesAt(at)
+		dr, dc := sink.Row-at.Row, sink.Col-at.Col
 		for j := range edges {
 			e := &edges[j]
 			ti := e.TargetIndex(&bases)
@@ -274,11 +293,10 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 				continue
 			}
 			if widen {
-				target := e.Target(at)
-				if confined && !p.box.contains(target.Row, target.Col) {
+				if confined && !p.box.contains(e.TargetTile(at)) {
 					continue
 				}
-				if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), target) {
+				if len(p.avoid) > 0 && intrudes(dev, p.avoid, at.Row+int(e.PRow), at.Col+int(e.PCol), e.Target(at)) {
 					continue
 				}
 			}
@@ -295,7 +313,7 @@ func (p *policy) search(dev *device.Device, ar *arena, sources []device.Track, s
 				// Goal: stop (greedy routing: first arrival wins).
 				return Route{PIPs: ar.reconstruct(dst, dev, sinkIdx), Cost: int(ng), Explored: explored}, nil
 			}
-			ar.push(heapItem{i: ti, g: ng, f: ng + p.h(dev, est, e.Target(at), sinkTile)})
+			ar.push(heapItem{i: ti, g: ng, f: ng + p.hEdge(est, &to, e, dr, dc)})
 		}
 	}
 	return Route{}, fmt.Errorf("maze: no path to %s at (%d,%d): %w",

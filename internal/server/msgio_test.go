@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -12,18 +13,43 @@ import (
 	"repro/internal/server/client"
 )
 
-// countingConn counts the Reads and Writes one end of a connection makes.
+// countingConn counts the Reads and Writes one end of a connection makes,
+// and how many of its Reads are in progress.
 type countingConn struct {
 	net.Conn
 	mu            sync.Mutex
 	reads, writes int
+	reading       int
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	c.reads++
+	c.reading++
 	c.mu.Unlock()
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.reading--
+	c.mu.Unlock()
+	return n, err
+}
+
+// awaitRead waits until a Read is in progress on c. On a server's end,
+// once it has answered every request sent, that is the read that waits for
+// the next one.
+func (c *countingConn) awaitRead(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		c.mu.Lock()
+		reading := c.reading > 0
+		c.mu.Unlock()
+		if reading {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server did not read again within 10 s")
+		}
+	}
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
@@ -61,6 +87,10 @@ func TestMessageCostsOneWriteOneRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server reads on as soon as it has answered, and its count is
+	// taken only once it has: otherwise that read could fall after the
+	// baseline under load, and the window hold one read too many.
+	sc.awaitRead(t)
 	sr0, sw0 := sc.counts()
 	cr0, cw0 := cc.counts()
 	const nets = 8
