@@ -34,17 +34,20 @@ bench-smoke:
 # Nine targets: the v3 byte decoder runs thousands of inputs a second and
 # gets 5 s, as does FuzzSessionImport, which imports each input onto a
 # fresh worker and audits what it places, and FuzzParseWire, which holds
-# every name the wire parser accepts to a WireName round trip.
+# every name the wire parser accepts to a WireName round trip. Each line
+# bounds minimization at 100 runs an input: by default Go minimizes every
+# new input for up to 60 s, which the exec count does not show, and a
+# 10 s smoke of FuzzReplay or FuzzSearch then spends most of it there.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s ./internal/device
-	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s ./internal/bitstream
-	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/maze
-	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=10s ./internal/maze
-	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s ./internal/server/protocol/v3
-	$(GO) test -run='^$$' -fuzz=FuzzSessionImport -fuzztime=5s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzParseWire -fuzztime=5s ./internal/arch
+	$(GO) test -run='^$$' -fuzz=FuzzDeviceState -fuzztime=10s -fuzzminimizetime=100x ./internal/device
+	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s -fuzzminimizetime=100x ./internal/bitstream
+	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s -fuzzminimizetime=100x ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=10s -fuzzminimizetime=100x ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s -fuzzminimizetime=100x ./internal/server/protocol/v3
+	$(GO) test -run='^$$' -fuzz=FuzzSessionImport -fuzztime=5s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzParseWire -fuzztime=5s -fuzzminimizetime=100x ./internal/arch
 
 # verify audits the paper's worked examples across the config grid and
 # runs a short seeded differential fuzz campaign, all through the
@@ -82,9 +85,10 @@ prof:
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROF_DIR)/repro.test $(PROF_DIR)/mem.prof
 
 # prof-negotiate does the same for BenchmarkNegotiate (internal/maze: eight
-# Clustered(6, 32, 5) designs negotiated on a 64×96 array, at 1 and 2
-# workers), the kernel under batch_reload, live-heap and allocated-object
-# top 10s included. Its
+# Clustered(6, 32, 5) designs and eight knots+crossbar designs negotiated on
+# a 64×96 array, at 1 and 2 workers; knots+crossbar is the shape
+# batch_reload negotiates, where one scope holds most of the work),
+# live-heap and allocated-object top 10s included. Its
 # files in PROF_DIR are maze.test, negotiate-cpu.prof and negotiate-mem.prof.
 prof-negotiate:
 	mkdir -p $(PROF_DIR)

@@ -88,6 +88,13 @@ func knotsAndCrossbar(t testing.TB, gen *workload.Gen, d *device.Device) []maze.
 	}
 }
 
+// init lends the shape to the tests inside package maze.
+func init() {
+	maze.KnotsAndCrossbar = func(t testing.TB, d *device.Device) []maze.NetSpec {
+		return knotsAndCrossbar(t, workload.ForDevice(1, d), d)
+	}
+}
+
 // batchDigest hashes what a negotiation decided: every net's PIPs in order,
 // the iteration count and the explored total.
 func batchDigest(res *maze.BatchResult) string {
@@ -112,13 +119,14 @@ func batchDigest(res *maze.BatchResult) string {
 
 // TestNegotiationDigests pins the negotiated result of eight seeded designs
 // (one of them under both cost models): SHA-256 over BatchResult.Nets,
-// Iterations and Explored, each at Partition on and off and at 1 and 8
-// workers. The digests were generated at the last commit that had a search
-// loop of its own in negotiate.go (PR 19, 56d7ffe), so they hold the shared
-// kernel's negotiated policy to that loop's bytes: hop model, heuristic
-// constants, confinement, surcharge, tie-breaking. Caught by it, for one: a
-// tail cap of 4 tiles (the single-net value) in the negotiated heuristic
-// moves every row but bus16.
+// Iterations and Explored, each at Partition on and off and at 1, 2 and 8
+// workers (2 is the benchmark harness's GOMAXPROCS). The digests were
+// generated at the last commit that had a search loop of its own in
+// negotiate.go (PR 19, 56d7ffe), so they hold the shared kernel's
+// negotiated policy to that loop's bytes: hop model, heuristic constants,
+// confinement, surcharge, tie-breaking. Caught by it, for one: a tail cap of
+// 4 tiles (the single-net value) in the negotiated heuristic moves every row
+// but bus16.
 func TestNegotiationDigests(t *testing.T) {
 	type design struct {
 		name   string
@@ -195,7 +203,7 @@ func TestNegotiationDigests(t *testing.T) {
 			d := blankVirtex(t, ds.rows, ds.cols)
 			nets := ds.nets(t, workload.ForDevice(ds.seed, d), d)
 			for _, partition := range []bool{false, true} {
-				for _, par := range []int{1, 8} {
+				for _, par := range []int{1, 2, 8} {
 					res, err := maze.NegotiatedRoute(d, nets, maze.NegotiationOptions{
 						Options: ds.opt, Parallelism: par, Partition: partition})
 					if err != nil {

@@ -117,30 +117,43 @@ func benchSearch(b *testing.B, d *device.Device, pairs []searchPair) {
 	benchSink += explored
 }
 
-// BenchmarkNegotiate negotiates eight seeded Clustered(6, 32, 5) designs —
-// 192 nets in six contended knots — on a blank 64×96 array, one design an
-// iteration, partitioned, on one worker and on two.
+// BenchmarkNegotiate negotiates eight seeded designs of each of two shapes
+// on a blank 64×96 array, one design an iteration, partitioned, on one
+// worker and on two. clustered: Clustered(6, 32, 5), 192 nets in six
+// contended knots, which split into balanced scopes. knots+crossbar: the
+// batch_reload shape, whose crossbar scope (the crossbar and the knots its
+// box overlaps) holds most of the search.
 func BenchmarkNegotiate(b *testing.B) {
 	d := blankVirtex(b, 64, 96)
-	designs := clusteredDesigns(b, d, 8)
-	for _, par := range []int{1, 2} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			negotiate := func(i int) {
-				res, err := maze.NegotiatedRoute(d, designs[i%len(designs)],
-					maze.NegotiationOptions{Parallelism: par, Partition: true})
-				if err != nil {
-					b.Fatal(err)
+	gen := workload.ForDevice(1, d)
+	crossbars := make([][]maze.NetSpec, 8)
+	for i := range crossbars {
+		crossbars[i] = knotsAndCrossbar(b, gen, d)
+	}
+	for _, shape := range []struct {
+		name    string
+		designs [][]maze.NetSpec
+	}{{"clustered", clusteredDesigns(b, d, 8)}, {"knots+crossbar", crossbars}} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par=%d", shape.name, par), func(b *testing.B) {
+				designs := shape.designs
+				negotiate := func(i int) {
+					res, err := maze.NegotiatedRoute(d, designs[i%len(designs)],
+						maze.NegotiationOptions{Parallelism: par, Partition: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += res.Explored
 				}
-				benchSink += res.Explored
-			}
-			for i := range designs { // untimed, as above
-				negotiate(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				negotiate(i)
-			}
-		})
+				for i := range designs { // untimed, as above
+					negotiate(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					negotiate(i)
+				}
+			})
+		}
 	}
 }

@@ -1,10 +1,21 @@
 package maze
 
-import "repro/internal/arch"
+import (
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/device"
+)
 
 // TimingCost is the delay-driven search's per-hop cost of a wire class, in
 // tenths of a nanosecond.
 func TimingCost(k arch.Kind) int { return timingCost(k) }
+
+// KnotsAndCrossbar draws batch_test.go's knotsAndCrossbar design at seed 1.
+// That file is in package maze_test, as it draws from internal/workload,
+// which imports core; it sets this hook when the test binary starts, so
+// that tests inside the package negotiate the shape too.
+var KnotsAndCrossbar func(t testing.TB, d *device.Device) []NetSpec
 
 // PooledKeepersZero drains the pooled congestion tables, puts them back, and
 // reports how many there were and whether every keeper slot of every one

@@ -34,16 +34,19 @@ import (
 //
 // On top of that, Partition splits the batch into independent *scopes*
 // (see partition.go): groups of nets whose inflated bounding boxes are
-// pairwise disjoint across groups. Each scope runs its own negotiation
-// loop concurrently, with no global iteration barrier. Scopes own no
-// memory: every table is indexed by device.TrackIndex, the call's one
-// congestion table is shared by all its scopes, and each worker searches
-// on a pooled whole-device arena, as the single-net search does. Because
-// every net's search is confined to its box in both modes and disjoint
-// boxes cannot share tracks, concurrent scopes read and write disjoint
-// slots, and the scoped loops compute exactly what the single global loop
-// computes: partitioning never changes the routed result, only wall-clock
-// time.
+// pairwise disjoint across groups. Each scope keeps its own iteration count,
+// reroute list and overuse pass, but the scopes run in lockstep: iteration
+// k routes the reroutes of every scope still negotiating as one job list on
+// the worker pool, and then each scope merges its own routes. A converged
+// scope drops out of the list. Scopes own no memory: every table is indexed
+// by device.TrackIndex, the call's one congestion table is shared by all
+// its scopes, and each worker searches on a pooled whole-device arena, as
+// the single-net search does. Because every net's search is confined to its
+// box in both modes and disjoint boxes cannot share tracks, the reroutes of
+// one iteration read and write disjoint slots, and the scoped loops compute
+// exactly what the single global loop computes: partitioning never changes
+// the routed result. Nor does it decide the schedule: in both modes the
+// pool is handed nets.
 
 // NetSpec is one net to batch-route: a source track and its sink tracks.
 type NetSpec struct {
@@ -83,9 +86,9 @@ type BatchResult struct {
 // NegotiationOptions tune the batch router.
 type NegotiationOptions struct {
 	Options
-	// Parallelism bounds the worker goroutines. With a single scope they
-	// re-route one iteration's ripped-up nets concurrently; with several
-	// scopes they run whole scopes concurrently. 0 means
+	// Parallelism bounds the worker goroutines, which re-route one
+	// iteration's ripped-up nets concurrently, those of every scope
+	// together. 0 means
 	// runtime.GOMAXPROCS(0); 1 routes on the calling goroutine. Every
 	// value produces the identical result (and therefore the identical
 	// committed bitstream) — only wall-clock time changes.
@@ -228,14 +231,17 @@ type negScratch struct {
 	crossed                    []bool
 	scopes                     []scope
 	results                    []scopeResult
-	routes                     []netRoute // an iteration's reroutes, in reroute order
+	// An iteration's reroutes, as places in members, scope after scope, and
+	// what they read: the device, and the policy at the iteration's presFac.
+	jobs   []int
+	dev    *device.Device
+	pol    policy
+	routes []netRoute // by place: the route of each net rerouted this iteration
 	// A net's used tracks and route, twice: each pair trades places when
 	// the net is rerouted, as the merge still reads the old used list.
 	used, usedSpare [][]int32
 	pips, pipsSpare [][]device.PIP
-	// The pool a negotiation runs its scopes, or a scope its reroutes, on:
-	// never both, so one pool serves every runPool of a call.
-	pool pool
+	pool            pool // runs every iteration's reroutes
 }
 
 // fit returns s at length n, keeping the elements it held past its length.
@@ -346,163 +352,163 @@ func (s *Scratch) NegotiatedRoute(dev *device.Device, nets []NetSpec, opt Negoti
 	return res, nil
 }
 
-// runScopes executes every scope's negotiation loop on a worker pool, all
-// over one pooled congestion table. A single scope instead gets the full
-// Parallelism budget for its intra-iteration reroutes — which is exactly
-// the pre-partitioning behaviour. scopes are s's, as buildScopes left them.
+// runScopes runs every scope's negotiation loop over one pooled congestion
+// table, in lockstep: iteration k routes the reroutes of every scope still
+// negotiating as one job list, then merges each scope in turn. A round in
+// which a scope fails ends the call; NegotiatedRoute picks the error. scopes
+// are s's, as buildScopes left them.
 func (s *negScratch) runScopes(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, scopes []scope) []scopeResult {
 	cong := getCongestion(dev.NumTracks())
 	defer putCongestion(cong)
 	n := len(prepped)
 	s.used, s.usedSpare, s.pips, s.pipsSpare = fit(s.used, n), fit(s.usedSpare, n), fit(s.pips, n), fit(s.pipsSpare, n)
 	s.routes, s.reroute, s.results = fit(s.routes, n), fit(s.reroute, n), fit(s.results, len(scopes))
+	// presFac starts at 0: the first iteration ignores sharing entirely.
+	s.dev, s.pol, s.prepped = dev, opt.negotiated(cong), prepped
+	for p := range s.used {
+		s.used[p] = s.used[p][:0] // no net has tracks before its first route
+	}
 	for i := range scopes {
 		sc := &scopes[i]
 		lo, hi := sc.off, sc.off+len(sc.nets)
-		// presFac starts at 0: the first iteration ignores sharing entirely.
-		sc.dev, sc.cong, sc.pol, sc.presFac, sc.prepped = dev, cong, opt.negotiated(cong), 0, prepped
-		sc.used, sc.spare, sc.pipsSpare = s.used[lo:hi:hi], s.usedSpare[lo:hi:hi], s.pipsSpare[lo:hi:hi]
-		sc.routes, sc.reroute = s.routes[lo:hi:hi], s.reroute[lo:hi:hi]
-	}
-	par := opt.parallelism()
-	if len(scopes) == 1 || par == 1 {
-		scopes[0].par = par
-		for i := range scopes {
-			s.results[i] = s.runScope(&scopes[i])
+		sc.reroute = s.reroute[lo:hi:hi] // scope-local positions
+		for j := range sc.reroute {
+			sc.reroute[j] = j
 		}
-		return s.results
+		s.results[i] = scopeResult{routes: s.pips[lo:hi:hi]}
 	}
-	runPool(&s.pool, min(par, len(scopes)), s)
+	for iter := 1; iter <= maxIterations; iter++ {
+		s.jobs = s.jobs[:0]
+		for i := range scopes {
+			sc := &scopes[i]
+			for _, j := range sc.reroute {
+				s.jobs = append(s.jobs, sc.off+j)
+			}
+		}
+		if len(s.jobs) == 0 {
+			return s.results // every scope converged
+		}
+		s.routeAll(opt.parallelism())
+		failed := false
+		for i := range scopes {
+			if len(scopes[i].reroute) > 0 {
+				s.merge(&scopes[i], iter, &s.results[i])
+				failed = failed || s.results[i].err != nil
+			}
+		}
+		if failed {
+			return s.results
+		}
+		s.pol.presFac = presentFactor * int32(iter)
+	}
+	for i := range scopes {
+		if sc := &scopes[i]; len(sc.reroute) > 0 {
+			s.results[i].err = fmt.Errorf("maze: negotiation did not converge in %d iterations: %w",
+				maxIterations, ErrUnroutable)
+			s.results[i].errIter, s.results[i].errNet = maxIterations+1, sc.nets[0]
+		}
+	}
 	return s.results
 }
 
-// work runs the scopes p hands out: s is the job of runScopes' pool.
+// merge folds scope sc's routes of iteration iter into the call's shared
+// congestion table, touching only the slots of tracks its nets use, and runs
+// its overuse pass, which leaves in sc.reroute the places to reroute next:
+// none once the scope has converged.
+func (s *negScratch) merge(sc *scope, iter int, out *scopeResult) {
+	cong := s.pol.cong
+	out.iterations = iter
+	// Merge in net order. Results are per-net pure functions of the
+	// iteration snapshot, so this ordering — not the worker scheduling —
+	// defines the outcome.
+	for _, j := range sc.reroute {
+		p := sc.off + j
+		r := &s.routes[p]
+		if r.err != nil {
+			out.err = fmt.Errorf("maze: batch net %d: %w", sc.nets[j], r.err)
+			out.errIter, out.errNet = iter, sc.nets[j]
+			return
+		}
+		for _, k := range s.used[p] {
+			cong.addPresent(k, -1)
+		}
+		out.routes[j], s.pipsSpare[p] = r.pips, out.routes[j]
+		s.used[p], s.usedSpare[p] = r.used, s.used[p]
+		for _, k := range r.used {
+			cong.addPresent(k, 1)
+		}
+		out.explored += r.explored
+	}
+	// Find overuse; accumulate history on shared tracks; decide who
+	// reroutes next round (everyone sharing a track except its first
+	// claimant, so each conflict strands at most one net in place). Scope
+	// nets ascend in global order, so the first claimant here is the first
+	// claimant of the global loop too. The keeper is the *global* net index
+	// — the tie-break must not depend on how nets were grouped. The pass
+	// sets a keeper on exactly the overused tracks of the scope's nets, and
+	// clears them straight after, so every return leaves the shared table's
+	// keeper clean. A track is overused only if a net other than its keeper
+	// uses it, so the scope has converged exactly when no net reroutes.
+	used := s.used[sc.off : sc.off+len(sc.nets)]
+	reroute := sc.reroute[:0]
+	for j, i := range sc.nets {
+		me := int32(i) + 1
+		needs := false
+		for _, k := range used[j] {
+			c := cong.presentAt(k)
+			if c <= 1 {
+				continue
+			}
+			if cong.keeper[k] == 0 {
+				cong.keeper[k] = me
+				cong.addHistory(k, c-1)
+			}
+			if cong.keeper[k] != me {
+				needs = true
+			}
+		}
+		if needs {
+			reroute = append(reroute, j)
+		}
+	}
+	for j := 0; len(reroute) > 0 && j < len(used); j++ {
+		for _, k := range used[j] {
+			if cong.presentAt(k) > 1 {
+				cong.keeper[k] = 0
+			}
+		}
+	}
+	sc.reroute = reroute
+}
+
+// routeAll routes every net at s.jobs against the iteration's congestion
+// snapshot, on the calling goroutine or on at most par of the pool's. A
+// net's route is built in its spare buffers, into s.routes at its place,
+// and does not depend on the worker count.
+func (s *negScratch) routeAll(par int) {
+	if par = min(par, len(s.jobs)); par > 1 {
+		runPool(&s.pool, par, s)
+		return
+	}
+	w := newWorker(s.dev, s.pol)
+	for _, p := range s.jobs {
+		s.route(w, p)
+	}
+	w.release() // not deferred, as in work
+}
+
+// work routes the jobs p hands out: s is the job of routeAll's pool.
 func (s *negScratch) work(p *pool) {
-	for i := p.take(); i < len(s.scopes); i = p.take() {
-		s.results[i] = s.runScope(&s.scopes[i])
-	}
-}
-
-// runScope runs the negotiation loop for one scope over the call's shared
-// congestion table, touching only the slots of tracks its nets use, in
-// its windows of s's lists.
-func (s *negScratch) runScope(sc *scope) scopeResult {
-	n := len(sc.nets)
-	used, spare, pipsSpare := sc.used, sc.spare, sc.pipsSpare
-	for j := range used {
-		used[j] = used[j][:0] // no net has tracks before its first route
-	}
-	out := scopeResult{routes: s.pips[sc.off : sc.off+n : sc.off+n]}
-
-	reroute := sc.reroute[:n] // scope-local positions
-	for j := range reroute {
-		reroute[j] = j
-	}
-
-	for iter := 1; iter <= maxIterations; iter++ {
-		out.iterations = iter
-		sc.reroute = reroute
-		results := sc.routeAll(&s.pool)
-		// Merge in net order. Results are per-net pure functions of the
-		// iteration snapshot, so this ordering — not the worker
-		// scheduling — defines the outcome.
-		for x, j := range reroute {
-			r := &results[x]
-			if r.err != nil {
-				out.err = fmt.Errorf("maze: batch net %d: %w", sc.nets[j], r.err)
-				out.errIter, out.errNet = iter, sc.nets[j]
-				return out
-			}
-			for _, k := range used[j] {
-				sc.cong.addPresent(k, -1)
-			}
-			out.routes[j], pipsSpare[j] = r.pips, out.routes[j]
-			used[j], spare[j] = r.used, used[j]
-			for _, k := range r.used {
-				sc.cong.addPresent(k, 1)
-			}
-			out.explored += r.explored
-		}
-		// Find overuse; accumulate history on shared tracks; decide who
-		// reroutes next round (everyone sharing a track except its first
-		// claimant, so each conflict strands at most one net in place).
-		// Scope nets ascend in global order, so the first claimant here
-		// is the first claimant of the global loop too. The keeper is the
-		// *global* net index — the tie-break must not depend on how nets
-		// were grouped. The pass sets a keeper on exactly the overused
-		// tracks of the scope's nets, and clears them straight after, so
-		// every return leaves the shared table's keeper clean.
-		reroute = reroute[:0]
-		overused := false
-		for j := 0; j < n; j++ {
-			me := int32(sc.nets[j]) + 1
-			needs := false
-			for _, k := range used[j] {
-				c := sc.cong.presentAt(k)
-				if c <= 1 {
-					continue
-				}
-				overused = true
-				if sc.cong.keeper[k] == 0 {
-					sc.cong.keeper[k] = me
-					sc.cong.addHistory(k, c-1)
-				}
-				if sc.cong.keeper[k] != me {
-					needs = true
-				}
-			}
-			if needs {
-				reroute = append(reroute, j)
-			}
-		}
-		for j := 0; overused && j < n; j++ {
-			for _, k := range used[j] {
-				if sc.cong.presentAt(k) > 1 {
-					sc.cong.keeper[k] = 0
-				}
-			}
-		}
-		if !overused {
-			return out
-		}
-		sc.presFac = presentFactor * int32(iter)
-	}
-	out.err = fmt.Errorf("maze: negotiation did not converge in %d iterations: %w",
-		maxIterations, ErrUnroutable)
-	out.errIter, out.errNet = maxIterations+1, sc.nets[0]
-	return out
-}
-
-// routeAll routes the nets at sc.reroute against the current congestion
-// snapshot, sequentially or on at most sc.par of p's goroutines. Result x
-// is reroute[x]'s route, built in the net's spare buffers, and does not
-// depend on the worker count.
-func (sc *scope) routeAll(p *pool) []netRoute {
-	if par := min(sc.par, len(sc.reroute)); par > 1 {
-		runPool(p, par, sc)
-	} else {
-		w := sc.newWorker()
-		for x := range sc.reroute {
-			sc.route(w, x)
-		}
-		w.release() // not deferred, as in work
-	}
-	return sc.routes[:len(sc.reroute)]
-}
-
-// work routes the reroutes p hands out: sc is the job of routeAll's pool.
-func (sc *scope) work(p *pool) {
-	w := sc.newWorker()
-	for x := p.take(); x < len(sc.reroute); x = p.take() {
-		sc.route(w, x)
+	w := newWorker(s.dev, s.pol)
+	for x := p.take(); x < len(s.jobs); x = p.take() {
+		s.route(w, s.jobs[x])
 	}
 	w.release() // not deferred: a goroutine that panics drops its tables
 }
 
-// route routes reroute[x] on w into routes[x].
-func (sc *scope) route(w *negWorker, x int) {
-	j := sc.reroute[x]
-	sc.routes[x] = w.routeNet(sc.prepped[sc.nets[j]], sc.used[j], sc.spare[j], sc.pipsSpare[j])
+// route routes the net at place p on w.
+func (s *negScratch) route(w *negWorker, p int) {
+	s.routes[p] = w.routeNet(s.prepped[s.members[p]], s.used[p], s.usedSpare[p], s.pipsSpare[p])
 }
 
 // A poolJob is the work a pool's goroutines share: each calls work, which
@@ -560,14 +566,14 @@ type poolPanic struct {
 
 func (p *poolPanic) String() string { return fmt.Sprintf("%v\n\n%s", p.value, p.stack) }
 
-// negWorker is the per-goroutine state of the routing phase: the scope's
-// policy with this worker's self set (the previous-iteration tracks of the
-// net being routed, whose usage must not penalize itself), a search arena,
-// and a membership set for the tracks of the route being built — the
-// pooled whole-device objects the single-net search uses — and, pooled with
-// the worker, the tracks a route may branch from.
+// negWorker is the per-goroutine state of the routing phase: the
+// iteration's policy with this worker's self set (the previous-iteration
+// tracks of the net being routed, whose usage must not penalize itself), a
+// search arena, and a membership set for the tracks of the route being
+// built — the pooled whole-device objects the single-net search uses — and,
+// pooled with the worker, the tracks a route may branch from.
 type negWorker struct {
-	sc        *scope
+	dev       *device.Device
 	pol       policy
 	ar        *arena
 	cur       *markSet // usage accumulated by the route being built
@@ -576,10 +582,10 @@ type negWorker struct {
 
 var workerPool sync.Pool
 
-func (sc *scope) newWorker() *negWorker {
-	n := sc.dev.NumTracks()
+func newWorker(dev *device.Device, pol policy) *negWorker {
+	n := dev.NumTracks()
 	w := pooled[negWorker](&workerPool)
-	w.sc, w.pol, w.ar, w.cur = sc, sc.pol, getArena(n), getMarkSet(n)
+	w.dev, w.pol, w.ar, w.cur = dev, pol, getArena(n), getMarkSet(n)
 	w.pol.self = getMarkSet(n)
 	return w
 }
@@ -588,7 +594,7 @@ func (w *negWorker) release() {
 	putArena(w.ar)
 	putMarkSet(w.pol.self)
 	putMarkSet(w.cur)
-	w.sc, w.pol, w.ar, w.cur = nil, policy{}, nil, nil
+	w.dev, w.pol, w.ar, w.cur = nil, policy{}, nil, nil
 	workerPool.Put(w)
 }
 
@@ -601,8 +607,8 @@ func (w *negWorker) release() {
 // obstacles. The route is built in the net's spare buffers: its PIPs in
 // pipBuf's and its used list in usedBuf's.
 func (w *negWorker) routeNet(net preppedNet, oldUsed, usedBuf []int32, pipBuf []device.PIP) netRoute {
-	dev := w.sc.dev
-	w.pol.box, w.pol.presFac = net.box, w.sc.presFac
+	dev := w.dev
+	w.pol.box = net.box
 	w.pol.self.reset()
 	for _, k := range oldUsed {
 		w.pol.self.add(k)

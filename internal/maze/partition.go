@@ -99,29 +99,14 @@ func netBox(dev *device.Device, src device.Track, sinks []device.Track, margin i
 }
 
 // scope is one independently negotiated group of nets, with its loop's
-// state: read-only while an iteration routes, merged on the scope's own
-// goroutine. Its members' boxes are disjoint from every other scope's, so
-// its searches touch their own slots of the call's device-indexed tables.
+// reroute list. Its members' boxes are disjoint from every other scope's, so
+// its searches and its merge touch their own slots of the call's
+// device-indexed tables.
 type scope struct {
 	nets     []int // global net indices, ascending: a window of the scratch's members
 	off      int   // where nets starts in members: the scope's window of every per-net list
 	crossing int   // members that crossed a bisection cut
-	par      int   // intra-scope routing parallelism
-
-	dev     *device.Device
-	cong    *congestion
-	pol     policy // the scope's search policy, less what each worker and net adds
-	presFac int32  // cost per other net on a track, this iteration
-
-	// What an iteration's reroutes read and fill: every net of the call by
-	// global index, and the scope's windows of the scratch's per-net
-	// lists, by place in nets (see runScope) — but reroute, the places
-	// rerouted this iteration, and routes, their results in that order.
-	prepped     []preppedNet
-	used, spare [][]int32
-	pipsSpare   [][]device.PIP
-	reroute     []int
-	routes      []netRoute
+	reroute  []int // places in nets rerouted this iteration, none once converged
 }
 
 // unionFind is a plain path-halving union-find over net indices.
@@ -326,7 +311,7 @@ func (s *negScratch) buildScopes(dev *device.Device, boxes []rect, maxDepth int)
 	for lo, hi := 0, 0; lo < n; lo = hi {
 		for hi = lo; hi < n && uf.parent[members[hi]] == uf.parent[members[lo]]; hi++ {
 		}
-		sc := scope{nets: members[lo:hi:hi], off: lo, par: 1}
+		sc := scope{nets: members[lo:hi:hi], off: lo}
 		for _, i := range sc.nets {
 			if s.crossed[i] {
 				sc.crossing++
@@ -334,8 +319,9 @@ func (s *negScratch) buildScopes(dev *device.Device, boxes []rect, maxDepth int)
 		}
 		scopes = append(scopes, sc)
 	}
-	// Largest scopes first so the worker pool drains stragglers early;
-	// first-net tie-break keeps the order deterministic.
+	// Largest scopes first, so an iteration's job list starts with the
+	// reroutes of the most contended scope; first-net tie-break keeps the
+	// order deterministic.
 	slices.SortFunc(scopes, func(a, b scope) int {
 		return cmp.Or(cmp.Compare(len(b.nets), len(a.nets)), cmp.Compare(a.nets[0], b.nets[0]))
 	})

@@ -64,39 +64,53 @@ func assertSameBatch(t *testing.T, label string, a, b *BatchResult) {
 
 // TestPartitionEqualsGlobal: the headline exactness guarantee — scope
 // decomposition computes exactly what the global loop computes, for any
-// worker count, on a workload that actually splits into many scopes.
+// worker count, on two workloads that split into many scopes: clustered
+// knots alone, and the knots+crossbar shape, where one dominant scope (the
+// crossbar and the knots its box overlaps, 144 of 208 nets) negotiates
+// beside 32-net knots.
 func TestPartitionEqualsGlobal(t *testing.T) {
-	build := func() (*device.Device, []NetSpec) {
-		d := bigDev(t, 64, 96)
-		return d, clusteredNets(t, d, 2, 3, 4)
-	}
-	d, nets := build()
-	global, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if global.Regions != 0 || global.Scopes != 0 || global.CrossingNets != 0 {
-		t.Errorf("global run reports partition stats: %+v", global)
-	}
-	if global.GlobalIterations != global.Iterations {
-		t.Errorf("global run: GlobalIterations %d != Iterations %d", global.GlobalIterations, global.Iterations)
-	}
-	for _, par := range []int{1, 2, 8} {
-		d, nets := build()
-		part, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: par, Partition: true})
-		if err != nil {
-			t.Fatalf("partitioned par %d: %v", par, err)
-		}
-		assertSameBatch(t, fmt.Sprintf("par %d", par), part, global)
-		if part.Scopes < 2 {
-			t.Errorf("par %d: expected multiple scopes, got %d (regions %d)", par, part.Scopes, part.Regions)
-		}
-		if part.CrossingNets != 0 {
-			t.Errorf("par %d: clustered nets should not cross cuts, got %d", par, part.CrossingNets)
-		}
-		if part.RegionIterations == 0 {
-			t.Errorf("par %d: no region iterations recorded", par)
-		}
+	for _, in := range []struct {
+		name      string
+		nets      func(d *device.Device) []NetSpec
+		clustered bool // no net crosses a cut
+	}{
+		{"clustered", func(d *device.Device) []NetSpec { return clusteredNets(t, d, 2, 3, 4) }, true},
+		{"knots+crossbar", func(d *device.Device) []NetSpec { return KnotsAndCrossbar(t, d) }, false},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			build := func() (*device.Device, []NetSpec) {
+				d := bigDev(t, 64, 96)
+				return d, in.nets(d)
+			}
+			d, nets := build()
+			global, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if global.Regions != 0 || global.Scopes != 0 || global.CrossingNets != 0 {
+				t.Errorf("global run reports partition stats: %+v", global)
+			}
+			if global.GlobalIterations != global.Iterations {
+				t.Errorf("global run: GlobalIterations %d != Iterations %d", global.GlobalIterations, global.Iterations)
+			}
+			for _, par := range []int{1, 2, 8} {
+				d, nets := build()
+				part, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: par, Partition: true})
+				if err != nil {
+					t.Fatalf("partitioned par %d: %v", par, err)
+				}
+				assertSameBatch(t, fmt.Sprintf("par %d", par), part, global)
+				if part.Scopes < 2 {
+					t.Errorf("par %d: expected multiple scopes, got %d (regions %d)", par, part.Scopes, part.Regions)
+				}
+				if in.clustered && part.CrossingNets != 0 {
+					t.Errorf("par %d: clustered nets should not cross cuts, got %d", par, part.CrossingNets)
+				}
+				if part.RegionIterations == 0 {
+					t.Errorf("par %d: no region iterations recorded", par)
+				}
+			}
+		})
 	}
 }
 

@@ -94,8 +94,10 @@ func TestPooledTablesCarryNothing(t *testing.T) {
 // call allocated 108 KB when the negotiation made its lists per call, and
 // 5.6 MB when each scope had tables of its own). Partitioning the
 // same nets deeper (Parallelism 8 bisects to depth 7, Parallelism 1 to
-// depth 4) must not raise it beyond what running scopes on goroutines costs,
-// a few KB; one region table is hundreds.
+// depth 4) must not raise it by more than a few KB: the scopes run in
+// lockstep, so every iteration hands one job list to one pool however many
+// scopes there are, and more workers start no more than a goroutine each.
+// One region table is hundreds of KB.
 func TestNegotiateAllocatesNoTables(t *testing.T) {
 	if maze.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
@@ -117,7 +119,7 @@ func TestNegotiateAllocatesNoTables(t *testing.T) {
 		}
 		route() // warms the pools
 		// sync.Pool hides each P's last Put from the other Ps, so when
-		// more scopes run at once than ever before a pass can miss a
+		// more workers run at once than ever before a pass can miss a
 		// pooled table and allocate one more. That is a pass's peak, not
 		// a call's cost: the least of five passes is the call's cost.
 		least := uint64(math.MaxUint64)

@@ -380,8 +380,8 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 	}
 
 	// The negotiated form: a box around the endpoints and a congestion
-	// snapshot of integer history and present factor, as runScope seeds
-	// them. With bitForeign the device-wide table also carries load on
+	// snapshot of integer history and present factor, as a scope's merges
+	// leave them. With bitForeign the device-wide table also carries load on
 	// tracks outside the box, as the other scopes of a call leave it there;
 	// the kernel must not read it, or scopes could not share one table.
 	// Load is drawn by index slot, read back through TrackAt: a wire number

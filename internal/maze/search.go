@@ -119,8 +119,9 @@ func (o Options) astar() policy {
 	return p
 }
 
-// negotiated is the policy of one negotiation scope; a worker adds its self
-// set, and the box and present factor of each net it routes.
+// negotiated is the policy of one negotiation; each iteration sets its
+// present factor, and a worker adds its self set and the box of each net it
+// routes.
 func (o Options) negotiated(cong *congestion) policy {
 	p := o.fill(&wireHops)
 	p.guide(2)
