@@ -1,9 +1,13 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Arch describes one device family: resource counts, wire layout, and the
-// connectivity patterns. It is immutable after construction.
+// connectivity patterns. It is immutable after construction: NewVirtex,
+// NewKestrel and ByName hand every caller the same value.
 //
 // Constraints (validated by New): SinglesPerDir must be a positive multiple
 // of 8, HexesPerDir a positive multiple of 4, HexLen even and at least 2,
@@ -64,18 +68,18 @@ type Arch struct {
 	slotWire []Wire  // slot -> wire
 
 	// The plane table's pair indices, the tile's PIP pairs in the bit order
-	// they give, each pair's bit, and that order's fingerprint (planes.go),
-	// set by New.
+	// they give, each pair's bit by from·wireCount+to (-1 for no PIP), and
+	// that order's fingerprint (planes.go), set by New.
 	planes      []int
 	pipPairs    [][2]Wire
-	pipBit      map[[2]Wire]int
+	pipBit      []int16
 	layoutPrint string
 
 	names map[string]Wire // WireName of every wire, for ParseWire; set by New
 }
 
-// New validates the parameters and computes the wire layout. Most callers
-// want NewVirtex or NewKestrel instead.
+// New validates the parameters and computes the wire layout, a fresh value
+// on every call. Most callers want the shared NewVirtex or NewKestrel.
 func New(a Arch) (*Arch, error) {
 	switch {
 	case a.Name == "":
@@ -117,16 +121,24 @@ func New(a Arch) (*Arch, error) {
 	for w := range a.wireCount {
 		a.names[a.WireName(w)] = w
 	}
-	a.setLayout(a.buildFanout())
+	if err := a.setLayout(a.buildFanout()); err != nil {
+		return nil, err
+	}
 	return &a, nil
 }
 
-// NewVirtex returns the Virtex-class architecture of the paper's §2: 24
-// singles per direction, 12 CLB-accessible hexes per direction of length 6
-// (even-indexed hexes bidirectional), and 12 horizontal plus 12 vertical
-// long lines accessible every 6 blocks.
-func NewVirtex() *Arch {
-	a, err := New(Arch{
+// mustNew is New for the built-in families, whose parameters are constants.
+func mustNew(params Arch) *Arch {
+	a, err := New(params)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// The built-in families, each built once, on first use, and shared.
+var (
+	virtexParams = Arch{
 		Name:             "virtex",
 		SinglesPerDir:    24,
 		HexesPerDir:      12,
@@ -135,20 +147,8 @@ func NewVirtex() *Arch {
 		LongAccessPeriod: 6,
 		BidiHexPeriod:    2,
 		BRAMColumnPeriod: 12,
-	})
-	if err != nil {
-		panic(err) // built from constants; cannot fail
 	}
-	return a
-}
-
-// NewKestrel returns a deliberately different fabric used for the §5
-// portability experiments: 16 singles per direction, 8 quad-length lines per
-// direction (all bidirectional), 8 long lines with period-4 access. The
-// JRoute API and the architecture-independent algorithms must work on it
-// unchanged.
-func NewKestrel() *Arch {
-	a, err := New(Arch{
+	kestrelParams = Arch{
 		Name:             "kestrel",
 		SinglesPerDir:    16,
 		HexesPerDir:      8,
@@ -157,15 +157,26 @@ func NewKestrel() *Arch {
 		LongAccessPeriod: 4,
 		BidiHexPeriod:    1,
 		BRAMColumnPeriod: 8,
-	})
-	if err != nil {
-		panic(err)
 	}
-	return a
-}
+	virtex  = sync.OnceValue(func() *Arch { return mustNew(virtexParams) })
+	kestrel = sync.OnceValue(func() *Arch { return mustNew(kestrelParams) })
+)
+
+// NewVirtex returns the Virtex-class architecture of the paper's §2: 24
+// singles per direction, 12 CLB-accessible hexes per direction of length 6
+// (even-indexed hexes bidirectional), and 12 horizontal plus 12 vertical
+// long lines accessible every 6 blocks. Every call returns the same value.
+func NewVirtex() *Arch { return virtex() }
+
+// NewKestrel returns a deliberately different fabric used for the §5
+// portability experiments: 16 singles per direction, 8 quad-length lines per
+// direction (all bidirectional), 8 long lines with period-4 access. The
+// JRoute API and the architecture-independent algorithms must work on it
+// unchanged. Every call returns the same value.
+func NewKestrel() *Arch { return kestrel() }
 
 // ByName maps an architecture name, as configs and the wire protocol spell
-// it, to its constructor. The empty name is the default, Virtex.
+// it, to its shared value. The empty name is the default, Virtex.
 func ByName(name string) (*Arch, error) {
 	switch name {
 	case "", "virtex":

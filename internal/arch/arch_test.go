@@ -36,6 +36,54 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesUnindexablePairs: a family with more PIP pairs a tile than
+// the pair table's int16 bits can number is refused by name and count, not
+// built with its high bits wrapped.
+func TestNewRefusesUnindexablePairs(t *testing.T) {
+	a, err := New(Arch{Name: "wide", SinglesPerDir: 256, HexesPerDir: 48, HexLen: 6,
+		NumLong: 12, LongAccessPeriod: 6, BidiHexPeriod: 2})
+	const want = "arch wide: 35944 PIP pairs a tile; the pair table numbers at most 32767"
+	if err == nil || err.Error() != want {
+		t.Fatalf("New = %v, %v; want error %q", a, err, want)
+	}
+	if a != nil {
+		t.Errorf("New returned an architecture with its error")
+	}
+}
+
+// TestOneArchPerName: the built-in families are built once and shared, so
+// a second NewVirtex, NewKestrel or ByName costs nothing and hands back the
+// same value; New still builds a fresh one.
+func TestOneArchPerName(t *testing.T) {
+	v, k := NewVirtex(), NewKestrel()
+	for _, c := range []struct {
+		name string
+		get  func() *Arch
+		want *Arch
+	}{
+		{"NewVirtex", NewVirtex, v},
+		{"NewKestrel", NewKestrel, k},
+		{`ByName("virtex")`, func() *Arch { a, _ := ByName("virtex"); return a }, v},
+		{`ByName("")`, func() *Arch { a, _ := ByName(""); return a }, v},
+		{`ByName("kestrel")`, func() *Arch { a, _ := ByName("kestrel"); return a }, k},
+	} {
+		if got := c.get(); got != c.want {
+			t.Errorf("%s returned %p, want the shared %p", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.get() }); n != 0 {
+			t.Errorf("%s allocates %.0f objects a call, want 0", c.name, n)
+		}
+	}
+	fresh, err := New(virtexParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == v || fresh.layoutPrint != v.layoutPrint {
+		t.Errorf("New(virtex parameters) = %p (layout %s), want a fresh value with the shared one's layout %s",
+			fresh, fresh.layoutPrint, v.layoutPrint)
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, tc := range []struct{ name, want string }{
 		{"", "virtex"},

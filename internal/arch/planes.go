@@ -3,6 +3,7 @@ package arch
 import (
 	"embed"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,8 +44,13 @@ func HashPairs(pairs [][2]Wire) uint64 {
 
 // setLayout applies the family's plane table if it is keyed to the
 // enumeration pairs, keeps the bit order that results with each pair's bit,
-// and fingerprints it.
-func (a *Arch) setLayout(pairs [][2]Wire) {
+// and fingerprints it. A bit is an int16 in the pair table, so a family
+// with more pairs than that holds is refused rather than truncated.
+func (a *Arch) setLayout(pairs [][2]Wire) error {
+	if len(pairs) > math.MaxInt16 {
+		return fmt.Errorf("arch %s: %d PIP pairs a tile; the pair table numbers at most %d",
+			a.Name, len(pairs), math.MaxInt16)
+	}
 	raw, _ := planeFiles.ReadFile("planes/" + a.Name + ".txt")
 	if _, tab, ok := strings.Cut(string(raw), fmt.Sprintf("pairs=%016x\n", HashPairs(pairs))); ok {
 		for _, f := range strings.Fields(tab) {
@@ -53,19 +59,28 @@ func (a *Arch) setLayout(pairs [][2]Wire) {
 		}
 	}
 	a.pipPairs = a.PIPOrder(pairs)
-	a.pipBit = make(map[[2]Wire]int, len(pairs))
+	n := int(a.wireCount)
+	a.pipBit = make([]int16, n*n)
+	for i := range a.pipBit {
+		a.pipBit[i] = -1
+	}
 	for i, p := range a.pipPairs {
-		a.pipBit[p] = i
+		a.pipBit[int(p[0])*n+int(p[1])] = int16(i)
 	}
 	a.layoutPrint = fmt.Sprintf("%016x", HashPairs(a.pipPairs))
+	return nil
 }
 
 // PIPBit returns the tile's configuration bit of the PIP (from -> to), and
 // whether the connectivity rules allow that PIP at all: legality and bit
-// position in one lookup.
+// position in one read of the pair table. A wire outside the name space,
+// Invalid included, has no PIP.
 func (a *Arch) PIPBit(from, to Wire) (int, bool) {
-	i, ok := a.pipBit[[2]Wire{from, to}]
-	return i, ok
+	if uint(from) >= uint(a.wireCount) || uint(to) >= uint(a.wireCount) {
+		return -1, false
+	}
+	i := a.pipBit[int(from)*int(a.wireCount)+int(to)]
+	return int(i), i >= 0
 }
 
 // PIPBits returns the tile's PIP pairs in bit order, the inverse of

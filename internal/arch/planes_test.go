@@ -74,3 +74,41 @@ func TestPlaneTableNeedsItsEnumeration(t *testing.T) {
 		t.Errorf("fingerprints: changed model %s, virtex %s, Layouts %v", a.layoutPrint, v.layoutPrint, Layouts())
 	}
 }
+
+// TestPIPBitMatchesPairs reads the pair table at every (from, to) around
+// the name space, Invalid and one past the end included: PIPBit answers
+// (i, true) exactly for the pair PIPBits lists at i, and false, without
+// panicking, for everything else.
+func TestPIPBitMatchesPairs(t *testing.T) {
+	for _, a := range []*Arch{NewVirtex(), NewKestrel()} {
+		n := Wire(a.WireCount())
+		side := int(n) + 4 // wires -2 .. n+1
+		cell := func(from, to Wire) int { return (int(from)+2)*side + int(to) + 2 }
+		want := make([]int, side*side)
+		for i := range want {
+			want[i] = -1
+		}
+		for i, p := range a.PIPBits() {
+			if want[cell(p[0], p[1])] >= 0 {
+				t.Fatalf("%s: PIPBits lists %v twice", a.Name, p)
+			}
+			want[cell(p[0], p[1])] = i
+		}
+		for from := Wire(-2); from <= n+1; from++ {
+			for to := Wire(-2); to <= n+1; to++ {
+				i, ok := a.PIPBit(from, to)
+				if w := want[cell(from, to)]; ok != (w >= 0) || ok && i != w {
+					t.Fatalf("%s: PIPBit(%d, %d) = %d, %v; PIPBits lists it at %d", a.Name, from, to, i, ok, w)
+				}
+			}
+		}
+		for _, w := range []Wire{Invalid, -1 << 31, n, 1<<31 - 1} {
+			if _, ok := a.PIPBit(w, a.Single(North, 0)); ok {
+				t.Errorf("%s: PIPBit(%d, SingleNorth[0]) is a PIP", a.Name, w)
+			}
+			if _, ok := a.PIPBit(Out(0), w); ok {
+				t.Errorf("%s: PIPBit(Out[0], %d) is a PIP", a.Name, w)
+			}
+		}
+	}
+}

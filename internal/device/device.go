@@ -160,16 +160,23 @@ func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 
 // ClearPIP turns off a connection. Clearing a PIP that is off is an error,
 // since unrouting bookkeeping depends on exact net knowledge.
+//
+// A PIP on record as its target's driver passed validatePIP before it was
+// linked (SetPIP and RebuildFromBits both check first), so ClearPIP asks
+// the record before the rules: only a PIP that is not its target's driver
+// is checked, for the error to report.
 func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	p := PIP{row, col, fromW, toW}
-	from, to, bit, err := d.validatePIP(p)
-	if err != nil {
+	if to, ok := d.CanonOK(row, col, toW); ok {
+		if ti := d.TrackIndex(to); d.Driven(ti) && d.driverAt(ti) == p {
+			from, _ := d.CanonOK(row, col, fromW)
+			bit, _ := d.A.PIPBit(fromW, toW)
+			d.unlink(d.TrackIndex(from), ti)
+			return d.bits.SetBit(row, col, bit, false)
+		}
+	}
+	if _, _, _, err := d.validatePIP(p); err != nil {
 		return err
 	}
-	ti := d.TrackIndex(to)
-	if !d.Driven(ti) || d.driverAt(ti) != p {
-		return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
-	}
-	d.unlink(d.TrackIndex(from), ti)
-	return d.bits.SetBit(row, col, bit, false)
+	return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -337,11 +338,7 @@ func TestLongLineAccess(t *testing.T) {
 
 func TestClearPIP(t *testing.T) {
 	d := virtexDev(t)
-	a := d.A
 	p := PIP{5, 7, arch.S1YQ, arch.Out(1)}
-	if err := d.ClearPIP(p.Row, p.Col, p.From, p.To); err == nil {
-		t.Error("clearing an off PIP accepted")
-	}
 	if err := d.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +355,53 @@ func TestClearPIP(t *testing.T) {
 	if d.InUse(src) {
 		t.Error("source still in use after ClearPIP")
 	}
-	_ = a
+	bit, _ := d.A.PIPBit(p.From, p.To)
+	if on, _ := d.bits.GetBit(5, 7, bit); on {
+		t.Error("configuration bit still set after ClearPIP")
+	}
+
+	// Refusals. ClearPIP reads the driver record before the rules; each
+	// error is the one the rules-first order returned, and a refusal
+	// changes nothing.
+	other := PIP{5, 7, arch.S0Y, arch.Out(1)} // Out[1]'s other legal driver
+	for _, c := range []struct {
+		name string
+		on   []PIP // set first
+		p    PIP
+		want string
+	}{
+		{"illegal pair", nil, PIP{5, 7, arch.Out(1), arch.S1YQ},
+			"device: no PIP Out[1] -> S1YQ in architecture virtex"},
+		{"no such wire at the tile", nil, PIP{5, 7, arch.IOBIn(0), d.A.Single(arch.North, 0)},
+			"device: IOBIn[0] does not name a resource at (5,7) on a 16x24 array"},
+		{"legal and off", nil, p,
+			"device: PIP (5,7) S1YQ -> Out[1] is not on"},
+		{"target driven by another PIP", []PIP{other}, p,
+			"device: PIP (5,7) S1YQ -> Out[1] is not on"},
+	} {
+		d := virtexDev(t)
+		for _, q := range c.on {
+			if err := d.SetPIP(q.Row, q.Col, q.From, q.To); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		err := d.ClearPIP(c.p.Row, c.p.Col, c.p.From, c.p.To)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: ClearPIP(%v) = %v, want %q", c.name, c.p, err, c.want)
+		}
+		if d.OnPIPCount() != len(c.on) {
+			t.Errorf("%s: %d PIPs on after the refusal, want %d", c.name, d.OnPIPCount(), len(c.on))
+		}
+		for _, q := range c.on {
+			to, _ := d.Canon(q.Row, q.Col, q.To)
+			if got, on := d.DriverOf(to); !on || got != q {
+				t.Errorf("%s: %v driven by %v (%v) after the refusal, want %v", c.name, to, got, on, q)
+			}
+		}
+		if err := d.CheckConsistency(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
 }
 
 func TestDirectAndFeedback(t *testing.T) {
@@ -684,18 +727,19 @@ func (r *refState) clear(d *Device, p PIP) (ok bool) {
 func (r *refState) rebuild(t testing.TB, d *Device) {
 	t.Helper()
 	*r = *newRefState()
+	pairs := d.A.PIPBits()
 	for row := 0; row < d.Rows; row++ {
 		for col := 0; col < d.Cols; col++ {
-			for i, pair := range d.A.PIPBits() {
-				on, err := d.bits.GetBit(row, col, i)
+			for base := 0; base < len(pairs); base += 64 {
+				word, err := d.bits.GetBits(row, col, base, min(64, len(pairs)-base))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !on {
-					continue
-				}
-				if _, contended, err := r.set(d, PIP{row, col, pair[0], pair[1]}); err != nil || contended {
-					t.Fatalf("reference rebuild: PIP bit %d at (%d,%d): contended=%v err=%v", i, row, col, contended, err)
+				for ; word != 0; word &= word - 1 {
+					i := base + bits.TrailingZeros64(word)
+					if _, contended, err := r.set(d, PIP{row, col, pairs[i][0], pairs[i][1]}); err != nil || contended {
+						t.Fatalf("reference rebuild: PIP bit %d at (%d,%d): contended=%v err=%v", i, row, col, contended, err)
+					}
 				}
 			}
 		}
@@ -850,6 +894,16 @@ func stateScript(seed int64, steps int) []byte {
 	script := make([]byte, 5*steps)
 	rng.Read(script)
 	return script
+}
+
+// TestDeviceStateSeeded runs FuzzDeviceState's body over seeded scripts
+// longer than its corpus on every test run: the same inputs each time, so
+// ClearPIP's driver-record path and the rest of the state are held to the
+// reference past the seeds the fuzzer starts from.
+func TestDeviceStateSeeded(t *testing.T) {
+	for seed := int64(101); seed <= 103; seed++ {
+		driveState(t, stateScript(seed, 2000))
+	}
 }
 
 // FuzzDeviceState drives random SetPIP/ClearPIP/ApplyConfig/RebuildFromBits
