@@ -163,12 +163,17 @@ mutants:
 # size prints, per directory (internal/*, cmd, benchmark), in total and
 # for ROADMAP item 5's set (core, maze, server, gateway), non-test Go lines
 # and code-only lines (neither blank nor comment-only) — the count a
-# simplicity PR reports, parent beside change.
+# simplicity PR reports, parent beside change. Its last two lines split
+# internal/ into the product (the packages cmd/jrouted and cmd/jgateway
+# link, by `go list -deps`) and the evaluation layer (the rest: debug, noc,
+# sim, timing, workload, scenario, oracle/fuzz), so that no size target
+# counts the evaluation layer by accident.
 # `make size FILES='internal/core/*.go cmd/jverify/main.go'` counts just
 # those files, one row each (test files dropped).
 size:
 ifdef FILES
 	@awk -v perfile=1 -f size.awk $(filter-out %_test.go,$(wildcard $(FILES)))
 else
-	@find internal cmd benchmark -name '*.go' ! -name '*_test.go' | sort | xargs awk -f size.awk
+	@find internal cmd benchmark -name '*.go' ! -name '*_test.go' | sort | xargs awk -f size.awk \
+		-v product="$$($(GO) list -deps ./cmd/jrouted ./cmd/jgateway | tr '\n' ' ')"
 endif

@@ -447,6 +447,20 @@ func TestTemplateValues(t *testing.T) {
 	}
 }
 
+// TestEveryPIPHasADelay: every PIP of both families classifies as a
+// template value other than TVNone, so the timing model never meets a hop
+// that the delay table does not price, and every such value has a delay.
+func TestEveryPIPHasADelay(t *testing.T) {
+	for _, a := range []*Arch{NewVirtex(), NewKestrel()} {
+		for _, p := range a.PIPBits() {
+			if v := a.DriveTemplate(p[0], p[1]); v == TVNone || v.Delay() <= 0 {
+				t.Errorf("%s: PIP %s -> %s classifies as %s, delay %d",
+					a.Name, a.WireName(p[0]), a.WireName(p[1]), v, v.Delay())
+			}
+		}
+	}
+}
+
 func TestTemplateValueStringsRoundTrip(t *testing.T) {
 	for v := TVOutMux; v < numTemplateValues; v++ {
 		got, err := ParseTemplateValue(v.String())

@@ -59,6 +59,23 @@ func ParseTemplateValue(s string) (TemplateValue, error) {
 	return TVNone, fmt.Errorf("arch: unknown template value %q", s)
 }
 
+// tvDelays is the per-hop delay of each template value, in tenths of a
+// nanosecond, loosely shaped after Virtex-era data-book figures: what
+// matters is the ordering (pins cheap, singles cheap but numerous, hexes
+// amortized over six tiles, longs buffered and flat across the chip). Both
+// families use it, so it is not a parameter of an Arch.
+var tvDelays = [numTemplateValues]int{
+	TVOutMux: 4, TVClbIn: 6, TVFeedback: 3, TVDirect: 3, TVGClk: 1,
+	TVNorth1: 12, TVEast1: 12, TVSouth1: 12, TVWest1: 12,
+	TVNorth6: 24, TVEast6: 24, TVSouth6: 24, TVWest6: 24,
+	TVLongH: 32, TVLongV: 32,
+}
+
+// Delay returns the delay of one hop of this template value, in tenths of
+// a nanosecond: the figure the delay-driven search adds per hop and the
+// timing model sums along a driver chain.
+func (v TemplateValue) Delay() int { return tvDelays[v] }
+
 // SingleTV returns the single-length template value for direction d.
 func SingleTV(d Dir) TemplateValue {
 	switch d {

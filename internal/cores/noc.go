@@ -495,15 +495,16 @@ func (n *NoC) bfsPath(src, dst NodeID) ([]NodeID, bool) {
 	return path, true
 }
 
-// connectedWithout reports whether the live nodes minus `minus` still form
-// one connected component.
-func (n *NoC) connectedWithout(minus map[NodeID]bool) bool {
-	live := func(id NodeID) bool { return n.Live(id.I, id.J) && !minus[id] }
+// MeshConnected is the DyNoC precondition: the nodes of a rows x cols mesh
+// that live reports form one non-empty connected component, over
+// neighbor-to-neighbor links. A placement that would break it is refused.
+func MeshConnected(rows, cols int, live func(i, j int) bool) bool {
+	in := func(id NodeID) bool { return id.I >= 0 && id.I < rows && id.J >= 0 && id.J < cols && live(id.I, id.J) }
 	var start NodeID
 	total := 0
-	for i := 0; i < n.MeshRows; i++ {
-		for j := 0; j < n.MeshCols; j++ {
-			if live(NodeID{i, j}) {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if live(i, j) {
 				if total == 0 {
 					start = NodeID{i, j}
 				}
@@ -511,7 +512,7 @@ func (n *NoC) connectedWithout(minus map[NodeID]bool) bool {
 			}
 		}
 	}
-	return total > 0 && len(bfs(start, live)) == total
+	return total > 0 && len(bfs(start, in)) == total
 }
 
 // routeInject routes the packet-injection tap for node id. The first
@@ -692,7 +693,7 @@ func (n *NoC) PlaceObstacle(row, col, height, width int) error {
 			}
 		}
 	}
-	if !n.connectedWithout(occlSet) {
+	if !MeshConnected(n.MeshRows, n.MeshCols, func(i, j int) bool { return n.Live(i, j) && !occlSet[NodeID{i, j}] }) {
 		return fmt.Errorf("cores: NoC %s: obstacle at (%d,%d) %dx%d would disconnect the mesh",
 			n.name, row, col, width, height)
 	}

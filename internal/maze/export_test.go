@@ -3,13 +3,8 @@ package maze
 import (
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/device"
 )
-
-// TimingCost is the delay-driven search's per-hop cost of a wire class, in
-// tenths of a nanosecond.
-func TimingCost(k arch.Kind) int { return timingCost(k) }
 
 // KnotsAndCrossbar draws batch_test.go's knotsAndCrossbar design at seed 1.
 // That file is in package maze_test, as it draws from internal/workload,

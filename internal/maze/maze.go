@@ -173,25 +173,24 @@ func hopCost(k arch.Kind) int {
 	}
 }
 
-// timingCost assigns per-hop costs in tenths of a nanosecond, mirroring
-// the timing.Default model (kept numerically independent to avoid an
-// import cycle). TestTimingCostMatchesDefault pins the two tables to each
-// other class by class; ROADMAP's "Two delay models" finding weighs one
-// per-kind delay table in arch instead.
-func timingCost(k arch.Kind) int {
+// delayCost is the delay of driving a wire of the given kind from the
+// routing fabric, in tenths of a nanosecond: arch's delay of the template
+// value DriveTemplate gives that hop. Entry to any sink pin, a pad or a
+// block-RAM pin included, classifies as ClbIn.
+func delayCost(k arch.Kind) int {
 	switch k {
 	case arch.KindSingle:
-		return 12
+		return arch.TVNorth1.Delay()
 	case arch.KindHex:
-		return 24
-	case arch.KindLongH, arch.KindLongV:
-		return 32
+		return arch.TVNorth6.Delay()
+	case arch.KindLongH:
+		return arch.TVLongH.Delay()
+	case arch.KindLongV:
+		return arch.TVLongV.Delay()
 	case arch.KindOutMux:
-		return 4
-	case arch.KindInput, arch.KindCtrl:
-		return 6
-	default:
-		return 4
+		return arch.TVOutMux.Delay()
+	default: // sink pins; no PIP drives the other kinds
+		return arch.TVClbIn.Delay()
 	}
 }
 

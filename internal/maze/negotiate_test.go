@@ -267,7 +267,7 @@ func TestTimingDrivenPrefersFastResources(t *testing.T) {
 		c := 0
 		for _, p := range r.PIPs {
 			tr, _ := d.CanonOK(p.Row, p.Col, p.To)
-			c += timingCost(d.A.ClassOf(tr.W).Kind)
+			c += delayCost(d.A.ClassOf(tr.W).Kind)
 		}
 		return c
 	}

@@ -26,7 +26,7 @@ import (
 
 func refKindCost(o Options, k arch.Kind) int {
 	if o.TimingDriven {
-		return timingCost(k)
+		return delayCost(k)
 	}
 	return hopCost(k)
 }

@@ -24,7 +24,7 @@ const nKinds = int(arch.KindBRAMOut) + 1
 // for every edge, and a search pays nothing to set them up.
 var (
 	wireHops  = hopTable(hopCost)
-	delayHops = hopTable(timingCost)
+	delayHops = hopTable(delayCost)
 	unitHops  = hopTable(func(arch.Kind) int { return 1 })
 
 	passShort = passTable(false)

@@ -12,8 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cores"
 	"repro/internal/device"
-	"repro/internal/oracle"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Config sizes the board and the mesh.
@@ -24,10 +24,12 @@ type Config struct {
 	Pitch              int // tiles between adjacent nodes
 }
 
-// DefaultConfig is a 3x3 mesh on the 16x24 test board, pitch 3, node
-// columns 8/11/14 — clear of the BRAM columns (6 and 18).
+// DefaultConfig is the fixed fuzz mesh of workload's NoC* constants (3x3,
+// pitch 3, node columns 8/11/14 — clear of the BRAM columns, 6 and 18) on
+// the 16x24 test board.
 func DefaultConfig() Config {
-	return Config{Rows: 16, Cols: 24, MeshRows: 3, MeshCols: 3, BaseRow: 3, BaseCol: 8, Pitch: 3}
+	return Config{Rows: 16, Cols: 24, MeshRows: workload.NoCMeshRows, MeshCols: workload.NoCMeshCols,
+		BaseRow: workload.NoCBaseRow, BaseCol: workload.NoCBaseCol, Pitch: workload.NoCPitch}
 }
 
 // Harness owns one board, its router, the mesh overlay, and a simulator.
@@ -67,14 +69,10 @@ func NewOn(cfg Config, r *core.Router) (*Harness, error) {
 	return h, nil
 }
 
-// Audit serializes the board and checks it against the independent
-// bitstream oracle and the router's live claims.
+// Audit checks the board against the independent bitstream oracle and the
+// router's live claims (core.Router.VerifyOracle).
 func (h *Harness) Audit() error {
-	stream, err := h.Dev.FullConfig()
-	if err != nil {
-		return err
-	}
-	if err := oracle.Audit(h.Dev.A, stream, h.R.OracleClaims(), true); err != nil {
+	if err := h.R.VerifyOracle(); err != nil {
 		return fmt.Errorf("noc: oracle audit: %w", err)
 	}
 	h.Audits++

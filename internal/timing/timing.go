@@ -5,10 +5,10 @@
 // long-line ablation (experiment B8) reports estimated net delays with and
 // without long lines, and cores can report their critical sink.
 //
-// Delays are in nanoseconds, loosely shaped after Virtex-era data-book
-// figures: what matters for the experiments is the ordering (pins cheap,
-// singles cheap but numerous, hexes amortized over six tiles, longs flat
-// across the chip).
+// Delays are in nanoseconds. The per-hop figures are arch's, by template
+// value (arch.TemplateValue.Delay, in tenths of a nanosecond), so the
+// delay-driven search (maze.Options.TimingDriven) costs each hop what this
+// model reports for it.
 package timing
 
 import (
@@ -19,55 +19,18 @@ import (
 	"repro/internal/device"
 )
 
-// Model holds the per-hop delays by driven resource kind.
-type Model struct {
-	OutMux   float64
-	Single   float64
-	Hex      float64
-	Long     float64
-	Input    float64
-	Feedback float64
-	Direct   float64
-	GClk     float64
-}
+// Model is the delay model: each hop of a driver chain costs its template
+// value's arch.TemplateValue.Delay, the table the delay-driven search reads
+// too.
+type Model struct{}
 
 // Default returns the standard model.
-func Default() Model {
-	return Model{
-		OutMux:   0.4,
-		Single:   1.2,
-		Hex:      2.4, // spans 6 tiles: 0.4/tile vs the single's 1.2
-		Long:     3.2, // buffered, flat across the chip
-		Input:    0.6,
-		Feedback: 0.3,
-		Direct:   0.3,
-		GClk:     0.1,
-	}
-}
+func Default() Model { return Model{} }
 
 // PIPDelay returns the delay contributed by one PIP, classified by the
-// architecture.
+// architecture, in nanoseconds.
 func (m Model) PIPDelay(a *arch.Arch, p device.PIP) float64 {
-	switch a.DriveTemplate(p.From, p.To) {
-	case arch.TVOutMux:
-		return m.OutMux
-	case arch.TVNorth1, arch.TVEast1, arch.TVSouth1, arch.TVWest1:
-		return m.Single
-	case arch.TVNorth6, arch.TVEast6, arch.TVSouth6, arch.TVWest6:
-		return m.Hex
-	case arch.TVLongH, arch.TVLongV:
-		return m.Long
-	case arch.TVFeedback:
-		return m.Feedback
-	case arch.TVDirect:
-		return m.Direct
-	case arch.TVGClk:
-		return m.GClk
-	case arch.TVClbIn:
-		return m.Input
-	default:
-		return m.Single
-	}
+	return float64(a.DriveTemplate(p.From, p.To).Delay()) / 10
 }
 
 // SinkDelay returns the source-to-sink delay of one routed sink by walking

@@ -1,11 +1,14 @@
 package timing
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/maze"
 )
 
 func rig(t *testing.T) *core.Router {
@@ -36,7 +39,7 @@ func TestSinkDelayPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.OutMux + 2*m.Single + m.Input
+	want := 0.4 + 2*1.2 + 0.6 // out-mux, two singles, an input pin
 	if diff := d - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("delay = %v, want %v", d, want)
 	}
@@ -46,13 +49,13 @@ func TestSinkDelayPaperExample(t *testing.T) {
 }
 
 func TestHexFasterThanSinglesOverDistance(t *testing.T) {
-	m := Default()
+	single, hex, long := arch.TVEast1.Delay(), arch.TVEast6.Delay(), arch.TVLongH.Delay()
 	// Six tiles by hex: one hex hop. By singles: six hops.
-	if m.Hex >= 6*m.Single {
-		t.Errorf("hex (%v) not faster than six singles (%v)", m.Hex, 6*m.Single)
+	if hex >= 6*single {
+		t.Errorf("hex (%v) not faster than six singles (%v)", hex, 6*single)
 	}
-	if m.Long >= 3*m.Hex {
-		t.Errorf("long (%v) not faster than three hexes (%v)", m.Long, 3*m.Hex)
+	if long >= 3*hex {
+		t.Errorf("long (%v) not faster than three hexes (%v)", long, 3*hex)
 	}
 }
 
@@ -138,18 +141,83 @@ func TestPIPDelayKinds(t *testing.T) {
 		p    device.PIP
 		want float64
 	}{
-		{device.PIP{Row: 5, Col: 5, From: arch.S0X, To: arch.Out(0)}, m.OutMux},
-		{device.PIP{Row: 5, Col: 5, From: arch.Out(0), To: a.Single(arch.East, 0)}, m.Single},
-		{device.PIP{Row: 5, Col: 5, From: arch.Out(0), To: a.Hex(arch.North, 0)}, m.Hex},
-		{device.PIP{Row: 6, Col: 6, From: arch.Out(0), To: a.LongH(0)}, m.Long},
-		{device.PIP{Row: 5, Col: 5, From: a.Single(arch.West, 0), To: arch.S0F1}, m.Input},
-		{device.PIP{Row: 5, Col: 5, From: arch.S0X, To: arch.S0F1}, m.Feedback},
-		{device.PIP{Row: 5, Col: 5, From: arch.OutAlias(0), To: arch.S0F1}, m.Direct},
-		{device.PIP{Row: 5, Col: 5, From: arch.GClk(0), To: arch.S0CLK}, m.GClk},
+		{device.PIP{Row: 5, Col: 5, From: arch.S0X, To: arch.Out(0)}, 0.4},
+		{device.PIP{Row: 5, Col: 5, From: arch.Out(0), To: a.Single(arch.East, 0)}, 1.2},
+		{device.PIP{Row: 5, Col: 5, From: arch.Out(0), To: a.Hex(arch.North, 0)}, 2.4},
+		{device.PIP{Row: 6, Col: 6, From: arch.Out(0), To: a.LongH(0)}, 3.2},
+		{device.PIP{Row: 5, Col: 5, From: a.Single(arch.West, 0), To: arch.S0F1}, 0.6},
+		{device.PIP{Row: 5, Col: 5, From: arch.S0X, To: arch.S0F1}, 0.3},
+		{device.PIP{Row: 5, Col: 5, From: arch.OutAlias(0), To: arch.S0F1}, 0.3},
+		{device.PIP{Row: 5, Col: 5, From: arch.GClk(0), To: arch.S0CLK}, 0.1},
 	}
 	for _, c := range cases {
 		if got := m.PIPDelay(a, c.p); got != c.want {
 			t.Errorf("PIPDelay(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+// TestDelaySearchCostIsTimingDelay: the delay-driven search costs each hop
+// what this model says it delays, so a route's search cost is its sink's
+// model delay in tenths of a nanosecond. Seeded S0X → S0F1 pairs at
+// distances 2–31 on 32×48 Virtex and Kestrel, long lines off and on, are
+// searched with maze.AStar{TimingDriven: true}, turned on and scored.
+func TestDelaySearchCostIsTimingDelay(t *testing.T) {
+	const rows, cols = 32, 48
+	m := Default()
+	for _, a := range []*arch.Arch{arch.NewVirtex(), arch.NewKestrel()} {
+		d, err := device.New(a, rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, longs := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(1))
+			pairs := 0
+			for dist := 2; dist <= 31; dist++ {
+				for trial := 0; trial < 6; trial++ {
+					sr, sc := rng.Intn(rows), rng.Intn(cols)
+					dr := rng.Intn(dist + 1)
+					tr, tc := sr+dr, sc+dist-dr
+					if tr >= rows || tc >= cols {
+						continue
+					}
+					src, err := d.Canon(sr, sc, arch.S0X)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sink, err := d.Canon(tr, tc, arch.S0F1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := maze.AStar(d, []device.Track{src}, sink, maze.Options{TimingDriven: true, UseLongLines: longs})
+					if err != nil {
+						t.Fatalf("%s longs=%v: %v", a.Name, longs, err)
+					}
+					for _, p := range r.PIPs {
+						if err := d.SetPIP(p.Row, p.Col, p.From, p.To); err != nil {
+							t.Fatal(err)
+						}
+					}
+					delay, err := m.SinkDelay(d, core.NewPin(tr, tc, arch.S0F1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := int(math.Round(10 * delay)); r.Cost != want {
+						t.Errorf("%s longs=%v (%d,%d) -> (%d,%d): search cost %d, model delay %.1f ns",
+							a.Name, longs, sr, sc, tr, tc, r.Cost, delay)
+					}
+					for i := len(r.PIPs) - 1; i >= 0; i-- {
+						p := r.PIPs[i]
+						if err := d.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
+							t.Fatal(err)
+						}
+					}
+					pairs++
+				}
+			}
+			if pairs < 100 {
+				t.Errorf("%s longs=%v: only %d pairs on the array", a.Name, longs, pairs)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cores"
 	"repro/internal/device"
 )
 
@@ -78,8 +79,8 @@ func (k ScriptOpKind) String() string {
 	}
 }
 
-// Fixed mesh geometry NoC-enabled scripts assume (matching
-// internal/noc.DefaultConfig): a 3x3 node grid, south-west node at tile
+// Fixed mesh geometry NoC-enabled scripts assume (internal/noc.DefaultConfig
+// reads it): a 3x3 node grid, south-west node at tile
 // (3,8), pitch 3, with each node's packet-injection tap one tile north.
 // The generator reserves node and tap tiles against random endpoints, and
 // obstacle ops target node tiles only, so a placement never swallows a
@@ -99,42 +100,11 @@ func NoCNodeSite(i, j int) (row, col int) {
 }
 
 // nocConnectedWithout reports whether the fixed mesh's nodes minus the
-// occluded set and minus one more candidate stay a single connected
-// component — the generator-side mirror of the DyNoC placement check.
+// occluded set and minus one more candidate pass the DyNoC placement check.
 func nocConnectedWithout(occl map[[2]int]bool, minus [2]int) bool {
-	live := func(i, j int) bool {
-		return i >= 0 && i < NoCMeshRows && j >= 0 && j < NoCMeshCols &&
-			!occl[[2]int{i, j}] && [2]int{i, j} != minus
-	}
-	var start [2]int
-	found, total := false, 0
-	for i := 0; i < NoCMeshRows; i++ {
-		for j := 0; j < NoCMeshCols; j++ {
-			if live(i, j) {
-				if !found {
-					start, found = [2]int{i, j}, true
-				}
-				total++
-			}
-		}
-	}
-	if total == 0 {
-		return false
-	}
-	seen := map[[2]int]bool{start: true}
-	queue := [][2]int{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, d := range [][2]int{{0, 1}, {1, 0}, {0, -1}, {-1, 0}} {
-			nx := [2]int{cur[0] + d[0], cur[1] + d[1]}
-			if live(nx[0], nx[1]) && !seen[nx] {
-				seen[nx] = true
-				queue = append(queue, nx)
-			}
-		}
-	}
-	return len(seen) == total
+	return cores.MeshConnected(NoCMeshRows, NoCMeshCols, func(i, j int) bool {
+		return !occl[[2]int{i, j}] && [2]int{i, j} != minus
+	})
 }
 
 // NoCChurn generates a seeded pure obstacle-churn script: only

@@ -2,13 +2,25 @@
 # all lines and code-only lines (neither blank nor comment-only). Files are
 # grouped by directory — internal/<pkg>, or the first path component — or,
 # with -v perfile=1, not at all. Grouped, it ends with ROADMAP item 5's set
-# (internal/core, maze, server and gateway, subpackages included). Run it
-# over non-test files.
+# (internal/core, maze, server and gateway, subpackages included), then the
+# product and the evaluation layer: -v product="<import paths>" names the
+# packages the daemons link (`go list -deps ./cmd/jrouted ./cmd/jgateway`);
+# a file under internal/ is the product's when its directory is one of
+# them, and the evaluation layer's otherwise (boundary_test.go keeps that
+# side out of the daemons). Run it over non-test files.
+
+BEGIN {
+	n = split(product, deps, " ")
+	for (i = 1; i <= n; i++) if (sub(/^repro\//, "", deps[i])) isproduct[deps[i]] = 1
+}
 
 FNR == 1 {
 	inblock = 0
 	key = FILENAME
 	sub(/^\.\//, "", key)
+	dir = key
+	sub(/\/[^\/]*$/, "", dir)
+	layer = dir !~ /^internal\// ? "" : (dir in isproduct) ? "product" : "eval"
 	if (!perfile) {
 		n = split(key, part, "/")
 		key = (part[1] == "internal" && n > 2) ? part[1] "/" part[2] : part[1]
@@ -18,6 +30,7 @@ FNR == 1 {
 
 {
 	lines[key]++
+	if (layer != "") layerlines[layer]++
 	line = $0
 	gsub(/^[ \t]+|[ \t]+$/, "", line)
 	if (inblock) {
@@ -31,6 +44,7 @@ FNR == 1 {
 	}
 	if (line == "" || line ~ /^\/\//) next
 	code[key]++
+	if (layer != "") layercode[layer]++
 }
 
 END {
@@ -45,4 +59,6 @@ END {
 	# ROADMAP item 5's set: the packages its size target is stated over.
 	for (k in lines) if (k ~ /^internal\/(core|maze|server|gateway)$/) { il += lines[k]; ic += code[k] }
 	printf "%-28s %8d %8d\n", "item 5: core+maze+server+gw", il, ic
+	printf "%-28s %8d %8d\n", "product (internal/)", layerlines["product"], layercode["product"]
+	printf "%-28s %8d %8d\n", "evaluation layer", layerlines["eval"], layercode["eval"]
 }
