@@ -31,10 +31,12 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seed corpus — a guard that the targets keep building and the corpus
 # keeps passing, not a bug-hunting campaign (run longer -fuzztime for that).
-# Nine targets: the v3 byte decoder runs thousands of inputs a second and
+# Ten targets: the v3 byte decoder runs thousands of inputs a second and
 # gets 5 s, as does FuzzSessionImport, which imports each input onto a
-# fresh worker and audits what it places, and FuzzParseWire, which holds
-# every name the wire parser accepts to a WireName round trip. Each line
+# fresh worker and audits what it places, FuzzParseWire, which holds
+# every name the wire parser accepts to a WireName round trip, and
+# FuzzPartitionEqualsGlobal, which holds a partitioned negotiation of up to
+# 12 fuzzed nets to the global loop at one worker and at two. Each line
 # bounds minimization at 100 runs an input: by default Go minimizes every
 # new input for up to 60 s, which the exec count does not show, and a
 # 10 s smoke of FuzzReplay or FuzzSearch then spends most of it there.
@@ -43,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzApplyConfig -fuzztime=10s -fuzzminimizetime=100x ./internal/bitstream
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s -fuzzminimizetime=100x ./internal/maze
 	$(GO) test -run='^$$' -fuzz=FuzzSearch -fuzztime=10s -fuzzminimizetime=100x ./internal/maze
+	$(GO) test -run='^$$' -fuzz=FuzzPartitionEqualsGlobal -fuzztime=5s -fuzzminimizetime=100x ./internal/maze
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateRelocate -fuzztime=10s -fuzzminimizetime=100x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzRipUpRegion -fuzztime=10s -fuzzminimizetime=100x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeV3 -fuzztime=5s -fuzzminimizetime=100x ./internal/server/protocol/v3
@@ -86,8 +89,9 @@ prof:
 
 # prof-negotiate does the same for BenchmarkNegotiate (internal/maze: eight
 # Clustered(6, 32, 5) designs and eight knots+crossbar designs negotiated on
-# a 64×96 array, at 1 and 2 workers; knots+crossbar is the shape
-# batch_reload negotiates, where one scope holds most of the work),
+# a 64×96 array, partitioned into the components of box overlap, at 1 and 2
+# workers; knots+crossbar is the shape batch_reload negotiates, where one
+# scope holds most of the work),
 # live-heap and allocated-object top 10s included. Its
 # files in PROF_DIR are maze.test, negotiate-cpu.prof and negotiate-mem.prof.
 prof-negotiate:

@@ -83,9 +83,6 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 	r.stats.NodesExplored += res.Explored
 	r.stats.BatchIterations += res.Iterations
 	r.stats.PartitionRegions += res.Regions
-	r.stats.PartitionCrossing += res.CrossingNets
-	r.stats.RegionIterations += res.RegionIterations
-	r.stats.GlobalIterations += res.GlobalIterations
 	// Commit net by net, creating each net's Connection record as soon as
 	// its PIPs are on the device. A failure therefore has to undo both:
 	// clear the PIPs applied, newest net first, and drop the records this
@@ -104,7 +101,7 @@ func (r *Router) RouteBatch(nets []BatchNet) (err error) {
 			}
 			r.stats.PIPsSet++
 		}
-		r.stats.Routes += len(nets[i].Sinks)
+		r.stats.Routes += len(specs[i].Sinks)
 		// Each net's negotiated path goes onto its record so the route
 		// cache can replay it after an unroute, just like sequential routes;
 		// it keeps a copy, for the negotiation's routes are router scratch.

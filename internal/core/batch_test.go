@@ -31,6 +31,29 @@ func TestRouteBatchSimple(t *testing.T) {
 	}
 }
 
+// TestRouteBatchCountsSinkPins: Stats.Routes counts the sink pins a call
+// routes, so a port bound to two pins counts two through RouteBatch, as it
+// does through RouteNet.
+func TestRouteBatchCountsSinkPins(t *testing.T) {
+	src := NewPin(4, 8, arch.S0X)
+	port := NewGroup("g").NewPort("d", In)
+	if err := port.Bind(NewPin(5, 12, arch.S0F1), NewPin(6, 13, arch.S1G2)); err != nil {
+		t.Fatal(err)
+	}
+	for name, route := range map[string]func(r *Router) error{
+		"RouteNet":   func(r *Router) error { return r.RouteNet(src, port) },
+		"RouteBatch": func(r *Router) error { return r.RouteBatch([]BatchNet{{Source: src, Sinks: []EndPoint{port}}}) },
+	} {
+		r := newTestRouter(t, Options{})
+		if err := route(r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := r.Stats().Routes; got != 2 {
+			t.Errorf("%s: Routes = %d for a port bound to two pins, want 2", name, got)
+		}
+	}
+}
+
 // TestRouteBatchRefusesTimingDriven: the negotiation has no delay model,
 // so on a TimingDriven router RouteBatch and RouteBusBatch answer
 // ErrTimingDrivenBatch and change nothing — no PIP, no record — where they

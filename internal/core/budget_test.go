@@ -156,7 +156,7 @@ func scopesOf(t *testing.T, d *device.Device, nets []BatchNet) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Scopes
+	return res.Regions
 }
 
 // TestClockCycleBudget: a core's clock in the core_swap shape — RouteClock

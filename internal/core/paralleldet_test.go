@@ -32,16 +32,11 @@ func runBatch(t *testing.T, par, rows, cols int,
 	return cfg, r.Stats()
 }
 
-// normPartition zeroes the partition-observability counters, which
-// describe scheduling structure (regions, crossing nets, iteration split)
-// and may legitimately differ across worker counts. All remaining
-// counters — including BatchIterations and NodesExplored — must
-// match exactly.
+// normPartition zeroes the partition-observability counter, which
+// describes structure, not the routed result. All remaining counters —
+// including BatchIterations and NodesExplored — must match exactly.
 func normPartition(s core.Stats) core.Stats {
 	s.PartitionRegions = 0
-	s.PartitionCrossing = 0
-	s.RegionIterations = 0
-	s.GlobalIterations = 0
 	return s
 }
 
@@ -88,10 +83,9 @@ func TestRouteBatchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRouteBatchPartitionedClusters: on a device big enough for real
-// bisection, a clustered workload must split into multiple regions, keep
-// the iteration split observable in Stats, and produce the same bytes at
-// every worker count.
+// TestRouteBatchPartitionedClusters: on a device big enough to hold apart
+// clusters, a clustered workload must split into multiple scopes, observable
+// in Stats, and produce the same bytes at every worker count.
 func TestRouteBatchPartitionedClusters(t *testing.T) {
 	gen := func(g *workload.Gen) ([]core.EndPoint, []core.EndPoint) {
 		srcs, dsts, err := g.Clustered(6, 16, 7)
@@ -115,9 +109,6 @@ func TestRouteBatchPartitionedClusters(t *testing.T) {
 		}
 		if stats.PartitionRegions < 2 {
 			t.Errorf("par %d: clustered workload produced %d regions", par, stats.PartitionRegions)
-		}
-		if stats.RegionIterations == 0 {
-			t.Errorf("par %d: no region iterations recorded", par)
 		}
 	}
 }

@@ -114,35 +114,28 @@ type Stats struct {
 	// OracleClaims) are O(live records) by contract and do not count.
 	RecordsVisited int
 
-	// Partition observability: RouteBatch negotiates over disjoint scopes
-	// (see maze.NegotiationOptions.Partition). The counters
-	// describe scheduling structure only — the routed result is identical
-	// whatever they read.
-	PartitionRegions  int // bisection leaf regions that received nets
-	PartitionCrossing int // nets that crossed a bisection cut
-	RegionIterations  int // negotiation rounds inside crossing-free region scopes
-	GlobalIterations  int // negotiation rounds in merged (crossing or whole-device) scopes
+	// PartitionRegions counts the scopes RouteBatch negotiated over (see
+	// maze.NegotiationOptions.Partition): structure only — the routed
+	// result is identical whatever it reads.
+	PartitionRegions int
 }
 
 // Sub returns the counter deltas s minus prev, for metrics pipelines that
 // snapshot Stats around an operation.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		Routes:            s.Routes - prev.Routes,
-		TemplateHits:      s.TemplateHits - prev.TemplateHits,
-		MazeFallbacks:     s.MazeFallbacks - prev.MazeFallbacks,
-		NodesExplored:     s.NodesExplored - prev.NodesExplored,
-		PIPsSet:           s.PIPsSet - prev.PIPsSet,
-		PIPsCleared:       s.PIPsCleared - prev.PIPsCleared,
-		BatchIterations:   s.BatchIterations - prev.BatchIterations,
-		CacheHits:         s.CacheHits - prev.CacheHits,
-		CacheMisses:       s.CacheMisses - prev.CacheMisses,
-		ReplayFails:       s.ReplayFails - prev.ReplayFails,
-		RecordsVisited:    s.RecordsVisited - prev.RecordsVisited,
-		PartitionRegions:  s.PartitionRegions - prev.PartitionRegions,
-		PartitionCrossing: s.PartitionCrossing - prev.PartitionCrossing,
-		RegionIterations:  s.RegionIterations - prev.RegionIterations,
-		GlobalIterations:  s.GlobalIterations - prev.GlobalIterations,
+		Routes:           s.Routes - prev.Routes,
+		TemplateHits:     s.TemplateHits - prev.TemplateHits,
+		MazeFallbacks:    s.MazeFallbacks - prev.MazeFallbacks,
+		NodesExplored:    s.NodesExplored - prev.NodesExplored,
+		PIPsSet:          s.PIPsSet - prev.PIPsSet,
+		PIPsCleared:      s.PIPsCleared - prev.PIPsCleared,
+		BatchIterations:  s.BatchIterations - prev.BatchIterations,
+		CacheHits:        s.CacheHits - prev.CacheHits,
+		CacheMisses:      s.CacheMisses - prev.CacheMisses,
+		ReplayFails:      s.ReplayFails - prev.ReplayFails,
+		RecordsVisited:   s.RecordsVisited - prev.RecordsVisited,
+		PartitionRegions: s.PartitionRegions - prev.PartitionRegions,
 	}
 }
 

@@ -33,20 +33,21 @@ import (
 // convergence and prevents symmetric oscillation between identical nets).
 //
 // On top of that, Partition splits the batch into independent *scopes*
-// (see partition.go): groups of nets whose inflated bounding boxes are
-// pairwise disjoint across groups. Each scope keeps its own iteration count,
-// reroute list and overuse pass, but the scopes run in lockstep: iteration
-// k routes the reroutes of every scope still negotiating as one job list on
-// the worker pool, and then each scope merges its own routes. A converged
-// scope drops out of the list. Scopes own no memory: every table is indexed
-// by device.TrackIndex, the call's one congestion table is shared by all
-// its scopes, and each worker searches on a pooled whole-device arena, as
-// the single-net search does. Because every net's search is confined to its
-// box in both modes and disjoint boxes cannot share tracks, the reroutes of
-// one iteration read and write disjoint slots, and the scoped loops compute
-// exactly what the single global loop computes: partitioning never changes
-// the routed result. Nor does it decide the schedule: in both modes the
-// pool is handed nets.
+// (see partition.go): the connected components of inflated bounding-box
+// overlap, so nets in different scopes have disjoint boxes. Each scope
+// keeps its own iteration count, reroute list and overuse pass, but the
+// scopes run in lockstep: iteration k routes the reroutes of every scope
+// still negotiating as one job list on the worker pool, and then each
+// scope merges its own routes. A converged scope drops out of the list.
+// Scopes own no memory: every table is indexed by device.TrackIndex, the
+// call's one congestion table is shared by all its scopes, and each worker
+// searches on a pooled whole-device arena, as the single-net search does.
+// Because every net's search is confined to its box in both modes and
+// disjoint boxes cannot share tracks, the reroutes of one iteration read
+// and write disjoint slots, and the scoped loops compute exactly what the
+// single global loop computes: partitioning never changes the routed
+// result. Nor does it decide the schedule: in both modes the pool is
+// handed nets.
 
 // NetSpec is one net to batch-route: a source track and its sink tracks.
 type NetSpec struct {
@@ -65,22 +66,9 @@ type BatchResult struct {
 	// Explored counts total search states over all iterations.
 	Explored int
 
-	// Partition observability. All zero when partitioning is disabled.
-	//
-	// Regions is the number of bisection leaf regions that received at
-	// least one net; CrossingNets counts nets that crossed a bisection
-	// cut and were merged conservatively; Scopes is the number of
-	// independent negotiation loops actually run.
-	Regions      int
-	CrossingNets int
-	Scopes       int
-	// RegionIterations sums iterations of scopes with no crossing nets
-	// (pure regional negotiation); GlobalIterations sums iterations of
-	// scopes that absorbed crossing nets — the merged, global-flavoured
-	// work. With partitioning off the single whole-device pass counts as
-	// global.
-	RegionIterations int
-	GlobalIterations int
+	// Regions is the number of scopes negotiated, 0 when partitioning is
+	// disabled.
+	Regions int
 }
 
 // NegotiationOptions tune the batch router.
@@ -93,12 +81,11 @@ type NegotiationOptions struct {
 	// value produces the identical result (and therefore the identical
 	// committed bitstream) — only wall-clock time changes.
 	Parallelism int
-	// Partition enables scope decomposition: recursive bisection of the
-	// device plus a conservative merge of cut-crossing nets, each scope
-	// negotiated independently of the others. The routed
-	// result is identical with partitioning on or off; core.RouteBatch
-	// always sets it, and off is the reference loop the tests compare
-	// against.
+	// Partition enables scope decomposition: the connected components of
+	// box overlap, each scope negotiated independently of the others. The
+	// routed result is identical with partitioning on or off;
+	// core.RouteBatch always sets it, and off is the reference loop the
+	// tests compare against.
 	Partition bool
 }
 
@@ -115,17 +102,6 @@ func (o NegotiationOptions) parallelism() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Parallelism
-}
-
-// partitionDepth caps bisection by Parallelism: 4 + ceil(log2(par))
-// levels gives up to 16·par leaves — enough slack for the merge phase to
-// eat some without starving workers, while keeping the cut scan cheap.
-func (o NegotiationOptions) partitionDepth() int {
-	d := 4
-	for p := 1; p < o.parallelism(); p <<= 1 {
-		d++
-	}
-	return d
 }
 
 // congestion holds the dense per-track negotiation state of one
@@ -220,17 +196,14 @@ type scopeResult struct {
 // tables are pooled per call). Per-net lists are indexed by a net's place in
 // members, the scopes' nets end to end: each scope has its own window.
 type negScratch struct {
-	prepped                    []preppedNet
-	boxes                      []rect
-	sinks                      []device.Track // every net's sinks in routing order
-	res                        BatchResult
-	uf                         unionFind
-	members, crossers, reroute []int // see buildScopes; reroute per place
-	stack                      []bisection
-	cutCount                   []int // bestCutOnAxis's box ends by position
-	crossed                    []bool
-	scopes                     []scope
-	results                    []scopeResult
+	prepped          []preppedNet
+	boxes            []rect
+	sinks            []device.Track // every net's sinks in routing order
+	res              BatchResult
+	uf               unionFind
+	members, reroute []int // see buildScopes; reroute per place
+	scopes           []scope
+	results          []scopeResult
 	// An iteration's reroutes, as places in members, scope after scope, and
 	// what they read: the device, and the policy at the iteration's presFac.
 	jobs   []int
@@ -306,13 +279,9 @@ func (s *Scratch) NegotiatedRoute(dev *device.Device, nets []NetSpec, opt Negoti
 
 	res := &ns.res
 	*res = BatchResult{Nets: fit(res.Nets, len(nets))}
-	depth := 0 // unpartitioned: the device is one region, all nets one scope
+	scopes := ns.buildScopes(boxes, opt.Partition)
 	if opt.Partition {
-		depth = opt.partitionDepth()
-	}
-	scopes, regions, crossing := ns.buildScopes(dev, boxes, depth)
-	if opt.Partition {
-		res.Regions, res.CrossingNets, res.Scopes = regions, crossing, len(scopes)
+		res.Regions = len(scopes)
 	}
 
 	results := ns.runScopes(dev, opt, prepped, scopes)
@@ -343,11 +312,6 @@ func (s *Scratch) NegotiatedRoute(dev *device.Device, nets []NetSpec, opt Negoti
 			res.Iterations = r.iterations
 		}
 		res.Explored += r.explored
-		if opt.Partition && sc.crossing == 0 {
-			res.RegionIterations += r.iterations
-		} else {
-			res.GlobalIterations += r.iterations
-		}
 	}
 	return res, nil
 }

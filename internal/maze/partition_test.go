@@ -1,8 +1,10 @@
 package maze
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -70,12 +72,11 @@ func assertSameBatch(t *testing.T, label string, a, b *BatchResult) {
 // beside 32-net knots.
 func TestPartitionEqualsGlobal(t *testing.T) {
 	for _, in := range []struct {
-		name      string
-		nets      func(d *device.Device) []NetSpec
-		clustered bool // no net crosses a cut
+		name string
+		nets func(d *device.Device) []NetSpec
 	}{
-		{"clustered", func(d *device.Device) []NetSpec { return clusteredNets(t, d, 2, 3, 4) }, true},
-		{"knots+crossbar", func(d *device.Device) []NetSpec { return KnotsAndCrossbar(t, d) }, false},
+		{"clustered", func(d *device.Device) []NetSpec { return clusteredNets(t, d, 2, 3, 4) }},
+		{"knots+crossbar", func(d *device.Device) []NetSpec { return KnotsAndCrossbar(t, d) }},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			build := func() (*device.Device, []NetSpec) {
@@ -87,11 +88,8 @@ func TestPartitionEqualsGlobal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if global.Regions != 0 || global.Scopes != 0 || global.CrossingNets != 0 {
+			if global.Regions != 0 {
 				t.Errorf("global run reports partition stats: %+v", global)
-			}
-			if global.GlobalIterations != global.Iterations {
-				t.Errorf("global run: GlobalIterations %d != Iterations %d", global.GlobalIterations, global.Iterations)
 			}
 			for _, par := range []int{1, 2, 8} {
 				d, nets := build()
@@ -100,14 +98,8 @@ func TestPartitionEqualsGlobal(t *testing.T) {
 					t.Fatalf("partitioned par %d: %v", par, err)
 				}
 				assertSameBatch(t, fmt.Sprintf("par %d", par), part, global)
-				if part.Scopes < 2 {
-					t.Errorf("par %d: expected multiple scopes, got %d (regions %d)", par, part.Scopes, part.Regions)
-				}
-				if in.clustered && part.CrossingNets != 0 {
-					t.Errorf("par %d: clustered nets should not cross cuts, got %d", par, part.CrossingNets)
-				}
-				if part.RegionIterations == 0 {
-					t.Errorf("par %d: no region iterations recorded", par)
+				if part.Regions < 2 {
+					t.Errorf("par %d: expected multiple scopes, got %d", par, part.Regions)
 				}
 			}
 		})
@@ -148,15 +140,15 @@ func TestPartitionConflictEquality(t *testing.T) {
 			t.Fatalf("partitioned par %d: %v", par, err)
 		}
 		assertSameBatch(t, fmt.Sprintf("contended par %d", par), part, global)
-		if part.Scopes < 2 {
-			t.Errorf("par %d: corners should split, got %d scopes", par, part.Scopes)
+		if part.Regions < 2 {
+			t.Errorf("par %d: corners should split, got %d scopes", par, part.Regions)
 		}
 	}
 }
 
 // TestPartitionThinDevice: on a minimum-height device every net box spans
-// all rows, so only column cuts are productive — the degenerate "1×N"
-// geometry must still split and still match the global result.
+// all rows, so only columns separate nets — the degenerate "1×N" geometry
+// must still split and still match the global result.
 func TestPartitionThinDevice(t *testing.T) {
 	build := func() (*device.Device, []NetSpec) {
 		d := bigDev(t, 12, 96)
@@ -173,22 +165,19 @@ func TestPartitionThinDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameBatch(t, "thin device", part, global)
-	if part.Scopes < 2 {
-		t.Errorf("thin device did not split: %d scopes, %d regions", part.Scopes, part.Regions)
+	if part.Regions < 2 {
+		t.Errorf("thin device did not split: %d scopes", part.Regions)
 	}
 }
 
-// TestPartitionAllCrossing: when every net's box overlaps the only
-// productive cut, the conservative merge must collapse the batch into a
-// single scope — the exact pre-partitioning global pass — rather than
-// split interacting nets.
+// TestPartitionAllCrossing: when every net's box overlaps its neighbour's,
+// the batch must collapse into a single scope — the exact unpartitioned
+// global pass — rather than split interacting nets.
 func TestPartitionAllCrossing(t *testing.T) {
 	build := func() (*device.Device, []NetSpec) {
 		d := bigDev(t, 64, 96)
 		var nets []NetSpec
-		// Every net spans the middle columns, so any vertical cut
-		// crosses all of them, and they blanket the rows so horizontal
-		// cuts fare no better.
+		// Every net spans the middle columns, and they blanket the rows.
 		for i := 0; i < 6; i++ {
 			nets = append(nets, netSpec(t, d, 4+i*10, 20, arch.OutPin(i%8),
 				[3]int{4 + i*10, 76, i % arch.NumInputs}))
@@ -206,13 +195,11 @@ func TestPartitionAllCrossing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameBatch(t, "all-crossing", part, global)
-	// Row boxes are ±margin around each net's row, so horizontal cuts do
-	// split these nets — but every vertical span overlaps the column cut.
-	// Whatever the tree does, correctness demands nets sharing columns
-	// 20..76 that overlap in rows end up merged; with 10-row spacing and
-	// a 12-tile margin, adjacent nets chain into one scope.
-	if part.Scopes != 1 {
-		t.Errorf("chained crossing nets should merge into one scope, got %d", part.Scopes)
+	// Row boxes are ±margin around each net's row, and every net spans
+	// columns 20..76; with 10-row spacing and a 12-tile margin, adjacent
+	// nets overlap and chain into one scope.
+	if part.Regions != 1 {
+		t.Errorf("chained crossing nets should merge into one scope, got %d", part.Regions)
 	}
 }
 
@@ -228,65 +215,11 @@ func TestPartitionSingleNetRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scopes != 2 || res.Regions < 2 {
-		t.Errorf("scopes %d regions %d, want 2 isolated regions", res.Scopes, res.Regions)
+	if res.Regions != 2 {
+		t.Errorf("%d scopes, want 2 isolated ones", res.Regions)
 	}
 	if res.Iterations != 1 {
 		t.Errorf("isolated nets took %d iterations", res.Iterations)
-	}
-	if res.RegionIterations != 2 || res.GlobalIterations != 0 {
-		t.Errorf("iteration split %d/%d, want 2 region / 0 global",
-			res.RegionIterations, res.GlobalIterations)
-	}
-}
-
-// TestPartitionDepthCap: the depth handed to buildScopes bounds the
-// bisection tree, and the depth NegotiatedRoute derives grows with
-// Parallelism — but no depth changes the routed result.
-func TestPartitionDepthCap(t *testing.T) {
-	d := bigDev(t, 64, 96)
-	nets := clusteredNets(t, d, 2, 3, 2)
-	ref, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prepped := make([]preppedNet, len(nets))
-	boxes := make([]rect, len(nets))
-	for i, n := range nets { // one sink each: nothing to order
-		boxes[i] = netBox(d, n.Source, n.Sinks, 2*d.A.HexLen)
-		prepped[i] = preppedNet{src: n.Source, sinks: n.Sinks, box: boxes[i]}
-	}
-	var s negScratch
-	for _, depth := range []int{1, 2, 3, 7} {
-		scopes, regions, _ := s.buildScopes(d, boxes, depth)
-		if regions > 1<<depth {
-			t.Errorf("depth %d produced %d regions", depth, regions)
-		}
-		routed := 0
-		for si, r := range s.runScopes(d, NegotiationOptions{Parallelism: 1}, prepped, scopes) {
-			if r.err != nil {
-				t.Fatalf("depth %d: %v", depth, r.err)
-			}
-			for j, i := range scopes[si].nets {
-				routed++
-				if !slices.Equal(r.routes[j], ref.Nets[i]) {
-					t.Fatalf("depth %d: net %d: %v, global %v", depth, i, r.routes[j], ref.Nets[i])
-				}
-			}
-		}
-		if routed != len(nets) {
-			t.Errorf("depth %d: scopes hold %d of %d nets", depth, routed, len(nets))
-		}
-	}
-	for _, par := range []int{1, 8} {
-		res, err := NegotiatedRoute(d, nets, NegotiationOptions{Partition: true, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameBatch(t, fmt.Sprintf("derived depth par %d", par), res, ref)
-	}
-	if (NegotiationOptions{Parallelism: 1}).partitionDepth() >= (NegotiationOptions{Parallelism: 8}).partitionDepth() {
-		t.Error("derived partition depth does not grow with Parallelism")
 	}
 }
 
@@ -322,18 +255,146 @@ func TestPartitionValidationAndErrors(t *testing.T) {
 	}
 }
 
-// TestBestCutDeterminism: the cut chooser is a pure deterministic
-// function of the boxes.
-func TestBestCutDeterminism(t *testing.T) {
-	boxes := []rect{{0, 0, 10, 10}, {20, 0, 30, 10}, {0, 40, 10, 50}, {20, 40, 30, 50}}
-	nets := []int{0, 1, 2, 3}
-	first := new(negScratch).bestCut(rect{0, 0, 63, 95}, boxes, nets)
-	if !first.ok || first.crossing != 0 {
-		t.Fatalf("clean cut not found: %+v", first)
-	}
-	for i := 0; i < 10; i++ {
-		if got := new(negScratch).bestCut(rect{0, 0, 63, 95}, boxes, nets); got != first {
-			t.Fatalf("cut changed between calls: %+v vs %+v", got, first)
+// TestScopesAreBoxComponents holds buildScopes to a brute-force union-find
+// over every pair of boxes, on seeded random box sets: boxes touching on
+// exactly one row or column, nested boxes, one-tile boxes and boxes clamped
+// at the array edge. Each scope must be one component, its nets ascending
+// and a window of the scratch's members, the scopes largest first and then
+// by first net. One scratch serves every draw, as one router's does.
+func TestScopesAreBoxComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s negScratch
+	for draw := 0; draw < 2000; draw++ {
+		rows, cols := 1+rng.Intn(30), 1+rng.Intn(30)
+		boxes := make([]rect, 1+rng.Intn(40))
+		for i := range boxes {
+			var b rect
+			switch k := rng.Intn(8); {
+			case k == 0 && i > 0: // touching an earlier box on one row or column
+				b = boxes[rng.Intn(i)]
+				if rng.Intn(2) == 0 {
+					b.r0, b.r1 = b.r1, b.r1+rng.Intn(4)
+				} else {
+					b.c0, b.c1 = b.c1, b.c1+rng.Intn(4)
+				}
+			case k == 1 && i > 0: // nested in an earlier box
+				o := boxes[rng.Intn(i)]
+				b.r0, b.c0 = o.r0+rng.Intn(o.r1-o.r0+1), o.c0+rng.Intn(o.c1-o.c0+1)
+				b.r1, b.c1 = b.r0+rng.Intn(o.r1-b.r0+1), b.c0+rng.Intn(o.c1-b.c0+1)
+			case k == 2: // one tile
+				b.r0, b.c0 = rng.Intn(rows), rng.Intn(cols)
+				b.r1, b.c1 = b.r0, b.c0
+			default: // anywhere, hanging over the edge before the clamp
+				b.r0, b.c0 = rng.Intn(rows+6)-3, rng.Intn(cols+6)-3
+				b.r1, b.c1 = b.r0+rng.Intn(8), b.c0+rng.Intn(8)
+			}
+			b.r0, b.c0 = max(b.r0, 0), max(b.c0, 0)
+			b.r1, b.c1 = min(b.r1, rows-1), min(b.c1, cols-1)
+			if b.r0 > b.r1 || b.c0 > b.c1 { // wholly off the array: clamp to the corner
+				b.r0, b.c0 = min(b.r0, rows-1), min(b.c0, cols-1)
+				b.r1, b.c1 = b.r0, b.c0
+			}
+			boxes[i] = b
+		}
+		want := refComponents(boxes)
+		scopes := s.buildScopes(boxes, true)
+		if len(scopes) != len(want) {
+			t.Fatalf("draw %d, boxes %v: %d scopes, want %d", draw, boxes, len(scopes), len(want))
+		}
+		for k, sc := range scopes {
+			if !slices.Equal(sc.nets, want[k]) {
+				t.Fatalf("draw %d, boxes %v: scope %d is %v, want %v", draw, boxes, k, sc.nets, want[k])
+			}
+			if !slices.Equal(s.members[sc.off:sc.off+len(sc.nets)], sc.nets) {
+				t.Fatalf("draw %d: scope %d is not members[%d:]", draw, k, sc.off)
+			}
+		}
+		if one := s.buildScopes(boxes, false); len(one) != 1 || len(one[0].nets) != len(boxes) || !slices.IsSorted(one[0].nets) {
+			t.Fatalf("draw %d: unsplit, %d scopes", draw, len(one))
 		}
 	}
+}
+
+// refComponents is the connected components of box overlap by testing
+// every pair: each component's nets ascending, the components largest first
+// and then by first net.
+func refComponents(boxes []rect) [][]int {
+	root := make([]int, len(boxes))
+	for i := range root {
+		root[i] = i
+	}
+	find := func(x int) int {
+		for root[x] != x {
+			x = root[x]
+		}
+		return x
+	}
+	for i := range boxes {
+		for j := range i {
+			if boxes[i].intersects(boxes[j]) {
+				if a, b := find(i), find(j); a != b {
+					root[max(a, b)] = min(a, b)
+				}
+			}
+		}
+	}
+	byRoot := map[int][]int{}
+	for i := range boxes {
+		r := find(i)
+		byRoot[r] = append(byRoot[r], i)
+	}
+	var comps [][]int
+	for _, c := range byRoot {
+		comps = append(comps, c)
+	}
+	slices.SortFunc(comps, func(a, b []int) int { return cmp.Or(cmp.Compare(len(b), len(a)), cmp.Compare(a[0], b[0])) })
+	return comps
+}
+
+// FuzzPartitionEqualsGlobal holds the exactness claim on fuzzed batches:
+// six bytes a net, up to 12 nets on a 24×36 array — source tile and output
+// pin, then a sink up to eight tiles away in each axis and its input pin;
+// the top two bits of the last byte set add a second sink at the offsets
+// swapped. Partitioned, at one worker and at two, the negotiation must
+// answer what the global loop answers: the same error, or the same PIPs
+// for every net with the same Iterations and Explored.
+func FuzzPartitionEqualsGlobal(f *testing.F) {
+	f.Add([]byte{2, 2, 0, 10, 12, 0, 20, 30, 1, 6, 4, 1})                    // two nets far apart
+	f.Add([]byte{5, 5, 0, 8, 15, 0, 5, 5, 1, 8, 15, 1, 5, 5, 2, 8, 15, 2})   // a contended knot
+	f.Add([]byte{4, 4, 0, 9, 9, 3, 4, 12, 1, 9, 1, 3, 16, 8, 4, 8, 8, 0xc5}) // one sink shared
+	d := bigDev(f, 24, 36)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var nets []NetSpec
+		for ; len(data) >= 6 && len(nets) < 12; data = data[6:] {
+			r, c := int(data[0])%d.Rows, int(data[1])%d.Cols
+			src, ok := d.CanonOK(r, c, arch.OutPin(int(data[2])%arch.NumOutPins))
+			if !ok {
+				continue
+			}
+			dr, dc, in := int(data[3]%17)-8, int(data[4]%17)-8, arch.Input(int(data[5])%arch.NumInputs)
+			net := NetSpec{Source: src}
+			for _, off := range [][2]int{{dr, dc}, {dc, dr}}[:1+int(data[5]>>6)/3] {
+				if sink, ok := d.CanonOK(r+off[0], c+off[1], in); ok {
+					net.Sinks = append(net.Sinks, sink)
+				}
+			}
+			if len(net.Sinks) > 0 {
+				nets = append(nets, net)
+			}
+		}
+		if len(nets) == 0 {
+			return
+		}
+		global, gerr := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: 1})
+		for _, par := range []int{1, 2} {
+			part, perr := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: par, Partition: true})
+			if gerr != nil || perr != nil {
+				if gerr == nil || perr == nil || gerr.Error() != perr.Error() {
+					t.Fatalf("par %d: global %v, partitioned %v", par, gerr, perr)
+				}
+				continue
+			}
+			assertSameBatch(t, fmt.Sprintf("par %d", par), part, global)
+		}
+	})
 }

@@ -396,8 +396,9 @@ func (f *searchFabric) compare(t testing.TB, head searchHead) {
 	defer putCongestion(cong)
 	defer putMarkSet(self)
 	self.reset()
-	for i := box.rows() * box.cols() * slots / 2; i > 0; i-- {
-		k := dev.TrackIndex(track(box.r0+rng.Intn(box.rows()), box.c0+rng.Intn(box.cols())))
+	rows, cols := box.r1-box.r0+1, box.c1-box.c0+1
+	for i := rows * cols * slots / 2; i > 0; i-- {
+		k := dev.TrackIndex(track(box.r0+rng.Intn(rows), box.c0+rng.Intn(cols)))
 		switch rng.Intn(4) {
 		case 0:
 			cong.addPresent(k, int32(1+rng.Intn(3)))
@@ -513,75 +514,4 @@ func FuzzSearch(f *testing.F) {
 		script = script[copy(head[:], script):]
 		occupy(t, int(head[0])%3, script).compare(t, searchHead(head[1:]))
 	})
-}
-
-// refBestCutOnAxis is bestCutOnAxis as it was before it counted box ends:
-// every net tested at every cut position, verbatim.
-func refBestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
-	lo, hi := rc.r0, rc.r1
-	if axis == 1 {
-		lo, hi = rc.c0, rc.c1
-	}
-	best := cutStats{axis: axis}
-	for p := lo + 1; p <= hi; p++ {
-		crossing, left, right := 0, 0, 0
-		for _, i := range nets {
-			b := boxes[i]
-			b0, b1 := b.r0, b.r1
-			if axis == 1 {
-				b0, b1 = b.c0, b.c1
-			}
-			switch {
-			case b1 < p:
-				left++
-			case b0 >= p:
-				right++
-			default:
-				crossing++
-			}
-		}
-		bal := left - right
-		if bal < 0 {
-			bal = -bal
-		}
-		cand := cutStats{axis: axis, pos: p, crossing: crossing, balance: bal, ok: true}
-		if !best.ok || cand.crossing < best.crossing ||
-			(cand.crossing == best.crossing && cand.balance < best.balance) {
-			best = cand
-		}
-	}
-	return best
-}
-
-// TestCutCountMatchesReference holds the counting cut to the scan it
-// replaced on both axes, over seeded random regions and box sets: boxes
-// small and large, inside the region, hanging over its edges and wholly
-// outside it, with many equal ends so ties decide, and regions one tile
-// thin, where there is no cut. One scratch serves every draw, as one
-// negotiation's bisection reuses it.
-func TestCutCountMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var s negScratch
-	for draw := 0; draw < 2000; draw++ {
-		rc := rect{r0: rng.Intn(20), c0: rng.Intn(20)}
-		rc.r1, rc.c1 = rc.r0+rng.Intn(30), rc.c0+rng.Intn(30)
-		boxes := make([]rect, 1+rng.Intn(40))
-		nets := make([]int, 0, len(boxes))
-		for i := range boxes {
-			// Ends drawn from a few values around the region, so many are equal.
-			end := func(lo, hi int) int { return lo - 3 + 3*rng.Intn((hi-lo+9)/3) }
-			r0, r1 := end(rc.r0, rc.r1), end(rc.r0, rc.r1)
-			c0, c1 := end(rc.c0, rc.c1), end(rc.c0, rc.c1)
-			boxes[i] = rect{min(r0, r1), min(c0, c1), max(r0, r1), max(c0, c1)}
-			if rng.Intn(4) > 0 {
-				nets = append(nets, i)
-			}
-		}
-		for axis := range 2 {
-			if got, want := s.bestCutOnAxis(rc, boxes, nets, axis), refBestCutOnAxis(rc, boxes, nets, axis); got != want {
-				t.Fatalf("draw %d, region %v, axis %d, boxes %v of %v: counted %+v, scanned %+v",
-					draw, rc, axis, nets, boxes, got, want)
-			}
-		}
-	}
 }

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -367,11 +370,49 @@ func TestImportIsAllOrNothing(t *testing.T) {
 	}
 }
 
-// FuzzSessionImport imports arbitrary runs onto a fresh worker. The worker
-// must not panic, and must either refuse the form with nothing on, or place
-// it so that the device passes a strict oracle audit.
+// FuzzSessionImport imports arbitrary runs onto a fresh worker and audits
+// what lands (importAudit).
 func FuzzSessionImport(f *testing.F) {
-	f.Add(seedSession(f, newTestWorker(f)))
+	for _, form := range importSeeds(f) {
+		f.Add(form)
+	}
+	f.Fuzz(func(t *testing.T, run []byte) {
+		if err := importAudit(t, run); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSessionImportSeeded runs FuzzSessionImport's body over seeded
+// mutations of its seed forms on every test run — a few bits flipped, bytes
+// inserted, the run cut short — the same inputs each time, so the import
+// checks are held past the seeds the fuzzer starts from.
+func TestSessionImportSeeded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k, seed := range importSeeds(t) {
+		for i := 0; i < 500; i++ {
+			run := slices.Clone(seed)
+			for n := 1 + rng.Intn(3); n > 0 && len(run) > 0; n-- {
+				switch at := rng.Intn(len(run)); rng.Intn(3) {
+				case 0:
+					run[at] ^= 1 << rng.Intn(8)
+				case 1:
+					run = slices.Insert(run, at, byte(rng.Intn(256)))
+				default:
+					run = run[:at]
+				}
+			}
+			if err := importAudit(t, run); err != nil {
+				t.Fatalf("seed form %d, mutation %d (%x): %v", k, i, run, err)
+			}
+		}
+	}
+}
+
+// importSeeds are FuzzSessionImport's seed forms: a worker's own form, a
+// hand-built run of a core with a live and a remembered record, and two
+// forms whose record claims a sink elsewhere, once off the array.
+func importSeeds(t testing.TB) [][]byte {
 	form, _ := v3.AppendCoreEntry(nil, "d", &protocol.CoreMsg{Name: "r", Kind: "register", Row: 1, Col: 2, Bits: 2})
 	net := []EndPointMsg{pinMsg(1, 2, 3), pinMsg(4, 5, 6)}
 	for _, r := range []testRecord{
@@ -381,32 +422,43 @@ func FuzzSessionImport(f *testing.F) {
 	} {
 		form = r.append(form)
 	}
-	f.Add(form)
-	f.Add(claimElsewhere(f, pinMsg(9, -13, arch.S1G1)))
-	f.Add(claimElsewhere(f, pinMsg(7, 3, arch.S1G1)))
-	f.Fuzz(func(t *testing.T, run []byte) {
-		w := newTestWorker(t)
-		ctx := context.Background()
-		resp := w.Submit(ctx, &Request{Op: "session_import", Form: run})
-		if resp.ErrorCode == protocol.CodeInternal {
-			t.Fatalf("import answered %s: %s", resp.ErrorCode, resp.Err)
+	return [][]byte{
+		seedSession(t, newTestWorker(t)),
+		form,
+		claimElsewhere(t, pinMsg(9, -13, arch.S1G1)),
+		claimElsewhere(t, pinMsg(7, 3, arch.S1G1)),
+	}
+}
+
+// importAudit imports run onto a fresh worker. The worker must not panic or
+// answer an internal error, and must either refuse the form with nothing
+// on, or place it so that the device passes a strict oracle audit.
+func importAudit(t testing.TB, run []byte) error {
+	w, err := NewWorker(WorkerConfig{Name: "dev", Rows: 16, Cols: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { w.Close(); <-w.Done() }()
+	ctx := context.Background()
+	resp := w.Submit(ctx, &Request{Op: "session_import", Form: run})
+	if resp.ErrorCode == protocol.CodeInternal {
+		return fmt.Errorf("import answered %s: %s", resp.ErrorCode, resp.Err)
+	}
+	return w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
+		if resp.Err != "" {
+			if n := js.Dev.OnPIPCount(); n != 0 {
+				return fmt.Errorf("refused import (%s) left %d PIPs on", resp.Err, n)
+			}
+			return nil
 		}
-		err := w.Do(ctx, func(r *core.Router, js *jbits.Session) error {
-			if resp.Err != "" {
-				if n := js.Dev.OnPIPCount(); n != 0 {
-					t.Errorf("refused import (%s) left %d PIPs on", resp.Err, n)
-				}
-				return nil
-			}
-			full, err := js.Dev.FullConfig()
-			if err != nil {
-				return err
-			}
-			return oracle.Audit(js.Dev.A, full, r.OracleClaims(), true)
-		})
+		full, err := js.Dev.FullConfig()
 		if err != nil {
-			t.Fatalf("placed form fails the audit: %v", err)
+			return err
 		}
+		if err := oracle.Audit(js.Dev.A, full, r.OracleClaims(), true); err != nil {
+			return fmt.Errorf("placed form fails the audit: %w", err)
+		}
+		return nil
 	})
 }
 

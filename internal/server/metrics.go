@@ -119,23 +119,20 @@ func (m *sessionMetrics) snapshot(queueDepth int) SessionStatsMsg {
 	defer m.mu.Unlock()
 	r := &m.router
 	out := SessionStatsMsg{
-		Routes:            r.Routes,
-		RipUps:            r.PIPsCleared,
-		BatchIterations:   r.BatchIterations,
-		CacheHits:         r.CacheHits,
-		CacheMisses:       r.CacheMisses,
-		ReplayFails:       r.ReplayFails,
-		NodesExplored:     r.NodesExplored,
-		RecordsVisited:    r.RecordsVisited,
-		PartitionRegions:  r.PartitionRegions,
-		PartitionCrossing: r.PartitionCrossing,
-		RegionIterations:  r.RegionIterations,
-		GlobalIterations:  r.GlobalIterations,
-		Connections:       m.connections,
-		FramesShipped:     m.framesShipped,
-		BytesShipped:      m.bytesShipped,
-		QueueDepth:        queueDepth,
-		Ops:               make(map[string]protocol.OpStatsMsg, len(m.ops)),
+		Routes:           r.Routes,
+		RipUps:           r.PIPsCleared,
+		BatchIterations:  r.BatchIterations,
+		CacheHits:        r.CacheHits,
+		CacheMisses:      r.CacheMisses,
+		ReplayFails:      r.ReplayFails,
+		NodesExplored:    r.NodesExplored,
+		RecordsVisited:   r.RecordsVisited,
+		PartitionRegions: r.PartitionRegions,
+		Connections:      m.connections,
+		FramesShipped:    m.framesShipped,
+		BytesShipped:     m.bytesShipped,
+		QueueDepth:       queueDepth,
+		Ops:              make(map[string]protocol.OpStatsMsg, len(m.ops)),
 	}
 	for op, om := range m.ops {
 		out.Ops[op] = protocol.OpStatsMsg{

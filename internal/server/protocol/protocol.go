@@ -301,19 +301,13 @@ type SessionStatsMsg struct {
 	// Connection records the ops examined to find the ones they changed:
 	// a constant per net touched, however many are live (core.Stats).
 	RecordsVisited int `json:"records_visited"`
-	// Partition-parallel batch negotiation observability: regions the
-	// batch planner created, nets whose bounding boxes crossed a cut, and
-	// the split of negotiation iterations between region-local loops and
-	// the whole-device loop.
-	PartitionRegions  int                   `json:"partition_regions"`
-	PartitionCrossing int                   `json:"partition_crossing_nets"`
-	RegionIterations  int                   `json:"region_iterations"`
-	GlobalIterations  int                   `json:"global_iterations"`
-	Connections       int                   `json:"connections"` // live connection records
-	FramesShipped     int                   `json:"frames_shipped"`
-	BytesShipped      int                   `json:"bytes_shipped"`
-	QueueDepth        int                   `json:"queue_depth"`
-	Ops               map[string]OpStatsMsg `json:"ops"`
+	// The scopes batch negotiation ran over (core.Stats.PartitionRegions).
+	PartitionRegions int                   `json:"partition_regions"`
+	Connections      int                   `json:"connections"` // live connection records
+	FramesShipped    int                   `json:"frames_shipped"`
+	BytesShipped     int                   `json:"bytes_shipped"`
+	QueueDepth       int                   `json:"queue_depth"`
+	Ops              map[string]OpStatsMsg `json:"ops"`
 }
 
 // OpStatsMsg is one operation's count and latency distribution.

@@ -159,9 +159,6 @@ func TestStatsAreTheRouters(t *testing.T) {
 		{"NodesExplored", got.NodesExplored, st.NodesExplored},
 		{"RecordsVisited", got.RecordsVisited, st.RecordsVisited},
 		{"PartitionRegions", got.PartitionRegions, st.PartitionRegions},
-		{"PartitionCrossing", got.PartitionCrossing, st.PartitionCrossing},
-		{"RegionIterations", got.RegionIterations, st.RegionIterations},
-		{"GlobalIterations", got.GlobalIterations, st.GlobalIterations},
 		{"Connections", got.Connections, conns},
 	} {
 		if f.got != f.want {
